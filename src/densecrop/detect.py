@@ -34,6 +34,7 @@ __all__ = [
     "extract_features",
     "feature_dim",
     "toy_forward",
+    "SampleView",
     "SupervisedBatch",
     "UnsupervisedBatch",
     "LossResult",
@@ -103,12 +104,19 @@ class WeightLayout:
 
 @dataclass(frozen=True)
 class WeightVector:
-    """Flat parameter vector with a named layout. Treat as immutable."""
+    """Flat parameter vector with a named layout.
+
+    ``values`` is a read-only copy of the array the vector was built from,
+    so weights only ever change by building a new vector.
+    """
 
     layout: WeightLayout
     values: np.ndarray
 
     def __post_init__(self) -> None:
+        values = np.array(self.values)
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
         if self.values.shape != (self.layout.total,):
             raise InvariantViolation(
                 f"weight vector has {self.values.shape} values, layout wants ({self.layout.total},)"
@@ -501,6 +509,23 @@ class OracleBackend(DetectorBackend):
         )
 
 
+@dataclass(frozen=True, eq=False)
+class SampleView:
+    """What the toy detector derives from one sample alone.
+
+    The proposal boxes, their un-augmented feature matrix (read-only) and,
+    for a labeled record, the ground-truth class and corner-offset targets
+    of each proposal. Augmentation works on copies of ``phi``, so one view
+    serves every visit to its image.
+    """
+
+    sample: SceneSample
+    proposals: tuple[Box, ...]
+    phi: np.ndarray
+    gt_classes: np.ndarray | None = None
+    gt_offsets: np.ndarray | None = None
+
+
 @dataclass(frozen=True)
 class ToyDetectorConfig:
     """Hyperparameters of the trainable linear detector."""
@@ -529,6 +554,9 @@ class ToyDetector(DetectorBackend):
     uniform background samples, all fixed per image. Weak augmentation
     flips the horizontal center feature; strong augmentation adds feature
     noise and zeroes a random contiguous block.
+
+    Proposals and base features are pure functions of the image: :meth:`view`
+    computes them once, and every method takes that view in place of a sample.
     """
 
     def __init__(self, config: ToyDetectorConfig):
@@ -590,7 +618,7 @@ class ToyDetector(DetectorBackend):
     def features(
         self,
         scene: SceneSpec,
-        proposals: list[Box],
+        proposals: list[Box] | tuple[Box, ...],
         augmentation: str = "none",
         seed: int = 0,
     ) -> np.ndarray:
@@ -602,11 +630,20 @@ class ToyDetector(DetectorBackend):
                 for p in proposals
             ]
         ) if proposals else np.zeros((0, self.layout.feature_dim))
-        if augmentation == "none" or len(proposals) == 0:
+        return self.augment(phi, augmentation, seed)
+
+    def augment(self, phi: np.ndarray, augmentation: str = "none", seed: int = 0) -> np.ndarray:
+        """Augmented features; ``phi`` itself is never written.
+
+        ``"none"`` returns ``phi`` unchanged; the other tags return a new
+        array whenever they change anything.
+        """
+        if augmentation == "none" or len(phi) == 0:
             return phi
         if augmentation == "weak":
             rng = rng_for(seed, "weak")
             if rng.random() < self.config.weak_flip_prob:
+                phi = phi.copy()
                 phi[:, 2] = 1.0 - phi[:, 2]
             return phi
         if augmentation == "strong":
@@ -619,74 +656,104 @@ class ToyDetector(DetectorBackend):
             return phi
         raise InvariantViolation(f"unknown augmentation tag {augmentation!r}")
 
+    def view(self, sample: SceneSample, targets: bool = False) -> SampleView:
+        """Proposals and base features of ``sample``, computed once.
+
+        With ``targets`` the view also carries each proposal's ground-truth
+        class and offsets against the record's annotations, which
+        :meth:`supervised_batch` needs.
+        """
+        proposals = tuple(self.proposals(sample))
+        phi = self.features(sample.scene, proposals)
+        phi.flags.writeable = False
+        classes = offsets = None
+        if targets:
+            classes, offsets = assign_targets(
+                proposals, sample.record.annotations, self.config.fg_iou, self.background_class
+            )
+            classes.flags.writeable = offsets.flags.writeable = False
+        return SampleView(sample, proposals, phi, classes, offsets)
+
+    def _view_of(self, sample: SceneSample | SampleView, targets: bool = False) -> SampleView:
+        return sample if isinstance(sample, SampleView) else self.view(sample, targets)
+
     def detect(
         self,
         weights: WeightVector | None,
-        sample: SceneSample,
+        sample: SceneSample | SampleView,
         augmentation: str = "none",
         seed: int = 0,
     ) -> list[Detection]:
+        """Detections on a view, or on a sample through a view built for
+        this call."""
+        return self.predict(weights, self._view_of(sample), augmentation, seed)[0]
+
+    def predict(
+        self,
+        weights: WeightVector | None,
+        view: SampleView,
+        augmentation: str = "none",
+        seed: int = 0,
+    ) -> tuple[list[Detection], np.ndarray]:
+        """Detections on a view plus the class probabilities of every
+        proposal they were decoded from."""
         if weights is None:
             raise InvariantViolation("ToyDetector.detect requires weights")
-        props = self.proposals(sample)
-        if not props:
-            return []
-        phi = self.features(sample.scene, props, augmentation, seed)
-        probs, offsets = toy_forward(weights, phi)
+        probs, offsets = toy_forward(weights, self.augment(view.phi, augmentation, seed))
+        record = view.sample.record
         out: list[Detection] = []
-        for i, prop in enumerate(props):
+        for i, prop in enumerate(view.proposals):
             box = _safe_box(
                 prop.x1 + offsets[i, 0], prop.y1 + offsets[i, 1],
                 prop.x2 + offsets[i, 2], prop.y2 + offsets[i, 3],
-                sample.record.width, sample.record.height,
+                record.width, record.height,
             )
             for class_id in range(self.background_class):
                 score = float(probs[i, class_id])
                 if score > self.config.emit_floor:
                     out.append(Detection(box=box, class_id=class_id, score=score))
-        return out
+        return out, probs
 
     def supervised_batch(
-        self, sample: SceneSample, augmentation: str = "none", seed: int = 0
+        self, sample: SceneSample | SampleView, augmentation: str = "none", seed: int = 0
     ) -> SupervisedBatch:
-        """Training batch against the record's own annotations."""
-        props = self.proposals(sample)
-        phi = self.features(sample.scene, props, augmentation, seed)
-        classes, offsets = assign_targets(
-            props, sample.record.annotations, self.config.fg_iou, self.background_class
+        """Training batch against the record's own annotations; a view must
+        have been built with targets."""
+        view = self._view_of(sample, targets=True)
+        if view.gt_classes is None:
+            raise InvariantViolation("supervised_batch needs a view built with targets")
+        return SupervisedBatch(
+            features=self.augment(view.phi, augmentation, seed),
+            classes=view.gt_classes,
+            offsets=view.gt_offsets,
         )
-        return SupervisedBatch(features=phi, classes=classes, offsets=offsets)
 
     def unsupervised_batch(
         self,
-        sample: SceneSample,
+        sample: SceneSample | SampleView,
         pseudo_labels: list[Annotation],
         augmentation: str = "strong",
         seed: int = 0,
-        teacher: WeightVector | None = None,
-        teacher_seed: int = 0,
+        teacher_probs: np.ndarray | None = None,
     ) -> UnsupervisedBatch:
         """Training batch against teacher pseudo-labels (classes only).
 
         A proposal enters the batch when it matches a pseudo-label (taking
-        that class) or, if teacher weights are given, when the teacher is
-        confidently background on it (probability above ``bg_tau`` on the
-        weak view). Everything else is excluded: confidence thresholding
-        says nothing about the proposals the teacher is unsure of, so an
-        object the teacher missed contributes no gradient rather than a
-        background target.
+        that class) or, if the teacher's per-proposal probabilities on the
+        weak view are given, when the teacher is confidently background on
+        it (probability above ``bg_tau``). Everything else is excluded:
+        confidence thresholding says nothing about the proposals the
+        teacher is unsure of, so an object the teacher missed contributes
+        no gradient rather than a background target.
         """
-        props = self.proposals(sample)
-        phi = self.features(sample.scene, props, augmentation, seed)
+        view = self._view_of(sample)
+        phi = self.augment(view.phi, augmentation, seed)
         classes, _ = assign_targets(
-            props, pseudo_labels, self.config.fg_iou, self.background_class
+            view.proposals, pseudo_labels, self.config.fg_iou, self.background_class
         )
         keep = classes != self.background_class
-        if teacher is not None and props:
-            phi_weak = self.features(sample.scene, props, "weak", teacher_seed)
-            probs, _ = toy_forward(teacher, phi_weak)
-            confident_bg = probs[:, self.background_class] > self.config.bg_tau
-            keep = keep | confident_bg
+        if teacher_probs is not None:
+            keep = keep | (teacher_probs[:, self.background_class] > self.config.bg_tau)
         return UnsupervisedBatch(features=phi[keep], classes=classes[keep])
 
 

@@ -16,7 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .croplab import CropParams, label_density_crops
-from .dataset import SceneSample, UpscalePolicy, crop_scene, make_crop_children
+from .dataset import SceneSample, UpscalePolicy, make_crop_children
 from .detect import DetectorBackend, WeightVector
 from .errors import ConfigError
 from .geometry import Box, Detection, nms, reproject
@@ -110,9 +110,7 @@ def detect_multistage(
     fused = list(base)
     for index, crop in enumerate(crops):
         out_size = config.upscale.output_size(crop)
-        child_record = make_crop_children(sample, [crop], config.upscale)[0].record
-        child_scene = crop_scene(sample.scene, crop, out_size)
-        child = SceneSample(record=child_record, scene=child_scene)
+        child = make_crop_children(sample, [crop], config.upscale)[0]
         stage2 = backend.detect(
             weights, child, "none", seed=stable_int(seed) ^ stable_int(f"stage2-{index}")
         )

@@ -142,9 +142,7 @@ class CropCacheEntry:
 class TrainerState:
     """Everything the training loop owns.
 
-    The teacher weight vector only ever changes through the EMA update;
-    ``teacher_hash`` is refreshed there and nowhere else, so any stray
-    mutation shows up as an integrity failure.
+    The teacher weight vector only ever changes through the EMA update.
     """
 
     student: WeightVector
@@ -152,14 +150,6 @@ class TrainerState:
     iteration: int = 0
     crop_cache: dict = field(default_factory=dict)
     history: list = field(default_factory=list)
-    teacher_hash: str = ""
-
-    def verify_teacher_integrity(self) -> bool:
-        return self.teacher_hash == _weights_hash(self.teacher)
-
-
-def _weights_hash(weights: WeightVector) -> str:
-    return hashlib.sha256(np.ascontiguousarray(weights.values).tobytes()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -189,9 +179,9 @@ def ema_update(teacher: WeightVector, student: WeightVector, alpha: float) -> We
     if not (0.0 <= alpha <= 1.0):
         raise InvariantViolation(f"alpha must be in [0, 1], got {alpha}")
     if alpha == 0.0:
-        return student.replace_values(student.values.copy())
+        return student.replace_values(student.values)
     if alpha == 1.0:
-        return teacher.replace_values(teacher.values.copy())
+        return teacher.replace_values(teacher.values)
     return teacher.replace_values(alpha * teacher.values + (1.0 - alpha) * student.values)
 
 
@@ -315,10 +305,11 @@ def discover_unlabeled_crops(
 ) -> dict:
     """Label density crops on unlabeled images from teacher pseudo-labels.
 
-    Runs on the given batch's parent images plus any cache entry older
-    than the recompute period. Returns the new child samples keyed by id;
-    the caller folds them into the unlabeled pool. Before
-    ``crop_start_iter`` the cache is left untouched.
+    ``unlabeled_parents`` maps image id to :class:`SampleView`. Runs on
+    the given batch's parent images plus any cache entry older than the
+    recompute period. Returns the new child samples keyed by id; the
+    caller folds them into the unlabeled pool. Before ``crop_start_iter``
+    the cache is left untouched.
     """
     if state.iteration < config.crop_start_iter:
         return {}
@@ -334,17 +325,17 @@ def discover_unlabeled_crops(
     )
     new_children: dict = {}
     for image_id in targets:
-        sample = unlabeled_parents[image_id]
+        view = unlabeled_parents[image_id]
         dets = backend.detect(
             state.teacher,
-            sample,
+            view,
             "weak",
             seed=_aug_seed(config.seed, "crop-detect", state.iteration, image_id),
         )
         pseudo = filter_pseudo_labels(dets, config.tau)
         base_boxes = [a.box for a in pseudo if a.class_id < backend.num_base_classes]
-        crops = label_density_crops(base_boxes, sample.record.size, config.crop_params)
-        children = make_crop_children(sample, crops, config.upscale)
+        crops = label_density_crops(base_boxes, view.sample.record.size, config.crop_params)
+        children = make_crop_children(view.sample, crops, config.upscale)
         state.crop_cache[image_id] = CropCacheEntry(
             crops=crops,
             computed_iter=state.iteration,
@@ -401,19 +392,33 @@ def train(
     which ids contribute supervised loss. Per-iteration losses,
     pseudo-label counts, and crop-cache sizes land in ``state.history``.
 
+    Each training image's proposals and base features are computed once
+    per call, in a :class:`SampleView` that lives only as long as the call:
+    views for the labeled pool and the unlabeled parents are built up
+    front, and a crop child gets a fresh view when it enters the unlabeled
+    pool, even under an id an earlier, different crop used.
+
     With ``checkpoint_dir`` set and ``config.checkpoint_interval`` enabled,
     intermediate checkpoints are written there; ``resume_from`` restores
     weights and the iteration counter from such a checkpoint and continues
-    the schedule (per-iteration randomness is derived statelessly, so the
-    remaining iterations replay exactly; the unlabeled crop cache rebuilds
-    as images are revisited).
+    the schedule. Per-iteration randomness is derived statelessly, so the
+    remaining iterations replay exactly as long as the checkpoint precedes
+    ``crop_start_iter``. The unlabeled crop cache is not checkpointed: it
+    rebuilds as images are revisited, so a run resumed after crop
+    discovery started diverges from the uninterrupted one.
     """
-    labeled_pool = prepare_labeled_pool(samples, split.labeled_ids, config, backend)
-    unlabeled_parents = {
-        image_id: samples[image_id] for image_id in sorted(split.unlabeled_ids, key=str)
+    labeled_pool = {
+        image_id: backend.view(sample, targets=True)
+        for image_id, sample in prepare_labeled_pool(
+            samples, split.labeled_ids, config, backend
+        ).items()
     }
     if not labeled_pool:
         raise DataError("training requires at least one labeled image")
+    unlabeled_parents = {
+        image_id: backend.view(samples[image_id])
+        for image_id in sorted(split.unlabeled_ids, key=str)
+    }
 
     if resume_from is not None:
         header, student, teacher = read_checkpoint(resume_from)
@@ -428,11 +433,10 @@ def train(
         weights, history = burn_in(config, labeled_pool, backend)
         state = TrainerState(
             student=weights,
-            teacher=weights.replace_values(weights.values.copy()),
+            teacher=weights,
             iteration=config.burn_in_iters,
             history=history,
         )
-    state.teacher_hash = _weights_hash(state.teacher)
 
     unlabeled_children: dict = {}
     for iteration in range(state.iteration + 1, config.max_iters + 1):
@@ -460,21 +464,24 @@ def train(
                     )
             unsup_batches: list[UnsupervisedBatch] = []
             for image_id in batch_ids:
-                sample = (
-                    unlabeled_parents.get(image_id) or unlabeled_children[image_id]
+                view = unlabeled_parents.get(image_id) or unlabeled_children[image_id]
+                # One teacher pass on the weak view yields both the
+                # pseudo-labels and the confident-background mask.
+                teacher_dets, teacher_probs = backend.predict(
+                    state.teacher,
+                    view,
+                    "weak",
+                    seed=_aug_seed(config.seed, "teacher-weak", iteration, image_id),
                 )
-                weak_seed = _aug_seed(config.seed, "teacher-weak", iteration, image_id)
-                teacher_dets = backend.detect(state.teacher, sample, "weak", seed=weak_seed)
                 pseudo = filter_pseudo_labels(teacher_dets, config.tau)
                 pseudo_total += len(pseudo)
                 unsup_batches.append(
                     backend.unsupervised_batch(
-                        sample,
+                        view,
                         pseudo,
                         "strong",
                         seed=_aug_seed(config.seed, "student-strong", iteration, image_id),
-                        teacher=state.teacher,
-                        teacher_seed=weak_seed,
+                        teacher_probs=teacher_probs,
                     )
                 )
             features = np.concatenate([b.features for b in unsup_batches])
@@ -491,7 +498,6 @@ def train(
         )
 
         state.teacher = ema_update(state.teacher, state.student, config.alpha)
-        state.teacher_hash = _weights_hash(state.teacher)
 
         new_children = discover_unlabeled_crops(
             state, batch_parents, unlabeled_parents, backend, config
@@ -499,9 +505,13 @@ def train(
         if new_children or any(
             entry.computed_iter == iteration for entry in state.crop_cache.values()
         ):
+            # A recomputed parent can hand an old child id to a different
+            # crop, so new children replace, never reuse, the views under
+            # their ids; children no cache entry lists any more leave.
+            fresh = {child_id: backend.view(child) for child_id, child in new_children.items()}
             unlabeled_children = {
-                child_id: child
-                for child_id, child in {**unlabeled_children, **new_children}.items()
+                child_id: view
+                for child_id, view in {**unlabeled_children, **fresh}.items()
                 if any(child_id in e.child_ids for e in state.crop_cache.values())
             }
 

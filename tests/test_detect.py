@@ -153,6 +153,14 @@ class TestExtractFeatures:
         assert extract_features(sample.scene, Box(0, 0, 50, 50), 4).shape == (12,)
 
 
+def weights_from(layout, cls, reg=None):
+    """Weight vector from classifier and regressor matrices (regressor zero
+    by default); the values are read-only once wrapped, so build first."""
+    if reg is None:
+        reg = np.zeros((4, layout.columns))
+    return WeightVector(layout=layout, values=np.concatenate([cls.ravel(), reg.ravel()]))
+
+
 def random_weights(rng, num_classes=3):
     layout = WeightLayout(feature_dim=feature_dim(num_classes), num_outputs=num_classes + 2)
     return WeightVector(layout=layout, values=rng.normal(0, 0.5, layout.total))
@@ -177,10 +185,9 @@ class TestToyForward:
 
     def test_favorable_weights_win_argmax(self):
         layout = WeightLayout(feature_dim=feature_dim(3), num_outputs=5)
-        values = np.zeros(layout.total)
-        weights = WeightVector(layout=layout, values=values)
-        cls = weights.cls_matrix()
-        cls[2, :] = 1.0  # writes through the view
+        cls = np.zeros((layout.num_outputs, layout.columns))
+        cls[2, :] = 1.0
+        weights = weights_from(layout, cls)
         probs, _ = toy_forward(weights, np.ones(layout.feature_dim))
         assert int(np.argmax(probs)) == 2
 
@@ -225,10 +232,9 @@ class TestLossSup:
         # Reinforce the true class hard enough and the loss approaches its
         # lower bound: zero regression error, vanishing cross-entropy.
         layout = WeightLayout(feature_dim=2, num_outputs=3)
-        values = np.zeros(layout.total)
-        weights = WeightVector(layout=layout, values=values)
-        cls = weights.cls_matrix()
+        cls = np.zeros((layout.num_outputs, layout.columns))
         cls[1, 0] = 50.0
+        weights = weights_from(layout, cls)
         batch = SupervisedBatch(
             features=np.array([[1.0, 0.0]]),
             classes=np.array([1]),
@@ -243,13 +249,12 @@ class TestLossSup:
         # one feature, one example: logits (w0*x, w1*x), target class 0,
         # predicted offsets all w_r*x against targets of zero
         layout = WeightLayout(feature_dim=1, num_outputs=2)
-        values = np.zeros(layout.total)
-        weights = WeightVector(layout=layout, values=values)
-        cls = weights.cls_matrix()
+        cls = np.zeros((layout.num_outputs, layout.columns))
         cls[0, 0] = 0.3
         cls[1, 0] = -0.2
-        reg = weights.reg_matrix()
+        reg = np.zeros((4, layout.columns))
         reg[:, 0] = 0.4
+        weights = weights_from(layout, cls, reg)
         x = 2.0
         batch = SupervisedBatch(
             features=np.array([[x]]),
@@ -387,12 +392,10 @@ class TestToyDetector:
             seed=7, clusters_per_image=(2, 2), objects_per_cluster=(8, 8)
         )
         backend = self.backend()
-        weights = backend.init_weights(0)
-        cls = weights.cls_matrix()
-        cls[:] = 0.0
+        cls = np.zeros((backend.layout.num_outputs, backend.layout.columns))
         cls[backend.crop_class_id, 6] = 30.0  # center-count feature
         cls[backend.crop_class_id, backend.layout.feature_dim] = -10.0
-        weights.reg_matrix()[:] = 0.0
+        weights = weights_from(backend.layout, cls)
         dets = backend.detect(weights, sample, "none", seed=0)
         assert any(d.class_id == backend.crop_class_id for d in dets)
 
@@ -403,6 +406,29 @@ class TestToyDetector:
         plain = backend.features(sample.scene, props, "none")
         strong = backend.features(sample.scene, props, "strong", seed=4)
         assert not np.array_equal(plain, strong)
+
+    def test_view_features_stay_unchanged_under_augmentation(self):
+        sample = scene_sample(seed=8)
+        backend = self.backend()
+        weights = backend.init_weights(3)
+        view = backend.view(sample, targets=True)
+        before = view.phi.copy()
+        assert not view.phi.flags.writeable
+        with pytest.raises(ValueError):
+            view.phi[0, 0] = 1.0
+        # at seed 3 the weak flip fires, so weak augmentation does write
+        # to its output
+        weak = backend.augment(view.phi, "weak", seed=3)
+        np.testing.assert_array_equal(weak[:, 2], 1.0 - before[:, 2])
+        assert not np.array_equal(backend.augment(view.phi, "strong", seed=4), before)
+        assert backend.detect(weights, view, "weak", seed=3) == backend.detect(
+            weights, sample, "weak", seed=3
+        )
+        backend.supervised_batch(view, "weak", seed=3)
+        backend.unsupervised_batch(view, [], "strong", seed=4)
+        np.testing.assert_array_equal(view.phi, before)
+        with pytest.raises(InvariantViolation):
+            backend.supervised_batch(backend.view(sample))  # built without targets
 
     def test_unknown_augmentation_rejected(self):
         sample = scene_sample(seed=8)

@@ -270,7 +270,8 @@ class TestDiscoverUnlabeledCrops:
         weights = backend.init_weights(0)
         state = TrainerState(student=weights, teacher=weights, iteration=5)
         cfg = trainer_config(crop_start_iter=30)
-        out = discover_unlabeled_crops(state, sorted(samples), samples, backend, cfg)
+        views = {i: backend.view(s) for i, s in samples.items()}
+        out = discover_unlabeled_crops(state, sorted(samples), views, backend, cfg)
         assert out == {} and state.crop_cache == {}
 
     def test_zero_confident_predictions_zero_crops(self):
@@ -282,7 +283,8 @@ class TestDiscoverUnlabeledCrops:
         state = TrainerState(student=weights, teacher=weights, iteration=35)
         cfg = trainer_config(tau=0.999)
         ids = sorted(samples)[:2]
-        discover_unlabeled_crops(state, ids, samples, backend, cfg)
+        views = {i: backend.view(s) for i, s in samples.items()}
+        discover_unlabeled_crops(state, ids, views, backend, cfg)
         assert all(len(e.crops) == 0 for e in state.crop_cache.values())
 
     def test_cache_entries_refresh_when_stale(self):
@@ -295,7 +297,8 @@ class TestDiscoverUnlabeledCrops:
         first_id = sorted(samples)[0]
         state.crop_cache[first_id] = CropCacheEntry(crops=[], computed_iter=1, child_ids=[])
         cfg = trainer_config(crop_start_iter=30, crop_recompute_period=100)
-        discover_unlabeled_crops(state, [], samples, backend, cfg)
+        views = {i: backend.view(s) for i, s in samples.items()}
+        discover_unlabeled_crops(state, [], views, backend, cfg)
         assert state.crop_cache[first_id].computed_iter == 200
 
 
@@ -362,12 +365,15 @@ class TestTrain:
         assert np.array_equal(supervised.student.values, degenerate.student.values)
         assert np.array_equal(degenerate.teacher.values, degenerate.student.values)
 
-    def test_teacher_changes_only_through_ema(self):
+    def test_teacher_weights_are_read_only(self):
         samples = tiny_dataset()
         split = quick_split(samples, 2)
         backend = backend_for()
         state = train(trainer_config(), samples, split, backend)
-        assert state.verify_teacher_integrity()
+        with pytest.raises(ValueError):
+            state.teacher.values[0] = 0.0
+        with pytest.raises(ValueError):
+            state.teacher.cls_matrix()[0, 0] = 0.0
 
     def test_loss_decomposition_exact(self):
         samples = tiny_dataset()
@@ -399,6 +405,48 @@ class TestTrain:
         assert all(e.computed_iter >= 150 for e in state.crop_cache.values())
         assert state.history[-1].crops_cached == sum(
             len(e.crops) for e in state.crop_cache.values()
+        )
+
+    def test_reused_crop_child_ids_get_fresh_views(self, monkeypatch):
+        # With a short recompute period a parent's crops are recomputed and
+        # the same child id ("<parent>:crop0") names a different crop;
+        # training must see the new crop, not the view of the old one.
+        import hashlib
+
+        from densecrop import teacher as teacher_module
+
+        crops_by_child: dict = {}
+        discover = teacher_module.discover_unlabeled_crops
+
+        def recording(*args, **kwargs):
+            children = discover(*args, **kwargs)
+            for child_id, child in children.items():
+                crops_by_child.setdefault(child_id, set()).add(
+                    child.record.provenance.crop_box
+                )
+            return children
+
+        monkeypatch.setattr(teacher_module, "discover_unlabeled_crops", recording)
+        samples = tiny_dataset(
+            n=6, clusters_per_image=(2, 2), objects_per_cluster=(6, 8), payload_noise=0.05
+        )
+        split = quick_split(samples, 2)
+        backend = backend_for(payload_obs_scale=2.0)
+        cfg = trainer_config(
+            burn_in_iters=60,
+            max_iters=100,
+            crop_start_iter=70,
+            learning_rate=0.05,
+            tau=0.5,
+            crops_on_labeled=True,
+            crop_recompute_period=3,
+        )
+        state = train(cfg, samples, split, backend)
+        assert any(len(crops) > 1 for crops in crops_by_child.values())
+        # recorded from the implementation that recomputed every feature on
+        # every visit
+        assert hashlib.sha256(state.teacher.values.tobytes()).hexdigest() == (
+            "ce50513801a957b4303a7a2544838563aac707b4578c899a51647fcfe1cc4523"
         )
 
     def test_run_report_round_trips_loss_values(self, tmp_path):
