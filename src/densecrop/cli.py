@@ -3,8 +3,8 @@
 Subcommands: ``dataset gen|tile|split``, ``crops label``, ``train``,
 ``infer``, ``eval``, ``errors``, ``report``, and ``replay``. Every run
 writes a manifest with the resolved parameters, the root seed, and input
-and output digests; ``replay`` re-executes a manifest and reproduces the
-primary outputs byte for byte.
+and output digests; ``replay`` re-executes a manifest and checks that it
+reproduces the primary outputs byte for byte.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 invariant
 violation.
@@ -21,7 +21,7 @@ import time
 from . import config as cfg
 from . import croplab, dataset, detect, infer, metrics, teacher
 from .errors import ConfigError, DataError, DensecropError
-from .manifest import RunManifest, read_manifest, verify_inputs, write_manifest
+from .manifest import RunManifest, read_manifest, verify_inputs, verify_outputs, write_manifest
 
 CROP_CATEGORY_NAME = "density_crop"
 
@@ -383,13 +383,17 @@ _COMMANDS = {
 
 
 def cmd_replay(manifest_path: str, out: str) -> RunManifest:
+    """Re-run a recorded manifest into ``out`` and check that it reproduces
+    every primary output (``manifest.verify_outputs``)."""
     recorded = read_manifest(manifest_path)
     if recorded.command not in _COMMANDS:
         raise DataError(f"manifest records unknown command {recorded.command!r}")
     verify_inputs(recorded)
     params = dict(recorded.params)
     params["out"] = out
-    return _COMMANDS[recorded.command](params)
+    replayed = _COMMANDS[recorded.command](params)
+    verify_outputs(recorded, replayed)
+    return replayed
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import json
 import os
 from dataclasses import dataclass, field
 
-from .errors import DataError
+from .errors import DataError, InvariantViolation
 
 __all__ = ["RunManifest", "file_digest", "write_manifest", "read_manifest"]
 
@@ -104,3 +104,24 @@ def verify_inputs(manifest: RunManifest) -> None:
                 f"replay input {path} changed since the original run "
                 f"(expected {digest[:12]}..., found {actual[:12]}...)"
             )
+
+
+def verify_outputs(recorded: RunManifest, replayed: RunManifest) -> None:
+    """Fail when a replay did not reproduce every primary output.
+
+    Outputs are matched by their path relative to each run's ``out``
+    parameter; a missing, extra or changed primary output is an
+    InvariantViolation.
+    """
+    want, got = _primary_digests(recorded), _primary_digests(replayed)
+    for name in sorted(want.keys() | got.keys()):
+        if want.get(name) != got.get(name):
+            raise InvariantViolation(
+                f"replay did not reproduce primary output {name} "
+                f"(recorded sha256 {want.get(name)}, replayed {got.get(name)})"
+            )
+
+
+def _primary_digests(manifest: RunManifest) -> dict:
+    out_dir = manifest.params["out"]
+    return {os.path.relpath(o["path"], out_dir): o["sha256"] for o in manifest.primary_outputs()}

@@ -7,6 +7,21 @@ class, and IoU threshold (each ground truth matched at most once),
 out-of-bucket ground truth ignored rather than counted against the
 detector. Error profiling assigns each false positive exactly one type
 (Cls, Loc, Both, Dupe, Bkg) and counts unmatched ground truth as Miss.
+
+Every pass computes IoU once per image, as one float64 matrix of
+score-ordered detections by ground truth with other-class pairs masked
+out, so each (image, class) block is the per-(image, category) matrix of
+pycocotools' COCOeval (whose design this follows, without depending on
+it). Every value equals ``geometry.iou`` bit for bit. One greedy kernel
+matches against that matrix for every (area range, IoU threshold) pair at
+once, and one stable ranking per class serves all of them.
+
+The tie rule: in score order, a detection takes the untaken counted
+(in-range) ground truth of highest IoU at or above the threshold, the
+first in annotation order among equal IoUs. Only when no counted one
+qualifies does it take an ignored one, by the same rule, and a counted
+match is never traded for an ignored one. Equal scores rank in image
+order, then input order.
 """
 
 from __future__ import annotations
@@ -14,12 +29,12 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .dataset import Annotation
 from .errors import DataError, InvariantViolation
-from .geometry import Detection, iou
+from .geometry import Box, Detection
 
 __all__ = [
     "COCO_IOU_THRESHOLDS",
@@ -44,6 +59,9 @@ COCO_SIZE_BUCKETS: dict[str, tuple[float, float]] = {
 }
 _ALL = (0.0, float("inf"))
 _RECALL_POINTS = np.linspace(0.0, 1.0, 101)
+# Cells (detection x range x threshold x ground truth) the matching kernel
+# decides in one vectorized step; bounds its temporary arrays at a few MB.
+_PICK_CELLS = 1 << 18
 
 ERROR_TYPES = ("Cls", "Loc", "Both", "Dupe", "Bkg", "Miss")
 
@@ -76,17 +94,135 @@ class EvalReport:
         }
 
 
-def _dets_by_image_class(
-    dets: list[tuple], known_images: set
-) -> dict:
-    grouped: dict = {}
-    for index, (image_id, det) in enumerate(dets):
-        if image_id not in known_images:
+# ---------------------------------------------------------------------------
+# Matching core
+# ---------------------------------------------------------------------------
+
+
+def _xyxy(boxes: list[Box]) -> np.ndarray:
+    return np.array([b.as_tuple() for b in boxes], dtype=np.float64).reshape(-1, 4)
+
+
+def _area(xyxy: np.ndarray) -> np.ndarray:
+    return (xyxy[:, 2] - xyxy[:, 0]) * (xyxy[:, 3] - xyxy[:, 1])
+
+
+def _iou_matrix(dets: np.ndarray, gts: np.ndarray) -> np.ndarray:
+    """(D, G) IoU of xyxy rows, with the float operations of ``geometry.iou``."""
+    iw = np.minimum(dets[:, None, 2], gts[None, :, 2]) - np.maximum(dets[:, None, 0], gts[None, :, 0])
+    ih = np.minimum(dets[:, None, 3], gts[None, :, 3]) - np.maximum(dets[:, None, 1], gts[None, :, 1])
+    inter = np.where((iw > 0.0) & (ih > 0.0), iw * ih, 0.0)
+    # Where inter is 0 the union is a sum of positive areas, so the IoU is 0.
+    return inter / (_area(dets)[:, None] + _area(gts)[None, :] - inter)
+
+
+def _in_ranges(areas: np.ndarray, ranges: np.ndarray) -> np.ndarray:
+    """(R, N) flags: area inside each closed [lo, hi] row of ``ranges``."""
+    return (ranges[:, :1] <= areas) & (areas <= ranges[:, 1:])
+
+
+def _pick(candidates: np.ndarray, ious: np.ndarray, counted: np.ndarray) -> tuple:
+    """Best candidate along the last (ground-truth) axis, by the tie rule.
+
+    Returns (column, found): the first column of highest IoU among the
+    counted candidates, or among all candidates when no counted one is left.
+    """
+    preferred = candidates & counted
+    candidates = np.where(preferred.any(axis=-1, keepdims=True), preferred, candidates)
+    return np.where(candidates, ious, -1.0).argmax(axis=-1), candidates.any(axis=-1)
+
+
+def _match(ious: np.ndarray, ignored: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """Greedy matching of one image's detections for every (range, threshold).
+
+    ``ious`` is (D, G) with detections in descending score order and -inf
+    for pairs that may never match (other class), ``ignored`` is (R, G) and
+    ``thresholds`` is (T,). Returns the (R, T, D) matched ground-truth
+    column, -1 where the detection stays unmatched. The tie rule is the one
+    in the module docstring.
+
+    A detection can only take ground truth it reaches (IoU at or above some
+    threshold). If no earlier detection reaches any of that ground truth,
+    all of it is still untaken at the detection's turn, and nothing it
+    takes is visible to an earlier one; such detections are matched
+    together in one step, and only the others go through the loop in score
+    order.
+    """
+    num_dets, num_gts = ious.shape
+    matched = np.full((len(ignored), len(thresholds), num_dets), -1, dtype=np.intp)
+    if num_gts == 0:
+        return matched
+    above = ious[:, None, :] >= thresholds[:, None]  # (D, T, G)
+    reach = above.any(axis=1)
+    contested = np.zeros(num_dets, dtype=bool)
+    contested[1:] = (reach[1:] & np.logical_or.accumulate(reach, axis=0)[:-1]).any(axis=1)
+    counted = ~ignored[:, None, :]
+    taken = np.zeros((len(ignored), len(thresholds), num_gts), dtype=bool)
+
+    alone = np.flatnonzero(reach.any(axis=1) & ~contested)
+    step = max(1, _PICK_CELLS // taken.size)
+    for chunk in (alone[i : i + step] for i in range(0, len(alone), step)):
+        cols, found = _pick(above[chunk, None], ious[chunk, None, None], counted)  # (n, R, T)
+        n, r, t = np.nonzero(found)
+        matched[r, t, chunk[n]] = cols[n, r, t]
+        taken[r, t, cols[n, r, t]] = True
+
+    for d in np.flatnonzero(contested):
+        cols, found = _pick(above[d] & ~taken, ious[d], counted)  # (R, T)
+        r, t = np.nonzero(found)
+        matched[r, t, d] = cols[r, t]
+        taken[r, t, cols[r, t]] = True
+    return matched
+
+
+def _match_once(ious: np.ndarray, iou_thresh: float) -> np.ndarray:
+    """Matched ground-truth column per detection at one threshold, nothing ignored."""
+    no_ignored = np.zeros((1, ious.shape[1]), dtype=bool)
+    return _match(ious, no_ignored, np.array([iou_thresh], dtype=np.float64))[0, 0]
+
+
+class _Image(NamedTuple):
+    """One image's ground truth and its detections in descending score
+    order (ties keep input order), as arrays."""
+
+    gt_boxes: np.ndarray
+    gt_classes: np.ndarray
+    det_boxes: np.ndarray
+    det_classes: np.ndarray
+    det_scores: np.ndarray
+
+    def class_ious(self) -> tuple[np.ndarray, np.ndarray]:
+        """(detection x ground-truth IoU, same-class mask) of the image."""
+        same_class = self.det_classes[:, None] == self.gt_classes[None, :]
+        return _iou_matrix(self.det_boxes, self.gt_boxes), same_class
+
+
+def _images(gts: dict, dets: list[tuple]) -> Iterator[_Image]:
+    """Per-image arrays, one image at a time, in the sorted image-id order
+    every pass uses."""
+    image_ids = sorted(gts, key=str)
+    slots = {image_id: [] for image_id in image_ids}
+    for image_id, det in dets:
+        slot = slots.get(image_id)
+        if slot is None:
             raise DataError(f"detection references unknown image id {image_id!r}")
-        grouped.setdefault((image_id, det.class_id), []).append((index, det))
-    for key in grouped:
-        grouped[key].sort(key=lambda pair: (-pair[1].score, pair[0]))
-    return grouped
+        slot.append(det)
+    for image_id in image_ids:
+        anns, img_dets = gts[image_id], slots.pop(image_id)
+        scores = np.array([d.score for d in img_dets], dtype=np.float64)
+        order = np.argsort(-scores, kind="stable")
+        yield _Image(
+            gt_boxes=_xyxy([a.box for a in anns]),
+            gt_classes=np.array([a.class_id for a in anns], dtype=np.int64),
+            det_boxes=_xyxy([d.box for d in img_dets])[order],
+            det_classes=np.array([d.class_id for d in img_dets], dtype=np.int64)[order],
+            det_scores=scores[order],
+        )
+
+
+def _same_class_only(ious: np.ndarray, same_class: np.ndarray) -> np.ndarray:
+    """IoU with other-class pairs set to -inf, which no threshold reaches."""
+    return np.where(same_class, ious, -np.inf)
 
 
 def match_greedy(
@@ -97,20 +233,29 @@ def match_greedy(
     Returns (per-detection matched gt index or None, per-gt matched flag).
     ``det_list`` must already be sorted by descending score.
     """
+    ious = _iou_matrix(_xyxy([d.box for d in det_list]), _xyxy(gt_boxes))
+    det_match = [None if g < 0 else g for g in _match_once(ious, iou_thresh).tolist()]
     gt_taken = [False] * len(gt_boxes)
-    det_match: list = []
-    for det in det_list:
-        best, best_iou = None, iou_thresh
-        for g, box in enumerate(gt_boxes):
-            if gt_taken[g]:
-                continue
-            v = iou(det.box, box)
-            if v >= best_iou and (best is None or v > best_iou):
-                best, best_iou = g, v
-        if best is not None:
-            gt_taken[best] = True
-        det_match.append(best)
+    for g in det_match:
+        if g is not None:
+            gt_taken[g] = True
     return det_match, gt_taken
+
+
+def _interpolated_ap(tps: np.ndarray, npig: int) -> float:
+    """101-point interpolated AP of ranked true-positive flags (1 or 0)."""
+    if tps.size == 0:
+        return 0.0
+    tps = tps.astype(np.float64)
+    tp_cum = np.cumsum(tps)
+    fp_cum = np.cumsum(1.0 - tps)
+    recall = tp_cum / npig
+    precision = np.maximum.accumulate((tp_cum / (tp_cum + fp_cum))[::-1])[::-1]
+    indices = np.searchsorted(recall, _RECALL_POINTS, side="left")
+    q = np.zeros(len(_RECALL_POINTS))
+    valid = indices < len(precision)
+    q[valid] = precision[indices[valid]]
+    return float(np.mean(q))
 
 
 def evaluate_ap(
@@ -128,18 +273,52 @@ def evaluate_ap(
     """
     size_buckets = COCO_SIZE_BUCKETS if size_buckets is None else size_buckets
     thresholds = COCO_IOU_THRESHOLDS if iou_thresholds is None else tuple(iou_thresholds)
-    image_ids = sorted(gts, key=str)
+    all_anns = [a for anns in gts.values() for a in anns]
     if class_ids is None:
-        class_ids = tuple(sorted({a.class_id for anns in gts.values() for a in anns}))
-    grouped = _dets_by_image_class(dets, set(image_ids))
+        class_ids = tuple(sorted({a.class_id for a in all_anns}))
 
     ranges: dict[str, tuple[float, float]] = {"all": _ALL, **size_buckets}
+    bounds = np.array(list(ranges.values()), dtype=np.float64).reshape(-1, 2)
+    thr = np.array(thresholds, dtype=np.float64)
+    range_rows = np.arange(len(ranges))[:, None, None]
+    unmatched_column = np.zeros((len(ranges), 1), dtype=bool)
+    gt_classes = np.array([a.class_id for a in all_anns], dtype=np.int64)
+    counted = _in_ranges(_area(_xyxy([a.box for a in all_anns])), bounds)
+    # Over every detection, image by image: class, score, and the (R, T)
+    # outcome: 1 true positive, 0 false positive, -1 left out of the ranking
+    # (matched to ignored ground truth, or unmatched and outside the range).
+    det_classes = np.empty(len(dets), dtype=np.int64)
+    scores = np.empty(len(dets), dtype=np.float64)
+    outcome = np.empty((len(ranges), len(thresholds), len(dets)), dtype=np.int8)
+    start = 0
+    for image in _images(gts, dets):
+        rows = slice(start, start + len(image.det_scores))
+        start = rows.stop
+        det_classes[rows], scores[rows] = image.det_classes, image.det_scores
+        ignored = ~_in_ranges(_area(image.gt_boxes), bounds)
+        matched = _match(_same_class_only(*image.class_ious()), ignored, thr)
+        # Column -1, the unmatched mark, reads the appended all-False column.
+        on_ignored = np.hstack([ignored, unmatched_column])[range_rows, matched]
+        out_of_range = ~_in_ranges(_area(image.det_boxes), bounds)[:, None, :]
+        hit = matched >= 0
+        outcome[:, :, rows] = np.where(np.where(hit, on_ignored, out_of_range), -1, hit)
+
     # ap_table[(class, range_name)] -> list of per-threshold AP or None
     ap_table: dict = {}
     for class_id in class_ids:
-        for range_name, area_range in ranges.items():
-            ap_table[(class_id, range_name)] = _ap_for_class_range(
-                gts, grouped, image_ids, class_id, area_range, thresholds
+        npig = counted[:, gt_classes == class_id].sum(axis=1)
+        # Image order then score order within an image; one stable ranking by score.
+        ranked = np.flatnonzero(det_classes == class_id)
+        ranked = ranked[np.argsort(-scores[ranked], kind="stable")]
+        class_outcome = outcome[:, :, ranked]
+        for r, range_name in enumerate(ranges):
+            ap_table[(class_id, range_name)] = (
+                None
+                if npig[r] == 0
+                else [
+                    _interpolated_ap(o[o >= 0], int(npig[r]))
+                    for o in class_outcome[r]
+                ]
             )
 
     def mean_over_classes(range_name: str, thr_index: int | None) -> float | None:
@@ -181,73 +360,6 @@ def _threshold_index(thresholds: tuple, value: float) -> int | None:
     return None
 
 
-def _ap_for_class_range(
-    gts: dict,
-    grouped: dict,
-    image_ids: list,
-    class_id: int,
-    area_range: tuple[float, float],
-    thresholds: tuple,
-) -> list | None:
-    lo, hi = area_range
-    # Per image: class GTs sorted with counted (non-ignored) ones first.
-    per_image: list[tuple] = []
-    npig = 0
-    for image_id in image_ids:
-        anns = [a for a in gts[image_id] if a.class_id == class_id]
-        order = sorted(range(len(anns)), key=lambda i: not (lo <= anns[i].box.area <= hi))
-        boxes = [anns[i].box for i in order]
-        ignored = [not (lo <= anns[i].box.area <= hi) for i in order]
-        npig += sum(1 for flag in ignored if not flag)
-        per_image.append((image_id, boxes, ignored))
-    if npig == 0:
-        return None
-
-    aps: list[float] = []
-    for t in thresholds:
-        scored: list[tuple] = []  # (score, order, is_tp, is_ignored)
-        order_counter = 0
-        for image_id, boxes, ignored in per_image:
-            det_pairs = grouped.get((image_id, class_id), [])
-            taken = [False] * len(boxes)
-            for _, det in det_pairs:
-                best, best_iou = None, t
-                for g, box in enumerate(boxes):
-                    if taken[g]:
-                        continue
-                    if best is not None and not ignored[best] and ignored[g]:
-                        break  # counted GTs come first; never trade down
-                    v = iou(det.box, box)
-                    if v < best_iou:
-                        continue
-                    if best is None or v > best_iou:
-                        best, best_iou = g, v
-                if best is not None:
-                    taken[best] = True
-                    scored.append((det.score, order_counter, not ignored[best], ignored[best]))
-                else:
-                    out_of_range = not (lo <= det.box.area <= hi)
-                    scored.append((det.score, order_counter, False, out_of_range))
-                order_counter += 1
-        scored.sort(key=lambda row: (-row[0], row[1]))
-        tps = np.array([row[2] for row in scored if not row[3]], dtype=np.float64)
-        if tps.size == 0:
-            aps.append(0.0)
-            continue
-        tp_cum = np.cumsum(tps)
-        fp_cum = np.cumsum(1.0 - tps)
-        recall = tp_cum / npig
-        precision = tp_cum / (tp_cum + fp_cum)
-        for i in range(len(precision) - 1, 0, -1):
-            precision[i - 1] = max(precision[i - 1], precision[i])
-        indices = np.searchsorted(recall, _RECALL_POINTS, side="left")
-        q = np.zeros(len(_RECALL_POINTS))
-        valid = indices < len(precision)
-        q[valid] = precision[indices[valid]]
-        aps.append(float(np.mean(q)))
-    return aps
-
-
 def recall_by_size(
     gts: dict,
     dets: list[tuple],
@@ -260,28 +372,20 @@ def recall_by_size(
     no ground truth report None.
     """
     size_buckets = COCO_SIZE_BUCKETS if size_buckets is None else size_buckets
-    image_ids = sorted(gts, key=str)
-    grouped = _dets_by_image_class(dets, set(image_ids))
     matched: dict[str, int] = {name: 0 for name in size_buckets}
     totals: dict[str, int] = {name: 0 for name in size_buckets}
     matched["all"], totals["all"] = 0, 0
-    for image_id in image_ids:
-        by_class: dict[int, list[Annotation]] = {}
-        for ann in gts[image_id]:
-            by_class.setdefault(ann.class_id, []).append(ann)
-        for class_id, anns in by_class.items():
-            det_list = [d for _, d in grouped.get((image_id, class_id), [])]
-            _, gt_taken = match_greedy([a.box for a in anns], det_list, iou_thresh)
-            for ann, taken in zip(anns, gt_taken):
-                buckets = ["all"] + [
-                    name
-                    for name, (lo, hi) in size_buckets.items()
-                    if lo <= ann.box.area <= hi
-                ]
-                for name in buckets:
-                    totals[name] += 1
-                    if taken:
-                        matched[name] += 1
+    for image in _images(gts, dets):
+        det_match = _match_once(_same_class_only(*image.class_ious()), iou_thresh)
+        gt_hit = np.zeros(len(image.gt_boxes), dtype=bool)
+        gt_hit[det_match[det_match >= 0]] = True
+        areas = _area(image.gt_boxes)
+        totals["all"] += len(gt_hit)
+        matched["all"] += int(gt_hit.sum())
+        for name, (lo, hi) in size_buckets.items():
+            in_bucket = (lo <= areas) & (areas <= hi)
+            totals[name] += int(in_bucket.sum())
+            matched[name] += int((in_bucket & gt_hit).sum())
     return {
         name: (matched[name] / totals[name] if totals[name] else None) for name in totals
     }
@@ -322,50 +426,25 @@ def profile_errors(
     """
     if not (fg_iou > bg_iou >= 0.0):
         raise InvariantViolation(f"need fg_iou > bg_iou >= 0, got fg={fg_iou} bg={bg_iou}")
-    image_ids = sorted(gts, key=str)
-    grouped = _dets_by_image_class(dets, set(image_ids))
     counts = {name: 0 for name in ERROR_TYPES}
     tp = 0
-    for image_id in image_ids:
-        anns = list(gts[image_id])
-        unmatched_dets: list[Detection] = []
-        gt_matched_flags = [False] * len(anns)
-        class_ids = sorted(
-            {a.class_id for a in anns} | {c for (img, c) in grouped if img == image_id}
+    for image in _images(gts, dets):
+        ious, same_class = image.class_ious()
+        unmatched = _match_once(_same_class_only(ious, same_class), fg_iou) < 0
+        hits = len(unmatched) - int(unmatched.sum())
+        tp += hits
+        counts["Miss"] += len(image.gt_boxes) - hits
+        # IoU is never negative, so 0 stands for "no such ground truth".
+        iou_same = np.where(same_class, ious, 0.0).max(axis=1, initial=0.0)[unmatched]
+        iou_other = np.where(same_class, 0.0, ious).max(axis=1, initial=0.0)[unmatched]
+        # The first condition that holds names the type; none holding is Bkg.
+        kind = np.select(
+            [iou_other >= fg_iou, iou_same >= fg_iou, iou_same > bg_iou, iou_other > bg_iou],
+            [0, 1, 2, 3],
+            4,
         )
-        for class_id in class_ids:
-            indices = [i for i, a in enumerate(anns) if a.class_id == class_id]
-            det_list = [d for _, d in grouped.get((image_id, class_id), [])]
-            det_match, gt_taken = match_greedy(
-                [anns[i].box for i in indices], det_list, fg_iou
-            )
-            for local_index, taken in enumerate(gt_taken):
-                gt_matched_flags[indices[local_index]] = taken
-            for det, m in zip(det_list, det_match):
-                if m is None:
-                    unmatched_dets.append(det)
-                else:
-                    tp += 1
-        for det in unmatched_dets:
-            iou_same = max(
-                (iou(det.box, a.box) for a in anns if a.class_id == det.class_id),
-                default=0.0,
-            )
-            iou_other = max(
-                (iou(det.box, a.box) for a in anns if a.class_id != det.class_id),
-                default=0.0,
-            )
-            if iou_other >= fg_iou:
-                counts["Cls"] += 1
-            elif iou_same >= fg_iou:
-                counts["Dupe"] += 1
-            elif iou_same > bg_iou:
-                counts["Loc"] += 1
-            elif iou_other > bg_iou:
-                counts["Both"] += 1
-            else:
-                counts["Bkg"] += 1
-        counts["Miss"] += sum(1 for flag in gt_matched_flags if not flag)
+        for name, n in zip(("Cls", "Dupe", "Loc", "Both", "Bkg"), np.bincount(kind, minlength=5).tolist()):
+            counts[name] += n
     fp = sum(counts[k] for k in ("Cls", "Loc", "Both", "Dupe", "Bkg"))
     return ErrorProfile(counts=counts, true_positives=tp, false_positives=fp)
 

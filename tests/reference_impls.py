@@ -199,7 +199,10 @@ def ap_reference(
                     pr[i] = pr[i + 1]
             total = 0.0
             for k in range(101):
-                r = k / 100.0
+                # The COCO recall grid, np.linspace(0, 1, 101), is k * 0.01;
+                # k / 100 differs from it in the last bit at 10 of the points,
+                # which a recall of exactly k / 100 tells apart.
+                r = k * 0.01
                 p = 0.0
                 for i in range(len(rc)):
                     if rc[i] >= r:
@@ -211,3 +214,91 @@ def ap_reference(
     if not per_class:
         return None
     return sum(per_class) / len(per_class)
+
+
+def _greedy_match_ref(anns: list[tuple], img_dets: list[tuple], thresh: float) -> tuple[list, list]:
+    """Score-ordered greedy matching within each class of one image.
+
+    ``anns`` is a list of (box_tuple, class_id); ``img_dets`` a list of
+    (image_id, box_tuple, class_id, score) in input order. Returns the
+    detections as (score, input_index, box, class_id) rows in score order,
+    each row's matched ground-truth index or -1, and the per-ground-truth
+    taken flags.
+    """
+    rows = [(score, idx, box, c) for idx, (_, box, c, score) in enumerate(img_dets)]
+    rows.sort(key=lambda r: (-r[0], r[1]))
+    taken = [False] * len(anns)
+    matches = []
+    for _, _, dbox, c in rows:
+        best, best_v = -1, thresh
+        for g, (gbox, gc) in enumerate(anns):
+            if gc != c or taken[g]:
+                continue
+            v = iou_ref(dbox, gbox)
+            if v >= best_v and (best < 0 or v > best_v):
+                best, best_v = g, v
+        if best >= 0:
+            taken[best] = True
+        matches.append(best)
+    return rows, matches, taken
+
+
+def profile_errors_ref(
+    gts: dict, dets: list[tuple], fg_iou: float = 0.5, bg_iou: float = 0.1
+) -> tuple[dict, int, int]:
+    """Error-type counts, true positives and false positives, the slow way.
+
+    Same inputs as ``ap_reference``. Each unmatched detection gets the
+    first type that applies: Cls (other-class IoU >= fg), Dupe (same-class
+    IoU >= fg), Loc (same-class IoU > bg), Both (other-class IoU > bg),
+    else Bkg; unmatched ground truth counts as Miss.
+    """
+    counts = {name: 0 for name in ("Cls", "Loc", "Both", "Dupe", "Bkg", "Miss")}
+    tp = 0
+    fp = 0
+    for image_id in sorted(gts, key=str):
+        anns = gts[image_id]
+        img_dets = [d for d in dets if d[0] == image_id]
+        rows, matches, taken = _greedy_match_ref(anns, img_dets, fg_iou)
+        for (_, _, dbox, c), match in zip(rows, matches):
+            if match >= 0:
+                tp += 1
+                continue
+            fp += 1
+            same = 0.0
+            other = 0.0
+            for gbox, gc in anns:
+                v = iou_ref(dbox, gbox)
+                if gc == c:
+                    same = max(same, v)
+                else:
+                    other = max(other, v)
+            if other >= fg_iou:
+                counts["Cls"] += 1
+            elif same >= fg_iou:
+                counts["Dupe"] += 1
+            elif same > bg_iou:
+                counts["Loc"] += 1
+            elif other > bg_iou:
+                counts["Both"] += 1
+            else:
+                counts["Bkg"] += 1
+        counts["Miss"] += sum(1 for flag in taken if not flag)
+    return counts, tp, fp
+
+
+def recall_by_size_ref(gts: dict, dets: list[tuple], iou_thresh: float = 0.5) -> dict:
+    """Matched fraction of ground truth per COCO size bucket and overall."""
+    buckets = {"small": (0.0, 32.0**2), "medium": (32.0**2, 96.0**2), "large": (96.0**2, float("inf"))}
+    matched = {name: 0 for name in list(buckets) + ["all"]}
+    totals = {name: 0 for name in list(buckets) + ["all"]}
+    for image_id in sorted(gts, key=str):
+        anns = gts[image_id]
+        _, _, taken = _greedy_match_ref(anns, [d for d in dets if d[0] == image_id], iou_thresh)
+        for (gbox, _), flag in zip(anns, taken):
+            area = (gbox[2] - gbox[0]) * (gbox[3] - gbox[1])
+            names = ["all"] + [n for n, (lo, hi) in buckets.items() if lo <= area <= hi]
+            for name in names:
+                totals[name] += 1
+                matched[name] += int(flag)
+    return {name: (matched[name] / totals[name] if totals[name] else None) for name in totals}

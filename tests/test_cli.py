@@ -246,6 +246,39 @@ class TestReplay:
             first / "detections.tsv"
         ).read_bytes()
 
+    def test_replay_verifies_primary_outputs(self, workspace, tmp_path):
+        dets = tmp_path / "oracle"
+        assert run(
+            [
+                "infer",
+                "--annotations", str(workspace["annotations"]),
+                "--scenes", str(workspace["scenes"]),
+                "--backend", "oracle",
+                "--single-stage",
+                "--out", str(dets),
+                "--seed", "5",
+            ]
+        ) == 0
+        eval_out = tmp_path / "eval"
+        assert run(
+            [
+                "eval",
+                "--annotations", str(workspace["annotations"]),
+                "--detections", str(dets / "detections.tsv"),
+                "--out", str(eval_out),
+            ]
+        ) == 0
+        manifest_path = eval_out / "manifest.json"
+        assert run(["replay", "--manifest", str(manifest_path), "--out", str(tmp_path / "r1")]) == 0
+
+        from densecrop.manifest import write_manifest
+
+        manifest = read_manifest(manifest_path)
+        manifest.primary_outputs()[0]["sha256"] = "0" * 64
+        edited = tmp_path / "edited.json"
+        write_manifest(manifest, edited)
+        assert run(["replay", "--manifest", str(edited), "--out", str(tmp_path / "r2")]) == 4
+
     def test_replay_rejects_changed_inputs(self, workspace, tmp_path):
         data = tmp_path / "gen"
         assert run(["dataset", "gen", "--out", str(data), "--num-images", "2"]) == 0

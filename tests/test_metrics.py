@@ -8,6 +8,7 @@ from densecrop.errors import DataError, InvariantViolation
 from densecrop.geometry import Box, Detection
 from densecrop.metrics import (
     COCO_IOU_THRESHOLDS,
+    ErrorProfile,
     EvalReport,
     compare_runs,
     evaluate_ap,
@@ -18,7 +19,7 @@ from densecrop.metrics import (
     write_eval_report,
 )
 
-from reference_impls import ap_reference
+from reference_impls import ap_reference, profile_errors_ref, recall_by_size_ref
 
 
 def ann(x1, y1, x2, y2, class_id=0):
@@ -60,6 +61,65 @@ def random_instance(rng, num_images=2, max_gt=5, max_det=8, num_classes=2, size=
                 )
             )
     return gts, dets
+
+
+SCORE_LEVELS = (0.3, 0.6, 0.9)
+
+
+def tie_heavy_instance(rng, num_images=5, num_classes=3):
+    """Integer-grid boxes full of exact IoU, score and area ties.
+
+    Ground truth is 32x32 or 96x96, areas exactly on the size-bucket
+    boundaries, and half of it has a same-class neighbour 8 pixels to the
+    right. Most detections are a ground truth with one edge moved by 8
+    pixels or not at all, so some overlap two ground truths equally; the
+    rest are free grid boxes. Scores come from three levels and some
+    detections appear twice. About a quarter of the images have no ground
+    truth, and class ``num_classes`` is detected but never annotated.
+    """
+    gts = {}
+    dets = []
+    for image_id in range(1, num_images + 1):
+        anns = []
+        if rng.random() < 0.75:
+            for _ in range(int(rng.integers(1, 5))):
+                side = (32, 96)[int(rng.integers(0, 2))]
+                x, y = (8 * rng.integers(0, 12, 2)).tolist()
+                class_id = int(rng.integers(0, num_classes))
+                anns.append(ann(x, y, x + side, y + side, class_id))
+                if rng.random() < 0.5:
+                    anns.append(ann(x + 8, y, x + 8 + side, y + side, class_id))
+        gts[image_id] = anns
+        for _ in range(int(rng.integers(0, 13))):
+            if anns and rng.random() < 0.7:
+                base = anns[int(rng.integers(0, len(anns)))]
+                coords = list(base.box.as_tuple())
+                coords[int(rng.integers(0, 4))] += 8 * int(rng.integers(-1, 2))
+                class_id = base.class_id if rng.random() < 0.8 else int(rng.integers(0, num_classes + 1))
+            else:
+                x, y = (8 * rng.integers(0, 12, 2)).tolist()
+                coords = [x, y, x + 8 * int(rng.integers(1, 13)), y + 8 * int(rng.integers(1, 13))]
+                class_id = int(rng.integers(0, num_classes + 1))
+            entry = det(image_id, *coords, class_id, SCORE_LEVELS[int(rng.integers(0, 3))])
+            dets.append(entry)
+            if rng.random() < 0.3:
+                dets.append(entry)
+    return gts, dets
+
+
+def as_tuples(gts, dets):
+    """The plain-tuple form the reference implementations take."""
+    return (
+        {i: [(a.box.as_tuple(), a.class_id) for a in anns] for i, anns in gts.items()},
+        [(i, d.box.as_tuple(), d.class_id, d.score) for i, d in dets],
+    )
+
+
+def assert_matches_reference(value, expected):
+    if expected is None:
+        assert value is None
+    else:
+        assert value == pytest.approx(expected, abs=1e-9)
 
 
 class TestEvaluateAp:
@@ -239,6 +299,103 @@ class TestProfileErrors:
     def test_invalid_thresholds(self):
         with pytest.raises(InvariantViolation):
             profile_errors({}, [], fg_iou=0.1, bg_iou=0.5)
+
+
+class TestTieHeavyOracle:
+    def test_generator_makes_the_ties_it_promises(self):
+        rng = np.random.default_rng(80)
+        instances = [tie_heavy_instance(rng) for _ in range(20)]
+        areas = {a.box.area for gts, _ in instances for anns in gts.values() for a in anns}
+        assert areas == {32.0**2, 96.0**2}
+        assert any(not anns for gts, _ in instances for anns in gts.values())
+        assert any(d.class_id == 3 for _, dets in instances for _, d in dets)
+        assert any(len(set(map(id, dets))) < len(dets) for _, dets in instances)
+
+    def test_ap_family_and_per_class_match_reference(self):
+        rng = np.random.default_rng(81)
+        thresholds = list(COCO_IOU_THRESHOLDS)
+        for _ in range(40):
+            gts, dets = tie_heavy_instance(rng)
+            report = evaluate_ap(gts, dets)
+            ref_gts, ref_dets = as_tuples(gts, dets)
+            for value, thr, area_range in (
+                (report.ap, thresholds, (0.0, float("inf"))),
+                (report.ap50, thresholds[:1], (0.0, float("inf"))),
+                (report.ap75, thresholds[5:6], (0.0, float("inf"))),
+                (report.ap_small, thresholds, (0.0, 1024.0)),
+                (report.ap_medium, thresholds, (1024.0, 9216.0)),
+                (report.ap_large, thresholds, (9216.0, float("inf"))),
+            ):
+                expected = ap_reference(ref_gts, ref_dets, thr, area_range=area_range)
+                assert_matches_reference(value, expected)
+            for class_id, value in report.per_class.items():
+                class_gts = {i: [r for r in rows if r[1] == class_id] for i, rows in ref_gts.items()}
+                class_dets = [r for r in ref_dets if r[2] == class_id]
+                assert_matches_reference(value, ap_reference(class_gts, class_dets, thresholds))
+
+
+def random_or_tie_heavy(rng, kind):
+    if kind == "random":
+        return random_instance(rng, num_images=3)
+    return tie_heavy_instance(rng)
+
+
+class TestErrorProfileOracle:
+    @pytest.mark.parametrize("kind", ["random", "tie_heavy"])
+    @pytest.mark.parametrize("fg_iou, bg_iou", [(0.5, 0.1), (0.6, 0.3)])
+    def test_profile_errors_matches_reference(self, kind, fg_iou, bg_iou):
+        rng = np.random.default_rng(82)
+        for _ in range(40):
+            gts, dets = random_or_tie_heavy(rng, kind)
+            profile = profile_errors(gts, dets, fg_iou=fg_iou, bg_iou=bg_iou)
+            counts, tp, fp = profile_errors_ref(*as_tuples(gts, dets), fg_iou=fg_iou, bg_iou=bg_iou)
+            assert profile.counts == counts
+            assert (profile.true_positives, profile.false_positives) == (tp, fp)
+
+    @pytest.mark.parametrize("kind", ["random", "tie_heavy"])
+    @pytest.mark.parametrize("iou_thresh", [0.5, 0.75])
+    def test_recall_by_size_matches_reference(self, kind, iou_thresh):
+        rng = np.random.default_rng(83)
+        for _ in range(40):
+            gts, dets = random_or_tie_heavy(rng, kind)
+            got = recall_by_size(gts, dets, iou_thresh=iou_thresh)
+            assert got == recall_by_size_ref(*as_tuples(gts, dets), iou_thresh=iou_thresh)
+
+
+def pinned_dump():
+    """A fixed dump of 2331 detections on 250 images, random and tie-heavy."""
+    rng = np.random.default_rng(20261018)
+    gts, dets = random_instance(rng, num_images=100, max_gt=12, max_det=24, num_classes=2, size=300.0)
+    tie_gts, tie_dets = tie_heavy_instance(rng, num_images=150, num_classes=2)
+    gts.update({i + 1000: anns for i, anns in tie_gts.items()})
+    dets += [(i + 1000, d) for i, d in tie_dets]
+    return gts, dets
+
+
+class TestPinnedValues:
+    """Exact values from the scalar-IoU implementation this one replaced;
+    compared with ==, so any change in float operation order shows."""
+
+    def test_eval_report_is_exact(self):
+        gts, dets = pinned_dump()
+        assert len(dets) == 2331
+        assert evaluate_ap(gts, dets) == EvalReport(
+            ap=0.05336471857657804,
+            ap50=0.09159627386163172,
+            ap75=0.05784464382702461,
+            ap_small=0.03174765834427022,
+            ap_medium=0.19308236368749498,
+            ap_large=0.3851193102188001,
+            per_class={0: 0.0550738712376186, 1: 0.05165556591553747},
+        )
+
+    def test_error_profile_is_exact(self):
+        gts, dets = pinned_dump()
+        assert profile_errors(gts, dets) == ErrorProfile(
+            counts={"Cls": 212, "Loc": 240, "Both": 273, "Dupe": 283, "Bkg": 972, "Miss": 613},
+            true_positives=351,
+            false_positives=1980,
+        )
 
 
 def make_report(ap=0.5, ap50=0.7, ap75=0.4, ap_s=0.2, ap_m=0.5, ap_l=None):
