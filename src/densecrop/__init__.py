@@ -20,7 +20,6 @@ from .dataset import (  # noqa: F401
     UpscalePolicy,
     generate_synthetic_dataset,
     split_dataset,
-    tile_image,
 )
 from .detect import OracleBackend, OracleNoiseModel, ToyDetector, ToyDetectorConfig  # noqa: F401
 from .infer import InferenceConfig, detect_multistage  # noqa: F401

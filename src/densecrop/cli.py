@@ -7,7 +7,8 @@ and output digests; ``replay`` re-executes a manifest and checks that it
 reproduces the primary outputs byte for byte.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 invariant
-violation.
+violation. ``infer`` exits 3 when any image failed, after writing all of
+its outputs; ``timings.tsv`` names the error of each failed image.
 """
 
 from __future__ import annotations
@@ -208,10 +209,9 @@ def cmd_infer(params: dict) -> RunManifest:
     out_dir = _ensure_out_dir(params["out"])
     loaded, samples = _load_samples(params["annotations"], params["scenes"])
     inference_config = cfg.inference_from_dict(params["inference"])
-    workers = params.get("workers", 1)
     seed = params.get("seed", 0)
 
-    manifest = RunManifest(command="infer", params=params, seed=seed, workers=workers)
+    manifest = RunManifest(command="infer", params=params, seed=seed)
     manifest.add_input(params["annotations"])
     manifest.add_input(params["scenes"])
 
@@ -232,9 +232,7 @@ def cmd_infer(params: dict) -> RunManifest:
         weights = student if params.get("use_student") else teacher_weights
 
     start = time.perf_counter()
-    results = infer.run_inference(
-        samples, backend, weights, inference_config, seed=seed, workers=workers
-    )
+    results = infer.run_inference(samples, backend, weights, inference_config, seed=seed)
     wall = time.perf_counter() - start
 
     det_path = os.path.join(out_dir, "detections.tsv")
@@ -263,6 +261,11 @@ def cmd_infer(params: dict) -> RunManifest:
         f"inferred {len(results)} images ({len(flat)} detections, {fps:.1f} FPS, "
         f"{len(errors)} errors)"
     )
+    if errors:
+        raise DataError(
+            f"inference failed on {len(errors)} of {len(results)} images; "
+            f"see the error column of {timing_path}"
+        )
     return manifest
 
 
@@ -488,7 +491,6 @@ def build_parser() -> argparse.ArgumentParser:
     inf.add_argument(
         "--single-stage", action="store_true", help="skip crops; NMS-filtered stage one"
     )
-    inf.add_argument("--workers", type=int)
     _add_crop_flags(inf)
 
     ev = sub.add_parser("eval", help="COCO-style AP evaluation")
@@ -525,17 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _root_seed(args, raw: dict) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    return int(raw.get("run", {}).get("seed", "0"))
-
-
-def _root_workers(args, raw: dict) -> int:
-    if getattr(args, "workers", None) is not None:
-        return args.workers
-    if "workers" in raw.get("run", {}):
-        return int(raw["run"]["workers"])
-    return os.cpu_count() or 1
+    return cfg.simple_section(raw, "run", seed=getattr(args, "seed", None)).get("seed", 0)
 
 
 def _crop_overrides(args) -> dict:
@@ -659,7 +651,6 @@ def _dispatch(args) -> RunManifest:
             "backend": args.backend,
             "inference": cfg.params_dict(inference_config),
             "seed": seed,
-            "workers": _root_workers(args, raw),
         }
         if args.backend == "oracle":
             noise = cfg.build_oracle(raw, seed=seed)

@@ -3,7 +3,9 @@
 A config file is INI-style text whose sections mirror the parameter
 bundles: [synthetic], [crops], [upscale], [trainer], [inference],
 [oracle], [detector], [run]. Every CLI flag has a config-file equivalent;
-flags override file values, which override the documented defaults.
+flags override file values, which override the documented defaults. An
+unknown key is a ConfigError in a config file and a DataError in a
+manifest.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import os
 from .croplab import CropParams
 from .dataset import SyntheticConfig, UpscalePolicy
 from .detect import OracleNoiseModel, ToyDetectorConfig
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .infer import InferenceConfig
 from .teacher import TrainerConfig
 
@@ -30,7 +32,6 @@ __all__ = [
     "build_inference",
     "params_dict",
     "crop_params_from_dict",
-    "upscale_from_dict",
     "synthetic_from_dict",
     "oracle_from_dict",
     "detector_from_dict",
@@ -115,7 +116,6 @@ _PARSERS = {
     },
     "oracle": {
         "miss_curve": _parse_curve,
-        "upscale_relief": float,
         "jitter_std": float,
         "score_mean": float,
         "score_std": float,
@@ -163,6 +163,7 @@ _PARSERS = {
     "split": {"fraction": float},
     "tile": {"tile": float, "stride": float},
     "errors": {"fg_iou": float, "bg_iou": float},
+    "run": {"seed": int},
 }
 
 
@@ -253,39 +254,42 @@ def _tupled(value):
     return value
 
 
+def _from_dict(cls, data: dict, **nested):
+    """``cls`` rebuilt from its ``params_dict``; ``nested`` maps a field
+    to the dataclass its sub-dict rebuilds. Unknown keys are a DataError."""
+    unknown = sorted(set(data) - {f.name for f in dataclasses.fields(cls)})
+    if unknown:
+        raise DataError(f"manifest {cls.__name__} parameters have unknown keys {unknown}")
+    values = {k: _tupled(v) for k, v in data.items()}
+    for key, sub in nested.items():
+        if values.get(key) is not None:
+            values[key] = _from_dict(sub, values[key])
+    return cls(**values)
+
+
 def crop_params_from_dict(data: dict) -> CropParams:
-    return CropParams(**data)
-
-
-def upscale_from_dict(data: dict) -> UpscalePolicy:
-    return UpscalePolicy(**data)
+    return _from_dict(CropParams, data)
 
 
 def synthetic_from_dict(data: dict) -> SyntheticConfig:
-    return SyntheticConfig(**{k: _tupled(v) for k, v in data.items()})
+    return _from_dict(SyntheticConfig, data)
 
 
 def oracle_from_dict(data: dict) -> OracleNoiseModel:
-    return OracleNoiseModel(**{k: _tupled(v) for k, v in data.items()})
+    # Manifests written while the oracle had an upscale path carry
+    # ``upscale_relief``; infer never upscaled the oracle, so it changed
+    # no output and is dropped.
+    data = {k: v for k, v in data.items() if k != "upscale_relief"}
+    return _from_dict(OracleNoiseModel, data)
 
 
 def detector_from_dict(data: dict) -> ToyDetectorConfig:
-    data = dict(data)
-    crop_params = data.pop("proposal_crop_params", None)
-    if crop_params is not None:
-        crop_params = CropParams(**crop_params)
-    return ToyDetectorConfig(proposal_crop_params=crop_params, **data)
+    return _from_dict(ToyDetectorConfig, data, proposal_crop_params=CropParams)
 
 
 def trainer_from_dict(data: dict) -> TrainerConfig:
-    data = dict(data)
-    crop_params = CropParams(**data.pop("crop_params"))
-    upscale = UpscalePolicy(**data.pop("upscale"))
-    return TrainerConfig(crop_params=crop_params, upscale=upscale, **data)
+    return _from_dict(TrainerConfig, data, crop_params=CropParams, upscale=UpscalePolicy)
 
 
 def inference_from_dict(data: dict) -> InferenceConfig:
-    data = dict(data)
-    crop_params = CropParams(**data.pop("crop_params"))
-    upscale = UpscalePolicy(**data.pop("upscale"))
-    return InferenceConfig(crop_params=crop_params, upscale=upscale, **data)
+    return _from_dict(InferenceConfig, data, crop_params=CropParams, upscale=UpscalePolicy)

@@ -29,18 +29,15 @@ __all__ = [
     "DatasetSplit",
     "UpscalePolicy",
     "SceneObject",
-    "ClusterSpec",
     "SceneSpec",
     "SceneSample",
     "AnnotationFile",
     "load_annotations",
     "write_annotations",
-    "tile_image",
     "tile_image_report",
     "split_dataset",
     "write_split",
     "read_split",
-    "augment_with_crops",
     "crop_scene",
     "make_crop_children",
     "SyntheticConfig",
@@ -190,20 +187,12 @@ class SceneObject:
 
 
 @dataclass(frozen=True)
-class ClusterSpec:
-    center: tuple[float, float]
-    spread: float
-    count: int
-
-
-@dataclass(frozen=True)
 class SceneSpec:
     """Full description of a synthetic scene; regenerable bit-for-bit."""
 
     width: float
     height: float
     objects: tuple[SceneObject, ...]
-    clusters: tuple[ClusterSpec, ...]
     seed: int
 
 
@@ -382,25 +371,18 @@ def _tile_offsets(size: float, tile: float, stride: float) -> list[float]:
     return offsets
 
 
-def tile_image(record: ImageRecord, tile: float, stride: float) -> list[ImageRecord]:
-    """Cut a record into overlapping square tiles of side ``tile``.
+def tile_image_report(
+    record: ImageRecord, tile: float, stride: float
+) -> tuple[list[ImageRecord], int]:
+    """Cut a record into overlapping square tiles of side ``tile``, and
+    count the annotations lost to straddling.
 
     Offsets advance by ``stride`` and the last row/column is clamped so the
     final tile ends exactly at the image edge. An annotation is assigned to
     a tile when at least half of its area lies inside, re-expressed in tile
-    coordinates.
-    """
-    tiles, _ = tile_image_report(record, tile, stride)
-    return tiles
-
-
-def tile_image_report(
-    record: ImageRecord, tile: float, stride: float
-) -> tuple[list[ImageRecord], int]:
-    """Like :func:`tile_image`, also counting annotations lost to straddling.
-
-    An annotation is lost when it keeps less than half of its area in every
-    tile it touches; the count is reported so tiling jobs can surface it.
+    coordinates. It is lost when it keeps less than half of its area in
+    every tile it touches; the count is reported so tiling jobs can
+    surface it.
     """
     if tile <= 0:
         raise ConfigError(f"tile must be positive, got {tile}")
@@ -529,24 +511,6 @@ def _crop_child_record(
     )
 
 
-def augment_with_crops(
-    records: list[ImageRecord],
-    crops_per_image: dict,
-    policy: UpscalePolicy,
-) -> list[ImageRecord]:
-    """Append one upscaled child record per density crop.
-
-    Parent records pass through unchanged. Child annotations are the parent
-    annotations with at least half their area inside the crop, mapped into
-    upscaled-crop coordinates and clipped.
-    """
-    out = list(records)
-    for record in records:
-        for index, crop in enumerate(crops_per_image.get(record.image_id, [])):
-            out.append(_crop_child_record(record, crop, policy, index))
-    return out
-
-
 def crop_scene(scene: SceneSpec, crop: Box, upscale_size: tuple[float, float]) -> SceneSpec:
     """Scene as seen inside an upscaled crop: objects clipped and rescaled."""
     out_w, out_h = upscale_size
@@ -566,23 +530,19 @@ def crop_scene(scene: SceneSpec, crop: Box, upscale_size: tuple[float, float]) -
                 box=Box(clipped.x1 * sx, clipped.y1 * sy, clipped.x2 * sx, clipped.y2 * sy),
             )
         )
-    clusters = tuple(
-        ClusterSpec(
-            center=((c.center[0] - crop.x1) * sx, (c.center[1] - crop.y1) * sy),
-            spread=c.spread * (sx + sy) / 2.0,
-            count=c.count,
-        )
-        for c in scene.clusters
-        if crop.x1 <= c.center[0] <= crop.x2 and crop.y1 <= c.center[1] <= crop.y2
-    )
     child_seed = stable_int(scene.seed) ^ stable_int(repr(crop.as_tuple()))
-    return SceneSpec(width=out_w, height=out_h, objects=tuple(objects), clusters=clusters, seed=child_seed)
+    return SceneSpec(width=out_w, height=out_h, objects=tuple(objects), seed=child_seed)
 
 
 def make_crop_children(
     sample: SceneSample, crops: list[Box], policy: UpscalePolicy
 ) -> list[SceneSample]:
-    """Child samples (record + scene) for each density crop of ``sample``."""
+    """Child samples (record + scene) for each density crop of ``sample``.
+
+    Child annotations are the parent annotations with at least half their
+    area inside the crop, mapped into upscaled-crop coordinates and
+    clipped.
+    """
     children: list[SceneSample] = []
     for index, crop in enumerate(crops):
         record = _crop_child_record(sample.record, crop, policy, index)
@@ -672,14 +632,12 @@ def generate_synthetic_dataset(config: SyntheticConfig) -> list[SceneSample]:
     for i in range(config.num_images):
         rng = rng_for(config.seed, "scene", i)
         objects: list[SceneObject] = []
-        clusters: list[ClusterSpec] = []
         n_clusters = int(rng.integers(config.clusters_per_image[0], config.clusters_per_image[1] + 1))
         margin = 3.0 * config.cluster_spread
         for _ in range(n_clusters):
             ccx = float(rng.uniform(min(margin, config.width / 2), max(config.width - margin, config.width / 2)))
             ccy = float(rng.uniform(min(margin, config.height / 2), max(config.height - margin, config.height / 2)))
             count = int(rng.integers(config.objects_per_cluster[0], config.objects_per_cluster[1] + 1))
-            clusters.append(ClusterSpec(center=(ccx, ccy), spread=config.cluster_spread, count=count))
             for _ in range(count):
                 ox = ccx + float(rng.normal(0.0, config.cluster_spread))
                 oy = ccy + float(rng.normal(0.0, config.cluster_spread))
@@ -695,7 +653,6 @@ def generate_synthetic_dataset(config: SyntheticConfig) -> list[SceneSample]:
             width=config.width,
             height=config.height,
             objects=tuple(objects),
-            clusters=tuple(clusters),
             seed=stable_int(config.seed) ^ stable_int(i * 2654435761),
         )
         record = ImageRecord(
@@ -729,10 +686,6 @@ def write_scenes(samples: list[SceneSample], path: str | os.PathLike) -> None:
                     }
                     for o in s.scene.objects
                 ],
-                "clusters": [
-                    {"center": list(c.center), "spread": c.spread, "count": c.count}
-                    for c in s.scene.clusters
-                ],
             }
             for s in samples
         }
@@ -743,7 +696,11 @@ def write_scenes(samples: list[SceneSample], path: str | os.PathLike) -> None:
 
 
 def read_scenes(path: str | os.PathLike, records: list[ImageRecord]) -> list[SceneSample]:
-    """Join scene specs back onto annotation records by image id."""
+    """Join scene specs back onto annotation records by image id.
+
+    Keys other than the ones :func:`write_scenes` writes are ignored, such
+    as the ``clusters`` of files from earlier versions.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -771,14 +728,6 @@ def read_scenes(path: str | os.PathLike, records: list[ImageRecord]) -> list[Sce
                         payload=tuple(float(v) for v in o["payload"]),
                     )
                     for o in raw["objects"]
-                ),
-                clusters=tuple(
-                    ClusterSpec(
-                        center=(float(c["center"][0]), float(c["center"][1])),
-                        spread=float(c["spread"]),
-                        count=int(c["count"]),
-                    )
-                    for c in raw["clusters"]
                 ),
             )
         except (KeyError, TypeError, ValueError) as exc:

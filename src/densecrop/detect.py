@@ -145,13 +145,12 @@ class OracleNoiseModel:
 
     ``miss_curve`` is a step function over object pixel area given as
     (area, probability) breakpoints starting at area 0 with non-increasing
-    probabilities; the effective miss probability is evaluated at the
-    post-upscale area, optionally scaled by ``upscale_relief`` when
-    zoomed in, which is how upscaling rescues small objects.
+    probabilities, evaluated at the area of each annotation in the image
+    it is given. On an upscaled crop child that area is the upscaled one,
+    which is how zooming in rescues small objects.
     """
 
     miss_curve: tuple[tuple[float, float], ...] = ((0.0, 0.0),)
-    upscale_relief: float = 1.0
     jitter_std: float = 0.0
     score_mean: float = 0.9
     score_std: float = 0.05
@@ -174,8 +173,6 @@ class OracleNoiseModel:
             prev_area, prev_prob = area, prob
         if self.jitter_std < 0:
             raise InvariantViolation("jitter_std must be >= 0")
-        if not (0.0 <= self.upscale_relief <= 1.0):
-            raise InvariantViolation("upscale_relief must be in [0, 1]")
 
     def miss_probability(self, area: float) -> float:
         prob = self.miss_curve[0][1]
@@ -203,17 +200,14 @@ def _safe_box(x1: float, y1: float, x2: float, y2: float, width: float, height: 
 def oracle_detect(
     record: ImageRecord,
     noise: OracleNoiseModel,
-    upscale: float = 1.0,
     num_base_classes: int | None = None,
 ) -> list[Detection]:
     """Emit noisy detections for a record's annotations.
 
-    Each annotation survives with probability 1 - miss(area * upscale^2),
-    gets a jittered box and a sampled score; background false positives are
+    Each annotation survives with probability 1 - miss(area), gets a
+    jittered box and a sampled score; background false positives are
     appended at a Poisson rate. Deterministic per (noise seed, image id).
     """
-    if upscale < 1.0:
-        raise InvariantViolation(f"upscale must be >= 1, got {upscale}")
     rng = rng_for(noise.seed, "oracle", record.image_id)
     crop_class = num_base_classes
     out: list[Detection] = []
@@ -221,10 +215,7 @@ def oracle_detect(
         is_crop = crop_class is not None and ann.class_id == crop_class
         if is_crop and not noise.emit_crops:
             continue
-        p_miss = noise.miss_probability(ann.box.area * upscale * upscale)
-        if upscale > 1.0:
-            p_miss *= noise.upscale_relief
-        if rng.random() < p_miss:
+        if rng.random() < noise.miss_probability(ann.box.area):
             continue
         jit = rng.normal(0.0, noise.jitter_std, 4) if noise.jitter_std > 0 else np.zeros(4)
         box = _safe_box(
@@ -492,10 +483,9 @@ class DetectorBackend(abc.ABC):
 class OracleBackend(DetectorBackend):
     """Weight-free backend that replays ground truth through a noise model."""
 
-    def __init__(self, num_base_classes: int, noise: OracleNoiseModel, upscale: float = 1.0):
+    def __init__(self, num_base_classes: int, noise: OracleNoiseModel):
         self.num_base_classes = num_base_classes
         self.noise = noise
-        self.upscale = upscale
 
     def detect(
         self,
@@ -504,9 +494,7 @@ class OracleBackend(DetectorBackend):
         augmentation: str = "none",
         seed: int = 0,
     ) -> list[Detection]:
-        return oracle_detect(
-            sample.record, self.noise, upscale=self.upscale, num_base_classes=self.num_base_classes
-        )
+        return oracle_detect(sample.record, self.noise, num_base_classes=self.num_base_classes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -556,7 +544,8 @@ class ToyDetector(DetectorBackend):
     noise and zeroes a random contiguous block.
 
     Proposals and base features are pure functions of the image: :meth:`view`
-    computes them once, and every method takes that view in place of a sample.
+    computes them once, and every method takes that view; :meth:`detect`
+    also takes a sample and builds its view for the call.
     """
 
     def __init__(self, config: ToyDetectorConfig):
@@ -615,22 +604,16 @@ class ToyDetector(DetectorBackend):
             out.append(_safe_box(x, y, x + w, y + h, record.width, record.height))
         return out
 
-    def features(
-        self,
-        scene: SceneSpec,
-        proposals: list[Box] | tuple[Box, ...],
-        augmentation: str = "none",
-        seed: int = 0,
-    ) -> np.ndarray:
-        phi = np.stack(
+    def features(self, scene: SceneSpec, proposals: list[Box] | tuple[Box, ...]) -> np.ndarray:
+        """Un-augmented feature matrix, one row per proposal."""
+        if not proposals:
+            return np.zeros((0, self.layout.feature_dim))
+        return np.stack(
             [
-                extract_features(
-                    scene, p, self.num_base_classes, self.config.payload_obs_scale
-                )
+                extract_features(scene, p, self.num_base_classes, self.config.payload_obs_scale)
                 for p in proposals
             ]
-        ) if proposals else np.zeros((0, self.layout.feature_dim))
-        return self.augment(phi, augmentation, seed)
+        )
 
     def augment(self, phi: np.ndarray, augmentation: str = "none", seed: int = 0) -> np.ndarray:
         """Augmented features; ``phi`` itself is never written.
@@ -674,9 +657,6 @@ class ToyDetector(DetectorBackend):
             classes.flags.writeable = offsets.flags.writeable = False
         return SampleView(sample, proposals, phi, classes, offsets)
 
-    def _view_of(self, sample: SceneSample | SampleView, targets: bool = False) -> SampleView:
-        return sample if isinstance(sample, SampleView) else self.view(sample, targets)
-
     def detect(
         self,
         weights: WeightVector | None,
@@ -686,7 +666,8 @@ class ToyDetector(DetectorBackend):
     ) -> list[Detection]:
         """Detections on a view, or on a sample through a view built for
         this call."""
-        return self.predict(weights, self._view_of(sample), augmentation, seed)[0]
+        view = sample if isinstance(sample, SampleView) else self.view(sample)
+        return self.predict(weights, view, augmentation, seed)[0]
 
     def predict(
         self,
@@ -715,11 +696,10 @@ class ToyDetector(DetectorBackend):
         return out, probs
 
     def supervised_batch(
-        self, sample: SceneSample | SampleView, augmentation: str = "none", seed: int = 0
+        self, view: SampleView, augmentation: str = "none", seed: int = 0
     ) -> SupervisedBatch:
-        """Training batch against the record's own annotations; a view must
-        have been built with targets."""
-        view = self._view_of(sample, targets=True)
+        """Training batch against the record's own annotations; the view
+        must have been built with targets."""
         if view.gt_classes is None:
             raise InvariantViolation("supervised_batch needs a view built with targets")
         return SupervisedBatch(
@@ -730,7 +710,7 @@ class ToyDetector(DetectorBackend):
 
     def unsupervised_batch(
         self,
-        sample: SceneSample | SampleView,
+        view: SampleView,
         pseudo_labels: list[Annotation],
         augmentation: str = "strong",
         seed: int = 0,
@@ -746,7 +726,6 @@ class ToyDetector(DetectorBackend):
         teacher is unsure of, so an object the teacher missed contributes
         no gradient rather than a background target.
         """
-        view = self._view_of(sample)
         phi = self.augment(view.phi, augmentation, seed)
         classes, _ = assign_targets(
             view.proposals, pseudo_labels, self.config.fg_iou, self.background_class

@@ -12,7 +12,6 @@ stage-one base-class detections, and deduplicated with NMS.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .croplab import CropParams, label_density_crops
@@ -142,36 +141,27 @@ def run_inference(
     weights: WeightVector | None,
     config: InferenceConfig,
     seed: int = 0,
-    workers: int = 1,
 ) -> list[ImageInferenceResult]:
-    """Per-image inference over a dataset.
+    """Per-image inference over a dataset, one image at a time in input
+    order.
 
-    Images are independent; with ``workers > 1`` they run concurrently but
-    results are gathered in input order, so output does not depend on the
-    worker count. A backend failure becomes an error record for that image
-    rather than aborting the run.
+    Each image's seed derives from ``seed`` and its id alone. A backend
+    failure becomes an error record for that image rather than aborting
+    the run.
     """
-
-    def one(sample: SceneSample) -> ImageInferenceResult:
+    results = []
+    for sample in samples:
         image_id = sample.record.image_id
         start = time.perf_counter()
+        error = None
         try:
             dets = detect_multistage(
                 sample, backend, weights, config,
                 seed=stable_int(seed) ^ stable_int(image_id),
             )
         except Exception as exc:  # error record, not a crash
-            return ImageInferenceResult(
-                image_id=image_id,
-                detections=[],
-                seconds=time.perf_counter() - start,
-                error=f"{type(exc).__name__}: {exc}",
-            )
-        return ImageInferenceResult(
-            image_id=image_id, detections=dets, seconds=time.perf_counter() - start
+            dets, error = [], f"{type(exc).__name__}: {exc}"
+        results.append(
+            ImageInferenceResult(image_id, dets, time.perf_counter() - start, error)
         )
-
-    if workers <= 1:
-        return [one(s) for s in samples]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, samples))
+    return results

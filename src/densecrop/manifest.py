@@ -40,7 +40,6 @@ class RunManifest:
     inputs: dict = field(default_factory=dict)
     outputs: list = field(default_factory=list)
     timings: dict = field(default_factory=dict)
-    workers: int = 1
 
     def add_input(self, path: str | os.PathLike) -> None:
         self.inputs[str(path)] = file_digest(path)
@@ -63,7 +62,6 @@ def write_manifest(manifest: RunManifest, path: str | os.PathLike) -> None:
         "inputs": manifest.inputs,
         "outputs": manifest.outputs,
         "timings": manifest.timings,
-        "workers": manifest.workers,
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True, separators=(",", ": "), indent=1)
@@ -87,7 +85,6 @@ def read_manifest(path: str | os.PathLike) -> RunManifest:
             inputs=payload.get("inputs", {}),
             outputs=payload.get("outputs", []),
             timings=payload.get("timings", {}),
-            workers=payload.get("workers", 1),
         )
     except KeyError as exc:
         raise DataError(f"manifest {path} is missing field {exc}") from exc

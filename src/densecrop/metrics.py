@@ -34,14 +34,13 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .errors import DataError, InvariantViolation
-from .geometry import Box, Detection
+from .geometry import Box
 
 __all__ = [
     "COCO_IOU_THRESHOLDS",
     "COCO_SIZE_BUCKETS",
     "EvalReport",
     "evaluate_ap",
-    "match_greedy",
     "recall_by_size",
     "profile_errors",
     "ErrorProfile",
@@ -223,23 +222,6 @@ def _images(gts: dict, dets: list[tuple]) -> Iterator[_Image]:
 def _same_class_only(ious: np.ndarray, same_class: np.ndarray) -> np.ndarray:
     """IoU with other-class pairs set to -inf, which no threshold reaches."""
     return np.where(same_class, ious, -np.inf)
-
-
-def match_greedy(
-    gt_boxes: list, det_list: list[Detection], iou_thresh: float
-) -> tuple[list, list]:
-    """Score-ordered greedy matching of detections to ground-truth boxes.
-
-    Returns (per-detection matched gt index or None, per-gt matched flag).
-    ``det_list`` must already be sorted by descending score.
-    """
-    ious = _iou_matrix(_xyxy([d.box for d in det_list]), _xyxy(gt_boxes))
-    det_match = [None if g < 0 else g for g in _match_once(ious, iou_thresh).tolist()]
-    gt_taken = [False] * len(gt_boxes)
-    for g in det_match:
-        if g is not None:
-            gt_taken[g] = True
-    return det_match, gt_taken
 
 
 def _interpolated_ap(tps: np.ndarray, npig: int) -> float:

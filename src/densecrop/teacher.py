@@ -10,8 +10,7 @@ children join the unlabeled pool, which is what produces extra
 pseudo-labels for clustered small objects.
 
 Every source of randomness is derived from (root seed, purpose, iteration,
-image), so runs are bit-reproducible and resumable, and results do not
-depend on worker count.
+image), so runs are bit-reproducible and resumable.
 """
 
 from __future__ import annotations
@@ -263,7 +262,9 @@ def _aug_seed(seed: int, tag: str, iteration: int, image_id) -> int:
 def burn_in(
     config: TrainerConfig, labeled_pool: dict, backend: ToyDetector
 ) -> tuple[WeightVector, list[IterationLog]]:
-    """Supervised pre-training; returns the weights that seed both networks."""
+    """Supervised pre-training; returns the weights that seed both networks.
+
+    ``labeled_pool`` maps image ids to views built with targets."""
     if not labeled_pool:
         raise DataError("burn-in requires a non-empty labeled set")
     weights = backend.init_weights(config.seed)

@@ -150,7 +150,6 @@ def teacher_ap(backend, state, mode: str, test_samples) -> float:
 
 ORACLE_NOISE = OracleNoiseModel(
     miss_curve=((0.0, 0.95), (32.0**2, 0.1), (96.0**2, 0.02)),
-    upscale_relief=1.0,
     jitter_std=1.0,
     score_mean=0.85,
     score_std=0.08,

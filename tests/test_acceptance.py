@@ -412,11 +412,12 @@ def test_manifest_replay_determinism(tmp_path):
             "--annotations", str(data / "annotations.json"),
             "--scenes", str(data / "scenes.json"),
             "--checkpoint", str(train_dir / "checkpoint.txt"),
-            "--out", str(infer_dir), "--seed", "3", "--workers", "1",
+            "--out", str(infer_dir), "--seed", "3",
         ]
     ) == 0
 
-    # Replay both manifests with a different worker count.
+    # Replay both manifests; the infer one gets the worker count that
+    # manifests from before the inference thread pool was removed carry.
     train_replay = tmp_path / "train_replay"
     assert cli_main(
         ["replay", "--manifest", str(train_dir / "manifest.json"), "--out", str(train_replay)]

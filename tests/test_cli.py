@@ -1,12 +1,15 @@
 """End-to-end CLI workflow, exit codes, config precedence, and replay."""
 
 import json
+from pathlib import Path
 
 import pytest
 
+from densecrop import config
+from densecrop import detect
 from densecrop.cli import main
 from densecrop.dataset import load_annotations
-from densecrop.manifest import read_manifest
+from densecrop.manifest import read_manifest, write_manifest
 
 
 def run(argv):
@@ -230,14 +233,11 @@ class TestReplay:
                 "--checkpoint", str(trained / "checkpoint.txt"),
                 "--out", str(first),
                 "--seed", "5",
-                "--workers", "1",
             ]
         ) == 0
         manifest_path = first / "manifest.json"
         manifest = read_manifest(manifest_path)
-        manifest.params["workers"] = 4
-        from densecrop.manifest import write_manifest
-
+        manifest.params["workers"] = 4  # the worker count old manifests carry
         edited = tmp_path / "manifest4.json"
         write_manifest(manifest, edited)
         second = tmp_path / "infer4"
@@ -271,13 +271,45 @@ class TestReplay:
         manifest_path = eval_out / "manifest.json"
         assert run(["replay", "--manifest", str(manifest_path), "--out", str(tmp_path / "r1")]) == 0
 
-        from densecrop.manifest import write_manifest
-
         manifest = read_manifest(manifest_path)
         manifest.primary_outputs()[0]["sha256"] = "0" * 64
         edited = tmp_path / "edited.json"
         write_manifest(manifest, edited)
         assert run(["replay", "--manifest", str(edited), "--out", str(tmp_path / "r2")]) == 4
+
+    def oracle_infer_manifest(self, workspace, out):
+        assert run(
+            [
+                "infer",
+                "--annotations", str(workspace["annotations"]),
+                "--scenes", str(workspace["scenes"]),
+                "--backend", "oracle",
+                "--out", str(out),
+                "--seed", "5",
+            ]
+        ) == 0
+        return json.loads((out / "manifest.json").read_text())
+
+    def test_unknown_manifest_key_is_data_error(self, workspace, tmp_path):
+        payload = self.oracle_infer_manifest(workspace, tmp_path / "infer")
+        payload["params"]["oracle"]["bogus"] = 1
+        edited = tmp_path / "bogus.json"
+        edited.write_text(json.dumps(payload))
+        assert run(["replay", "--manifest", str(edited), "--out", str(tmp_path / "r")]) == 3
+
+    def test_old_manifest_with_workers_and_upscale_relief_replays(self, workspace, tmp_path):
+        first = tmp_path / "infer"
+        payload = self.oracle_infer_manifest(workspace, first)
+        # the keys an infer manifest carried before the thread pool and
+        # the oracle's upscale path were removed
+        payload["workers"] = 4
+        payload["params"]["workers"] = 4
+        payload["params"]["oracle"]["upscale_relief"] = 0.5
+        edited = tmp_path / "old.json"
+        edited.write_text(json.dumps(payload))
+        second = tmp_path / "replayed"
+        assert run(["replay", "--manifest", str(edited), "--out", str(second)]) == 0
+        assert (second / "detections.tsv").read_bytes() == (first / "detections.tsv").read_bytes()
 
     def test_replay_rejects_changed_inputs(self, workspace, tmp_path):
         data = tmp_path / "gen"
@@ -325,6 +357,38 @@ class TestExitCodes:
         )
         assert code == 3
 
+    def test_failed_image_is_data_error_after_outputs(self, workspace, tmp_path, monkeypatch, capsys):
+        class FailingBackend(detect.OracleBackend):
+            def detect(self, weights, sample, augmentation="none", seed=0):
+                if sample.record.image_id == 2:
+                    raise RuntimeError("backend exploded")
+                return super().detect(weights, sample, augmentation, seed)
+
+        monkeypatch.setattr(detect, "OracleBackend", FailingBackend)
+        out = tmp_path / "i"
+        code = run(
+            [
+                "infer",
+                "--annotations", str(workspace["annotations"]),
+                "--scenes", str(workspace["scenes"]),
+                "--backend", "oracle",
+                "--out", str(out),
+            ]
+        )
+        assert code == 3
+        for name in ("detections.tsv", "timings.tsv", "manifest.json"):
+            assert (out / name).exists()
+        errors = {
+            line.split("\t")[0]: line.split("\t")[3]
+            for line in (out / "timings.tsv").read_text().splitlines()[1:]
+        }
+        assert errors.pop("2") == "RuntimeError: backend exploded"
+        assert set(errors.values()) == {""}
+        assert read_manifest(out / "manifest.json").timings["image_errors"] == 1
+        captured = capsys.readouterr()
+        assert "1 errors" in captured.out
+        assert "1 of 10 images" in captured.err and "timings.tsv" in captured.err
+
     def test_missing_checkpoint_flag_is_config_error(self, workspace, tmp_path):
         code = run(
             [
@@ -354,3 +418,29 @@ class TestConfigFilePrecedence:
         cfg = tmp_path / "cfg.ini"
         cfg.write_text("[synthetic]\nbogus_key = 1\n")
         assert run(["dataset", "gen", "--config", str(cfg), "--out", str(tmp_path / "g")]) == 2
+
+    def test_readme_config_example_loads(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        path = tmp_path / "readme.ini"
+        path.write_text(example)
+        raw = config.load_config_file(path)
+        crop_params, upscale = config.build_crop_params(raw), config.build_upscale(raw)
+        config.build_synthetic(raw)
+        config.build_oracle(raw)
+        config.build_detector(raw, 5, crop_params)
+        config.build_trainer(raw, crop_params, upscale)
+        config.build_inference(raw, crop_params, upscale)
+        for section in ("split", "tile", "run"):
+            assert config.simple_section(raw, section)
+
+    def test_run_section_accepts_only_seed(self, tmp_path):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("[run]\nseed = 4\n")
+        out = tmp_path / "g"
+        assert run(["dataset", "gen", "--config", str(cfg), "--out", str(out), "--num-images", "1"]) == 0
+        assert read_manifest(out / "manifest.json").seed == 4
+        cfg.write_text("[run]\nseed = 4\nworkers = 2\n")
+        argv = ["dataset", "gen", "--config", str(cfg), "--out", str(tmp_path / "h"), "--num-images", "1"]
+        assert run(argv) == 2
+        assert run(argv + ["--seed", "1"]) == 2

@@ -8,9 +8,10 @@ import pytest
 from densecrop.dataset import (
     Annotation,
     ImageRecord,
+    SceneSample,
+    SceneSpec,
     SyntheticConfig,
     UpscalePolicy,
-    augment_with_crops,
     crop_scene,
     generate_synthetic_dataset,
     load_annotations,
@@ -18,7 +19,7 @@ from densecrop.dataset import (
     read_scenes,
     read_split,
     split_dataset,
-    tile_image,
+    tile_image_report,
     write_annotations,
     write_scenes,
     write_split,
@@ -126,20 +127,20 @@ class TestTileImage:
         return ImageRecord(image_id=1, width=width, height=height, annotations=annotations)
 
     def test_image_smaller_than_tile(self):
-        tiles = tile_image(self.make_record(1000, 1000), tile=1500, stride=1000)
+        tiles, _ = tile_image_report(self.make_record(1000, 1000), tile=1500, stride=1000)
         assert len(tiles) == 1
         assert tiles[0].width == 1000 and tiles[0].height == 1000
         assert tiles[0].provenance.offset == (0.0, 0.0)
 
     def test_sliding_window_offsets(self):
-        tiles = tile_image(self.make_record(2500, 2500), tile=1500, stride=1000)
+        tiles, _ = tile_image_report(self.make_record(2500, 2500), tile=1500, stride=1000)
         offsets = {t.provenance.offset for t in tiles}
         assert offsets == {(0.0, 0.0), (0.0, 1000.0), (1000.0, 0.0), (1000.0, 1000.0)}
         assert all(t.width == 1500 and t.height == 1500 for t in tiles)
 
     def test_annotation_shifted_once(self):
         ann = Annotation(box=Box(1200, 200, 1300, 300), class_id=0)
-        tiles = tile_image(self.make_record(2500, 1000, (ann,)), tile=1500, stride=1000)
+        tiles, _ = tile_image_report(self.make_record(2500, 1000, (ann,)), tile=1500, stride=1000)
         hits = [
             (t.provenance.offset, a.box)
             for t in tiles
@@ -153,14 +154,12 @@ class TestTileImage:
     def test_half_area_rule(self):
         # 20px-wide box straddling the boundary at x=100 of a 2-tile split
         ann = Annotation(box=Box(92, 10, 112, 30), class_id=0)
-        tiles = tile_image(self.make_record(200, 50, (ann,)), tile=100, stride=100)
+        tiles, _ = tile_image_report(self.make_record(200, 50, (ann,)), tile=100, stride=100)
         counts = [len(t.annotations) for t in tiles]
         # clipped areas: 8/20 and 12/20 of the original; only the second keeps it
         assert counts == [0, 1]
 
     def test_parent_annotations_conserved_unless_straddling(self):
-        from densecrop.dataset import tile_image_report
-
         rng = np.random.default_rng(9)
         anns = []
         for _ in range(40):
@@ -178,8 +177,6 @@ class TestTileImage:
         assert lost == 0  # stride 800 < tile 1200 means full coverage here
 
     def test_straddler_counted_as_lost(self):
-        from densecrop.dataset import tile_image_report
-
         # box centered on the tile boundary keeps exactly half of its area
         # on each side; the half-area rule keeps only >= 0.5, so it lands
         # in both tiles when split evenly but is lost when split worse
@@ -200,9 +197,9 @@ class TestTileImage:
     def test_invalid_params(self):
         rec = self.make_record(100, 100)
         with pytest.raises(ConfigError):
-            tile_image(rec, tile=0, stride=1)
+            tile_image_report(rec, tile=0, stride=1)
         with pytest.raises(ConfigError):
-            tile_image(rec, tile=100, stride=200)
+            tile_image_report(rec, tile=100, stride=200)
 
 
 class TestSplitDataset:
@@ -254,29 +251,37 @@ class TestSplitDataset:
             read_split(path, [1, 2, 3])
 
 
+def with_scene(record):
+    """``record`` paired with an empty scene of its size."""
+    scene = SceneSpec(width=record.width, height=record.height, objects=(), seed=0)
+    return SceneSample(record=record, scene=scene)
+
+
 class TestAugmentWithCrops:
+    """The child records ``make_crop_children`` adds to the training pools."""
+
     def parent(self):
-        return ImageRecord(
-            image_id=5,
-            width=500.0,
-            height=400.0,
-            annotations=(
-                Annotation(box=Box(120, 110, 140, 130), class_id=0),
-                Annotation(box=Box(400, 300, 450, 350), class_id=1),
-            ),
+        return with_scene(
+            ImageRecord(
+                image_id=5,
+                width=500.0,
+                height=400.0,
+                annotations=(
+                    Annotation(box=Box(120, 110, 140, 130), class_id=0),
+                    Annotation(box=Box(400, 300, 450, 350), class_id=1),
+                ),
+            )
         )
 
     def test_zero_crops_unchanged(self):
-        records = [self.parent()]
-        out = augment_with_crops(records, {}, UpscalePolicy("factor", factor=2.0))
-        assert out == records
+        assert make_crop_children(self.parent(), [], UpscalePolicy("factor", factor=2.0)) == []
 
     def test_known_transform(self):
         crop = Box(100, 100, 300, 200)
         policy = UpscalePolicy("factor", factor=2.0)
-        out = augment_with_crops([self.parent()], {5: [crop]}, policy)
-        assert len(out) == 2
-        child = out[1]
+        out = make_crop_children(self.parent(), [crop], policy)
+        assert len(out) == 1
+        child = out[0].record
         assert child.provenance.kind == "crop"
         assert child.provenance.parent_id == 5
         assert child.width == 400.0 and child.height == 200.0
@@ -286,8 +291,8 @@ class TestAugmentWithCrops:
 
     def test_annotation_outside_crop_absent(self):
         crop = Box(100, 100, 300, 200)
-        out = augment_with_crops([self.parent()], {5: [crop]}, UpscalePolicy("factor", factor=2.0))
-        child_classes = {a.class_id for a in out[1].annotations}
+        out = make_crop_children(self.parent(), [crop], UpscalePolicy("factor", factor=2.0))
+        child_classes = {a.class_id for a in out[0].record.annotations}
         assert 1 not in child_classes
 
     def test_child_round_trips_to_parent(self):
@@ -304,8 +309,7 @@ class TestAugmentWithCrops:
             )
             crop = Box(x, y, x + w, y + h)
             policy = UpscalePolicy("short_edge", target=256.0)
-            out = augment_with_crops([parent], {1: [crop]}, policy)
-            child = out[1]
+            child = make_crop_children(with_scene(parent), [crop], policy)[0].record
             assert len(child.annotations) == 1
             back = reproject(
                 child.annotations[0].box, crop, child.provenance.upscale_size
@@ -333,7 +337,7 @@ class TestSyntheticScenes:
         assert all(len(s.record.annotations) == 0 for s in samples)
 
     def test_cluster_structure_statistics(self):
-        tight = []
+        nearest = []
         for seed in range(100):
             cfg = SyntheticConfig(
                 num_images=1,
@@ -345,16 +349,15 @@ class TestSyntheticScenes:
             )
             sample = generate_synthetic_dataset(cfg)[0]
             assert len(sample.record.annotations) == 20
-            for cluster in sample.scene.clusters:
-                cx, cy = cluster.center
-                dists = []
-                for obj in sample.scene.objects:
-                    ox, oy = obj.box.center
-                    dists.append(np.hypot(ox - cx, oy - cy))
-                dists.sort()
-                tight.append(np.mean(dists[:10]))
-        # objects belonging to a cluster stay within a few spreads
-        assert np.mean(tight) < 4 * 20.0
+            centers = np.array([obj.box.center for obj in sample.scene.objects])
+            dists = np.hypot(*(centers[:, None, :] - centers[None, :, :]).transpose(2, 0, 1))
+            np.fill_diagonal(dists, np.inf)
+            nearest.extend(dists.min(axis=1))
+        # every object has a neighbour within a few spreads, and on average
+        # within one (20 objects spread uniformly over the scene average
+        # about 60 px)
+        assert max(nearest) < 4 * 20.0
+        assert np.mean(nearest) < 20.0
 
     def test_boxes_inside_scene(self):
         cfg = SyntheticConfig(num_images=5, seed=3)
@@ -393,6 +396,19 @@ class TestSyntheticScenes:
         loaded = load_annotations(ann_path)
         rejoined = read_scenes(scene_path, list(loaded.records))
         assert [s.scene for s in rejoined] == [s.scene for s in samples]
+
+    def test_scene_file_with_clusters_key_loads(self, tmp_path):
+        # earlier versions also wrote each scene's cluster centres
+        cfg = SyntheticConfig(num_images=2, seed=5)
+        samples = generate_synthetic_dataset(cfg)
+        path = tmp_path / "scenes.json"
+        write_scenes(samples, path)
+        payload = json.loads(path.read_text())
+        for scene in payload["scenes"].values():
+            scene["clusters"] = [{"center": [100.0, 120.0], "spread": 28.0, "count": 6}]
+        path.write_text(json.dumps(payload))
+        rejoined = read_scenes(path, [s.record for s in samples])
+        assert rejoined == samples
 
     def test_scene_file_missing_image_rejected(self, tmp_path):
         cfg = SyntheticConfig(num_images=2, seed=5)

@@ -82,14 +82,7 @@ class TestOracleDetect:
     def test_forced_miss_below_threshold(self):
         record = record_with([Annotation(box=Box(0, 0, 8, 8), class_id=0)])
         noise = OracleNoiseModel(miss_curve=((0.0, 1.0), (1024.0, 0.0)))
-        assert oracle_detect(record, noise, upscale=1.0, num_base_classes=3) == []
-
-    def test_upscale_rescues_small_objects(self):
-        # an 8x8 object crosses the 32^2 area threshold at 4x upscale
-        record = record_with([Annotation(box=Box(0, 0, 8, 8), class_id=0)])
-        noise = OracleNoiseModel(miss_curve=((0.0, 1.0), (1024.0, 0.0)), score_mean=1.0, score_std=0.0)
-        dets = oracle_detect(record, noise, upscale=4.0, num_base_classes=3)
-        assert len(dets) == 1
+        assert oracle_detect(record, noise, num_base_classes=3) == []
 
     def test_deterministic_per_seed_and_image(self):
         sample = scene_sample(seed=3)
@@ -113,18 +106,6 @@ class TestOracleDetect:
         without = oracle_detect(record, noise_off, num_base_classes=3)
         assert {d.class_id for d in with_crops} == {0, 3}
         assert {d.class_id for d in without} == {0}
-
-    def test_recall_improves_with_upscale(self):
-        noise = OracleNoiseModel(miss_curve=((0.0, 0.9), (1024.0, 0.1)), seed=9)
-        total1 = total4 = possible = 0
-        for seed in range(100):
-            sample = scene_sample(seed=seed)
-            small = [a for a in sample.record.annotations if a.box.area < 1024]
-            possible += len(small)
-            total1 += len(oracle_detect(sample.record, noise, upscale=1.0, num_base_classes=4))
-            total4 += len(oracle_detect(sample.record, noise, upscale=4.0, num_base_classes=4))
-        assert possible > 100
-        assert total4 > total1
 
 
 class TestExtractFeatures:
@@ -403,8 +384,8 @@ class TestToyDetector:
         sample = scene_sample(seed=8)
         backend = self.backend()
         props = backend.proposals(sample)
-        plain = backend.features(sample.scene, props, "none")
-        strong = backend.features(sample.scene, props, "strong", seed=4)
+        plain = backend.features(sample.scene, props)
+        strong = backend.augment(plain, "strong", seed=4)
         assert not np.array_equal(plain, strong)
 
     def test_view_features_stay_unchanged_under_augmentation(self):
@@ -435,7 +416,7 @@ class TestToyDetector:
         backend = self.backend()
         props = backend.proposals(sample)
         with pytest.raises(InvariantViolation):
-            backend.features(sample.scene, props, "extreme")
+            backend.augment(backend.features(sample.scene, props), "extreme")
 
     def test_no_cluster_proposals_on_crop_children(self):
         from densecrop.dataset import make_crop_children, UpscalePolicy
@@ -455,7 +436,7 @@ class TestToyDetector:
         sample = scene_sample(seed=10)
         backend = self.backend()
         pseudo = [Annotation(box=sample.scene.objects[0].box, class_id=1, source="pseudo")]
-        batch = backend.unsupervised_batch(sample, pseudo, "none", seed=0)
+        batch = backend.unsupervised_batch(backend.view(sample), pseudo, "none", seed=0)
         assert len(batch) <= len(backend.proposals(sample))
         assert np.all(batch.classes == 1)
 

@@ -54,6 +54,12 @@ def tiny_dataset(seed=0, n=8, **overrides):
     return {s.record.image_id: s for s in samples}
 
 
+def labeled_views(samples, labeled_ids, cfg, backend):
+    """The labeled pool as ``train`` hands it to ``burn_in``: views with targets."""
+    pool = prepare_labeled_pool(samples, labeled_ids, cfg, backend)
+    return {image_id: backend.view(s, targets=True) for image_id, s in pool.items()}
+
+
 def backend_for(num_classes=3, seed=0, **overrides):
     return ToyDetector(
         ToyDetectorConfig(
@@ -218,7 +224,7 @@ class TestBurnIn:
         samples = tiny_dataset()
         backend = backend_for()
         cfg = trainer_config(burn_in_iters=0, max_iters=0, crop_start_iter=1)
-        pool = prepare_labeled_pool(samples, sorted(samples), cfg, backend)
+        pool = labeled_views(samples, sorted(samples), cfg, backend)
         weights, history = burn_in(cfg, pool, backend)
         np.testing.assert_array_equal(
             weights.values, backend.init_weights(cfg.seed).values
@@ -229,7 +235,7 @@ class TestBurnIn:
         samples = tiny_dataset()
         backend = backend_for()
         cfg = trainer_config(burn_in_iters=25, max_iters=25, crop_start_iter=26)
-        pool = prepare_labeled_pool(samples, sorted(samples), cfg, backend)
+        pool = labeled_views(samples, sorted(samples), cfg, backend)
         a, _ = burn_in(cfg, pool, backend)
         b, _ = burn_in(cfg, pool, backend)
         np.testing.assert_array_equal(a.values, b.values)
@@ -244,12 +250,12 @@ class TestBurnIn:
         cfg = trainer_config(
             burn_in_iters=500, max_iters=500, crop_start_iter=501, learning_rate=0.02
         )
-        pool = prepare_labeled_pool(samples, sorted(samples), cfg, backend)
+        pool = labeled_views(samples, sorted(samples), cfg, backend)
         weights, history = burn_in(cfg, pool, backend)
         assert history[-1].loss_total < history[0].loss_total
         correct = total = 0
-        for sample in pool.values():
-            batch = backend.supervised_batch(sample, "none", seed=0)
+        for view in pool.values():
+            batch = backend.supervised_batch(view, "none", seed=0)
             probs, _ = toy_forward(weights, batch.features)
             correct += int(np.sum(np.argmax(probs, axis=1) == batch.classes))
             total += len(batch)
@@ -329,7 +335,7 @@ class TestTrain:
         split = quick_split(samples, 2)
         backend = backend_for()
         cfg = trainer_config(burn_in_iters=40, max_iters=40, crop_start_iter=50)
-        pool = prepare_labeled_pool(samples, split.labeled_ids, cfg, backend)
+        pool = labeled_views(samples, split.labeled_ids, cfg, backend)
         direct, _ = burn_in(cfg, pool, backend)
         state = train(cfg, samples, split, backend)
         np.testing.assert_array_equal(state.student.values, direct.values)
