@@ -256,10 +256,15 @@ def _tupled(value):
 
 def _from_dict(cls, data: dict, **nested):
     """``cls`` rebuilt from its ``params_dict``; ``nested`` maps a field
-    to the dataclass its sub-dict rebuilds. Unknown keys are a DataError."""
-    unknown = sorted(set(data) - {f.name for f in dataclasses.fields(cls)})
+    to the dataclass its sub-dict rebuilds. Unknown and missing keys are a
+    DataError: a manifest records every field, so a missing one would
+    otherwise be replaced by today's default without notice."""
+    fields = {f.name for f in dataclasses.fields(cls)}
+    unknown, missing = sorted(set(data) - fields), sorted(fields - set(data))
     if unknown:
         raise DataError(f"manifest {cls.__name__} parameters have unknown keys {unknown}")
+    if missing:
+        raise DataError(f"manifest {cls.__name__} parameters are missing keys {missing}")
     values = {k: _tupled(v) for k, v in data.items()}
     for key, sub in nested.items():
         if values.get(key) is not None:

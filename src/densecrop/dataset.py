@@ -21,8 +21,6 @@ from .geometry import Box, project_into_crop
 from .seeding import rng_for, stable_int
 
 __all__ = [
-    "GROUND_TRUTH",
-    "PSEUDO",
     "Annotation",
     "Provenance",
     "ImageRecord",
@@ -46,9 +44,6 @@ __all__ = [
     "read_scenes",
 ]
 
-GROUND_TRUTH = "ground_truth"
-PSEUDO = "pseudo"
-
 # Fraction of an annotation's area that must survive clipping for the
 # annotation to be assigned to a tile or crop child.
 MIN_CLIPPED_AREA_FRACTION = 0.5
@@ -56,15 +51,12 @@ MIN_CLIPPED_AREA_FRACTION = 0.5
 
 @dataclass(frozen=True)
 class Annotation:
-    """One labeled box: geometry, class id, and whether it is real GT."""
+    """One labeled box: geometry and class id."""
 
     box: Box
     class_id: int
-    source: str = GROUND_TRUTH
 
     def __post_init__(self) -> None:
-        if self.source not in (GROUND_TRUTH, PSEUDO):
-            raise InvariantViolation(f"unknown annotation source {self.source!r}")
         if self.class_id < 0:
             raise InvariantViolation(f"negative class id {self.class_id}")
 

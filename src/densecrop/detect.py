@@ -21,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .croplab import CropParams, label_density_crops
-from .dataset import Annotation, ImageRecord, SceneSample, SceneSpec
+from .dataset import ImageRecord, SceneSample, SceneSpec
 from .errors import DataError, InvariantViolation
-from .geometry import Box, Detection
+from .geometry import Box, Detection, box_areas, box_array, intersection_matrix, iou_matrix
 from .seeding import rng_for
 
 __all__ = [
@@ -184,17 +184,25 @@ class OracleNoiseModel:
         return prob
 
 
-def _safe_box(x1: float, y1: float, x2: float, y2: float, width: float, height: float) -> Box:
-    """Clip to the image and pad degenerate sides so the box stays valid."""
-    x1, x2 = min(max(x1, 0.0), width), min(max(x2, 0.0), width)
-    y1, y2 = min(max(y1, 0.0), height), min(max(y2, 0.0), height)
-    if x2 - x1 < _MIN_SIDE:
-        c = min(max((x1 + x2) / 2.0, _MIN_SIDE / 2.0), width - _MIN_SIDE / 2.0)
-        x1, x2 = c - _MIN_SIDE / 2.0, c + _MIN_SIDE / 2.0
-    if y2 - y1 < _MIN_SIDE:
-        c = min(max((y1 + y2) / 2.0, _MIN_SIDE / 2.0), height - _MIN_SIDE / 2.0)
-        y1, y2 = c - _MIN_SIDE / 2.0, c + _MIN_SIDE / 2.0
-    return Box(x1, y1, x2, y2)
+def _clip(values: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """``min(max(v, lo), hi)`` per entry, keeping ``v`` wherever Python would."""
+    values = np.where(values < lo, lo, values)
+    return np.where(values > hi, hi, values)
+
+
+def _safe_box(boxes: np.ndarray, width: float, height: float) -> np.ndarray:
+    """(x1, y1, x2, y2) rows clipped to the image, with degenerate sides
+    padded to ``_MIN_SIDE`` around their clipped centre, so every row is a
+    valid :class:`Box`."""
+    half = _MIN_SIDE / 2.0
+    out = np.empty_like(boxes)
+    for lo, hi, size in ((0, 2, width), (1, 3, height)):
+        a, b = _clip(boxes[:, lo], 0.0, size), _clip(boxes[:, hi], 0.0, size)
+        centre = _clip((a + b) / 2.0, half, size - half)
+        thin = b - a < _MIN_SIDE
+        out[:, lo] = np.where(thin, centre - half, a)
+        out[:, hi] = np.where(thin, centre + half, b)
+    return out
 
 
 def oracle_detect(
@@ -210,7 +218,8 @@ def oracle_detect(
     """
     rng = rng_for(noise.seed, "oracle", record.image_id)
     crop_class = num_base_classes
-    out: list[Detection] = []
+    raw: list[tuple] = []  # boxes before clipping
+    labels: list[tuple[int, float]] = []  # (class id, score) per box
     for ann in record.annotations:
         is_crop = crop_class is not None and ann.class_id == crop_class
         if is_crop and not noise.emit_crops:
@@ -218,12 +227,11 @@ def oracle_detect(
         if rng.random() < noise.miss_probability(ann.box.area):
             continue
         jit = rng.normal(0.0, noise.jitter_std, 4) if noise.jitter_std > 0 else np.zeros(4)
-        box = _safe_box(
-            ann.box.x1 + jit[0], ann.box.y1 + jit[1], ann.box.x2 + jit[2], ann.box.y2 + jit[3],
-            record.width, record.height,
+        raw.append(
+            (ann.box.x1 + jit[0], ann.box.y1 + jit[1], ann.box.x2 + jit[2], ann.box.y2 + jit[3])
         )
         score = float(np.clip(rng.normal(noise.score_mean, noise.score_std), 0.05, 1.0))
-        out.append(Detection(box=box, class_id=ann.class_id, score=score))
+        labels.append((ann.class_id, score))
     if noise.fp_rate > 0:
         n_classes = num_base_classes if num_base_classes is not None else 1
         for _ in range(int(rng.poisson(noise.fp_rate))):
@@ -232,14 +240,13 @@ def oracle_detect(
             x = float(rng.uniform(0.0, max(record.width - w, _MIN_SIDE)))
             y = float(rng.uniform(0.0, max(record.height - h, _MIN_SIDE)))
             score = float(rng.uniform(*noise.fp_score_range))
-            out.append(
-                Detection(
-                    box=_safe_box(x, y, x + w, y + h, record.width, record.height),
-                    class_id=int(rng.integers(0, n_classes)),
-                    score=score,
-                )
-            )
-    return out
+            raw.append((x, y, x + w, y + h))
+            labels.append((int(rng.integers(0, n_classes)), score))
+    boxes = _safe_box(np.array(raw, dtype=np.float64).reshape(-1, 4), record.width, record.height)
+    return [
+        Detection(box=Box(*box), class_id=class_id, score=score)
+        for box, (class_id, score) in zip(boxes.tolist(), labels)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -247,65 +254,85 @@ def oracle_detect(
 # ---------------------------------------------------------------------------
 
 
+def _running_sum(terms: np.ndarray) -> np.ndarray:
+    """``total = 0.0; for t in row: total += t`` along axis 1, in that order."""
+    start = np.zeros((len(terms), 1) + terms.shape[2:])
+    return np.add.accumulate(np.concatenate([start, terms], axis=1), axis=1)[:, -1]
+
+
+def _covered_mean(values: np.ndarray, covered: np.ndarray) -> np.ndarray:
+    """``np.mean`` of each row's covered entries, 0.0 for a row with none.
+
+    numpy sums fewer than 8 values one after another from 0.0, so those
+    rows are running sums; longer rows use numpy's pairwise summation and
+    go through ``np.mean`` themselves.
+    """
+    counts = covered.sum(axis=1)
+    sums = _running_sum(np.where(covered, values, 0.0))
+    means = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
+    for i in np.flatnonzero(counts >= 8):
+        means[i] = np.mean(values[i, covered[i]])
+    return means
+
+
 def extract_features(
     scene: SceneSpec,
-    proposal: Box,
+    boxes: np.ndarray,
     num_base_classes: int,
     payload_obs_scale: float = 4.0,
 ) -> np.ndarray:
-    """Deterministic feature vector for a proposal inside a scene.
+    """Deterministic feature matrix, one row per (x1, y1, x2, y2) proposal
+    row of ``boxes``.
 
     The payload block is the overlap-weighted average of the payloads of
     intersecting objects, observed through additive noise whose scale
     shrinks with object area, so upscaled crops yield cleaner features than
-    the same region at native resolution.
+    the same region at native resolution. Each proposal's noise comes from
+    a generator seeded by the scene and the proposal's coordinates, so a
+    row depends on its proposal alone. Sums over the scene's objects run in
+    object order.
     """
-    w, h = proposal.width, proposal.height
-    area = proposal.area
-    scene_area = scene.width * scene.height
-    phi = np.zeros(feature_dim(num_base_classes))
-    phi[0] = np.log(max(area, _MIN_SIDE)) / np.log(scene_area)
-    aspect = min(max(w / h, 1.0 / _ASPECT_CAP), _ASPECT_CAP)
-    phi[1] = np.log(aspect) / np.log(_ASPECT_CAP)
-    cx, cy = proposal.center
-    phi[2] = cx / scene.width
-    phi[3] = cy / scene.height
+    boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
+    x1, y1, x2, y2 = boxes.T
+    area = box_areas(boxes)
+    phi = np.zeros((len(boxes), feature_dim(num_base_classes)))
+    phi[:, 0] = np.log(np.maximum(area, _MIN_SIDE)) / np.log(scene.width * scene.height)
+    aspect = _clip((x2 - x1) / (y2 - y1), 1.0 / _ASPECT_CAP, _ASPECT_CAP)
+    phi[:, 1] = np.log(aspect) / np.log(_ASPECT_CAP)
+    phi[:, 2] = (x1 + x2) / 2.0 / scene.width
+    phi[:, 3] = (y1 + y2) / 2.0 / scene.height
 
-    best_iou = 0.0
-    inter_total = 0.0
-    centers_inside = 0
-    covered_fracs: list[float] = []
-    covered_areas: list[float] = []
-    payload_sum = np.zeros(num_base_classes)
-    weight_sum = 0.0
-    for obj in scene.objects:
-        inter = proposal.intersection_area(obj.box)
-        if inter > 0.0:
-            obj_area = obj.box.area
-            union = area + obj_area - inter
-            best_iou = max(best_iou, inter / union)
-            inter_total += inter
-            frac = inter / obj_area
-            covered_fracs.append(frac)
-            covered_areas.append(obj_area)
-            payload_sum += frac * np.asarray(obj.payload[:num_base_classes])
-            weight_sum += frac
-        ocx, ocy = obj.box.center
-        if proposal.x1 <= ocx < proposal.x2 and proposal.y1 <= ocy < proposal.y2:
-            centers_inside += 1
-    phi[4] = best_iou
-    phi[5] = min(inter_total / area, 1.0)
-    phi[6] = np.log1p(min(centers_inside, _CENTER_COUNT_CAP)) / np.log1p(_CENTER_COUNT_CAP)
-    phi[7] = float(np.mean(covered_fracs)) if covered_fracs else 0.0
+    objects = box_array([obj.box for obj in scene.objects])
+    payloads = np.array(
+        [obj.payload[:num_base_classes] for obj in scene.objects], dtype=np.float64
+    ).reshape(-1, num_base_classes)
+    object_areas = box_areas(objects)
+    inter = intersection_matrix(boxes, objects)
+    covered = inter > 0.0
+    fracs = inter / object_areas
+    ocx, ocy = (objects[:, 0] + objects[:, 2]) / 2.0, (objects[:, 1] + objects[:, 3]) / 2.0
+    centers_inside = (
+        (x1[:, None] <= ocx) & (ocx < x2[:, None]) & (y1[:, None] <= ocy) & (ocy < y2[:, None])
+    ).sum(axis=1)
+    phi[:, 4] = iou_matrix(boxes, objects).max(axis=1, initial=0.0)
+    phi[:, 5] = np.minimum(_running_sum(inter) / area, 1.0)
+    centers_inside = np.minimum(centers_inside, _CENTER_COUNT_CAP)
+    phi[:, 6] = np.log1p(centers_inside) / np.log1p(_CENTER_COUNT_CAP)
+    phi[:, 7] = _covered_mean(fracs, covered)
 
-    payload = payload_sum / max(weight_sum, 1.0)
+    payload_sum = _running_sum(fracs[:, :, None] * payloads[None, :, :])
+    payload = payload_sum / np.maximum(_running_sum(fracs), 1.0)[:, None]
     if payload_obs_scale > 0:
-        ref_area = float(np.mean(covered_areas)) if covered_areas else area
-        sigma = payload_obs_scale / np.sqrt(max(ref_area, 1.0))
-        q = tuple(int(round(v * 16.0)) for v in proposal.as_tuple())
-        noise_rng = rng_for(scene.seed, "payload-obs", *q)
-        payload = payload + noise_rng.normal(0.0, sigma, num_base_classes)
-    phi[_GEOM_FEATURES:] = payload
+        covered_areas = _covered_mean(np.broadcast_to(object_areas, covered.shape), covered)
+        ref_area = np.where(covered.any(axis=1), covered_areas, area)
+        sigma = payload_obs_scale / np.sqrt(np.maximum(ref_area, 1.0))
+        noise = np.empty_like(payload)
+        for i, row in enumerate(boxes.tolist()):
+            q = tuple(int(round(v * 16.0)) for v in row)
+            noise_rng = rng_for(scene.seed, "payload-obs", *q)
+            noise[i] = noise_rng.normal(0.0, sigma[i], num_base_classes)
+        payload = payload + noise
+    phi[:, _GEOM_FEATURES:] = payload
     return phi
 
 
@@ -422,31 +449,30 @@ def loss_unsup(weights: WeightVector, batch: UnsupervisedBatch) -> LossResult:
 
 
 def assign_targets(
-    proposals: list[Box],
-    annotations: list[Annotation] | tuple[Annotation, ...],
+    boxes: np.ndarray,
+    gt_boxes: np.ndarray,
+    gt_classes: np.ndarray,
     fg_iou: float,
     background_class: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Match each proposal to its best-IoU annotation.
+    """Match each (x1, y1, x2, y2) row of ``boxes`` to its best-IoU row of
+    ``gt_boxes``.
 
-    Proposals reaching ``fg_iou`` take the annotation's class and corner
-    offsets (annotation minus proposal); the rest become background with
-    zero offsets.
+    Among equal best IoUs the first ground-truth row wins. Proposals that
+    overlap their match and reach ``fg_iou`` take its class and corner
+    offsets (match minus proposal); the rest become background with zero
+    offsets.
     """
-    classes = np.full(len(proposals), background_class, dtype=np.int64)
-    offsets = np.zeros((len(proposals), 4))
-    for i, prop in enumerate(proposals):
-        best, best_iou_v = None, 0.0
-        for ann in annotations:
-            inter = prop.intersection_area(ann.box)
-            if inter <= 0.0:
-                continue
-            v = inter / (prop.area + ann.box.area - inter)
-            if v > best_iou_v:
-                best, best_iou_v = ann, v
-        if best is not None and best_iou_v >= fg_iou:
-            classes[i] = best.class_id
-            offsets[i] = np.array(best.box.as_tuple()) - np.array(prop.as_tuple())
+    classes = np.full(len(boxes), background_class, dtype=np.int64)
+    offsets = np.zeros((len(boxes), 4))
+    if len(boxes) == 0 or len(gt_boxes) == 0:
+        return classes, offsets
+    ious = iou_matrix(boxes, gt_boxes)
+    best = ious.argmax(axis=1)
+    best_iou = ious[np.arange(len(boxes)), best]
+    fg = (best_iou > 0.0) & (best_iou >= fg_iou)
+    classes[fg] = gt_classes[best[fg]]
+    offsets[fg] = gt_boxes[best[fg]] - boxes[fg]
     return classes, offsets
 
 
@@ -501,14 +527,16 @@ class OracleBackend(DetectorBackend):
 class SampleView:
     """What the toy detector derives from one sample alone.
 
-    The proposal boxes, their un-augmented feature matrix (read-only) and,
-    for a labeled record, the ground-truth class and corner-offset targets
-    of each proposal. Augmentation works on copies of ``phi``, so one view
-    serves every visit to its image.
+    ``proposals`` holds the proposal boxes as read-only (N, 4) float64
+    (x1, y1, x2, y2) rows and ``phi`` their read-only un-augmented (N, D)
+    feature matrix; for a labeled record ``gt_classes`` and ``gt_offsets``
+    hold each proposal's ground-truth class and corner-offset targets.
+    Augmentation works on copies of ``phi``, so one view serves every visit
+    to its image.
     """
 
     sample: SceneSample
-    proposals: tuple[Box, ...]
+    proposals: np.ndarray
     phi: np.ndarray
     gt_classes: np.ndarray | None = None
     gt_offsets: np.ndarray | None = None
@@ -545,7 +573,11 @@ class ToyDetector(DetectorBackend):
 
     Proposals and base features are pure functions of the image: :meth:`view`
     computes them once, and every method takes that view; :meth:`detect`
-    also takes a sample and builds its view for the call.
+    also takes a sample and builds its view for the call. Everything below
+    :meth:`detect` works on arrays: :meth:`decode` returns every proposal's
+    regressed box and class probabilities, :meth:`emitted` picks the
+    (proposal, class) pairs that count as detections, and only
+    :meth:`detect` wraps them into :class:`Detection` objects.
     """
 
     def __init__(self, config: ToyDetectorConfig):
@@ -569,8 +601,9 @@ class ToyDetector(DetectorBackend):
             values=rng.normal(0.0, self.config.init_scale, self.layout.total),
         )
 
-    def proposals(self, sample: SceneSample) -> list[Box]:
-        """Fixed per-image proposal set: objects, clusters, background.
+    def proposals(self, sample: SceneSample) -> np.ndarray:
+        """Fixed per-image proposal set as (N, 4) rows: objects, clusters,
+        background.
 
         Cluster candidates are skipped on crop children: the image already
         is a zoomed cluster, and a second level of crop proposals would
@@ -586,33 +619,24 @@ class ToyDetector(DetectorBackend):
                 (scene.width, scene.height),
                 self._proposal_crop_params,
             )
-        out: list[Box] = []
-        for box in candidates:
-            jit = rng.normal(0.0, self.config.proposal_jitter, 4)
-            out.append(
-                _safe_box(
-                    box.x1 + jit[0], box.y1 + jit[1], box.x2 + jit[2], box.y2 + jit[3],
-                    record.width, record.height,
-                )
-            )
+        jitter = rng.normal(0.0, self.config.proposal_jitter, (len(candidates), 4))
+        background: list[tuple] = []
         short = min(record.width, record.height)
         for _ in range(self.config.background_proposals):
             w = float(rng.uniform(short / 24.0, short / 3.0))
             h = float(rng.uniform(short / 24.0, short / 3.0))
             x = float(rng.uniform(0.0, max(record.width - w, _MIN_SIDE)))
             y = float(rng.uniform(0.0, max(record.height - h, _MIN_SIDE)))
-            out.append(_safe_box(x, y, x + w, y + h, record.width, record.height))
-        return out
+            background.append((x, y, x + w, y + h))
+        raw = np.concatenate(
+            [box_array(candidates) + jitter, np.array(background, dtype=np.float64).reshape(-1, 4)]
+        )
+        return _safe_box(raw, record.width, record.height)
 
-    def features(self, scene: SceneSpec, proposals: list[Box] | tuple[Box, ...]) -> np.ndarray:
-        """Un-augmented feature matrix, one row per proposal."""
-        if not proposals:
-            return np.zeros((0, self.layout.feature_dim))
-        return np.stack(
-            [
-                extract_features(scene, p, self.num_base_classes, self.config.payload_obs_scale)
-                for p in proposals
-            ]
+    def features(self, scene: SceneSpec, proposals: np.ndarray) -> np.ndarray:
+        """Un-augmented feature matrix, one row per proposal row."""
+        return extract_features(
+            scene, proposals, self.num_base_classes, self.config.payload_obs_scale
         )
 
     def augment(self, phi: np.ndarray, augmentation: str = "none", seed: int = 0) -> np.ndarray:
@@ -646,13 +670,18 @@ class ToyDetector(DetectorBackend):
         class and offsets against the record's annotations, which
         :meth:`supervised_batch` needs.
         """
-        proposals = tuple(self.proposals(sample))
+        proposals = self.proposals(sample)
         phi = self.features(sample.scene, proposals)
-        phi.flags.writeable = False
+        proposals.flags.writeable = phi.flags.writeable = False
         classes = offsets = None
         if targets:
+            annotations = sample.record.annotations
             classes, offsets = assign_targets(
-                proposals, sample.record.annotations, self.config.fg_iou, self.background_class
+                proposals,
+                box_array([a.box for a in annotations]),
+                np.array([a.class_id for a in annotations], dtype=np.int64),
+                self.config.fg_iou,
+                self.background_class,
             )
             classes.flags.writeable = offsets.flags.writeable = False
         return SampleView(sample, proposals, phi, classes, offsets)
@@ -665,35 +694,37 @@ class ToyDetector(DetectorBackend):
         seed: int = 0,
     ) -> list[Detection]:
         """Detections on a view, or on a sample through a view built for
-        this call."""
+        this call: the :meth:`emitted` (proposal, class) pairs of
+        :meth:`decode`, proposal by proposal and class by class."""
         view = sample if isinstance(sample, SampleView) else self.view(sample)
-        return self.predict(weights, view, augmentation, seed)[0]
+        boxes, probs = self.decode(weights, view, augmentation, seed)
+        rows, classes = self.emitted(probs)
+        boxes = boxes.tolist()
+        return [
+            Detection(box=Box(*boxes[i]), class_id=c, score=float(probs[i, c]))
+            for i, c in zip(rows.tolist(), classes.tolist())
+        ]
 
-    def predict(
+    def decode(
         self,
         weights: WeightVector | None,
         view: SampleView,
         augmentation: str = "none",
         seed: int = 0,
-    ) -> tuple[list[Detection], np.ndarray]:
-        """Detections on a view plus the class probabilities of every
-        proposal they were decoded from."""
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Every proposal's regressed box, clipped to the image as (N, 4)
+        rows, and its (N, num_outputs) class probabilities."""
         if weights is None:
             raise InvariantViolation("ToyDetector.detect requires weights")
         probs, offsets = toy_forward(weights, self.augment(view.phi, augmentation, seed))
         record = view.sample.record
-        out: list[Detection] = []
-        for i, prop in enumerate(view.proposals):
-            box = _safe_box(
-                prop.x1 + offsets[i, 0], prop.y1 + offsets[i, 1],
-                prop.x2 + offsets[i, 2], prop.y2 + offsets[i, 3],
-                record.width, record.height,
-            )
-            for class_id in range(self.background_class):
-                score = float(probs[i, class_id])
-                if score > self.config.emit_floor:
-                    out.append(Detection(box=box, class_id=class_id, score=score))
-        return out, probs
+        return _safe_box(view.proposals + offsets, record.width, record.height), probs
+
+    def emitted(self, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(proposal, class) index pairs that count as detections: base and
+        density-crop classes scoring above ``emit_floor``, in row-major
+        order."""
+        return np.nonzero(probs[:, : self.background_class] > self.config.emit_floor)
 
     def supervised_batch(
         self, view: SampleView, augmentation: str = "none", seed: int = 0
@@ -711,12 +742,14 @@ class ToyDetector(DetectorBackend):
     def unsupervised_batch(
         self,
         view: SampleView,
-        pseudo_labels: list[Annotation],
+        pseudo_boxes: np.ndarray,
+        pseudo_classes: np.ndarray,
         augmentation: str = "strong",
         seed: int = 0,
         teacher_probs: np.ndarray | None = None,
     ) -> UnsupervisedBatch:
-        """Training batch against teacher pseudo-labels (classes only).
+        """Training batch against teacher pseudo-labels (classes only),
+        given as (P, 4) box rows and their (P,) classes.
 
         A proposal enters the batch when it matches a pseudo-label (taking
         that class) or, if the teacher's per-proposal probabilities on the
@@ -728,7 +761,7 @@ class ToyDetector(DetectorBackend):
         """
         phi = self.augment(view.phi, augmentation, seed)
         classes, _ = assign_targets(
-            view.proposals, pseudo_labels, self.config.fg_iou, self.background_class
+            view.proposals, pseudo_boxes, pseudo_classes, self.config.fg_iou, self.background_class
         )
         keep = classes != self.background_class
         if teacher_probs is not None:

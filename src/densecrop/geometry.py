@@ -19,6 +19,10 @@ __all__ = [
     "Box",
     "Detection",
     "iou",
+    "box_array",
+    "box_areas",
+    "intersection_matrix",
+    "iou_matrix",
     "pairwise_iou",
     "scale_box",
     "enclosing_box",
@@ -107,16 +111,37 @@ def iou(a: Box, b: Box) -> float:
     return inter / (a.area + b.area - inter)
 
 
+def box_array(boxes: list[Box] | tuple[Box, ...]) -> np.ndarray:
+    """(N, 4) float64 array of (x1, y1, x2, y2) rows; (0, 4) when empty."""
+    return np.array([b.as_tuple() for b in boxes], dtype=np.float64).reshape(-1, 4)
+
+
+def box_areas(boxes: np.ndarray) -> np.ndarray:
+    """Area of each (x1, y1, x2, y2) row, computed as ``Box.area`` does."""
+    return (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1])
+
+
+def intersection_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(N, M) intersection areas of (N, 4) and (M, 4) box rows, with the
+    float operations of ``Box.intersection_area``."""
+    iw = np.minimum(a[:, None, 2], b[None, :, 2]) - np.maximum(a[:, None, 0], b[None, :, 0])
+    ih = np.minimum(a[:, None, 3], b[None, :, 3]) - np.maximum(a[:, None, 1], b[None, :, 1])
+    return np.where((iw > 0.0) & (ih > 0.0), iw * ih, 0.0)
+
+
+def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(N, M) IoU of (N, 4) and (M, 4) box rows; every entry equals
+    :func:`iou` of the two boxes bit for bit."""
+    inter = intersection_matrix(a, b)
+    # Where inter is 0 the union is a sum of positive areas, so the IoU is 0.
+    return inter / (box_areas(a)[:, None] + box_areas(b)[None, :] - inter)
+
+
 def pairwise_iou(boxes: list[Box]) -> np.ndarray:
     """n x n IoU matrix with exact 1.0 on the diagonal."""
-    n = len(boxes)
-    out = np.zeros((n, n), dtype=np.float64)
-    for i in range(n):
-        out[i, i] = 1.0
-        for j in range(i + 1, n):
-            v = iou(boxes[i], boxes[j])
-            out[i, j] = v
-            out[j, i] = v
+    xyxy = box_array(boxes)
+    out = iou_matrix(xyxy, xyxy)
+    np.fill_diagonal(out, 1.0)
     return out
 
 

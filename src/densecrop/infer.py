@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from .croplab import CropParams, label_density_crops
 from .dataset import SceneSample, UpscalePolicy, make_crop_children
 from .detect import DetectorBackend, WeightVector
-from .errors import ConfigError
+from .errors import ConfigError, InvariantViolation
 from .geometry import Box, Detection, nms, reproject
 from .seeding import stable_int
 
@@ -147,7 +147,8 @@ def run_inference(
 
     Each image's seed derives from ``seed`` and its id alone. A backend
     failure becomes an error record for that image rather than aborting
-    the run.
+    the run; an :class:`InvariantViolation` is a programming error, not a
+    failure of the image, and propagates.
     """
     results = []
     for sample in samples:
@@ -159,6 +160,8 @@ def run_inference(
                 sample, backend, weights, config,
                 seed=stable_int(seed) ^ stable_int(image_id),
             )
+        except InvariantViolation:
+            raise
         except Exception as exc:  # error record, not a crash
             dets, error = [], f"{type(exc).__name__}: {exc}"
         results.append(

@@ -34,7 +34,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .errors import DataError, InvariantViolation
-from .geometry import Box
+from .geometry import box_areas, box_array, iou_matrix
 
 __all__ = [
     "COCO_IOU_THRESHOLDS",
@@ -96,23 +96,6 @@ class EvalReport:
 # ---------------------------------------------------------------------------
 # Matching core
 # ---------------------------------------------------------------------------
-
-
-def _xyxy(boxes: list[Box]) -> np.ndarray:
-    return np.array([b.as_tuple() for b in boxes], dtype=np.float64).reshape(-1, 4)
-
-
-def _area(xyxy: np.ndarray) -> np.ndarray:
-    return (xyxy[:, 2] - xyxy[:, 0]) * (xyxy[:, 3] - xyxy[:, 1])
-
-
-def _iou_matrix(dets: np.ndarray, gts: np.ndarray) -> np.ndarray:
-    """(D, G) IoU of xyxy rows, with the float operations of ``geometry.iou``."""
-    iw = np.minimum(dets[:, None, 2], gts[None, :, 2]) - np.maximum(dets[:, None, 0], gts[None, :, 0])
-    ih = np.minimum(dets[:, None, 3], gts[None, :, 3]) - np.maximum(dets[:, None, 1], gts[None, :, 1])
-    inter = np.where((iw > 0.0) & (ih > 0.0), iw * ih, 0.0)
-    # Where inter is 0 the union is a sum of positive areas, so the IoU is 0.
-    return inter / (_area(dets)[:, None] + _area(gts)[None, :] - inter)
 
 
 def _in_ranges(areas: np.ndarray, ranges: np.ndarray) -> np.ndarray:
@@ -193,7 +176,7 @@ class _Image(NamedTuple):
     def class_ious(self) -> tuple[np.ndarray, np.ndarray]:
         """(detection x ground-truth IoU, same-class mask) of the image."""
         same_class = self.det_classes[:, None] == self.gt_classes[None, :]
-        return _iou_matrix(self.det_boxes, self.gt_boxes), same_class
+        return iou_matrix(self.det_boxes, self.gt_boxes), same_class
 
 
 def _images(gts: dict, dets: list[tuple]) -> Iterator[_Image]:
@@ -211,9 +194,9 @@ def _images(gts: dict, dets: list[tuple]) -> Iterator[_Image]:
         scores = np.array([d.score for d in img_dets], dtype=np.float64)
         order = np.argsort(-scores, kind="stable")
         yield _Image(
-            gt_boxes=_xyxy([a.box for a in anns]),
+            gt_boxes=box_array([a.box for a in anns]),
             gt_classes=np.array([a.class_id for a in anns], dtype=np.int64),
-            det_boxes=_xyxy([d.box for d in img_dets])[order],
+            det_boxes=box_array([d.box for d in img_dets])[order],
             det_classes=np.array([d.class_id for d in img_dets], dtype=np.int64)[order],
             det_scores=scores[order],
         )
@@ -265,7 +248,7 @@ def evaluate_ap(
     range_rows = np.arange(len(ranges))[:, None, None]
     unmatched_column = np.zeros((len(ranges), 1), dtype=bool)
     gt_classes = np.array([a.class_id for a in all_anns], dtype=np.int64)
-    counted = _in_ranges(_area(_xyxy([a.box for a in all_anns])), bounds)
+    counted = _in_ranges(box_areas(box_array([a.box for a in all_anns])), bounds)
     # Over every detection, image by image: class, score, and the (R, T)
     # outcome: 1 true positive, 0 false positive, -1 left out of the ranking
     # (matched to ignored ground truth, or unmatched and outside the range).
@@ -277,11 +260,11 @@ def evaluate_ap(
         rows = slice(start, start + len(image.det_scores))
         start = rows.stop
         det_classes[rows], scores[rows] = image.det_classes, image.det_scores
-        ignored = ~_in_ranges(_area(image.gt_boxes), bounds)
+        ignored = ~_in_ranges(box_areas(image.gt_boxes), bounds)
         matched = _match(_same_class_only(*image.class_ious()), ignored, thr)
         # Column -1, the unmatched mark, reads the appended all-False column.
         on_ignored = np.hstack([ignored, unmatched_column])[range_rows, matched]
-        out_of_range = ~_in_ranges(_area(image.det_boxes), bounds)[:, None, :]
+        out_of_range = ~_in_ranges(box_areas(image.det_boxes), bounds)[:, None, :]
         hit = matched >= 0
         outcome[:, :, rows] = np.where(np.where(hit, on_ignored, out_of_range), -1, hit)
 
@@ -361,7 +344,7 @@ def recall_by_size(
         det_match = _match_once(_same_class_only(*image.class_ious()), iou_thresh)
         gt_hit = np.zeros(len(image.gt_boxes), dtype=bool)
         gt_hit[det_match[det_match >= 0]] = True
-        areas = _area(image.gt_boxes)
+        areas = box_areas(image.gt_boxes)
         totals["all"] += len(gt_hit)
         matched["all"] += int(gt_hit.sum())
         for name, (lo, hi) in size_buckets.items():

@@ -25,13 +25,13 @@ import numpy as np
 from .croplab import CropParams, label_density_crops
 from .dataset import (
     Annotation,
-    PSEUDO,
     SceneSample,
     UpscalePolicy,
     make_crop_children,
 )
 from .detect import (
     LossResult,
+    SampleView,
     SupervisedBatch,
     ToyDetector,
     UnsupervisedBatch,
@@ -40,7 +40,7 @@ from .detect import (
     loss_unsup,
 )
 from .errors import ConfigError, DataError, InvariantViolation
-from .geometry import Detection
+from .geometry import Box
 from .seeding import rng_for
 
 __all__ = [
@@ -156,19 +156,31 @@ class TrainerState:
 # ---------------------------------------------------------------------------
 
 
-def filter_pseudo_labels(preds: list[Detection], tau: float) -> list[Annotation]:
-    """Keep predictions with score strictly above ``tau`` as pseudo-labels.
+def filter_pseudo_labels(scores: np.ndarray, tau: float) -> np.ndarray:
+    """Positions of the detection scores strictly above ``tau``: the
+    detections kept as pseudo-labels, in their order.
 
     Density-crop-class predictions pass the same filter; they keep their
     reserved class id, which is how downstream consumers recognize them.
     """
     if not (0.0 <= tau <= 1.0):
         raise InvariantViolation(f"tau must be in [0, 1], got {tau}")
-    return [
-        Annotation(box=p.box, class_id=p.class_id, source=PSEUDO)
-        for p in preds
-        if p.score > tau
-    ]
+    return np.flatnonzero(scores > tau)
+
+
+def _teacher_pseudo_labels(
+    backend: ToyDetector, teacher: WeightVector, view: SampleView, tau: float, seed: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The teacher's pseudo-labels on the weak view as (P, 4) boxes and (P,)
+    classes, plus its (N, num_outputs) per-proposal probabilities.
+
+    The pseudo-labels are the detections ``backend.detect`` would return
+    for the same call with score above ``tau``, in the same order.
+    """
+    boxes, probs = backend.decode(teacher, view, "weak", seed=seed)
+    rows, classes = backend.emitted(probs)
+    keep = filter_pseudo_labels(probs[rows, classes], tau)
+    return boxes[rows[keep]], classes[keep], probs
 
 
 def ema_update(teacher: WeightVector, student: WeightVector, alpha: float) -> WeightVector:
@@ -327,14 +339,14 @@ def discover_unlabeled_crops(
     new_children: dict = {}
     for image_id in targets:
         view = unlabeled_parents[image_id]
-        dets = backend.detect(
+        boxes, classes, _ = _teacher_pseudo_labels(
+            backend,
             state.teacher,
             view,
-            "weak",
-            seed=_aug_seed(config.seed, "crop-detect", state.iteration, image_id),
+            config.tau,
+            _aug_seed(config.seed, "crop-detect", state.iteration, image_id),
         )
-        pseudo = filter_pseudo_labels(dets, config.tau)
-        base_boxes = [a.box for a in pseudo if a.class_id < backend.num_base_classes]
+        base_boxes = [Box(*b) for b in boxes[classes < backend.num_base_classes].tolist()]
         crops = label_density_crops(base_boxes, view.sample.record.size, config.crop_params)
         children = make_crop_children(view.sample, crops, config.upscale)
         state.crop_cache[image_id] = CropCacheEntry(
@@ -398,6 +410,12 @@ def train(
     views for the labeled pool and the unlabeled parents are built up
     front, and a crop child gets a fresh view when it enters the unlabeled
     pool, even under an id an earlier, different crop used.
+
+    Each visit to an unlabeled view decodes the teacher's weak view once
+    into per-proposal boxes and probabilities; the pseudo-labels are the
+    emitted (proposal, class) entries scoring above ``tau``, kept as box
+    and class arrays for the student's strong-view batch, and the same
+    selection feeds crop discovery. No ``Detection`` is built in the loop.
 
     With ``checkpoint_dir`` set and ``config.checkpoint_interval`` enabled,
     intermediate checkpoints are written there; ``resume_from`` restores
@@ -468,18 +486,19 @@ def train(
                 view = unlabeled_parents.get(image_id) or unlabeled_children[image_id]
                 # One teacher pass on the weak view yields both the
                 # pseudo-labels and the confident-background mask.
-                teacher_dets, teacher_probs = backend.predict(
+                pseudo_boxes, pseudo_classes, teacher_probs = _teacher_pseudo_labels(
+                    backend,
                     state.teacher,
                     view,
-                    "weak",
-                    seed=_aug_seed(config.seed, "teacher-weak", iteration, image_id),
+                    config.tau,
+                    _aug_seed(config.seed, "teacher-weak", iteration, image_id),
                 )
-                pseudo = filter_pseudo_labels(teacher_dets, config.tau)
-                pseudo_total += len(pseudo)
+                pseudo_total += len(pseudo_classes)
                 unsup_batches.append(
                     backend.unsupervised_batch(
                         view,
-                        pseudo,
+                        pseudo_boxes,
+                        pseudo_classes,
                         "strong",
                         seed=_aug_seed(config.seed, "student-strong", iteration, image_id),
                         teacher_probs=teacher_probs,

@@ -302,3 +302,139 @@ def recall_by_size_ref(gts: dict, dets: list[tuple], iou_thresh: float = 0.5) ->
                 totals[name] += 1
                 matched[name] += int(flag)
     return {name: (matched[name] / totals[name] if totals[name] else None) for name in totals}
+
+
+# ---------------------------------------------------------------------------
+# Toy detector: the per-proposal loops the array kernels replace
+# ---------------------------------------------------------------------------
+
+_MIN_SIDE = 1e-3
+
+
+def _intersection_ref(a: tuple, b: tuple) -> float:
+    iw = min(a[2], b[2]) - max(a[0], b[0])
+    ih = min(a[3], b[3]) - max(a[1], b[1])
+    if iw <= 0.0 or ih <= 0.0:
+        return 0.0
+    return iw * ih
+
+
+def _area_ref(b: tuple) -> float:
+    return (b[2] - b[0]) * (b[3] - b[1])
+
+
+def extract_features_ref(
+    scene, proposal: tuple, num_base_classes: int, payload_obs_scale: float = 4.0
+) -> np.ndarray:
+    """Feature vector of one (x1, y1, x2, y2) proposal, one scene object at
+    a time. The payload noise generator is seeded through the package's
+    ``rng_for``, which is what ties a feature row to its proposal."""
+    from densecrop.seeding import rng_for
+
+    x1, y1, x2, y2 = proposal
+    w, h = x2 - x1, y2 - y1
+    area = w * h
+    scene_area = scene.width * scene.height
+    phi = np.zeros(8 + num_base_classes)
+    phi[0] = np.log(max(area, _MIN_SIDE)) / np.log(scene_area)
+    aspect = min(max(w / h, 1.0 / 8.0), 8.0)
+    phi[1] = np.log(aspect) / np.log(8.0)
+    phi[2] = (x1 + x2) / 2.0 / scene.width
+    phi[3] = (y1 + y2) / 2.0 / scene.height
+
+    best_iou = 0.0
+    inter_total = 0.0
+    centers_inside = 0
+    covered_fracs: list[float] = []
+    covered_areas: list[float] = []
+    payload_sum = np.zeros(num_base_classes)
+    weight_sum = 0.0
+    for obj in scene.objects:
+        ob = obj.box.as_tuple()
+        inter = _intersection_ref(proposal, ob)
+        if inter > 0.0:
+            obj_area = _area_ref(ob)
+            best_iou = max(best_iou, inter / (area + obj_area - inter))
+            inter_total += inter
+            frac = inter / obj_area
+            covered_fracs.append(frac)
+            covered_areas.append(obj_area)
+            payload_sum += frac * np.asarray(obj.payload[:num_base_classes])
+            weight_sum += frac
+        ocx, ocy = (ob[0] + ob[2]) / 2.0, (ob[1] + ob[3]) / 2.0
+        if x1 <= ocx < x2 and y1 <= ocy < y2:
+            centers_inside += 1
+    phi[4] = best_iou
+    phi[5] = min(inter_total / area, 1.0)
+    phi[6] = np.log1p(min(centers_inside, 32.0)) / np.log1p(32.0)
+    phi[7] = float(np.mean(covered_fracs)) if covered_fracs else 0.0
+
+    payload = payload_sum / max(weight_sum, 1.0)
+    if payload_obs_scale > 0:
+        ref_area = float(np.mean(covered_areas)) if covered_areas else area
+        sigma = payload_obs_scale / np.sqrt(max(ref_area, 1.0))
+        q = tuple(int(round(v * 16.0)) for v in proposal)
+        noise_rng = rng_for(scene.seed, "payload-obs", *q)
+        payload = payload + noise_rng.normal(0.0, sigma, num_base_classes)
+    phi[8:] = payload
+    return phi
+
+
+def assign_targets_ref(
+    proposals: list[tuple], annotations: list[tuple], fg_iou: float, background_class: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Best-IoU match of each proposal over (box_tuple, class_id)
+    annotations by a strict ``>`` scan, so the first of equal IoUs wins."""
+    classes = np.full(len(proposals), background_class, dtype=np.int64)
+    offsets = np.zeros((len(proposals), 4))
+    for i, prop in enumerate(proposals):
+        best, best_iou = None, 0.0
+        for box, class_id in annotations:
+            inter = _intersection_ref(prop, box)
+            if inter <= 0.0:
+                continue
+            v = inter / (_area_ref(prop) + _area_ref(box) - inter)
+            if v > best_iou:
+                best, best_iou = (box, class_id), v
+        if best is not None and best_iou >= fg_iou:
+            classes[i] = best[1]
+            offsets[i] = np.array(best[0]) - np.array(prop)
+    return classes, offsets
+
+
+def safe_box_ref(x1: float, y1: float, x2: float, y2: float, width: float, height: float) -> tuple:
+    """Clip to the image and pad degenerate sides to ``_MIN_SIDE``."""
+    x1, x2 = min(max(x1, 0.0), width), min(max(x2, 0.0), width)
+    y1, y2 = min(max(y1, 0.0), height), min(max(y2, 0.0), height)
+    if x2 - x1 < _MIN_SIDE:
+        c = min(max((x1 + x2) / 2.0, _MIN_SIDE / 2.0), width - _MIN_SIDE / 2.0)
+        x1, x2 = c - _MIN_SIDE / 2.0, c + _MIN_SIDE / 2.0
+    if y2 - y1 < _MIN_SIDE:
+        c = min(max((y1 + y2) / 2.0, _MIN_SIDE / 2.0), height - _MIN_SIDE / 2.0)
+        y1, y2 = c - _MIN_SIDE / 2.0, c + _MIN_SIDE / 2.0
+    return (float(x1), float(y1), float(x2), float(y2))
+
+
+def decode_ref(
+    proposals: list[tuple],
+    probs: np.ndarray,
+    offsets: np.ndarray,
+    image_size: tuple,
+    emit_floor: float,
+    emitting_classes: int,
+) -> list[tuple]:
+    """(box_tuple, class_id, score) detections, proposal by proposal and
+    class by class: every class below ``emitting_classes`` scoring above
+    ``emit_floor`` on the proposal's regressed, clipped box."""
+    out = []
+    for i, prop in enumerate(proposals):
+        box = safe_box_ref(
+            prop[0] + offsets[i, 0], prop[1] + offsets[i, 1],
+            prop[2] + offsets[i, 2], prop[3] + offsets[i, 3],
+            *image_size,
+        )
+        for class_id in range(emitting_classes):
+            score = float(probs[i, class_id])
+            if score > emit_floor:
+                out.append((box, class_id, score))
+    return out

@@ -9,6 +9,7 @@ from densecrop import config
 from densecrop import detect
 from densecrop.cli import main
 from densecrop.dataset import load_annotations
+from densecrop.errors import InvariantViolation
 from densecrop.manifest import read_manifest, write_manifest
 
 
@@ -297,6 +298,22 @@ class TestReplay:
         edited.write_text(json.dumps(payload))
         assert run(["replay", "--manifest", str(edited), "--out", str(tmp_path / "r")]) == 3
 
+    def test_missing_train_manifest_key_is_data_error(self, trained, tmp_path, capsys):
+        payload = json.loads((trained / "manifest.json").read_text())
+        del payload["params"]["trainer"]["max_iters"]
+        edited = tmp_path / "no_max_iters.json"
+        edited.write_text(json.dumps(payload))
+        assert run(["replay", "--manifest", str(edited), "--out", str(tmp_path / "r")]) == 3
+        assert "missing keys ['max_iters']" in capsys.readouterr().err
+
+    def test_missing_infer_manifest_key_is_data_error(self, workspace, tmp_path, capsys):
+        payload = self.oracle_infer_manifest(workspace, tmp_path / "infer")
+        del payload["params"]["inference"]["fusion_iou"]
+        edited = tmp_path / "no_fusion_iou.json"
+        edited.write_text(json.dumps(payload))
+        assert run(["replay", "--manifest", str(edited), "--out", str(tmp_path / "r")]) == 3
+        assert "missing keys ['fusion_iou']" in capsys.readouterr().err
+
     def test_old_manifest_with_workers_and_upscale_relief_replays(self, workspace, tmp_path):
         first = tmp_path / "infer"
         payload = self.oracle_infer_manifest(workspace, first)
@@ -388,6 +405,23 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert "1 errors" in captured.out
         assert "1 of 10 images" in captured.err and "timings.tsv" in captured.err
+
+    def test_invariant_violation_in_backend_is_four(self, workspace, tmp_path, monkeypatch):
+        class BrokenBackend(detect.OracleBackend):
+            def detect(self, weights, sample, augmentation="none", seed=0):
+                raise InvariantViolation("broken invariant")
+
+        monkeypatch.setattr(detect, "OracleBackend", BrokenBackend)
+        code = run(
+            [
+                "infer",
+                "--annotations", str(workspace["annotations"]),
+                "--scenes", str(workspace["scenes"]),
+                "--backend", "oracle",
+                "--out", str(tmp_path / "i"),
+            ]
+        )
+        assert code == 4
 
     def test_missing_checkpoint_flag_is_config_error(self, workspace, tmp_path):
         code = run(

@@ -7,7 +7,9 @@ from densecrop.croplab import CropParams
 from densecrop.dataset import (
     Annotation,
     ImageRecord,
+    SceneObject,
     SceneSample,
+    SceneSpec,
     SyntheticConfig,
     generate_synthetic_dataset,
 )
@@ -33,7 +35,13 @@ from densecrop.detect import (
 from densecrop.errors import DataError, InvariantViolation
 from densecrop.geometry import Box, Detection
 
-from reference_impls import central_difference_gradient
+from reference_impls import (
+    assign_targets_ref,
+    central_difference_gradient,
+    decode_ref,
+    extract_features_ref,
+    safe_box_ref,
+)
 
 
 def scene_sample(seed=0, **overrides) -> SceneSample:
@@ -111,27 +119,31 @@ class TestOracleDetect:
 class TestExtractFeatures:
     def test_deterministic(self):
         sample = scene_sample(seed=1)
-        box = Box(50, 50, 150, 150)
-        a = extract_features(sample.scene, box, 4)
-        b = extract_features(sample.scene, box, 4)
+        boxes = np.array([[50.0, 50.0, 150.0, 150.0]])
+        a = extract_features(sample.scene, boxes, 4)
+        b = extract_features(sample.scene, boxes, 4)
         np.testing.assert_array_equal(a, b)
 
     def test_payload_block_peaks_at_covered_class(self):
         sample = scene_sample(seed=2)
         obj = sample.scene.objects[0]
-        phi = extract_features(sample.scene, obj.box, 4, payload_obs_scale=0.0)
-        payload = phi[8:]
+        phi = extract_features(
+            sample.scene, np.array([obj.box.as_tuple()]), 4, payload_obs_scale=0.0
+        )
+        payload = phi[0, 8:]
         assert int(np.argmax(payload)) == obj.class_id
 
     def test_thin_proposal_finite(self):
         sample = scene_sample(seed=3)
-        phi = extract_features(sample.scene, Box(10, 10, 10.01, 400), 4)
+        phi = extract_features(sample.scene, np.array([[10.0, 10.0, 10.01, 400.0]]), 4)
         assert np.all(np.isfinite(phi))
 
     def test_feature_dim(self):
         assert feature_dim(4) == 12
         sample = scene_sample(seed=4)
-        assert extract_features(sample.scene, Box(0, 0, 50, 50), 4).shape == (12,)
+        boxes = np.array([[0.0, 0.0, 50.0, 50.0], [10.0, 10.0, 20.0, 30.0]])
+        assert extract_features(sample.scene, boxes, 4).shape == (2, 12)
+        assert extract_features(sample.scene, np.zeros((0, 4)), 4).shape == (0, 12)
 
 
 def weights_from(layout, cls, reg=None):
@@ -335,9 +347,11 @@ class TestLossUnsup:
 
 class TestAssignTargets:
     def test_matched_proposal_takes_class_and_offsets(self):
-        anns = [Annotation(box=Box(10, 10, 30, 30), class_id=2)]
-        props = [Box(11, 11, 31, 31), Box(200, 200, 220, 220)]
-        classes, offsets = assign_targets(props, anns, fg_iou=0.5, background_class=5)
+        gt_boxes, gt_classes = np.array([[10.0, 10.0, 30.0, 30.0]]), np.array([2])
+        props = np.array([[11.0, 11.0, 31.0, 31.0], [200.0, 200.0, 220.0, 220.0]])
+        classes, offsets = assign_targets(
+            props, gt_boxes, gt_classes, fg_iou=0.5, background_class=5
+        )
         assert classes.tolist() == [2, 5]
         np.testing.assert_allclose(offsets[0], [-1, -1, -1, -1])
         np.testing.assert_array_equal(offsets[1], np.zeros(4))
@@ -406,7 +420,7 @@ class TestToyDetector:
             weights, sample, "weak", seed=3
         )
         backend.supervised_batch(view, "weak", seed=3)
-        backend.unsupervised_batch(view, [], "strong", seed=4)
+        backend.unsupervised_batch(view, np.zeros((0, 4)), np.zeros(0, dtype=int), "strong", seed=4)
         np.testing.assert_array_equal(view.phi, before)
         with pytest.raises(InvariantViolation):
             backend.supervised_batch(backend.view(sample))  # built without targets
@@ -435,10 +449,147 @@ class TestToyDetector:
     def test_unsupervised_batch_excludes_unmatched(self):
         sample = scene_sample(seed=10)
         backend = self.backend()
-        pseudo = [Annotation(box=sample.scene.objects[0].box, class_id=1, source="pseudo")]
-        batch = backend.unsupervised_batch(backend.view(sample), pseudo, "none", seed=0)
+        pseudo_boxes = np.array([sample.scene.objects[0].box.as_tuple()])
+        batch = backend.unsupervised_batch(
+            backend.view(sample), pseudo_boxes, np.array([1]), "none", seed=0
+        )
         assert len(batch) <= len(backend.proposals(sample))
         assert np.all(batch.classes == 1)
+
+
+def rows(boxes) -> list[tuple]:
+    return [tuple(r) for r in np.asarray(boxes).tolist()]
+
+
+class TestArrayKernelsMatchLoops:
+    """The array kernels against the per-proposal loops they replaced
+    (``reference_impls``), bit for bit."""
+
+    backend = TestToyDetector.backend
+
+    def samples(self):
+        from densecrop.croplab import label_density_crops
+        from densecrop.dataset import UpscalePolicy, make_crop_children
+
+        dense = scene_sample(seed=21, clusters_per_image=(2, 3), objects_per_cluster=(10, 14))
+        crops = label_density_crops(
+            [o.box for o in dense.scene.objects], dense.record.size, CropParams(merge_steps=2)
+        )
+        child = make_crop_children(dense, crops[:1], UpscalePolicy("factor", factor=3.0))[0]
+        assert child.record.provenance.kind == "crop" and len(child.scene.objects) >= 9
+        return [dense, scene_sample(seed=22), child]
+
+    def extra_boxes(self, sample):
+        """The whole image, an edge-touching box and a thin box."""
+        w, h = sample.record.size
+        first = sample.scene.objects[0].box
+        return np.array(
+            [
+                [0.0, 0.0, w, h],
+                [first.x2, first.y1, first.x2 + 20.0, first.y2],  # touches the first object
+                [first.x1, 0.0, first.x1 + 0.01, h],
+            ]
+        )
+
+    def test_features_match_loop(self):
+        backend = self.backend()
+        for sample in self.samples():
+            boxes = np.concatenate([backend.proposals(sample), self.extra_boxes(sample)])
+            covers = [
+                sum(o.box.intersection_area(Box(*r)) > 0.0 for o in sample.scene.objects)
+                for r in rows(boxes)
+            ]
+            assert max(covers) >= 9
+            for scale in (4.0, 0.0):
+                got = extract_features(sample.scene, boxes, 4, scale)
+                want = [extract_features_ref(sample.scene, r, 4, scale) for r in rows(boxes)]
+                assert np.array_equal(got, np.stack(want))
+
+    def test_features_of_touching_and_empty_scenes_match_loop(self):
+        objects = (
+            SceneObject(box=Box(10.0, 10.0, 30.0, 30.0), class_id=1, payload=(0.1, 0.8, 0.1)),
+            SceneObject(box=Box(30.0, 10.0, 50.0, 30.0), class_id=2, payload=(0.0, 0.2, 0.9)),
+        )
+        boxes = np.array(
+            [
+                [0.0, 0.0, 100.0, 80.0],
+                [50.0, 10.0, 70.0, 30.0],  # touches the second object's right edge
+                [10.0, 30.0, 50.0, 40.0],  # touches both bottom edges
+                [20.0, 15.0, 40.0, 25.0],  # overlaps both
+            ]
+        )
+        for objs in (objects, ()):
+            scene = SceneSpec(width=100.0, height=80.0, objects=objs, seed=3)
+            want = np.stack([extract_features_ref(scene, r, 3) for r in rows(boxes)])
+            got = extract_features(scene, boxes, 3)
+            assert np.array_equal(got, want)
+            if objs:
+                assert np.array_equal(got[1:3, 4:8], np.zeros((2, 4)))  # no overlap features
+                assert np.all(got[3, 4:8] > 0.0)
+
+    def check_targets(self, boxes, anns, fg_iou=0.5, background=9):
+        gt_boxes = np.array([a[0] for a in anns], dtype=np.float64).reshape(-1, 4)
+        gt_classes = np.array([a[1] for a in anns], dtype=np.int64)
+        boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
+        got = assign_targets(boxes, gt_boxes, gt_classes, fg_iou, background)
+        want = assign_targets_ref(rows(boxes), anns, fg_iou, background)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        return got[0]
+
+    def test_targets_match_loop(self):
+        backend = self.backend()
+        for sample in self.samples():
+            anns = [(a.box.as_tuple(), a.class_id) for a in sample.record.annotations]
+            proposals = backend.proposals(sample)
+            for fg_iou in (0.0, 0.3, 0.5, 0.9):
+                classes = self.check_targets(proposals, anns, fg_iou)
+            assert 0 < np.count_nonzero(classes != 9) < len(classes)
+            self.check_targets(proposals, [])  # no annotations: all background
+        self.check_targets(np.zeros((0, 4)), [((0.0, 0.0, 5.0, 5.0), 1)])
+
+    def test_targets_equal_iou_first_annotation_wins(self):
+        prop = [[10.0, 10.0, 30.0, 30.0]]
+        left, right = (0.0, 10.0, 20.0, 30.0), (20.0, 10.0, 40.0, 30.0)  # IoU 1/3 each
+        assert self.check_targets(prop, [(left, 1), (right, 2)], fg_iou=0.3).tolist() == [1]
+        assert self.check_targets(prop, [(right, 2), (left, 1)], fg_iou=0.3).tolist() == [2]
+
+    def test_targets_touching_boxes_stay_background(self):
+        prop = [[0.0, 0.0, 10.0, 10.0]]
+        touching = [((10.0, 0.0, 20.0, 10.0), 1), ((0.0, 10.0, 10.0, 20.0), 2)]
+        assert self.check_targets(prop, touching, fg_iou=0.0).tolist() == [9]
+
+    def test_detections_match_loop(self):
+        backend = self.backend()
+        rng = np.random.default_rng(23)
+        layout = backend.layout
+        degenerate = []
+        for bias in ([1e4, -1e4, 1e4, -1e4], [-1e4, 0.0, -1e4, 0.0], [0.0, 1e4, 0.0, 1e4]):
+            reg = np.zeros((4, layout.columns))
+            reg[:, -1] = bias  # every box collapses onto an image edge
+            cls = rng.normal(0, 1.0, (layout.num_outputs, layout.columns))
+            degenerate.append(weights_from(layout, cls, reg))
+        weights = [random_weights(rng, 4) for _ in range(3)] + degenerate
+        emitted = padded = 0
+        for sample in self.samples():
+            view = backend.view(sample)
+            for w in weights:
+                for augmentation, seed in (("none", 0), ("weak", 3), ("strong", 4)):
+                    probs, offsets = toy_forward(w, backend.augment(view.phi, augmentation, seed))
+                    want = decode_ref(
+                        rows(view.proposals), probs, offsets, sample.record.size,
+                        backend.config.emit_floor, backend.background_class,
+                    )
+                    dets = backend.detect(w, view, augmentation, seed)
+                    assert [(d.box.as_tuple(), d.class_id, d.score) for d in dets] == want
+                    boxes, decoded_probs = backend.decode(w, view, augmentation, seed)
+                    assert np.array_equal(decoded_probs, probs)
+                    assert rows(boxes) == [
+                        safe_box_ref(*(np.asarray(p) + o), *sample.record.size)
+                        for p, o in zip(rows(view.proposals), offsets)
+                    ]
+                    emitted += len(dets)
+                    padded += int(np.count_nonzero(boxes[:, 2] - boxes[:, 0] < 2e-3))
+        assert emitted > 0 and padded > 0
 
 
 class TestOracleBackend:

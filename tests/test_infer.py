@@ -13,7 +13,7 @@ from densecrop.dataset import (
     generate_synthetic_dataset,
 )
 from densecrop.detect import OracleBackend, OracleNoiseModel
-from densecrop.errors import ConfigError
+from densecrop.errors import ConfigError, InvariantViolation
 from densecrop.geometry import Box, Detection
 from densecrop.infer import (
     InferenceConfig,
@@ -235,6 +235,15 @@ class TestRunInference:
         assert "backend exploded" in failed[0].error
         assert all(r.detections for r in results if not r.error)
 
+    def test_invariant_violation_propagates(self):
+        class BrokenBackend(OracleBackend):
+            def detect(self, weights, sample, augmentation="none", seed=0):
+                raise InvariantViolation("broken invariant")
+
+        backend = BrokenBackend(num_base_classes=3, noise=OracleNoiseModel())
+        with pytest.raises(InvariantViolation, match="broken invariant"):
+            run_inference(self.samples(2), backend, None, config(), seed=0)
+
     def test_timings_recorded(self):
         samples = self.samples(3)
         backend = OracleBackend(
@@ -242,3 +251,59 @@ class TestRunInference:
         )
         results = run_inference(samples, backend, None, config(), seed=0)
         assert all(r.seconds >= 0.0 for r in results)
+
+
+class TestPinnedToyInference:
+    def test_multistage_toy_detections_digest_is_pinned(self):
+        # A trained toy detector through both crop modes of multistage
+        # inference, down to the last bit of every fused detection; the
+        # digest is the one the per-proposal implementation computed.
+        import hashlib
+
+        from densecrop.dataset import DatasetSplit
+        from densecrop.detect import ToyDetector, ToyDetectorConfig
+        from densecrop.teacher import TrainerConfig, train
+
+        crop_params = CropParams(merge_steps=2, sigma=14, theta=0.05, pi=0.4, min_cluster=3)
+        upscale = UpscalePolicy("factor", factor=4.0)
+
+        def scenes(seed, n):
+            cfg = SyntheticConfig(
+                num_images=n, width=400.0, height=400.0, num_classes=3,
+                clusters_per_image=(2, 2), objects_per_cluster=(6, 8),
+                scattered_per_image=(2, 3), payload_noise=0.05, seed=seed,
+            )
+            return generate_synthetic_dataset(cfg)
+
+        samples = {s.record.image_id: s for s in scenes(3, 10)}
+        ids = sorted(samples)
+        split = DatasetSplit(
+            labeled_ids=frozenset(ids[:3]), unlabeled_ids=frozenset(ids[3:]), seed=0, fraction=0.3
+        )
+        backend = ToyDetector(
+            ToyDetectorConfig(
+                num_base_classes=3, proposal_crop_params=crop_params, payload_obs_scale=2.0
+            )
+        )
+        trainer = TrainerConfig(
+            burn_in_iters=60, max_iters=120, crop_start_iter=75, learning_rate=0.05, tau=0.5,
+            crops_on_labeled=True, crop_params=crop_params, upscale=upscale,
+        )
+        weights = train(trainer, samples, split, backend).teacher
+        test = scenes(7, 12)
+        digest = hashlib.sha256()
+        zoomed = 0
+        for mode in ("predicted", "relabeled"):
+            cfg = config(crop_mode=mode, crop_score_threshold=0.25, crop_params=crop_params)
+            for s in test:
+                first = backend.detect(weights, s)
+                zoomed += len(select_crops(first, cfg, s.record.size, backend.crop_class_id))
+            for result in run_inference(test, backend, weights, cfg, seed=5):
+                assert result.error is None
+                digest.update(f"{result.image_id}\n".encode())
+                for d in result.detections:
+                    digest.update(repr((d.class_id, d.score, d.box.as_tuple())).encode())
+        assert zoomed == 45  # stage two runs on dozens of crops
+        assert digest.hexdigest() == (
+            "a1740664227434e47ce3e46dba3b4a3efdedca721c525756c8bcc17f57e4cfc5"
+        )

@@ -18,13 +18,13 @@ from densecrop.detect import (
     toy_forward,
 )
 from densecrop.errors import ConfigError, InvariantViolation
-from densecrop.geometry import Box, Detection
 from densecrop.teacher import (
     TrainerConfig,
     burn_in,
     combined_loss,
     discover_unlabeled_crops,
     ema_update,
+    _teacher_pseudo_labels,
     filter_pseudo_labels,
     prepare_labeled_pool,
     read_checkpoint,
@@ -120,39 +120,64 @@ class TestTrainerConfig:
 
 
 class TestFilterPseudoLabels:
-    def dets(self, scores, class_id=0):
-        return [
-            Detection(box=Box(10 * i, 0, 10 * i + 5, 5), class_id=class_id, score=s)
-            for i, s in enumerate(scores)
-        ]
-
     def test_threshold_keeps_strictly_above(self):
-        kept = filter_pseudo_labels(self.dets([0.9, 0.6, 0.3]), 0.7)
-        assert len(kept) == 1
-        assert kept[0].source == "pseudo"
+        kept = filter_pseudo_labels(np.array([0.9, 0.6, 0.3, 0.7]), 0.7)
+        assert kept.tolist() == [0]
 
     def test_tau_one_keeps_nothing(self):
-        assert filter_pseudo_labels(self.dets([1.0, 0.99]), 1.0) == []
+        assert filter_pseudo_labels(np.array([1.0, 0.99]), 1.0).tolist() == []
 
     def test_tau_zero_keeps_everything(self):
-        assert len(filter_pseudo_labels(self.dets([0.9, 0.6, 0.3]), 0.0)) == 3
+        assert len(filter_pseudo_labels(np.array([0.9, 0.6, 0.3]), 0.0)) == 3
 
     def test_monotone_in_tau(self):
         rng = np.random.default_rng(44)
-        dets = self.dets(list(rng.uniform(0.01, 1.0, 30)))
+        scores = rng.uniform(0.01, 1.0, 30)
         for t1, t2 in [(0.1, 0.4), (0.4, 0.7), (0.7, 0.95)]:
-            keep1 = {a.box for a in filter_pseudo_labels(dets, t1)}
-            keep2 = {a.box for a in filter_pseudo_labels(dets, t2)}
+            keep1 = set(filter_pseudo_labels(scores, t1).tolist())
+            keep2 = set(filter_pseudo_labels(scores, t2).tolist())
             assert keep2 <= keep1
 
     def test_crop_class_retained(self):
-        dets = self.dets([0.9], class_id=3)
-        kept = filter_pseudo_labels(dets, 0.5)
-        assert kept[0].class_id == 3
+        # The teacher's pseudo-labels keep the reserved density-crop class
+        # of the detections they come from.
+        samples = tiny_dataset(n=1, clusters_per_image=(2, 2), objects_per_cluster=(8, 8))
+        backend = backend_for()
+        view = backend.view(next(iter(samples.values())))
+        cls = np.zeros((backend.layout.num_outputs, backend.layout.columns))
+        cls[backend.crop_class_id, 6] = 30.0  # center-count feature
+        cls[backend.crop_class_id, backend.layout.feature_dim] = -10.0
+        weights = WeightVector(
+            layout=backend.layout,
+            values=np.concatenate([cls.ravel(), np.zeros(backend.layout.reg_size)]),
+        )
+        _, classes, _ = _teacher_pseudo_labels(backend, weights, view, 0.5, seed=0)
+        assert backend.crop_class_id in classes.tolist()
 
     def test_invalid_tau(self):
         with pytest.raises(InvariantViolation):
-            filter_pseudo_labels([], -0.1)
+            filter_pseudo_labels(np.zeros(0), -0.1)
+
+    def test_teacher_pseudo_labels_are_confident_detections(self):
+        # The array selection equals filtering the detector's own
+        # detections, in their order, also for tau below the emit floor.
+        samples = tiny_dataset(n=3)
+        backend = backend_for()
+        rng = np.random.default_rng(45)
+        values = rng.normal(0, 1.0, backend.layout.total)
+        weights = WeightVector(layout=backend.layout, values=values)
+        kept = 0
+        for sample in samples.values():
+            view = backend.view(sample)
+            dets = backend.detect(weights, view, "weak", seed=7)
+            for tau in (0.0, 0.1, 0.3, 0.6, 1.0):
+                boxes, classes, probs = _teacher_pseudo_labels(backend, weights, view, tau, seed=7)
+                want = [(d.box.as_tuple(), d.class_id) for d in dets if d.score > tau]
+                assert [tuple(b) for b in boxes.tolist()] == [w[0] for w in want]
+                assert classes.tolist() == [w[1] for w in want]
+                assert probs.shape == (len(view.proposals), backend.layout.num_outputs)
+                kept += len(want)
+        assert kept > 0
 
 
 class TestEmaUpdate:
@@ -453,6 +478,31 @@ class TestTrain:
         # every visit
         assert hashlib.sha256(state.teacher.values.tobytes()).hexdigest() == (
             "ce50513801a957b4303a7a2544838563aac707b4578c899a51647fcfe1cc4523"
+        )
+
+    def test_crop_lu_teacher_digest_is_pinned(self):
+        # crop_lu with crop discovery on unlabeled images: pseudo-labels
+        # feed both the student batches and the crop cache; the digest is
+        # the one the per-proposal implementation computed.
+        import hashlib
+
+        samples = tiny_dataset(
+            seed=3, n=10, clusters_per_image=(2, 2), objects_per_cluster=(6, 8), payload_noise=0.05
+        )
+        split = quick_split(samples, 3)
+        backend = backend_for(payload_obs_scale=2.0)
+        cfg = trainer_config(
+            burn_in_iters=60,
+            max_iters=120,
+            crop_start_iter=75,
+            learning_rate=0.05,
+            tau=0.5,
+            crops_on_labeled=True,
+        )
+        state = train(cfg, samples, split, backend)
+        assert state.history[-1].crops_cached == 15
+        assert hashlib.sha256(state.teacher.values.tobytes()).hexdigest() == (
+            "3ca723a127f1eb362b5a1b0f1bd1104712d2ff24c983d88cba65b11ce0cc6d3d"
         )
 
     def test_run_report_round_trips_loss_values(self, tmp_path):
