@@ -2,10 +2,14 @@
 
 A config file is INI-style text whose sections mirror the parameter
 bundles: [synthetic], [crops], [upscale], [trainer], [inference],
-[oracle], [detector], [run]. Every CLI flag has a config-file equivalent;
-flags override file values, which override the documented defaults. An
-unknown key is a ConfigError in a config file and a DataError in a
-manifest.
+[oracle], [detector], the flag mirrors [split], [tile] and [errors], and
+[run], whose only key is the root seed. Flags override file values, which
+override the documented defaults. Path flags (``--annotations``,
+``--checkpoint``, ...) have no file key, and neither do values derived
+from the inputs, such as the detector's number of base classes. The
+whole file is checked when it is loaded, whichever command reads it: an
+unknown section or key is a ConfigError. In a manifest an unknown key is
+a DataError.
 """
 
 from __future__ import annotations
@@ -21,27 +25,11 @@ from .errors import ConfigError, DataError
 from .infer import InferenceConfig
 from .teacher import TrainerConfig
 
-__all__ = [
-    "load_config_file",
-    "build_crop_params",
-    "build_upscale",
-    "build_synthetic",
-    "build_oracle",
-    "build_detector",
-    "build_trainer",
-    "build_inference",
-    "params_dict",
-    "crop_params_from_dict",
-    "synthetic_from_dict",
-    "oracle_from_dict",
-    "detector_from_dict",
-    "trainer_from_dict",
-    "inference_from_dict",
-]
+__all__ = ["PARSERS", "SECTIONS", "load_config_file", "param_keys", "build_params", "from_dict"]
 
 
-def load_config_file(path: str | os.PathLike | None) -> dict[str, dict[str, str]]:
-    """Raw section -> {key: value} mapping; empty when no file is given."""
+def load_config_file(path: str | os.PathLike | None) -> dict[str, dict]:
+    """Typed section -> {key: value} mapping; empty when no file is given."""
     if path is None:
         return {}
     parser = configparser.ConfigParser()
@@ -52,7 +40,7 @@ def load_config_file(path: str | os.PathLike | None) -> dict[str, dict[str, str]
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"config file {path} is malformed: {exc}") from exc
-    return {name: dict(parser[name]) for name in parser.sections()}
+    return {name: _typed(name, dict(parser[name])) for name in parser.sections()}
 
 
 def _parse_bool(text: str) -> bool:
@@ -91,7 +79,7 @@ def _optional_int(text: str) -> int | None:
     return None if not text.strip() else int(text)
 
 
-_PARSERS = {
+PARSERS = {
     "crops": {
         "merge_steps": int,
         "sigma": float,
@@ -112,7 +100,6 @@ _PARSERS = {
         "scattered_per_image": lambda t: _parse_pair(t, int),
         "large_size": lambda t: _parse_pair(t, float),
         "payload_noise": float,
-        "seed": int,
     },
     "oracle": {
         "miss_curve": _parse_curve,
@@ -122,10 +109,8 @@ _PARSERS = {
         "fp_rate": float,
         "fp_score_range": lambda t: _parse_pair(t, float),
         "emit_crops": _parse_bool,
-        "seed": int,
     },
     "detector": {
-        "num_base_classes": int,
         "proposal_jitter": float,
         "background_proposals": int,
         "fg_iou": float,
@@ -134,7 +119,6 @@ _PARSERS = {
         "strong_noise_std": float,
         "strong_cutout": int,
         "init_scale": float,
-        "seed": int,
     },
     "trainer": {
         "burn_in_iters": int,
@@ -151,7 +135,6 @@ _PARSERS = {
         "lr_decay_factor": float,
         "crops_on_labeled": _parse_bool,
         "checkpoint_interval": _optional_int,
-        "seed": int,
     },
     "inference": {
         "crop_mode": str,
@@ -166,86 +149,105 @@ _PARSERS = {
     "run": {"seed": int},
 }
 
+# Sections that build a dataclass; the other sections are flat values.
+SECTIONS = {
+    "crops": CropParams,
+    "upscale": UpscalePolicy,
+    "synthetic": SyntheticConfig,
+    "oracle": OracleNoiseModel,
+    "detector": ToyDetectorConfig,
+    "trainer": TrainerConfig,
+    "inference": InferenceConfig,
+}
 
-def simple_section(raw: dict, section: str, **overrides) -> dict:
-    """Typed values for the small flag-mirror sections."""
-    return _collect(section, raw, overrides)
+# Dataclass fields that hold another section's dataclass.
+_NESTED = {"crop_params": "crops", "proposal_crop_params": "crops", "upscale": "upscale"}
+
+# Manifest keys of fields that were removed without changing any output.
+# Manifests written while the oracle had an upscale path carry
+# ``upscale_relief``; infer never upscaled the oracle.
+_DROPPED = {"oracle": {"upscale_relief"}}
 
 
-def _collect(section: str, raw: dict[str, dict[str, str]], overrides: dict) -> dict:
-    """Defaults <- file section <- CLI overrides, with unknown keys rejected."""
-    parsers = _PARSERS[section]
+def _typed(section: str, texts: dict[str, str]) -> dict:
+    if section not in PARSERS:
+        raise ConfigError(f"unknown config section [{section}]")
+    parsers = PARSERS[section]
     values: dict = {}
-    for key, text in raw.get(section, {}).items():
+    for key, text in texts.items():
         if key not in parsers:
-            raise ConfigError(f"unknown key {key!r} in config section [{section}]")
+            hint = "; the root seed is [run] seed" if key == "seed" else ""
+            raise ConfigError(f"unknown key {key!r} in config section [{section}]{hint}")
         try:
             values[key] = parsers[key](text)
         except ConfigError:
             raise
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"[{section}] {key} = {text!r}: {exc}") from exc
-    for key, value in overrides.items():
-        if value is None:
-            continue
-        if key not in parsers:
-            raise ConfigError(f"unknown {section} parameter {key!r}")
-        values[key] = value
     return values
 
 
-def build_crop_params(raw: dict, **overrides) -> CropParams:
-    return CropParams(**_collect("crops", raw, overrides))
+def _fields(cls) -> dict[str, dataclasses.Field]:
+    return {f.name: f for f in dataclasses.fields(cls)}
 
 
-def build_upscale(raw: dict, **overrides) -> UpscalePolicy:
-    return UpscalePolicy(**_collect("upscale", raw, overrides))
+def _nested_sections(sections) -> set[str]:
+    return {
+        _NESTED[name]
+        for section in sections
+        if section in SECTIONS
+        for name in _fields(SECTIONS[section])
+        if name in _NESTED and _NESTED[name] in sections
+    }
 
 
-def build_synthetic(raw: dict, **overrides) -> SyntheticConfig:
-    return SyntheticConfig(**_collect("synthetic", raw, overrides))
+def param_keys(sections) -> set[str]:
+    """Top-level params keys the given sections produce: each flat key,
+    and the name of each dataclass section that no other one nests."""
+    nested = _nested_sections(sections)
+    keys: set[str] = set()
+    for section in sections:
+        if section not in SECTIONS:
+            keys |= set(PARSERS[section])
+        elif section not in nested:
+            keys.add(section)
+    return keys
 
 
-def build_oracle(raw: dict, **overrides) -> OracleNoiseModel:
-    return OracleNoiseModel(**_collect("oracle", raw, overrides))
-
-
-def build_detector(
-    raw: dict,
-    num_base_classes: int,
-    crop_params: CropParams | None = None,
-    **overrides,
-) -> ToyDetectorConfig:
-    values = _collect("detector", raw, overrides)
-    values.setdefault("num_base_classes", num_base_classes)
-    return ToyDetectorConfig(proposal_crop_params=crop_params, **values)
-
-
-def build_trainer(
-    raw: dict, crop_params: CropParams, upscale: UpscalePolicy, **overrides
-) -> TrainerConfig:
-    values = _collect("trainer", raw, overrides)
-    missing = {"burn_in_iters", "max_iters", "crop_start_iter", "learning_rate"} - set(values)
-    if missing:
-        raise ConfigError(f"trainer config is missing {sorted(missing)}")
-    return TrainerConfig(crop_params=crop_params, upscale=upscale, **values)
-
-
-def build_inference(
-    raw: dict, crop_params: CropParams, upscale: UpscalePolicy, **overrides
-) -> InferenceConfig:
-    values = _collect("inference", raw, overrides)
-    return InferenceConfig(crop_params=crop_params, upscale=upscale, **values)
+def build_params(sections: dict[str, dict], seed: int | None) -> dict:
+    """Params entries for resolved section values (see :func:`param_keys`).
+    Nested sections (crops, upscale) are built into the sections that hold
+    them; a ``seed`` field takes the root seed."""
+    nested = _nested_sections(sections)
+    built: dict = {}
+    params: dict = {}
+    for section in sorted(sections, key=lambda s: s not in nested):
+        if section not in SECTIONS:
+            params.update(sections[section])
+            continue
+        fields = _fields(SECTIONS[section])
+        values = dict(sections[section])
+        for name in fields.keys() & _NESTED.keys():
+            if _NESTED[name] in built:
+                values[name] = built[_NESTED[name]]
+        if seed is not None and "seed" in fields:
+            values["seed"] = seed
+        missing = [
+            name for name, f in fields.items()
+            if name not in values
+            and f.default is dataclasses.MISSING
+            and f.default_factory is dataclasses.MISSING
+        ]
+        if missing:
+            raise ConfigError(f"{section} config is missing {sorted(missing)}")
+        built[section] = SECTIONS[section](**values)
+    params.update({s: dataclasses.asdict(obj) for s, obj in built.items() if s not in nested})
+    return params
 
 
 # ---------------------------------------------------------------------------
 # Manifest round-tripping
 # ---------------------------------------------------------------------------
-
-
-def params_dict(obj) -> dict:
-    """JSON-serializable snapshot of a config dataclass."""
-    return dataclasses.asdict(obj)
 
 
 def _tupled(value):
@@ -254,47 +256,21 @@ def _tupled(value):
     return value
 
 
-def _from_dict(cls, data: dict, **nested):
-    """``cls`` rebuilt from its ``params_dict``; ``nested`` maps a field
-    to the dataclass its sub-dict rebuilds. Unknown and missing keys are a
-    DataError: a manifest records every field, so a missing one would
-    otherwise be replaced by today's default without notice."""
-    fields = {f.name for f in dataclasses.fields(cls)}
-    unknown, missing = sorted(set(data) - fields), sorted(fields - set(data))
+def from_dict(section: str, data: dict):
+    """The section's dataclass rebuilt from its manifest dict. Unknown and
+    missing keys are a DataError: a manifest records every field, so a
+    missing one would otherwise be replaced by today's default without
+    notice."""
+    cls = SECTIONS[section]
+    data = {k: v for k, v in data.items() if k not in _DROPPED.get(section, ())}
+    fields = _fields(cls)
+    unknown, missing = sorted(set(data) - set(fields)), sorted(set(fields) - set(data))
     if unknown:
         raise DataError(f"manifest {cls.__name__} parameters have unknown keys {unknown}")
     if missing:
         raise DataError(f"manifest {cls.__name__} parameters are missing keys {missing}")
     values = {k: _tupled(v) for k, v in data.items()}
-    for key, sub in nested.items():
-        if values.get(key) is not None:
-            values[key] = _from_dict(sub, values[key])
+    for name in fields.keys() & _NESTED.keys():
+        if values[name] is not None:
+            values[name] = from_dict(_NESTED[name], values[name])
     return cls(**values)
-
-
-def crop_params_from_dict(data: dict) -> CropParams:
-    return _from_dict(CropParams, data)
-
-
-def synthetic_from_dict(data: dict) -> SyntheticConfig:
-    return _from_dict(SyntheticConfig, data)
-
-
-def oracle_from_dict(data: dict) -> OracleNoiseModel:
-    # Manifests written while the oracle had an upscale path carry
-    # ``upscale_relief``; infer never upscaled the oracle, so it changed
-    # no output and is dropped.
-    data = {k: v for k, v in data.items() if k != "upscale_relief"}
-    return _from_dict(OracleNoiseModel, data)
-
-
-def detector_from_dict(data: dict) -> ToyDetectorConfig:
-    return _from_dict(ToyDetectorConfig, data, proposal_crop_params=CropParams)
-
-
-def trainer_from_dict(data: dict) -> TrainerConfig:
-    return _from_dict(TrainerConfig, data, crop_params=CropParams, upscale=UpscalePolicy)
-
-
-def inference_from_dict(data: dict) -> InferenceConfig:
-    return _from_dict(InferenceConfig, data, crop_params=CropParams, upscale=UpscalePolicy)

@@ -328,6 +328,43 @@ class TestReplay:
         assert run(["replay", "--manifest", str(edited), "--out", str(second)]) == 0
         assert (second / "detections.tsv").read_bytes() == (first / "detections.tsv").read_bytes()
 
+    def test_misspelled_infer_key_is_data_error(self, workspace, trained, tmp_path, capsys):
+        first = tmp_path / "infer"
+        assert run(
+            [
+                "infer",
+                "--annotations", str(workspace["annotations"]),
+                "--scenes", str(workspace["scenes"]),
+                "--checkpoint", str(trained / "checkpoint.txt"),
+                "--out", str(first),
+                "--seed", "5",
+            ]
+        ) == 0
+        payload = json.loads((first / "manifest.json").read_text())
+        payload["params"]["use_studnet"] = not payload["params"].pop("use_student")
+        edited = tmp_path / "typo.json"
+        edited.write_text(json.dumps(payload))
+        assert run(["replay", "--manifest", str(edited), "--out", str(tmp_path / "r")]) == 3
+        assert "unknown keys ['use_studnet']" in capsys.readouterr().err
+
+    def test_missing_top_level_seed_is_data_error(self, workspace, tmp_path, capsys):
+        first = tmp_path / "infer"
+        assert run(
+            [
+                "infer",
+                "--annotations", str(workspace["annotations"]),
+                "--scenes", str(workspace["scenes"]),
+                "--backend", "oracle",
+                "--out", str(first),
+            ]
+        ) == 0
+        payload = json.loads((first / "manifest.json").read_text())
+        del payload["params"]["seed"]
+        edited = tmp_path / "no_seed.json"
+        edited.write_text(json.dumps(payload))
+        assert run(["replay", "--manifest", str(edited), "--out", str(tmp_path / "r")]) == 3
+        assert "missing keys ['seed']" in capsys.readouterr().err
+
     def test_replay_rejects_changed_inputs(self, workspace, tmp_path):
         data = tmp_path / "gen"
         assert run(["dataset", "gen", "--out", str(data), "--num-images", "2"]) == 0
@@ -458,15 +495,16 @@ class TestConfigFilePrecedence:
         example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
         path = tmp_path / "readme.ini"
         path.write_text(example)
-        raw = config.load_config_file(path)
-        crop_params, upscale = config.build_crop_params(raw), config.build_upscale(raw)
-        config.build_synthetic(raw)
-        config.build_oracle(raw)
-        config.build_detector(raw, 5, crop_params)
-        config.build_trainer(raw, crop_params, upscale)
-        config.build_inference(raw, crop_params, upscale)
-        for section in ("split", "tile", "run"):
-            assert config.simple_section(raw, section)
+        raw = config.load_config_file(path)  # checks every section and key
+        assert set(raw) == set(config.PARSERS)  # the example shows every section
+        sections = {name: raw[name] for name in config.SECTIONS}
+        sections["detector"]["num_base_classes"] = 5
+        params = config.build_params(sections, raw["run"]["seed"])
+        assert params["trainer"]["crop_params"] == params["detector"]["proposal_crop_params"]
+        assert params["trainer"]["upscale"]["target"] == 512
+        for section in ("split", "tile", "errors"):
+            values = config.build_params({section: raw[section]}, None)
+            assert values == raw[section] and values
 
     def test_run_section_accepts_only_seed(self, tmp_path):
         cfg = tmp_path / "cfg.ini"
@@ -478,3 +516,68 @@ class TestConfigFilePrecedence:
         argv = ["dataset", "gen", "--config", str(cfg), "--out", str(tmp_path / "h"), "--num-images", "1"]
         assert run(argv) == 2
         assert run(argv + ["--seed", "1"]) == 2
+
+
+class TestConfigFileChecks:
+    @pytest.mark.parametrize("section", ["synthetic", "trainer", "detector", "oracle"])
+    def test_nested_seed_points_at_run_seed(self, section, tmp_path, capsys):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(f"[{section}]\nseed = 9\n")
+        out = tmp_path / "g"
+        argv = ["dataset", "gen", "--config", str(cfg), "--out", str(out), "--num-images", "1"]
+        assert run(argv) == 2
+        assert "[run] seed" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
+    def test_detector_num_base_classes_is_not_a_file_key(self, workspace, tmp_path):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("[detector]\nnum_base_classes = 2\n")  # the data has 3 classes
+        out = tmp_path / "t"
+        code = run(
+            [
+                "train", "--config", str(cfg),
+                "--annotations", str(workspace["annotations"]),
+                "--scenes", str(workspace["scenes"]),
+                "--split", str(workspace["split"]),
+                "--out", str(out),
+                "--burn-in-iters", "1", "--max-iters", "2", "--crop-start-iter", "5",
+                "--learning-rate", "0.01",
+            ]
+        )
+        assert code == 2
+        assert not (out / "checkpoint.txt").exists()
+
+    def test_unknown_section_rejected(self, tmp_path):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("[synthetc]\nnum_images = 2\n")
+        assert run(["dataset", "gen", "--config", str(cfg), "--out", str(tmp_path / "g")]) == 2
+
+    def test_section_the_command_does_not_read_is_checked(self, workspace, tmp_path):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("[crops]\nbogus = 1\n")
+        argv = [
+            "dataset", "split", "--config", str(cfg),
+            "--annotations", str(workspace["annotations"]),
+            "--out", str(tmp_path / "s"), "--fraction", "0.5",
+        ]
+        assert run(argv) == 2
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["eval", "--detections", "d.tsv"], "--seed"),
+            (["eval", "--detections", "d.tsv"], "--config"),
+            (["errors", "--detections", "d.tsv"], "--seed"),
+            (["report", "--reports", "r.json"], "--seed"),
+            (["report", "--reports", "r.json"], "--config"),
+            (["dataset", "tile"], "--seed"),
+            (["crops", "label"], "--seed"),
+        ],
+    )
+    def test_ignored_seed_and_config_flags_are_not_offered(self, argv, flag, capsys):
+        if argv[0] != "report":
+            argv = argv + ["--annotations", "a.json"]
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--out", "o", flag, "1"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
