@@ -170,10 +170,16 @@ def cmd_train(params: dict) -> RunManifest:
         ckpt_path, state.student, state.teacher, state.iteration, backend.num_base_classes
     )
     teacher.write_run_report(state.history, report_path)
-    print(
-        f"trained {state.iteration} iterations in {wall:.1f}s "
-        f"(final loss {state.history[-1].loss_total:.4f})"
-    )
+    if state.history:
+        print(
+            f"trained {state.iteration} iterations in {wall:.1f}s "
+            f"(final loss {state.history[-1].loss_total:.4f})"
+        )
+    else:
+        print(
+            f"no iteration ran in {wall:.1f}s (at iteration {state.iteration}, "
+            f"max_iters {trainer_config.max_iters})"
+        )
     return _finish(
         "train", params, trainer_config.seed, start, [ckpt_path, report_path],
         iterations=state.iteration,

@@ -23,8 +23,17 @@ import numpy as np
 from .croplab import CropParams, label_density_crops
 from .dataset import ImageRecord, SceneSample, SceneSpec
 from .errors import DataError, InvariantViolation
-from .geometry import Box, Detection, box_areas, box_array, intersection_matrix, iou_matrix
-from .seeding import rng_for
+from .geometry import (
+    Box,
+    Detection,
+    box_areas,
+    box_array,
+    detection_arrays,
+    detections_from_arrays,
+    intersection_matrix,
+    iou_matrix,
+)
+from .seeding import rng_for, rngs_for
 
 __all__ = [
     "WeightLayout",
@@ -190,6 +199,12 @@ def _clip(values: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return np.where(values > hi, hi, values)
 
 
+def _uniform(low, high, u: np.ndarray) -> np.ndarray:
+    """``Generator.uniform(low, high)`` values from its ``random()`` draws
+    ``u``: numpy computes ``low + (high - low) * random()``."""
+    return low + (high - low) * u
+
+
 def _safe_box(boxes: np.ndarray, width: float, height: float) -> np.ndarray:
     """(x1, y1, x2, y2) rows clipped to the image, with degenerate sides
     padded to ``_MIN_SIDE`` around their clipped centre, so every row is a
@@ -288,9 +303,10 @@ def extract_features(
     intersecting objects, observed through additive noise whose scale
     shrinks with object area, so upscaled crops yield cleaner features than
     the same region at native resolution. Each proposal's noise comes from
-    a generator seeded by the scene and the proposal's coordinates, so a
-    row depends on its proposal alone. Sums over the scene's objects run in
-    object order.
+    a generator seeded by the scene and the proposal's coordinates in
+    1/16 pixels, so a row depends on its proposal alone; one
+    :func:`rngs_for` call seeds every row's generator. Sums over the
+    scene's objects run in object order.
     """
     boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
     x1, y1, x2, y2 = boxes.T
@@ -326,12 +342,11 @@ def extract_features(
         covered_areas = _covered_mean(np.broadcast_to(object_areas, covered.shape), covered)
         ref_area = np.where(covered.any(axis=1), covered_areas, area)
         sigma = payload_obs_scale / np.sqrt(np.maximum(ref_area, 1.0))
-        noise = np.empty_like(payload)
-        for i, row in enumerate(boxes.tolist()):
-            q = tuple(int(round(v * 16.0)) for v in row)
-            noise_rng = rng_for(scene.seed, "payload-obs", *q)
-            noise[i] = noise_rng.normal(0.0, sigma[i], num_base_classes)
-        payload = payload + noise
+        # rint rounds half to even, as round() does; the mask is stable_int's.
+        q = np.rint(boxes * 16.0).astype(np.int64) & 0xFFFFFFFF
+        rngs = rngs_for((scene.seed, "payload-obs"), q)
+        noise = [rng.normal(0.0, s, num_base_classes) for rng, s in zip(rngs, sigma.tolist())]
+        payload = payload + np.array(noise).reshape(payload.shape)
     phi[:, _GEOM_FEATURES:] = payload
     return phi
 
@@ -487,6 +502,15 @@ class DetectorBackend(abc.ABC):
     ``detect`` must be deterministic given (weights, input, augmentation
     tag, seed) and may emit the reserved density-crop class id
     ``num_base_classes`` alongside base classes 0..num_base_classes-1.
+
+    ``detect_arrays`` returns the same detections, in the same order, as
+    (N, 4) float64 box rows, (N,) int64 class ids and (N,) float64 scores;
+    multistage inference works on these. A backend implements ``detect``
+    and inherits a ``detect_arrays`` that converts its output. A backend
+    that computes arrays natively, like :class:`ToyDetector`, overrides
+    ``detect_arrays`` instead and makes ``detect`` the wrapper that builds
+    :class:`Detection` objects, so its subclasses override
+    ``detect_arrays``.
     """
 
     num_base_classes: int
@@ -504,6 +528,15 @@ class DetectorBackend(abc.ABC):
         seed: int = 0,
     ) -> list[Detection]:
         raise NotImplementedError
+
+    def detect_arrays(
+        self,
+        weights: WeightVector | None,
+        sample: SceneSample,
+        augmentation: str = "none",
+        seed: int = 0,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return detection_arrays(self.detect(weights, sample, augmentation, seed))
 
 
 class OracleBackend(DetectorBackend):
@@ -576,8 +609,9 @@ class ToyDetector(DetectorBackend):
     also takes a sample and builds its view for the call. Everything below
     :meth:`detect` works on arrays: :meth:`decode` returns every proposal's
     regressed box and class probabilities, :meth:`emitted` picks the
-    (proposal, class) pairs that count as detections, and only
-    :meth:`detect` wraps them into :class:`Detection` objects.
+    (proposal, class) pairs that count as detections,
+    :meth:`detect_arrays` returns those as rows, and only :meth:`detect`
+    wraps them into :class:`Detection` objects.
     """
 
     def __init__(self, config: ToyDetectorConfig):
@@ -620,17 +654,16 @@ class ToyDetector(DetectorBackend):
                 self._proposal_crop_params,
             )
         jitter = rng.normal(0.0, self.config.proposal_jitter, (len(candidates), 4))
-        background: list[tuple] = []
+        # Each background box takes its (w, h, x, y) uniforms in turn, as
+        # one row of a single random() block.
+        u = rng.random((self.config.background_proposals, 4))
         short = min(record.width, record.height)
-        for _ in range(self.config.background_proposals):
-            w = float(rng.uniform(short / 24.0, short / 3.0))
-            h = float(rng.uniform(short / 24.0, short / 3.0))
-            x = float(rng.uniform(0.0, max(record.width - w, _MIN_SIDE)))
-            y = float(rng.uniform(0.0, max(record.height - h, _MIN_SIDE)))
-            background.append((x, y, x + w, y + h))
-        raw = np.concatenate(
-            [box_array(candidates) + jitter, np.array(background, dtype=np.float64).reshape(-1, 4)]
-        )
+        w = _uniform(short / 24.0, short / 3.0, u[:, 0])
+        h = _uniform(short / 24.0, short / 3.0, u[:, 1])
+        x = _uniform(0.0, np.maximum(record.width - w, _MIN_SIDE), u[:, 2])
+        y = _uniform(0.0, np.maximum(record.height - h, _MIN_SIDE), u[:, 3])
+        background = np.stack([x, y, x + w, y + h], axis=1)
+        raw = np.concatenate([box_array(candidates) + jitter, background])
         return _safe_box(raw, record.width, record.height)
 
     def features(self, scene: SceneSpec, proposals: np.ndarray) -> np.ndarray:
@@ -693,17 +726,24 @@ class ToyDetector(DetectorBackend):
         augmentation: str = "none",
         seed: int = 0,
     ) -> list[Detection]:
+        """:meth:`detect_arrays` as :class:`Detection` objects."""
+        return detections_from_arrays(*self.detect_arrays(weights, sample, augmentation, seed))
+
+    def detect_arrays(
+        self,
+        weights: WeightVector | None,
+        sample: SceneSample | SampleView,
+        augmentation: str = "none",
+        seed: int = 0,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Detections on a view, or on a sample through a view built for
         this call: the :meth:`emitted` (proposal, class) pairs of
-        :meth:`decode`, proposal by proposal and class by class."""
+        :meth:`decode`, proposal by proposal and class by class, as box
+        rows, class ids and scores."""
         view = sample if isinstance(sample, SampleView) else self.view(sample)
         boxes, probs = self.decode(weights, view, augmentation, seed)
         rows, classes = self.emitted(probs)
-        boxes = boxes.tolist()
-        return [
-            Detection(box=Box(*boxes[i]), class_id=c, score=float(probs[i, c]))
-            for i, c in zip(rows.tolist(), classes.tolist())
-        ]
+        return boxes[rows], classes, probs[rows, classes]
 
     def decode(
         self,

@@ -20,6 +20,9 @@ __all__ = [
     "Detection",
     "iou",
     "box_array",
+    "check_boxes",
+    "detection_arrays",
+    "detections_from_arrays",
     "box_areas",
     "intersection_matrix",
     "iou_matrix",
@@ -27,7 +30,9 @@ __all__ = [
     "scale_box",
     "enclosing_box",
     "project_into_crop",
+    "reproject_rows",
     "reproject",
+    "nms_keep",
     "nms",
 ]
 
@@ -116,6 +121,38 @@ def box_array(boxes: list[Box] | tuple[Box, ...]) -> np.ndarray:
     return np.array([b.as_tuple() for b in boxes], dtype=np.float64).reshape(-1, 4)
 
 
+def check_boxes(boxes: np.ndarray) -> None:
+    """Raise :class:`InvariantViolation` unless every (x1, y1, x2, y2) row
+    would make a valid :class:`Box`."""
+    valid = np.isfinite(boxes).all(axis=1)
+    valid &= (boxes[:, 0] < boxes[:, 2]) & (boxes[:, 1] < boxes[:, 3])
+    if not valid.all():
+        # Building the first invalid row raises Box's own error for it.
+        Box(*boxes[np.argmin(valid)].tolist())
+
+
+def detection_arrays(
+    dets: list[Detection],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Detections as (N, 4) float64 box rows, (N,) int64 class ids and (N,)
+    float64 scores."""
+    return (
+        box_array([d.box for d in dets]),
+        np.array([d.class_id for d in dets], dtype=np.int64),
+        np.array([d.score for d in dets], dtype=np.float64),
+    )
+
+
+def detections_from_arrays(
+    boxes: np.ndarray, classes: np.ndarray, scores: np.ndarray
+) -> list[Detection]:
+    """The inverse of :func:`detection_arrays`: one :class:`Detection` per row."""
+    return [
+        Detection(box=Box(*box), class_id=class_id, score=score)
+        for box, class_id, score in zip(boxes.tolist(), classes.tolist(), scores.tolist())
+    ]
+
+
 def box_areas(boxes: np.ndarray) -> np.ndarray:
     """Area of each (x1, y1, x2, y2) row, computed as ``Box.area`` does."""
     return (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1])
@@ -197,36 +234,58 @@ def project_into_crop(b: Box, crop: Box, crop_size: tuple[float, float]) -> Box:
     )
 
 
-def reproject(p: Box, crop: Box, crop_size: tuple[float, float]) -> Box:
-    """Map a box predicted in upscaled-crop pixels back to the parent image.
+def reproject_rows(
+    rows: np.ndarray, crop: Box, crop_size: tuple[float, float]
+) -> np.ndarray:
+    """Map (x1, y1, x2, y2) rows predicted in upscaled-crop pixels back to
+    the parent image.
 
-    With the upscaled crop rendered at ``crop_size`` = (I_W, I_H), the box is
-    scaled down by (crop_width / I_W, crop_height / I_H) and shifted by the
-    crop origin, so the result lies inside the crop region.
+    With the upscaled crop rendered at ``crop_size`` = (I_W, I_H), each row
+    is scaled down by (crop_width / I_W, crop_height / I_H) and shifted by
+    the crop origin, so the result lies inside the crop region.
     """
     sw, sh = _crop_scales(crop, crop_size)
-    return Box(
-        sw * p.x1 + crop.x1,
-        sh * p.y1 + crop.y1,
-        sw * p.x2 + crop.x1,
-        sh * p.y2 + crop.y1,
-    )
+    return rows * np.array([sw, sh, sw, sh]) + np.array([crop.x1, crop.y1, crop.x1, crop.y1])
 
 
-def nms(dets: list[Detection], iou_thresh: float) -> list[Detection]:
-    """Greedy per-class non-maximum suppression.
+def reproject(p: Box, crop: Box, crop_size: tuple[float, float]) -> Box:
+    """:func:`reproject_rows` of one box."""
+    return Box(*reproject_rows(np.array(p.as_tuple()), crop, crop_size).tolist())
 
-    Detections are visited by descending score (ties broken by input
-    position, so the output is deterministic). A detection is kept iff its
-    IoU with every already-kept detection of the same class is at most
-    ``iou_thresh``. Returns kept detections in visiting order.
+
+def nms_keep(
+    boxes: np.ndarray, classes: np.ndarray, scores: np.ndarray, iou_thresh: float
+) -> np.ndarray:
+    """Greedy per-class non-maximum suppression on (N, 4) box rows with
+    their (N,) classes and scores; returns the kept row indices.
+
+    Rows are visited by descending score, ties in row order (a stable
+    argsort of -score). A row is kept iff its IoU with every already-kept
+    row of the same class is at most ``iou_thresh``. The IoUs come from one
+    :func:`iou_matrix` of the visiting order, masked to same-class pairs;
+    kept rows are returned in visiting order.
     """
     if not (0.0 < iou_thresh <= 1.0):
         raise InvariantViolation(f"iou_thresh outside (0, 1]: {iou_thresh}")
-    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
-    kept: list[Detection] = []
-    for i in order:
-        d = dets[i]
-        if all(k.class_id != d.class_id or iou(k.box, d.box) <= iou_thresh for k in kept):
-            kept.append(d)
-    return kept
+    order = np.argsort(-scores, kind="stable")
+    ordered, cls = boxes[order], classes[order]
+    # Entry [i, j] with i < j is iou(kept i, candidate j), as the scalar iou has it.
+    spares = (iou_matrix(ordered, ordered) <= iou_thresh) | (cls[:, None] != cls[None, :])
+    alive = np.ones(len(order), dtype=bool)
+    kept = []
+    for i in range(len(order)):
+        if alive[i]:
+            kept.append(i)
+            alive &= spares[i]
+    return order[np.array(kept, dtype=np.int64)]
+
+
+def nms(dets: list[Detection], iou_thresh: float) -> list[Detection]:
+    """Greedy per-class non-maximum suppression of detections.
+
+    Delegates to :func:`nms_keep`: detections are visited by descending
+    score (ties by input position), and one is kept iff its IoU with every
+    already-kept detection of the same class is at most ``iou_thresh``.
+    Returns the kept detections in visiting order.
+    """
+    return [dets[i] for i in nms_keep(*detection_arrays(dets), iou_thresh).tolist()]

@@ -7,6 +7,11 @@ re-running crop labeling on the confident base-class detections (more
 accurate, slower). Stage two re-detects on each upscaled crop; those
 detections are mapped back to image coordinates, concatenated with the
 stage-one base-class detections, and deduplicated with NMS.
+
+Both stages stay on the backend's ``detect_arrays`` rows: crop selection,
+reprojection, clipping, the box-invariant check and NMS all run on (N, 4)
+arrays, and :class:`Detection` objects are built once, for the rows NMS
+keeps.
 """
 
 from __future__ import annotations
@@ -14,11 +19,20 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .croplab import CropParams, label_density_crops
 from .dataset import SceneSample, UpscalePolicy, make_crop_children
-from .detect import DetectorBackend, WeightVector
+from .detect import DetectorBackend, WeightVector, _clip
 from .errors import ConfigError, InvariantViolation
-from .geometry import Box, Detection, nms, reproject
+from .geometry import (
+    Box,
+    Detection,
+    check_boxes,
+    detections_from_arrays,
+    nms_keep,
+    reproject_rows,
+)
 from .seeding import stable_int
 
 __all__ = [
@@ -64,24 +78,26 @@ class InferenceConfig:
 
 
 def select_crops(
-    first_pass: list[Detection],
+    first_pass: tuple[np.ndarray, np.ndarray, np.ndarray],
     config: InferenceConfig,
     image_size: tuple[float, float],
     crop_class_id: int,
 ) -> list[Box]:
-    """Pick the crop regions to zoom into from stage-one detections."""
+    """Pick the crop regions to zoom into from stage-one detections, given
+    as the (boxes, classes, scores) arrays of ``detect_arrays``.
+
+    ``predicted`` mode takes crop-class rows above the threshold by
+    descending score, ties in row order.
+    """
+    boxes, classes, scores = first_pass
     if config.crop_mode == PREDICTED:
-        candidates = [
-            d for d in first_pass
-            if d.class_id == crop_class_id and d.score > config.crop_score_threshold
-        ]
-        candidates.sort(key=lambda d: -d.score)
-        return [d.box for d in candidates[: config.max_crops_per_image]]
-    confident = [
-        d.box for d in first_pass
-        if d.class_id != crop_class_id and d.score > config.crop_score_threshold
-    ]
-    crops = label_density_crops(confident, image_size, config.crop_params)
+        rows = np.flatnonzero((classes == crop_class_id) & (scores > config.crop_score_threshold))
+        rows = rows[np.argsort(-scores[rows], kind="stable")][: config.max_crops_per_image]
+        return [Box(*box) for box in boxes[rows].tolist()]
+    confident = (classes != crop_class_id) & (scores > config.crop_score_threshold)
+    crops = label_density_crops(
+        [Box(*box) for box in boxes[confident].tolist()], image_size, config.crop_params
+    )
     return crops[: config.max_crops_per_image]
 
 
@@ -96,35 +112,32 @@ def detect_multistage(
 
     Crop-class predictions never appear in the output: stage-one crop
     detections are consumed by crop selection and stage-two ones are
-    dropped (no recursive zooming). All output boxes lie within the image.
+    dropped (no recursive zooming). Stage-two rows are reprojected and
+    clipped to the image, and every fused row must be a valid box, else
+    :class:`InvariantViolation` is raised. All output boxes lie within
+    the image.
     """
     record = sample.record
     crop_class = backend.crop_class_id
-    stage1 = backend.detect(weights, sample, "none", seed=seed)
-    base = [d for d in stage1 if d.class_id != crop_class]
-    if not config.multistage or config.max_crops_per_image == 0:
-        return nms(base, config.fusion_iou)
-
-    crops = select_crops(stage1, config, record.size, crop_class)
-    fused = list(base)
-    for index, crop in enumerate(crops):
-        out_size = config.upscale.output_size(crop)
-        child = make_crop_children(sample, [crop], config.upscale)[0]
-        stage2 = backend.detect(
-            weights, child, "none", seed=stable_int(seed) ^ stable_int(f"stage2-{index}")
-        )
-        for det in stage2:
-            if det.class_id == crop_class:
-                continue
-            mapped = reproject(det.box, crop, out_size)
-            clipped = Box(
-                min(max(mapped.x1, 0.0), record.width),
-                min(max(mapped.y1, 0.0), record.height),
-                min(max(mapped.x2, 0.0), record.width),
-                min(max(mapped.y2, 0.0), record.height),
+    first = backend.detect_arrays(weights, sample, "none", seed=seed)
+    base = first[1] != crop_class
+    blocks = [tuple(column[base] for column in first)]
+    check_boxes(blocks[0][0])
+    if config.multistage and config.max_crops_per_image > 0:
+        bounds = np.array([record.width, record.height] * 2, dtype=np.float64)
+        for index, crop in enumerate(select_crops(first, config, record.size, crop_class)):
+            out_size = config.upscale.output_size(crop)
+            child = make_crop_children(sample, [crop], config.upscale)[0]
+            boxes, classes, scores = backend.detect_arrays(
+                weights, child, "none", seed=stable_int(seed) ^ stable_int(f"stage2-{index}")
             )
-            fused.append(Detection(box=clipped, class_id=det.class_id, score=det.score))
-    return nms(fused, config.fusion_iou)
+            base = classes != crop_class
+            clipped = _clip(reproject_rows(boxes[base], crop, out_size), 0.0, bounds)
+            check_boxes(clipped)
+            blocks.append((clipped, classes[base], scores[base]))
+    boxes, classes, scores = (np.concatenate(column) for column in zip(*blocks))
+    kept = nms_keep(boxes, classes, scores, config.fusion_iou)
+    return detections_from_arrays(boxes[kept], classes[kept], scores[kept])
 
 
 @dataclass

@@ -210,6 +210,31 @@ class TestTrainInferEvalErrors:
         table = json.loads((out / "comparison.json").read_text())
         assert table["runs"] == ["a", "b"]
 
+    def test_resume_at_or_past_max_iters_runs_nothing(self, workspace, trained, tmp_path, capsys):
+        out = tmp_path / "resumed"
+        code = run(
+            [
+                "train",
+                "--annotations", str(workspace["annotations"]),
+                "--scenes", str(workspace["scenes"]),
+                "--split", str(workspace["split"]),
+                "--out", str(out),
+                "--burn-in-iters", "5",
+                "--max-iters", "10",
+                "--crop-start-iter", "8",
+                "--learning-rate", "0.01",
+                "--resume", str(trained / "checkpoint.txt"),
+                "--seed", "5",
+            ]
+        )
+        assert code == 0
+        assert "no iteration ran" in capsys.readouterr().out
+        manifest = read_manifest(out / "manifest.json")
+        assert manifest.timings["iterations"] == 60
+        assert (out / "run_report.tsv").read_text().splitlines() == [
+            (trained / "run_report.tsv").read_text().splitlines()[0]
+        ]
+
 
 class TestReplay:
     def test_train_replay_byte_identical(self, workspace, trained, tmp_path):

@@ -7,12 +7,17 @@ from densecrop.errors import InvariantViolation
 from densecrop.geometry import (
     Box,
     Detection,
+    check_boxes,
+    detection_arrays,
+    detections_from_arrays,
     enclosing_box,
     iou,
     nms,
+    nms_keep,
     pairwise_iou,
     project_into_crop,
     reproject,
+    reproject_rows,
     scale_box,
 )
 
@@ -264,3 +269,77 @@ class TestNms:
         ]
         kept = nms(dets, 0.5)
         assert kept == [dets[0]]
+
+
+def tied_instance(rng, n):
+    """Detections with exact score ties, exact duplicate boxes and up to
+    three classes: scores come from a few levels, and about a third of the
+    boxes repeat an earlier one."""
+    dets = []
+    for i in range(n):
+        if dets and rng.random() < 0.3:
+            box = dets[int(rng.integers(0, len(dets)))].box
+        else:
+            box = random_box(rng, width=120.0, height=120.0, max_side=50.0)
+        score = float(rng.choice([0.3, 0.5, 0.5, 0.7, 0.9, rng.uniform(0.05, 1.0)]))
+        dets.append(Detection(box, int(rng.integers(0, 3)), score))
+    return dets
+
+
+class TestNmsKernel:
+    @pytest.mark.parametrize("thresh", [0.1, 0.5, 0.9, 1.0])
+    def test_matches_reference_with_ties_and_duplicates(self, thresh):
+        rng = np.random.default_rng(int(thresh * 1000))
+        for _ in range(60):
+            dets = tied_instance(rng, int(rng.integers(0, 40)))
+            ref = nms_ref([(d.box.as_tuple(), d.class_id, d.score) for d in dets], thresh)
+            keep = nms_keep(*detection_arrays(dets), thresh)
+            assert keep.tolist() == ref
+            assert nms(dets, thresh) == [dets[i] for i in ref]
+
+    def test_threshold_one_keeps_exact_duplicates(self):
+        box = Box(0, 0, 10, 10)
+        dets = [Detection(box, 0, 0.5), Detection(box, 0, 0.5)]
+        assert nms_keep(*detection_arrays(dets), 1.0).tolist() == [0, 1]
+        assert nms_keep(*detection_arrays(dets), 0.99).tolist() == [0]
+
+    def test_empty_input(self):
+        assert nms_keep(*detection_arrays([]), 0.5).tolist() == []
+
+    def test_invalid_threshold(self):
+        with pytest.raises(InvariantViolation):
+            nms_keep(*detection_arrays([]), 1.5)
+
+
+class TestArrayHelpers:
+    def test_detection_arrays_round_trip(self):
+        dets = random_detections(np.random.default_rng(5), 12)
+        boxes, classes, scores = detection_arrays(dets)
+        assert boxes.shape == (12, 4) and classes.dtype == np.int64
+        assert detections_from_arrays(boxes, classes, scores) == dets
+
+    def test_reproject_rows_equals_reproject(self):
+        rng = np.random.default_rng(9)
+        crop = Box(37.25, 11.5, 141.0, 90.75)
+        out_size = (415.0, 317.0)
+        boxes = [random_box(rng, width=400.0, height=300.0) for _ in range(50)]
+        rows = reproject_rows(np.array([b.as_tuple() for b in boxes]), crop, out_size)
+        assert rows.tolist() == [list(reproject(b, crop, out_size).as_tuple()) for b in boxes]
+
+    def test_check_boxes_accepts_valid_rows(self):
+        check_boxes(np.array([[0.0, 0.0, 1.0, 1.0], [2.0, 3.0, 4.0, 5.0]]))
+        check_boxes(np.zeros((0, 4)))
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ([0.0, 0.0, float("nan"), 1.0], "non-finite"),
+            ([0.0, 0.0, float("inf"), 1.0], "non-finite"),
+            ([1.0, 0.0, 1.0, 1.0], "degenerate"),
+            ([0.0, 2.0, 1.0, 1.0], "degenerate"),
+        ],
+    )
+    def test_check_boxes_raises_as_box_does(self, row, message):
+        rows = np.array([[0.0, 0.0, 1.0, 1.0], row])
+        with pytest.raises(InvariantViolation, match=message):
+            check_boxes(rows)

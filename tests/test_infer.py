@@ -1,5 +1,6 @@
 """Multi-stage inference: crop selection, zoom-in re-detection, fusion."""
 
+import numpy as np
 import pytest
 
 from densecrop.croplab import CropParams, label_density_crops
@@ -14,7 +15,7 @@ from densecrop.dataset import (
 )
 from densecrop.detect import OracleBackend, OracleNoiseModel
 from densecrop.errors import ConfigError, InvariantViolation
-from densecrop.geometry import Box, Detection
+from densecrop.geometry import Box, Detection, detection_arrays
 from densecrop.infer import (
     InferenceConfig,
     detect_multistage,
@@ -54,14 +55,14 @@ class TestInferenceConfig:
 class TestSelectCrops:
     def test_predicted_mode_empty_without_crop_class(self):
         dets = [Detection(Box(0, 0, 10, 10), 0, 0.9)]
-        assert select_crops(dets, config(), (500, 500), crop_class_id=3) == []
+        assert select_crops(detection_arrays(dets), config(), (500, 500), crop_class_id=3) == []
 
     def test_predicted_mode_threshold(self):
         dets = [
             Detection(Box(0, 0, 50, 50), 3, 0.9),
             Detection(Box(100, 100, 150, 150), 3, 0.4),
         ]
-        crops = select_crops(dets, config(), (500, 500), crop_class_id=3)
+        crops = select_crops(detection_arrays(dets), config(), (500, 500), crop_class_id=3)
         assert crops == [Box(0, 0, 50, 50)]
 
     def test_predicted_mode_top_k_by_score(self):
@@ -71,7 +72,7 @@ class TestSelectCrops:
             Detection(Box(200, 200, 250, 250), 3, 0.7),
         ]
         crops = select_crops(
-            dets, config(max_crops_per_image=2), (500, 500), crop_class_id=3
+            detection_arrays(dets), config(max_crops_per_image=2), (500, 500), crop_class_id=3
         )
         assert crops == [Box(100, 100, 150, 150), Box(200, 200, 250, 250)]
 
@@ -79,7 +80,7 @@ class TestSelectCrops:
         boxes = [Box(0, 0, 20, 20), Box(25, 0, 45, 20), Box(200, 200, 220, 220)]
         dets = [Detection(b, 0, 0.9) for b in boxes]
         crops = select_crops(
-            dets, config(crop_mode="relabeled"), (500, 500), crop_class_id=3
+            detection_arrays(dets), config(crop_mode="relabeled"), (500, 500), crop_class_id=3
         )
         assert crops == label_density_crops(boxes, (500, 500), CROP_PARAMS)
         assert crops == [Box(0, 0, 50, 25)]
@@ -87,7 +88,17 @@ class TestSelectCrops:
     def test_relabeled_mode_ignores_unconfident(self):
         boxes = [Box(0, 0, 20, 20), Box(25, 0, 45, 20)]
         dets = [Detection(b, 0, 0.2) for b in boxes]
-        assert select_crops(dets, config(crop_mode="relabeled"), (500, 500), 3) == []
+        crops = select_crops(detection_arrays(dets), config(crop_mode="relabeled"), (500, 500), 3)
+        assert crops == []
+
+    def test_predicted_mode_score_ties_keep_row_order(self):
+        scores = [0.8, 0.6, 0.9] * 20
+        dets = [Detection(Box(8.0 * i, 0, 8.0 * i + 5, 5), 3, s) for i, s in enumerate(scores)]
+        crops = select_crops(
+            detection_arrays(dets), config(max_crops_per_image=30), (500, 500), crop_class_id=3
+        )
+        by_score = sorted(dets, key=lambda d: -d.score)  # sorted() is stable
+        assert crops == [d.box for d in by_score[:30]]
 
 
 def clustered_sample(seed=0):
@@ -244,6 +255,30 @@ class TestRunInference:
         with pytest.raises(InvariantViolation, match="broken invariant"):
             run_inference(self.samples(2), backend, None, config(), seed=0)
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [([1.0, 1.0, float("nan"), 5.0], "non-finite"), ([4.0, 1.0, 4.0, 5.0], "degenerate")],
+    )
+    def test_invalid_stage_two_row_raises(self, row, message):
+        # The bad row scores low, so NMS would drop it; the fusion guard
+        # checks every row before NMS, as building each Box did.
+        class BadStageTwo(OracleBackend):
+            def detect_arrays(self, weights, sample, augmentation="none", seed=0):
+                boxes, classes, scores = super().detect_arrays(weights, sample, augmentation, seed)
+                if sample.record.provenance.kind == "crop":
+                    boxes = np.vstack([boxes, [row]])
+                    classes = np.append(classes, 0)
+                    scores = np.append(scores, 0.01)
+                return boxes, classes, scores
+
+        sample = add_crop_annotations(clustered_sample(seed=7), crop_class=3)
+        backend = BadStageTwo(
+            num_base_classes=3, noise=OracleNoiseModel(score_mean=0.9, score_std=0.0)
+        )
+        assert select_crops(backend.detect_arrays(None, sample), config(), sample.record.size, 3)
+        with pytest.raises(InvariantViolation, match=message):
+            run_inference([sample], backend, None, config(), seed=0)
+
     def test_timings_recorded(self):
         samples = self.samples(3)
         backend = OracleBackend(
@@ -296,7 +331,7 @@ class TestPinnedToyInference:
         for mode in ("predicted", "relabeled"):
             cfg = config(crop_mode=mode, crop_score_threshold=0.25, crop_params=crop_params)
             for s in test:
-                first = backend.detect(weights, s)
+                first = backend.detect_arrays(weights, s)
                 zoomed += len(select_crops(first, cfg, s.record.size, backend.crop_class_id))
             for result in run_inference(test, backend, weights, cfg, seed=5):
                 assert result.error is None
