@@ -26,7 +26,7 @@ import time
 from typing import Callable
 
 from . import config as cfg
-from . import croplab, dataset, detect, infer, metrics, teacher
+from . import croplab, dataset, detect, geometry, infer, metrics, teacher
 from .errors import ConfigError, DataError, DensecropError
 from .manifest import RunManifest, read_manifest, verify_inputs, verify_outputs, write_manifest
 
@@ -142,9 +142,13 @@ def cmd_crops_label(params: dict) -> RunManifest:
     total_crops = 0
     for record in loaded.records:
         kept = tuple(a for a in record.annotations if a.class_id in base)
-        crops = croplab.label_density_crops([a.box for a in kept], record.size, crop_params)
+        crops = croplab.label_density_crops(
+            geometry.box_array([a.box for a in kept]), record.size, crop_params
+        )
         total_crops += len(crops)
-        crop_anns = tuple(dataset.Annotation(box=c, class_id=crop_class) for c in crops)
+        crop_anns = tuple(
+            dataset.Annotation(box=geometry.Box(*c), class_id=crop_class) for c in crops.tolist()
+        )
         out_records.append(dataclasses.replace(record, annotations=kept + crop_anns))
     categories = {**base, crop_class: CROP_CATEGORY_NAME}
     dataset.write_annotations(out_records, categories, ann_path)

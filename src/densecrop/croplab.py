@@ -6,22 +6,24 @@ connected cluster is merged into one enclosing "density crop". Merging is
 repeated for a configurable number of rounds so that crops whose enclosing
 boxes overlap get fused instead of producing redundant near-duplicates,
 and crops covering too much of the image are filtered out.
+
+Boxes and crops are (N, 4) float64 (x1, y1, x2, y2) rows throughout: the
+graph is one IoU matrix, clusters come from label propagation over it, and
+no :class:`~densecrop.geometry.Box` is built here. Crop order is part of
+the output, since it names crop children and seeds their scenes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvariantViolation
-from .geometry import Box, enclosing_box, pairwise_iou, scale_box
+from .geometry import box_areas, check_boxes, iou_matrix
 
 __all__ = [
     "CropParams",
-    "ConnectionGraph",
-    "build_connections",
-    "merge_once",
     "merge_round",
     "label_density_crops",
 ]
@@ -57,115 +59,86 @@ class CropParams:
             raise InvariantViolation(f"min_cluster must be >= 2, got {self.min_cluster}")
 
 
-@dataclass(frozen=True)
-class ConnectionGraph:
-    """Pairwise IoU matrix plus the thresholded symmetric connection matrix."""
-
-    iou_matrix: np.ndarray
-    connections: np.ndarray = field(repr=False)
-
-
-def build_connections(boxes: list[Box], theta: float) -> ConnectionGraph:
-    """Connect every pair of boxes whose IoU strictly exceeds ``theta``."""
-    if not (0.0 < theta < 1.0):
-        raise InvariantViolation(f"theta must be in (0, 1), got {theta}")
-    overlaps = pairwise_iou(boxes)
-    connections = overlaps > theta
-    np.fill_diagonal(connections, False)
-    return ConnectionGraph(iou_matrix=overlaps, connections=connections)
-
-
-def merge_once(
-    boxes: list[Box], graph: ConnectionGraph
-) -> list[tuple[Box, list[int]]]:
-    """Collapse each connected cluster of boxes into one enclosing crop.
-
-    Clusters are emitted in a deterministic discovery order: repeatedly
-    seed at the box with the most remaining connections (ties go to the
-    lowest index), absorb everything reachable from it, record the
-    enclosing box and member indices, and zero the rows and columns of all
-    absorbed members so each cluster produces exactly one crop per pass.
-    Boxes with no connections are not emitted.
-    """
-    conn = graph.connections.copy()
-    crops: list[tuple[Box, list[int]]] = []
-    degrees = conn.sum(axis=1)
-    while degrees.any():
-        seed = int(np.argmax(degrees))
-        members = _component_of(seed, conn)
-        crops.append((enclosing_box([boxes[i] for i in members]), members))
-        conn[members, :] = False
-        conn[:, members] = False
-        degrees = conn.sum(axis=1)
-    return crops
-
-
-def _component_of(seed: int, conn: np.ndarray) -> list[int]:
-    """Indices reachable from ``seed`` in the connection graph, sorted."""
-    seen = {seed}
-    frontier = [seed]
-    while frontier:
-        nxt: list[int] = []
-        for i in frontier:
-            for j in np.flatnonzero(conn[i]):
-                j = int(j)
-                if j not in seen:
-                    seen.add(j)
-                    nxt.append(j)
-        frontier = nxt
-    return sorted(seen)
-
-
 def merge_round(
-    boxes: list[Box],
+    rows: np.ndarray,
     image_size: tuple[float, float],
     params: CropParams,
     *,
     carry_unmerged: bool,
-) -> list[Box]:
-    """One build/merge/filter pass over the current box set.
+) -> np.ndarray:
+    """One build/merge/filter pass over the current (N, 4) box rows.
 
-    In the first round (``carry_unmerged=False``) boxes that joined no
+    Two rows are connected when their IoU strictly exceeds ``theta``, and
+    each connected component with at least one connection collapses into
+    its enclosing box. Components come out in the order of a greedy
+    discovery: the component holding the most-connected row first, ties to
+    the lowest such row.
+
+    In the first round (``carry_unmerged=False``) rows that joined no
     cluster are dropped and clusters below ``min_cluster`` members are
     discarded; in later rounds every input is already a crop, so unmerged
-    boxes pass through unchanged.
+    rows pass through unchanged, in input order, after the merged ones.
+    Rows larger than ``pi`` of the image area are filtered out.
     """
-    if not boxes:
-        return []
-    graph = build_connections(boxes, params.theta)
-    merged = merge_once(boxes, graph)
-    out: list[Box] = []
-    absorbed: set[int] = set()
-    for crop, members in merged:
-        absorbed.update(members)
-        if carry_unmerged or len(members) >= params.min_cluster:
-            out.append(crop)
+    n = len(rows)
+    if n == 0:
+        return rows
+    connected = iou_matrix(rows, rows) > params.theta
+    np.fill_diagonal(connected, False)
+    degree = connected.sum(axis=1)
+    # Label propagation: every row ends with the lowest row of its component.
+    labels = np.arange(n)
+    while True:
+        lowest = np.minimum(labels, np.where(connected, labels, n).min(axis=1))
+        if (lowest == labels).all():
+            break
+        labels = lowest
+    # One ``members`` row per component with a connection, in discovery order.
+    roots = np.flatnonzero((labels == np.arange(n)) & (degree > 0))
+    members = labels == roots[:, None]
+    rank = np.where(members, degree * n - np.arange(n), -1).max(axis=1)
+    members = members[np.argsort(-rank)]
+    crops = np.concatenate(
+        [
+            np.where(members[:, :, None], rows[None, :, :2], np.inf).min(axis=1),
+            np.where(members[:, :, None], rows[None, :, 2:], -np.inf).max(axis=1),
+        ],
+        axis=1,
+    )
     if carry_unmerged:
-        out.extend(b for i, b in enumerate(boxes) if i not in absorbed)
-    max_area = params.pi * image_size[0] * image_size[1]
-    return [b for b in out if b.area <= max_area]
+        out = np.concatenate([crops, rows[degree == 0]])
+    else:
+        out = crops[members.sum(axis=1) >= params.min_cluster]
+    return out[box_areas(out) <= params.pi * image_size[0] * image_size[1]]
 
 
 def label_density_crops(
-    boxes: list[Box], image_size: tuple[float, float], params: CropParams
-) -> list[Box]:
-    """Discover density crops for one image.
+    boxes: np.ndarray, image_size: tuple[float, float], params: CropParams
+) -> np.ndarray:
+    """Discover density crops for one image, as (K, 4) float64 rows, from
+    its (N, 4) (x1, y1, x2, y2) box rows.
 
-    Inputs are expanded by ``sigma`` once, then ``merge_steps`` rounds of
-    cluster merging and size filtering are applied. The output is
-    deduplicated by exact coordinate equality (merging is deterministic,
-    so exact duplicates are the only duplicate mode).
+    Every side of every box is first moved out by ``sigma`` pixels and
+    clipped to the image, as Python's ``max(0.0, x1 - sigma)`` and
+    ``min(width, x2 + sigma)`` do; then ``merge_steps`` rounds of
+    :func:`merge_round` follow. The output is deduplicated by exact
+    coordinate equality, first occurrence kept (merging is deterministic,
+    so exact duplicates are the only duplicate mode). Raises
+    :class:`InvariantViolation` if an input or expanded row is not a valid
+    box, such as a box outside the image.
     """
-    current = [scale_box(b, params.sigma, image_size) for b in boxes]
+    boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
+    check_boxes(boxes)
+    lo = boxes[:, :2] - params.sigma
+    hi = boxes[:, 2:] + params.sigma
+    bounds = np.array(image_size, dtype=np.float64)
+    # Not np.maximum: it keeps a -0.0 that Python's max turns into 0.0, and
+    # a crop's repr seeds its child scene.
+    current = np.concatenate(
+        [np.where(lo > 0.0, lo, 0.0), np.where(hi < bounds, hi, bounds)], axis=1
+    )
+    check_boxes(current)
     for step in range(params.merge_steps):
         current = merge_round(current, image_size, params, carry_unmerged=step > 0)
-        if not current:
-            return []
-    seen: set[tuple[float, float, float, float]] = set()
-    unique: list[Box] = []
-    for b in current:
-        key = b.as_tuple()
-        if key not in seen:
-            seen.add(key)
-            unique.append(b)
-    return unique
+    keys = current.tolist()
+    return current[[i for i, key in enumerate(keys) if key not in keys[:i]]]

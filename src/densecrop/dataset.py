@@ -3,9 +3,12 @@ synthetic scene generator used for desk-scale experiments.
 
 Images are represented by :class:`ImageRecord` (metadata + annotations +
 provenance); synthetic scenes additionally carry a :class:`SceneSpec`
-holding the abstract per-object feature payloads that stand in for pixels.
-Records are immutable after construction, so every transform here returns
-new records and is safe to run in parallel across images.
+holding the abstract per-object feature payloads that stand in for pixels,
+plus the objects' boxes and payloads as arrays computed once per scene.
+Crop children come from (N, 4) crop rows, and their annotations and objects
+are projected into the upscaled crop as arrays. Records are immutable after
+construction, so every transform here returns new records and is safe to
+run in parallel across images.
 """
 
 from __future__ import annotations
@@ -13,11 +16,12 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigError, DataError, InvariantViolation
-from .geometry import Box, project_into_crop
+from .geometry import Box, box_array, box_areas, clip, intersection_matrix, project_rows
 from .seeding import rng_for, stable_int
 
 __all__ = [
@@ -124,9 +128,6 @@ class ImageRecord:
     def size(self) -> tuple[float, float]:
         return (self.width, self.height)
 
-    def boxes(self, class_id: int | None = None) -> list[Box]:
-        return [a.box for a in self.annotations if class_id is None or a.class_id == class_id]
-
 
 @dataclass(frozen=True)
 class DatasetSplit:
@@ -178,14 +179,33 @@ class SceneObject:
     payload: tuple[float, ...]
 
 
+def _read_only(values: np.ndarray) -> np.ndarray:
+    values.flags.writeable = False
+    return values
+
+
 @dataclass(frozen=True)
 class SceneSpec:
-    """Full description of a synthetic scene; regenerable bit-for-bit."""
+    """Full description of a synthetic scene; regenerable bit-for-bit.
+
+    ``object_boxes`` and ``object_payloads`` hold the objects' boxes and
+    payloads as read-only arrays, computed on first use and kept.
+    """
 
     width: float
     height: float
     objects: tuple[SceneObject, ...]
     seed: int
+
+    @cached_property
+    def object_boxes(self) -> np.ndarray:
+        """(N, 4) float64 (x1, y1, x2, y2) rows, one per object."""
+        return _read_only(box_array([obj.box for obj in self.objects]))
+
+    @cached_property
+    def object_payloads(self) -> np.ndarray:
+        """float64 payloads, one row per object; (0,) without objects."""
+        return _read_only(np.array([obj.payload for obj in self.objects], dtype=np.float64))
 
 
 @dataclass(frozen=True)
@@ -481,66 +501,70 @@ def read_split(path: str | os.PathLike, all_ids: list | set | tuple) -> DatasetS
 
 
 def _crop_child_record(
-    record: ImageRecord, crop: Box, policy: UpscalePolicy, index: int
+    record: ImageRecord,
+    boxes: np.ndarray,
+    crop: Box,
+    upscale_size: tuple[float, float],
+    index: int,
 ) -> ImageRecord:
-    out_w, out_h = policy.output_size(crop)
-    kept: list[Annotation] = []
-    for ann in record.annotations:
-        inter = ann.box.intersection_area(crop)
-        if inter < MIN_CLIPPED_AREA_FRACTION * ann.box.area:
-            continue
-        mapped = project_into_crop(ann.box, crop, (out_w, out_h))
-        clipped = _clip_box(mapped.x1, mapped.y1, mapped.x2, mapped.y2, out_w, out_h)
-        if clipped is None:
-            continue
-        kept.append(replace(ann, box=clipped))
+    """Child record of ``crop``, given the parent annotations' ``boxes``."""
+    out_w, out_h = upscale_size
+    inside = intersection_matrix(boxes, np.array([crop.as_tuple()]))[:, 0] >= (
+        MIN_CLIPPED_AREA_FRACTION * box_areas(boxes)
+    )
+    mapped = clip(project_rows(boxes, crop, upscale_size), 0.0, np.array([out_w, out_h] * 2))
+    kept = inside & (mapped[:, 0] < mapped[:, 2]) & (mapped[:, 1] < mapped[:, 3])
     return ImageRecord(
         image_id=f"{record.image_id}:crop{index}",
         width=out_w,
         height=out_h,
-        annotations=tuple(kept),
-        provenance=Provenance.crop(record.image_id, crop, (out_w, out_h)),
+        annotations=tuple(
+            replace(ann, box=Box(*row))
+            for ann, row, keep in zip(record.annotations, mapped.tolist(), kept.tolist())
+            if keep
+        ),
+        provenance=Provenance.crop(record.image_id, crop, upscale_size),
     )
 
 
 def crop_scene(scene: SceneSpec, crop: Box, upscale_size: tuple[float, float]) -> SceneSpec:
-    """Scene as seen inside an upscaled crop: objects clipped and rescaled."""
+    """Scene as seen inside an upscaled crop: objects clipped to the crop,
+    then rescaled to ``upscale_size``; objects left without area drop out."""
     out_w, out_h = upscale_size
     sx = out_w / crop.width
     sy = out_h / crop.height
-    objects: list[SceneObject] = []
-    for obj in scene.objects:
-        clipped = _clip_box(
-            obj.box.x1 - crop.x1, obj.box.y1 - crop.y1, obj.box.x2 - crop.x1, obj.box.y2 - crop.y1,
-            crop.width, crop.height,
-        )
-        if clipped is None:
-            continue
-        objects.append(
-            replace(
-                obj,
-                box=Box(clipped.x1 * sx, clipped.y1 * sy, clipped.x2 * sx, clipped.y2 * sy),
-            )
-        )
+    shifted = scene.object_boxes - np.array([crop.x1, crop.y1, crop.x1, crop.y1])
+    clipped = clip(shifted, 0.0, np.array([crop.width, crop.height] * 2))
+    kept = (clipped[:, 0] < clipped[:, 2]) & (clipped[:, 1] < clipped[:, 3])
+    scaled = clipped * np.array([sx, sy, sx, sy])
+    objects = tuple(
+        replace(obj, box=Box(*row))
+        for obj, row, keep in zip(scene.objects, scaled.tolist(), kept.tolist())
+        if keep
+    )
+    # Python floats: the repr of a numpy float64 scalar differs.
     child_seed = stable_int(scene.seed) ^ stable_int(repr(crop.as_tuple()))
-    return SceneSpec(width=out_w, height=out_h, objects=tuple(objects), seed=child_seed)
+    return SceneSpec(width=out_w, height=out_h, objects=objects, seed=child_seed)
 
 
 def make_crop_children(
-    sample: SceneSample, crops: list[Box], policy: UpscalePolicy
+    sample: SceneSample, crops: np.ndarray, policy: UpscalePolicy
 ) -> list[SceneSample]:
-    """Child samples (record + scene) for each density crop of ``sample``.
+    """Child samples (record + scene) for each (x1, y1, x2, y2) density-crop
+    row of ``crops``, child ``k`` named ``{parent id}:crop{k}``.
 
     Child annotations are the parent annotations with at least half their
     area inside the crop, mapped into upscaled-crop coordinates and
-    clipped.
+    clipped. Each crop row becomes the one :class:`Box` that the child's
+    provenance stores.
     """
+    boxes = box_array([ann.box for ann in sample.record.annotations])
     children: list[SceneSample] = []
-    for index, crop in enumerate(crops):
-        record = _crop_child_record(sample.record, crop, policy, index)
-        assert record.provenance.upscale_size is not None
-        scene = crop_scene(sample.scene, crop, record.provenance.upscale_size)
-        children.append(SceneSample(record=record, scene=scene))
+    for index, row in enumerate(np.asarray(crops, dtype=np.float64).reshape(-1, 4).tolist()):
+        crop = Box(*row)
+        size = policy.output_size(crop)
+        record = _crop_child_record(sample.record, boxes, crop, size, index)
+        children.append(SceneSample(record=record, scene=crop_scene(sample.scene, crop, size)))
     return children
 
 

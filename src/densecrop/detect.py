@@ -28,6 +28,7 @@ from .geometry import (
     Detection,
     box_areas,
     box_array,
+    clip,
     detection_arrays,
     detections_from_arrays,
     intersection_matrix,
@@ -193,12 +194,6 @@ class OracleNoiseModel:
         return prob
 
 
-def _clip(values: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """``min(max(v, lo), hi)`` per entry, keeping ``v`` wherever Python would."""
-    values = np.where(values < lo, lo, values)
-    return np.where(values > hi, hi, values)
-
-
 def _uniform(low, high, u: np.ndarray) -> np.ndarray:
     """``Generator.uniform(low, high)`` values from its ``random()`` draws
     ``u``: numpy computes ``low + (high - low) * random()``."""
@@ -212,8 +207,8 @@ def _safe_box(boxes: np.ndarray, width: float, height: float) -> np.ndarray:
     half = _MIN_SIDE / 2.0
     out = np.empty_like(boxes)
     for lo, hi, size in ((0, 2, width), (1, 3, height)):
-        a, b = _clip(boxes[:, lo], 0.0, size), _clip(boxes[:, hi], 0.0, size)
-        centre = _clip((a + b) / 2.0, half, size - half)
+        a, b = clip(boxes[:, lo], 0.0, size), clip(boxes[:, hi], 0.0, size)
+        centre = clip((a + b) / 2.0, half, size - half)
         thin = b - a < _MIN_SIDE
         out[:, lo] = np.where(thin, centre - half, a)
         out[:, hi] = np.where(thin, centre + half, b)
@@ -313,15 +308,13 @@ def extract_features(
     area = box_areas(boxes)
     phi = np.zeros((len(boxes), feature_dim(num_base_classes)))
     phi[:, 0] = np.log(np.maximum(area, _MIN_SIDE)) / np.log(scene.width * scene.height)
-    aspect = _clip((x2 - x1) / (y2 - y1), 1.0 / _ASPECT_CAP, _ASPECT_CAP)
+    aspect = clip((x2 - x1) / (y2 - y1), 1.0 / _ASPECT_CAP, _ASPECT_CAP)
     phi[:, 1] = np.log(aspect) / np.log(_ASPECT_CAP)
     phi[:, 2] = (x1 + x2) / 2.0 / scene.width
     phi[:, 3] = (y1 + y2) / 2.0 / scene.height
 
-    objects = box_array([obj.box for obj in scene.objects])
-    payloads = np.array(
-        [obj.payload[:num_base_classes] for obj in scene.objects], dtype=np.float64
-    ).reshape(-1, num_base_classes)
+    objects = scene.object_boxes
+    payloads = scene.object_payloads[..., :num_base_classes].reshape(-1, num_base_classes)
     object_areas = box_areas(objects)
     inter = intersection_matrix(boxes, objects)
     covered = inter > 0.0
@@ -646,13 +639,12 @@ class ToyDetector(DetectorBackend):
         record = sample.record
         scene = sample.scene
         rng = rng_for(self.config.seed, "proposals", record.image_id)
-        candidates = [obj.box for obj in scene.objects]
+        candidates = scene.object_boxes
         if record.provenance.kind != "crop":
-            candidates += label_density_crops(
-                [obj.box for obj in scene.objects],
-                (scene.width, scene.height),
-                self._proposal_crop_params,
+            crops = label_density_crops(
+                candidates, (scene.width, scene.height), self._proposal_crop_params
             )
+            candidates = np.concatenate([candidates, crops])
         jitter = rng.normal(0.0, self.config.proposal_jitter, (len(candidates), 4))
         # Each background box takes its (w, h, x, y) uniforms in turn, as
         # one row of a single random() block.
@@ -663,7 +655,7 @@ class ToyDetector(DetectorBackend):
         x = _uniform(0.0, np.maximum(record.width - w, _MIN_SIDE), u[:, 2])
         y = _uniform(0.0, np.maximum(record.height - h, _MIN_SIDE), u[:, 3])
         background = np.stack([x, y, x + w, y + h], axis=1)
-        raw = np.concatenate([box_array(candidates) + jitter, background])
+        raw = np.concatenate([candidates + jitter, background])
         return _safe_box(raw, record.width, record.height)
 
     def features(self, scene: SceneSpec, proposals: np.ndarray) -> np.ndarray:

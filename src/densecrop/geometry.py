@@ -3,7 +3,10 @@
 Coordinates are continuous pixels. The corner convention is (x1, y1)
 top-left inclusive and (x2, y2) bottom-right exclusive, so zero-area
 boxes are invalid and reprojection between coordinate frames is exact.
-All functions here are pure and safe to call concurrently.
+The validated :class:`Box` and :class:`Detection` types serve the API and
+the files; every numeric kernel here (IoU, clipping, crop projection, NMS)
+works on (N, 4) float64 (x1, y1, x2, y2) rows. All functions here are pure
+and safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -18,22 +21,17 @@ from .errors import InvariantViolation
 __all__ = [
     "Box",
     "Detection",
-    "iou",
     "box_array",
     "check_boxes",
+    "clip",
     "detection_arrays",
     "detections_from_arrays",
     "box_areas",
     "intersection_matrix",
     "iou_matrix",
-    "pairwise_iou",
-    "scale_box",
-    "enclosing_box",
-    "project_into_crop",
+    "project_rows",
     "reproject_rows",
-    "reproject",
     "nms_keep",
-    "nms",
 ]
 
 
@@ -69,26 +67,6 @@ class Box:
     def area(self) -> float:
         return self.width * self.height
 
-    @property
-    def center(self) -> tuple[float, float]:
-        return ((self.x1 + self.x2) / 2.0, (self.y1 + self.y2) / 2.0)
-
-    def contains(self, other: "Box") -> bool:
-        """True when ``other`` lies inside this box (boundaries allowed)."""
-        return (
-            self.x1 <= other.x1
-            and self.y1 <= other.y1
-            and self.x2 >= other.x2
-            and self.y2 >= other.y2
-        )
-
-    def intersection_area(self, other: "Box") -> float:
-        iw = min(self.x2, other.x2) - max(self.x1, other.x1)
-        ih = min(self.y2, other.y2) - max(self.y1, other.y1)
-        if iw <= 0.0 or ih <= 0.0:
-            return 0.0
-        return iw * ih
-
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.x1, self.y1, self.x2, self.y2)
 
@@ -106,14 +84,6 @@ class Detection:
             raise InvariantViolation(f"negative class id: {self.class_id}")
         if not (0.0 <= self.score <= 1.0):
             raise InvariantViolation(f"score outside [0, 1]: {self.score}")
-
-
-def iou(a: Box, b: Box) -> float:
-    """Intersection over union. Symmetric, 0 when disjoint, 1 when equal."""
-    inter = a.intersection_area(b)
-    if inter == 0.0:
-        return 0.0
-    return inter / (a.area + b.area - inter)
 
 
 def box_array(boxes: list[Box] | tuple[Box, ...]) -> np.ndarray:
@@ -153,63 +123,33 @@ def detections_from_arrays(
     ]
 
 
+def clip(values: np.ndarray, lo, hi) -> np.ndarray:
+    """``min(max(v, lo), hi)`` per entry, keeping ``v`` wherever Python would
+    (so a -0.0 that no bound replaces stays -0.0)."""
+    values = np.where(values < lo, lo, values)
+    return np.where(values > hi, hi, values)
+
+
 def box_areas(boxes: np.ndarray) -> np.ndarray:
     """Area of each (x1, y1, x2, y2) row, computed as ``Box.area`` does."""
     return (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1])
 
 
 def intersection_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(N, M) intersection areas of (N, 4) and (M, 4) box rows, with the
-    float operations of ``Box.intersection_area``."""
+    """(N, M) intersection areas of (N, 4) and (M, 4) box rows: the overlap
+    width times the overlap height, 0.0 unless both are positive."""
     iw = np.minimum(a[:, None, 2], b[None, :, 2]) - np.maximum(a[:, None, 0], b[None, :, 0])
     ih = np.minimum(a[:, None, 3], b[None, :, 3]) - np.maximum(a[:, None, 1], b[None, :, 1])
     return np.where((iw > 0.0) & (ih > 0.0), iw * ih, 0.0)
 
 
 def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(N, M) IoU of (N, 4) and (M, 4) box rows; every entry equals
-    :func:`iou` of the two boxes bit for bit."""
+    """(N, M) IoU of (N, 4) and (M, 4) box rows: the intersection over
+    ``area_a + area_b - intersection``. Symmetric, 0.0 when disjoint and
+    exactly 1.0 for equal boxes."""
     inter = intersection_matrix(a, b)
     # Where inter is 0 the union is a sum of positive areas, so the IoU is 0.
     return inter / (box_areas(a)[:, None] + box_areas(b)[None, :] - inter)
-
-
-def pairwise_iou(boxes: list[Box]) -> np.ndarray:
-    """n x n IoU matrix with exact 1.0 on the diagonal."""
-    xyxy = box_array(boxes)
-    out = iou_matrix(xyxy, xyxy)
-    np.fill_diagonal(out, 1.0)
-    return out
-
-
-def scale_box(b: Box, sigma: float, bounds: tuple[float, float]) -> Box:
-    """Expand every side of ``b`` by ``sigma`` pixels, clipped to the image.
-
-    ``bounds`` is (width, height). Expansion with sigma >= 0 on a box that
-    lies inside the image cannot collapse it, but the invariant is still
-    checked so out-of-bounds inputs fail loudly.
-    """
-    if sigma < 0:
-        raise InvariantViolation(f"negative expansion: {sigma}")
-    width, height = bounds
-    return Box(
-        max(0.0, b.x1 - sigma),
-        max(0.0, b.y1 - sigma),
-        min(float(width), b.x2 + sigma),
-        min(float(height), b.y2 + sigma),
-    )
-
-
-def enclosing_box(boxes: list[Box]) -> Box:
-    """Smallest box containing every input box. Empty input is an error."""
-    if not boxes:
-        raise InvariantViolation("enclosing_box of an empty list")
-    return Box(
-        min(b.x1 for b in boxes),
-        min(b.y1 for b in boxes),
-        max(b.x2 for b in boxes),
-        max(b.y2 for b in boxes),
-    )
 
 
 def _crop_scales(crop: Box, crop_size: tuple[float, float]) -> tuple[float, float]:
@@ -219,19 +159,17 @@ def _crop_scales(crop: Box, crop_size: tuple[float, float]) -> tuple[float, floa
     return (crop.x2 - crop.x1) / iw, (crop.y2 - crop.y1) / ih
 
 
-def project_into_crop(b: Box, crop: Box, crop_size: tuple[float, float]) -> Box:
-    """Map a box from parent-image pixels into upscaled-crop pixels.
+def project_rows(
+    rows: np.ndarray, crop: Box, crop_size: tuple[float, float]
+) -> np.ndarray:
+    """Map (x1, y1, x2, y2) rows from parent-image pixels into the pixels of
+    ``crop`` upscaled to ``crop_size``; the inverse of :func:`reproject_rows`.
 
-    This is the inverse of :func:`reproject`: shift by the crop origin and
-    scale up by the crop-to-output ratio.
+    Each row is shifted by the crop origin and divided by (crop_width / I_W,
+    crop_height / I_H).
     """
     sw, sh = _crop_scales(crop, crop_size)
-    return Box(
-        (b.x1 - crop.x1) / sw,
-        (b.y1 - crop.y1) / sh,
-        (b.x2 - crop.x1) / sw,
-        (b.y2 - crop.y1) / sh,
-    )
+    return (rows - np.array([crop.x1, crop.y1, crop.x1, crop.y1])) / np.array([sw, sh, sw, sh])
 
 
 def reproject_rows(
@@ -246,11 +184,6 @@ def reproject_rows(
     """
     sw, sh = _crop_scales(crop, crop_size)
     return rows * np.array([sw, sh, sw, sh]) + np.array([crop.x1, crop.y1, crop.x1, crop.y1])
-
-
-def reproject(p: Box, crop: Box, crop_size: tuple[float, float]) -> Box:
-    """:func:`reproject_rows` of one box."""
-    return Box(*reproject_rows(np.array(p.as_tuple()), crop, crop_size).tolist())
 
 
 def nms_keep(
@@ -269,7 +202,7 @@ def nms_keep(
         raise InvariantViolation(f"iou_thresh outside (0, 1]: {iou_thresh}")
     order = np.argsort(-scores, kind="stable")
     ordered, cls = boxes[order], classes[order]
-    # Entry [i, j] with i < j is iou(kept i, candidate j), as the scalar iou has it.
+    # Entry [i, j] with i < j is the IoU of kept row i and candidate row j.
     spares = (iou_matrix(ordered, ordered) <= iou_thresh) | (cls[:, None] != cls[None, :])
     alive = np.ones(len(order), dtype=bool)
     kept = []
@@ -278,14 +211,3 @@ def nms_keep(
             kept.append(i)
             alive &= spares[i]
     return order[np.array(kept, dtype=np.int64)]
-
-
-def nms(dets: list[Detection], iou_thresh: float) -> list[Detection]:
-    """Greedy per-class non-maximum suppression of detections.
-
-    Delegates to :func:`nms_keep`: detections are visited by descending
-    score (ties by input position), and one is kept iff its IoU with every
-    already-kept detection of the same class is at most ``iou_thresh``.
-    Returns the kept detections in visiting order.
-    """
-    return [dets[i] for i in nms_keep(*detection_arrays(dets), iou_thresh).tolist()]

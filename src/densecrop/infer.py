@@ -23,12 +23,12 @@ import numpy as np
 
 from .croplab import CropParams, label_density_crops
 from .dataset import SceneSample, UpscalePolicy, make_crop_children
-from .detect import DetectorBackend, WeightVector, _clip
+from .detect import DetectorBackend, WeightVector
 from .errors import ConfigError, InvariantViolation
 from .geometry import (
-    Box,
     Detection,
     check_boxes,
+    clip,
     detections_from_arrays,
     nms_keep,
     reproject_rows,
@@ -82,9 +82,10 @@ def select_crops(
     config: InferenceConfig,
     image_size: tuple[float, float],
     crop_class_id: int,
-) -> list[Box]:
+) -> np.ndarray:
     """Pick the crop regions to zoom into from stage-one detections, given
-    as the (boxes, classes, scores) arrays of ``detect_arrays``.
+    as the (boxes, classes, scores) arrays of ``detect_arrays``; returns
+    (K, 4) crop rows.
 
     ``predicted`` mode takes crop-class rows above the threshold by
     descending score, ties in row order.
@@ -92,12 +93,9 @@ def select_crops(
     boxes, classes, scores = first_pass
     if config.crop_mode == PREDICTED:
         rows = np.flatnonzero((classes == crop_class_id) & (scores > config.crop_score_threshold))
-        rows = rows[np.argsort(-scores[rows], kind="stable")][: config.max_crops_per_image]
-        return [Box(*box) for box in boxes[rows].tolist()]
+        return boxes[rows[np.argsort(-scores[rows], kind="stable")][: config.max_crops_per_image]]
     confident = (classes != crop_class_id) & (scores > config.crop_score_threshold)
-    crops = label_density_crops(
-        [Box(*box) for box in boxes[confident].tolist()], image_size, config.crop_params
-    )
+    crops = label_density_crops(boxes[confident], image_size, config.crop_params)
     return crops[: config.max_crops_per_image]
 
 
@@ -126,13 +124,15 @@ def detect_multistage(
     if config.multistage and config.max_crops_per_image > 0:
         bounds = np.array([record.width, record.height] * 2, dtype=np.float64)
         for index, crop in enumerate(select_crops(first, config, record.size, crop_class)):
-            out_size = config.upscale.output_size(crop)
-            child = make_crop_children(sample, [crop], config.upscale)[0]
+            # One child per call, so every stage-two child is named
+            # ``:crop0``; the toy detector seeds its proposals by image id.
+            child = make_crop_children(sample, crop[None], config.upscale)[0]
             boxes, classes, scores = backend.detect_arrays(
                 weights, child, "none", seed=stable_int(seed) ^ stable_int(f"stage2-{index}")
             )
             base = classes != crop_class
-            clipped = _clip(reproject_rows(boxes[base], crop, out_size), 0.0, bounds)
+            prov = child.record.provenance
+            clipped = clip(reproject_rows(boxes[base], prov.crop_box, prov.upscale_size), 0.0, bounds)
             check_boxes(clipped)
             blocks.append((clipped, classes[base], scores[base]))
     boxes, classes, scores = (np.concatenate(column) for column in zip(*blocks))

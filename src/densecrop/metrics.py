@@ -12,9 +12,9 @@ Every pass computes IoU once per image, as one float64 matrix of
 score-ordered detections by ground truth with other-class pairs masked
 out, so each (image, class) block is the per-(image, category) matrix of
 pycocotools' COCOeval (whose design this follows, without depending on
-it). Every value equals ``geometry.iou`` bit for bit. One greedy kernel
-matches against that matrix for every (area range, IoU threshold) pair at
-once, and one stable ranking per class serves all of them.
+it), computed by ``geometry.iou_matrix``. One greedy kernel matches
+against that matrix for every (area range, IoU threshold) pair at once,
+and one stable ranking per class serves all of them.
 
 The tie rule: in score order, a detection takes the untaken counted
 (in-range) ground truth of highest IoU at or above the threshold, the

@@ -40,7 +40,7 @@ from .detect import (
     loss_unsup,
 )
 from .errors import ConfigError, DataError, InvariantViolation
-from .geometry import Box
+from .geometry import Box, box_array
 from .seeding import rng_for
 
 __all__ = [
@@ -132,7 +132,10 @@ class IterationLog:
 
 @dataclass
 class CropCacheEntry:
-    crops: list
+    """One parent's density crops as (K, 4) rows, the iteration that found
+    them, and the ids of their children."""
+
+    crops: np.ndarray
     computed_iter: int
     child_ids: list
 
@@ -346,8 +349,9 @@ def discover_unlabeled_crops(
             config.tau,
             _aug_seed(config.seed, "crop-detect", state.iteration, image_id),
         )
-        base_boxes = [Box(*b) for b in boxes[classes < backend.num_base_classes].tolist()]
-        crops = label_density_crops(base_boxes, view.sample.record.size, config.crop_params)
+        crops = label_density_crops(
+            boxes[classes < backend.num_base_classes], view.sample.record.size, config.crop_params
+        )
         children = make_crop_children(view.sample, crops, config.upscale)
         state.crop_cache[image_id] = CropCacheEntry(
             crops=crops,
@@ -375,14 +379,14 @@ def prepare_labeled_pool(
         if not config.crops_on_labeled:
             pool[image_id] = sample
             continue
-        base_boxes = [
-            a.box for a in sample.record.annotations if a.class_id < backend.num_base_classes
-        ]
+        base_boxes = box_array(
+            [a.box for a in sample.record.annotations if a.class_id < backend.num_base_classes]
+        )
         crops = label_density_crops(base_boxes, sample.record.size, config.crop_params)
         for child in make_crop_children(sample, crops, config.upscale):
             pool[child.record.image_id] = child
         crop_anns = tuple(
-            Annotation(box=c, class_id=backend.crop_class_id) for c in crops
+            Annotation(box=Box(*c), class_id=backend.crop_class_id) for c in crops.tolist()
         )
         record = replace(
             sample.record, annotations=sample.record.annotations + crop_anns

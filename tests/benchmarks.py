@@ -22,6 +22,7 @@ from densecrop.dataset import (
 )
 from densecrop.croplab import label_density_crops
 from densecrop.detect import OracleBackend, OracleNoiseModel, ToyDetector, ToyDetectorConfig
+from densecrop.geometry import Box, box_array
 from densecrop.infer import InferenceConfig, run_inference
 from densecrop.metrics import evaluate_ap, recall_by_size
 from densecrop.teacher import TrainerConfig, train
@@ -164,14 +165,14 @@ def oracle_benchmark_samples(num_scenes: int = 100, seed: int = 2024):
     out = []
     for sample in samples:
         crops = label_density_crops(
-            [a.box for a in sample.record.annotations], sample.record.size, CROP_PARAMS
+            box_array([a.box for a in sample.record.annotations]), sample.record.size, CROP_PARAMS
         )
         record = ImageRecord(
             image_id=sample.record.image_id,
             width=sample.record.width,
             height=sample.record.height,
             annotations=sample.record.annotations
-            + tuple(Annotation(box=c, class_id=NUM_CLASSES) for c in crops),
+            + tuple(Annotation(box=Box(*c), class_id=NUM_CLASSES) for c in crops.tolist()),
         )
         out.append(SceneSample(record=record, scene=sample.scene))
     return out

@@ -103,6 +103,76 @@ def crop_components_ref(
     return out
 
 
+def merge_once_ref(boxes: list[tuple], theta: float) -> list[tuple[tuple, list[int]]]:
+    """One merge pass in discovery order, as (enclosing_box_tuple, members).
+
+    Repeatedly seed at the box with the most remaining connections (IoU
+    strictly above ``theta``; ties go to the lowest index), absorb
+    everything reachable from it, and remove the absorbed boxes from the
+    graph. Boxes with no connections are not emitted.
+    """
+    n = len(boxes)
+    conn = [[i != j and iou_ref(boxes[i], boxes[j]) > theta for j in range(n)] for i in range(n)]
+    out = []
+    while True:
+        degrees = [sum(row) for row in conn]
+        if not any(degrees):
+            return out
+        seed = degrees.index(max(degrees))
+        seen, frontier = {seed}, [seed]
+        while frontier:
+            nxt = []
+            for i in frontier:
+                for j in range(n):
+                    if conn[i][j] and j not in seen:
+                        seen.add(j)
+                        nxt.append(j)
+            frontier = nxt
+        members = sorted(seen)
+        enclosing = (
+            min(boxes[i][0] for i in members),
+            min(boxes[i][1] for i in members),
+            max(boxes[i][2] for i in members),
+            max(boxes[i][3] for i in members),
+        )
+        out.append((enclosing, members))
+        for i in members:
+            for j in range(n):
+                conn[i][j] = conn[j][i] = False
+
+
+def label_density_crops_ref(
+    boxes: list[tuple],
+    image_size: tuple,
+    sigma: float,
+    theta: float,
+    pi: float,
+    merge_steps: int,
+    min_cluster: int = 2,
+) -> list[tuple]:
+    """Density crops in emission order: expand by ``sigma``, then
+    ``merge_steps`` rounds of :func:`merge_once_ref` with the first round's
+    clusters kept from ``min_cluster`` members and later rounds' unmerged
+    crops carried after the merged ones, each round dropping crops above
+    ``pi`` of the image area; duplicates removed, first occurrence kept."""
+    current = scaled_boxes_ref(boxes, sigma, image_size)
+    max_area = pi * image_size[0] * image_size[1]
+    for step in range(merge_steps):
+        merged = merge_once_ref(current, theta)
+        if step == 0:
+            out = [box for box, members in merged if len(members) >= min_cluster]
+        else:
+            absorbed = {i for _, members in merged for i in members}
+            out = [box for box, _ in merged]
+            out += [b for i, b in enumerate(current) if i not in absorbed]
+        current = [b for b in out if (b[2] - b[0]) * (b[3] - b[1]) <= max_area]
+    unique: list[tuple] = []
+    for b in current:
+        if b not in unique:
+            unique.append(b)
+    return unique
+
+
 def central_difference_gradient(fn, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
     """Central finite differences of a scalar function, one entry at a time."""
     grad = np.zeros_like(x)

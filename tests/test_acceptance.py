@@ -14,7 +14,7 @@ import pytest
 
 import benchmarks
 from densecrop.cli import main as cli_main
-from densecrop.croplab import CropParams, build_connections, label_density_crops, merge_once
+from densecrop.croplab import CropParams, label_density_crops
 from densecrop.dataset import DatasetSplit, SyntheticConfig, generate_synthetic_dataset
 from densecrop.detect import (
     SupervisedBatch,
@@ -24,7 +24,15 @@ from densecrop.detect import (
     loss_sup,
     loss_unsup,
 )
-from densecrop.geometry import Box, Detection, iou, nms, project_into_crop, reproject, scale_box
+from densecrop.geometry import (
+    Box,
+    Detection,
+    detection_arrays,
+    iou_matrix,
+    nms_keep,
+    project_rows,
+    reproject_rows,
+)
 from densecrop.metrics import COCO_IOU_THRESHOLDS, evaluate_ap
 from densecrop.teacher import ema_update, train
 
@@ -32,7 +40,10 @@ from reference_impls import (
     ap_reference,
     central_difference_gradient,
     crop_components_ref,
+    label_density_crops_ref,
+    merge_once_ref,
     nms_ref,
+    scaled_boxes_ref,
 )
 
 
@@ -69,13 +80,15 @@ def test_crop_labeling_matches_union_find_oracle():
         boxes = []
         for _ in range(n):
             x, y = rng.uniform(0, 440, 2)
-            boxes.append(Box(x, y, x + rng.uniform(3, 60), y + rng.uniform(3, 60)))
+            boxes.append((x, y, x + rng.uniform(3, 60), y + rng.uniform(3, 60)))
         params = CropParams(merge_steps=1, sigma=sigma, theta=theta, pi=1.0, min_cluster=2)
-        got_boxes = label_density_crops(boxes, (500, 500), params)
-        expected = crop_components_ref([b.as_tuple() for b in boxes], sigma, theta, (500, 500))
-        assert {b.as_tuple() for b in got_boxes} == {box for _, box in expected}
-        scaled = [scale_box(b, sigma, (500, 500)) for b in boxes]
-        merged = merge_once(scaled, build_connections(scaled, theta)) if boxes else []
+        crops = label_density_crops(np.array(boxes).reshape(-1, 4), (500, 500), params)
+        got_boxes = [tuple(b) for b in crops.tolist()]
+        expected = crop_components_ref(boxes, sigma, theta, (500, 500))
+        assert set(got_boxes) == {box for _, box in expected}
+        # in discovery order, with the members the merge loop finds
+        assert got_boxes == label_density_crops_ref(boxes, (500, 500), sigma, theta, 1.0, 1)
+        merged = merge_once_ref(scaled_boxes_ref(boxes, sigma, (500, 500)), theta)
         assert {tuple(m) for _, m in merged} == {members for members, _ in expected}
         checked += 1
     elapsed = time.perf_counter() - start
@@ -102,8 +115,8 @@ def test_geometry_suite():
                     score=float(rng.uniform(0.05, 1.0)),
                 )
             )
-        kept = nms(dets, 0.5)
-        ref = [dets[i] for i in nms_ref([(d.box.as_tuple(), d.class_id, d.score) for d in dets], 0.5)]
+        kept = nms_keep(*detection_arrays(dets), 0.5).tolist()
+        ref = nms_ref([(d.box.as_tuple(), d.class_id, d.score) for d in dets], 0.5)
         nms_ok = nms_ok and kept == ref
 
     # Reprojection round-trips through crop coordinates to < 1e-9.
@@ -113,23 +126,23 @@ def test_geometry_suite():
         cw, ch = rng.uniform(20, 200, 2)
         crop = Box(cx, cy, cx + cw, cy + ch)
         out_size = (cw * rng.uniform(1.0, 8.0), ch * rng.uniform(1.0, 8.0))
-        inner = Box(
-            cx + 0.05 * cw, cy + 0.05 * ch, cx + cw - 0.05 * cw, cy + ch - 0.05 * ch
+        inner = np.array(
+            [[cx + 0.05 * cw, cy + 0.05 * ch, cx + cw - 0.05 * cw, cy + ch - 0.05 * ch]]
         )
-        back = reproject(project_into_crop(inner, crop, out_size), crop, out_size)
-        worst_rt = max(
-            worst_rt, max(abs(a - b) for a, b in zip(back.as_tuple(), inner.as_tuple()))
-        )
+        back = reproject_rows(project_rows(inner, crop, out_size), crop, out_size)
+        worst_rt = max(worst_rt, float(np.abs(back - inner).max()))
 
     # IoU symmetry and bounds over 10,000 random pairs.
     iou_ok = True
     for _ in range(10_000):
         ax, ay = rng.uniform(0, 450, 2)
         bx, by = rng.uniform(0, 450, 2)
-        a = Box(ax, ay, ax + rng.uniform(1, 60), ay + rng.uniform(1, 60))
-        b = Box(bx, by, bx + rng.uniform(1, 60), by + rng.uniform(1, 60))
-        v = iou(a, b)
-        iou_ok = iou_ok and v == iou(b, a) and 0.0 <= v <= 1.0 and iou(a, a) == 1.0
+        a = (ax, ay, ax + rng.uniform(1, 60), ay + rng.uniform(1, 60))
+        b = (bx, by, bx + rng.uniform(1, 60), by + rng.uniform(1, 60))
+        pair = np.array([a, b])
+        m = iou_matrix(pair, pair)
+        v = m[0, 1]
+        iou_ok = iou_ok and v == m[1, 0] and 0.0 <= v <= 1.0 and m[0, 0] == 1.0
 
     criterion("NMS equals brute-force oracle on 200-detection instances", nms_ok)
     criterion("reproject round-trip error < 1e-9 on 1000 pairs", worst_rt < 1e-9, f"max {worst_rt:.2e}")

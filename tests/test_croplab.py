@@ -1,19 +1,53 @@
-"""Density-crop discovery: spec examples and the union-find cluster oracle."""
+"""Density-crop discovery: spec examples, the union-find cluster oracle and
+the discovery-order oracle."""
+
+import hashlib
+import json
 
 import numpy as np
 import pytest
 
-from densecrop.croplab import (
-    CropParams,
-    build_connections,
-    label_density_crops,
-    merge_once,
-    merge_round,
-)
+from densecrop.cli import main as cli_main
+from densecrop.croplab import CropParams, label_density_crops, merge_round
 from densecrop.errors import InvariantViolation
-from densecrop.geometry import Box, iou, scale_box
+from densecrop.geometry import iou_matrix
 
-from reference_impls import crop_components_ref
+from reference_impls import (
+    crop_components_ref,
+    label_density_crops_ref,
+    merge_once_ref,
+    scaled_boxes_ref,
+)
+
+
+def rows(boxes) -> np.ndarray:
+    return np.array(boxes, dtype=np.float64).reshape(-1, 4)
+
+
+def tuples(crops: np.ndarray) -> list[tuple]:
+    return [tuple(r) for r in crops.tolist()]
+
+
+def random_boxes(rng, n, lo=0.0, hi=400.0, side=(5.0, 50.0)) -> np.ndarray:
+    out = []
+    for _ in range(n):
+        x, y = rng.uniform(lo, hi, 2)
+        out.append((x, y, x + rng.uniform(*side), y + rng.uniform(*side)))
+    return rows(out)
+
+
+def one_round(**overrides) -> CropParams:
+    """A single merge round with no expansion and no area filter, so the
+    crops are exactly the enclosing boxes of the input's components."""
+    kwargs = dict(merge_steps=1, sigma=0.0, theta=0.1, pi=1.0, min_cluster=2)
+    kwargs.update(overrides)
+    return CropParams(**kwargs)
+
+
+def contains(outer: tuple, inner: tuple) -> bool:
+    return all(o <= i for o, i in zip(outer[:2], inner[:2])) and all(
+        o >= i for o, i in zip(outer[2:], inner[2:])
+    )
 
 
 class TestCropParams:
@@ -39,166 +73,156 @@ class TestCropParams:
 
 
 class TestBuildConnections:
+    """Two boxes are connected iff their IoU strictly exceeds theta, and a
+    box is never connected to itself."""
+
     def test_disjoint_all_false(self):
-        g = build_connections([Box(0, 0, 10, 10), Box(100, 100, 110, 110)], 0.1)
-        assert not g.connections.any()
+        boxes = rows([(0, 0, 10, 10), (100, 100, 110, 110)])
+        assert label_density_crops(boxes, (500, 500), one_round()).shape == (0, 4)
 
     def test_overlapping_pair_connected(self):
         # IoU of this pair is 1/3
-        g = build_connections([Box(0, 0, 10, 10), Box(5, 0, 15, 10)], 0.1)
-        assert g.connections[0, 1] and g.connections[1, 0]
+        boxes = rows([(0, 0, 10, 10), (5, 0, 15, 10)])
+        assert tuples(label_density_crops(boxes, (500, 500), one_round())) == [(0, 0, 15, 10)]
 
     def test_threshold_not_met(self):
-        g = build_connections([Box(0, 0, 10, 10), Box(5, 0, 15, 10)], 0.5)
-        assert not g.connections.any()
+        boxes = rows([(0, 0, 10, 10), (5, 0, 15, 10)])
+        assert len(label_density_crops(boxes, (500, 500), one_round(theta=0.5))) == 0
+        # equal to theta is not above it
+        third = iou_matrix(boxes, boxes)[0, 1]
+        assert third == pytest.approx(1.0 / 3.0)
+        assert len(label_density_crops(boxes, (500, 500), one_round(theta=float(third)))) == 0
 
     def test_diagonal_forced_false(self):
-        g = build_connections([Box(0, 0, 10, 10)], 0.1)
-        assert not g.connections[0, 0]
-        assert g.iou_matrix[0, 0] == 1.0
+        box = rows([(0, 0, 10, 10)])
+        assert iou_matrix(box, box)[0, 0] == 1.0
+        assert len(label_density_crops(box, (500, 500), one_round())) == 0
+        # later rounds carry a lone crop through unchanged
+        assert tuples(merge_round(box, (500, 500), one_round(), carry_unmerged=True)) == [
+            (0, 0, 10, 10)
+        ]
 
     def test_symmetric(self):
         rng = np.random.default_rng(5)
-        boxes = []
-        for _ in range(15):
-            x, y = rng.uniform(0, 80, 2)
-            boxes.append(Box(x, y, x + rng.uniform(5, 30), y + rng.uniform(5, 30)))
-        g = build_connections(boxes, 0.1)
-        np.testing.assert_array_equal(g.connections, g.connections.T)
+        boxes = random_boxes(rng, 15, 0.0, 80.0, (5.0, 30.0))
+        m = iou_matrix(boxes, boxes)
+        np.testing.assert_array_equal(m, m.T)
+        np.testing.assert_array_equal(np.diag(m), np.ones(15))
+        # the crops do not depend on which box of a pair comes first
+        params = one_round()
+        for perm in (np.arange(15)[::-1], rng.permutation(15)):
+            assert set(tuples(label_density_crops(boxes[perm], (500, 500), params))) == set(
+                tuples(label_density_crops(boxes, (500, 500), params))
+            )
 
 
 class TestMergeOnce:
+    """One merge round against the discovery-order oracle."""
+
     def test_no_connections_empty(self):
-        boxes = [Box(0, 0, 10, 10), Box(50, 50, 60, 60)]
-        g = build_connections(boxes, 0.1)
-        assert merge_once(boxes, g) == []
+        boxes = [(0, 0, 10, 10), (50, 50, 60, 60)]
+        assert merge_once_ref(boxes, 0.1) == []
+        assert len(label_density_crops(rows(boxes), (500, 500), one_round())) == 0
 
     def test_chain_merges_into_one_crop(self):
         # a-b and b-c overlap; a and c do not. The middle box has the most
         # connections and seeds a single cluster of all three.
-        boxes = [Box(0, 0, 10, 10), Box(5, 0, 15, 10), Box(10, 0, 20, 10)]
-        assert iou(boxes[0], boxes[2]) == 0.0
-        g = build_connections(boxes, 0.1)
-        crops = merge_once(boxes, g)
-        assert crops == [(Box(0, 0, 20, 10), [0, 1, 2])]
+        boxes = [(0, 0, 10, 10), (5, 0, 15, 10), (10, 0, 20, 10)]
+        assert iou_matrix(rows(boxes), rows(boxes))[0, 2] == 0.0
+        assert merge_once_ref(boxes, 0.1) == [((0, 0, 20, 10), [0, 1, 2])]
+        assert tuples(label_density_crops(rows(boxes), (500, 500), one_round())) == [(0, 0, 20, 10)]
 
     def test_two_separate_pairs_two_crops(self):
-        boxes = [
-            Box(0, 0, 10, 10),
-            Box(5, 0, 15, 10),
-            Box(100, 100, 110, 110),
-            Box(105, 100, 115, 110),
-        ]
-        g = build_connections(boxes, 0.1)
-        crops = merge_once(boxes, g)
-        assert len(crops) == 2
-        members = {tuple(m) for _, m in crops}
-        assert members == {(0, 1), (2, 3)}
+        boxes = [(0, 0, 10, 10), (5, 0, 15, 10), (100, 100, 110, 110), (105, 100, 115, 110)]
+        merged = merge_once_ref(boxes, 0.1)
+        assert [m for _, m in merged] == [[0, 1], [2, 3]]
+        crops = label_density_crops(rows(boxes), (500, 500), one_round())
+        assert tuples(crops) == [box for box, _ in merged] == [(0, 0, 15, 10), (100, 100, 115, 110)]
 
     def test_long_chain_single_component(self):
-        boxes = [Box(5 * i, 0, 5 * i + 10, 10) for i in range(5)]
-        g = build_connections(boxes, 0.1)
-        crops = merge_once(boxes, g)
-        assert len(crops) == 1
-        assert crops[0][1] == [0, 1, 2, 3, 4]
+        boxes = [(5 * i, 0, 5 * i + 10, 10) for i in range(5)]
+        assert merge_once_ref(boxes, 0.1) == [((0, 0, 30, 10), [0, 1, 2, 3, 4])]
+        assert tuples(label_density_crops(rows(boxes), (500, 500), one_round())) == [(0, 0, 30, 10)]
 
 
 class TestLabelDensityCrops:
     def test_empty_input(self):
-        assert label_density_crops([], (500, 500), CropParams()) == []
+        crops = label_density_crops(np.zeros((0, 4)), (500, 500), CropParams())
+        assert crops.shape == (0, 4) and crops.dtype == np.float64
 
     def test_single_box_below_min_cluster(self):
-        assert label_density_crops([Box(0, 0, 20, 20)], (500, 500), CropParams()) == []
+        assert len(label_density_crops(rows([(0, 0, 20, 20)]), (500, 500), CropParams())) == 0
 
     def test_three_box_fixture(self):
-        boxes = [Box(0, 0, 20, 20), Box(25, 0, 45, 20), Box(200, 200, 220, 220)]
+        boxes = rows([(0, 0, 20, 20), (25, 0, 45, 20), (200, 200, 220, 220)])
         params = CropParams(merge_steps=1, sigma=5, theta=0.05, pi=0.5, min_cluster=2)
-        assert label_density_crops(boxes, (500, 500), params) == [Box(0, 0, 50, 25)]
+        assert tuples(label_density_crops(boxes, (500, 500), params)) == [(0, 0, 50, 25)]
 
     def test_pi_filter_drops_huge_crop(self):
-        boxes = [Box(0, 0, 90, 90), Box(10, 10, 95, 95)]
+        boxes = rows([(0, 0, 90, 90), (10, 10, 95, 95)])
         tight = CropParams(merge_steps=1, sigma=0.0001, theta=0.1, pi=0.05, min_cluster=2)
-        assert label_density_crops(boxes, (100, 100), tight) == []
+        assert len(label_density_crops(boxes, (100, 100), tight)) == 0
 
     def test_min_cluster_filter(self):
-        boxes = [Box(0, 0, 10, 10), Box(5, 0, 15, 10)]
+        boxes = rows([(0, 0, 10, 10), (5, 0, 15, 10)])
         params = CropParams(merge_steps=1, sigma=0.0001, theta=0.1, pi=1.0, min_cluster=3)
-        assert label_density_crops(boxes, (100, 100), params) == []
+        assert len(label_density_crops(boxes, (100, 100), params)) == 0
 
     def test_emitted_crop_contains_min_cluster_scaled_inputs(self):
         rng = np.random.default_rng(21)
         params = CropParams(merge_steps=1, sigma=8.0, theta=0.1, pi=1.0, min_cluster=2)
         for _ in range(100):
-            boxes = []
-            for _ in range(int(rng.integers(2, 15))):
-                x, y = rng.uniform(0, 400, 2)
-                boxes.append(Box(x, y, x + rng.uniform(4, 60), y + rng.uniform(4, 60)))
-            scaled = [scale_box(b, params.sigma, (500, 500)) for b in boxes]
-            for crop in label_density_crops(boxes, (500, 500), params):
-                contained = sum(1 for s in scaled if crop.contains(s))
+            boxes = random_boxes(rng, int(rng.integers(2, 15)), side=(4.0, 60.0))
+            scaled = scaled_boxes_ref(tuples(boxes), params.sigma, (500, 500))
+            for crop in tuples(label_density_crops(boxes, (500, 500), params)):
+                contained = sum(1 for s in scaled if contains(crop, s))
                 assert contained >= params.min_cluster
 
     def test_area_ratio_bounded_by_pi(self):
         rng = np.random.default_rng(22)
         params = CropParams(merge_steps=3, sigma=10.0, theta=0.05, pi=0.3, min_cluster=2)
         for _ in range(50):
-            boxes = []
-            for _ in range(int(rng.integers(2, 20))):
-                x, y = rng.uniform(0, 350, 2)
-                boxes.append(Box(x, y, x + rng.uniform(5, 120), y + rng.uniform(5, 120)))
-            for crop in label_density_crops(boxes, (500, 500), params):
-                assert crop.area <= params.pi * 500 * 500
+            boxes = random_boxes(rng, int(rng.integers(2, 20)), 0.0, 350.0, (5.0, 120.0))
+            for x1, y1, x2, y2 in tuples(label_density_crops(boxes, (500, 500), params)):
+                assert (x2 - x1) * (y2 - y1) <= params.pi * 500 * 500
 
     def test_deterministic(self):
         rng = np.random.default_rng(23)
-        boxes = []
-        for _ in range(18):
-            x, y = rng.uniform(0, 400, 2)
-            boxes.append(Box(x, y, x + rng.uniform(5, 50), y + rng.uniform(5, 50)))
+        boxes = random_boxes(rng, 18)
         params = CropParams()
         first = label_density_crops(boxes, (500, 500), params)
         for _ in range(3):
-            assert label_density_crops(boxes, (500, 500), params) == first
+            assert np.array_equal(label_density_crops(boxes, (500, 500), params), first)
 
     def test_single_round_matches_union_find(self):
         rng = np.random.default_rng(24)
         for trial in range(200):
             sigma = float(rng.uniform(0, 20))
             theta = float(rng.choice([0.05, 0.1, 0.3]))
-            n = int(rng.integers(0, 21))
-            boxes = []
-            for _ in range(n):
-                x, y = rng.uniform(0, 440, 2)
-                boxes.append(Box(x, y, x + rng.uniform(3, 60), y + rng.uniform(3, 60)))
+            boxes = random_boxes(rng, int(rng.integers(0, 21)), 0.0, 440.0, (3.0, 60.0))
             params = CropParams(merge_steps=1, sigma=sigma, theta=theta, pi=1.0, min_cluster=2)
             got = label_density_crops(boxes, (500, 500), params)
-            expected = crop_components_ref(
-                [b.as_tuple() for b in boxes], sigma, theta, (500, 500)
-            )
-            assert {c.as_tuple() for c in got} == {box for _, box in expected}
-            # membership equality through the merge pass itself
-            scaled = [scale_box(b, sigma, (500, 500)) for b in boxes]
-            graph = build_connections(scaled, theta)
-            merged = merge_once(scaled, graph)
+            expected = crop_components_ref(tuples(boxes), sigma, theta, (500, 500))
+            assert set(tuples(got)) == {box for _, box in expected}
+            # the order oracle finds the same components, member for member
+            scaled = scaled_boxes_ref(tuples(boxes), sigma, (500, 500))
+            merged = merge_once_ref(scaled, theta)
             assert {tuple(m) for _, m in merged} == {m for m, _ in expected}
 
     def test_fixed_point_round_is_identity(self):
         # Crops that no longer overlap above theta pass a further merge
         # round unchanged.
         params = CropParams(merge_steps=1, sigma=5, theta=0.1, pi=1.0, min_cluster=2)
-        crops = [Box(0, 0, 50, 25), Box(200, 200, 260, 240)]
+        crops = rows([(0, 0, 50, 25), (200, 200, 260, 240)])
         again = merge_round(crops, (500, 500), params, carry_unmerged=True)
-        assert again == crops
+        assert np.array_equal(again, crops)
 
     def test_extra_rounds_never_add_crops(self):
         # Later rounds merge or carry crops forward, so the crop count is
         # non-increasing in the number of merge steps.
         rng = np.random.default_rng(25)
         for _ in range(100):
-            boxes = []
-            for _ in range(int(rng.integers(0, 18))):
-                x, y = rng.uniform(0, 400, 2)
-                boxes.append(Box(x, y, x + rng.uniform(4, 70), y + rng.uniform(4, 70)))
+            boxes = random_boxes(rng, int(rng.integers(0, 18)), side=(4.0, 70.0))
             counts = []
             for steps in (1, 2, 3):
                 params = CropParams(
@@ -206,3 +230,109 @@ class TestLabelDensityCrops:
                 )
                 counts.append(len(label_density_crops(boxes, (500, 500), params)))
             assert counts[0] >= counts[1] >= counts[2]
+
+
+class TestCropOrder:
+    """Crop order names crop children (``:crop{k}``) and seeds their scenes,
+    so crops must come out in the discovery order of the merge loop."""
+
+    def test_rows_match_order_oracle(self):
+        rng = np.random.default_rng(26)
+        for trial in range(600):
+            # dense instances make multi-component and multi-round merges
+            size = (500.0, 500.0) if trial % 2 else (float(rng.integers(150, 600)), 300.0)
+            boxes = random_boxes(
+                rng, int(rng.integers(0, 41)), 0.0, min(size) - 60.0, (3.0, 60.0)
+            )
+            sigma = 0.0 if trial % 5 == 0 else float(rng.uniform(0, 20))
+            params = CropParams(
+                merge_steps=int(rng.integers(1, 4)),
+                sigma=sigma,
+                theta=float(rng.choice([0.05, 0.1, 0.3])),
+                pi=float(rng.choice([0.05, 0.3, 1.0])),
+                min_cluster=int(rng.integers(2, 4)),
+            )
+            want = label_density_crops_ref(
+                tuples(boxes), size, params.sigma, params.theta, params.pi,
+                params.merge_steps, params.min_cluster,
+            )
+            got = tuples(label_density_crops(boxes, size, params))
+            assert got == want
+            assert [repr(c) for c in got] == [repr(c) for c in want]  # signed zeros too
+
+    def test_signed_zero_expansion_matches_python(self):
+        # max(0.0, -0.0 - 0.0) is 0.0, and a crop's repr seeds its child
+        # scene, so a -0.0 corner must not survive the expansion.
+        boxes = [(-0.0, -0.0, 10.0, 10.0), (5.0, -0.0, 15.0, 10.0)]
+        want = label_density_crops_ref(boxes, (500, 500), 0.0, 0.1, 1.0, 1)
+        got = tuples(label_density_crops(rows(boxes), (500, 500), one_round()))
+        assert [repr(c) for c in got] == [repr(c) for c in want] == ["(0.0, 0.0, 15.0, 10.0)"]
+
+    def test_duplicate_crops_keep_first(self):
+        # Horizontal bars A and vertical bars B both enclose the whole
+        # image, but crossing bars overlap too little to connect. The small
+        # chain C comes between them in discovery order, so the duplicate
+        # crop is the third one, and C stays second.
+        horizontal = [(0, 5 * k, 40, 5 * k + 10) for k in range(7)]
+        vertical = [(5 * k, 0, 5 * k + 10, 40) for k in range(7)]
+        chain = [(18, 18, 22, 22), (20, 18, 24, 22), (22, 18, 26, 22)]
+        boxes = horizontal + chain + vertical
+        params = one_round(theta=0.2)
+        assert [box for box, _ in merge_once_ref(boxes, 0.2)] == [
+            (0, 0, 40, 40), (18, 18, 26, 22), (0, 0, 40, 40)
+        ]
+        want = label_density_crops_ref(boxes, (40, 40), 0.0, 0.2, 1.0, 1)
+        got = tuples(label_density_crops(rows(boxes), (40, 40), params))
+        assert got == want == [(0, 0, 40, 40), (18, 18, 26, 22)]
+
+    def test_higher_degree_component_first(self):
+        # Component A (rows 0-1) is a pair. Component B (rows 2-5) is a star
+        # whose centre, row 3, has three connections, so B comes first.
+        # Components C (rows 6-7) and D (rows 8-9) are pairs like A; of the
+        # three, the one holding the lowest row comes first.
+        boxes = [
+            (0, 0, 10, 10), (5, 0, 15, 10),
+            (100, 0, 110, 10), (105, 0, 115, 10), (110, 0, 120, 10), (105, 8, 115, 18),
+            (200, 0, 210, 10), (205, 0, 215, 10),
+            (300, 0, 310, 10), (305, 0, 315, 10),
+        ]
+        oracle = merge_once_ref(boxes, 0.1)
+        assert [m for _, m in oracle] == [[2, 3, 4, 5], [0, 1], [6, 7], [8, 9]]
+        crops = tuples(label_density_crops(rows(boxes), (500, 500), one_round()))
+        assert crops == [box for box, _ in oracle]
+        assert crops == [(100, 0, 120, 18), (0, 0, 15, 10), (200, 0, 215, 10), (300, 0, 315, 10)]
+
+    def test_degree_tie_goes_to_lowest_top_degree_row(self):
+        # Chains of 10-px boxes 5 px apart: inner boxes have two connections,
+        # end boxes one. Chain D (rows 0, 2, 3, 4) holds the lowest row, but
+        # chain E's centre, row 1, is the lowest row with two connections, so
+        # E comes first.
+        def at(x):
+            return (x, 0, x + 10, 10)
+
+        boxes = [at(0), at(105), at(5), at(10), at(15), at(100), at(110)]
+        oracle = merge_once_ref(boxes, 0.1)
+        assert [m for _, m in oracle] == [[1, 5, 6], [0, 2, 3, 4]]
+        crops = tuples(label_density_crops(rows(boxes), (500, 500), one_round()))
+        assert crops == [box for box, _ in oracle] == [(100, 0, 120, 10), (0, 0, 25, 10)]
+
+
+# sha256 of the annotations.json that ``densecrop crops label`` writes for
+# the generated dataset below, as the Box-based crop labeling computed it.
+CROPS_LABEL_SHA256 = "ae58ded1ab2832f9ec3a3035e79428bb3cc7b450919a937e2359ba7345943618"
+
+
+def test_crops_label_output_is_pinned(tmp_path):
+    gen = tmp_path / "gen"
+    assert cli_main(["dataset", "gen", "--out", str(gen), "--num-images", "12", "--seed", "5"]) == 0
+    out = tmp_path / "crops"
+    assert cli_main(
+        ["crops", "label", "--annotations", str(gen / "annotations.json"), "--out", str(out)]
+    ) == 0
+    data = (out / "annotations.json").read_bytes()
+    payload = json.loads(data)
+    (crop_class,) = [c["id"] for c in payload["categories"] if c["name"] == "density_crop"]
+    crop_images = [a["image_id"] for a in payload["annotations"] if a["category_id"] == crop_class]
+    # images with several crops, so their order shows
+    assert max(crop_images.count(i) for i in set(crop_images)) >= 2
+    assert hashlib.sha256(data).hexdigest() == CROPS_LABEL_SHA256

@@ -25,7 +25,7 @@ from densecrop.dataset import (
     write_split,
 )
 from densecrop.errors import ConfigError, DataError
-from densecrop.geometry import Box, reproject
+from densecrop.geometry import Box, reproject_rows
 
 
 def coco_payload(images, annotations, categories=None):
@@ -279,7 +279,7 @@ class TestAugmentWithCrops:
     def test_known_transform(self):
         crop = Box(100, 100, 300, 200)
         policy = UpscalePolicy("factor", factor=2.0)
-        out = make_crop_children(self.parent(), [crop], policy)
+        out = make_crop_children(self.parent(), np.array([crop.as_tuple()]), policy)
         assert len(out) == 1
         child = out[0].record
         assert child.provenance.kind == "crop"
@@ -291,7 +291,9 @@ class TestAugmentWithCrops:
 
     def test_annotation_outside_crop_absent(self):
         crop = Box(100, 100, 300, 200)
-        out = make_crop_children(self.parent(), [crop], UpscalePolicy("factor", factor=2.0))
+        out = make_crop_children(
+            self.parent(), np.array([crop.as_tuple()]), UpscalePolicy("factor", factor=2.0)
+        )
         child_classes = {a.class_id for a in out[0].record.annotations}
         assert 1 not in child_classes
 
@@ -309,13 +311,36 @@ class TestAugmentWithCrops:
             )
             crop = Box(x, y, x + w, y + h)
             policy = UpscalePolicy("short_edge", target=256.0)
-            child = make_crop_children(with_scene(parent), [crop], policy)[0].record
+            crops = np.array([crop.as_tuple()])
+            child = make_crop_children(with_scene(parent), crops, policy)[0].record
             assert len(child.annotations) == 1
-            back = reproject(
-                child.annotations[0].box, crop, child.provenance.upscale_size
+            back = reproject_rows(
+                np.array([child.annotations[0].box.as_tuple()]), crop, child.provenance.upscale_size
             )
-            for a, b in zip(back.as_tuple(), ann_box.as_tuple()):
+            for a, b in zip(back[0].tolist(), ann_box.as_tuple()):
                 assert abs(a - b) < 1e-6
+
+    def test_half_area_rule_and_clip(self):
+        # exactly half inside stays (clipped to the child), just under half
+        # goes; a -0.0 corner stays -0.0, as min(max(v, 0), w) leaves it
+        parent = with_scene(
+            ImageRecord(
+                image_id=2,
+                width=400.0,
+                height=400.0,
+                annotations=(
+                    Annotation(box=Box(90, 10, 110, 30), class_id=0),
+                    Annotation(box=Box(89.5, 40, 110, 60), class_id=1),
+                    Annotation(box=Box(-0.0, 0, 120, 20), class_id=2),
+                ),
+            )
+        )
+        crop = np.array([[100.0, 0.0, 300.0, 200.0], [0.0, 0.0, 200.0, 200.0]])
+        policy = UpscalePolicy("factor", factor=2.0)
+        first, second = (c.record.annotations for c in make_crop_children(parent, crop, policy))
+        assert first == (Annotation(box=Box(0, 20, 20, 60), class_id=0),)
+        boxes = [a.box.as_tuple() for a in second]
+        assert repr(boxes[-1]) == "(-0.0, 0.0, 240.0, 40.0)"
 
     def test_short_edge_policy_never_downscales(self):
         policy = UpscalePolicy("short_edge", target=100.0)
@@ -349,7 +374,8 @@ class TestSyntheticScenes:
             )
             sample = generate_synthetic_dataset(cfg)[0]
             assert len(sample.record.annotations) == 20
-            centers = np.array([obj.box.center for obj in sample.scene.objects])
+            boxes = sample.scene.object_boxes
+            centers = (boxes[:, :2] + boxes[:, 2:]) / 2.0
             dists = np.hypot(*(centers[:, None, :] - centers[None, :, :]).transpose(2, 0, 1))
             np.fill_diagonal(dists, np.inf)
             nearest.extend(dists.min(axis=1))
@@ -420,6 +446,20 @@ class TestSyntheticScenes:
 
 
 class TestCropScene:
+    def test_scene_arrays_are_computed_once_and_read_only(self):
+        sample = generate_synthetic_dataset(SyntheticConfig(num_images=1, seed=3))[0]
+        crop = np.array([[100.0, 100.0, 356.0, 356.0]])
+        child = make_crop_children(sample, crop, UpscalePolicy("factor", factor=2.0))[0]
+        for scene in (sample.scene, child.scene):
+            assert scene.object_boxes is scene.object_boxes
+            assert scene.object_boxes.tolist() == [list(o.box.as_tuple()) for o in scene.objects]
+            assert scene.object_payloads.tolist() == [list(o.payload) for o in scene.objects]
+            for values in (scene.object_boxes, scene.object_payloads):
+                with pytest.raises(ValueError):
+                    values[0, 0] = 1.0
+        empty = SceneSpec(width=10.0, height=10.0, objects=(), seed=0)
+        assert empty.object_boxes.shape == (0, 4) and len(empty.object_payloads) == 0
+
     def test_objects_transform_and_clip(self):
         cfg = SyntheticConfig(num_images=1, seed=2)
         sample = generate_synthetic_dataset(cfg)[0]
@@ -434,7 +474,9 @@ class TestCropScene:
         cfg = SyntheticConfig(num_images=1, seed=4)
         sample = generate_synthetic_dataset(cfg)[0]
         crop = Box(50, 50, 306, 306)
-        children = make_crop_children(sample, [crop], UpscalePolicy("factor", factor=2.0))
+        children = make_crop_children(
+            sample, np.array([crop.as_tuple()]), UpscalePolicy("factor", factor=2.0)
+        )
         assert len(children) == 1
         child = children[0]
         assert child.record.provenance.kind == "crop"

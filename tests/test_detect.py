@@ -33,7 +33,7 @@ from densecrop.detect import (
     write_detections,
 )
 from densecrop.errors import DataError, InvariantViolation
-from densecrop.geometry import Box, Detection
+from densecrop.geometry import Box, Detection, intersection_matrix
 
 from reference_impls import (
     assign_targets_ref,
@@ -438,7 +438,7 @@ class TestToyDetector:
         sample = scene_sample(seed=9, clusters_per_image=(2, 2), objects_per_cluster=(6, 6))
         backend = self.backend()
         child = make_crop_children(
-            sample, [Box(50, 50, 306, 306)], UpscalePolicy("factor", factor=2.0)
+            sample, np.array([[50.0, 50.0, 306.0, 306.0]]), UpscalePolicy("factor", factor=2.0)
         )[0]
         n_parent_extra = len(backend.proposals(sample)) - len(sample.scene.objects)
         n_child_extra = len(backend.proposals(child)) - len(child.scene.objects)
@@ -473,7 +473,7 @@ class TestArrayKernelsMatchLoops:
 
         dense = scene_sample(seed=21, clusters_per_image=(2, 3), objects_per_cluster=(10, 14))
         crops = label_density_crops(
-            [o.box for o in dense.scene.objects], dense.record.size, CropParams(merge_steps=2)
+            dense.scene.object_boxes, dense.record.size, CropParams(merge_steps=2)
         )
         child = make_crop_children(dense, crops[:1], UpscalePolicy("factor", factor=3.0))[0]
         assert child.record.provenance.kind == "crop" and len(child.scene.objects) >= 9
@@ -495,11 +495,8 @@ class TestArrayKernelsMatchLoops:
         backend = self.backend()
         for sample in self.samples():
             boxes = np.concatenate([backend.proposals(sample), self.extra_boxes(sample)])
-            covers = [
-                sum(o.box.intersection_area(Box(*r)) > 0.0 for o in sample.scene.objects)
-                for r in rows(boxes)
-            ]
-            assert max(covers) >= 9
+            covers = (intersection_matrix(boxes, sample.scene.object_boxes) > 0.0).sum(axis=1)
+            assert covers.max() >= 9
             for scale in (4.0, 0.0):
                 got = extract_features(sample.scene, boxes, 4, scale)
                 want = [extract_features_ref(sample.scene, r, 4, scale) for r in rows(boxes)]

@@ -3,25 +3,23 @@
 import numpy as np
 import pytest
 
+from densecrop.croplab import CropParams, label_density_crops
 from densecrop.errors import InvariantViolation
 from densecrop.geometry import (
     Box,
     Detection,
+    box_array,
     check_boxes,
+    clip,
     detection_arrays,
     detections_from_arrays,
-    enclosing_box,
-    iou,
-    nms,
+    iou_matrix,
     nms_keep,
-    pairwise_iou,
-    project_into_crop,
-    reproject,
+    project_rows,
     reproject_rows,
-    scale_box,
 )
 
-from reference_impls import iou_ref, nms_ref
+from reference_impls import iou_ref, nms_ref, scaled_boxes_ref
 
 
 def random_box(rng, width=500.0, height=500.0, min_side=1.0, max_side=120.0):
@@ -67,12 +65,18 @@ class TestDetectionInvariants:
             Detection(box=Box(0, 0, 1, 1), class_id=-1, score=0.5)
 
 
+def iou(a: Box, b: Box) -> float:
+    """:func:`iou_matrix` of one pair."""
+    return float(iou_matrix(np.array([a.as_tuple()]), np.array([b.as_tuple()]))[0, 0])
+
+
 class TestIou:
     def test_identity(self):
         assert iou(Box(0, 0, 10, 10), Box(0, 0, 10, 10)) == 1.0
 
     def test_disjoint(self):
         assert iou(Box(0, 0, 10, 10), Box(20, 20, 30, 30)) == 0.0
+        assert iou(Box(0, 0, 10, 10), Box(10, 0, 20, 10)) == 0.0  # touching
 
     def test_hand_computed_third(self):
         # intersection 50, union 150
@@ -89,86 +93,137 @@ class TestIou:
 
     def test_matches_reference(self):
         rng = np.random.default_rng(101)
-        for _ in range(500):
-            a, b = random_box(rng), random_box(rng)
-            assert iou(a, b) == pytest.approx(iou_ref(a.as_tuple(), b.as_tuple()), abs=1e-12)
+        boxes = [random_box(rng) for _ in range(200)]
+        m = iou_matrix(box_array(boxes[:100]), box_array(boxes[100:]))
+        for i, a in enumerate(boxes[:100]):
+            for j, b in enumerate(boxes[100:]):
+                assert m[i, j] == iou_ref(a.as_tuple(), b.as_tuple())
 
 
 class TestPairwiseIou:
     def test_empty(self):
-        assert pairwise_iou([]).shape == (0, 0)
+        assert iou_matrix(np.zeros((0, 4)), np.zeros((0, 4))).shape == (0, 0)
+        assert iou_matrix(np.zeros((0, 4)), box_array([Box(0, 0, 1, 1)])).shape == (0, 1)
 
     def test_single(self):
-        m = pairwise_iou([Box(0, 0, 10, 10)])
+        b = box_array([Box(0, 0, 10, 10)])
+        m = iou_matrix(b, b)
         assert m.shape == (1, 1) and m[0, 0] == 1.0
 
     def test_pair(self):
-        m = pairwise_iou([Box(0, 0, 10, 10), Box(5, 0, 15, 10)])
+        b = box_array([Box(0, 0, 10, 10), Box(5, 0, 15, 10)])
         expected = np.array([[1.0, 1.0 / 3.0], [1.0 / 3.0, 1.0]])
-        np.testing.assert_allclose(m, expected)
+        np.testing.assert_allclose(iou_matrix(b, b), expected)
 
     def test_symmetric_unit_diagonal(self):
         rng = np.random.default_rng(102)
-        boxes = [random_box(rng) for _ in range(12)]
-        m = pairwise_iou(boxes)
+        b = box_array([random_box(rng) for _ in range(12)])
+        m = iou_matrix(b, b)
         np.testing.assert_array_equal(m, m.T)
         np.testing.assert_array_equal(np.diag(m), np.ones(12))
 
 
+def expanded(box: Box, sigma: float, bounds) -> tuple:
+    """Density-crop labeling's sigma expansion of one box: a box and its
+    copy form one cluster, whose crop is the expanded box."""
+    params = CropParams(merge_steps=1, sigma=sigma, theta=0.5, pi=1.0, min_cluster=2)
+    (crop,) = label_density_crops(box_array([box, box]), bounds, params).tolist()
+    return tuple(crop)
+
+
 class TestScaleBox:
+    """The sigma expansion density-crop labeling starts with."""
+
     def test_zero_sigma_identity(self):
         b = Box(10, 10, 20, 20)
-        assert scale_box(b, 0, (500, 500)) == b
+        assert expanded(b, 0, (500, 500)) == b.as_tuple()
 
     def test_clip_at_origin(self):
-        assert scale_box(Box(0, 0, 20, 20), 5, (500, 500)) == Box(0, 0, 25, 25)
+        assert expanded(Box(0, 0, 20, 20), 5, (500, 500)) == (0, 0, 25, 25)
 
     def test_clip_at_far_edge(self):
-        assert scale_box(Box(490, 490, 500, 500), 5, (500, 500)) == Box(485, 485, 500, 500)
+        assert expanded(Box(490, 490, 500, 500), 5, (500, 500)) == (485, 485, 500, 500)
+        rng = np.random.default_rng(106)
+        for _ in range(200):
+            b, sigma = random_box(rng, 500.0, 400.0), float(rng.uniform(0, 30))
+            want = scaled_boxes_ref([b.as_tuple()], sigma, (500, 400))[0]
+            assert expanded(b, sigma, (500, 400)) == want
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(InvariantViolation):
-            scale_box(Box(0, 0, 10, 10), -1, (500, 500))
+            CropParams(sigma=-1)
+        # a box outside the image cannot be expanded into it
+        with pytest.raises(InvariantViolation):
+            expanded(Box(510, 0, 520, 10), 5, (500, 500))
 
 
 class TestEnclosingBox:
+    """Each density crop encloses its cluster exactly."""
+
     def test_singleton(self):
-        b = Box(0, 0, 10, 10)
-        assert enclosing_box([b]) == b
+        # a later round carries a lone crop through unchanged
+        params = CropParams(merge_steps=3, sigma=0, theta=0.1, pi=1.0, min_cluster=2)
+        boxes = box_array([Box(0, 0, 10, 10), Box(5, 0, 15, 10), Box(200, 200, 230, 230)])
+        pair = box_array([Box(0, 0, 15, 10)])
+        assert np.array_equal(label_density_crops(boxes, (500, 500), params), pair)
 
     def test_pair(self):
-        assert enclosing_box([Box(0, 0, 10, 10), Box(5, 5, 20, 15)]) == Box(0, 0, 20, 15)
+        params = CropParams(merge_steps=1, sigma=0, theta=0.1, pi=1.0, min_cluster=2)
+        boxes = box_array([Box(0, 0, 10, 10), Box(5, 5, 20, 15)])
+        crops = label_density_crops(boxes, (500, 500), params)
+        assert crops.tolist() == [[0, 0, 20, 15]]
 
     def test_empty_rejected(self):
-        with pytest.raises(InvariantViolation):
-            enclosing_box([])
+        params = CropParams()
+        assert label_density_crops(np.zeros((0, 4)), (500, 500), params).shape == (0, 4)
+        for bad in ([10.0, 0.0, 5.0, 10.0], [0.0, 0.0, float("nan"), 10.0]):
+            with pytest.raises(InvariantViolation):
+                label_density_crops(np.array([bad, [0.0, 0.0, 10.0, 10.0]]), (500, 500), params)
 
     def test_random_fold_oracle(self):
         rng = np.random.default_rng(103)
-        boxes = [random_box(rng) for _ in range(100)]
-        got = enclosing_box(boxes)
+        # boxes around one centre overlap pairwise, so they form one cluster
+        boxes = []
+        for _ in range(100):
+            cx, cy = rng.uniform(240, 260, 2)
+            w, h = rng.uniform(40, 60, 2)
+            boxes.append(Box(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2))
+        params = CropParams(merge_steps=1, sigma=0, theta=0.1, pi=1.0, min_cluster=2)
+        (got,) = label_density_crops(box_array(boxes), (500, 500), params).tolist()
         xs1, ys1, xs2, ys2 = (
             min(b.x1 for b in boxes),
             min(b.y1 for b in boxes),
             max(b.x2 for b in boxes),
             max(b.y2 for b in boxes),
         )
-        assert got == Box(xs1, ys1, xs2, ys2)
-        assert all(got.contains(b) for b in boxes)
+        assert got == [xs1, ys1, xs2, ys2]
+
+
+def reproject(p: Box, crop: Box, crop_size) -> Box:
+    """:func:`reproject_rows` of one box."""
+    return Box(*reproject_rows(np.array([p.as_tuple()]), crop, crop_size)[0].tolist())
+
+
+def project_into_crop(b: Box, crop: Box, crop_size) -> Box:
+    """:func:`project_rows` of one box."""
+    return Box(*project_rows(np.array([b.as_tuple()]), crop, crop_size)[0].tolist())
 
 
 class TestReproject:
     def test_unit_scale_zero_offset(self):
         out = reproject(Box(10, 10, 20, 20), Box(0, 0, 100, 100), (100, 100))
         assert out == Box(10, 10, 20, 20)
+        assert project_into_crop(out, Box(0, 0, 100, 100), (100, 100)) == out
 
     def test_half_scale_with_shift(self):
         out = reproject(Box(40, 20, 80, 60), Box(100, 100, 300, 200), (400, 200))
         assert out == Box(120, 110, 140, 130)
+        assert project_into_crop(out, Box(100, 100, 300, 200), (400, 200)) == Box(40, 20, 80, 60)
 
     def test_zero_crop_size_rejected(self):
-        with pytest.raises(InvariantViolation):
-            reproject(Box(0, 0, 1, 1), Box(0, 0, 10, 10), (0, 10))
+        for fn in (reproject_rows, project_rows):
+            with pytest.raises(InvariantViolation):
+                fn(np.array([[0.0, 0.0, 1.0, 1.0]]), Box(0, 0, 10, 10), (0, 10))
 
     def test_round_trip_random(self):
         rng = np.random.default_rng(104)
@@ -215,6 +270,11 @@ def random_detections(rng, n, num_classes=3):
             )
         )
     return out
+
+
+def nms(dets: list[Detection], iou_thresh: float) -> list[Detection]:
+    """:func:`nms_keep` on detections: the kept ones in visiting order."""
+    return [dets[i] for i in nms_keep(*detection_arrays(dets), iou_thresh).tolist()]
 
 
 class TestNms:
@@ -295,7 +355,6 @@ class TestNmsKernel:
             ref = nms_ref([(d.box.as_tuple(), d.class_id, d.score) for d in dets], thresh)
             keep = nms_keep(*detection_arrays(dets), thresh)
             assert keep.tolist() == ref
-            assert nms(dets, thresh) == [dets[i] for i in ref]
 
     def test_threshold_one_keeps_exact_duplicates(self):
         box = Box(0, 0, 10, 10)
@@ -319,12 +378,33 @@ class TestArrayHelpers:
         assert detections_from_arrays(boxes, classes, scores) == dets
 
     def test_reproject_rows_equals_reproject(self):
+        # Each row follows the scalar formulas, rounding step by rounding
+        # step: reproject is x * scale + origin, project (x - origin) / scale.
+        # The second crop's scales are not powers of two, so a different
+        # order of operations shows in the last bits.
         rng = np.random.default_rng(9)
-        crop = Box(37.25, 11.5, 141.0, 90.75)
-        out_size = (415.0, 317.0)
-        boxes = [random_box(rng, width=400.0, height=300.0) for _ in range(50)]
-        rows = reproject_rows(np.array([b.as_tuple() for b in boxes]), crop, out_size)
-        assert rows.tolist() == [list(reproject(b, crop, out_size).as_tuple()) for b in boxes]
+        for crop, out_size in (
+            (Box(37.25, 11.5, 141.0, 90.75), (415.0, 317.0)),
+            (Box(12.3456, 7.891, 99.87, 80.123), (317.3, 211.7)),
+        ):
+            sw, sh = crop.width / out_size[0], crop.height / out_size[1]
+            boxes = [random_box(rng, width=400.0, height=300.0).as_tuple() for _ in range(50)]
+            back = reproject_rows(np.array(boxes), crop, out_size)
+            assert back.tolist() == [
+                [x1 * sw + crop.x1, y1 * sh + crop.y1, x2 * sw + crop.x1, y2 * sh + crop.y1]
+                for x1, y1, x2, y2 in boxes
+            ]
+            into = project_rows(np.array(boxes), crop, out_size)
+            assert into.tolist() == [
+                [(x1 - crop.x1) / sw, (y1 - crop.y1) / sh, (x2 - crop.x1) / sw, (y2 - crop.y1) / sh]
+                for x1, y1, x2, y2 in boxes
+            ]
+
+    def test_clip_keeps_python_min_max(self):
+        values = np.array([-1.0, -0.0, 0.0, 0.5, 1.0, 2.0, float("inf")])
+        want = [min(max(v, 0.0), 1.0) for v in values.tolist()]
+        got = clip(values, 0.0, 1.0).tolist()
+        assert got == want and [repr(v) for v in got] == [repr(v) for v in want]
 
     def test_check_boxes_accepts_valid_rows(self):
         check_boxes(np.array([[0.0, 0.0, 1.0, 1.0], [2.0, 3.0, 4.0, 5.0]]))

@@ -55,7 +55,8 @@ class TestInferenceConfig:
 class TestSelectCrops:
     def test_predicted_mode_empty_without_crop_class(self):
         dets = [Detection(Box(0, 0, 10, 10), 0, 0.9)]
-        assert select_crops(detection_arrays(dets), config(), (500, 500), crop_class_id=3) == []
+        crops = select_crops(detection_arrays(dets), config(), (500, 500), crop_class_id=3)
+        assert crops.shape == (0, 4)
 
     def test_predicted_mode_threshold(self):
         dets = [
@@ -63,7 +64,7 @@ class TestSelectCrops:
             Detection(Box(100, 100, 150, 150), 3, 0.4),
         ]
         crops = select_crops(detection_arrays(dets), config(), (500, 500), crop_class_id=3)
-        assert crops == [Box(0, 0, 50, 50)]
+        assert crops.tolist() == [[0, 0, 50, 50]]
 
     def test_predicted_mode_top_k_by_score(self):
         dets = [
@@ -74,7 +75,7 @@ class TestSelectCrops:
         crops = select_crops(
             detection_arrays(dets), config(max_crops_per_image=2), (500, 500), crop_class_id=3
         )
-        assert crops == [Box(100, 100, 150, 150), Box(200, 200, 250, 250)]
+        assert crops.tolist() == [[100, 100, 150, 150], [200, 200, 250, 250]]
 
     def test_relabeled_mode_matches_crop_labeling(self):
         boxes = [Box(0, 0, 20, 20), Box(25, 0, 45, 20), Box(200, 200, 220, 220)]
@@ -82,14 +83,15 @@ class TestSelectCrops:
         crops = select_crops(
             detection_arrays(dets), config(crop_mode="relabeled"), (500, 500), crop_class_id=3
         )
-        assert crops == label_density_crops(boxes, (500, 500), CROP_PARAMS)
-        assert crops == [Box(0, 0, 50, 25)]
+        rows = np.array([b.as_tuple() for b in boxes])
+        assert np.array_equal(crops, label_density_crops(rows, (500, 500), CROP_PARAMS))
+        assert crops.tolist() == [[0, 0, 50, 25]]
 
     def test_relabeled_mode_ignores_unconfident(self):
         boxes = [Box(0, 0, 20, 20), Box(25, 0, 45, 20)]
         dets = [Detection(b, 0, 0.2) for b in boxes]
         crops = select_crops(detection_arrays(dets), config(crop_mode="relabeled"), (500, 500), 3)
-        assert crops == []
+        assert crops.shape == (0, 4)
 
     def test_predicted_mode_score_ties_keep_row_order(self):
         scores = [0.8, 0.6, 0.9] * 20
@@ -98,7 +100,7 @@ class TestSelectCrops:
             detection_arrays(dets), config(max_crops_per_image=30), (500, 500), crop_class_id=3
         )
         by_score = sorted(dets, key=lambda d: -d.score)  # sorted() is stable
-        assert crops == [d.box for d in by_score[:30]]
+        assert crops.tolist() == [list(d.box.as_tuple()) for d in by_score[:30]]
 
 
 def clustered_sample(seed=0):
@@ -120,14 +122,14 @@ def clustered_sample(seed=0):
 def add_crop_annotations(sample, crop_class, crop_params=None):
     params = crop_params or CropParams(merge_steps=2, sigma=14, theta=0.05, pi=0.4, min_cluster=3)
     crops = label_density_crops(
-        [a.box for a in sample.record.annotations], sample.record.size, params
+        np.array([a.box.as_tuple() for a in sample.record.annotations]), sample.record.size, params
     )
     record = ImageRecord(
         image_id=sample.record.image_id,
         width=sample.record.width,
         height=sample.record.height,
         annotations=sample.record.annotations
-        + tuple(Annotation(box=c, class_id=crop_class) for c in crops),
+        + tuple(Annotation(box=Box(*c), class_id=crop_class) for c in crops.tolist()),
     )
     return SceneSample(record=record, scene=sample.scene)
 
@@ -161,8 +163,10 @@ class TestDetectMultistage:
         record = ImageRecord(image_id=1, width=512.0, height=512.0, annotations=annotations)
         scene = SceneSpec(width=512.0, height=512.0, objects=(), seed=0)
         sample = SceneSample(record=record, scene=scene)
-        for small in smalls:
-            assert any(c.contains(small) for c in crops)
+        for s in smalls:
+            assert any(
+                c.x1 <= s.x1 and c.y1 <= s.y1 and c.x2 >= s.x2 and c.y2 >= s.y2 for c in crops
+            )
         backend = OracleBackend(num_base_classes=3, noise=MISS_SMALL)
         gts = {1: [a for a in annotations if a.class_id != 3]}
         single = detect_multistage(sample, backend, None, config(multistage=False), seed=0)
@@ -275,7 +279,8 @@ class TestRunInference:
         backend = BadStageTwo(
             num_base_classes=3, noise=OracleNoiseModel(score_mean=0.9, score_std=0.0)
         )
-        assert select_crops(backend.detect_arrays(None, sample), config(), sample.record.size, 3)
+        first = backend.detect_arrays(None, sample)
+        assert len(select_crops(first, config(), sample.record.size, 3))
         with pytest.raises(InvariantViolation, match=message):
             run_inference([sample], backend, None, config(), seed=0)
 
