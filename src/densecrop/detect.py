@@ -5,7 +5,8 @@ detections directly from scene ground truth through a configurable noise
 model (size-dependent misses, localization jitter, background false
 positives); it needs no training and drives the inference-pipeline tests.
 ``ToyDetector`` is a small trainable linear model over hand-built scene
-features with analytic gradients, used by the mean-teacher trainer.
+features with analytic gradients, used by the mean-teacher trainer, which
+hands it each iteration's views as one :class:`ViewStack`.
 
 Both are deterministic given (weights, input, augmentation tag, seed), and
 both can emit the reserved density-crop class (id ``num_base_classes``) in
@@ -45,12 +46,14 @@ __all__ = [
     "feature_dim",
     "toy_forward",
     "SampleView",
+    "ViewStack",
     "SupervisedBatch",
     "UnsupervisedBatch",
     "LossResult",
     "loss_sup",
     "loss_unsup",
     "assign_targets",
+    "assign_view_targets",
     "DetectorBackend",
     "OracleBackend",
     "ToyDetector",
@@ -361,16 +364,27 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def toy_forward(weights: WeightVector, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Class probabilities (softmax of linear logits) and linear box offsets."""
+def toy_forward(
+    weights: WeightVector, features: np.ndarray, counts=None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Class probabilities (softmax of linear logits) and linear box offsets.
+
+    With ``counts``, the feature rows are a stack of blocks of that many
+    rows each, and the two matmuls run once per block: with OpenBLAS a
+    matmul over stacked rows can differ in the last bits from the per-block
+    products. The softmax is row by row, so it runs once on the stack.
+    """
     if features.shape[-1] != weights.layout.feature_dim:
         raise InvariantViolation(
             f"feature length {features.shape[-1]} does not match layout {weights.layout.feature_dim}"
         )
     phi = _with_bias(np.asarray(features, dtype=np.float64))
-    probs = _softmax(phi @ weights.cls_matrix().T)
-    offsets = phi @ weights.reg_matrix().T
-    return probs, offsets
+    cls, reg = weights.cls_matrix().T, weights.reg_matrix().T
+    if counts is None:
+        return _softmax(phi @ cls), phi @ reg
+    blocks = np.split(phi, np.cumsum(counts)[:-1])
+    logits = np.concatenate([b @ cls for b in blocks])
+    return _softmax(logits), np.concatenate([b @ reg for b in blocks])
 
 
 @dataclass(frozen=True)
@@ -484,6 +498,50 @@ def assign_targets(
     return classes, offsets
 
 
+def assign_view_targets(
+    boxes: np.ndarray,
+    box_view: np.ndarray,
+    gt_boxes: np.ndarray,
+    gt_view: np.ndarray,
+    gt_classes: np.ndarray,
+    fg_iou: float,
+    background_class: int,
+) -> np.ndarray:
+    """The classes :func:`assign_targets` gives within each view of a
+    ragged stack: each row of ``boxes`` is matched only against the
+    ``gt_boxes`` rows of its own view. ``box_view`` and ``gt_view`` give
+    each row's view index; both must be non-decreasing.
+
+    Only same-view (box, ground truth) pairs are formed: their IoUs use
+    ``iou_matrix``'s float operations elementwise, each box's best IoU is
+    a ``maximum.reduceat`` over its pairs and the first ground-truth row
+    reaching it a ``minimum.reduceat`` over their indices.
+    """
+    classes = np.full(len(boxes), background_class, dtype=np.int64)
+    views = int(box_view[-1]) + 1 if len(boxes) else 0
+    gt_start = np.searchsorted(gt_view, np.arange(views + 1))
+    per_box = np.diff(gt_start)[box_view]
+    rows = np.flatnonzero(per_box)
+    if len(rows) == 0:
+        return classes
+    counts = per_box[rows]
+    first_pair = np.cumsum(counts) - counts
+    pair_box = np.repeat(rows, counts)
+    # Each box's pairs run over its view's ground-truth rows in order.
+    pair_gt = np.arange(len(pair_box)) + np.repeat(gt_start[box_view[rows]] - first_pair, counts)
+    a, b = boxes[pair_box], gt_boxes[pair_gt]
+    iw = np.minimum(a[:, 2], b[:, 2]) - np.maximum(a[:, 0], b[:, 0])
+    ih = np.minimum(a[:, 3], b[:, 3]) - np.maximum(a[:, 1], b[:, 1])
+    inter = np.where((iw > 0.0) & (ih > 0.0), iw * ih, 0.0)
+    ious = inter / (box_areas(a) + box_areas(b) - inter)
+    best_iou = np.maximum.reduceat(ious, first_pair)
+    at_best = np.where(ious == np.repeat(best_iou, counts), pair_gt, len(gt_boxes))
+    best = np.minimum.reduceat(at_best, first_pair)
+    fg = (best_iou > 0.0) & (best_iou >= fg_iou)
+    classes[rows[fg]] = gt_classes[best[fg]]
+    return classes
+
+
 # ---------------------------------------------------------------------------
 # Backends
 # ---------------------------------------------------------------------------
@@ -568,6 +626,38 @@ class SampleView:
     gt_offsets: np.ndarray | None = None
 
 
+@dataclass(frozen=True, eq=False)
+class ViewStack:
+    """Several views' rows stacked in view order: a ragged batch.
+
+    ``proposals`` (N, 4) and ``phi`` (N, D) concatenate the views' rows;
+    ``counts`` holds each view's row count, ``row_view`` each row's view
+    index, and ``width`` and ``height`` each row's image size, so a crop
+    child and its parent can share one stack.
+    """
+
+    proposals: np.ndarray
+    phi: np.ndarray
+    counts: np.ndarray
+    row_view: np.ndarray
+    width: np.ndarray
+    height: np.ndarray
+
+    @classmethod
+    def of(cls, views: list[SampleView]) -> "ViewStack":
+        counts = np.array([len(v.proposals) for v in views], dtype=np.int64)
+        row_view = np.repeat(np.arange(len(views)), counts)
+        size = np.array([v.sample.record.size for v in views], dtype=np.float64)
+        return cls(
+            proposals=np.concatenate([v.proposals for v in views]),
+            phi=np.concatenate([v.phi for v in views]),
+            counts=counts,
+            row_view=row_view,
+            width=size[row_view, 0],
+            height=size[row_view, 1],
+        )
+
+
 @dataclass(frozen=True)
 class ToyDetectorConfig:
     """Hyperparameters of the trainable linear detector."""
@@ -605,6 +695,14 @@ class ToyDetector(DetectorBackend):
     (proposal, class) pairs that count as detections,
     :meth:`detect_arrays` returns those as rows, and only :meth:`detect`
     wraps them into :class:`Detection` objects.
+
+    Training batches a whole iteration's unlabeled views into one
+    :class:`ViewStack`: :meth:`decode_stack` and :meth:`unsupervised_batch`
+    run the softmax, the box clipping and the target assignment once on
+    the stack, and only the matmuls and each view's random draws stay per
+    view. :meth:`augment` never derives a generator: callers hand it one
+    per view, so a training iteration derives all of them in one
+    ``rngs_for`` call.
     """
 
     def __init__(self, config: ToyDetectorConfig):
@@ -664,29 +762,40 @@ class ToyDetector(DetectorBackend):
             scene, proposals, self.num_base_classes, self.config.payload_obs_scale
         )
 
-    def augment(self, phi: np.ndarray, augmentation: str = "none", seed: int = 0) -> np.ndarray:
+    def augment(
+        self, phi: np.ndarray, augmentation: str = "none", rngs=(), counts=None
+    ) -> np.ndarray:
         """Augmented features; ``phi`` itself is never written.
 
-        ``"none"`` returns ``phi`` unchanged; the other tags return a new
-        array whenever they change anything.
+        ``phi`` holds the rows of one view, or with ``counts`` a stack of
+        views of that many rows each; ``rngs`` holds one generator per view,
+        and each view draws from its own: one ``random()`` for the weak
+        flip, a ``normal`` block of its shape and one ``integers`` for the
+        strong noise and cutout. ``"none"`` returns ``phi`` unchanged and
+        draws nothing; the other tags return a new array whenever they
+        change anything.
         """
+        if augmentation not in ("none", "weak", "strong"):
+            raise InvariantViolation(f"unknown augmentation tag {augmentation!r}")
         if augmentation == "none" or len(phi) == 0:
             return phi
+        counts = [len(phi)] if counts is None else counts
+        if len(rngs) != len(counts):
+            raise InvariantViolation(f"{len(rngs)} generators for {len(counts)} views")
         if augmentation == "weak":
-            rng = rng_for(seed, "weak")
-            if rng.random() < self.config.weak_flip_prob:
+            flip = np.repeat([rng.random() < self.config.weak_flip_prob for rng in rngs], counts)
+            if flip.any():
                 phi = phi.copy()
-                phi[:, 2] = 1.0 - phi[:, 2]
+                phi[flip, 2] = 1.0 - phi[flip, 2]
             return phi
-        if augmentation == "strong":
-            rng = rng_for(seed, "strong")
-            phi = phi + rng.normal(0.0, self.config.strong_noise_std, phi.shape)
-            if self.config.strong_cutout > 0:
-                start = int(rng.integers(0, self.layout.feature_dim))
-                stop = min(start + self.config.strong_cutout, self.layout.feature_dim)
-                phi[:, start:stop] = 0.0
-            return phi
-        raise InvariantViolation(f"unknown augmentation tag {augmentation!r}")
+        dim = self.layout.feature_dim
+        std = self.config.strong_noise_std
+        phi = phi + np.concatenate([rng.normal(0.0, std, (n, dim)) for rng, n in zip(rngs, counts)])
+        if self.config.strong_cutout > 0:
+            start = np.repeat([rng.integers(0, dim) for rng in rngs], counts)[:, None]
+            cols = np.arange(dim)
+            phi[(cols >= start) & (cols < start + self.config.strong_cutout)] = 0.0
+        return phi
 
     def view(self, sample: SceneSample, targets: bool = False) -> SampleView:
         """Proposals and base features of ``sample``, computed once.
@@ -745,12 +854,28 @@ class ToyDetector(DetectorBackend):
         seed: int = 0,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Every proposal's regressed box, clipped to the image as (N, 4)
-        rows, and its (N, num_outputs) class probabilities."""
+        rows, and its (N, num_outputs) class probabilities; the
+        augmentation draws from ``rng_for(seed, augmentation)``."""
+        rngs = () if augmentation == "none" else [rng_for(seed, augmentation)]
+        phi = self.augment(view.phi, augmentation, rngs)
+        return self._decode(weights, phi, view.proposals, *view.sample.record.size)
+
+    def decode_stack(
+        self, weights: WeightVector | None, stack: ViewStack, augmentation: str, rngs
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`decode` of every view of ``stack`` at once, each view
+        augmented with its own generator of ``rngs``: row ``i`` of the
+        result is what :meth:`decode` gives for that row's proposal."""
+        phi = self.augment(stack.phi, augmentation, rngs, stack.counts)
+        return self._decode(
+            weights, phi, stack.proposals, stack.width, stack.height, stack.counts
+        )
+
+    def _decode(self, weights, phi, proposals, width, height, counts=None):
         if weights is None:
             raise InvariantViolation("ToyDetector.detect requires weights")
-        probs, offsets = toy_forward(weights, self.augment(view.phi, augmentation, seed))
-        record = view.sample.record
-        return _safe_box(view.proposals + offsets, record.width, record.height), probs
+        probs, offsets = toy_forward(weights, phi, counts)
+        return _safe_box(proposals + offsets, width, height), probs
 
     def emitted(self, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(proposal, class) index pairs that count as detections: base and
@@ -759,41 +884,51 @@ class ToyDetector(DetectorBackend):
         return np.nonzero(probs[:, : self.background_class] > self.config.emit_floor)
 
     def supervised_batch(
-        self, view: SampleView, augmentation: str = "none", seed: int = 0
+        self, view: SampleView, augmentation: str = "none", rngs=()
     ) -> SupervisedBatch:
         """Training batch against the record's own annotations; the view
-        must have been built with targets."""
+        must have been built with targets. ``rngs`` is as for
+        :meth:`augment`."""
         if view.gt_classes is None:
             raise InvariantViolation("supervised_batch needs a view built with targets")
         return SupervisedBatch(
-            features=self.augment(view.phi, augmentation, seed),
+            features=self.augment(view.phi, augmentation, rngs),
             classes=view.gt_classes,
             offsets=view.gt_offsets,
         )
 
     def unsupervised_batch(
         self,
-        view: SampleView,
+        stack: ViewStack,
         pseudo_boxes: np.ndarray,
         pseudo_classes: np.ndarray,
-        augmentation: str = "strong",
-        seed: int = 0,
+        pseudo_view: np.ndarray,
+        rngs,
         teacher_probs: np.ndarray | None = None,
     ) -> UnsupervisedBatch:
-        """Training batch against teacher pseudo-labels (classes only),
-        given as (P, 4) box rows and their (P,) classes.
+        """Training batch of a stack of views against teacher pseudo-labels
+        (classes only), given as (P, 4) box rows, their (P,) classes and
+        the (P,) non-decreasing index of the view each belongs to.
 
-        A proposal enters the batch when it matches a pseudo-label (taking
-        that class) or, if the teacher's per-proposal probabilities on the
-        weak view are given, when the teacher is confidently background on
-        it (probability above ``bg_tau``). Everything else is excluded:
-        confidence thresholding says nothing about the proposals the
-        teacher is unsure of, so an object the teacher missed contributes
-        no gradient rather than a background target.
+        Each view is strongly augmented with its own generator of ``rngs``.
+        A proposal enters the batch when it matches a pseudo-label of its
+        own view (taking that class) or, if the teacher's per-row
+        probabilities on the weak views are given, when the teacher is
+        confidently background on it (probability above ``bg_tau``).
+        Everything else is excluded: confidence thresholding says nothing
+        about the proposals the teacher is unsure of, so an object the
+        teacher missed contributes no gradient rather than a background
+        target. Kept rows stay in stack order.
         """
-        phi = self.augment(view.phi, augmentation, seed)
-        classes, _ = assign_targets(
-            view.proposals, pseudo_boxes, pseudo_classes, self.config.fg_iou, self.background_class
+        phi = self.augment(stack.phi, "strong", rngs, stack.counts)
+        classes = assign_view_targets(
+            stack.proposals,
+            stack.row_view,
+            pseudo_boxes,
+            pseudo_view,
+            pseudo_classes,
+            self.config.fg_iou,
+            self.background_class,
         )
         keep = classes != self.background_class
         if teacher_probs is not None:

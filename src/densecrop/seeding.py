@@ -12,6 +12,14 @@ shared prefix, bit for bit as :func:`rng_for` would, by running the
 Its precondition is that every part is one 32-bit word, which is what
 numpy turns an int in [0, 2**32) into; :func:`stable_int` guarantees it
 for prefix parts, and row entries outside that range raise.
+
+Because :func:`stable_int` keeps only the low 32 bits of an int, a
+wider seed such as the trainer's 64-bit augmentation seeds seeds
+``rng_for`` exactly as its low word does. That is what lets training
+derive every ``augment`` generator of an iteration, one per view and
+augmentation tag, in one :func:`rngs_for` call with rows
+``(seed & 0xFFFFFFFF, stable_int(tag))``. Feature extraction likewise
+derives the noise generators of all of a view's proposals in one call.
 """
 
 from __future__ import annotations

@@ -31,17 +31,17 @@ from .dataset import (
 )
 from .detect import (
     LossResult,
-    SampleView,
     SupervisedBatch,
     ToyDetector,
     UnsupervisedBatch,
+    ViewStack,
     WeightVector,
     loss_sup,
     loss_unsup,
 )
 from .errors import ConfigError, DataError, InvariantViolation
 from .geometry import Box, box_array
-from .seeding import rng_for
+from .seeding import rng_for, rngs_for, stable_int
 
 __all__ = [
     "TrainerConfig",
@@ -172,18 +172,39 @@ def filter_pseudo_labels(scores: np.ndarray, tau: float) -> np.ndarray:
 
 
 def _teacher_pseudo_labels(
-    backend: ToyDetector, teacher: WeightVector, view: SampleView, tau: float, seed: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The teacher's pseudo-labels on the weak view as (P, 4) boxes and (P,)
-    classes, plus its (N, num_outputs) per-proposal probabilities.
+    backend: ToyDetector, teacher: WeightVector, stack: ViewStack, tau: float, rngs
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The teacher's pseudo-labels on the weak views of a stack, each view
+    flipped by its own generator of ``rngs``: (P, 4) boxes, (P,) classes
+    and the (P,) index of the view each belongs to, plus the stack's
+    (N, num_outputs) per-proposal probabilities.
 
-    The pseudo-labels are the detections ``backend.detect`` would return
-    for the same call with score above ``tau``, in the same order.
+    A view's pseudo-labels are the detections ``backend.detect`` would
+    return for that view with score above ``tau``, in the same order;
+    views follow each other in stack order.
     """
-    boxes, probs = backend.decode(teacher, view, "weak", seed=seed)
+    boxes, probs = backend.decode_stack(teacher, stack, "weak", rngs)
     rows, classes = backend.emitted(probs)
     keep = filter_pseudo_labels(probs[rows, classes], tau)
-    return boxes[rows[keep]], classes[keep], probs
+    rows = rows[keep]
+    return boxes[rows], classes[keep], stack.row_view[rows], probs
+
+
+def _student_batch(
+    backend: ToyDetector, teacher: WeightVector, views: list, tau: float, weak_rngs, strong_rngs
+) -> tuple[UnsupervisedBatch, int]:
+    """The student's strong-view batch over ``views`` against the teacher's
+    weak-view pseudo-labels, and the number of pseudo-labels. One teacher
+    pass on the weak views yields both the pseudo-labels and the
+    confident-background mask."""
+    stack = ViewStack.of(views)
+    boxes, classes, label_view, probs = _teacher_pseudo_labels(
+        backend, teacher, stack, tau, weak_rngs
+    )
+    batch = backend.unsupervised_batch(
+        stack, boxes, classes, label_view, strong_rngs, teacher_probs=probs
+    )
+    return batch, len(classes)
 
 
 def ema_update(teacher: WeightVector, student: WeightVector, alpha: float) -> WeightVector:
@@ -235,23 +256,15 @@ def _concat_supervised(batches: list[SupervisedBatch]) -> SupervisedBatch:
 
 
 def _supervised_loss(
-    config: TrainerConfig,
-    labeled_pool: dict,
-    backend: ToyDetector,
-    weights: WeightVector,
-    iteration: int,
+    labeled_pool: dict, batch_ids: list, rngs, backend: ToyDetector, weights: WeightVector
 ) -> LossResult:
-    """Supervised loss over this iteration's labeled batch. Shared by
-    burn-in and the teacher-student phase so degenerate configs match
-    supervised training bit for bit."""
-    batch_ids = _sample_ids(
-        labeled_pool, config.labeled_batch, (config.seed, "batch-labeled", iteration)
-    )
+    """Supervised loss over an iteration's labeled batch, each view weakly
+    augmented with its own generator of ``rngs``. Shared by burn-in and
+    the teacher-student phase so degenerate configs match supervised
+    training bit for bit."""
     batches = [
-        backend.supervised_batch(
-            labeled_pool[i], "weak", seed=_aug_seed(config.seed, "sup-aug", iteration, i)
-        )
-        for i in batch_ids
+        backend.supervised_batch(labeled_pool[i], "weak", [rng])
+        for i, rng in zip(batch_ids, rngs)
     ]
     return loss_sup(weights, _concat_supervised(batches))
 
@@ -265,8 +278,38 @@ def _apply_step(weights: WeightVector, gradient: np.ndarray, lr: float, iteratio
 
 def _aug_seed(seed: int, tag: str, iteration: int, image_id) -> int:
     # Fold the context into one integer so backend seeding stays simple.
+    # This is a 64-bit sha256 prefix, but stable_int masks an int part to
+    # its low 32 bits, so only those seed the augment generator.
     h = hashlib.sha256(f"{seed}|{tag}|{iteration}|{image_id}".encode()).digest()
     return int.from_bytes(h[:8], "big")
+
+
+def _augment_rngs(requests: list) -> list:
+    """One ``augment`` generator per (seed, augmentation tag) request, each
+    drawing as ``rng_for(seed, tag)`` would, all from one :func:`rngs_for`
+    call: row ``(seed & 0xFFFFFFFF, stable_int(tag))`` is exactly what
+    ``rng_for`` hashes."""
+    rows = np.array(
+        [(seed & 0xFFFFFFFF, stable_int(tag)) for seed, tag in requests], dtype=np.int64
+    ).reshape(-1, 2)
+    return rngs_for((), rows)
+
+
+def _iteration_rngs(config: TrainerConfig, iteration: int, labeled_ids: list, unlabeled_ids: list):
+    """Every ``augment`` generator of one iteration, from one
+    :func:`rngs_for` call: the labeled batch's weak views, then the
+    teacher's weak and the student's strong views of the unlabeled batch."""
+    rngs = _augment_rngs(
+        [(_aug_seed(config.seed, "sup-aug", iteration, i), "weak") for i in labeled_ids]
+        + [(_aug_seed(config.seed, "teacher-weak", iteration, i), "weak") for i in unlabeled_ids]
+        + [(_aug_seed(config.seed, "student-strong", iteration, i), "strong") for i in unlabeled_ids]
+    )
+    n, m = len(labeled_ids), len(unlabeled_ids)
+    return rngs[:n], rngs[n : n + m], rngs[n + m :]
+
+
+def _labeled_ids(config: TrainerConfig, labeled_pool: dict, iteration: int) -> list:
+    return _sample_ids(labeled_pool, config.labeled_batch, (config.seed, "batch-labeled", iteration))
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +328,9 @@ def burn_in(
     weights = backend.init_weights(config.seed)
     history: list[IterationLog] = []
     for iteration in range(1, config.burn_in_iters + 1):
-        result = _supervised_loss(config, labeled_pool, backend, weights, iteration)
+        batch_ids = _labeled_ids(config, labeled_pool, iteration)
+        rngs, _, _ = _iteration_rngs(config, iteration, batch_ids, [])
+        result = _supervised_loss(labeled_pool, batch_ids, rngs, backend, weights)
         if not np.isfinite(result.value):
             raise InvariantViolation(f"training diverged at iteration {iteration}")
         weights = _apply_step(
@@ -339,18 +384,22 @@ def discover_unlabeled_crops(
         | set(stale),
         key=str,
     )
+    if not targets:
+        return {}
+    views = [unlabeled_parents[image_id] for image_id in targets]
+    rngs = _augment_rngs(
+        [(_aug_seed(config.seed, "crop-detect", state.iteration, i), "weak") for i in targets]
+    )
+    boxes, classes, label_view, _ = _teacher_pseudo_labels(
+        backend, state.teacher, ViewStack.of(views), config.tau, rngs
+    )
+    base = classes < backend.num_base_classes
+    bounds = np.searchsorted(label_view, np.arange(len(targets) + 1))
     new_children: dict = {}
-    for image_id in targets:
-        view = unlabeled_parents[image_id]
-        boxes, classes, _ = _teacher_pseudo_labels(
-            backend,
-            state.teacher,
-            view,
-            config.tau,
-            _aug_seed(config.seed, "crop-detect", state.iteration, image_id),
-        )
+    for k, (image_id, view) in enumerate(zip(targets, views)):
+        own = slice(bounds[k], bounds[k + 1])
         crops = label_density_crops(
-            boxes[classes < backend.num_base_classes], view.sample.record.size, config.crop_params
+            boxes[own][base[own]], view.sample.record.size, config.crop_params
         )
         children = make_crop_children(view.sample, crops, config.upscale)
         state.crop_cache[image_id] = CropCacheEntry(
@@ -415,11 +464,18 @@ def train(
     front, and a crop child gets a fresh view when it enters the unlabeled
     pool, even under an id an earlier, different crop used.
 
-    Each visit to an unlabeled view decodes the teacher's weak view once
-    into per-proposal boxes and probabilities; the pseudo-labels are the
-    emitted (proposal, class) entries scoring above ``tau``, kept as box
-    and class arrays for the student's strong-view batch, and the same
-    selection feeds crop discovery. No ``Detection`` is built in the loop.
+    Each iteration handles its unlabeled views (the sampled parents and
+    their cached crop children) in one pass over a :class:`ViewStack`, a
+    ragged stack of their proposals and features. The teacher decodes
+    every weak view at once into per-proposal boxes and probabilities; the
+    pseudo-labels are the emitted (proposal, class) entries scoring above
+    ``tau``, kept as box, class and view-index arrays, and each proposal
+    of the student's strong views is matched only against the
+    pseudo-labels of its own view. Crop discovery makes the same stacked
+    decode over its targets. One ``rngs_for`` call per iteration derives
+    every ``augment`` generator (labeled weak, teacher weak, student
+    strong), each view drawing from its own. No ``Detection`` is built in
+    the loop.
 
     With ``checkpoint_dir`` set and ``config.checkpoint_interval`` enabled,
     intermediate checkpoints are written there; ``resume_from`` restores
@@ -464,13 +520,12 @@ def train(
     unlabeled_children: dict = {}
     for iteration in range(state.iteration + 1, config.max_iters + 1):
         state.iteration = iteration
-        sup = _supervised_loss(config, labeled_pool, backend, state.student, iteration)
+        labeled_ids = _labeled_ids(config, labeled_pool, iteration)
 
         unsup_value = 0.0
         pseudo_total = 0
         batch_parents: list = []
         batch_ids: list = []
-        gradient = sup.gradient
         n_unlabeled = round(config.data_ratio * config.labeled_batch)
         if config.lambda_unsup > 0.0 and unlabeled_parents and n_unlabeled > 0:
             # Sample parent images; each brings its cached crop children
@@ -485,33 +540,18 @@ def train(
                     batch_ids.extend(
                         child_id for child_id in entry.child_ids if child_id in unlabeled_children
                     )
-            unsup_batches: list[UnsupervisedBatch] = []
-            for image_id in batch_ids:
-                view = unlabeled_parents.get(image_id) or unlabeled_children[image_id]
-                # One teacher pass on the weak view yields both the
-                # pseudo-labels and the confident-background mask.
-                pseudo_boxes, pseudo_classes, teacher_probs = _teacher_pseudo_labels(
-                    backend,
-                    state.teacher,
-                    view,
-                    config.tau,
-                    _aug_seed(config.seed, "teacher-weak", iteration, image_id),
-                )
-                pseudo_total += len(pseudo_classes)
-                unsup_batches.append(
-                    backend.unsupervised_batch(
-                        view,
-                        pseudo_boxes,
-                        pseudo_classes,
-                        "strong",
-                        seed=_aug_seed(config.seed, "student-strong", iteration, image_id),
-                        teacher_probs=teacher_probs,
-                    )
-                )
-            features = np.concatenate([b.features for b in unsup_batches])
-            classes = np.concatenate([b.classes for b in unsup_batches])
-            if len(classes):
-                unsup = loss_unsup(state.student, UnsupervisedBatch(features, classes))
+        sup_rngs, weak_rngs, strong_rngs = _iteration_rngs(
+            config, iteration, labeled_ids, batch_ids
+        )
+        sup = _supervised_loss(labeled_pool, labeled_ids, sup_rngs, backend, state.student)
+        gradient = sup.gradient
+        if batch_ids:
+            views = [unlabeled_parents.get(i) or unlabeled_children[i] for i in batch_ids]
+            batch, pseudo_total = _student_batch(
+                backend, state.teacher, views, config.tau, weak_rngs, strong_rngs
+            )
+            if len(batch):
+                unsup = loss_unsup(state.student, batch)
                 unsup_value = unsup.value
                 gradient = sup.gradient + config.lambda_unsup * unsup.gradient
 

@@ -508,3 +508,58 @@ def decode_ref(
             if score > emit_floor:
                 out.append((box, class_id, score))
     return out
+
+
+def student_batch_ref(backend, teacher, views, tau, weak_seeds, strong_seeds):
+    """The unlabeled half of a training iteration one view at a time, as
+    training ran it before views were stacked.
+
+    Per view: the teacher's weak view is flipped when
+    ``rng_for(weak_seed, "weak").random()`` falls below the flip
+    probability and decoded by ``toy_forward`` alone; emitted detections
+    scoring above ``tau`` become pseudo-labels; the strong view draws its
+    noise block and cutout start from ``rng_for(strong_seed, "strong")``;
+    ``assign_targets`` matches the view's proposals to its own
+    pseudo-labels, and matched or confidently-background rows are kept.
+    Returns the kept features and classes, concatenated in view order,
+    and the number of pseudo-labels.
+    """
+    from densecrop.detect import assign_targets, toy_forward
+    from densecrop.seeding import rng_for
+
+    cfg = backend.config
+    bg = backend.background_class
+    features, classes, total = [], [], 0
+    for view, weak_seed, strong_seed in zip(views, weak_seeds, strong_seeds):
+        weak = view.phi.copy()
+        if len(weak) and rng_for(weak_seed, "weak").random() < cfg.weak_flip_prob:
+            weak[:, 2] = 1.0 - weak[:, 2]
+        probs, offsets = toy_forward(teacher, weak)
+        width, height = view.sample.record.size
+        pseudo_boxes, pseudo_classes = [], []
+        for i, prop in enumerate(view.proposals.tolist()):
+            box = safe_box_ref(*(np.array(prop) + offsets[i]), width, height)
+            for class_id in range(bg):
+                score = probs[i, class_id]
+                if score > cfg.emit_floor and score > tau:
+                    pseudo_boxes.append(box)
+                    pseudo_classes.append(class_id)
+        total += len(pseudo_classes)
+        strong = view.phi
+        if len(strong):
+            rng = rng_for(strong_seed, "strong")
+            strong = strong + rng.normal(0.0, cfg.strong_noise_std, strong.shape)
+            if cfg.strong_cutout > 0:
+                start = int(rng.integers(0, strong.shape[1]))
+                strong[:, start : start + cfg.strong_cutout] = 0.0
+        targets, _ = assign_targets(
+            view.proposals,
+            np.array(pseudo_boxes, dtype=np.float64).reshape(-1, 4),
+            np.array(pseudo_classes, dtype=np.int64),
+            cfg.fg_iou,
+            bg,
+        )
+        kept = (targets != bg) | (probs[:, bg] > cfg.bg_tau)
+        features.append(strong[kept])
+        classes.append(targets[kept])
+    return np.concatenate(features), np.concatenate(classes), total

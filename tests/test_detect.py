@@ -20,9 +20,11 @@ from densecrop.detect import (
     ToyDetector,
     ToyDetectorConfig,
     UnsupervisedBatch,
+    ViewStack,
     WeightLayout,
     WeightVector,
     assign_targets,
+    assign_view_targets,
     extract_features,
     feature_dim,
     loss_sup,
@@ -33,7 +35,8 @@ from densecrop.detect import (
     write_detections,
 )
 from densecrop.errors import DataError, InvariantViolation
-from densecrop.geometry import Box, Detection, intersection_matrix
+from densecrop.geometry import Box, Detection, intersection_matrix, iou_matrix
+from densecrop.seeding import rng_for
 
 from reference_impls import (
     assign_targets_ref,
@@ -189,6 +192,20 @@ class TestToyForward:
         weights = random_weights(rng)
         with pytest.raises(InvariantViolation):
             toy_forward(weights, np.ones(weights.layout.feature_dim + 1))
+
+    def test_blocks_equal_per_block_forward(self):
+        # With counts the matmuls run per block: one matmul over the whole
+        # stack differs in the last bits from the per-block products on
+        # some of these stacks with OpenBLAS.
+        rng = np.random.default_rng(10)
+        for _ in range(300):
+            weights = random_weights(rng)
+            counts = rng.integers(0, 60, int(rng.integers(1, 12)))
+            phi = rng.normal(0, 1, (int(counts.sum()), weights.layout.feature_dim))
+            probs, offsets = toy_forward(weights, phi, counts)
+            blocks = [toy_forward(weights, b) for b in np.split(phi, np.cumsum(counts)[:-1])]
+            assert np.array_equal(probs, np.concatenate([p for p, _ in blocks]))
+            assert np.array_equal(offsets, np.concatenate([o for _, o in blocks]))
 
     def test_extreme_logits_stable(self):
         layout = WeightLayout(feature_dim=2, num_outputs=3)
@@ -399,7 +416,7 @@ class TestToyDetector:
         backend = self.backend()
         props = backend.proposals(sample)
         plain = backend.features(sample.scene, props)
-        strong = backend.augment(plain, "strong", seed=4)
+        strong = backend.augment(plain, "strong", [rng_for(4, "strong")])
         assert not np.array_equal(plain, strong)
 
     def test_view_features_stay_unchanged_under_augmentation(self):
@@ -413,14 +430,20 @@ class TestToyDetector:
             view.phi[0, 0] = 1.0
         # at seed 3 the weak flip fires, so weak augmentation does write
         # to its output
-        weak = backend.augment(view.phi, "weak", seed=3)
+        weak = backend.augment(view.phi, "weak", [rng_for(3, "weak")])
         np.testing.assert_array_equal(weak[:, 2], 1.0 - before[:, 2])
-        assert not np.array_equal(backend.augment(view.phi, "strong", seed=4), before)
+        assert not np.array_equal(backend.augment(view.phi, "strong", [rng_for(4, "strong")]), before)
         assert backend.detect(weights, view, "weak", seed=3) == backend.detect(
             weights, sample, "weak", seed=3
         )
-        backend.supervised_batch(view, "weak", seed=3)
-        backend.unsupervised_batch(view, np.zeros((0, 4)), np.zeros(0, dtype=int), "strong", seed=4)
+        backend.supervised_batch(view, "weak", [rng_for(3, "weak")])
+        backend.unsupervised_batch(
+            ViewStack.of([view]),
+            np.zeros((0, 4)),
+            np.zeros(0, dtype=int),
+            np.zeros(0, dtype=int),
+            [rng_for(4, "strong")],
+        )
         np.testing.assert_array_equal(view.phi, before)
         with pytest.raises(InvariantViolation):
             backend.supervised_batch(backend.view(sample))  # built without targets
@@ -451,9 +474,13 @@ class TestToyDetector:
         backend = self.backend()
         pseudo_boxes = np.array([sample.scene.objects[0].box.as_tuple()])
         batch = backend.unsupervised_batch(
-            backend.view(sample), pseudo_boxes, np.array([1]), "none", seed=0
+            ViewStack.of([backend.view(sample)]),
+            pseudo_boxes,
+            np.array([1]),
+            np.array([0]),
+            [rng_for(0, "strong")],
         )
-        assert len(batch) <= len(backend.proposals(sample))
+        assert 0 < len(batch) <= len(backend.proposals(sample))
         assert np.all(batch.classes == 1)
 
 
@@ -550,6 +577,78 @@ class TestArrayKernelsMatchLoops:
         assert self.check_targets(prop, [(left, 1), (right, 2)], fg_iou=0.3).tolist() == [1]
         assert self.check_targets(prop, [(right, 2), (left, 1)], fg_iou=0.3).tolist() == [2]
 
+    def test_view_targets_equal_assign_targets_per_view(self):
+        # The same-view pair kernel against assign_targets view by view on
+        # random ragged stacks with empty views, views without ground
+        # truth, exact IoU ties between ground-truth rows of different
+        # classes (the first must win) and touching boxes, all on a
+        # 5-pixel grid.
+        rng = np.random.default_rng(31)
+        background = 9
+        ties = empty = 0
+
+        def grid_boxes(n):
+            xy = rng.integers(0, 8, (n, 2)) * 5.0
+            wh = rng.integers(1, 4, (n, 2)) * 5.0
+            return np.concatenate([xy, xy + wh], axis=1)
+
+        for trial in range(1500):
+            views = int(rng.integers(1, 6))
+            n = rng.integers(0, 6, views) * (rng.random(views) > 0.15)
+            m = rng.integers(0, 5, views) * (rng.random(views) > 0.2)
+            boxes, gt_boxes = grid_boxes(int(n.sum())), grid_boxes(int(m.sum()))
+            if trial % 2:
+                # exact ties: each view's second ground-truth row copies
+                # its first, and the first row of all copies the last
+                starts = np.cumsum(m) - m
+                pairs = starts[m > 1]
+                gt_boxes[pairs + 1] = gt_boxes[pairs]
+                if len(gt_boxes):
+                    gt_boxes[0] = gt_boxes[-1]
+            gt_classes = rng.integers(0, 4, len(gt_boxes))
+            box_view = np.repeat(np.arange(views), n)
+            gt_view = np.repeat(np.arange(views), m)
+            fg_iou = (0.0, 0.3, 0.5)[trial % 3]
+            classes = assign_view_targets(
+                boxes, box_view, gt_boxes, gt_view, gt_classes, fg_iou, background
+            )
+            for v in range(views):
+                own, own_gt = box_view == v, gt_view == v
+                want, _ = assign_targets(
+                    boxes[own], gt_boxes[own_gt], gt_classes[own_gt], fg_iou, background
+                )
+                assert np.array_equal(classes[own], want)
+                empty += not own.any() or not own_gt.any()
+                if own_gt.sum() > 1 and own.any():
+                    ious = iou_matrix(boxes[own], gt_boxes[own_gt])
+                    best = ious.max(axis=1, keepdims=True)
+                    top = (ious == best) & (best > 0.0) & (best >= fg_iou)
+                    ties += sum(
+                        len(set(gt_classes[own_gt][row].tolist())) > 1 for row in top
+                    )
+        assert ties > 30 and empty > 100
+
+    def test_decode_stack_equals_decode_per_view(self):
+        # Parents and a crop child of another size in one stack, each view
+        # with its own generator: row for row what decode gives per view.
+        backend = self.backend()
+        rng = np.random.default_rng(32)
+        views = [backend.view(s) for s in self.samples()]
+        stack = ViewStack.of(views + views[:1])
+        seeds = [3, 4, 5, 6]
+        for augmentation in ("none", "weak", "strong"):
+            w = random_weights(rng, 4)
+            rngs = [rng_for(seed, augmentation) for seed in seeds]
+            boxes, probs = backend.decode_stack(w, stack, augmentation, rngs)
+            per_view = [
+                backend.decode(w, v, augmentation, seed) for v, seed in zip(views + views[:1], seeds)
+            ]
+            assert np.array_equal(boxes, np.concatenate([b for b, _ in per_view]))
+            assert np.array_equal(probs, np.concatenate([p for _, p in per_view]))
+            assert stack.width.tolist() == np.repeat(
+                [v.sample.record.width for v in views + views[:1]], stack.counts
+            ).tolist()
+
     def test_targets_touching_boxes_stay_background(self):
         prop = [[0.0, 0.0, 10.0, 10.0]]
         touching = [((10.0, 0.0, 20.0, 10.0), 1), ((0.0, 10.0, 10.0, 20.0), 2)]
@@ -571,7 +670,8 @@ class TestArrayKernelsMatchLoops:
             view = backend.view(sample)
             for w in weights:
                 for augmentation, seed in (("none", 0), ("weak", 3), ("strong", 4)):
-                    probs, offsets = toy_forward(w, backend.augment(view.phi, augmentation, seed))
+                    rngs = [rng_for(seed, augmentation)]
+                    probs, offsets = toy_forward(w, backend.augment(view.phi, augmentation, rngs))
                     want = decode_ref(
                         rows(view.proposals), probs, offsets, sample.record.size,
                         backend.config.emit_floor, backend.background_class,

@@ -80,3 +80,20 @@ class TestRngsFor:
     def test_rows_must_be_2d(self):
         with pytest.raises(InvariantViolation):
             rngs_for([1], np.array([1, 2, 3]))
+
+
+class TestIntParts:
+    def test_only_the_low_32_bits_of_an_int_part_seed(self):
+        # Training's augment seeds are 64-bit sha256 prefixes; rng_for masks
+        # them, which is what lets one rngs_for row carry each of them.
+        from densecrop.teacher import _aug_seed
+
+        rng = np.random.default_rng(7)
+        seeds = [_aug_seed(1, tag, 42, "img") for tag in ("teacher-weak", "student-strong")]
+        seeds += rng.integers(2**32, 2**63, 50).tolist() + [2**64 - 1, 2**32]
+        assert any(s > WORD_MAX for s in seeds[:2])
+        for seed in seeds:
+            for tag in ("weak", "strong"):
+                full, low = rng_for(seed, tag), rng_for(seed & WORD_MAX, tag)
+                assert np.array_equal(full.normal(0.0, 1.0, 4), low.normal(0.0, 1.0, 4))
+                assert full.random() == low.random()

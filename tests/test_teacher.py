@@ -11,19 +11,25 @@ from densecrop.dataset import (
     generate_synthetic_dataset,
 )
 from densecrop.detect import (
+    SampleView,
     ToyDetector,
     ToyDetectorConfig,
+    ViewStack,
     WeightLayout,
     WeightVector,
     toy_forward,
 )
 from densecrop.errors import ConfigError, InvariantViolation
+from densecrop.geometry import iou_matrix
+from densecrop.seeding import rng_for
 from densecrop.teacher import (
     TrainerConfig,
     burn_in,
     combined_loss,
     discover_unlabeled_crops,
     ema_update,
+    _augment_rngs,
+    _student_batch,
     _teacher_pseudo_labels,
     filter_pseudo_labels,
     prepare_labeled_pool,
@@ -32,6 +38,8 @@ from densecrop.teacher import (
     write_checkpoint,
     write_run_report,
 )
+
+from reference_impls import student_batch_ref
 
 CROP_PARAMS = CropParams(merge_steps=2, sigma=14, theta=0.05, pi=0.4, min_cluster=3)
 UPSCALE = UpscalePolicy("factor", factor=4.0)
@@ -151,33 +159,135 @@ class TestFilterPseudoLabels:
             layout=backend.layout,
             values=np.concatenate([cls.ravel(), np.zeros(backend.layout.reg_size)]),
         )
-        _, classes, _ = _teacher_pseudo_labels(backend, weights, view, 0.5, seed=0)
+        stack = ViewStack.of([view])
+        _, classes, label_view, _ = _teacher_pseudo_labels(
+            backend, weights, stack, 0.5, [rng_for(0, "weak")]
+        )
         assert backend.crop_class_id in classes.tolist()
+        assert label_view.tolist() == [0] * len(classes)
 
     def test_invalid_tau(self):
         with pytest.raises(InvariantViolation):
             filter_pseudo_labels(np.zeros(0), -0.1)
 
     def test_teacher_pseudo_labels_are_confident_detections(self):
-        # The array selection equals filtering the detector's own
-        # detections, in their order, also for tau below the emit floor.
+        # The stacked selection equals filtering the detector's own
+        # detections view by view, in their order, also for tau below the
+        # emit floor; each view draws its weak flip from its own generator.
         samples = tiny_dataset(n=3)
         backend = backend_for()
         rng = np.random.default_rng(45)
         values = rng.normal(0, 1.0, backend.layout.total)
         weights = WeightVector(layout=backend.layout, values=values)
+        views = [backend.view(sample) for sample in samples.values()]
+        stack = ViewStack.of(views)
+        seeds = [7, 8, 9]
         kept = 0
-        for sample in samples.values():
-            view = backend.view(sample)
-            dets = backend.detect(weights, view, "weak", seed=7)
-            for tau in (0.0, 0.1, 0.3, 0.6, 1.0):
-                boxes, classes, probs = _teacher_pseudo_labels(backend, weights, view, tau, seed=7)
+        for tau in (0.0, 0.1, 0.3, 0.6, 1.0):
+            rngs = [rng_for(seed, "weak") for seed in seeds]
+            boxes, classes, label_view, probs = _teacher_pseudo_labels(
+                backend, weights, stack, tau, rngs
+            )
+            assert probs.shape == (len(stack.proposals), backend.layout.num_outputs)
+            assert np.all(np.diff(label_view) >= 0)
+            for k, (view, seed) in enumerate(zip(views, seeds)):
+                dets = backend.detect(weights, view, "weak", seed=seed)
                 want = [(d.box.as_tuple(), d.class_id) for d in dets if d.score > tau]
-                assert [tuple(b) for b in boxes.tolist()] == [w[0] for w in want]
-                assert classes.tolist() == [w[1] for w in want]
-                assert probs.shape == (len(view.proposals), backend.layout.num_outputs)
+                own = label_view == k
+                assert [tuple(b) for b in boxes[own].tolist()] == [w[0] for w in want]
+                assert classes[own].tolist() == [w[1] for w in want]
                 kept += len(want)
         assert kept > 0
+
+
+class TestStudentBatch:
+    """The stacked unlabeled step against the per-view path it replaced
+    (``reference_impls.student_batch_ref``), bit for bit."""
+
+    def views(self):
+        """Parents, upscaled crop children (whose image size differs from
+        their parent's), a view without proposals and a view whose
+        edge proposals carry -0.0."""
+        from densecrop.dataset import make_crop_children
+
+        samples = tiny_dataset(
+            seed=5, n=5, clusters_per_image=(2, 2), objects_per_cluster=(6, 8)
+        )
+        backend = backend_for(payload_obs_scale=2.0)
+        views = [backend.view(s) for s in samples.values()]
+        for sample in list(samples.values())[:3]:
+            crops = np.array([[40.0, 60.0, 140.0, 140.0], [200.0, 180.0, 330.0, 300.0]])
+            for child in make_crop_children(sample, crops, UPSCALE):
+                assert child.record.size != sample.record.size
+                views.append(backend.view(child))
+        edge = views[0]
+        proposals = edge.proposals.copy()
+        proposals[0, :2] = 0.0
+        proposals[proposals == 0.0] = -0.0
+        views.append(SampleView(edge.sample, proposals, edge.phi))
+        empty = views[1]
+        views.append(SampleView(empty.sample, np.zeros((0, 4)), np.zeros((0, empty.phi.shape[1]))))
+        return backend, views
+
+    def weights(self, backend, rng):
+        layout = backend.layout
+        out = [
+            WeightVector(layout=layout, values=rng.normal(0.0, scale, layout.total))
+            for scale in (0.3, 1.0, 3.0)
+        ]
+        # A zero regressor decodes each proposal onto itself, so pseudo-
+        # labels of two classes on one proposal share a box exactly.
+        cls = rng.normal(0.0, 0.5, layout.cls_size)
+        out.append(WeightVector(layout=layout, values=np.concatenate([cls, np.zeros(layout.reg_size)])))
+        return out
+
+    def test_batched_views_equal_per_view_path(self):
+        backend, pool = self.views()
+        rng = np.random.default_rng(46)
+        weights = self.weights(backend, rng)
+        ties = empty_views = empty_batches = 0
+        for trial in range(60):
+            size = int(rng.integers(1, 7))
+            views = [pool[int(i)] for i in rng.integers(0, len(pool), size)]
+            if trial % 10 == 0:
+                views.append(pool[-2])  # the -0.0 view
+            weak = rng.integers(0, 2**63, len(views)).tolist()
+            strong = rng.integers(0, 2**63, len(views)).tolist()
+            teacher = weights[trial % len(weights)]
+            tau = (0.16, 0.3, 0.5, 1.0)[trial % 4]
+            batch, pseudo = _student_batch(
+                backend,
+                teacher,
+                views,
+                tau,
+                _augment_rngs([(s, "weak") for s in weak]),
+                _augment_rngs([(s, "strong") for s in strong]),
+            )
+            features, classes, want_pseudo = student_batch_ref(
+                backend, teacher, views, tau, weak, strong
+            )
+            assert np.array_equal(batch.features, features)
+            assert np.array_equal(batch.classes, classes)
+            assert pseudo == want_pseudo
+            empty_batches += pseudo == 0
+            # Count the views without pseudo-labels, and proposals whose best
+            # pseudo-label IoU is tied between two classes, where the first
+            # pseudo-label must win.
+            stack = ViewStack.of(views)
+            boxes, label_classes, label_view, _ = _teacher_pseudo_labels(
+                backend, teacher, stack, tau, _augment_rngs([(s, "weak") for s in weak])
+            )
+            for k in range(len(views)):
+                own = label_view == k
+                empty_views += not own.any()
+                if own.sum() < 2 or not len(views[k].proposals):
+                    continue
+                ious = iou_matrix(views[k].proposals, boxes[own])
+                best = ious.max(axis=1, keepdims=True)
+                at_best = (ious == best) & (best >= backend.config.fg_iou)
+                tied = [len(set(label_classes[own][row].tolist())) > 1 for row in at_best]
+                ties += sum(tied)
+        assert ties > 0 and empty_views > 0 and empty_batches > 0
 
 
 class TestEmaUpdate:
@@ -280,7 +390,7 @@ class TestBurnIn:
         assert history[-1].loss_total < history[0].loss_total
         correct = total = 0
         for view in pool.values():
-            batch = backend.supervised_batch(view, "none", seed=0)
+            batch = backend.supervised_batch(view)
             probs, _ = toy_forward(weights, batch.features)
             correct += int(np.sum(np.argmax(probs, axis=1) == batch.classes))
             total += len(batch)
@@ -504,6 +614,70 @@ class TestTrain:
         assert hashlib.sha256(state.teacher.values.tobytes()).hexdigest() == (
             "3ca723a127f1eb362b5a1b0f1bd1104712d2ff24c983d88cba65b11ce0cc6d3d"
         )
+
+    def test_one_rngs_for_call_per_iteration_and_none_in_augment(self, monkeypatch):
+        # Every augment generator of an iteration (labeled weak, teacher
+        # weak, student strong) comes from one rngs_for call; a crop
+        # discovery pass with targets adds one more. augment only draws
+        # from the generators it is given.
+        from densecrop import detect as detect_module
+        from densecrop import teacher as teacher_module
+
+        rows_per_call: list = []
+        inside_augment: list = []
+        real_rngs_for = teacher_module.rngs_for
+        real_augment = ToyDetector.augment
+
+        def counted(prefix, rows):
+            rows_per_call.append(len(rows))
+            return real_rngs_for(prefix, rows)
+
+        def augment(self, *args, **kwargs):
+            inside_augment.append(True)
+            try:
+                return real_augment(self, *args, **kwargs)
+            finally:
+                inside_augment.pop()
+
+        def guarded(real):
+            def wrapper(*args, **kwargs):
+                assert not inside_augment, "augment derived a generator"
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(teacher_module, "rngs_for", counted)
+        monkeypatch.setattr(ToyDetector, "augment", augment)
+        for module in (detect_module, teacher_module):
+            monkeypatch.setattr(module, "rng_for", guarded(module.rng_for))
+            monkeypatch.setattr(module, "rngs_for", guarded(module.rngs_for))
+
+        samples = tiny_dataset()
+        split = quick_split(samples, 3)
+        backend = backend_for()
+        cfg = trainer_config(crop_start_iter=10**9)
+        state = train(cfg, samples, split, backend)
+        assert rows_per_call == [
+            cfg.labeled_batch + 2 * log.unlabeled_images for log in state.history
+        ]
+        assert all(log.unlabeled_images > 0 for log in state.history[cfg.burn_in_iters :])
+
+        passes: list = []
+        discover = teacher_module.discover_unlabeled_crops
+
+        def recording(state, *args, **kwargs):
+            children = discover(state, *args, **kwargs)
+            passes.append(
+                any(e.computed_iter == state.iteration for e in state.crop_cache.values())
+            )
+            return children
+
+        monkeypatch.setattr(teacher_module, "discover_unlabeled_crops", recording)
+        rows_per_call.clear()
+        cfg = trainer_config()
+        train(cfg, samples, split, backend)
+        assert sum(passes) > 0
+        assert len(rows_per_call) == cfg.max_iters + sum(passes)
 
     def test_run_report_round_trips_loss_values(self, tmp_path):
         samples = tiny_dataset()
