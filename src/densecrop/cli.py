@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 import time
@@ -28,7 +27,14 @@ from typing import Callable
 from . import config as cfg
 from . import croplab, dataset, detect, geometry, infer, metrics, teacher
 from .errors import ConfigError, DataError, DensecropError
-from .manifest import RunManifest, read_manifest, verify_inputs, verify_outputs, write_manifest
+from .manifest import (
+    RunManifest,
+    read_manifest,
+    verify_inputs,
+    verify_outputs,
+    write_json,
+    write_manifest,
+)
 
 CROP_CATEGORY_NAME = "density_crop"
 
@@ -47,12 +53,6 @@ def _load_samples(annotations_path: str, scenes_path: str):
     loaded = dataset.load_annotations(annotations_path)
     samples = dataset.read_scenes(scenes_path, list(loaded.records))
     return loaded, samples
-
-
-def _write_json(path: str, payload) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, separators=(",", ": "), indent=1)
-        fh.write("\n")
 
 
 def _finish(
@@ -271,7 +271,7 @@ def cmd_errors(params: dict) -> RunManifest:
     gts, dets = _eval_inputs(params)
     start = time.perf_counter()
     profile = metrics.profile_errors(gts, dets, fg_iou=params["fg_iou"], bg_iou=params["bg_iou"])
-    _write_json(errors_path, dataclasses.asdict(profile))
+    write_json(errors_path, dataclasses.asdict(profile))
     print("  ".join(f"{k}={v}" for k, v in profile.counts.items()))
     return _finish("errors", params, 0, start, [errors_path])
 
@@ -284,7 +284,7 @@ def cmd_report(params: dict) -> RunManifest:
     reports = [(name, metrics.read_eval_report(p)) for name, p in zip(names, params["reports"])]
     start = time.perf_counter()
     table = metrics.compare_runs(reports)
-    _write_json(json_path, table)
+    write_json(json_path, table)
     with open(text_path, "w", encoding="utf-8") as fh:
         fh.write(metrics.format_comparison(table))
     print(metrics.format_comparison(table), end="")

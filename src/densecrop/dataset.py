@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, InvariantViolation
 from .geometry import Box, box_array, box_areas, clip, intersection_matrix, project_rows
+from .manifest import write_json
 from .seeding import rng_for, stable_int
 
 __all__ = [
@@ -358,9 +359,7 @@ def write_annotations(
         "annotations": annotations,
         "categories": [{"id": cid, "name": categories[cid]} for cid in sorted(categories)],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, separators=(",", ": "), indent=1)
-        fh.write("\n")
+    write_json(path, payload)
 
 
 # ---------------------------------------------------------------------------
@@ -706,9 +705,7 @@ def write_scenes(samples: list[SceneSample], path: str | os.PathLike) -> None:
             for s in samples
         }
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, separators=(",", ": "), indent=1)
-        fh.write("\n")
+    write_json(path, payload)
 
 
 def read_scenes(path: str | os.PathLike, records: list[ImageRecord]) -> list[SceneSample]:

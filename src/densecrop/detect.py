@@ -53,7 +53,6 @@ __all__ = [
     "loss_sup",
     "loss_unsup",
     "assign_targets",
-    "assign_view_targets",
     "DetectorBackend",
     "OracleBackend",
     "ToyDetector",
@@ -203,10 +202,10 @@ def _uniform(low, high, u: np.ndarray) -> np.ndarray:
     return low + (high - low) * u
 
 
-def _safe_box(boxes: np.ndarray, width: float, height: float) -> np.ndarray:
+def _safe_box(boxes: np.ndarray, width, height) -> np.ndarray:
     """(x1, y1, x2, y2) rows clipped to the image, with degenerate sides
     padded to ``_MIN_SIDE`` around their clipped centre, so every row is a
-    valid :class:`Box`."""
+    valid :class:`Box`. The image size is one scalar pair or one per row."""
     half = _MIN_SIDE / 2.0
     out = np.empty_like(boxes)
     for lo, hi, size in ((0, 2, width), (1, 3, height)):
@@ -369,10 +368,11 @@ def toy_forward(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Class probabilities (softmax of linear logits) and linear box offsets.
 
-    With ``counts``, the feature rows are a stack of blocks of that many
-    rows each, and the two matmuls run once per block: with OpenBLAS a
-    matmul over stacked rows can differ in the last bits from the per-block
-    products. The softmax is row by row, so it runs once on the stack.
+    The feature rows are a stack of blocks of ``counts`` rows each (one
+    block without ``counts``), and the two matmuls run once per block: with
+    OpenBLAS a matmul over stacked rows can differ in the last bits from
+    the per-block products. The softmax is row by row, so it runs once on
+    the stack.
     """
     if features.shape[-1] != weights.layout.feature_dim:
         raise InvariantViolation(
@@ -380,9 +380,8 @@ def toy_forward(
         )
     phi = _with_bias(np.asarray(features, dtype=np.float64))
     cls, reg = weights.cls_matrix().T, weights.reg_matrix().T
-    if counts is None:
-        return _softmax(phi @ cls), phi @ reg
-    blocks = np.split(phi, np.cumsum(counts)[:-1])
+    ends = np.cumsum([len(phi)] if counts is None else counts).tolist()
+    blocks = [phi[start:end] for start, end in zip([0] + ends[:-1], ends)]
     logits = np.concatenate([b @ cls for b in blocks])
     return _softmax(logits), np.concatenate([b @ reg for b in blocks])
 
@@ -472,45 +471,21 @@ def loss_unsup(weights: WeightVector, batch: UnsupervisedBatch) -> LossResult:
 
 def assign_targets(
     boxes: np.ndarray,
-    gt_boxes: np.ndarray,
-    gt_classes: np.ndarray,
-    fg_iou: float,
-    background_class: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Match each (x1, y1, x2, y2) row of ``boxes`` to its best-IoU row of
-    ``gt_boxes``.
-
-    Among equal best IoUs the first ground-truth row wins. Proposals that
-    overlap their match and reach ``fg_iou`` take its class and corner
-    offsets (match minus proposal); the rest become background with zero
-    offsets.
-    """
-    classes = np.full(len(boxes), background_class, dtype=np.int64)
-    offsets = np.zeros((len(boxes), 4))
-    if len(boxes) == 0 or len(gt_boxes) == 0:
-        return classes, offsets
-    ious = iou_matrix(boxes, gt_boxes)
-    best = ious.argmax(axis=1)
-    best_iou = ious[np.arange(len(boxes)), best]
-    fg = (best_iou > 0.0) & (best_iou >= fg_iou)
-    classes[fg] = gt_classes[best[fg]]
-    offsets[fg] = gt_boxes[best[fg]] - boxes[fg]
-    return classes, offsets
-
-
-def assign_view_targets(
-    boxes: np.ndarray,
     box_view: np.ndarray,
     gt_boxes: np.ndarray,
     gt_view: np.ndarray,
     gt_classes: np.ndarray,
     fg_iou: float,
     background_class: int,
-) -> np.ndarray:
-    """The classes :func:`assign_targets` gives within each view of a
-    ragged stack: each row of ``boxes`` is matched only against the
-    ``gt_boxes`` rows of its own view. ``box_view`` and ``gt_view`` give
-    each row's view index; both must be non-decreasing.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Match each (x1, y1, x2, y2) row of ``boxes`` to its best-IoU row of
+    ``gt_boxes`` within its own view of a ragged stack. ``box_view`` and
+    ``gt_view`` give each row's view index; both must be non-decreasing.
+
+    Among equal best IoUs the first ground-truth row wins. Proposals that
+    overlap their match and reach ``fg_iou`` take its class and corner
+    offsets (match minus proposal); the rest become background with zero
+    offsets.
 
     Only same-view (box, ground truth) pairs are formed: their IoUs use
     ``iou_matrix``'s float operations elementwise, each box's best IoU is
@@ -518,12 +493,13 @@ def assign_view_targets(
     reaching it a ``minimum.reduceat`` over their indices.
     """
     classes = np.full(len(boxes), background_class, dtype=np.int64)
+    offsets = np.zeros((len(boxes), 4))
     views = int(box_view[-1]) + 1 if len(boxes) else 0
     gt_start = np.searchsorted(gt_view, np.arange(views + 1))
     per_box = np.diff(gt_start)[box_view]
     rows = np.flatnonzero(per_box)
     if len(rows) == 0:
-        return classes
+        return classes, offsets
     counts = per_box[rows]
     first_pair = np.cumsum(counts) - counts
     pair_box = np.repeat(rows, counts)
@@ -539,7 +515,8 @@ def assign_view_targets(
     best = np.minimum.reduceat(at_best, first_pair)
     fg = (best_iou > 0.0) & (best_iou >= fg_iou)
     classes[rows[fg]] = gt_classes[best[fg]]
-    return classes
+    offsets[rows[fg]] = gt_boxes[best[fg]] - boxes[rows[fg]]
+    return classes, offsets
 
 
 # ---------------------------------------------------------------------------
@@ -561,7 +538,9 @@ class DetectorBackend(abc.ABC):
     that computes arrays natively, like :class:`ToyDetector`, overrides
     ``detect_arrays`` instead and makes ``detect`` the wrapper that builds
     :class:`Detection` objects, so its subclasses override
-    ``detect_arrays``.
+    ``detect_arrays``. :class:`ToyDetector` answers both from a
+    :class:`ViewStack` of the one sample's view, the input its training
+    batches use too.
     """
 
     num_base_classes: int
@@ -633,7 +612,9 @@ class ViewStack:
     ``proposals`` (N, 4) and ``phi`` (N, D) concatenate the views' rows;
     ``counts`` holds each view's row count, ``row_view`` each row's view
     index, and ``width`` and ``height`` each row's image size, so a crop
-    child and its parent can share one stack.
+    child and its parent can share one stack. When every view was built
+    with targets, ``gt_classes`` and ``gt_offsets`` concatenate theirs.
+    A single view is a stack of one.
     """
 
     proposals: np.ndarray
@@ -642,12 +623,15 @@ class ViewStack:
     row_view: np.ndarray
     width: np.ndarray
     height: np.ndarray
+    gt_classes: np.ndarray | None = None
+    gt_offsets: np.ndarray | None = None
 
     @classmethod
     def of(cls, views: list[SampleView]) -> "ViewStack":
         counts = np.array([len(v.proposals) for v in views], dtype=np.int64)
         row_view = np.repeat(np.arange(len(views)), counts)
         size = np.array([v.sample.record.size for v in views], dtype=np.float64)
+        targets = all(v.gt_classes is not None for v in views)
         return cls(
             proposals=np.concatenate([v.proposals for v in views]),
             phi=np.concatenate([v.phi for v in views]),
@@ -655,6 +639,8 @@ class ViewStack:
             row_view=row_view,
             width=size[row_view, 0],
             height=size[row_view, 1],
+            gt_classes=np.concatenate([v.gt_classes for v in views]) if targets else None,
+            gt_offsets=np.concatenate([v.gt_offsets for v in views]) if targets else None,
         )
 
 
@@ -688,21 +674,19 @@ class ToyDetector(DetectorBackend):
     noise and zeroes a random contiguous block.
 
     Proposals and base features are pure functions of the image: :meth:`view`
-    computes them once, and every method takes that view; :meth:`detect`
-    also takes a sample and builds its view for the call. Everything below
-    :meth:`detect` works on arrays: :meth:`decode` returns every proposal's
-    regressed box and class probabilities, :meth:`emitted` picks the
-    (proposal, class) pairs that count as detections,
-    :meth:`detect_arrays` returns those as rows, and only :meth:`detect`
-    wraps them into :class:`Detection` objects.
-
-    Training batches a whole iteration's unlabeled views into one
-    :class:`ViewStack`: :meth:`decode_stack` and :meth:`unsupervised_batch`
-    run the softmax, the box clipping and the target assignment once on
-    the stack, and only the matmuls and each view's random draws stay per
-    view. :meth:`augment` never derives a generator: callers hand it one
-    per view, so a training iteration derives all of them in one
-    ``rngs_for`` call.
+    computes them once, with each proposal's targets for a labeled record.
+    The numeric methods take a :class:`ViewStack` of views, and a single
+    view is a stack of one: :meth:`decode` returns every proposal's
+    regressed box and class probabilities, :meth:`supervised_batch` and
+    :meth:`unsupervised_batch` build training batches, and each runs the
+    softmax, the box clipping and the target assignment once on the stack;
+    only the matmuls and each view's random draws stay per view.
+    :meth:`emitted` picks the (proposal, class) pairs that count as
+    detections, :meth:`detect_arrays` returns those of one view (built for
+    the call when given a sample) as rows, and only :meth:`detect` wraps
+    them into :class:`Detection` objects. :meth:`augment` never derives a
+    generator: callers hand it one per view, so a training iteration
+    derives all of them in one ``rngs_for`` call.
     """
 
     def __init__(self, config: ToyDetectorConfig):
@@ -812,7 +796,9 @@ class ToyDetector(DetectorBackend):
             annotations = sample.record.annotations
             classes, offsets = assign_targets(
                 proposals,
+                np.zeros(len(proposals), dtype=np.int64),
                 box_array([a.box for a in annotations]),
+                np.zeros(len(annotations), dtype=np.int64),
                 np.array([a.class_id for a in annotations], dtype=np.int64),
                 self.config.fg_iou,
                 self.background_class,
@@ -839,43 +825,27 @@ class ToyDetector(DetectorBackend):
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Detections on a view, or on a sample through a view built for
         this call: the :meth:`emitted` (proposal, class) pairs of
-        :meth:`decode`, proposal by proposal and class by class, as box
-        rows, class ids and scores."""
+        :meth:`decode` on a stack of that one view, proposal by proposal
+        and class by class, as box rows, class ids and scores. The
+        augmentation draws from ``rng_for(seed, augmentation)``."""
         view = sample if isinstance(sample, SampleView) else self.view(sample)
-        boxes, probs = self.decode(weights, view, augmentation, seed)
+        rngs = () if augmentation == "none" else [rng_for(seed, augmentation)]
+        boxes, probs = self.decode(weights, ViewStack.of([view]), augmentation, rngs)
         rows, classes = self.emitted(probs)
         return boxes[rows], classes, probs[rows, classes]
 
     def decode(
-        self,
-        weights: WeightVector | None,
-        view: SampleView,
-        augmentation: str = "none",
-        seed: int = 0,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Every proposal's regressed box, clipped to the image as (N, 4)
-        rows, and its (N, num_outputs) class probabilities; the
-        augmentation draws from ``rng_for(seed, augmentation)``."""
-        rngs = () if augmentation == "none" else [rng_for(seed, augmentation)]
-        phi = self.augment(view.phi, augmentation, rngs)
-        return self._decode(weights, phi, view.proposals, *view.sample.record.size)
-
-    def decode_stack(
         self, weights: WeightVector | None, stack: ViewStack, augmentation: str, rngs
     ) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`decode` of every view of ``stack`` at once, each view
-        augmented with its own generator of ``rngs``: row ``i`` of the
-        result is what :meth:`decode` gives for that row's proposal."""
-        phi = self.augment(stack.phi, augmentation, rngs, stack.counts)
-        return self._decode(
-            weights, phi, stack.proposals, stack.width, stack.height, stack.counts
-        )
-
-    def _decode(self, weights, phi, proposals, width, height, counts=None):
+        """Every proposal's regressed box, clipped to its image as (N, 4)
+        rows, and its (N, num_outputs) class probabilities, each view of
+        ``stack`` augmented with its own generator of ``rngs`` as in
+        :meth:`augment`."""
         if weights is None:
             raise InvariantViolation("ToyDetector.detect requires weights")
-        probs, offsets = toy_forward(weights, phi, counts)
-        return _safe_box(proposals + offsets, width, height), probs
+        phi = self.augment(stack.phi, augmentation, rngs, stack.counts)
+        probs, offsets = toy_forward(weights, phi, stack.counts)
+        return _safe_box(stack.proposals + offsets, stack.width, stack.height), probs
 
     def emitted(self, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(proposal, class) index pairs that count as detections: base and
@@ -884,17 +854,18 @@ class ToyDetector(DetectorBackend):
         return np.nonzero(probs[:, : self.background_class] > self.config.emit_floor)
 
     def supervised_batch(
-        self, view: SampleView, augmentation: str = "none", rngs=()
+        self, stack: ViewStack, augmentation: str = "none", rngs=()
     ) -> SupervisedBatch:
-        """Training batch against the record's own annotations; the view
-        must have been built with targets. ``rngs`` is as for
+        """Training batch of a stack of views against their records' own
+        annotations; every view must have been built with targets. Each
+        view is augmented with its own generator of ``rngs`` as in
         :meth:`augment`."""
-        if view.gt_classes is None:
-            raise InvariantViolation("supervised_batch needs a view built with targets")
+        if stack.gt_classes is None:
+            raise InvariantViolation("supervised_batch needs views built with targets")
         return SupervisedBatch(
-            features=self.augment(view.phi, augmentation, rngs),
-            classes=view.gt_classes,
-            offsets=view.gt_offsets,
+            features=self.augment(stack.phi, augmentation, rngs, stack.counts),
+            classes=stack.gt_classes,
+            offsets=stack.gt_offsets,
         )
 
     def unsupervised_batch(
@@ -921,7 +892,7 @@ class ToyDetector(DetectorBackend):
         target. Kept rows stay in stack order.
         """
         phi = self.augment(stack.phi, "strong", rngs, stack.counts)
-        classes = assign_view_targets(
+        classes, _ = assign_targets(
             stack.proposals,
             stack.row_view,
             pseudo_boxes,

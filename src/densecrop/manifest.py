@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .errors import DataError, InvariantViolation
 
-__all__ = ["RunManifest", "file_digest", "write_manifest", "read_manifest"]
+__all__ = ["RunManifest", "file_digest", "write_json", "write_manifest", "read_manifest"]
 
 TOOLKIT_VERSION = "0.1.0"
 
@@ -53,6 +53,14 @@ class RunManifest:
         return [o for o in self.outputs if o["primary"]]
 
 
+def write_json(path: str | os.PathLike, payload) -> None:
+    """``payload`` as JSON with sorted keys, one-space indents and a final
+    newline: the format of every JSON file the toolkit writes."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, sort_keys=True, separators=(",", ": "), indent=1)
+        fh.write("\n")
+
+
 def write_manifest(manifest: RunManifest, path: str | os.PathLike) -> None:
     payload = {
         "command": manifest.command,
@@ -63,9 +71,7 @@ def write_manifest(manifest: RunManifest, path: str | os.PathLike) -> None:
         "outputs": manifest.outputs,
         "timings": manifest.timings,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, separators=(",", ": "), indent=1)
-        fh.write("\n")
+    write_json(path, payload)
 
 
 def read_manifest(path: str | os.PathLike) -> RunManifest:

@@ -35,6 +35,7 @@ import numpy as np
 
 from .errors import DataError, InvariantViolation
 from .geometry import box_areas, box_array, iou_matrix
+from .manifest import write_json
 
 __all__ = [
     "COCO_IOU_THRESHOLDS",
@@ -481,9 +482,7 @@ def write_eval_report(
         "per_class": {str(k): v for k, v in sorted(report.per_class.items())},
         "error_counts": report.error_counts,
     }
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, separators=(",", ": "), indent=1)
-        fh.write("\n")
+    write_json(json_path, payload)
     if text_path is None:
         return
     rows = [["metric", "value"]]

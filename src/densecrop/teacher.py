@@ -31,10 +31,10 @@ from .dataset import (
 )
 from .detect import (
     LossResult,
-    SupervisedBatch,
     ToyDetector,
     UnsupervisedBatch,
     ViewStack,
+    WeightLayout,
     WeightVector,
     loss_sup,
     loss_unsup,
@@ -179,11 +179,13 @@ def _teacher_pseudo_labels(
     and the (P,) index of the view each belongs to, plus the stack's
     (N, num_outputs) per-proposal probabilities.
 
-    A view's pseudo-labels are the detections ``backend.detect`` would
-    return for that view with score above ``tau``, in the same order;
-    views follow each other in stack order.
+    One ``backend.decode`` on the stack yields every row's box and
+    probabilities; the pseudo-labels are its emitted (proposal, class)
+    entries scoring above ``tau``, in row-major order. ``backend.detect``
+    decodes a stack of one view the same way, so a view's pseudo-labels
+    are the detections it returns for that view with score above ``tau``.
     """
-    boxes, probs = backend.decode_stack(teacher, stack, "weak", rngs)
+    boxes, probs = backend.decode(teacher, stack, "weak", rngs)
     rows, classes = backend.emitted(probs)
     keep = filter_pseudo_labels(probs[rows, classes], tau)
     rows = rows[keep]
@@ -247,26 +249,15 @@ def _sample_ids(pool: dict, size: int, seed_parts: tuple) -> list:
     return [ids[int(i)] for i in sorted(int(i) for i in picked)]
 
 
-def _concat_supervised(batches: list[SupervisedBatch]) -> SupervisedBatch:
-    return SupervisedBatch(
-        features=np.concatenate([b.features for b in batches]),
-        classes=np.concatenate([b.classes for b in batches]),
-        offsets=np.concatenate([b.offsets for b in batches]),
-    )
-
-
 def _supervised_loss(
     labeled_pool: dict, batch_ids: list, rngs, backend: ToyDetector, weights: WeightVector
 ) -> LossResult:
-    """Supervised loss over an iteration's labeled batch, each view weakly
-    augmented with its own generator of ``rngs``. Shared by burn-in and
-    the teacher-student phase so degenerate configs match supervised
+    """Supervised loss over one stack of an iteration's labeled views, each
+    weakly augmented with its own generator of ``rngs``. Shared by burn-in
+    and the teacher-student phase so degenerate configs match supervised
     training bit for bit."""
-    batches = [
-        backend.supervised_batch(labeled_pool[i], "weak", [rng])
-        for i, rng in zip(batch_ids, rngs)
-    ]
-    return loss_sup(weights, _concat_supervised(batches))
+    stack = ViewStack.of([labeled_pool[i] for i in batch_ids])
+    return loss_sup(weights, backend.supervised_batch(stack, "weak", rngs))
 
 
 def _apply_step(weights: WeightVector, gradient: np.ndarray, lr: float, iteration: int) -> WeightVector:
@@ -464,18 +455,21 @@ def train(
     front, and a crop child gets a fresh view when it enters the unlabeled
     pool, even under an id an earlier, different crop used.
 
-    Each iteration handles its unlabeled views (the sampled parents and
-    their cached crop children) in one pass over a :class:`ViewStack`, a
-    ragged stack of their proposals and features. The teacher decodes
-    every weak view at once into per-proposal boxes and probabilities; the
-    pseudo-labels are the emitted (proposal, class) entries scoring above
-    ``tau``, kept as box, class and view-index arrays, and each proposal
-    of the student's strong views is matched only against the
-    pseudo-labels of its own view. Crop discovery makes the same stacked
-    decode over its targets. One ``rngs_for`` call per iteration derives
-    every ``augment`` generator (labeled weak, teacher weak, student
-    strong), each view drawing from its own. No ``Detection`` is built in
-    the loop.
+    Each iteration works on two :class:`ViewStack` objects, ragged stacks
+    of views' proposals, features and (for labeled views) targets. The
+    supervised batch is one stack of the sampled labeled views, weakly
+    augmented in one call against their concatenated targets. The
+    unlabeled views (the sampled parents and their cached crop children)
+    form the other stack. The teacher decodes every weak view at once into
+    per-proposal boxes and probabilities; the pseudo-labels are the
+    emitted (proposal, class) entries scoring above ``tau``, kept as box,
+    class and view-index arrays, and each proposal of the student's strong
+    views is matched only against the pseudo-labels of its own view by the
+    same ``assign_targets`` kernel that gave the labeled views their
+    targets. Crop discovery makes the same stacked decode over its
+    targets. One ``rngs_for`` call per iteration derives every ``augment``
+    generator (labeled weak, teacher weak, student strong), each view
+    drawing from its own. No ``Detection`` is built in the loop.
 
     With ``checkpoint_dir`` set and ``config.checkpoint_interval`` enabled,
     intermediate checkpoints are written there; ``resume_from`` restores
@@ -673,8 +667,6 @@ def read_checkpoint(path: str | os.PathLike) -> tuple[dict, WeightVector, Weight
         raise DataError(f"checkpoint {path} is empty")
     try:
         header = json.loads(lines[0])
-        from .detect import WeightLayout
-
         layout = WeightLayout(
             feature_dim=int(header["feature_dim"]), num_outputs=int(header["num_outputs"])
         )

@@ -510,6 +510,73 @@ def decode_ref(
     return out
 
 
+def assign_targets_per_view(
+    boxes: np.ndarray,
+    gt_boxes: np.ndarray,
+    gt_classes: np.ndarray,
+    fg_iou: float,
+    background_class: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Target assignment within one view, as the detector ran it before
+    views were stacked: one (N, M) ``iou_matrix`` and a row ``argmax``,
+    so the first of equal best IoUs wins. Returns classes and corner
+    offsets (match minus proposal, zero for background)."""
+    from densecrop.geometry import iou_matrix
+
+    classes = np.full(len(boxes), background_class, dtype=np.int64)
+    offsets = np.zeros((len(boxes), 4))
+    if len(boxes) == 0 or len(gt_boxes) == 0:
+        return classes, offsets
+    ious = iou_matrix(boxes, gt_boxes)
+    best = ious.argmax(axis=1)
+    best_iou = ious[np.arange(len(boxes)), best]
+    fg = (best_iou > 0.0) & (best_iou >= fg_iou)
+    classes[fg] = gt_classes[best[fg]]
+    offsets[fg] = gt_boxes[best[fg]] - boxes[fg]
+    return classes, offsets
+
+
+def decode_per_view(backend, weights, view, augmentation: str, seed: int):
+    """One view's decode as the detector ran it before views were
+    stacked: the view augmented alone with ``rng_for(seed,
+    augmentation)``, one ``toy_forward`` over its rows and each regressed
+    box clipped by ``safe_box_ref`` against the view's scalar image size.
+    Returns (N, 4) boxes and (N, num_outputs) probabilities."""
+    from densecrop.detect import toy_forward
+    from densecrop.seeding import rng_for
+
+    phi = backend.augment(view.phi, augmentation, [rng_for(seed, augmentation)])
+    probs, offsets = toy_forward(weights, phi)
+    boxes = [
+        safe_box_ref(*(np.array(prop) + offsets[i]), *view.sample.record.size)
+        for i, prop in enumerate(view.proposals.tolist())
+    ]
+    return np.array(boxes, dtype=np.float64).reshape(-1, 4), probs
+
+
+def supervised_batch_ref(backend, views, seeds):
+    """The labeled half of a training iteration one view at a time, as
+    training ran it before labeled views were stacked: each view weakly
+    augmented alone with ``rng_for(seed, "weak")`` and its proposals
+    matched by ``assign_targets_per_view`` against its record's
+    annotations. Returns the features, classes and offsets concatenated
+    in view order."""
+    from densecrop.seeding import rng_for
+
+    features, classes, offsets = [], [], []
+    for view, seed in zip(views, seeds):
+        anns = view.sample.record.annotations
+        gt_boxes = np.array([a.box.as_tuple() for a in anns], dtype=np.float64).reshape(-1, 4)
+        gt_classes = np.array([a.class_id for a in anns], dtype=np.int64)
+        features.append(backend.augment(view.phi, "weak", [rng_for(seed, "weak")]))
+        c, o = assign_targets_per_view(
+            view.proposals, gt_boxes, gt_classes, backend.config.fg_iou, backend.background_class
+        )
+        classes.append(c)
+        offsets.append(o)
+    return np.concatenate(features), np.concatenate(classes), np.concatenate(offsets)
+
+
 def student_batch_ref(backend, teacher, views, tau, weak_seeds, strong_seeds):
     """The unlabeled half of a training iteration one view at a time, as
     training ran it before views were stacked.
@@ -519,12 +586,12 @@ def student_batch_ref(backend, teacher, views, tau, weak_seeds, strong_seeds):
     probability and decoded by ``toy_forward`` alone; emitted detections
     scoring above ``tau`` become pseudo-labels; the strong view draws its
     noise block and cutout start from ``rng_for(strong_seed, "strong")``;
-    ``assign_targets`` matches the view's proposals to its own
+    ``assign_targets_per_view`` matches the view's proposals to its own
     pseudo-labels, and matched or confidently-background rows are kept.
     Returns the kept features and classes, concatenated in view order,
     and the number of pseudo-labels.
     """
-    from densecrop.detect import assign_targets, toy_forward
+    from densecrop.detect import toy_forward
     from densecrop.seeding import rng_for
 
     cfg = backend.config
@@ -552,7 +619,7 @@ def student_batch_ref(backend, teacher, views, tau, weak_seeds, strong_seeds):
             if cfg.strong_cutout > 0:
                 start = int(rng.integers(0, strong.shape[1]))
                 strong[:, start : start + cfg.strong_cutout] = 0.0
-        targets, _ = assign_targets(
+        targets, _ = assign_targets_per_view(
             view.proposals,
             np.array(pseudo_boxes, dtype=np.float64).reshape(-1, 4),
             np.array(pseudo_classes, dtype=np.int64),

@@ -24,7 +24,6 @@ from densecrop.detect import (
     WeightLayout,
     WeightVector,
     assign_targets,
-    assign_view_targets,
     extract_features,
     feature_dim,
     loss_sup,
@@ -39,8 +38,10 @@ from densecrop.geometry import Box, Detection, intersection_matrix, iou_matrix
 from densecrop.seeding import rng_for
 
 from reference_impls import (
+    assign_targets_per_view,
     assign_targets_ref,
     central_difference_gradient,
+    decode_per_view,
     decode_ref,
     extract_features_ref,
     safe_box_ref,
@@ -367,7 +368,8 @@ class TestAssignTargets:
         gt_boxes, gt_classes = np.array([[10.0, 10.0, 30.0, 30.0]]), np.array([2])
         props = np.array([[11.0, 11.0, 31.0, 31.0], [200.0, 200.0, 220.0, 220.0]])
         classes, offsets = assign_targets(
-            props, gt_boxes, gt_classes, fg_iou=0.5, background_class=5
+            props, np.zeros(2, dtype=int), gt_boxes, np.zeros(1, dtype=int), gt_classes,
+            fg_iou=0.5, background_class=5,
         )
         assert classes.tolist() == [2, 5]
         np.testing.assert_allclose(offsets[0], [-1, -1, -1, -1])
@@ -436,7 +438,7 @@ class TestToyDetector:
         assert backend.detect(weights, view, "weak", seed=3) == backend.detect(
             weights, sample, "weak", seed=3
         )
-        backend.supervised_batch(view, "weak", [rng_for(3, "weak")])
+        backend.supervised_batch(ViewStack.of([view]), "weak", [rng_for(3, "weak")])
         backend.unsupervised_batch(
             ViewStack.of([view]),
             np.zeros((0, 4)),
@@ -446,7 +448,7 @@ class TestToyDetector:
         )
         np.testing.assert_array_equal(view.phi, before)
         with pytest.raises(InvariantViolation):
-            backend.supervised_batch(backend.view(sample))  # built without targets
+            backend.supervised_batch(ViewStack.of([backend.view(sample)]))  # built without targets
 
     def test_unknown_augmentation_rejected(self):
         sample = scene_sample(seed=8)
@@ -555,7 +557,10 @@ class TestArrayKernelsMatchLoops:
         gt_boxes = np.array([a[0] for a in anns], dtype=np.float64).reshape(-1, 4)
         gt_classes = np.array([a[1] for a in anns], dtype=np.int64)
         boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
-        got = assign_targets(boxes, gt_boxes, gt_classes, fg_iou, background)
+        got = assign_targets(
+            boxes, np.zeros(len(boxes), dtype=int), gt_boxes, np.zeros(len(gt_boxes), dtype=int),
+            gt_classes, fg_iou, background,
+        )
         want = assign_targets_ref(rows(boxes), anns, fg_iou, background)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
         return got[0]
@@ -578,11 +583,11 @@ class TestArrayKernelsMatchLoops:
         assert self.check_targets(prop, [(right, 2), (left, 1)], fg_iou=0.3).tolist() == [2]
 
     def test_view_targets_equal_assign_targets_per_view(self):
-        # The same-view pair kernel against assign_targets view by view on
-        # random ragged stacks with empty views, views without ground
-        # truth, exact IoU ties between ground-truth rows of different
-        # classes (the first must win) and touching boxes, all on a
-        # 5-pixel grid.
+        # The same-view pair kernel against the per-view iou_matrix and
+        # argmax it replaced, view by view, on random ragged stacks with
+        # empty views, views without ground truth, exact IoU ties between
+        # ground-truth rows of different classes (the first must win) and
+        # touching boxes, all on a 5-pixel grid.
         rng = np.random.default_rng(31)
         background = 9
         ties = empty = 0
@@ -609,15 +614,16 @@ class TestArrayKernelsMatchLoops:
             box_view = np.repeat(np.arange(views), n)
             gt_view = np.repeat(np.arange(views), m)
             fg_iou = (0.0, 0.3, 0.5)[trial % 3]
-            classes = assign_view_targets(
+            classes, offsets = assign_targets(
                 boxes, box_view, gt_boxes, gt_view, gt_classes, fg_iou, background
             )
             for v in range(views):
                 own, own_gt = box_view == v, gt_view == v
-                want, _ = assign_targets(
+                want, want_offsets = assign_targets_per_view(
                     boxes[own], gt_boxes[own_gt], gt_classes[own_gt], fg_iou, background
                 )
                 assert np.array_equal(classes[own], want)
+                assert np.array_equal(offsets[own], want_offsets)
                 empty += not own.any() or not own_gt.any()
                 if own_gt.sum() > 1 and own.any():
                     ious = iou_matrix(boxes[own], gt_boxes[own_gt])
@@ -630,7 +636,7 @@ class TestArrayKernelsMatchLoops:
 
     def test_decode_stack_equals_decode_per_view(self):
         # Parents and a crop child of another size in one stack, each view
-        # with its own generator: row for row what decode gives per view.
+        # with its own generator: row for row what the per-view decode gave.
         backend = self.backend()
         rng = np.random.default_rng(32)
         views = [backend.view(s) for s in self.samples()]
@@ -639,9 +645,10 @@ class TestArrayKernelsMatchLoops:
         for augmentation in ("none", "weak", "strong"):
             w = random_weights(rng, 4)
             rngs = [rng_for(seed, augmentation) for seed in seeds]
-            boxes, probs = backend.decode_stack(w, stack, augmentation, rngs)
+            boxes, probs = backend.decode(w, stack, augmentation, rngs)
             per_view = [
-                backend.decode(w, v, augmentation, seed) for v, seed in zip(views + views[:1], seeds)
+                decode_per_view(backend, w, v, augmentation, seed)
+                for v, seed in zip(views + views[:1], seeds)
             ]
             assert np.array_equal(boxes, np.concatenate([b for b, _ in per_view]))
             assert np.array_equal(probs, np.concatenate([p for _, p in per_view]))
@@ -678,7 +685,9 @@ class TestArrayKernelsMatchLoops:
                     )
                     dets = backend.detect(w, view, augmentation, seed)
                     assert [(d.box.as_tuple(), d.class_id, d.score) for d in dets] == want
-                    boxes, decoded_probs = backend.decode(w, view, augmentation, seed)
+                    boxes, decoded_probs = backend.decode(
+                        w, ViewStack.of([view]), augmentation, [rng_for(seed, augmentation)]
+                    )
                     assert np.array_equal(decoded_probs, probs)
                     assert rows(boxes) == [
                         safe_box_ref(*(np.asarray(p) + o), *sample.record.size)

@@ -1,6 +1,6 @@
 """Every exported name resolves, so a deleted definition cannot linger in
-an ``__all__`` until a user's ``import *`` trips over it; and no module
-imports another module's private names."""
+an ``__all__`` until a user's ``import *`` trips over it; no module
+imports another module's private names, or a sibling inside a function."""
 
 import ast
 import importlib
@@ -36,17 +36,38 @@ def test_package_star_import():
     assert public <= set(namespace)
 
 
+SOURCES = sorted(Path(densecrop.__file__).parent.glob("*.py"))
+
+
+def imports_sibling(node) -> bool:
+    if isinstance(node, ast.ImportFrom):
+        return node.level > 0 or (node.module or "").split(".")[0] == "densecrop"
+    return isinstance(node, ast.Import) and any(
+        alias.name.split(".")[0] == "densecrop" for alias in node.names
+    )
+
+
 def test_no_private_names_imported_across_modules():
     # a name with a leading underscore is its module's own; a sibling that
     # needs it should get a public home for it instead
-    src = Path(densecrop.__file__).parent
     offenders = []
-    for path in sorted(src.glob("*.py")):
+    for path in SOURCES:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            sibling = isinstance(node, ast.ImportFrom) and (
-                node.level > 0 or (node.module or "").split(".")[0] == "densecrop"
-            )
-            if sibling:
+            if isinstance(node, ast.ImportFrom) and imports_sibling(node):
                 names = [alias.name for alias in node.names]
                 offenders += [f"{path.name}: {n}" for n in names if n.startswith("_")]
+    assert offenders == []
+
+
+def test_no_sibling_imports_inside_functions():
+    # sibling imports sit at the top of a module, where its dependencies
+    # show at a glance and an import cycle fails on import, not on the
+    # first call that reaches a local import
+    offenders = []
+    for path in SOURCES:
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                offenders += [
+                    f"{path.name}: {func.name}" for node in ast.walk(func) if imports_sibling(node)
+                ]
     assert offenders == []

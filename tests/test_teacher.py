@@ -1,22 +1,28 @@
 """Mean-teacher trainer: thresholding, EMA, schedules, and full runs."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from densecrop.croplab import CropParams
 from densecrop.dataset import (
+    Annotation,
     DatasetSplit,
+    SceneSample,
     SyntheticConfig,
     UpscalePolicy,
     generate_synthetic_dataset,
 )
 from densecrop.detect import (
     SampleView,
+    SupervisedBatch,
     ToyDetector,
     ToyDetectorConfig,
     ViewStack,
     WeightLayout,
     WeightVector,
+    loss_sup,
     toy_forward,
 )
 from densecrop.errors import ConfigError, InvariantViolation
@@ -30,6 +36,7 @@ from densecrop.teacher import (
     ema_update,
     _augment_rngs,
     _student_batch,
+    _supervised_loss,
     _teacher_pseudo_labels,
     filter_pseudo_labels,
     prepare_labeled_pool,
@@ -39,7 +46,7 @@ from densecrop.teacher import (
     write_run_report,
 )
 
-from reference_impls import student_batch_ref
+from reference_impls import student_batch_ref, supervised_batch_ref
 
 CROP_PARAMS = CropParams(merge_steps=2, sigma=14, theta=0.05, pi=0.4, min_cluster=3)
 UPSCALE = UpscalePolicy("factor", factor=4.0)
@@ -290,6 +297,74 @@ class TestStudentBatch:
         assert ties > 0 and empty_views > 0 and empty_batches > 0
 
 
+class TestSupervisedBatch:
+    """The stacked labeled step against the per-view path it replaced
+    (``reference_impls.supervised_batch_ref``), bit for bit."""
+
+    def views(self):
+        """Labeled views with targets: parents, upscaled crop children
+        (whose image size differs from their parent's), a view without
+        annotations, and views whose annotations tie exactly: every other
+        annotation gets a copy of another class, ahead of the original or
+        behind it, so the first of the two must win."""
+        from densecrop.dataset import make_crop_children
+
+        samples = tiny_dataset(seed=7, n=4, clusters_per_image=(2, 2), objects_per_cluster=(6, 8))
+        samples = list(samples.values())
+        backend = backend_for()
+        children = []
+        for sample in samples[:2]:
+            crops = np.array([[40.0, 60.0, 140.0, 140.0], [200.0, 180.0, 330.0, 300.0]])
+            children += make_crop_children(sample, crops, UPSCALE)
+        assert any(c.record.annotations for c in children)
+        tied = []
+        for k, sample in enumerate(samples[:3]):
+            anns = sample.record.annotations
+            twins = tuple(Annotation(a.box, (a.class_id + 1) % 3) for a in anns[::2])
+            annotations = twins + anns if k % 2 else anns + twins
+            tied.append(SceneSample(replace(sample.record, annotations=annotations), sample.scene))
+        bare = SceneSample(replace(samples[3].record, annotations=()), samples[3].scene)
+        pool = samples + children + tied + [bare]
+        return backend, [backend.view(s, targets=True) for s in pool]
+
+    def test_stacked_labeled_views_equal_per_view_path(self):
+        backend, pool = self.views()
+        rng = np.random.default_rng(47)
+        layout = backend.layout
+        weights = WeightVector(layout=layout, values=rng.normal(0.0, 0.5, layout.total))
+        ties = bare = mixed = 0
+        for trial in range(60):
+            size = int(rng.integers(1, 7))
+            views = [pool[int(i)] for i in rng.integers(0, len(pool), size)]
+            seeds = rng.integers(0, 2**63, size).tolist()
+            rngs = _augment_rngs([(s, "weak") for s in seeds])
+            batch = backend.supervised_batch(ViewStack.of(views), "weak", rngs)
+            features, classes, offsets = supervised_batch_ref(backend, views, seeds)
+            assert np.array_equal(batch.features, features)
+            assert np.array_equal(batch.classes, classes)
+            assert np.array_equal(batch.offsets, offsets)
+            # The training step's loss is the loss of the per-view batch.
+            got = _supervised_loss(
+                dict(enumerate(views)), list(range(size)),
+                _augment_rngs([(s, "weak") for s in seeds]), backend, weights,
+            )
+            want = loss_sup(weights, SupervisedBatch(features, classes, offsets))
+            assert got.value == want.value
+            assert np.array_equal(got.gradient, want.gradient)
+            mixed += len({v.sample.record.size for v in views}) > 1
+            for view in views:
+                anns = view.sample.record.annotations
+                bare += not anns
+                if len(anns) < 2:
+                    continue
+                ious = iou_matrix(view.proposals, np.array([a.box.as_tuple() for a in anns]))
+                best = ious.max(axis=1, keepdims=True)
+                at_best = (ious == best) & (best > 0.0) & (best >= backend.config.fg_iou)
+                tied = [len({anns[j].class_id for j in np.flatnonzero(row)}) > 1 for row in at_best]
+                ties += sum(tied)
+        assert ties > 0 and bare > 0 and mixed > 0
+
+
 class TestEmaUpdate:
     def test_alpha_one_keeps_teacher(self):
         layout = WeightLayout(feature_dim=2, num_outputs=2)
@@ -390,7 +465,7 @@ class TestBurnIn:
         assert history[-1].loss_total < history[0].loss_total
         correct = total = 0
         for view in pool.values():
-            batch = backend.supervised_batch(view)
+            batch = backend.supervised_batch(ViewStack.of([view]))
             probs, _ = toy_forward(weights, batch.features)
             correct += int(np.sum(np.argmax(probs, axis=1) == batch.classes))
             total += len(batch)
