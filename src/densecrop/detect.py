@@ -6,7 +6,9 @@ model (size-dependent misses, localization jitter, background false
 positives); it needs no training and drives the inference-pipeline tests.
 ``ToyDetector`` is a small trainable linear model over hand-built scene
 features with analytic gradients, used by the mean-teacher trainer, which
-hands it each iteration's views as one :class:`ViewStack`.
+hands it each iteration's views as one :class:`ViewStack`. It builds the
+views of many images in one pass, and multistage inference asks it for a
+chunk of images at a time through ``detect_batch``.
 
 Both are deterministic given (weights, input, augmentation tag, seed), and
 both can emit the reserved density-crop class (id ``num_base_classes``) in
@@ -33,9 +35,8 @@ from .geometry import (
     detection_arrays,
     detections_from_arrays,
     intersection_matrix,
-    iou_matrix,
 )
-from .seeding import rng_for, rngs_for
+from .seeding import rng_for, rngs_for, stable_int
 
 __all__ = [
     "WeightLayout",
@@ -287,59 +288,93 @@ def _covered_mean(values: np.ndarray, covered: np.ndarray) -> np.ndarray:
     return means
 
 
+def _padded_objects(scenes: list[SceneSpec], classes: int):
+    """Each scene's object boxes, payloads and a validity mask, padded to
+    the largest object count: (S, M, 4), (S, M, K) and (S, M) arrays."""
+    most = max((len(scene.objects) for scene in scenes), default=0)
+    boxes = np.zeros((len(scenes), most, 4))
+    payloads = np.zeros((len(scenes), most, classes))
+    real = np.zeros((len(scenes), most), dtype=bool)
+    for k, scene in enumerate(scenes):
+        n = len(scene.objects)
+        boxes[k, :n] = scene.object_boxes
+        payloads[k, :n] = scene.object_payloads[..., :classes].reshape(n, classes)
+        real[k, :n] = True
+    return boxes, payloads, real
+
+
 def extract_features(
-    scene: SceneSpec,
+    scenes: SceneSpec | list[SceneSpec],
     boxes: np.ndarray,
     num_base_classes: int,
     payload_obs_scale: float = 4.0,
+    counts=None,
 ) -> np.ndarray:
     """Deterministic feature matrix, one row per (x1, y1, x2, y2) proposal
     row of ``boxes``.
+
+    ``boxes`` holds the proposals of one scene, or with ``counts`` those of
+    a chunk of ``scenes``, that many rows each; a single scene is a chunk
+    of one. Each row depends on its proposal and its own scene alone.
 
     The payload block is the overlap-weighted average of the payloads of
     intersecting objects, observed through additive noise whose scale
     shrinks with object area, so upscaled crops yield cleaner features than
     the same region at native resolution. Each proposal's noise comes from
-    a generator seeded by the scene and the proposal's coordinates in
-    1/16 pixels, so a row depends on its proposal alone; one
-    :func:`rngs_for` call seeds every row's generator. Sums over the
-    scene's objects run in object order.
+    a generator seeded by its scene and its coordinates in 1/16 pixels; one
+    :func:`rngs_for` call seeds every row's generator.
+
+    Each row is paired with every object of its scene, padded to the
+    chunk's largest object count; the padding is masked out, and sums over
+    the objects run in object order, so padding only appends ``+0.0``
+    terms and a row's features do not depend on the rest of its chunk.
     """
+    scenes = [scenes] if counts is None else list(scenes)
     boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
+    row_scene = np.repeat(np.arange(len(scenes)), [len(boxes)] if counts is None else counts)
+    size = np.array([(s.width, s.height) for s in scenes], dtype=np.float64).reshape(-1, 2)
+    width, height = size[row_scene, 0], size[row_scene, 1]
     x1, y1, x2, y2 = boxes.T
     area = box_areas(boxes)
     phi = np.zeros((len(boxes), feature_dim(num_base_classes)))
-    phi[:, 0] = np.log(np.maximum(area, _MIN_SIDE)) / np.log(scene.width * scene.height)
+    phi[:, 0] = np.log(np.maximum(area, _MIN_SIDE)) / np.log(size[:, 0] * size[:, 1])[row_scene]
     aspect = clip((x2 - x1) / (y2 - y1), 1.0 / _ASPECT_CAP, _ASPECT_CAP)
     phi[:, 1] = np.log(aspect) / np.log(_ASPECT_CAP)
-    phi[:, 2] = (x1 + x2) / 2.0 / scene.width
-    phi[:, 3] = (y1 + y2) / 2.0 / scene.height
+    phi[:, 2] = (x1 + x2) / 2.0 / width
+    phi[:, 3] = (y1 + y2) / 2.0 / height
 
-    objects = scene.object_boxes
-    payloads = scene.object_payloads[..., :num_base_classes].reshape(-1, num_base_classes)
-    object_areas = box_areas(objects)
+    objects, payloads, real = _padded_objects(scenes, num_base_classes)
+    objects, real = objects[row_scene], real[row_scene]
+    object_areas = np.where(real, box_areas(objects), 1.0)
+    # A zero pad box overlaps nothing, so its intersections are +0.0.
     inter = intersection_matrix(boxes, objects)
     covered = inter > 0.0
     fracs = inter / object_areas
-    ocx, ocy = (objects[:, 0] + objects[:, 2]) / 2.0, (objects[:, 1] + objects[:, 3]) / 2.0
-    centers_inside = (
-        (x1[:, None] <= ocx) & (ocx < x2[:, None]) & (y1[:, None] <= ocy) & (ocy < y2[:, None])
-    ).sum(axis=1)
-    phi[:, 4] = iou_matrix(boxes, objects).max(axis=1, initial=0.0)
+    ocx = (objects[..., 0] + objects[..., 2]) / 2.0
+    ocy = (objects[..., 1] + objects[..., 3]) / 2.0
+    inside_x = (x1[:, None] <= ocx) & (ocx < x2[:, None])
+    centers_inside = (real & inside_x & (y1[:, None] <= ocy) & (ocy < y2[:, None])).sum(axis=1)
+    # iou_matrix's formula; a padded pair's 0.0 never exceeds the initial 0.0.
+    phi[:, 4] = (inter / (area[:, None] + object_areas - inter)).max(axis=1, initial=0.0)
     phi[:, 5] = np.minimum(_running_sum(inter) / area, 1.0)
     centers_inside = np.minimum(centers_inside, _CENTER_COUNT_CAP)
     phi[:, 6] = np.log1p(centers_inside) / np.log1p(_CENTER_COUNT_CAP)
     phi[:, 7] = _covered_mean(fracs, covered)
 
-    payload_sum = _running_sum(fracs[:, :, None] * payloads[None, :, :])
-    payload = payload_sum / np.maximum(_running_sum(fracs), 1.0)[:, None]
+    # One class at a time keeps the pair temporaries two-dimensional.
+    weight = np.maximum(_running_sum(fracs), 1.0)
+    payload = np.empty((len(boxes), num_base_classes))
+    for k in range(num_base_classes):
+        payload[:, k] = _running_sum(fracs * payloads[:, :, k][row_scene]) / weight
     if payload_obs_scale > 0:
-        covered_areas = _covered_mean(np.broadcast_to(object_areas, covered.shape), covered)
+        covered_areas = _covered_mean(object_areas, covered)
         ref_area = np.where(covered.any(axis=1), covered_areas, area)
         sigma = payload_obs_scale / np.sqrt(np.maximum(ref_area, 1.0))
         # rint rounds half to even, as round() does; the mask is stable_int's.
         q = np.rint(boxes * 16.0).astype(np.int64) & 0xFFFFFFFF
-        rngs = rngs_for((scene.seed, "payload-obs"), q)
+        seeds = np.array([stable_int(scene.seed) for scene in scenes], dtype=np.int64)
+        rows = np.column_stack([seeds[row_scene], np.full(len(q), stable_int("payload-obs")), q])
+        rngs = rngs_for((), rows)
         noise = [rng.normal(0.0, s, num_base_classes) for rng, s in zip(rngs, sigma.tolist())]
         payload = payload + np.array(noise).reshape(payload.shape)
     phi[:, _GEOM_FEATURES:] = payload
@@ -352,8 +387,6 @@ def extract_features(
 
 
 def _with_bias(features: np.ndarray) -> np.ndarray:
-    if features.ndim == 1:
-        return np.concatenate([features, [1.0]])
     return np.concatenate([features, np.ones((features.shape[0], 1))], axis=1)
 
 
@@ -538,8 +571,15 @@ class DetectorBackend(abc.ABC):
     that computes arrays natively, like :class:`ToyDetector`, overrides
     ``detect_arrays`` instead and makes ``detect`` the wrapper that builds
     :class:`Detection` objects, so its subclasses override
-    ``detect_arrays``. :class:`ToyDetector` answers both from a
-    :class:`ViewStack` of the one sample's view, the input its training
+    ``detect_arrays``.
+
+    ``detect_batch`` returns the un-augmented ``detect_arrays`` of each of
+    several samples, one (boxes, classes, scores) triple per sample; it is
+    what multistage inference calls, once per stage for a chunk of images.
+    The default asks ``detect_arrays`` sample by sample, so a backend that
+    implements ``detect`` or ``detect_arrays`` gets it for free.
+    :class:`ToyDetector` overrides it to build every sample's view at once
+    and decode them as one :class:`ViewStack`, the input its training
     batches use too.
     """
 
@@ -567,6 +607,11 @@ class DetectorBackend(abc.ABC):
         seed: int = 0,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return detection_arrays(self.detect(weights, sample, augmentation, seed))
+
+    def detect_batch(
+        self, weights: WeightVector | None, samples: list[SceneSample]
+    ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        return [self.detect_arrays(weights, sample) for sample in samples]
 
 
 class OracleBackend(DetectorBackend):
@@ -673,20 +718,23 @@ class ToyDetector(DetectorBackend):
     flips the horizontal center feature; strong augmentation adds feature
     noise and zeroes a random contiguous block.
 
-    Proposals and base features are pure functions of the image: :meth:`view`
-    computes them once, with each proposal's targets for a labeled record.
-    The numeric methods take a :class:`ViewStack` of views, and a single
-    view is a stack of one: :meth:`decode` returns every proposal's
+    Proposals and base features are pure functions of the image:
+    :meth:`views` computes them once for a list of samples, in one pass
+    over their stacked rows, with each proposal's targets for labeled
+    records. The numeric methods take a :class:`ViewStack` of views, and a
+    single view is a stack of one: :meth:`decode` returns every proposal's
     regressed box and class probabilities, :meth:`supervised_batch` and
     :meth:`unsupervised_batch` build training batches, and each runs the
     softmax, the box clipping and the target assignment once on the stack;
     only the matmuls and each view's random draws stay per view.
     :meth:`emitted` picks the (proposal, class) pairs that count as
-    detections, :meth:`detect_arrays` returns those of one view (built for
-    the call when given a sample) as rows, and only :meth:`detect` wraps
-    them into :class:`Detection` objects. :meth:`augment` never derives a
-    generator: callers hand it one per view, so a training iteration
-    derives all of them in one ``rngs_for`` call.
+    detections; :meth:`detect_batch` returns those of each of several
+    samples as rows, :meth:`detect_arrays` those of one view (built for the
+    call when given a sample) through the same split, and only
+    :meth:`detect` wraps them into :class:`Detection` objects.
+    :meth:`augment` never derives a generator: callers hand it one per
+    view, so a training iteration derives all of them in one ``rngs_for``
+    call.
     """
 
     def __init__(self, config: ToyDetectorConfig):
@@ -710,40 +758,59 @@ class ToyDetector(DetectorBackend):
             values=rng.normal(0.0, self.config.init_scale, self.layout.total),
         )
 
-    def proposals(self, sample: SceneSample) -> np.ndarray:
-        """Fixed per-image proposal set as (N, 4) rows: objects, clusters,
-        background.
+    def proposals(self, samples: list[SceneSample]) -> tuple[np.ndarray, np.ndarray]:
+        """Fixed per-image proposal sets, stacked in sample order: (N, 4)
+        rows (objects, clusters, background for each image) and each
+        sample's row count.
 
         Cluster candidates are skipped on crop children: the image already
         is a zoomed cluster, and a second level of crop proposals would
         only train the classifier to call dense children background.
-        """
-        record = sample.record
-        scene = sample.scene
-        rng = rng_for(self.config.seed, "proposals", record.image_id)
-        candidates = scene.object_boxes
-        if record.provenance.kind != "crop":
-            crops = label_density_crops(
-                candidates, (scene.width, scene.height), self._proposal_crop_params
-            )
-            candidates = np.concatenate([candidates, crops])
-        jitter = rng.normal(0.0, self.config.proposal_jitter, (len(candidates), 4))
-        # Each background box takes its (w, h, x, y) uniforms in turn, as
-        # one row of a single random() block.
-        u = rng.random((self.config.background_proposals, 4))
-        short = min(record.width, record.height)
-        w = _uniform(short / 24.0, short / 3.0, u[:, 0])
-        h = _uniform(short / 24.0, short / 3.0, u[:, 1])
-        x = _uniform(0.0, np.maximum(record.width - w, _MIN_SIDE), u[:, 2])
-        y = _uniform(0.0, np.maximum(record.height - h, _MIN_SIDE), u[:, 3])
-        background = np.stack([x, y, x + w, y + h], axis=1)
-        raw = np.concatenate([candidates + jitter, background])
-        return _safe_box(raw, record.width, record.height)
 
-    def features(self, scene: SceneSpec, proposals: np.ndarray) -> np.ndarray:
-        """Un-augmented feature matrix, one row per proposal row."""
+        Each image draws its jitter and background from its own generator,
+        ``rng_for(seed, "proposals", image_id)``; one :func:`rngs_for` call
+        derives them all, and the background boxes and the clipping run
+        once over the stacked rows.
+        """
+        prefix = (stable_int(self.config.seed), stable_int("proposals"))
+        ids = [prefix + (stable_int(s.record.image_id),) for s in samples]
+        rngs = rngs_for((), np.array(ids, dtype=np.int64).reshape(-1, 3))
+        per_image = self.config.background_proposals
+        jittered, u = [], np.empty((len(samples), per_image, 4))
+        for k, (sample, rng) in enumerate(zip(samples, rngs)):
+            scene = sample.scene
+            candidates = scene.object_boxes
+            if sample.record.provenance.kind != "crop":
+                crops = label_density_crops(
+                    candidates, (scene.width, scene.height), self._proposal_crop_params
+                )
+                candidates = np.concatenate([candidates, crops])
+            jitter = rng.normal(0.0, self.config.proposal_jitter, (len(candidates), 4))
+            jittered.append(candidates + jitter)
+            # Each background box takes its (w, h, x, y) uniforms in turn,
+            # as one row of a single random() block.
+            u[k] = rng.random((per_image, 4))
+        size = np.array([s.record.size for s in samples], dtype=np.float64).reshape(-1, 2)
+        width, height = size[:, :1], size[:, 1:]
+        short = np.minimum(width, height)
+        w = _uniform(short / 24.0, short / 3.0, u[..., 0])
+        h = _uniform(short / 24.0, short / 3.0, u[..., 1])
+        x = _uniform(0.0, np.maximum(width - w, _MIN_SIDE), u[..., 2])
+        y = _uniform(0.0, np.maximum(height - h, _MIN_SIDE), u[..., 3])
+        background = np.stack([x, y, x + w, y + h], axis=-1)
+        raw = [block for pair in zip(jittered, background) for block in pair]
+        counts = np.array([len(j) + per_image for j in jittered], dtype=np.int64)
+        row_size = np.repeat(size, counts, axis=0)
+        boxes = _safe_box(np.concatenate(raw or [np.zeros((0, 4))]), row_size[:, 0], row_size[:, 1])
+        return boxes, counts
+
+    def features(
+        self, scenes: SceneSpec | list[SceneSpec], proposals: np.ndarray, counts=None
+    ) -> np.ndarray:
+        """Un-augmented feature matrix, one row per proposal row, as in
+        :func:`extract_features`."""
         return extract_features(
-            scene, proposals, self.num_base_classes, self.config.payload_obs_scale
+            scenes, proposals, self.num_base_classes, self.config.payload_obs_scale, counts
         )
 
     def augment(
@@ -781,30 +848,45 @@ class ToyDetector(DetectorBackend):
             phi[(cols >= start) & (cols < start + self.config.strong_cutout)] = 0.0
         return phi
 
-    def view(self, sample: SceneSample, targets: bool = False) -> SampleView:
-        """Proposals and base features of ``sample``, computed once.
+    def views(self, samples: list[SceneSample], targets: bool = False) -> list[SampleView]:
+        """Proposals and base features of each sample, computed once.
 
-        With ``targets`` the view also carries each proposal's ground-truth
-        class and offsets against the record's annotations, which
+        The samples' proposals are built, featurized and (with ``targets``)
+        assigned in one pass over their stacked rows; each view holds its
+        own rows, so a view does not depend on the samples built with it.
+        With ``targets`` a view also carries each proposal's ground-truth
+        class and offsets against its record's annotations, which
         :meth:`supervised_batch` needs.
         """
-        proposals = self.proposals(sample)
-        phi = self.features(sample.scene, proposals)
+        samples = list(samples)
+        proposals, counts = self.proposals(samples)
+        phi = self.features([s.scene for s in samples], proposals, counts)
         proposals.flags.writeable = phi.flags.writeable = False
         classes = offsets = None
         if targets:
-            annotations = sample.record.annotations
+            annotations = [a for s in samples for a in s.record.annotations]
+            per_sample = [len(s.record.annotations) for s in samples]
             classes, offsets = assign_targets(
                 proposals,
-                np.zeros(len(proposals), dtype=np.int64),
+                np.repeat(np.arange(len(samples)), counts),
                 box_array([a.box for a in annotations]),
-                np.zeros(len(annotations), dtype=np.int64),
+                np.repeat(np.arange(len(samples)), per_sample),
                 np.array([a.class_id for a in annotations], dtype=np.int64),
                 self.config.fg_iou,
                 self.background_class,
             )
             classes.flags.writeable = offsets.flags.writeable = False
-        return SampleView(sample, proposals, phi, classes, offsets)
+        ends = np.cumsum(counts).tolist()
+        return [
+            SampleView(
+                sample,
+                proposals[start:end],
+                phi[start:end],
+                None if classes is None else classes[start:end],
+                None if offsets is None else offsets[start:end],
+            )
+            for sample, start, end in zip(samples, [0] + ends[:-1], ends)
+        ]
 
     def detect(
         self,
@@ -824,15 +906,41 @@ class ToyDetector(DetectorBackend):
         seed: int = 0,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Detections on a view, or on a sample through a view built for
-        this call: the :meth:`emitted` (proposal, class) pairs of
-        :meth:`decode` on a stack of that one view, proposal by proposal
-        and class by class, as box rows, class ids and scores. The
-        augmentation draws from ``rng_for(seed, augmentation)``."""
-        view = sample if isinstance(sample, SampleView) else self.view(sample)
+        this call, as box rows, class ids and scores: the :meth:`emitted`
+        pairs of a stack of that one view, taken as :meth:`detect_batch`
+        takes them. The augmentation draws from ``rng_for(seed,
+        augmentation)``."""
+        view = sample if isinstance(sample, SampleView) else self.views([sample])[0]
         rngs = () if augmentation == "none" else [rng_for(seed, augmentation)]
-        boxes, probs = self.decode(weights, ViewStack.of([view]), augmentation, rngs)
+        return self._detections(weights, [view], augmentation, rngs)[0]
+
+    def detect_batch(
+        self, weights: WeightVector | None, samples: list[SceneSample]
+    ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Un-augmented :meth:`detect_arrays` of every sample, from one
+        :meth:`views` call and one :meth:`decode` of their stack. The
+        :meth:`emitted` pairs are split by view, and a view's detections do
+        not depend on the views beside it."""
+        return self._detections(weights, self.views(samples), "none", ())
+
+    def _detections(
+        self, weights: WeightVector | None, views: list[SampleView], augmentation: str, rngs
+    ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Each view's detections as box rows, class ids and scores: the
+        :meth:`emitted` (proposal, class) pairs of one :meth:`decode` of the
+        views' stack, proposal by proposal and class by class, split by
+        view."""
+        if not views:
+            return []
+        stack = ViewStack.of(views)
+        boxes, probs = self.decode(weights, stack, augmentation, rngs)
         rows, classes = self.emitted(probs)
-        return boxes[rows], classes, probs[rows, classes]
+        scores = probs[rows, classes]
+        ends = np.searchsorted(rows, np.cumsum(stack.counts)).tolist()
+        return [
+            (boxes[rows[start:end]], classes[start:end], scores[start:end])
+            for start, end in zip([0] + ends[:-1], ends)
+        ]
 
     def decode(
         self, weights: WeightVector | None, stack: ViewStack, augmentation: str, rngs

@@ -132,14 +132,16 @@ def clip(values: np.ndarray, lo, hi) -> np.ndarray:
 
 def box_areas(boxes: np.ndarray) -> np.ndarray:
     """Area of each (x1, y1, x2, y2) row, computed as ``Box.area`` does."""
-    return (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1])
+    return (boxes[..., 2] - boxes[..., 0]) * (boxes[..., 3] - boxes[..., 1])
 
 
 def intersection_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(N, M) intersection areas of (N, 4) and (M, 4) box rows: the overlap
-    width times the overlap height, 0.0 unless both are positive."""
-    iw = np.minimum(a[:, None, 2], b[None, :, 2]) - np.maximum(a[:, None, 0], b[None, :, 0])
-    ih = np.minimum(a[:, None, 3], b[None, :, 3]) - np.maximum(a[:, None, 1], b[None, :, 1])
+    """(N, M) intersection areas of (N, 4) box rows with (M, 4) box rows,
+    or with (N, M, 4) rows where row ``i`` of ``a`` meets its own ``b[i]``:
+    the overlap width times the overlap height, 0.0 unless both are
+    positive."""
+    iw = np.minimum(a[:, None, 2], b[..., 2]) - np.maximum(a[:, None, 0], b[..., 0])
+    ih = np.minimum(a[:, None, 3], b[..., 3]) - np.maximum(a[:, None, 1], b[..., 1])
     return np.where((iw > 0.0) & (ih > 0.0), iw * ih, 0.0)
 
 

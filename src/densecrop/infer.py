@@ -8,10 +8,12 @@ accurate, slower). Stage two re-detects on each upscaled crop; those
 detections are mapped back to image coordinates, concatenated with the
 stage-one base-class detections, and deduplicated with NMS.
 
-Both stages stay on the backend's ``detect_arrays`` rows: crop selection,
-reprojection, clipping, the box-invariant check and NMS all run on (N, 4)
-arrays, and :class:`Detection` objects are built once, for the rows NMS
-keeps.
+Both stages run a chunk of images at a time: one backend ``detect_batch``
+for the chunk's full images, then one for the upscaled children of every
+crop selected in them. Crop selection, reprojection, clipping, the
+box-invariant check and NMS run per image on (N, 4) arrays, and
+:class:`Detection` objects are built once, for the rows NMS keeps. An
+image's detections do not depend on the chunk it ran in.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from .geometry import (
     nms_keep,
     reproject_rows,
 )
-from .seeding import stable_int
 
 __all__ = [
     "InferenceConfig",
@@ -45,6 +46,9 @@ __all__ = [
 
 PREDICTED = "predicted"
 RELABELED = "relabeled"
+# Images per batched pass: each stage builds and decodes a chunk's views
+# at once. Larger chunks cut per-call overhead but hold more pair arrays.
+CHUNK_SIZE = 32
 
 
 @dataclass(frozen=True)
@@ -99,6 +103,49 @@ def select_crops(
     return crops[: config.max_crops_per_image]
 
 
+def _fuse(blocks: list[tuple], fusion_iou: float) -> list[Detection]:
+    boxes, classes, scores = (np.concatenate(column) for column in zip(*blocks))
+    kept = nms_keep(boxes, classes, scores, fusion_iou)
+    return detections_from_arrays(boxes[kept], classes[kept], scores[kept])
+
+
+def _detect_chunk(
+    samples: list[SceneSample],
+    backend: DetectorBackend,
+    weights: WeightVector | None,
+    config: InferenceConfig,
+) -> list[list[Detection]]:
+    """Fused detections of each sample of a chunk: one stage-one
+    ``detect_batch`` over the samples, crop selection per sample, one
+    stage-two ``detect_batch`` over every selected crop's child, then
+    reprojection, the box check and NMS per sample."""
+    crop_class = backend.crop_class_id
+    blocks: list[list[tuple]] = []
+    children, owners = [], []
+    for k, (sample, first) in enumerate(zip(samples, backend.detect_batch(weights, samples))):
+        base = first[1] != crop_class
+        stage_one = tuple(column[base] for column in first)
+        check_boxes(stage_one[0])
+        blocks.append([stage_one])
+        if config.multistage and config.max_crops_per_image > 0:
+            for crop in select_crops(first, config, sample.record.size, crop_class):
+                # One child per call, so every stage-two child is named
+                # ``:crop0``; the toy detector seeds its proposals by image id.
+                children.append(make_crop_children(sample, crop[None], config.upscale)[0])
+                owners.append(k)
+    for k, child, (boxes, classes, scores) in zip(
+        owners, children, backend.detect_batch(weights, children)
+    ):
+        record = samples[k].record
+        bounds = np.array([record.width, record.height] * 2, dtype=np.float64)
+        base = classes != crop_class
+        prov = child.record.provenance
+        clipped = clip(reproject_rows(boxes[base], prov.crop_box, prov.upscale_size), 0.0, bounds)
+        check_boxes(clipped)
+        blocks[k].append((clipped, classes[base], scores[base]))
+    return [_fuse(own, config.fusion_iou) for own in blocks]
+
+
 def detect_multistage(
     sample: SceneSample,
     backend: DetectorBackend,
@@ -106,7 +153,9 @@ def detect_multistage(
     config: InferenceConfig,
     seed: int = 0,
 ) -> list[Detection]:
-    """Fused detections for one image, in deterministic order.
+    """Fused detections for one image, in deterministic order: a chunk of
+    one. ``seed`` is accepted and unused; every backend detects without
+    augmentation here.
 
     Crop-class predictions never appear in the output: stage-one crop
     detections are consumed by crop selection and stage-two ones are
@@ -115,37 +164,34 @@ def detect_multistage(
     :class:`InvariantViolation` is raised. All output boxes lie within
     the image.
     """
-    record = sample.record
-    crop_class = backend.crop_class_id
-    first = backend.detect_arrays(weights, sample, "none", seed=seed)
-    base = first[1] != crop_class
-    blocks = [tuple(column[base] for column in first)]
-    check_boxes(blocks[0][0])
-    if config.multistage and config.max_crops_per_image > 0:
-        bounds = np.array([record.width, record.height] * 2, dtype=np.float64)
-        for index, crop in enumerate(select_crops(first, config, record.size, crop_class)):
-            # One child per call, so every stage-two child is named
-            # ``:crop0``; the toy detector seeds its proposals by image id.
-            child = make_crop_children(sample, crop[None], config.upscale)[0]
-            boxes, classes, scores = backend.detect_arrays(
-                weights, child, "none", seed=stable_int(seed) ^ stable_int(f"stage2-{index}")
-            )
-            base = classes != crop_class
-            prov = child.record.provenance
-            clipped = clip(reproject_rows(boxes[base], prov.crop_box, prov.upscale_size), 0.0, bounds)
-            check_boxes(clipped)
-            blocks.append((clipped, classes[base], scores[base]))
-    boxes, classes, scores = (np.concatenate(column) for column in zip(*blocks))
-    kept = nms_keep(boxes, classes, scores, config.fusion_iou)
-    return detections_from_arrays(boxes[kept], classes[kept], scores[kept])
+    return _detect_chunk([sample], backend, weights, config)[0]
 
 
 @dataclass
 class ImageInferenceResult:
+    """One image's fused detections or error. ``seconds`` is the image's
+    share of its chunk's wall time: the chunk's time over its image count."""
+
     image_id: int | str
     detections: list[Detection]
     seconds: float
     error: str | None = None
+
+
+def _attempt(
+    samples: list[SceneSample],
+    backend: DetectorBackend,
+    weights: WeightVector | None,
+    config: InferenceConfig,
+) -> list[tuple[list[Detection], str | None]]:
+    """(detections, error) of each sample of a chunk; a failure anywhere in
+    the chunk is every sample's error."""
+    try:
+        return [(dets, None) for dets in _detect_chunk(samples, backend, weights, config)]
+    except InvariantViolation:
+        raise
+    except Exception as exc:  # error record, not a crash
+        return [([], f"{type(exc).__name__}: {exc}")] * len(samples)
 
 
 def run_inference(
@@ -155,29 +201,27 @@ def run_inference(
     config: InferenceConfig,
     seed: int = 0,
 ) -> list[ImageInferenceResult]:
-    """Per-image inference over a dataset, one image at a time in input
-    order.
+    """Per-image inference over a dataset, in input order, one chunk of
+    :data:`CHUNK_SIZE` images at a time; ``seed`` is accepted and unused.
 
-    Each image's seed derives from ``seed`` and its id alone. A backend
-    failure becomes an error record for that image rather than aborting
-    the run; an :class:`InvariantViolation` is a programming error, not a
-    failure of the image, and propagates.
+    Each image's detections are those :func:`detect_multistage` gives it
+    alone. A backend failure becomes an error record rather than aborting
+    the run: a chunk that fails is run again image by image, so only the
+    failing images get one. An :class:`InvariantViolation` is a
+    programming error, not a failure of the image, and propagates. Each
+    image's ``seconds`` is its share of its chunk's wall time, the retry
+    included.
     """
     results = []
-    for sample in samples:
-        image_id = sample.record.image_id
-        start = time.perf_counter()
-        error = None
-        try:
-            dets = detect_multistage(
-                sample, backend, weights, config,
-                seed=stable_int(seed) ^ stable_int(image_id),
-            )
-        except InvariantViolation:
-            raise
-        except Exception as exc:  # error record, not a crash
-            dets, error = [], f"{type(exc).__name__}: {exc}"
-        results.append(
-            ImageInferenceResult(image_id, dets, time.perf_counter() - start, error)
-        )
+    for start in range(0, len(samples), CHUNK_SIZE):
+        chunk = samples[start : start + CHUNK_SIZE]
+        began = time.perf_counter()
+        outcomes = _attempt(chunk, backend, weights, config)
+        if len(chunk) > 1 and any(error for _, error in outcomes):
+            outcomes = [_attempt([sample], backend, weights, config)[0] for sample in chunk]
+        share = (time.perf_counter() - began) / len(chunk)
+        results += [
+            ImageInferenceResult(sample.record.image_id, dets, share, error)
+            for sample, (dets, error) in zip(chunk, outcomes)
+        ]
     return results

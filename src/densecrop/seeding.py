@@ -18,8 +18,12 @@ wider seed such as the trainer's 64-bit augmentation seeds seeds
 ``rng_for`` exactly as its low word does. That is what lets training
 derive every ``augment`` generator of an iteration, one per view and
 augmentation tag, in one :func:`rngs_for` call with rows
-``(seed & 0xFFFFFFFF, stable_int(tag))``. Feature extraction likewise
-derives the noise generators of all of a view's proposals in one call.
+``(seed & 0xFFFFFFFF, stable_int(tag))``. A prefix part can move into a
+leading row column as its :func:`stable_int` word, which is how rows
+whose leading parts differ share one call: the toy detector derives the
+proposal generators of a chunk of images (rows ``(seed, "proposals",
+image id)``) and the noise generators of all their proposals (rows
+``(scene seed, "payload-obs", coordinates)``) in one call each.
 """
 
 from __future__ import annotations

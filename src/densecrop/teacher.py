@@ -41,7 +41,7 @@ from .detect import (
 )
 from .errors import ConfigError, DataError, InvariantViolation
 from .geometry import Box, box_array
-from .seeding import rng_for, rngs_for, stable_int
+from .seeding import rngs_for, stable_int
 
 __all__ = [
     "TrainerConfig",
@@ -235,18 +235,19 @@ def combined_loss(l_sup: float, l_unsup: float, lambda_unsup: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _sorted_ids(pool: dict) -> list:
-    return sorted(pool, key=str)
+def _batch_rngs(config: TrainerConfig, tag: str, iterations: range) -> list:
+    """``rng_for(config.seed, tag, iteration)`` for each iteration, all
+    from one :func:`rngs_for` call."""
+    return rngs_for((config.seed, tag), np.array(iterations, dtype=np.int64).reshape(-1, 1))
 
 
-def _sample_ids(pool: dict, size: int, seed_parts: tuple) -> list:
-    ids = _sorted_ids(pool)
+def _sample_ids(ids: list, size: int, rng: np.random.Generator) -> list:
+    """Up to ``size`` distinct entries of the sorted ``ids``, drawn by
+    ``rng`` and kept in their sorted order."""
     if not ids or size <= 0:
         return []
-    size = min(size, len(ids))
-    rng = rng_for(*seed_parts)
-    picked = rng.choice(len(ids), size=size, replace=False)
-    return [ids[int(i)] for i in sorted(int(i) for i in picked)]
+    picked = rng.choice(len(ids), size=min(size, len(ids)), replace=False)
+    return [ids[i] for i in sorted(picked.tolist())]
 
 
 def _supervised_loss(
@@ -299,10 +300,6 @@ def _iteration_rngs(config: TrainerConfig, iteration: int, labeled_ids: list, un
     return rngs[:n], rngs[n : n + m], rngs[n + m :]
 
 
-def _labeled_ids(config: TrainerConfig, labeled_pool: dict, iteration: int) -> list:
-    return _sample_ids(labeled_pool, config.labeled_batch, (config.seed, "batch-labeled", iteration))
-
-
 # ---------------------------------------------------------------------------
 # Burn-in
 # ---------------------------------------------------------------------------
@@ -318,8 +315,10 @@ def burn_in(
         raise DataError("burn-in requires a non-empty labeled set")
     weights = backend.init_weights(config.seed)
     history: list[IterationLog] = []
-    for iteration in range(1, config.burn_in_iters + 1):
-        batch_ids = _labeled_ids(config, labeled_pool, iteration)
+    ids = sorted(labeled_pool, key=str)
+    iterations = range(1, config.burn_in_iters + 1)
+    for iteration, rng in zip(iterations, _batch_rngs(config, "batch-labeled", iterations)):
+        batch_ids = _sample_ids(ids, config.labeled_batch, rng)
         rngs, _, _ = _iteration_rngs(config, iteration, batch_ids, [])
         result = _supervised_loss(labeled_pool, batch_ids, rngs, backend, weights)
         if not np.isfinite(result.value):
@@ -451,8 +450,9 @@ def train(
 
     Each training image's proposals and base features are computed once
     per call, in a :class:`SampleView` that lives only as long as the call:
-    views for the labeled pool and the unlabeled parents are built up
-    front, and a crop child gets a fresh view when it enters the unlabeled
+    the labeled pool's views and the unlabeled parents' views are built up
+    front, one ``views`` call each, and the crop children a discovery pass
+    finds get fresh views in one more call when they enter the unlabeled
     pool, even under an id an earlier, different crop used.
 
     Each iteration works on two :class:`ViewStack` objects, ragged stacks
@@ -469,7 +469,11 @@ def train(
     targets. Crop discovery makes the same stacked decode over its
     targets. One ``rngs_for`` call per iteration derives every ``augment``
     generator (labeled weak, teacher weak, student strong), each view
-    drawing from its own. No ``Detection`` is built in the loop.
+    drawing from its own. The generators that sample each iteration's
+    labeled and unlabeled batch, ``rng_for(seed, "batch-labeled" or
+    "batch-unlabeled", iteration)``, come from one ``rngs_for`` call per
+    tag before the loop (and one in burn-in). No ``Detection`` is built in
+    the loop.
 
     With ``checkpoint_dir`` set and ``config.checkpoint_interval`` enabled,
     intermediate checkpoints are written there; ``resume_from`` restores
@@ -480,18 +484,14 @@ def train(
     rebuilds as images are revisited, so a run resumed after crop
     discovery started diverges from the uninterrupted one.
     """
-    labeled_pool = {
-        image_id: backend.view(sample, targets=True)
-        for image_id, sample in prepare_labeled_pool(
-            samples, split.labeled_ids, config, backend
-        ).items()
-    }
-    if not labeled_pool:
+    labeled = prepare_labeled_pool(samples, split.labeled_ids, config, backend)
+    if not labeled:
         raise DataError("training requires at least one labeled image")
-    unlabeled_parents = {
-        image_id: backend.view(samples[image_id])
-        for image_id in sorted(split.unlabeled_ids, key=str)
-    }
+    labeled_pool = dict(zip(labeled, backend.views(labeled.values(), targets=True)))
+    unlabeled_ids = sorted(split.unlabeled_ids, key=str)
+    unlabeled_parents = dict(
+        zip(unlabeled_ids, backend.views([samples[image_id] for image_id in unlabeled_ids]))
+    )
 
     if resume_from is not None:
         header, student, teacher = read_checkpoint(resume_from)
@@ -512,9 +512,15 @@ def train(
         )
 
     unlabeled_children: dict = {}
-    for iteration in range(state.iteration + 1, config.max_iters + 1):
+    sorted_labeled = sorted(labeled_pool, key=str)
+    iterations = range(state.iteration + 1, config.max_iters + 1)
+    for iteration, labeled_rng, unlabeled_rng in zip(
+        iterations,
+        _batch_rngs(config, "batch-labeled", iterations),
+        _batch_rngs(config, "batch-unlabeled", iterations),
+    ):
         state.iteration = iteration
-        labeled_ids = _labeled_ids(config, labeled_pool, iteration)
+        labeled_ids = _sample_ids(sorted_labeled, config.labeled_batch, labeled_rng)
 
         unsup_value = 0.0
         pseudo_total = 0
@@ -524,9 +530,7 @@ def train(
         if config.lambda_unsup > 0.0 and unlabeled_parents and n_unlabeled > 0:
             # Sample parent images; each brings its cached crop children
             # along as extra views of the same content.
-            batch_parents = _sample_ids(
-                unlabeled_parents, n_unlabeled, (config.seed, "batch-unlabeled", iteration)
-            )
+            batch_parents = _sample_ids(unlabeled_ids, n_unlabeled, unlabeled_rng)
             for parent_id in batch_parents:
                 batch_ids.append(parent_id)
                 entry = state.crop_cache.get(parent_id)
@@ -566,7 +570,7 @@ def train(
             # A recomputed parent can hand an old child id to a different
             # crop, so new children replace, never reuse, the views under
             # their ids; children no cache entry lists any more leave.
-            fresh = {child_id: backend.view(child) for child_id, child in new_children.items()}
+            fresh = dict(zip(new_children, backend.views(new_children.values())))
             unlabeled_children = {
                 child_id: view
                 for child_id, view in {**unlabeled_children, **fresh}.items()

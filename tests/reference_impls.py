@@ -485,6 +485,36 @@ def safe_box_ref(x1: float, y1: float, x2: float, y2: float, width: float, heigh
     return (float(x1), float(y1), float(x2), float(y2))
 
 
+def proposals_ref(backend, sample) -> list[tuple]:
+    """One image's proposals as the detector built them before images were
+    batched, in Python floats: its own ``rng_for(seed, "proposals", image
+    id)`` jitters the object boxes and (except on crop children) the
+    density crops of ``label_density_crops_ref``, then draws the
+    background boxes' (w, h, x, y) uniforms row by row; every box is
+    clipped by ``safe_box_ref``."""
+    from densecrop.seeding import rng_for
+
+    cfg, record, scene = backend.config, sample.record, sample.scene
+    params = backend._proposal_crop_params
+    rng = rng_for(cfg.seed, "proposals", record.image_id)
+    candidates = [obj.box.as_tuple() for obj in scene.objects]
+    if record.provenance.kind != "crop":
+        candidates += label_density_crops_ref(
+            candidates, (scene.width, scene.height), params.sigma, params.theta, params.pi,
+            params.merge_steps, params.min_cluster,
+        )
+    jitter = rng.normal(0.0, cfg.proposal_jitter, (len(candidates), 4)).tolist()
+    raw = [tuple(c + j for c, j in zip(box, row)) for box, row in zip(candidates, jitter)]
+    short = min(record.width, record.height)
+    lo, hi = short / 24.0, short / 3.0
+    for uw, uh, ux, uy in rng.random((cfg.background_proposals, 4)).tolist():
+        w, h = lo + (hi - lo) * uw, lo + (hi - lo) * uh
+        x = 0.0 + (max(record.width - w, _MIN_SIDE) - 0.0) * ux
+        y = 0.0 + (max(record.height - h, _MIN_SIDE) - 0.0) * uy
+        raw.append((x, y, x + w, y + h))
+    return [safe_box_ref(*box, record.width, record.height) for box in raw]
+
+
 def decode_ref(
     proposals: list[tuple],
     probs: np.ndarray,

@@ -1,5 +1,7 @@
 """Detection backends: oracle noise model, features, forward pass, losses."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,7 @@ from reference_impls import (
     decode_per_view,
     decode_ref,
     extract_features_ref,
+    proposals_ref,
     safe_box_ref,
 )
 
@@ -167,15 +170,15 @@ class TestToyForward:
     def test_zero_weights_uniform(self):
         layout = WeightLayout(feature_dim=feature_dim(3), num_outputs=5)
         weights = WeightVector(layout=layout, values=np.zeros(layout.total))
-        probs, offsets = toy_forward(weights, np.ones(layout.feature_dim))
-        np.testing.assert_allclose(probs, np.full(5, 0.2), atol=1e-12)
-        np.testing.assert_allclose(offsets, np.zeros(4), atol=1e-12)
+        probs, offsets = toy_forward(weights, np.ones((1, layout.feature_dim)))
+        np.testing.assert_allclose(probs, np.full((1, 5), 0.2), atol=1e-12)
+        np.testing.assert_allclose(offsets, np.zeros((1, 4)), atol=1e-12)
 
     def test_probabilities_normalized(self):
         rng = np.random.default_rng(8)
         for _ in range(1000):
             weights = random_weights(rng)
-            phi = rng.normal(0, 2, weights.layout.feature_dim)
+            phi = rng.normal(0, 2, (1, weights.layout.feature_dim))
             probs, _ = toy_forward(weights, phi)
             assert abs(probs.sum() - 1.0) < 1e-9
             assert np.all(probs > 0)
@@ -185,14 +188,14 @@ class TestToyForward:
         cls = np.zeros((layout.num_outputs, layout.columns))
         cls[2, :] = 1.0
         weights = weights_from(layout, cls)
-        probs, _ = toy_forward(weights, np.ones(layout.feature_dim))
-        assert int(np.argmax(probs)) == 2
+        probs, _ = toy_forward(weights, np.ones((1, layout.feature_dim)))
+        assert int(np.argmax(probs[0])) == 2
 
     def test_layout_mismatch_rejected(self):
         rng = np.random.default_rng(9)
         weights = random_weights(rng)
         with pytest.raises(InvariantViolation):
-            toy_forward(weights, np.ones(weights.layout.feature_dim + 1))
+            toy_forward(weights, np.ones((1, weights.layout.feature_dim + 1)))
 
     def test_blocks_equal_per_block_forward(self):
         # With counts the matmuls run per block: one matmul over the whole
@@ -213,7 +216,7 @@ class TestToyForward:
         values = np.zeros(layout.total)
         values[0] = 500.0
         weights = WeightVector(layout=layout, values=values)
-        probs, _ = toy_forward(weights, np.array([10.0, 0.0]))
+        probs, _ = toy_forward(weights, np.array([[10.0, 0.0]]))
         assert np.all(np.isfinite(probs)) and abs(probs.sum() - 1.0) < 1e-9
 
 
@@ -416,7 +419,7 @@ class TestToyDetector:
     def test_strong_augmentation_changes_features(self):
         sample = scene_sample(seed=8)
         backend = self.backend()
-        props = backend.proposals(sample)
+        props = backend.proposals([sample])[0]
         plain = backend.features(sample.scene, props)
         strong = backend.augment(plain, "strong", [rng_for(4, "strong")])
         assert not np.array_equal(plain, strong)
@@ -425,7 +428,7 @@ class TestToyDetector:
         sample = scene_sample(seed=8)
         backend = self.backend()
         weights = backend.init_weights(3)
-        view = backend.view(sample, targets=True)
+        view = backend.views([sample], targets=True)[0]
         before = view.phi.copy()
         assert not view.phi.flags.writeable
         with pytest.raises(ValueError):
@@ -448,12 +451,12 @@ class TestToyDetector:
         )
         np.testing.assert_array_equal(view.phi, before)
         with pytest.raises(InvariantViolation):
-            backend.supervised_batch(ViewStack.of([backend.view(sample)]))  # built without targets
+            backend.supervised_batch(ViewStack.of([backend.views([sample])[0]]))  # built without targets
 
     def test_unknown_augmentation_rejected(self):
         sample = scene_sample(seed=8)
         backend = self.backend()
-        props = backend.proposals(sample)
+        props = backend.proposals([sample])[0]
         with pytest.raises(InvariantViolation):
             backend.augment(backend.features(sample.scene, props), "extreme")
 
@@ -465,8 +468,8 @@ class TestToyDetector:
         child = make_crop_children(
             sample, np.array([[50.0, 50.0, 306.0, 306.0]]), UpscalePolicy("factor", factor=2.0)
         )[0]
-        n_parent_extra = len(backend.proposals(sample)) - len(sample.scene.objects)
-        n_child_extra = len(backend.proposals(child)) - len(child.scene.objects)
+        n_parent_extra = len(backend.proposals([sample])[0]) - len(sample.scene.objects)
+        n_child_extra = len(backend.proposals([child])[0]) - len(child.scene.objects)
         # child gets only background proposals, no cluster candidates
         assert n_child_extra == backend.config.background_proposals
         assert n_parent_extra > backend.config.background_proposals
@@ -476,13 +479,13 @@ class TestToyDetector:
         backend = self.backend()
         pseudo_boxes = np.array([sample.scene.objects[0].box.as_tuple()])
         batch = backend.unsupervised_batch(
-            ViewStack.of([backend.view(sample)]),
+            ViewStack.of([backend.views([sample])[0]]),
             pseudo_boxes,
             np.array([1]),
             np.array([0]),
             [rng_for(0, "strong")],
         )
-        assert 0 < len(batch) <= len(backend.proposals(sample))
+        assert 0 < len(batch) <= len(backend.proposals([sample])[0])
         assert np.all(batch.classes == 1)
 
 
@@ -523,7 +526,7 @@ class TestArrayKernelsMatchLoops:
     def test_features_match_loop(self):
         backend = self.backend()
         for sample in self.samples():
-            boxes = np.concatenate([backend.proposals(sample), self.extra_boxes(sample)])
+            boxes = np.concatenate([backend.proposals([sample])[0], self.extra_boxes(sample)])
             covers = (intersection_matrix(boxes, sample.scene.object_boxes) > 0.0).sum(axis=1)
             assert covers.max() >= 9
             for scale in (4.0, 0.0):
@@ -569,7 +572,7 @@ class TestArrayKernelsMatchLoops:
         backend = self.backend()
         for sample in self.samples():
             anns = [(a.box.as_tuple(), a.class_id) for a in sample.record.annotations]
-            proposals = backend.proposals(sample)
+            proposals = backend.proposals([sample])[0]
             for fg_iou in (0.0, 0.3, 0.5, 0.9):
                 classes = self.check_targets(proposals, anns, fg_iou)
             assert 0 < np.count_nonzero(classes != 9) < len(classes)
@@ -639,7 +642,7 @@ class TestArrayKernelsMatchLoops:
         # with its own generator: row for row what the per-view decode gave.
         backend = self.backend()
         rng = np.random.default_rng(32)
-        views = [backend.view(s) for s in self.samples()]
+        views = [backend.views([s])[0] for s in self.samples()]
         stack = ViewStack.of(views + views[:1])
         seeds = [3, 4, 5, 6]
         for augmentation in ("none", "weak", "strong"):
@@ -655,6 +658,87 @@ class TestArrayKernelsMatchLoops:
             assert stack.width.tolist() == np.repeat(
                 [v.sample.record.width for v in views + views[:1]], stack.counts
             ).tolist()
+
+    def mixed_batch(self):
+        """Parents and crop children of other sizes, a scene of another
+        size and object count, and a scene without objects."""
+        from densecrop.croplab import label_density_crops
+        from densecrop.dataset import UpscalePolicy, make_crop_children
+
+        dense, other, child = self.samples()
+        crops = label_density_crops(
+            dense.scene.object_boxes, dense.record.size, CropParams(merge_steps=2)
+        )
+        children = make_crop_children(dense, crops[1:3], UpscalePolicy("factor", factor=2.0))
+        small = scene_sample(seed=23, width=320.0, height=200.0, clusters_per_image=(0, 1))
+        empty = SceneSample(
+            record=record_with([], width=240.0, height=180.0, image_id="empty"),
+            scene=SceneSpec(width=240.0, height=180.0, objects=(), seed=4),
+        )
+        # another id, so the same image draws other proposals in the batch
+        renamed = replace(other, record=replace(other.record, image_id="other"))
+        return [dense, child, empty, small, *children, other, renamed]
+
+    def test_views_of_a_mixed_batch_equal_views_of_one(self):
+        # Every view of one batched pass, bit for bit, against the view of
+        # its sample alone and the per-image proposals it replaced.
+        def same_bits(a, b):
+            return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+        samples = self.mixed_batch()
+        for background in (8, 0):
+            backend = ToyDetector(replace(self.backend().config, background_proposals=background))
+            for targets in (True, False):
+                views = backend.views(samples, targets=targets)
+                assert [v.sample for v in views] == samples
+                for sample, view in zip(samples, views):
+                    alone = backend.views([sample], targets=targets)[0]
+                    assert same_bits(view.proposals, alone.proposals)
+                    assert same_bits(view.phi, alone.phi)
+                    assert not view.proposals.flags.writeable and not view.phi.flags.writeable
+                    assert rows(view.proposals) == proposals_ref(backend, sample)
+                    if targets:
+                        assert same_bits(view.gt_classes, alone.gt_classes)
+                        assert same_bits(view.gt_offsets, alone.gt_offsets)
+                    else:
+                        assert view.gt_classes is None and alone.gt_classes is None
+            dense, empty = views[0], views[2]
+            covers = (intersection_matrix(dense.proposals, dense.sample.scene.object_boxes) > 0.0)
+            assert covers.sum(axis=1).max() >= 8  # np.mean path of the covered means
+            assert len(empty.proposals) == background
+        assert backend.views([]) == []
+
+    def test_features_of_a_chunk_equal_features_of_each_scene(self):
+        # Boxes on the image corner and edges meet the zero pad boxes of
+        # the scenes with fewer objects; a scene's rows are its own.
+        backend = self.backend()
+        samples = self.mixed_batch()
+        per_scene = [
+            np.concatenate([backend.proposals([s])[0], self.extra_boxes(s)])
+            if s.scene.objects else np.array([[0.0, 0.0, *s.record.size]])
+            for s in samples
+        ]
+        for scale in (4.0, 0.0):
+            got = extract_features(
+                [s.scene for s in samples], np.concatenate(per_scene), 4, scale,
+                [len(b) for b in per_scene],
+            )
+            want = np.concatenate(
+                [extract_features(s.scene, b, 4, scale) for s, b in zip(samples, per_scene)]
+            )
+            assert got.tobytes() == want.tobytes()
+
+    def test_detect_batch_equals_detect_arrays(self):
+        backend = self.backend()
+        samples = self.mixed_batch()
+        weights = random_weights(np.random.default_rng(33), 4)
+        batch = backend.detect_batch(weights, samples)
+        assert len(batch) == len(samples)
+        for sample, got in zip(samples, batch):
+            want = backend.detect_arrays(weights, sample)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert sum(len(classes) for _, classes, _ in batch) > 0
+        assert backend.detect_batch(weights, []) == []
 
     def test_targets_touching_boxes_stay_background(self):
         prop = [[0.0, 0.0, 10.0, 10.0]]
@@ -674,7 +758,7 @@ class TestArrayKernelsMatchLoops:
         weights = [random_weights(rng, 4) for _ in range(3)] + degenerate
         emitted = padded = 0
         for sample in self.samples():
-            view = backend.view(sample)
+            view = backend.views([sample])[0]
             for w in weights:
                 for augmentation, seed in (("none", 0), ("weak", 3), ("strong", 4)):
                     rngs = [rng_for(seed, augmentation)]

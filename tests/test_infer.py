@@ -13,7 +13,14 @@ from densecrop.dataset import (
     UpscalePolicy,
     generate_synthetic_dataset,
 )
-from densecrop.detect import OracleBackend, OracleNoiseModel
+from densecrop import infer as infer_module
+from densecrop.detect import (
+    OracleBackend,
+    OracleNoiseModel,
+    ToyDetector,
+    ToyDetectorConfig,
+    WeightVector,
+)
 from densecrop.errors import ConfigError, InvariantViolation
 from densecrop.geometry import Box, Detection, detection_arrays
 from densecrop.infer import (
@@ -291,6 +298,76 @@ class TestRunInference:
         )
         results = run_inference(samples, backend, None, config(), seed=0)
         assert all(r.seconds >= 0.0 for r in results)
+
+
+class TestChunkedInference:
+    """``run_inference`` over chunks against the same images run one per
+    chunk: the same ids, detections and errors, in the same order."""
+
+    def samples(self):
+        n = infer_module.CHUNK_SIZE + 9
+        cfg = SyntheticConfig(
+            num_images=n - 1, num_classes=3, clusters_per_image=(0, 2),
+            objects_per_cluster=(6, 8), scattered_per_image=(1, 3), seed=14,
+        )
+        generated = generate_synthetic_dataset(cfg)
+        empty = SceneSample(
+            record=ImageRecord(image_id="empty", width=300.0, height=300.0, annotations=()),
+            scene=SceneSpec(width=300.0, height=300.0, objects=(), seed=1),
+        )
+        return generated[:5] + [empty] + generated[5:]
+
+    def outcomes(self, monkeypatch, samples, backend, weights, chunk):
+        monkeypatch.setattr(infer_module, "CHUNK_SIZE", chunk)
+        results = run_inference(samples, backend, weights, config(), seed=3)
+        return [(r.image_id, r.detections, r.error) for r in results]
+
+    def check(self, monkeypatch, samples, backend, weights, failing):
+        crops = [
+            len(select_crops(backend.detect_arrays(weights, s), config(), s.record.size, 3))
+            for s in samples if s.record.image_id != failing
+        ]
+        assert min(crops) == 0 and max(crops) > 0
+        assert len(samples) > infer_module.CHUNK_SIZE
+        chunked = self.outcomes(monkeypatch, samples, backend, weights, infer_module.CHUNK_SIZE)
+        assert chunked == self.outcomes(monkeypatch, samples, backend, weights, 1)
+        errors = {image_id: error for image_id, _, error in chunked if error}
+        assert list(errors) == [failing] and "backend exploded" in errors[failing]
+        assert sum(len(dets) for _, dets, _ in chunked) > 0
+        return chunked
+
+    def test_oracle_chunks_equal_one_image_per_chunk(self, monkeypatch):
+        samples = [add_crop_annotations(s, crop_class=3) for s in self.samples()]
+        backend = FailingBackend(
+            num_base_classes=3, noise=OracleNoiseModel(score_mean=0.9, score_std=0.0)
+        )
+        self.check(monkeypatch, samples, backend, None, failing=2)
+
+    def test_toy_chunks_equal_one_image_per_chunk(self, monkeypatch):
+        samples = self.samples()
+        failing = samples[infer_module.CHUNK_SIZE + 4].record.image_id  # mid second chunk
+
+        class FailingToy(ToyDetector):
+            def views(self, samples, targets=False):
+                if any(s.record.image_id == failing for s in samples):
+                    raise RuntimeError("backend exploded")
+                return super().views(samples, targets)
+
+        backend = FailingToy(
+            ToyDetectorConfig(
+                num_base_classes=3, background_proposals=0, proposal_crop_params=CROP_PARAMS
+            )
+        )
+        layout = backend.layout
+        cls = np.zeros((layout.num_outputs, layout.columns))
+        cls[backend.crop_class_id, 6] = 30.0  # the center-count feature
+        cls[backend.crop_class_id, -1] = -10.0
+        cls[0, 4] = 12.0  # the best-IoU feature
+        weights = WeightVector(layout, np.concatenate([cls.ravel(), np.zeros(layout.reg_size)]))
+        chunked = self.check(monkeypatch, samples, backend, weights, failing)
+        # the scene without objects has no proposals, hence no detections
+        assert backend.views([samples[5]])[0].proposals.shape == (0, 4)
+        assert chunked[5] == ("empty", [], None)
 
 
 class TestPinnedToyInference:

@@ -64,6 +64,23 @@ class TestRngsFor:
         same = draws(rngs_for([stable_int("payload-obs"), 5], rows))
         assert np.array_equal(got, same)
 
+    def test_prefix_moved_into_leading_row_columns(self):
+        # Batched proposals and features seed rows that differ in their
+        # leading parts (image ids, scene seeds) in one call: the prefix
+        # parts, as stable_int words, become the first row columns.
+        rng = np.random.default_rng(11)
+        for trial in range(300):
+            prefix = random_prefix(rng, int(rng.integers(1, 5)))
+            if trial % 3 == 0:
+                prefix[-1] = f"img-{trial}:crop0"  # a string id, as crop children have
+            rows = random_words(rng, (int(rng.integers(1, 40)), int(rng.integers(0, 5))))
+            words = np.array([stable_int(p) for p in prefix], dtype=np.int64)
+            moved = np.concatenate([np.tile(words, (len(rows), 1)), rows], axis=1)
+            got = draws(rngs_for((), moved), size=4)
+            assert np.array_equal(got, draws(rngs_for(prefix, rows), size=4))
+            want = draws((rng_for(*prefix, *row) for row in rows.tolist()), size=4)
+            assert np.array_equal(got, want)
+
     def test_zero_rows(self):
         assert rngs_for([1, "payload-obs"], np.zeros((0, 4), dtype=np.int64)) == []
 

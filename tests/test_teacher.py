@@ -72,7 +72,7 @@ def tiny_dataset(seed=0, n=8, **overrides):
 def labeled_views(samples, labeled_ids, cfg, backend):
     """The labeled pool as ``train`` hands it to ``burn_in``: views with targets."""
     pool = prepare_labeled_pool(samples, labeled_ids, cfg, backend)
-    return {image_id: backend.view(s, targets=True) for image_id, s in pool.items()}
+    return dict(zip(pool, backend.views(list(pool.values()), targets=True)))
 
 
 def backend_for(num_classes=3, seed=0, **overrides):
@@ -158,7 +158,7 @@ class TestFilterPseudoLabels:
         # of the detections they come from.
         samples = tiny_dataset(n=1, clusters_per_image=(2, 2), objects_per_cluster=(8, 8))
         backend = backend_for()
-        view = backend.view(next(iter(samples.values())))
+        view = backend.views([next(iter(samples.values()))])[0]
         cls = np.zeros((backend.layout.num_outputs, backend.layout.columns))
         cls[backend.crop_class_id, 6] = 30.0  # center-count feature
         cls[backend.crop_class_id, backend.layout.feature_dim] = -10.0
@@ -186,7 +186,7 @@ class TestFilterPseudoLabels:
         rng = np.random.default_rng(45)
         values = rng.normal(0, 1.0, backend.layout.total)
         weights = WeightVector(layout=backend.layout, values=values)
-        views = [backend.view(sample) for sample in samples.values()]
+        views = [backend.views([sample])[0] for sample in samples.values()]
         stack = ViewStack.of(views)
         seeds = [7, 8, 9]
         kept = 0
@@ -221,12 +221,12 @@ class TestStudentBatch:
             seed=5, n=5, clusters_per_image=(2, 2), objects_per_cluster=(6, 8)
         )
         backend = backend_for(payload_obs_scale=2.0)
-        views = [backend.view(s) for s in samples.values()]
+        views = [backend.views([s])[0] for s in samples.values()]
         for sample in list(samples.values())[:3]:
             crops = np.array([[40.0, 60.0, 140.0, 140.0], [200.0, 180.0, 330.0, 300.0]])
             for child in make_crop_children(sample, crops, UPSCALE):
                 assert child.record.size != sample.record.size
-                views.append(backend.view(child))
+                views.append(backend.views([child])[0])
         edge = views[0]
         proposals = edge.proposals.copy()
         proposals[0, :2] = 0.0
@@ -325,7 +325,7 @@ class TestSupervisedBatch:
             tied.append(SceneSample(replace(sample.record, annotations=annotations), sample.scene))
         bare = SceneSample(replace(samples[3].record, annotations=()), samples[3].scene)
         pool = samples + children + tied + [bare]
-        return backend, [backend.view(s, targets=True) for s in pool]
+        return backend, [backend.views([s], targets=True)[0] for s in pool]
 
     def test_stacked_labeled_views_equal_per_view_path(self):
         backend, pool = self.views()
@@ -486,7 +486,7 @@ class TestDiscoverUnlabeledCrops:
         weights = backend.init_weights(0)
         state = TrainerState(student=weights, teacher=weights, iteration=5)
         cfg = trainer_config(crop_start_iter=30)
-        views = {i: backend.view(s) for i, s in samples.items()}
+        views = {i: backend.views([s])[0] for i, s in samples.items()}
         out = discover_unlabeled_crops(state, sorted(samples), views, backend, cfg)
         assert out == {} and state.crop_cache == {}
 
@@ -499,7 +499,7 @@ class TestDiscoverUnlabeledCrops:
         state = TrainerState(student=weights, teacher=weights, iteration=35)
         cfg = trainer_config(tau=0.999)
         ids = sorted(samples)[:2]
-        views = {i: backend.view(s) for i, s in samples.items()}
+        views = {i: backend.views([s])[0] for i, s in samples.items()}
         discover_unlabeled_crops(state, ids, views, backend, cfg)
         assert all(len(e.crops) == 0 for e in state.crop_cache.values())
 
@@ -513,7 +513,7 @@ class TestDiscoverUnlabeledCrops:
         first_id = sorted(samples)[0]
         state.crop_cache[first_id] = CropCacheEntry(crops=[], computed_iter=1, child_ids=[])
         cfg = trainer_config(crop_start_iter=30, crop_recompute_period=100)
-        views = {i: backend.view(s) for i, s in samples.items()}
+        views = {i: backend.views([s])[0] for i, s in samples.items()}
         discover_unlabeled_crops(state, [], views, backend, cfg)
         assert state.crop_cache[first_id].computed_iter == 200
 
@@ -693,18 +693,19 @@ class TestTrain:
     def test_one_rngs_for_call_per_iteration_and_none_in_augment(self, monkeypatch):
         # Every augment generator of an iteration (labeled weak, teacher
         # weak, student strong) comes from one rngs_for call; a crop
-        # discovery pass with targets adds one more. augment only draws
-        # from the generators it is given.
+        # discovery pass with targets adds one more. The batch samplers'
+        # generators come up front, one call per tag and phase. augment
+        # only draws from the generators it is given.
         from densecrop import detect as detect_module
         from densecrop import teacher as teacher_module
 
-        rows_per_call: list = []
+        calls: list = []
         inside_augment: list = []
         real_rngs_for = teacher_module.rngs_for
         real_augment = ToyDetector.augment
 
         def counted(prefix, rows):
-            rows_per_call.append(len(rows))
+            calls.append((tuple(prefix), len(rows)))
             return real_rngs_for(prefix, rows)
 
         def augment(self, *args, **kwargs):
@@ -723,8 +724,8 @@ class TestTrain:
 
         monkeypatch.setattr(teacher_module, "rngs_for", counted)
         monkeypatch.setattr(ToyDetector, "augment", augment)
+        monkeypatch.setattr(detect_module, "rng_for", guarded(detect_module.rng_for))
         for module in (detect_module, teacher_module):
-            monkeypatch.setattr(module, "rng_for", guarded(module.rng_for))
             monkeypatch.setattr(module, "rngs_for", guarded(module.rngs_for))
 
         samples = tiny_dataset()
@@ -732,7 +733,13 @@ class TestTrain:
         backend = backend_for()
         cfg = trainer_config(crop_start_iter=10**9)
         state = train(cfg, samples, split, backend)
-        assert rows_per_call == [
+        phase = cfg.max_iters - cfg.burn_in_iters
+        assert [c for c in calls if c[0]] == [
+            ((cfg.seed, "batch-labeled"), cfg.burn_in_iters),
+            ((cfg.seed, "batch-labeled"), phase),
+            ((cfg.seed, "batch-unlabeled"), phase),
+        ]
+        assert [rows for prefix, rows in calls if not prefix] == [
             cfg.labeled_batch + 2 * log.unlabeled_images for log in state.history
         ]
         assert all(log.unlabeled_images > 0 for log in state.history[cfg.burn_in_iters :])
@@ -748,11 +755,11 @@ class TestTrain:
             return children
 
         monkeypatch.setattr(teacher_module, "discover_unlabeled_crops", recording)
-        rows_per_call.clear()
+        calls.clear()
         cfg = trainer_config()
         train(cfg, samples, split, backend)
         assert sum(passes) > 0
-        assert len(rows_per_call) == cfg.max_iters + sum(passes)
+        assert len([c for c in calls if not c[0]]) == cfg.max_iters + sum(passes)
 
     def test_run_report_round_trips_loss_values(self, tmp_path):
         samples = tiny_dataset()
