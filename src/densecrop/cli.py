@@ -244,8 +244,13 @@ def _eval_inputs(params: dict):
     gts = {
         r.image_id: [a for a in r.annotations if a.class_id not in excluded] for r in loaded.records
     }
-    dets = detect.read_detections(params["detections"])
-    dets = [(image_id, det) for image_id, det in dets if det.class_id not in excluded]
+    # A detection file holds image ids as text, so they resolve by their text.
+    by_text = {str(image_id): image_id for image_id in gts}
+    dets = [
+        (by_text.get(str(image_id), image_id), det)
+        for image_id, det in detect.read_detections(params["detections"])
+        if det.class_id not in excluded
+    ]
     return gts, dets
 
 

@@ -1035,6 +1035,15 @@ def write_detections(
             )
 
 
+def _image_id(raw: str) -> int | str:
+    """An int where ``raw`` is exactly how ``str`` writes one, else the text."""
+    try:
+        value = int(raw)
+    except ValueError:
+        return raw
+    return value if str(value) == raw else raw
+
+
 def read_detections(path: str | os.PathLike) -> list[tuple[int | str, Detection]]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -1049,8 +1058,7 @@ def read_detections(path: str | os.PathLike) -> list[tuple[int | str, Detection]
         if len(parts) != 7:
             raise DataError(f"{path}:{lineno}: expected 7 fields, got {len(parts)}")
         try:
-            raw_id = parts[0]
-            image_id: int | str = int(raw_id) if raw_id.lstrip("-").isdigit() else raw_id
+            image_id = _image_id(parts[0])
             det = Detection(
                 box=Box(float(parts[3]), float(parts[4]), float(parts[5]), float(parts[6])),
                 class_id=int(parts[1]),

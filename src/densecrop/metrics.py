@@ -8,13 +8,20 @@ out-of-bucket ground truth ignored rather than counted against the
 detector. Error profiling assigns each false positive exactly one type
 (Cls, Loc, Both, Dupe, Bkg) and counts unmatched ground truth as Miss.
 
-Every pass computes IoU once per image, as one float64 matrix of
-score-ordered detections by ground truth with other-class pairs masked
-out, so each (image, class) block is the per-(image, category) matrix of
-pycocotools' COCOeval (whose design this follows, without depending on
-it), computed by ``geometry.iou_matrix``. One greedy kernel matches
-against that matrix for every (area range, IoU threshold) pair at once,
-and one stable ranking per class serves all of them.
+Every pass flattens ground truth and detections into one table of arrays,
+image by image in sorted image-id order with detections in descending
+score order, and walks it in chunks of whole images of about
+``_CHUNK_PAIRS`` (detection, ground truth) pairs each. A chunk's pairs
+run detection-major, ground truth in annotation order, and their IoU is
+the formula of ``geometry.iou_matrix`` pair by pair, so each (image,
+class) block of pairs is the per-(image, category) matrix of pycocotools'
+COCOeval (whose design this follows, without depending on it). Matching
+splits a chunk's detections in two. A detection is contested when an
+earlier one of its image reaches (IoU at or above some threshold) the
+same ground truth; the few contested ones are matched one at a time in
+score order. All others are matched together, for every (area range, IoU
+threshold) pair at once, by segment reductions over their pairs. One
+stable ranking per class serves all of them.
 
 The tie rule: in score order, a detection takes the untaken counted
 (in-range) ground truth of highest IoU at or above the threshold, the
@@ -29,12 +36,14 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import attrgetter, itemgetter
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .errors import DataError, InvariantViolation
-from .geometry import box_areas, box_array, iou_matrix
+from .geometry import box_areas
 from .manifest import write_json
 
 __all__ = [
@@ -59,9 +68,9 @@ COCO_SIZE_BUCKETS: dict[str, tuple[float, float]] = {
 }
 _ALL = (0.0, float("inf"))
 _RECALL_POINTS = np.linspace(0.0, 1.0, 101)
-# Cells (detection x range x threshold x ground truth) the matching kernel
-# decides in one vectorized step; bounds its temporary arrays at a few MB.
-_PICK_CELLS = 1 << 18
+# (Detection, ground truth) pairs one chunk of whole images holds, about;
+# bounds each pass's temporary arrays at about a megabyte.
+_CHUNK_PAIRS = 1 << 13
 
 ERROR_TYPES = ("Cls", "Loc", "Both", "Dupe", "Bkg", "Miss")
 
@@ -104,6 +113,116 @@ def _in_ranges(areas: np.ndarray, ranges: np.ndarray) -> np.ndarray:
     return (ranges[:, :1] <= areas) & (areas <= ranges[:, 1:])
 
 
+_CORNERS = attrgetter("box.x1", "box.y1", "box.x2", "box.y2")
+
+
+def _fields(items: list, name: str, dtype) -> np.ndarray:
+    """The ``name`` attribute of every item, as an array."""
+    return np.fromiter(map(attrgetter(name), items), dtype, len(items))
+
+
+def _boxes(items: list) -> np.ndarray:
+    """(N, 4) (x1, y1, x2, y2) rows of the ``box`` of every item."""
+    corners = chain.from_iterable(map(_CORNERS, items))
+    return np.fromiter(corners, np.float64, 4 * len(items)).reshape(-1, 4)
+
+
+class _Table(NamedTuple):
+    """Ground truth and detections as flat arrays, image by image in the
+    sorted image-id order every pass uses. Ground truth keeps annotation
+    order; detections run in descending score order within an image, ties
+    in input order. Image k owns rows ``start[k]:start[k + 1]``."""
+
+    gt_boxes: np.ndarray
+    gt_classes: np.ndarray
+    gt_start: np.ndarray
+    det_boxes: np.ndarray
+    det_classes: np.ndarray
+    det_scores: np.ndarray
+    det_start: np.ndarray
+
+
+def _table(gts: dict, dets: list[tuple]) -> _Table:
+    image_ids = sorted(gts, key=str)
+    index = {image_id: k for k, image_id in enumerate(image_ids)}
+    anns = [a for image_id in image_ids for a in gts[image_id]]
+    gt_counts = np.fromiter(map(len, map(gts.__getitem__, image_ids)), np.intp, len(image_ids))
+    det_objs = list(map(itemgetter(1), dets))
+    try:
+        images = map(index.__getitem__, map(itemgetter(0), dets))
+        det_image = np.fromiter(images, np.intp, len(dets))
+    except KeyError as exc:
+        raise DataError(f"detection references unknown image id {exc.args[0]!r}") from None
+    scores = _fields(det_objs, "score", np.float64)
+    order = np.lexsort((-scores, det_image))
+    return _Table(
+        gt_boxes=_boxes(anns),
+        gt_classes=_fields(anns, "class_id", np.int64),
+        gt_start=np.concatenate([[0], np.cumsum(gt_counts)]),
+        det_boxes=_boxes(det_objs)[order],
+        det_classes=_fields(det_objs, "class_id", np.int64)[order],
+        det_scores=scores[order],
+        det_start=np.searchsorted(det_image[order], np.arange(len(image_ids) + 1)),
+    )
+
+
+class _Chunk(NamedTuple):
+    """Whole images of a table: their detection rows ``dets`` and
+    ground-truth rows ``gts``, and (detection, ground truth) pairs between
+    them, detection-major with ground truth in annotation order, as rows
+    counted from the chunk's first; with each pair's IoU and whether its
+    classes agree."""
+
+    dets: slice
+    gts: slice
+    det: np.ndarray
+    gt: np.ndarray
+    ious: np.ndarray
+    same_class: np.ndarray
+
+    @property
+    def num_dets(self) -> int:
+        return self.dets.stop - self.dets.start
+
+
+def _chunks(table: _Table, same_class_only: bool) -> Iterator[_Chunk]:
+    """The table in chunks of whole images. A chunk closes after the image
+    that takes the running pair count past a multiple of ``_CHUNK_PAIRS``,
+    so it holds less than that budget plus its last image. With
+    ``same_class_only`` the other-class pairs are left out."""
+    det_counts, gt_counts = np.diff(table.det_start), np.diff(table.gt_start)
+    # A detection with no ground truth still costs one cell of the budget,
+    # which bounds the per-detection arrays of a chunk as well.
+    cells = det_counts * np.maximum(gt_counts, 1)
+    opens = np.flatnonzero(np.diff((np.cumsum(cells) - cells) // _CHUNK_PAIRS)) + 1
+    edges = [0, *opens.tolist(), len(cells)]
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        dets = slice(*table.det_start[[lo, hi]].tolist())
+        gts = slice(*table.gt_start[[lo, hi]].tolist())
+        if dets.start == dets.stop:
+            continue
+        per_det = np.repeat(gt_counts[lo:hi], det_counts[lo:hi])
+        det = np.repeat(np.arange(len(per_det)), per_det)
+        # A detection's pairs count up from the first ground truth of its image.
+        first_gt = np.repeat(table.gt_start[lo:hi] - gts.start, det_counts[lo:hi])
+        gt = np.arange(len(det)) + np.repeat(first_gt - (np.cumsum(per_det) - per_det), per_det)
+        same_class = table.det_classes[dets][det] == table.gt_classes[gts][gt]
+        if same_class_only:
+            det, gt, same_class = det[same_class], gt[same_class], same_class[same_class]
+        ious = _pair_ious(table.det_boxes[dets], table.gt_boxes[gts], det, gt)
+        yield _Chunk(dets, gts, det, gt, ious, same_class)
+
+
+def _pair_ious(a: np.ndarray, b: np.ndarray, rows_a: np.ndarray, rows_b: np.ndarray) -> np.ndarray:
+    """IoU of box ``a[rows_a[i]]`` with ``b[rows_b[i]]`` for every i, by the
+    formula of ``geometry.iou_matrix``, so every value keeps its bits. One
+    coordinate is gathered at a time, which keeps the temporaries small."""
+    iw = np.minimum(a[rows_a, 2], b[rows_b, 2]) - np.maximum(a[rows_a, 0], b[rows_b, 0])
+    ih = np.minimum(a[rows_a, 3], b[rows_b, 3]) - np.maximum(a[rows_a, 1], b[rows_b, 1])
+    inter = np.where((iw > 0.0) & (ih > 0.0), iw * ih, 0.0)
+    return inter / (box_areas(a)[rows_a] + box_areas(b)[rows_b] - inter)
+
+
 def _pick(candidates: np.ndarray, ious: np.ndarray, counted: np.ndarray) -> tuple:
     """Best candidate along the last (ground-truth) axis, by the tie rule.
 
@@ -115,97 +234,78 @@ def _pick(candidates: np.ndarray, ious: np.ndarray, counted: np.ndarray) -> tupl
     return np.where(candidates, ious, -1.0).argmax(axis=-1), candidates.any(axis=-1)
 
 
-def _match(ious: np.ndarray, ignored: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
-    """Greedy matching of one image's detections for every (range, threshold).
+def _match(
+    det: np.ndarray,
+    gt: np.ndarray,
+    ious: np.ndarray,
+    num_dets: int,
+    counted: np.ndarray,
+    thresholds: np.ndarray,
+) -> np.ndarray:
+    """Greedy matching of a chunk's detections for every (range, threshold).
 
-    ``ious`` is (D, G) with detections in descending score order and -inf
-    for pairs that may never match (other class), ``ignored`` is (R, G) and
-    ``thresholds`` is (T,). Returns the (R, T, D) matched ground-truth
-    column, -1 where the detection stays unmatched. The tie rule is the one
+    ``det``, ``gt`` and ``ious`` are the chunk's same-class pairs as in
+    :class:`_Chunk`, ``counted`` is (R, G) over the chunk's ground truth
+    and ``thresholds`` is (T,). Returns the (R, T, D) matched ground-truth
+    row, -1 where the detection stays unmatched. The tie rule is the one
     in the module docstring.
 
     A detection can only take ground truth it reaches (IoU at or above some
-    threshold). If no earlier detection reaches any of that ground truth,
-    all of it is still untaken at the detection's turn, and nothing it
-    takes is visible to an earlier one; such detections are matched
-    together in one step, and only the others go through the loop in score
-    order.
+    threshold). It is contested when an earlier detection of its image
+    reaches some of that ground truth. An uncontested detection finds all
+    of it untaken at its turn, and nothing it takes is visible to an
+    earlier one, so the uncontested are matched together by segment
+    reductions over their pairs; only the contested go through ``_pick``,
+    in score order.
     """
-    num_dets, num_gts = ious.shape
-    matched = np.full((len(ignored), len(thresholds), num_dets), -1, dtype=np.intp)
-    if num_gts == 0:
-        return matched
-    above = ious[:, None, :] >= thresholds[:, None]  # (D, T, G)
-    reach = above.any(axis=1)
+    num_ranges, num_thr = len(counted), len(thresholds)
+    matched = np.full((num_ranges, num_thr, num_dets), -1, dtype=np.intp)
+    reach = ious >= thresholds.min(initial=np.inf)
+    det, gt, ious = det[reach], gt[reach], ious[reach]
+    # A stable sort by ground truth orders the detection-major pairs by
+    # (ground truth, detection); a pair after one of its ground truth is contested.
+    by_gt = np.argsort(gt, kind="stable")
+    repeats = by_gt[1:][gt[by_gt[1:]] == gt[by_gt[:-1]]]
     contested = np.zeros(num_dets, dtype=bool)
-    contested[1:] = (reach[1:] & np.logical_or.accumulate(reach, axis=0)[:-1]).any(axis=1)
-    counted = ~ignored[:, None, :]
-    taken = np.zeros((len(ignored), len(thresholds), num_gts), dtype=bool)
+    contested[det[repeats]] = True
+    taken = np.zeros((num_ranges, num_thr, counted.shape[1]), dtype=bool)
 
-    alone = np.flatnonzero(reach.any(axis=1) & ~contested)
-    step = max(1, _PICK_CELLS // taken.size)
-    for chunk in (alone[i : i + step] for i in range(0, len(alone), step)):
-        cols, found = _pick(above[chunk, None], ious[chunk, None, None], counted)  # (n, R, T)
-        n, r, t = np.nonzero(found)
-        matched[r, t, chunk[n]] = cols[n, r, t]
-        taken[r, t, cols[n, r, t]] = True
+    alone = ~contested[det]
+    if alone.any():
+        a_det, a_gt, a_ious = det[alone], gt[alone], ious[alone]
+        opens = np.diff(a_det, prepend=-1) != 0
+        starts, segment = np.flatnonzero(opens), np.cumsum(opens) - 1
+        above = a_ious >= thresholds[:, None]  # (T, Q)
+        preferred = above & counted[:, None, a_gt]  # (R, T, Q)
+        any_preferred = np.logical_or.reduceat(preferred, starts, axis=-1)[..., segment]
+        candidates = np.where(any_preferred, preferred, above)
+        best = np.maximum.reduceat(np.where(candidates, a_ious, -1.0), starts, axis=-1)
+        at_best = candidates & (a_ious == best[..., segment])
+        pair = np.arange(len(a_det))
+        first = np.minimum.reduceat(np.where(at_best, pair, len(pair)), starts, axis=-1)
+        r, t, s = np.nonzero(best >= 0.0)
+        cols = a_gt[first[r, t, s]]
+        matched[r, t, a_det[starts[s]]] = cols
+        taken[r, t, cols] = True
 
-    for d in np.flatnonzero(contested):
-        cols, found = _pick(above[d] & ~taken, ious[d], counted)  # (R, T)
+    rest = np.flatnonzero(~alone)
+    for pairs in np.split(rest, np.flatnonzero(np.diff(det[rest])) + 1) if len(rest) else ():
+        g, v = gt[pairs], ious[pairs]
+        cols, found = _pick((v >= thresholds[:, None]) & ~taken[:, :, g], v, counted[:, None, g])
         r, t = np.nonzero(found)
-        matched[r, t, d] = cols[r, t]
-        taken[r, t, cols[r, t]] = True
+        matched[r, t, det[pairs[0]]] = g[cols[r, t]]
+        taken[r, t, g[cols[r, t]]] = True
     return matched
 
 
-def _match_once(ious: np.ndarray, iou_thresh: float) -> np.ndarray:
-    """Matched ground-truth column per detection at one threshold, nothing ignored."""
-    no_ignored = np.zeros((1, ious.shape[1]), dtype=bool)
-    return _match(ious, no_ignored, np.array([iou_thresh], dtype=np.float64))[0, 0]
-
-
-class _Image(NamedTuple):
-    """One image's ground truth and its detections in descending score
-    order (ties keep input order), as arrays."""
-
-    gt_boxes: np.ndarray
-    gt_classes: np.ndarray
-    det_boxes: np.ndarray
-    det_classes: np.ndarray
-    det_scores: np.ndarray
-
-    def class_ious(self) -> tuple[np.ndarray, np.ndarray]:
-        """(detection x ground-truth IoU, same-class mask) of the image."""
-        same_class = self.det_classes[:, None] == self.gt_classes[None, :]
-        return iou_matrix(self.det_boxes, self.gt_boxes), same_class
-
-
-def _images(gts: dict, dets: list[tuple]) -> Iterator[_Image]:
-    """Per-image arrays, one image at a time, in the sorted image-id order
-    every pass uses."""
-    image_ids = sorted(gts, key=str)
-    slots = {image_id: [] for image_id in image_ids}
-    for image_id, det in dets:
-        slot = slots.get(image_id)
-        if slot is None:
-            raise DataError(f"detection references unknown image id {image_id!r}")
-        slot.append(det)
-    for image_id in image_ids:
-        anns, img_dets = gts[image_id], slots.pop(image_id)
-        scores = np.array([d.score for d in img_dets], dtype=np.float64)
-        order = np.argsort(-scores, kind="stable")
-        yield _Image(
-            gt_boxes=box_array([a.box for a in anns]),
-            gt_classes=np.array([a.class_id for a in anns], dtype=np.int64),
-            det_boxes=box_array([d.box for d in img_dets])[order],
-            det_classes=np.array([d.class_id for d in img_dets], dtype=np.int64)[order],
-            det_scores=scores[order],
-        )
-
-
-def _same_class_only(ious: np.ndarray, same_class: np.ndarray) -> np.ndarray:
-    """IoU with other-class pairs set to -inf, which no threshold reaches."""
-    return np.where(same_class, ious, -np.inf)
+def _match_once(chunk: _Chunk, iou_thresh: float) -> np.ndarray:
+    """Matched ground-truth row per detection of a chunk at one threshold,
+    same-class pairs only and nothing ignored."""
+    same = chunk.same_class
+    det, gt, ious = chunk.det[same], chunk.gt[same], chunk.ious[same]
+    nothing_ignored = np.ones((1, chunk.gts.stop - chunk.gts.start), dtype=bool)
+    thr = np.array([iou_thresh], dtype=np.float64)
+    return _match(det, gt, ious, chunk.num_dets, nothing_ignored, thr)[0, 0]
 
 
 def _interpolated_ap(tps: np.ndarray, npig: int) -> float:
@@ -239,35 +339,34 @@ def evaluate_ap(
     """
     size_buckets = COCO_SIZE_BUCKETS if size_buckets is None else size_buckets
     thresholds = COCO_IOU_THRESHOLDS if iou_thresholds is None else tuple(iou_thresholds)
-    all_anns = [a for anns in gts.values() for a in anns]
+    if not thresholds:
+        raise InvariantViolation("evaluate_ap needs at least one IoU threshold")
+    table = _table(gts, dets)
+    gt_classes = table.gt_classes
     if class_ids is None:
-        class_ids = tuple(sorted({a.class_id for a in all_anns}))
+        class_ids = tuple(sorted(set(gt_classes.tolist())))
 
     ranges: dict[str, tuple[float, float]] = {"all": _ALL, **size_buckets}
     bounds = np.array(list(ranges.values()), dtype=np.float64).reshape(-1, 2)
     thr = np.array(thresholds, dtype=np.float64)
     range_rows = np.arange(len(ranges))[:, None, None]
-    unmatched_column = np.zeros((len(ranges), 1), dtype=bool)
-    gt_classes = np.array([a.class_id for a in all_anns], dtype=np.int64)
-    counted = _in_ranges(box_areas(box_array([a.box for a in all_anns])), bounds)
-    # Over every detection, image by image: class, score, and the (R, T)
-    # outcome: 1 true positive, 0 false positive, -1 left out of the ranking
-    # (matched to ignored ground truth, or unmatched and outside the range).
-    det_classes = np.empty(len(dets), dtype=np.int64)
-    scores = np.empty(len(dets), dtype=np.float64)
-    outcome = np.empty((len(ranges), len(thresholds), len(dets)), dtype=np.int8)
-    start = 0
-    for image in _images(gts, dets):
-        rows = slice(start, start + len(image.det_scores))
-        start = rows.stop
-        det_classes[rows], scores[rows] = image.det_classes, image.det_scores
-        ignored = ~_in_ranges(box_areas(image.gt_boxes), bounds)
-        matched = _match(_same_class_only(*image.class_ious()), ignored, thr)
-        # Column -1, the unmatched mark, reads the appended all-False column.
-        on_ignored = np.hstack([ignored, unmatched_column])[range_rows, matched]
-        out_of_range = ~_in_ranges(box_areas(image.det_boxes), bounds)[:, None, :]
+    unmatched_column = np.ones((len(ranges), 1), dtype=bool)
+    counted = _in_ranges(box_areas(table.gt_boxes), bounds)
+    out_of_range = ~_in_ranges(box_areas(table.det_boxes), bounds)[:, None, :]
+    # Over every detection, in table order: the (R, T) outcome: 1 true
+    # positive, 0 false positive, -1 left out of the ranking (matched to
+    # ignored ground truth, or unmatched and outside the range).
+    det_classes, scores = table.det_classes, table.det_scores
+    outcome = np.empty((len(ranges), len(thresholds), len(scores)), dtype=np.int8)
+    for chunk in _chunks(table, same_class_only=True):
+        chunk_counted = counted[:, chunk.gts]
+        matched = _match(chunk.det, chunk.gt, chunk.ious, chunk.num_dets, chunk_counted, thr)
+        # Column -1, the unmatched mark, reads the appended all-counted column.
+        on_ignored = ~np.hstack([chunk_counted, unmatched_column])[range_rows, matched]
         hit = matched >= 0
-        outcome[:, :, rows] = np.where(np.where(hit, on_ignored, out_of_range), -1, hit)
+        outcome[:, :, chunk.dets] = np.where(
+            np.where(hit, on_ignored, out_of_range[:, :, chunk.dets]), -1, hit
+        )
 
     # ap_table[(class, range_name)] -> list of per-threshold AP or None
     ap_table: dict = {}
@@ -338,20 +437,19 @@ def recall_by_size(
     no ground truth report None.
     """
     size_buckets = COCO_SIZE_BUCKETS if size_buckets is None else size_buckets
+    table = _table(gts, dets)
+    gt_hit = np.zeros(len(table.gt_classes), dtype=bool)
+    for chunk in _chunks(table, same_class_only=True):
+        det_match = _match_once(chunk, iou_thresh)
+        gt_hit[chunk.gts.start + det_match[det_match >= 0]] = True
+    areas = box_areas(table.gt_boxes)
     matched: dict[str, int] = {name: 0 for name in size_buckets}
     totals: dict[str, int] = {name: 0 for name in size_buckets}
-    matched["all"], totals["all"] = 0, 0
-    for image in _images(gts, dets):
-        det_match = _match_once(_same_class_only(*image.class_ious()), iou_thresh)
-        gt_hit = np.zeros(len(image.gt_boxes), dtype=bool)
-        gt_hit[det_match[det_match >= 0]] = True
-        areas = box_areas(image.gt_boxes)
-        totals["all"] += len(gt_hit)
-        matched["all"] += int(gt_hit.sum())
-        for name, (lo, hi) in size_buckets.items():
-            in_bucket = (lo <= areas) & (areas <= hi)
-            totals[name] += int(in_bucket.sum())
-            matched[name] += int((in_bucket & gt_hit).sum())
+    matched["all"], totals["all"] = int(gt_hit.sum()), len(gt_hit)
+    for name, (lo, hi) in size_buckets.items():
+        in_bucket = (lo <= areas) & (areas <= hi)
+        totals[name] += int(in_bucket.sum())
+        matched[name] += int((in_bucket & gt_hit).sum())
     return {
         name: (matched[name] / totals[name] if totals[name] else None) for name in totals
     }
@@ -392,27 +490,38 @@ def profile_errors(
     """
     if not (fg_iou > bg_iou >= 0.0):
         raise InvariantViolation(f"need fg_iou > bg_iou >= 0, got fg={fg_iou} bg={bg_iou}")
-    counts = {name: 0 for name in ERROR_TYPES}
+    table = _table(gts, dets)
+    kinds = np.zeros(5, dtype=np.int64)
     tp = 0
-    for image in _images(gts, dets):
-        ious, same_class = image.class_ious()
-        unmatched = _match_once(_same_class_only(ious, same_class), fg_iou) < 0
-        hits = len(unmatched) - int(unmatched.sum())
-        tp += hits
-        counts["Miss"] += len(image.gt_boxes) - hits
+    for chunk in _chunks(table, same_class_only=False):
+        unmatched = _match_once(chunk, fg_iou) < 0
+        tp += chunk.num_dets - int(unmatched.sum())
         # IoU is never negative, so 0 stands for "no such ground truth".
-        iou_same = np.where(same_class, ious, 0.0).max(axis=1, initial=0.0)[unmatched]
-        iou_other = np.where(same_class, 0.0, ious).max(axis=1, initial=0.0)[unmatched]
+        same = chunk.same_class
+        iou_same = _det_max(np.where(same, chunk.ious, 0.0), chunk)[unmatched]
+        iou_other = _det_max(np.where(same, 0.0, chunk.ious), chunk)[unmatched]
         # The first condition that holds names the type; none holding is Bkg.
         kind = np.select(
             [iou_other >= fg_iou, iou_same >= fg_iou, iou_same > bg_iou, iou_other > bg_iou],
             [0, 1, 2, 3],
             4,
         )
-        for name, n in zip(("Cls", "Dupe", "Loc", "Both", "Bkg"), np.bincount(kind, minlength=5).tolist()):
-            counts[name] += n
+        kinds += np.bincount(kind, minlength=5)
+    counts = {name: 0 for name in ERROR_TYPES}
+    counts.update(zip(("Cls", "Dupe", "Loc", "Both", "Bkg"), kinds.tolist()))
+    counts["Miss"] = len(table.gt_classes) - tp
     fp = sum(counts[k] for k in ("Cls", "Loc", "Both", "Dupe", "Bkg"))
     return ErrorProfile(counts=counts, true_positives=tp, false_positives=fp)
+
+
+def _det_max(values: np.ndarray, chunk: _Chunk) -> np.ndarray:
+    """Per-detection maximum of a chunk's pair values, 0.0 for a detection
+    without pairs."""
+    out = np.zeros(chunk.num_dets)
+    starts = np.flatnonzero(np.diff(chunk.det, prepend=-1))
+    if len(starts):
+        out[chunk.det[starts]] = np.maximum.reduceat(values, starts)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -374,6 +374,52 @@ def recall_by_size_ref(gts: dict, dets: list[tuple], iou_thresh: float = 0.5) ->
     return {name: (matched[name] / totals[name] if totals[name] else None) for name in totals}
 
 
+def match_per_image_ref(ious: np.ndarray, ignored: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """Greedy matching of one image's detections for every (range,
+    threshold), as evaluation ran it image by image before the dump was
+    walked in chunks of pairs.
+
+    ``ious`` is (D, G) with detections in descending score order and -inf
+    for pairs that may never match (other class), ``ignored`` is (R, G) and
+    ``thresholds`` is (T,). Returns the (R, T, D) matched ground-truth
+    column, -1 where the detection stays unmatched. In score order a
+    detection takes the untaken counted ground truth of highest IoU at or
+    above the threshold, the first in annotation order among equal IoUs,
+    and an ignored one only when no counted one qualifies. Detections no
+    earlier one competes with are matched in one step, the others in a
+    loop in score order.
+    """
+
+    def pick(candidates, ious, counted):
+        preferred = candidates & counted
+        candidates = np.where(preferred.any(axis=-1, keepdims=True), preferred, candidates)
+        return np.where(candidates, ious, -1.0).argmax(axis=-1), candidates.any(axis=-1)
+
+    num_dets, num_gts = ious.shape
+    matched = np.full((len(ignored), len(thresholds), num_dets), -1, dtype=np.intp)
+    if num_gts == 0:
+        return matched
+    above = ious[:, None, :] >= thresholds[:, None]  # (D, T, G)
+    reach = above.any(axis=1)
+    contested = np.zeros(num_dets, dtype=bool)
+    contested[1:] = (reach[1:] & np.logical_or.accumulate(reach, axis=0)[:-1]).any(axis=1)
+    counted = ~ignored[:, None, :]
+    taken = np.zeros((len(ignored), len(thresholds), num_gts), dtype=bool)
+
+    alone = np.flatnonzero(reach.any(axis=1) & ~contested)
+    cols, found = pick(above[alone, None], ious[alone, None, None], counted)  # (n, R, T)
+    n, r, t = np.nonzero(found)
+    matched[r, t, alone[n]] = cols[n, r, t]
+    taken[r, t, cols[n, r, t]] = True
+
+    for d in np.flatnonzero(contested):
+        cols, found = pick(above[d] & ~taken, ious[d], counted)  # (R, T)
+        r, t = np.nonzero(found)
+        matched[r, t, d] = cols[r, t]
+        taken[r, t, cols[r, t]] = True
+    return matched
+
+
 # ---------------------------------------------------------------------------
 # Toy detector: the per-proposal loops the array kernels replace
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from densecrop import detect
 from densecrop.cli import main
 from densecrop.dataset import load_annotations
 from densecrop.errors import InvariantViolation
+from densecrop.geometry import Box, Detection
 from densecrop.manifest import read_manifest, write_manifest
 
 
@@ -180,6 +181,37 @@ class TestTrainInferEvalErrors:
         ) == 0
         report = json.loads((out / "report.json").read_text())
         assert report["metrics"]["AP"] == 0.0
+
+    def test_eval_and_errors_keep_string_image_ids(self, tmp_path):
+        """A COCO file with string ids ("007", "12") next to an int id (3):
+        its detections round-trip through the detection file and still
+        find their images."""
+        image_ids = ["007", "12", 3]
+        annotations = tmp_path / "annotations.json"
+        annotations.write_text(
+            json.dumps(
+                {
+                    "images": [{"id": i, "width": 100, "height": 100} for i in image_ids],
+                    "annotations": [
+                        {"id": k, "image_id": i, "category_id": 0, "bbox": [10, 20, 30, 40]}
+                        for k, i in enumerate(image_ids)
+                    ],
+                    "categories": [{"id": 0, "name": "thing"}],
+                }
+            )
+        )
+        detections = tmp_path / "detections.tsv"
+        box = Box(10.0, 20.0, 40.0, 60.0)
+        detect.write_detections(
+            [(i, Detection(box=box, class_id=0, score=0.9)) for i in image_ids], detections
+        )
+        common = ["--annotations", str(annotations), "--detections", str(detections)]
+        assert run(["eval", *common, "--out", str(tmp_path / "eval")]) == 0
+        report = json.loads((tmp_path / "eval" / "report.json").read_text())
+        assert report["metrics"]["AP"] == 1.0
+        assert run(["errors", *common, "--out", str(tmp_path / "errors")]) == 0
+        tallies = json.loads((tmp_path / "errors" / "errors.json").read_text())
+        assert (tallies["true_positives"], tallies["false_positives"]) == (3, 0)
 
     def test_oracle_backend_infer(self, workspace, tmp_path):
         out = tmp_path / "oracle_infer"

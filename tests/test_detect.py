@@ -812,6 +812,12 @@ class TestDetectionDump:
         write_detections(rows, path)
         assert read_detections(path) == rows
 
+    def test_image_ids_stay_text_unless_plain_integers(self, tmp_path):
+        det = Detection(box=Box(0.0, 0.0, 1.0, 1.0), class_id=0, score=0.5)
+        path = tmp_path / "dets.tsv"
+        write_detections([(i, det) for i in ("007", "12", 3, -5, "--5", "+4", "a1")], path)
+        assert [i for i, _ in read_detections(path)] == ["007", 12, 3, -5, "--5", "+4", "a1"]
+
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("1\t0\t0.5\n")

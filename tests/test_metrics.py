@@ -1,11 +1,14 @@
 """AP evaluation, error profiling, and run comparison."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from densecrop import metrics
 from densecrop.dataset import Annotation
 from densecrop.errors import DataError, InvariantViolation
-from densecrop.geometry import Box, Detection
+from densecrop.geometry import Box, Detection, box_areas, iou_matrix
 from densecrop.metrics import (
     COCO_IOU_THRESHOLDS,
     ErrorProfile,
@@ -19,7 +22,12 @@ from densecrop.metrics import (
     write_eval_report,
 )
 
-from reference_impls import ap_reference, profile_errors_ref, recall_by_size_ref
+from reference_impls import (
+    ap_reference,
+    match_per_image_ref,
+    profile_errors_ref,
+    recall_by_size_ref,
+)
 
 
 def ann(x1, y1, x2, y2, class_id=0):
@@ -146,6 +154,10 @@ class TestEvaluateAp:
     def test_no_ground_truth_means_undefined(self):
         report = evaluate_ap({1: []}, [])
         assert report.ap is None
+
+    def test_no_iou_threshold_rejected(self):
+        with pytest.raises(InvariantViolation, match="at least one IoU threshold"):
+            evaluate_ap({1: [ann(0, 0, 10, 10)]}, [det(1, 0, 0, 10, 10)], iou_thresholds=())
 
     def test_unknown_image_id_rejected(self):
         with pytest.raises(DataError, match="unknown image id"):
@@ -396,6 +408,125 @@ class TestPinnedValues:
             true_positives=351,
             false_positives=1980,
         )
+
+
+# About 1.8 MB evaluates the memory test's dump in chunks; building all
+# of its 150k pairs at once peaks at about 9.5 MB.
+PEAK_BOUND_BYTES = 4 << 20
+COCO_BOUNDS = np.array([(0.0, np.inf), (0.0, 32.0**2), (32.0**2, 96.0**2), (96.0**2, np.inf)])
+
+
+def batched_matched(gts, dets, thresholds):
+    """The chunked matcher's (R, T, D) matched ground-truth rows over the
+    whole dump, rows numbered across images in sorted image-id order."""
+    table = metrics._table(gts, dets)
+    counted = metrics._in_ranges(box_areas(table.gt_boxes), COCO_BOUNDS)
+    columns = [np.empty((len(COCO_BOUNDS), len(thresholds), 0), dtype=np.intp)]
+    for chunk in metrics._chunks(table, same_class_only=True):
+        matched = metrics._match(
+            chunk.det, chunk.gt, chunk.ious, chunk.num_dets, counted[:, chunk.gts], thresholds
+        )
+        columns.append(np.where(matched >= 0, matched + chunk.gts.start, -1))
+    return np.concatenate(columns, axis=-1)
+
+
+def per_image_matched(gts, dets, thresholds):
+    """``match_per_image_ref`` image by image, in the same detection order
+    and ground-truth numbering, plus the number of contested detections
+    (an earlier detection of the image reaches some ground truth it
+    reaches)."""
+    columns, offset, contested = [], 0, 0
+    for image_id in sorted(gts, key=str):
+        anns = gts[image_id]
+        img_dets = [d for i, d in dets if i == image_id]
+        order = np.argsort([-d.score for d in img_dets], kind="stable").astype(np.intp)
+        img_dets = [img_dets[k] for k in order]
+        gt_boxes = np.array([a.box.as_tuple() for a in anns]).reshape(-1, 4)
+        det_boxes = np.array([d.box.as_tuple() for d in img_dets]).reshape(-1, 4)
+        same = np.array([[d.class_id == a.class_id for a in anns] for d in img_dets], dtype=bool)
+        same = same.reshape(len(img_dets), len(anns))
+        ious = np.where(same, iou_matrix(det_boxes, gt_boxes), -np.inf)
+        areas = box_areas(gt_boxes)
+        ignored = (areas < COCO_BOUNDS[:, :1]) | (areas > COCO_BOUNDS[:, 1:])
+        matched = match_per_image_ref(ious, ignored, thresholds)
+        columns.append(np.where(matched >= 0, matched + offset, -1))
+        offset += len(anns)
+        reach = ious >= thresholds.min()
+        contested += sum(bool((reach[d] & reach[:d].any(axis=0)).any()) for d in range(len(reach)))
+    return np.concatenate(columns, axis=-1), contested
+
+
+class TestChunkedMatcher:
+    """The chunked matcher against the per-image matcher it replaced."""
+
+    @pytest.mark.parametrize("kind", ["random", "tie_heavy"])
+    def test_matched_columns_equal_per_image_reference(self, kind):
+        rng = np.random.default_rng(84)
+        thresholds = np.array(COCO_IOU_THRESHOLDS)
+        contested = 0
+        empty_images = {"no detections": 0, "no ground truth": 0}
+        for _ in range(30):
+            gts, dets = random_or_tie_heavy(rng, kind)
+            want, n = per_image_matched(gts, dets, thresholds)
+            contested += n
+            np.testing.assert_array_equal(batched_matched(gts, dets, thresholds), want)
+            with_dets = {i for i, _ in dets}
+            empty_images["no detections"] += sum(i not in with_dets for i in gts)
+            empty_images["no ground truth"] += sum(not anns for anns in gts.values())
+        assert contested > 0
+        assert all(empty_images.values()), empty_images
+
+    def test_chunk_boundaries_anywhere(self, monkeypatch):
+        """A budget of a few pairs splits chunks between most images and
+        leaves images over the budget alone in theirs."""
+        monkeypatch.setattr(metrics, "_CHUNK_PAIRS", 3)
+        rng = np.random.default_rng(85)
+        thresholds = list(COCO_IOU_THRESHOLDS)
+        split, alone_over_budget = 0, 0
+        for k in range(30):
+            gts, dets = random_or_tie_heavy(rng, ("random", "tie_heavy")[k % 2])
+            table = metrics._table(gts, dets)
+            chunks = list(metrics._chunks(table, same_class_only=False))
+            split += len(chunks) > 1
+            first, last = table.det_start[:-1], table.det_start[1:]
+            for c in chunks:
+                images = (first >= c.dets.start) & (last <= c.dets.stop) & (last > first)
+                alone_over_budget += images.sum() == 1 and len(c.det) > 3
+            ref_gts, ref_dets = as_tuples(gts, dets)
+            report = evaluate_ap(gts, dets)
+            for value, area_range in (
+                (report.ap, (0.0, float("inf"))),
+                (report.ap_small, (0.0, 1024.0)),
+                (report.ap_medium, (1024.0, 9216.0)),
+                (report.ap_large, (9216.0, float("inf"))),
+            ):
+                expected = ap_reference(ref_gts, ref_dets, thresholds, area_range=area_range)
+                assert_matches_reference(value, expected)
+            profile = profile_errors(gts, dets)
+            counts, tp, fp = profile_errors_ref(ref_gts, ref_dets)
+            assert profile.counts == counts
+            assert (profile.true_positives, profile.false_positives) == (tp, fp)
+            assert recall_by_size(gts, dets) == recall_by_size_ref(ref_gts, ref_dets)
+        assert split and alone_over_budget
+
+    def test_peak_memory_is_bounded_by_the_chunk_budget(self):
+        """Evaluating about 10k detections in chunks of pairs keeps the
+        peak traced allocation far below what the dump's 150k pairs would
+        take at once."""
+        rng = np.random.default_rng(86)
+        gts, dets = random_instance(
+            rng, num_images=400, max_gt=30, max_det=50, num_classes=5, size=600.0
+        )
+        assert 9000 < len(dets) < 11000
+        evaluate_ap(gts, dets)  # first call: lazy imports and caches
+        tracemalloc.start()
+        try:
+            evaluate_ap(gts, dets)
+            profile_errors(gts, dets)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < PEAK_BOUND_BYTES
 
 
 def make_report(ap=0.5, ap50=0.7, ap75=0.4, ap_s=0.2, ap_m=0.5, ap_l=None):
