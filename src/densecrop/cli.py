@@ -208,7 +208,7 @@ def cmd_infer(params: dict) -> RunManifest:
         weights = student if params["use_student"] else teacher_weights
 
     start = time.perf_counter()
-    results = infer.run_inference(samples, backend, weights, inference_config, seed=params["seed"])
+    results = infer.run_inference(samples, backend, weights, inference_config)
     flat = [(res.image_id, det) for res in results for det in res.detections]
     detect.write_detections(flat, det_path)
     errors = [res for res in results if res.error]

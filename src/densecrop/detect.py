@@ -10,9 +10,10 @@ hands it each iteration's views as one :class:`ViewStack`. It builds the
 views of many images in one pass, and multistage inference asks it for a
 chunk of images at a time through ``detect_batch``.
 
-Both are deterministic given (weights, input, augmentation tag, seed), and
-both can emit the reserved density-crop class (id ``num_base_classes``) in
-addition to the base classes.
+The contract is that one method: un-augmented detections of each sample
+as arrays, deterministic given (weights, samples). Both backends can emit
+the reserved density-crop class (id ``num_base_classes``) in addition to
+the base classes.
 """
 
 from __future__ import annotations
@@ -32,8 +33,6 @@ from .geometry import (
     box_areas,
     box_array,
     clip,
-    detection_arrays,
-    detections_from_arrays,
     intersection_matrix,
 )
 from .seeding import rng_for, rngs_for, stable_int
@@ -186,6 +185,11 @@ class OracleNoiseModel:
             prev_area, prev_prob = area, prob
         if self.jitter_std < 0:
             raise InvariantViolation("jitter_std must be >= 0")
+        lo, hi = self.fp_score_range
+        if not (0.0 <= lo <= hi <= 1.0):
+            raise InvariantViolation(
+                f"fp_score_range {self.fp_score_range} must satisfy 0 <= lo <= hi <= 1"
+            )
 
     def miss_probability(self, area: float) -> float:
         prob = self.miss_curve[0][1]
@@ -219,23 +223,22 @@ def _safe_box(boxes: np.ndarray, width, height) -> np.ndarray:
 
 
 def oracle_detect(
-    record: ImageRecord,
-    noise: OracleNoiseModel,
-    num_base_classes: int | None = None,
-) -> list[Detection]:
-    """Emit noisy detections for a record's annotations.
+    record: ImageRecord, noise: OracleNoiseModel, num_base_classes: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Noisy detections for a record's annotations, as (N, 4) float64 box
+    rows, (N,) int64 class ids and (N,) float64 scores.
 
     Each annotation survives with probability 1 - miss(area), gets a
-    jittered box and a sampled score; background false positives are
-    appended at a Poisson rate. Deterministic per (noise seed, image id).
+    jittered box and a sampled score; background false positives of a
+    random base class are appended at a Poisson rate. Every box is clipped
+    to the image. Deterministic per (noise seed, image id).
     """
     rng = rng_for(noise.seed, "oracle", record.image_id)
-    crop_class = num_base_classes
     raw: list[tuple] = []  # boxes before clipping
-    labels: list[tuple[int, float]] = []  # (class id, score) per box
+    classes: list[int] = []
+    scores: list[float] = []
     for ann in record.annotations:
-        is_crop = crop_class is not None and ann.class_id == crop_class
-        if is_crop and not noise.emit_crops:
+        if ann.class_id == num_base_classes and not noise.emit_crops:
             continue
         if rng.random() < noise.miss_probability(ann.box.area):
             continue
@@ -243,23 +246,19 @@ def oracle_detect(
         raw.append(
             (ann.box.x1 + jit[0], ann.box.y1 + jit[1], ann.box.x2 + jit[2], ann.box.y2 + jit[3])
         )
-        score = float(np.clip(rng.normal(noise.score_mean, noise.score_std), 0.05, 1.0))
-        labels.append((ann.class_id, score))
+        classes.append(ann.class_id)
+        scores.append(float(np.clip(rng.normal(noise.score_mean, noise.score_std), 0.05, 1.0)))
     if noise.fp_rate > 0:
-        n_classes = num_base_classes if num_base_classes is not None else 1
         for _ in range(int(rng.poisson(noise.fp_rate))):
             w = float(rng.uniform(4.0, max(8.0, record.width / 4.0)))
             h = float(rng.uniform(4.0, max(8.0, record.height / 4.0)))
             x = float(rng.uniform(0.0, max(record.width - w, _MIN_SIDE)))
             y = float(rng.uniform(0.0, max(record.height - h, _MIN_SIDE)))
-            score = float(rng.uniform(*noise.fp_score_range))
+            scores.append(float(rng.uniform(*noise.fp_score_range)))
             raw.append((x, y, x + w, y + h))
-            labels.append((int(rng.integers(0, n_classes)), score))
+            classes.append(int(rng.integers(0, num_base_classes)))
     boxes = _safe_box(np.array(raw, dtype=np.float64).reshape(-1, 4), record.width, record.height)
-    return [
-        Detection(box=Box(*box), class_id=class_id, score=score)
-        for box, (class_id, score) in zip(boxes.tolist(), labels)
-    ]
+    return boxes, np.array(classes, dtype=np.int64), np.array(scores, dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -558,29 +557,16 @@ def assign_targets(
 
 
 class DetectorBackend(abc.ABC):
-    """Contract every detection backend satisfies.
+    """Contract every detection backend satisfies: one method,
+    :meth:`detect_batch`.
 
-    ``detect`` must be deterministic given (weights, input, augmentation
-    tag, seed) and may emit the reserved density-crop class id
+    It returns the un-augmented detections of each of several samples, one
+    (boxes, classes, scores) triple per sample: (N, 4) float64 box rows,
+    (N,) int64 class ids and (N,) float64 scores. It must be deterministic
+    given (weights, samples), a sample's detections must not depend on the
+    samples beside it, and it may emit the reserved density-crop class id
     ``num_base_classes`` alongside base classes 0..num_base_classes-1.
-
-    ``detect_arrays`` returns the same detections, in the same order, as
-    (N, 4) float64 box rows, (N,) int64 class ids and (N,) float64 scores;
-    multistage inference works on these. A backend implements ``detect``
-    and inherits a ``detect_arrays`` that converts its output. A backend
-    that computes arrays natively, like :class:`ToyDetector`, overrides
-    ``detect_arrays`` instead and makes ``detect`` the wrapper that builds
-    :class:`Detection` objects, so its subclasses override
-    ``detect_arrays``.
-
-    ``detect_batch`` returns the un-augmented ``detect_arrays`` of each of
-    several samples, one (boxes, classes, scores) triple per sample; it is
-    what multistage inference calls, once per stage for a chunk of images.
-    The default asks ``detect_arrays`` sample by sample, so a backend that
-    implements ``detect`` or ``detect_arrays`` gets it for free.
-    :class:`ToyDetector` overrides it to build every sample's view at once
-    and decode them as one :class:`ViewStack`, the input its training
-    batches use too.
+    Multistage inference calls it once per stage for a chunk of images.
     """
 
     num_base_classes: int
@@ -590,28 +576,10 @@ class DetectorBackend(abc.ABC):
         return self.num_base_classes
 
     @abc.abstractmethod
-    def detect(
-        self,
-        weights: WeightVector | None,
-        sample: SceneSample,
-        augmentation: str = "none",
-        seed: int = 0,
-    ) -> list[Detection]:
-        raise NotImplementedError
-
-    def detect_arrays(
-        self,
-        weights: WeightVector | None,
-        sample: SceneSample,
-        augmentation: str = "none",
-        seed: int = 0,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return detection_arrays(self.detect(weights, sample, augmentation, seed))
-
     def detect_batch(
         self, weights: WeightVector | None, samples: list[SceneSample]
     ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        return [self.detect_arrays(weights, sample) for sample in samples]
+        raise NotImplementedError
 
 
 class OracleBackend(DetectorBackend):
@@ -621,14 +589,12 @@ class OracleBackend(DetectorBackend):
         self.num_base_classes = num_base_classes
         self.noise = noise
 
-    def detect(
-        self,
-        weights: WeightVector | None,
-        sample: SceneSample,
-        augmentation: str = "none",
-        seed: int = 0,
-    ) -> list[Detection]:
-        return oracle_detect(sample.record, self.noise, num_base_classes=self.num_base_classes)
+    def detect_batch(
+        self, weights: WeightVector | None, samples: list[SceneSample]
+    ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """:func:`oracle_detect` of each sample's record; ``weights`` is
+        ignored."""
+        return [oracle_detect(s.record, self.noise, self.num_base_classes) for s in samples]
 
 
 @dataclass(frozen=True, eq=False)
@@ -728,13 +694,11 @@ class ToyDetector(DetectorBackend):
     softmax, the box clipping and the target assignment once on the stack;
     only the matmuls and each view's random draws stay per view.
     :meth:`emitted` picks the (proposal, class) pairs that count as
-    detections; :meth:`detect_batch` returns those of each of several
-    samples as rows, :meth:`detect_arrays` those of one view (built for the
-    call when given a sample) through the same split, and only
-    :meth:`detect` wraps them into :class:`Detection` objects.
-    :meth:`augment` never derives a generator: callers hand it one per
-    view, so a training iteration derives all of them in one ``rngs_for``
-    call.
+    detections, and :meth:`detect_batch` returns those of each of several
+    samples' un-augmented views as rows; training augments through
+    :meth:`decode`. :meth:`augment` never derives a generator: callers
+    hand it one per view, so a training iteration derives all of them in
+    one ``rngs_for`` call.
     """
 
     def __init__(self, config: ToyDetectorConfig):
@@ -888,52 +852,18 @@ class ToyDetector(DetectorBackend):
             for sample, start, end in zip(samples, [0] + ends[:-1], ends)
         ]
 
-    def detect(
-        self,
-        weights: WeightVector | None,
-        sample: SceneSample | SampleView,
-        augmentation: str = "none",
-        seed: int = 0,
-    ) -> list[Detection]:
-        """:meth:`detect_arrays` as :class:`Detection` objects."""
-        return detections_from_arrays(*self.detect_arrays(weights, sample, augmentation, seed))
-
-    def detect_arrays(
-        self,
-        weights: WeightVector | None,
-        sample: SceneSample | SampleView,
-        augmentation: str = "none",
-        seed: int = 0,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Detections on a view, or on a sample through a view built for
-        this call, as box rows, class ids and scores: the :meth:`emitted`
-        pairs of a stack of that one view, taken as :meth:`detect_batch`
-        takes them. The augmentation draws from ``rng_for(seed,
-        augmentation)``."""
-        view = sample if isinstance(sample, SampleView) else self.views([sample])[0]
-        rngs = () if augmentation == "none" else [rng_for(seed, augmentation)]
-        return self._detections(weights, [view], augmentation, rngs)[0]
-
     def detect_batch(
         self, weights: WeightVector | None, samples: list[SceneSample]
     ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Un-augmented :meth:`detect_arrays` of every sample, from one
-        :meth:`views` call and one :meth:`decode` of their stack. The
-        :meth:`emitted` pairs are split by view, and a view's detections do
-        not depend on the views beside it."""
-        return self._detections(weights, self.views(samples), "none", ())
-
-    def _detections(
-        self, weights: WeightVector | None, views: list[SampleView], augmentation: str, rngs
-    ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Each view's detections as box rows, class ids and scores: the
-        :meth:`emitted` (proposal, class) pairs of one :meth:`decode` of the
-        views' stack, proposal by proposal and class by class, split by
-        view."""
-        if not views:
+        """Each sample's detections as box rows, class ids and scores: the
+        :meth:`emitted` (proposal, class) pairs of one un-augmented
+        :meth:`decode` of the stack of the samples' :meth:`views`, proposal
+        by proposal and class by class, split by view. A view's detections
+        do not depend on the views beside it."""
+        if not samples:
             return []
-        stack = ViewStack.of(views)
-        boxes, probs = self.decode(weights, stack, augmentation, rngs)
+        stack = ViewStack.of(self.views(samples))
+        boxes, probs = self.decode(weights, stack, "none", ())
         rows, classes = self.emitted(probs)
         scores = probs[rows, classes]
         ends = np.searchsorted(rows, np.cumsum(stack.counts)).tolist()
@@ -950,7 +880,7 @@ class ToyDetector(DetectorBackend):
         ``stack`` augmented with its own generator of ``rngs`` as in
         :meth:`augment`."""
         if weights is None:
-            raise InvariantViolation("ToyDetector.detect requires weights")
+            raise InvariantViolation("ToyDetector needs weights to decode")
         phi = self.augment(stack.phi, augmentation, rngs, stack.counts)
         probs, offsets = toy_forward(weights, phi, stack.counts)
         return _safe_box(stack.proposals + offsets, stack.width, stack.height), probs

@@ -24,7 +24,6 @@ __all__ = [
     "box_array",
     "check_boxes",
     "clip",
-    "detection_arrays",
     "detections_from_arrays",
     "box_areas",
     "intersection_matrix",
@@ -101,22 +100,11 @@ def check_boxes(boxes: np.ndarray) -> None:
         Box(*boxes[np.argmin(valid)].tolist())
 
 
-def detection_arrays(
-    dets: list[Detection],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Detections as (N, 4) float64 box rows, (N,) int64 class ids and (N,)
-    float64 scores."""
-    return (
-        box_array([d.box for d in dets]),
-        np.array([d.class_id for d in dets], dtype=np.int64),
-        np.array([d.score for d in dets], dtype=np.float64),
-    )
-
-
 def detections_from_arrays(
     boxes: np.ndarray, classes: np.ndarray, scores: np.ndarray
 ) -> list[Detection]:
-    """The inverse of :func:`detection_arrays`: one :class:`Detection` per row."""
+    """One :class:`Detection` per row of (N, 4) box rows, (N,) class ids and
+    (N,) scores."""
     return [
         Detection(box=Box(*box), class_id=class_id, score=score)
         for box, class_id, score in zip(boxes.tolist(), classes.tolist(), scores.tolist())

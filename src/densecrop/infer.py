@@ -88,7 +88,7 @@ def select_crops(
     crop_class_id: int,
 ) -> np.ndarray:
     """Pick the crop regions to zoom into from stage-one detections, given
-    as the (boxes, classes, scores) arrays of ``detect_arrays``; returns
+    as one (boxes, classes, scores) triple of ``detect_batch``; returns
     (K, 4) crop rows.
 
     ``predicted`` mode takes crop-class rows above the threshold by
@@ -151,11 +151,9 @@ def detect_multistage(
     backend: DetectorBackend,
     weights: WeightVector | None,
     config: InferenceConfig,
-    seed: int = 0,
 ) -> list[Detection]:
     """Fused detections for one image, in deterministic order: a chunk of
-    one. ``seed`` is accepted and unused; every backend detects without
-    augmentation here.
+    one.
 
     Crop-class predictions never appear in the output: stage-one crop
     detections are consumed by crop selection and stage-two ones are

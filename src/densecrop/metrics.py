@@ -108,6 +108,16 @@ class EvalReport:
 # ---------------------------------------------------------------------------
 
 
+def _size_buckets(size_buckets: dict | None) -> dict:
+    """``size_buckets``, or the COCO ones when None. ``"all"`` names the
+    overall range, so no bucket may take that name."""
+    if size_buckets is None:
+        return COCO_SIZE_BUCKETS
+    if "all" in size_buckets:
+        raise InvariantViolation('size bucket name "all" is reserved for the overall range')
+    return size_buckets
+
+
 def _in_ranges(areas: np.ndarray, ranges: np.ndarray) -> np.ndarray:
     """(R, N) flags: area inside each closed [lo, hi] row of ``ranges``."""
     return (ranges[:, :1] <= areas) & (areas <= ranges[:, 1:])
@@ -335,9 +345,10 @@ def evaluate_ap(
 
     ``gts`` maps image id to its annotations; ``dets`` is a flat list of
     (image_id, Detection). Classes default to every class present in the
-    ground truth; classes without ground truth are skipped.
+    ground truth; classes without ground truth are skipped. ``size_buckets``
+    maps names other than ``"all"`` to closed area ranges.
     """
-    size_buckets = COCO_SIZE_BUCKETS if size_buckets is None else size_buckets
+    size_buckets = _size_buckets(size_buckets)
     thresholds = COCO_IOU_THRESHOLDS if iou_thresholds is None else tuple(iou_thresholds)
     if not thresholds:
         raise InvariantViolation("evaluate_ap needs at least one IoU threshold")
@@ -434,22 +445,23 @@ def recall_by_size(
     """Fraction of ground truth matched at one IoU threshold, per size bucket.
 
     Matching is greedy by score within each image and class. Buckets with
-    no ground truth report None.
+    no ground truth report None; ``"all"`` is the overall fraction, and no
+    bucket may take that name.
     """
-    size_buckets = COCO_SIZE_BUCKETS if size_buckets is None else size_buckets
+    size_buckets = _size_buckets(size_buckets)
     table = _table(gts, dets)
     gt_hit = np.zeros(len(table.gt_classes), dtype=bool)
     for chunk in _chunks(table, same_class_only=True):
         det_match = _match_once(chunk, iou_thresh)
         gt_hit[chunk.gts.start + det_match[det_match >= 0]] = True
     areas = box_areas(table.gt_boxes)
-    matched: dict[str, int] = {name: 0 for name in size_buckets}
-    totals: dict[str, int] = {name: 0 for name in size_buckets}
-    matched["all"], totals["all"] = int(gt_hit.sum()), len(gt_hit)
+    matched: dict[str, int] = {}
+    totals: dict[str, int] = {}
     for name, (lo, hi) in size_buckets.items():
         in_bucket = (lo <= areas) & (areas <= hi)
-        totals[name] += int(in_bucket.sum())
-        matched[name] += int((in_bucket & gt_hit).sum())
+        totals[name] = int(in_bucket.sum())
+        matched[name] = int((in_bucket & gt_hit).sum())
+    matched["all"], totals["all"] = int(gt_hit.sum()), len(gt_hit)
     return {
         name: (matched[name] / totals[name] if totals[name] else None) for name in totals
     }

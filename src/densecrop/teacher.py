@@ -181,9 +181,8 @@ def _teacher_pseudo_labels(
 
     One ``backend.decode`` on the stack yields every row's box and
     probabilities; the pseudo-labels are its emitted (proposal, class)
-    entries scoring above ``tau``, in row-major order. ``backend.detect``
-    decodes a stack of one view the same way, so a view's pseudo-labels
-    are the detections it returns for that view with score above ``tau``.
+    entries scoring above ``tau``, in row-major order. A view's
+    pseudo-labels are those of a decode of the stack of that view alone.
     """
     boxes, probs = backend.decode(teacher, stack, "weak", rngs)
     rows, classes = backend.emitted(probs)

@@ -22,6 +22,17 @@ def iou_ref(a: tuple, b: tuple) -> float:
     return inter / (area_a + area_b - inter)
 
 
+def detection_arrays(dets: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``Detection`` objects as the arrays a backend returns and
+    ``nms_keep`` takes: (N, 4) float64 box rows, (N,) int64 class ids and
+    (N,) float64 scores."""
+    return (
+        np.array([d.box.as_tuple() for d in dets], dtype=np.float64).reshape(-1, 4),
+        np.array([d.class_id for d in dets], dtype=np.int64),
+        np.array([d.score for d in dets], dtype=np.float64),
+    )
+
+
 def nms_ref(dets: list[tuple], thresh: float) -> list[int]:
     """Greedy NMS over (box_tuple, class_id, score); returns kept indices.
 

@@ -27,7 +27,6 @@ from densecrop.detect import (
 from densecrop.geometry import (
     Box,
     Detection,
-    detection_arrays,
     iou_matrix,
     nms_keep,
     project_rows,
@@ -40,6 +39,7 @@ from reference_impls import (
     ap_reference,
     central_difference_gradient,
     crop_components_ref,
+    detection_arrays,
     label_density_crops_ref,
     merge_once_ref,
     nms_ref,

@@ -228,6 +228,28 @@ class TestTrainInferEvalErrors:
         ) == 0
         assert (out / "detections.tsv").exists()
 
+    def test_infer_seed_sets_the_oracle_seed(self, workspace, tmp_path):
+        # The root seed reaches the oracle as [oracle] seed, so a noisy
+        # oracle detects differently at another --seed.
+        cfg = tmp_path / "noisy.ini"
+        cfg.write_text("[oracle]\njitter_std = 2.0\nfp_rate = 1.0\n")
+        tables = []
+        for seed in ("1", "2"):
+            out = tmp_path / f"seed{seed}"
+            assert run(
+                [
+                    "infer", "--config", str(cfg),
+                    "--annotations", str(workspace["annotations"]),
+                    "--scenes", str(workspace["scenes"]),
+                    "--backend", "oracle",
+                    "--out", str(out),
+                    "--seed", seed,
+                ]
+            ) == 0
+            assert read_manifest(out / "manifest.json").params["oracle"]["seed"] == int(seed)
+            tables.append((out / "detections.tsv").read_text())
+        assert tables[0].count("\n") > 1 and tables[0] != tables[1]
+
     def test_report_comparison(self, workspace, trained, tmp_path):
         eval_out = workspace["root"] / "eval"
         out = tmp_path / "cmp"
@@ -470,10 +492,10 @@ class TestExitCodes:
 
     def test_failed_image_is_data_error_after_outputs(self, workspace, tmp_path, monkeypatch, capsys):
         class FailingBackend(detect.OracleBackend):
-            def detect(self, weights, sample, augmentation="none", seed=0):
-                if sample.record.image_id == 2:
+            def detect_batch(self, weights, samples):
+                if any(s.record.image_id == 2 for s in samples):
                     raise RuntimeError("backend exploded")
-                return super().detect(weights, sample, augmentation, seed)
+                return super().detect_batch(weights, samples)
 
         monkeypatch.setattr(detect, "OracleBackend", FailingBackend)
         out = tmp_path / "i"
@@ -502,7 +524,7 @@ class TestExitCodes:
 
     def test_invariant_violation_in_backend_is_four(self, workspace, tmp_path, monkeypatch):
         class BrokenBackend(detect.OracleBackend):
-            def detect(self, weights, sample, augmentation="none", seed=0):
+            def detect_batch(self, weights, samples):
                 raise InvariantViolation("broken invariant")
 
         monkeypatch.setattr(detect, "OracleBackend", BrokenBackend)

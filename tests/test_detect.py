@@ -71,6 +71,11 @@ class TestOracleNoiseModel:
         with pytest.raises(InvariantViolation):
             OracleNoiseModel(miss_curve=((0.0, 0.2), (100.0, 0.5)))
 
+    @pytest.mark.parametrize("low, high", [(0.5, 1.5), (-0.1, 0.5), (0.6, 0.4)])
+    def test_fp_score_range_must_lie_in_unit_interval(self, low, high):
+        with pytest.raises(InvariantViolation, match="fp_score_range"):
+            OracleNoiseModel(fp_rate=3, fp_score_range=(low, high))
+
     def test_step_evaluation(self):
         model = OracleNoiseModel(miss_curve=((0.0, 0.9), (1024.0, 0.3), (9216.0, 0.0)))
         assert model.miss_probability(10.0) == 0.9
@@ -88,16 +93,17 @@ class TestOracleDetect:
             ]
         )
         noise = OracleNoiseModel(score_mean=1.0, score_std=0.0)
-        dets = oracle_detect(record, noise, num_base_classes=3)
-        assert [(d.box, d.class_id, d.score) for d in dets] == [
-            (Box(10, 10, 50, 50), 0, 1.0),
-            (Box(100, 100, 140, 160), 2, 1.0),
-        ]
+        boxes, classes, scores = oracle_detect(record, noise, num_base_classes=3)
+        assert boxes.dtype == scores.dtype == np.float64 and classes.dtype == np.int64
+        assert boxes.tolist() == [[10.0, 10.0, 50.0, 50.0], [100.0, 100.0, 140.0, 160.0]]
+        assert classes.tolist() == [0, 2]
+        assert scores.tolist() == [1.0, 1.0]
 
     def test_forced_miss_below_threshold(self):
         record = record_with([Annotation(box=Box(0, 0, 8, 8), class_id=0)])
         noise = OracleNoiseModel(miss_curve=((0.0, 1.0), (1024.0, 0.0)))
-        assert oracle_detect(record, noise, num_base_classes=3) == []
+        boxes, classes, scores = oracle_detect(record, noise, num_base_classes=3)
+        assert (boxes.shape, classes.shape, scores.shape) == ((0, 4), (0,), (0,))
 
     def test_deterministic_per_seed_and_image(self):
         sample = scene_sample(seed=3)
@@ -106,7 +112,8 @@ class TestOracleDetect:
         )
         a = oracle_detect(sample.record, noise, num_base_classes=4)
         b = oracle_detect(sample.record, noise, num_base_classes=4)
-        assert a == b
+        assert len(a[0]) > 0
+        assert [x.tobytes() for x in a] == [x.tobytes() for x in b]
 
     def test_crop_annotations_respect_emit_flag(self):
         record = record_with(
@@ -117,10 +124,10 @@ class TestOracleDetect:
         )
         noise_on = OracleNoiseModel(score_mean=1.0, score_std=0.0)
         noise_off = OracleNoiseModel(score_mean=1.0, score_std=0.0, emit_crops=False)
-        with_crops = oracle_detect(record, noise_on, num_base_classes=3)
-        without = oracle_detect(record, noise_off, num_base_classes=3)
-        assert {d.class_id for d in with_crops} == {0, 3}
-        assert {d.class_id for d in without} == {0}
+        _, with_crops, _ = oracle_detect(record, noise_on, num_base_classes=3)
+        _, without, _ = oracle_detect(record, noise_off, num_base_classes=3)
+        assert set(with_crops.tolist()) == {0, 3}
+        assert set(without.tolist()) == {0}
 
 
 class TestExtractFeatures:
@@ -393,14 +400,21 @@ class TestToyDetector:
         sample = scene_sample(seed=6)
         backend = self.backend()
         weights = backend.init_weights(3)
-        a = backend.detect(weights, sample, "weak", seed=17)
-        b = backend.detect(weights, sample, "weak", seed=17)
-        assert a == b
+
+        def weak_decode():
+            stack = ViewStack.of(backend.views([sample]))
+            return backend.decode(weights, stack, "weak", [rng_for(17, "weak")])
+
+        a, b = weak_decode(), weak_decode()
+        assert [x.tobytes() for x in a] == [x.tobytes() for x in b]
+        a, b = (backend.detect_batch(weights, [sample])[0] for _ in range(2))
+        assert len(a[0]) > 0
+        assert [x.tobytes() for x in a] == [x.tobytes() for x in b]
 
     def test_detect_requires_weights(self):
         sample = scene_sample(seed=6)
         with pytest.raises(InvariantViolation):
-            self.backend().detect(None, sample)
+            self.backend().detect_batch(None, [sample])
 
     def test_emits_crop_class_when_trained_for_it(self):
         # With hand-set weights that key on the center-count feature the
@@ -413,8 +427,8 @@ class TestToyDetector:
         cls[backend.crop_class_id, 6] = 30.0  # center-count feature
         cls[backend.crop_class_id, backend.layout.feature_dim] = -10.0
         weights = weights_from(backend.layout, cls)
-        dets = backend.detect(weights, sample, "none", seed=0)
-        assert any(d.class_id == backend.crop_class_id for d in dets)
+        _, classes, _ = backend.detect_batch(weights, [sample])[0]
+        assert backend.crop_class_id in classes.tolist()
 
     def test_strong_augmentation_changes_features(self):
         sample = scene_sample(seed=8)
@@ -438,9 +452,9 @@ class TestToyDetector:
         weak = backend.augment(view.phi, "weak", [rng_for(3, "weak")])
         np.testing.assert_array_equal(weak[:, 2], 1.0 - before[:, 2])
         assert not np.array_equal(backend.augment(view.phi, "strong", [rng_for(4, "strong")]), before)
-        assert backend.detect(weights, view, "weak", seed=3) == backend.detect(
-            weights, sample, "weak", seed=3
-        )
+        decoded = backend.decode(weights, ViewStack.of([view]), "weak", [rng_for(3, "weak")])
+        fresh = decode_per_view(backend, weights, backend.views([sample])[0], "weak", 3)
+        assert [x.tobytes() for x in decoded] == [x.tobytes() for x in fresh]
         backend.supervised_batch(ViewStack.of([view]), "weak", [rng_for(3, "weak")])
         backend.unsupervised_batch(
             ViewStack.of([view]),
@@ -728,15 +742,15 @@ class TestArrayKernelsMatchLoops:
             )
             assert got.tobytes() == want.tobytes()
 
-    def test_detect_batch_equals_detect_arrays(self):
+    def test_detect_batch_equals_one_sample_batches(self):
         backend = self.backend()
         samples = self.mixed_batch()
         weights = random_weights(np.random.default_rng(33), 4)
         batch = backend.detect_batch(weights, samples)
         assert len(batch) == len(samples)
         for sample, got in zip(samples, batch):
-            want = backend.detect_arrays(weights, sample)
-            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+            want = backend.detect_batch(weights, [sample])[0]
+            assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
         assert sum(len(classes) for _, classes, _ in batch) > 0
         assert backend.detect_batch(weights, []) == []
 
@@ -767,17 +781,21 @@ class TestArrayKernelsMatchLoops:
                         rows(view.proposals), probs, offsets, sample.record.size,
                         backend.config.emit_floor, backend.background_class,
                     )
-                    dets = backend.detect(w, view, augmentation, seed)
-                    assert [(d.box.as_tuple(), d.class_id, d.score) for d in dets] == want
                     boxes, decoded_probs = backend.decode(
                         w, ViewStack.of([view]), augmentation, [rng_for(seed, augmentation)]
                     )
+                    pairs = zip(*(a.tolist() for a in backend.emitted(decoded_probs)))
+                    got = [(tuple(boxes[r].tolist()), c, decoded_probs[r, c]) for r, c in pairs]
+                    assert got == want
+                    if augmentation == "none":
+                        got_boxes, got_classes, got_scores = backend.detect_batch(w, [sample])[0]
+                        assert list(zip(rows(got_boxes), got_classes, got_scores)) == want
                     assert np.array_equal(decoded_probs, probs)
                     assert rows(boxes) == [
                         safe_box_ref(*(np.asarray(p) + o), *sample.record.size)
                         for p, o in zip(rows(view.proposals), offsets)
                     ]
-                    emitted += len(dets)
+                    emitted += len(want)
                     padded += int(np.count_nonzero(boxes[:, 2] - boxes[:, 0] < 2e-3))
         assert emitted > 0 and padded > 0
 
@@ -787,9 +805,13 @@ class TestOracleBackend:
         sample = scene_sample(seed=11)
         noise = OracleNoiseModel(score_mean=1.0, score_std=0.0)
         backend = OracleBackend(num_base_classes=4, noise=noise)
-        dets = backend.detect(None, sample)
-        assert len(dets) == len(sample.record.annotations)
+        (boxes, classes, scores), = backend.detect_batch(None, [sample])
+        assert boxes.shape == (len(sample.record.annotations), 4)
+        assert boxes.dtype == scores.dtype == np.float64 and classes.dtype == np.int64
+        want = oracle_detect(sample.record, noise, num_base_classes=4)
+        assert [x.tobytes() for x in (boxes, classes, scores)] == [x.tobytes() for x in want]
         assert backend.crop_class_id == 4
+        assert backend.detect_batch(None, []) == []
 
 
 class TestDetectionDump:

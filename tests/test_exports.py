@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import densecrop
+from densecrop import detect
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(densecrop.__path__))
 
@@ -22,6 +23,13 @@ def test_module_all_resolves(name):
     assert len(set(exported)) == len(exported)
     assert [n for n in exported if not hasattr(module, n)] == []
     exec(f"from densecrop.{name} import *", {})
+
+
+def test_detector_contract_is_detect_batch():
+    # one abstract method; no backend keeps a per-sample or augmented path
+    assert detect.DetectorBackend.__abstractmethods__ == {"detect_batch"}
+    for backend in (detect.DetectorBackend, detect.OracleBackend, detect.ToyDetector):
+        assert not hasattr(backend, "detect") and not hasattr(backend, "detect_arrays")
 
 
 def test_package_star_import():

@@ -11,7 +11,6 @@ from densecrop.geometry import (
     box_array,
     check_boxes,
     clip,
-    detection_arrays,
     detections_from_arrays,
     iou_matrix,
     nms_keep,
@@ -19,7 +18,7 @@ from densecrop.geometry import (
     reproject_rows,
 )
 
-from reference_impls import iou_ref, nms_ref, scaled_boxes_ref
+from reference_impls import detection_arrays, iou_ref, nms_ref, scaled_boxes_ref
 
 
 def random_box(rng, width=500.0, height=500.0, min_side=1.0, max_side=120.0):
@@ -373,9 +372,9 @@ class TestNmsKernel:
 class TestArrayHelpers:
     def test_detection_arrays_round_trip(self):
         dets = random_detections(np.random.default_rng(5), 12)
-        boxes, classes, scores = detection_arrays(dets)
-        assert boxes.shape == (12, 4) and classes.dtype == np.int64
-        assert detections_from_arrays(boxes, classes, scores) == dets
+        back = detections_from_arrays(*detection_arrays(dets))
+        assert back == dets
+        assert all(type(d.class_id) is int and type(d.score) is float for d in back)
 
     def test_reproject_rows_equals_reproject(self):
         # Each row follows the scalar formulas, rounding step by rounding

@@ -22,7 +22,7 @@ from densecrop.detect import (
     WeightVector,
 )
 from densecrop.errors import ConfigError, InvariantViolation
-from densecrop.geometry import Box, Detection, detection_arrays
+from densecrop.geometry import Box, Detection
 from densecrop.infer import (
     InferenceConfig,
     detect_multistage,
@@ -30,6 +30,8 @@ from densecrop.infer import (
     select_crops,
 )
 from densecrop.metrics import recall_by_size
+
+from reference_impls import detection_arrays
 
 CROP_PARAMS = CropParams(merge_steps=1, sigma=5, theta=0.05, pi=0.5, min_cluster=2)
 
@@ -150,8 +152,8 @@ class TestDetectMultistage:
     def test_no_crops_selected_equals_stage_one(self):
         sample = clustered_sample(seed=1)  # no crop annotations -> no crop dets
         backend = OracleBackend(num_base_classes=3, noise=OracleNoiseModel(score_mean=0.9, score_std=0.0))
-        multi = detect_multistage(sample, backend, None, config(), seed=0)
-        single = detect_multistage(sample, backend, None, config(multistage=False), seed=0)
+        multi = detect_multistage(sample, backend, None, config())
+        single = detect_multistage(sample, backend, None, config(multistage=False))
         assert multi == single
 
     def test_small_recall_zero_to_one(self):
@@ -176,8 +178,8 @@ class TestDetectMultistage:
             )
         backend = OracleBackend(num_base_classes=3, noise=MISS_SMALL)
         gts = {1: [a for a in annotations if a.class_id != 3]}
-        single = detect_multistage(sample, backend, None, config(multistage=False), seed=0)
-        multi = detect_multistage(sample, backend, None, config(), seed=0)
+        single = detect_multistage(sample, backend, None, config(multistage=False))
+        multi = detect_multistage(sample, backend, None, config())
         r_single = recall_by_size(gts, [(1, d) for d in single])
         r_multi = recall_by_size(gts, [(1, d) for d in multi])
         assert r_single["small"] == 0.0
@@ -189,21 +191,21 @@ class TestDetectMultistage:
         sample = add_crop_annotations(clustered_sample(seed=3), crop_class=3)
         noise = OracleNoiseModel(score_mean=0.9, score_std=0.0)
         backend = OracleBackend(num_base_classes=3, noise=noise)
-        multi = detect_multistage(sample, backend, None, config(), seed=0)
+        multi = detect_multistage(sample, backend, None, config())
         base_gt = [a for a in sample.record.annotations if a.class_id != 3]
         assert len(multi) == len(base_gt)
 
     def test_no_crop_class_in_output(self):
         sample = add_crop_annotations(clustered_sample(seed=4), crop_class=3)
         backend = OracleBackend(num_base_classes=3, noise=OracleNoiseModel(score_mean=0.9, score_std=0.0))
-        multi = detect_multistage(sample, backend, None, config(), seed=0)
+        multi = detect_multistage(sample, backend, None, config())
         assert all(d.class_id != 3 for d in multi)
 
     def test_outputs_inside_image(self):
         sample = add_crop_annotations(clustered_sample(seed=5), crop_class=3)
         noise = OracleNoiseModel(jitter_std=4.0, score_mean=0.8, score_std=0.1, fp_rate=2.0)
         backend = OracleBackend(num_base_classes=3, noise=noise)
-        for det in detect_multistage(sample, backend, None, config(), seed=0):
+        for det in detect_multistage(sample, backend, None, config()):
             assert 0 <= det.box.x1 < det.box.x2 <= sample.record.width
             assert 0 <= det.box.y1 < det.box.y2 <= sample.record.height
 
@@ -211,8 +213,8 @@ class TestDetectMultistage:
         sample = add_crop_annotations(clustered_sample(seed=6), crop_class=3)
         backend = OracleBackend(num_base_classes=3, noise=MISS_SMALL)
         crops = [a.box for a in sample.record.annotations if a.class_id == 3]
-        single = detect_multistage(sample, backend, None, config(multistage=False), seed=0)
-        multi = detect_multistage(sample, backend, None, config(), seed=0)
+        single = detect_multistage(sample, backend, None, config(multistage=False))
+        multi = detect_multistage(sample, backend, None, config())
         stage2_only = [d for d in multi if d not in single]
         tol = 1e-9
         for det in stage2_only:
@@ -228,16 +230,16 @@ class TestDetectMultistage:
         sample = add_crop_annotations(clustered_sample(seed=7), crop_class=3)
         noise = OracleNoiseModel(jitter_std=1.0, score_mean=0.8, score_std=0.1)
         backend = OracleBackend(num_base_classes=3, noise=noise)
-        a = detect_multistage(sample, backend, None, config(), seed=5)
-        b = detect_multistage(sample, backend, None, config(), seed=5)
+        a = detect_multistage(sample, backend, None, config())
+        b = detect_multistage(sample, backend, None, config())
         assert a == b
 
 
 class FailingBackend(OracleBackend):
-    def detect(self, weights, sample, augmentation="none", seed=0):
-        if sample.record.image_id == 2:
+    def detect_batch(self, weights, samples):
+        if any(s.record.image_id == 2 for s in samples):
             raise RuntimeError("backend exploded")
-        return super().detect(weights, sample, augmentation, seed)
+        return super().detect_batch(weights, samples)
 
 
 class TestRunInference:
@@ -259,7 +261,7 @@ class TestRunInference:
 
     def test_invariant_violation_propagates(self):
         class BrokenBackend(OracleBackend):
-            def detect(self, weights, sample, augmentation="none", seed=0):
+            def detect_batch(self, weights, samples):
                 raise InvariantViolation("broken invariant")
 
         backend = BrokenBackend(num_base_classes=3, noise=OracleNoiseModel())
@@ -274,19 +276,21 @@ class TestRunInference:
         # The bad row scores low, so NMS would drop it; the fusion guard
         # checks every row before NMS, as building each Box did.
         class BadStageTwo(OracleBackend):
-            def detect_arrays(self, weights, sample, augmentation="none", seed=0):
-                boxes, classes, scores = super().detect_arrays(weights, sample, augmentation, seed)
-                if sample.record.provenance.kind == "crop":
-                    boxes = np.vstack([boxes, [row]])
-                    classes = np.append(classes, 0)
-                    scores = np.append(scores, 0.01)
-                return boxes, classes, scores
+            def detect_batch(self, weights, samples):
+                out = super().detect_batch(weights, samples)
+                for k, sample in enumerate(samples):
+                    if sample.record.provenance.kind == "crop":
+                        boxes, classes, scores = out[k]
+                        out[k] = (
+                            np.vstack([boxes, [row]]), np.append(classes, 0), np.append(scores, 0.01)
+                        )
+                return out
 
         sample = add_crop_annotations(clustered_sample(seed=7), crop_class=3)
         backend = BadStageTwo(
             num_base_classes=3, noise=OracleNoiseModel(score_mean=0.9, score_std=0.0)
         )
-        first = backend.detect_arrays(None, sample)
+        first = backend.detect_batch(None, [sample])[0]
         assert len(select_crops(first, config(), sample.record.size, 3))
         with pytest.raises(InvariantViolation, match=message):
             run_inference([sample], backend, None, config(), seed=0)
@@ -324,7 +328,7 @@ class TestChunkedInference:
 
     def check(self, monkeypatch, samples, backend, weights, failing):
         crops = [
-            len(select_crops(backend.detect_arrays(weights, s), config(), s.record.size, 3))
+            len(select_crops(backend.detect_batch(weights, [s])[0], config(), s.record.size, 3))
             for s in samples if s.record.image_id != failing
         ]
         assert min(crops) == 0 and max(crops) > 0
@@ -413,7 +417,7 @@ class TestPinnedToyInference:
         for mode in ("predicted", "relabeled"):
             cfg = config(crop_mode=mode, crop_score_threshold=0.25, crop_params=crop_params)
             for s in test:
-                first = backend.detect_arrays(weights, s)
+                first = backend.detect_batch(weights, [s])[0]
                 zoomed += len(select_crops(first, cfg, s.record.size, backend.crop_class_id))
             for result in run_inference(test, backend, weights, cfg, seed=5):
                 assert result.error is None

@@ -46,7 +46,7 @@ from densecrop.teacher import (
     write_run_report,
 )
 
-from reference_impls import student_batch_ref, supervised_batch_ref
+from reference_impls import decode_per_view, student_batch_ref, supervised_batch_ref
 
 CROP_PARAMS = CropParams(merge_steps=2, sigma=14, theta=0.05, pi=0.4, min_cluster=3)
 UPSCALE = UpscalePolicy("factor", factor=4.0)
@@ -178,9 +178,10 @@ class TestFilterPseudoLabels:
             filter_pseudo_labels(np.zeros(0), -0.1)
 
     def test_teacher_pseudo_labels_are_confident_detections(self):
-        # The stacked selection equals filtering the detector's own
-        # detections view by view, in their order, also for tau below the
-        # emit floor; each view draws its weak flip from its own generator.
+        # The stacked selection equals filtering the detector's emitted
+        # pairs of each weak view decoded alone, in their order, also for
+        # tau below the emit floor; each view draws its weak flip from its
+        # own generator.
         samples = tiny_dataset(n=3)
         backend = backend_for()
         rng = np.random.default_rng(45)
@@ -198,8 +199,12 @@ class TestFilterPseudoLabels:
             assert probs.shape == (len(stack.proposals), backend.layout.num_outputs)
             assert np.all(np.diff(label_view) >= 0)
             for k, (view, seed) in enumerate(zip(views, seeds)):
-                dets = backend.detect(weights, view, "weak", seed=seed)
-                want = [(d.box.as_tuple(), d.class_id) for d in dets if d.score > tau]
+                view_boxes, view_probs = decode_per_view(backend, weights, view, "weak", seed)
+                want = [
+                    (tuple(view_boxes[r].tolist()), c)
+                    for r, c in zip(*(a.tolist() for a in backend.emitted(view_probs)))
+                    if view_probs[r, c] > tau
+                ]
                 own = label_view == k
                 assert [tuple(b) for b in boxes[own].tolist()] == [w[0] for w in want]
                 assert classes[own].tolist() == [w[1] for w in want]
