@@ -476,10 +476,13 @@ def read_split(path: str | os.PathLike, all_ids: list | set | tuple) -> DatasetS
             continue
         if line.startswith("#"):
             for token in line[1:].split():
-                if token.startswith("seed="):
-                    seed = int(token[5:])
-                elif token.startswith("fraction="):
-                    fraction = float(token[9:])
+                try:
+                    if token.startswith("seed="):
+                        seed = int(token[5:])
+                    elif token.startswith("fraction="):
+                        fraction = float(token[9:])
+                except ValueError as exc:
+                    raise DataError(f"split file {path} has a malformed header token {token!r}") from exc
             continue
         if line not in by_str:
             raise DataError(f"split file {path} lists unknown image id {line!r}")

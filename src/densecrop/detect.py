@@ -5,10 +5,11 @@ detections directly from scene ground truth through a configurable noise
 model (size-dependent misses, localization jitter, background false
 positives); it needs no training and drives the inference-pipeline tests.
 ``ToyDetector`` is a small trainable linear model over hand-built scene
-features with analytic gradients, used by the mean-teacher trainer, which
-hands it each iteration's views as one :class:`ViewStack`. It builds the
-views of many images in one pass, and multistage inference asks it for a
-chunk of images at a time through ``detect_batch``.
+features with analytic gradients. Its one view type is the
+:class:`ViewStack`: it builds the views of many images in one pass as one
+stack, the mean-teacher trainer hands it each iteration's views as one
+stack, and multistage inference asks it for a chunk of images at a time
+through ``detect_batch``.
 
 The contract is that one method: un-augmented detections of each sample
 as arrays, deterministic given (weights, samples). Both backends can emit
@@ -21,6 +22,7 @@ from __future__ import annotations
 import abc
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -45,7 +47,6 @@ __all__ = [
     "extract_features",
     "feature_dim",
     "toy_forward",
-    "SampleView",
     "ViewStack",
     "SupervisedBatch",
     "UnsupervisedBatch",
@@ -183,8 +184,12 @@ class OracleNoiseModel:
             if prob > prev_prob and prev_area >= 0.0:
                 raise InvariantViolation("miss_curve must be non-increasing in area")
             prev_area, prev_prob = area, prob
-        if self.jitter_std < 0:
-            raise InvariantViolation("jitter_std must be >= 0")
+        for name in ("jitter_std", "score_mean", "score_std", "fp_rate"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise InvariantViolation(f"{name} must be finite, got {value}")
+            if value < 0 and name != "score_mean":
+                raise InvariantViolation(f"{name} must be >= 0, got {value}")
         lo, hi = self.fp_score_range
         if not (0.0 <= lo <= hi <= 1.0):
             raise InvariantViolation(
@@ -598,60 +603,68 @@ class OracleBackend(DetectorBackend):
 
 
 @dataclass(frozen=True, eq=False)
-class SampleView:
-    """What the toy detector derives from one sample alone.
-
-    ``proposals`` holds the proposal boxes as read-only (N, 4) float64
-    (x1, y1, x2, y2) rows and ``phi`` their read-only un-augmented (N, D)
-    feature matrix; for a labeled record ``gt_classes`` and ``gt_offsets``
-    hold each proposal's ground-truth class and corner-offset targets.
-    Augmentation works on copies of ``phi``, so one view serves every visit
-    to its image.
-    """
-
-    sample: SceneSample
-    proposals: np.ndarray
-    phi: np.ndarray
-    gt_classes: np.ndarray | None = None
-    gt_offsets: np.ndarray | None = None
-
-
-@dataclass(frozen=True, eq=False)
 class ViewStack:
-    """Several views' rows stacked in view order: a ragged batch.
+    """What the toy detector derives from each of several samples alone,
+    its rows stacked in sample order: a ragged batch of views.
 
-    ``proposals`` (N, 4) and ``phi`` (N, D) concatenate the views' rows;
-    ``counts`` holds each view's row count, ``row_view`` each row's view
-    index, and ``width`` and ``height`` each row's image size, so a crop
-    child and its parent can share one stack. When every view was built
-    with targets, ``gt_classes`` and ``gt_offsets`` concatenate theirs.
-    A single view is a stack of one.
+    ``proposals`` (N, 4) and ``phi`` (N, D) hold the views' read-only
+    (x1, y1, x2, y2) proposal rows and un-augmented feature rows, and
+    ``counts`` each view's row count. Built with targets, ``gt_classes``
+    and ``gt_offsets`` hold each proposal's ground-truth class and
+    corner-offset targets. ``row_view`` (each row's view index) and
+    ``width`` and ``height`` (each row's image size, so a crop child and
+    its parent can share one stack) are derived on first read.
+    Augmentation works on copies of ``phi``, so one view serves every
+    visit to its image.
+
+    A single view is a stack of one: :meth:`split` cuts a stack into
+    those, as slices of its rows, and :meth:`of` concatenates stacks.
     """
 
+    samples: tuple[SceneSample, ...]
     proposals: np.ndarray
     phi: np.ndarray
     counts: np.ndarray
-    row_view: np.ndarray
-    width: np.ndarray
-    height: np.ndarray
     gt_classes: np.ndarray | None = None
     gt_offsets: np.ndarray | None = None
 
+    @cached_property
+    def row_view(self) -> np.ndarray:
+        return np.repeat(np.arange(len(self.samples)), self.counts)
+
+    @cached_property
+    def width(self) -> np.ndarray:
+        return np.array([s.record.width for s in self.samples], dtype=np.float64)[self.row_view]
+
+    @cached_property
+    def height(self) -> np.ndarray:
+        return np.array([s.record.height for s in self.samples], dtype=np.float64)[self.row_view]
+
+    def split(self) -> list["ViewStack"]:
+        ends = np.cumsum(self.counts).tolist()
+        rows = [slice(start, end) for start, end in zip([0] + ends[:-1], ends)]
+        return [
+            ViewStack(
+                (sample,),
+                self.proposals[own],
+                self.phi[own],
+                self.counts[k : k + 1],
+                None if self.gt_classes is None else self.gt_classes[own],
+                None if self.gt_offsets is None else self.gt_offsets[own],
+            )
+            for k, (sample, own) in enumerate(zip(self.samples, rows))
+        ]
+
     @classmethod
-    def of(cls, views: list[SampleView]) -> "ViewStack":
-        counts = np.array([len(v.proposals) for v in views], dtype=np.int64)
-        row_view = np.repeat(np.arange(len(views)), counts)
-        size = np.array([v.sample.record.size for v in views], dtype=np.float64)
-        targets = all(v.gt_classes is not None for v in views)
+    def of(cls, stacks: list["ViewStack"]) -> "ViewStack":
+        targets = all(s.gt_classes is not None for s in stacks)
         return cls(
-            proposals=np.concatenate([v.proposals for v in views]),
-            phi=np.concatenate([v.phi for v in views]),
-            counts=counts,
-            row_view=row_view,
-            width=size[row_view, 0],
-            height=size[row_view, 1],
-            gt_classes=np.concatenate([v.gt_classes for v in views]) if targets else None,
-            gt_offsets=np.concatenate([v.gt_offsets for v in views]) if targets else None,
+            samples=tuple(sample for s in stacks for sample in s.samples),
+            proposals=np.concatenate([s.proposals for s in stacks]),
+            phi=np.concatenate([s.phi for s in stacks]),
+            counts=np.concatenate([s.counts for s in stacks]),
+            gt_classes=np.concatenate([s.gt_classes for s in stacks]) if targets else None,
+            gt_offsets=np.concatenate([s.gt_offsets for s in stacks]) if targets else None,
         )
 
 
@@ -685,14 +698,15 @@ class ToyDetector(DetectorBackend):
     noise and zeroes a random contiguous block.
 
     Proposals and base features are pure functions of the image:
-    :meth:`views` computes them once for a list of samples, in one pass
-    over their stacked rows, with each proposal's targets for labeled
-    records. The numeric methods take a :class:`ViewStack` of views, and a
-    single view is a stack of one: :meth:`decode` returns every proposal's
-    regressed box and class probabilities, :meth:`supervised_batch` and
-    :meth:`unsupervised_batch` build training batches, and each runs the
-    softmax, the box clipping and the target assignment once on the stack;
-    only the matmuls and each view's random draws stay per view.
+    :meth:`views` computes them once for a list of samples as one
+    :class:`ViewStack`, in one pass over their stacked rows, with each
+    proposal's targets for labeled records. The numeric methods take a
+    stack, and a single view is a stack of one: :meth:`decode` returns
+    every proposal's regressed box and class probabilities,
+    :meth:`supervised_batch` and :meth:`unsupervised_batch` build training
+    batches, and each runs the softmax, the box clipping and the target
+    assignment once on the stack; only the matmuls and each view's random
+    draws stay per view.
     :meth:`emitted` picks the (proposal, class) pairs that count as
     detections, and :meth:`detect_batch` returns those of each of several
     samples' un-augmented views as rows; training augments through
@@ -812,20 +826,20 @@ class ToyDetector(DetectorBackend):
             phi[(cols >= start) & (cols < start + self.config.strong_cutout)] = 0.0
         return phi
 
-    def views(self, samples: list[SceneSample], targets: bool = False) -> list[SampleView]:
-        """Proposals and base features of each sample, computed once.
+    def views(self, samples: list[SceneSample], targets: bool = False) -> ViewStack:
+        """Proposals and base features of each sample, computed once, as
+        one stack.
 
         The samples' proposals are built, featurized and (with ``targets``)
-        assigned in one pass over their stacked rows; each view holds its
-        own rows, so a view does not depend on the samples built with it.
-        With ``targets`` a view also carries each proposal's ground-truth
-        class and offsets against its record's annotations, which
-        :meth:`supervised_batch` needs.
+        assigned in one pass over their stacked rows; a view's rows do not
+        depend on the samples built with it. With ``targets`` the stack
+        also carries each proposal's ground-truth class and offsets against
+        its record's annotations, which :meth:`supervised_batch` needs.
         """
-        samples = list(samples)
+        samples = tuple(samples)
         proposals, counts = self.proposals(samples)
         phi = self.features([s.scene for s in samples], proposals, counts)
-        proposals.flags.writeable = phi.flags.writeable = False
+        proposals.flags.writeable = phi.flags.writeable = counts.flags.writeable = False
         classes = offsets = None
         if targets:
             annotations = [a for s in samples for a in s.record.annotations]
@@ -840,29 +854,19 @@ class ToyDetector(DetectorBackend):
                 self.background_class,
             )
             classes.flags.writeable = offsets.flags.writeable = False
-        ends = np.cumsum(counts).tolist()
-        return [
-            SampleView(
-                sample,
-                proposals[start:end],
-                phi[start:end],
-                None if classes is None else classes[start:end],
-                None if offsets is None else offsets[start:end],
-            )
-            for sample, start, end in zip(samples, [0] + ends[:-1], ends)
-        ]
+        return ViewStack(samples, proposals, phi, counts, classes, offsets)
 
     def detect_batch(
         self, weights: WeightVector | None, samples: list[SceneSample]
     ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """Each sample's detections as box rows, class ids and scores: the
         :meth:`emitted` (proposal, class) pairs of one un-augmented
-        :meth:`decode` of the stack of the samples' :meth:`views`, proposal
-        by proposal and class by class, split by view. A view's detections
-        do not depend on the views beside it."""
+        :meth:`decode` of the samples' :meth:`views`, proposal by proposal
+        and class by class, split by view. A view's detections do not
+        depend on the views beside it."""
         if not samples:
             return []
-        stack = ViewStack.of(self.views(samples))
+        stack = self.views(samples)
         boxes, probs = self.decode(weights, stack, "none", ())
         rows, classes = self.emitted(probs)
         scores = probs[rows, classes]

@@ -18,7 +18,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from itertools import islice
 
 import numpy as np
 
@@ -133,11 +134,11 @@ class IterationLog:
 @dataclass
 class CropCacheEntry:
     """One parent's density crops as (K, 4) rows, the iteration that found
-    them, and the ids of their children."""
+    them, and their upscaled crop children's views, one stack of one each."""
 
     crops: np.ndarray
     computed_iter: int
-    child_ids: list
+    children: tuple
 
 
 @dataclass
@@ -352,17 +353,20 @@ def discover_unlabeled_crops(
     unlabeled_parents: dict,
     backend: ToyDetector,
     config: TrainerConfig,
-) -> dict:
+) -> None:
     """Label density crops on unlabeled images from teacher pseudo-labels.
 
-    ``unlabeled_parents`` maps image id to :class:`SampleView`. Runs on
-    the given batch's parent images plus any cache entry older than the
-    recompute period. Returns the new child samples keyed by id; the
-    caller folds them into the unlabeled pool. Before ``crop_start_iter``
-    the cache is left untouched.
+    ``unlabeled_parents`` maps image id to the parent's view, a stack of
+    one. Runs on the given batch's parent images plus any cache entry
+    older than the recompute period. Each of those parents gets a new
+    cache entry holding its crops and its crop children's views; the
+    children of all of them are built in one ``views`` call. A recomputed
+    parent can hand an old child id to a different crop, and its new entry
+    holds the new crop's view. Before ``crop_start_iter`` the cache is
+    left untouched.
     """
     if state.iteration < config.crop_start_iter:
-        return {}
+        return
     stale = [
         image_id
         for image_id, entry in state.crop_cache.items()
@@ -374,31 +378,25 @@ def discover_unlabeled_crops(
         key=str,
     )
     if not targets:
-        return {}
-    views = [unlabeled_parents[image_id] for image_id in targets]
+        return
+    parents = ViewStack.of([unlabeled_parents[image_id] for image_id in targets])
     rngs = _augment_rngs(
         [(_aug_seed(config.seed, "crop-detect", state.iteration, i), "weak") for i in targets]
     )
     boxes, classes, label_view, _ = _teacher_pseudo_labels(
-        backend, state.teacher, ViewStack.of(views), config.tau, rngs
+        backend, state.teacher, parents, config.tau, rngs
     )
     base = classes < backend.num_base_classes
     bounds = np.searchsorted(label_view, np.arange(len(targets) + 1))
-    new_children: dict = {}
-    for k, (image_id, view) in enumerate(zip(targets, views)):
-        own = slice(bounds[k], bounds[k + 1])
-        crops = label_density_crops(
-            boxes[own][base[own]], view.sample.record.size, config.crop_params
-        )
-        children = make_crop_children(view.sample, crops, config.upscale)
-        state.crop_cache[image_id] = CropCacheEntry(
-            crops=crops,
-            computed_iter=state.iteration,
-            child_ids=[c.record.image_id for c in children],
-        )
-        for child in children:
-            new_children[child.record.image_id] = child
-    return new_children
+    crops = [
+        label_density_crops(boxes[a:b][base[a:b]], parent.record.size, config.crop_params)
+        for parent, a, b in zip(parents.samples, bounds[:-1], bounds[1:])
+    ]
+    children = [make_crop_children(p, c, config.upscale) for p, c in zip(parents.samples, crops)]
+    views = iter(backend.views([child for group in children for child in group]).split())
+    for image_id, image_crops, group in zip(targets, crops, children):
+        own = tuple(islice(views, len(group)))
+        state.crop_cache[image_id] = CropCacheEntry(image_crops, state.iteration, own)
 
 
 # ---------------------------------------------------------------------------
@@ -448,24 +446,26 @@ def train(
     pseudo-label counts, and crop-cache sizes land in ``state.history``.
 
     Each training image's proposals and base features are computed once
-    per call, in a :class:`SampleView` that lives only as long as the call:
-    the labeled pool's views and the unlabeled parents' views are built up
-    front, one ``views`` call each, and the crop children a discovery pass
-    finds get fresh views in one more call when they enter the unlabeled
-    pool, even under an id an earlier, different crop used.
+    per call, in a view (a :class:`ViewStack` of one) that lives only as
+    long as the call: the labeled pool's views and the unlabeled parents'
+    views are built up front, one ``views`` call each. A crop discovery
+    pass builds its children's views in one more call and stores them in
+    their parents' crop-cache entries, so a recomputed entry brings the
+    views of its new crops, even under an id an earlier, different crop
+    used, and the old views leave with the old entry.
 
     Each iteration works on two :class:`ViewStack` objects, ragged stacks
     of views' proposals, features and (for labeled views) targets. The
     supervised batch is one stack of the sampled labeled views, weakly
     augmented in one call against their concatenated targets. The
-    unlabeled views (the sampled parents and their cached crop children)
-    form the other stack. The teacher decodes every weak view at once into
-    per-proposal boxes and probabilities; the pseudo-labels are the
-    emitted (proposal, class) entries scoring above ``tau``, kept as box,
-    class and view-index arrays, and each proposal of the student's strong
-    views is matched only against the pseudo-labels of its own view by the
-    same ``assign_targets`` kernel that gave the labeled views their
-    targets. Crop discovery makes the same stacked decode over its
+    unlabeled views (each sampled parent followed by its cache entry's
+    children) form the other stack. The teacher decodes every weak view at
+    once into per-proposal boxes and probabilities; the pseudo-labels are
+    the emitted (proposal, class) entries scoring above ``tau``, kept as
+    box, class and view-index arrays, and each proposal of the student's
+    strong views is matched only against the pseudo-labels of its own view
+    by the same ``assign_targets`` kernel that gave the labeled views
+    their targets. Crop discovery makes the same stacked decode over its
     targets. One ``rngs_for`` call per iteration derives every ``augment``
     generator (labeled weak, teacher weak, student strong), each view
     drawing from its own. The generators that sample each iteration's
@@ -486,10 +486,10 @@ def train(
     labeled = prepare_labeled_pool(samples, split.labeled_ids, config, backend)
     if not labeled:
         raise DataError("training requires at least one labeled image")
-    labeled_pool = dict(zip(labeled, backend.views(labeled.values(), targets=True)))
+    labeled_pool = dict(zip(labeled, backend.views(labeled.values(), targets=True).split()))
     unlabeled_ids = sorted(split.unlabeled_ids, key=str)
     unlabeled_parents = dict(
-        zip(unlabeled_ids, backend.views([samples[image_id] for image_id in unlabeled_ids]))
+        zip(unlabeled_ids, backend.views([samples[i] for i in unlabeled_ids]).split())
     )
 
     if resume_from is not None:
@@ -510,7 +510,6 @@ def train(
             history=history,
         )
 
-    unlabeled_children: dict = {}
     sorted_labeled = sorted(labeled_pool, key=str)
     iterations = range(state.iteration + 1, config.max_iters + 1)
     for iteration, labeled_rng, unlabeled_rng in zip(
@@ -524,26 +523,22 @@ def train(
         unsup_value = 0.0
         pseudo_total = 0
         batch_parents: list = []
-        batch_ids: list = []
+        views: list = []
         n_unlabeled = round(config.data_ratio * config.labeled_batch)
         if config.lambda_unsup > 0.0 and unlabeled_parents and n_unlabeled > 0:
             # Sample parent images; each brings its cached crop children
             # along as extra views of the same content.
             batch_parents = _sample_ids(unlabeled_ids, n_unlabeled, unlabeled_rng)
             for parent_id in batch_parents:
-                batch_ids.append(parent_id)
                 entry = state.crop_cache.get(parent_id)
-                if entry is not None:
-                    batch_ids.extend(
-                        child_id for child_id in entry.child_ids if child_id in unlabeled_children
-                    )
+                views += [unlabeled_parents[parent_id], *(entry.children if entry else ())]
+        batch_ids = [view.samples[0].record.image_id for view in views]
         sup_rngs, weak_rngs, strong_rngs = _iteration_rngs(
             config, iteration, labeled_ids, batch_ids
         )
         sup = _supervised_loss(labeled_pool, labeled_ids, sup_rngs, backend, state.student)
         gradient = sup.gradient
-        if batch_ids:
-            views = [unlabeled_parents.get(i) or unlabeled_children[i] for i in batch_ids]
+        if views:
             batch, pseudo_total = _student_batch(
                 backend, state.teacher, views, config.tau, weak_rngs, strong_rngs
             )
@@ -560,21 +555,7 @@ def train(
 
         state.teacher = ema_update(state.teacher, state.student, config.alpha)
 
-        new_children = discover_unlabeled_crops(
-            state, batch_parents, unlabeled_parents, backend, config
-        )
-        if new_children or any(
-            entry.computed_iter == iteration for entry in state.crop_cache.values()
-        ):
-            # A recomputed parent can hand an old child id to a different
-            # crop, so new children replace, never reuse, the views under
-            # their ids; children no cache entry lists any more leave.
-            fresh = dict(zip(new_children, backend.views(new_children.values())))
-            unlabeled_children = {
-                child_id: view
-                for child_id, view in {**unlabeled_children, **fresh}.items()
-                if any(child_id in e.child_ids for e in state.crop_cache.values())
-            }
+        discover_unlabeled_crops(state, batch_parents, unlabeled_parents, backend, config)
 
         # Pseudo-labels found on a crop child count toward its parent, so
         # pseudo_per_image measures the label supply per unlabeled dataset
@@ -613,17 +594,7 @@ def train(
 # Run report and checkpoints
 # ---------------------------------------------------------------------------
 
-_REPORT_COLUMNS = (
-    "iteration",
-    "lr",
-    "loss_total",
-    "loss_sup_cls",
-    "loss_sup_reg",
-    "loss_unsup",
-    "pseudo_per_image",
-    "unlabeled_images",
-    "crops_cached",
-)
+_REPORT_COLUMNS = tuple(f.name for f in fields(IterationLog))
 
 
 def write_run_report(history: list[IterationLog], path: str | os.PathLike) -> None:

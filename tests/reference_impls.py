@@ -635,7 +635,7 @@ def decode_per_view(backend, weights, view, augmentation: str, seed: int):
     phi = backend.augment(view.phi, augmentation, [rng_for(seed, augmentation)])
     probs, offsets = toy_forward(weights, phi)
     boxes = [
-        safe_box_ref(*(np.array(prop) + offsets[i]), *view.sample.record.size)
+        safe_box_ref(*(np.array(prop) + offsets[i]), *view.samples[0].record.size)
         for i, prop in enumerate(view.proposals.tolist())
     ]
     return np.array(boxes, dtype=np.float64).reshape(-1, 4), probs
@@ -652,7 +652,7 @@ def supervised_batch_ref(backend, views, seeds):
 
     features, classes, offsets = [], [], []
     for view, seed in zip(views, seeds):
-        anns = view.sample.record.annotations
+        anns = view.samples[0].record.annotations
         gt_boxes = np.array([a.box.as_tuple() for a in anns], dtype=np.float64).reshape(-1, 4)
         gt_classes = np.array([a.class_id for a in anns], dtype=np.int64)
         features.append(backend.augment(view.phi, "weak", [rng_for(seed, "weak")]))
@@ -689,7 +689,7 @@ def student_batch_ref(backend, teacher, views, tau, weak_seeds, strong_seeds):
         if len(weak) and rng_for(weak_seed, "weak").random() < cfg.weak_flip_prob:
             weak[:, 2] = 1.0 - weak[:, 2]
         probs, offsets = toy_forward(teacher, weak)
-        width, height = view.sample.record.size
+        width, height = view.samples[0].record.size
         pseudo_boxes, pseudo_classes = [], []
         for i, prop in enumerate(view.proposals.tolist()):
             box = safe_box_ref(*(np.array(prop) + offsets[i]), width, height)

@@ -1,6 +1,7 @@
 """End-to-end CLI workflow, exit codes, config precedence, and replay."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -538,6 +539,40 @@ class TestExitCodes:
             ]
         )
         assert code == 4
+
+    @pytest.mark.parametrize(
+        "case", ["split seed", "split fraction", "scene box", "detection score", "checkpoint"]
+    )
+    def test_malformed_input_file_is_data_error(self, case, workspace, trained, tmp_path, capsys):
+        # A malformed input file exits 3 with an error line, never with an
+        # uncaught exception (which the interpreter turns into exit 1).
+        ann, scenes = str(workspace["annotations"]), str(workspace["scenes"])
+        bad, out = tmp_path / "bad", str(tmp_path / "out")
+        if case.startswith("split"):
+            key = case.split()[1]
+            bad.write_text(re.sub(rf"{key}=\S+", f"{key}=abc", workspace["split"].read_text()))
+            argv = [
+                "train", "--annotations", ann, "--scenes", scenes, "--split", str(bad),
+                "--out", out, "--burn-in-iters", "1", "--max-iters", "2",
+                "--crop-start-iter", "3", "--learning-rate", "0.01",
+            ]
+        elif case == "scene box":
+            payload = json.loads(workspace["scenes"].read_text())
+            box = next(iter(payload["scenes"].values()))["objects"][0]["box"]
+            box[2] = box[0]  # zero width
+            bad.write_text(json.dumps(payload))
+            argv = ["infer", "--annotations", ann, "--scenes", str(bad), "--backend", "oracle",
+                    "--out", out]
+        elif case == "detection score":
+            bad.write_text("1\t0\thigh\t0.0\t0.0\t10.0\t10.0\n")
+            argv = ["eval", "--annotations", ann, "--detections", str(bad), "--out", out]
+        else:
+            lines = (trained / "checkpoint.txt").read_text().splitlines()
+            bad.write_text("\n".join(lines[:-3]) + "\n")  # teacher section cut short
+            argv = ["infer", "--annotations", ann, "--scenes", scenes, "--checkpoint", str(bad),
+                    "--out", out]
+        assert run(argv) == 3
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_missing_checkpoint_flag_is_config_error(self, workspace, tmp_path):
         code = run(

@@ -76,6 +76,22 @@ class TestOracleNoiseModel:
         with pytest.raises(InvariantViolation, match="fp_score_range"):
             OracleNoiseModel(fp_rate=3, fp_score_range=(low, high))
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("score_std", -1.0),
+            ("fp_rate", -2.0),
+            ("jitter_std", -0.5),
+            ("fp_rate", float("nan")),
+            ("jitter_std", float("nan")),
+            ("score_mean", float("nan")),
+            ("score_std", float("inf")),
+        ],
+    )
+    def test_noise_parameters_must_be_finite_and_non_negative(self, name, value):
+        with pytest.raises(InvariantViolation, match=name):
+            OracleNoiseModel(**{name: value})
+
     def test_step_evaluation(self):
         model = OracleNoiseModel(miss_curve=((0.0, 0.9), (1024.0, 0.3), (9216.0, 0.0)))
         assert model.miss_probability(10.0) == 0.9
@@ -402,7 +418,7 @@ class TestToyDetector:
         weights = backend.init_weights(3)
 
         def weak_decode():
-            stack = ViewStack.of(backend.views([sample]))
+            stack = backend.views([sample])
             return backend.decode(weights, stack, "weak", [rng_for(17, "weak")])
 
         a, b = weak_decode(), weak_decode()
@@ -442,7 +458,7 @@ class TestToyDetector:
         sample = scene_sample(seed=8)
         backend = self.backend()
         weights = backend.init_weights(3)
-        view = backend.views([sample], targets=True)[0]
+        view = backend.views([sample], targets=True)
         before = view.phi.copy()
         assert not view.phi.flags.writeable
         with pytest.raises(ValueError):
@@ -453,7 +469,7 @@ class TestToyDetector:
         np.testing.assert_array_equal(weak[:, 2], 1.0 - before[:, 2])
         assert not np.array_equal(backend.augment(view.phi, "strong", [rng_for(4, "strong")]), before)
         decoded = backend.decode(weights, ViewStack.of([view]), "weak", [rng_for(3, "weak")])
-        fresh = decode_per_view(backend, weights, backend.views([sample])[0], "weak", 3)
+        fresh = decode_per_view(backend, weights, backend.views([sample]), "weak", 3)
         assert [x.tobytes() for x in decoded] == [x.tobytes() for x in fresh]
         backend.supervised_batch(ViewStack.of([view]), "weak", [rng_for(3, "weak")])
         backend.unsupervised_batch(
@@ -465,7 +481,7 @@ class TestToyDetector:
         )
         np.testing.assert_array_equal(view.phi, before)
         with pytest.raises(InvariantViolation):
-            backend.supervised_batch(ViewStack.of([backend.views([sample])[0]]))  # built without targets
+            backend.supervised_batch(ViewStack.of([backend.views([sample])]))  # built without targets
 
     def test_unknown_augmentation_rejected(self):
         sample = scene_sample(seed=8)
@@ -493,7 +509,7 @@ class TestToyDetector:
         backend = self.backend()
         pseudo_boxes = np.array([sample.scene.objects[0].box.as_tuple()])
         batch = backend.unsupervised_batch(
-            ViewStack.of([backend.views([sample])[0]]),
+            ViewStack.of([backend.views([sample])]),
             pseudo_boxes,
             np.array([1]),
             np.array([0]),
@@ -656,7 +672,7 @@ class TestArrayKernelsMatchLoops:
         # with its own generator: row for row what the per-view decode gave.
         backend = self.backend()
         rng = np.random.default_rng(32)
-        views = [backend.views([s])[0] for s in self.samples()]
+        views = [backend.views([s]) for s in self.samples()]
         stack = ViewStack.of(views + views[:1])
         seeds = [3, 4, 5, 6]
         for augmentation in ("none", "weak", "strong"):
@@ -670,7 +686,7 @@ class TestArrayKernelsMatchLoops:
             assert np.array_equal(boxes, np.concatenate([b for b, _ in per_view]))
             assert np.array_equal(probs, np.concatenate([p for _, p in per_view]))
             assert stack.width.tolist() == np.repeat(
-                [v.sample.record.width for v in views + views[:1]], stack.counts
+                [v.samples[0].record.width for v in views + views[:1]], stack.counts
             ).tolist()
 
     def mixed_batch(self):
@@ -695,7 +711,9 @@ class TestArrayKernelsMatchLoops:
 
     def test_views_of_a_mixed_batch_equal_views_of_one(self):
         # Every view of one batched pass, bit for bit, against the view of
-        # its sample alone and the per-image proposals it replaced.
+        # its sample alone and the per-image proposals it replaced. The
+        # views split off the stack are read-only slices of its rows, and
+        # the stack's derived rows (view index, image size) are the views'.
         def same_bits(a, b):
             return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
@@ -703,24 +721,47 @@ class TestArrayKernelsMatchLoops:
         for background in (8, 0):
             backend = ToyDetector(replace(self.backend().config, background_proposals=background))
             for targets in (True, False):
-                views = backend.views(samples, targets=targets)
-                assert [v.sample for v in views] == samples
+                stack = backend.views(samples, targets=targets)
+                views = stack.split()
+                assert stack.samples == tuple(samples)
+                assert [v.samples[0] for v in views] == samples
+                arrays = ("proposals", "phi", "counts")
+                arrays += ("gt_classes", "gt_offsets") if targets else ()
                 for sample, view in zip(samples, views):
-                    alone = backend.views([sample], targets=targets)[0]
+                    alone = backend.views([sample], targets=targets)
                     assert same_bits(view.proposals, alone.proposals)
                     assert same_bits(view.phi, alone.phi)
-                    assert not view.proposals.flags.writeable and not view.phi.flags.writeable
                     assert rows(view.proposals) == proposals_ref(backend, sample)
+                    assert view.counts.tolist() == [len(view.proposals)]
+                    for name in arrays:
+                        got = getattr(view, name)
+                        assert np.shares_memory(got, getattr(stack, name)) or not len(got)
+                        assert not got.flags.writeable
                     if targets:
                         assert same_bits(view.gt_classes, alone.gt_classes)
                         assert same_bits(view.gt_offsets, alone.gt_offsets)
                     else:
                         assert view.gt_classes is None and alone.gt_classes is None
+                assert len({s.record.size for s in samples}) > 2  # parents and children
+                row_view = np.concatenate([v.row_view + k for k, v in enumerate(views)])
+                assert same_bits(stack.row_view, row_view)
+                for name in ("width", "height"):
+                    per_view = np.concatenate([getattr(v, name) for v in views])
+                    assert same_bits(getattr(stack, name), per_view)
+                assert stack.width.tolist() == np.repeat(
+                    [s.record.width for s in samples], stack.counts
+                ).tolist()
+                assert stack.height.tolist() == np.repeat(
+                    [s.record.height for s in samples], stack.counts
+                ).tolist()
+                rejoined = ViewStack.of(views)
+                for name in arrays:
+                    assert same_bits(getattr(rejoined, name), getattr(stack, name))
             dense, empty = views[0], views[2]
-            covers = (intersection_matrix(dense.proposals, dense.sample.scene.object_boxes) > 0.0)
+            covers = (intersection_matrix(dense.proposals, dense.samples[0].scene.object_boxes) > 0.0)
             assert covers.sum(axis=1).max() >= 8  # np.mean path of the covered means
             assert len(empty.proposals) == background
-        assert backend.views([]) == []
+        assert backend.views([]).split() == []
 
     def test_features_of_a_chunk_equal_features_of_each_scene(self):
         # Boxes on the image corner and edges meet the zero pad boxes of
@@ -772,7 +813,7 @@ class TestArrayKernelsMatchLoops:
         weights = [random_weights(rng, 4) for _ in range(3)] + degenerate
         emitted = padded = 0
         for sample in self.samples():
-            view = backend.views([sample])[0]
+            view = backend.views([sample])
             for w in weights:
                 for augmentation, seed in (("none", 0), ("weak", 3), ("strong", 4)):
                     rngs = [rng_for(seed, augmentation)]

@@ -370,7 +370,7 @@ class TestChunkedInference:
         weights = WeightVector(layout, np.concatenate([cls.ravel(), np.zeros(layout.reg_size)]))
         chunked = self.check(monkeypatch, samples, backend, weights, failing)
         # the scene without objects has no proposals, hence no detections
-        assert backend.views([samples[5]])[0].proposals.shape == (0, 4)
+        assert backend.views([samples[5]]).proposals.shape == (0, 4)
         assert chunked[5] == ("empty", [], None)
 
 

@@ -15,7 +15,6 @@ from densecrop.dataset import (
     generate_synthetic_dataset,
 )
 from densecrop.detect import (
-    SampleView,
     SupervisedBatch,
     ToyDetector,
     ToyDetectorConfig,
@@ -72,7 +71,7 @@ def tiny_dataset(seed=0, n=8, **overrides):
 def labeled_views(samples, labeled_ids, cfg, backend):
     """The labeled pool as ``train`` hands it to ``burn_in``: views with targets."""
     pool = prepare_labeled_pool(samples, labeled_ids, cfg, backend)
-    return dict(zip(pool, backend.views(list(pool.values()), targets=True)))
+    return dict(zip(pool, backend.views(list(pool.values()), targets=True).split()))
 
 
 def backend_for(num_classes=3, seed=0, **overrides):
@@ -158,7 +157,7 @@ class TestFilterPseudoLabels:
         # of the detections they come from.
         samples = tiny_dataset(n=1, clusters_per_image=(2, 2), objects_per_cluster=(8, 8))
         backend = backend_for()
-        view = backend.views([next(iter(samples.values()))])[0]
+        view = backend.views([next(iter(samples.values()))])
         cls = np.zeros((backend.layout.num_outputs, backend.layout.columns))
         cls[backend.crop_class_id, 6] = 30.0  # center-count feature
         cls[backend.crop_class_id, backend.layout.feature_dim] = -10.0
@@ -187,7 +186,7 @@ class TestFilterPseudoLabels:
         rng = np.random.default_rng(45)
         values = rng.normal(0, 1.0, backend.layout.total)
         weights = WeightVector(layout=backend.layout, values=values)
-        views = [backend.views([sample])[0] for sample in samples.values()]
+        views = [backend.views([sample]) for sample in samples.values()]
         stack = ViewStack.of(views)
         seeds = [7, 8, 9]
         kept = 0
@@ -226,19 +225,20 @@ class TestStudentBatch:
             seed=5, n=5, clusters_per_image=(2, 2), objects_per_cluster=(6, 8)
         )
         backend = backend_for(payload_obs_scale=2.0)
-        views = [backend.views([s])[0] for s in samples.values()]
+        views = [backend.views([s]) for s in samples.values()]
         for sample in list(samples.values())[:3]:
             crops = np.array([[40.0, 60.0, 140.0, 140.0], [200.0, 180.0, 330.0, 300.0]])
             for child in make_crop_children(sample, crops, UPSCALE):
                 assert child.record.size != sample.record.size
-                views.append(backend.views([child])[0])
+                views.append(backend.views([child]))
         edge = views[0]
         proposals = edge.proposals.copy()
         proposals[0, :2] = 0.0
         proposals[proposals == 0.0] = -0.0
-        views.append(SampleView(edge.sample, proposals, edge.phi))
+        views.append(ViewStack(edge.samples, proposals, edge.phi, edge.counts))
         empty = views[1]
-        views.append(SampleView(empty.sample, np.zeros((0, 4)), np.zeros((0, empty.phi.shape[1]))))
+        no_rows = (np.zeros((0, 4)), np.zeros((0, empty.phi.shape[1])), np.zeros(1, dtype=np.int64))
+        views.append(ViewStack(empty.samples, *no_rows))
         return backend, views
 
     def weights(self, backend, rng):
@@ -330,7 +330,7 @@ class TestSupervisedBatch:
             tied.append(SceneSample(replace(sample.record, annotations=annotations), sample.scene))
         bare = SceneSample(replace(samples[3].record, annotations=()), samples[3].scene)
         pool = samples + children + tied + [bare]
-        return backend, [backend.views([s], targets=True)[0] for s in pool]
+        return backend, [backend.views([s], targets=True) for s in pool]
 
     def test_stacked_labeled_views_equal_per_view_path(self):
         backend, pool = self.views()
@@ -356,9 +356,9 @@ class TestSupervisedBatch:
             want = loss_sup(weights, SupervisedBatch(features, classes, offsets))
             assert got.value == want.value
             assert np.array_equal(got.gradient, want.gradient)
-            mixed += len({v.sample.record.size for v in views}) > 1
+            mixed += len({v.samples[0].record.size for v in views}) > 1
             for view in views:
-                anns = view.sample.record.annotations
+                anns = view.samples[0].record.annotations
                 bare += not anns
                 if len(anns) < 2:
                     continue
@@ -491,9 +491,9 @@ class TestDiscoverUnlabeledCrops:
         weights = backend.init_weights(0)
         state = TrainerState(student=weights, teacher=weights, iteration=5)
         cfg = trainer_config(crop_start_iter=30)
-        views = {i: backend.views([s])[0] for i, s in samples.items()}
-        out = discover_unlabeled_crops(state, sorted(samples), views, backend, cfg)
-        assert out == {} and state.crop_cache == {}
+        views = {i: backend.views([s]) for i, s in samples.items()}
+        discover_unlabeled_crops(state, sorted(samples), views, backend, cfg)
+        assert state.crop_cache == {}
 
     def test_zero_confident_predictions_zero_crops(self):
         from densecrop.teacher import TrainerState
@@ -504,7 +504,7 @@ class TestDiscoverUnlabeledCrops:
         state = TrainerState(student=weights, teacher=weights, iteration=35)
         cfg = trainer_config(tau=0.999)
         ids = sorted(samples)[:2]
-        views = {i: backend.views([s])[0] for i, s in samples.items()}
+        views = {i: backend.views([s]) for i, s in samples.items()}
         discover_unlabeled_crops(state, ids, views, backend, cfg)
         assert all(len(e.crops) == 0 for e in state.crop_cache.values())
 
@@ -516,9 +516,9 @@ class TestDiscoverUnlabeledCrops:
         weights = backend.init_weights(0)
         state = TrainerState(student=weights, teacher=weights, iteration=200)
         first_id = sorted(samples)[0]
-        state.crop_cache[first_id] = CropCacheEntry(crops=[], computed_iter=1, child_ids=[])
+        state.crop_cache[first_id] = CropCacheEntry(crops=[], computed_iter=1, children=())
         cfg = trainer_config(crop_start_iter=30, crop_recompute_period=100)
-        views = {i: backend.views([s])[0] for i, s in samples.items()}
+        views = {i: backend.views([s]) for i, s in samples.items()}
         discover_unlabeled_crops(state, [], views, backend, cfg)
         assert state.crop_cache[first_id].computed_iter == 200
 
@@ -631,23 +631,48 @@ class TestTrain:
     def test_reused_crop_child_ids_get_fresh_views(self, monkeypatch):
         # With a short recompute period a parent's crops are recomputed and
         # the same child id ("<parent>:crop0") names a different crop;
-        # training must see the new crop, not the view of the old one.
+        # training must see the new crop, not the view of the old one: every
+        # unlabeled batch holds each sampled parent followed by exactly the
+        # view objects of its newest cache entry's children.
         import hashlib
 
         from densecrop import teacher as teacher_module
 
         crops_by_child: dict = {}
+        newest: dict = {}
+        recomputed: set = set()
+        checked = 0
         discover = teacher_module.discover_unlabeled_crops
+        student_batch = teacher_module._student_batch
 
-        def recording(*args, **kwargs):
-            children = discover(*args, **kwargs)
-            for child_id, child in children.items():
-                crops_by_child.setdefault(child_id, set()).add(
-                    child.record.provenance.crop_box
-                )
-            return children
+        def recording(state, *args, **kwargs):
+            discover(state, *args, **kwargs)
+            for parent_id, entry in state.crop_cache.items():
+                if entry.computed_iter != state.iteration:
+                    continue
+                if parent_id in newest:
+                    recomputed.add(parent_id)
+                newest[parent_id] = entry.children
+                for child in entry.children:
+                    record = child.samples[0].record
+                    crops_by_child.setdefault(record.image_id, set()).add(
+                        record.provenance.crop_box
+                    )
+
+        def batch_recording(backend, teacher, views, *args):
+            nonlocal checked
+            parents = [
+                k for k, v in enumerate(views) if v.samples[0].record.provenance.kind != "crop"
+            ]
+            for k, end in zip(parents, parents[1:] + [len(views)]):
+                parent_id = views[k].samples[0].record.image_id
+                children = views[k + 1 : end]
+                assert [id(c) for c in children] == [id(c) for c in newest.get(parent_id, ())]
+                checked += parent_id in recomputed and len(children) > 0
+            return student_batch(backend, teacher, views, *args)
 
         monkeypatch.setattr(teacher_module, "discover_unlabeled_crops", recording)
+        monkeypatch.setattr(teacher_module, "_student_batch", batch_recording)
         samples = tiny_dataset(
             n=6, clusters_per_image=(2, 2), objects_per_cluster=(6, 8), payload_noise=0.05
         )
@@ -664,6 +689,7 @@ class TestTrain:
         )
         state = train(cfg, samples, split, backend)
         assert any(len(crops) > 1 for crops in crops_by_child.values())
+        assert checked > 0
         # recorded from the implementation that recomputed every feature on
         # every visit
         assert hashlib.sha256(state.teacher.values.tobytes()).hexdigest() == (
@@ -753,11 +779,10 @@ class TestTrain:
         discover = teacher_module.discover_unlabeled_crops
 
         def recording(state, *args, **kwargs):
-            children = discover(state, *args, **kwargs)
+            discover(state, *args, **kwargs)
             passes.append(
                 any(e.computed_iter == state.iteration for e in state.crop_cache.values())
             )
-            return children
 
         monkeypatch.setattr(teacher_module, "discover_unlabeled_crops", recording)
         calls.clear()
