@@ -7,20 +7,28 @@ repeated for a configurable number of rounds so that crops whose enclosing
 boxes overlap get fused instead of producing redundant near-duplicates,
 and crops covering too much of the image are filtered out.
 
-Boxes and crops are (N, 4) float64 (x1, y1, x2, y2) rows throughout: the
-graph is one IoU matrix, clusters come from label propagation over it, and
-no :class:`~densecrop.geometry.Box` is built here. Crop order is part of
-the output, since it names crop children and seeds their scenes.
+Boxes and crops are (N, 4) float64 (x1, y1, x2, y2) rows throughout, and
+no :class:`~densecrop.geometry.Box` is built here. A call labels one
+image, or with ``counts`` a ragged stack of images: their rows
+concatenated in image order, each image's row count and each image's
+(width, height). A single image is a stack of one. Only same-image pairs
+of rows are ever formed, so a stack costs the sum of its images' squared
+row counts, never the square of its total: the graph is one flat array
+of same-image pairs, clusters come from label propagation over it, and
+each image's crops come out exactly as if it were labeled alone. Crop
+order is part of the output, since it names crop children and seeds their
+scenes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvariantViolation
-from .geometry import box_areas, check_boxes, iou_matrix
+from .geometry import box_areas, check_boxes, intersection_matrix
 
 __all__ = [
     "CropParams",
@@ -47,91 +55,146 @@ class CropParams:
     min_cluster: int = 2
 
     def __post_init__(self) -> None:
-        if self.merge_steps < 1:
+        if not self.merge_steps >= 1:
             raise InvariantViolation(f"merge_steps must be >= 1, got {self.merge_steps}")
-        if self.sigma < 0:
-            raise InvariantViolation(f"sigma must be >= 0, got {self.sigma}")
+        # A NaN or infinite sigma expands every box to nothing or everything
+        # and would silently turn crop discovery off.
+        if not (0 <= self.sigma < math.inf):
+            raise InvariantViolation(f"sigma must be finite and >= 0, got {self.sigma}")
         if not (0.0 < self.theta < 1.0):
             raise InvariantViolation(f"theta must be in (0, 1), got {self.theta}")
         if not (0.0 < self.pi <= 1.0):
             raise InvariantViolation(f"pi must be in (0, 1], got {self.pi}")
-        if self.min_cluster < 2:
+        if not self.min_cluster >= 2:
             raise InvariantViolation(f"min_cluster must be >= 2, got {self.min_cluster}")
+
+
+def _stack(boxes, image_size, counts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(N, 4) rows, (M, 2) image sizes and (M,) row counts of a call; a
+    call without ``counts`` is a stack of one image."""
+    boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
+    if counts is None:
+        return boxes, np.array([image_size], dtype=np.float64), np.array([len(boxes)])
+    sizes = np.asarray(image_size, dtype=np.float64).reshape(-1, 2)
+    counts = np.asarray(counts, dtype=np.int64).reshape(-1)
+    if len(sizes) != len(counts) or counts.sum() != len(boxes) or (counts < 0).any():
+        raise InvariantViolation(
+            f"{len(boxes)} rows do not split into counts {counts.tolist()} "
+            f"over {len(sizes)} image sizes"
+        )
+    return boxes, sizes, counts
 
 
 def merge_round(
     rows: np.ndarray,
-    image_size: tuple[float, float],
+    image_size,
     params: CropParams,
     *,
     carry_unmerged: bool,
-) -> np.ndarray:
-    """One build/merge/filter pass over the current (N, 4) box rows.
+    counts=None,
+):
+    """One build/merge/filter pass over the current (N, 4) box rows of one
+    image of ``image_size`` (width, height), or with ``counts`` over a
+    stack of images as in :func:`label_density_crops`; returns the new
+    rows, and with ``counts`` also each image's new row count.
 
-    Two rows are connected when their IoU strictly exceeds ``theta``, and
-    each connected component with at least one connection collapses into
-    its enclosing box. Components come out in the order of a greedy
-    discovery: the component holding the most-connected row first, ties to
-    the lowest such row.
+    Two rows of one image are connected when their IoU strictly exceeds
+    ``theta``, and each connected component with at least one connection
+    collapses into its enclosing box. Within an image, components come out
+    in the order of a greedy discovery: the component holding the
+    most-connected row first, ties to the lowest such row.
 
     In the first round (``carry_unmerged=False``) rows that joined no
     cluster are dropped and clusters below ``min_cluster`` members are
-    discarded; in later rounds every input is already a crop, so unmerged
-    rows pass through unchanged, in input order, after the merged ones.
-    Rows larger than ``pi`` of the image area are filtered out.
+    discarded; in later rounds every input is already a crop, so each
+    image's unmerged rows pass through unchanged, in input order, after its
+    merged ones. Rows larger than ``pi`` of their image's area are
+    filtered out.
     """
-    n = len(rows)
-    if n == 0:
-        return rows
-    connected = iou_matrix(rows, rows) > params.theta
-    np.fill_diagonal(connected, False)
-    degree = connected.sum(axis=1)
-    # Label propagation: every row ends with the lowest row of its component.
-    labels = np.arange(n)
-    while True:
-        lowest = np.minimum(labels, np.where(connected, labels, n).min(axis=1))
-        if (lowest == labels).all():
-            break
-        labels = lowest
-    # One ``members`` row per component with a connection, in discovery order.
-    roots = np.flatnonzero((labels == np.arange(n)) & (degree > 0))
-    members = labels == roots[:, None]
-    rank = np.where(members, degree * n - np.arange(n), -1).max(axis=1)
-    members = members[np.argsort(-rank)]
-    crops = np.concatenate(
-        [
-            np.where(members[:, :, None], rows[None, :, :2], np.inf).min(axis=1),
-            np.where(members[:, :, None], rows[None, :, 2:], -np.inf).max(axis=1),
-        ],
-        axis=1,
-    )
+    rows, sizes, n = _stack(rows, image_size, counts)
+    total = len(rows)
+    image = np.repeat(np.arange(len(n)), n)
+    start = np.cumsum(n) - n
+    local = np.arange(total) - start[image]
+    # Every row pairs with each row of its own image, itself included, in
+    # row order: the pairs of row i form one block starting at first[i].
+    per_row = n[image]
+    first = np.cumsum(per_row) - per_row
+    pair_i = np.repeat(np.arange(total), per_row)
+    pair_j = np.arange(len(pair_i)) + np.repeat(start[image] - first, per_row)
+    # iou_matrix's operations, one pair at a time.
+    inter = intersection_matrix(rows[pair_i], rows[pair_j][:, None])[:, 0]
+    area = box_areas(rows)
+    iou = inter / (area[pair_i] + area[pair_j] - inter)
+    linked = (iou > params.theta) & (pair_i != pair_j)
+    link_i, link_j = pair_i[linked], pair_j[linked]
+    degree = np.bincount(link_i, minlength=total)
+    # Label propagation: every linked row ends with the lowest row of its
+    # component. A row's links are one block of link_j, since link_i is sorted.
+    members = np.flatnonzero(degree)
+    labels = np.arange(total)
+    if len(members):
+        blocks = (np.cumsum(degree) - degree)[members]
+        while True:
+            lowest = np.minimum(labels[members], np.minimum.reduceat(labels[link_j], blocks))
+            if (lowest == labels[members]).all():
+                break
+            labels[members] = lowest
+    # Group each component's members, then reduce per component: its image,
+    # member count, enclosing box and rank. Within an image, components go
+    # by descending rank: the most-connected row first, ties to the lowest.
+    members = members[np.argsort(labels[members], kind="stable")]
+    group = np.flatnonzero(np.diff(labels[members], prepend=-1))
+    crop_image = image[members[group]]
+    size = np.diff(np.append(group, len(members)))
+    rank = np.maximum.reduceat((degree * per_row - local)[members], group)
+    lows = np.minimum.reduceat(rows[members, :2], group)
+    crops = np.concatenate([lows, np.maximum.reduceat(rows[members, 2:], group)], axis=1)
+    order = np.lexsort((-rank, crop_image))
+    crops, crop_image, size = crops[order], crop_image[order], size[order]
     if carry_unmerged:
-        out = np.concatenate([crops, rows[degree == 0]])
+        # Each image's merged crops, then its unmerged rows in input order.
+        alone = degree == 0
+        out_image = np.concatenate([crop_image, image[alone]])
+        order = np.argsort(out_image, kind="stable")
+        out, out_image = np.concatenate([crops, rows[alone]])[order], out_image[order]
     else:
-        out = crops[members.sum(axis=1) >= params.min_cluster]
-    return out[box_areas(out) <= params.pi * image_size[0] * image_size[1]]
+        kept = size >= params.min_cluster
+        out, out_image = crops[kept], crop_image[kept]
+    small = box_areas(out) <= (params.pi * sizes[:, 0] * sizes[:, 1])[out_image]
+    out = out[small]
+    return out if counts is None else (out, np.bincount(out_image[small], minlength=len(n)))
 
 
 def label_density_crops(
-    boxes: np.ndarray, image_size: tuple[float, float], params: CropParams
-) -> np.ndarray:
-    """Discover density crops for one image, as (K, 4) float64 rows, from
-    its (N, 4) (x1, y1, x2, y2) box rows.
+    boxes: np.ndarray, image_size, params: CropParams, counts=None
+):
+    """Discover density crops, as (K, 4) float64 rows, from (N, 4)
+    (x1, y1, x2, y2) box rows.
+
+    ``boxes`` holds the rows of one image of ``image_size`` (width,
+    height), or with ``counts`` those of a stack of images: ``counts[m]``
+    rows of image ``m``, whose size is ``image_size[m]``. With ``counts``
+    the call returns a list of each image's (K, 4) crops, in image order;
+    each equals the crops of labeling that image alone, bit for bit.
 
     Every side of every box is first moved out by ``sigma`` pixels and
-    clipped to the image, as Python's ``max(0.0, x1 - sigma)`` and
+    clipped to its image, as Python's ``max(0.0, x1 - sigma)`` and
     ``min(width, x2 + sigma)`` do; then ``merge_steps`` rounds of
-    :func:`merge_round` follow. The output is deduplicated by exact
-    coordinate equality, first occurrence kept (merging is deterministic,
-    so exact duplicates are the only duplicate mode). Raises
+    :func:`merge_round` follow. Each image's output is deduplicated by
+    exact coordinate equality, first occurrence kept (merging is
+    deterministic, so exact duplicates are the only duplicate mode). Raises
     :class:`InvariantViolation` if an input or expanded row is not a valid
-    box, such as a box outside the image.
+    box, such as a box outside its image.
     """
-    boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
+    boxes, sizes, n = _stack(boxes, image_size, counts)
+    if not len(boxes):
+        return boxes if counts is None else [boxes] * len(n)
     check_boxes(boxes)
+    image = np.repeat(np.arange(len(n)), n)
+    bounds = sizes[image]
     lo = boxes[:, :2] - params.sigma
     hi = boxes[:, 2:] + params.sigma
-    bounds = np.array(image_size, dtype=np.float64)
     # Not np.maximum: it keeps a -0.0 that Python's max turns into 0.0, and
     # a crop's repr seeds its child scene.
     current = np.concatenate(
@@ -139,6 +202,18 @@ def label_density_crops(
     )
     check_boxes(current)
     for step in range(params.merge_steps):
-        current = merge_round(current, image_size, params, carry_unmerged=step > 0)
-    keys = current.tolist()
-    return current[[i for i, key in enumerate(keys) if key not in keys[:i]]]
+        if not len(current):
+            break
+        current, n = merge_round(current, sizes, params, carry_unmerged=step > 0, counts=n)
+    # Exact duplicates within an image sort next to each other, the first
+    # occurrence first.
+    image = np.repeat(np.arange(len(n)), n)
+    order = np.lexsort((*current.T[::-1], image))
+    same = (current[order[1:]] == current[order[:-1]]).all(axis=1)
+    same &= image[order[1:]] == image[order[:-1]]
+    first = np.ones(len(current), dtype=bool)
+    first[order[1:][same]] = False
+    crops = current[first]
+    if counts is None:
+        return crops
+    return np.split(crops, np.cumsum(np.bincount(image[first], minlength=len(n)))[:-1])

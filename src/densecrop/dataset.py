@@ -14,6 +14,7 @@ run in parallel across images.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -160,8 +161,10 @@ class UpscalePolicy:
     def __post_init__(self) -> None:
         if self.mode not in ("short_edge", "factor"):
             raise ConfigError(f"unknown upscale mode {self.mode!r}")
-        if self.target <= 0 or self.factor <= 0:
-            raise ConfigError("upscale target and factor must be positive")
+        # A NaN target would silently stop upscaling, since max(1.0, nan) is
+        # 1.0, and a NaN or infinite factor fails only deep inside a run.
+        if not (0 < self.target < math.inf and 0 < self.factor < math.inf):
+            raise ConfigError("upscale target and factor must be positive and finite")
 
     def output_size(self, crop: Box) -> tuple[float, float]:
         if self.mode == "factor":

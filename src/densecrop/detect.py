@@ -741,9 +741,12 @@ class ToyDetector(DetectorBackend):
         rows (objects, clusters, background for each image) and each
         sample's row count.
 
-        Cluster candidates are skipped on crop children: the image already
-        is a zoomed cluster, and a second level of crop proposals would
-        only train the classifier to call dense children background.
+        Cluster candidates are the density crops of each image's objects,
+        labeled for every non-crop sample in one
+        :func:`~densecrop.croplab.label_density_crops` call over the stack
+        of their object rows. They are skipped on crop children: the image
+        already is a zoomed cluster, and a second level of crop proposals
+        would only train the classifier to call dense children background.
 
         Each image draws its jitter and background from its own generator,
         ``rng_for(seed, "proposals", image_id)``; one :func:`rngs_for` call
@@ -753,16 +756,21 @@ class ToyDetector(DetectorBackend):
         prefix = (stable_int(self.config.seed), stable_int("proposals"))
         ids = [prefix + (stable_int(s.record.image_id),) for s in samples]
         rngs = rngs_for((), np.array(ids, dtype=np.int64).reshape(-1, 3))
+        parents = [s.scene for s in samples if s.record.provenance.kind != "crop"]
+        parent_crops = iter(
+            label_density_crops(
+                np.concatenate([scene.object_boxes for scene in parents] or [np.zeros((0, 4))]),
+                [(scene.width, scene.height) for scene in parents],
+                self._proposal_crop_params,
+                [len(scene.objects) for scene in parents],
+            )
+        )
         per_image = self.config.background_proposals
         jittered, u = [], np.empty((len(samples), per_image, 4))
         for k, (sample, rng) in enumerate(zip(samples, rngs)):
-            scene = sample.scene
-            candidates = scene.object_boxes
+            candidates = sample.scene.object_boxes
             if sample.record.provenance.kind != "crop":
-                crops = label_density_crops(
-                    candidates, (scene.width, scene.height), self._proposal_crop_params
-                )
-                candidates = np.concatenate([candidates, crops])
+                candidates = np.concatenate([candidates, next(parent_crops)])
             jitter = rng.normal(0.0, self.config.proposal_jitter, (len(candidates), 4))
             jittered.append(candidates + jitter)
             # Each background box takes its (w, h, x, y) uniforms in turn,

@@ -358,9 +358,12 @@ def discover_unlabeled_crops(
 
     ``unlabeled_parents`` maps image id to the parent's view, a stack of
     one. Runs on the given batch's parent images plus any cache entry
-    older than the recompute period. Each of those parents gets a new
-    cache entry holding its crops and its crop children's views; the
-    children of all of them are built in one ``views`` call. A recomputed
+    older than the recompute period. The teacher decodes those parents in
+    one stack, and one :func:`label_density_crops` call labels the
+    base-class pseudo-labels of all of them as a stack of images. Each
+    parent gets a new cache entry holding its crops and its crop
+    children's views; the children of all of them are built in one
+    ``views`` call, which is skipped when no parent has a crop. A recomputed
     parent can hand an old child id to a different crop, and its new entry
     holds the new crop's view. Before ``crop_start_iter`` the cache is
     left untouched.
@@ -387,13 +390,15 @@ def discover_unlabeled_crops(
         backend, state.teacher, parents, config.tau, rngs
     )
     base = classes < backend.num_base_classes
-    bounds = np.searchsorted(label_view, np.arange(len(targets) + 1))
-    crops = [
-        label_density_crops(boxes[a:b][base[a:b]], parent.record.size, config.crop_params)
-        for parent, a, b in zip(parents.samples, bounds[:-1], bounds[1:])
-    ]
+    crops = label_density_crops(
+        boxes[base],
+        [parent.record.size for parent in parents.samples],
+        config.crop_params,
+        np.bincount(label_view[base], minlength=len(targets)),
+    )
     children = [make_crop_children(p, c, config.upscale) for p, c in zip(parents.samples, crops)]
-    views = iter(backend.views([child for group in children for child in group]).split())
+    flat = [child for group in children for child in group]
+    views = iter(backend.views(flat).split() if flat else ())
     for image_id, image_crops, group in zip(targets, crops, children):
         own = tuple(islice(views, len(group)))
         state.crop_cache[image_id] = CropCacheEntry(image_crops, state.iteration, own)
@@ -408,17 +413,25 @@ def prepare_labeled_pool(
     samples: dict, labeled_ids, config: TrainerConfig, backend: ToyDetector
 ) -> dict:
     """Labeled pool; with ``crops_on_labeled`` each image also contributes
-    upscaled crop children and gains crop-class annotations."""
+    upscaled crop children and gains crop-class annotations. The crops of
+    every labeled image come from one :func:`label_density_crops` call over
+    the stack of their base-class annotation boxes."""
+    ids = sorted(labeled_ids, key=str)
+    if not config.crops_on_labeled:
+        return {image_id: samples[image_id] for image_id in ids}
+    base = [
+        [a.box for a in samples[i].record.annotations if a.class_id < backend.num_base_classes]
+        for i in ids
+    ]
+    per_image = label_density_crops(
+        box_array([box for boxes in base for box in boxes]),
+        [samples[i].record.size for i in ids],
+        config.crop_params,
+        [len(boxes) for boxes in base],
+    )
     pool: dict = {}
-    for image_id in sorted(labeled_ids, key=str):
+    for image_id, crops in zip(ids, per_image):
         sample = samples[image_id]
-        if not config.crops_on_labeled:
-            pool[image_id] = sample
-            continue
-        base_boxes = box_array(
-            [a.box for a in sample.record.annotations if a.class_id < backend.num_base_classes]
-        )
-        crops = label_density_crops(base_boxes, sample.record.size, config.crop_params)
         for child in make_crop_children(sample, crops, config.upscale):
             pool[child.record.image_id] = child
         crop_anns = tuple(

@@ -2,6 +2,7 @@
 the discovery-order oracle."""
 
 import hashlib
+import tracemalloc
 import json
 
 import numpy as np
@@ -336,3 +337,181 @@ def test_crops_label_output_is_pinned(tmp_path):
     # images with several crops, so their order shows
     assert max(crop_images.count(i) for i in set(crop_images)) >= 2
     assert hashlib.sha256(data).hexdigest() == CROPS_LABEL_SHA256
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"sigma": float("nan")},
+        {"sigma": float("inf")},
+        {"merge_steps": float("nan")},
+        {"min_cluster": float("nan")},
+    ],
+)
+def test_non_finite_params_rejected(kwargs):
+    # A NaN sigma expands no box and a NaN min_cluster keeps no cluster, so
+    # either would silently turn discovery off: this pair gives one crop
+    # with the defaults.
+    boxes = rows([(0, 0, 10, 10), (5, 5, 20, 20)])
+    assert len(label_density_crops(boxes, (100, 100), CropParams(sigma=15.0))) == 1
+    with pytest.raises(InvariantViolation):
+        CropParams(**kwargs)
+
+
+def ragged_stack(rng, images):
+    """Random images for one stack: (boxes, size) pairs, with empty and
+    single-box images, exact duplicates, rounded coordinates (degree ties)
+    and boxes large enough to give crops above ``pi``."""
+    out = []
+    for _ in range(images):
+        size = (float(rng.integers(120, 600)), float(rng.integers(120, 600)))
+        n = int(rng.choice([0, 1, 2, int(rng.integers(3, 40))]))
+        boxes = random_boxes(rng, n, 0.0, min(size) - 61.0, (3.0, 60.0))
+        if n > 3 and rng.random() < 0.4:
+            boxes[int(rng.integers(1, n))] = boxes[0]
+        if rng.random() < 0.3:
+            boxes = np.round(boxes / 5.0) * 5.0 + np.array([0.0, 0.0, 5.0, 5.0])
+        out.append((boxes, size))
+    return out
+
+
+def label_stack(images, params):
+    """``label_density_crops`` over the stack of ``images``: one (K, 4)
+    block per image."""
+    crops = label_density_crops(
+        np.concatenate([b for b, _ in images] or [np.zeros((0, 4))]),
+        [size for _, size in images],
+        params,
+        [len(b) for b, _ in images],
+    )
+    assert len(crops) == len(images)
+    return crops
+
+
+class TestStackedLabeling:
+    """A stack of images labels each image exactly as it is labeled alone."""
+
+    def test_random_stacks_equal_each_image_alone_and_the_oracle(self):
+        rng = np.random.default_rng(27)
+        seen = set()
+        for trial in range(150):
+            images = ragged_stack(rng, int(rng.integers(1, 13)))
+            params = CropParams(
+                merge_steps=int(rng.integers(1, 4)),
+                sigma=0.0 if trial % 4 == 0 else float(rng.uniform(0, 20)),
+                theta=float(rng.choice([0.05, 0.1, 0.3])),
+                pi=float(rng.choice([0.02, 0.05, 0.3, 1.0])),
+                min_cluster=int(rng.integers(2, 4)),
+            )
+            seen.add(params.merge_steps)
+            for (boxes, size), got in zip(images, label_stack(images, params)):
+                alone = label_density_crops(boxes, size, params)
+                want = label_density_crops_ref(
+                    tuples(boxes), size, params.sigma, params.theta, params.pi,
+                    params.merge_steps, params.min_cluster,
+                )
+                assert got.dtype == np.float64 and got.shape == alone.shape
+                assert got.tobytes() == alone.tobytes()
+                assert [repr(c) for c in tuples(got)] == [repr(c) for c in want]
+                seen.add("empty" if len(boxes) == 0 else "single" if len(boxes) == 1 else "")
+                seen.add("crops" if len(got) else "")
+        assert {1, 2, 3, "empty", "single", "crops"} <= seen
+
+    def test_hand_built_stack_keeps_every_image_order(self):
+        # The degree-tie chains, the higher-degree star, a duplicate crop,
+        # a crop above pi, an empty image, a crop whose area is exactly
+        # (pi * w) * h, which pi * (w * h) would round below, and a copy
+        # of that image, whose equal crop is no duplicate, stacked.
+        def at(x):
+            return (x, 0, x + 10, 10)
+
+        tie = [at(0), at(105), at(5), at(10), at(15), at(100), at(110)]
+        star = [
+            (0, 0, 10, 10), (5, 0, 15, 10),
+            (100, 0, 110, 10), (105, 0, 115, 10), (110, 0, 120, 10), (105, 8, 115, 18),
+        ]
+        horizontal = [(0, 5 * k, 40, 5 * k + 10) for k in range(7)]
+        vertical = [(5 * k, 0, 5 * k + 10, 40) for k in range(7)]
+        chain = [(18, 18, 22, 22), (20, 18, 24, 22), (22, 18, 26, 22)]
+        images = [
+            (rows(tie), (500.0, 500.0)),
+            (rows([]), (300.0, 200.0)),
+            (rows(star), (500.0, 500.0)),
+            (rows(horizontal + chain + vertical), (80.0, 80.0)),
+            (rows([(0, 0, 90, 90), (10, 10, 95, 95)]), (100.0, 100.0)),
+            (rows([(0, 0, 104, 36.6)] * 2), (104.0, 122.0)),
+            (rows([(0, 0, 104, 36.6)] * 2), (104.0, 122.0)),
+        ]
+        params = one_round(pi=0.3)
+        assert 104 * 36.6 == 0.3 * 104 * 122 > 0.3 * (104 * 122)
+        got = [tuples(c) for c in label_stack(images, params)]
+        for (boxes, size), crops in zip(images, got):
+            assert crops == label_density_crops_ref(tuples(boxes), size, 0.0, 0.1, 0.3, 1)
+        assert got == [
+            [(100, 0, 120, 10), (0, 0, 25, 10)],
+            [],
+            [(100, 0, 120, 18), (0, 0, 15, 10)],
+            [(0, 0, 40, 40), (18, 18, 26, 22)],
+            [],
+            [(0, 0, 104, 36.6)],
+            [(0, 0, 104, 36.6)],
+        ]
+
+    def test_empty_stacks(self):
+        params = CropParams()
+        assert label_density_crops(np.zeros((0, 4)), [], params, []) == []
+        crops = label_density_crops(np.zeros((0, 4)), [(10.0, 10.0)] * 3, params, [0, 0, 0])
+        assert [c.shape for c in crops] == [(0, 4)] * 3
+        crops = label_density_crops(rows([(0, 0, 5, 5)]), [(10.0, 10.0)] * 3, params, [0, 1, 0])
+        assert [c.shape for c in crops] == [(0, 4)] * 3
+
+    def test_invalid_row_mid_stack_raises(self):
+        good = rows([(0, 0, 10, 10), (5, 0, 15, 10)])
+        for bad in ([20.0, 0.0, 10.0, 10.0], [0.0, 0.0, float("nan"), 10.0], [600, 0, 610, 10]):
+            boxes = np.concatenate([good, rows([bad]), good])
+            with pytest.raises(InvariantViolation):
+                label_density_crops(boxes, [(500, 500)] * 3, one_round(), [2, 1, 2])
+
+    def test_counts_must_cover_the_rows(self):
+        boxes = rows([(0, 0, 10, 10), (5, 0, 15, 10)])
+        for sizes, counts in (([(50, 50)], [1]), ([(50, 50)], [3]), ([(50, 50)] * 2, [2])):
+            with pytest.raises(InvariantViolation):
+                label_density_crops(boxes, sizes, one_round(), counts)
+
+    def test_merge_round_stack_equals_each_image(self):
+        rng = np.random.default_rng(28)
+        params = one_round(pi=0.3)
+        for _ in range(40):
+            images = ragged_stack(rng, int(rng.integers(1, 8)))
+            stacked, counts = merge_round(
+                np.concatenate([b for b, _ in images]),
+                [size for _, size in images],
+                params,
+                carry_unmerged=True,
+                counts=[len(b) for b, _ in images],
+            )
+            for (boxes, size), got in zip(images, np.split(stacked, np.cumsum(counts)[:-1])):
+                alone = merge_round(boxes, size, params, carry_unmerged=True)
+                assert got.tobytes() == alone.tobytes() and got.shape == alone.shape
+
+
+# Labeling the memory test's stack of 40 images of 40 boxes peaks at about
+# 7 MB; pairing its 1600 rows across the whole stack would take
+# (Σn)² float64 arrays of 20 MB each.
+STACK_PEAK_BOUND_BYTES = 16 << 20
+
+
+def test_stacked_labeling_pairs_only_within_images():
+    rng = np.random.default_rng(29)
+    images = [
+        (random_boxes(rng, 40, 0.0, 340.0, (5.0, 60.0)), (400.0, 400.0)) for _ in range(40)
+    ]
+    params = CropParams()
+    label_stack(images, params)  # first call: lazy imports and caches
+    tracemalloc.start()
+    try:
+        label_stack(images, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < STACK_PEAK_BOUND_BYTES

@@ -342,6 +342,20 @@ class TestAugmentWithCrops:
         boxes = [a.box.as_tuple() for a in second]
         assert repr(boxes[-1]) == "(-0.0, 0.0, 240.0, 40.0)"
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"mode": "short_edge", "target": float("nan")},
+            {"mode": "short_edge", "target": float("inf")},
+            {"mode": "factor", "factor": float("nan")},
+            {"mode": "factor", "factor": float("inf")},
+        ],
+    )
+    def test_non_finite_upscale_rejected(self, kwargs):
+        # max(1.0, nan) is 1.0, so a NaN target would silently stop upscaling.
+        with pytest.raises(ConfigError):
+            UpscalePolicy(**kwargs)
+
     def test_short_edge_policy_never_downscales(self):
         policy = UpscalePolicy("short_edge", target=100.0)
         big = Box(0, 0, 300, 200)

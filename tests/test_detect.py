@@ -763,6 +763,27 @@ class TestArrayKernelsMatchLoops:
             assert len(empty.proposals) == background
         assert backend.views([]).split() == []
 
+    def test_views_label_their_parents_crops_in_one_call(self, monkeypatch):
+        # One stacked labeling call per views call, over the non-crop
+        # samples' object rows only.
+        from densecrop import detect as detect_module
+
+        calls = []
+        label = detect_module.label_density_crops
+
+        def counted(boxes, image_size, params, counts=None):
+            calls.append(list(counts))
+            return label(boxes, image_size, params, counts)
+
+        monkeypatch.setattr(detect_module, "label_density_crops", counted)
+        samples = self.mixed_batch()
+        self.backend().views(samples)
+        parents = [s for s in samples if s.record.provenance.kind != "crop"]
+        assert len(parents) < len(samples)
+        assert calls == [[len(s.scene.objects) for s in parents]]
+        self.backend().views([])
+        assert calls[1:] == [[]]
+
     def test_features_of_a_chunk_equal_features_of_each_scene(self):
         # Boxes on the image corner and edges meet the zero pad boxes of
         # the scenes with fewer objects; a scene's rows are its own.

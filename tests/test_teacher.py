@@ -508,6 +508,63 @@ class TestDiscoverUnlabeledCrops:
         discover_unlabeled_crops(state, ids, views, backend, cfg)
         assert all(len(e.crops) == 0 for e in state.crop_cache.values())
 
+    def test_one_labeling_call_and_no_empty_views_call(self, monkeypatch):
+        # A pass labels all its targets' crops in one stacked call, and a
+        # pass whose parents yield no crops builds no child views.
+        from densecrop import teacher as teacher_module
+        from densecrop.teacher import TrainerState
+
+        samples = tiny_dataset()
+        backend = backend_for()
+        weights = backend.init_weights(0)
+        views = {i: backend.views([s]) for i, s in samples.items()}
+        calls = {"label": 0, "views": 0}
+        label = teacher_module.label_density_crops
+        build = backend.views
+
+        def counted_label(*args, **kwargs):
+            calls["label"] += 1
+            return label(*args, **kwargs)
+
+        def counted_views(*args, **kwargs):
+            calls["views"] += 1
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(teacher_module, "label_density_crops", counted_label)
+        monkeypatch.setattr(backend, "views", counted_views)
+        state = TrainerState(student=weights, teacher=weights, iteration=35)
+        discover_unlabeled_crops(state, sorted(samples)[:4], views, backend, trainer_config(tau=0.999))
+        assert len(state.crop_cache) == 4
+        assert all(len(e.crops) == 0 and e.children == () for e in state.crop_cache.values())
+        assert calls == {"label": 1, "views": 0}
+
+    def test_labeled_pool_crops_come_from_one_call(self, monkeypatch):
+        from densecrop import teacher as teacher_module
+
+        samples = tiny_dataset()
+        backend = backend_for()
+        cfg = trainer_config(crops_on_labeled=True)
+        label = teacher_module.label_density_crops
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return label(*args, **kwargs)
+
+        monkeypatch.setattr(teacher_module, "label_density_crops", counted)
+        ids = sorted(samples)[:5]
+        pool = prepare_labeled_pool(samples, ids, cfg, backend)
+        assert len(calls) == 1
+        for image_id in ids:
+            record = pool[image_id].record
+            crops = [a.box.as_tuple() for a in record.annotations if a.class_id == backend.crop_class_id]
+            base = [a.box for a in samples[image_id].record.annotations if a.class_id < 3]
+            alone = label(np.array([b.as_tuple() for b in base]), record.size, cfg.crop_params)
+            assert crops == [tuple(c) for c in alone.tolist()]
+            children = [i for i in pool if str(i).startswith(f"{image_id}:crop")]
+            assert len(children) == len(alone)
+        assert sum(len(pool[i].record.annotations) > len(samples[i].record.annotations) for i in ids)
+
     def test_cache_entries_refresh_when_stale(self):
         from densecrop.teacher import CropCacheEntry, TrainerState
 
@@ -607,6 +664,25 @@ class TestTrain:
                 continue
             sup = log.loss_sup_cls + log.loss_sup_reg
             assert log.loss_total == sup + cfg.lambda_unsup * log.loss_unsup
+
+    def test_run_with_empty_discovery_passes_builds_no_child_views(self, monkeypatch):
+        # tau 0.999 keeps no pseudo-label, so every discovery pass finds no
+        # crop: the run builds the labeled pool's and the unlabeled
+        # parents' views, and no others.
+        samples = tiny_dataset()
+        backend = backend_for()
+        calls = []
+        build = backend.views
+
+        def counted_views(samples, targets=False):
+            calls.append(len(samples))
+            return build(samples, targets)
+
+        monkeypatch.setattr(backend, "views", counted_views)
+        state = train(trainer_config(tau=0.999), samples, quick_split(samples, 2), backend)
+        assert state.crop_cache
+        assert all(len(e.crops) == 0 for e in state.crop_cache.values())
+        assert calls == [2, len(samples) - 2]
 
     def test_crop_discovery_populates_cache_and_children(self):
         samples = tiny_dataset(
