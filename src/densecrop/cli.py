@@ -49,9 +49,17 @@ def _base_categories(categories: dict[int, str]) -> dict[int, str]:
     return {cid: name for cid, name in categories.items() if name != CROP_CATEGORY_NAME}
 
 
-def _load_samples(annotations_path: str, scenes_path: str):
-    loaded = dataset.load_annotations(annotations_path)
-    samples = dataset.read_scenes(scenes_path, list(loaded.records))
+def _load_samples(params: dict):
+    loaded = dataset.load_annotations(params["annotations"])
+    samples = dataset.read_scenes(params["scenes"], list(loaded.records))
+    # The toy detector reads num_base_classes payload values per object.
+    classes = params.get("detector", {}).get("num_base_classes", 0)
+    for sample in samples:
+        if len(sample.scene.object_payloads) and sample.scene.object_payloads.shape[1] < classes:
+            raise DataError(
+                f"objects of image {sample.record.image_id!r} have fewer payload values "
+                f"than the detector's {classes} base classes"
+            )
     return loaded, samples
 
 
@@ -138,27 +146,27 @@ def cmd_crops_label(params: dict) -> RunManifest:
         max(loaded.categories, default=-1) + 1,
     )
     start = time.perf_counter()
-    out_records: list[dataset.ImageRecord] = []
-    total_crops = 0
-    for record in loaded.records:
-        kept = tuple(a for a in record.annotations if a.class_id in base)
-        crops = croplab.label_density_crops(
-            geometry.box_array([a.box for a in kept]), record.size, crop_params
-        )
-        total_crops += len(crops)
-        crop_anns = tuple(
+    records = loaded.records
+    kept = [tuple(a for a in r.annotations if a.class_id in base) for r in records]
+    per_image = croplab.label_density_crops(
+        geometry.box_array([a.box for anns in kept for a in anns]),
+        [r.size for r in records], crop_params, [len(anns) for anns in kept],
+    )
+    out_records = [
+        dataclasses.replace(r, annotations=anns + tuple(
             dataset.Annotation(box=geometry.Box(*c), class_id=crop_class) for c in crops.tolist()
-        )
-        out_records.append(dataclasses.replace(record, annotations=kept + crop_anns))
+        ))
+        for r, anns, crops in zip(records, kept, per_image)
+    ]
     categories = {**base, crop_class: CROP_CATEGORY_NAME}
     dataset.write_annotations(out_records, categories, ann_path)
-    print(f"labeled {total_crops} density crops across {len(out_records)} images")
+    print(f"labeled {sum(map(len, per_image))} density crops across {len(records)} images")
     return _finish("crops-label", params, 0, start, [ann_path])
 
 
 def cmd_train(params: dict) -> RunManifest:
     ckpt_path, report_path = _out_paths(params, "checkpoint.txt", "run_report.tsv")
-    loaded, samples = _load_samples(params["annotations"], params["scenes"])
+    loaded, samples = _load_samples(params)
     trainer_config = cfg.from_dict("trainer", params["trainer"])
     backend = detect.ToyDetector(cfg.from_dict("detector", params["detector"]))
     split = dataset.read_split(params["split"], [s.record.image_id for s in samples])
@@ -192,7 +200,7 @@ def cmd_train(params: dict) -> RunManifest:
 
 def cmd_infer(params: dict) -> RunManifest:
     det_path, timing_path = _out_paths(params, "detections.tsv", "timings.tsv")
-    loaded, samples = _load_samples(params["annotations"], params["scenes"])
+    loaded, samples = _load_samples(params)
     inference_config = cfg.from_dict("inference", params["inference"])
 
     if params["backend"] == "oracle":

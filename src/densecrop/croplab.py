@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantViolation
-from .geometry import box_areas, check_boxes, intersection_matrix
+from .geometry import box_areas, check_boxes, group_pairs, intersection_matrix
 
 __all__ = [
     "CropParams",
@@ -114,14 +114,11 @@ def merge_round(
     rows, sizes, n = _stack(rows, image_size, counts)
     total = len(rows)
     image = np.repeat(np.arange(len(n)), n)
-    start = np.cumsum(n) - n
-    local = np.arange(total) - start[image]
-    # Every row pairs with each row of its own image, itself included, in
-    # row order: the pairs of row i form one block starting at first[i].
+    local = np.arange(total) - (np.cumsum(n) - n)[image]
     per_row = n[image]
-    first = np.cumsum(per_row) - per_row
-    pair_i = np.repeat(np.arange(total), per_row)
-    pair_j = np.arange(len(pair_i)) + np.repeat(start[image] - first, per_row)
+    # Every row pairs with each row of its own image, itself included, in
+    # row order.
+    pair_i, pair_j = group_pairs(n, image)
     # iou_matrix's operations, one pair at a time.
     inter = intersection_matrix(rows[pair_i], rows[pair_j][:, None])[:, 0]
     area = box_areas(rows)

@@ -3,10 +3,11 @@ synthetic scene generator used for desk-scale experiments.
 
 Images are represented by :class:`ImageRecord` (metadata + annotations +
 provenance); synthetic scenes additionally carry a :class:`SceneSpec`
-holding the abstract per-object feature payloads that stand in for pixels,
-plus the objects' boxes and payloads as arrays computed once per scene.
-Crop children come from (N, 4) crop rows, and their annotations and objects
-are projected into the upscaled crop as arrays. Records are immutable after
+holding its objects' boxes, classes and the abstract feature payloads
+that stand in for pixels, as arrays. Tiling clips a record's annotation
+rows once per tile, and crop children of a ragged stack of (parent, crop
+rows) are projected from all its annotation and object rows in one pass
+(:func:`make_crop_children`). Records are immutable after
 construction, so every transform here returns new records and is safe to
 run in parallel across images.
 """
@@ -16,13 +17,21 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, DataError, InvariantViolation
-from .geometry import Box, box_array, box_areas, clip, intersection_matrix, project_rows
+from .geometry import (
+    Box,
+    box_array,
+    box_areas,
+    check_boxes,
+    clip,
+    group_pairs,
+    intersection_matrix,
+    project_rows,
+)
 from .manifest import write_json
 from .seeding import rng_for, stable_int
 
@@ -32,7 +41,6 @@ __all__ = [
     "ImageRecord",
     "DatasetSplit",
     "UpscalePolicy",
-    "SceneObject",
     "SceneSpec",
     "SceneSample",
     "AnnotationFile",
@@ -42,7 +50,6 @@ __all__ = [
     "split_dataset",
     "write_split",
     "read_split",
-    "crop_scene",
     "make_crop_children",
     "SyntheticConfig",
     "generate_synthetic_dataset",
@@ -92,23 +99,6 @@ class Provenance:
         ):
             raise InvariantViolation("crop provenance needs parent_id, crop_box, upscale_size")
 
-    @classmethod
-    def original(cls) -> "Provenance":
-        return cls()
-
-    @classmethod
-    def tile(cls, parent_id: int | str, offset: tuple[float, float]) -> "Provenance":
-        return cls(kind="tile", parent_id=parent_id, offset=offset)
-
-    @classmethod
-    def crop(
-        cls,
-        parent_id: int | str,
-        crop_box: Box,
-        upscale_size: tuple[float, float],
-    ) -> "Provenance":
-        return cls(kind="crop", parent_id=parent_id, crop_box=crop_box, upscale_size=upscale_size)
-
 
 @dataclass(frozen=True)
 class ImageRecord:
@@ -118,7 +108,7 @@ class ImageRecord:
     width: float
     height: float
     annotations: tuple[Annotation, ...] = ()
-    provenance: Provenance = field(default_factory=Provenance.original)
+    provenance: Provenance = field(default_factory=Provenance)
 
     def __post_init__(self) -> None:
         if self.width <= 0 or self.height <= 0:
@@ -174,42 +164,26 @@ class UpscalePolicy:
         return (crop.width * s, crop.height * s)
 
 
-@dataclass(frozen=True)
-class SceneObject:
-    """Synthetic object: box, class, and its abstract feature payload."""
-
-    box: Box
-    class_id: int
-    payload: tuple[float, ...]
-
-
-def _read_only(values: np.ndarray) -> np.ndarray:
-    values.flags.writeable = False
-    return values
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SceneSpec:
     """Full description of a synthetic scene; regenerable bit-for-bit.
 
-    ``object_boxes`` and ``object_payloads`` hold the objects' boxes and
-    payloads as read-only arrays, computed on first use and kept.
+    Its objects are read-only arrays, one row per object: (N, 4) float64
+    (x1, y1, x2, y2) ``object_boxes``, (N,) int64 ``object_classes`` and
+    (N, K) float64 ``object_payloads``, the abstract features that stand in
+    for pixels. Arrays define no ``==``, so scenes compare by identity.
     """
 
     width: float
     height: float
-    objects: tuple[SceneObject, ...]
+    object_boxes: np.ndarray
+    object_classes: np.ndarray
+    object_payloads: np.ndarray
     seed: int
 
-    @cached_property
-    def object_boxes(self) -> np.ndarray:
-        """(N, 4) float64 (x1, y1, x2, y2) rows, one per object."""
-        return _read_only(box_array([obj.box for obj in self.objects]))
-
-    @cached_property
-    def object_payloads(self) -> np.ndarray:
-        """float64 payloads, one row per object; (0,) without objects."""
-        return _read_only(np.array([obj.payload for obj in self.objects], dtype=np.float64))
+    def __post_init__(self) -> None:
+        for values in (self.object_boxes, self.object_classes, self.object_payloads):
+            values.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -271,8 +245,8 @@ def load_annotations(path: str | os.PathLike) -> AnnotationFile:
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"malformed category entry {cat!r}") from exc
 
-    images: dict[int | str, dict] = {}
-    order: list[int | str] = []
+    # Each image id's (width, height, annotations), in file order.
+    images: dict[int | str, tuple[float, float, list]] = {}
     for img in payload["images"]:
         try:
             image_id = img["id"]
@@ -282,8 +256,7 @@ def load_annotations(path: str | os.PathLike) -> AnnotationFile:
             raise DataError(f"malformed image entry {img!r}") from exc
         if image_id in images:
             raise DataError(f"duplicate image id {image_id!r}")
-        images[image_id] = {"width": width, "height": height, "annotations": []}
-        order.append(image_id)
+        images[image_id] = (width, height, [])
 
     dropped = 0
     for idx, ann in enumerate(payload["annotations"]):
@@ -297,21 +270,16 @@ def load_annotations(path: str | os.PathLike) -> AnnotationFile:
             raise DataError(f"annotation #{idx} references unknown image id {image_id!r}")
         if category_id not in categories:
             raise DataError(f"annotation #{idx} references unknown category id {category_id}")
-        entry = images[image_id]
-        box = _clip_box(x, y, x + w, y + h, entry["width"], entry["height"])
+        width, height, anns = images[image_id]
+        box = _clip_box(x, y, x + w, y + h, width, height)
         if box is None:
             dropped += 1
             continue
-        entry["annotations"].append(Annotation(box=box, class_id=category_id))
+        anns.append(Annotation(box=box, class_id=category_id))
 
     records = tuple(
-        ImageRecord(
-            image_id=image_id,
-            width=images[image_id]["width"],
-            height=images[image_id]["height"],
-            annotations=tuple(images[image_id]["annotations"]),
-        )
-        for image_id in order
+        ImageRecord(image_id, width, height, tuple(anns))
+        for image_id, (width, height, anns) in images.items()
     )
     return AnnotationFile(records=records, categories=categories, dropped_zero_area=dropped)
 
@@ -372,17 +340,10 @@ def write_annotations(
 
 def _tile_offsets(size: float, tile: float, stride: float) -> list[float]:
     """Sliding-window offsets; the final tile is clamped to the image edge."""
-    if size <= tile:
-        return [0.0]
-    offsets: list[float] = []
-    o = 0.0
-    while True:
-        if o + tile >= size:
-            offsets.append(size - tile)
-            break
-        offsets.append(o)
-        o += stride
-    return offsets
+    offsets = [0.0]
+    while offsets[-1] + tile < size:
+        offsets.append(offsets[-1] + stride)
+    return offsets[:-1] + [size - tile] if len(offsets) > 1 else offsets
 
 
 def tile_image_report(
@@ -403,34 +364,33 @@ def tile_image_report(
     if not (0 < stride <= tile):
         raise ConfigError(f"stride must be in (0, tile], got {stride}")
     tiles: list[ImageRecord] = []
-    placed = [False] * len(record.annotations)
+    boxes = box_array([ann.box for ann in record.annotations])
+    least = MIN_CLIPPED_AREA_FRACTION * box_areas(boxes)
+    placed = np.zeros(len(boxes), dtype=bool)
     ys = _tile_offsets(record.height, tile, stride)
     xs = _tile_offsets(record.width, tile, stride)
     for row, oy in enumerate(ys):
         for col, ox in enumerate(xs):
             tw = min(tile, record.width - ox)
             th = min(tile, record.height - oy)
-            kept: list[Annotation] = []
-            for index, ann in enumerate(record.annotations):
-                clipped = _clip_box(
-                    ann.box.x1 - ox, ann.box.y1 - oy, ann.box.x2 - ox, ann.box.y2 - oy, tw, th
-                )
-                if clipped is None:
-                    continue
-                if clipped.area < MIN_CLIPPED_AREA_FRACTION * ann.box.area:
-                    continue
-                placed[index] = True
-                kept.append(replace(ann, box=clipped))
+            # clip keeps a -0.0 that no bound replaces, as min(max(v, 0.0), w) does.
+            clipped = clip(boxes - np.array([ox, oy, ox, oy]), 0.0, np.array([tw, th, tw, th]))
+            kept = (clipped[:, 0] < clipped[:, 2]) & (clipped[:, 1] < clipped[:, 3])
+            kept &= box_areas(clipped) >= least
+            placed |= kept
             tiles.append(
                 ImageRecord(
                     image_id=f"{record.image_id}:tile{row}_{col}",
                     width=tw,
                     height=th,
-                    annotations=tuple(kept),
-                    provenance=Provenance.tile(record.image_id, (ox, oy)),
+                    annotations=tuple(
+                        Annotation(box=Box(*box), class_id=record.annotations[index].class_id)
+                        for box, index in zip(clipped[kept].tolist(), np.flatnonzero(kept).tolist())
+                    ),
+                    provenance=Provenance("tile", record.image_id, offset=(ox, oy)),
                 )
             )
-    return tiles, sum(1 for flag in placed if not flag)
+    return tiles, int(np.count_nonzero(~placed))
 
 
 # ---------------------------------------------------------------------------
@@ -505,71 +465,82 @@ def read_split(path: str | os.PathLike, all_ids: list | set | tuple) -> DatasetS
 # ---------------------------------------------------------------------------
 
 
-def _crop_child_record(
-    record: ImageRecord,
-    boxes: np.ndarray,
-    crop: Box,
-    upscale_size: tuple[float, float],
-    index: int,
-) -> ImageRecord:
-    """Child record of ``crop``, given the parent annotations' ``boxes``."""
-    out_w, out_h = upscale_size
-    inside = intersection_matrix(boxes, np.array([crop.as_tuple()]))[:, 0] >= (
-        MIN_CLIPPED_AREA_FRACTION * box_areas(boxes)
-    )
-    mapped = clip(project_rows(boxes, crop, upscale_size), 0.0, np.array([out_w, out_h] * 2))
-    kept = inside & (mapped[:, 0] < mapped[:, 2]) & (mapped[:, 1] < mapped[:, 3])
-    return ImageRecord(
-        image_id=f"{record.image_id}:crop{index}",
-        width=out_w,
-        height=out_h,
-        annotations=tuple(
-            replace(ann, box=Box(*row))
-            for ann, row, keep in zip(record.annotations, mapped.tolist(), kept.tolist())
-            if keep
-        ),
-        provenance=Provenance.crop(record.image_id, crop, upscale_size),
-    )
-
-
-def crop_scene(scene: SceneSpec, crop: Box, upscale_size: tuple[float, float]) -> SceneSpec:
-    """Scene as seen inside an upscaled crop: objects clipped to the crop,
-    then rescaled to ``upscale_size``; objects left without area drop out."""
-    out_w, out_h = upscale_size
-    sx = out_w / crop.width
-    sy = out_h / crop.height
-    shifted = scene.object_boxes - np.array([crop.x1, crop.y1, crop.x1, crop.y1])
-    clipped = clip(shifted, 0.0, np.array([crop.width, crop.height] * 2))
-    kept = (clipped[:, 0] < clipped[:, 2]) & (clipped[:, 1] < clipped[:, 3])
-    scaled = clipped * np.array([sx, sy, sx, sy])
-    objects = tuple(
-        replace(obj, box=Box(*row))
-        for obj, row, keep in zip(scene.objects, scaled.tolist(), kept.tolist())
-        if keep
-    )
-    # Python floats: the repr of a numpy float64 scalar differs.
-    child_seed = stable_int(scene.seed) ^ stable_int(repr(crop.as_tuple()))
-    return SceneSpec(width=out_w, height=out_h, objects=objects, seed=child_seed)
-
-
 def make_crop_children(
-    sample: SceneSample, crops: np.ndarray, policy: UpscalePolicy
+    parents: list[SceneSample], crops: list[np.ndarray], policy: UpscalePolicy
 ) -> list[SceneSample]:
-    """Child samples (record + scene) for each (x1, y1, x2, y2) density-crop
-    row of ``crops``, child ``k`` named ``{parent id}:crop{k}``.
+    """Child samples (record + scene) of a ragged stack: parent ``i`` with
+    its (K_i, 4) (x1, y1, x2, y2) density-crop rows ``crops[i]``, the shape
+    ``label_density_crops(..., counts)`` returns. Children come out in
+    stack order, child ``k`` of group ``i`` named ``{parent id}:crop{k}``;
+    a parent may head several groups.
 
-    Child annotations are the parent annotations with at least half their
-    area inside the crop, mapped into upscaled-crop coordinates and
-    clipped. Each crop row becomes the one :class:`Box` that the child's
-    provenance stores.
+    Each crop is upscaled to ``policy.output_size`` of its :class:`Box`,
+    the one its child's provenance stores. The child's annotations are its
+    parent's annotations with at least half their area inside the crop,
+    projected into upscaled-crop pixels and clipped, in parent order. Its
+    scene holds the parent's objects clipped to the crop and rescaled;
+    objects left without area drop out. Every (crop, row) pair of the
+    stack is projected in one pass, a :class:`Box` is built only for each
+    crop and each kept annotation, and a child scene's seed is
+    ``stable_int(parent seed) ^ stable_int(repr(crop.as_tuple()))``.
     """
-    boxes = box_array([ann.box for ann in sample.record.annotations])
+    groups = [np.asarray(rows, dtype=np.float64).reshape(-1, 4) for rows in crops]
+    owner = np.repeat(np.arange(len(groups)), [len(rows) for rows in groups])
+    rows = np.concatenate(groups or [np.zeros((0, 4))])
+    crop_boxes = [Box(*row) for row in rows.tolist()]
+    out_sizes = [policy.output_size(crop) for crop in crop_boxes]
+    out = np.array(out_sizes, dtype=np.float64).reshape(-1, 2)
+    records, scenes = [p.record for p in parents], [p.scene for p in parents]
+
+    counts = np.array([len(record.annotations) for record in records], dtype=np.int64)
+    pair_crop, pair_ann = group_pairs(counts, owner)
+    anns = [ann for record in records for ann in record.annotations]
+    ann_rows = box_array([ann.box for ann in anns])[pair_ann]
+    crop_rows, size = rows[pair_crop], out[pair_crop]
+    inside = intersection_matrix(ann_rows, crop_rows[:, None])[:, 0] >= (
+        MIN_CLIPPED_AREA_FRACTION * box_areas(ann_rows)
+    )
+    mapped = clip(project_rows(ann_rows, crop_rows, size), 0.0, np.tile(size, 2))
+    kept = inside & (mapped[:, 0] < mapped[:, 2]) & (mapped[:, 1] < mapped[:, 3])
+    child_anns = [
+        Annotation(box=Box(*row), class_id=anns[index].class_id)
+        for row, index in zip(mapped[kept].tolist(), pair_ann[kept].tolist())
+    ]
+    ann_at = [0, *np.cumsum(np.bincount(pair_crop[kept], minlength=len(rows))).tolist()]
+
+    counts = np.array([len(scene.object_boxes) for scene in scenes], dtype=np.int64)
+    pair_crop, pair_obj = group_pairs(counts, owner)
+    objects = np.concatenate([scene.object_boxes for scene in scenes] or [np.zeros((0, 4))])
+    crop_rows = rows[pair_crop]
+    extent = crop_rows[:, 2:] - crop_rows[:, :2]
+    clipped = clip(objects[pair_obj] - np.tile(crop_rows[:, :2], 2), 0.0, np.tile(extent, 2))
+    visible = (clipped[:, 0] < clipped[:, 2]) & (clipped[:, 1] < clipped[:, 3])
+    scaled = clipped * np.tile(out[pair_crop] / extent, 2)
+    # A crop's pairs run over all of its parent's objects, in order.
+    obj_at = np.cumsum(counts[owner])[:-1]
+
     children: list[SceneSample] = []
-    for index, row in enumerate(np.asarray(crops, dtype=np.float64).reshape(-1, 4).tolist()):
-        crop = Box(*row)
-        size = policy.output_size(crop)
-        record = _crop_child_record(sample.record, boxes, crop, size, index)
-        children.append(SceneSample(record=record, scene=crop_scene(sample.scene, crop, size)))
+    first = np.searchsorted(owner, owner).tolist()
+    per_crop = zip(owner.tolist(), crop_boxes, out_sizes, np.split(scaled, obj_at))
+    for k, ((i, crop, size, boxes), seen) in enumerate(zip(per_crop, np.split(visible, obj_at))):
+        record, scene = records[i], scenes[i]
+        child = ImageRecord(
+            image_id=f"{record.image_id}:crop{k - first[k]}",
+            width=size[0],
+            height=size[1],
+            annotations=tuple(child_anns[ann_at[k] : ann_at[k + 1]]),
+            provenance=Provenance("crop", record.image_id, crop_box=crop, upscale_size=size),
+        )
+        child_scene = SceneSpec(
+            width=size[0],
+            height=size[1],
+            object_boxes=boxes[seen],
+            object_classes=scene.object_classes[seen],
+            object_payloads=scene.object_payloads[seen],
+            # Python floats: the repr of a numpy float64 scalar differs.
+            seed=stable_int(scene.seed) ^ stable_int(repr(crop.as_tuple())),
+        )
+        children.append(SceneSample(record=child, scene=child_scene))
     return children
 
 
@@ -626,7 +597,7 @@ def _place_object(
     size_range: tuple[float, float],
     class_id: int,
     config: SyntheticConfig,
-) -> SceneObject:
+) -> tuple[Box, int, np.ndarray]:
     w = float(rng.uniform(*size_range))
     h = float(rng.uniform(*size_range))
     # Shift the center so the box always fits inside the scene.
@@ -635,11 +606,7 @@ def _place_object(
     payload = np.zeros(config.num_classes)
     payload[class_id] = 1.0
     payload = payload + rng.normal(0.0, config.payload_noise, config.num_classes)
-    return SceneObject(
-        box=Box(cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0),
-        class_id=class_id,
-        payload=tuple(float(v) for v in payload),
-    )
+    return Box(cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0), class_id, payload
 
 
 def generate_synthetic_dataset(config: SyntheticConfig) -> list[SceneSample]:
@@ -652,7 +619,7 @@ def generate_synthetic_dataset(config: SyntheticConfig) -> list[SceneSample]:
     samples: list[SceneSample] = []
     for i in range(config.num_images):
         rng = rng_for(config.seed, "scene", i)
-        objects: list[SceneObject] = []
+        objects: list[tuple[Box, int, np.ndarray]] = []
         n_clusters = int(rng.integers(config.clusters_per_image[0], config.clusters_per_image[1] + 1))
         margin = 3.0 * config.cluster_spread
         for _ in range(n_clusters):
@@ -670,17 +637,20 @@ def generate_synthetic_dataset(config: SyntheticConfig) -> list[SceneSample]:
             oy = float(rng.uniform(0.0, config.height))
             class_id = int(rng.integers(0, config.num_classes))
             objects.append(_place_object(rng, ox, oy, config.large_size, class_id, config))
+        boxes, classes, payloads = zip(*objects) if objects else ((), (), ())
         scene = SceneSpec(
             width=config.width,
             height=config.height,
-            objects=tuple(objects),
+            object_boxes=box_array(boxes),
+            object_classes=np.array(classes, dtype=np.int64),
+            object_payloads=np.array(payloads).reshape(len(objects), config.num_classes),
             seed=stable_int(config.seed) ^ stable_int(i * 2654435761),
         )
         record = ImageRecord(
             image_id=i + 1,
             width=config.width,
             height=config.height,
-            annotations=tuple(Annotation(box=o.box, class_id=o.class_id) for o in objects),
+            annotations=tuple(Annotation(box=b, class_id=c) for b, c in zip(boxes, classes)),
         )
         samples.append(SceneSample(record=record, scene=scene))
     return samples
@@ -700,12 +670,12 @@ def write_scenes(samples: list[SceneSample], path: str | os.PathLike) -> None:
                 "height": s.scene.height,
                 "seed": s.scene.seed,
                 "objects": [
-                    {
-                        "box": list(o.box.as_tuple()),
-                        "class_id": o.class_id,
-                        "payload": list(o.payload),
-                    }
-                    for o in s.scene.objects
+                    {"box": box, "class_id": class_id, "payload": payload}
+                    for box, class_id, payload in zip(
+                        s.scene.object_boxes.tolist(),
+                        s.scene.object_classes.tolist(),
+                        s.scene.object_payloads.tolist(),
+                    )
                 ],
             }
             for s in samples
@@ -714,11 +684,19 @@ def write_scenes(samples: list[SceneSample], path: str | os.PathLike) -> None:
     write_json(path, payload)
 
 
+def _number_rows(rows: list, width: int) -> np.ndarray:
+    """(len(rows), width) float64 array of lists of JSON numbers; ValueError
+    unless each list holds ``width`` of them."""
+    return np.array([[float(v) for v in row] for row in rows]).reshape(len(rows), width)
+
+
 def read_scenes(path: str | os.PathLike, records: list[ImageRecord]) -> list[SceneSample]:
     """Join scene specs back onto annotation records by image id.
 
     Keys other than the ones :func:`write_scenes` writes are ignored, such
-    as the ``clusters`` of files from earlier versions.
+    as the ``clusters`` of files from earlier versions. A scene whose boxes
+    are not valid 4-number boxes, or whose objects' payloads differ in
+    length, is a :class:`DataError`.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -736,20 +714,19 @@ def read_scenes(path: str | os.PathLike, records: list[ImageRecord]) -> list[Sce
         if raw is None:
             raise DataError(f"scene file {path} has no scene for image {record.image_id!r}")
         try:
+            objects = raw["objects"]
             scene = SceneSpec(
                 width=float(raw["width"]),
                 height=float(raw["height"]),
-                seed=int(raw["seed"]),
-                objects=tuple(
-                    SceneObject(
-                        box=Box(*(float(v) for v in o["box"])),
-                        class_id=int(o["class_id"]),
-                        payload=tuple(float(v) for v in o["payload"]),
-                    )
-                    for o in raw["objects"]
+                object_boxes=_number_rows([o["box"] for o in objects], 4),
+                object_classes=np.array([int(o["class_id"]) for o in objects], dtype=np.int64),
+                object_payloads=_number_rows(
+                    [o["payload"] for o in objects], len(objects[0]["payload"]) if objects else 0
                 ),
+                seed=int(raw["seed"]),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+            check_boxes(scene.object_boxes)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DataError(f"malformed scene entry for image {record.image_id!r}") from exc
         samples.append(SceneSample(record=record, scene=scene))
     return samples

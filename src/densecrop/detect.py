@@ -295,12 +295,12 @@ def _covered_mean(values: np.ndarray, covered: np.ndarray) -> np.ndarray:
 def _padded_objects(scenes: list[SceneSpec], classes: int):
     """Each scene's object boxes, payloads and a validity mask, padded to
     the largest object count: (S, M, 4), (S, M, K) and (S, M) arrays."""
-    most = max((len(scene.objects) for scene in scenes), default=0)
+    most = max((len(scene.object_boxes) for scene in scenes), default=0)
     boxes = np.zeros((len(scenes), most, 4))
     payloads = np.zeros((len(scenes), most, classes))
     real = np.zeros((len(scenes), most), dtype=bool)
     for k, scene in enumerate(scenes):
-        n = len(scene.objects)
+        n = len(scene.object_boxes)
         boxes[k, :n] = scene.object_boxes
         payloads[k, :n] = scene.object_payloads[..., :classes].reshape(n, classes)
         real[k, :n] = True
@@ -762,7 +762,7 @@ class ToyDetector(DetectorBackend):
                 np.concatenate([scene.object_boxes for scene in parents] or [np.zeros((0, 4))]),
                 [(scene.width, scene.height) for scene in parents],
                 self._proposal_crop_params,
-                [len(scene.objects) for scene in parents],
+                [len(scene.object_boxes) for scene in parents],
             )
         )
         per_image = self.config.background_proposals

@@ -25,6 +25,7 @@ __all__ = [
     "check_boxes",
     "clip",
     "detections_from_arrays",
+    "group_pairs",
     "box_areas",
     "intersection_matrix",
     "iou_matrix",
@@ -118,6 +119,18 @@ def clip(values: np.ndarray, lo, hi) -> np.ndarray:
     return np.where(values > hi, hi, values)
 
 
+def group_pairs(counts: np.ndarray, group: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every (item, row) pair within the groups of a ragged stack, whose rows
+    come group by group, ``counts[g]`` of them in group ``g``; item ``i`` is
+    in group ``group[i]``. Returns each pair's item and row index, item by
+    item and each item's rows in stack order."""
+    start = np.cumsum(counts) - counts
+    per_item = counts[group]
+    first = np.cumsum(per_item) - per_item
+    item = np.repeat(np.arange(len(group)), per_item)
+    return item, np.arange(len(item)) + np.repeat(start[group] - first, per_item)
+
+
 def box_areas(boxes: np.ndarray) -> np.ndarray:
     """Area of each (x1, y1, x2, y2) row, computed as ``Box.area`` does."""
     return (boxes[..., 2] - boxes[..., 0]) * (boxes[..., 3] - boxes[..., 1])
@@ -142,38 +155,40 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return inter / (box_areas(a)[:, None] + box_areas(b)[None, :] - inter)
 
 
-def _crop_scales(crop: Box, crop_size: tuple[float, float]) -> tuple[float, float]:
-    iw, ih = crop_size
-    if iw <= 0 or ih <= 0:
+def _crop_frame(crop, crop_size) -> tuple[np.ndarray, np.ndarray]:
+    """(x1, y1, x1, y1) origins and (sw, sh, sw, sh) scales of one :class:`Box`
+    crop and (I_W, I_H) size, or of (N, 4) crop rows and (N, 2) sizes."""
+    crop = np.asarray(crop.as_tuple() if isinstance(crop, Box) else crop, dtype=np.float64)
+    size = np.asarray(crop_size, dtype=np.float64)
+    if (size <= 0).any():
         raise InvariantViolation(f"non-positive crop size {crop_size}")
-    return (crop.x2 - crop.x1) / iw, (crop.y2 - crop.y1) / ih
+    origin, scales = crop[..., :2], (crop[..., 2:] - crop[..., :2]) / size
+    return np.concatenate([origin, origin], axis=-1), np.concatenate([scales, scales], axis=-1)
 
 
-def project_rows(
-    rows: np.ndarray, crop: Box, crop_size: tuple[float, float]
-) -> np.ndarray:
+def project_rows(rows: np.ndarray, crop, crop_size) -> np.ndarray:
     """Map (x1, y1, x2, y2) rows from parent-image pixels into the pixels of
     ``crop`` upscaled to ``crop_size``; the inverse of :func:`reproject_rows`.
 
-    Each row is shifted by the crop origin and divided by (crop_width / I_W,
-    crop_height / I_H).
+    ``crop`` is one :class:`Box` with its (I_W, I_H) size, or (N, 4) crop
+    rows with (N, 2) sizes, one per row. Each row is shifted by its crop's
+    origin and divided by (crop_width / I_W, crop_height / I_H).
     """
-    sw, sh = _crop_scales(crop, crop_size)
-    return (rows - np.array([crop.x1, crop.y1, crop.x1, crop.y1])) / np.array([sw, sh, sw, sh])
+    origin, scales = _crop_frame(crop, crop_size)
+    return (rows - origin) / scales
 
 
-def reproject_rows(
-    rows: np.ndarray, crop: Box, crop_size: tuple[float, float]
-) -> np.ndarray:
+def reproject_rows(rows: np.ndarray, crop, crop_size) -> np.ndarray:
     """Map (x1, y1, x2, y2) rows predicted in upscaled-crop pixels back to
-    the parent image.
+    the parent image, with ``crop`` and ``crop_size`` as in
+    :func:`project_rows`.
 
     With the upscaled crop rendered at ``crop_size`` = (I_W, I_H), each row
     is scaled down by (crop_width / I_W, crop_height / I_H) and shifted by
     the crop origin, so the result lies inside the crop region.
     """
-    sw, sh = _crop_scales(crop, crop_size)
-    return rows * np.array([sw, sh, sw, sh]) + np.array([crop.x1, crop.y1, crop.x1, crop.y1])
+    origin, scales = _crop_frame(crop, crop_size)
+    return rows * scales + origin
 
 
 def nms_keep(

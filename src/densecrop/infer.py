@@ -121,7 +121,7 @@ def _detect_chunk(
     reprojection, the box check and NMS per sample."""
     crop_class = backend.crop_class_id
     blocks: list[list[tuple]] = []
-    children, owners = [], []
+    crops, owners = [], []
     for k, (sample, first) in enumerate(zip(samples, backend.detect_batch(weights, samples))):
         base = first[1] != crop_class
         stage_one = tuple(column[base] for column in first)
@@ -129,10 +129,11 @@ def _detect_chunk(
         blocks.append([stage_one])
         if config.multistage and config.max_crops_per_image > 0:
             for crop in select_crops(first, config, sample.record.size, crop_class):
-                # One child per call, so every stage-two child is named
-                # ``:crop0``; the toy detector seeds its proposals by image id.
-                children.append(make_crop_children(sample, crop[None], config.upscale)[0])
+                crops.append(crop[None])
                 owners.append(k)
+    # Each crop is a one-row group of its parent, so every stage-two child
+    # is named ``:crop0``; the toy detector seeds its proposals by image id.
+    children = make_crop_children([samples[k] for k in owners], crops, config.upscale)
     for k, child, (boxes, classes, scores) in zip(
         owners, children, backend.detect_batch(weights, children)
     ):

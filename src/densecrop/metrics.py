@@ -43,7 +43,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .errors import DataError, InvariantViolation
-from .geometry import box_areas
+from .geometry import box_areas, group_pairs
 from .manifest import write_json
 
 __all__ = [
@@ -211,11 +211,9 @@ def _chunks(table: _Table, same_class_only: bool) -> Iterator[_Chunk]:
         gts = slice(*table.gt_start[[lo, hi]].tolist())
         if dets.start == dets.stop:
             continue
-        per_det = np.repeat(gt_counts[lo:hi], det_counts[lo:hi])
-        det = np.repeat(np.arange(len(per_det)), per_det)
-        # A detection's pairs count up from the first ground truth of its image.
-        first_gt = np.repeat(table.gt_start[lo:hi] - gts.start, det_counts[lo:hi])
-        gt = np.arange(len(det)) + np.repeat(first_gt - (np.cumsum(per_det) - per_det), per_det)
+        # Each detection pairs with every ground truth of its image.
+        image = np.repeat(np.arange(hi - lo), det_counts[lo:hi])
+        det, gt = group_pairs(gt_counts[lo:hi], image)
         same_class = table.det_classes[dets][det] == table.gt_classes[gts][gt]
         if same_class_only:
             det, gt, same_class = det[same_class], gt[same_class], same_class[same_class]

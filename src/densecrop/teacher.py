@@ -362,11 +362,11 @@ def discover_unlabeled_crops(
     one stack, and one :func:`label_density_crops` call labels the
     base-class pseudo-labels of all of them as a stack of images. Each
     parent gets a new cache entry holding its crops and its crop
-    children's views; the children of all of them are built in one
-    ``views`` call, which is skipped when no parent has a crop. A recomputed
-    parent can hand an old child id to a different crop, and its new entry
-    holds the new crop's view. Before ``crop_start_iter`` the cache is
-    left untouched.
+    children's views; one :func:`make_crop_children` call builds the
+    children of all of them and one ``views`` call their views, skipped
+    when no parent has a crop. A recomputed parent can hand an old child
+    id to a different crop, and its new entry holds the new crop's view.
+    Before ``crop_start_iter`` the cache is left untouched.
     """
     if state.iteration < config.crop_start_iter:
         return
@@ -396,11 +396,10 @@ def discover_unlabeled_crops(
         config.crop_params,
         np.bincount(label_view[base], minlength=len(targets)),
     )
-    children = [make_crop_children(p, c, config.upscale) for p, c in zip(parents.samples, crops)]
-    flat = [child for group in children for child in group]
-    views = iter(backend.views(flat).split() if flat else ())
-    for image_id, image_crops, group in zip(targets, crops, children):
-        own = tuple(islice(views, len(group)))
+    children = make_crop_children(parents.samples, crops, config.upscale)
+    views = iter(backend.views(children).split() if children else ())
+    for image_id, image_crops in zip(targets, crops):
+        own = tuple(islice(views, len(image_crops)))
         state.crop_cache[image_id] = CropCacheEntry(image_crops, state.iteration, own)
 
 
@@ -415,32 +414,31 @@ def prepare_labeled_pool(
     """Labeled pool; with ``crops_on_labeled`` each image also contributes
     upscaled crop children and gains crop-class annotations. The crops of
     every labeled image come from one :func:`label_density_crops` call over
-    the stack of their base-class annotation boxes."""
+    the stack of their base-class annotation boxes, and their children
+    from one :func:`make_crop_children` call."""
     ids = sorted(labeled_ids, key=str)
     if not config.crops_on_labeled:
         return {image_id: samples[image_id] for image_id in ids}
+    parents = [samples[i] for i in ids]
     base = [
-        [a.box for a in samples[i].record.annotations if a.class_id < backend.num_base_classes]
-        for i in ids
+        [a.box for a in p.record.annotations if a.class_id < backend.num_base_classes]
+        for p in parents
     ]
     per_image = label_density_crops(
         box_array([box for boxes in base for box in boxes]),
-        [samples[i].record.size for i in ids],
+        [p.record.size for p in parents],
         config.crop_params,
         [len(boxes) for boxes in base],
     )
+    children = iter(make_crop_children(parents, per_image, config.upscale))
     pool: dict = {}
-    for image_id, crops in zip(ids, per_image):
-        sample = samples[image_id]
-        for child in make_crop_children(sample, crops, config.upscale):
-            pool[child.record.image_id] = child
+    for image_id, parent, crops in zip(ids, parents, per_image):
+        pool.update((child.record.image_id, child) for child in islice(children, len(crops)))
         crop_anns = tuple(
             Annotation(box=Box(*c), class_id=backend.crop_class_id) for c in crops.tolist()
         )
-        record = replace(
-            sample.record, annotations=sample.record.annotations + crop_anns
-        )
-        pool[image_id] = SceneSample(record=record, scene=sample.scene)
+        record = replace(parent.record, annotations=parent.record.annotations + crop_anns)
+        pool[image_id] = SceneSample(record=record, scene=parent.scene)
     return pool
 
 
@@ -462,10 +460,12 @@ def train(
     per call, in a view (a :class:`ViewStack` of one) that lives only as
     long as the call: the labeled pool's views and the unlabeled parents'
     views are built up front, one ``views`` call each. A crop discovery
-    pass builds its children's views in one more call and stores them in
-    their parents' crop-cache entries, so a recomputed entry brings the
-    views of its new crops, even under an id an earlier, different crop
-    used, and the old views leave with the old entry.
+    pass builds the children of all its parents in one
+    :func:`make_crop_children` call and their views in one more ``views``
+    call, and stores them in their parents' crop-cache entries, so a
+    recomputed entry brings the views of its new crops, even under an id
+    an earlier, different crop used, and the old views leave with the old
+    entry.
 
     Each iteration works on two :class:`ViewStack` objects, ragged stacks
     of views' proposals, features and (for labeled views) targets. The

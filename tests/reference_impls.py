@@ -476,8 +476,9 @@ def extract_features_ref(
     covered_areas: list[float] = []
     payload_sum = np.zeros(num_base_classes)
     weight_sum = 0.0
-    for obj in scene.objects:
-        ob = obj.box.as_tuple()
+    for ob, obj_payload in zip(
+        map(tuple, scene.object_boxes.tolist()), scene.object_payloads.tolist()
+    ):
         inter = _intersection_ref(proposal, ob)
         if inter > 0.0:
             obj_area = _area_ref(ob)
@@ -486,7 +487,7 @@ def extract_features_ref(
             frac = inter / obj_area
             covered_fracs.append(frac)
             covered_areas.append(obj_area)
-            payload_sum += frac * np.asarray(obj.payload[:num_base_classes])
+            payload_sum += frac * np.asarray(obj_payload[:num_base_classes])
             weight_sum += frac
         ocx, ocy = (ob[0] + ob[2]) / 2.0, (ob[1] + ob[3]) / 2.0
         if x1 <= ocx < x2 and y1 <= ocy < y2:
@@ -554,7 +555,7 @@ def proposals_ref(backend, sample) -> list[tuple]:
     cfg, record, scene = backend.config, sample.record, sample.scene
     params = backend._proposal_crop_params
     rng = rng_for(cfg.seed, "proposals", record.image_id)
-    candidates = [obj.box.as_tuple() for obj in scene.objects]
+    candidates = [tuple(row) for row in scene.object_boxes.tolist()]
     if record.provenance.kind != "crop":
         candidates += label_density_crops_ref(
             candidates, (scene.width, scene.height), params.sigma, params.theta, params.pi,
@@ -717,3 +718,86 @@ def student_batch_ref(backend, teacher, views, tau, weak_seeds, strong_seeds):
         features.append(strong[kept])
         classes.append(targets[kept])
     return np.concatenate(features), np.concatenate(classes), total
+
+
+def scene_spec(width: float, height: float, seed: int, objects=(), payload_width: int = 0):
+    """A ``SceneSpec`` of (box tuple, class id, payload) objects; a scene
+    without objects has ``payload_width`` payload columns."""
+    from densecrop.dataset import SceneSpec
+
+    boxes = [box for box, _, _ in objects]
+    payloads = [payload for _, _, payload in objects]
+    return SceneSpec(
+        width=width,
+        height=height,
+        object_boxes=np.array(boxes, dtype=np.float64).reshape(-1, 4),
+        object_classes=np.array([c for _, c, _ in objects], dtype=np.int64),
+        object_payloads=np.array(payloads, dtype=np.float64).reshape(
+            len(objects), len(payloads[0]) if objects else payload_width
+        ),
+        seed=seed,
+    )
+
+
+def crop_children_ref(parents: list, crops: list, policy) -> list:
+    """Crop children one crop and one box at a time, in Python floats:
+    ``crops[i]`` holds the (x1, y1, x2, y2) crop rows of ``parents[i]``,
+    and child ``k`` of that group is ``{parent id}:crop{k}``.
+
+    An annotation stays when at least half its area lies inside the crop;
+    it is shifted by the crop origin, divided by (crop side / output side)
+    and clipped as ``min(max(v, 0.0), side)``. An object is shifted,
+    clipped to the crop the same way, kept while it has area, and
+    multiplied by (output side / crop side). Every kept box is a ``Box``.
+    """
+    from densecrop.dataset import Annotation, ImageRecord, Provenance, SceneSample
+    from densecrop.geometry import Box
+    from densecrop.seeding import stable_int
+
+    children = []
+    for parent, rows in zip(parents, crops):
+        record, scene = parent.record, parent.scene
+        for k, row in enumerate(np.asarray(rows, dtype=np.float64).reshape(-1, 4).tolist()):
+            crop = Box(*row)
+            out_w, out_h = policy.output_size(crop)
+            sw, sh = (crop.x2 - crop.x1) / out_w, (crop.y2 - crop.y1) / out_h
+            anns = []
+            for ann in record.annotations:
+                b = ann.box.as_tuple()
+                if _intersection_ref(b, crop.as_tuple()) < 0.5 * _area_ref(b):
+                    continue
+                x1 = min(max((b[0] - crop.x1) / sw, 0.0), out_w)
+                y1 = min(max((b[1] - crop.y1) / sh, 0.0), out_h)
+                x2 = min(max((b[2] - crop.x1) / sw, 0.0), out_w)
+                y2 = min(max((b[3] - crop.y1) / sh, 0.0), out_h)
+                if x1 < x2 and y1 < y2:
+                    anns.append(Annotation(box=Box(x1, y1, x2, y2), class_id=ann.class_id))
+            objects = []
+            for b, class_id, payload in zip(
+                scene.object_boxes.tolist(),
+                scene.object_classes.tolist(),
+                scene.object_payloads.tolist(),
+            ):
+                x1 = min(max(b[0] - crop.x1, 0.0), crop.width)
+                y1 = min(max(b[1] - crop.y1, 0.0), crop.height)
+                x2 = min(max(b[2] - crop.x1, 0.0), crop.width)
+                y2 = min(max(b[3] - crop.y1, 0.0), crop.height)
+                if x1 < x2 and y1 < y2:
+                    sx, sy = out_w / crop.width, out_h / crop.height
+                    box = Box(x1 * sx, y1 * sy, x2 * sx, y2 * sy)
+                    objects.append((box.as_tuple(), class_id, payload))
+            child = ImageRecord(
+                image_id=f"{record.image_id}:crop{k}",
+                width=out_w,
+                height=out_h,
+                annotations=tuple(anns),
+                provenance=Provenance(
+                    "crop", record.image_id, crop_box=crop, upscale_size=(out_w, out_h)
+                ),
+            )
+            seed = stable_int(scene.seed) ^ stable_int(repr(crop.as_tuple()))
+            width = scene.object_payloads.shape[1]
+            children.append(
+                SceneSample(record=child, scene=scene_spec(out_w, out_h, seed, objects, width))
+            )
+    return children

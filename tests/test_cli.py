@@ -574,6 +574,30 @@ class TestExitCodes:
         assert run(argv) == 3
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("case", ["ragged train", "narrow train", "narrow infer"])
+    def test_short_object_payload_is_data_error(self, case, workspace, trained, tmp_path, capsys):
+        # The toy detector reads num_base_classes (here 3) payload values
+        # per object: one short payload makes the scene ragged, all of
+        # them short make it narrower than the detector.
+        payload = json.loads(workspace["scenes"].read_text())
+        objects = [obj for scene in payload["scenes"].values() for obj in scene["objects"]]
+        for obj in objects[:1] if case.startswith("ragged") else objects:
+            del obj["payload"][2:]
+        bad = tmp_path / "scenes.json"
+        bad.write_text(json.dumps(payload))
+        ann, out = str(workspace["annotations"]), str(tmp_path / "out")
+        if case.endswith("infer"):
+            argv = ["infer", "--annotations", ann, "--scenes", str(bad),
+                    "--checkpoint", str(trained / "checkpoint.txt"), "--out", out]
+        else:
+            argv = [
+                "train", "--annotations", ann, "--scenes", str(bad),
+                "--split", str(workspace["split"]), "--out", out, "--burn-in-iters", "1",
+                "--max-iters", "2", "--crop-start-iter", "3", "--learning-rate", "0.01",
+            ]
+        assert run(argv) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_missing_checkpoint_flag_is_config_error(self, workspace, tmp_path):
         code = run(
             [

@@ -1,6 +1,8 @@
 """Annotation IO, tiling, splits, crop augmentation, synthetic scenes."""
 
+import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,10 +11,8 @@ from densecrop.dataset import (
     Annotation,
     ImageRecord,
     SceneSample,
-    SceneSpec,
     SyntheticConfig,
     UpscalePolicy,
-    crop_scene,
     generate_synthetic_dataset,
     load_annotations,
     make_crop_children,
@@ -24,8 +24,18 @@ from densecrop.dataset import (
     write_scenes,
     write_split,
 )
-from densecrop.errors import ConfigError, DataError
+from densecrop.cli import main as cli_main
+from densecrop.croplab import CropParams, label_density_crops
+from densecrop.errors import ConfigError, DataError, InvariantViolation
 from densecrop.geometry import Box, reproject_rows
+
+from reference_impls import crop_children_ref, scene_spec
+
+# `dataset gen --num-images 12 --seed 5`, and that dataset tiled by
+# `dataset tile --tile 100 --stride 100`.
+SCENES_SHA256 = "8464f3225bfbce7d17fbd247fb25a4562eb41f6b551eee8bb3af70fb3c738318"
+ANNOTATIONS_SHA256 = "9280281b641eddde2d7eec562417fde2975f009908aa1ca96a750dc65d76d7bd"
+TILES_SHA256 = "3390681fdbbc0a9af1b801fb0b136cfc695b9597bcd72253bd4747190e01dddc"
 
 
 def coco_payload(images, annotations, categories=None):
@@ -194,6 +204,13 @@ class TestTileImage:
         _, lost3 = tile_image_report(record3, tile=100, stride=100)
         assert lost3 == 1
 
+    def test_negative_zero_corner_kept(self):
+        # min(max(-0.0, 0.0), w) is -0.0, and a tile keeps it; np.maximum
+        # would turn it into 0.0
+        ann = Annotation(box=Box(-0.0, 0.0, 10.0, 10.0), class_id=0)
+        tiles, _ = tile_image_report(self.make_record(200, 50, (ann,)), tile=100, stride=100)
+        assert repr(tiles[0].annotations[0].box.as_tuple()) == "(-0.0, 0.0, 10.0, 10.0)"
+
     def test_invalid_params(self):
         rec = self.make_record(100, 100)
         with pytest.raises(ConfigError):
@@ -253,8 +270,25 @@ class TestSplitDataset:
 
 def with_scene(record):
     """``record`` paired with an empty scene of its size."""
-    scene = SceneSpec(width=record.width, height=record.height, objects=(), seed=0)
-    return SceneSample(record=record, scene=scene)
+    return SceneSample(record=record, scene=scene_spec(record.width, record.height, 0))
+
+
+def assert_same_scene(got, want):
+    """Equal scenes, bit for bit: size, seed, and each object array's
+    dtype, shape and bytes."""
+    assert (got.width, got.height, got.seed) == (want.width, want.height, want.seed)
+    for name in ("object_boxes", "object_classes", "object_payloads"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+
+
+def assert_same_samples(got, want):
+    """Equal samples, bit for bit: ``repr`` shows a -0.0 that ``==`` on
+    records would miss."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.record == b.record and repr(a.record) == repr(b.record)
+        assert_same_scene(a.scene, b.scene)
 
 
 class TestAugmentWithCrops:
@@ -274,12 +308,14 @@ class TestAugmentWithCrops:
         )
 
     def test_zero_crops_unchanged(self):
-        assert make_crop_children(self.parent(), [], UpscalePolicy("factor", factor=2.0)) == []
+        policy = UpscalePolicy("factor", factor=2.0)
+        assert make_crop_children([self.parent()], [np.zeros((0, 4))], policy) == []
+        assert make_crop_children([], [], policy) == []
 
     def test_known_transform(self):
         crop = Box(100, 100, 300, 200)
         policy = UpscalePolicy("factor", factor=2.0)
-        out = make_crop_children(self.parent(), np.array([crop.as_tuple()]), policy)
+        out = make_crop_children([self.parent()], [np.array([crop.as_tuple()])], policy)
         assert len(out) == 1
         child = out[0].record
         assert child.provenance.kind == "crop"
@@ -292,7 +328,7 @@ class TestAugmentWithCrops:
     def test_annotation_outside_crop_absent(self):
         crop = Box(100, 100, 300, 200)
         out = make_crop_children(
-            self.parent(), np.array([crop.as_tuple()]), UpscalePolicy("factor", factor=2.0)
+            [self.parent()], [np.array([crop.as_tuple()])], UpscalePolicy("factor", factor=2.0)
         )
         child_classes = {a.class_id for a in out[0].record.annotations}
         assert 1 not in child_classes
@@ -312,7 +348,7 @@ class TestAugmentWithCrops:
             crop = Box(x, y, x + w, y + h)
             policy = UpscalePolicy("short_edge", target=256.0)
             crops = np.array([crop.as_tuple()])
-            child = make_crop_children(with_scene(parent), crops, policy)[0].record
+            child = make_crop_children([with_scene(parent)], [crops], policy)[0].record
             assert len(child.annotations) == 1
             back = reproject_rows(
                 np.array([child.annotations[0].box.as_tuple()]), crop, child.provenance.upscale_size
@@ -337,7 +373,9 @@ class TestAugmentWithCrops:
         )
         crop = np.array([[100.0, 0.0, 300.0, 200.0], [0.0, 0.0, 200.0, 200.0]])
         policy = UpscalePolicy("factor", factor=2.0)
-        first, second = (c.record.annotations for c in make_crop_children(parent, crop, policy))
+        first, second = (
+            c.record.annotations for c in make_crop_children([parent], [crop], policy)
+        )
         assert first == (Annotation(box=Box(0, 20, 20, 60), class_id=0),)
         boxes = [a.box.as_tuple() for a in second]
         assert repr(boxes[-1]) == "(-0.0, 0.0, 240.0, 40.0)"
@@ -402,9 +440,9 @@ class TestSyntheticScenes:
     def test_boxes_inside_scene(self):
         cfg = SyntheticConfig(num_images=5, seed=3)
         for sample in generate_synthetic_dataset(cfg):
-            for obj in sample.scene.objects:
-                assert 0 <= obj.box.x1 < obj.box.x2 <= cfg.width
-                assert 0 <= obj.box.y1 < obj.box.y2 <= cfg.height
+            for x1, y1, x2, y2 in sample.scene.object_boxes.tolist():
+                assert 0 <= x1 < x2 <= cfg.width
+                assert 0 <= y1 < y2 <= cfg.height
 
     def test_same_seed_bit_identical(self, tmp_path):
         cfg = SyntheticConfig(num_images=4, seed=11)
@@ -414,7 +452,7 @@ class TestSyntheticScenes:
         write_scenes(a, pa)
         write_scenes(b, pb)
         assert pa.read_bytes() == pb.read_bytes()
-        assert a == b
+        assert_same_samples(a, b)
 
     def test_invalid_config(self):
         with pytest.raises(ConfigError):
@@ -435,7 +473,9 @@ class TestSyntheticScenes:
         )
         loaded = load_annotations(ann_path)
         rejoined = read_scenes(scene_path, list(loaded.records))
-        assert [s.scene for s in rejoined] == [s.scene for s in samples]
+        for got, want in zip(rejoined, samples, strict=True):
+            assert_same_scene(got.scene, want.scene)
+        assert rejoined[0].scene.object_classes.dtype == np.int64
 
     def test_scene_file_with_clusters_key_loads(self, tmp_path):
         # earlier versions also wrote each scene's cluster centres
@@ -448,7 +488,7 @@ class TestSyntheticScenes:
             scene["clusters"] = [{"center": [100.0, 120.0], "spread": 28.0, "count": 6}]
         path.write_text(json.dumps(payload))
         rejoined = read_scenes(path, [s.record for s in samples])
-        assert rejoined == samples
+        assert_same_samples(rejoined, samples)
 
     def test_scene_file_missing_image_rejected(self, tmp_path):
         cfg = SyntheticConfig(num_images=2, seed=5)
@@ -463,36 +503,129 @@ class TestCropScene:
     def test_scene_arrays_are_computed_once_and_read_only(self):
         sample = generate_synthetic_dataset(SyntheticConfig(num_images=1, seed=3))[0]
         crop = np.array([[100.0, 100.0, 356.0, 356.0]])
-        child = make_crop_children(sample, crop, UpscalePolicy("factor", factor=2.0))[0]
+        child = make_crop_children([sample], [crop], UpscalePolicy("factor", factor=2.0))[0]
         for scene in (sample.scene, child.scene):
             assert scene.object_boxes is scene.object_boxes
-            assert scene.object_boxes.tolist() == [list(o.box.as_tuple()) for o in scene.objects]
-            assert scene.object_payloads.tolist() == [list(o.payload) for o in scene.objects]
-            for values in (scene.object_boxes, scene.object_payloads):
+            n = len(scene.object_boxes)
+            assert n and scene.object_boxes.shape == (n, 4)
+            assert scene.object_classes.shape == (n,) and scene.object_payloads.shape == (n, 4)
+            for values in (scene.object_boxes, scene.object_classes, scene.object_payloads):
                 with pytest.raises(ValueError):
-                    values[0, 0] = 1.0
-        empty = SceneSpec(width=10.0, height=10.0, objects=(), seed=0)
+                    values[0] = 1.0
+        empty = scene_spec(10.0, 10.0, 0)
         assert empty.object_boxes.shape == (0, 4) and len(empty.object_payloads) == 0
-
-    def test_objects_transform_and_clip(self):
-        cfg = SyntheticConfig(num_images=1, seed=2)
-        sample = generate_synthetic_dataset(cfg)[0]
-        crop = Box(100, 100, 356, 356)
-        child = crop_scene(sample.scene, crop, (512.0, 512.0))
-        assert child.width == 512.0 and child.height == 512.0
-        for obj in child.objects:
-            assert 0 <= obj.box.x1 < obj.box.x2 <= 512.0
-            assert 0 <= obj.box.y1 < obj.box.y2 <= 512.0
 
     def test_make_crop_children_pairs_record_and_scene(self):
         cfg = SyntheticConfig(num_images=1, seed=4)
         sample = generate_synthetic_dataset(cfg)[0]
         crop = Box(50, 50, 306, 306)
         children = make_crop_children(
-            sample, np.array([crop.as_tuple()]), UpscalePolicy("factor", factor=2.0)
+            [sample], [np.array([crop.as_tuple()])], UpscalePolicy("factor", factor=2.0)
         )
         assert len(children) == 1
         child = children[0]
         assert child.record.provenance.kind == "crop"
         assert child.record.width == child.scene.width
         assert child.record.image_id == "1:crop0"
+
+    def ragged_parents(self, rng):
+        """Random parents and crop groups, with a parent without
+        annotations, one without objects, one with zero crops, and one
+        repeated in one-row groups as inference passes it."""
+        samples = generate_synthetic_dataset(
+            SyntheticConfig(num_images=6, num_classes=3, seed=int(rng.integers(1 << 30)))
+        )
+        no_anns = replace(samples[1], record=replace(samples[1].record, annotations=()))
+        no_objects = replace(samples[2], scene=scene_spec(512.0, 512.0, 9, payload_width=3))
+        parents = [samples[0], no_anns, no_objects, samples[3]]
+        crops = []
+        for sample in parents:
+            found = label_density_crops(
+                sample.scene.object_boxes if len(sample.scene.object_boxes)
+                else np.array([a.box.as_tuple() for a in sample.record.annotations]),
+                sample.record.size,
+                CropParams(merge_steps=2),
+            )
+            x1, y1 = rng.uniform(0.0, 400.0, (2, 3))
+            w, h = rng.uniform(5.0, 200.0, (2, 3))
+            # Rounded corners put box edges on crop edges.
+            drawn = np.round(np.stack([x1, y1, x1 + w, y1 + h], axis=1))
+            crops.append(np.concatenate([found, drawn]))
+        parents.append(samples[4])
+        crops.append(np.zeros((0, 4)))
+        for row in crops[0][:3]:
+            parents.append(samples[0])
+            crops.append(row[None])
+        order = rng.permutation(len(parents))
+        return [parents[i] for i in order], [crops[i] for i in order]
+
+    def test_ragged_stack_equals_per_box_reference(self):
+        # One call over a ragged stack against the scalar reference: child
+        # records, annotation order, provenance, scene arrays and seeds.
+        rng = np.random.default_rng(16)
+        for trial in range(12):
+            parents, crops = self.ragged_parents(rng)
+            policy = (
+                UpscalePolicy("factor", factor=float(rng.uniform(1.0, 4.0)))
+                if trial % 2 else UpscalePolicy("short_edge", target=float(rng.uniform(64, 512)))
+            )
+            got = make_crop_children(parents, crops, policy)
+            assert_same_samples(got, crop_children_ref(parents, crops, policy))
+            assert len(got) == sum(len(c) for c in crops)
+            assert sum(len(c.record.annotations) for c in got) > 0
+            assert sum(len(c.scene.object_boxes) for c in got) > 0
+            for child in got:
+                w, h = child.record.size
+                assert (child.scene.width, child.scene.height) == (w, h)
+                for x1, y1, x2, y2 in child.scene.object_boxes.tolist():
+                    assert 0 <= x1 < x2 <= w and 0 <= y1 < y2 <= h
+            repeated = [c.record.image_id for c in got if c.record.provenance.parent_id == 1]
+            assert repeated.count("1:crop0") >= 3
+
+    def test_degenerate_crop_row_rejected(self):
+        sample = generate_synthetic_dataset(SyntheticConfig(num_images=1, seed=4))[0]
+        crops = np.array([[10.0, 10.0, 50.0, 50.0], [60.0, 60.0, 60.0, 90.0]])
+        with pytest.raises(InvariantViolation):
+            make_crop_children([sample], [crops], UpscalePolicy())
+
+
+class TestPinnedFiles:
+    def test_generated_and_tiled_files_are_pinned(self, tmp_path, capsys):
+        def digest(path):
+            return hashlib.sha256(path.read_bytes()).hexdigest()
+
+        gen, tiles = tmp_path / "gen", tmp_path / "tiles"
+        assert cli_main(["dataset", "gen", "--out", str(gen), "--num-images", "12", "--seed", "5"]) == 0
+        assert digest(gen / "scenes.json") == SCENES_SHA256
+        assert digest(gen / "annotations.json") == ANNOTATIONS_SHA256
+        capsys.readouterr()
+        argv = ["dataset", "tile", "--annotations", str(gen / "annotations.json")]
+        assert cli_main([*argv, "--out", str(tiles), "--tile", "100", "--stride", "100"]) == 0
+        assert "432 tiles (7 annotations lost to straddling)" in capsys.readouterr().out
+        assert digest(tiles / "annotations.json") == TILES_SHA256
+
+
+class TestSceneFileChecks:
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda objs: objs[1]["payload"].pop(),
+            lambda objs: objs[1]["payload"].append([1.0]),
+            lambda objs: objs[0]["box"].pop(),
+            lambda objs: objs[0]["box"].extend([1.0, 2.0, 3.0, 4.0]),
+            lambda objs: objs[0].update(box=[[1.0, 2.0], [3.0, 4.0]]),
+            lambda objs: objs[0]["box"].__setitem__(2, None),
+            lambda objs: objs[0]["box"].__setitem__(2, objs[0]["box"][0]),
+        ],
+        ids=["short payload", "nested payload", "3-number box", "8-number box",
+             "nested box", "null coordinate", "zero-width box"],
+    )
+    def test_malformed_objects_rejected(self, tmp_path, edit):
+        samples = generate_synthetic_dataset(SyntheticConfig(num_images=2, seed=5))
+        path = tmp_path / "scenes.json"
+        write_scenes(samples, path)
+        payload = json.loads(path.read_text())
+        edit(payload["scenes"]["2"]["objects"])
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match="malformed scene entry for image 2"):
+            read_scenes(path, [s.record for s in samples])

@@ -9,9 +9,7 @@ from densecrop.croplab import CropParams
 from densecrop.dataset import (
     Annotation,
     ImageRecord,
-    SceneObject,
     SceneSample,
-    SceneSpec,
     SyntheticConfig,
     generate_synthetic_dataset,
 )
@@ -48,6 +46,7 @@ from reference_impls import (
     extract_features_ref,
     proposals_ref,
     safe_box_ref,
+    scene_spec,
 )
 
 
@@ -156,12 +155,10 @@ class TestExtractFeatures:
 
     def test_payload_block_peaks_at_covered_class(self):
         sample = scene_sample(seed=2)
-        obj = sample.scene.objects[0]
-        phi = extract_features(
-            sample.scene, np.array([obj.box.as_tuple()]), 4, payload_obs_scale=0.0
-        )
+        scene = sample.scene
+        phi = extract_features(scene, scene.object_boxes[:1], 4, payload_obs_scale=0.0)
         payload = phi[0, 8:]
-        assert int(np.argmax(payload)) == obj.class_id
+        assert int(np.argmax(payload)) == scene.object_classes[0]
 
     def test_thin_proposal_finite(self):
         sample = scene_sample(seed=3)
@@ -496,10 +493,10 @@ class TestToyDetector:
         sample = scene_sample(seed=9, clusters_per_image=(2, 2), objects_per_cluster=(6, 6))
         backend = self.backend()
         child = make_crop_children(
-            sample, np.array([[50.0, 50.0, 306.0, 306.0]]), UpscalePolicy("factor", factor=2.0)
+            [sample], [np.array([[50.0, 50.0, 306.0, 306.0]])], UpscalePolicy("factor", factor=2.0)
         )[0]
-        n_parent_extra = len(backend.proposals([sample])[0]) - len(sample.scene.objects)
-        n_child_extra = len(backend.proposals([child])[0]) - len(child.scene.objects)
+        n_parent_extra = len(backend.proposals([sample])[0]) - len(sample.scene.object_boxes)
+        n_child_extra = len(backend.proposals([child])[0]) - len(child.scene.object_boxes)
         # child gets only background proposals, no cluster candidates
         assert n_child_extra == backend.config.background_proposals
         assert n_parent_extra > backend.config.background_proposals
@@ -507,7 +504,7 @@ class TestToyDetector:
     def test_unsupervised_batch_excludes_unmatched(self):
         sample = scene_sample(seed=10)
         backend = self.backend()
-        pseudo_boxes = np.array([sample.scene.objects[0].box.as_tuple()])
+        pseudo_boxes = sample.scene.object_boxes[:1]
         batch = backend.unsupervised_batch(
             ViewStack.of([backend.views([sample])]),
             pseudo_boxes,
@@ -537,19 +534,19 @@ class TestArrayKernelsMatchLoops:
         crops = label_density_crops(
             dense.scene.object_boxes, dense.record.size, CropParams(merge_steps=2)
         )
-        child = make_crop_children(dense, crops[:1], UpscalePolicy("factor", factor=3.0))[0]
-        assert child.record.provenance.kind == "crop" and len(child.scene.objects) >= 9
+        child = make_crop_children([dense], [crops[:1]], UpscalePolicy("factor", factor=3.0))[0]
+        assert child.record.provenance.kind == "crop" and len(child.scene.object_boxes) >= 9
         return [dense, scene_sample(seed=22), child]
 
     def extra_boxes(self, sample):
         """The whole image, an edge-touching box and a thin box."""
         w, h = sample.record.size
-        first = sample.scene.objects[0].box
+        x1, y1, x2, y2 = sample.scene.object_boxes[0].tolist()
         return np.array(
             [
                 [0.0, 0.0, w, h],
-                [first.x2, first.y1, first.x2 + 20.0, first.y2],  # touches the first object
-                [first.x1, 0.0, first.x1 + 0.01, h],
+                [x2, y1, x2 + 20.0, y2],  # touches the first object
+                [x1, 0.0, x1 + 0.01, h],
             ]
         )
 
@@ -566,8 +563,8 @@ class TestArrayKernelsMatchLoops:
 
     def test_features_of_touching_and_empty_scenes_match_loop(self):
         objects = (
-            SceneObject(box=Box(10.0, 10.0, 30.0, 30.0), class_id=1, payload=(0.1, 0.8, 0.1)),
-            SceneObject(box=Box(30.0, 10.0, 50.0, 30.0), class_id=2, payload=(0.0, 0.2, 0.9)),
+            ((10.0, 10.0, 30.0, 30.0), 1, (0.1, 0.8, 0.1)),
+            ((30.0, 10.0, 50.0, 30.0), 2, (0.0, 0.2, 0.9)),
         )
         boxes = np.array(
             [
@@ -578,7 +575,7 @@ class TestArrayKernelsMatchLoops:
             ]
         )
         for objs in (objects, ()):
-            scene = SceneSpec(width=100.0, height=80.0, objects=objs, seed=3)
+            scene = scene_spec(100.0, 80.0, 3, objs, payload_width=3)
             want = np.stack([extract_features_ref(scene, r, 3) for r in rows(boxes)])
             got = extract_features(scene, boxes, 3)
             assert np.array_equal(got, want)
@@ -699,11 +696,11 @@ class TestArrayKernelsMatchLoops:
         crops = label_density_crops(
             dense.scene.object_boxes, dense.record.size, CropParams(merge_steps=2)
         )
-        children = make_crop_children(dense, crops[1:3], UpscalePolicy("factor", factor=2.0))
+        children = make_crop_children([dense], [crops[1:3]], UpscalePolicy("factor", factor=2.0))
         small = scene_sample(seed=23, width=320.0, height=200.0, clusters_per_image=(0, 1))
         empty = SceneSample(
             record=record_with([], width=240.0, height=180.0, image_id="empty"),
-            scene=SceneSpec(width=240.0, height=180.0, objects=(), seed=4),
+            scene=scene_spec(240.0, 180.0, 4),
         )
         # another id, so the same image draws other proposals in the batch
         renamed = replace(other, record=replace(other.record, image_id="other"))
@@ -780,7 +777,7 @@ class TestArrayKernelsMatchLoops:
         self.backend().views(samples)
         parents = [s for s in samples if s.record.provenance.kind != "crop"]
         assert len(parents) < len(samples)
-        assert calls == [[len(s.scene.objects) for s in parents]]
+        assert calls == [[len(s.scene.object_boxes) for s in parents]]
         self.backend().views([])
         assert calls[1:] == [[]]
 
@@ -791,7 +788,7 @@ class TestArrayKernelsMatchLoops:
         samples = self.mixed_batch()
         per_scene = [
             np.concatenate([backend.proposals([s])[0], self.extra_boxes(s)])
-            if s.scene.objects else np.array([[0.0, 0.0, *s.record.size]])
+            if len(s.scene.object_boxes) else np.array([[0.0, 0.0, *s.record.size]])
             for s in samples
         ]
         for scale in (4.0, 0.0):

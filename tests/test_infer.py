@@ -8,7 +8,6 @@ from densecrop.dataset import (
     Annotation,
     ImageRecord,
     SceneSample,
-    SceneSpec,
     SyntheticConfig,
     UpscalePolicy,
     generate_synthetic_dataset,
@@ -31,7 +30,7 @@ from densecrop.infer import (
 )
 from densecrop.metrics import recall_by_size
 
-from reference_impls import detection_arrays
+from reference_impls import detection_arrays, scene_spec
 
 CROP_PARAMS = CropParams(merge_steps=1, sigma=5, theta=0.05, pi=0.5, min_cluster=2)
 
@@ -170,7 +169,7 @@ class TestDetectMultistage:
             Annotation(box=c, class_id=3) for c in crops
         )
         record = ImageRecord(image_id=1, width=512.0, height=512.0, annotations=annotations)
-        scene = SceneSpec(width=512.0, height=512.0, objects=(), seed=0)
+        scene = scene_spec(512.0, 512.0, 0)
         sample = SceneSample(record=record, scene=scene)
         for s in smalls:
             assert any(
@@ -317,7 +316,7 @@ class TestChunkedInference:
         generated = generate_synthetic_dataset(cfg)
         empty = SceneSample(
             record=ImageRecord(image_id="empty", width=300.0, height=300.0, annotations=()),
-            scene=SceneSpec(width=300.0, height=300.0, objects=(), seed=1),
+            scene=scene_spec(300.0, 300.0, 1, payload_width=3),
         )
         return generated[:5] + [empty] + generated[5:]
 

@@ -226,11 +226,12 @@ class TestStudentBatch:
         )
         backend = backend_for(payload_obs_scale=2.0)
         views = [backend.views([s]) for s in samples.values()]
-        for sample in list(samples.values())[:3]:
-            crops = np.array([[40.0, 60.0, 140.0, 140.0], [200.0, 180.0, 330.0, 300.0]])
-            for child in make_crop_children(sample, crops, UPSCALE):
-                assert child.record.size != sample.record.size
-                views.append(backend.views([child]))
+        parents = list(samples.values())[:3]
+        crops = np.array([[40.0, 60.0, 140.0, 140.0], [200.0, 180.0, 330.0, 300.0]])
+        children = make_crop_children(parents, [crops] * len(parents), UPSCALE)
+        for k, child in enumerate(children):
+            assert child.record.size != parents[k // 2].record.size
+            views.append(backend.views([child]))
         edge = views[0]
         proposals = edge.proposals.copy()
         proposals[0, :2] = 0.0
@@ -317,10 +318,8 @@ class TestSupervisedBatch:
         samples = tiny_dataset(seed=7, n=4, clusters_per_image=(2, 2), objects_per_cluster=(6, 8))
         samples = list(samples.values())
         backend = backend_for()
-        children = []
-        for sample in samples[:2]:
-            crops = np.array([[40.0, 60.0, 140.0, 140.0], [200.0, 180.0, 330.0, 300.0]])
-            children += make_crop_children(sample, crops, UPSCALE)
+        crops = np.array([[40.0, 60.0, 140.0, 140.0], [200.0, 180.0, 330.0, 300.0]])
+        children = make_crop_children(samples[:2], [crops, crops], UPSCALE)
         assert any(c.record.annotations for c in children)
         tied = []
         for k, sample in enumerate(samples[:3]):
