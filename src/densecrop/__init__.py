@@ -22,6 +22,6 @@ from .dataset import (  # noqa: F401
     split_dataset,
 )
 from .detect import OracleBackend, OracleNoiseModel, ToyDetector, ToyDetectorConfig  # noqa: F401
-from .infer import InferenceConfig, detect_multistage  # noqa: F401
+from .infer import InferenceConfig  # noqa: F401
 from .metrics import EvalReport, evaluate_ap, profile_errors  # noqa: F401
 from .teacher import TrainerConfig, train  # noqa: F401

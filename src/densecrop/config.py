@@ -165,8 +165,10 @@ _NESTED = {"crop_params": "crops", "proposal_crop_params": "crops", "upscale": "
 
 # Manifest keys of fields that were removed without changing any output.
 # Manifests written while the oracle had an upscale path carry
-# ``upscale_relief``; infer never upscaled the oracle.
-_DROPPED = {"oracle": {"upscale_relief"}}
+# ``upscale_relief``; infer never upscaled the oracle. No flag or config
+# key ever set the detector's ``emit_floor`` and ``bg_tau``, so manifests
+# carry the values of ``detect.EMIT_FLOOR`` and ``detect.BG_TAU``.
+_DROPPED = {"oracle": {"upscale_relief"}, "detector": {"emit_floor", "bg_tau"}}
 
 
 def _typed(section: str, texts: dict[str, str]) -> dict:

@@ -8,16 +8,15 @@ boxes overlap get fused instead of producing redundant near-duplicates,
 and crops covering too much of the image are filtered out.
 
 Boxes and crops are (N, 4) float64 (x1, y1, x2, y2) rows throughout, and
-no :class:`~densecrop.geometry.Box` is built here. A call labels one
-image, or with ``counts`` a ragged stack of images: their rows
-concatenated in image order, each image's row count and each image's
-(width, height). A single image is a stack of one. Only same-image pairs
-of rows are ever formed, so a stack costs the sum of its images' squared
-row counts, never the square of its total: the graph is one flat array
-of same-image pairs, clusters come from label propagation over it, and
-each image's crops come out exactly as if it were labeled alone. Crop
-order is part of the output, since it names crop children and seeds their
-scenes.
+no :class:`~densecrop.geometry.Box` is built here. Every call labels a
+ragged stack of images: their rows concatenated in image order, each
+image's row count and each image's (width, height); a single image is a
+stack of one. Only same-image pairs of rows are ever formed, so a stack
+costs the sum of its images' squared row counts, never the square of its
+total: the graph is one flat array of same-image pairs, clusters come
+from label propagation over it, and each image's crops come out exactly
+as if it were labeled alone. Crop order is part of the output, since it
+names crop children and seeds their scenes.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantViolation
-from .geometry import box_areas, check_boxes, group_pairs, intersection_matrix
+from .geometry import box_areas, check_boxes, group_pairs, pair_ious
 
 __all__ = [
     "CropParams",
@@ -70,11 +69,8 @@ class CropParams:
 
 
 def _stack(boxes, image_size, counts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(N, 4) rows, (M, 2) image sizes and (M,) row counts of a call; a
-    call without ``counts`` is a stack of one image."""
+    """(N, 4) rows, (M, 2) image sizes and (M,) row counts of a call."""
     boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
-    if counts is None:
-        return boxes, np.array([image_size], dtype=np.float64), np.array([len(boxes)])
     sizes = np.asarray(image_size, dtype=np.float64).reshape(-1, 2)
     counts = np.asarray(counts, dtype=np.int64).reshape(-1)
     if len(sizes) != len(counts) or counts.sum() != len(boxes) or (counts < 0).any():
@@ -91,12 +87,11 @@ def merge_round(
     params: CropParams,
     *,
     carry_unmerged: bool,
-    counts=None,
-):
-    """One build/merge/filter pass over the current (N, 4) box rows of one
-    image of ``image_size`` (width, height), or with ``counts`` over a
-    stack of images as in :func:`label_density_crops`; returns the new
-    rows, and with ``counts`` also each image's new row count.
+    counts,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One build/merge/filter pass over the current (N, 4) box rows of a
+    stack of images, given as in :func:`label_density_crops`; returns the
+    new rows and each image's new row count.
 
     Two rows of one image are connected when their IoU strictly exceeds
     ``theta``, and each connected component with at least one connection
@@ -119,11 +114,7 @@ def merge_round(
     # Every row pairs with each row of its own image, itself included, in
     # row order.
     pair_i, pair_j = group_pairs(n, image)
-    # iou_matrix's operations, one pair at a time.
-    inter = intersection_matrix(rows[pair_i], rows[pair_j][:, None])[:, 0]
-    area = box_areas(rows)
-    iou = inter / (area[pair_i] + area[pair_j] - inter)
-    linked = (iou > params.theta) & (pair_i != pair_j)
+    linked = (pair_ious(rows, rows, pair_i, pair_j) > params.theta) & (pair_i != pair_j)
     link_i, link_j = pair_i[linked], pair_j[linked]
     degree = np.bincount(link_i, minlength=total)
     # Label propagation: every linked row ends with the lowest row of its
@@ -159,21 +150,19 @@ def merge_round(
         kept = size >= params.min_cluster
         out, out_image = crops[kept], crop_image[kept]
     small = box_areas(out) <= (params.pi * sizes[:, 0] * sizes[:, 1])[out_image]
-    out = out[small]
-    return out if counts is None else (out, np.bincount(out_image[small], minlength=len(n)))
+    return out[small], np.bincount(out_image[small], minlength=len(n))
 
 
 def label_density_crops(
-    boxes: np.ndarray, image_size, params: CropParams, counts=None
-):
-    """Discover density crops, as (K, 4) float64 rows, from (N, 4)
+    boxes: np.ndarray, image_size, params: CropParams, counts
+) -> list[np.ndarray]:
+    """Discover the density crops of each image of a stack from its (N, 4)
     (x1, y1, x2, y2) box rows.
 
-    ``boxes`` holds the rows of one image of ``image_size`` (width,
-    height), or with ``counts`` those of a stack of images: ``counts[m]``
-    rows of image ``m``, whose size is ``image_size[m]``. With ``counts``
-    the call returns a list of each image's (K, 4) crops, in image order;
-    each equals the crops of labeling that image alone, bit for bit.
+    ``boxes`` holds ``counts[m]`` rows of image ``m``, whose (width,
+    height) is ``image_size[m]``, image after image. The call returns a
+    list of each image's (K, 4) float64 crops, in image order; each equals
+    the crops of labeling that image alone, bit for bit.
 
     Every side of every box is first moved out by ``sigma`` pixels and
     clipped to its image, as Python's ``max(0.0, x1 - sigma)`` and
@@ -186,7 +175,7 @@ def label_density_crops(
     """
     boxes, sizes, n = _stack(boxes, image_size, counts)
     if not len(boxes):
-        return boxes if counts is None else [boxes] * len(n)
+        return [boxes] * len(n)
     check_boxes(boxes)
     image = np.repeat(np.arange(len(n)), n)
     bounds = sizes[image]
@@ -210,7 +199,5 @@ def label_density_crops(
     same &= image[order[1:]] == image[order[:-1]]
     first = np.ones(len(current), dtype=bool)
     first[order[1:][same]] = False
-    crops = current[first]
-    if counts is None:
-        return crops
-    return np.split(crops, np.cumsum(np.bincount(image[first], minlength=len(n)))[:-1])
+    per_image = np.bincount(image[first], minlength=len(n))
+    return np.split(current[first], np.cumsum(per_image)[:-1])

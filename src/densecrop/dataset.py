@@ -111,9 +111,10 @@ class ImageRecord:
     provenance: Provenance = field(default_factory=Provenance)
 
     def __post_init__(self) -> None:
-        if self.width <= 0 or self.height <= 0:
+        if not (0 < self.width < math.inf and 0 < self.height < math.inf):
             raise InvariantViolation(
-                f"image {self.image_id!r} has non-positive size {self.width}x{self.height}"
+                f"image {self.image_id!r} has size {self.width}x{self.height}, "
+                "not positive and finite"
             )
 
     @property
@@ -224,7 +225,8 @@ def load_annotations(path: str | os.PathLike) -> AnnotationFile:
 
     Boxes arrive as [x, y, w, h] and are converted to corner form, clipped
     to their image, and dropped (with a count) when clipping leaves no
-    area. Unknown image or category references are data errors.
+    area. Unknown image or category references, image sizes that are not
+    positive and finite, and non-finite box values are data errors.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -242,7 +244,7 @@ def load_annotations(path: str | os.PathLike) -> AnnotationFile:
     for cat in payload["categories"]:
         try:
             categories[int(cat["id"])] = str(cat.get("name", cat["id"]))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DataError(f"malformed category entry {cat!r}") from exc
 
     # Each image id's (width, height, annotations), in file order.
@@ -254,6 +256,8 @@ def load_annotations(path: str | os.PathLike) -> AnnotationFile:
             height = float(img["height"])
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"malformed image entry {img!r}") from exc
+        if not (0 < width < math.inf and 0 < height < math.inf):
+            raise DataError(f"image entry {img!r} has a size that is not positive and finite")
         if image_id in images:
             raise DataError(f"duplicate image id {image_id!r}")
         images[image_id] = (width, height, [])
@@ -264,8 +268,10 @@ def load_annotations(path: str | os.PathLike) -> AnnotationFile:
             image_id = ann["image_id"]
             category_id = int(ann["category_id"])
             x, y, w, h = (float(v) for v in ann["bbox"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DataError(f"malformed annotation entry #{idx}: {ann!r}") from exc
+        if not all(map(math.isfinite, (x, y, w, h))):
+            raise DataError(f"annotation #{idx} has a non-finite bbox value: {ann!r}")
         if image_id not in images:
             raise DataError(f"annotation #{idx} references unknown image id {image_id!r}")
         if category_id not in categories:
@@ -469,10 +475,10 @@ def make_crop_children(
     parents: list[SceneSample], crops: list[np.ndarray], policy: UpscalePolicy
 ) -> list[SceneSample]:
     """Child samples (record + scene) of a ragged stack: parent ``i`` with
-    its (K_i, 4) (x1, y1, x2, y2) density-crop rows ``crops[i]``, the shape
-    ``label_density_crops(..., counts)`` returns. Children come out in
-    stack order, child ``k`` of group ``i`` named ``{parent id}:crop{k}``;
-    a parent may head several groups.
+    its (K_i, 4) (x1, y1, x2, y2) density-crop rows ``crops[i]``, as
+    :func:`~densecrop.croplab.label_density_crops` returns them. Children
+    come out in stack order, child ``k`` of group ``i`` named
+    ``{parent id}:crop{k}``; a parent may head several groups.
 
     Each crop is upscaled to ``policy.output_size`` of its :class:`Box`,
     the one its child's provenance stores. The child's annotations are its

@@ -9,7 +9,10 @@ features with analytic gradients. Its one view type is the
 :class:`ViewStack`: it builds the views of many images in one pass as one
 stack, the mean-teacher trainer hands it each iteration's views as one
 stack, and multistage inference asks it for a chunk of images at a time
-through ``detect_batch``.
+through ``detect_batch``. Its kernels (:func:`extract_features`,
+:func:`toy_forward`, :meth:`ToyDetector.augment`) take a ragged stack and
+its per-view row counts, and nothing else: a single view is a stack of
+one.
 
 The contract is that one method: un-augmented detections of each sample
 as arrays, deterministic given (weights, samples). Both backends can emit
@@ -35,7 +38,9 @@ from .geometry import (
     box_areas,
     box_array,
     clip,
+    group_pairs,
     intersection_matrix,
+    pair_ious,
 )
 from .seeding import rng_for, rngs_for, stable_int
 
@@ -75,6 +80,11 @@ _GEOM_FEATURES = 8
 _ASPECT_CAP = 8.0
 _CENTER_COUNT_CAP = 32.0
 _MIN_SIDE = 1e-3
+# A (proposal, class) pair scoring above EMIT_FLOOR is a detection; a
+# proposal the teacher scores background above BG_TAU is a confident
+# background target for the student.
+EMIT_FLOOR = 0.15
+BG_TAU = 0.9
 
 
 def feature_dim(num_base_classes: int) -> int:
@@ -308,18 +318,18 @@ def _padded_objects(scenes: list[SceneSpec], classes: int):
 
 
 def extract_features(
-    scenes: SceneSpec | list[SceneSpec],
+    scenes: list[SceneSpec],
     boxes: np.ndarray,
     num_base_classes: int,
-    payload_obs_scale: float = 4.0,
-    counts=None,
+    payload_obs_scale: float,
+    counts,
 ) -> np.ndarray:
     """Deterministic feature matrix, one row per (x1, y1, x2, y2) proposal
     row of ``boxes``.
 
-    ``boxes`` holds the proposals of one scene, or with ``counts`` those of
-    a chunk of ``scenes``, that many rows each; a single scene is a chunk
-    of one. Each row depends on its proposal and its own scene alone.
+    ``boxes`` holds the proposals of a chunk of ``scenes``, ``counts[k]``
+    rows of scene ``k``, scene after scene; a single scene is a chunk of
+    one. Each row depends on its proposal and its own scene alone.
 
     The payload block is the overlap-weighted average of the payloads of
     intersecting objects, observed through additive noise whose scale
@@ -333,9 +343,8 @@ def extract_features(
     the objects run in object order, so padding only appends ``+0.0``
     terms and a row's features do not depend on the rest of its chunk.
     """
-    scenes = [scenes] if counts is None else list(scenes)
     boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
-    row_scene = np.repeat(np.arange(len(scenes)), [len(boxes)] if counts is None else counts)
+    row_scene = np.repeat(np.arange(len(scenes)), counts)
     size = np.array([(s.width, s.height) for s in scenes], dtype=np.float64).reshape(-1, 2)
     width, height = size[row_scene, 0], size[row_scene, 1]
     x1, y1, x2, y2 = boxes.T
@@ -401,15 +410,14 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def toy_forward(
-    weights: WeightVector, features: np.ndarray, counts=None
+    weights: WeightVector, features: np.ndarray, counts
 ) -> tuple[np.ndarray, np.ndarray]:
     """Class probabilities (softmax of linear logits) and linear box offsets.
 
-    The feature rows are a stack of blocks of ``counts`` rows each (one
-    block without ``counts``), and the two matmuls run once per block: with
-    OpenBLAS a matmul over stacked rows can differ in the last bits from
-    the per-block products. The softmax is row by row, so it runs once on
-    the stack.
+    The feature rows are a stack of blocks of ``counts`` rows each, and
+    the two matmuls run once per block: with OpenBLAS a matmul over stacked
+    rows can differ in the last bits from the per-block products. The
+    softmax is row by row, so it runs once on the stack.
     """
     if features.shape[-1] != weights.layout.feature_dim:
         raise InvariantViolation(
@@ -417,7 +425,7 @@ def toy_forward(
         )
     phi = _with_bias(np.asarray(features, dtype=np.float64))
     cls, reg = weights.cls_matrix().T, weights.reg_matrix().T
-    ends = np.cumsum([len(phi)] if counts is None else counts).tolist()
+    ends = np.cumsum(counts).tolist()
     blocks = [phi[start:end] for start, end in zip([0] + ends[:-1], ends)]
     logits = np.concatenate([b @ cls for b in blocks])
     return _softmax(logits), np.concatenate([b @ reg for b in blocks])
@@ -524,29 +532,24 @@ def assign_targets(
     offsets (match minus proposal); the rest become background with zero
     offsets.
 
-    Only same-view (box, ground truth) pairs are formed: their IoUs use
-    ``iou_matrix``'s float operations elementwise, each box's best IoU is
-    a ``maximum.reduceat`` over its pairs and the first ground-truth row
+    Only same-view (box, ground truth) pairs are formed, by
+    :func:`~densecrop.geometry.group_pairs`, and their IoUs come from
+    :func:`~densecrop.geometry.pair_ious`; each box's best IoU is a
+    ``maximum.reduceat`` over its pairs and the first ground-truth row
     reaching it a ``minimum.reduceat`` over their indices.
     """
     classes = np.full(len(boxes), background_class, dtype=np.int64)
     offsets = np.zeros((len(boxes), 4))
     views = int(box_view[-1]) + 1 if len(boxes) else 0
-    gt_start = np.searchsorted(gt_view, np.arange(views + 1))
-    per_box = np.diff(gt_start)[box_view]
+    per_view = np.diff(np.searchsorted(gt_view, np.arange(views + 1)))
+    per_box = per_view[box_view]
     rows = np.flatnonzero(per_box)
     if len(rows) == 0:
         return classes, offsets
     counts = per_box[rows]
     first_pair = np.cumsum(counts) - counts
-    pair_box = np.repeat(rows, counts)
-    # Each box's pairs run over its view's ground-truth rows in order.
-    pair_gt = np.arange(len(pair_box)) + np.repeat(gt_start[box_view[rows]] - first_pair, counts)
-    a, b = boxes[pair_box], gt_boxes[pair_gt]
-    iw = np.minimum(a[:, 2], b[:, 2]) - np.maximum(a[:, 0], b[:, 0])
-    ih = np.minimum(a[:, 3], b[:, 3]) - np.maximum(a[:, 1], b[:, 1])
-    inter = np.where((iw > 0.0) & (ih > 0.0), iw * ih, 0.0)
-    ious = inter / (box_areas(a) + box_areas(b) - inter)
+    pair_box, pair_gt = group_pairs(per_view, box_view)
+    ious = pair_ious(boxes, gt_boxes, pair_box, pair_gt)
     best_iou = np.maximum.reduceat(ious, first_pair)
     at_best = np.where(ious == np.repeat(best_iou, counts), pair_gt, len(gt_boxes))
     best = np.minimum.reduceat(at_best, first_pair)
@@ -681,8 +684,6 @@ class ToyDetectorConfig:
     strong_noise_std: float = 0.15
     strong_cutout: int = 3
     init_scale: float = 0.01
-    emit_floor: float = 0.15
-    bg_tau: float = 0.9
     proposal_crop_params: CropParams | None = None
     seed: int = 0
 
@@ -790,33 +791,27 @@ class ToyDetector(DetectorBackend):
         boxes = _safe_box(np.concatenate(raw or [np.zeros((0, 4))]), row_size[:, 0], row_size[:, 1])
         return boxes, counts
 
-    def features(
-        self, scenes: SceneSpec | list[SceneSpec], proposals: np.ndarray, counts=None
-    ) -> np.ndarray:
-        """Un-augmented feature matrix, one row per proposal row, as in
-        :func:`extract_features`."""
+    def features(self, scenes: list[SceneSpec], proposals: np.ndarray, counts) -> np.ndarray:
+        """Un-augmented feature matrix, one row per proposal row of a chunk
+        of scenes, as in :func:`extract_features`."""
         return extract_features(
             scenes, proposals, self.num_base_classes, self.config.payload_obs_scale, counts
         )
 
-    def augment(
-        self, phi: np.ndarray, augmentation: str = "none", rngs=(), counts=None
-    ) -> np.ndarray:
+    def augment(self, phi: np.ndarray, augmentation: str, rngs, counts) -> np.ndarray:
         """Augmented features; ``phi`` itself is never written.
 
-        ``phi`` holds the rows of one view, or with ``counts`` a stack of
-        views of that many rows each; ``rngs`` holds one generator per view,
-        and each view draws from its own: one ``random()`` for the weak
-        flip, a ``normal`` block of its shape and one ``integers`` for the
-        strong noise and cutout. ``"none"`` returns ``phi`` unchanged and
-        draws nothing; the other tags return a new array whenever they
-        change anything.
+        ``phi`` holds a stack of views of ``counts`` rows each; ``rngs``
+        holds one generator per view, and each view draws from its own:
+        one ``random()`` for the weak flip, a ``normal`` block of its shape
+        and one ``integers`` for the strong noise and cutout. ``"none"``
+        returns ``phi`` unchanged and draws nothing; the other tags return
+        a new array whenever they change anything.
         """
         if augmentation not in ("none", "weak", "strong"):
             raise InvariantViolation(f"unknown augmentation tag {augmentation!r}")
         if augmentation == "none" or len(phi) == 0:
             return phi
-        counts = [len(phi)] if counts is None else counts
         if len(rngs) != len(counts):
             raise InvariantViolation(f"{len(rngs)} generators for {len(counts)} views")
         if augmentation == "weak":
@@ -899,9 +894,9 @@ class ToyDetector(DetectorBackend):
 
     def emitted(self, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(proposal, class) index pairs that count as detections: base and
-        density-crop classes scoring above ``emit_floor``, in row-major
+        density-crop classes scoring above :data:`EMIT_FLOOR`, in row-major
         order."""
-        return np.nonzero(probs[:, : self.background_class] > self.config.emit_floor)
+        return np.nonzero(probs[:, : self.background_class] > EMIT_FLOOR)
 
     def supervised_batch(
         self, stack: ViewStack, augmentation: str = "none", rngs=()
@@ -935,7 +930,7 @@ class ToyDetector(DetectorBackend):
         A proposal enters the batch when it matches a pseudo-label of its
         own view (taking that class) or, if the teacher's per-row
         probabilities on the weak views are given, when the teacher is
-        confidently background on it (probability above ``bg_tau``).
+        confidently background on it (probability above :data:`BG_TAU`).
         Everything else is excluded: confidence thresholding says nothing
         about the proposals the teacher is unsure of, so an object the
         teacher missed contributes no gradient rather than a background
@@ -953,7 +948,7 @@ class ToyDetector(DetectorBackend):
         )
         keep = classes != self.background_class
         if teacher_probs is not None:
-            keep = keep | (teacher_probs[:, self.background_class] > self.config.bg_tau)
+            keep = keep | (teacher_probs[:, self.background_class] > BG_TAU)
         return UnsupervisedBatch(features=phi[keep], classes=classes[keep])
 
 

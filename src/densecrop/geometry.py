@@ -5,8 +5,10 @@ top-left inclusive and (x2, y2) bottom-right exclusive, so zero-area
 boxes are invalid and reprojection between coordinate frames is exact.
 The validated :class:`Box` and :class:`Detection` types serve the API and
 the files; every numeric kernel here (IoU, clipping, crop projection, NMS)
-works on (N, 4) float64 (x1, y1, x2, y2) rows. All functions here are pure
-and safe to call concurrently.
+works on (N, 4) float64 (x1, y1, x2, y2) rows, crops included. IoU comes
+as a matrix of all pairs (:func:`iou_matrix`) or for listed pairs of rows
+(:func:`pair_ious`), with the same float operations. All functions here
+are pure and safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ __all__ = [
     "box_areas",
     "intersection_matrix",
     "iou_matrix",
+    "pair_ious",
     "project_rows",
     "reproject_rows",
     "nms_keep",
@@ -155,39 +158,51 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return inter / (box_areas(a)[:, None] + box_areas(b)[None, :] - inter)
 
 
-def _crop_frame(crop, crop_size) -> tuple[np.ndarray, np.ndarray]:
-    """(x1, y1, x1, y1) origins and (sw, sh, sw, sh) scales of one :class:`Box`
-    crop and (I_W, I_H) size, or of (N, 4) crop rows and (N, 2) sizes."""
-    crop = np.asarray(crop.as_tuple() if isinstance(crop, Box) else crop, dtype=np.float64)
-    size = np.asarray(crop_size, dtype=np.float64)
+def pair_ious(a: np.ndarray, b: np.ndarray, rows_a: np.ndarray, rows_b: np.ndarray) -> np.ndarray:
+    """IoU of box row ``a[rows_a[i]]`` with ``b[rows_b[i]]`` for every i, by
+    the formula of :func:`iou_matrix`, so every value keeps its bits. One
+    coordinate is gathered at a time, which keeps the temporaries small."""
+    iw = np.minimum(a[rows_a, 2], b[rows_b, 2]) - np.maximum(a[rows_a, 0], b[rows_b, 0])
+    ih = np.minimum(a[rows_a, 3], b[rows_b, 3]) - np.maximum(a[rows_a, 1], b[rows_b, 1])
+    inter = np.where((iw > 0.0) & (ih > 0.0), iw * ih, 0.0)
+    return inter / (box_areas(a)[rows_a] + box_areas(b)[rows_b] - inter)
+
+
+def _crop_frame(crops: np.ndarray, sizes) -> tuple[np.ndarray, np.ndarray]:
+    """(x1, y1, x1, y1) origins and (sw, sh, sw, sh) scales of (N, 4) crop
+    rows upscaled to their (N, 2) sizes."""
+    crops = np.asarray(crops, dtype=np.float64)
+    size = np.asarray(sizes, dtype=np.float64)
     if (size <= 0).any():
-        raise InvariantViolation(f"non-positive crop size {crop_size}")
-    origin, scales = crop[..., :2], (crop[..., 2:] - crop[..., :2]) / size
+        raise InvariantViolation(f"non-positive crop size {sizes}")
+    origin, scales = crops[..., :2], (crops[..., 2:] - crops[..., :2]) / size
     return np.concatenate([origin, origin], axis=-1), np.concatenate([scales, scales], axis=-1)
 
 
-def project_rows(rows: np.ndarray, crop, crop_size) -> np.ndarray:
+def project_rows(rows: np.ndarray, crops: np.ndarray, sizes) -> np.ndarray:
     """Map (x1, y1, x2, y2) rows from parent-image pixels into the pixels of
-    ``crop`` upscaled to ``crop_size``; the inverse of :func:`reproject_rows`.
+    their crops upscaled to their sizes; the inverse of
+    :func:`reproject_rows`.
 
-    ``crop`` is one :class:`Box` with its (I_W, I_H) size, or (N, 4) crop
-    rows with (N, 2) sizes, one per row. Each row is shifted by its crop's
-    origin and divided by (crop_width / I_W, crop_height / I_H).
+    ``crops`` holds one (x1, y1, x2, y2) crop row per row, or one for all
+    of them, and ``sizes`` the (I_W, I_H) size of each. Each row is
+    shifted by its crop's origin and divided by (crop_width / I_W,
+    crop_height / I_H).
     """
-    origin, scales = _crop_frame(crop, crop_size)
+    origin, scales = _crop_frame(crops, sizes)
     return (rows - origin) / scales
 
 
-def reproject_rows(rows: np.ndarray, crop, crop_size) -> np.ndarray:
+def reproject_rows(rows: np.ndarray, crops: np.ndarray, sizes) -> np.ndarray:
     """Map (x1, y1, x2, y2) rows predicted in upscaled-crop pixels back to
-    the parent image, with ``crop`` and ``crop_size`` as in
+    the parent image, with ``crops`` and ``sizes`` as in
     :func:`project_rows`.
 
-    With the upscaled crop rendered at ``crop_size`` = (I_W, I_H), each row
-    is scaled down by (crop_width / I_W, crop_height / I_H) and shifted by
-    the crop origin, so the result lies inside the crop region.
+    With a crop rendered at its size (I_W, I_H), each row is scaled down by
+    (crop_width / I_W, crop_height / I_H) and shifted by the crop origin,
+    so the result lies inside the crop region.
     """
-    origin, scales = _crop_frame(crop, crop_size)
+    origin, scales = _crop_frame(crops, sizes)
     return rows * scales + origin
 
 

@@ -13,7 +13,8 @@ for the chunk's full images, then one for the upscaled children of every
 crop selected in them. Crop selection, reprojection, clipping, the
 box-invariant check and NMS run per image on (N, 4) arrays, and
 :class:`Detection` objects are built once, for the rows NMS keeps. An
-image's detections do not depend on the chunk it ran in.
+image's detections do not depend on the chunk it ran in, so one image's
+detections are those of a run over a list of one.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .geometry import (
 __all__ = [
     "InferenceConfig",
     "select_crops",
-    "detect_multistage",
     "ImageInferenceResult",
     "run_inference",
 ]
@@ -99,7 +99,9 @@ def select_crops(
         rows = np.flatnonzero((classes == crop_class_id) & (scores > config.crop_score_threshold))
         return boxes[rows[np.argsort(-scores[rows], kind="stable")][: config.max_crops_per_image]]
     confident = (classes != crop_class_id) & (scores > config.crop_score_threshold)
-    crops = label_density_crops(boxes[confident], image_size, config.crop_params)
+    (crops,) = label_density_crops(
+        boxes[confident], [image_size], config.crop_params, [np.count_nonzero(confident)]
+    )
     return crops[: config.max_crops_per_image]
 
 
@@ -134,36 +136,16 @@ def _detect_chunk(
     # Each crop is a one-row group of its parent, so every stage-two child
     # is named ``:crop0``; the toy detector seeds its proposals by image id.
     children = make_crop_children([samples[k] for k in owners], crops, config.upscale)
-    for k, child, (boxes, classes, scores) in zip(
-        owners, children, backend.detect_batch(weights, children)
+    for k, crop, child, (boxes, classes, scores) in zip(
+        owners, crops, children, backend.detect_batch(weights, children)
     ):
         record = samples[k].record
         bounds = np.array([record.width, record.height] * 2, dtype=np.float64)
         base = classes != crop_class
-        prov = child.record.provenance
-        clipped = clip(reproject_rows(boxes[base], prov.crop_box, prov.upscale_size), 0.0, bounds)
+        clipped = clip(reproject_rows(boxes[base], crop, [child.record.size]), 0.0, bounds)
         check_boxes(clipped)
         blocks[k].append((clipped, classes[base], scores[base]))
     return [_fuse(own, config.fusion_iou) for own in blocks]
-
-
-def detect_multistage(
-    sample: SceneSample,
-    backend: DetectorBackend,
-    weights: WeightVector | None,
-    config: InferenceConfig,
-) -> list[Detection]:
-    """Fused detections for one image, in deterministic order: a chunk of
-    one.
-
-    Crop-class predictions never appear in the output: stage-one crop
-    detections are consumed by crop selection and stage-two ones are
-    dropped (no recursive zooming). Stage-two rows are reprojected and
-    clipped to the image, and every fused row must be a valid box, else
-    :class:`InvariantViolation` is raised. All output boxes lie within
-    the image.
-    """
-    return _detect_chunk([sample], backend, weights, config)[0]
 
 
 @dataclass
@@ -203,9 +185,16 @@ def run_inference(
     """Per-image inference over a dataset, in input order, one chunk of
     :data:`CHUNK_SIZE` images at a time; ``seed`` is accepted and unused.
 
-    Each image's detections are those :func:`detect_multistage` gives it
-    alone. A backend failure becomes an error record rather than aborting
-    the run: a chunk that fails is run again image by image, so only the
+    Each image's fused detections come in a deterministic order and do not
+    depend on the images run beside it. Crop-class predictions never
+    appear in them: stage-one crop detections are consumed by crop
+    selection and stage-two ones are dropped (no recursive zooming).
+    Stage-two rows are reprojected and clipped to the image, so every
+    output box lies within it, and every fused row must be a valid box,
+    else :class:`InvariantViolation` is raised.
+
+    A backend failure becomes an error record rather than aborting the
+    run: a chunk that fails is run again image by image, so only the
     failing images get one. An :class:`InvariantViolation` is a
     programming error, not a failure of the image, and propagates. Each
     image's ``seconds`` is its share of its chunk's wall time, the retry

@@ -1,9 +1,10 @@
 """COCO-style average precision and error-type profiling.
 
-AP follows the COCO protocol: greedy score-ordered matching per image,
-class, and IoU threshold (each ground truth matched at most once),
-101-point interpolated precision-recall integration, thresholds
-0.50:0.05:0.95, and size buckets at 32^2 and 96^2 pixels with
+AP follows the fixed COCO protocol: greedy score-ordered matching per
+image, class, and IoU threshold (each ground truth matched at most once),
+101-point interpolated precision-recall integration, averaged over the
+classes present in the ground truth and thresholds 0.50:0.05:0.95 (AP50
+and AP75 read two of them), and size buckets at 32^2 and 96^2 pixels with
 out-of-bucket ground truth ignored rather than counted against the
 detector. Error profiling assigns each false positive exactly one type
 (Cls, Loc, Both, Dupe, Bkg) and counts unmatched ground truth as Miss.
@@ -13,15 +14,16 @@ image by image in sorted image-id order with detections in descending
 score order, and walks it in chunks of whole images of about
 ``_CHUNK_PAIRS`` (detection, ground truth) pairs each. A chunk's pairs
 run detection-major, ground truth in annotation order, and their IoU is
-the formula of ``geometry.iou_matrix`` pair by pair, so each (image,
-class) block of pairs is the per-(image, category) matrix of pycocotools'
-COCOeval (whose design this follows, without depending on it). Matching
-splits a chunk's detections in two. A detection is contested when an
-earlier one of its image reaches (IoU at or above some threshold) the
-same ground truth; the few contested ones are matched one at a time in
-score order. All others are matched together, for every (area range, IoU
-threshold) pair at once, by segment reductions over their pairs. One
-stable ranking per class serves all of them.
+``geometry.pair_ious``, the formula of ``geometry.iou_matrix`` pair by
+pair, so each (image, class) block of pairs is the per-(image, category)
+matrix of pycocotools' COCOeval (whose design this follows, without
+depending on it). Matching splits a chunk's detections in two. A
+detection is contested when an earlier one of its image reaches (IoU at
+or above some threshold) the same ground truth; the few contested ones
+are matched one at a time in score order. All others are matched
+together, for every (area range, IoU threshold) pair at once, by segment
+reductions over their pairs. One stable ranking per class serves all of
+them.
 
 The tie rule: in score order, a detection takes the untaken counted
 (in-range) ground truth of highest IoU at or above the threshold, the
@@ -43,7 +45,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .errors import DataError, InvariantViolation
-from .geometry import box_areas, group_pairs
+from .geometry import box_areas, group_pairs, pair_ious
 from .manifest import write_json
 
 __all__ = [
@@ -67,6 +69,8 @@ COCO_SIZE_BUCKETS: dict[str, tuple[float, float]] = {
     "large": (96.0**2, float("inf")),
 }
 _ALL = (0.0, float("inf"))
+# Where AP50 and AP75 sit in COCO_IOU_THRESHOLDS.
+_AP50, _AP75 = 0, 5
 _RECALL_POINTS = np.linspace(0.0, 1.0, 101)
 # (Detection, ground truth) pairs one chunk of whole images holds, about;
 # bounds each pass's temporary arrays at about a megabyte.
@@ -106,16 +110,6 @@ class EvalReport:
 # ---------------------------------------------------------------------------
 # Matching core
 # ---------------------------------------------------------------------------
-
-
-def _size_buckets(size_buckets: dict | None) -> dict:
-    """``size_buckets``, or the COCO ones when None. ``"all"`` names the
-    overall range, so no bucket may take that name."""
-    if size_buckets is None:
-        return COCO_SIZE_BUCKETS
-    if "all" in size_buckets:
-        raise InvariantViolation('size bucket name "all" is reserved for the overall range')
-    return size_buckets
 
 
 def _in_ranges(areas: np.ndarray, ranges: np.ndarray) -> np.ndarray:
@@ -217,18 +211,8 @@ def _chunks(table: _Table, same_class_only: bool) -> Iterator[_Chunk]:
         same_class = table.det_classes[dets][det] == table.gt_classes[gts][gt]
         if same_class_only:
             det, gt, same_class = det[same_class], gt[same_class], same_class[same_class]
-        ious = _pair_ious(table.det_boxes[dets], table.gt_boxes[gts], det, gt)
+        ious = pair_ious(table.det_boxes[dets], table.gt_boxes[gts], det, gt)
         yield _Chunk(dets, gts, det, gt, ious, same_class)
-
-
-def _pair_ious(a: np.ndarray, b: np.ndarray, rows_a: np.ndarray, rows_b: np.ndarray) -> np.ndarray:
-    """IoU of box ``a[rows_a[i]]`` with ``b[rows_b[i]]`` for every i, by the
-    formula of ``geometry.iou_matrix``, so every value keeps its bits. One
-    coordinate is gathered at a time, which keeps the temporaries small."""
-    iw = np.minimum(a[rows_a, 2], b[rows_b, 2]) - np.maximum(a[rows_a, 0], b[rows_b, 0])
-    ih = np.minimum(a[rows_a, 3], b[rows_b, 3]) - np.maximum(a[rows_a, 1], b[rows_b, 1])
-    inter = np.where((iw > 0.0) & (ih > 0.0), iw * ih, 0.0)
-    return inter / (box_areas(a)[rows_a] + box_areas(b)[rows_b] - inter)
 
 
 def _pick(candidates: np.ndarray, ious: np.ndarray, counted: np.ndarray) -> tuple:
@@ -332,32 +316,21 @@ def _interpolated_ap(tps: np.ndarray, npig: int) -> float:
     return float(np.mean(q))
 
 
-def evaluate_ap(
-    gts: dict,
-    dets: list[tuple],
-    size_buckets: dict | None = None,
-    iou_thresholds: tuple | None = None,
-    class_ids: tuple | None = None,
-) -> EvalReport:
+def evaluate_ap(gts: dict, dets: list[tuple]) -> EvalReport:
     """COCO-style AP over ground truth and scored detections.
 
     ``gts`` maps image id to its annotations; ``dets`` is a flat list of
-    (image_id, Detection). Classes default to every class present in the
-    ground truth; classes without ground truth are skipped. ``size_buckets``
-    maps names other than ``"all"`` to closed area ranges.
+    (image_id, Detection). AP is evaluated at :data:`COCO_IOU_THRESHOLDS`
+    for every class present in the ground truth, overall and in each of
+    :data:`COCO_SIZE_BUCKETS`, closed area ranges.
     """
-    size_buckets = _size_buckets(size_buckets)
-    thresholds = COCO_IOU_THRESHOLDS if iou_thresholds is None else tuple(iou_thresholds)
-    if not thresholds:
-        raise InvariantViolation("evaluate_ap needs at least one IoU threshold")
     table = _table(gts, dets)
     gt_classes = table.gt_classes
-    if class_ids is None:
-        class_ids = tuple(sorted(set(gt_classes.tolist())))
+    present = tuple(sorted(set(gt_classes.tolist())))
 
-    ranges: dict[str, tuple[float, float]] = {"all": _ALL, **size_buckets}
-    bounds = np.array(list(ranges.values()), dtype=np.float64).reshape(-1, 2)
-    thr = np.array(thresholds, dtype=np.float64)
+    ranges: dict[str, tuple[float, float]] = {"all": _ALL, **COCO_SIZE_BUCKETS}
+    bounds = np.array(list(ranges.values()), dtype=np.float64)
+    thr = np.array(COCO_IOU_THRESHOLDS, dtype=np.float64)
     range_rows = np.arange(len(ranges))[:, None, None]
     unmatched_column = np.ones((len(ranges), 1), dtype=bool)
     counted = _in_ranges(box_areas(table.gt_boxes), bounds)
@@ -366,7 +339,7 @@ def evaluate_ap(
     # positive, 0 false positive, -1 left out of the ranking (matched to
     # ignored ground truth, or unmatched and outside the range).
     det_classes, scores = table.det_classes, table.det_scores
-    outcome = np.empty((len(ranges), len(thresholds), len(scores)), dtype=np.int8)
+    outcome = np.empty((len(ranges), len(thr), len(scores)), dtype=np.int8)
     for chunk in _chunks(table, same_class_only=True):
         chunk_counted = counted[:, chunk.gts]
         matched = _match(chunk.det, chunk.gt, chunk.ious, chunk.num_dets, chunk_counted, thr)
@@ -377,76 +350,48 @@ def evaluate_ap(
             np.where(hit, on_ignored, out_of_range[:, :, chunk.dets]), -1, hit
         )
 
-    # ap_table[(class, range_name)] -> list of per-threshold AP or None
+    # ap_table[(class, range_name)] -> per-threshold AP, where the range
+    # holds ground truth of the class
     ap_table: dict = {}
-    for class_id in class_ids:
+    for class_id in present:
         npig = counted[:, gt_classes == class_id].sum(axis=1)
         # Image order then score order within an image; one stable ranking by score.
         ranked = np.flatnonzero(det_classes == class_id)
         ranked = ranked[np.argsort(-scores[ranked], kind="stable")]
         class_outcome = outcome[:, :, ranked]
         for r, range_name in enumerate(ranges):
-            ap_table[(class_id, range_name)] = (
-                None
-                if npig[r] == 0
-                else [
-                    _interpolated_ap(o[o >= 0], int(npig[r]))
-                    for o in class_outcome[r]
+            if npig[r]:
+                ap_table[(class_id, range_name)] = [
+                    _interpolated_ap(o[o >= 0], int(npig[r])) for o in class_outcome[r]
                 ]
-            )
 
     def mean_over_classes(range_name: str, thr_index: int | None) -> float | None:
-        values = []
-        for class_id in class_ids:
-            per_thr = ap_table[(class_id, range_name)]
-            if per_thr is None:
-                continue
-            values.append(per_thr[thr_index] if thr_index is not None else float(np.mean(per_thr)))
-        if not values:
-            return None
-        return float(np.mean(values))
+        per_thr = [ap_table[(c, range_name)] for c in present if (c, range_name) in ap_table]
+        values = [float(np.mean(p)) if thr_index is None else p[thr_index] for p in per_thr]
+        return float(np.mean(values)) if values else None
 
     per_class = {
-        class_id: (
-            float(np.mean(ap_table[(class_id, "all")]))
-            if ap_table[(class_id, "all")] is not None
-            else None
-        )
-        for class_id in class_ids
+        c: float(np.mean(ap_table[(c, "all")])) if (c, "all") in ap_table else None
+        for c in present
     }
-    idx50 = _threshold_index(thresholds, 0.5)
-    idx75 = _threshold_index(thresholds, 0.75)
     return EvalReport(
         ap=mean_over_classes("all", None),
-        ap50=mean_over_classes("all", idx50) if idx50 is not None else None,
-        ap75=mean_over_classes("all", idx75) if idx75 is not None else None,
-        ap_small=mean_over_classes("small", None) if "small" in ranges else None,
-        ap_medium=mean_over_classes("medium", None) if "medium" in ranges else None,
-        ap_large=mean_over_classes("large", None) if "large" in ranges else None,
+        ap50=mean_over_classes("all", _AP50),
+        ap75=mean_over_classes("all", _AP75),
+        ap_small=mean_over_classes("small", None),
+        ap_medium=mean_over_classes("medium", None),
+        ap_large=mean_over_classes("large", None),
         per_class=per_class,
     )
 
 
-def _threshold_index(thresholds: tuple, value: float) -> int | None:
-    for i, t in enumerate(thresholds):
-        if abs(t - value) < 1e-9:
-            return i
-    return None
-
-
-def recall_by_size(
-    gts: dict,
-    dets: list[tuple],
-    iou_thresh: float = 0.5,
-    size_buckets: dict | None = None,
-) -> dict:
-    """Fraction of ground truth matched at one IoU threshold, per size bucket.
+def recall_by_size(gts: dict, dets: list[tuple], iou_thresh: float = 0.5) -> dict:
+    """Fraction of ground truth matched at one IoU threshold, per
+    :data:`COCO_SIZE_BUCKETS` bucket.
 
     Matching is greedy by score within each image and class. Buckets with
-    no ground truth report None; ``"all"`` is the overall fraction, and no
-    bucket may take that name.
+    no ground truth report None; ``"all"`` is the overall fraction.
     """
-    size_buckets = _size_buckets(size_buckets)
     table = _table(gts, dets)
     gt_hit = np.zeros(len(table.gt_classes), dtype=bool)
     for chunk in _chunks(table, same_class_only=True):
@@ -455,7 +400,7 @@ def recall_by_size(
     areas = box_areas(table.gt_boxes)
     matched: dict[str, int] = {}
     totals: dict[str, int] = {}
-    for name, (lo, hi) in size_buckets.items():
+    for name, (lo, hi) in COCO_SIZE_BUCKETS.items():
         in_bucket = (lo <= areas) & (areas <= hi)
         totals[name] = int(in_bucket.sum())
         matched[name] = int((in_bucket & gt_hit).sum())
@@ -619,6 +564,9 @@ def write_eval_report(
 
 
 def read_eval_report(path: str | os.PathLike) -> EvalReport:
+    """The report :func:`write_eval_report` wrote. Every metric and
+    per-class AP must be null or a fraction in [0, 1], and every class key
+    an integer; anything else is a :class:`DataError`."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -626,14 +574,14 @@ def read_eval_report(path: str | os.PathLike) -> EvalReport:
         raise DataError(f"cannot read report {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"report {path} is not valid JSON: {exc}") from exc
-    metrics = payload.get("metrics", {})
-    return EvalReport(
-        ap=metrics.get("AP"),
-        ap50=metrics.get("AP50"),
-        ap75=metrics.get("AP75"),
-        ap_small=metrics.get("AP_s"),
-        ap_medium=metrics.get("AP_m"),
-        ap_large=metrics.get("AP_l"),
-        per_class={int(k): v for k, v in payload.get("per_class", {}).items()},
-        error_counts=payload.get("error_counts"),
-    )
+    # The AP fields come first in EvalReport, in the order metrics() names them.
+    names = ("AP", "AP50", "AP75", "AP_s", "AP_m", "AP_l")
+    try:
+        values = [payload.get("metrics", {}).get(name) for name in names]
+        per_class = {int(k): v for k, v in payload.get("per_class", {}).items()}
+    except (AttributeError, ValueError) as exc:
+        raise DataError(f"report {path} is malformed: {exc}") from exc
+    for value in [*values, *per_class.values()]:
+        if not (value is None or (type(value) in (int, float) and 0.0 <= value <= 1.0)):
+            raise DataError(f"report {path} holds AP {value!r}, not null or a fraction in [0, 1]")
+    return EvalReport(*values, per_class=per_class, error_counts=payload.get("error_counts"))

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, field, fields, replace
 from itertools import islice
@@ -657,7 +658,7 @@ def read_checkpoint(path: str | os.PathLike) -> tuple[dict, WeightVector, Weight
         layout = WeightLayout(
             feature_dim=int(header["feature_dim"]), num_outputs=int(header["num_outputs"])
         )
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"checkpoint {path} has a malformed header") from exc
     sections: dict[str, list[float]] = {}
     current: list[float] | None = None
@@ -671,6 +672,8 @@ def read_checkpoint(path: str | os.PathLike) -> tuple[dict, WeightVector, Weight
                 current.append(float(line))
             except ValueError as exc:
                 raise DataError(f"checkpoint {path}:{lineno}: bad value {line!r}") from exc
+            if not math.isfinite(current[-1]):
+                raise DataError(f"checkpoint {path}:{lineno}: non-finite value {line!r}")
     for name in ("student", "teacher"):
         if len(sections.get(name, [])) != layout.total:
             raise DataError(

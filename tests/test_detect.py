@@ -14,6 +14,7 @@ from densecrop.dataset import (
     generate_synthetic_dataset,
 )
 from densecrop.detect import (
+    EMIT_FLOOR,
     OracleBackend,
     OracleNoiseModel,
     SupervisedBatch,
@@ -44,6 +45,7 @@ from reference_impls import (
     decode_per_view,
     decode_ref,
     extract_features_ref,
+    label_one,
     proposals_ref,
     safe_box_ref,
     scene_spec,
@@ -145,32 +147,37 @@ class TestOracleDetect:
         assert set(without.tolist()) == {0}
 
 
+def features_of(scene, boxes, num_base_classes=4, payload_obs_scale=4.0):
+    """extract_features of one scene: a chunk of one."""
+    return extract_features([scene], boxes, num_base_classes, payload_obs_scale, [len(boxes)])
+
+
 class TestExtractFeatures:
     def test_deterministic(self):
         sample = scene_sample(seed=1)
         boxes = np.array([[50.0, 50.0, 150.0, 150.0]])
-        a = extract_features(sample.scene, boxes, 4)
-        b = extract_features(sample.scene, boxes, 4)
+        a = features_of(sample.scene, boxes)
+        b = features_of(sample.scene, boxes)
         np.testing.assert_array_equal(a, b)
 
     def test_payload_block_peaks_at_covered_class(self):
         sample = scene_sample(seed=2)
         scene = sample.scene
-        phi = extract_features(scene, scene.object_boxes[:1], 4, payload_obs_scale=0.0)
+        phi = features_of(scene, scene.object_boxes[:1], payload_obs_scale=0.0)
         payload = phi[0, 8:]
         assert int(np.argmax(payload)) == scene.object_classes[0]
 
     def test_thin_proposal_finite(self):
         sample = scene_sample(seed=3)
-        phi = extract_features(sample.scene, np.array([[10.0, 10.0, 10.01, 400.0]]), 4)
+        phi = features_of(sample.scene, np.array([[10.0, 10.0, 10.01, 400.0]]))
         assert np.all(np.isfinite(phi))
 
     def test_feature_dim(self):
         assert feature_dim(4) == 12
         sample = scene_sample(seed=4)
         boxes = np.array([[0.0, 0.0, 50.0, 50.0], [10.0, 10.0, 20.0, 30.0]])
-        assert extract_features(sample.scene, boxes, 4).shape == (2, 12)
-        assert extract_features(sample.scene, np.zeros((0, 4)), 4).shape == (0, 12)
+        assert features_of(sample.scene, boxes).shape == (2, 12)
+        assert features_of(sample.scene, np.zeros((0, 4))).shape == (0, 12)
 
 
 def weights_from(layout, cls, reg=None):
@@ -190,7 +197,7 @@ class TestToyForward:
     def test_zero_weights_uniform(self):
         layout = WeightLayout(feature_dim=feature_dim(3), num_outputs=5)
         weights = WeightVector(layout=layout, values=np.zeros(layout.total))
-        probs, offsets = toy_forward(weights, np.ones((1, layout.feature_dim)))
+        probs, offsets = toy_forward(weights, np.ones((1, layout.feature_dim)), [1])
         np.testing.assert_allclose(probs, np.full((1, 5), 0.2), atol=1e-12)
         np.testing.assert_allclose(offsets, np.zeros((1, 4)), atol=1e-12)
 
@@ -199,7 +206,7 @@ class TestToyForward:
         for _ in range(1000):
             weights = random_weights(rng)
             phi = rng.normal(0, 2, (1, weights.layout.feature_dim))
-            probs, _ = toy_forward(weights, phi)
+            probs, _ = toy_forward(weights, phi, [1])
             assert abs(probs.sum() - 1.0) < 1e-9
             assert np.all(probs > 0)
 
@@ -208,17 +215,17 @@ class TestToyForward:
         cls = np.zeros((layout.num_outputs, layout.columns))
         cls[2, :] = 1.0
         weights = weights_from(layout, cls)
-        probs, _ = toy_forward(weights, np.ones((1, layout.feature_dim)))
+        probs, _ = toy_forward(weights, np.ones((1, layout.feature_dim)), [1])
         assert int(np.argmax(probs[0])) == 2
 
     def test_layout_mismatch_rejected(self):
         rng = np.random.default_rng(9)
         weights = random_weights(rng)
         with pytest.raises(InvariantViolation):
-            toy_forward(weights, np.ones((1, weights.layout.feature_dim + 1)))
+            toy_forward(weights, np.ones((1, weights.layout.feature_dim + 1)), [1])
 
     def test_blocks_equal_per_block_forward(self):
-        # With counts the matmuls run per block: one matmul over the whole
+        # The matmuls run per block: one matmul over the whole
         # stack differs in the last bits from the per-block products on
         # some of these stacks with OpenBLAS.
         rng = np.random.default_rng(10)
@@ -227,7 +234,8 @@ class TestToyForward:
             counts = rng.integers(0, 60, int(rng.integers(1, 12)))
             phi = rng.normal(0, 1, (int(counts.sum()), weights.layout.feature_dim))
             probs, offsets = toy_forward(weights, phi, counts)
-            blocks = [toy_forward(weights, b) for b in np.split(phi, np.cumsum(counts)[:-1])]
+            split = np.split(phi, np.cumsum(counts)[:-1])
+            blocks = [toy_forward(weights, b, [len(b)]) for b in split]
             assert np.array_equal(probs, np.concatenate([p for p, _ in blocks]))
             assert np.array_equal(offsets, np.concatenate([o for _, o in blocks]))
 
@@ -236,7 +244,7 @@ class TestToyForward:
         values = np.zeros(layout.total)
         values[0] = 500.0
         weights = WeightVector(layout=layout, values=values)
-        probs, _ = toy_forward(weights, np.array([[10.0, 0.0]]))
+        probs, _ = toy_forward(weights, np.array([[10.0, 0.0]]), [1])
         assert np.all(np.isfinite(probs)) and abs(probs.sum() - 1.0) < 1e-9
 
 
@@ -447,8 +455,8 @@ class TestToyDetector:
         sample = scene_sample(seed=8)
         backend = self.backend()
         props = backend.proposals([sample])[0]
-        plain = backend.features(sample.scene, props)
-        strong = backend.augment(plain, "strong", [rng_for(4, "strong")])
+        plain = backend.features([sample.scene], props, [len(props)])
+        strong = backend.augment(plain, "strong", [rng_for(4, "strong")], [len(plain)])
         assert not np.array_equal(plain, strong)
 
     def test_view_features_stay_unchanged_under_augmentation(self):
@@ -462,9 +470,10 @@ class TestToyDetector:
             view.phi[0, 0] = 1.0
         # at seed 3 the weak flip fires, so weak augmentation does write
         # to its output
-        weak = backend.augment(view.phi, "weak", [rng_for(3, "weak")])
+        weak = backend.augment(view.phi, "weak", [rng_for(3, "weak")], view.counts)
         np.testing.assert_array_equal(weak[:, 2], 1.0 - before[:, 2])
-        assert not np.array_equal(backend.augment(view.phi, "strong", [rng_for(4, "strong")]), before)
+        strong = backend.augment(view.phi, "strong", [rng_for(4, "strong")], view.counts)
+        assert not np.array_equal(strong, before)
         decoded = backend.decode(weights, ViewStack.of([view]), "weak", [rng_for(3, "weak")])
         fresh = decode_per_view(backend, weights, backend.views([sample]), "weak", 3)
         assert [x.tobytes() for x in decoded] == [x.tobytes() for x in fresh]
@@ -485,7 +494,7 @@ class TestToyDetector:
         backend = self.backend()
         props = backend.proposals([sample])[0]
         with pytest.raises(InvariantViolation):
-            backend.augment(backend.features(sample.scene, props), "extreme")
+            backend.augment(backend.features([sample.scene], props, [len(props)]), "extreme", [], [])
 
     def test_no_cluster_proposals_on_crop_children(self):
         from densecrop.dataset import make_crop_children, UpscalePolicy
@@ -527,13 +536,10 @@ class TestArrayKernelsMatchLoops:
     backend = TestToyDetector.backend
 
     def samples(self):
-        from densecrop.croplab import label_density_crops
         from densecrop.dataset import UpscalePolicy, make_crop_children
 
         dense = scene_sample(seed=21, clusters_per_image=(2, 3), objects_per_cluster=(10, 14))
-        crops = label_density_crops(
-            dense.scene.object_boxes, dense.record.size, CropParams(merge_steps=2)
-        )
+        crops = label_one(dense.scene.object_boxes, dense.record.size, CropParams(merge_steps=2))
         child = make_crop_children([dense], [crops[:1]], UpscalePolicy("factor", factor=3.0))[0]
         assert child.record.provenance.kind == "crop" and len(child.scene.object_boxes) >= 9
         return [dense, scene_sample(seed=22), child]
@@ -557,7 +563,7 @@ class TestArrayKernelsMatchLoops:
             covers = (intersection_matrix(boxes, sample.scene.object_boxes) > 0.0).sum(axis=1)
             assert covers.max() >= 9
             for scale in (4.0, 0.0):
-                got = extract_features(sample.scene, boxes, 4, scale)
+                got = features_of(sample.scene, boxes, payload_obs_scale=scale)
                 want = [extract_features_ref(sample.scene, r, 4, scale) for r in rows(boxes)]
                 assert np.array_equal(got, np.stack(want))
 
@@ -577,7 +583,7 @@ class TestArrayKernelsMatchLoops:
         for objs in (objects, ()):
             scene = scene_spec(100.0, 80.0, 3, objs, payload_width=3)
             want = np.stack([extract_features_ref(scene, r, 3) for r in rows(boxes)])
-            got = extract_features(scene, boxes, 3)
+            got = features_of(scene, boxes, num_base_classes=3)
             assert np.array_equal(got, want)
             if objs:
                 assert np.array_equal(got[1:3, 4:8], np.zeros((2, 4)))  # no overlap features
@@ -689,13 +695,10 @@ class TestArrayKernelsMatchLoops:
     def mixed_batch(self):
         """Parents and crop children of other sizes, a scene of another
         size and object count, and a scene without objects."""
-        from densecrop.croplab import label_density_crops
         from densecrop.dataset import UpscalePolicy, make_crop_children
 
         dense, other, child = self.samples()
-        crops = label_density_crops(
-            dense.scene.object_boxes, dense.record.size, CropParams(merge_steps=2)
-        )
+        crops = label_one(dense.scene.object_boxes, dense.record.size, CropParams(merge_steps=2))
         children = make_crop_children([dense], [crops[1:3]], UpscalePolicy("factor", factor=2.0))
         small = scene_sample(seed=23, width=320.0, height=200.0, clusters_per_image=(0, 1))
         empty = SceneSample(
@@ -797,7 +800,7 @@ class TestArrayKernelsMatchLoops:
                 [len(b) for b in per_scene],
             )
             want = np.concatenate(
-                [extract_features(s.scene, b, 4, scale) for s, b in zip(samples, per_scene)]
+                [features_of(s.scene, b, payload_obs_scale=scale) for s, b in zip(samples, per_scene)]
             )
             assert got.tobytes() == want.tobytes()
 
@@ -835,10 +838,11 @@ class TestArrayKernelsMatchLoops:
             for w in weights:
                 for augmentation, seed in (("none", 0), ("weak", 3), ("strong", 4)):
                     rngs = [rng_for(seed, augmentation)]
-                    probs, offsets = toy_forward(w, backend.augment(view.phi, augmentation, rngs))
+                    phi = backend.augment(view.phi, augmentation, rngs, view.counts)
+                    probs, offsets = toy_forward(w, phi, view.counts)
                     want = decode_ref(
                         rows(view.proposals), probs, offsets, sample.record.size,
-                        backend.config.emit_floor, backend.background_class,
+                        EMIT_FLOOR, backend.background_class,
                     )
                     boxes, decoded_probs = backend.decode(
                         w, ViewStack.of([view]), augmentation, [rng_for(seed, augmentation)]

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import densecrop
-from densecrop import detect
+from densecrop import croplab, detect
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(densecrop.__path__))
 
@@ -30,6 +30,24 @@ def test_detector_contract_is_detect_batch():
     assert detect.DetectorBackend.__abstractmethods__ == {"detect_batch"}
     for backend in (detect.DetectorBackend, detect.OracleBackend, detect.ToyDetector):
         assert not hasattr(backend, "detect") and not hasattr(backend, "detect_arrays")
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        croplab.label_density_crops,
+        croplab.merge_round,
+        detect.extract_features,
+        detect.toy_forward,
+        detect.ToyDetector.augment,
+        detect.ToyDetector.features,
+    ],
+    ids=lambda kernel: kernel.__qualname__,
+)
+def test_stack_kernels_require_counts(kernel):
+    # a ragged-stack kernel has one form: a single image is a stack of one
+    counts = inspect.signature(kernel).parameters["counts"]
+    assert counts.default is inspect.Parameter.empty
 
 
 def test_package_star_import():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from densecrop.croplab import CropParams, label_density_crops
+from densecrop.croplab import CropParams
 from densecrop.errors import InvariantViolation
 from densecrop.geometry import (
     Box,
@@ -18,7 +18,7 @@ from densecrop.geometry import (
     reproject_rows,
 )
 
-from reference_impls import detection_arrays, iou_ref, nms_ref, scaled_boxes_ref
+from reference_impls import detection_arrays, iou_ref, label_one, nms_ref, scaled_boxes_ref
 
 
 def random_box(rng, width=500.0, height=500.0, min_side=1.0, max_side=120.0):
@@ -126,7 +126,7 @@ def expanded(box: Box, sigma: float, bounds) -> tuple:
     """Density-crop labeling's sigma expansion of one box: a box and its
     copy form one cluster, whose crop is the expanded box."""
     params = CropParams(merge_steps=1, sigma=sigma, theta=0.5, pi=1.0, min_cluster=2)
-    (crop,) = label_density_crops(box_array([box, box]), bounds, params).tolist()
+    (crop,) = label_one(box_array([box, box]), bounds, params).tolist()
     return tuple(crop)
 
 
@@ -164,20 +164,20 @@ class TestEnclosingBox:
         params = CropParams(merge_steps=3, sigma=0, theta=0.1, pi=1.0, min_cluster=2)
         boxes = box_array([Box(0, 0, 10, 10), Box(5, 0, 15, 10), Box(200, 200, 230, 230)])
         pair = box_array([Box(0, 0, 15, 10)])
-        assert np.array_equal(label_density_crops(boxes, (500, 500), params), pair)
+        assert np.array_equal(label_one(boxes, (500, 500), params), pair)
 
     def test_pair(self):
         params = CropParams(merge_steps=1, sigma=0, theta=0.1, pi=1.0, min_cluster=2)
         boxes = box_array([Box(0, 0, 10, 10), Box(5, 5, 20, 15)])
-        crops = label_density_crops(boxes, (500, 500), params)
+        crops = label_one(boxes, (500, 500), params)
         assert crops.tolist() == [[0, 0, 20, 15]]
 
     def test_empty_rejected(self):
         params = CropParams()
-        assert label_density_crops(np.zeros((0, 4)), (500, 500), params).shape == (0, 4)
+        assert label_one(np.zeros((0, 4)), (500, 500), params).shape == (0, 4)
         for bad in ([10.0, 0.0, 5.0, 10.0], [0.0, 0.0, float("nan"), 10.0]):
             with pytest.raises(InvariantViolation):
-                label_density_crops(np.array([bad, [0.0, 0.0, 10.0, 10.0]]), (500, 500), params)
+                label_one(np.array([bad, [0.0, 0.0, 10.0, 10.0]]), (500, 500), params)
 
     def test_random_fold_oracle(self):
         rng = np.random.default_rng(103)
@@ -188,7 +188,7 @@ class TestEnclosingBox:
             w, h = rng.uniform(40, 60, 2)
             boxes.append(Box(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2))
         params = CropParams(merge_steps=1, sigma=0, theta=0.1, pi=1.0, min_cluster=2)
-        (got,) = label_density_crops(box_array(boxes), (500, 500), params).tolist()
+        (got,) = label_one(box_array(boxes), (500, 500), params).tolist()
         xs1, ys1, xs2, ys2 = (
             min(b.x1 for b in boxes),
             min(b.y1 for b in boxes),
@@ -200,12 +200,12 @@ class TestEnclosingBox:
 
 def reproject(p: Box, crop: Box, crop_size) -> Box:
     """:func:`reproject_rows` of one box."""
-    return Box(*reproject_rows(np.array([p.as_tuple()]), crop, crop_size)[0].tolist())
+    return Box(*reproject_rows(np.array([p.as_tuple()]), [crop.as_tuple()], [crop_size])[0].tolist())
 
 
 def project_into_crop(b: Box, crop: Box, crop_size) -> Box:
     """:func:`project_rows` of one box."""
-    return Box(*project_rows(np.array([b.as_tuple()]), crop, crop_size)[0].tolist())
+    return Box(*project_rows(np.array([b.as_tuple()]), [crop.as_tuple()], [crop_size])[0].tolist())
 
 
 class TestReproject:
@@ -222,7 +222,7 @@ class TestReproject:
     def test_zero_crop_size_rejected(self):
         for fn in (reproject_rows, project_rows):
             with pytest.raises(InvariantViolation):
-                fn(np.array([[0.0, 0.0, 1.0, 1.0]]), Box(0, 0, 10, 10), (0, 10))
+                fn(np.array([[0.0, 0.0, 1.0, 1.0]]), [(0.0, 0.0, 10.0, 10.0)], [(0, 10)])
 
     def test_round_trip_random(self):
         rng = np.random.default_rng(104)
@@ -388,12 +388,12 @@ class TestArrayHelpers:
         ):
             sw, sh = crop.width / out_size[0], crop.height / out_size[1]
             boxes = [random_box(rng, width=400.0, height=300.0).as_tuple() for _ in range(50)]
-            back = reproject_rows(np.array(boxes), crop, out_size)
+            back = reproject_rows(np.array(boxes), [crop.as_tuple()], [out_size])
             assert back.tolist() == [
                 [x1 * sw + crop.x1, y1 * sh + crop.y1, x2 * sw + crop.x1, y2 * sh + crop.y1]
                 for x1, y1, x2, y2 in boxes
             ]
-            into = project_rows(np.array(boxes), crop, out_size)
+            into = project_rows(np.array(boxes), [crop.as_tuple()], [out_size])
             assert into.tolist() == [
                 [(x1 - crop.x1) / sw, (y1 - crop.y1) / sh, (x2 - crop.x1) / sw, (y2 - crop.y1) / sh]
                 for x1, y1, x2, y2 in boxes

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from densecrop.croplab import CropParams, label_density_crops
+from densecrop.croplab import CropParams
 from densecrop.dataset import (
     Annotation,
     ImageRecord,
@@ -22,15 +22,10 @@ from densecrop.detect import (
 )
 from densecrop.errors import ConfigError, InvariantViolation
 from densecrop.geometry import Box, Detection
-from densecrop.infer import (
-    InferenceConfig,
-    detect_multistage,
-    run_inference,
-    select_crops,
-)
+from densecrop.infer import InferenceConfig, run_inference, select_crops
 from densecrop.metrics import recall_by_size
 
-from reference_impls import detection_arrays, scene_spec
+from reference_impls import detection_arrays, label_one, scene_spec
 
 CROP_PARAMS = CropParams(merge_steps=1, sigma=5, theta=0.05, pi=0.5, min_cluster=2)
 
@@ -92,7 +87,7 @@ class TestSelectCrops:
             detection_arrays(dets), config(crop_mode="relabeled"), (500, 500), crop_class_id=3
         )
         rows = np.array([b.as_tuple() for b in boxes])
-        assert np.array_equal(crops, label_density_crops(rows, (500, 500), CROP_PARAMS))
+        assert np.array_equal(crops, label_one(rows, (500, 500), CROP_PARAMS))
         assert crops.tolist() == [[0, 0, 50, 25]]
 
     def test_relabeled_mode_ignores_unconfident(self):
@@ -129,7 +124,7 @@ def clustered_sample(seed=0):
 
 def add_crop_annotations(sample, crop_class, crop_params=None):
     params = crop_params or CropParams(merge_steps=2, sigma=14, theta=0.05, pi=0.4, min_cluster=3)
-    crops = label_density_crops(
+    crops = label_one(
         np.array([a.box.as_tuple() for a in sample.record.annotations]), sample.record.size, params
     )
     record = ImageRecord(
@@ -147,12 +142,19 @@ MISS_SMALL = OracleNoiseModel(
 )
 
 
+def detect_one(sample, backend, inference):
+    """The fused detections of one image: ``run_inference`` over a list of one."""
+    (result,) = run_inference([sample], backend, None, inference)
+    assert result.error is None
+    return result.detections
+
+
 class TestDetectMultistage:
     def test_no_crops_selected_equals_stage_one(self):
         sample = clustered_sample(seed=1)  # no crop annotations -> no crop dets
         backend = OracleBackend(num_base_classes=3, noise=OracleNoiseModel(score_mean=0.9, score_std=0.0))
-        multi = detect_multistage(sample, backend, None, config())
-        single = detect_multistage(sample, backend, None, config(multistage=False))
+        multi = detect_one(sample, backend, config())
+        single = detect_one(sample, backend, config(multistage=False))
         assert multi == single
 
     def test_small_recall_zero_to_one(self):
@@ -177,8 +179,8 @@ class TestDetectMultistage:
             )
         backend = OracleBackend(num_base_classes=3, noise=MISS_SMALL)
         gts = {1: [a for a in annotations if a.class_id != 3]}
-        single = detect_multistage(sample, backend, None, config(multistage=False))
-        multi = detect_multistage(sample, backend, None, config())
+        single = detect_one(sample, backend, config(multistage=False))
+        multi = detect_one(sample, backend, config())
         r_single = recall_by_size(gts, [(1, d) for d in single])
         r_multi = recall_by_size(gts, [(1, d) for d in multi])
         assert r_single["small"] == 0.0
@@ -190,21 +192,21 @@ class TestDetectMultistage:
         sample = add_crop_annotations(clustered_sample(seed=3), crop_class=3)
         noise = OracleNoiseModel(score_mean=0.9, score_std=0.0)
         backend = OracleBackend(num_base_classes=3, noise=noise)
-        multi = detect_multistage(sample, backend, None, config())
+        multi = detect_one(sample, backend, config())
         base_gt = [a for a in sample.record.annotations if a.class_id != 3]
         assert len(multi) == len(base_gt)
 
     def test_no_crop_class_in_output(self):
         sample = add_crop_annotations(clustered_sample(seed=4), crop_class=3)
         backend = OracleBackend(num_base_classes=3, noise=OracleNoiseModel(score_mean=0.9, score_std=0.0))
-        multi = detect_multistage(sample, backend, None, config())
+        multi = detect_one(sample, backend, config())
         assert all(d.class_id != 3 for d in multi)
 
     def test_outputs_inside_image(self):
         sample = add_crop_annotations(clustered_sample(seed=5), crop_class=3)
         noise = OracleNoiseModel(jitter_std=4.0, score_mean=0.8, score_std=0.1, fp_rate=2.0)
         backend = OracleBackend(num_base_classes=3, noise=noise)
-        for det in detect_multistage(sample, backend, None, config()):
+        for det in detect_one(sample, backend, config()):
             assert 0 <= det.box.x1 < det.box.x2 <= sample.record.width
             assert 0 <= det.box.y1 < det.box.y2 <= sample.record.height
 
@@ -212,8 +214,8 @@ class TestDetectMultistage:
         sample = add_crop_annotations(clustered_sample(seed=6), crop_class=3)
         backend = OracleBackend(num_base_classes=3, noise=MISS_SMALL)
         crops = [a.box for a in sample.record.annotations if a.class_id == 3]
-        single = detect_multistage(sample, backend, None, config(multistage=False))
-        multi = detect_multistage(sample, backend, None, config())
+        single = detect_one(sample, backend, config(multistage=False))
+        multi = detect_one(sample, backend, config())
         stage2_only = [d for d in multi if d not in single]
         tol = 1e-9
         for det in stage2_only:
@@ -229,8 +231,8 @@ class TestDetectMultistage:
         sample = add_crop_annotations(clustered_sample(seed=7), crop_class=3)
         noise = OracleNoiseModel(jitter_std=1.0, score_mean=0.8, score_std=0.1)
         backend = OracleBackend(num_base_classes=3, noise=noise)
-        a = detect_multistage(sample, backend, None, config())
-        b = detect_multistage(sample, backend, None, config())
+        a = detect_one(sample, backend, config())
+        b = detect_one(sample, backend, config())
         assert a == b
 
 

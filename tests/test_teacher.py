@@ -45,7 +45,7 @@ from densecrop.teacher import (
     write_run_report,
 )
 
-from reference_impls import decode_per_view, student_batch_ref, supervised_batch_ref
+from reference_impls import decode_per_view, label_one, student_batch_ref, supervised_batch_ref
 
 CROP_PARAMS = CropParams(merge_steps=2, sigma=14, theta=0.05, pi=0.4, min_cluster=3)
 UPSCALE = UpscalePolicy("factor", factor=4.0)
@@ -470,7 +470,7 @@ class TestBurnIn:
         correct = total = 0
         for view in pool.values():
             batch = backend.supervised_batch(ViewStack.of([view]))
-            probs, _ = toy_forward(weights, batch.features)
+            probs, _ = toy_forward(weights, batch.features, [len(batch)])
             correct += int(np.sum(np.argmax(probs, axis=1) == batch.classes))
             total += len(batch)
         assert correct / total >= 0.95
@@ -558,7 +558,7 @@ class TestDiscoverUnlabeledCrops:
             record = pool[image_id].record
             crops = [a.box.as_tuple() for a in record.annotations if a.class_id == backend.crop_class_id]
             base = [a.box for a in samples[image_id].record.annotations if a.class_id < 3]
-            alone = label(np.array([b.as_tuple() for b in base]), record.size, cfg.crop_params)
+            alone = label_one(np.array([b.as_tuple() for b in base]), record.size, cfg.crop_params)
             assert crops == [tuple(c) for c in alone.tolist()]
             children = [i for i in pool if str(i).startswith(f"{image_id}:crop")]
             assert len(children) == len(alone)
