@@ -217,20 +217,17 @@ def cmd_infer(params: dict) -> RunManifest:
 
     start = time.perf_counter()
     results = infer.run_inference(samples, backend, weights, inference_config)
-    flat = [(res.image_id, det) for res in results for det in res.detections]
-    detect.write_detections(flat, det_path)
+    detect.write_detections([(r.image_id, r.boxes, r.classes, r.scores) for r in results], det_path)
     errors = [res for res in results if res.error]
     with open(timing_path, "w", encoding="utf-8") as fh:
         fh.write("image_id\tseconds\tdetections\terror\n")
         for res in results:
-            fh.write(
-                f"{res.image_id}\t{res.seconds:.6f}\t{len(res.detections)}\t{res.error or ''}\n"
-            )
+            fh.write(f"{res.image_id}\t{res.seconds:.6f}\t{len(res.scores)}\t{res.error or ''}\n")
     total_seconds = sum(res.seconds for res in results)
     fps = len(results) / total_seconds if total_seconds > 0 else float("inf")
     print(
-        f"inferred {len(results)} images ({len(flat)} detections, {fps:.1f} FPS, "
-        f"{len(errors)} errors)"
+        f"inferred {len(results)} images ({sum(len(res.scores) for res in results)} "
+        f"detections, {fps:.1f} FPS, {len(errors)} errors)"
     )
     manifest = _finish(
         "infer", params, params["seed"], start, [det_path], [timing_path],

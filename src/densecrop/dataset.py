@@ -701,8 +701,8 @@ def read_scenes(path: str | os.PathLike, records: list[ImageRecord]) -> list[Sce
 
     Keys other than the ones :func:`write_scenes` writes are ignored, such
     as the ``clusters`` of files from earlier versions. A scene whose boxes
-    are not valid 4-number boxes, or whose objects' payloads differ in
-    length, is a :class:`DataError`.
+    are not valid 4-number boxes, whose size is not positive and finite, or
+    whose objects' payloads differ in length, is a :class:`DataError`.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -734,5 +734,7 @@ def read_scenes(path: str | os.PathLike, records: list[ImageRecord]) -> list[Sce
             check_boxes(scene.object_boxes)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DataError(f"malformed scene entry for image {record.image_id!r}") from exc
+        if not (0 < scene.width < math.inf and 0 < scene.height < math.inf):
+            raise DataError(f"scene for image {record.image_id!r} is not positive and finite in size")
         samples.append(SceneSample(record=record, scene=scene))
     return samples

@@ -898,9 +898,7 @@ class ToyDetector(DetectorBackend):
         order."""
         return np.nonzero(probs[:, : self.background_class] > EMIT_FLOOR)
 
-    def supervised_batch(
-        self, stack: ViewStack, augmentation: str = "none", rngs=()
-    ) -> SupervisedBatch:
+    def supervised_batch(self, stack: ViewStack, augmentation: str, rngs) -> SupervisedBatch:
         """Training batch of a stack of views against their records' own
         annotations; every view must have been built with targets. Each
         view is augmented with its own generator of ``rngs`` as in
@@ -960,16 +958,15 @@ _DUMP_HEADER = "# image_id\tclass_id\tscore\tx1\ty1\tx2\ty2"
 
 
 def write_detections(
-    detections: list[tuple[int | str, Detection]], path: str | os.PathLike
+    rows: list[tuple[int | str, np.ndarray, np.ndarray, np.ndarray]], path: str | os.PathLike
 ) -> None:
-    """One tab-separated record per detection; floats keep full precision."""
+    """One tab-separated record per row of each image's (image_id, (N, 4)
+    boxes, (N,) classes, (N,) scores); floats keep full precision."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_DUMP_HEADER + "\n")
-        for image_id, det in detections:
-            b = det.box
-            fh.write(
-                f"{image_id}\t{det.class_id}\t{det.score!r}\t{b.x1!r}\t{b.y1!r}\t{b.x2!r}\t{b.y2!r}\n"
-            )
+        for image_id, *columns in rows:
+            for (x1, y1, x2, y2), class_id, score in zip(*(c.tolist() for c in columns)):
+                fh.write(f"{image_id}\t{class_id}\t{score!r}\t{x1!r}\t{y1!r}\t{x2!r}\t{y2!r}\n")
 
 
 def _image_id(raw: str) -> int | str:

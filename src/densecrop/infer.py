@@ -10,10 +10,11 @@ stage-one base-class detections, and deduplicated with NMS.
 
 Both stages run a chunk of images at a time: one backend ``detect_batch``
 for the chunk's full images, then one for the upscaled children of every
-crop selected in them. Crop selection, reprojection, clipping, the
-box-invariant check and NMS run per image on (N, 4) arrays, and
-:class:`Detection` objects are built once, for the rows NMS keeps. An
-image's detections do not depend on the chunk it ran in, so one image's
+crop selected in them. Crop selection and NMS run per image; the
+reprojection, clipping and box-invariant check of stage two run once over
+the chunk's rows. Results stay (N, 4), (N,) and (N,) arrays: no
+:class:`Detection` is built unless ``.detections`` is read. An image's
+detections do not depend on the chunk it ran in, so one image's
 detections are those of a run over a list of one.
 """
 
@@ -105,10 +106,10 @@ def select_crops(
     return crops[: config.max_crops_per_image]
 
 
-def _fuse(blocks: list[tuple], fusion_iou: float) -> list[Detection]:
+def _fuse(blocks: list[tuple], fusion_iou: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     boxes, classes, scores = (np.concatenate(column) for column in zip(*blocks))
     kept = nms_keep(boxes, classes, scores, fusion_iou)
-    return detections_from_arrays(boxes[kept], classes[kept], scores[kept])
+    return boxes[kept], classes[kept], scores[kept]
 
 
 def _detect_chunk(
@@ -116,47 +117,59 @@ def _detect_chunk(
     backend: DetectorBackend,
     weights: WeightVector | None,
     config: InferenceConfig,
-) -> list[list[Detection]]:
-    """Fused detections of each sample of a chunk: one stage-one
-    ``detect_batch`` over the samples, crop selection per sample, one
-    stage-two ``detect_batch`` over every selected crop's child, then
-    reprojection, the box check and NMS per sample."""
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Fused (boxes, classes, scores) of each sample of a chunk: one
+    stage-one ``detect_batch`` over the samples, crop selection per sample,
+    one stage-two ``detect_batch`` over every selected crop's child, whose
+    rows are reprojected, clipped and checked at once, and NMS per sample."""
     crop_class = backend.crop_class_id
-    blocks: list[list[tuple]] = []
+    firsts = backend.detect_batch(weights, samples)
+    blocks = [[tuple(column[first[1] != crop_class] for column in first)] for first in firsts]
+    check_boxes(np.concatenate([block[0][0] for block in blocks]))
     crops, owners = [], []
-    for k, (sample, first) in enumerate(zip(samples, backend.detect_batch(weights, samples))):
-        base = first[1] != crop_class
-        stage_one = tuple(column[base] for column in first)
-        check_boxes(stage_one[0])
-        blocks.append([stage_one])
-        if config.multistage and config.max_crops_per_image > 0:
+    if config.multistage and config.max_crops_per_image > 0:
+        for k, (sample, first) in enumerate(zip(samples, firsts)):
             for crop in select_crops(first, config, sample.record.size, crop_class):
                 crops.append(crop[None])
                 owners.append(k)
     # Each crop is a one-row group of its parent, so every stage-two child
     # is named ``:crop0``; the toy detector seeds its proposals by image id.
     children = make_crop_children([samples[k] for k in owners], crops, config.upscale)
-    for k, crop, child, (boxes, classes, scores) in zip(
-        owners, crops, children, backend.detect_batch(weights, children)
-    ):
-        record = samples[k].record
-        bounds = np.array([record.width, record.height] * 2, dtype=np.float64)
+    if children:
+        second = backend.detect_batch(weights, children)
+        boxes, classes, scores = (np.concatenate(column) for column in zip(*second))
         base = classes != crop_class
-        clipped = clip(reproject_rows(boxes[base], crop, [child.record.size]), 0.0, bounds)
-        check_boxes(clipped)
-        blocks[k].append((clipped, classes[base], scores[base]))
+        child = np.repeat(np.arange(len(children)), [len(s) for _, _, s in second])[base]
+        owner = np.array(owners)[child]
+        sizes = np.array([c.record.size for c in children], dtype=np.float64)[child]
+        bounds = np.array([[*s.record.size] * 2 for s in samples], dtype=np.float64)[owner]
+        rows = clip(reproject_rows(boxes[base], np.concatenate(crops)[child], sizes), 0.0, bounds)
+        check_boxes(rows)
+        # Rows come in (owner, crop) order, so each owner's rows are one run.
+        at = np.cumsum(np.bincount(owner, minlength=len(samples)))[:-1]
+        columns = (np.split(column, at) for column in (rows, classes[base], scores[base]))
+        for block, *own in zip(blocks, *columns):
+            block.append(tuple(own))
     return [_fuse(own, config.fusion_iou) for own in blocks]
 
 
-@dataclass
+@dataclass(eq=False)
 class ImageInferenceResult:
-    """One image's fused detections or error. ``seconds`` is the image's
-    share of its chunk's wall time: the chunk's time over its image count."""
+    """One image's fused (N, 4) float64 ``boxes``, (N,) int64 ``classes`` and
+    (N,) float64 ``scores``, no rows with an error; ``seconds`` is its share
+    of its chunk's wall time. Arrays define no ``==``: compare by identity."""
 
     image_id: int | str
-    detections: list[Detection]
+    boxes: np.ndarray
+    classes: np.ndarray
+    scores: np.ndarray
     seconds: float
     error: str | None = None
+
+    @property
+    def detections(self) -> list[Detection]:
+        """The rows as :class:`Detection` objects, built on each read."""
+        return detections_from_arrays(self.boxes, self.classes, self.scores)
 
 
 def _attempt(
@@ -164,15 +177,16 @@ def _attempt(
     backend: DetectorBackend,
     weights: WeightVector | None,
     config: InferenceConfig,
-) -> list[tuple[list[Detection], str | None]]:
-    """(detections, error) of each sample of a chunk; a failure anywhere in
-    the chunk is every sample's error."""
+) -> list[tuple[tuple, str | None]]:
+    """((boxes, classes, scores), error) of each sample of a chunk; a
+    failure anywhere in the chunk is every sample's error, with zero rows."""
     try:
-        return [(dets, None) for dets in _detect_chunk(samples, backend, weights, config)]
+        return [(fused, None) for fused in _detect_chunk(samples, backend, weights, config)]
     except InvariantViolation:
         raise
     except Exception as exc:  # error record, not a crash
-        return [([], f"{type(exc).__name__}: {exc}")] * len(samples)
+        empty = (np.zeros((0, 4)), np.zeros(0, dtype=np.int64), np.zeros(0))
+        return [(empty, f"{type(exc).__name__}: {exc}")] * len(samples)
 
 
 def run_inference(
@@ -209,7 +223,7 @@ def run_inference(
             outcomes = [_attempt([sample], backend, weights, config)[0] for sample in chunk]
         share = (time.perf_counter() - began) / len(chunk)
         results += [
-            ImageInferenceResult(sample.record.image_id, dets, share, error)
-            for sample, (dets, error) in zip(chunk, outcomes)
+            ImageInferenceResult(sample.record.image_id, *fused, share, error)
+            for sample, (fused, error) in zip(chunk, outcomes)
         ]
     return results

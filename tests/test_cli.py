@@ -5,14 +5,14 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from densecrop import config
-from densecrop import detect
+from densecrop import detect, geometry, infer
 from densecrop.cli import main
 from densecrop.dataset import load_annotations
 from densecrop.errors import InvariantViolation
-from densecrop.geometry import Box, Detection
 from densecrop.manifest import read_manifest, write_manifest
 
 
@@ -203,10 +203,8 @@ class TestTrainInferEvalErrors:
             )
         )
         detections = tmp_path / "detections.tsv"
-        box = Box(10.0, 20.0, 40.0, 60.0)
-        detect.write_detections(
-            [(i, Detection(box=box, class_id=0, score=0.9)) for i in image_ids], detections
-        )
+        one = (np.array([[10.0, 20.0, 40.0, 60.0]]), np.array([0]), np.array([0.9]))
+        detect.write_detections([(i, *one) for i in image_ids], detections)
         common = ["--annotations", str(annotations), "--detections", str(detections)]
         assert run(["eval", *common, "--out", str(tmp_path / "eval")]) == 0
         report = json.loads((tmp_path / "eval" / "report.json").read_text())
@@ -229,6 +227,42 @@ class TestTrainInferEvalErrors:
             ]
         ) == 0
         assert (out / "detections.tsv").exists()
+
+    def test_infer_builds_no_detection(self, workspace, tmp_path, monkeypatch):
+        # Inference keeps its results as arrays and the command writes them
+        # as they are: no Detection is built, and no Box after inference.
+        crops = tmp_path / "crops"
+        assert run(
+            ["crops", "label", "--annotations", str(workspace["annotations"]), "--out", str(crops)]
+        ) == 0
+        built, run_inference = [], infer.run_inference
+
+        def counting(post_init):
+            def count(obj):
+                built.append(obj)
+                post_init(obj)
+
+            return count
+
+        def counted_run(*args, **kwargs):
+            detection, box = geometry.Detection, geometry.Box
+            monkeypatch.setattr(detection, "__post_init__", counting(detection.__post_init__))
+            results = run_inference(*args, **kwargs)
+            monkeypatch.setattr(box, "__post_init__", counting(box.__post_init__))
+            return results
+
+        monkeypatch.setattr(infer, "run_inference", counted_run)
+        out = tmp_path / "infer"
+        assert run(
+            [
+                "infer", "--annotations", str(crops / "annotations.json"),
+                "--scenes", str(workspace["scenes"]), "--backend", "oracle", "--out", str(out),
+            ]
+        ) == 0
+        rows = (out / "detections.tsv").read_text().splitlines()[1:]
+        timings = (out / "timings.tsv").read_text().splitlines()[1:]
+        assert len(rows) == sum(int(line.split("\t")[2]) for line in timings) > 0
+        assert built == []
 
     def test_infer_seed_sets_the_oracle_seed(self, workspace, tmp_path):
         # The root seed reaches the oracle as [oracle] seed, so a noisy
@@ -644,7 +678,8 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "case",
         [
-            "split seed", "split fraction", "scene box", "detection score", "checkpoint",
+            "split seed", "split fraction", "scene box", "scene width nan", "scene height zero",
+            "detection score", "checkpoint",
             "checkpoint nan", "checkpoint header infinite", "bbox nan", "bbox infinite width",
             "image width nan", "image width zero", "category id infinite",
             "category entry id infinite", "report per_class key", "report list",
@@ -688,10 +723,15 @@ class TestExitCodes:
                 "--out", out, "--burn-in-iters", "1", "--max-iters", "2",
                 "--crop-start-iter", "3", "--learning-rate", "0.01",
             ]
-        elif case == "scene box":
+        elif case.startswith("scene"):
             payload = json.loads(workspace["scenes"].read_text())
-            box = next(iter(payload["scenes"].values()))["objects"][0]["box"]
-            box[2] = box[0]  # zero width
+            scene = next(iter(payload["scenes"].values()))
+            if case == "scene box":
+                box = scene["objects"][0]["box"]
+                box[2] = box[0]  # zero width
+            else:
+                _, key, value = case.split()
+                scene[key] = {"nan": float("nan"), "zero": 0}[value]
             bad.write_text(json.dumps(payload))
             argv = ["infer", "--annotations", ann, "--scenes", str(bad), "--backend", "oracle",
                     "--out", out]

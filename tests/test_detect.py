@@ -35,7 +35,13 @@ from densecrop.detect import (
     write_detections,
 )
 from densecrop.errors import DataError, InvariantViolation
-from densecrop.geometry import Box, Detection, intersection_matrix, iou_matrix
+from densecrop.geometry import (
+    Box,
+    Detection,
+    detections_from_arrays,
+    intersection_matrix,
+    iou_matrix,
+)
 from densecrop.seeding import rng_for
 
 from reference_impls import (
@@ -487,7 +493,7 @@ class TestToyDetector:
         )
         np.testing.assert_array_equal(view.phi, before)
         with pytest.raises(InvariantViolation):
-            backend.supervised_batch(ViewStack.of([backend.views([sample])]))  # built without targets
+            backend.supervised_batch(ViewStack.of([backend.views([sample])]), "none", ())  # no targets
 
     def test_unknown_augmentation_rejected(self):
         sample = scene_sample(seed=8)
@@ -881,26 +887,21 @@ class TestDetectionDump:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(20)
         rows = []
-        for i in range(25):
-            x, y = rng.uniform(0, 400, 2)
-            rows.append(
-                (
-                    int(rng.integers(1, 5)),
-                    Detection(
-                        box=Box(x, y, x + rng.uniform(1, 50), y + rng.uniform(1, 50)),
-                        class_id=int(rng.integers(0, 4)),
-                        score=float(rng.uniform(0.05, 1.0)),
-                    ),
-                )
-            )
+        for image_id in (3, 1, 4, 2, 5):
+            n = int(rng.integers(0, 10)) if image_id != 4 else 0
+            xy = rng.uniform(0, 400, (n, 2))
+            boxes = np.hstack([xy, xy + rng.uniform(1, 50, (n, 2))])
+            rows.append((image_id, boxes, rng.integers(0, 4, n), rng.uniform(0.05, 1.0, n)))
         path = tmp_path / "dets.tsv"
         write_detections(rows, path)
-        assert read_detections(path) == rows
+        expected = [(i, d) for i, *arrays in rows for d in detections_from_arrays(*arrays)]
+        assert len(expected) > 10
+        assert read_detections(path) == expected
 
     def test_image_ids_stay_text_unless_plain_integers(self, tmp_path):
-        det = Detection(box=Box(0.0, 0.0, 1.0, 1.0), class_id=0, score=0.5)
+        one = (np.array([[0.0, 0.0, 1.0, 1.0]]), np.array([0]), np.array([0.5]))
         path = tmp_path / "dets.tsv"
-        write_detections([(i, det) for i in ("007", "12", 3, -5, "--5", "+4", "a1")], path)
+        write_detections([(i, *one) for i in ("007", "12", 3, -5, "--5", "+4", "a1")], path)
         assert [i for i, _ in read_detections(path)] == ["007", 12, 3, -5, "--5", "+4", "a1"]
 
     def test_malformed_line_rejected(self, tmp_path):
@@ -910,8 +911,10 @@ class TestDetectionDump:
             read_detections(path)
 
     def test_byte_stable(self, tmp_path):
-        rows = [(1, Detection(box=Box(0.1, 0.2, 10.3, 10.4), class_id=0, score=0.5))]
+        rows = [(1, np.array([[-0.0, 0.2, 10.3, 10.4]]), np.array([0]), np.array([0.5]))]
         a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
         write_detections(rows, a)
         write_detections(rows, b)
         assert a.read_bytes() == b.read_bytes()
+        # The repr of each Python float, as a Detection's fields print.
+        assert a.read_text().splitlines()[1] == "1\t0\t0.5\t-0.0\t0.2\t10.3\t10.4"

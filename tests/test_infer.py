@@ -1,5 +1,7 @@
 """Multi-stage inference: crop selection, zoom-in re-detection, fusion."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from densecrop.dataset import (
     SyntheticConfig,
     UpscalePolicy,
     generate_synthetic_dataset,
+    make_crop_children,
 )
 from densecrop import infer as infer_module
 from densecrop.detect import (
@@ -21,7 +24,7 @@ from densecrop.detect import (
     WeightVector,
 )
 from densecrop.errors import ConfigError, InvariantViolation
-from densecrop.geometry import Box, Detection
+from densecrop.geometry import Box, Detection, detections_from_arrays
 from densecrop.infer import InferenceConfig, run_inference, select_crops
 from densecrop.metrics import recall_by_size
 
@@ -303,6 +306,98 @@ class TestRunInference:
         )
         results = run_inference(samples, backend, None, config(), seed=0)
         assert all(r.seconds >= 0.0 for r in results)
+
+
+class TestArrayResults:
+    """Results hold (N, 4), (N,) and (N,) arrays; ``detections`` builds
+    :class:`Detection` objects from them only when it is read."""
+
+    def zooming_samples(self):
+        samples = []
+        for k, seed in enumerate((3, 5, 6)):
+            sample = add_crop_annotations(clustered_sample(seed=seed), crop_class=3)
+            record = replace(sample.record, image_id=f"img{k}")
+            samples.append(replace(sample, record=record))
+        return samples
+
+    def test_zooming_inference_builds_no_detection(self, monkeypatch):
+        # The only boxes built are the crop children's records: one Box per
+        # crop (its provenance) and one per annotation the crop keeps.
+        samples = self.zooming_samples()
+        noise = OracleNoiseModel(jitter_std=2.0, score_mean=0.8, score_std=0.1, fp_rate=1.0)
+        backend = OracleBackend(num_base_classes=3, noise=noise)
+        crops = [
+            select_crops(backend.detect_batch(None, [s])[0], config(), s.record.size, 3)
+            for s in samples
+        ]
+        assert all(len(rows) for rows in crops)
+        children = make_crop_children(samples, crops, config().upscale)
+        record_boxes = sum(1 + len(child.record.annotations) for child in children)
+        built = []
+
+        def counting(post_init):
+            def count(obj):
+                built.append(obj)
+                post_init(obj)
+
+            return count
+
+        with monkeypatch.context() as patched:
+            for cls in (Box, Detection):
+                patched.setattr(cls, "__post_init__", counting(cls.__post_init__))
+            results = run_inference(samples, backend, None, config())
+        assert not [obj for obj in built if isinstance(obj, Detection)]
+        assert len(built) == record_boxes
+        assert all(r.error is None and len(r.scores) for r in results)
+        for r in results:
+            assert (r.boxes.dtype, r.classes.dtype, r.scores.dtype) == (
+                np.float64, np.int64, np.float64
+            )
+            assert r.boxes.shape == (len(r.scores), 4) and r.classes.shape == r.scores.shape
+            assert repr(r.detections) == repr(
+                detections_from_arrays(r.boxes, r.classes, r.scores)
+            )
+
+    def test_error_record_has_zero_rows(self):
+        backend = FailingBackend(
+            num_base_classes=3, noise=OracleNoiseModel(score_mean=0.9, score_std=0.0)
+        )
+        samples = generate_synthetic_dataset(SyntheticConfig(num_images=3, num_classes=3, seed=12))
+        (failed,) = [r for r in run_inference(samples, backend, None, config()) if r.error]
+        assert (failed.boxes.shape, failed.classes.shape, failed.scores.shape) == (
+            (0, 4), (0,), (0,)
+        )
+        assert (failed.boxes.dtype, failed.classes.dtype, failed.scores.dtype) == (
+            np.float64, np.int64, np.float64
+        )
+        assert failed.detections == []
+
+    @pytest.mark.parametrize("order, message", [((0, 1), "non-finite"), ((1, 0), "degenerate")])
+    def test_first_invalid_stage_two_row_of_the_chunk_raises(self, order, message):
+        # Every stage-two child gets one bad row, NaN in image 0's children
+        # and zero-width in image 1's: the chunk's rows are checked at once,
+        # in (image, crop) order, so the first image's bad row raises.
+        samples = self.zooming_samples()[:2]
+        bad = {"img0": [1.0, 1.0, float("nan"), 5.0], "img1": [4.0, 1.0, 4.0, 5.0]}
+
+        class BadStageTwo(OracleBackend):
+            def detect_batch(self, weights, batch):
+                out = super().detect_batch(weights, batch)
+                for k, sample in enumerate(batch):
+                    if sample.record.provenance.kind == "crop":
+                        boxes, classes, scores = out[k]
+                        out[k] = (
+                            np.vstack([boxes, [bad[sample.record.provenance.parent_id]]]),
+                            np.append(classes, 0),
+                            np.append(scores, 0.01),
+                        )
+                return out
+
+        backend = BadStageTwo(
+            num_base_classes=3, noise=OracleNoiseModel(score_mean=0.9, score_std=0.0)
+        )
+        with pytest.raises(InvariantViolation, match=message):
+            run_inference([samples[k] for k in order], backend, None, config())
 
 
 class TestChunkedInference:

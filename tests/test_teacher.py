@@ -469,7 +469,7 @@ class TestBurnIn:
         assert history[-1].loss_total < history[0].loss_total
         correct = total = 0
         for view in pool.values():
-            batch = backend.supervised_batch(ViewStack.of([view]))
+            batch = backend.supervised_batch(ViewStack.of([view]), "none", ())
             probs, _ = toy_forward(weights, batch.features, [len(batch)])
             correct += int(np.sum(np.argmax(probs, axis=1) == batch.classes))
             total += len(batch)
