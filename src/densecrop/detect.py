@@ -42,7 +42,7 @@ from .geometry import (
     intersection_matrix,
     pair_ious,
 )
-from .seeding import rng_for, rngs_for, stable_int
+from .seeding import normals_for, rng_for, rngs_for, stable_int
 
 __all__ = [
     "WeightLayout",
@@ -80,6 +80,9 @@ _GEOM_FEATURES = 8
 _ASPECT_CAP = 8.0
 _CENTER_COUNT_CAP = 32.0
 _MIN_SIDE = 1e-3
+# The stable_int words of the constant seeding tags.
+_PAYLOAD_OBS = stable_int("payload-obs")
+_PROPOSALS = stable_int("proposals")
 # A (proposal, class) pair scoring above EMIT_FLOOR is a detection; a
 # proposal the teacher scores background above BG_TAU is a confident
 # background target for the student.
@@ -334,9 +337,9 @@ def extract_features(
     The payload block is the overlap-weighted average of the payloads of
     intersecting objects, observed through additive noise whose scale
     shrinks with object area, so upscaled crops yield cleaner features than
-    the same region at native resolution. Each proposal's noise comes from
-    a generator seeded by its scene and its coordinates in 1/16 pixels; one
-    :func:`rngs_for` call seeds every row's generator.
+    the same region at native resolution. Each proposal's noise is what a
+    generator seeded by its scene and its coordinates in 1/16 pixels would
+    draw; one :func:`normals_for` call draws every row's noise.
 
     Each row is paired with every object of its scene, padded to the
     chunk's largest object count; the padding is masked out, and sums over
@@ -386,10 +389,9 @@ def extract_features(
         # rint rounds half to even, as round() does; the mask is stable_int's.
         q = np.rint(boxes * 16.0).astype(np.int64) & 0xFFFFFFFF
         seeds = np.array([stable_int(scene.seed) for scene in scenes], dtype=np.int64)
-        rows = np.column_stack([seeds[row_scene], np.full(len(q), stable_int("payload-obs")), q])
-        rngs = rngs_for((), rows)
-        noise = [rng.normal(0.0, s, num_base_classes) for rng, s in zip(rngs, sigma.tolist())]
-        payload = payload + np.array(noise).reshape(payload.shape)
+        rows = np.column_stack([seeds[row_scene], np.full(len(q), _PAYLOAD_OBS), q])
+        # Generator.normal(0.0, s, K) draws 0.0 + s * z.
+        payload = payload + (0.0 + sigma[:, None] * normals_for((), rows, num_base_classes))
     phi[:, _GEOM_FEATURES:] = payload
     return phi
 
@@ -754,7 +756,7 @@ class ToyDetector(DetectorBackend):
         derives them all, and the background boxes and the clipping run
         once over the stacked rows.
         """
-        prefix = (stable_int(self.config.seed), stable_int("proposals"))
+        prefix = (stable_int(self.config.seed), _PROPOSALS)
         ids = [prefix + (stable_int(s.record.image_id),) for s in samples]
         rngs = rngs_for((), np.array(ids, dtype=np.int64).reshape(-1, 3))
         parents = [s.scene for s in samples if s.record.provenance.kind != "crop"]

@@ -277,13 +277,17 @@ def _aug_seed(seed: int, tag: str, iteration: int, image_id) -> int:
     return int.from_bytes(h[:8], "big")
 
 
+# The stable_int words of the augmentation tags.
+_AUGMENT_TAGS = {tag: stable_int(tag) for tag in ("weak", "strong")}
+
+
 def _augment_rngs(requests: list) -> list:
     """One ``augment`` generator per (seed, augmentation tag) request, each
     drawing as ``rng_for(seed, tag)`` would, all from one :func:`rngs_for`
     call: row ``(seed & 0xFFFFFFFF, stable_int(tag))`` is exactly what
     ``rng_for`` hashes."""
     rows = np.array(
-        [(seed & 0xFFFFFFFF, stable_int(tag)) for seed, tag in requests], dtype=np.int64
+        [(seed & 0xFFFFFFFF, _AUGMENT_TAGS[tag]) for seed, tag in requests], dtype=np.int64
     ).reshape(-1, 2)
     return rngs_for((), rows)
 

@@ -42,7 +42,7 @@ from densecrop.geometry import (
     intersection_matrix,
     iou_matrix,
 )
-from densecrop.seeding import rng_for
+from densecrop.seeding import rng_for, rngs_for
 
 from reference_impls import (
     assign_targets_per_view,
@@ -809,6 +809,24 @@ class TestArrayKernelsMatchLoops:
                 [features_of(s.scene, b, payload_obs_scale=scale) for s, b in zip(samples, per_scene)]
             )
             assert got.tobytes() == want.tobytes()
+
+    def test_payload_noise_derives_few_generators(self, monkeypatch):
+        # A dense chunk's payload noise draws without one generator per
+        # proposal row: only rows that leave the ziggurat's fast path get one.
+        from densecrop import detect, seeding
+
+        samples = self.mixed_batch()
+        boxes, counts = self.backend().proposals(samples)
+        derived = []
+
+        def counting(prefix_parts, rows):
+            derived.append(len(rows))
+            return rngs_for(prefix_parts, rows)
+
+        monkeypatch.setattr(seeding, "rngs_for", counting)
+        monkeypatch.setattr(detect, "rngs_for", counting)
+        extract_features([s.scene for s in samples], boxes, 4, 4.0, counts)
+        assert len(boxes) >= 200 and sum(derived) < len(boxes) / 4
 
     def test_detect_batch_equals_one_sample_batches(self):
         backend = self.backend()

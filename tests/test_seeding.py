@@ -1,10 +1,12 @@
-"""Batched seed derivation: ``rngs_for`` against ``rng_for``, draw for draw."""
+"""Batched seed derivation: ``rngs_for`` and ``normals_for`` against
+``rng_for``, draw for draw."""
 
 import numpy as np
 import pytest
 
+from densecrop import seeding
 from densecrop.errors import InvariantViolation
-from densecrop.seeding import rng_for, rngs_for, stable_int
+from densecrop.seeding import normals_for, rng_for, rngs_for, stable_int
 
 WORD_MAX = 2**32 - 1
 
@@ -114,3 +116,132 @@ class TestIntParts:
                 full, low = rng_for(seed, tag), rng_for(seed & WORD_MAX, tag)
                 assert np.array_equal(full.normal(0.0, 1.0, 4), low.normal(0.0, 1.0, 4))
                 assert full.random() == low.random()
+
+
+class TestStableInt:
+    @pytest.mark.parametrize(
+        "value, word",
+        [
+            (np.int64(5), 5),
+            (np.uint32(WORD_MAX), WORD_MAX),
+            (np.int64(-1), WORD_MAX),
+            (np.uint64(2**40 + 3), 3),
+            (np.int8(7), 7),
+            (np.bool_(True), 1),
+            (np.bool_(False), 0),
+            (True, 1),
+            (2**32 + 9, 9),
+            (-1, WORD_MAX),
+        ],
+    )
+    def test_ints_and_bools_map_to_their_low_word(self, value, word):
+        # numpy scalars map as the Python ints they hold, not by repr
+        assert stable_int(value) == word == stable_int(int(value))
+
+    def test_numpy_int_seed_seeds_as_the_python_int(self):
+        assert rng_for(np.int64(7), "split").random() == rng_for(7, "split").random()
+
+
+def bits(values):
+    return np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
+
+
+def count_slow_rows(monkeypatch):
+    """Record how many rows each ``rngs_for`` call inside ``normals_for``
+    derives generators for: the rows outside the ziggurat's fast path."""
+    calls = []
+
+    def counting(prefix_parts, rows):
+        calls.append(len(rows))
+        return rngs_for(prefix_parts, rows)
+
+    monkeypatch.setattr(seeding, "rngs_for", counting)
+    return calls
+
+
+class TestNormalsFor:
+    @pytest.mark.parametrize("k", [1, 5, 13])
+    def test_equals_rng_for_standard_normal(self, k, monkeypatch):
+        slow = count_slow_rows(monkeypatch)
+        rng = np.random.default_rng(20261019 + k)
+        contexts = 0
+        while contexts < 20_000:
+            # 1..8 parts in all: fewer and more than the pool's four words
+            parts = int(rng.integers(1, 9))
+            prefix = random_prefix(rng, int(rng.integers(0, parts + 1)))
+            rows = random_words(rng, (int(rng.integers(1, 400)), parts - len(prefix)))
+            got = normals_for(prefix, rows, k)
+            assert got.shape == (len(rows), k) and got.dtype == np.float64
+            want = np.array([rng_for(*prefix, *row).standard_normal(k) for row in rows.tolist()])
+            assert np.array_equal(bits(got), bits(want.reshape(-1, k))), (prefix, rows)
+            contexts += len(rows)
+        # some rows left the fast path and were redrawn whole, not all did
+        assert 0 < sum(slow) < contexts
+
+    def test_zero_rows(self):
+        for width in (0, 3, 6):
+            got = normals_for([1, "payload-obs"], np.zeros((0, width), dtype=np.int64), 5)
+            assert got.shape == (0, 5) and got.dtype == np.float64
+
+    def test_prefix_moved_into_leading_row_columns(self):
+        rng = np.random.default_rng(12)
+        for trial in range(100):
+            prefix = random_prefix(rng, int(rng.integers(1, 5)))
+            if trial % 3 == 0:
+                prefix[-1] = f"img-{trial}:crop0"
+            rows = random_words(rng, (int(rng.integers(1, 200)), int(rng.integers(0, 5))))
+            words = np.array([stable_int(p) for p in prefix], dtype=np.int64)
+            moved = np.concatenate([np.tile(words, (len(rows), 1)), rows], axis=1)
+            got = normals_for((), moved, 4)
+            assert np.array_equal(bits(got), bits(normals_for(prefix, rows, 4)))
+
+    def test_rows_are_checked_as_rngs_for_checks_them(self):
+        with pytest.raises(InvariantViolation, match="32-bit"):
+            normals_for([1], np.array([[1, 2**32]]), 3)
+        with pytest.raises(InvariantViolation):
+            normals_for([1], np.array([1, 2, 3]), 3)
+
+
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = 2**128 - 1
+
+
+class TestZigguratTables:
+    """The committed tables against numpy's own ``standard_normal``: a
+    PCG64 whose next output is a chosen uint64 shows how numpy maps it."""
+
+    INC = 0x5851F42D4C957F2D14057B7EF767814F
+
+    def primed(self, output: int):
+        """A generator whose next PCG64 output is ``output``, and the state
+        that step leaves: XSL-RR of state (high 0, low ``output``) is
+        ``output`` itself."""
+        bit_generator = np.random.PCG64()
+        pre = (output - self.INC) * pow(_PCG_MULT, -1, 2**128) & _MASK128
+        bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": pre, "inc": self.INC},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        return np.random.Generator(bit_generator), output
+
+    def takes_one_output(self, idx: int, rabs: int) -> bool:
+        generator, post = self.primed(rabs << 9 | idx)
+        generator.standard_normal()
+        return generator.bit_generator.state["state"]["state"] == post
+
+    def test_wi_is_the_draw_of_magnitude_one(self):
+        for idx in range(256):
+            generator, _ = self.primed(1 << 9 | idx)
+            assert generator.standard_normal() == seeding._ZIG_WI[idx]
+            generator, _ = self.primed(1 << 9 | 1 << 8 | idx)  # sign bit set
+            assert generator.standard_normal() == -seeding._ZIG_WI[idx]
+
+    def test_ki_is_the_fast_path_bound(self):
+        assert seeding._ZIG_KI[1] == 0
+        for idx, ki in enumerate(seeding._ZIG_KI.tolist()):
+            assert 0 <= ki < 2**52
+            if ki > 0:
+                assert self.takes_one_output(idx, ki - 1)
+            assert not self.takes_one_output(idx, ki)
