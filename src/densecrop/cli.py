@@ -24,8 +24,10 @@ import sys
 import time
 from typing import Callable
 
+import numpy as np
+
 from . import config as cfg
-from . import croplab, dataset, detect, geometry, infer, metrics, teacher
+from . import croplab, dataset, detect, infer, metrics, teacher
 from .errors import ConfigError, DataError, DensecropError
 from .manifest import (
     RunManifest,
@@ -147,16 +149,17 @@ def cmd_crops_label(params: dict) -> RunManifest:
     )
     start = time.perf_counter()
     records = loaded.records
-    kept = [tuple(a for a in r.annotations if a.class_id in base) for r in records]
+    kept = [np.isin(r.classes, list(base)) for r in records]
     per_image = croplab.label_density_crops(
-        geometry.box_array([a.box for anns in kept for a in anns]),
-        [r.size for r in records], crop_params, [len(anns) for anns in kept],
+        np.concatenate([r.boxes[k] for r, k in zip(records, kept)] or [np.zeros((0, 4))]),
+        [r.size for r in records], crop_params, [np.count_nonzero(k) for k in kept],
     )
     out_records = [
-        dataclasses.replace(r, annotations=anns + tuple(
-            dataset.Annotation(box=geometry.Box(*c), class_id=crop_class) for c in crops.tolist()
-        ))
-        for r, anns, crops in zip(records, kept, per_image)
+        dataclasses.replace(
+            r, boxes=np.concatenate([r.boxes[k], crops]),
+            classes=np.concatenate([r.classes[k], np.full(len(crops), crop_class)]),
+        )
+        for r, k, crops in zip(records, kept, per_image)
     ]
     categories = {**base, crop_class: CROP_CATEGORY_NAME}
     dataset.write_annotations(out_records, categories, ann_path)

@@ -2,14 +2,16 @@
 synthetic scene generator used for desk-scale experiments.
 
 Images are represented by :class:`ImageRecord` (metadata + annotations +
-provenance); synthetic scenes additionally carry a :class:`SceneSpec`
-holding its objects' boxes, classes and the abstract feature payloads
-that stand in for pixels, as arrays. Tiling clips a record's annotation
-rows once per tile, and crop children of a ragged stack of (parent, crop
-rows) are projected from all its annotation and object rows in one pass
-(:func:`make_crop_children`). Records are immutable after
-construction, so every transform here returns new records and is safe to
-run in parallel across images.
+provenance), which holds its annotations as box and class arrays;
+synthetic scenes additionally carry a :class:`SceneSpec` holding its
+objects' boxes, classes and the abstract feature payloads that stand in
+for pixels, as arrays. :class:`Annotation` and :class:`Box` objects are
+built only where a caller reads ``record.annotations``. Tiling clips a
+record's annotation rows once per tile, and crop children of a ragged
+stack of (parent, crop rows) are projected from all its annotation and
+object rows in one pass (:func:`make_crop_children`). Records are
+immutable after construction, so every transform here returns new records
+and is safe to run in parallel across images.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ import numpy as np
 from .errors import ConfigError, DataError, InvariantViolation
 from .geometry import (
     Box,
-    box_array,
     box_areas,
     check_boxes,
     clip,
@@ -100,14 +101,22 @@ class Provenance:
             raise InvariantViolation("crop provenance needs parent_id, crop_box, upscale_size")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ImageRecord:
-    """An image's metadata, annotations, and provenance. No pixels."""
+    """An image's metadata, annotations, and provenance. No pixels.
+
+    The annotations are read-only rows: (N, 4) float64 (x1, y1, x2, y2)
+    ``boxes``, each a valid :class:`Box`, and (N,) int64 ``classes``, none
+    negative. :attr:`annotations` builds :class:`Annotation` objects from
+    them on each read. Arrays define no ``==``, so records compare by
+    identity.
+    """
 
     image_id: int | str
     width: float
     height: float
-    annotations: tuple[Annotation, ...] = ()
+    boxes: np.ndarray = field(default_factory=lambda: np.zeros((0, 4)))
+    classes: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     provenance: Provenance = field(default_factory=Provenance)
 
     def __post_init__(self) -> None:
@@ -116,10 +125,31 @@ class ImageRecord:
                 f"image {self.image_id!r} has size {self.width}x{self.height}, "
                 "not positive and finite"
             )
+        boxes = np.asarray(self.boxes, dtype=np.float64)
+        classes = np.asarray(self.classes, dtype=np.int64)
+        if boxes.shape != (len(classes), 4) or classes.ndim != 1:
+            raise InvariantViolation(
+                f"image {self.image_id!r} has annotation rows of shapes "
+                f"{boxes.shape} and {classes.shape}"
+            )
+        check_boxes(boxes)
+        if (classes < 0).any():
+            raise InvariantViolation(f"negative class id {classes.min()}")
+        boxes.flags.writeable = classes.flags.writeable = False
+        object.__setattr__(self, "boxes", boxes)
+        object.__setattr__(self, "classes", classes)
 
     @property
     def size(self) -> tuple[float, float]:
         return (self.width, self.height)
+
+    @property
+    def annotations(self) -> tuple[Annotation, ...]:
+        """The rows as :class:`Annotation` objects, built on each read."""
+        return tuple(
+            Annotation(box=Box(*box), class_id=class_id)
+            for box, class_id in zip(self.boxes.tolist(), self.classes.tolist())
+        )
 
 
 @dataclass(frozen=True)
@@ -209,7 +239,9 @@ class AnnotationFile:
     dropped_zero_area: int = 0
 
 
-def _clip_box(x1: float, y1: float, x2: float, y2: float, width: float, height: float) -> Box | None:
+def _clip_box(
+    x1: float, y1: float, x2: float, y2: float, width: float, height: float
+) -> tuple[float, float, float, float] | None:
     """Clip corners to the image; None when nothing with area remains."""
     cx1 = min(max(x1, 0.0), width)
     cy1 = min(max(y1, 0.0), height)
@@ -217,7 +249,7 @@ def _clip_box(x1: float, y1: float, x2: float, y2: float, width: float, height: 
     cy2 = min(max(y2, 0.0), height)
     if cx1 >= cx2 or cy1 >= cy2:
         return None
-    return Box(cx1, cy1, cx2, cy2)
+    return (cx1, cy1, cx2, cy2)
 
 
 def load_annotations(path: str | os.PathLike) -> AnnotationFile:
@@ -247,8 +279,8 @@ def load_annotations(path: str | os.PathLike) -> AnnotationFile:
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DataError(f"malformed category entry {cat!r}") from exc
 
-    # Each image id's (width, height, annotations), in file order.
-    images: dict[int | str, tuple[float, float, list]] = {}
+    # Each image id's (width, height, box rows, class ids), in file order.
+    images: dict[int | str, tuple[float, float, list, list]] = {}
     for img in payload["images"]:
         try:
             image_id = img["id"]
@@ -260,7 +292,7 @@ def load_annotations(path: str | os.PathLike) -> AnnotationFile:
             raise DataError(f"image entry {img!r} has a size that is not positive and finite")
         if image_id in images:
             raise DataError(f"duplicate image id {image_id!r}")
-        images[image_id] = (width, height, [])
+        images[image_id] = (width, height, [], [])
 
     dropped = 0
     for idx, ann in enumerate(payload["annotations"]):
@@ -276,16 +308,20 @@ def load_annotations(path: str | os.PathLike) -> AnnotationFile:
             raise DataError(f"annotation #{idx} references unknown image id {image_id!r}")
         if category_id not in categories:
             raise DataError(f"annotation #{idx} references unknown category id {category_id}")
-        width, height, anns = images[image_id]
+        width, height, rows, classes = images[image_id]
         box = _clip_box(x, y, x + w, y + h, width, height)
         if box is None:
             dropped += 1
             continue
-        anns.append(Annotation(box=box, class_id=category_id))
+        rows.append(box)
+        classes.append(category_id)
 
     records = tuple(
-        ImageRecord(image_id, width, height, tuple(anns))
-        for image_id, (width, height, anns) in images.items()
+        ImageRecord(
+            image_id, width, height, np.array(rows, dtype=np.float64).reshape(-1, 4),
+            np.array(classes, dtype=np.int64),
+        )
+        for image_id, (width, height, rows, classes) in images.items()
     )
     return AnnotationFile(records=records, categories=categories, dropped_zero_area=dropped)
 
@@ -320,14 +356,14 @@ def write_annotations(
                 "file_name": f"{rec.image_id}.png",
             }
         )
-        for ann in rec.annotations:
+        for (x1, y1, x2, y2), class_id in zip(rec.boxes.tolist(), rec.classes.tolist()):
             annotations.append(
                 {
                     "id": len(annotations) + 1,
                     "image_id": image_id,
-                    "category_id": ann.class_id,
-                    "bbox": [ann.box.x1, ann.box.y1, ann.box.width, ann.box.height],
-                    "area": ann.box.area,
+                    "category_id": class_id,
+                    "bbox": [x1, y1, x2 - x1, y2 - y1],
+                    "area": (x2 - x1) * (y2 - y1),
                     "iscrowd": 0,
                 }
             )
@@ -370,7 +406,7 @@ def tile_image_report(
     if not (0 < stride <= tile):
         raise ConfigError(f"stride must be in (0, tile], got {stride}")
     tiles: list[ImageRecord] = []
-    boxes = box_array([ann.box for ann in record.annotations])
+    boxes = record.boxes
     least = MIN_CLIPPED_AREA_FRACTION * box_areas(boxes)
     placed = np.zeros(len(boxes), dtype=bool)
     ys = _tile_offsets(record.height, tile, stride)
@@ -389,10 +425,8 @@ def tile_image_report(
                     image_id=f"{record.image_id}:tile{row}_{col}",
                     width=tw,
                     height=th,
-                    annotations=tuple(
-                        Annotation(box=Box(*box), class_id=record.annotations[index].class_id)
-                        for box, index in zip(clipped[kept].tolist(), np.flatnonzero(kept).tolist())
-                    ),
+                    boxes=clipped[kept],
+                    classes=record.classes[kept],
                     provenance=Provenance("tile", record.image_id, offset=(ox, oy)),
                 )
             )
@@ -481,13 +515,14 @@ def make_crop_children(
     ``{parent id}:crop{k}``; a parent may head several groups.
 
     Each crop is upscaled to ``policy.output_size`` of its :class:`Box`,
-    the one its child's provenance stores. The child's annotations are its
-    parent's annotations with at least half their area inside the crop,
+    the one its child's provenance stores. The child's annotation rows are
+    its parent's rows with at least half their area inside the crop,
     projected into upscaled-crop pixels and clipped, in parent order. Its
     scene holds the parent's objects clipped to the crop and rescaled;
     objects left without area drop out. Every (crop, row) pair of the
-    stack is projected in one pass, a :class:`Box` is built only for each
-    crop and each kept annotation, and a child scene's seed is
+    stack is projected in one pass, straight from the parents' annotation
+    and object rows; the one :class:`Box` built per child is its crop, and
+    no :class:`Annotation` is built. A child scene's seed is
     ``stable_int(parent seed) ^ stable_int(repr(crop.as_tuple()))``.
     """
     groups = [np.asarray(rows, dtype=np.float64).reshape(-1, 4) for rows in crops]
@@ -498,20 +533,17 @@ def make_crop_children(
     out = np.array(out_sizes, dtype=np.float64).reshape(-1, 2)
     records, scenes = [p.record for p in parents], [p.scene for p in parents]
 
-    counts = np.array([len(record.annotations) for record in records], dtype=np.int64)
+    counts = np.array([len(record.classes) for record in records], dtype=np.int64)
     pair_crop, pair_ann = group_pairs(counts, owner)
-    anns = [ann for record in records for ann in record.annotations]
-    ann_rows = box_array([ann.box for ann in anns])[pair_ann]
+    ann_rows = np.concatenate([record.boxes for record in records] or [np.zeros((0, 4))])[pair_ann]
+    ann_classes = np.concatenate([record.classes for record in records] or [np.zeros(0, np.int64)])
     crop_rows, size = rows[pair_crop], out[pair_crop]
     inside = intersection_matrix(ann_rows, crop_rows[:, None])[:, 0] >= (
         MIN_CLIPPED_AREA_FRACTION * box_areas(ann_rows)
     )
     mapped = clip(project_rows(ann_rows, crop_rows, size), 0.0, np.tile(size, 2))
     kept = inside & (mapped[:, 0] < mapped[:, 2]) & (mapped[:, 1] < mapped[:, 3])
-    child_anns = [
-        Annotation(box=Box(*row), class_id=anns[index].class_id)
-        for row, index in zip(mapped[kept].tolist(), pair_ann[kept].tolist())
-    ]
+    child_boxes, child_classes = mapped[kept], ann_classes[pair_ann[kept]]
     ann_at = [0, *np.cumsum(np.bincount(pair_crop[kept], minlength=len(rows))).tolist()]
 
     counts = np.array([len(scene.object_boxes) for scene in scenes], dtype=np.int64)
@@ -534,7 +566,8 @@ def make_crop_children(
             image_id=f"{record.image_id}:crop{k - first[k]}",
             width=size[0],
             height=size[1],
-            annotations=tuple(child_anns[ann_at[k] : ann_at[k + 1]]),
+            boxes=child_boxes[ann_at[k] : ann_at[k + 1]],
+            classes=child_classes[ann_at[k] : ann_at[k + 1]],
             provenance=Provenance("crop", record.image_id, crop_box=crop, upscale_size=size),
         )
         child_scene = SceneSpec(
@@ -603,7 +636,7 @@ def _place_object(
     size_range: tuple[float, float],
     class_id: int,
     config: SyntheticConfig,
-) -> tuple[Box, int, np.ndarray]:
+) -> tuple[tuple[float, float, float, float], int, np.ndarray]:
     w = float(rng.uniform(*size_range))
     h = float(rng.uniform(*size_range))
     # Shift the center so the box always fits inside the scene.
@@ -612,7 +645,7 @@ def _place_object(
     payload = np.zeros(config.num_classes)
     payload[class_id] = 1.0
     payload = payload + rng.normal(0.0, config.payload_noise, config.num_classes)
-    return Box(cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0), class_id, payload
+    return (cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0), class_id, payload
 
 
 def generate_synthetic_dataset(config: SyntheticConfig) -> list[SceneSample]:
@@ -625,7 +658,7 @@ def generate_synthetic_dataset(config: SyntheticConfig) -> list[SceneSample]:
     samples: list[SceneSample] = []
     for i in range(config.num_images):
         rng = rng_for(config.seed, "scene", i)
-        objects: list[tuple[Box, int, np.ndarray]] = []
+        objects: list[tuple[tuple, int, np.ndarray]] = []
         n_clusters = int(rng.integers(config.clusters_per_image[0], config.clusters_per_image[1] + 1))
         margin = 3.0 * config.cluster_spread
         for _ in range(n_clusters):
@@ -647,17 +680,14 @@ def generate_synthetic_dataset(config: SyntheticConfig) -> list[SceneSample]:
         scene = SceneSpec(
             width=config.width,
             height=config.height,
-            object_boxes=box_array(boxes),
+            object_boxes=np.array(boxes, dtype=np.float64).reshape(-1, 4),
             object_classes=np.array(classes, dtype=np.int64),
             object_payloads=np.array(payloads).reshape(len(objects), config.num_classes),
             seed=stable_int(config.seed) ^ stable_int(i * 2654435761),
         )
-        record = ImageRecord(
-            image_id=i + 1,
-            width=config.width,
-            height=config.height,
-            annotations=tuple(Annotation(box=b, class_id=c) for b, c in zip(boxes, classes)),
-        )
+        # The ground truth is the objects themselves; record and scene share
+        # the read-only rows.
+        record = ImageRecord(i + 1, config.width, config.height, scene.object_boxes, scene.object_classes)
         samples.append(SceneSample(record=record, scene=scene))
     return samples
 

@@ -36,7 +36,6 @@ from .geometry import (
     Box,
     Detection,
     box_areas,
-    box_array,
     clip,
     group_pairs,
     intersection_matrix,
@@ -243,8 +242,8 @@ def _safe_box(boxes: np.ndarray, width, height) -> np.ndarray:
 def oracle_detect(
     record: ImageRecord, noise: OracleNoiseModel, num_base_classes: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Noisy detections for a record's annotations, as (N, 4) float64 box
-    rows, (N,) int64 class ids and (N,) float64 scores.
+    """Noisy detections for a record's annotation rows, as (N, 4) float64
+    box rows, (N,) int64 class ids and (N,) float64 scores.
 
     Each annotation survives with probability 1 - miss(area), gets a
     jittered box and a sampled score; background false positives of a
@@ -255,16 +254,14 @@ def oracle_detect(
     raw: list[tuple] = []  # boxes before clipping
     classes: list[int] = []
     scores: list[float] = []
-    for ann in record.annotations:
-        if ann.class_id == num_base_classes and not noise.emit_crops:
+    for (x1, y1, x2, y2), class_id in zip(record.boxes.tolist(), record.classes.tolist()):
+        if class_id == num_base_classes and not noise.emit_crops:
             continue
-        if rng.random() < noise.miss_probability(ann.box.area):
+        if rng.random() < noise.miss_probability((x2 - x1) * (y2 - y1)):
             continue
         jit = rng.normal(0.0, noise.jitter_std, 4) if noise.jitter_std > 0 else np.zeros(4)
-        raw.append(
-            (ann.box.x1 + jit[0], ann.box.y1 + jit[1], ann.box.x2 + jit[2], ann.box.y2 + jit[3])
-        )
-        classes.append(ann.class_id)
+        raw.append((x1 + jit[0], y1 + jit[1], x2 + jit[2], y2 + jit[3]))
+        classes.append(class_id)
         scores.append(float(np.clip(rng.normal(noise.score_mean, noise.score_std), 0.05, 1.0)))
     if noise.fp_rate > 0:
         for _ in range(int(rng.poisson(noise.fp_rate))):
@@ -839,7 +836,7 @@ class ToyDetector(DetectorBackend):
         assigned in one pass over their stacked rows; a view's rows do not
         depend on the samples built with it. With ``targets`` the stack
         also carries each proposal's ground-truth class and offsets against
-        its record's annotations, which :meth:`supervised_batch` needs.
+        its record's annotation rows, which :meth:`supervised_batch` needs.
         """
         samples = tuple(samples)
         proposals, counts = self.proposals(samples)
@@ -847,14 +844,13 @@ class ToyDetector(DetectorBackend):
         proposals.flags.writeable = phi.flags.writeable = counts.flags.writeable = False
         classes = offsets = None
         if targets:
-            annotations = [a for s in samples for a in s.record.annotations]
-            per_sample = [len(s.record.annotations) for s in samples]
+            records = [s.record for s in samples]
             classes, offsets = assign_targets(
                 proposals,
                 np.repeat(np.arange(len(samples)), counts),
-                box_array([a.box for a in annotations]),
-                np.repeat(np.arange(len(samples)), per_sample),
-                np.array([a.class_id for a in annotations], dtype=np.int64),
+                np.concatenate([r.boxes for r in records] or [np.zeros((0, 4))]),
+                np.repeat(np.arange(len(samples)), [len(r.classes) for r in records]),
+                np.concatenate([r.classes for r in records] or [np.zeros(0, np.int64)]),
                 self.config.fg_iou,
                 self.background_class,
             )

@@ -7,8 +7,9 @@ The validated :class:`Box` and :class:`Detection` types serve the API and
 the files; every numeric kernel here (IoU, clipping, crop projection, NMS)
 works on (N, 4) float64 (x1, y1, x2, y2) rows, crops included. IoU comes
 as a matrix of all pairs (:func:`iou_matrix`) or for listed pairs of rows
-(:func:`pair_ious`), with the same float operations. All functions here
-are pure and safe to call concurrently.
+(:func:`pair_ious`), with the same float operations. NMS runs over a
+ragged stack of images, pairing rows only within an (image, class) group.
+All functions here are pure and safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -207,27 +208,48 @@ def reproject_rows(rows: np.ndarray, crops: np.ndarray, sizes) -> np.ndarray:
 
 
 def nms_keep(
-    boxes: np.ndarray, classes: np.ndarray, scores: np.ndarray, iou_thresh: float
+    boxes: np.ndarray, classes: np.ndarray, scores: np.ndarray, iou_thresh: float, counts
 ) -> np.ndarray:
-    """Greedy per-class non-maximum suppression on (N, 4) box rows with
-    their (N,) classes and scores; returns the kept row indices.
+    """Greedy per-class non-maximum suppression on a ragged stack of
+    images: (N, 4) box rows with their (N,) classes and scores, image by
+    image, ``counts[g]`` rows in image ``g``; returns the kept row indices.
 
-    Rows are visited by descending score, ties in row order (a stable
-    argsort of -score). A row is kept iff its IoU with every already-kept
-    row of the same class is at most ``iou_thresh``. The IoUs come from one
-    :func:`iou_matrix` of the visiting order, masked to same-class pairs;
-    kept rows are returned in visiting order.
+    Each image is visited on its own by descending score, ties in row order
+    (a stable sort of -score). A row is kept iff its IoU with every
+    already-kept row of its image and class is at most ``iou_thresh``; a
+    pair suppresses when ``~(iou <= iou_thresh)``, with IoUs from
+    :func:`pair_ious`. Rows are paired only within an (image, class) group,
+    by :func:`group_pairs`, so no stack-wide N×N matrix is built, and the
+    greedy steps run once per rank within a group, for all groups at once.
+    Kept rows come out image by image, each image's in visiting order.
     """
     if not (0.0 < iou_thresh <= 1.0):
         raise InvariantViolation(f"iou_thresh outside (0, 1]: {iou_thresh}")
-    order = np.argsort(-scores, kind="stable")
-    ordered, cls = boxes[order], classes[order]
-    # Entry [i, j] with i < j is the IoU of kept row i and candidate row j.
-    spares = (iou_matrix(ordered, ordered) <= iou_thresh) | (cls[:, None] != cls[None, :])
-    alive = np.ones(len(order), dtype=bool)
-    kept = []
-    for i in range(len(order)):
-        if alive[i]:
-            kept.append(i)
-            alive &= spares[i]
-    return order[np.array(kept, dtype=np.int64)]
+    image = np.repeat(np.arange(len(counts)), counts)
+    visit = np.lexsort((-scores, image))
+    # Rows by (image, class, visiting order): each group is one run, and a
+    # row's rank is its place in its group's run.
+    grouped = np.lexsort((-scores, classes, image))
+    key_image, key_class = image[grouped], classes[grouped]
+    new = np.ones(len(grouped), dtype=bool)
+    new[1:] = (key_image[1:] != key_image[:-1]) | (key_class[1:] != key_class[:-1])
+    starts = np.flatnonzero(new)
+    sizes = np.diff(starts, append=len(grouped))
+    group = np.repeat(np.arange(len(starts)), sizes)
+    rank = np.arange(len(grouped)) - starts[group]
+    first, second = group_pairs(sizes, group)
+    later = second > first
+    first, second = first[later], second[later]
+    suppress = ~(pair_ious(boxes, boxes, grouped[first], grouped[second]) <= iou_thresh)
+    first, second = first[suppress], second[suppress]
+    by_rank = np.argsort(rank[first], kind="stable")
+    first, second = first[by_rank], second[by_rank]
+    steps = np.flatnonzero(np.diff(rank[first])) + 1
+    alive = np.ones(len(grouped), dtype=bool)
+    # Every row ranked below this step's rows is settled, so a live row
+    # here is kept and drops the later rows of its group it suppresses.
+    for rows, suppressed in zip(np.split(first, steps), np.split(second, steps)):
+        alive[suppressed[alive[rows]]] = False
+    kept = np.empty(len(grouped), dtype=bool)
+    kept[grouped] = alive
+    return visit[kept[visit]]

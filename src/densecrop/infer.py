@@ -8,14 +8,17 @@ accurate, slower). Stage two re-detects on each upscaled crop; those
 detections are mapped back to image coordinates, concatenated with the
 stage-one base-class detections, and deduplicated with NMS.
 
-Both stages run a chunk of images at a time: one backend ``detect_batch``
-for the chunk's full images, then one for the upscaled children of every
-crop selected in them. Crop selection and NMS run per image; the
-reprojection, clipping and box-invariant check of stage two run once over
-the chunk's rows. Results stay (N, 4), (N,) and (N,) arrays: no
-:class:`Detection` is built unless ``.detections`` is read. An image's
-detections do not depend on the chunk it ran in, so one image's
-detections are those of a run over a list of one.
+Both stages run a chunk of images at a time, and the chunk stays one
+ragged stack of rows from stage one to the fused rows: one backend
+``detect_batch`` for the chunk's full images, crop selection over their
+stacked rows, one ``detect_batch`` for the upscaled children of every crop
+selected in them, one reprojection, clipping and box-invariant check of
+the stage-two rows, and one NMS over the chunk, whose kept rows are split
+per image at the end. Results stay (N, 4), (N,) and (N,) arrays: no
+:class:`Detection` or :class:`~densecrop.dataset.Annotation` is built,
+and the only :class:`~densecrop.geometry.Box` built is each crop child's
+crop. An image's detections do not depend on the chunk it ran in, so one
+image's detections are those of a run over a list of one.
 """
 
 from __future__ import annotations
@@ -48,7 +51,8 @@ __all__ = [
 PREDICTED = "predicted"
 RELABELED = "relabeled"
 # Images per batched pass: each stage builds and decodes a chunk's views
-# at once. Larger chunks cut per-call overhead but hold more pair arrays.
+# at once, and crop selection and the fusion NMS run once over the chunk's
+# rows. Larger chunks cut per-call overhead but hold more pair arrays.
 CHUNK_SIZE = 32
 
 
@@ -84,32 +88,39 @@ class InferenceConfig:
 
 def select_crops(
     first_pass: tuple[np.ndarray, np.ndarray, np.ndarray],
+    counts,
     config: InferenceConfig,
-    image_size: tuple[float, float],
+    image_sizes: list[tuple[float, float]],
     crop_class_id: int,
-) -> np.ndarray:
-    """Pick the crop regions to zoom into from stage-one detections, given
-    as one (boxes, classes, scores) triple of ``detect_batch``; returns
-    (K, 4) crop rows.
+) -> list[np.ndarray]:
+    """Pick the crop regions to zoom into from the stage-one detections of
+    a ragged stack of images, given as one (boxes, classes, scores) triple
+    of rows, image by image, ``counts[i]`` rows in image ``i`` of size
+    ``image_sizes[i]``; returns each image's (K_i, 4) crop rows, at most
+    ``max_crops_per_image`` of them.
 
-    ``predicted`` mode takes crop-class rows above the threshold by
-    descending score, ties in row order.
+    ``predicted`` mode takes each image's crop-class rows above the
+    threshold by descending score, ties in row order. ``relabeled`` mode
+    labels the confident base-class rows of every image in one
+    :func:`label_density_crops` call over the stack.
     """
     boxes, classes, scores = first_pass
+    image = np.repeat(np.arange(len(counts)), counts)
+    cap = config.max_crops_per_image
     if config.crop_mode == PREDICTED:
         rows = np.flatnonzero((classes == crop_class_id) & (scores > config.crop_score_threshold))
-        return boxes[rows[np.argsort(-scores[rows], kind="stable")][: config.max_crops_per_image]]
+        rows = rows[np.lexsort((-scores[rows], image[rows]))]
+        per_image = np.bincount(image[rows], minlength=len(counts))
+        rank = np.arange(len(rows)) - np.repeat(np.cumsum(per_image) - per_image, per_image)
+        return np.split(boxes[rows[rank < cap]], np.cumsum(np.minimum(per_image, cap))[:-1])
     confident = (classes != crop_class_id) & (scores > config.crop_score_threshold)
-    (crops,) = label_density_crops(
-        boxes[confident], [image_size], config.crop_params, [np.count_nonzero(confident)]
+    crops = label_density_crops(
+        boxes[confident],
+        image_sizes,
+        config.crop_params,
+        np.bincount(image[confident], minlength=len(counts)),
     )
-    return crops[: config.max_crops_per_image]
-
-
-def _fuse(blocks: list[tuple], fusion_iou: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    boxes, classes, scores = (np.concatenate(column) for column in zip(*blocks))
-    kept = nms_keep(boxes, classes, scores, fusion_iou)
-    return boxes[kept], classes[kept], scores[kept]
+    return [rows[:cap] for rows in crops]
 
 
 def _detect_chunk(
@@ -118,39 +129,50 @@ def _detect_chunk(
     weights: WeightVector | None,
     config: InferenceConfig,
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Fused (boxes, classes, scores) of each sample of a chunk: one
-    stage-one ``detect_batch`` over the samples, crop selection per sample,
+    """Fused (boxes, classes, scores) of each sample of a chunk, kept as one
+    stack of rows from stage one to the fused rows: one stage-one
+    ``detect_batch`` over the samples, crop selection on the stacked rows,
     one stage-two ``detect_batch`` over every selected crop's child, whose
-    rows are reprojected, clipped and checked at once, and NMS per sample."""
+    rows are reprojected, clipped and checked at once, and one
+    :func:`nms_keep` over the chunk, whose kept rows are split per sample
+    at the end. Each sample's rows enter the fusion as its stage-one
+    base-class rows, then its stage-two rows in crop order."""
     crop_class = backend.crop_class_id
+    sizes = [sample.record.size for sample in samples]
     firsts = backend.detect_batch(weights, samples)
-    blocks = [[tuple(column[first[1] != crop_class] for column in first)] for first in firsts]
-    check_boxes(np.concatenate([block[0][0] for block in blocks]))
-    crops, owners = [], []
+    boxes, classes, scores = (np.concatenate(column) for column in zip(*firsts))
+    counts = [len(first[2]) for first in firsts]
+    image = np.repeat(np.arange(len(samples)), counts)
+    base = classes != crop_class
+    check_boxes(boxes[base])
+    blocks = [(boxes[base], classes[base], scores[base], image[base])]
     if config.multistage and config.max_crops_per_image > 0:
-        for k, (sample, first) in enumerate(zip(samples, firsts)):
-            for crop in select_crops(first, config, sample.record.size, crop_class):
-                crops.append(crop[None])
-                owners.append(k)
-    # Each crop is a one-row group of its parent, so every stage-two child
-    # is named ``:crop0``; the toy detector seeds its proposals by image id.
-    children = make_crop_children([samples[k] for k in owners], crops, config.upscale)
-    if children:
-        second = backend.detect_batch(weights, children)
-        boxes, classes, scores = (np.concatenate(column) for column in zip(*second))
-        base = classes != crop_class
-        child = np.repeat(np.arange(len(children)), [len(s) for _, _, s in second])[base]
-        owner = np.array(owners)[child]
-        sizes = np.array([c.record.size for c in children], dtype=np.float64)[child]
-        bounds = np.array([[*s.record.size] * 2 for s in samples], dtype=np.float64)[owner]
-        rows = clip(reproject_rows(boxes[base], np.concatenate(crops)[child], sizes), 0.0, bounds)
-        check_boxes(rows)
-        # Rows come in (owner, crop) order, so each owner's rows are one run.
-        at = np.cumsum(np.bincount(owner, minlength=len(samples)))[:-1]
-        columns = (np.split(column, at) for column in (rows, classes[base], scores[base]))
-        for block, *own in zip(blocks, *columns):
-            block.append(tuple(own))
-    return [_fuse(own, config.fusion_iou) for own in blocks]
+        per_image = select_crops((boxes, classes, scores), counts, config, sizes, crop_class)
+        owners = np.repeat(np.arange(len(samples)), [len(rows) for rows in per_image])
+        crops = np.concatenate(per_image)
+        # Each crop is a one-row group of its parent, so every stage-two
+        # child is named ``:crop0``; the toy detector seeds its proposals by
+        # image id.
+        parents = [samples[k] for k in owners.tolist()]
+        children = make_crop_children(parents, list(crops[:, None]), config.upscale)
+        if children:
+            second = backend.detect_batch(weights, children)
+            boxes, classes, scores = (np.concatenate(column) for column in zip(*second))
+            base = classes != crop_class
+            child = np.repeat(np.arange(len(children)), [len(s) for _, _, s in second])[base]
+            owner = owners[child]
+            out = np.array([c.record.size for c in children], dtype=np.float64)[child]
+            bounds = np.tile(np.array(sizes, dtype=np.float64), 2)[owner]
+            rows = clip(reproject_rows(boxes[base], crops[child], out), 0.0, bounds)
+            check_boxes(rows)
+            blocks.append((rows, classes[base], scores[base], owner))
+    boxes, classes, scores, image = (np.concatenate(column) for column in zip(*blocks))
+    # A stable sort by image puts each image's stage-one rows first.
+    order = np.argsort(image, kind="stable")
+    fused = np.bincount(image, minlength=len(samples))
+    kept = order[nms_keep(boxes[order], classes[order], scores[order], config.fusion_iou, fused)]
+    at = np.searchsorted(image[kept], np.arange(1, len(samples)))
+    return list(zip(*(np.split(column[kept], at) for column in (boxes, classes, scores))))
 
 
 @dataclass(eq=False)

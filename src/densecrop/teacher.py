@@ -26,7 +26,6 @@ import numpy as np
 
 from .croplab import CropParams, label_density_crops
 from .dataset import (
-    Annotation,
     SceneSample,
     UpscalePolicy,
     make_crop_children,
@@ -42,7 +41,6 @@ from .detect import (
     loss_unsup,
 )
 from .errors import ConfigError, DataError, InvariantViolation
-from .geometry import Box, box_array
 from .seeding import rngs_for, stable_int
 
 __all__ = [
@@ -417,32 +415,30 @@ def prepare_labeled_pool(
     samples: dict, labeled_ids, config: TrainerConfig, backend: ToyDetector
 ) -> dict:
     """Labeled pool; with ``crops_on_labeled`` each image also contributes
-    upscaled crop children and gains crop-class annotations. The crops of
-    every labeled image come from one :func:`label_density_crops` call over
-    the stack of their base-class annotation boxes, and their children
+    upscaled crop children and gains crop-class annotation rows. The crops
+    of every labeled image come from one :func:`label_density_crops` call
+    over the stack of their base-class annotation rows, and their children
     from one :func:`make_crop_children` call."""
     ids = sorted(labeled_ids, key=str)
     if not config.crops_on_labeled:
         return {image_id: samples[image_id] for image_id in ids}
     parents = [samples[i] for i in ids]
-    base = [
-        [a.box for a in p.record.annotations if a.class_id < backend.num_base_classes]
-        for p in parents
-    ]
+    base = [p.record.classes < backend.num_base_classes for p in parents]
     per_image = label_density_crops(
-        box_array([box for boxes in base for box in boxes]),
+        np.concatenate([p.record.boxes[b] for p, b in zip(parents, base)]),
         [p.record.size for p in parents],
         config.crop_params,
-        [len(boxes) for boxes in base],
+        [np.count_nonzero(b) for b in base],
     )
     children = iter(make_crop_children(parents, per_image, config.upscale))
     pool: dict = {}
     for image_id, parent, crops in zip(ids, parents, per_image):
         pool.update((child.record.image_id, child) for child in islice(children, len(crops)))
-        crop_anns = tuple(
-            Annotation(box=Box(*c), class_id=backend.crop_class_id) for c in crops.tolist()
+        record = replace(
+            parent.record,
+            boxes=np.concatenate([parent.record.boxes, crops]),
+            classes=np.concatenate([parent.record.classes, np.full(len(crops), backend.crop_class_id)]),
         )
-        record = replace(parent.record, annotations=parent.record.annotations + crop_anns)
         pool[image_id] = SceneSample(record=record, scene=parent.scene)
     return pool
 

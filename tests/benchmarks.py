@@ -10,10 +10,12 @@ is what makes zoomed-in crops genuinely easier to classify.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
+import numpy as np
+
 from densecrop.croplab import CropParams
 from densecrop.dataset import (
-    Annotation,
-    ImageRecord,
     SceneSample,
     SyntheticConfig,
     UpscalePolicy,
@@ -22,7 +24,6 @@ from densecrop.dataset import (
 )
 from densecrop.croplab import label_density_crops
 from densecrop.detect import OracleBackend, OracleNoiseModel, ToyDetector, ToyDetectorConfig
-from densecrop.geometry import Box, box_array
 from densecrop.infer import InferenceConfig, run_inference
 from densecrop.metrics import evaluate_ap, recall_by_size
 from densecrop.teacher import TrainerConfig, train
@@ -164,16 +165,12 @@ def oracle_benchmark_samples(num_scenes: int = 100, seed: int = 2024):
     samples = generate_synthetic_dataset(scene_config(seed, num_scenes))
     out = []
     for sample in samples:
-        anns = sample.record.annotations
-        (crops,) = label_density_crops(
-            box_array([a.box for a in anns]), [sample.record.size], CROP_PARAMS, [len(anns)]
-        )
-        record = ImageRecord(
-            image_id=sample.record.image_id,
-            width=sample.record.width,
-            height=sample.record.height,
-            annotations=sample.record.annotations
-            + tuple(Annotation(box=Box(*c), class_id=NUM_CLASSES) for c in crops.tolist()),
+        boxes, classes = sample.record.boxes, sample.record.classes
+        (crops,) = label_density_crops(boxes, [sample.record.size], CROP_PARAMS, [len(boxes)])
+        record = replace(
+            sample.record,
+            boxes=np.concatenate([boxes, crops]),
+            classes=np.concatenate([classes, np.full(len(crops), NUM_CLASSES)]),
         )
         out.append(SceneSample(record=record, scene=sample.scene))
     return out

@@ -22,6 +22,15 @@ def iou_ref(a: tuple, b: tuple) -> float:
     return inter / (area_a + area_b - inter)
 
 
+def annotation_rows(annotations) -> tuple[np.ndarray, np.ndarray]:
+    """``Annotation`` objects as the rows an ``ImageRecord`` holds: (N, 4)
+    float64 box rows and (N,) int64 class ids."""
+    return (
+        np.array([a.box.as_tuple() for a in annotations], dtype=np.float64).reshape(-1, 4),
+        np.array([a.class_id for a in annotations], dtype=np.int64),
+    )
+
+
 def detection_arrays(dets: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``Detection`` objects as the arrays a backend returns and
     ``nms_keep`` takes: (N, 4) float64 box rows, (N,) int64 class ids and
@@ -795,10 +804,10 @@ def crop_children_ref(parents: list, crops: list, policy) -> list:
                     box = Box(x1 * sx, y1 * sy, x2 * sx, y2 * sy)
                     objects.append((box.as_tuple(), class_id, payload))
             child = ImageRecord(
-                image_id=f"{record.image_id}:crop{k}",
-                width=out_w,
-                height=out_h,
-                annotations=tuple(anns),
+                f"{record.image_id}:crop{k}",
+                out_w,
+                out_h,
+                *annotation_rows(anns),
                 provenance=Provenance(
                     "crop", record.image_id, crop_box=crop, upscale_size=(out_w, out_h)
                 ),

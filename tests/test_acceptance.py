@@ -116,7 +116,7 @@ def test_geometry_suite():
                     score=float(rng.uniform(0.05, 1.0)),
                 )
             )
-        kept = nms_keep(*detection_arrays(dets), 0.5).tolist()
+        kept = nms_keep(*detection_arrays(dets), 0.5, [len(dets)]).tolist()
         ref = nms_ref([(d.box.as_tuple(), d.class_id, d.score) for d in dets], 0.5)
         nms_ok = nms_ok and kept == ref
 

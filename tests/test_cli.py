@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from densecrop import config
-from densecrop import detect, geometry, infer
+from densecrop import dataset, detect, geometry, infer
 from densecrop.cli import main
 from densecrop.dataset import load_annotations
 from densecrop.errors import InvariantViolation
@@ -230,12 +230,15 @@ class TestTrainInferEvalErrors:
 
     def test_infer_builds_no_detection(self, workspace, tmp_path, monkeypatch):
         # Inference keeps its results as arrays and the command writes them
-        # as they are: no Detection is built, and no Box after inference.
+        # as they are. Crop children hold annotation rows, so the only
+        # objects inference builds are one Box per crop child (the crop its
+        # provenance stores), and nothing is built after it.
         crops = tmp_path / "crops"
         assert run(
             ["crops", "label", "--annotations", str(workspace["annotations"]), "--out", str(crops)]
         ) == 0
-        built, run_inference = [], infer.run_inference
+        built, during, children = [], [], []
+        run_inference, make_crop_children = infer.run_inference, infer.make_crop_children
 
         def counting(post_init):
             def count(obj):
@@ -244,13 +247,20 @@ class TestTrainInferEvalErrors:
 
             return count
 
+        def counted_children(*args, **kwargs):
+            out = make_crop_children(*args, **kwargs)
+            children.extend(out)
+            return out
+
         def counted_run(*args, **kwargs):
-            detection, box = geometry.Detection, geometry.Box
-            monkeypatch.setattr(detection, "__post_init__", counting(detection.__post_init__))
+            for cls in (geometry.Detection, geometry.Box, dataset.Annotation):
+                monkeypatch.setattr(cls, "__post_init__", counting(cls.__post_init__))
             results = run_inference(*args, **kwargs)
-            monkeypatch.setattr(box, "__post_init__", counting(box.__post_init__))
+            during.extend(built)
+            built.clear()
             return results
 
+        monkeypatch.setattr(infer, "make_crop_children", counted_children)
         monkeypatch.setattr(infer, "run_inference", counted_run)
         out = tmp_path / "infer"
         assert run(
@@ -262,6 +272,7 @@ class TestTrainInferEvalErrors:
         rows = (out / "detections.tsv").read_text().splitlines()[1:]
         timings = (out / "timings.tsv").read_text().splitlines()[1:]
         assert len(rows) == sum(int(line.split("\t")[2]) for line in timings) > 0
+        assert children and [type(obj) for obj in during] == [geometry.Box] * len(children)
         assert built == []
 
     def test_infer_seed_sets_the_oracle_seed(self, workspace, tmp_path):

@@ -29,7 +29,7 @@ from densecrop.croplab import CropParams
 from densecrop.errors import ConfigError, DataError, InvariantViolation
 from densecrop.geometry import Box, reproject_rows
 
-from reference_impls import crop_children_ref, label_one, scene_spec
+from reference_impls import annotation_rows, crop_children_ref, label_one, scene_spec
 
 # `dataset gen --num-images 12 --seed 5`, and that dataset tiled by
 # `dataset tile --tile 100 --stride 100`.
@@ -55,6 +55,36 @@ def test_image_record_size_must_be_positive_and_finite(size):
     # NaN compares false with everything, so "width <= 0" alone lets it in
     with pytest.raises(InvariantViolation, match="not positive and finite"):
         ImageRecord(1, *size)
+
+
+class TestImageRecordRows:
+    def test_rows_are_read_only_and_annotations_built_on_read(self):
+        record = ImageRecord(1, 10.0, 10.0, np.array([[1.0, 2.0, 3.0, 4.0]]), np.array([2]))
+        assert (record.boxes.dtype, record.classes.dtype) == (np.float64, np.int64)
+        with pytest.raises(ValueError):
+            record.boxes[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            record.classes[0] = 0
+        assert record.annotations == (Annotation(Box(1, 2, 3, 4), 2),)
+        assert record.annotations is not record.annotations
+        with pytest.raises(AttributeError):
+            record.annotations = ()
+        empty = ImageRecord(1, 10.0, 10.0)
+        assert (empty.boxes.shape, empty.classes.shape, empty.annotations) == ((0, 4), (0,), ())
+
+    @pytest.mark.parametrize(
+        "boxes, classes, message",
+        [
+            ([[0.0, 0.0, float("nan"), 1.0]], [0], "non-finite"),
+            ([[1.0, 0.0, 1.0, 1.0]], [0], "degenerate"),
+            ([[0.0, 0.0, 1.0, 1.0]], [-1], "negative class id"),
+            ([[0.0, 0.0, 1.0, 1.0]], [0, 1], "shapes"),
+            ([0.0, 0.0, 1.0, 1.0], [0], "shapes"),
+        ],
+    )
+    def test_invalid_rows_rejected(self, boxes, classes, message):
+        with pytest.raises(InvariantViolation, match=message):
+            ImageRecord(1, 10.0, 10.0, np.array(boxes), np.array(classes))
 
 
 class TestLoadAnnotations:
@@ -124,13 +154,11 @@ class TestLoadAnnotations:
     def test_writer_reader_round_trip(self, tmp_path):
         records = [
             ImageRecord(
-                image_id=1,
-                width=200.0,
-                height=150.0,
-                annotations=(
-                    Annotation(box=Box(10.5, 20.25, 30.75, 40.5), class_id=0),
-                    Annotation(box=Box(50, 60, 70, 80), class_id=1),
-                ),
+                1,
+                200.0,
+                150.0,
+                np.array([[10.5, 20.25, 30.75, 40.5], [50, 60, 70, 80]]),
+                np.array([0, 1]),
             )
         ]
         path = tmp_path / "out.json"
@@ -141,7 +169,7 @@ class TestLoadAnnotations:
 
 class TestTileImage:
     def make_record(self, width, height, annotations=()):
-        return ImageRecord(image_id=1, width=width, height=height, annotations=annotations)
+        return ImageRecord(1, width, height, *annotation_rows(annotations))
 
     def test_image_smaller_than_tile(self):
         tiles, _ = tile_image_report(self.make_record(1000, 1000), tile=1500, stride=1000)
@@ -185,7 +213,7 @@ class TestTileImage:
             anns.append(
                 Annotation(box=Box(x, y, min(x + w, 2000), min(y + h, 2000)), class_id=0)
             )
-        record = ImageRecord(image_id=1, width=2000, height=2000, annotations=tuple(anns))
+        record = ImageRecord(1, 2000, 2000, *annotation_rows(anns))
         tiles, lost = tile_image_report(record, tile=1200, stride=800)
         placed = sum(len(t.annotations) for t in tiles)
         # every annotation lands somewhere (duplicates allowed) except the
@@ -198,16 +226,16 @@ class TestTileImage:
         # on each side; the half-area rule keeps only >= 0.5, so it lands
         # in both tiles when split evenly but is lost when split worse
         ann = Annotation(box=Box(95, 10, 115, 30), class_id=0)  # 8/20 and 12/20
-        record = ImageRecord(image_id=1, width=200, height=50, annotations=(ann,))
+        record = ImageRecord(1, 200, 50, *annotation_rows([ann]))
         tiles, lost = tile_image_report(record, tile=100, stride=100)
         assert lost == 0  # kept by the right-hand tile
         ann2 = Annotation(box=Box(90, 10, 111, 30), class_id=0)  # 10/21 and 11/21
-        record2 = ImageRecord(image_id=1, width=200, height=50, annotations=(ann2,))
+        record2 = ImageRecord(1, 200, 50, *annotation_rows([ann2]))
         _, lost2 = tile_image_report(record2, tile=100, stride=100)
         assert lost2 == 0
         # centered exactly on the tile corner: every quadrant keeps 25%
         ann3 = Annotation(box=Box(90, 90, 110, 110), class_id=0)
-        record3 = ImageRecord(image_id=1, width=200, height=200, annotations=(ann3,))
+        record3 = ImageRecord(1, 200, 200, *annotation_rows([ann3]))
         _, lost3 = tile_image_report(record3, tile=100, stride=100)
         assert lost3 == 1
 
@@ -289,12 +317,22 @@ def assert_same_scene(got, want):
         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
 
 
+def assert_same_record(got, want):
+    """Equal records, bit for bit: metadata, provenance (``repr`` shows a
+    -0.0 that ``==`` would miss) and each annotation array's dtype, shape
+    and bytes."""
+    assert (got.image_id, got.width, got.height) == (want.image_id, want.width, want.height)
+    assert got.provenance == want.provenance and repr(got.provenance) == repr(want.provenance)
+    for name in ("boxes", "classes"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+
+
 def assert_same_samples(got, want):
-    """Equal samples, bit for bit: ``repr`` shows a -0.0 that ``==`` on
-    records would miss."""
+    """Equal samples, bit for bit."""
     assert len(got) == len(want)
     for a, b in zip(got, want):
-        assert a.record == b.record and repr(a.record) == repr(b.record)
+        assert_same_record(a.record, b.record)
         assert_same_scene(a.scene, b.scene)
 
 
@@ -304,13 +342,11 @@ class TestAugmentWithCrops:
     def parent(self):
         return with_scene(
             ImageRecord(
-                image_id=5,
-                width=500.0,
-                height=400.0,
-                annotations=(
-                    Annotation(box=Box(120, 110, 140, 130), class_id=0),
-                    Annotation(box=Box(400, 300, 450, 350), class_id=1),
-                ),
+                5,
+                500.0,
+                400.0,
+                np.array([[120, 110, 140, 130], [400, 300, 450, 350]]),
+                np.array([0, 1]),
             )
         )
 
@@ -346,12 +382,7 @@ class TestAugmentWithCrops:
             x, y = rng.uniform(50, 200, 2)
             w, h = rng.uniform(30, 120, 2)
             ann_box = Box(x + 5, y + 5, min(x + 5 + w / 2, x + w - 1), min(y + 5 + h / 2, y + h - 1))
-            parent = ImageRecord(
-                image_id=1,
-                width=500,
-                height=500,
-                annotations=(Annotation(box=ann_box, class_id=0),),
-            )
+            parent = ImageRecord(1, 500, 500, np.array([ann_box.as_tuple()]), np.array([0]))
             crop = Box(x, y, x + w, y + h)
             policy = UpscalePolicy("short_edge", target=256.0)
             crops = np.array([crop.as_tuple()])
@@ -368,14 +399,11 @@ class TestAugmentWithCrops:
         # goes; a -0.0 corner stays -0.0, as min(max(v, 0), w) leaves it
         parent = with_scene(
             ImageRecord(
-                image_id=2,
-                width=400.0,
-                height=400.0,
-                annotations=(
-                    Annotation(box=Box(90, 10, 110, 30), class_id=0),
-                    Annotation(box=Box(89.5, 40, 110, 60), class_id=1),
-                    Annotation(box=Box(-0.0, 0, 120, 20), class_id=2),
-                ),
+                2,
+                400.0,
+                400.0,
+                np.array([[90, 10, 110, 30], [89.5, 40, 110, 60], [-0.0, 0, 120, 20]]),
+                np.array([0, 1, 2]),
             )
         )
         crop = np.array([[100.0, 0.0, 300.0, 200.0], [0.0, 0.0, 200.0, 200.0]])
@@ -542,14 +570,15 @@ class TestCropScene:
         samples = generate_synthetic_dataset(
             SyntheticConfig(num_images=6, num_classes=3, seed=int(rng.integers(1 << 30)))
         )
-        no_anns = replace(samples[1], record=replace(samples[1].record, annotations=()))
+        bare = replace(samples[1].record, boxes=np.zeros((0, 4)), classes=np.zeros(0, np.int64))
+        no_anns = replace(samples[1], record=bare)
         no_objects = replace(samples[2], scene=scene_spec(512.0, 512.0, 9, payload_width=3))
         parents = [samples[0], no_anns, no_objects, samples[3]]
         crops = []
         for sample in parents:
             found = label_one(
                 sample.scene.object_boxes if len(sample.scene.object_boxes)
-                else np.array([a.box.as_tuple() for a in sample.record.annotations]),
+                else sample.record.boxes,
                 sample.record.size,
                 CropParams(merge_steps=2),
             )

@@ -45,6 +45,7 @@ from densecrop.geometry import (
 from densecrop.seeding import rng_for, rngs_for
 
 from reference_impls import (
+    annotation_rows,
     assign_targets_per_view,
     assign_targets_ref,
     central_difference_gradient,
@@ -64,9 +65,7 @@ def scene_sample(seed=0, **overrides) -> SceneSample:
 
 
 def record_with(annotations, width=500.0, height=500.0, image_id=1):
-    return ImageRecord(
-        image_id=image_id, width=width, height=height, annotations=tuple(annotations)
-    )
+    return ImageRecord(image_id, width, height, *annotation_rows(annotations))
 
 
 class TestOracleNoiseModel:

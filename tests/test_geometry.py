@@ -1,5 +1,7 @@
 """Geometry kernels: examples plus randomized oracle comparisons."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -272,8 +274,9 @@ def random_detections(rng, n, num_classes=3):
 
 
 def nms(dets: list[Detection], iou_thresh: float) -> list[Detection]:
-    """:func:`nms_keep` on detections: the kept ones in visiting order."""
-    return [dets[i] for i in nms_keep(*detection_arrays(dets), iou_thresh).tolist()]
+    """:func:`nms_keep` on the detections of one image: the kept ones in
+    visiting order."""
+    return [dets[i] for i in stack_nms([dets], iou_thresh).tolist()]
 
 
 class TestNms:
@@ -345,28 +348,79 @@ def tied_instance(rng, n):
     return dets
 
 
+def stack_nms(images, thresh):
+    """:func:`nms_keep` over the detections of a list of images, as one
+    ragged stack."""
+    dets = [d for image in images for d in image]
+    return nms_keep(*detection_arrays(dets), thresh, [len(image) for image in images])
+
+
+def nms_ref_by_image(images, thresh):
+    """``nms_ref`` run image by image, as indices into the stack."""
+    kept, offset = [], 0
+    for dets in images:
+        rows = [(d.box.as_tuple(), d.class_id, d.score) for d in dets]
+        kept += [offset + i for i in nms_ref(rows, thresh)]
+        offset += len(dets)
+    return kept
+
+
 class TestNmsKernel:
     @pytest.mark.parametrize("thresh", [0.1, 0.5, 0.9, 1.0])
     def test_matches_reference_with_ties_and_duplicates(self, thresh):
+        # Images of 0 to 40 rows, a fifth of them empty; each image's rows
+        # pair only with each other, so identical boxes in two images never
+        # suppress across them.
         rng = np.random.default_rng(int(thresh * 1000))
-        for _ in range(60):
-            dets = tied_instance(rng, int(rng.integers(0, 40)))
-            ref = nms_ref([(d.box.as_tuple(), d.class_id, d.score) for d in dets], thresh)
-            keep = nms_keep(*detection_arrays(dets), thresh)
-            assert keep.tolist() == ref
+        for _ in range(40):
+            images = [
+                tied_instance(rng, int(rng.integers(0, 40))) if rng.random() > 0.2 else []
+                for _ in range(int(rng.integers(0, 8)))
+            ]
+            keep = stack_nms(images, thresh)
+            assert keep.dtype == np.int64
+            assert keep.tolist() == nms_ref_by_image(images, thresh)
+
+    @pytest.mark.parametrize("thresh", [0.1, 0.5, 0.9, 1.0])
+    def test_one_crowded_image_of_one_class(self, thresh):
+        # 300 same-class rows take 300 greedy ranks in one group, beside
+        # small images whose groups end early.
+        rng = np.random.default_rng(300)
+        crowd = [Detection(d.box, 0, d.score) for d in tied_instance(rng, 300)]
+        images = [tied_instance(rng, 12), [], crowd, tied_instance(rng, 3)]
+        assert stack_nms(images, thresh).tolist() == nms_ref_by_image(images, thresh)
 
     def test_threshold_one_keeps_exact_duplicates(self):
         box = Box(0, 0, 10, 10)
         dets = [Detection(box, 0, 0.5), Detection(box, 0, 0.5)]
-        assert nms_keep(*detection_arrays(dets), 1.0).tolist() == [0, 1]
-        assert nms_keep(*detection_arrays(dets), 0.99).tolist() == [0]
+        assert stack_nms([dets], 1.0).tolist() == [0, 1]
+        assert stack_nms([dets], 0.99).tolist() == [0]
 
     def test_empty_input(self):
-        assert nms_keep(*detection_arrays([]), 0.5).tolist() == []
+        assert stack_nms([], 0.5).tolist() == []
+        assert stack_nms([[], [], []], 0.5).tolist() == []
 
     def test_invalid_threshold(self):
-        with pytest.raises(InvariantViolation):
-            nms_keep(*detection_arrays([]), 1.5)
+        for thresh in (0.0, -0.5, 1.5, float("nan")):
+            with pytest.raises(InvariantViolation):
+                stack_nms([[]], thresh)
+
+    def test_stack_builds_no_matrix_of_all_rows(self):
+        # 32 images of 60 rows: a matrix over all 1920 rows would take
+        # 1920 ** 2 bytes even as booleans; the per-(image, class) pairs
+        # take a fraction of that.
+        rng = np.random.default_rng(32)
+        images = [tied_instance(rng, 60) for _ in range(32)]
+        arrays = detection_arrays([d for image in images for d in image])
+        rows = len(arrays[0])
+        tracemalloc.start()
+        try:
+            keep = nms_keep(*arrays, 0.5, [60] * 32)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < rows * rows
+        assert keep.tolist() == nms_ref_by_image(images, 0.5)
 
 
 class TestArrayHelpers:

@@ -13,7 +13,6 @@ from densecrop.dataset import (
     SyntheticConfig,
     UpscalePolicy,
     generate_synthetic_dataset,
-    make_crop_children,
 )
 from densecrop import infer as infer_module
 from densecrop.detect import (
@@ -28,7 +27,7 @@ from densecrop.geometry import Box, Detection, detections_from_arrays
 from densecrop.infer import InferenceConfig, run_inference, select_crops
 from densecrop.metrics import recall_by_size
 
-from reference_impls import detection_arrays, label_one, scene_spec
+from reference_impls import annotation_rows, detection_arrays, label_one, scene_spec
 
 CROP_PARAMS = CropParams(merge_steps=1, sigma=5, theta=0.05, pi=0.5, min_cluster=2)
 
@@ -46,6 +45,12 @@ def config(**overrides):
     return InferenceConfig(**defaults)
 
 
+def select_one(first_pass, cfg, image_size, crop_class_id):
+    """:func:`select_crops` over a stack of one image: its (K, 4) crops."""
+    (crops,) = select_crops(first_pass, [len(first_pass[2])], cfg, [image_size], crop_class_id)
+    return crops
+
+
 class TestInferenceConfig:
     def test_invalid_mode(self):
         with pytest.raises(ConfigError):
@@ -61,7 +66,7 @@ class TestInferenceConfig:
 class TestSelectCrops:
     def test_predicted_mode_empty_without_crop_class(self):
         dets = [Detection(Box(0, 0, 10, 10), 0, 0.9)]
-        crops = select_crops(detection_arrays(dets), config(), (500, 500), crop_class_id=3)
+        crops = select_one(detection_arrays(dets), config(), (500, 500), crop_class_id=3)
         assert crops.shape == (0, 4)
 
     def test_predicted_mode_threshold(self):
@@ -69,7 +74,7 @@ class TestSelectCrops:
             Detection(Box(0, 0, 50, 50), 3, 0.9),
             Detection(Box(100, 100, 150, 150), 3, 0.4),
         ]
-        crops = select_crops(detection_arrays(dets), config(), (500, 500), crop_class_id=3)
+        crops = select_one(detection_arrays(dets), config(), (500, 500), crop_class_id=3)
         assert crops.tolist() == [[0, 0, 50, 50]]
 
     def test_predicted_mode_top_k_by_score(self):
@@ -78,7 +83,7 @@ class TestSelectCrops:
             Detection(Box(100, 100, 150, 150), 3, 0.9),
             Detection(Box(200, 200, 250, 250), 3, 0.7),
         ]
-        crops = select_crops(
+        crops = select_one(
             detection_arrays(dets), config(max_crops_per_image=2), (500, 500), crop_class_id=3
         )
         assert crops.tolist() == [[100, 100, 150, 150], [200, 200, 250, 250]]
@@ -86,7 +91,7 @@ class TestSelectCrops:
     def test_relabeled_mode_matches_crop_labeling(self):
         boxes = [Box(0, 0, 20, 20), Box(25, 0, 45, 20), Box(200, 200, 220, 220)]
         dets = [Detection(b, 0, 0.9) for b in boxes]
-        crops = select_crops(
+        crops = select_one(
             detection_arrays(dets), config(crop_mode="relabeled"), (500, 500), crop_class_id=3
         )
         rows = np.array([b.as_tuple() for b in boxes])
@@ -96,17 +101,77 @@ class TestSelectCrops:
     def test_relabeled_mode_ignores_unconfident(self):
         boxes = [Box(0, 0, 20, 20), Box(25, 0, 45, 20)]
         dets = [Detection(b, 0, 0.2) for b in boxes]
-        crops = select_crops(detection_arrays(dets), config(crop_mode="relabeled"), (500, 500), 3)
+        crops = select_one(detection_arrays(dets), config(crop_mode="relabeled"), (500, 500), 3)
         assert crops.shape == (0, 4)
 
     def test_predicted_mode_score_ties_keep_row_order(self):
         scores = [0.8, 0.6, 0.9] * 20
         dets = [Detection(Box(8.0 * i, 0, 8.0 * i + 5, 5), 3, s) for i, s in enumerate(scores)]
-        crops = select_crops(
+        crops = select_one(
             detection_arrays(dets), config(max_crops_per_image=30), (500, 500), crop_class_id=3
         )
         by_score = sorted(dets, key=lambda d: -d.score)  # sorted() is stable
         assert crops.tolist() == [list(d.box.as_tuple()) for d in by_score[:30]]
+
+
+def random_first_pass(rng, n, size):
+    """Stage-one rows of one image: boxes around three cluster centres,
+    classes 0 to 3 (3 is the crop class) and scores from a few levels, so
+    that scores tie."""
+    width, height = size
+    centres = rng.uniform(60.0, min(width, height) - 60.0, (3, 2))
+    corner = centres[rng.integers(0, 3, n)] + rng.normal(0.0, 15.0, (n, 2))
+    corner = np.clip(corner, 0.0, [width - 20.0, height - 20.0])
+    boxes = np.concatenate([corner, corner + rng.uniform(6.0, 20.0, (n, 2))], axis=1)
+    return boxes, rng.integers(0, 4, n), rng.choice([0.3, 0.6, 0.6, 0.9], n)
+
+
+def select_ref(first_pass, cfg, image_size, crop_class_id):
+    """One image's crops by a loop: ``predicted`` mode sorts the crop-class
+    rows above the threshold by score with ``sorted`` (stable);
+    ``relabeled`` labels the confident base-class rows alone."""
+    boxes, classes, scores = first_pass
+    above = [i for i in range(len(scores)) if scores[i] > cfg.crop_score_threshold]
+    if cfg.crop_mode == "predicted":
+        rows = sorted((i for i in above if classes[i] == crop_class_id), key=lambda i: -scores[i])
+        return boxes[rows].reshape(-1, 4)[: cfg.max_crops_per_image]
+    rows = [i for i in above if classes[i] != crop_class_id]
+    return label_one(boxes[rows], image_size, cfg.crop_params)[: cfg.max_crops_per_image]
+
+
+class TestSelectCropsStack:
+    """``select_crops`` over a ragged stack of images, image by image."""
+
+    SIZES = [(500.0, 500.0), (300.0, 200.0), (500.0, 400.0), (400.0, 500.0), (500.0, 300.0)]
+
+    @pytest.mark.parametrize("mode", ["predicted", "relabeled"])
+    def test_ragged_stack_equals_each_image_alone(self, mode, monkeypatch):
+        rng = np.random.default_rng(17)
+        images = [random_first_pass(rng, n, size) for n, size in zip((30, 0, 60, 7, 45), self.SIZES)]
+        cfg = config(crop_mode=mode, max_crops_per_image=3, crop_params=CropParams(merge_steps=2))
+        label, calls = infer_module.label_density_crops, []
+
+        def counted(*args):
+            calls.append(len(args[0]))
+            return label(*args)
+
+        monkeypatch.setattr(infer_module, "label_density_crops", counted)
+        stack = tuple(np.concatenate(column) for column in zip(*images))
+        got = select_crops(stack, [len(first[2]) for first in images], cfg, self.SIZES, 3)
+        # Relabeled mode labels every image's confident rows in one call.
+        confident = np.count_nonzero((stack[1] != 3) & (stack[2] > 0.5))
+        assert calls == ([confident] if mode == "relabeled" else [])
+        want = [select_ref(first, cfg, size, 3) for first, size in zip(images, self.SIZES)]
+        assert [rows.tolist() for rows in got] == [rows.tolist() for rows in want]
+        assert all(rows.shape == (len(rows), 4) for rows in got)
+        assert len(got[1]) == 0 and max(len(rows) for rows in got) == 3
+
+    def test_predicted_mode_caps_each_image(self):
+        # Equal scores in two images: each image keeps its own first rows.
+        boxes = np.array([[0.0, 0.0, 10.0 + k, 10.0] for k in range(6)])
+        stack = (boxes, np.full(6, 3), np.full(6, 0.9))
+        got = select_crops(stack, [4, 2], config(max_crops_per_image=3), self.SIZES[:2], 3)
+        assert [rows.tolist() for rows in got] == [boxes[:3].tolist(), boxes[4:].tolist()]
 
 
 def clustered_sample(seed=0):
@@ -128,14 +193,12 @@ def clustered_sample(seed=0):
 def add_crop_annotations(sample, crop_class, crop_params=None):
     params = crop_params or CropParams(merge_steps=2, sigma=14, theta=0.05, pi=0.4, min_cluster=3)
     crops = label_one(
-        np.array([a.box.as_tuple() for a in sample.record.annotations]), sample.record.size, params
+        sample.record.boxes, sample.record.size, params
     )
-    record = ImageRecord(
-        image_id=sample.record.image_id,
-        width=sample.record.width,
-        height=sample.record.height,
-        annotations=sample.record.annotations
-        + tuple(Annotation(box=Box(*c), class_id=crop_class) for c in crops.tolist()),
+    record = replace(
+        sample.record,
+        boxes=np.concatenate([sample.record.boxes, crops]),
+        classes=np.concatenate([sample.record.classes, np.full(len(crops), crop_class)]),
     )
     return SceneSample(record=record, scene=sample.scene)
 
@@ -173,7 +236,7 @@ class TestDetectMultistage:
         annotations = tuple(Annotation(box=b, class_id=0) for b in smalls) + tuple(
             Annotation(box=c, class_id=3) for c in crops
         )
-        record = ImageRecord(image_id=1, width=512.0, height=512.0, annotations=annotations)
+        record = ImageRecord(1, 512.0, 512.0, *annotation_rows(annotations))
         scene = scene_spec(512.0, 512.0, 0)
         sample = SceneSample(record=record, scene=scene)
         for s in smalls:
@@ -295,7 +358,7 @@ class TestRunInference:
             num_base_classes=3, noise=OracleNoiseModel(score_mean=0.9, score_std=0.0)
         )
         first = backend.detect_batch(None, [sample])[0]
-        assert len(select_crops(first, config(), sample.record.size, 3))
+        assert len(select_one(first, config(), sample.record.size, 3))
         with pytest.raises(InvariantViolation, match=message):
             run_inference([sample], backend, None, config(), seed=0)
 
@@ -321,18 +384,17 @@ class TestArrayResults:
         return samples
 
     def test_zooming_inference_builds_no_detection(self, monkeypatch):
-        # The only boxes built are the crop children's records: one Box per
-        # crop (its provenance) and one per annotation the crop keeps.
+        # The crop children's records hold rows: the only object built is
+        # one Box per child, the crop its provenance stores, and no
+        # Annotation or Detection is built at all.
         samples = self.zooming_samples()
         noise = OracleNoiseModel(jitter_std=2.0, score_mean=0.8, score_std=0.1, fp_rate=1.0)
         backend = OracleBackend(num_base_classes=3, noise=noise)
         crops = [
-            select_crops(backend.detect_batch(None, [s])[0], config(), s.record.size, 3)
+            select_one(backend.detect_batch(None, [s])[0], config(), s.record.size, 3)
             for s in samples
         ]
         assert all(len(rows) for rows in crops)
-        children = make_crop_children(samples, crops, config().upscale)
-        record_boxes = sum(1 + len(child.record.annotations) for child in children)
         built = []
 
         def counting(post_init):
@@ -343,11 +405,10 @@ class TestArrayResults:
             return count
 
         with monkeypatch.context() as patched:
-            for cls in (Box, Detection):
+            for cls in (Box, Detection, Annotation):
                 patched.setattr(cls, "__post_init__", counting(cls.__post_init__))
             results = run_inference(samples, backend, None, config())
-        assert not [obj for obj in built if isinstance(obj, Detection)]
-        assert len(built) == record_boxes
+        assert [type(obj) for obj in built] == [Box] * sum(len(rows) for rows in crops)
         assert all(r.error is None and len(r.scores) for r in results)
         for r in results:
             assert (r.boxes.dtype, r.classes.dtype, r.scores.dtype) == (
@@ -412,7 +473,7 @@ class TestChunkedInference:
         )
         generated = generate_synthetic_dataset(cfg)
         empty = SceneSample(
-            record=ImageRecord(image_id="empty", width=300.0, height=300.0, annotations=()),
+            record=ImageRecord("empty", 300.0, 300.0),
             scene=scene_spec(300.0, 300.0, 1, payload_width=3),
         )
         return generated[:5] + [empty] + generated[5:]
@@ -424,7 +485,7 @@ class TestChunkedInference:
 
     def check(self, monkeypatch, samples, backend, weights, failing):
         crops = [
-            len(select_crops(backend.detect_batch(weights, [s])[0], config(), s.record.size, 3))
+            len(select_one(backend.detect_batch(weights, [s])[0], config(), s.record.size, 3))
             for s in samples if s.record.image_id != failing
         ]
         assert min(crops) == 0 and max(crops) > 0
@@ -514,7 +575,7 @@ class TestPinnedToyInference:
             cfg = config(crop_mode=mode, crop_score_threshold=0.25, crop_params=crop_params)
             for s in test:
                 first = backend.detect_batch(weights, [s])[0]
-                zoomed += len(select_crops(first, cfg, s.record.size, backend.crop_class_id))
+                zoomed += len(select_one(first, cfg, s.record.size, backend.crop_class_id))
             for result in run_inference(test, backend, weights, cfg, seed=5):
                 assert result.error is None
                 digest.update(f"{result.image_id}\n".encode())

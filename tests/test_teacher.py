@@ -13,6 +13,7 @@ from densecrop.dataset import (
     SyntheticConfig,
     UpscalePolicy,
     generate_synthetic_dataset,
+    split_dataset,
 )
 from densecrop.detect import (
     SupervisedBatch,
@@ -45,7 +46,13 @@ from densecrop.teacher import (
     write_run_report,
 )
 
-from reference_impls import decode_per_view, label_one, student_batch_ref, supervised_batch_ref
+from reference_impls import (
+    annotation_rows,
+    decode_per_view,
+    label_one,
+    student_batch_ref,
+    supervised_batch_ref,
+)
 
 CROP_PARAMS = CropParams(merge_steps=2, sigma=14, theta=0.05, pi=0.4, min_cluster=3)
 UPSCALE = UpscalePolicy("factor", factor=4.0)
@@ -325,9 +332,10 @@ class TestSupervisedBatch:
         for k, sample in enumerate(samples[:3]):
             anns = sample.record.annotations
             twins = tuple(Annotation(a.box, (a.class_id + 1) % 3) for a in anns[::2])
-            annotations = twins + anns if k % 2 else anns + twins
-            tied.append(SceneSample(replace(sample.record, annotations=annotations), sample.scene))
-        bare = SceneSample(replace(samples[3].record, annotations=()), samples[3].scene)
+            boxes, classes = annotation_rows(twins + anns if k % 2 else anns + twins)
+            tied.append(SceneSample(replace(sample.record, boxes=boxes, classes=classes), sample.scene))
+        bare_record = replace(samples[3].record, boxes=np.zeros((0, 4)), classes=np.zeros(0, np.int64))
+        bare = SceneSample(bare_record, samples[3].scene)
         pool = samples + children + tied + [bare]
         return backend, [backend.views([s], targets=True) for s in pool]
 
@@ -944,3 +952,40 @@ class TestCheckpointIO:
 
         with pytest.raises(DataError, match="values"):
             read_checkpoint(path)
+
+
+class TestUnlabeledGroundTruthGuard:
+    def test_teacher_ignores_unlabeled_annotations(self):
+        # Training may read the annotation rows of labeled images only:
+        # with every unlabeled record's rows stripped, the crop_lu teacher
+        # is the same bit for bit. The toy proposals do draw on each
+        # scene's objects, by design, as a stand-in for a region proposal
+        # network; the records' rows are what this guards. The pinned
+        # crop_lu schedule is compressed tenfold, with the learning rate and
+        # EMA step scaled up, so that crop discovery finds crops.
+        import benchmarks as pinned
+
+        compression = 10
+        base = pinned.trainer_config("crop_lu", 1)
+        config = replace(
+            base,
+            max_iters=pinned.MAX_ITERS // compression,
+            burn_in_iters=pinned.BURN_IN_ITERS // compression,
+            crop_start_iter=pinned.CROP_START_ITER // compression,
+            lr_decay_iter=base.lr_decay_iter // compression,
+            learning_rate=base.learning_rate * compression,
+            alpha=1.0 - (1.0 - base.alpha) * compression,
+        )
+        samples = generate_synthetic_dataset(pinned.scene_config(1, pinned.TRAIN_IMAGES))
+        by_id = {s.record.image_id: s for s in samples}
+        split = split_dataset(list(by_id), pinned.LABELED_FRACTION, 1)
+        empty = dict(boxes=np.zeros((0, 4)), classes=np.zeros(0, dtype=np.int64))
+        stripped = {
+            i: s if i in split.labeled_ids else replace(s, record=replace(s.record, **empty))
+            for i, s in by_id.items()
+        }
+        assert all(len(by_id[i].record.classes) for i in split.unlabeled_ids)
+        full = train(config, by_id, split, pinned.make_backend(1))
+        bare = train(config, stripped, split, pinned.make_backend(1))
+        assert full.history[-1].crops_cached > 0
+        assert full.teacher.values.tobytes() == bare.teacher.values.tobytes()
