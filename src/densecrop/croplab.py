@@ -199,5 +199,5 @@ def label_density_crops(
     same &= image[order[1:]] == image[order[:-1]]
     first = np.ones(len(current), dtype=bool)
     first[order[1:][same]] = False
-    per_image = np.bincount(image[first], minlength=len(n))
-    return np.split(current[first], np.cumsum(per_image)[:-1])
+    rows, ends = current[first], np.cumsum(np.bincount(image[first], minlength=len(n))).tolist()
+    return [rows[start:end] for start, end in zip([0] + ends, ends)]

@@ -6,12 +6,14 @@ provenance), which holds its annotations as box and class arrays;
 synthetic scenes additionally carry a :class:`SceneSpec` holding its
 objects' boxes, classes and the abstract feature payloads that stand in
 for pixels, as arrays. :class:`Annotation` and :class:`Box` objects are
-built only where a caller reads ``record.annotations``. Tiling clips a
-record's annotation rows once per tile, and crop children of a ragged
-stack of (parent, crop rows) are projected from all its annotation and
-object rows in one pass (:func:`make_crop_children`). Records are
-immutable after construction, so every transform here returns new records
-and is safe to run in parallel across images.
+built only where a caller reads ``record.annotations``. The detector and
+the zoom work on a :class:`SceneStack`, many scenes' rows concatenated
+with per-scene counts; a list of samples becomes one at the API boundary.
+Tiling clips a record's annotation rows once per tile, and
+:func:`make_crop_children` zooms a stack into the stack of its crop
+children in one pass. Records are immutable after construction, so every
+transform here returns new records and is safe to run in parallel across
+images.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ __all__ = [
     "UpscalePolicy",
     "SceneSpec",
     "SceneSample",
+    "SceneStack",
     "AnnotationFile",
     "load_annotations",
     "write_annotations",
@@ -52,6 +55,7 @@ __all__ = [
     "write_split",
     "read_split",
     "make_crop_children",
+    "crop_child_samples",
     "SyntheticConfig",
     "generate_synthetic_dataset",
     "write_scenes",
@@ -187,12 +191,14 @@ class UpscalePolicy:
         if not (0 < self.target < math.inf and 0 < self.factor < math.inf):
             raise ConfigError("upscale target and factor must be positive and finite")
 
-    def output_size(self, crop: Box) -> tuple[float, float]:
+    def output_size(self, crops: np.ndarray) -> np.ndarray:
+        """(K, 2) upscaled (width, height) of (K, 4) crop rows."""
+        extent = crops[:, 2:] - crops[:, :2]
         if self.mode == "factor":
-            s = self.factor
-        else:
-            s = max(1.0, self.target / min(crop.width, crop.height))
-        return (crop.width * s, crop.height * s)
+            return extent * self.factor
+        # np.maximum keeps the 1.0 of max(1.0, s) on a tie.
+        scale = np.maximum(1.0, self.target / extent.min(axis=1))
+        return extent * scale[:, None]
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,6 +229,85 @@ class SceneSample:
 
     record: ImageRecord
     scene: SceneSpec
+
+
+def _rows(blocks: list, shape: tuple, dtype=np.float64) -> np.ndarray:
+    """The blocks concatenated; an empty array of ``shape`` if none."""
+    return np.concatenate(blocks) if blocks else np.zeros(shape, dtype=dtype)
+
+
+# The row arrays of a SceneStack that hold one row per annotation and per
+# object; every other array holds one row per scene.
+_ANNOTATION_ROWS = ("boxes", "classes")
+_OBJECT_ROWS = ("object_boxes", "object_classes", "object_payloads")
+
+
+@dataclass(frozen=True, eq=False)
+class SceneStack:
+    """Many scenes as one ragged stack of rows, scene after scene: per
+    scene its ``image_ids``, (S, 2) ``sizes``, the
+    :func:`~densecrop.seeding.stable_int` words of its seed and image id
+    (``seeds``, ``id_words``) and its ``crop`` flag (a crop child); then
+    annotation rows ``boxes`` and ``classes``, ``counts[s]`` of them in
+    scene ``s``, and object rows ``object_boxes``, ``object_classes`` and
+    (N, K) ``object_payloads``, ``object_counts[s]`` in scene ``s``.
+    Arrays define no ``==``: stacks compare by identity."""
+
+    image_ids: tuple
+    sizes: np.ndarray
+    seeds: np.ndarray
+    id_words: np.ndarray
+    crop: np.ndarray
+    boxes: np.ndarray
+    classes: np.ndarray
+    counts: np.ndarray
+    object_boxes: np.ndarray
+    object_classes: np.ndarray
+    object_payloads: np.ndarray
+    object_counts: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.image_ids)
+
+    @classmethod
+    def of(cls, samples) -> "SceneStack":
+        """The stack of samples whose records and scenes agree on the image
+        size; payloads keep the columns every scene with objects has."""
+        samples = list(samples)
+        records, scenes = [s.record for s in samples], [s.scene for s in samples]
+        for r, s in zip(records, scenes):
+            if (s.width, s.height) != r.size:
+                raise InvariantViolation(
+                    f"image {r.image_id!r} is {r.width}x{r.height} "
+                    f"but its scene is {s.width}x{s.height}"
+                )
+        full = [s for s in scenes if len(s.object_boxes)]
+        k = min(s.object_payloads.shape[1] for s in full or scenes) if scenes else 0
+        return cls(
+            image_ids=tuple(r.image_id for r in records),
+            sizes=np.array([r.size for r in records], dtype=np.float64).reshape(-1, 2),
+            seeds=np.array([stable_int(s.seed) for s in scenes], dtype=np.int64),
+            id_words=np.array([stable_int(r.image_id) for r in records], dtype=np.int64),
+            crop=np.array([r.provenance.kind == "crop" for r in records], dtype=bool),
+            boxes=_rows([r.boxes for r in records], (0, 4)),
+            classes=_rows([r.classes for r in records], 0, np.int64),
+            counts=np.array([len(r.classes) for r in records], dtype=np.int64),
+            object_boxes=_rows([s.object_boxes for s in scenes], (0, 4)),
+            object_classes=_rows([s.object_classes for s in scenes], 0, np.int64),
+            object_payloads=_rows([s.object_payloads[:, :k] for s in full], (0, k)),
+            object_counts=np.array([len(s.object_boxes) for s in scenes], dtype=np.int64),
+        )
+
+    def take(self, index) -> "SceneStack":
+        """The stack of scenes ``index``, in that order; repeats allowed."""
+        index = np.asarray(index, dtype=np.intp).reshape(-1)
+        ann = group_pairs(self.counts, index)[1]
+        obj = group_pairs(self.object_counts, index)[1]
+        rows = {name: getattr(self, name) for name in vars(self) if name != "image_ids"}
+        for name, values in rows.items():
+            at = ann if name in _ANNOTATION_ROWS else obj if name in _OBJECT_ROWS else index
+            rows[name] = values[at]
+        return SceneStack(tuple(self.image_ids[i] for i in index.tolist()), **rows)
 
 
 # ---------------------------------------------------------------------------
@@ -506,81 +591,103 @@ def read_split(path: str | os.PathLike, all_ids: list | set | tuple) -> DatasetS
 
 
 def make_crop_children(
-    parents: list[SceneSample], crops: list[np.ndarray], policy: UpscalePolicy
-) -> list[SceneSample]:
-    """Child samples (record + scene) of a ragged stack: parent ``i`` with
-    its (K_i, 4) (x1, y1, x2, y2) density-crop rows ``crops[i]``, as
+    parents: SceneStack, crops: list[np.ndarray], policy: UpscalePolicy
+) -> SceneStack:
+    """The zoom: the stack of crop children of a parent stack, parent ``i``
+    with its (K_i, 4) (x1, y1, x2, y2) density-crop rows ``crops[i]``, as
     :func:`~densecrop.croplab.label_density_crops` returns them. Children
     come out in stack order, child ``k`` of group ``i`` named
-    ``{parent id}:crop{k}``; a parent may head several groups.
+    ``{parent id}:crop{k}``; a parent may head several groups when the
+    stack repeats it (:meth:`SceneStack.take`).
 
-    Each crop is upscaled to ``policy.output_size`` of its :class:`Box`,
-    the one its child's provenance stores. The child's annotation rows are
-    its parent's rows with at least half their area inside the crop,
-    projected into upscaled-crop pixels and clipped, in parent order. Its
-    scene holds the parent's objects clipped to the crop and rescaled;
-    objects left without area drop out. Every (crop, row) pair of the
-    stack is projected in one pass, straight from the parents' annotation
-    and object rows; the one :class:`Box` built per child is its crop, and
-    no :class:`Annotation` is built. A child scene's seed is
-    ``stable_int(parent seed) ^ stable_int(repr(crop.as_tuple()))``.
+    Each crop is upscaled to ``policy.output_size`` of its row. A child's
+    annotation rows are its parent's rows with at least half their area
+    inside the crop, projected into upscaled-crop pixels and clipped, in
+    parent order. Its objects are the parent's objects clipped to the crop
+    and rescaled; objects left without area drop out. Every (crop, row)
+    pair of the stack is projected in one pass, and no record, scene,
+    :class:`Box` or :class:`Provenance` is built (:func:`crop_child_samples`
+    builds them where a caller returns them). A child's seed word is
+    ``stable_int(parent seed) ^ stable_int(repr(crop))`` and its id word
+    ``stable_int(child id)``, with ``crop`` the row as a tuple of Python
+    floats.
     """
     groups = [np.asarray(rows, dtype=np.float64).reshape(-1, 4) for rows in crops]
     owner = np.repeat(np.arange(len(groups)), [len(rows) for rows in groups])
-    rows = np.concatenate(groups or [np.zeros((0, 4))])
-    crop_boxes = [Box(*row) for row in rows.tolist()]
-    out_sizes = [policy.output_size(crop) for crop in crop_boxes]
-    out = np.array(out_sizes, dtype=np.float64).reshape(-1, 2)
-    records, scenes = [p.record for p in parents], [p.scene for p in parents]
+    rows = _rows(groups, (0, 4))
+    check_boxes(rows)
+    out = policy.output_size(rows)
 
-    counts = np.array([len(record.classes) for record in records], dtype=np.int64)
-    pair_crop, pair_ann = group_pairs(counts, owner)
-    ann_rows = np.concatenate([record.boxes for record in records] or [np.zeros((0, 4))])[pair_ann]
-    ann_classes = np.concatenate([record.classes for record in records] or [np.zeros(0, np.int64)])
-    crop_rows, size = rows[pair_crop], out[pair_crop]
+    pair_crop, pair_ann = group_pairs(parents.counts, owner)
+    ann_rows, crop_rows, size = parents.boxes[pair_ann], rows[pair_crop], out[pair_crop]
     inside = intersection_matrix(ann_rows, crop_rows[:, None])[:, 0] >= (
         MIN_CLIPPED_AREA_FRACTION * box_areas(ann_rows)
     )
     mapped = clip(project_rows(ann_rows, crop_rows, size), 0.0, np.tile(size, 2))
     kept = inside & (mapped[:, 0] < mapped[:, 2]) & (mapped[:, 1] < mapped[:, 3])
-    child_boxes, child_classes = mapped[kept], ann_classes[pair_ann[kept]]
-    ann_at = [0, *np.cumsum(np.bincount(pair_crop[kept], minlength=len(rows))).tolist()]
 
-    counts = np.array([len(scene.object_boxes) for scene in scenes], dtype=np.int64)
-    pair_crop, pair_obj = group_pairs(counts, owner)
-    objects = np.concatenate([scene.object_boxes for scene in scenes] or [np.zeros((0, 4))])
-    crop_rows = rows[pair_crop]
+    obj_crop, pair_obj = group_pairs(parents.object_counts, owner)
+    crop_rows = rows[obj_crop]
     extent = crop_rows[:, 2:] - crop_rows[:, :2]
-    clipped = clip(objects[pair_obj] - np.tile(crop_rows[:, :2], 2), 0.0, np.tile(extent, 2))
+    clipped = clip(
+        parents.object_boxes[pair_obj] - np.tile(crop_rows[:, :2], 2), 0.0, np.tile(extent, 2)
+    )
     visible = (clipped[:, 0] < clipped[:, 2]) & (clipped[:, 1] < clipped[:, 3])
-    scaled = clipped * np.tile(out[pair_crop] / extent, 2)
-    # A crop's pairs run over all of its parent's objects, in order.
-    obj_at = np.cumsum(counts[owner])[:-1]
+    scaled = clipped * np.tile(out[obj_crop] / extent, 2)
+    objects = pair_obj[visible]
 
-    children: list[SceneSample] = []
     first = np.searchsorted(owner, owner).tolist()
-    per_crop = zip(owner.tolist(), crop_boxes, out_sizes, np.split(scaled, obj_at))
-    for k, ((i, crop, size, boxes), seen) in enumerate(zip(per_crop, np.split(visible, obj_at))):
-        record, scene = records[i], scenes[i]
-        child = ImageRecord(
-            image_id=f"{record.image_id}:crop{k - first[k]}",
-            width=size[0],
-            height=size[1],
-            boxes=child_boxes[ann_at[k] : ann_at[k + 1]],
-            classes=child_classes[ann_at[k] : ann_at[k + 1]],
-            provenance=Provenance("crop", record.image_id, crop_box=crop, upscale_size=size),
+    names = tuple(
+        f"{parents.image_ids[i]}:crop{k - first[k]}" for k, i in enumerate(owner.tolist())
+    )
+    # Python floats: the repr of a numpy float64 scalar differs.
+    crop_words = [stable_int(repr(tuple(row))) for row in rows.tolist()]
+    return SceneStack(
+        image_ids=names,
+        sizes=out,
+        seeds=parents.seeds[owner] ^ np.array(crop_words, dtype=np.int64),
+        id_words=np.array([stable_int(name) for name in names], dtype=np.int64),
+        crop=np.ones(len(rows), dtype=bool),
+        boxes=mapped[kept],
+        classes=parents.classes[pair_ann[kept]],
+        counts=np.bincount(pair_crop[kept], minlength=len(rows)),
+        object_boxes=scaled[visible],
+        object_classes=parents.object_classes[objects],
+        object_payloads=parents.object_payloads[objects],
+        object_counts=np.bincount(obj_crop[visible], minlength=len(rows)),
+    )
+
+
+def crop_child_samples(
+    parents: SceneStack, crops: list[np.ndarray], children: SceneStack
+) -> list[SceneSample]:
+    """The children that :func:`make_crop_children` zoomed from ``parents``
+    and ``crops`` as samples: each record carries the child's annotation
+    rows and its crop provenance (the crop :class:`Box` and the upscaled
+    size), each scene its objects and its seed word."""
+    owner = np.repeat(np.arange(len(crops)), [len(rows) for rows in crops]).tolist()
+    rows = _rows([np.asarray(r, dtype=np.float64).reshape(-1, 4) for r in crops], (0, 4)).tolist()
+    ann_at = [0, *np.cumsum(children.counts).tolist()]
+    obj_at = [0, *np.cumsum(children.object_counts).tolist()]
+    samples = []
+    sizes = children.sizes.tolist()
+    for k, (image_id, (width, height)) in enumerate(zip(children.image_ids, sizes)):
+        ann, obj = slice(ann_at[k], ann_at[k + 1]), slice(obj_at[k], obj_at[k + 1])
+        parent = parents.image_ids[owner[k]]
+        provenance = Provenance("crop", parent, crop_box=Box(*rows[k]), upscale_size=(width, height))
+        record = ImageRecord(
+            image_id, width, height, children.boxes[ann], children.classes[ann], provenance
         )
-        child_scene = SceneSpec(
-            width=size[0],
-            height=size[1],
-            object_boxes=boxes[seen],
-            object_classes=scene.object_classes[seen],
-            object_payloads=scene.object_payloads[seen],
-            # Python floats: the repr of a numpy float64 scalar differs.
-            seed=stable_int(scene.seed) ^ stable_int(repr(crop.as_tuple())),
+        scene = SceneSpec(
+            width,
+            height,
+            children.object_boxes[obj],
+            children.object_classes[obj],
+            children.object_payloads[obj],
+            int(children.seeds[k]),
         )
-        children.append(SceneSample(record=child, scene=child_scene))
-    return children
+        samples.append(SceneSample(record=record, scene=scene))
+    return samples
 
 
 # ---------------------------------------------------------------------------
@@ -731,8 +838,9 @@ def read_scenes(path: str | os.PathLike, records: list[ImageRecord]) -> list[Sce
 
     Keys other than the ones :func:`write_scenes` writes are ignored, such
     as the ``clusters`` of files from earlier versions. A scene whose boxes
-    are not valid 4-number boxes, whose size is not positive and finite, or
-    whose objects' payloads differ in length, is a :class:`DataError`.
+    are not valid 4-number boxes, whose size is not positive and finite or
+    differs from its record's, or whose objects' payloads differ in length,
+    is a :class:`DataError`.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -766,5 +874,10 @@ def read_scenes(path: str | os.PathLike, records: list[ImageRecord]) -> list[Sce
             raise DataError(f"malformed scene entry for image {record.image_id!r}") from exc
         if not (0 < scene.width < math.inf and 0 < scene.height < math.inf):
             raise DataError(f"scene for image {record.image_id!r} is not positive and finite in size")
+        if (scene.width, scene.height) != record.size:
+            raise DataError(
+                f"scene for image {record.image_id!r} is {scene.width}x{scene.height}, "
+                f"its record {record.width}x{record.height}"
+            )
         samples.append(SceneSample(record=record, scene=scene))
     return samples

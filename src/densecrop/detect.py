@@ -9,15 +9,16 @@ features with analytic gradients. Its one view type is the
 :class:`ViewStack`: it builds the views of many images in one pass as one
 stack, the mean-teacher trainer hands it each iteration's views as one
 stack, and multistage inference asks it for a chunk of images at a time
-through ``detect_batch``. Its kernels (:func:`extract_features`,
-:func:`toy_forward`, :meth:`ToyDetector.augment`) take a ragged stack and
-its per-view row counts, and nothing else: a single view is a stack of
-one.
+through ``detect_batch``. Both backends read their images from a
+:class:`~densecrop.dataset.SceneStack`, and the toy detector's kernels
+(:func:`extract_features`, :func:`toy_forward`,
+:meth:`ToyDetector.augment`) take a ragged stack and its per-view row
+counts, and nothing else: a single view is a stack of one.
 
-The contract is that one method: un-augmented detections of each sample
-as arrays, deterministic given (weights, samples). Both backends can emit
-the reserved density-crop class (id ``num_base_classes``) in addition to
-the base classes.
+The contract is that one method: un-augmented detections of each scene
+of a stack as arrays, deterministic given (weights, scenes). Both backends
+can emit the reserved density-crop class (id ``num_base_classes``) in
+addition to the base classes.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from .croplab import CropParams, label_density_crops
-from .dataset import ImageRecord, SceneSample, SceneSpec
+from .dataset import SceneStack
 from .errors import DataError, InvariantViolation
 from .geometry import (
     Box,
@@ -240,40 +241,47 @@ def _safe_box(boxes: np.ndarray, width, height) -> np.ndarray:
 
 
 def oracle_detect(
-    record: ImageRecord, noise: OracleNoiseModel, num_base_classes: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Noisy detections for a record's annotation rows, as (N, 4) float64
+    scenes: SceneStack, noise: OracleNoiseModel, num_base_classes: int
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Noisy detections for each scene's annotation rows, as (N, 4) float64
     box rows, (N,) int64 class ids and (N,) float64 scores.
 
     Each annotation survives with probability 1 - miss(area), gets a
     jittered box and a sampled score; background false positives of a
     random base class are appended at a Poisson rate. Every box is clipped
-    to the image. Deterministic per (noise seed, image id).
+    to the image. Each scene draws from its own generator,
+    ``rng_for(noise seed, "oracle", image id)``, all derived in one
+    :func:`rngs_for` call from the scenes' id words.
     """
-    rng = rng_for(noise.seed, "oracle", record.image_id)
-    raw: list[tuple] = []  # boxes before clipping
-    classes: list[int] = []
-    scores: list[float] = []
-    for (x1, y1, x2, y2), class_id in zip(record.boxes.tolist(), record.classes.tolist()):
-        if class_id == num_base_classes and not noise.emit_crops:
-            continue
-        if rng.random() < noise.miss_probability((x2 - x1) * (y2 - y1)):
-            continue
-        jit = rng.normal(0.0, noise.jitter_std, 4) if noise.jitter_std > 0 else np.zeros(4)
-        raw.append((x1 + jit[0], y1 + jit[1], x2 + jit[2], y2 + jit[3]))
-        classes.append(class_id)
-        scores.append(float(np.clip(rng.normal(noise.score_mean, noise.score_std), 0.05, 1.0)))
-    if noise.fp_rate > 0:
-        for _ in range(int(rng.poisson(noise.fp_rate))):
-            w = float(rng.uniform(4.0, max(8.0, record.width / 4.0)))
-            h = float(rng.uniform(4.0, max(8.0, record.height / 4.0)))
-            x = float(rng.uniform(0.0, max(record.width - w, _MIN_SIDE)))
-            y = float(rng.uniform(0.0, max(record.height - h, _MIN_SIDE)))
-            scores.append(float(rng.uniform(*noise.fp_score_range)))
-            raw.append((x, y, x + w, y + h))
-            classes.append(int(rng.integers(0, num_base_classes)))
-    boxes = _safe_box(np.array(raw, dtype=np.float64).reshape(-1, 4), record.width, record.height)
-    return boxes, np.array(classes, dtype=np.int64), np.array(scores, dtype=np.float64)
+    rngs = rngs_for((noise.seed, "oracle"), scenes.id_words.reshape(-1, 1))
+    ends = np.cumsum(scenes.counts).tolist()
+    rows, classes_of = scenes.boxes.tolist(), scenes.classes.tolist()
+    out = []
+    for rng, (width, height), start, end in zip(rngs, scenes.sizes.tolist(), [0] + ends, ends):
+        raw: list[tuple] = []  # boxes before clipping
+        classes: list[int] = []
+        scores: list[float] = []
+        for (x1, y1, x2, y2), class_id in zip(rows[start:end], classes_of[start:end]):
+            if class_id == num_base_classes and not noise.emit_crops:
+                continue
+            if rng.random() < noise.miss_probability((x2 - x1) * (y2 - y1)):
+                continue
+            jit = rng.normal(0.0, noise.jitter_std, 4) if noise.jitter_std > 0 else np.zeros(4)
+            raw.append((x1 + jit[0], y1 + jit[1], x2 + jit[2], y2 + jit[3]))
+            classes.append(class_id)
+            scores.append(float(np.clip(rng.normal(noise.score_mean, noise.score_std), 0.05, 1.0)))
+        if noise.fp_rate > 0:
+            for _ in range(int(rng.poisson(noise.fp_rate))):
+                w = float(rng.uniform(4.0, max(8.0, width / 4.0)))
+                h = float(rng.uniform(4.0, max(8.0, height / 4.0)))
+                x = float(rng.uniform(0.0, max(width - w, _MIN_SIDE)))
+                y = float(rng.uniform(0.0, max(height - h, _MIN_SIDE)))
+                scores.append(float(rng.uniform(*noise.fp_score_range)))
+                raw.append((x, y, x + w, y + h))
+                classes.append(int(rng.integers(0, num_base_classes)))
+        boxes = _safe_box(np.array(raw, dtype=np.float64).reshape(-1, 4), width, height)
+        out.append((boxes, np.array(classes, dtype=np.int64), np.array(scores, dtype=np.float64)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -282,43 +290,47 @@ def oracle_detect(
 
 
 def _running_sum(terms: np.ndarray) -> np.ndarray:
-    """``total = 0.0; for t in row: total += t`` along axis 1, in that order."""
-    start = np.zeros((len(terms), 1) + terms.shape[2:])
-    return np.add.accumulate(np.concatenate([start, terms], axis=1), axis=1)[:, -1]
+    """``total = 0.0; for t in row: total += t`` along axis 1, in that
+    order, one column of every row at a time."""
+    total = np.zeros((len(terms),) + terms.shape[2:])
+    for j in range(terms.shape[1]):
+        total += terms[:, j]
+    return total
 
 
-def _covered_mean(values: np.ndarray, covered: np.ndarray) -> np.ndarray:
-    """``np.mean`` of each row's covered entries, 0.0 for a row with none.
+def _covered_mean(
+    sums: np.ndarray, counts: np.ndarray, values: np.ndarray, covered: np.ndarray
+) -> np.ndarray:
+    """``np.mean`` of each row's covered entries, 0.0 for a row with none,
+    given each row's running sum (:func:`_running_sum`) and count of them.
 
     numpy sums fewer than 8 values one after another from 0.0, so those
     rows are running sums; longer rows use numpy's pairwise summation and
     go through ``np.mean`` themselves.
     """
-    counts = covered.sum(axis=1)
-    sums = _running_sum(np.where(covered, values, 0.0))
     means = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
     for i in np.flatnonzero(counts >= 8):
         means[i] = np.mean(values[i, covered[i]])
     return means
 
 
-def _padded_objects(scenes: list[SceneSpec], classes: int):
+def _padded_objects(scenes: SceneStack, classes: int):
     """Each scene's object boxes, payloads and a validity mask, padded to
     the largest object count: (S, M, 4), (S, M, K) and (S, M) arrays."""
-    most = max((len(scene.object_boxes) for scene in scenes), default=0)
-    boxes = np.zeros((len(scenes), most, 4))
-    payloads = np.zeros((len(scenes), most, classes))
-    real = np.zeros((len(scenes), most), dtype=bool)
-    for k, scene in enumerate(scenes):
-        n = len(scene.object_boxes)
-        boxes[k, :n] = scene.object_boxes
-        payloads[k, :n] = scene.object_payloads[..., :classes].reshape(n, classes)
-        real[k, :n] = True
+    counts = scenes.object_counts
+    shape = (len(counts), int(counts.max(initial=0)))
+    scene = np.repeat(np.arange(len(counts)), counts)
+    slot = np.arange(len(scene)) - np.repeat(np.cumsum(counts) - counts, counts)
+    boxes, payloads = np.zeros(shape + (4,)), np.zeros(shape + (classes,))
+    real = np.zeros(shape, dtype=bool)
+    boxes[scene, slot] = scenes.object_boxes
+    payloads[scene, slot] = scenes.object_payloads[:, :classes].reshape(-1, classes)
+    real[scene, slot] = True
     return boxes, payloads, real
 
 
 def extract_features(
-    scenes: list[SceneSpec],
+    scenes: SceneStack,
     boxes: np.ndarray,
     num_base_classes: int,
     payload_obs_scale: float,
@@ -327,8 +339,8 @@ def extract_features(
     """Deterministic feature matrix, one row per (x1, y1, x2, y2) proposal
     row of ``boxes``.
 
-    ``boxes`` holds the proposals of a chunk of ``scenes``, ``counts[k]``
-    rows of scene ``k``, scene after scene; a single scene is a chunk of
+    ``boxes`` holds the proposals of the stack ``scenes``, ``counts[k]``
+    rows of scene ``k``, scene after scene; a single scene is a stack of
     one. Each row depends on its proposal and its own scene alone.
 
     The payload block is the overlap-weighted average of the payloads of
@@ -339,13 +351,15 @@ def extract_features(
     draw; one :func:`normals_for` call draws every row's noise.
 
     Each row is paired with every object of its scene, padded to the
-    chunk's largest object count; the padding is masked out, and sums over
-    the objects run in object order, so padding only appends ``+0.0``
-    terms and a row's features do not depend on the rest of its chunk.
+    stack's largest object count; the padding is masked out, and sums over
+    the objects run in object order, one object column of every row at a
+    time (the payload block as one (N, K) sum), so padding only appends
+    ``+0.0`` terms and a row's features do not depend on the rest of its
+    stack.
     """
     boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
     row_scene = np.repeat(np.arange(len(scenes)), counts)
-    size = np.array([(s.width, s.height) for s in scenes], dtype=np.float64).reshape(-1, 2)
+    size = scenes.sizes
     width, height = size[row_scene, 0], size[row_scene, 1]
     x1, y1, x2, y2 = boxes.T
     area = box_areas(boxes)
@@ -357,14 +371,15 @@ def extract_features(
     phi[:, 3] = (y1 + y2) / 2.0 / height
 
     objects, payloads, real = _padded_objects(scenes, num_base_classes)
+    # What depends on the objects alone is computed once per scene.
+    object_areas = np.where(real, box_areas(objects), 1.0)[row_scene]
+    ocx = ((objects[..., 0] + objects[..., 2]) / 2.0)[row_scene]
+    ocy = ((objects[..., 1] + objects[..., 3]) / 2.0)[row_scene]
     objects, real = objects[row_scene], real[row_scene]
-    object_areas = np.where(real, box_areas(objects), 1.0)
     # A zero pad box overlaps nothing, so its intersections are +0.0.
     inter = intersection_matrix(boxes, objects)
     covered = inter > 0.0
     fracs = inter / object_areas
-    ocx = (objects[..., 0] + objects[..., 2]) / 2.0
-    ocy = (objects[..., 1] + objects[..., 3]) / 2.0
     inside_x = (x1[:, None] <= ocx) & (ocx < x2[:, None])
     centers_inside = (real & inside_x & (y1[:, None] <= ocy) & (ocy < y2[:, None])).sum(axis=1)
     # iou_matrix's formula; a padded pair's 0.0 never exceeds the initial 0.0.
@@ -372,21 +387,27 @@ def extract_features(
     phi[:, 5] = np.minimum(_running_sum(inter) / area, 1.0)
     centers_inside = np.minimum(centers_inside, _CENTER_COUNT_CAP)
     phi[:, 6] = np.log1p(centers_inside) / np.log1p(_CENTER_COUNT_CAP)
-    phi[:, 7] = _covered_mean(fracs, covered)
+    # An uncovered pair's fraction is +0.0, so the covered fractions' sum
+    # is the sum of every fraction.
+    n_covered = covered.sum(axis=1)
+    frac_sums = _running_sum(fracs)
+    phi[:, 7] = _covered_mean(frac_sums, n_covered, fracs, covered)
 
-    # One class at a time keeps the pair temporaries two-dimensional.
-    weight = np.maximum(_running_sum(fracs), 1.0)
-    payload = np.empty((len(boxes), num_base_classes))
-    for k in range(num_base_classes):
-        payload[:, k] = _running_sum(fracs * payloads[:, :, k][row_scene]) / weight
+    # One (N, K) accumulator takes each object's weighted payloads in turn.
+    weight = np.maximum(frac_sums, 1.0)
+    payloads = payloads[row_scene]
+    payload = np.zeros((len(boxes), num_base_classes))
+    for j in range(fracs.shape[1]):
+        payload += fracs[:, j, None] * payloads[:, j]
+    payload /= weight[:, None]
     if payload_obs_scale > 0:
-        covered_areas = _covered_mean(object_areas, covered)
-        ref_area = np.where(covered.any(axis=1), covered_areas, area)
+        area_sums = _running_sum(np.where(covered, object_areas, 0.0))
+        covered_areas = _covered_mean(area_sums, n_covered, object_areas, covered)
+        ref_area = np.where(n_covered > 0, covered_areas, area)
         sigma = payload_obs_scale / np.sqrt(np.maximum(ref_area, 1.0))
         # rint rounds half to even, as round() does; the mask is stable_int's.
         q = np.rint(boxes * 16.0).astype(np.int64) & 0xFFFFFFFF
-        seeds = np.array([stable_int(scene.seed) for scene in scenes], dtype=np.int64)
-        rows = np.column_stack([seeds[row_scene], np.full(len(q), _PAYLOAD_OBS), q])
+        rows = np.column_stack([scenes.seeds[row_scene], np.full(len(q), _PAYLOAD_OBS), q])
         # Generator.normal(0.0, s, K) draws 0.0 + s * z.
         payload = payload + (0.0 + sigma[:, None] * normals_for((), rows, num_base_classes))
     phi[:, _GEOM_FEATURES:] = payload
@@ -567,13 +588,14 @@ class DetectorBackend(abc.ABC):
     """Contract every detection backend satisfies: one method,
     :meth:`detect_batch`.
 
-    It returns the un-augmented detections of each of several samples, one
-    (boxes, classes, scores) triple per sample: (N, 4) float64 box rows,
-    (N,) int64 class ids and (N,) float64 scores. It must be deterministic
-    given (weights, samples), a sample's detections must not depend on the
-    samples beside it, and it may emit the reserved density-crop class id
-    ``num_base_classes`` alongside base classes 0..num_base_classes-1.
-    Multistage inference calls it once per stage for a chunk of images.
+    It returns the un-augmented detections of each scene of a
+    :class:`~densecrop.dataset.SceneStack`, one (boxes, classes, scores)
+    triple per scene: (N, 4) float64 box rows, (N,) int64 class ids and
+    (N,) float64 scores. It must be deterministic given (weights, scenes),
+    a scene's detections must not depend on the scenes beside it, and it
+    may emit the reserved density-crop class id ``num_base_classes``
+    alongside base classes 0..num_base_classes-1. Multistage inference
+    calls it once per stage for a chunk of images.
     """
 
     num_base_classes: int
@@ -584,7 +606,7 @@ class DetectorBackend(abc.ABC):
 
     @abc.abstractmethod
     def detect_batch(
-        self, weights: WeightVector | None, samples: list[SceneSample]
+        self, weights: WeightVector | None, scenes: SceneStack
     ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         raise NotImplementedError
 
@@ -597,25 +619,26 @@ class OracleBackend(DetectorBackend):
         self.noise = noise
 
     def detect_batch(
-        self, weights: WeightVector | None, samples: list[SceneSample]
+        self, weights: WeightVector | None, scenes: SceneStack
     ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """:func:`oracle_detect` of each sample's record; ``weights`` is
-        ignored."""
-        return [oracle_detect(s.record, self.noise, self.num_base_classes) for s in samples]
+        """:func:`oracle_detect` of the scenes; ``weights`` is ignored."""
+        return oracle_detect(scenes, self.noise, self.num_base_classes)
 
 
 @dataclass(frozen=True, eq=False)
 class ViewStack:
-    """What the toy detector derives from each of several samples alone,
-    its rows stacked in sample order: a ragged batch of views.
+    """What the toy detector derives from each of several scenes alone,
+    its rows stacked in scene order: a ragged batch of views.
 
-    ``proposals`` (N, 4) and ``phi`` (N, D) hold the views' read-only
-    (x1, y1, x2, y2) proposal rows and un-augmented feature rows, and
-    ``counts`` each view's row count. Built with targets, ``gt_classes``
-    and ``gt_offsets`` hold each proposal's ground-truth class and
-    corner-offset targets. ``row_view`` (each row's view index) and
-    ``width`` and ``height`` (each row's image size, so a crop child and
-    its parent can share one stack) are derived on first read.
+    ``image_ids`` and (S, 2) ``sizes`` are each view's image id and
+    (width, height). ``proposals`` (N, 4) and ``phi`` (N, D) hold the
+    views' read-only (x1, y1, x2, y2) proposal rows and un-augmented
+    feature rows, and ``counts`` each view's row count. Built with
+    targets, ``gt_classes`` and ``gt_offsets`` hold each proposal's
+    ground-truth class and corner-offset targets. ``row_view`` (each row's
+    view index) and ``width`` and ``height`` (each row's image size, so a
+    crop child and its parent can share one stack) are derived on first
+    read.
     Augmentation works on copies of ``phi``, so one view serves every
     visit to its image.
 
@@ -623,7 +646,8 @@ class ViewStack:
     those, as slices of its rows, and :meth:`of` concatenates stacks.
     """
 
-    samples: tuple[SceneSample, ...]
+    image_ids: tuple
+    sizes: np.ndarray
     proposals: np.ndarray
     phi: np.ndarray
     counts: np.ndarray
@@ -632,36 +656,38 @@ class ViewStack:
 
     @cached_property
     def row_view(self) -> np.ndarray:
-        return np.repeat(np.arange(len(self.samples)), self.counts)
+        return np.repeat(np.arange(len(self.image_ids)), self.counts)
 
     @cached_property
     def width(self) -> np.ndarray:
-        return np.array([s.record.width for s in self.samples], dtype=np.float64)[self.row_view]
+        return self.sizes[self.row_view, 0]
 
     @cached_property
     def height(self) -> np.ndarray:
-        return np.array([s.record.height for s in self.samples], dtype=np.float64)[self.row_view]
+        return self.sizes[self.row_view, 1]
 
     def split(self) -> list["ViewStack"]:
         ends = np.cumsum(self.counts).tolist()
         rows = [slice(start, end) for start, end in zip([0] + ends[:-1], ends)]
         return [
             ViewStack(
-                (sample,),
+                (image_id,),
+                self.sizes[k : k + 1],
                 self.proposals[own],
                 self.phi[own],
                 self.counts[k : k + 1],
                 None if self.gt_classes is None else self.gt_classes[own],
                 None if self.gt_offsets is None else self.gt_offsets[own],
             )
-            for k, (sample, own) in enumerate(zip(self.samples, rows))
+            for k, (image_id, own) in enumerate(zip(self.image_ids, rows))
         ]
 
     @classmethod
     def of(cls, stacks: list["ViewStack"]) -> "ViewStack":
         targets = all(s.gt_classes is not None for s in stacks)
         return cls(
-            samples=tuple(sample for s in stacks for sample in s.samples),
+            image_ids=tuple(image_id for s in stacks for image_id in s.image_ids),
+            sizes=np.concatenate([s.sizes for s in stacks]),
             proposals=np.concatenate([s.proposals for s in stacks]),
             phi=np.concatenate([s.phi for s in stacks]),
             counts=np.concatenate([s.counts for s in stacks]),
@@ -698,9 +724,10 @@ class ToyDetector(DetectorBackend):
     noise and zeroes a random contiguous block.
 
     Proposals and base features are pure functions of the image:
-    :meth:`views` computes them once for a list of samples as one
-    :class:`ViewStack`, in one pass over their stacked rows, with each
-    proposal's targets for labeled records. The numeric methods take a
+    :meth:`views` computes them once for a
+    :class:`~densecrop.dataset.SceneStack` as one :class:`ViewStack`, in
+    one pass over its rows, with each proposal's targets for labeled
+    scenes. The numeric methods take a
     stack, and a single view is a stack of one: :meth:`decode` returns
     every proposal's regressed box and class probabilities,
     :meth:`supervised_batch` and :meth:`unsupervised_batch` build training
@@ -708,8 +735,8 @@ class ToyDetector(DetectorBackend):
     assignment once on the stack; only the matmuls and each view's random
     draws stay per view.
     :meth:`emitted` picks the (proposal, class) pairs that count as
-    detections, and :meth:`detect_batch` returns those of each of several
-    samples' un-augmented views as rows; training augments through
+    detections, and :meth:`detect_batch` returns those of each scene's
+    un-augmented view as rows; training augments through
     :meth:`decode`. :meth:`augment` never derives a generator: callers
     hand it one per view, so a training iteration derives all of them in
     one ``rngs_for`` call.
@@ -736,13 +763,13 @@ class ToyDetector(DetectorBackend):
             values=rng.normal(0.0, self.config.init_scale, self.layout.total),
         )
 
-    def proposals(self, samples: list[SceneSample]) -> tuple[np.ndarray, np.ndarray]:
-        """Fixed per-image proposal sets, stacked in sample order: (N, 4)
+    def proposals(self, scenes: SceneStack) -> tuple[np.ndarray, np.ndarray]:
+        """Fixed per-image proposal sets, stacked in scene order: (N, 4)
         rows (objects, clusters, background for each image) and each
-        sample's row count.
+        scene's row count.
 
         Cluster candidates are the density crops of each image's objects,
-        labeled for every non-crop sample in one
+        labeled for every scene that is not a crop child in one
         :func:`~densecrop.croplab.label_density_crops` call over the stack
         of their object rows. They are skipped on crop children: the image
         already is a zoomed cluster, and a second level of crop proposals
@@ -750,34 +777,34 @@ class ToyDetector(DetectorBackend):
 
         Each image draws its jitter and background from its own generator,
         ``rng_for(seed, "proposals", image_id)``; one :func:`rngs_for` call
-        derives them all, and the background boxes and the clipping run
-        once over the stacked rows.
+        derives them all from the id words, and the background boxes and
+        the clipping run once over the stacked rows.
         """
-        prefix = (stable_int(self.config.seed), _PROPOSALS)
-        ids = [prefix + (stable_int(s.record.image_id),) for s in samples]
-        rngs = rngs_for((), np.array(ids, dtype=np.int64).reshape(-1, 3))
-        parents = [s.scene for s in samples if s.record.provenance.kind != "crop"]
+        rngs = rngs_for((self.config.seed, _PROPOSALS), scenes.id_words.reshape(-1, 1))
+        parent = ~scenes.crop
         parent_crops = iter(
             label_density_crops(
-                np.concatenate([scene.object_boxes for scene in parents] or [np.zeros((0, 4))]),
-                [(scene.width, scene.height) for scene in parents],
+                scenes.object_boxes[np.repeat(parent, scenes.object_counts)],
+                scenes.sizes[parent],
                 self._proposal_crop_params,
-                [len(scene.object_boxes) for scene in parents],
+                scenes.object_counts[parent],
             )
         )
         per_image = self.config.background_proposals
-        jittered, u = [], np.empty((len(samples), per_image, 4))
-        for k, (sample, rng) in enumerate(zip(samples, rngs)):
-            candidates = sample.scene.object_boxes
-            if sample.record.provenance.kind != "crop":
+        ends = np.cumsum(scenes.object_counts).tolist()
+        jittered, u = [], np.empty((len(scenes), per_image, 4))
+        for k, (rng, start, end, crop) in enumerate(
+            zip(rngs, [0] + ends, ends, scenes.crop.tolist())
+        ):
+            candidates = scenes.object_boxes[start:end]
+            if not crop:
                 candidates = np.concatenate([candidates, next(parent_crops)])
             jitter = rng.normal(0.0, self.config.proposal_jitter, (len(candidates), 4))
             jittered.append(candidates + jitter)
             # Each background box takes its (w, h, x, y) uniforms in turn,
             # as one row of a single random() block.
             u[k] = rng.random((per_image, 4))
-        size = np.array([s.record.size for s in samples], dtype=np.float64).reshape(-1, 2)
-        width, height = size[:, :1], size[:, 1:]
+        width, height = scenes.sizes[:, :1], scenes.sizes[:, 1:]
         short = np.minimum(width, height)
         w = _uniform(short / 24.0, short / 3.0, u[..., 0])
         h = _uniform(short / 24.0, short / 3.0, u[..., 1])
@@ -786,12 +813,12 @@ class ToyDetector(DetectorBackend):
         background = np.stack([x, y, x + w, y + h], axis=-1)
         raw = [block for pair in zip(jittered, background) for block in pair]
         counts = np.array([len(j) + per_image for j in jittered], dtype=np.int64)
-        row_size = np.repeat(size, counts, axis=0)
+        row_size = np.repeat(scenes.sizes, counts, axis=0)
         boxes = _safe_box(np.concatenate(raw or [np.zeros((0, 4))]), row_size[:, 0], row_size[:, 1])
         return boxes, counts
 
-    def features(self, scenes: list[SceneSpec], proposals: np.ndarray, counts) -> np.ndarray:
-        """Un-augmented feature matrix, one row per proposal row of a chunk
+    def features(self, scenes: SceneStack, proposals: np.ndarray, counts) -> np.ndarray:
+        """Un-augmented feature matrix, one row per proposal row of a stack
         of scenes, as in :func:`extract_features`."""
         return extract_features(
             scenes, proposals, self.num_base_classes, self.config.payload_obs_scale, counts
@@ -828,46 +855,45 @@ class ToyDetector(DetectorBackend):
             phi[(cols >= start) & (cols < start + self.config.strong_cutout)] = 0.0
         return phi
 
-    def views(self, samples: list[SceneSample], targets: bool = False) -> ViewStack:
-        """Proposals and base features of each sample, computed once, as
+    def views(self, scenes: SceneStack, targets: bool = False) -> ViewStack:
+        """Proposals and base features of each scene, computed once, as
         one stack.
 
-        The samples' proposals are built, featurized and (with ``targets``)
+        The scenes' proposals are built, featurized and (with ``targets``)
         assigned in one pass over their stacked rows; a view's rows do not
-        depend on the samples built with it. With ``targets`` the stack
+        depend on the scenes built with it. With ``targets`` the stack
         also carries each proposal's ground-truth class and offsets against
-        its record's annotation rows, which :meth:`supervised_batch` needs.
+        its scene's annotation rows, which :meth:`supervised_batch` needs.
         """
-        samples = tuple(samples)
-        proposals, counts = self.proposals(samples)
-        phi = self.features([s.scene for s in samples], proposals, counts)
+        proposals, counts = self.proposals(scenes)
+        phi = self.features(scenes, proposals, counts)
         proposals.flags.writeable = phi.flags.writeable = counts.flags.writeable = False
         classes = offsets = None
         if targets:
-            records = [s.record for s in samples]
+            scene = np.arange(len(scenes))
             classes, offsets = assign_targets(
                 proposals,
-                np.repeat(np.arange(len(samples)), counts),
-                np.concatenate([r.boxes for r in records] or [np.zeros((0, 4))]),
-                np.repeat(np.arange(len(samples)), [len(r.classes) for r in records]),
-                np.concatenate([r.classes for r in records] or [np.zeros(0, np.int64)]),
+                np.repeat(scene, counts),
+                scenes.boxes,
+                np.repeat(scene, scenes.counts),
+                scenes.classes,
                 self.config.fg_iou,
                 self.background_class,
             )
             classes.flags.writeable = offsets.flags.writeable = False
-        return ViewStack(samples, proposals, phi, counts, classes, offsets)
+        return ViewStack(scenes.image_ids, scenes.sizes, proposals, phi, counts, classes, offsets)
 
     def detect_batch(
-        self, weights: WeightVector | None, samples: list[SceneSample]
+        self, weights: WeightVector | None, scenes: SceneStack
     ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Each sample's detections as box rows, class ids and scores: the
+        """Each scene's detections as box rows, class ids and scores: the
         :meth:`emitted` (proposal, class) pairs of one un-augmented
-        :meth:`decode` of the samples' :meth:`views`, proposal by proposal
+        :meth:`decode` of the scenes' :meth:`views`, proposal by proposal
         and class by class, split by view. A view's detections do not
         depend on the views beside it."""
-        if not samples:
+        if not len(scenes):
             return []
-        stack = self.views(samples)
+        stack = self.views(scenes)
         boxes, probs = self.decode(weights, stack, "none", ())
         rows, classes = self.emitted(probs)
         scores = probs[rows, classes]
@@ -897,7 +923,7 @@ class ToyDetector(DetectorBackend):
         return np.nonzero(probs[:, : self.background_class] > EMIT_FLOOR)
 
     def supervised_batch(self, stack: ViewStack, augmentation: str, rngs) -> SupervisedBatch:
-        """Training batch of a stack of views against their records' own
+        """Training batch of a stack of views against their scenes' own
         annotations; every view must have been built with targets. Each
         view is augmented with its own generator of ``rngs`` as in
         :meth:`augment`."""

@@ -9,16 +9,17 @@ detections are mapped back to image coordinates, concatenated with the
 stage-one base-class detections, and deduplicated with NMS.
 
 Both stages run a chunk of images at a time, and the chunk stays one
-ragged stack of rows from stage one to the fused rows: one backend
-``detect_batch`` for the chunk's full images, crop selection over their
-stacked rows, one ``detect_batch`` for the upscaled children of every crop
-selected in them, one reprojection, clipping and box-invariant check of
-the stage-two rows, and one NMS over the chunk, whose kept rows are split
-per image at the end. Results stay (N, 4), (N,) and (N,) arrays: no
-:class:`Detection` or :class:`~densecrop.dataset.Annotation` is built,
-and the only :class:`~densecrop.geometry.Box` built is each crop child's
-crop. An image's detections do not depend on the chunk it ran in, so one
-image's detections are those of a run over a list of one.
+ragged stack of rows from stage one to the fused rows: a
+:class:`~densecrop.dataset.SceneStack` of the chunk's images, one backend
+``detect_batch`` on it, crop selection over the stacked rows, one
+:func:`~densecrop.dataset.make_crop_children` zoom into the stack of the
+selected crops' children, one ``detect_batch`` on that, one reprojection,
+clipping and box-invariant check of the stage-two rows, and one NMS over
+the chunk, whose kept rows are split per image at the end. Results stay
+(N, 4), (N,) and (N,) arrays, and crop children stay rows of their stack:
+no :class:`Detection`, :class:`~densecrop.geometry.Box`, record, scene or
+provenance is built. An image's detections do not depend on the chunk it
+ran in, so one image's detections are those of a run over a list of one.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .croplab import CropParams, label_density_crops
-from .dataset import SceneSample, UpscalePolicy, make_crop_children
+from .dataset import SceneSample, SceneStack, UpscalePolicy, make_crop_children
 from .detect import DetectorBackend, WeightVector
 from .errors import ConfigError, InvariantViolation
 from .geometry import (
@@ -90,14 +91,14 @@ def select_crops(
     first_pass: tuple[np.ndarray, np.ndarray, np.ndarray],
     counts,
     config: InferenceConfig,
-    image_sizes: list[tuple[float, float]],
+    image_sizes: np.ndarray,
     crop_class_id: int,
 ) -> list[np.ndarray]:
     """Pick the crop regions to zoom into from the stage-one detections of
     a ragged stack of images, given as one (boxes, classes, scores) triple
-    of rows, image by image, ``counts[i]`` rows in image ``i`` of size
-    ``image_sizes[i]``; returns each image's (K_i, 4) crop rows, at most
-    ``max_crops_per_image`` of them.
+    of rows, image by image, ``counts[i]`` rows in image ``i`` of
+    (width, height) ``image_sizes[i]``; returns each image's (K_i, 4) crop
+    rows, at most ``max_crops_per_image`` of them.
 
     ``predicted`` mode takes each image's crop-class rows above the
     threshold by descending score, ties in row order. ``relabeled`` mode
@@ -112,7 +113,8 @@ def select_crops(
         rows = rows[np.lexsort((-scores[rows], image[rows]))]
         per_image = np.bincount(image[rows], minlength=len(counts))
         rank = np.arange(len(rows)) - np.repeat(np.cumsum(per_image) - per_image, per_image)
-        return np.split(boxes[rows[rank < cap]], np.cumsum(np.minimum(per_image, cap))[:-1])
+        kept, ends = boxes[rows[rank < cap]], np.cumsum(np.minimum(per_image, cap)).tolist()
+        return [kept[start:end] for start, end in zip([0] + ends, ends)]
     confident = (classes != crop_class_id) & (scores > config.crop_score_threshold)
     crops = label_density_crops(
         boxes[confident],
@@ -124,55 +126,55 @@ def select_crops(
 
 
 def _detect_chunk(
-    samples: list[SceneSample],
+    scenes: SceneStack,
     backend: DetectorBackend,
     weights: WeightVector | None,
     config: InferenceConfig,
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Fused (boxes, classes, scores) of each sample of a chunk, kept as one
+    """Fused (boxes, classes, scores) of each scene of a chunk, kept as one
     stack of rows from stage one to the fused rows: one stage-one
-    ``detect_batch`` over the samples, crop selection on the stacked rows,
-    one stage-two ``detect_batch`` over every selected crop's child, whose
-    rows are reprojected, clipped and checked at once, and one
-    :func:`nms_keep` over the chunk, whose kept rows are split per sample
-    at the end. Each sample's rows enter the fusion as its stage-one
-    base-class rows, then its stage-two rows in crop order."""
+    ``detect_batch`` over the scenes, crop selection on the stacked rows,
+    one zoom into every selected crop's child and one stage-two
+    ``detect_batch`` over them, whose rows are reprojected, clipped and
+    checked at once, and one :func:`nms_keep` over the chunk, whose kept
+    rows are split per scene at the end. Each scene's rows enter the
+    fusion as its stage-one base-class rows, then its stage-two rows in
+    crop order."""
     crop_class = backend.crop_class_id
-    sizes = [sample.record.size for sample in samples]
-    firsts = backend.detect_batch(weights, samples)
+    firsts = backend.detect_batch(weights, scenes)
     boxes, classes, scores = (np.concatenate(column) for column in zip(*firsts))
     counts = [len(first[2]) for first in firsts]
-    image = np.repeat(np.arange(len(samples)), counts)
+    image = np.repeat(np.arange(len(scenes)), counts)
     base = classes != crop_class
     check_boxes(boxes[base])
     blocks = [(boxes[base], classes[base], scores[base], image[base])]
     if config.multistage and config.max_crops_per_image > 0:
-        per_image = select_crops((boxes, classes, scores), counts, config, sizes, crop_class)
-        owners = np.repeat(np.arange(len(samples)), [len(rows) for rows in per_image])
+        per_image = select_crops((boxes, classes, scores), counts, config, scenes.sizes, crop_class)
+        owners = np.repeat(np.arange(len(scenes)), [len(rows) for rows in per_image])
         crops = np.concatenate(per_image)
-        # Each crop is a one-row group of its parent, so every stage-two
-        # child is named ``:crop0``; the toy detector seeds its proposals by
-        # image id.
-        parents = [samples[k] for k in owners.tolist()]
-        children = make_crop_children(parents, list(crops[:, None]), config.upscale)
-        if children:
+        # Each crop is a one-row group of its own copy of the parent, so
+        # every stage-two child is named ``:crop0``; the toy detector seeds
+        # its proposals by image id.
+        children = make_crop_children(scenes.take(owners), list(crops[:, None]), config.upscale)
+        if len(children):
             second = backend.detect_batch(weights, children)
             boxes, classes, scores = (np.concatenate(column) for column in zip(*second))
             base = classes != crop_class
             child = np.repeat(np.arange(len(children)), [len(s) for _, _, s in second])[base]
             owner = owners[child]
-            out = np.array([c.record.size for c in children], dtype=np.float64)[child]
-            bounds = np.tile(np.array(sizes, dtype=np.float64), 2)[owner]
-            rows = clip(reproject_rows(boxes[base], crops[child], out), 0.0, bounds)
+            bounds = np.tile(scenes.sizes, 2)[owner]
+            rows = reproject_rows(boxes[base], crops[child], children.sizes[child])
+            rows = clip(rows, 0.0, bounds)
             check_boxes(rows)
             blocks.append((rows, classes[base], scores[base], owner))
     boxes, classes, scores, image = (np.concatenate(column) for column in zip(*blocks))
     # A stable sort by image puts each image's stage-one rows first.
     order = np.argsort(image, kind="stable")
-    fused = np.bincount(image, minlength=len(samples))
+    fused = np.bincount(image, minlength=len(scenes))
     kept = order[nms_keep(boxes[order], classes[order], scores[order], config.fusion_iou, fused)]
-    at = np.searchsorted(image[kept], np.arange(1, len(samples)))
-    return list(zip(*(np.split(column[kept], at) for column in (boxes, classes, scores))))
+    at = [0, *np.searchsorted(image[kept], np.arange(1, len(scenes))).tolist(), len(kept)]
+    boxes, classes, scores = boxes[kept], classes[kept], scores[kept]
+    return [(boxes[a:b], classes[a:b], scores[a:b]) for a, b in zip(at, at[1:])]
 
 
 @dataclass(eq=False)
@@ -195,20 +197,20 @@ class ImageInferenceResult:
 
 
 def _attempt(
-    samples: list[SceneSample],
+    scenes: SceneStack,
     backend: DetectorBackend,
     weights: WeightVector | None,
     config: InferenceConfig,
 ) -> list[tuple[tuple, str | None]]:
-    """((boxes, classes, scores), error) of each sample of a chunk; a
-    failure anywhere in the chunk is every sample's error, with zero rows."""
+    """((boxes, classes, scores), error) of each scene of a chunk; a
+    failure anywhere in the chunk is every scene's error, with zero rows."""
     try:
-        return [(fused, None) for fused in _detect_chunk(samples, backend, weights, config)]
+        return [(fused, None) for fused in _detect_chunk(scenes, backend, weights, config)]
     except InvariantViolation:
         raise
     except Exception as exc:  # error record, not a crash
         empty = (np.zeros((0, 4)), np.zeros(0, dtype=np.int64), np.zeros(0))
-        return [(empty, f"{type(exc).__name__}: {exc}")] * len(samples)
+        return [(empty, f"{type(exc).__name__}: {exc}")] * len(scenes)
 
 
 def run_inference(
@@ -219,7 +221,9 @@ def run_inference(
     seed: int = 0,
 ) -> list[ImageInferenceResult]:
     """Per-image inference over a dataset, in input order, one chunk of
-    :data:`CHUNK_SIZE` images at a time; ``seed`` is accepted and unused.
+    :data:`CHUNK_SIZE` images at a time, each chunk's samples converted
+    once to a :class:`~densecrop.dataset.SceneStack`; ``seed`` is accepted
+    and unused.
 
     Each image's fused detections come in a deterministic order and do not
     depend on the images run beside it. Crop-class predictions never
@@ -230,22 +234,24 @@ def run_inference(
     else :class:`InvariantViolation` is raised.
 
     A backend failure becomes an error record rather than aborting the
-    run: a chunk that fails is run again image by image, so only the
-    failing images get one. An :class:`InvariantViolation` is a
-    programming error, not a failure of the image, and propagates. Each
-    image's ``seconds`` is its share of its chunk's wall time, the retry
-    included.
+    run: a chunk that fails is run again image by image, on one-scene
+    takes of its stack, so only the failing images get one. An
+    :class:`InvariantViolation` is a programming error, not a failure of
+    the image, and propagates. Each image's ``seconds`` is its share of its
+    chunk's wall time, the stack conversion and the retry included.
     """
     results = []
     for start in range(0, len(samples), CHUNK_SIZE):
-        chunk = samples[start : start + CHUNK_SIZE]
         began = time.perf_counter()
+        chunk = SceneStack.of(samples[start : start + CHUNK_SIZE])
         outcomes = _attempt(chunk, backend, weights, config)
         if len(chunk) > 1 and any(error for _, error in outcomes):
-            outcomes = [_attempt([sample], backend, weights, config)[0] for sample in chunk]
+            outcomes = [
+                _attempt(chunk.take([k]), backend, weights, config)[0] for k in range(len(chunk))
+            ]
         share = (time.perf_counter() - began) / len(chunk)
         results += [
-            ImageInferenceResult(sample.record.image_id, *fused, share, error)
-            for sample, (fused, error) in zip(chunk, outcomes)
+            ImageInferenceResult(image_id, *fused, share, error)
+            for image_id, (fused, error) in zip(chunk.image_ids, outcomes)
         ]
     return results

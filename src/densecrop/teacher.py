@@ -27,7 +27,9 @@ import numpy as np
 from .croplab import CropParams, label_density_crops
 from .dataset import (
     SceneSample,
+    SceneStack,
     UpscalePolicy,
+    crop_child_samples,
     make_crop_children,
 )
 from .detect import (
@@ -354,20 +356,22 @@ def discover_unlabeled_crops(
     state: TrainerState,
     batch_ids: list,
     unlabeled_parents: dict,
+    parent_scenes: SceneStack,
     backend: ToyDetector,
     config: TrainerConfig,
 ) -> None:
     """Label density crops on unlabeled images from teacher pseudo-labels.
 
     ``unlabeled_parents`` maps image id to the parent's view, a stack of
-    one. Runs on the given batch's parent images plus any cache entry
-    older than the recompute period. The teacher decodes those parents in
-    one stack, and one :func:`label_density_crops` call labels the
-    base-class pseudo-labels of all of them as a stack of images. Each
-    parent gets a new cache entry holding its crops and its crop
-    children's views; one :func:`make_crop_children` call builds the
-    children of all of them and one ``views`` call their views, skipped
-    when no parent has a crop. A recomputed parent can hand an old child
+    one, and ``parent_scenes`` holds the parents' scenes. Runs on the
+    given batch's parent images plus any cache entry older than the
+    recompute period. The teacher decodes those parents in one stack, and
+    one :func:`label_density_crops` call labels the base-class
+    pseudo-labels of all of them as a stack of images. Each parent gets a
+    new cache entry holding its crops and its crop children's views; one
+    :func:`make_crop_children` zoom of their scenes builds the children of
+    all of them and one ``views`` call their views, skipped when no parent
+    has a crop. A recomputed parent can hand an old child
     id to a different crop, and its new entry holds the new crop's view.
     Before ``crop_start_iter`` the cache is left untouched.
     """
@@ -395,12 +399,14 @@ def discover_unlabeled_crops(
     base = classes < backend.num_base_classes
     crops = label_density_crops(
         boxes[base],
-        [parent.record.size for parent in parents.samples],
+        parents.sizes,
         config.crop_params,
         np.bincount(label_view[base], minlength=len(targets)),
     )
-    children = make_crop_children(parents.samples, crops, config.upscale)
-    views = iter(backend.views(children).split() if children else ())
+    where = {image_id: k for k, image_id in enumerate(parent_scenes.image_ids)}
+    scenes = parent_scenes.take([where[image_id] for image_id in targets])
+    children = make_crop_children(scenes, crops, config.upscale)
+    views = iter(backend.views(children).split() if len(children) else ())
     for image_id, image_crops in zip(targets, crops):
         own = tuple(islice(views, len(image_crops)))
         state.crop_cache[image_id] = CropCacheEntry(image_crops, state.iteration, own)
@@ -418,19 +424,22 @@ def prepare_labeled_pool(
     upscaled crop children and gains crop-class annotation rows. The crops
     of every labeled image come from one :func:`label_density_crops` call
     over the stack of their base-class annotation rows, and their children
-    from one :func:`make_crop_children` call."""
+    from one :func:`make_crop_children` zoom, built as samples for the
+    pool."""
     ids = sorted(labeled_ids, key=str)
     if not config.crops_on_labeled:
         return {image_id: samples[image_id] for image_id in ids}
     parents = [samples[i] for i in ids]
-    base = [p.record.classes < backend.num_base_classes for p in parents]
+    stack = SceneStack.of(parents)
+    base = stack.classes < backend.num_base_classes
     per_image = label_density_crops(
-        np.concatenate([p.record.boxes[b] for p, b in zip(parents, base)]),
-        [p.record.size for p in parents],
+        stack.boxes[base],
+        stack.sizes,
         config.crop_params,
-        [np.count_nonzero(b) for b in base],
+        np.bincount(np.repeat(np.arange(len(ids)), stack.counts)[base], minlength=len(ids)),
     )
-    children = iter(make_crop_children(parents, per_image, config.upscale))
+    zoomed = make_crop_children(stack, per_image, config.upscale)
+    children = iter(crop_child_samples(stack, per_image, zoomed))
     pool: dict = {}
     for image_id, parent, crops in zip(ids, parents, per_image):
         pool.update((child.record.image_id, child) for child in islice(children, len(crops)))
@@ -457,13 +466,16 @@ def train(
     which ids contribute supervised loss. Per-iteration losses,
     pseudo-label counts, and crop-cache sizes land in ``state.history``.
 
+    The samples convert to :class:`~densecrop.dataset.SceneStack` rows
+    once: the labeled pool's and the unlabeled parents', one stack each.
     Each training image's proposals and base features are computed once
     per call, in a view (a :class:`ViewStack` of one) that lives only as
     long as the call: the labeled pool's views and the unlabeled parents'
-    views are built up front, one ``views`` call each. A crop discovery
-    pass builds the children of all its parents in one
-    :func:`make_crop_children` call and their views in one more ``views``
-    call, and stores them in their parents' crop-cache entries, so a
+    views are built up front, one ``views`` call on each stack. A crop
+    discovery pass zooms the scenes of all its parents with one
+    :func:`make_crop_children` call and builds the children's views in one
+    more ``views`` call; no sample, record or scene object is built for
+    them. It stores the views in their parents' crop-cache entries, so a
     recomputed entry brings the views of its new crops, even under an id
     an earlier, different crop used, and the old views leave with the old
     entry.
@@ -500,11 +512,11 @@ def train(
     labeled = prepare_labeled_pool(samples, split.labeled_ids, config, backend)
     if not labeled:
         raise DataError("training requires at least one labeled image")
-    labeled_pool = dict(zip(labeled, backend.views(labeled.values(), targets=True).split()))
+    labeled_views = backend.views(SceneStack.of(labeled.values()), targets=True)
+    labeled_pool = dict(zip(labeled, labeled_views.split()))
     unlabeled_ids = sorted(split.unlabeled_ids, key=str)
-    unlabeled_parents = dict(
-        zip(unlabeled_ids, backend.views([samples[i] for i in unlabeled_ids]).split())
-    )
+    unlabeled = SceneStack.of([samples[i] for i in unlabeled_ids])
+    unlabeled_parents = dict(zip(unlabeled_ids, backend.views(unlabeled).split()))
 
     if resume_from is not None:
         header, student, teacher = read_checkpoint(resume_from)
@@ -546,7 +558,7 @@ def train(
             for parent_id in batch_parents:
                 entry = state.crop_cache.get(parent_id)
                 views += [unlabeled_parents[parent_id], *(entry.children if entry else ())]
-        batch_ids = [view.samples[0].record.image_id for view in views]
+        batch_ids = [view.image_ids[0] for view in views]
         sup_rngs, weak_rngs, strong_rngs = _iteration_rngs(
             config, iteration, labeled_ids, batch_ids
         )
@@ -569,7 +581,9 @@ def train(
 
         state.teacher = ema_update(state.teacher, state.student, config.alpha)
 
-        discover_unlabeled_crops(state, batch_parents, unlabeled_parents, backend, config)
+        discover_unlabeled_crops(
+            state, batch_parents, unlabeled_parents, unlabeled, backend, config
+        )
 
         # Pseudo-labels found on a crop child count toward its parent, so
         # pseudo_per_image measures the label supply per unlabeled dataset

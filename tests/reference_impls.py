@@ -653,24 +653,24 @@ def decode_per_view(backend, weights, view, augmentation: str, seed: int):
     phi = backend.augment(view.phi, augmentation, [rng_for(seed, augmentation)], view.counts)
     probs, offsets = toy_forward(weights, phi, view.counts)
     boxes = [
-        safe_box_ref(*(np.array(prop) + offsets[i]), *view.samples[0].record.size)
+        safe_box_ref(*(np.array(prop) + offsets[i]), *view.sizes[0].tolist())
         for i, prop in enumerate(view.proposals.tolist())
     ]
     return np.array(boxes, dtype=np.float64).reshape(-1, 4), probs
 
 
-def supervised_batch_ref(backend, views, seeds):
+def supervised_batch_ref(backend, views, annotations, seeds):
     """The labeled half of a training iteration one view at a time, as
     training ran it before labeled views were stacked: each view weakly
     augmented alone with ``rng_for(seed, "weak")`` and its proposals
     matched by ``assign_targets_per_view`` against its record's
-    annotations. Returns the features, classes and offsets concatenated
+    ``Annotation`` objects, ``annotations[k]`` for view ``k``. Returns the
+    features, classes and offsets concatenated
     in view order."""
     from densecrop.seeding import rng_for
 
     features, classes, offsets = [], [], []
-    for view, seed in zip(views, seeds):
-        anns = view.samples[0].record.annotations
+    for view, anns, seed in zip(views, annotations, seeds):
         gt_boxes = np.array([a.box.as_tuple() for a in anns], dtype=np.float64).reshape(-1, 4)
         gt_classes = np.array([a.class_id for a in anns], dtype=np.int64)
         features.append(backend.augment(view.phi, "weak", [rng_for(seed, "weak")], view.counts))
@@ -707,7 +707,7 @@ def student_batch_ref(backend, teacher, views, tau, weak_seeds, strong_seeds):
         if len(weak) and rng_for(weak_seed, "weak").random() < cfg.weak_flip_prob:
             weak[:, 2] = 1.0 - weak[:, 2]
         probs, offsets = toy_forward(teacher, weak, view.counts)
-        width, height = view.samples[0].record.size
+        width, height = view.sizes[0].tolist()
         pseudo_boxes, pseudo_classes = [], []
         for i, prop in enumerate(view.proposals.tolist()):
             box = safe_box_ref(*(np.array(prop) + offsets[i]), width, height)
@@ -776,7 +776,7 @@ def crop_children_ref(parents: list, crops: list, policy) -> list:
         record, scene = parent.record, parent.scene
         for k, row in enumerate(np.asarray(rows, dtype=np.float64).reshape(-1, 4).tolist()):
             crop = Box(*row)
-            out_w, out_h = policy.output_size(crop)
+            out_w, out_h = output_size_ref(policy, crop)
             sw, sh = (crop.x2 - crop.x1) / out_w, (crop.y2 - crop.y1) / out_h
             anns = []
             for ann in record.annotations:
@@ -818,3 +818,132 @@ def crop_children_ref(parents: list, crops: list, policy) -> list:
                 SceneSample(record=child, scene=scene_spec(out_w, out_h, seed, objects, width))
             )
     return children
+
+
+def output_size_ref(policy, crop) -> tuple[float, float]:
+    """The upscaled (width, height) of a crop ``Box`` under an
+    ``UpscalePolicy``, one crop at a time in Python floats."""
+    if policy.mode == "factor":
+        s = policy.factor
+    else:
+        s = max(1.0, policy.target / min(crop.width, crop.height))
+    return (crop.width * s, crop.height * s)
+
+
+def make_crop_children_per_child(parents: list, crops: list, policy) -> list:
+    """Crop children as the package built them before the zoom returned a
+    stack: every (crop, row) pair projected in one pass, then one
+    ``ImageRecord``, ``Provenance``, ``SceneSpec`` and ``SceneSample`` per
+    child, each child's seed ``stable_int(parent seed) ^
+    stable_int(repr(crop))`` from its crop ``Box``."""
+    from densecrop.dataset import (
+        MIN_CLIPPED_AREA_FRACTION,
+        ImageRecord,
+        Provenance,
+        SceneSample,
+        SceneSpec,
+    )
+    from densecrop.geometry import (
+        Box, box_areas, clip, group_pairs, intersection_matrix, project_rows,
+    )
+    from densecrop.seeding import stable_int
+
+    groups = [np.asarray(rows, dtype=np.float64).reshape(-1, 4) for rows in crops]
+    owner = np.repeat(np.arange(len(groups)), [len(rows) for rows in groups])
+    rows = np.concatenate(groups or [np.zeros((0, 4))])
+    crop_boxes = [Box(*row) for row in rows.tolist()]
+    out_sizes = [output_size_ref(policy, crop) for crop in crop_boxes]
+    out = np.array(out_sizes, dtype=np.float64).reshape(-1, 2)
+    records, scenes = [p.record for p in parents], [p.scene for p in parents]
+
+    counts = np.array([len(record.classes) for record in records], dtype=np.int64)
+    pair_crop, pair_ann = group_pairs(counts, owner)
+    ann_rows = np.concatenate([record.boxes for record in records] or [np.zeros((0, 4))])[pair_ann]
+    ann_classes = np.concatenate([record.classes for record in records] or [np.zeros(0, np.int64)])
+    crop_rows, size = rows[pair_crop], out[pair_crop]
+    inside = intersection_matrix(ann_rows, crop_rows[:, None])[:, 0] >= (
+        MIN_CLIPPED_AREA_FRACTION * box_areas(ann_rows)
+    )
+    mapped = clip(project_rows(ann_rows, crop_rows, size), 0.0, np.tile(size, 2))
+    kept = inside & (mapped[:, 0] < mapped[:, 2]) & (mapped[:, 1] < mapped[:, 3])
+    child_boxes, child_classes = mapped[kept], ann_classes[pair_ann[kept]]
+    ann_at = [0, *np.cumsum(np.bincount(pair_crop[kept], minlength=len(rows))).tolist()]
+
+    counts = np.array([len(scene.object_boxes) for scene in scenes], dtype=np.int64)
+    pair_crop, pair_obj = group_pairs(counts, owner)
+    objects = np.concatenate([scene.object_boxes for scene in scenes] or [np.zeros((0, 4))])
+    crop_rows = rows[pair_crop]
+    extent = crop_rows[:, 2:] - crop_rows[:, :2]
+    clipped = clip(objects[pair_obj] - np.tile(crop_rows[:, :2], 2), 0.0, np.tile(extent, 2))
+    visible = (clipped[:, 0] < clipped[:, 2]) & (clipped[:, 1] < clipped[:, 3])
+    scaled = clipped * np.tile(out[pair_crop] / extent, 2)
+    obj_at = np.cumsum(counts[owner])[:-1]
+
+    children = []
+    first = np.searchsorted(owner, owner).tolist()
+    per_crop = zip(owner.tolist(), crop_boxes, out_sizes, np.split(scaled, obj_at))
+    for k, ((i, crop, size, boxes), seen) in enumerate(zip(per_crop, np.split(visible, obj_at))):
+        record, scene = records[i], scenes[i]
+        child = ImageRecord(
+            image_id=f"{record.image_id}:crop{k - first[k]}",
+            width=size[0],
+            height=size[1],
+            boxes=child_boxes[ann_at[k] : ann_at[k + 1]],
+            classes=child_classes[ann_at[k] : ann_at[k + 1]],
+            provenance=Provenance("crop", record.image_id, crop_box=crop, upscale_size=size),
+        )
+        child_scene = SceneSpec(
+            width=size[0],
+            height=size[1],
+            object_boxes=boxes[seen],
+            object_classes=scene.object_classes[seen],
+            object_payloads=scene.object_payloads[seen],
+            seed=stable_int(scene.seed) ^ stable_int(repr(crop.as_tuple())),
+        )
+        children.append(SceneSample(record=child, scene=child_scene))
+    return children
+
+
+def running_sum_accumulate(terms: np.ndarray) -> np.ndarray:
+    """``total = 0.0; for t in row: total += t`` along axis 1 as the
+    feature kernel computed it before its column loop: an
+    ``np.add.accumulate`` over the terms after a zero column."""
+    start = np.zeros((len(terms), 1) + terms.shape[2:])
+    return np.add.accumulate(np.concatenate([start, terms], axis=1), axis=1)[:, -1]
+
+
+# ---------------------------------------------------------------------------
+# Plumbing: samples as the scene stacks the package's kernels take
+# ---------------------------------------------------------------------------
+
+
+def stack_of(samples):
+    """A ``SceneStack`` of a list of ``SceneSample`` objects."""
+    from densecrop.dataset import SceneStack
+
+    return SceneStack.of(list(samples))
+
+
+def record_stack(*records):
+    """A ``SceneStack`` of records, each with a scene without objects."""
+    from densecrop.dataset import SceneSample
+
+    return stack_of(SceneSample(r, scene_spec(r.width, r.height, 0)) for r in records)
+
+
+def scene_stack(*scenes):
+    """A ``SceneStack`` of scenes, each with a record without annotations."""
+    from densecrop.dataset import ImageRecord, SceneSample
+
+    return stack_of(
+        SceneSample(ImageRecord(k, s.width, s.height), s) for k, s in enumerate(scenes)
+    )
+
+
+def child_samples(parents: list, crops: list, policy) -> list:
+    """The ``SceneSample`` children of ``make_crop_children`` on the stack
+    of ``parents``, built by ``crop_child_samples``."""
+    from densecrop.dataset import crop_child_samples, make_crop_children
+
+    stack = stack_of(parents)
+    return crop_child_samples(stack, crops, make_crop_children(stack, crops, policy))

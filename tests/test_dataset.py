@@ -11,9 +11,11 @@ from densecrop.dataset import (
     Annotation,
     ImageRecord,
     SceneSample,
+    SceneStack,
     SyntheticConfig,
     UpscalePolicy,
     generate_synthetic_dataset,
+    crop_child_samples,
     load_annotations,
     make_crop_children,
     read_scenes,
@@ -27,9 +29,18 @@ from densecrop.dataset import (
 from densecrop.cli import main as cli_main
 from densecrop.croplab import CropParams
 from densecrop.errors import ConfigError, DataError, InvariantViolation
-from densecrop.geometry import Box, reproject_rows
+from densecrop.geometry import Box, intersection_matrix, reproject_rows
+from densecrop.seeding import stable_int
 
-from reference_impls import annotation_rows, crop_children_ref, label_one, scene_spec
+from reference_impls import (
+    annotation_rows,
+    child_samples,
+    crop_children_ref,
+    label_one,
+    make_crop_children_per_child,
+    scene_spec,
+    stack_of,
+)
 
 # `dataset gen --num-images 12 --seed 5`, and that dataset tiled by
 # `dataset tile --tile 100 --stride 100`.
@@ -352,13 +363,15 @@ class TestAugmentWithCrops:
 
     def test_zero_crops_unchanged(self):
         policy = UpscalePolicy("factor", factor=2.0)
-        assert make_crop_children([self.parent()], [np.zeros((0, 4))], policy) == []
-        assert make_crop_children([], [], policy) == []
+        for parents, crops in (([self.parent()], [np.zeros((0, 4))]), ([], [])):
+            out = make_crop_children(stack_of(parents), crops, policy)
+            assert len(out) == 0 and out.object_boxes.shape == (0, 4)
+            assert child_samples(parents, crops, policy) == []
 
     def test_known_transform(self):
         crop = Box(100, 100, 300, 200)
         policy = UpscalePolicy("factor", factor=2.0)
-        out = make_crop_children([self.parent()], [np.array([crop.as_tuple()])], policy)
+        out = child_samples([self.parent()], [np.array([crop.as_tuple()])], policy)
         assert len(out) == 1
         child = out[0].record
         assert child.provenance.kind == "crop"
@@ -370,7 +383,7 @@ class TestAugmentWithCrops:
 
     def test_annotation_outside_crop_absent(self):
         crop = Box(100, 100, 300, 200)
-        out = make_crop_children(
+        out = child_samples(
             [self.parent()], [np.array([crop.as_tuple()])], UpscalePolicy("factor", factor=2.0)
         )
         child_classes = {a.class_id for a in out[0].record.annotations}
@@ -386,7 +399,7 @@ class TestAugmentWithCrops:
             crop = Box(x, y, x + w, y + h)
             policy = UpscalePolicy("short_edge", target=256.0)
             crops = np.array([crop.as_tuple()])
-            child = make_crop_children([with_scene(parent)], [crops], policy)[0].record
+            child = child_samples([with_scene(parent)], [crops], policy)[0].record
             assert len(child.annotations) == 1
             back = reproject_rows(
                 np.array([child.annotations[0].box.as_tuple()]), crops, [child.provenance.upscale_size]
@@ -409,7 +422,7 @@ class TestAugmentWithCrops:
         crop = np.array([[100.0, 0.0, 300.0, 200.0], [0.0, 0.0, 200.0, 200.0]])
         policy = UpscalePolicy("factor", factor=2.0)
         first, second = (
-            c.record.annotations for c in make_crop_children([parent], [crop], policy)
+            c.record.annotations for c in child_samples([parent], [crop], policy)
         )
         assert first == (Annotation(box=Box(0, 20, 20, 60), class_id=0),)
         boxes = [a.box.as_tuple() for a in second]
@@ -431,10 +444,8 @@ class TestAugmentWithCrops:
 
     def test_short_edge_policy_never_downscales(self):
         policy = UpscalePolicy("short_edge", target=100.0)
-        big = Box(0, 0, 300, 200)
-        assert policy.output_size(big) == (300.0, 200.0)
-        small = Box(0, 0, 50, 25)
-        assert policy.output_size(small) == (200.0, 100.0)
+        crops = np.array([[0.0, 0.0, 300.0, 200.0], [0.0, 0.0, 50.0, 25.0]])
+        assert policy.output_size(crops).tolist() == [[300.0, 200.0], [200.0, 100.0]]
 
 
 class TestSyntheticScenes:
@@ -525,6 +536,19 @@ class TestSyntheticScenes:
         rejoined = read_scenes(path, [s.record for s in samples])
         assert_same_samples(rejoined, samples)
 
+    @pytest.mark.parametrize("name", ["width", "height"])
+    def test_scene_of_another_size_than_its_record_rejected(self, tmp_path, name):
+        # Proposals and clipping read the record's size and features the
+        # scene's; a stack holds one size per scene, so they must agree.
+        samples = generate_synthetic_dataset(SyntheticConfig(num_images=2, seed=5))
+        path = tmp_path / "scenes.json"
+        write_scenes(samples, path)
+        payload = json.loads(path.read_text())
+        payload["scenes"]["2"][name] = 256.0
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match="scene for image 2 is"):
+            read_scenes(path, [s.record for s in samples])
+
     def test_scene_file_missing_image_rejected(self, tmp_path):
         cfg = SyntheticConfig(num_images=2, seed=5)
         samples = generate_synthetic_dataset(cfg)
@@ -538,7 +562,7 @@ class TestCropScene:
     def test_scene_arrays_are_computed_once_and_read_only(self):
         sample = generate_synthetic_dataset(SyntheticConfig(num_images=1, seed=3))[0]
         crop = np.array([[100.0, 100.0, 356.0, 356.0]])
-        child = make_crop_children([sample], [crop], UpscalePolicy("factor", factor=2.0))[0]
+        child = child_samples([sample], [crop], UpscalePolicy("factor", factor=2.0))[0]
         for scene in (sample.scene, child.scene):
             assert scene.object_boxes is scene.object_boxes
             n = len(scene.object_boxes)
@@ -554,7 +578,7 @@ class TestCropScene:
         cfg = SyntheticConfig(num_images=1, seed=4)
         sample = generate_synthetic_dataset(cfg)[0]
         crop = Box(50, 50, 306, 306)
-        children = make_crop_children(
+        children = child_samples(
             [sample], [np.array([crop.as_tuple()])], UpscalePolicy("factor", factor=2.0)
         )
         assert len(children) == 1
@@ -605,7 +629,7 @@ class TestCropScene:
                 UpscalePolicy("factor", factor=float(rng.uniform(1.0, 4.0)))
                 if trial % 2 else UpscalePolicy("short_edge", target=float(rng.uniform(64, 512)))
             )
-            got = make_crop_children(parents, crops, policy)
+            got = child_samples(parents, crops, policy)
             assert_same_samples(got, crop_children_ref(parents, crops, policy))
             assert len(got) == sum(len(c) for c in crops)
             assert sum(len(c.record.annotations) for c in got) > 0
@@ -622,7 +646,102 @@ class TestCropScene:
         sample = generate_synthetic_dataset(SyntheticConfig(num_images=1, seed=4))[0]
         crops = np.array([[10.0, 10.0, 50.0, 50.0], [60.0, 60.0, 60.0, 90.0]])
         with pytest.raises(InvariantViolation):
-            make_crop_children([sample], [crops], UpscalePolicy())
+            make_crop_children(stack_of([sample]), [crops], UpscalePolicy())
+
+
+class TestZoom:
+    """``make_crop_children`` zooms a stack into the stack of its children;
+    each child against the per-child construction it replaced
+    (``reference_impls.make_crop_children_per_child``), field by field."""
+
+    def parents(self, rng):
+        """Ragged parents with int and string ids (``"007"`` among them), a
+        parent without annotations, one without objects, an empty group,
+        and one parent heading several multi-row groups."""
+        samples = generate_synthetic_dataset(
+            SyntheticConfig(num_images=5, num_classes=3, seed=int(rng.integers(1 << 30)))
+        )
+        named = [
+            replace(s, record=replace(s.record, image_id=image_id))
+            for s, image_id in zip(samples[3:], ("007", "a:crop0"))
+        ]
+        bare = replace(samples[1].record, boxes=np.zeros((0, 4)), classes=np.zeros(0, np.int64))
+        no_objects = replace(samples[2], scene=scene_spec(512.0, 512.0, 9, payload_width=3))
+        parents = [samples[0], replace(samples[1], record=bare), no_objects, *named]
+        crops = []
+        for sample in parents:
+            x1, y1 = rng.uniform(0.0, 400.0, (2, 3))
+            w, h = rng.uniform(5.0, 200.0, (2, 3))
+            crops.append(np.round(np.stack([x1, y1, x1 + w, y1 + h], axis=1)))
+        crops[2] = np.zeros((0, 4))
+        parents += [samples[0], named[0]]
+        crops += [crops[0][1:], crops[3][::-1]]
+        order = rng.permutation(len(parents))
+        return [parents[i] for i in order], [crops[i] for i in order]
+
+    def test_children_equal_per_child_construction(self):
+        rng = np.random.default_rng(61)
+        outside = 0
+        for trial in range(10):
+            parents, crops = self.parents(rng)
+            policy = (
+                UpscalePolicy("factor", factor=float(rng.uniform(1.0, 4.0)))
+                if trial % 2 else UpscalePolicy("short_edge", target=float(rng.uniform(64, 512)))
+            )
+            stack = stack_of(parents)
+            got = make_crop_children(stack, crops, policy)
+            want = make_crop_children_per_child(parents, crops, policy)
+            assert len(got) == len(want) == sum(len(c) for c in crops)
+            assert got.image_ids == tuple(w.record.image_id for w in want)
+            assert "007:crop0" in got.image_ids and "a:crop0:crop2" in got.image_ids
+            assert got.sizes.tolist() == [list(w.record.size) for w in want]
+            assert got.seeds.tolist() == [w.scene.seed for w in want]
+            assert got.id_words.tolist() == [stable_int(w.record.image_id) for w in want]
+            assert got.crop.all()
+            columns = {
+                "boxes": [w.record.boxes for w in want],
+                "classes": [w.record.classes for w in want],
+                "object_boxes": [w.scene.object_boxes for w in want],
+                "object_classes": [w.scene.object_classes for w in want],
+                "object_payloads": [w.scene.object_payloads for w in want],
+            }
+            for name, blocks in columns.items():
+                a, b = getattr(got, name), np.concatenate(blocks)
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+            assert got.counts.tolist() == [len(w.record.classes) for w in want]
+            assert got.object_counts.tolist() == [len(w.scene.object_boxes) for w in want]
+            # Provenance (the crop Box and the upscaled size) and the
+            # records and scenes built where a caller returns them.
+            assert_same_samples(crop_child_samples(stack, crops, got), want)
+            for parent, rows in zip(parents, crops):
+                overlap = intersection_matrix(parent.scene.object_boxes, rows) if len(rows) else []
+                outside += int(np.count_nonzero(np.asarray(overlap) == 0.0))
+        assert outside > 0
+
+    def test_stack_of_samples_and_takes(self):
+        samples = generate_synthetic_dataset(SyntheticConfig(num_images=4, num_classes=3, seed=8))
+        samples[1] = replace(samples[1], record=replace(samples[1].record, image_id="007"))
+        stack = stack_of(samples)
+        assert stack.image_ids == (1, "007", 3, 4)
+        assert stack.id_words.tolist() == [stable_int(s.record.image_id) for s in samples]
+        assert stack.seeds.tolist() == [stable_int(s.scene.seed) for s in samples]
+        assert not stack.crop.any()
+        taken = stack.take([2, 0, 2])
+        assert taken.image_ids == (3, 1, 3)
+        for k, i in enumerate([2, 0, 2]):
+            alone = stack_of([samples[i]])
+            for name in ("boxes", "classes", "object_boxes", "object_payloads"):
+                rows = np.split(getattr(taken, name), np.cumsum(
+                    taken.counts if name in ("boxes", "classes") else taken.object_counts
+                )[:-1])[k]
+                assert rows.tobytes() == getattr(alone, name).tobytes(), name
+        assert len(stack.take([])) == 0 and stack.take([]).object_payloads.shape == (0, 3)
+
+    def test_stack_rejects_a_scene_of_another_size(self):
+        sample = generate_synthetic_dataset(SyntheticConfig(num_images=1, seed=8))[0]
+        wide = replace(sample, record=replace(sample.record, width=600.0))
+        with pytest.raises(InvariantViolation, match="scene is 512.0x512.0"):
+            SceneStack.of([wide])
 
 
 class TestPinnedFiles:

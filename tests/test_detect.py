@@ -54,8 +54,13 @@ from reference_impls import (
     extract_features_ref,
     label_one,
     proposals_ref,
+    child_samples,
+    record_stack,
+    running_sum_accumulate,
     safe_box_ref,
     scene_spec,
+    scene_stack,
+    stack_of,
 )
 
 
@@ -115,7 +120,7 @@ class TestOracleDetect:
             ]
         )
         noise = OracleNoiseModel(score_mean=1.0, score_std=0.0)
-        boxes, classes, scores = oracle_detect(record, noise, num_base_classes=3)
+        boxes, classes, scores = oracle_detect(record_stack(record), noise, num_base_classes=3)[0]
         assert boxes.dtype == scores.dtype == np.float64 and classes.dtype == np.int64
         assert boxes.tolist() == [[10.0, 10.0, 50.0, 50.0], [100.0, 100.0, 140.0, 160.0]]
         assert classes.tolist() == [0, 2]
@@ -124,7 +129,7 @@ class TestOracleDetect:
     def test_forced_miss_below_threshold(self):
         record = record_with([Annotation(box=Box(0, 0, 8, 8), class_id=0)])
         noise = OracleNoiseModel(miss_curve=((0.0, 1.0), (1024.0, 0.0)))
-        boxes, classes, scores = oracle_detect(record, noise, num_base_classes=3)
+        boxes, classes, scores = oracle_detect(record_stack(record), noise, num_base_classes=3)[0]
         assert (boxes.shape, classes.shape, scores.shape) == ((0, 4), (0,), (0,))
 
     def test_deterministic_per_seed_and_image(self):
@@ -132,8 +137,8 @@ class TestOracleDetect:
         noise = OracleNoiseModel(
             miss_curve=((0.0, 0.4),), jitter_std=1.0, fp_rate=2.0, seed=5
         )
-        a = oracle_detect(sample.record, noise, num_base_classes=4)
-        b = oracle_detect(sample.record, noise, num_base_classes=4)
+        a = oracle_detect(stack_of([sample]), noise, num_base_classes=4)[0]
+        b = oracle_detect(stack_of([sample]), noise, num_base_classes=4)[0]
         assert len(a[0]) > 0
         assert [x.tobytes() for x in a] == [x.tobytes() for x in b]
 
@@ -146,15 +151,17 @@ class TestOracleDetect:
         )
         noise_on = OracleNoiseModel(score_mean=1.0, score_std=0.0)
         noise_off = OracleNoiseModel(score_mean=1.0, score_std=0.0, emit_crops=False)
-        _, with_crops, _ = oracle_detect(record, noise_on, num_base_classes=3)
-        _, without, _ = oracle_detect(record, noise_off, num_base_classes=3)
+        _, with_crops, _ = oracle_detect(record_stack(record), noise_on, num_base_classes=3)[0]
+        _, without, _ = oracle_detect(record_stack(record), noise_off, num_base_classes=3)[0]
         assert set(with_crops.tolist()) == {0, 3}
         assert set(without.tolist()) == {0}
 
 
 def features_of(scene, boxes, num_base_classes=4, payload_obs_scale=4.0):
-    """extract_features of one scene: a chunk of one."""
-    return extract_features([scene], boxes, num_base_classes, payload_obs_scale, [len(boxes)])
+    """extract_features of one scene: a stack of one."""
+    return extract_features(
+        scene_stack(scene), boxes, num_base_classes, payload_obs_scale, [len(boxes)]
+    )
 
 
 class TestExtractFeatures:
@@ -183,6 +190,25 @@ class TestExtractFeatures:
         boxes = np.array([[0.0, 0.0, 50.0, 50.0], [10.0, 10.0, 20.0, 30.0]])
         assert features_of(sample.scene, boxes).shape == (2, 12)
         assert features_of(sample.scene, np.zeros((0, 4))).shape == (0, 12)
+
+
+class TestRunningSum:
+    def test_column_loop_equals_accumulate_bit_for_bit(self):
+        # The column loop against the np.add.accumulate form it replaced,
+        # on 2-D and 3-D terms with -0.0 entries, no objects and no rows.
+        from densecrop.detect import _running_sum
+
+        rng = np.random.default_rng(44)
+        shapes = [(50, 7), (1500, 50), (40, 9, 4), (0, 5), (5, 0), (0, 0), (0, 3, 4), (6, 0, 4)]
+        for shape in shapes:
+            for _ in range(4):
+                terms = rng.normal(0.0, 1.0, shape) * 10.0 ** rng.integers(-8, 9, shape)
+                terms[rng.random(shape) < 0.2] = -0.0
+                terms[rng.random(shape) < 0.1] = 0.0
+                got, want = _running_sum(terms), running_sum_accumulate(terms)
+                assert (got.dtype, got.shape) == (want.dtype, want.shape)
+                assert got.tobytes() == want.tobytes()
+        assert repr(_running_sum(np.full((1, 3), -0.0)).tolist()) == "[0.0]"
 
 
 def weights_from(layout, cls, reg=None):
@@ -428,19 +454,19 @@ class TestToyDetector:
         weights = backend.init_weights(3)
 
         def weak_decode():
-            stack = backend.views([sample])
+            stack = backend.views(stack_of([sample]))
             return backend.decode(weights, stack, "weak", [rng_for(17, "weak")])
 
         a, b = weak_decode(), weak_decode()
         assert [x.tobytes() for x in a] == [x.tobytes() for x in b]
-        a, b = (backend.detect_batch(weights, [sample])[0] for _ in range(2))
+        a, b = (backend.detect_batch(weights, stack_of([sample]))[0] for _ in range(2))
         assert len(a[0]) > 0
         assert [x.tobytes() for x in a] == [x.tobytes() for x in b]
 
     def test_detect_requires_weights(self):
         sample = scene_sample(seed=6)
         with pytest.raises(InvariantViolation):
-            self.backend().detect_batch(None, [sample])
+            self.backend().detect_batch(None, stack_of([sample]))
 
     def test_emits_crop_class_when_trained_for_it(self):
         # With hand-set weights that key on the center-count feature the
@@ -453,14 +479,14 @@ class TestToyDetector:
         cls[backend.crop_class_id, 6] = 30.0  # center-count feature
         cls[backend.crop_class_id, backend.layout.feature_dim] = -10.0
         weights = weights_from(backend.layout, cls)
-        _, classes, _ = backend.detect_batch(weights, [sample])[0]
+        _, classes, _ = backend.detect_batch(weights, stack_of([sample]))[0]
         assert backend.crop_class_id in classes.tolist()
 
     def test_strong_augmentation_changes_features(self):
         sample = scene_sample(seed=8)
         backend = self.backend()
-        props = backend.proposals([sample])[0]
-        plain = backend.features([sample.scene], props, [len(props)])
+        props = backend.proposals(stack_of([sample]))[0]
+        plain = backend.features(stack_of([sample]), props, [len(props)])
         strong = backend.augment(plain, "strong", [rng_for(4, "strong")], [len(plain)])
         assert not np.array_equal(plain, strong)
 
@@ -468,7 +494,7 @@ class TestToyDetector:
         sample = scene_sample(seed=8)
         backend = self.backend()
         weights = backend.init_weights(3)
-        view = backend.views([sample], targets=True)
+        view = backend.views(stack_of([sample]), targets=True)
         before = view.phi.copy()
         assert not view.phi.flags.writeable
         with pytest.raises(ValueError):
@@ -480,7 +506,7 @@ class TestToyDetector:
         strong = backend.augment(view.phi, "strong", [rng_for(4, "strong")], view.counts)
         assert not np.array_equal(strong, before)
         decoded = backend.decode(weights, ViewStack.of([view]), "weak", [rng_for(3, "weak")])
-        fresh = decode_per_view(backend, weights, backend.views([sample]), "weak", 3)
+        fresh = decode_per_view(backend, weights, backend.views(stack_of([sample])), "weak", 3)
         assert [x.tobytes() for x in decoded] == [x.tobytes() for x in fresh]
         backend.supervised_batch(ViewStack.of([view]), "weak", [rng_for(3, "weak")])
         backend.unsupervised_batch(
@@ -492,25 +518,29 @@ class TestToyDetector:
         )
         np.testing.assert_array_equal(view.phi, before)
         with pytest.raises(InvariantViolation):
-            backend.supervised_batch(ViewStack.of([backend.views([sample])]), "none", ())  # no targets
+            no_targets = ViewStack.of([backend.views(stack_of([sample]))])
+            backend.supervised_batch(no_targets, "none", ())
 
     def test_unknown_augmentation_rejected(self):
         sample = scene_sample(seed=8)
         backend = self.backend()
-        props = backend.proposals([sample])[0]
+        props = backend.proposals(stack_of([sample]))[0]
+        phi = backend.features(stack_of([sample]), props, [len(props)])
         with pytest.raises(InvariantViolation):
-            backend.augment(backend.features([sample.scene], props, [len(props)]), "extreme", [], [])
+            backend.augment(phi, "extreme", [], [])
 
     def test_no_cluster_proposals_on_crop_children(self):
-        from densecrop.dataset import make_crop_children, UpscalePolicy
+        from densecrop.dataset import UpscalePolicy
 
         sample = scene_sample(seed=9, clusters_per_image=(2, 2), objects_per_cluster=(6, 6))
         backend = self.backend()
-        child = make_crop_children(
+        child = child_samples(
             [sample], [np.array([[50.0, 50.0, 306.0, 306.0]])], UpscalePolicy("factor", factor=2.0)
         )[0]
-        n_parent_extra = len(backend.proposals([sample])[0]) - len(sample.scene.object_boxes)
-        n_child_extra = len(backend.proposals([child])[0]) - len(child.scene.object_boxes)
+        n_parent_extra = (
+            len(backend.proposals(stack_of([sample]))[0]) - len(sample.scene.object_boxes)
+        )
+        n_child_extra = len(backend.proposals(stack_of([child]))[0]) - len(child.scene.object_boxes)
         # child gets only background proposals, no cluster candidates
         assert n_child_extra == backend.config.background_proposals
         assert n_parent_extra > backend.config.background_proposals
@@ -520,13 +550,13 @@ class TestToyDetector:
         backend = self.backend()
         pseudo_boxes = sample.scene.object_boxes[:1]
         batch = backend.unsupervised_batch(
-            ViewStack.of([backend.views([sample])]),
+            ViewStack.of([backend.views(stack_of([sample]))]),
             pseudo_boxes,
             np.array([1]),
             np.array([0]),
             [rng_for(0, "strong")],
         )
-        assert 0 < len(batch) <= len(backend.proposals([sample])[0])
+        assert 0 < len(batch) <= len(backend.proposals(stack_of([sample]))[0])
         assert np.all(batch.classes == 1)
 
 
@@ -541,11 +571,11 @@ class TestArrayKernelsMatchLoops:
     backend = TestToyDetector.backend
 
     def samples(self):
-        from densecrop.dataset import UpscalePolicy, make_crop_children
+        from densecrop.dataset import UpscalePolicy
 
         dense = scene_sample(seed=21, clusters_per_image=(2, 3), objects_per_cluster=(10, 14))
         crops = label_one(dense.scene.object_boxes, dense.record.size, CropParams(merge_steps=2))
-        child = make_crop_children([dense], [crops[:1]], UpscalePolicy("factor", factor=3.0))[0]
+        child = child_samples([dense], [crops[:1]], UpscalePolicy("factor", factor=3.0))[0]
         assert child.record.provenance.kind == "crop" and len(child.scene.object_boxes) >= 9
         return [dense, scene_sample(seed=22), child]
 
@@ -564,7 +594,8 @@ class TestArrayKernelsMatchLoops:
     def test_features_match_loop(self):
         backend = self.backend()
         for sample in self.samples():
-            boxes = np.concatenate([backend.proposals([sample])[0], self.extra_boxes(sample)])
+            proposals = backend.proposals(stack_of([sample]))[0]
+            boxes = np.concatenate([proposals, self.extra_boxes(sample)])
             covers = (intersection_matrix(boxes, sample.scene.object_boxes) > 0.0).sum(axis=1)
             assert covers.max() >= 9
             for scale in (4.0, 0.0):
@@ -610,7 +641,7 @@ class TestArrayKernelsMatchLoops:
         backend = self.backend()
         for sample in self.samples():
             anns = [(a.box.as_tuple(), a.class_id) for a in sample.record.annotations]
-            proposals = backend.proposals([sample])[0]
+            proposals = backend.proposals(stack_of([sample]))[0]
             for fg_iou in (0.0, 0.3, 0.5, 0.9):
                 classes = self.check_targets(proposals, anns, fg_iou)
             assert 0 < np.count_nonzero(classes != 9) < len(classes)
@@ -680,7 +711,7 @@ class TestArrayKernelsMatchLoops:
         # with its own generator: row for row what the per-view decode gave.
         backend = self.backend()
         rng = np.random.default_rng(32)
-        views = [backend.views([s]) for s in self.samples()]
+        views = [backend.views(stack_of([s])) for s in self.samples()]
         stack = ViewStack.of(views + views[:1])
         seeds = [3, 4, 5, 6]
         for augmentation in ("none", "weak", "strong"):
@@ -694,17 +725,17 @@ class TestArrayKernelsMatchLoops:
             assert np.array_equal(boxes, np.concatenate([b for b, _ in per_view]))
             assert np.array_equal(probs, np.concatenate([p for _, p in per_view]))
             assert stack.width.tolist() == np.repeat(
-                [v.samples[0].record.width for v in views + views[:1]], stack.counts
+                [v.sizes[0, 0] for v in views + views[:1]], stack.counts
             ).tolist()
 
     def mixed_batch(self):
         """Parents and crop children of other sizes, a scene of another
         size and object count, and a scene without objects."""
-        from densecrop.dataset import UpscalePolicy, make_crop_children
+        from densecrop.dataset import UpscalePolicy
 
         dense, other, child = self.samples()
         crops = label_one(dense.scene.object_boxes, dense.record.size, CropParams(merge_steps=2))
-        children = make_crop_children([dense], [crops[1:3]], UpscalePolicy("factor", factor=2.0))
+        children = child_samples([dense], [crops[1:3]], UpscalePolicy("factor", factor=2.0))
         small = scene_sample(seed=23, width=320.0, height=200.0, clusters_per_image=(0, 1))
         empty = SceneSample(
             record=record_with([], width=240.0, height=180.0, image_id="empty"),
@@ -726,14 +757,15 @@ class TestArrayKernelsMatchLoops:
         for background in (8, 0):
             backend = ToyDetector(replace(self.backend().config, background_proposals=background))
             for targets in (True, False):
-                stack = backend.views(samples, targets=targets)
+                stack = backend.views(stack_of(samples), targets=targets)
                 views = stack.split()
-                assert stack.samples == tuple(samples)
-                assert [v.samples[0] for v in views] == samples
+                ids = tuple(s.record.image_id for s in samples)
+                assert stack.image_ids == ids and [v.image_ids for v in views] == [(i,) for i in ids]
+                assert stack.sizes.tolist() == [list(s.record.size) for s in samples]
                 arrays = ("proposals", "phi", "counts")
                 arrays += ("gt_classes", "gt_offsets") if targets else ()
                 for sample, view in zip(samples, views):
-                    alone = backend.views([sample], targets=targets)
+                    alone = backend.views(stack_of([sample]), targets=targets)
                     assert same_bits(view.proposals, alone.proposals)
                     assert same_bits(view.phi, alone.phi)
                     assert rows(view.proposals) == proposals_ref(backend, sample)
@@ -763,10 +795,10 @@ class TestArrayKernelsMatchLoops:
                 for name in arrays:
                     assert same_bits(getattr(rejoined, name), getattr(stack, name))
             dense, empty = views[0], views[2]
-            covers = (intersection_matrix(dense.proposals, dense.samples[0].scene.object_boxes) > 0.0)
+            covers = (intersection_matrix(dense.proposals, samples[0].scene.object_boxes) > 0.0)
             assert covers.sum(axis=1).max() >= 8  # np.mean path of the covered means
             assert len(empty.proposals) == background
-        assert backend.views([]).split() == []
+        assert backend.views(stack_of([])).split() == []
 
     def test_views_label_their_parents_crops_in_one_call(self, monkeypatch):
         # One stacked labeling call per views call, over the non-crop
@@ -782,11 +814,11 @@ class TestArrayKernelsMatchLoops:
 
         monkeypatch.setattr(detect_module, "label_density_crops", counted)
         samples = self.mixed_batch()
-        self.backend().views(samples)
+        self.backend().views(stack_of(samples))
         parents = [s for s in samples if s.record.provenance.kind != "crop"]
         assert len(parents) < len(samples)
         assert calls == [[len(s.scene.object_boxes) for s in parents]]
-        self.backend().views([])
+        self.backend().views(stack_of([]))
         assert calls[1:] == [[]]
 
     def test_features_of_a_chunk_equal_features_of_each_scene(self):
@@ -795,13 +827,13 @@ class TestArrayKernelsMatchLoops:
         backend = self.backend()
         samples = self.mixed_batch()
         per_scene = [
-            np.concatenate([backend.proposals([s])[0], self.extra_boxes(s)])
+            np.concatenate([backend.proposals(stack_of([s]))[0], self.extra_boxes(s)])
             if len(s.scene.object_boxes) else np.array([[0.0, 0.0, *s.record.size]])
             for s in samples
         ]
         for scale in (4.0, 0.0):
             got = extract_features(
-                [s.scene for s in samples], np.concatenate(per_scene), 4, scale,
+                stack_of(samples), np.concatenate(per_scene), 4, scale,
                 [len(b) for b in per_scene],
             )
             want = np.concatenate(
@@ -809,13 +841,56 @@ class TestArrayKernelsMatchLoops:
             )
             assert got.tobytes() == want.tobytes()
 
+    def test_mixed_stack_gives_each_scene_its_own_rows(self):
+        # Parents beside crop children straight from the zoom: each scene's
+        # proposals, features and toy and oracle detections are those of
+        # the scene alone, and a child's are those of its materialized
+        # sample, so no record or scene object is needed on the way.
+        from densecrop.dataset import UpscalePolicy, crop_child_samples, make_crop_children
+
+        dense, other, _ = self.samples()
+        parents = stack_of([dense, other, dense])
+        crops = [
+            label_one(dense.scene.object_boxes, dense.record.size, CropParams(merge_steps=2))[:3],
+            np.array([[0.0, 0.0, 200.0, 150.0]]),
+            np.array([[100.0, 100.0, 300.0, 260.0]]),
+        ]
+        zoomed = make_crop_children(parents, crops, UpscalePolicy("factor", factor=2.0))
+        children = crop_child_samples(parents, crops, zoomed)
+        mixed = stack_of([dense, children[0], other, *children[1:]])
+        assert mixed.crop.tolist() == [False, True, False] + [True] * (len(children) - 1)
+        backend = self.backend()
+        weights = random_weights(np.random.default_rng(34), 4)
+        oracle = OracleBackend(4, OracleNoiseModel(jitter_std=1.0, fp_rate=2.0, seed=3))
+        boxes, counts = backend.proposals(mixed)
+        phi = backend.features(mixed, boxes, counts)
+        toy, noisy = backend.detect_batch(weights, mixed), oracle.detect_batch(None, mixed)
+        ends = np.cumsum(counts).tolist()
+        # Mixed scene k is child child_at[k] of the zoom, or a parent.
+        child_at = {1: 0, **{j + 2: j for j in range(1, len(children))}}
+        assert len(set(zoomed.image_ids)) < len(zoomed)  # dense heads two groups
+        for k, (start, end) in enumerate(zip([0] + ends, ends)):
+            alone = [mixed.take([k])]
+            if k in child_at:
+                alone.append(zoomed.take([child_at[k]]))
+            for single in alone:
+                want_boxes, want_counts = backend.proposals(single)
+                assert want_counts.tolist() == [end - start]
+                assert boxes[start:end].tobytes() == want_boxes.tobytes()
+                want_phi = backend.features(single, want_boxes, want_counts)
+                assert phi[start:end].tobytes() == want_phi.tobytes()
+                for got, want in ((toy[k], backend.detect_batch(weights, single)[0]),
+                                  (noisy[k], oracle.detect_batch(None, single)[0])):
+                    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+        assert sum(len(t[2]) for t in toy) > 0 and sum(len(t[2]) for t in noisy) > 0
+
     def test_payload_noise_derives_few_generators(self, monkeypatch):
         # A dense chunk's payload noise draws without one generator per
         # proposal row: only rows that leave the ziggurat's fast path get one.
         from densecrop import detect, seeding
 
         samples = self.mixed_batch()
-        boxes, counts = self.backend().proposals(samples)
+        boxes, counts = self.backend().proposals(stack_of(samples))
         derived = []
 
         def counting(prefix_parts, rows):
@@ -824,20 +899,20 @@ class TestArrayKernelsMatchLoops:
 
         monkeypatch.setattr(seeding, "rngs_for", counting)
         monkeypatch.setattr(detect, "rngs_for", counting)
-        extract_features([s.scene for s in samples], boxes, 4, 4.0, counts)
+        extract_features(stack_of(samples), boxes, 4, 4.0, counts)
         assert len(boxes) >= 200 and sum(derived) < len(boxes) / 4
 
     def test_detect_batch_equals_one_sample_batches(self):
         backend = self.backend()
         samples = self.mixed_batch()
         weights = random_weights(np.random.default_rng(33), 4)
-        batch = backend.detect_batch(weights, samples)
+        batch = backend.detect_batch(weights, stack_of(samples))
         assert len(batch) == len(samples)
         for sample, got in zip(samples, batch):
-            want = backend.detect_batch(weights, [sample])[0]
+            want = backend.detect_batch(weights, stack_of([sample]))[0]
             assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
         assert sum(len(classes) for _, classes, _ in batch) > 0
-        assert backend.detect_batch(weights, []) == []
+        assert backend.detect_batch(weights, stack_of([])) == []
 
     def test_targets_touching_boxes_stay_background(self):
         prop = [[0.0, 0.0, 10.0, 10.0]]
@@ -857,7 +932,7 @@ class TestArrayKernelsMatchLoops:
         weights = [random_weights(rng, 4) for _ in range(3)] + degenerate
         emitted = padded = 0
         for sample in self.samples():
-            view = backend.views([sample])
+            view = backend.views(stack_of([sample]))
             for w in weights:
                 for augmentation, seed in (("none", 0), ("weak", 3), ("strong", 4)):
                     rngs = [rng_for(seed, augmentation)]
@@ -874,7 +949,9 @@ class TestArrayKernelsMatchLoops:
                     got = [(tuple(boxes[r].tolist()), c, decoded_probs[r, c]) for r, c in pairs]
                     assert got == want
                     if augmentation == "none":
-                        got_boxes, got_classes, got_scores = backend.detect_batch(w, [sample])[0]
+                        (got_boxes, got_classes, got_scores), = backend.detect_batch(
+                            w, stack_of([sample])
+                        )
                         assert list(zip(rows(got_boxes), got_classes, got_scores)) == want
                     assert np.array_equal(decoded_probs, probs)
                     assert rows(boxes) == [
@@ -891,13 +968,13 @@ class TestOracleBackend:
         sample = scene_sample(seed=11)
         noise = OracleNoiseModel(score_mean=1.0, score_std=0.0)
         backend = OracleBackend(num_base_classes=4, noise=noise)
-        (boxes, classes, scores), = backend.detect_batch(None, [sample])
+        (boxes, classes, scores), = backend.detect_batch(None, stack_of([sample]))
         assert boxes.shape == (len(sample.record.annotations), 4)
         assert boxes.dtype == scores.dtype == np.float64 and classes.dtype == np.int64
-        want = oracle_detect(sample.record, noise, num_base_classes=4)
+        want = oracle_detect(stack_of([sample]), noise, num_base_classes=4)[0]
         assert [x.tobytes() for x in (boxes, classes, scores)] == [x.tobytes() for x in want]
         assert backend.crop_class_id == 4
-        assert backend.detect_batch(None, []) == []
+        assert backend.detect_batch(None, stack_of([])) == []
 
 
 class TestDetectionDump:

@@ -9,7 +9,9 @@ from densecrop.croplab import CropParams
 from densecrop.dataset import (
     Annotation,
     ImageRecord,
+    Provenance,
     SceneSample,
+    SceneSpec,
     SyntheticConfig,
     UpscalePolicy,
     generate_synthetic_dataset,
@@ -27,7 +29,7 @@ from densecrop.geometry import Box, Detection, detections_from_arrays
 from densecrop.infer import InferenceConfig, run_inference, select_crops
 from densecrop.metrics import recall_by_size
 
-from reference_impls import annotation_rows, detection_arrays, label_one, scene_spec
+from reference_impls import annotation_rows, detection_arrays, label_one, scene_spec, stack_of
 
 CROP_PARAMS = CropParams(merge_steps=1, sigma=5, theta=0.05, pi=0.5, min_cluster=2)
 
@@ -303,10 +305,10 @@ class TestDetectMultistage:
 
 
 class FailingBackend(OracleBackend):
-    def detect_batch(self, weights, samples):
-        if any(s.record.image_id == 2 for s in samples):
+    def detect_batch(self, weights, scenes):
+        if 2 in scenes.image_ids:
             raise RuntimeError("backend exploded")
-        return super().detect_batch(weights, samples)
+        return super().detect_batch(weights, scenes)
 
 
 class TestRunInference:
@@ -326,9 +328,30 @@ class TestRunInference:
         assert "backend exploded" in failed[0].error
         assert all(r.detections for r in results if not r.error)
 
+    def test_failing_chunk_retries_on_one_scene_takes_of_its_stack(self):
+        seen = []
+
+        class Recording(FailingBackend):
+            def detect_batch(self, weights, scenes):
+                seen.append(scenes)
+                return super().detect_batch(weights, scenes)
+
+        backend = Recording(
+            num_base_classes=3, noise=OracleNoiseModel(score_mean=0.9, score_std=0.0)
+        )
+        results = run_inference(self.samples(4), backend, None, config(multistage=False))
+        chunk, *retries = seen
+        assert chunk.image_ids == (1, 2, 3, 4)
+        assert [scenes.image_ids for scenes in retries] == [(1,), (2,), (3,), (4,)]
+        names = ("sizes", "seeds", "id_words", "boxes", "classes", "object_boxes", "object_payloads")
+        for k, scenes in enumerate(retries):
+            for name in names:
+                assert getattr(scenes, name).tobytes() == getattr(chunk.take([k]), name).tobytes()
+        assert [r.error is not None for r in results] == [False, True, False, False]
+
     def test_invariant_violation_propagates(self):
         class BrokenBackend(OracleBackend):
-            def detect_batch(self, weights, samples):
+            def detect_batch(self, weights, scenes):
                 raise InvariantViolation("broken invariant")
 
         backend = BrokenBackend(num_base_classes=3, noise=OracleNoiseModel())
@@ -343,21 +366,20 @@ class TestRunInference:
         # The bad row scores low, so NMS would drop it; the fusion guard
         # checks every row before NMS, as building each Box did.
         class BadStageTwo(OracleBackend):
-            def detect_batch(self, weights, samples):
-                out = super().detect_batch(weights, samples)
-                for k, sample in enumerate(samples):
-                    if sample.record.provenance.kind == "crop":
-                        boxes, classes, scores = out[k]
-                        out[k] = (
-                            np.vstack([boxes, [row]]), np.append(classes, 0), np.append(scores, 0.01)
-                        )
+            def detect_batch(self, weights, scenes):
+                out = super().detect_batch(weights, scenes)
+                for k in np.flatnonzero(scenes.crop):
+                    boxes, classes, scores = out[k]
+                    out[k] = (
+                        np.vstack([boxes, [row]]), np.append(classes, 0), np.append(scores, 0.01)
+                    )
                 return out
 
         sample = add_crop_annotations(clustered_sample(seed=7), crop_class=3)
         backend = BadStageTwo(
             num_base_classes=3, noise=OracleNoiseModel(score_mean=0.9, score_std=0.0)
         )
-        first = backend.detect_batch(None, [sample])[0]
+        first = backend.detect_batch(None, stack_of([sample]))[0]
         assert len(select_one(first, config(), sample.record.size, 3))
         with pytest.raises(InvariantViolation, match=message):
             run_inference([sample], backend, None, config(), seed=0)
@@ -384,31 +406,32 @@ class TestArrayResults:
         return samples
 
     def test_zooming_inference_builds_no_detection(self, monkeypatch):
-        # The crop children's records hold rows: the only object built is
-        # one Box per child, the crop its provenance stores, and no
-        # Annotation or Detection is built at all.
+        # Crop children stay rows of their stack: a zooming pass builds no
+        # Box, Annotation or Detection, and no record, scene, sample or
+        # provenance for its children.
         samples = self.zooming_samples()
         noise = OracleNoiseModel(jitter_std=2.0, score_mean=0.8, score_std=0.1, fp_rate=1.0)
         backend = OracleBackend(num_base_classes=3, noise=noise)
         crops = [
-            select_one(backend.detect_batch(None, [s])[0], config(), s.record.size, 3)
+            select_one(backend.detect_batch(None, stack_of([s]))[0], config(), s.record.size, 3)
             for s in samples
         ]
         assert all(len(rows) for rows in crops)
         built = []
 
-        def counting(post_init):
-            def count(obj):
+        def counting(init):
+            def count(obj, *args, **kwargs):
                 built.append(obj)
-                post_init(obj)
+                init(obj, *args, **kwargs)
 
             return count
 
+        classes = (Box, Detection, Annotation, ImageRecord, SceneSpec, SceneSample, Provenance)
         with monkeypatch.context() as patched:
-            for cls in (Box, Detection, Annotation):
-                patched.setattr(cls, "__post_init__", counting(cls.__post_init__))
+            for cls in classes:
+                patched.setattr(cls, "__init__", counting(cls.__init__))
             results = run_inference(samples, backend, None, config())
-        assert [type(obj) for obj in built] == [Box] * sum(len(rows) for rows in crops)
+        assert built == []
         assert all(r.error is None and len(r.scores) for r in results)
         for r in results:
             assert (r.boxes.dtype, r.classes.dtype, r.scores.dtype) == (
@@ -442,16 +465,16 @@ class TestArrayResults:
         bad = {"img0": [1.0, 1.0, float("nan"), 5.0], "img1": [4.0, 1.0, 4.0, 5.0]}
 
         class BadStageTwo(OracleBackend):
-            def detect_batch(self, weights, batch):
-                out = super().detect_batch(weights, batch)
-                for k, sample in enumerate(batch):
-                    if sample.record.provenance.kind == "crop":
-                        boxes, classes, scores = out[k]
-                        out[k] = (
-                            np.vstack([boxes, [bad[sample.record.provenance.parent_id]]]),
-                            np.append(classes, 0),
-                            np.append(scores, 0.01),
-                        )
+            def detect_batch(self, weights, scenes):
+                out = super().detect_batch(weights, scenes)
+                for k in np.flatnonzero(scenes.crop):
+                    boxes, classes, scores = out[k]
+                    parent = scenes.image_ids[k].split(":")[0]
+                    out[k] = (
+                        np.vstack([boxes, [bad[parent]]]),
+                        np.append(classes, 0),
+                        np.append(scores, 0.01),
+                    )
                 return out
 
         backend = BadStageTwo(
@@ -485,7 +508,7 @@ class TestChunkedInference:
 
     def check(self, monkeypatch, samples, backend, weights, failing):
         crops = [
-            len(select_one(backend.detect_batch(weights, [s])[0], config(), s.record.size, 3))
+            len(select_one(backend.detect_batch(weights, stack_of([s]))[0], config(), s.record.size, 3))
             for s in samples if s.record.image_id != failing
         ]
         assert min(crops) == 0 and max(crops) > 0
@@ -509,10 +532,10 @@ class TestChunkedInference:
         failing = samples[infer_module.CHUNK_SIZE + 4].record.image_id  # mid second chunk
 
         class FailingToy(ToyDetector):
-            def views(self, samples, targets=False):
-                if any(s.record.image_id == failing for s in samples):
+            def views(self, scenes, targets=False):
+                if failing in scenes.image_ids:
                     raise RuntimeError("backend exploded")
-                return super().views(samples, targets)
+                return super().views(scenes, targets)
 
         backend = FailingToy(
             ToyDetectorConfig(
@@ -527,7 +550,7 @@ class TestChunkedInference:
         weights = WeightVector(layout, np.concatenate([cls.ravel(), np.zeros(layout.reg_size)]))
         chunked = self.check(monkeypatch, samples, backend, weights, failing)
         # the scene without objects has no proposals, hence no detections
-        assert backend.views([samples[5]]).proposals.shape == (0, 4)
+        assert backend.views(stack_of([samples[5]])).proposals.shape == (0, 4)
         assert chunked[5] == ("empty", [], None)
 
 
@@ -574,7 +597,7 @@ class TestPinnedToyInference:
         for mode in ("predicted", "relabeled"):
             cfg = config(crop_mode=mode, crop_score_threshold=0.25, crop_params=crop_params)
             for s in test:
-                first = backend.detect_batch(weights, [s])[0]
+                first = backend.detect_batch(weights, stack_of([s]))[0]
                 zoomed += len(select_one(first, cfg, s.record.size, backend.crop_class_id))
             for result in run_inference(test, backend, weights, cfg, seed=5):
                 assert result.error is None

@@ -48,8 +48,10 @@ from densecrop.teacher import (
 
 from reference_impls import (
     annotation_rows,
+    child_samples,
     decode_per_view,
     label_one,
+    stack_of,
     student_batch_ref,
     supervised_batch_ref,
 )
@@ -78,7 +80,7 @@ def tiny_dataset(seed=0, n=8, **overrides):
 def labeled_views(samples, labeled_ids, cfg, backend):
     """The labeled pool as ``train`` hands it to ``burn_in``: views with targets."""
     pool = prepare_labeled_pool(samples, labeled_ids, cfg, backend)
-    return dict(zip(pool, backend.views(list(pool.values()), targets=True).split()))
+    return dict(zip(pool, backend.views(stack_of(list(pool.values())), targets=True).split()))
 
 
 def backend_for(num_classes=3, seed=0, **overrides):
@@ -164,7 +166,7 @@ class TestFilterPseudoLabels:
         # of the detections they come from.
         samples = tiny_dataset(n=1, clusters_per_image=(2, 2), objects_per_cluster=(8, 8))
         backend = backend_for()
-        view = backend.views([next(iter(samples.values()))])
+        view = backend.views(stack_of([next(iter(samples.values()))]))
         cls = np.zeros((backend.layout.num_outputs, backend.layout.columns))
         cls[backend.crop_class_id, 6] = 30.0  # center-count feature
         cls[backend.crop_class_id, backend.layout.feature_dim] = -10.0
@@ -193,7 +195,7 @@ class TestFilterPseudoLabels:
         rng = np.random.default_rng(45)
         values = rng.normal(0, 1.0, backend.layout.total)
         weights = WeightVector(layout=backend.layout, values=values)
-        views = [backend.views([sample]) for sample in samples.values()]
+        views = [backend.views(stack_of([sample])) for sample in samples.values()]
         stack = ViewStack.of(views)
         seeds = [7, 8, 9]
         kept = 0
@@ -226,27 +228,25 @@ class TestStudentBatch:
         """Parents, upscaled crop children (whose image size differs from
         their parent's), a view without proposals and a view whose
         edge proposals carry -0.0."""
-        from densecrop.dataset import make_crop_children
-
         samples = tiny_dataset(
             seed=5, n=5, clusters_per_image=(2, 2), objects_per_cluster=(6, 8)
         )
         backend = backend_for(payload_obs_scale=2.0)
-        views = [backend.views([s]) for s in samples.values()]
+        views = [backend.views(stack_of([s])) for s in samples.values()]
         parents = list(samples.values())[:3]
         crops = np.array([[40.0, 60.0, 140.0, 140.0], [200.0, 180.0, 330.0, 300.0]])
-        children = make_crop_children(parents, [crops] * len(parents), UPSCALE)
+        children = child_samples(parents, [crops] * len(parents), UPSCALE)
         for k, child in enumerate(children):
             assert child.record.size != parents[k // 2].record.size
-            views.append(backend.views([child]))
+            views.append(backend.views(stack_of([child])))
         edge = views[0]
         proposals = edge.proposals.copy()
         proposals[0, :2] = 0.0
         proposals[proposals == 0.0] = -0.0
-        views.append(ViewStack(edge.samples, proposals, edge.phi, edge.counts))
+        views.append(ViewStack(edge.image_ids, edge.sizes, proposals, edge.phi, edge.counts))
         empty = views[1]
         no_rows = (np.zeros((0, 4)), np.zeros((0, empty.phi.shape[1])), np.zeros(1, dtype=np.int64))
-        views.append(ViewStack(empty.samples, *no_rows))
+        views.append(ViewStack(empty.image_ids, empty.sizes, *no_rows))
         return backend, views
 
     def weights(self, backend, rng):
@@ -320,13 +320,11 @@ class TestSupervisedBatch:
         annotations, and views whose annotations tie exactly: every other
         annotation gets a copy of another class, ahead of the original or
         behind it, so the first of the two must win."""
-        from densecrop.dataset import make_crop_children
-
         samples = tiny_dataset(seed=7, n=4, clusters_per_image=(2, 2), objects_per_cluster=(6, 8))
         samples = list(samples.values())
         backend = backend_for()
         crops = np.array([[40.0, 60.0, 140.0, 140.0], [200.0, 180.0, 330.0, 300.0]])
-        children = make_crop_children(samples[:2], [crops, crops], UPSCALE)
+        children = child_samples(samples[:2], [crops, crops], UPSCALE)
         assert any(c.record.annotations for c in children)
         tied = []
         for k, sample in enumerate(samples[:3]):
@@ -337,7 +335,7 @@ class TestSupervisedBatch:
         bare_record = replace(samples[3].record, boxes=np.zeros((0, 4)), classes=np.zeros(0, np.int64))
         bare = SceneSample(bare_record, samples[3].scene)
         pool = samples + children + tied + [bare]
-        return backend, [backend.views([s], targets=True) for s in pool]
+        return backend, [(s, backend.views(stack_of([s]), targets=True)) for s in pool]
 
     def test_stacked_labeled_views_equal_per_view_path(self):
         backend, pool = self.views()
@@ -347,11 +345,13 @@ class TestSupervisedBatch:
         ties = bare = mixed = 0
         for trial in range(60):
             size = int(rng.integers(1, 7))
-            views = [pool[int(i)] for i in rng.integers(0, len(pool), size)]
+            picked = [pool[int(i)] for i in rng.integers(0, len(pool), size)]
+            views = [view for _, view in picked]
+            annotations = [sample.record.annotations for sample, _ in picked]
             seeds = rng.integers(0, 2**63, size).tolist()
             rngs = _augment_rngs([(s, "weak") for s in seeds])
             batch = backend.supervised_batch(ViewStack.of(views), "weak", rngs)
-            features, classes, offsets = supervised_batch_ref(backend, views, seeds)
+            features, classes, offsets = supervised_batch_ref(backend, views, annotations, seeds)
             assert np.array_equal(batch.features, features)
             assert np.array_equal(batch.classes, classes)
             assert np.array_equal(batch.offsets, offsets)
@@ -363,9 +363,8 @@ class TestSupervisedBatch:
             want = loss_sup(weights, SupervisedBatch(features, classes, offsets))
             assert got.value == want.value
             assert np.array_equal(got.gradient, want.gradient)
-            mixed += len({v.samples[0].record.size for v in views}) > 1
-            for view in views:
-                anns = view.samples[0].record.annotations
+            mixed += len({tuple(v.sizes[0]) for v in views}) > 1
+            for view, anns in zip(views, annotations):
                 bare += not anns
                 if len(anns) < 2:
                     continue
@@ -498,8 +497,9 @@ class TestDiscoverUnlabeledCrops:
         weights = backend.init_weights(0)
         state = TrainerState(student=weights, teacher=weights, iteration=5)
         cfg = trainer_config(crop_start_iter=30)
-        views = {i: backend.views([s]) for i, s in samples.items()}
-        discover_unlabeled_crops(state, sorted(samples), views, backend, cfg)
+        views = {i: backend.views(stack_of([s])) for i, s in samples.items()}
+        parents = stack_of(samples.values())
+        discover_unlabeled_crops(state, sorted(samples), views, parents, backend, cfg)
         assert state.crop_cache == {}
 
     def test_zero_confident_predictions_zero_crops(self):
@@ -511,8 +511,9 @@ class TestDiscoverUnlabeledCrops:
         state = TrainerState(student=weights, teacher=weights, iteration=35)
         cfg = trainer_config(tau=0.999)
         ids = sorted(samples)[:2]
-        views = {i: backend.views([s]) for i, s in samples.items()}
-        discover_unlabeled_crops(state, ids, views, backend, cfg)
+        views = {i: backend.views(stack_of([s])) for i, s in samples.items()}
+        parents = stack_of(samples.values())
+        discover_unlabeled_crops(state, ids, views, parents, backend, cfg)
         assert all(len(e.crops) == 0 for e in state.crop_cache.values())
 
     def test_one_labeling_call_and_no_empty_views_call(self, monkeypatch):
@@ -524,7 +525,7 @@ class TestDiscoverUnlabeledCrops:
         samples = tiny_dataset()
         backend = backend_for()
         weights = backend.init_weights(0)
-        views = {i: backend.views([s]) for i, s in samples.items()}
+        views = {i: backend.views(stack_of([s])) for i, s in samples.items()}
         calls = {"label": 0, "views": 0}
         label = teacher_module.label_density_crops
         build = backend.views
@@ -540,7 +541,10 @@ class TestDiscoverUnlabeledCrops:
         monkeypatch.setattr(teacher_module, "label_density_crops", counted_label)
         monkeypatch.setattr(backend, "views", counted_views)
         state = TrainerState(student=weights, teacher=weights, iteration=35)
-        discover_unlabeled_crops(state, sorted(samples)[:4], views, backend, trainer_config(tau=0.999))
+        parents = stack_of(samples.values())
+        discover_unlabeled_crops(
+            state, sorted(samples)[:4], views, parents, backend, trainer_config(tau=0.999)
+        )
         assert len(state.crop_cache) == 4
         assert all(len(e.crops) == 0 and e.children == () for e in state.crop_cache.values())
         assert calls == {"label": 1, "views": 0}
@@ -582,8 +586,9 @@ class TestDiscoverUnlabeledCrops:
         first_id = sorted(samples)[0]
         state.crop_cache[first_id] = CropCacheEntry(crops=[], computed_iter=1, children=())
         cfg = trainer_config(crop_start_iter=30, crop_recompute_period=100)
-        views = {i: backend.views([s]) for i, s in samples.items()}
-        discover_unlabeled_crops(state, [], views, backend, cfg)
+        views = {i: backend.views(stack_of([s])) for i, s in samples.items()}
+        parents = stack_of(samples.values())
+        discover_unlabeled_crops(state, [], views, parents, backend, cfg)
         assert state.crop_cache[first_id].computed_iter == 200
 
 
@@ -736,19 +741,14 @@ class TestTrain:
                 if parent_id in newest:
                     recomputed.add(parent_id)
                 newest[parent_id] = entry.children
-                for child in entry.children:
-                    record = child.samples[0].record
-                    crops_by_child.setdefault(record.image_id, set()).add(
-                        record.provenance.crop_box
-                    )
+                for child, crop in zip(entry.children, entry.crops.tolist()):
+                    crops_by_child.setdefault(child.image_ids[0], set()).add(tuple(crop))
 
         def batch_recording(backend, teacher, views, *args):
             nonlocal checked
-            parents = [
-                k for k, v in enumerate(views) if v.samples[0].record.provenance.kind != "crop"
-            ]
+            parents = [k for k, v in enumerate(views) if ":crop" not in str(v.image_ids[0])]
             for k, end in zip(parents, parents[1:] + [len(views)]):
-                parent_id = views[k].samples[0].record.image_id
+                parent_id = views[k].image_ids[0]
                 children = views[k + 1 : end]
                 assert [id(c) for c in children] == [id(c) for c in newest.get(parent_id, ())]
                 checked += parent_id in recomputed and len(children) > 0
