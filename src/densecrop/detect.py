@@ -39,7 +39,6 @@ from .geometry import (
     box_areas,
     clip,
     group_pairs,
-    intersection_matrix,
     pair_ious,
 )
 from .seeding import normals_for, rng_for, rngs_for, stable_int
@@ -289,44 +288,55 @@ def oracle_detect(
 # ---------------------------------------------------------------------------
 
 
-def _running_sum(terms: np.ndarray) -> np.ndarray:
-    """``total = 0.0; for t in row: total += t`` along axis 1, in that
-    order, one column of every row at a time."""
-    total = np.zeros((len(terms),) + terms.shape[2:])
-    for j in range(terms.shape[1]):
-        total += terms[:, j]
+# numpy sums floats pairwise: fewer than 8 values one after another, up
+# to _PAIRWISE_BLOCK values through 8 accumulators, and longer runs as two
+# halves split near the middle.
+_PAIRWISE_BLOCK = 128
+# (Proposal, object) pairs taken at a time for the means of the rows that
+# cover many objects; bounds those temporaries at about 2 MB.
+_MEAN_PAIRS = 1 << 14
+
+
+def _pairwise_sum(values: np.ndarray) -> np.ndarray:
+    """``np.sum`` of each row of an (R, n, ...) block along axis 1, bit for
+    bit: 0.0 plus numpy's pairwise sum of the row's n entries."""
+    n = values.shape[1]
+    if n > _PAIRWISE_BLOCK:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(values[:, :half]) + _pairwise_sum(values[:, half:])
+    total = np.zeros((len(values),) + values.shape[2:])
+    blocked = n - n % 8 if n >= 8 else 0
+    if blocked:
+        acc = values[:, :8].copy()
+        for i in range(8, blocked, 8):
+            acc += values[:, i : i + 8]
+        total += ((acc[:, 0] + acc[:, 1]) + (acc[:, 2] + acc[:, 3])) + (
+            (acc[:, 4] + acc[:, 5]) + (acc[:, 6] + acc[:, 7])
+        )
+    for i in range(blocked, n):
+        total += values[:, i]
     return total
 
 
-def _covered_mean(
-    sums: np.ndarray, counts: np.ndarray, values: np.ndarray, covered: np.ndarray
-) -> np.ndarray:
-    """``np.mean`` of each row's covered entries, 0.0 for a row with none,
-    given each row's running sum (:func:`_running_sum`) and count of them.
-
-    numpy sums fewer than 8 values one after another from 0.0, so those
-    rows are running sums; longer rows use numpy's pairwise summation and
-    go through ``np.mean`` themselves.
-    """
-    means = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
-    for i in np.flatnonzero(counts >= 8):
-        means[i] = np.mean(values[i, covered[i]])
+def _run_means(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``np.mean`` of each run of ``values`` rows, bit for bit. The runs lie
+    one after another, ``counts[r] > 0`` rows in run ``r``; runs of one
+    length are summed as one block."""
+    means = np.empty((len(counts),) + values.shape[1:])
+    starts = np.cumsum(counts) - counts
+    for n in np.unique(counts).tolist():
+        runs = np.flatnonzero(counts == n)
+        means[runs] = _pairwise_sum(values[starts[runs, None] + np.arange(n)]) / n
     return means
 
 
-def _padded_objects(scenes: SceneStack, classes: int):
-    """Each scene's object boxes, payloads and a validity mask, padded to
-    the largest object count: (S, M, 4), (S, M, K) and (S, M) arrays."""
-    counts = scenes.object_counts
-    shape = (len(counts), int(counts.max(initial=0)))
-    scene = np.repeat(np.arange(len(counts)), counts)
-    slot = np.arange(len(scene)) - np.repeat(np.cumsum(counts) - counts, counts)
-    boxes, payloads = np.zeros(shape + (4,)), np.zeros(shape + (classes,))
-    real = np.zeros(shape, dtype=bool)
-    boxes[scene, slot] = scenes.object_boxes
-    payloads[scene, slot] = scenes.object_payloads[:, :classes].reshape(-1, classes)
-    real[scene, slot] = True
-    return boxes, payloads, real
+def _overlaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Intersection area of each proposal with the object beside it, given
+    as (4, n) x1, y1, x2, y2 rows, by the formula of
+    :func:`~densecrop.geometry.intersection_matrix`; the widths and
+    heights are taken as one (2, n) block."""
+    sides = np.minimum(a[2:4], b[2:4]) - np.maximum(a[:2], b[:2])
+    return np.where((sides > 0.0).all(axis=0), sides[0] * sides[1], 0.0)
 
 
 def extract_features(
@@ -350,68 +360,109 @@ def extract_features(
     generator seeded by its scene and its coordinates in 1/16 pixels would
     draw; one :func:`normals_for` call draws every row's noise.
 
-    Each row is paired with every object of its scene, padded to the
-    stack's largest object count; the padding is masked out, and sums over
-    the objects run in object order, one object column of every row at a
-    time (the payload block as one (N, K) sum), so padding only appends
-    ``+0.0`` terms and a row's features do not depend on the rest of its
-    stack.
+    Each row is paired with its own scene's objects only, one object
+    column at a time. The scenes are sorted by object count, largest
+    first, and their rows with them, so the rows that meet object ``j`` of
+    their scene are a prefix. Each column takes object ``j`` of every scene
+    that has one, repeated over the scene's rows, and adds into (N,) and
+    (N, K) accumulators, so every sum over a row's objects runs in object
+    order and no array is sized by proposals times objects. A row covering
+    8 or more objects takes the means of its covered values by numpy's
+    pairwise summation (:func:`_run_means`) over its own pairs, gathered
+    once.
     """
+    k = num_base_classes
     boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
-    row_scene = np.repeat(np.arange(len(scenes)), counts)
+    counts = np.asarray(counts, dtype=np.int64)
+    # Scenes by object count, largest first, and their rows in that order:
+    # the scenes paired with object column j, those with more than j
+    # objects, are a prefix, and so are their rows.
+    by_size = np.argsort(-scenes.object_counts, kind="stable")
+    ranked, order = group_pairs(counts, by_size)
+    row_scene = by_size[ranked]
+    props = np.ascontiguousarray(boxes[order].T)
+    x1, y1, x2, y2 = props
     size = scenes.sizes
     width, height = size[row_scene, 0], size[row_scene, 1]
-    x1, y1, x2, y2 = boxes.T
-    area = box_areas(boxes)
-    phi = np.zeros((len(boxes), feature_dim(num_base_classes)))
+    area = box_areas(props.T)
+    phi = np.zeros((len(order), feature_dim(k)))
     phi[:, 0] = np.log(np.maximum(area, _MIN_SIDE)) / np.log(size[:, 0] * size[:, 1])[row_scene]
     aspect = clip((x2 - x1) / (y2 - y1), 1.0 / _ASPECT_CAP, _ASPECT_CAP)
     phi[:, 1] = np.log(aspect) / np.log(_ASPECT_CAP)
     phi[:, 2] = (x1 + x2) / 2.0 / width
     phi[:, 3] = (y1 + y2) / 2.0 / height
 
-    objects, payloads, real = _padded_objects(scenes, num_base_classes)
-    # What depends on the objects alone is computed once per scene.
-    object_areas = np.where(real, box_areas(objects), 1.0)[row_scene]
-    ocx = ((objects[..., 0] + objects[..., 2]) / 2.0)[row_scene]
-    ocy = ((objects[..., 1] + objects[..., 3]) / 2.0)[row_scene]
-    objects, real = objects[row_scene], real[row_scene]
-    # A zero pad box overlaps nothing, so its intersections are +0.0.
-    inter = intersection_matrix(boxes, objects)
-    covered = inter > 0.0
-    fracs = inter / object_areas
-    inside_x = (x1[:, None] <= ocx) & (ocx < x2[:, None])
-    centers_inside = (real & inside_x & (y1[:, None] <= ocy) & (ocy < y2[:, None])).sum(axis=1)
-    # iou_matrix's formula; a padded pair's 0.0 never exceeds the initial 0.0.
-    phi[:, 4] = (inter / (area[:, None] + object_areas - inter)).max(axis=1, initial=0.0)
-    phi[:, 5] = np.minimum(_running_sum(inter) / area, 1.0)
+    # One column per object: its box, area, centre and payloads.
+    objects = scenes.object_boxes
+    table = np.concatenate(
+        [
+            objects.T,
+            box_areas(objects)[None],
+            ((objects[:, :2] + objects[:, 2:]) / 2.0).T,
+            scenes.object_payloads[:, :k].reshape(-1, k).T,
+        ]
+    )
+    objects_of = scenes.object_counts[by_size]
+    first = (np.cumsum(scenes.object_counts) - scenes.object_counts)[by_size]
+    rows_of = counts[by_size]
+    active = np.searchsorted(-objects_of, -np.arange(objects_of[0] if len(by_size) else 0))
+    ends = np.cumsum(rows_of)
+    inter_sum, frac_sum, area_sum, best_iou = np.zeros((4, len(order)))
+    n_covered, centers_inside = np.zeros((2, len(order)), dtype=np.int64)
+    payload = np.zeros((k, len(order)))
+    for j, (m, n) in enumerate(zip(active.tolist(), ends[active - 1].tolist())):
+        # Object j of each active scene, repeated over the scene's rows.
+        obj = np.repeat(table.take(first[:m] + j, axis=1), rows_of[:m], axis=1)
+        obj_area = obj[4]
+        inter = _overlaps(props[:, :n], obj)
+        covered = inter > 0.0
+        inter_sum[:n] += inter
+        n_covered[:n] += covered
+        # iou_matrix's formula; an uncovered pair's 0.0 never exceeds the initial 0.0.
+        np.maximum(best_iou[:n], inter / (area[:n] + obj_area - inter), out=best_iou[:n])
+        frac = inter / obj_area
+        frac_sum[:n] += frac
+        np.add(area_sum[:n], obj_area, out=area_sum[:n], where=covered)
+        centre = obj[5:7]
+        centers_inside[:n] += ((props[:2, :n] <= centre) & (centre < props[2:4, :n])).all(axis=0)
+        payload[:, :n] += frac * obj[7:]
+    phi[:, 4] = best_iou
+    phi[:, 5] = np.minimum(inter_sum / area, 1.0)
     centers_inside = np.minimum(centers_inside, _CENTER_COUNT_CAP)
     phi[:, 6] = np.log1p(centers_inside) / np.log1p(_CENTER_COUNT_CAP)
-    # An uncovered pair's fraction is +0.0, so the covered fractions' sum
-    # is the sum of every fraction.
-    n_covered = covered.sum(axis=1)
-    frac_sums = _running_sum(fracs)
-    phi[:, 7] = _covered_mean(frac_sums, n_covered, fracs, covered)
 
-    # One (N, K) accumulator takes each object's weighted payloads in turn.
-    weight = np.maximum(frac_sums, 1.0)
-    payloads = payloads[row_scene]
-    payload = np.zeros((len(boxes), num_base_classes))
-    for j in range(fracs.shape[1]):
-        payload += fracs[:, j, None] * payloads[:, j]
-    payload /= weight[:, None]
+    # np.mean of each row's covered fractions and object areas. An
+    # uncovered pair adds +0.0 to the sums, and numpy sums fewer than 8
+    # values one after another from 0.0, so those rows' means are their
+    # sums over their counts.
+    means = np.zeros((len(order), 2))
+    some = n_covered > 0
+    means[some] = np.column_stack([frac_sum, area_sum])[some] / n_covered[some, None]
+    # Rows covering 8 or more take their own pairs again, about
+    # _MEAN_PAIRS pairs at a time.
+    long = np.flatnonzero(n_covered >= 8)
+    pairs = scenes.object_counts[row_scene[long]]
+    cuts = np.flatnonzero(np.diff((np.cumsum(pairs) - pairs) // _MEAN_PAIRS)) + 1
+    for rows in np.split(long, cuts) if len(long) else ():
+        item, pair_obj = group_pairs(scenes.object_counts, row_scene[rows])
+        inter = _overlaps(props[:, rows[item]], table[:4, pair_obj])
+        hit = inter > 0.0
+        obj_area = table[4, pair_obj[hit]]
+        means[rows] = _run_means(np.column_stack([inter[hit] / obj_area, obj_area]), n_covered[rows])
+    phi[:, 7] = means[:, 0]
+
+    phi[:, _GEOM_FEATURES:] = (payload / np.maximum(frac_sum, 1.0)).T
     if payload_obs_scale > 0:
-        area_sums = _running_sum(np.where(covered, object_areas, 0.0))
-        covered_areas = _covered_mean(area_sums, n_covered, object_areas, covered)
-        ref_area = np.where(n_covered > 0, covered_areas, area)
+        ref_area = np.where(some, means[:, 1], area)
         sigma = payload_obs_scale / np.sqrt(np.maximum(ref_area, 1.0))
         # rint rounds half to even, as round() does; the mask is stable_int's.
-        q = np.rint(boxes * 16.0).astype(np.int64) & 0xFFFFFFFF
+        q = np.rint(props.T * 16.0).astype(np.int64) & 0xFFFFFFFF
         rows = np.column_stack([scenes.seeds[row_scene], np.full(len(q), _PAYLOAD_OBS), q])
         # Generator.normal(0.0, s, K) draws 0.0 + s * z.
-        payload = payload + (0.0 + sigma[:, None] * normals_for((), rows, num_base_classes))
-    phi[:, _GEOM_FEATURES:] = payload
-    return phi
+        phi[:, _GEOM_FEATURES:] += 0.0 + sigma[:, None] * normals_for((), rows, k)
+    out = np.empty_like(phi)
+    out[order] = phi
+    return out
 
 
 # ---------------------------------------------------------------------------

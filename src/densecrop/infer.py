@@ -8,8 +8,11 @@ accurate, slower). Stage two re-detects on each upscaled crop; those
 detections are mapped back to image coordinates, concatenated with the
 stage-one base-class detections, and deduplicated with NMS.
 
-Both stages run a chunk of images at a time, and the chunk stays one
-ragged stack of rows from stage one to the fused rows: a
+Both stages run a chunk of images at a time. A chunk is closed by a
+budget of (proposal, object) pairs, :data:`CHUNK_PAIRS`, estimated from
+the images' object counts before any view is built, so many sparse
+images share a chunk and a dense one runs nearly alone. The chunk stays
+one ragged stack of rows from stage one to the fused rows: a
 :class:`~densecrop.dataset.SceneStack` of the chunk's images, one backend
 ``detect_batch`` on it, crop selection over the stacked rows, one
 :func:`~densecrop.dataset.make_crop_children` zoom into the stack of the
@@ -51,10 +54,13 @@ __all__ = [
 
 PREDICTED = "predicted"
 RELABELED = "relabeled"
-# Images per batched pass: each stage builds and decodes a chunk's views
-# at once, and crop selection and the fusion NMS run once over the chunk's
-# rows. Larger chunks cut per-call overhead but hold more pair arrays.
-CHUNK_SIZE = 32
+# (Proposal, object) pairs per batched pass, about (see _chunks): each
+# stage builds and decodes a chunk's views at once, and crop selection and
+# the fusion NMS run once over the chunk's rows. Larger chunks cut
+# per-call overhead but hold more rows. 20k pairs is about 64 desk-scale
+# toy images of 17 objects; past it throughput flattens while peak memory
+# keeps growing. A scene of 142 or more objects runs alone.
+CHUNK_PAIRS = 20_000
 
 
 @dataclass(frozen=True)
@@ -213,6 +219,25 @@ def _attempt(
         return [(empty, f"{type(exc).__name__}: {exc}")] * len(scenes)
 
 
+def _chunks(objects: list[int]) -> list[tuple[int, int]]:
+    """(start, stop) of each chunk of images with ``objects[i]`` objects in
+    image ``i``. An image with m objects costs about ``max(m, 1)**2`` pairs:
+    its proposals number about its objects and each meets every object. A
+    chunk closes after the image that takes its running cost past
+    :data:`CHUNK_PAIRS`, and an image over the budget by itself runs alone."""
+    edges, start, total = [], 0, 0
+    for i, m in enumerate(objects):
+        cells = max(m, 1) ** 2
+        if cells > CHUNK_PAIRS and i > start:
+            edges.append((start, i))
+            start, total = i, 0
+        total += cells
+        if total > CHUNK_PAIRS:
+            edges.append((start, i + 1))
+            start, total = i + 1, 0
+    return edges + [(start, len(objects))] * (start < len(objects))
+
+
 def run_inference(
     samples: list[SceneSample],
     backend: DetectorBackend,
@@ -221,9 +246,9 @@ def run_inference(
     seed: int = 0,
 ) -> list[ImageInferenceResult]:
     """Per-image inference over a dataset, in input order, one chunk of
-    :data:`CHUNK_SIZE` images at a time, each chunk's samples converted
-    once to a :class:`~densecrop.dataset.SceneStack`; ``seed`` is accepted
-    and unused.
+    images at a time (:func:`_chunks`), each chunk's samples converted once
+    to a :class:`~densecrop.dataset.SceneStack`; ``seed`` is accepted and
+    unused.
 
     Each image's fused detections come in a deterministic order and do not
     depend on the images run beside it. Crop-class predictions never
@@ -241,9 +266,9 @@ def run_inference(
     chunk's wall time, the stack conversion and the retry included.
     """
     results = []
-    for start in range(0, len(samples), CHUNK_SIZE):
+    for start, stop in _chunks([len(s.scene.object_boxes) for s in samples]):
         began = time.perf_counter()
-        chunk = SceneStack.of(samples[start : start + CHUNK_SIZE])
+        chunk = SceneStack.of(samples[start:stop])
         outcomes = _attempt(chunk, backend, weights, config)
         if len(chunk) > 1 and any(error for _, error in outcomes):
             outcomes = [

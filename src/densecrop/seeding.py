@@ -30,9 +30,10 @@ building its generator, as the toy detector's payload noise needs (rows
 uint64 word arrays over all rows and maps each output through the fast
 path of numpy's ziggurat, whose tables are committed here. A row with a
 draw off that path (about 1.5 % of draws: the tail and the wedges) is
-redrawn whole from its own :func:`rngs_for` generator. The bits rely on
-numpy's PCG64 and ``random_standard_normal`` staying as they are; the
-table test in ``tests/test_seeding.py`` and the pinned run digests guard that.
+redrawn whole from its own generator, seeded from the words already
+derived for it. The bits rely on numpy's PCG64 and
+``random_standard_normal`` staying as they are; the table test in
+``tests/test_seeding.py`` and the pinned run digests guard that.
 """
 
 from __future__ import annotations
@@ -192,11 +193,16 @@ def _seed_words(prefix_parts, rows: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(words.T, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
 
 
+def _generators(words: np.ndarray) -> list[np.random.Generator]:
+    """One generator per row of (R, 4) :func:`_seed_words`; PCG64 seeds
+    itself from them."""
+    return [np.random.Generator(np.random.PCG64(_State(w))) for w in words]
+
+
 def rngs_for(prefix_parts, rows: np.ndarray) -> list[np.random.Generator]:
     """One generator per row of ``rows``: the i-th equals
-    ``rng_for(*prefix_parts, *rows[i])`` draw for draw. PCG64 seeds itself
-    from each row's :func:`_seed_words`."""
-    return [np.random.Generator(np.random.PCG64(_State(w))) for w in _seed_words(prefix_parts, rows)]
+    ``rng_for(*prefix_parts, *rows[i])`` draw for draw."""
+    return _generators(_seed_words(prefix_parts, rows))
 
 
 def _pcg_step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.ndarray):
@@ -219,17 +225,17 @@ def normals_for(prefix_parts, rows: np.ndarray, k: int) -> np.ndarray:
     Each row's PCG64 seeds and steps as (high, low) uint64 word arrays
     over all rows at once, and its draws go through the ziggurat's fast
     path. A row with any draw outside the fast path is redrawn whole from
-    its own generator, one :func:`rngs_for` call for all such rows.
+    its own generator, built from the seed words already computed.
     """
-    rows = np.asarray(rows)
-    seed_hi, seed_lo, init_hi, init_lo = _seed_words(prefix_parts, rows).T
+    words = _seed_words(prefix_parts, np.asarray(rows))
+    seed_hi, seed_lo, init_hi, init_lo = words.T
     # pcg64_set_seed: inc = initseq << 1 | 1; state = 0; step;
     # state += seed; step.
     inc_hi = (init_hi << 1) | (init_lo >> 63)
     inc_lo = (init_lo << 1) | 1
     lo = inc_lo + seed_lo
     hi, lo = _pcg_step(inc_hi + seed_hi + (lo < seed_lo), lo, inc_hi, inc_lo)
-    draws = np.empty((len(rows), k), dtype=np.uint64)
+    draws = np.empty((len(words), k), dtype=np.uint64)
     for j in range(k):
         hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
         out, rot = hi ^ lo, hi >> 58
@@ -242,7 +248,7 @@ def normals_for(prefix_parts, rows: np.ndarray, k: int) -> np.ndarray:
     np.negative(z, out=z, where=((draws >> 8) & 1).astype(bool))
     slow = (rabs >= _ZIG_KI[idx]).any(axis=1)
     if slow.any():
-        z[slow] = [rng.standard_normal(k) for rng in rngs_for(prefix_parts, rows[slow])]
+        z[slow] = [rng.standard_normal(k) for rng in _generators(words[slow])]
     return z
 
 

@@ -904,14 +904,6 @@ def make_crop_children_per_child(parents: list, crops: list, policy) -> list:
     return children
 
 
-def running_sum_accumulate(terms: np.ndarray) -> np.ndarray:
-    """``total = 0.0; for t in row: total += t`` along axis 1 as the
-    feature kernel computed it before its column loop: an
-    ``np.add.accumulate`` over the terms after a zero column."""
-    start = np.zeros((len(terms), 1) + terms.shape[2:])
-    return np.add.accumulate(np.concatenate([start, terms], axis=1), axis=1)[:, -1]
-
-
 # ---------------------------------------------------------------------------
 # Plumbing: samples as the scene stacks the package's kernels take
 # ---------------------------------------------------------------------------

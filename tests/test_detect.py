@@ -1,5 +1,6 @@
 """Detection backends: oracle noise model, features, forward pass, losses."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -42,7 +43,7 @@ from densecrop.geometry import (
     intersection_matrix,
     iou_matrix,
 )
-from densecrop.seeding import rng_for, rngs_for
+from densecrop.seeding import rng_for
 
 from reference_impls import (
     annotation_rows,
@@ -56,7 +57,6 @@ from reference_impls import (
     proposals_ref,
     child_samples,
     record_stack,
-    running_sum_accumulate,
     safe_box_ref,
     scene_spec,
     scene_stack,
@@ -192,23 +192,141 @@ class TestExtractFeatures:
         assert features_of(sample.scene, np.zeros((0, 4))).shape == (0, 12)
 
 
-class TestRunningSum:
-    def test_column_loop_equals_accumulate_bit_for_bit(self):
-        # The column loop against the np.add.accumulate form it replaced,
-        # on 2-D and 3-D terms with -0.0 entries, no objects and no rows.
-        from densecrop.detect import _running_sum
+class TestPairwiseMeans:
+    def test_pairwise_sum_equals_np_sum_for_every_length(self):
+        # Every length from 0 to 300: the running sums below 8, the
+        # 8-accumulator blocks up to 128 and the halving above, on values
+        # of both signs and wide range, with zeros of both signs.
+        from densecrop.detect import _pairwise_sum
 
         rng = np.random.default_rng(44)
-        shapes = [(50, 7), (1500, 50), (40, 9, 4), (0, 5), (5, 0), (0, 0), (0, 3, 4), (6, 0, 4)]
-        for shape in shapes:
-            for _ in range(4):
-                terms = rng.normal(0.0, 1.0, shape) * 10.0 ** rng.integers(-8, 9, shape)
-                terms[rng.random(shape) < 0.2] = -0.0
-                terms[rng.random(shape) < 0.1] = 0.0
-                got, want = _running_sum(terms), running_sum_accumulate(terms)
-                assert (got.dtype, got.shape) == (want.dtype, want.shape)
-                assert got.tobytes() == want.tobytes()
-        assert repr(_running_sum(np.full((1, 3), -0.0)).tolist()) == "[0.0]"
+        for n in range(301):
+            values = rng.normal(0.0, 1.0, (7, n)) * 10.0 ** rng.integers(-8, 9, (7, n))
+            values[rng.random((7, n)) < 0.1] = 0.0
+            values[rng.random((7, n)) < 0.1] = -0.0
+            values[0] = -0.0
+            want = np.array([np.sum(row) for row in values])
+            assert _pairwise_sum(values).tobytes() == want.tobytes(), n
+            # trailing columns are summed independently, as the kernel's
+            # (fraction, area) pairs are
+            both = _pairwise_sum(np.stack([values, values[::-1]], axis=-1))
+            assert both.tobytes() == np.column_stack([want, want[::-1]]).tobytes(), n
+
+    def test_run_means_equal_np_mean_for_every_count(self):
+        # One call over ragged runs of every count from 1 to 300, in
+        # shuffled order, against np.mean of each run.
+        from densecrop.detect import _run_means
+
+        rng = np.random.default_rng(45)
+        counts = rng.permutation(np.repeat(np.arange(1, 301), 2))
+        values = rng.random((int(counts.sum()), 2)) * 10.0 ** rng.integers(-4, 5, (int(counts.sum()), 2))
+        runs = np.split(values, np.cumsum(counts)[:-1])
+        want = np.array([[np.mean(run[:, 0]), np.mean(run[:, 1])] for run in runs])
+        assert _run_means(values, counts).tobytes() == want.tobytes()
+        assert _run_means(np.zeros((0, 2)), np.zeros(0, dtype=np.int64)).shape == (0, 2)
+
+
+class TestStreamedFeatures:
+    """The column-streamed feature kernel on random stacks against the
+    per-proposal loop, and its memory on a dense stack."""
+
+    def random_sample(self, rng, image_id, n):
+        # Half the objects sit in one tight cluster, so that some proposals
+        # cover many of them; payloads take both signs.
+        width, height = rng.uniform(120.0, 600.0, 2).tolist()
+        cx, cy = rng.uniform(0.3, 0.7) * width, rng.uniform(0.3, 0.7) * height
+        objects = []
+        for i in range(n):
+            w, h = rng.uniform(2.0, 40.0, 2).tolist()
+            if i % 2:
+                x, y = cx + rng.normal(0.0, 15.0), cy + rng.normal(0.0, 15.0)
+            else:
+                x, y = rng.uniform(0.0, width), rng.uniform(0.0, height)
+            x, y = min(max(x, 0.0), width - w), min(max(y, 0.0), height - h)
+            payload = tuple(rng.normal(0.0, 0.6, 4).tolist())
+            objects.append(((x, y, x + w, y + h), int(rng.integers(0, 4)), payload))
+        scene = scene_spec(width, height, int(rng.integers(0, 2**31)), objects, payload_width=4)
+        return SceneSample(ImageRecord(image_id, width, height), scene)
+
+    def random_boxes(self, rng, sample, n):
+        """Random boxes, the whole image, the object boxes and boxes that
+        touch an object's edge."""
+        w, h = sample.record.size
+        x1, y1 = rng.uniform(0.0, w, n), rng.uniform(0.0, h, n)
+        x2, y2 = x1 + rng.uniform(0.5, w / 2.0, n), y1 + rng.uniform(0.5, h / 2.0, n)
+        boxes = [np.column_stack([x1, y1, np.minimum(x2, w), np.minimum(y2, h)])]
+        boxes.append(np.array([[0.0, 0.0, w, h]]))
+        objects = sample.scene.object_boxes
+        boxes.append(objects[:5])
+        boxes.append(np.column_stack([objects[:3, 2], objects[:3, 1], objects[:3, 2] + 5.0, objects[:3, 3]]))
+        return np.concatenate(boxes)
+
+    @pytest.mark.parametrize("mean_pairs", [None, 40])
+    def test_random_stacks_match_loop(self, mean_pairs, monkeypatch):
+        # With 40 pairs a time, the rows covering many objects take their
+        # pairs in many pieces.
+        from densecrop import detect as detect_module
+        from densecrop.dataset import UpscalePolicy
+
+        if mean_pairs:
+            monkeypatch.setattr(detect_module, "_MEAN_PAIRS", mean_pairs)
+
+        rng = np.random.default_rng(46)
+        most_covered = []
+        for trial in range(6):
+            sizes = rng.choice([0, 0, 1, 1, 2, 5, 9, 17, 40, 150, 170], int(rng.integers(3, 7)))
+            samples = [self.random_sample(rng, f"t{trial}-{i}", int(n)) for i, n in enumerate(sizes)]
+            parent = self.random_sample(rng, f"t{trial}-parent", 60)
+            w, h = parent.record.size
+            crops = np.array([[0.1 * w, 0.1 * h, 0.7 * w, 0.8 * h], [0.0, 0.0, 0.5 * w, 0.5 * h]])
+            children = child_samples([parent], [crops], UpscalePolicy("factor", factor=2.0))
+            samples[1:1] = children
+            samples = [samples[i] for i in rng.permutation(len(samples))]
+            per_scene = [self.random_boxes(rng, s, int(rng.integers(0, 12))) for s in samples]
+            boxes = np.concatenate(per_scene)
+            counts = [len(b) for b in per_scene]
+            for scale in (4.0, 0.0):
+                got = extract_features(stack_of(samples), boxes, 4, scale, counts)
+                want = [
+                    extract_features_ref(s.scene, r, 4, scale)
+                    for s, b in zip(samples, per_scene)
+                    for r in rows(b)
+                ]
+                assert got.tobytes() == np.stack(want).tobytes(), trial
+            for s, b in zip(samples, per_scene):
+                if len(s.scene.object_boxes):
+                    covers = intersection_matrix(b, s.scene.object_boxes) > 0.0
+                    most_covered.append(int(covers.sum(axis=1).max()))
+        # rows on the running-sum, 8-accumulator and halving paths of the means
+        assert min(most_covered) < 8 and any(8 <= c <= 128 for c in most_covered)
+        assert max(most_covered) > 128
+
+    def test_dense_views_memory_is_bounded(self):
+        # 32 dense 1024x1024 scenes of 165..233 objects. Pairing every
+        # proposal with the stack's largest object count in padded (N, M)
+        # and (N, M, K) arrays peaked at 166 MiB in views and in
+        # extract_features alone; the streamed kernel holds (N,) and
+        # (N, K) accumulators and one object column.
+        cfg = SyntheticConfig(
+            num_images=32, width=1024.0, height=1024.0, clusters_per_image=(10, 12),
+            objects_per_cluster=(14, 18), scattered_per_image=(10, 20), seed=7,
+        )
+        samples = generate_synthetic_dataset(cfg)
+        assert min(len(s.scene.object_boxes) for s in samples) >= 150
+        backend = ToyDetector(ToyDetectorConfig(num_base_classes=4))
+        stack = stack_of(samples)
+        boxes, counts = backend.proposals(stack)
+        peaks = []
+        for run in (lambda: backend.views(stack), lambda: backend.features(stack, boxes, counts)):
+            tracemalloc.start()
+            try:
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        views_peak, features_peak = peaks
+        assert views_peak <= 166 * 2**20 / 2
+        assert features_peak <= 166 * 2**20 / 16
 
 
 def weights_from(layout, cls, reg=None):
@@ -822,8 +940,8 @@ class TestArrayKernelsMatchLoops:
         assert calls[1:] == [[]]
 
     def test_features_of_a_chunk_equal_features_of_each_scene(self):
-        # Boxes on the image corner and edges meet the zero pad boxes of
-        # the scenes with fewer objects; a scene's rows are its own.
+        # Boxes on the image corner and edges, in scenes of different
+        # object counts whose rows the kernel sorts: a scene's rows are its own.
         backend = self.backend()
         samples = self.mixed_batch()
         per_scene = [
@@ -887,20 +1005,20 @@ class TestArrayKernelsMatchLoops:
     def test_payload_noise_derives_few_generators(self, monkeypatch):
         # A dense chunk's payload noise draws without one generator per
         # proposal row: only rows that leave the ziggurat's fast path get one.
-        from densecrop import detect, seeding
+        from densecrop import seeding
 
         samples = self.mixed_batch()
         boxes, counts = self.backend().proposals(stack_of(samples))
         derived = []
+        generators = seeding._generators
 
-        def counting(prefix_parts, rows):
-            derived.append(len(rows))
-            return rngs_for(prefix_parts, rows)
+        def counting(words):
+            derived.append(len(words))
+            return generators(words)
 
-        monkeypatch.setattr(seeding, "rngs_for", counting)
-        monkeypatch.setattr(detect, "rngs_for", counting)
+        monkeypatch.setattr(seeding, "_generators", counting)
         extract_features(stack_of(samples), boxes, 4, 4.0, counts)
-        assert len(boxes) >= 200 and sum(derived) < len(boxes) / 4
+        assert len(boxes) >= 200 and 0 < sum(derived) < len(boxes) / 4
 
     def test_detect_batch_equals_one_sample_batches(self):
         backend = self.backend()

@@ -488,10 +488,12 @@ class TestChunkedInference:
     """``run_inference`` over chunks against the same images run one per
     chunk: the same ids, detections and errors, in the same order."""
 
+    # (Proposal, object) pairs per chunk: these samples fill three chunks.
+    BUDGET = 1500
+
     def samples(self):
-        n = infer_module.CHUNK_SIZE + 9
         cfg = SyntheticConfig(
-            num_images=n - 1, num_classes=3, clusters_per_image=(0, 2),
+            num_images=40, num_classes=3, clusters_per_image=(0, 2),
             objects_per_cluster=(6, 8), scattered_per_image=(1, 3), seed=14,
         )
         generated = generate_synthetic_dataset(cfg)
@@ -501,8 +503,12 @@ class TestChunkedInference:
         )
         return generated[:5] + [empty] + generated[5:]
 
-    def outcomes(self, monkeypatch, samples, backend, weights, chunk):
-        monkeypatch.setattr(infer_module, "CHUNK_SIZE", chunk)
+    def chunks(self, monkeypatch, samples, budget):
+        monkeypatch.setattr(infer_module, "CHUNK_PAIRS", budget)
+        return infer_module._chunks([len(s.scene.object_boxes) for s in samples])
+
+    def outcomes(self, monkeypatch, samples, backend, weights, budget):
+        monkeypatch.setattr(infer_module, "CHUNK_PAIRS", budget)
         results = run_inference(samples, backend, weights, config(), seed=3)
         return [(r.image_id, r.detections, r.error) for r in results]
 
@@ -512,9 +518,12 @@ class TestChunkedInference:
             for s in samples if s.record.image_id != failing
         ]
         assert min(crops) == 0 and max(crops) > 0
-        assert len(samples) > infer_module.CHUNK_SIZE
-        chunked = self.outcomes(monkeypatch, samples, backend, weights, infer_module.CHUNK_SIZE)
-        assert chunked == self.outcomes(monkeypatch, samples, backend, weights, 1)
+        assert len(self.chunks(monkeypatch, samples, self.BUDGET)) >= 2
+        # a budget of 0 puts every image in a chunk of its own
+        singles = [(i, i + 1) for i in range(len(samples))]
+        assert self.chunks(monkeypatch, samples, 0) == singles
+        chunked = self.outcomes(monkeypatch, samples, backend, weights, self.BUDGET)
+        assert chunked == self.outcomes(monkeypatch, samples, backend, weights, 0)
         errors = {image_id: error for image_id, _, error in chunked if error}
         assert list(errors) == [failing] and "backend exploded" in errors[failing]
         assert sum(len(dets) for _, dets, _ in chunked) > 0
@@ -529,7 +538,9 @@ class TestChunkedInference:
 
     def test_toy_chunks_equal_one_image_per_chunk(self, monkeypatch):
         samples = self.samples()
-        failing = samples[infer_module.CHUNK_SIZE + 4].record.image_id  # mid second chunk
+        start, stop = self.chunks(monkeypatch, samples, self.BUDGET)[1]
+        assert stop - start >= 3
+        failing = samples[(start + stop) // 2].record.image_id  # mid second chunk
 
         class FailingToy(ToyDetector):
             def views(self, scenes, targets=False):
@@ -552,6 +563,51 @@ class TestChunkedInference:
         # the scene without objects has no proposals, hence no detections
         assert backend.views(stack_of([samples[5]])).proposals.shape == (0, 4)
         assert chunked[5] == ("empty", [], None)
+
+
+class TestChunkBudget:
+    """Chunks close by the pair budget: an image with m objects costs
+    ``max(m, 1)**2`` pairs."""
+
+    def test_chunk_exceeds_budget_only_by_its_last_image(self, monkeypatch):
+        budget = 1000
+        monkeypatch.setattr(infer_module, "CHUNK_PAIRS", budget)
+        rng = np.random.default_rng(15)
+        objects = rng.integers(0, 30, 400).tolist()
+        # over the budget by itself, after a short and a closed chunk, and twice in a row
+        objects[50:50] = [40]
+        objects[120:120] = [1, 32, 33, 5]
+        objects += [0, 45]
+        cost = [max(m, 1) ** 2 for m in objects]
+        edges = infer_module._chunks(objects)
+        assert [a for a, _ in edges] == [0] + [b for _, b in edges[:-1]]
+        assert edges[-1][1] == len(objects) and all(a < b for a, b in edges)
+        for k, (a, b) in enumerate(edges):
+            assert sum(cost[a : b - 1]) <= budget
+            if k + 1 < len(edges):
+                # closed after passing the budget, or before an image over it
+                assert sum(cost[a:b]) > budget or cost[b] > budget
+        over = [i for i, c in enumerate(cost) if c > budget]
+        assert len(over) == 4 and all((i, i + 1) in edges for i in over)
+        assert max(b - a for a, b in edges) > 3
+        assert infer_module._chunks([]) == []
+
+    def test_run_inference_runs_those_chunks(self, monkeypatch):
+        samples = TestChunkedInference().samples()
+        monkeypatch.setattr(infer_module, "CHUNK_PAIRS", 700)
+        edges = infer_module._chunks([len(s.scene.object_boxes) for s in samples])
+        sizes = []
+        attempt = infer_module._attempt
+
+        def recording(scenes, *args):
+            sizes.append(len(scenes))
+            return attempt(scenes, *args)
+
+        monkeypatch.setattr(infer_module, "_attempt", recording)
+        backend = OracleBackend(num_base_classes=3, noise=OracleNoiseModel())
+        results = run_inference(samples, backend, None, config())
+        assert sizes == [b - a for a, b in edges] and len(sizes) > 2
+        assert [r.image_id for r in results] == [s.record.image_id for s in samples]
 
 
 class TestPinnedToyInference:

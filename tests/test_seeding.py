@@ -147,15 +147,16 @@ def bits(values):
 
 
 def count_slow_rows(monkeypatch):
-    """Record how many rows each ``rngs_for`` call inside ``normals_for``
-    derives generators for: the rows outside the ziggurat's fast path."""
+    """Record how many generators each ``normals_for`` call builds from
+    its seed words: one per row outside the ziggurat's fast path."""
     calls = []
+    generators = seeding._generators
 
-    def counting(prefix_parts, rows):
-        calls.append(len(rows))
-        return rngs_for(prefix_parts, rows)
+    def counting(words):
+        calls.append(len(words))
+        return generators(words)
 
-    monkeypatch.setattr(seeding, "rngs_for", counting)
+    monkeypatch.setattr(seeding, "_generators", counting)
     return calls
 
 
