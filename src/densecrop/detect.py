@@ -324,7 +324,7 @@ def _run_means(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     length are summed as one block."""
     means = np.empty((len(counts),) + values.shape[1:])
     starts = np.cumsum(counts) - counts
-    for n in np.unique(counts).tolist():
+    for n in sorted(set(counts.tolist())):
         runs = np.flatnonzero(counts == n)
         means[runs] = _pairwise_sum(values[starts[runs, None] + np.arange(n)]) / n
     return means

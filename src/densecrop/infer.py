@@ -57,10 +57,10 @@ RELABELED = "relabeled"
 # (Proposal, object) pairs per batched pass, about (see _chunks): each
 # stage builds and decodes a chunk's views at once, and crop selection and
 # the fusion NMS run once over the chunk's rows. Larger chunks cut
-# per-call overhead but hold more rows. 20k pairs is about 64 desk-scale
-# toy images of 17 objects; past it throughput flattens while peak memory
-# keeps growing. A scene of 142 or more objects runs alone.
-CHUNK_PAIRS = 20_000
+# per-call overhead but hold more rows. 18k pairs is 50 to 70 desk-scale
+# toy images of about 17 objects; past it throughput flattens while peak
+# memory keeps growing. A scene of 135 or more objects runs alone.
+CHUNK_PAIRS = 18_000
 
 
 @dataclass(frozen=True)
