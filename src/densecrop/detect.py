@@ -292,9 +292,9 @@ def oracle_detect(
 # to _PAIRWISE_BLOCK values through 8 accumulators, and longer runs as two
 # halves split near the middle.
 _PAIRWISE_BLOCK = 128
-# (Proposal, object) pairs taken at a time for the means of the rows that
-# cover many objects; bounds those temporaries at about 2 MB.
-_MEAN_PAIRS = 1 << 14
+# Own-scene (proposal, object) pairs tested for overlap at a time; bounds
+# the pair temporaries at about half a MB.
+_BLOCK_PAIRS = 1 << 13
 
 
 def _pairwise_sum(values: np.ndarray) -> np.ndarray:
@@ -330,13 +330,85 @@ def _run_means(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return means
 
 
-def _overlaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Intersection area of each proposal with the object beside it, given
-    as (4, n) x1, y1, x2, y2 rows, by the formula of
-    :func:`~densecrop.geometry.intersection_matrix`; the widths and
-    heights are taken as one (2, n) block."""
-    sides = np.minimum(a[2:4], b[2:4]) - np.maximum(a[:2], b[:2])
-    return np.where((sides > 0.0).all(axis=0), sides[0] * sides[1], 0.0)
+def _object_features(phi, scenes: SceneStack, props, area, row_scene, k: int) -> np.ndarray:
+    """Fill columns 4 to 7 and the payload block of the feature rows
+    ``phi`` from the own-scene objects of each proposal, given as (4, N)
+    x1, y1, x2, y2 rows ``props`` with areas ``area``, and return each
+    row's payload-noise reference area: the mean area of the objects it
+    covers, or its own area if it covers none.
+
+    The pairs are enumerated a block of rows of about ``_BLOCK_PAIRS``
+    pairs at a time, and only the pairs whose boxes meet get the per-pair
+    work. A pair that does not overlap would add only zeros (+0.0, or
+    -0.0 to a payload sum), which never change a sum that starts at +0.0,
+    so summing each row's covered pairs in object order gives the bits
+    of summing all its pairs.
+    """
+    n = len(row_scene)
+    x1, y1, x2, y2 = props
+    # One column per object: its box, area, centre and payloads.
+    objects = scenes.object_boxes
+    table = np.concatenate(
+        [
+            objects.T,
+            box_areas(objects)[None],
+            ((objects[:, :2] + objects[:, 2:]) / 2.0).T,
+            scenes.object_payloads[:, :k].reshape(-1, k).T,
+        ]
+    )
+    # Keep the pairs whose boxes meet in x, then those that also meet in y
+    # (widths and heights of at least 0, by intersection_matrix's formula).
+    # Every pair that overlaps or holds its object's centre is kept, since
+    # a box's centre lies between its corners.
+    pairs = scenes.object_counts[row_scene]
+    cuts = np.flatnonzero(np.diff((np.cumsum(pairs) - pairs) // _BLOCK_PAIRS)) + 1
+    near = []
+    for start, stop in zip([0, *cuts.tolist()], [*cuts.tolist(), n]):
+        item, obj = group_pairs(scenes.object_counts, row_scene[start:stop])
+        iw = np.minimum(np.repeat(x2[start:stop], pairs[start:stop]), table[2].take(obj))
+        iw -= np.maximum(np.repeat(x1[start:stop], pairs[start:stop]), table[0].take(obj))
+        keep = np.flatnonzero(iw >= 0.0)
+        item, obj, iw = item[keep] + start, obj[keep], iw[keep]
+        ih = np.minimum(y2[item], table[3, obj]) - np.maximum(y1[item], table[1, obj])
+        keep = np.flatnonzero(ih >= 0.0)
+        near.append((item[keep], obj[keep], iw[keep], ih[keep]))
+    item, obj, iw, ih = (np.concatenate(v) for v in zip(*near))
+    cx, cy = table[5, obj], table[6, obj]
+    inside = (x1[item] <= cx) & (cx < x2[item]) & (y1[item] <= cy) & (cy < y2[item])
+    centers_inside = np.minimum(np.bincount(item[inside], minlength=n), _CENTER_COUNT_CAP)
+    inter = iw * ih
+    hit = np.flatnonzero(inter > 0.0)
+    item, obj, inter = item[hit], obj[hit], inter[hit]
+    n_covered = np.bincount(item, minlength=n)
+    obj_area = table[4, obj]
+    frac = inter / obj_area
+    best_iou = np.zeros(n)
+    # iou_matrix's formula
+    np.maximum.at(best_iou, item, inter / (area[item] + obj_area - inter))
+
+    # The covered pairs come row by row, each row's in object order, and
+    # bincount adds each bin's weights one after another from 0.0.
+    def row_sums(weights):
+        return np.bincount(item, weights, n)
+
+    frac_sum = row_sums(frac)
+    phi[:, 4] = best_iou
+    phi[:, 5] = np.minimum(row_sums(inter) / area, 1.0)
+    phi[:, 6] = np.log1p(centers_inside) / np.log1p(_CENTER_COUNT_CAP)
+    for c in range(k):
+        phi[:, _GEOM_FEATURES + c] = row_sums(frac * table[7 + c, obj]) / np.maximum(frac_sum, 1.0)
+
+    # np.mean of each row's covered fractions and object areas. numpy sums
+    # fewer than 8 values one after another from 0.0, so those rows' means
+    # are their sums over their counts; rows covering 8 or more take them
+    # from their own covered pairs.
+    means = np.zeros((n, 2))
+    some = n_covered > 0
+    means[some] = np.column_stack([frac_sum, row_sums(obj_area)])[some] / n_covered[some, None]
+    long = n_covered >= 8
+    means[long] = _run_means(np.column_stack([frac, obj_area])[long[item]], n_covered[long])
+    phi[:, 7] = means[:, 0]
+    return np.where(some, means[:, 1], area)
 
 
 def extract_features(
@@ -360,109 +432,42 @@ def extract_features(
     generator seeded by its scene and its coordinates in 1/16 pixels would
     draw; one :func:`normals_for` call draws every row's noise.
 
-    Each row is paired with its own scene's objects only, one object
-    column at a time. The scenes are sorted by object count, largest
-    first, and their rows with them, so the rows that meet object ``j`` of
-    their scene are a prefix. Each column takes object ``j`` of every scene
-    that has one, repeated over the scene's rows, and adds into (N,) and
-    (N, K) accumulators, so every sum over a row's objects runs in object
-    order and no array is sized by proposals times objects. A row covering
-    8 or more objects takes the means of its covered values by numpy's
-    pairwise summation (:func:`_run_means`) over its own pairs, gathered
-    once.
+    Each row is paired with its own scene's objects only, a block of rows
+    at a time, and only the pairs that meet or hold an object's centre are
+    kept (about one in ten on toy scenes): no array is sized by proposals
+    times objects. Every sum over a row's objects runs in object order, and
+    a row covering 8 or more objects takes its means by numpy's pairwise
+    summation (:func:`_run_means`) over its covered pairs.
     """
     k = num_base_classes
     boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
     counts = np.asarray(counts, dtype=np.int64)
-    # Scenes by object count, largest first, and their rows in that order:
-    # the scenes paired with object column j, those with more than j
-    # objects, are a prefix, and so are their rows.
-    by_size = np.argsort(-scenes.object_counts, kind="stable")
-    ranked, order = group_pairs(counts, by_size)
-    row_scene = by_size[ranked]
-    props = np.ascontiguousarray(boxes[order].T)
+    if counts.shape != (len(scenes),) or (counts < 0).any() or counts.sum() != len(boxes):
+        raise InvariantViolation(
+            f"feature counts {counts.tolist()} must give {len(scenes)} scenes their "
+            f"{len(boxes)} proposal rows, none negative"
+        )
+    row_scene = np.repeat(np.arange(len(counts)), counts)
+    props = np.ascontiguousarray(boxes.T)
     x1, y1, x2, y2 = props
     size = scenes.sizes
     width, height = size[row_scene, 0], size[row_scene, 1]
-    area = box_areas(props.T)
-    phi = np.zeros((len(order), feature_dim(k)))
+    area = box_areas(boxes)
+    phi = np.zeros((len(boxes), feature_dim(k)))
     phi[:, 0] = np.log(np.maximum(area, _MIN_SIDE)) / np.log(size[:, 0] * size[:, 1])[row_scene]
     aspect = clip((x2 - x1) / (y2 - y1), 1.0 / _ASPECT_CAP, _ASPECT_CAP)
     phi[:, 1] = np.log(aspect) / np.log(_ASPECT_CAP)
     phi[:, 2] = (x1 + x2) / 2.0 / width
     phi[:, 3] = (y1 + y2) / 2.0 / height
-
-    # One column per object: its box, area, centre and payloads.
-    objects = scenes.object_boxes
-    table = np.concatenate(
-        [
-            objects.T,
-            box_areas(objects)[None],
-            ((objects[:, :2] + objects[:, 2:]) / 2.0).T,
-            scenes.object_payloads[:, :k].reshape(-1, k).T,
-        ]
-    )
-    objects_of = scenes.object_counts[by_size]
-    first = (np.cumsum(scenes.object_counts) - scenes.object_counts)[by_size]
-    rows_of = counts[by_size]
-    active = np.searchsorted(-objects_of, -np.arange(objects_of[0] if len(by_size) else 0))
-    ends = np.cumsum(rows_of)
-    inter_sum, frac_sum, area_sum, best_iou = np.zeros((4, len(order)))
-    n_covered, centers_inside = np.zeros((2, len(order)), dtype=np.int64)
-    payload = np.zeros((k, len(order)))
-    for j, (m, n) in enumerate(zip(active.tolist(), ends[active - 1].tolist())):
-        # Object j of each active scene, repeated over the scene's rows.
-        obj = np.repeat(table.take(first[:m] + j, axis=1), rows_of[:m], axis=1)
-        obj_area = obj[4]
-        inter = _overlaps(props[:, :n], obj)
-        covered = inter > 0.0
-        inter_sum[:n] += inter
-        n_covered[:n] += covered
-        # iou_matrix's formula; an uncovered pair's 0.0 never exceeds the initial 0.0.
-        np.maximum(best_iou[:n], inter / (area[:n] + obj_area - inter), out=best_iou[:n])
-        frac = inter / obj_area
-        frac_sum[:n] += frac
-        np.add(area_sum[:n], obj_area, out=area_sum[:n], where=covered)
-        centre = obj[5:7]
-        centers_inside[:n] += ((props[:2, :n] <= centre) & (centre < props[2:4, :n])).all(axis=0)
-        payload[:, :n] += frac * obj[7:]
-    phi[:, 4] = best_iou
-    phi[:, 5] = np.minimum(inter_sum / area, 1.0)
-    centers_inside = np.minimum(centers_inside, _CENTER_COUNT_CAP)
-    phi[:, 6] = np.log1p(centers_inside) / np.log1p(_CENTER_COUNT_CAP)
-
-    # np.mean of each row's covered fractions and object areas. An
-    # uncovered pair adds +0.0 to the sums, and numpy sums fewer than 8
-    # values one after another from 0.0, so those rows' means are their
-    # sums over their counts.
-    means = np.zeros((len(order), 2))
-    some = n_covered > 0
-    means[some] = np.column_stack([frac_sum, area_sum])[some] / n_covered[some, None]
-    # Rows covering 8 or more take their own pairs again, about
-    # _MEAN_PAIRS pairs at a time.
-    long = np.flatnonzero(n_covered >= 8)
-    pairs = scenes.object_counts[row_scene[long]]
-    cuts = np.flatnonzero(np.diff((np.cumsum(pairs) - pairs) // _MEAN_PAIRS)) + 1
-    for rows in np.split(long, cuts) if len(long) else ():
-        item, pair_obj = group_pairs(scenes.object_counts, row_scene[rows])
-        inter = _overlaps(props[:, rows[item]], table[:4, pair_obj])
-        hit = inter > 0.0
-        obj_area = table[4, pair_obj[hit]]
-        means[rows] = _run_means(np.column_stack([inter[hit] / obj_area, obj_area]), n_covered[rows])
-    phi[:, 7] = means[:, 0]
-
-    phi[:, _GEOM_FEATURES:] = (payload / np.maximum(frac_sum, 1.0)).T
+    ref_area = _object_features(phi, scenes, props, area, row_scene, k)
     if payload_obs_scale > 0:
-        ref_area = np.where(some, means[:, 1], area)
         sigma = payload_obs_scale / np.sqrt(np.maximum(ref_area, 1.0))
         # rint rounds half to even, as round() does; the mask is stable_int's.
-        q = np.rint(props.T * 16.0).astype(np.int64) & 0xFFFFFFFF
+        q = np.rint(boxes * 16.0).astype(np.int64) & 0xFFFFFFFF
         rows = np.column_stack([scenes.seeds[row_scene], np.full(len(q), _PAYLOAD_OBS), q])
         # Generator.normal(0.0, s, K) draws 0.0 + s * z.
         phi[:, _GEOM_FEATURES:] += 0.0 + sigma[:, None] * normals_for((), rows, k)
-    out = np.empty_like(phi)
-    out[order] = phi
-    return out
+    return phi
 
 
 # ---------------------------------------------------------------------------

@@ -169,8 +169,8 @@ def _seed_words(prefix_parts, rows: np.ndarray) -> np.ndarray:
     entropy[: len(prefix)] = np.array(prefix, dtype=np.uint32).reshape(-1, 1)
     entropy[len(prefix) : n] = rows.T
     steps = 1 + _POOL + max(n - _POOL, 0)
-    xor = np.repeat(_STEP_XOR[:steps, :, None], count, axis=2)
-    mul = np.repeat(_STEP_MUL[:steps, :, None], count, axis=2)
+    # Each step's (4, 1) constants broadcast over the rows.
+    xor, mul = _STEP_XOR[:steps, :, None], _STEP_MUL[:steps, :, None]
 
     pool = entropy[:_POOL].copy()
     _hashmix(pool, xor[0], mul[0])

@@ -157,6 +157,11 @@ class TestOracleDetect:
         assert set(without.tolist()) == {0}
 
 
+# A side so thin that the area of a box it bounds underflows to 0.0 when
+# the other side is at most about 1e-153.
+_TINY = 1e-170
+
+
 def features_of(scene, boxes, num_base_classes=4, payload_obs_scale=4.0):
     """extract_features of one scene: a stack of one."""
     return extract_features(
@@ -190,6 +195,19 @@ class TestExtractFeatures:
         boxes = np.array([[0.0, 0.0, 50.0, 50.0], [10.0, 10.0, 20.0, 30.0]])
         assert features_of(sample.scene, boxes).shape == (2, 12)
         assert features_of(sample.scene, np.zeros((0, 4))).shape == (0, 12)
+
+    @pytest.mark.parametrize(
+        "counts", [[40, 38], [40, 40, 0], [80], [82, -2], [], [41, 40]], ids=str
+    )
+    def test_counts_must_give_each_scene_its_rows(self, counts):
+        # One count per scene, none negative, summing to the 80 proposal rows.
+        samples = [scene_sample(seed=5), scene_sample(seed=6)]
+        rng = np.random.default_rng(48)
+        corner = rng.uniform(0.0, 400.0, (80, 2))
+        boxes = np.column_stack([corner, corner + rng.uniform(1.0, 80.0, (80, 2))])
+        assert extract_features(stack_of(samples), boxes, 4, 4.0, [40, 40]).shape == (80, 12)
+        with pytest.raises(InvariantViolation, match="counts"):
+            extract_features(stack_of(samples), boxes, 4, 4.0, counts)
 
 
 class TestPairwiseMeans:
@@ -227,15 +245,16 @@ class TestPairwiseMeans:
 
 
 class TestStreamedFeatures:
-    """The column-streamed feature kernel on random stacks against the
+    """The pair-filtering feature kernel on random stacks against the
     per-proposal loop, and its memory on a dense stack."""
 
     def random_sample(self, rng, image_id, n):
         # Half the objects sit in one tight cluster, so that some proposals
-        # cover many of them; payloads take both signs.
+        # cover many of them; payloads take both signs. A scene of 5 or
+        # more objects also gets degenerate ones.
         width, height = rng.uniform(120.0, 600.0, 2).tolist()
         cx, cy = rng.uniform(0.3, 0.7) * width, rng.uniform(0.3, 0.7) * height
-        objects = []
+        boxes = []
         for i in range(n):
             w, h = rng.uniform(2.0, 40.0, 2).tolist()
             if i % 2:
@@ -243,14 +262,32 @@ class TestStreamedFeatures:
             else:
                 x, y = rng.uniform(0.0, width), rng.uniform(0.0, height)
             x, y = min(max(x, 0.0), width - w), min(max(y, 0.0), height - h)
-            payload = tuple(rng.normal(0.0, 0.6, 4).tolist())
-            objects.append(((x, y, x + w, y + h), int(rng.integers(0, 4)), payload))
+            boxes.append((x, y, x + w, y + h))
+        if n >= 5:
+            boxes += self.degenerate_objects(rng, width, height)
+        objects = [(box, int(rng.integers(0, 4)), tuple(rng.normal(0.0, 0.6, 4).tolist())) for box in boxes]
         scene = scene_spec(width, height, int(rng.integers(0, 2**31)), objects, payload_width=4)
         return SceneSample(ImageRecord(image_id, width, height), scene)
 
+    def degenerate_objects(self, rng, width, height):
+        """Objects one ULP wide or high, whose centre rounds onto an edge,
+        and objects at the origin so thin that their overlaps with
+        proposals there underflow to 0.0 (the last one's area too)."""
+        x, y = rng.uniform(0.0, width / 2.0), rng.uniform(0.0, height / 2.0)
+        w, h = rng.uniform(2.0, 40.0, 2).tolist()
+        x_ulp, y_ulp = float(np.nextafter(x, np.inf)), float(np.nextafter(y, np.inf))
+        return [
+            (x, y, x_ulp, y + h),
+            (x, y, x + w, y_ulp),
+            (0.0, 0.0, _TINY, h),
+            (0.0, 0.0, w, _TINY),
+            (0.0, 0.0, _TINY, _TINY),
+        ]
+
     def random_boxes(self, rng, sample, n):
-        """Random boxes, the whole image, the object boxes and boxes that
-        touch an object's edge."""
+        """Random boxes, the whole image, the object boxes, boxes that
+        touch an object's edge, boxes with a corner on an object's centre
+        (holding it, or not), and thin boxes at the origin."""
         w, h = sample.record.size
         x1, y1 = rng.uniform(0.0, w, n), rng.uniform(0.0, h, n)
         x2, y2 = x1 + rng.uniform(0.5, w / 2.0, n), y1 + rng.uniform(0.5, h / 2.0, n)
@@ -259,20 +296,29 @@ class TestStreamedFeatures:
         objects = sample.scene.object_boxes
         boxes.append(objects[:5])
         boxes.append(np.column_stack([objects[:3, 2], objects[:3, 1], objects[:3, 2] + 5.0, objects[:3, 3]]))
+        if len(objects):
+            picked = objects[np.unique(np.r_[:3, -5:0] % len(objects))]
+            centres = (picked[:, :2] + picked[:, 2:]) / 2.0
+            boxes.append(np.column_stack([centres, centres + 5.0]))
+            below = np.column_stack([np.maximum(centres - 5.0, 0.0), centres])
+            # a box up to the centre of an object at the origin has no area
+            boxes.append(below[np.prod(below[:, 2:] - below[:, :2], axis=1) > 0.0])
+        boxes.append(np.array([[0.0, 0.0, 30.0, _TINY], [0.0, 0.0, _TINY, 30.0], [0.0, 0.0, 30.0, 30.0]]))
         return np.concatenate(boxes)
 
-    @pytest.mark.parametrize("mean_pairs", [None, 40])
-    def test_random_stacks_match_loop(self, mean_pairs, monkeypatch):
-        # With 40 pairs a time, the rows covering many objects take their
-        # pairs in many pieces.
+    @pytest.mark.parametrize("block_pairs", [None, 40])
+    def test_random_stacks_match_loop(self, block_pairs, monkeypatch):
+        # With 40 pairs a block, most blocks hold a row or two, and a row of
+        # more objects than that is a block alone.
         from densecrop import detect as detect_module
         from densecrop.dataset import UpscalePolicy
 
-        if mean_pairs:
-            monkeypatch.setattr(detect_module, "_MEAN_PAIRS", mean_pairs)
+        if block_pairs:
+            monkeypatch.setattr(detect_module, "_BLOCK_PAIRS", block_pairs)
 
         rng = np.random.default_rng(46)
         most_covered = []
+        traps = {"centre without overlap": 0, "underflowing overlap": 0}
         for trial in range(6):
             sizes = rng.choice([0, 0, 1, 1, 2, 5, 9, 17, 40, 150, 170], int(rng.integers(3, 7)))
             samples = [self.random_sample(rng, f"t{trial}-{i}", int(n)) for i, n in enumerate(sizes)]
@@ -294,12 +340,19 @@ class TestStreamedFeatures:
                 ]
                 assert got.tobytes() == np.stack(want).tobytes(), trial
             for s, b in zip(samples, per_scene):
-                if len(s.scene.object_boxes):
-                    covers = intersection_matrix(b, s.scene.object_boxes) > 0.0
+                objects = s.scene.object_boxes
+                if len(objects):
+                    covers = intersection_matrix(b, objects) > 0.0
                     most_covered.append(int(covers.sum(axis=1).max()))
+                    centres = (objects[:, :2] + objects[:, 2:]) / 2.0
+                    inside = ((b[:, None, :2] <= centres) & (centres < b[:, None, 2:])).all(axis=2)
+                    traps["centre without overlap"] += int((inside & ~covers).sum())
+                    sides = np.minimum(b[:, None, 2:], objects[:, 2:]) - np.maximum(b[:, None, :2], objects[:, :2])
+                    traps["underflowing overlap"] += int(((sides > 0.0).all(axis=2) & ~covers).sum())
         # rows on the running-sum, 8-accumulator and halving paths of the means
         assert min(most_covered) < 8 and any(8 <= c <= 128 for c in most_covered)
         assert max(most_covered) > 128
+        assert min(traps.values()) > 0, traps
 
     def test_dense_views_memory_is_bounded(self):
         # 32 dense 1024x1024 scenes of 165..233 objects. Pairing every
@@ -327,6 +380,29 @@ class TestStreamedFeatures:
         views_peak, features_peak = peaks
         assert views_peak <= 166 * 2**20 / 2
         assert features_peak <= 166 * 2**20 / 16
+
+    def test_toy_inference_chunk_memory_is_bounded(self):
+        # The stage-one features of the first chunk that the default pair
+        # budget closes on the first infer_toy benchmark split (57 images,
+        # 1531 proposals). The object-column kernel peaked at 1.22 MiB
+        # there, with nearly half of it in the payload noise.
+        import benchmarks as pinned
+        from densecrop import infer
+
+        samples = generate_synthetic_dataset(pinned.scene_config(1000, 400))
+        start, stop = infer._chunks([len(s.scene.object_boxes) for s in samples])[0]
+        stack = stack_of(samples[start:stop])
+        backend = pinned.make_backend(1)
+        boxes, counts = backend.proposals(stack)
+        backend.features(stack, boxes, counts)
+        tracemalloc.start()
+        try:
+            backend.features(stack, boxes, counts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (stop - start, len(boxes)) == (57, 1531)
+        assert peak <= 1.22 * 2**20
 
 
 def weights_from(layout, cls, reg=None):

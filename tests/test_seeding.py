@@ -1,6 +1,8 @@
 """Batched seed derivation: ``rngs_for`` and ``normals_for`` against
 ``rng_for``, draw for draw."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -99,6 +101,21 @@ class TestRngsFor:
     def test_rows_must_be_2d(self):
         with pytest.raises(InvariantViolation):
             rngs_for([1], np.array([1, 2, 3]))
+
+    def test_seed_words_memory_does_not_copy_constants_per_row(self):
+        # 3400 rows of 6 words, the payload-noise rows of a 128-image
+        # inference chunk. Repeating each step's hash constants over the
+        # rows held two (7, 4, 3400) uint32 arrays and peaked at 1157 KiB
+        # (348 bytes a row); broadcast, the peak is about 124 bytes a row.
+        rows = random_words(np.random.default_rng(47), (3400, 6))
+        seeding._seed_words([], rows)
+        tracemalloc.start()
+        try:
+            seeding._seed_words([], rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 160 * len(rows)
 
 
 class TestIntParts:
