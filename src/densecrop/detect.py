@@ -346,16 +346,8 @@ def _object_features(phi, scenes: SceneStack, props, area, row_scene, k: int) ->
     """
     n = len(row_scene)
     x1, y1, x2, y2 = props
-    # One column per object: its box, area, centre and payloads.
     objects = scenes.object_boxes
-    table = np.concatenate(
-        [
-            objects.T,
-            box_areas(objects)[None],
-            ((objects[:, :2] + objects[:, 2:]) / 2.0).T,
-            scenes.object_payloads[:, :k].reshape(-1, k).T,
-        ]
-    )
+    ox1, oy1, ox2, oy2 = np.ascontiguousarray(objects.T)
     # Keep the pairs whose boxes meet in x, then those that also meet in y
     # (widths and heights of at least 0, by intersection_matrix's formula).
     # Every pair that overlaps or holds its object's centre is kept, since
@@ -365,22 +357,22 @@ def _object_features(phi, scenes: SceneStack, props, area, row_scene, k: int) ->
     near = []
     for start, stop in zip([0, *cuts.tolist()], [*cuts.tolist(), n]):
         item, obj = group_pairs(scenes.object_counts, row_scene[start:stop])
-        iw = np.minimum(np.repeat(x2[start:stop], pairs[start:stop]), table[2].take(obj))
-        iw -= np.maximum(np.repeat(x1[start:stop], pairs[start:stop]), table[0].take(obj))
+        iw = np.minimum(np.repeat(x2[start:stop], pairs[start:stop]), ox2[obj])
+        iw -= np.maximum(np.repeat(x1[start:stop], pairs[start:stop]), ox1[obj])
         keep = np.flatnonzero(iw >= 0.0)
         item, obj, iw = item[keep] + start, obj[keep], iw[keep]
-        ih = np.minimum(y2[item], table[3, obj]) - np.maximum(y1[item], table[1, obj])
+        ih = np.minimum(y2[item], oy2[obj]) - np.maximum(y1[item], oy1[obj])
         keep = np.flatnonzero(ih >= 0.0)
         near.append((item[keep], obj[keep], iw[keep], ih[keep]))
     item, obj, iw, ih = (np.concatenate(v) for v in zip(*near))
-    cx, cy = table[5, obj], table[6, obj]
+    cx, cy = ((objects[obj, :2] + objects[obj, 2:]) / 2.0).T
     inside = (x1[item] <= cx) & (cx < x2[item]) & (y1[item] <= cy) & (cy < y2[item])
     centers_inside = np.minimum(np.bincount(item[inside], minlength=n), _CENTER_COUNT_CAP)
     inter = iw * ih
     hit = np.flatnonzero(inter > 0.0)
     item, obj, inter = item[hit], obj[hit], inter[hit]
     n_covered = np.bincount(item, minlength=n)
-    obj_area = table[4, obj]
+    obj_area = box_areas(objects[obj])
     frac = inter / obj_area
     best_iou = np.zeros(n)
     # iou_matrix's formula
@@ -395,8 +387,9 @@ def _object_features(phi, scenes: SceneStack, props, area, row_scene, k: int) ->
     phi[:, 4] = best_iou
     phi[:, 5] = np.minimum(row_sums(inter) / area, 1.0)
     phi[:, 6] = np.log1p(centers_inside) / np.log1p(_CENTER_COUNT_CAP)
+    payloads = scenes.object_payloads[obj, :k].reshape(-1, k)
     for c in range(k):
-        phi[:, _GEOM_FEATURES + c] = row_sums(frac * table[7 + c, obj]) / np.maximum(frac_sum, 1.0)
+        phi[:, _GEOM_FEATURES + c] = row_sums(frac * payloads[:, c]) / np.maximum(frac_sum, 1.0)
 
     # np.mean of each row's covered fractions and object areas. numpy sums
     # fewer than 8 values one after another from 0.0, so those rows' means
@@ -444,8 +437,8 @@ def extract_features(
     counts = np.asarray(counts, dtype=np.int64)
     if counts.shape != (len(scenes),) or (counts < 0).any() or counts.sum() != len(boxes):
         raise InvariantViolation(
-            f"feature counts {counts.tolist()} must give {len(scenes)} scenes their "
-            f"{len(boxes)} proposal rows, none negative"
+            f"feature counts must give each of {len(scenes)} scenes its rows, none negative, "
+            f"{len(boxes)} in all; got {counts.size} counts summing to {counts.sum()}"
         )
     row_scene = np.repeat(np.arange(len(counts)), counts)
     props = np.ascontiguousarray(boxes.T)

@@ -358,8 +358,8 @@ class TestStreamedFeatures:
         # 32 dense 1024x1024 scenes of 165..233 objects. Pairing every
         # proposal with the stack's largest object count in padded (N, M)
         # and (N, M, K) arrays peaked at 166 MiB in views and in
-        # extract_features alone; the streamed kernel holds (N,) and
-        # (N, K) accumulators and one object column.
+        # extract_features alone; the kernel holds (N,) and (N, K) arrays,
+        # one block of pairs and the pairs that meet.
         cfg = SyntheticConfig(
             num_images=32, width=1024.0, height=1024.0, clusters_per_image=(10, 12),
             objects_per_cluster=(14, 18), scattered_per_image=(10, 20), seed=7,
