@@ -330,32 +330,24 @@ def _run_means(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return means
 
 
-def _object_features(phi, scenes: SceneStack, props, area, row_scene, k: int) -> np.ndarray:
-    """Fill columns 4 to 7 and the payload block of the feature rows
-    ``phi`` from the own-scene objects of each proposal, given as (4, N)
-    x1, y1, x2, y2 rows ``props`` with areas ``area``, and return each
-    row's payload-noise reference area: the mean area of the objects it
-    covers, or its own area if it covers none.
+def _meeting_pairs(scenes: SceneStack, props, row_scene) -> tuple[np.ndarray, ...]:
+    """Row, object, overlap width and overlap height of every pair of a
+    proposal, given as (4, N) x1, y1, x2, y2 rows ``props``, with an object
+    of its own scene whose box meets it: width and height at least 0, by
+    :func:`~densecrop.geometry.intersection_matrix`'s formula. The pairs
+    come row by row, each row's in object order.
 
-    The pairs are enumerated a block of rows of about ``_BLOCK_PAIRS``
-    pairs at a time, and only the pairs whose boxes meet get the per-pair
-    work. A pair that does not overlap would add only zeros (+0.0, or
-    -0.0 to a payload sum), which never change a sum that starts at +0.0,
-    so summing each row's covered pairs in object order gives the bits
-    of summing all its pairs.
+    Every pair that overlaps or holds its object's centre is among them,
+    since a box's centre lies between its corners. The pairs are tested a
+    block of rows of about ``_BLOCK_PAIRS`` pairs at a time, in x first
+    and then in y on those that meet in x.
     """
-    n = len(row_scene)
     x1, y1, x2, y2 = props
-    objects = scenes.object_boxes
-    ox1, oy1, ox2, oy2 = np.ascontiguousarray(objects.T)
-    # Keep the pairs whose boxes meet in x, then those that also meet in y
-    # (widths and heights of at least 0, by intersection_matrix's formula).
-    # Every pair that overlaps or holds its object's centre is kept, since
-    # a box's centre lies between its corners.
+    ox1, oy1, ox2, oy2 = np.ascontiguousarray(scenes.object_boxes.T)
     pairs = scenes.object_counts[row_scene]
     cuts = np.flatnonzero(np.diff((np.cumsum(pairs) - pairs) // _BLOCK_PAIRS)) + 1
     near = []
-    for start, stop in zip([0, *cuts.tolist()], [*cuts.tolist(), n]):
+    for start, stop in zip([0, *cuts.tolist()], [*cuts.tolist(), len(row_scene)]):
         item, obj = group_pairs(scenes.object_counts, row_scene[start:stop])
         iw = np.minimum(np.repeat(x2[start:stop], pairs[start:stop]), ox2[obj])
         iw -= np.maximum(np.repeat(x1[start:stop], pairs[start:stop]), ox1[obj])
@@ -364,15 +356,34 @@ def _object_features(phi, scenes: SceneStack, props, area, row_scene, k: int) ->
         ih = np.minimum(y2[item], oy2[obj]) - np.maximum(y1[item], oy1[obj])
         keep = np.flatnonzero(ih >= 0.0)
         near.append((item[keep], obj[keep], iw[keep], ih[keep]))
-    item, obj, iw, ih = (np.concatenate(v) for v in zip(*near))
-    cx, cy = ((objects[obj, :2] + objects[obj, 2:]) / 2.0).T
+    return tuple(np.concatenate(v) for v in zip(*near))
+
+
+def _object_features(phi, scenes: SceneStack, props, area, row_scene, k: int) -> np.ndarray:
+    """Fill columns 4 to 7 and the payload block of the feature rows
+    ``phi`` from the own-scene objects of each proposal, given as (4, N)
+    x1, y1, x2, y2 rows ``props`` with areas ``area``, and return each
+    row's payload-noise reference area: the mean area of the objects it
+    covers, or its own area if it covers none.
+
+    Only the pairs whose boxes meet (:func:`_meeting_pairs`) get the
+    per-pair work. A pair that does not overlap would add only zeros
+    (+0.0, or -0.0 to a payload sum), which never change a sum that
+    starts at +0.0, so summing each row's covered pairs in object order
+    gives the bits of summing all its pairs.
+    """
+    n = len(row_scene)
+    x1, y1, x2, y2 = props
+    ox1, oy1, ox2, oy2 = scenes.object_boxes.T
+    item, obj, iw, ih = _meeting_pairs(scenes, props, row_scene)
+    cx, cy = (ox1[obj] + ox2[obj]) / 2.0, (oy1[obj] + oy2[obj]) / 2.0
     inside = (x1[item] <= cx) & (cx < x2[item]) & (y1[item] <= cy) & (cy < y2[item])
     centers_inside = np.minimum(np.bincount(item[inside], minlength=n), _CENTER_COUNT_CAP)
     inter = iw * ih
     hit = np.flatnonzero(inter > 0.0)
     item, obj, inter = item[hit], obj[hit], inter[hit]
     n_covered = np.bincount(item, minlength=n)
-    obj_area = box_areas(objects[obj])
+    obj_area = (ox2[obj] - ox1[obj]) * (oy2[obj] - oy1[obj])
     frac = inter / obj_area
     best_iou = np.zeros(n)
     # iou_matrix's formula
@@ -387,9 +398,9 @@ def _object_features(phi, scenes: SceneStack, props, area, row_scene, k: int) ->
     phi[:, 4] = best_iou
     phi[:, 5] = np.minimum(row_sums(inter) / area, 1.0)
     phi[:, 6] = np.log1p(centers_inside) / np.log1p(_CENTER_COUNT_CAP)
-    payloads = scenes.object_payloads[obj, :k].reshape(-1, k)
+    payloads = scenes.object_payloads[:, :k].reshape(-1, k)
     for c in range(k):
-        phi[:, _GEOM_FEATURES + c] = row_sums(frac * payloads[:, c]) / np.maximum(frac_sum, 1.0)
+        phi[:, _GEOM_FEATURES + c] = row_sums(frac * payloads[obj, c]) / np.maximum(frac_sum, 1.0)
 
     # np.mean of each row's covered fractions and object areas. numpy sums
     # fewer than 8 values one after another from 0.0, so those rows' means
