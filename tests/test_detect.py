@@ -385,7 +385,7 @@ class TestStreamedFeatures:
         # The stage-one features of the first chunk that the default pair
         # budget closes on the first infer_toy benchmark split (57 images,
         # 1531 proposals). The object-column kernel peaked at 1.22 MiB
-        # there, with nearly half of it in the payload noise.
+        # there, while drawing the payload noise.
         import benchmarks as pinned
         from densecrop import infer
 
