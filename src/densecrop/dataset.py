@@ -55,7 +55,6 @@ __all__ = [
     "write_split",
     "read_split",
     "make_crop_children",
-    "crop_child_samples",
     "SyntheticConfig",
     "generate_synthetic_dataset",
     "write_scenes",
@@ -606,8 +605,7 @@ def make_crop_children(
     parent order. Its objects are the parent's objects clipped to the crop
     and rescaled; objects left without area drop out. Every (crop, row)
     pair of the stack is projected in one pass, and no record, scene,
-    :class:`Box` or :class:`Provenance` is built (:func:`crop_child_samples`
-    builds them where a caller returns them). A child's seed word is
+    :class:`Box` or :class:`Provenance` is built. A child's seed word is
     ``stable_int(parent seed) ^ stable_int(repr(crop))`` and its id word
     ``stable_int(child id)``, with ``crop`` the row as a tuple of Python
     floats.
@@ -656,38 +654,6 @@ def make_crop_children(
         object_payloads=parents.object_payloads[objects],
         object_counts=np.bincount(obj_crop[visible], minlength=len(rows)),
     )
-
-
-def crop_child_samples(
-    parents: SceneStack, crops: list[np.ndarray], children: SceneStack
-) -> list[SceneSample]:
-    """The children that :func:`make_crop_children` zoomed from ``parents``
-    and ``crops`` as samples: each record carries the child's annotation
-    rows and its crop provenance (the crop :class:`Box` and the upscaled
-    size), each scene its objects and its seed word."""
-    owner = np.repeat(np.arange(len(crops)), [len(rows) for rows in crops]).tolist()
-    rows = _rows([np.asarray(r, dtype=np.float64).reshape(-1, 4) for r in crops], (0, 4)).tolist()
-    ann_at = [0, *np.cumsum(children.counts).tolist()]
-    obj_at = [0, *np.cumsum(children.object_counts).tolist()]
-    samples = []
-    sizes = children.sizes.tolist()
-    for k, (image_id, (width, height)) in enumerate(zip(children.image_ids, sizes)):
-        ann, obj = slice(ann_at[k], ann_at[k + 1]), slice(obj_at[k], obj_at[k + 1])
-        parent = parents.image_ids[owner[k]]
-        provenance = Provenance("crop", parent, crop_box=Box(*rows[k]), upscale_size=(width, height))
-        record = ImageRecord(
-            image_id, width, height, children.boxes[ann], children.classes[ann], provenance
-        )
-        scene = SceneSpec(
-            width,
-            height,
-            children.object_boxes[obj],
-            children.object_classes[obj],
-            children.object_payloads[obj],
-            int(children.seeds[k]),
-        )
-        samples.append(SceneSample(record=record, scene=scene))
-    return samples
 
 
 # ---------------------------------------------------------------------------

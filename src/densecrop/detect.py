@@ -52,6 +52,8 @@ __all__ = [
     "feature_dim",
     "toy_forward",
     "ViewStack",
+    "CHUNK_PAIRS",
+    "chunk_bounds",
     "SupervisedBatch",
     "UnsupervisedBatch",
     "LossResult",
@@ -685,6 +687,34 @@ class OracleBackend(DetectorBackend):
         return oracle_detect(scenes, self.noise, self.num_base_classes)
 
 
+# (Proposal, object) pairs per views call, about (see chunk_bounds): a
+# call builds, featurizes and decodes its scenes' rows at once. Larger
+# chunks cut per-call overhead but hold more rows. 18k pairs is 50 to 70
+# desk-scale toy images of about 17 objects; past it inference throughput
+# flattens while peak memory keeps growing. A scene of 135 or more objects
+# runs alone.
+CHUNK_PAIRS = 18_000
+
+
+def chunk_bounds(objects: list[int]) -> list[tuple[int, int]]:
+    """(start, stop) of each chunk of images with ``objects[i]`` objects in
+    image ``i``. An image with m objects costs about ``max(m, 1)**2`` pairs:
+    its proposals number about its objects and each meets every object. A
+    chunk closes after the image that takes its running cost past
+    :data:`CHUNK_PAIRS`, and an image over the budget by itself runs alone."""
+    edges, start, total = [], 0, 0
+    for i, m in enumerate(objects):
+        cells = max(m, 1) ** 2
+        if cells > CHUNK_PAIRS and i > start:
+            edges.append((start, i))
+            start, total = i, 0
+        total += cells
+        if total > CHUNK_PAIRS:
+            edges.append((start, i + 1))
+            start, total = i + 1, 0
+    return edges + [(start, len(objects))] * (start < len(objects))
+
+
 @dataclass(frozen=True, eq=False)
 class ViewStack:
     """What the toy detector derives from each of several scenes alone,
@@ -702,8 +732,9 @@ class ViewStack:
     Augmentation works on copies of ``phi``, so one view serves every
     visit to its image.
 
-    A single view is a stack of one: :meth:`split` cuts a stack into
-    those, as slices of its rows, and :meth:`of` concatenates stacks.
+    A single view is a stack of one: :meth:`take` gathers views by index,
+    as :meth:`~densecrop.dataset.SceneStack.take` gathers scenes, and :meth:`of` concatenates
+    stacks.
     """
 
     image_ids: tuple
@@ -726,21 +757,20 @@ class ViewStack:
     def height(self) -> np.ndarray:
         return self.sizes[self.row_view, 1]
 
-    def split(self) -> list["ViewStack"]:
-        ends = np.cumsum(self.counts).tolist()
-        rows = [slice(start, end) for start, end in zip([0] + ends[:-1], ends)]
-        return [
-            ViewStack(
-                (image_id,),
-                self.sizes[k : k + 1],
-                self.proposals[own],
-                self.phi[own],
-                self.counts[k : k + 1],
-                None if self.gt_classes is None else self.gt_classes[own],
-                None if self.gt_offsets is None else self.gt_offsets[own],
-            )
-            for k, (image_id, own) in enumerate(zip(self.image_ids, rows))
-        ]
+    def take(self, index) -> "ViewStack":
+        """The stack of views ``index``, in that order; repeats allowed."""
+        index = np.asarray(index, dtype=np.intp).reshape(-1)
+        rows = group_pairs(self.counts, index)[1]
+        targets = self.gt_classes is not None
+        return ViewStack(
+            tuple(self.image_ids[i] for i in index.tolist()),
+            self.sizes[index],
+            self.proposals[rows],
+            self.phi[rows],
+            self.counts[index],
+            self.gt_classes[rows] if targets else None,
+            self.gt_offsets[rows] if targets else None,
+        )
 
     @classmethod
     def of(cls, stacks: list["ViewStack"]) -> "ViewStack":

@@ -20,18 +20,11 @@ import json
 import math
 import os
 from dataclasses import dataclass, field, fields, replace
-from itertools import islice
 
 import numpy as np
 
 from .croplab import CropParams, label_density_crops
-from .dataset import (
-    SceneSample,
-    SceneStack,
-    UpscalePolicy,
-    crop_child_samples,
-    make_crop_children,
-)
+from .dataset import SceneStack, UpscalePolicy, make_crop_children
 from .detect import (
     LossResult,
     ToyDetector,
@@ -39,6 +32,7 @@ from .detect import (
     ViewStack,
     WeightLayout,
     WeightVector,
+    chunk_bounds,
     loss_sup,
     loss_unsup,
 )
@@ -49,6 +43,7 @@ __all__ = [
     "TrainerConfig",
     "TrainerState",
     "IterationLog",
+    "CropCache",
     "burn_in",
     "filter_pseudo_labels",
     "ema_update",
@@ -102,16 +97,20 @@ class TrainerConfig:
             raise ConfigError(f"alpha must be in [0, 1], got {self.alpha}")
         if not (0.0 <= self.tau <= 1.0):
             raise ConfigError(f"tau must be in [0, 1], got {self.tau}")
-        if self.lambda_unsup < 0:
-            raise ConfigError(f"lambda_unsup must be >= 0, got {self.lambda_unsup}")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
-        if self.data_ratio < 0:
-            raise ConfigError("data_ratio must be >= 0")
+        if not (0.0 <= self.lambda_unsup < math.inf):
+            raise ConfigError(f"lambda_unsup must be finite and >= 0, got {self.lambda_unsup}")
+        if not (0.0 < self.learning_rate < math.inf):
+            raise ConfigError(f"learning_rate must be finite and positive, got {self.learning_rate}")
+        if not (0.0 < self.lr_decay_factor < math.inf):
+            raise ConfigError(f"lr_decay_factor must be finite and positive, got {self.lr_decay_factor}")
+        if not (0.0 <= self.data_ratio < math.inf):
+            raise ConfigError(f"data_ratio must be finite and >= 0, got {self.data_ratio}")
         if self.labeled_batch < 1:
             raise ConfigError("labeled_batch must be >= 1")
         if self.crop_recompute_period < 1:
             raise ConfigError("crop_recompute_period must be >= 1")
+        if self.checkpoint_interval is not None and self.checkpoint_interval < 0:
+            raise ConfigError(f"checkpoint_interval must be >= 0, got {self.checkpoint_interval}")
 
     def learning_rate_at(self, iteration: int) -> float:
         if self.lr_decay_iter is not None and iteration > self.lr_decay_iter:
@@ -133,26 +132,49 @@ class IterationLog:
 
 
 @dataclass
-class CropCacheEntry:
-    """One parent's density crops as (K, 4) rows, the iteration that found
-    them, and their upscaled crop children's views, one stack of one each."""
+class CropCache:
+    """The unlabeled pool and its density crops, as arrays.
 
+    ``pool`` holds the P parents' views followed by one view per cached
+    crop; crop ``c`` has parent index ``parent[c]``, (x1, y1, x2, y2) row
+    ``crops[c]`` and view ``P + c``, and a parent's crops sit together in
+    crop order. ``computed_iter[p]`` is the iteration that last labeled
+    parent ``p``'s crops, -1 before any did.
+    """
+
+    pool: ViewStack
+    parent: np.ndarray
     crops: np.ndarray
-    computed_iter: int
-    children: tuple
+    computed_iter: np.ndarray
+
+    @classmethod
+    def of(cls, parents: ViewStack) -> "CropCache":
+        """The cache of a pool of parent views, before any discovery."""
+        never = np.full(len(parents.image_ids), -1, dtype=np.int64)
+        return cls(parents, np.zeros(0, dtype=np.int64), np.zeros((0, 4)), never)
+
+    def positions(self, parents) -> np.ndarray:
+        """The pool positions of each of the increasing ``parents`` followed
+        by its crop children's, in crop order."""
+        picked = np.zeros(len(self.computed_iter), dtype=bool)
+        picked[parents] = True
+        crops = np.flatnonzero(picked[self.parent])
+        order = np.argsort(np.concatenate([parents, self.parent[crops]]), kind="stable")
+        return np.concatenate([parents, len(picked) + crops])[order]
 
 
 @dataclass
 class TrainerState:
     """Everything the training loop owns.
 
-    The teacher weight vector only ever changes through the EMA update.
+    The teacher weight vector only ever changes through the EMA update;
+    ``train`` sets the crop cache once the state exists.
     """
 
     student: WeightVector
     teacher: WeightVector
     iteration: int = 0
-    crop_cache: dict = field(default_factory=dict)
+    crop_cache: CropCache | None = None
     history: list = field(default_factory=list)
 
 
@@ -194,13 +216,12 @@ def _teacher_pseudo_labels(
 
 
 def _student_batch(
-    backend: ToyDetector, teacher: WeightVector, views: list, tau: float, weak_rngs, strong_rngs
+    backend: ToyDetector, teacher: WeightVector, stack: ViewStack, tau: float, weak_rngs, strong_rngs
 ) -> tuple[UnsupervisedBatch, int]:
-    """The student's strong-view batch over ``views`` against the teacher's
-    weak-view pseudo-labels, and the number of pseudo-labels. One teacher
-    pass on the weak views yields both the pseudo-labels and the
+    """The student's strong-view batch over a stack of views against the
+    teacher's weak-view pseudo-labels, and the number of pseudo-labels. One
+    teacher pass on the weak views yields both the pseudo-labels and the
     confident-background mask."""
-    stack = ViewStack.of(views)
     boxes, classes, label_view, probs = _teacher_pseudo_labels(
         backend, teacher, stack, tau, weak_rngs
     )
@@ -242,24 +263,34 @@ def _batch_rngs(config: TrainerConfig, tag: str, iterations: range) -> list:
     return rngs_for((config.seed, tag), np.array(iterations, dtype=np.int64).reshape(-1, 1))
 
 
-def _sample_ids(ids: list, size: int, rng: np.random.Generator) -> list:
-    """Up to ``size`` distinct entries of the sorted ``ids``, drawn by
-    ``rng`` and kept in their sorted order."""
-    if not ids or size <= 0:
+def _sample(n: int, size: int, rng: np.random.Generator) -> list:
+    """Up to ``size`` distinct positions below ``n``, drawn by ``rng``, in
+    increasing order."""
+    if not n or size <= 0:
         return []
-    picked = rng.choice(len(ids), size=min(size, len(ids)), replace=False)
-    return [ids[i] for i in sorted(picked.tolist())]
+    return sorted(rng.choice(n, size=min(size, n), replace=False).tolist())
 
 
 def _supervised_loss(
-    labeled_pool: dict, batch_ids: list, rngs, backend: ToyDetector, weights: WeightVector
+    pool: ViewStack, batch: list, rngs, backend: ToyDetector, weights: WeightVector
 ) -> LossResult:
-    """Supervised loss over one stack of an iteration's labeled views, each
-    weakly augmented with its own generator of ``rngs``. Shared by burn-in
-    and the teacher-student phase so degenerate configs match supervised
-    training bit for bit."""
-    stack = ViewStack.of([labeled_pool[i] for i in batch_ids])
-    return loss_sup(weights, backend.supervised_batch(stack, "weak", rngs))
+    """Supervised loss over the labeled views at positions ``batch`` of the
+    pool, each weakly augmented with its own generator of ``rngs``. Shared
+    by burn-in and the teacher-student phase so degenerate configs match
+    supervised training bit for bit."""
+    return loss_sup(weights, backend.supervised_batch(pool.take(batch), "weak", rngs))
+
+
+def _views(backend: ToyDetector, scenes: SceneStack, targets: bool = False) -> ViewStack:
+    """``backend.views`` of a scene stack, one chunk of scenes at a time as
+    :func:`~densecrop.detect.chunk_bounds` closes them, so a pool's peak
+    memory is that of its largest chunk."""
+    bounds = chunk_bounds(scenes.object_counts.tolist())
+    if len(bounds) <= 1:
+        return backend.views(scenes, targets)
+    return ViewStack.of(
+        [backend.views(scenes.take(np.arange(start, stop)), targets) for start, stop in bounds]
+    )
 
 
 def _apply_step(weights: WeightVector, gradient: np.ndarray, lr: float, iteration: int) -> WeightVector:
@@ -311,21 +342,22 @@ def _iteration_rngs(config: TrainerConfig, iteration: int, labeled_ids: list, un
 
 
 def burn_in(
-    config: TrainerConfig, labeled_pool: dict, backend: ToyDetector
+    config: TrainerConfig, labeled_pool: ViewStack, backend: ToyDetector
 ) -> tuple[WeightVector, list[IterationLog]]:
     """Supervised pre-training; returns the weights that seed both networks.
 
-    ``labeled_pool`` maps image ids to views built with targets."""
-    if not labeled_pool:
+    ``labeled_pool`` is a stack of views built with targets, in the order
+    the batches sample them."""
+    ids = labeled_pool.image_ids
+    if not ids:
         raise DataError("burn-in requires a non-empty labeled set")
     weights = backend.init_weights(config.seed)
     history: list[IterationLog] = []
-    ids = sorted(labeled_pool, key=str)
     iterations = range(1, config.burn_in_iters + 1)
     for iteration, rng in zip(iterations, _batch_rngs(config, "batch-labeled", iterations)):
-        batch_ids = _sample_ids(ids, config.labeled_batch, rng)
-        rngs, _, _ = _iteration_rngs(config, iteration, batch_ids, [])
-        result = _supervised_loss(labeled_pool, batch_ids, rngs, backend, weights)
+        batch = _sample(len(ids), config.labeled_batch, rng)
+        rngs, _, _ = _iteration_rngs(config, iteration, [ids[i] for i in batch], [])
+        result = _supervised_loss(labeled_pool, batch, rngs, backend, weights)
         if not np.isfinite(result.value):
             raise InvariantViolation(f"training diverged at iteration {iteration}")
         weights = _apply_step(
@@ -354,62 +386,55 @@ def burn_in(
 
 def discover_unlabeled_crops(
     state: TrainerState,
-    batch_ids: list,
-    unlabeled_parents: dict,
-    parent_scenes: SceneStack,
+    batch: list,
+    parents: SceneStack,
     backend: ToyDetector,
     config: TrainerConfig,
 ) -> None:
     """Label density crops on unlabeled images from teacher pseudo-labels.
 
-    ``unlabeled_parents`` maps image id to the parent's view, a stack of
-    one, and ``parent_scenes`` holds the parents' scenes. Runs on the
-    given batch's parent images plus any cache entry older than the
-    recompute period. The teacher decodes those parents in one stack, and
-    one :func:`label_density_crops` call labels the base-class
-    pseudo-labels of all of them as a stack of images. Each parent gets a
-    new cache entry holding its crops and its crop children's views; one
-    :func:`make_crop_children` zoom of their scenes builds the children of
-    all of them and one ``views`` call their views, skipped when no parent
-    has a crop. A recomputed parent can hand an old child
-    id to a different crop, and its new entry holds the new crop's view.
-    Before ``crop_start_iter`` the cache is left untouched.
+    ``parents`` holds the scenes of ``state.crop_cache``'s parents, and
+    ``batch`` the positions of the iteration's sampled parents. A pass
+    targets those never labeled plus every parent labeled at least
+    ``crop_recompute_period`` iterations ago. The teacher decodes the
+    targets' views in one stack, and one :func:`label_density_crops` call
+    labels the base-class pseudo-labels of all of them. The pass drops the
+    targets' old crops and child views and appends the new ones: one
+    :func:`make_crop_children` zoom and one chunked ``views`` call, skipped
+    when no target has a crop. A recomputed parent can hand an old child
+    id to a different crop; its child view is the new crop's. Before
+    ``crop_start_iter`` the cache is left untouched.
     """
     if state.iteration < config.crop_start_iter:
         return
-    stale = [
-        image_id
-        for image_id, entry in state.crop_cache.items()
-        if state.iteration - entry.computed_iter >= config.crop_recompute_period
-    ]
-    targets = sorted(
-        {i for i in batch_ids if i in unlabeled_parents and i not in state.crop_cache}
-        | set(stale),
-        key=str,
-    )
-    if not targets:
+    cache = state.crop_cache
+    labeled_at = cache.computed_iter
+    due = (labeled_at >= 0) & (labeled_at <= state.iteration - config.crop_recompute_period)
+    due[[p for p in batch if labeled_at[p] < 0]] = True
+    targets = np.flatnonzero(due)
+    if not len(targets):
         return
-    parents = ViewStack.of([unlabeled_parents[image_id] for image_id in targets])
+    stack = cache.pool.take(targets)
     rngs = _augment_rngs(
-        [(_aug_seed(config.seed, "crop-detect", state.iteration, i), "weak") for i in targets]
+        [(_aug_seed(config.seed, "crop-detect", state.iteration, i), "weak") for i in stack.image_ids]
     )
     boxes, classes, label_view, _ = _teacher_pseudo_labels(
-        backend, state.teacher, parents, config.tau, rngs
+        backend, state.teacher, stack, config.tau, rngs
     )
     base = classes < backend.num_base_classes
-    crops = label_density_crops(
-        boxes[base],
-        parents.sizes,
-        config.crop_params,
-        np.bincount(label_view[base], minlength=len(targets)),
-    )
-    where = {image_id: k for k, image_id in enumerate(parent_scenes.image_ids)}
-    scenes = parent_scenes.take([where[image_id] for image_id in targets])
-    children = make_crop_children(scenes, crops, config.upscale)
-    views = iter(backend.views(children).split() if len(children) else ())
-    for image_id, image_crops in zip(targets, crops):
-        own = tuple(islice(views, len(image_crops)))
-        state.crop_cache[image_id] = CropCacheEntry(image_crops, state.iteration, own)
+    counts = np.bincount(label_view[base], minlength=len(targets))
+    crops = label_density_crops(boxes[base], stack.sizes, config.crop_params, counts)
+    drop = due[cache.parent]
+    if drop.any():
+        keep = np.flatnonzero(~drop) + len(parents)
+        cache.pool = cache.pool.take(np.concatenate([np.arange(len(parents)), keep]))
+    new_parent = np.repeat(targets, [len(rows) for rows in crops])
+    if len(new_parent):
+        children = make_crop_children(parents.take(targets), crops, config.upscale)
+        cache.pool = ViewStack.of([cache.pool, _views(backend, children)])
+    cache.parent = np.concatenate([cache.parent[~drop], new_parent])
+    cache.crops = np.concatenate([cache.crops[~drop], *crops])
+    cache.computed_iter[targets] = state.iteration
 
 
 # ---------------------------------------------------------------------------
@@ -419,37 +444,38 @@ def discover_unlabeled_crops(
 
 def prepare_labeled_pool(
     samples: dict, labeled_ids, config: TrainerConfig, backend: ToyDetector
-) -> dict:
-    """Labeled pool; with ``crops_on_labeled`` each image also contributes
-    upscaled crop children and gains crop-class annotation rows. The crops
-    of every labeled image come from one :func:`label_density_crops` call
-    over the stack of their base-class annotation rows, and their children
-    from one :func:`make_crop_children` zoom, built as samples for the
-    pool."""
+) -> ViewStack:
+    """The labeled pool: the views, with targets, of the labeled images in
+    sorted-``str`` id order.
+
+    With ``crops_on_labeled`` every image also gains crop-class annotation
+    rows after its own, and its upscaled crop children, named
+    ``{id}:crop{k}``, join the pool in the same id order. The crops of
+    every labeled image come from one :func:`label_density_crops` call over
+    the stack of their base-class annotation rows, and their children from
+    one :func:`make_crop_children` zoom; no sample is built for them."""
     ids = sorted(labeled_ids, key=str)
+    stack = SceneStack.of([samples[i] for i in ids])
     if not config.crops_on_labeled:
-        return {image_id: samples[image_id] for image_id in ids}
-    parents = [samples[i] for i in ids]
-    stack = SceneStack.of(parents)
+        return _views(backend, stack, targets=True)
+    image = np.repeat(np.arange(len(ids)), stack.counts)
     base = stack.classes < backend.num_base_classes
-    per_image = label_density_crops(
-        stack.boxes[base],
-        stack.sizes,
-        config.crop_params,
-        np.bincount(np.repeat(np.arange(len(ids)), stack.counts)[base], minlength=len(ids)),
+    counts = np.bincount(image[base], minlength=len(ids))
+    crops = label_density_crops(stack.boxes[base], stack.sizes, config.crop_params, counts)
+    added = np.array([len(rows) for rows in crops], dtype=np.int64)
+    # each image's crop-class rows right after its own rows
+    rows = np.argsort(np.concatenate([image, np.repeat(np.arange(len(ids)), added)]), kind="stable")
+    parents = replace(
+        stack,
+        boxes=np.concatenate([stack.boxes, *crops])[rows],
+        classes=np.concatenate([stack.classes, np.full(added.sum(), backend.crop_class_id)])[rows],
+        counts=stack.counts + added,
     )
-    zoomed = make_crop_children(stack, per_image, config.upscale)
-    children = iter(crop_child_samples(stack, per_image, zoomed))
-    pool: dict = {}
-    for image_id, parent, crops in zip(ids, parents, per_image):
-        pool.update((child.record.image_id, child) for child in islice(children, len(crops)))
-        record = replace(
-            parent.record,
-            boxes=np.concatenate([parent.record.boxes, crops]),
-            classes=np.concatenate([parent.record.classes, np.full(len(crops), backend.crop_class_id)]),
-        )
-        pool[image_id] = SceneSample(record=record, scene=parent.scene)
-    return pool
+    pool = _views(backend, parents, True)
+    children = make_crop_children(stack, crops, config.upscale)
+    if len(children):
+        pool = ViewStack.of([pool, _views(backend, children, True)])
+    return pool.take(sorted(range(len(pool.image_ids)), key=lambda k: str(pool.image_ids[k])))
 
 
 def train(
@@ -466,60 +492,36 @@ def train(
     which ids contribute supervised loss. Per-iteration losses,
     pseudo-label counts, and crop-cache sizes land in ``state.history``.
 
-    The samples convert to :class:`~densecrop.dataset.SceneStack` rows
-    once: the labeled pool's and the unlabeled parents', one stack each.
-    Each training image's proposals and base features are computed once
-    per call, in a view (a :class:`ViewStack` of one) that lives only as
-    long as the call: the labeled pool's views and the unlabeled parents'
-    views are built up front, one ``views`` call on each stack. A crop
-    discovery pass zooms the scenes of all its parents with one
-    :func:`make_crop_children` call and builds the children's views in one
-    more ``views`` call; no sample, record or scene object is built for
-    them. It stores the views in their parents' crop-cache entries, so a
-    recomputed entry brings the views of its new crops, even under an id
-    an earlier, different crop used, and the old views leave with the old
-    entry.
-
-    Each iteration works on two :class:`ViewStack` objects, ragged stacks
-    of views' proposals, features and (for labeled views) targets. The
-    supervised batch is one stack of the sampled labeled views, weakly
-    augmented in one call against their concatenated targets. The
-    unlabeled views (each sampled parent followed by its cache entry's
-    children) form the other stack. The teacher decodes every weak view at
-    once into per-proposal boxes and probabilities; the pseudo-labels are
-    the emitted (proposal, class) entries scoring above ``tau``, kept as
-    box, class and view-index arrays, and each proposal of the student's
-    strong views is matched only against the pseudo-labels of its own view
-    by the same ``assign_targets`` kernel that gave the labeled views
-    their targets. Crop discovery makes the same stacked decode over its
-    targets. One ``rngs_for`` call per iteration derives every ``augment``
-    generator (labeled weak, teacher weak, student strong), each view
-    drawing from its own. The generators that sample each iteration's
-    labeled and unlabeled batch, ``rng_for(seed, "batch-labeled" or
-    "batch-unlabeled", iteration)``, come from one ``rngs_for`` call per
-    tag before the loop (and one in burn-in). No ``Detection`` is built in
-    the loop.
+    Each pool is one :class:`ViewStack`, built a chunk of scenes at a time
+    (:func:`_views`): the labeled pool (:func:`prepare_labeled_pool`), and
+    the unlabeled parents' views followed by one view per cached crop
+    (:class:`CropCache`). A batch is a ``take`` of pool positions: the
+    sampled labeled views, or each sampled unlabeled parent followed by
+    its crop children. The teacher decodes a batch's weak views in one
+    stack, and its pseudo-labels train the student's strong views of it.
+    Every generator derives from ``(config.seed, purpose, iteration, image
+    id)``, so the run is bit-reproducible.
 
     With ``checkpoint_dir`` set and ``config.checkpoint_interval`` enabled,
-    intermediate checkpoints are written there; ``resume_from`` restores
-    weights and the iteration counter from such a checkpoint and continues
-    the schedule. Per-iteration randomness is derived statelessly, so the
-    remaining iterations replay exactly as long as the checkpoint precedes
-    ``crop_start_iter``. The unlabeled crop cache is not checkpointed: it
-    rebuilds as images are revisited, so a run resumed after crop
-    discovery started diverges from the uninterrupted one.
+    intermediate checkpoints are written there. ``resume_from`` restores
+    the weights and the iteration from such a checkpoint, whose weight
+    layout must be the backend's. A checkpoint holds no crop cache, so a
+    resumed run replays the uninterrupted one exactly only from before
+    ``crop_start_iter``; after it, the cache starts empty and the runs
+    diverge.
     """
-    labeled = prepare_labeled_pool(samples, split.labeled_ids, config, backend)
-    if not labeled:
+    if not split.labeled_ids:
         raise DataError("training requires at least one labeled image")
-    labeled_views = backend.views(SceneStack.of(labeled.values()), targets=True)
-    labeled_pool = dict(zip(labeled, labeled_views.split()))
-    unlabeled_ids = sorted(split.unlabeled_ids, key=str)
-    unlabeled = SceneStack.of([samples[i] for i in unlabeled_ids])
-    unlabeled_parents = dict(zip(unlabeled_ids, backend.views(unlabeled).split()))
+    labeled = prepare_labeled_pool(samples, split.labeled_ids, config, backend)
+    unlabeled = SceneStack.of([samples[i] for i in sorted(split.unlabeled_ids, key=str)])
 
     if resume_from is not None:
         header, student, teacher = read_checkpoint(resume_from)
+        if student.layout != backend.layout:
+            raise DataError(
+                f"checkpoint {resume_from} layout {student.layout} does not match "
+                f"the detector's {backend.layout}"
+            )
         start_iter = int(header.get("iteration", 0))
         if start_iter < config.burn_in_iters:
             raise DataError(
@@ -528,15 +530,16 @@ def train(
             )
         state = TrainerState(student=student, teacher=teacher, iteration=start_iter)
     else:
-        weights, history = burn_in(config, labeled_pool, backend)
+        weights, history = burn_in(config, labeled, backend)
         state = TrainerState(
             student=weights,
             teacher=weights,
             iteration=config.burn_in_iters,
             history=history,
         )
+    state.crop_cache = cache = CropCache.of(_views(backend, unlabeled))
 
-    sorted_labeled = sorted(labeled_pool, key=str)
+    n_unlabeled = round(config.data_ratio * config.labeled_batch) if config.lambda_unsup > 0.0 else 0
     iterations = range(state.iteration + 1, config.max_iters + 1)
     for iteration, labeled_rng, unlabeled_rng in zip(
         iterations,
@@ -544,27 +547,20 @@ def train(
         _batch_rngs(config, "batch-unlabeled", iterations),
     ):
         state.iteration = iteration
-        labeled_ids = _sample_ids(sorted_labeled, config.labeled_batch, labeled_rng)
+        labeled_batch = _sample(len(labeled.image_ids), config.labeled_batch, labeled_rng)
 
         unsup_value = 0.0
         pseudo_total = 0
-        batch_parents: list = []
-        views: list = []
-        n_unlabeled = round(config.data_ratio * config.labeled_batch)
-        if config.lambda_unsup > 0.0 and unlabeled_parents and n_unlabeled > 0:
-            # Sample parent images; each brings its cached crop children
-            # along as extra views of the same content.
-            batch_parents = _sample_ids(unlabeled_ids, n_unlabeled, unlabeled_rng)
-            for parent_id in batch_parents:
-                entry = state.crop_cache.get(parent_id)
-                views += [unlabeled_parents[parent_id], *(entry.children if entry else ())]
-        batch_ids = [view.image_ids[0] for view in views]
+        # Sampled parent images bring their cached crop children along as
+        # extra views of the same content.
+        batch_parents = _sample(len(unlabeled), n_unlabeled, unlabeled_rng)
+        views = cache.pool.take(cache.positions(batch_parents))
         sup_rngs, weak_rngs, strong_rngs = _iteration_rngs(
-            config, iteration, labeled_ids, batch_ids
+            config, iteration, [labeled.image_ids[i] for i in labeled_batch], views.image_ids
         )
-        sup = _supervised_loss(labeled_pool, labeled_ids, sup_rngs, backend, state.student)
+        sup = _supervised_loss(labeled, labeled_batch, sup_rngs, backend, state.student)
         gradient = sup.gradient
-        if views:
+        if views.image_ids:
             batch, pseudo_total = _student_batch(
                 backend, state.teacher, views, config.tau, weak_rngs, strong_rngs
             )
@@ -581,9 +577,7 @@ def train(
 
         state.teacher = ema_update(state.teacher, state.student, config.alpha)
 
-        discover_unlabeled_crops(
-            state, batch_parents, unlabeled_parents, unlabeled, backend, config
-        )
+        discover_unlabeled_crops(state, batch_parents, unlabeled, backend, config)
 
         # Pseudo-labels found on a crop child count toward its parent, so
         # pseudo_per_image measures the label supply per unlabeled dataset
@@ -597,8 +591,8 @@ def train(
                 loss_sup_reg=sup.reg_term,
                 loss_unsup=unsup_value,
                 pseudo_per_image=pseudo_total / len(batch_parents) if batch_parents else 0.0,
-                unlabeled_images=len(batch_ids),
-                crops_cached=sum(len(e.crops) for e in state.crop_cache.values()),
+                unlabeled_images=len(views.image_ids),
+                crops_cached=len(cache.crops),
             )
         )
 

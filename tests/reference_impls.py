@@ -932,10 +932,43 @@ def scene_stack(*scenes):
     )
 
 
+def zoomed_samples(parents, crops: list, children) -> list:
+    """The children that ``make_crop_children`` zoomed from the stack
+    ``parents`` and ``crops`` as samples: each record carries the child's
+    annotation rows and its crop provenance (the crop ``Box`` and the
+    upscaled size), each scene its objects and its seed word."""
+    from densecrop.dataset import ImageRecord, Provenance, SceneSample, SceneSpec
+    from densecrop.geometry import Box
+
+    groups = [np.asarray(r, dtype=np.float64).reshape(-1, 4) for r in crops]
+    owner = np.repeat(np.arange(len(groups)), [len(r) for r in groups]).tolist()
+    rows = np.concatenate(groups or [np.zeros((0, 4))]).tolist()
+    ann_at = [0, *np.cumsum(children.counts).tolist()]
+    obj_at = [0, *np.cumsum(children.object_counts).tolist()]
+    samples = []
+    for k, (image_id, (width, height)) in enumerate(zip(children.image_ids, children.sizes.tolist())):
+        ann, obj = slice(ann_at[k], ann_at[k + 1]), slice(obj_at[k], obj_at[k + 1])
+        parent = parents.image_ids[owner[k]]
+        provenance = Provenance("crop", parent, crop_box=Box(*rows[k]), upscale_size=(width, height))
+        record = ImageRecord(
+            image_id, width, height, children.boxes[ann], children.classes[ann], provenance
+        )
+        scene = SceneSpec(
+            width,
+            height,
+            children.object_boxes[obj],
+            children.object_classes[obj],
+            children.object_payloads[obj],
+            int(children.seeds[k]),
+        )
+        samples.append(SceneSample(record=record, scene=scene))
+    return samples
+
+
 def child_samples(parents: list, crops: list, policy) -> list:
     """The ``SceneSample`` children of ``make_crop_children`` on the stack
-    of ``parents``, built by ``crop_child_samples``."""
-    from densecrop.dataset import crop_child_samples, make_crop_children
+    of ``parents``, built by ``zoomed_samples``."""
+    from densecrop.dataset import make_crop_children
 
     stack = stack_of(parents)
-    return crop_child_samples(stack, crops, make_crop_children(stack, crops, policy))
+    return zoomed_samples(stack, crops, make_crop_children(stack, crops, policy))

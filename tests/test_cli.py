@@ -631,6 +631,48 @@ class TestExitCodes:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("flag, value", [("--data-ratio", "nan"), ("--checkpoint-interval", "-10")])
+    def test_bad_trainer_value_is_config_error(self, workspace, tmp_path, flag, value):
+        code = run(
+            [
+                "train",
+                "--annotations", str(workspace["annotations"]),
+                "--scenes", str(workspace["scenes"]),
+                "--split", str(workspace["split"]),
+                "--out", str(tmp_path / "t"),
+                "--burn-in-iters", "5",
+                "--max-iters", "10",
+                "--crop-start-iter", "8",
+                "--learning-rate", "0.01",
+                flag, value,
+            ]
+        )
+        assert code == 2
+
+    def test_resume_from_another_layout_is_data_error(self, workspace, tmp_path, capsys):
+        # the workspace has three classes; the checkpoint was saved with five
+        from densecrop import teacher
+
+        weights = detect.ToyDetector(detect.ToyDetectorConfig(num_base_classes=5)).init_weights(0)
+        ckpt = tmp_path / "five.txt"
+        teacher.write_checkpoint(ckpt, weights, weights, 6, 5)
+        code = run(
+            [
+                "train",
+                "--annotations", str(workspace["annotations"]),
+                "--scenes", str(workspace["scenes"]),
+                "--split", str(workspace["split"]),
+                "--out", str(tmp_path / "t"),
+                "--burn-in-iters", "5",
+                "--max-iters", "10",
+                "--crop-start-iter", "8",
+                "--learning-rate", "0.01",
+                "--resume", str(ckpt),
+            ]
+        )
+        assert code == 3
+        assert "layout" in capsys.readouterr().err
+
     def test_data_error_is_three(self, tmp_path):
         code = run(
             [

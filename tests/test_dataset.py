@@ -15,7 +15,6 @@ from densecrop.dataset import (
     SyntheticConfig,
     UpscalePolicy,
     generate_synthetic_dataset,
-    crop_child_samples,
     load_annotations,
     make_crop_children,
     read_scenes,
@@ -40,6 +39,7 @@ from reference_impls import (
     make_crop_children_per_child,
     scene_spec,
     stack_of,
+    zoomed_samples,
 )
 
 # `dataset gen --num-images 12 --seed 5`, and that dataset tiled by
@@ -712,7 +712,7 @@ class TestZoom:
             assert got.object_counts.tolist() == [len(w.scene.object_boxes) for w in want]
             # Provenance (the crop Box and the upscaled size) and the
             # records and scenes built where a caller returns them.
-            assert_same_samples(crop_child_samples(stack, crops, got), want)
+            assert_same_samples(zoomed_samples(stack, crops, got), want)
             for parent, rows in zip(parents, crops):
                 overlap = intersection_matrix(parent.scene.object_boxes, rows) if len(rows) else []
                 outside += int(np.count_nonzero(np.asarray(overlap) == 0.0))

@@ -26,6 +26,7 @@ from densecrop.detect import (
     WeightLayout,
     WeightVector,
     assign_targets,
+    chunk_bounds,
     extract_features,
     feature_dim,
     loss_sup,
@@ -61,6 +62,7 @@ from reference_impls import (
     scene_spec,
     scene_stack,
     stack_of,
+    zoomed_samples,
 )
 
 
@@ -387,10 +389,8 @@ class TestStreamedFeatures:
         # 1531 proposals). The object-column kernel peaked at 1.22 MiB
         # there, while drawing the payload noise.
         import benchmarks as pinned
-        from densecrop import infer
-
         samples = generate_synthetic_dataset(pinned.scene_config(1000, 400))
-        start, stop = infer._chunks([len(s.scene.object_boxes) for s in samples])[0]
+        start, stop = chunk_bounds([len(s.scene.object_boxes) for s in samples])[0]
         stack = stack_of(samples[start:stop])
         backend = pinned.make_backend(1)
         boxes, counts = backend.proposals(stack)
@@ -942,8 +942,8 @@ class TestArrayKernelsMatchLoops:
     def test_views_of_a_mixed_batch_equal_views_of_one(self):
         # Every view of one batched pass, bit for bit, against the view of
         # its sample alone and the per-image proposals it replaced. The
-        # views split off the stack are read-only slices of its rows, and
-        # the stack's derived rows (view index, image size) are the views'.
+        # stack's rows are read-only, and its derived rows (view index,
+        # image size) are those of the views taken from it.
         def same_bits(a, b):
             return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
@@ -952,7 +952,7 @@ class TestArrayKernelsMatchLoops:
             backend = ToyDetector(replace(self.backend().config, background_proposals=background))
             for targets in (True, False):
                 stack = backend.views(stack_of(samples), targets=targets)
-                views = stack.split()
+                views = [stack.take([k]) for k in range(len(samples))]
                 ids = tuple(s.record.image_id for s in samples)
                 assert stack.image_ids == ids and [v.image_ids for v in views] == [(i,) for i in ids]
                 assert stack.sizes.tolist() == [list(s.record.size) for s in samples]
@@ -964,15 +964,12 @@ class TestArrayKernelsMatchLoops:
                     assert same_bits(view.phi, alone.phi)
                     assert rows(view.proposals) == proposals_ref(backend, sample)
                     assert view.counts.tolist() == [len(view.proposals)]
-                    for name in arrays:
-                        got = getattr(view, name)
-                        assert np.shares_memory(got, getattr(stack, name)) or not len(got)
-                        assert not got.flags.writeable
                     if targets:
                         assert same_bits(view.gt_classes, alone.gt_classes)
                         assert same_bits(view.gt_offsets, alone.gt_offsets)
                     else:
                         assert view.gt_classes is None and alone.gt_classes is None
+                assert not any(getattr(stack, name).flags.writeable for name in arrays)
                 assert len({s.record.size for s in samples}) > 2  # parents and children
                 row_view = np.concatenate([v.row_view + k for k, v in enumerate(views)])
                 assert same_bits(stack.row_view, row_view)
@@ -985,14 +982,42 @@ class TestArrayKernelsMatchLoops:
                 assert stack.height.tolist() == np.repeat(
                     [s.record.height for s in samples], stack.counts
                 ).tolist()
-                rejoined = ViewStack.of(views)
-                for name in arrays:
-                    assert same_bits(getattr(rejoined, name), getattr(stack, name))
             dense, empty = views[0], views[2]
             covers = (intersection_matrix(dense.proposals, samples[0].scene.object_boxes) > 0.0)
             assert covers.sum(axis=1).max() >= 8  # np.mean path of the covered means
             assert len(empty.proposals) == background
-        assert backend.views(stack_of([])).split() == []
+        assert backend.views(stack_of([])).image_ids == ()
+
+    def test_take_gathers_views_by_index(self):
+        # take, the inverse of of: the views at the given positions in that
+        # order, repeats allowed, with or without targets; an empty take is
+        # an empty stack, and the stacks of single takes rejoin the stack.
+        def same_bits(a, b):
+            return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+        samples = self.mixed_batch()
+        backend = self.backend()
+        for targets in (True, False):
+            stack = backend.views(stack_of(samples), targets=targets)
+            arrays = ("proposals", "phi") + (("gt_classes", "gt_offsets") if targets else ())
+            ends = np.cumsum(stack.counts)
+            own = [slice(end - n, end) for end, n in zip(ends.tolist(), stack.counts.tolist())]
+            last = len(samples) - 1
+            for index in ([3, 0, 3, last, 2], [last, last], [], list(range(len(samples)))):
+                taken = stack.take(index)
+                assert taken.image_ids == tuple(stack.image_ids[i] for i in index)
+                assert same_bits(taken.sizes, stack.sizes[index].reshape(-1, 2))
+                assert same_bits(taken.counts, stack.counts[index])
+                for name in arrays:
+                    rows = [getattr(stack, name)[own[i]] for i in index]
+                    want = np.concatenate(rows) if rows else getattr(stack, name)[:0]
+                    assert same_bits(getattr(taken, name), want)
+                if not targets:
+                    assert taken.gt_classes is None and taken.gt_offsets is None
+                assert same_bits(taken.row_view, np.repeat(np.arange(len(index)), taken.counts))
+            rejoined = ViewStack.of([stack.take([k]) for k in range(len(samples))])
+            for name in ("sizes", "counts") + arrays:
+                assert same_bits(getattr(rejoined, name), getattr(stack, name))
 
     def test_views_label_their_parents_crops_in_one_call(self, monkeypatch):
         # One stacked labeling call per views call, over the non-crop
@@ -1040,7 +1065,7 @@ class TestArrayKernelsMatchLoops:
         # proposals, features and toy and oracle detections are those of
         # the scene alone, and a child's are those of its materialized
         # sample, so no record or scene object is needed on the way.
-        from densecrop.dataset import UpscalePolicy, crop_child_samples, make_crop_children
+        from densecrop.dataset import UpscalePolicy, make_crop_children
 
         dense, other, _ = self.samples()
         parents = stack_of([dense, other, dense])
@@ -1050,7 +1075,7 @@ class TestArrayKernelsMatchLoops:
             np.array([[100.0, 100.0, 300.0, 260.0]]),
         ]
         zoomed = make_crop_children(parents, crops, UpscalePolicy("factor", factor=2.0))
-        children = crop_child_samples(parents, crops, zoomed)
+        children = zoomed_samples(parents, crops, zoomed)
         mixed = stack_of([dense, children[0], other, *children[1:]])
         assert mixed.crop.tolist() == [False, True, False] + [True] * (len(children) - 1)
         backend = self.backend()

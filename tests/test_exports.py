@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import densecrop
-from densecrop import croplab, detect
+from densecrop import croplab, dataset, detect, teacher
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(densecrop.__path__))
 
@@ -30,6 +30,14 @@ def test_detector_contract_is_detect_batch():
     assert detect.DetectorBackend.__abstractmethods__ == {"detect_batch"}
     for backend in (detect.DetectorBackend, detect.OracleBackend, detect.ToyDetector):
         assert not hasattr(backend, "detect") and not hasattr(backend, "detect_arrays")
+
+
+def test_training_pools_are_stacks_gathered_by_index():
+    # a pool is one view stack that batches take rows from, and the crop
+    # cache is arrays: no per-view stacks, cache entries or child samples
+    assert hasattr(detect.ViewStack, "take") and not hasattr(detect.ViewStack, "split")
+    assert not hasattr(teacher, "CropCacheEntry")
+    assert not hasattr(dataset, "crop_child_samples")
 
 
 @pytest.mark.parametrize(

@@ -16,6 +16,7 @@ from densecrop.dataset import (
     UpscalePolicy,
     generate_synthetic_dataset,
 )
+from densecrop import detect as detect_module
 from densecrop import infer as infer_module
 from densecrop.detect import (
     OracleBackend,
@@ -23,6 +24,7 @@ from densecrop.detect import (
     ToyDetector,
     ToyDetectorConfig,
     WeightVector,
+    chunk_bounds,
 )
 from densecrop.errors import ConfigError, InvariantViolation
 from densecrop.geometry import Box, Detection, detections_from_arrays
@@ -504,11 +506,11 @@ class TestChunkedInference:
         return generated[:5] + [empty] + generated[5:]
 
     def chunks(self, monkeypatch, samples, budget):
-        monkeypatch.setattr(infer_module, "CHUNK_PAIRS", budget)
-        return infer_module._chunks([len(s.scene.object_boxes) for s in samples])
+        monkeypatch.setattr(detect_module, "CHUNK_PAIRS", budget)
+        return chunk_bounds([len(s.scene.object_boxes) for s in samples])
 
     def outcomes(self, monkeypatch, samples, backend, weights, budget):
-        monkeypatch.setattr(infer_module, "CHUNK_PAIRS", budget)
+        monkeypatch.setattr(detect_module, "CHUNK_PAIRS", budget)
         results = run_inference(samples, backend, weights, config(), seed=3)
         return [(r.image_id, r.detections, r.error) for r in results]
 
@@ -571,7 +573,7 @@ class TestChunkBudget:
 
     def test_chunk_exceeds_budget_only_by_its_last_image(self, monkeypatch):
         budget = 1000
-        monkeypatch.setattr(infer_module, "CHUNK_PAIRS", budget)
+        monkeypatch.setattr(detect_module, "CHUNK_PAIRS", budget)
         rng = np.random.default_rng(15)
         objects = rng.integers(0, 30, 400).tolist()
         # over the budget by itself, after a short and a closed chunk, and twice in a row
@@ -579,7 +581,7 @@ class TestChunkBudget:
         objects[120:120] = [1, 32, 33, 5]
         objects += [0, 45]
         cost = [max(m, 1) ** 2 for m in objects]
-        edges = infer_module._chunks(objects)
+        edges = chunk_bounds(objects)
         assert [a for a, _ in edges] == [0] + [b for _, b in edges[:-1]]
         assert edges[-1][1] == len(objects) and all(a < b for a, b in edges)
         for k, (a, b) in enumerate(edges):
@@ -590,12 +592,12 @@ class TestChunkBudget:
         over = [i for i, c in enumerate(cost) if c > budget]
         assert len(over) == 4 and all((i, i + 1) in edges for i in over)
         assert max(b - a for a, b in edges) > 3
-        assert infer_module._chunks([]) == []
+        assert chunk_bounds([]) == []
 
     def test_run_inference_runs_those_chunks(self, monkeypatch):
         samples = TestChunkedInference().samples()
-        monkeypatch.setattr(infer_module, "CHUNK_PAIRS", 700)
-        edges = infer_module._chunks([len(s.scene.object_boxes) for s in samples])
+        monkeypatch.setattr(detect_module, "CHUNK_PAIRS", 700)
+        edges = chunk_bounds([len(s.scene.object_boxes) for s in samples])
         sizes = []
         attempt = infer_module._attempt
 

@@ -13,6 +13,7 @@ from densecrop.dataset import (
     SyntheticConfig,
     UpscalePolicy,
     generate_synthetic_dataset,
+    make_crop_children,
     split_dataset,
 )
 from densecrop.detect import (
@@ -25,11 +26,13 @@ from densecrop.detect import (
     loss_sup,
     toy_forward,
 )
-from densecrop.errors import ConfigError, InvariantViolation
+from densecrop.errors import ConfigError, DataError, InvariantViolation
 from densecrop.geometry import iou_matrix
 from densecrop.seeding import rng_for
 from densecrop.teacher import (
+    CropCache,
     TrainerConfig,
+    TrainerState,
     burn_in,
     combined_loss,
     discover_unlabeled_crops,
@@ -77,12 +80,6 @@ def tiny_dataset(seed=0, n=8, **overrides):
     return {s.record.image_id: s for s in samples}
 
 
-def labeled_views(samples, labeled_ids, cfg, backend):
-    """The labeled pool as ``train`` hands it to ``burn_in``: views with targets."""
-    pool = prepare_labeled_pool(samples, labeled_ids, cfg, backend)
-    return dict(zip(pool, backend.views(stack_of(list(pool.values())), targets=True).split()))
-
-
 def backend_for(num_classes=3, seed=0, **overrides):
     return ToyDetector(
         ToyDetectorConfig(
@@ -126,6 +123,15 @@ class TestTrainerConfig:
             {"burn_in_iters": 100, "max_iters": 50},
             {"crop_start_iter": 10},  # not above burn-in
             {"data_ratio": -1.0},
+            {"data_ratio": float("nan")},
+            {"data_ratio": float("inf")},
+            {"learning_rate": float("nan")},
+            {"learning_rate": float("inf")},
+            {"lr_decay_factor": 0.0},
+            {"lr_decay_factor": -0.1},
+            {"lr_decay_factor": float("nan")},
+            {"lambda_unsup": float("nan")},
+            {"checkpoint_interval": -10},
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -278,7 +284,7 @@ class TestStudentBatch:
             batch, pseudo = _student_batch(
                 backend,
                 teacher,
-                views,
+                ViewStack.of(views),
                 tau,
                 _augment_rngs([(s, "weak") for s in weak]),
                 _augment_rngs([(s, "strong") for s in strong]),
@@ -342,10 +348,12 @@ class TestSupervisedBatch:
         rng = np.random.default_rng(47)
         layout = backend.layout
         weights = WeightVector(layout=layout, values=rng.normal(0.0, 0.5, layout.total))
+        stack = ViewStack.of([view for _, view in pool])
         ties = bare = mixed = 0
         for trial in range(60):
             size = int(rng.integers(1, 7))
-            picked = [pool[int(i)] for i in rng.integers(0, len(pool), size)]
+            index = rng.integers(0, len(pool), size).tolist()
+            picked = [pool[i] for i in index]
             views = [view for _, view in picked]
             annotations = [sample.record.annotations for sample, _ in picked]
             seeds = rng.integers(0, 2**63, size).tolist()
@@ -357,8 +365,7 @@ class TestSupervisedBatch:
             assert np.array_equal(batch.offsets, offsets)
             # The training step's loss is the loss of the per-view batch.
             got = _supervised_loss(
-                dict(enumerate(views)), list(range(size)),
-                _augment_rngs([(s, "weak") for s in seeds]), backend, weights,
+                stack, index, _augment_rngs([(s, "weak") for s in seeds]), backend, weights
             )
             want = loss_sup(weights, SupervisedBatch(features, classes, offsets))
             assert got.value == want.value
@@ -445,7 +452,7 @@ class TestBurnIn:
         samples = tiny_dataset()
         backend = backend_for()
         cfg = trainer_config(burn_in_iters=0, max_iters=0, crop_start_iter=1)
-        pool = labeled_views(samples, sorted(samples), cfg, backend)
+        pool = prepare_labeled_pool(samples, sorted(samples), cfg, backend)
         weights, history = burn_in(cfg, pool, backend)
         np.testing.assert_array_equal(
             weights.values, backend.init_weights(cfg.seed).values
@@ -456,7 +463,7 @@ class TestBurnIn:
         samples = tiny_dataset()
         backend = backend_for()
         cfg = trainer_config(burn_in_iters=25, max_iters=25, crop_start_iter=26)
-        pool = labeled_views(samples, sorted(samples), cfg, backend)
+        pool = prepare_labeled_pool(samples, sorted(samples), cfg, backend)
         a, _ = burn_in(cfg, pool, backend)
         b, _ = burn_in(cfg, pool, backend)
         np.testing.assert_array_equal(a.values, b.values)
@@ -471,61 +478,59 @@ class TestBurnIn:
         cfg = trainer_config(
             burn_in_iters=500, max_iters=500, crop_start_iter=501, learning_rate=0.02
         )
-        pool = labeled_views(samples, sorted(samples), cfg, backend)
+        pool = prepare_labeled_pool(samples, sorted(samples), cfg, backend)
         weights, history = burn_in(cfg, pool, backend)
         assert history[-1].loss_total < history[0].loss_total
-        correct = total = 0
-        for view in pool.values():
-            batch = backend.supervised_batch(ViewStack.of([view]), "none", ())
-            probs, _ = toy_forward(weights, batch.features, [len(batch)])
-            correct += int(np.sum(np.argmax(probs, axis=1) == batch.classes))
-            total += len(batch)
-        assert correct / total >= 0.95
+        batch = backend.supervised_batch(pool, "none", ())
+        probs, _ = toy_forward(weights, batch.features, pool.counts)
+        assert np.mean(np.argmax(probs, axis=1) == batch.classes) >= 0.95
 
     def test_empty_labeled_pool_rejected(self):
         backend = backend_for()
-        with pytest.raises(Exception):
-            burn_in(trainer_config(), {}, backend)
+        with pytest.raises(DataError):
+            burn_in(trainer_config(), backend.views(stack_of([]), targets=True), backend)
+
+
+def unlabeled_state(backend, samples, iteration):
+    """A state at ``iteration`` with untrained weights whose crop cache
+    holds the samples as unlabeled parents, and the parents' scenes."""
+    weights = backend.init_weights(0)
+    parents = stack_of(samples.values())
+    cache = CropCache.of(backend.views(parents))
+    return TrainerState(weights, weights, iteration, crop_cache=cache), parents
 
 
 class TestDiscoverUnlabeledCrops:
     def test_gate_before_start_iteration(self):
-        from densecrop.teacher import TrainerState
-
         samples = tiny_dataset()
         backend = backend_for()
-        weights = backend.init_weights(0)
-        state = TrainerState(student=weights, teacher=weights, iteration=5)
+        state, parents = unlabeled_state(backend, samples, 5)
+        pool = state.crop_cache.pool
         cfg = trainer_config(crop_start_iter=30)
-        views = {i: backend.views(stack_of([s])) for i, s in samples.items()}
-        parents = stack_of(samples.values())
-        discover_unlabeled_crops(state, sorted(samples), views, parents, backend, cfg)
-        assert state.crop_cache == {}
+        discover_unlabeled_crops(state, list(range(len(parents))), parents, backend, cfg)
+        cache = state.crop_cache
+        assert cache.pool is pool and len(cache.parent) == len(cache.crops) == 0
+        assert cache.computed_iter.tolist() == [-1] * len(samples)
 
     def test_zero_confident_predictions_zero_crops(self):
-        from densecrop.teacher import TrainerState
-
         samples = tiny_dataset()
-        backend = backend_for()
-        weights = backend.init_weights(0)  # untrained: scores hover near uniform
-        state = TrainerState(student=weights, teacher=weights, iteration=35)
+        backend = backend_for()  # untrained: scores hover near uniform
+        state, parents = unlabeled_state(backend, samples, 35)
         cfg = trainer_config(tau=0.999)
-        ids = sorted(samples)[:2]
-        views = {i: backend.views(stack_of([s])) for i, s in samples.items()}
-        parents = stack_of(samples.values())
-        discover_unlabeled_crops(state, ids, views, parents, backend, cfg)
-        assert all(len(e.crops) == 0 for e in state.crop_cache.values())
+        discover_unlabeled_crops(state, [0, 1], parents, backend, cfg)
+        cache = state.crop_cache
+        assert cache.computed_iter.tolist() == [35, 35] + [-1] * (len(samples) - 2)
+        assert len(cache.crops) == 0 and len(cache.pool.image_ids) == len(samples)
 
     def test_one_labeling_call_and_no_empty_views_call(self, monkeypatch):
         # A pass labels all its targets' crops in one stacked call, and a
         # pass whose parents yield no crops builds no child views.
         from densecrop import teacher as teacher_module
-        from densecrop.teacher import TrainerState
 
         samples = tiny_dataset()
         backend = backend_for()
-        weights = backend.init_weights(0)
-        views = {i: backend.views(stack_of([s])) for i, s in samples.items()}
+        state, parents = unlabeled_state(backend, samples, 35)
+        pool = state.crop_cache.pool
         calls = {"label": 0, "views": 0}
         label = teacher_module.label_density_crops
         build = backend.views
@@ -540,56 +545,63 @@ class TestDiscoverUnlabeledCrops:
 
         monkeypatch.setattr(teacher_module, "label_density_crops", counted_label)
         monkeypatch.setattr(backend, "views", counted_views)
-        state = TrainerState(student=weights, teacher=weights, iteration=35)
-        parents = stack_of(samples.values())
-        discover_unlabeled_crops(
-            state, sorted(samples)[:4], views, parents, backend, trainer_config(tau=0.999)
-        )
-        assert len(state.crop_cache) == 4
-        assert all(len(e.crops) == 0 and e.children == () for e in state.crop_cache.values())
+        discover_unlabeled_crops(state, [0, 1, 2, 3], parents, backend, trainer_config(tau=0.999))
+        cache = state.crop_cache
+        assert cache.computed_iter.tolist() == [35] * 4 + [-1] * (len(samples) - 4)
+        assert len(cache.parent) == len(cache.crops) == 0 and cache.pool is pool
         assert calls == {"label": 1, "views": 0}
 
     def test_labeled_pool_crops_come_from_one_call(self, monkeypatch):
+        # Each labeled image's crop-class rows follow its own rows and are
+        # the crops of labeling its base-class rows alone; its children
+        # join the pool, which stays in sorted-str id order.
         from densecrop import teacher as teacher_module
 
         samples = tiny_dataset()
         backend = backend_for()
         cfg = trainer_config(crops_on_labeled=True)
         label = teacher_module.label_density_crops
-        calls = []
+        build = backend.views
+        calls, built = [], []
 
         def counted(*args, **kwargs):
             calls.append(args)
             return label(*args, **kwargs)
 
+        def spied(scenes, targets=False):
+            built.append(scenes)
+            return build(scenes, targets)
+
         monkeypatch.setattr(teacher_module, "label_density_crops", counted)
+        monkeypatch.setattr(backend, "views", spied)
         ids = sorted(samples)[:5]
         pool = prepare_labeled_pool(samples, ids, cfg, backend)
         assert len(calls) == 1
-        for image_id in ids:
-            record = pool[image_id].record
-            crops = [a.box.as_tuple() for a in record.annotations if a.class_id == backend.crop_class_id]
-            base = [a.box for a in samples[image_id].record.annotations if a.class_id < 3]
-            alone = label_one(np.array([b.as_tuple() for b in base]), record.size, cfg.crop_params)
-            assert crops == [tuple(c) for c in alone.tolist()]
-            children = [i for i in pool if str(i).startswith(f"{image_id}:crop")]
-            assert len(children) == len(alone)
-        assert sum(len(pool[i].record.annotations) > len(samples[i].record.annotations) for i in ids)
+        parents, children = built
+        assert parents.image_ids == tuple(sorted(ids, key=str))
+        assert pool.image_ids == tuple(sorted(parents.image_ids + children.image_ids, key=str))
+        ends = np.cumsum(parents.counts).tolist()
+        for image_id, start, end in zip(parents.image_ids, [0] + ends, ends):
+            record = samples[image_id].record
+            own = start + len(record.classes)
+            assert parents.boxes[start:own].tobytes() == record.boxes.tobytes()
+            assert parents.classes[start:own].tolist() == record.classes.tolist()
+            assert set(parents.classes[own:end].tolist()) <= {backend.crop_class_id}
+            base = record.boxes[record.classes < 3]
+            alone = label_one(base, record.size, cfg.crop_params)
+            assert parents.boxes[own:end].tolist() == alone.tolist()
+            kids = [i for i in pool.image_ids if str(i).startswith(f"{image_id}:crop")]
+            assert kids == [f"{image_id}:crop{k}" for k in sorted(range(len(alone)), key=str)]
+        assert len(children) and parents.counts.sum() > sum(len(samples[i].record.classes) for i in ids)
 
     def test_cache_entries_refresh_when_stale(self):
-        from densecrop.teacher import CropCacheEntry, TrainerState
-
         samples = tiny_dataset()
         backend = backend_for()
-        weights = backend.init_weights(0)
-        state = TrainerState(student=weights, teacher=weights, iteration=200)
-        first_id = sorted(samples)[0]
-        state.crop_cache[first_id] = CropCacheEntry(crops=[], computed_iter=1, children=())
+        state, parents = unlabeled_state(backend, samples, 200)
+        state.crop_cache.computed_iter[0] = 1
         cfg = trainer_config(crop_start_iter=30, crop_recompute_period=100)
-        views = {i: backend.views(stack_of([s])) for i, s in samples.items()}
-        parents = stack_of(samples.values())
-        discover_unlabeled_crops(state, [], views, parents, backend, cfg)
-        assert state.crop_cache[first_id].computed_iter == 200
+        discover_unlabeled_crops(state, [], parents, backend, cfg)
+        assert state.crop_cache.computed_iter.tolist() == [200] + [-1] * (len(samples) - 1)
 
 
 def quick_split(samples, n_labeled):
@@ -619,7 +631,7 @@ class TestTrain:
         split = quick_split(samples, 2)
         backend = backend_for()
         cfg = trainer_config(burn_in_iters=40, max_iters=40, crop_start_iter=50)
-        pool = labeled_views(samples, split.labeled_ids, cfg, backend)
+        pool = prepare_labeled_pool(samples, split.labeled_ids, cfg, backend)
         direct, _ = burn_in(cfg, pool, backend)
         state = train(cfg, samples, split, backend)
         np.testing.assert_array_equal(state.student.values, direct.values)
@@ -692,8 +704,9 @@ class TestTrain:
 
         monkeypatch.setattr(backend, "views", counted_views)
         state = train(trainer_config(tau=0.999), samples, quick_split(samples, 2), backend)
-        assert state.crop_cache
-        assert all(len(e.crops) == 0 for e in state.crop_cache.values())
+        cache = state.crop_cache
+        assert (cache.computed_iter >= 0).any()
+        assert len(cache.crops) == 0 and len(cache.pool.image_ids) == len(samples) - 2
         assert calls == [2, len(samples) - 2]
 
     def test_crop_discovery_populates_cache_and_children(self):
@@ -710,21 +723,31 @@ class TestTrain:
             crops_on_labeled=True,
         )
         state = train(cfg, samples, split, backend)
-        assert state.crop_cache  # every unlabeled batch parent was processed
-        assert all(e.computed_iter >= 150 for e in state.crop_cache.values())
-        assert state.history[-1].crops_cached == sum(
-            len(e.crops) for e in state.crop_cache.values()
-        )
+        cache = state.crop_cache
+        done = cache.computed_iter[cache.computed_iter >= 0]
+        assert len(done) and (done >= 150).all()  # every unlabeled batch parent was processed
+        assert state.history[-1].crops_cached == len(cache.crops) == len(cache.parent) > 0
+        # one child view per crop after the parents, named in crop order
+        parent_ids = sorted(split.unlabeled_ids, key=str)
+        assert cache.pool.image_ids[: len(parent_ids)] == tuple(parent_ids)
+        assert len(cache.pool.image_ids) == len(parent_ids) + len(cache.crops)
+        for p, parent_id in enumerate(parent_ids):
+            children = [cache.pool.image_ids[k] for k in cache.positions([p])[1:]]
+            assert children == [f"{parent_id}:crop{k}" for k in range(len(children))]
 
     def test_reused_crop_child_ids_get_fresh_views(self, monkeypatch):
         # With a short recompute period a parent's crops are recomputed and
         # the same child id ("<parent>:crop0") names a different crop;
-        # training must see the new crop, not the view of the old one: every
-        # unlabeled batch holds each sampled parent followed by exactly the
-        # view objects of its newest cache entry's children.
+        # training must see the new crop, not the view of the old one: each
+        # pass's child views are those of its new crops, and every unlabeled
+        # batch holds each sampled parent followed by exactly the child
+        # views of its newest pass.
         import hashlib
 
         from densecrop import teacher as teacher_module
+
+        def rows(views):
+            return (views.image_ids, views.counts.tolist(), views.proposals.tobytes(), views.phi.tobytes())
 
         crops_by_child: dict = {}
         newest: dict = {}
@@ -733,25 +756,30 @@ class TestTrain:
         discover = teacher_module.discover_unlabeled_crops
         student_batch = teacher_module._student_batch
 
-        def recording(state, *args, **kwargs):
-            discover(state, *args, **kwargs)
-            for parent_id, entry in state.crop_cache.items():
-                if entry.computed_iter != state.iteration:
-                    continue
+        def recording(state, batch, parents, backend, config):
+            discover(state, batch, parents, backend, config)
+            cache = state.crop_cache
+            for p in np.flatnonzero(cache.computed_iter == state.iteration).tolist():
+                parent_id = parents.image_ids[p]
                 if parent_id in newest:
                     recomputed.add(parent_id)
-                newest[parent_id] = entry.children
-                for child, crop in zip(entry.children, entry.crops.tolist()):
-                    crops_by_child.setdefault(child.image_ids[0], set()).add(tuple(crop))
+                own = cache.positions([p])[1:]
+                crops = cache.crops[own - len(parents)]
+                newest[parent_id] = rows(cache.pool.take(own))
+                if len(crops):
+                    zoomed = make_crop_children(parents.take([p]), [crops], config.upscale)
+                    assert newest[parent_id] == rows(backend.views(zoomed))
+                for child_id, crop in zip(newest[parent_id][0], crops.tolist()):
+                    crops_by_child.setdefault(child_id, set()).add(tuple(crop))
 
         def batch_recording(backend, teacher, views, *args):
             nonlocal checked
-            parents = [k for k, v in enumerate(views) if ":crop" not in str(v.image_ids[0])]
-            for k, end in zip(parents, parents[1:] + [len(views)]):
-                parent_id = views[k].image_ids[0]
-                children = views[k + 1 : end]
-                assert [id(c) for c in children] == [id(c) for c in newest.get(parent_id, ())]
-                checked += parent_id in recomputed and len(children) > 0
+            ids = views.image_ids
+            parents = [k for k, i in enumerate(ids) if ":crop" not in str(i)]
+            for k, end in zip(parents, parents[1:] + [len(ids)]):
+                children = rows(views.take(range(k + 1, end)))
+                assert children == newest.get(ids[k], ((), [], b"", b""))
+                checked += ids[k] in recomputed and end > k + 1
             return student_batch(backend, teacher, views, *args)
 
         monkeypatch.setattr(teacher_module, "discover_unlabeled_crops", recording)
@@ -863,9 +891,7 @@ class TestTrain:
 
         def recording(state, *args, **kwargs):
             discover(state, *args, **kwargs)
-            passes.append(
-                any(e.computed_iter == state.iteration for e in state.crop_cache.values())
-            )
+            passes.append(bool((state.crop_cache.computed_iter == state.iteration).any()))
 
         monkeypatch.setattr(teacher_module, "discover_unlabeled_crops", recording)
         calls.clear()
@@ -886,6 +912,31 @@ class TestTrain:
         assert header[0] == "iteration"
         row = dict(zip(header, lines[-1].split("\t")))
         assert float(row["loss_total"]) == state.history[-1].loss_total
+
+
+class TestPoolMemory:
+    def test_dense_pools_are_built_a_chunk_at_a_time(self):
+        # A zero-iteration run on 32 dense 1024x1024 scenes of 165..233
+        # objects, 4 labeled and 28 unlabeled. Building each pool in one
+        # views call peaked at 59 MiB, nearly all of it crop labeling in
+        # the proposals; a scene this dense is a chunk of its own.
+        import tracemalloc
+
+        cfg = SyntheticConfig(
+            num_images=32, width=1024.0, height=1024.0, clusters_per_image=(10, 12),
+            objects_per_cluster=(14, 18), scattered_per_image=(10, 20), seed=7,
+        )
+        samples = {s.record.image_id: s for s in generate_synthetic_dataset(cfg)}
+        split = quick_split(samples, 4)
+        backend = ToyDetector(ToyDetectorConfig(num_base_classes=4))
+        tracemalloc.start()
+        try:
+            state = train(trainer_config(burn_in_iters=0, max_iters=0, crop_start_iter=1), samples, split, backend)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(state.crop_cache.pool.image_ids) == 28
+        assert peak <= 59 * 2**20 / 4
 
 
 class TestResumeAndIntervalCheckpoints:
@@ -914,9 +965,17 @@ class TestResumeAndIntervalCheckpoints:
         np.testing.assert_array_equal(resumed.student.values, full.student.values)
         np.testing.assert_array_equal(resumed.teacher.values, full.teacher.values)
 
-    def test_resume_inside_burn_in_rejected(self, tmp_path):
-        from densecrop.errors import DataError
+    def test_resume_from_another_layout_rejected(self, tmp_path):
+        # a checkpoint of a five-class detector cannot resume on three
+        samples = tiny_dataset()
+        split = quick_split(samples, 2)
+        weights = backend_for(num_classes=5).init_weights(0)
+        ckpt = tmp_path / "five.txt"
+        write_checkpoint(ckpt, weights, weights, 30, 5)
+        with pytest.raises(DataError, match="layout"):
+            train(trainer_config(), samples, split, backend_for(), resume_from=ckpt)
 
+    def test_resume_inside_burn_in_rejected(self, tmp_path):
         samples = tiny_dataset()
         split = quick_split(samples, 2)
         backend = backend_for()
@@ -948,8 +1007,6 @@ class TestCheckpointIO:
     def test_truncated_rejected(self, tmp_path):
         path = tmp_path / "ckpt.txt"
         path.write_text('{"feature_dim": 11, "num_outputs": 5}\nstudent\n1.0\n')
-        from densecrop.errors import DataError
-
         with pytest.raises(DataError, match="values"):
             read_checkpoint(path)
 
