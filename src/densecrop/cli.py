@@ -365,7 +365,7 @@ def _infer_hook(params: dict, sections: dict) -> None:
     if not params["checkpoint"]:
         raise ConfigError("--checkpoint is required with the toy backend")
     header, _, _ = teacher.read_checkpoint(params["checkpoint"])
-    sections["detector"]["num_base_classes"] = int(header["num_base_classes"])
+    sections["detector"]["num_base_classes"] = header["num_base_classes"]
 
 
 _OUT, _ANNOTATIONS, _SCENES, _DETECTIONS = (

@@ -686,8 +686,10 @@ class SyntheticConfig:
     def __post_init__(self) -> None:
         if self.num_images < 0:
             raise ConfigError("num_images must be >= 0")
-        if self.width <= 0 or self.height <= 0:
-            raise ConfigError("scene size must be positive")
+        # A NaN or infinite size, spread or noise fails deep inside the
+        # generator, or silently yields NaN payloads.
+        if not (0 < self.width < math.inf and 0 < self.height < math.inf):
+            raise ConfigError("scene size must be positive and finite")
         if self.num_classes < 1:
             raise ConfigError("num_classes must be >= 1")
         for name in ("clusters_per_image", "objects_per_cluster", "scattered_per_image"):
@@ -696,10 +698,11 @@ class SyntheticConfig:
                 raise ConfigError(f"{name} range {lo}..{hi} is invalid")
         for name in ("small_size", "large_size"):
             lo, hi = getattr(self, name)
-            if lo <= 0 or hi < lo:
+            if not (0 < lo <= hi < math.inf):
                 raise ConfigError(f"{name} range {lo}..{hi} is invalid")
-        if self.payload_noise < 0:
-            raise ConfigError("payload_noise must be >= 0")
+        for name in ("cluster_spread", "payload_noise"):
+            if not (0 <= getattr(self, name) < math.inf):
+                raise ConfigError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
 
 
 def _place_object(

@@ -24,6 +24,7 @@ addition to the base classes.
 from __future__ import annotations
 
 import abc
+import math
 import os
 from dataclasses import dataclass
 from functools import cached_property
@@ -32,7 +33,7 @@ import numpy as np
 
 from .croplab import CropParams, label_density_crops
 from .dataset import SceneStack
-from .errors import DataError, InvariantViolation
+from .errors import ConfigError, DataError, InvariantViolation
 from .geometry import (
     Box,
     Detection,
@@ -801,6 +802,19 @@ class ToyDetectorConfig:
     init_scale: float = 0.01
     proposal_crop_params: CropParams | None = None
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        # A negative scale fails deep inside a run, and a NaN threshold or
+        # probability silently turns its step off.
+        for name in ("proposal_jitter", "payload_obs_scale", "strong_noise_std", "init_scale"):
+            if not (0 <= getattr(self, name) < math.inf):
+                raise ConfigError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+        for name in ("fg_iou", "weak_flip_prob"):
+            if not (0 <= getattr(self, name) <= 1):
+                raise ConfigError(f"{name} must be in [0, 1], got {getattr(self, name)}")
+        for name in ("background_proposals", "strong_cutout"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 class ToyDetector(DetectorBackend):

@@ -26,13 +26,13 @@ import numpy as np
 from .croplab import CropParams, label_density_crops
 from .dataset import SceneStack, UpscalePolicy, make_crop_children
 from .detect import (
-    LossResult,
     ToyDetector,
     UnsupervisedBatch,
     ViewStack,
     WeightLayout,
     WeightVector,
     chunk_bounds,
+    feature_dim,
     loss_sup,
     loss_unsup,
 )
@@ -44,7 +44,6 @@ __all__ = [
     "TrainerState",
     "IterationLog",
     "CropCache",
-    "burn_in",
     "filter_pseudo_labels",
     "ema_update",
     "combined_loss",
@@ -167,8 +166,9 @@ class CropCache:
 class TrainerState:
     """Everything the training loop owns.
 
-    The teacher weight vector only ever changes through the EMA update;
-    ``train`` sets the crop cache once the state exists.
+    The teacher is the student during burn-in and changes only through
+    the EMA update after it; ``train`` sets the crop cache once the state
+    exists.
     """
 
     student: WeightVector
@@ -271,16 +271,6 @@ def _sample(n: int, size: int, rng: np.random.Generator) -> list:
     return sorted(rng.choice(n, size=min(size, n), replace=False).tolist())
 
 
-def _supervised_loss(
-    pool: ViewStack, batch: list, rngs, backend: ToyDetector, weights: WeightVector
-) -> LossResult:
-    """Supervised loss over the labeled views at positions ``batch`` of the
-    pool, each weakly augmented with its own generator of ``rngs``. Shared
-    by burn-in and the teacher-student phase so degenerate configs match
-    supervised training bit for bit."""
-    return loss_sup(weights, backend.supervised_batch(pool.take(batch), "weak", rngs))
-
-
 def _views(backend: ToyDetector, scenes: SceneStack, targets: bool = False) -> ViewStack:
     """``backend.views`` of a scene stack, one chunk of scenes at a time as
     :func:`~densecrop.detect.chunk_bounds` closes them, so a pool's peak
@@ -291,13 +281,6 @@ def _views(backend: ToyDetector, scenes: SceneStack, targets: bool = False) -> V
     return ViewStack.of(
         [backend.views(scenes.take(np.arange(start, stop)), targets) for start, stop in bounds]
     )
-
-
-def _apply_step(weights: WeightVector, gradient: np.ndarray, lr: float, iteration: int) -> WeightVector:
-    new_values = weights.values - lr * gradient
-    if not np.all(np.isfinite(new_values)):
-        raise InvariantViolation(f"training diverged at iteration {iteration}")
-    return weights.replace_values(new_values)
 
 
 def _aug_seed(seed: int, tag: str, iteration: int, image_id) -> int:
@@ -334,49 +317,6 @@ def _iteration_rngs(config: TrainerConfig, iteration: int, labeled_ids: list, un
     )
     n, m = len(labeled_ids), len(unlabeled_ids)
     return rngs[:n], rngs[n : n + m], rngs[n + m :]
-
-
-# ---------------------------------------------------------------------------
-# Burn-in
-# ---------------------------------------------------------------------------
-
-
-def burn_in(
-    config: TrainerConfig, labeled_pool: ViewStack, backend: ToyDetector
-) -> tuple[WeightVector, list[IterationLog]]:
-    """Supervised pre-training; returns the weights that seed both networks.
-
-    ``labeled_pool`` is a stack of views built with targets, in the order
-    the batches sample them."""
-    ids = labeled_pool.image_ids
-    if not ids:
-        raise DataError("burn-in requires a non-empty labeled set")
-    weights = backend.init_weights(config.seed)
-    history: list[IterationLog] = []
-    iterations = range(1, config.burn_in_iters + 1)
-    for iteration, rng in zip(iterations, _batch_rngs(config, "batch-labeled", iterations)):
-        batch = _sample(len(ids), config.labeled_batch, rng)
-        rngs, _, _ = _iteration_rngs(config, iteration, [ids[i] for i in batch], [])
-        result = _supervised_loss(labeled_pool, batch, rngs, backend, weights)
-        if not np.isfinite(result.value):
-            raise InvariantViolation(f"training diverged at iteration {iteration}")
-        weights = _apply_step(
-            weights, result.gradient, config.learning_rate_at(iteration), iteration
-        )
-        history.append(
-            IterationLog(
-                iteration=iteration,
-                lr=config.learning_rate_at(iteration),
-                loss_total=result.value,
-                loss_sup_cls=result.cls_term,
-                loss_sup_reg=result.reg_term,
-                loss_unsup=0.0,
-                pseudo_per_image=0.0,
-                unlabeled_images=0,
-                crops_cached=0,
-            )
-        )
-    return weights, history
 
 
 # ---------------------------------------------------------------------------
@@ -486,11 +426,14 @@ def train(
     checkpoint_dir: str | os.PathLike | None = None,
     resume_from: str | os.PathLike | None = None,
 ) -> TrainerState:
-    """Run burn-in followed by teacher-student training.
-
-    ``samples`` maps image id to :class:`SceneSample`; ``split`` decides
-    which ids contribute supervised loss. Per-iteration losses,
-    pseudo-label counts, and crop-cache sizes land in ``state.history``.
+    """Train the student, and the teacher from it, in one loop over
+    iterations ``1..max_iters``. Up to ``burn_in_iters`` (the supervised
+    burn-in) the student steps on a labeled batch alone and the teacher is
+    the student. Each later iteration adds the unsupervised loss of the
+    teacher's pseudo-labels on an unlabeled batch, moves the teacher by
+    :func:`ema_update` and runs :func:`discover_unlabeled_crops`.
+    ``samples`` maps image id to :class:`SceneSample`, and ``split`` names
+    the labeled ids. ``state.history`` logs every iteration.
 
     Each pool is one :class:`ViewStack`, built a chunk of scenes at a time
     (:func:`_views`): the labeled pool (:func:`prepare_labeled_pool`), and
@@ -503,7 +446,8 @@ def train(
     id)``, so the run is bit-reproducible.
 
     With ``checkpoint_dir`` set and ``config.checkpoint_interval`` enabled,
-    intermediate checkpoints are written there. ``resume_from`` restores
+    a checkpoint is written there every ``checkpoint_interval`` iterations,
+    burn-in included, except at ``max_iters``. ``resume_from`` restores
     the weights and the iteration from such a checkpoint, whose weight
     layout must be the backend's. A checkpoint holds no crop cache, so a
     resumed run replays the uninterrupted one exactly only from before
@@ -522,21 +466,10 @@ def train(
                 f"checkpoint {resume_from} layout {student.layout} does not match "
                 f"the detector's {backend.layout}"
             )
-        start_iter = int(header.get("iteration", 0))
-        if start_iter < config.burn_in_iters:
-            raise DataError(
-                f"cannot resume from iteration {start_iter}: still inside burn-in "
-                f"({config.burn_in_iters} iterations)"
-            )
-        state = TrainerState(student=student, teacher=teacher, iteration=start_iter)
+        state = TrainerState(student=student, teacher=teacher, iteration=header["iteration"])
     else:
-        weights, history = burn_in(config, labeled, backend)
-        state = TrainerState(
-            student=weights,
-            teacher=weights,
-            iteration=config.burn_in_iters,
-            history=history,
-        )
+        weights = backend.init_weights(config.seed)
+        state = TrainerState(student=weights, teacher=weights)
     state.crop_cache = cache = CropCache.of(_views(backend, unlabeled))
 
     n_unlabeled = round(config.data_ratio * config.labeled_batch) if config.lambda_unsup > 0.0 else 0
@@ -547,18 +480,21 @@ def train(
         _batch_rngs(config, "batch-unlabeled", iterations),
     ):
         state.iteration = iteration
+        burning_in = iteration <= config.burn_in_iters
         labeled_batch = _sample(len(labeled.image_ids), config.labeled_batch, labeled_rng)
 
         unsup_value = 0.0
         pseudo_total = 0
         # Sampled parent images bring their cached crop children along as
-        # extra views of the same content.
-        batch_parents = _sample(len(unlabeled), n_unlabeled, unlabeled_rng)
+        # extra views of the same content; burn-in samples none.
+        batch_parents = [] if burning_in else _sample(len(unlabeled), n_unlabeled, unlabeled_rng)
         views = cache.pool.take(cache.positions(batch_parents))
         sup_rngs, weak_rngs, strong_rngs = _iteration_rngs(
             config, iteration, [labeled.image_ids[i] for i in labeled_batch], views.image_ids
         )
-        sup = _supervised_loss(labeled, labeled_batch, sup_rngs, backend, state.student)
+        sup = loss_sup(
+            state.student, backend.supervised_batch(labeled.take(labeled_batch), "weak", sup_rngs)
+        )
         gradient = sup.gradient
         if views.image_ids:
             batch, pseudo_total = _student_batch(
@@ -569,15 +505,17 @@ def train(
                 unsup_value = unsup.value
                 gradient = sup.gradient + config.lambda_unsup * unsup.gradient
 
-        if not np.isfinite(sup.value + unsup_value):
+        lr = config.learning_rate_at(iteration)
+        values = state.student.values - lr * gradient
+        if not (np.isfinite(sup.value + unsup_value) and np.isfinite(values).all()):
             raise InvariantViolation(f"training diverged at iteration {iteration}")
-        state.student = _apply_step(
-            state.student, gradient, config.learning_rate_at(iteration), iteration
-        )
+        state.student = state.student.replace_values(values)
 
-        state.teacher = ema_update(state.teacher, state.student, config.alpha)
-
-        discover_unlabeled_crops(state, batch_parents, unlabeled, backend, config)
+        if burning_in:
+            state.teacher = state.student
+        else:
+            state.teacher = ema_update(state.teacher, state.student, config.alpha)
+            discover_unlabeled_crops(state, batch_parents, unlabeled, backend, config)
 
         # Pseudo-labels found on a crop child count toward its parent, so
         # pseudo_per_image measures the label supply per unlabeled dataset
@@ -585,7 +523,7 @@ def train(
         state.history.append(
             IterationLog(
                 iteration=iteration,
-                lr=config.learning_rate_at(iteration),
+                lr=lr,
                 loss_total=combined_loss(sup.value, unsup_value, config.lambda_unsup),
                 loss_sup_cls=sup.cls_term,
                 loss_sup_reg=sup.reg_term,
@@ -654,6 +592,8 @@ def write_checkpoint(
 
 
 def read_checkpoint(path: str | os.PathLike) -> tuple[dict, WeightVector, WeightVector]:
+    """The header, student and teacher of a :func:`write_checkpoint` file;
+    a malformed one is a :class:`DataError`."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -668,6 +608,13 @@ def read_checkpoint(path: str | os.PathLike) -> tuple[dict, WeightVector, Weight
         )
     except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"checkpoint {path} has a malformed header") from exc
+    # The iteration places a resume; infer builds its detector from num_base_classes.
+    for key in ("iteration", "num_base_classes"):
+        if type(header.get(key)) is not int or header[key] < 0:
+            raise DataError(f"checkpoint {path}: header {key} {header.get(key)!r} is not an int >= 0")
+    n = header["num_base_classes"]
+    if layout != WeightLayout(feature_dim=feature_dim(n), num_outputs=n + 2):
+        raise DataError(f"checkpoint {path}: layout {layout} does not fit num_base_classes {n}")
     sections: dict[str, list[float]] = {}
     current: list[float] | None = None
     for lineno, line in enumerate(lines[1:], start=2):

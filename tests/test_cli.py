@@ -739,7 +739,9 @@ class TestExitCodes:
             "split seed", "split fraction", "scene box", "scene width nan", "scene height zero",
             "scene width other",
             "detection score", "checkpoint",
-            "checkpoint nan", "checkpoint header infinite", "bbox nan", "bbox infinite width",
+            "checkpoint nan", "checkpoint header infinite", "checkpoint header classes missing",
+            "checkpoint header classes string", "checkpoint header iteration string",
+            "bbox nan", "bbox infinite width",
             "image width nan", "image width zero", "category id infinite",
             "category entry id infinite", "report per_class key", "report list",
             "report AP string",
@@ -803,11 +805,26 @@ class TestExitCodes:
                 lines[-1] = "nan"
             elif case == "checkpoint header infinite":
                 lines[0] = json.dumps({**json.loads(lines[0]), "feature_dim": float("inf")})
+            elif case.startswith("checkpoint header"):
+                header = json.loads(lines[0])
+                key = "iteration" if case.endswith("iteration string") else "num_base_classes"
+                if case.endswith("missing"):
+                    del header[key]
+                else:
+                    header[key] = "x"
+                lines[0] = json.dumps(header)
             else:
                 del lines[-3:]  # teacher section cut short
             bad.write_text("\n".join(lines) + "\n")
             argv =["infer", "--annotations", ann, "--scenes", scenes, "--checkpoint", str(bad),
                     "--out", out]
+            if case.endswith("iteration string"):
+                argv = [
+                    "train", "--annotations", ann, "--scenes", scenes, "--split",
+                    str(workspace["split"]), "--resume", str(bad), "--out", out,
+                    "--burn-in-iters", "30", "--max-iters", "62", "--crop-start-iter", "45",
+                    "--learning-rate", "0.05",
+                ]
         assert run(argv) == 3
         assert capsys.readouterr().err.startswith("error: ")
 
@@ -921,6 +938,42 @@ class TestConfigFileChecks:
         )
         assert code == 2
         assert not (out / "checkpoint.txt").exists()
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("synthetic", "width", "nan"),
+            ("synthetic", "width", "inf"),
+            ("synthetic", "cluster_spread", "-1"),
+            ("synthetic", "payload_noise", "nan"),
+            ("detector", "strong_noise_std", "-1"),
+            ("detector", "init_scale", "-1"),
+            ("detector", "proposal_jitter", "-1"),
+            ("detector", "background_proposals", "-1"),
+            ("detector", "fg_iou", "nan"),
+            ("detector", "weak_flip_prob", "nan"),
+            ("detector", "strong_cutout", "-2"),
+        ],
+    )
+    def test_bad_value_is_config_error(self, section, key, value, workspace, tmp_path):
+        # refused when the config is built, before the command writes anything
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(f"[{section}]\n{key} = {value}\n")
+        out = tmp_path / "out"
+        if section == "synthetic":
+            argv = ["dataset", "gen", "--config", str(cfg), "--out", str(out), "--num-images", "2"]
+        else:
+            argv = [
+                "train", "--config", str(cfg),
+                "--annotations", str(workspace["annotations"]),
+                "--scenes", str(workspace["scenes"]),
+                "--split", str(workspace["split"]),
+                "--out", str(out),
+                "--burn-in-iters", "1", "--max-iters", "2", "--crop-start-iter", "5",
+                "--learning-rate", "0.01",
+            ]
+        assert run(argv) == 2
+        assert not (out / "manifest.json").exists()
 
     def test_unknown_section_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.ini"

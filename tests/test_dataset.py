@@ -507,6 +507,13 @@ class TestSyntheticScenes:
             SyntheticConfig(clusters_per_image=(3, 1))
         with pytest.raises(ConfigError):
             SyntheticConfig(small_size=(0.0, 5.0))
+        for bad in (
+            {"width": float("nan")}, {"height": float("inf")}, {"cluster_spread": -1.0},
+            {"cluster_spread": float("nan")}, {"payload_noise": float("nan")},
+            {"large_size": (40.0, float("inf"))}, {"small_size": (float("nan"), 5.0)},
+        ):
+            with pytest.raises(ConfigError):
+                SyntheticConfig(**bad)
 
     def test_scene_file_round_trip(self, tmp_path):
         cfg = SyntheticConfig(num_images=3, seed=5)

@@ -40,6 +40,12 @@ def test_training_pools_are_stacks_gathered_by_index():
     assert not hasattr(dataset, "crop_child_samples")
 
 
+def test_burn_in_is_the_first_iterations_of_train():
+    # one training loop: no separate burn-in loop or loss helper shared
+    # between two loops
+    assert not hasattr(teacher, "burn_in") and not hasattr(teacher, "_supervised_loss")
+
+
 @pytest.mark.parametrize(
     "kernel",
     [

@@ -33,13 +33,11 @@ from densecrop.teacher import (
     CropCache,
     TrainerConfig,
     TrainerState,
-    burn_in,
     combined_loss,
     discover_unlabeled_crops,
     ema_update,
     _augment_rngs,
     _student_batch,
-    _supervised_loss,
     _teacher_pseudo_labels,
     filter_pseudo_labels,
     prepare_labeled_pool,
@@ -364,9 +362,8 @@ class TestSupervisedBatch:
             assert np.array_equal(batch.classes, classes)
             assert np.array_equal(batch.offsets, offsets)
             # The training step's loss is the loss of the per-view batch.
-            got = _supervised_loss(
-                stack, index, _augment_rngs([(s, "weak") for s in seeds]), backend, weights
-            )
+            rngs = _augment_rngs([(s, "weak") for s in seeds])
+            got = loss_sup(weights, backend.supervised_batch(stack.take(index), "weak", rngs))
             want = loss_sup(weights, SupervisedBatch(features, classes, offsets))
             assert got.value == want.value
             assert np.array_equal(got.gradient, want.gradient)
@@ -448,25 +445,26 @@ class TestCombinedLoss:
 
 
 class TestBurnIn:
+    # burn-in is the first burn_in_iters iterations of train, here all of them
     def test_zero_iterations_returns_init(self):
         samples = tiny_dataset()
         backend = backend_for()
         cfg = trainer_config(burn_in_iters=0, max_iters=0, crop_start_iter=1)
-        pool = prepare_labeled_pool(samples, sorted(samples), cfg, backend)
-        weights, history = burn_in(cfg, pool, backend)
-        np.testing.assert_array_equal(
-            weights.values, backend.init_weights(cfg.seed).values
-        )
-        assert history == []
+        state = train(cfg, samples, quick_split(samples, len(samples)), backend)
+        init = backend.init_weights(cfg.seed).values
+        np.testing.assert_array_equal(state.student.values, init)
+        np.testing.assert_array_equal(state.teacher.values, init)
+        assert state.history == [] and state.iteration == 0
 
     def test_deterministic(self):
         samples = tiny_dataset()
         backend = backend_for()
         cfg = trainer_config(burn_in_iters=25, max_iters=25, crop_start_iter=26)
-        pool = prepare_labeled_pool(samples, sorted(samples), cfg, backend)
-        a, _ = burn_in(cfg, pool, backend)
-        b, _ = burn_in(cfg, pool, backend)
-        np.testing.assert_array_equal(a.values, b.values)
+        split = quick_split(samples, len(samples))
+        a = train(cfg, samples, split, backend)
+        b = train(cfg, samples, split, backend)
+        np.testing.assert_array_equal(a.student.values, b.student.values)
+        np.testing.assert_array_equal(a.teacher.values, a.student.values)
 
     def test_learns_separable_classes(self):
         # near-noiseless payloads make the classes linearly separable
@@ -478,17 +476,18 @@ class TestBurnIn:
         cfg = trainer_config(
             burn_in_iters=500, max_iters=500, crop_start_iter=501, learning_rate=0.02
         )
-        pool = prepare_labeled_pool(samples, sorted(samples), cfg, backend)
-        weights, history = burn_in(cfg, pool, backend)
+        state = train(cfg, samples, quick_split(samples, len(samples)), backend)
+        history = state.history
         assert history[-1].loss_total < history[0].loss_total
+        pool = prepare_labeled_pool(samples, sorted(samples), cfg, backend)
         batch = backend.supervised_batch(pool, "none", ())
-        probs, _ = toy_forward(weights, batch.features, pool.counts)
+        probs, _ = toy_forward(state.student, batch.features, pool.counts)
         assert np.mean(np.argmax(probs, axis=1) == batch.classes) >= 0.95
 
     def test_empty_labeled_pool_rejected(self):
-        backend = backend_for()
+        samples = tiny_dataset()
         with pytest.raises(DataError):
-            burn_in(trainer_config(), backend.views(stack_of([]), targets=True), backend)
+            train(trainer_config(), samples, quick_split(samples, 0), backend_for())
 
 
 def unlabeled_state(backend, samples, iteration):
@@ -626,16 +625,19 @@ class TestTrain:
         np.testing.assert_array_equal(a.teacher.values, b.teacher.values)
         assert [h.loss_total for h in a.history] == [h.loss_total for h in b.history]
 
-    def test_burn_in_equals_whole_run_when_no_ssod_phase(self):
+    def test_supervised_run_weights_are_pinned(self):
+        # 40 burn-in iterations and nothing after them; the digest is what
+        # the separate burn-in loop computed, and the teacher is the student
+        import hashlib
+
         samples = tiny_dataset()
-        split = quick_split(samples, 2)
-        backend = backend_for()
         cfg = trainer_config(burn_in_iters=40, max_iters=40, crop_start_iter=50)
-        pool = prepare_labeled_pool(samples, split.labeled_ids, cfg, backend)
-        direct, _ = burn_in(cfg, pool, backend)
-        state = train(cfg, samples, split, backend)
-        np.testing.assert_array_equal(state.student.values, direct.values)
-        np.testing.assert_array_equal(state.teacher.values, direct.values)
+        state = train(cfg, samples, quick_split(samples, 2), backend_for())
+        assert hashlib.sha256(state.student.values.tobytes()).hexdigest() == (
+            "293f7448e63068447f3f5994cea006ab9ca2d2b2cf749eb34154f04bfea9e427"
+        )
+        np.testing.assert_array_equal(state.teacher.values, state.student.values)
+        assert [log.iteration for log in state.history] == list(range(1, 41))
 
     def test_degenerate_config_matches_supervised_bitwise(self):
         samples = tiny_dataset()
@@ -836,8 +838,8 @@ class TestTrain:
         # Every augment generator of an iteration (labeled weak, teacher
         # weak, student strong) comes from one rngs_for call; a crop
         # discovery pass with targets adds one more. The batch samplers'
-        # generators come up front, one call per tag and phase. augment
-        # only draws from the generators it is given.
+        # generators come up front, one call per tag. augment only draws
+        # from the generators it is given.
         from densecrop import detect as detect_module
         from densecrop import teacher as teacher_module
 
@@ -875,15 +877,14 @@ class TestTrain:
         backend = backend_for()
         cfg = trainer_config(crop_start_iter=10**9)
         state = train(cfg, samples, split, backend)
-        phase = cfg.max_iters - cfg.burn_in_iters
         assert [c for c in calls if c[0]] == [
-            ((cfg.seed, "batch-labeled"), cfg.burn_in_iters),
-            ((cfg.seed, "batch-labeled"), phase),
-            ((cfg.seed, "batch-unlabeled"), phase),
+            ((cfg.seed, "batch-labeled"), cfg.max_iters),
+            ((cfg.seed, "batch-unlabeled"), cfg.max_iters),
         ]
         assert [rows for prefix, rows in calls if not prefix] == [
             cfg.labeled_batch + 2 * log.unlabeled_images for log in state.history
         ]
+        assert all(log.unlabeled_images == 0 for log in state.history[: cfg.burn_in_iters])
         assert all(log.unlabeled_images > 0 for log in state.history[cfg.burn_in_iters :])
 
         passes: list = []
@@ -946,6 +947,7 @@ class TestResumeAndIntervalCheckpoints:
         backend = backend_for()
         cfg = trainer_config(checkpoint_interval=10)
         train(cfg, samples, split, backend, checkpoint_dir=tmp_path)
+        assert (tmp_path / "checkpoint_000010.txt").exists()  # inside burn-in
         assert (tmp_path / "checkpoint_000030.txt").exists()
         # the final iteration is the caller's responsibility, not an interval file
         assert not (tmp_path / "checkpoint_000040.txt").exists()
@@ -975,15 +977,19 @@ class TestResumeAndIntervalCheckpoints:
         with pytest.raises(DataError, match="layout"):
             train(trainer_config(), samples, split, backend_for(), resume_from=ckpt)
 
-    def test_resume_inside_burn_in_rejected(self, tmp_path):
+    def test_resume_inside_burn_in_is_exact(self, tmp_path):
+        # burn-in 20, crops from 30: before crop_start_iter the state is
+        # the weights alone, which the checkpoint holds
         samples = tiny_dataset()
         split = quick_split(samples, 2)
         backend = backend_for()
-        weights = backend.init_weights(0)
-        ckpt = tmp_path / "early.txt"
-        write_checkpoint(ckpt, weights, weights, 5, backend.num_base_classes)
-        with pytest.raises(DataError, match="burn-in"):
-            train(trainer_config(), samples, split, backend, resume_from=ckpt)
+        cfg = trainer_config(checkpoint_interval=5)
+        full = train(cfg, samples, split, backend, checkpoint_dir=tmp_path)
+        ckpt = tmp_path / "checkpoint_000005.txt"
+        resumed = train(cfg, samples, split, backend, resume_from=ckpt)
+        assert resumed.student.values.tobytes() == full.student.values.tobytes()
+        assert resumed.teacher.values.tobytes() == full.teacher.values.tobytes()
+        assert resumed.history == full.history[5:]
 
 
 class TestCheckpointIO:
@@ -1006,8 +1012,33 @@ class TestCheckpointIO:
 
     def test_truncated_rejected(self, tmp_path):
         path = tmp_path / "ckpt.txt"
-        path.write_text('{"feature_dim": 11, "num_outputs": 5}\nstudent\n1.0\n')
+        header = '{"feature_dim": 11, "iteration": 0, "num_base_classes": 3, "num_outputs": 5}'
+        path.write_text(header + "\nstudent\n1.0\n")
         with pytest.raises(DataError, match="values"):
+            read_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("iteration", None), ("iteration", "abc"), ("iteration", -1), ("iteration", 1.5),
+            ("num_base_classes", None), ("num_base_classes", "x"), ("num_base_classes", True),
+            ("num_base_classes", 4),  # the layout holds 3
+        ],
+    )
+    def test_bad_header_field_rejected(self, tmp_path, key, value):
+        import json
+
+        weights = backend_for().init_weights(0)
+        path = tmp_path / "ckpt.txt"
+        write_checkpoint(path, weights, weights, 7, 3)
+        lines = path.read_text().splitlines()
+        header = json.loads(lines[0])
+        if value is None:
+            del header[key]
+        else:
+            header[key] = value
+        path.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
+        with pytest.raises(DataError, match=key):
             read_checkpoint(path)
 
 
