@@ -150,20 +150,20 @@ def cmd_crops_label(params: dict) -> RunManifest:
     start = time.perf_counter()
     records = loaded.records
     kept = [np.isin(r.classes, list(base)) for r in records]
-    per_image = croplab.label_density_crops(
+    crops, counts = croplab.label_density_crops(
         np.concatenate([r.boxes[k] for r, k in zip(records, kept)] or [np.zeros((0, 4))]),
         [r.size for r in records], crop_params, [np.count_nonzero(k) for k in kept],
     )
     out_records = [
         dataclasses.replace(
-            r, boxes=np.concatenate([r.boxes[k], crops]),
-            classes=np.concatenate([r.classes[k], np.full(len(crops), crop_class)]),
+            r, boxes=np.concatenate([r.boxes[k], rows]),
+            classes=np.concatenate([r.classes[k], np.full(len(rows), crop_class)]),
         )
-        for r, k, crops in zip(records, kept, per_image)
+        for r, k, rows in zip(records, kept, np.split(crops, np.cumsum(counts)[:-1]))
     ]
     categories = {**base, crop_class: CROP_CATEGORY_NAME}
     dataset.write_annotations(out_records, categories, ann_path)
-    print(f"labeled {sum(map(len, per_image))} density crops across {len(records)} images")
+    print(f"labeled {len(crops)} density crops across {len(records)} images")
     return _finish("crops-label", params, 0, start, [ann_path])
 
 

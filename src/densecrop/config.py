@@ -6,7 +6,10 @@ bundles: [synthetic], [crops], [upscale], [trainer], [inference],
 [run], whose only key is the root seed. Flags override file values, which
 override the documented defaults. Path flags (``--annotations``,
 ``--checkpoint``, ...) have no file key, and neither do values derived
-from the inputs, such as the detector's number of base classes. The
+from the inputs, such as the detector's number of base classes. A
+dataclass section's keys are declared once, as its class's fields: each
+field's parser follows from its type, and the ``seed`` field, the derived
+values and the fields that hold another section are not keys. The
 whole file is checked when it is loaded, whichever command reads it: an
 unknown section or key is a ConfigError. In a manifest an unknown key is
 a DataError.
@@ -17,6 +20,7 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import os
+import typing
 
 from .croplab import CropParams
 from .dataset import SyntheticConfig, UpscalePolicy
@@ -75,80 +79,6 @@ def _parse_curve(text: str) -> tuple:
     return tuple(points)
 
 
-def _optional_int(text: str) -> int | None:
-    return None if not text.strip() else int(text)
-
-
-PARSERS = {
-    "crops": {
-        "merge_steps": int,
-        "sigma": float,
-        "theta": float,
-        "pi": float,
-        "min_cluster": int,
-    },
-    "upscale": {"mode": str, "target": float, "factor": float},
-    "synthetic": {
-        "num_images": int,
-        "width": float,
-        "height": float,
-        "num_classes": int,
-        "clusters_per_image": lambda t: _parse_pair(t, int),
-        "objects_per_cluster": lambda t: _parse_pair(t, int),
-        "cluster_spread": float,
-        "small_size": lambda t: _parse_pair(t, float),
-        "scattered_per_image": lambda t: _parse_pair(t, int),
-        "large_size": lambda t: _parse_pair(t, float),
-        "payload_noise": float,
-    },
-    "oracle": {
-        "miss_curve": _parse_curve,
-        "jitter_std": float,
-        "score_mean": float,
-        "score_std": float,
-        "fp_rate": float,
-        "fp_score_range": lambda t: _parse_pair(t, float),
-        "emit_crops": _parse_bool,
-    },
-    "detector": {
-        "proposal_jitter": float,
-        "background_proposals": int,
-        "fg_iou": float,
-        "payload_obs_scale": float,
-        "weak_flip_prob": float,
-        "strong_noise_std": float,
-        "strong_cutout": int,
-        "init_scale": float,
-    },
-    "trainer": {
-        "burn_in_iters": int,
-        "max_iters": int,
-        "crop_start_iter": int,
-        "learning_rate": float,
-        "lambda_unsup": float,
-        "tau": float,
-        "alpha": float,
-        "crop_recompute_period": int,
-        "data_ratio": float,
-        "labeled_batch": int,
-        "lr_decay_iter": _optional_int,
-        "lr_decay_factor": float,
-        "crops_on_labeled": _parse_bool,
-        "checkpoint_interval": _optional_int,
-    },
-    "inference": {
-        "crop_mode": str,
-        "crop_score_threshold": float,
-        "max_crops_per_image": int,
-        "fusion_iou": float,
-        "multistage": _parse_bool,
-    },
-    "split": {"fraction": float},
-    "tile": {"tile": float, "stride": float},
-    "errors": {"fg_iou": float, "bg_iou": float},
-    "run": {"seed": int},
-}
-
 # Sections that build a dataclass; the other sections are flat values.
 SECTIONS = {
     "crops": CropParams,
@@ -162,6 +92,42 @@ SECTIONS = {
 
 # Dataclass fields that hold another section's dataclass.
 _NESTED = {"crop_params": "crops", "proposal_crop_params": "crops", "upscale": "upscale"}
+
+# Dataclass fields that are no config key: the root seed, a value derived
+# from the inputs, and the nested sections.
+_NOT_KEYS = {"seed", "num_base_classes", *_NESTED}
+
+# The parser of each field type that a config key may have.
+_TYPE_PARSERS = {
+    int: int,
+    float: float,
+    str: str,
+    bool: _parse_bool,
+    int | None: lambda t: int(t) if t.strip() else None,
+    tuple[int, int]: lambda t: _parse_pair(t, int),
+    tuple[float, float]: lambda t: _parse_pair(t, float),
+    tuple[tuple[float, float], ...]: _parse_curve,
+}
+
+
+def _field_parsers(cls) -> dict:
+    """Key -> parser of each field of ``cls`` that is a config key, in
+    field order; a field of a type without a parser fails at import."""
+    hints = typing.get_type_hints(cls)
+    keys = [f.name for f in dataclasses.fields(cls) if f.name not in _NOT_KEYS]
+    unparsed = [key for key in keys if hints[key] not in _TYPE_PARSERS]
+    if unparsed:
+        raise TypeError(f"{cls.__name__} fields {unparsed} have no config parser")
+    return {key: _TYPE_PARSERS[hints[key]] for key in keys}
+
+
+PARSERS = {
+    **{section: _field_parsers(cls) for section, cls in SECTIONS.items()},
+    "split": {"fraction": float},
+    "tile": {"tile": float, "stride": float},
+    "errors": {"fg_iou": float, "bg_iou": float},
+    "run": {"seed": int},
+}
 
 # Manifest keys of fields that were removed without changing any output.
 # Manifests written while the oracle had an upscale path carry

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvariantViolation
+from .errors import ConfigError, InvariantViolation
 from .geometry import box_areas, check_boxes, group_pairs, pair_ious
 
 __all__ = [
@@ -55,17 +55,17 @@ class CropParams:
 
     def __post_init__(self) -> None:
         if not self.merge_steps >= 1:
-            raise InvariantViolation(f"merge_steps must be >= 1, got {self.merge_steps}")
+            raise ConfigError(f"merge_steps must be >= 1, got {self.merge_steps}")
         # A NaN or infinite sigma expands every box to nothing or everything
         # and would silently turn crop discovery off.
         if not (0 <= self.sigma < math.inf):
-            raise InvariantViolation(f"sigma must be finite and >= 0, got {self.sigma}")
+            raise ConfigError(f"sigma must be finite and >= 0, got {self.sigma}")
         if not (0.0 < self.theta < 1.0):
-            raise InvariantViolation(f"theta must be in (0, 1), got {self.theta}")
+            raise ConfigError(f"theta must be in (0, 1), got {self.theta}")
         if not (0.0 < self.pi <= 1.0):
-            raise InvariantViolation(f"pi must be in (0, 1], got {self.pi}")
+            raise ConfigError(f"pi must be in (0, 1], got {self.pi}")
         if not self.min_cluster >= 2:
-            raise InvariantViolation(f"min_cluster must be >= 2, got {self.min_cluster}")
+            raise ConfigError(f"min_cluster must be >= 2, got {self.min_cluster}")
 
 
 def _stack(boxes, image_size, counts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -155,14 +155,15 @@ def merge_round(
 
 def label_density_crops(
     boxes: np.ndarray, image_size, params: CropParams, counts
-) -> list[np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Discover the density crops of each image of a stack from its (N, 4)
     (x1, y1, x2, y2) box rows.
 
     ``boxes`` holds ``counts[m]`` rows of image ``m``, whose (width,
-    height) is ``image_size[m]``, image after image. The call returns a
-    list of each image's (K, 4) float64 crops, in image order; each equals
-    the crops of labeling that image alone, bit for bit.
+    height) is ``image_size[m]``, image after image. The call returns the
+    stack's (K, 4) float64 crop rows, image after image, and each image's
+    (M,) int64 crop count; an image's crops equal those of labeling that
+    image alone, bit for bit.
 
     Every side of every box is first moved out by ``sigma`` pixels and
     clipped to its image, as Python's ``max(0.0, x1 - sigma)`` and
@@ -175,7 +176,7 @@ def label_density_crops(
     """
     boxes, sizes, n = _stack(boxes, image_size, counts)
     if not len(boxes):
-        return [boxes] * len(n)
+        return boxes, np.zeros(len(n), dtype=np.int64)
     check_boxes(boxes)
     image = np.repeat(np.arange(len(n)), n)
     bounds = sizes[image]
@@ -199,5 +200,4 @@ def label_density_crops(
     same &= image[order[1:]] == image[order[:-1]]
     first = np.ones(len(current), dtype=bool)
     first[order[1:][same]] = False
-    rows, ends = current[first], np.cumsum(np.bincount(image[first], minlength=len(n))).tolist()
-    return [rows[start:end] for start, end in zip([0] + ends, ends)]
+    return current[first], np.bincount(image[first], minlength=len(n))

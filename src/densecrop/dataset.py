@@ -590,14 +590,15 @@ def read_split(path: str | os.PathLike, all_ids: list | set | tuple) -> DatasetS
 
 
 def make_crop_children(
-    parents: SceneStack, crops: list[np.ndarray], policy: UpscalePolicy
+    parents: SceneStack, crops: np.ndarray, counts, policy: UpscalePolicy
 ) -> SceneStack:
-    """The zoom: the stack of crop children of a parent stack, parent ``i``
-    with its (K_i, 4) (x1, y1, x2, y2) density-crop rows ``crops[i]``, as
-    :func:`~densecrop.croplab.label_density_crops` returns them. Children
-    come out in stack order, child ``k`` of group ``i`` named
-    ``{parent id}:crop{k}``; a parent may head several groups when the
-    stack repeats it (:meth:`SceneStack.take`).
+    """The zoom: the stack of crop children of a parent stack, given its
+    (K, 4) (x1, y1, x2, y2) density-crop rows, parent after parent, and
+    each parent's row count, as :func:`~densecrop.croplab.label_density_crops`
+    returns them (else :class:`InvariantViolation`). Children come out in
+    stack order, child ``k`` of parent ``i`` named ``{parent id}:crop{k}``;
+    a parent that the stack repeats (:meth:`SceneStack.take`) names each
+    copy's crops from ``crop0``.
 
     Each crop is upscaled to ``policy.output_size`` of its row. A child's
     annotation rows are its parent's rows with at least half their area
@@ -610,9 +611,11 @@ def make_crop_children(
     ``stable_int(child id)``, with ``crop`` the row as a tuple of Python
     floats.
     """
-    groups = [np.asarray(rows, dtype=np.float64).reshape(-1, 4) for rows in crops]
-    owner = np.repeat(np.arange(len(groups)), [len(rows) for rows in groups])
-    rows = _rows(groups, (0, 4))
+    rows = np.asarray(crops, dtype=np.float64).reshape(-1, 4)
+    counts = np.asarray(counts, dtype=np.int64).reshape(-1)
+    if len(counts) != len(parents) or counts.sum() != len(rows) or (counts < 0).any():
+        raise InvariantViolation(f"{len(rows)} crops do not split into counts {counts.tolist()}")
+    owner = np.repeat(np.arange(len(parents)), counts)
     check_boxes(rows)
     out = policy.output_size(rows)
 

@@ -15,10 +15,10 @@ through ``detect_batch``. Both backends read their images from a
 :meth:`ToyDetector.augment`) take a ragged stack and its per-view row
 counts, and nothing else: a single view is a stack of one.
 
-The contract is that one method: un-augmented detections of each scene
-of a stack as arrays, deterministic given (weights, scenes). Both backends
-can emit the reserved density-crop class (id ``num_base_classes``) in
-addition to the base classes.
+The contract is that one method: un-augmented detections of a stack of
+scenes as rows with per-scene counts, deterministic given (weights,
+scenes). Both backends can emit the reserved density-crop class (id
+``num_base_classes``) in addition to the base classes.
 """
 
 from __future__ import annotations
@@ -62,6 +62,7 @@ __all__ = [
     "loss_unsup",
     "assign_targets",
     "DetectorBackend",
+    "empty_detections",
     "OracleBackend",
     "ToyDetector",
     "ToyDetectorConfig",
@@ -189,25 +190,25 @@ class OracleNoiseModel:
 
     def __post_init__(self) -> None:
         if not self.miss_curve or self.miss_curve[0][0] != 0.0:
-            raise InvariantViolation("miss_curve must start with a breakpoint at area 0")
+            raise ConfigError("miss_curve must start with a breakpoint at area 0")
         prev_area, prev_prob = -1.0, 1.0
         for area, prob in self.miss_curve:
             if area <= prev_area:
-                raise InvariantViolation("miss_curve areas must be strictly increasing")
+                raise ConfigError("miss_curve areas must be strictly increasing")
             if not (0.0 <= prob <= 1.0):
-                raise InvariantViolation(f"miss probability {prob} outside [0, 1]")
+                raise ConfigError(f"miss probability {prob} outside [0, 1]")
             if prob > prev_prob and prev_area >= 0.0:
-                raise InvariantViolation("miss_curve must be non-increasing in area")
+                raise ConfigError("miss_curve must be non-increasing in area")
             prev_area, prev_prob = area, prob
         for name in ("jitter_std", "score_mean", "score_std", "fp_rate"):
             value = getattr(self, name)
             if not np.isfinite(value):
-                raise InvariantViolation(f"{name} must be finite, got {value}")
+                raise ConfigError(f"{name} must be finite, got {value}")
             if value < 0 and name != "score_mean":
-                raise InvariantViolation(f"{name} must be >= 0, got {value}")
+                raise ConfigError(f"{name} must be >= 0, got {value}")
         lo, hi = self.fp_score_range
         if not (0.0 <= lo <= hi <= 1.0):
-            raise InvariantViolation(
+            raise ConfigError(
                 f"fp_score_range {self.fp_score_range} must satisfy 0 <= lo <= hi <= 1"
             )
 
@@ -244,46 +245,46 @@ def _safe_box(boxes: np.ndarray, width, height) -> np.ndarray:
 
 def oracle_detect(
     scenes: SceneStack, noise: OracleNoiseModel, num_base_classes: int
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Noisy detections for each scene's annotation rows, as (N, 4) float64
-    box rows, (N,) int64 class ids and (N,) float64 scores.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Noisy detections for the annotation rows of a stack of scenes, as
+    (N, 4) float64 box rows, (N,) int64 class ids and (N,) float64 scores,
+    scene after scene, and each scene's (M,) int64 row count.
 
     Each annotation survives with probability 1 - miss(area), gets a
     jittered box and a sampled score; background false positives of a
     random base class are appended at a Poisson rate. Every box is clipped
-    to the image. Each scene draws from its own generator,
+    to its image. Each scene draws from its own generator,
     ``rng_for(noise seed, "oracle", image id)``, all derived in one
     :func:`rngs_for` call from the scenes' id words.
     """
     rngs = rngs_for((noise.seed, "oracle"), scenes.id_words.reshape(-1, 1))
     ends = np.cumsum(scenes.counts).tolist()
     rows, classes_of = scenes.boxes.tolist(), scenes.classes.tolist()
-    out = []
+    found: list[tuple] = []  # (x1, y1, x2, y2, class, score) before clipping
+    done = []  # rows found after each scene
     for rng, (width, height), start, end in zip(rngs, scenes.sizes.tolist(), [0] + ends, ends):
-        raw: list[tuple] = []  # boxes before clipping
-        classes: list[int] = []
-        scores: list[float] = []
         for (x1, y1, x2, y2), class_id in zip(rows[start:end], classes_of[start:end]):
             if class_id == num_base_classes and not noise.emit_crops:
                 continue
             if rng.random() < noise.miss_probability((x2 - x1) * (y2 - y1)):
                 continue
             jit = rng.normal(0.0, noise.jitter_std, 4) if noise.jitter_std > 0 else np.zeros(4)
-            raw.append((x1 + jit[0], y1 + jit[1], x2 + jit[2], y2 + jit[3]))
-            classes.append(class_id)
-            scores.append(float(np.clip(rng.normal(noise.score_mean, noise.score_std), 0.05, 1.0)))
+            score = float(np.clip(rng.normal(noise.score_mean, noise.score_std), 0.05, 1.0))
+            found.append((x1 + jit[0], y1 + jit[1], x2 + jit[2], y2 + jit[3], class_id, score))
         if noise.fp_rate > 0:
             for _ in range(int(rng.poisson(noise.fp_rate))):
                 w = float(rng.uniform(4.0, max(8.0, width / 4.0)))
                 h = float(rng.uniform(4.0, max(8.0, height / 4.0)))
                 x = float(rng.uniform(0.0, max(width - w, _MIN_SIDE)))
                 y = float(rng.uniform(0.0, max(height - h, _MIN_SIDE)))
-                scores.append(float(rng.uniform(*noise.fp_score_range)))
-                raw.append((x, y, x + w, y + h))
-                classes.append(int(rng.integers(0, num_base_classes)))
-        boxes = _safe_box(np.array(raw, dtype=np.float64).reshape(-1, 4), width, height)
-        out.append((boxes, np.array(classes, dtype=np.int64), np.array(scores, dtype=np.float64)))
-    return out
+                score = float(rng.uniform(*noise.fp_score_range))
+                found.append((x, y, x + w, y + h, int(rng.integers(0, num_base_classes)), score))
+        done.append(len(found))
+    found = np.array(found, dtype=np.float64).reshape(-1, 6)
+    counts = np.diff(np.array(done, dtype=np.int64), prepend=0)
+    size = np.repeat(scenes.sizes, counts, axis=0)
+    boxes = _safe_box(found[:, :4], size[:, 0], size[:, 1])
+    return boxes, found[:, 4].astype(np.int64), np.ascontiguousarray(found[:, 5]), counts
 
 
 # ---------------------------------------------------------------------------
@@ -651,14 +652,14 @@ class DetectorBackend(abc.ABC):
     """Contract every detection backend satisfies: one method,
     :meth:`detect_batch`.
 
-    It returns the un-augmented detections of each scene of a
-    :class:`~densecrop.dataset.SceneStack`, one (boxes, classes, scores)
-    triple per scene: (N, 4) float64 box rows, (N,) int64 class ids and
-    (N,) float64 scores. It must be deterministic given (weights, scenes),
-    a scene's detections must not depend on the scenes beside it, and it
-    may emit the reserved density-crop class id ``num_base_classes``
-    alongside base classes 0..num_base_classes-1. Multistage inference
-    calls it once per stage for a chunk of images.
+    It returns the un-augmented detections of a
+    :class:`~densecrop.dataset.SceneStack` as rows, scene after scene:
+    (N, 4) float64 boxes, (N,) int64 class ids, (N,) float64 scores, and
+    each scene's (M,) int64 row count. It must be deterministic given
+    (weights, scenes), a scene's rows must not depend on the scenes beside
+    it, and it may emit the reserved density-crop class id
+    ``num_base_classes`` alongside base classes 0..num_base_classes-1.
+    Multistage inference calls it once per stage for a chunk of images.
     """
 
     num_base_classes: int
@@ -670,8 +671,14 @@ class DetectorBackend(abc.ABC):
     @abc.abstractmethod
     def detect_batch(
         self, weights: WeightVector | None, scenes: SceneStack
-    ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         raise NotImplementedError
+
+
+def empty_detections(scenes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """No detection rows for a stack of ``scenes`` scenes, in the form of
+    :meth:`DetectorBackend.detect_batch`."""
+    return np.zeros((0, 4)), np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(scenes, np.int64)
 
 
 class OracleBackend(DetectorBackend):
@@ -683,7 +690,7 @@ class OracleBackend(DetectorBackend):
 
     def detect_batch(
         self, weights: WeightVector | None, scenes: SceneStack
-    ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """:func:`oracle_detect` of the scenes; ``weights`` is ignored."""
         return oracle_detect(scenes, self.noise, self.num_base_classes)
 
@@ -886,23 +893,20 @@ class ToyDetector(DetectorBackend):
         """
         rngs = rngs_for((self.config.seed, _PROPOSALS), scenes.id_words.reshape(-1, 1))
         parent = ~scenes.crop
-        parent_crops = iter(
-            label_density_crops(
-                scenes.object_boxes[np.repeat(parent, scenes.object_counts)],
-                scenes.sizes[parent],
-                self._proposal_crop_params,
-                scenes.object_counts[parent],
-            )
+        crop_counts = np.zeros(len(scenes), dtype=np.int64)
+        crops, crop_counts[parent] = label_density_crops(
+            scenes.object_boxes[np.repeat(parent, scenes.object_counts)],
+            scenes.sizes[parent],
+            self._proposal_crop_params,
+            scenes.object_counts[parent],
         )
         per_image = self.config.background_proposals
-        ends = np.cumsum(scenes.object_counts).tolist()
+        objects = np.split(scenes.object_boxes, np.cumsum(scenes.object_counts)[:-1])
+        crops = np.split(crops, np.cumsum(crop_counts)[:-1])
         jittered, u = [], np.empty((len(scenes), per_image, 4))
-        for k, (rng, start, end, crop) in enumerate(
-            zip(rngs, [0] + ends, ends, scenes.crop.tolist())
-        ):
-            candidates = scenes.object_boxes[start:end]
-            if not crop:
-                candidates = np.concatenate([candidates, next(parent_crops)])
+        for k, (rng, own, found) in enumerate(zip(rngs, objects, crops)):
+            # A crop child's block of crop rows is empty.
+            candidates = np.concatenate([own, found])
             jitter = rng.normal(0.0, self.config.proposal_jitter, (len(candidates), 4))
             jittered.append(candidates + jitter)
             # Each background box takes its (w, h, x, y) uniforms in turn,
@@ -916,7 +920,7 @@ class ToyDetector(DetectorBackend):
         y = _uniform(0.0, np.maximum(height - h, _MIN_SIDE), u[..., 3])
         background = np.stack([x, y, x + w, y + h], axis=-1)
         raw = [block for pair in zip(jittered, background) for block in pair]
-        counts = np.array([len(j) + per_image for j in jittered], dtype=np.int64)
+        counts = scenes.object_counts + crop_counts + per_image
         row_size = np.repeat(scenes.sizes, counts, axis=0)
         boxes = _safe_box(np.concatenate(raw or [np.zeros((0, 4))]), row_size[:, 0], row_size[:, 1])
         return boxes, counts
@@ -989,23 +993,19 @@ class ToyDetector(DetectorBackend):
 
     def detect_batch(
         self, weights: WeightVector | None, scenes: SceneStack
-    ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Each scene's detections as box rows, class ids and scores: the
-        :meth:`emitted` (proposal, class) pairs of one un-augmented
-        :meth:`decode` of the scenes' :meth:`views`, proposal by proposal
-        and class by class, split by view. A view's detections do not
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The scenes' detections as box rows, class ids, scores and each
+        scene's row count: the :meth:`emitted` (proposal, class) pairs of
+        one un-augmented :meth:`decode` of the scenes' :meth:`views`,
+        proposal by proposal and class by class. A view's detections do not
         depend on the views beside it."""
         if not len(scenes):
-            return []
+            return empty_detections(0)
         stack = self.views(scenes)
         boxes, probs = self.decode(weights, stack, "none", ())
         rows, classes = self.emitted(probs)
-        scores = probs[rows, classes]
-        ends = np.searchsorted(rows, np.cumsum(stack.counts)).tolist()
-        return [
-            (boxes[rows[start:end]], classes[start:end], scores[start:end])
-            for start, end in zip([0] + ends[:-1], ends)
-        ]
+        counts = np.bincount(stack.row_view[rows], minlength=len(scenes))
+        return boxes[rows], classes, probs[rows, classes], counts
 
     def decode(
         self, weights: WeightVector | None, stack: ViewStack, augmentation: str, rngs

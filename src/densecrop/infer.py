@@ -34,7 +34,7 @@ import numpy as np
 
 from .croplab import CropParams, label_density_crops
 from .dataset import SceneSample, SceneStack, UpscalePolicy, make_crop_children
-from .detect import DetectorBackend, WeightVector, chunk_bounds
+from .detect import DetectorBackend, WeightVector, chunk_bounds, empty_detections
 from .errors import ConfigError, InvariantViolation
 from .geometry import (
     Detection,
@@ -92,36 +92,37 @@ def select_crops(
     config: InferenceConfig,
     image_sizes: np.ndarray,
     crop_class_id: int,
-) -> list[np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Pick the crop regions to zoom into from the stage-one detections of
     a ragged stack of images, given as one (boxes, classes, scores) triple
     of rows, image by image, ``counts[i]`` rows in image ``i`` of
-    (width, height) ``image_sizes[i]``; returns each image's (K_i, 4) crop
-    rows, at most ``max_crops_per_image`` of them.
+    (width, height) ``image_sizes[i]``; returns the (K, 4) crop rows,
+    image by image, and each image's crop count, at most
+    ``max_crops_per_image``.
 
     ``predicted`` mode takes each image's crop-class rows above the
     threshold by descending score, ties in row order. ``relabeled`` mode
     labels the confident base-class rows of every image in one
-    :func:`label_density_crops` call over the stack.
+    :func:`label_density_crops` call over the stack. Either way each image
+    keeps its first ``max_crops_per_image`` crops.
     """
     boxes, classes, scores = first_pass
     image = np.repeat(np.arange(len(counts)), counts)
-    cap = config.max_crops_per_image
     if config.crop_mode == PREDICTED:
         rows = np.flatnonzero((classes == crop_class_id) & (scores > config.crop_score_threshold))
         rows = rows[np.lexsort((-scores[rows], image[rows]))]
-        per_image = np.bincount(image[rows], minlength=len(counts))
-        rank = np.arange(len(rows)) - np.repeat(np.cumsum(per_image) - per_image, per_image)
-        kept, ends = boxes[rows[rank < cap]], np.cumsum(np.minimum(per_image, cap)).tolist()
-        return [kept[start:end] for start, end in zip([0] + ends, ends)]
-    confident = (classes != crop_class_id) & (scores > config.crop_score_threshold)
-    crops = label_density_crops(
-        boxes[confident],
-        image_sizes,
-        config.crop_params,
-        np.bincount(image[confident], minlength=len(counts)),
-    )
-    return [rows[:cap] for rows in crops]
+        crops, per_image = boxes[rows], np.bincount(image[rows], minlength=len(counts))
+    else:
+        confident = (classes != crop_class_id) & (scores > config.crop_score_threshold)
+        crops, per_image = label_density_crops(
+            boxes[confident],
+            image_sizes,
+            config.crop_params,
+            np.bincount(image[confident], minlength=len(counts)),
+        )
+    cap = config.max_crops_per_image
+    rank = np.arange(len(crops)) - np.repeat(np.cumsum(per_image) - per_image, per_image)
+    return crops[rank < cap], np.minimum(per_image, cap)
 
 
 def _detect_chunk(
@@ -129,41 +130,38 @@ def _detect_chunk(
     backend: DetectorBackend,
     weights: WeightVector | None,
     config: InferenceConfig,
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Fused (boxes, classes, scores) of each scene of a chunk, kept as one
-    stack of rows from stage one to the fused rows: one stage-one
-    ``detect_batch`` over the scenes, crop selection on the stacked rows,
-    one zoom into every selected crop's child and one stage-two
-    ``detect_batch`` over them, whose rows are reprojected, clipped and
-    checked at once, and one :func:`nms_keep` over the chunk, whose kept
-    rows are split per scene at the end. Each scene's rows enter the
-    fusion as its stage-one base-class rows, then its stage-two rows in
-    crop order."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Fused (boxes, classes, scores) rows of a chunk, scene after scene,
+    and each scene's row count, kept as one stack of rows from stage one
+    to the fused rows: one stage-one ``detect_batch`` over the scenes,
+    crop selection on the stacked rows, one zoom into every selected
+    crop's child and one stage-two ``detect_batch`` over them, whose rows
+    are reprojected, clipped and checked at once, and one :func:`nms_keep`
+    over the chunk. Each scene's rows enter the fusion as its stage-one
+    base-class rows, then its stage-two rows in crop order."""
     crop_class = backend.crop_class_id
-    firsts = backend.detect_batch(weights, scenes)
-    boxes, classes, scores = (np.concatenate(column) for column in zip(*firsts))
-    counts = [len(first[2]) for first in firsts]
+    boxes, classes, scores, counts = backend.detect_batch(weights, scenes)
     image = np.repeat(np.arange(len(scenes)), counts)
     base = classes != crop_class
     check_boxes(boxes[base])
     blocks = [(boxes[base], classes[base], scores[base], image[base])]
     if config.multistage and config.max_crops_per_image > 0:
-        per_image = select_crops((boxes, classes, scores), counts, config, scenes.sizes, crop_class)
-        owners = np.repeat(np.arange(len(scenes)), [len(rows) for rows in per_image])
-        crops = np.concatenate(per_image)
+        crops, per_image = select_crops(
+            (boxes, classes, scores), counts, config, scenes.sizes, crop_class
+        )
+        owners = np.repeat(np.arange(len(scenes)), per_image)
         # Each crop is a one-row group of its own copy of the parent, so
         # every stage-two child is named ``:crop0``; the toy detector seeds
         # its proposals by image id.
-        children = make_crop_children(scenes.take(owners), list(crops[:, None]), config.upscale)
+        one_each = np.ones_like(owners)
+        children = make_crop_children(scenes.take(owners), crops, one_each, config.upscale)
         if len(children):
-            second = backend.detect_batch(weights, children)
-            boxes, classes, scores = (np.concatenate(column) for column in zip(*second))
+            boxes, classes, scores, counts = backend.detect_batch(weights, children)
             base = classes != crop_class
-            child = np.repeat(np.arange(len(children)), [len(s) for _, _, s in second])[base]
+            child = np.repeat(np.arange(len(children)), counts)[base]
             owner = owners[child]
-            bounds = np.tile(scenes.sizes, 2)[owner]
             rows = reproject_rows(boxes[base], crops[child], children.sizes[child])
-            rows = clip(rows, 0.0, bounds)
+            rows = clip(rows, 0.0, np.tile(scenes.sizes, 2)[owner])
             check_boxes(rows)
             blocks.append((rows, classes[base], scores[base], owner))
     boxes, classes, scores, image = (np.concatenate(column) for column in zip(*blocks))
@@ -171,9 +169,7 @@ def _detect_chunk(
     order = np.argsort(image, kind="stable")
     fused = np.bincount(image, minlength=len(scenes))
     kept = order[nms_keep(boxes[order], classes[order], scores[order], config.fusion_iou, fused)]
-    at = [0, *np.searchsorted(image[kept], np.arange(1, len(scenes))).tolist(), len(kept)]
-    boxes, classes, scores = boxes[kept], classes[kept], scores[kept]
-    return [(boxes[a:b], classes[a:b], scores[a:b]) for a, b in zip(at, at[1:])]
+    return boxes[kept], classes[kept], scores[kept], np.bincount(image[kept], minlength=len(scenes))
 
 
 @dataclass(eq=False)
@@ -200,16 +196,15 @@ def _attempt(
     backend: DetectorBackend,
     weights: WeightVector | None,
     config: InferenceConfig,
-) -> list[tuple[tuple, str | None]]:
-    """((boxes, classes, scores), error) of each scene of a chunk; a
-    failure anywhere in the chunk is every scene's error, with zero rows."""
+) -> tuple[tuple, str | None]:
+    """The fused rows and row counts of a chunk, and its error; a failure
+    anywhere in the chunk is every scene's error, with zero rows."""
     try:
-        return [(fused, None) for fused in _detect_chunk(scenes, backend, weights, config)]
+        return _detect_chunk(scenes, backend, weights, config), None
     except InvariantViolation:
         raise
     except Exception as exc:  # error record, not a crash
-        empty = (np.zeros((0, 4)), np.zeros(0, dtype=np.int64), np.zeros(0))
-        return [(empty, f"{type(exc).__name__}: {exc}")] * len(scenes)
+        return empty_detections(len(scenes)), f"{type(exc).__name__}: {exc}"
 
 
 def run_inference(
@@ -243,14 +238,14 @@ def run_inference(
     for start, stop in chunk_bounds([len(s.scene.object_boxes) for s in samples]):
         began = time.perf_counter()
         chunk = SceneStack.of(samples[start:stop])
-        outcomes = _attempt(chunk, backend, weights, config)
-        if len(chunk) > 1 and any(error for _, error in outcomes):
-            outcomes = [
-                _attempt(chunk.take([k]), backend, weights, config)[0] for k in range(len(chunk))
-            ]
+        fused, error = _attempt(chunk, backend, weights, config)
+        runs = [(chunk, fused, error)]
+        if error and len(chunk) > 1:
+            singles = [chunk.take([k]) for k in range(len(chunk))]
+            runs = [(one, *_attempt(one, backend, weights, config)) for one in singles]
         share = (time.perf_counter() - began) / len(chunk)
-        results += [
-            ImageInferenceResult(image_id, *fused, share, error)
-            for image_id, (fused, error) in zip(chunk.image_ids, outcomes)
-        ]
+        for scenes, (*fused, counts), error in runs:
+            per_image = (np.split(column, np.cumsum(counts)[:-1]) for column in fused)
+            for image_id, *rows in zip(scenes.image_ids, *per_image):
+                results.append(ImageInferenceResult(image_id, *rows, share, error))
     return results

@@ -363,17 +363,16 @@ def discover_unlabeled_crops(
     )
     base = classes < backend.num_base_classes
     counts = np.bincount(label_view[base], minlength=len(targets))
-    crops = label_density_crops(boxes[base], stack.sizes, config.crop_params, counts)
+    crops, added = label_density_crops(boxes[base], stack.sizes, config.crop_params, counts)
     drop = due[cache.parent]
     if drop.any():
         keep = np.flatnonzero(~drop) + len(parents)
         cache.pool = cache.pool.take(np.concatenate([np.arange(len(parents)), keep]))
-    new_parent = np.repeat(targets, [len(rows) for rows in crops])
-    if len(new_parent):
-        children = make_crop_children(parents.take(targets), crops, config.upscale)
+    if len(crops):
+        children = make_crop_children(parents.take(targets), crops, added, config.upscale)
         cache.pool = ViewStack.of([cache.pool, _views(backend, children)])
-    cache.parent = np.concatenate([cache.parent[~drop], new_parent])
-    cache.crops = np.concatenate([cache.crops[~drop], *crops])
+    cache.parent = np.concatenate([cache.parent[~drop], np.repeat(targets, added)])
+    cache.crops = np.concatenate([cache.crops[~drop], crops])
     cache.computed_iter[targets] = state.iteration
 
 
@@ -401,18 +400,17 @@ def prepare_labeled_pool(
     image = np.repeat(np.arange(len(ids)), stack.counts)
     base = stack.classes < backend.num_base_classes
     counts = np.bincount(image[base], minlength=len(ids))
-    crops = label_density_crops(stack.boxes[base], stack.sizes, config.crop_params, counts)
-    added = np.array([len(rows) for rows in crops], dtype=np.int64)
+    crops, added = label_density_crops(stack.boxes[base], stack.sizes, config.crop_params, counts)
     # each image's crop-class rows right after its own rows
     rows = np.argsort(np.concatenate([image, np.repeat(np.arange(len(ids)), added)]), kind="stable")
     parents = replace(
         stack,
-        boxes=np.concatenate([stack.boxes, *crops])[rows],
+        boxes=np.concatenate([stack.boxes, crops])[rows],
         classes=np.concatenate([stack.classes, np.full(added.sum(), backend.crop_class_id)])[rows],
         counts=stack.counts + added,
     )
     pool = _views(backend, parents, True)
-    children = make_crop_children(stack, crops, config.upscale)
+    children = make_crop_children(stack, crops, added, config.upscale)
     if len(children):
         pool = ViewStack.of([pool, _views(backend, children, True)])
     return pool.take(sorted(range(len(pool.image_ids)), key=lambda k: str(pool.image_ids[k])))

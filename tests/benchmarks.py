@@ -166,7 +166,7 @@ def oracle_benchmark_samples(num_scenes: int = 100, seed: int = 2024):
     out = []
     for sample in samples:
         boxes, classes = sample.record.boxes, sample.record.classes
-        (crops,) = label_density_crops(boxes, [sample.record.size], CROP_PARAMS, [len(boxes)])
+        crops, _ = label_density_crops(boxes, [sample.record.size], CROP_PARAMS, [len(boxes)])
         record = replace(
             sample.record,
             boxes=np.concatenate([boxes, crops]),

@@ -909,6 +909,36 @@ def make_crop_children_per_child(parents: list, crops: list, policy) -> list:
 # ---------------------------------------------------------------------------
 
 
+def stacked_rows(blocks: list) -> tuple[np.ndarray, np.ndarray]:
+    """Per-image (K_i, 4) row blocks as one stack of rows and its counts,
+    the form the package's stack kernels take."""
+    blocks = [np.asarray(b, dtype=np.float64).reshape(-1, 4) for b in blocks]
+    rows = np.concatenate(blocks or [np.zeros((0, 4))])
+    return rows, np.array([len(b) for b in blocks], dtype=np.int64)
+
+
+def split_rows(counts, *columns) -> list:
+    """Each image's block of every column of a ragged stack of rows with
+    ``counts[i]`` rows in image ``i``: a list of arrays for one column, of
+    tuples for several."""
+    ends = np.cumsum(counts, dtype=np.int64).tolist()
+    blocks = [[column[a:b] for a, b in zip([0] + ends, ends)] for column in columns]
+    return blocks[0] if len(blocks) == 1 else list(zip(*blocks))
+
+
+def split_detections(detections) -> list:
+    """Each scene's (boxes, classes, scores) triple of a ``detect_batch``
+    or ``oracle_detect`` result."""
+    *columns, counts = detections
+    return split_rows(counts, *columns)
+
+
+def one_scene(detections) -> tuple:
+    """The (boxes, classes, scores) of a detection result over one scene."""
+    (triple,) = split_detections(detections)
+    return triple
+
+
 def stack_of(samples):
     """A ``SceneStack`` of a list of ``SceneSample`` objects."""
     from densecrop.dataset import SceneStack
@@ -971,4 +1001,4 @@ def child_samples(parents: list, crops: list, policy) -> list:
     from densecrop.dataset import make_crop_children
 
     stack = stack_of(parents)
-    return zoomed_samples(stack, crops, make_crop_children(stack, crops, policy))
+    return zoomed_samples(stack, crops, make_crop_children(stack, *stacked_rows(crops), policy))

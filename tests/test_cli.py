@@ -975,6 +975,32 @@ class TestConfigFileChecks:
         assert run(argv) == 2
         assert not (out / "manifest.json").exists()
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--theta", "2"), ("--sigma", "nan"), ("--merge-steps", "0")]
+    )
+    def test_bad_crop_param_is_config_error(self, flag, value, workspace, tmp_path):
+        out = tmp_path / "out"
+        argv = ["crops", "label", "--annotations", str(workspace["annotations"]), "--out", str(out)]
+        assert run(argv + [flag, value]) == 2
+        assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("jitter_std", "-1"), ("miss_curve", "5:0.5"), ("fp_score_range", "0.6, 0.4")],
+    )
+    def test_bad_oracle_noise_is_config_error(self, key, value, workspace, tmp_path):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(f"[oracle]\n{key} = {value}\n")
+        out = tmp_path / "out"
+        argv = [
+            "infer", "--config", str(cfg),
+            "--annotations", str(workspace["annotations"]),
+            "--scenes", str(workspace["scenes"]),
+            "--backend", "oracle", "--out", str(out),
+        ]
+        assert run(argv) == 2
+        assert not (out / "manifest.json").exists()
+
     def test_unknown_section_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.ini"
         cfg.write_text("[synthetc]\nnum_images = 2\n")

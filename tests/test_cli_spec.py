@@ -234,6 +234,25 @@ def test_samples_cover_the_table():
     }
 
 
+def test_dataclass_keys_are_their_fields():
+    # a dataclass section's keys are its fields, bar the root seed, the
+    # derived class count and the nested sections, in field order
+    for section, cls in config.SECTIONS.items():
+        fields = [f.name for f in dataclasses.fields(cls)]
+        skipped = {"seed", "num_base_classes", "crop_params", "proposal_crop_params", "upscale"}
+        assert list(config.PARSERS[section]) == [f for f in fields if f not in skipped]
+
+
+def test_field_of_unparsed_type_fails():
+    @dataclasses.dataclass(frozen=True)
+    class Listed:
+        steps: int = 1
+        sizes: list[int] = dataclasses.field(default_factory=list)
+
+    with pytest.raises(TypeError, match=r"Listed fields \['sizes'\]"):
+        config._field_parsers(Listed)
+
+
 @pytest.mark.parametrize("name, option", list(all_flags()))
 def test_every_flag_changes_params(name, option, files, monkeypatch):
     argv = baseline(name, files)

@@ -10,7 +10,7 @@ import pytest
 
 from densecrop.cli import main as cli_main
 from densecrop.croplab import CropParams, label_density_crops, merge_round
-from densecrop.errors import InvariantViolation
+from densecrop.errors import ConfigError, InvariantViolation
 from densecrop.geometry import iou_matrix
 
 from reference_impls import (
@@ -19,6 +19,7 @@ from reference_impls import (
     label_one,
     merge_once_ref,
     scaled_boxes_ref,
+    split_rows,
 )
 
 
@@ -70,7 +71,7 @@ class TestCropParams:
         ],
     )
     def test_invalid_rejected(self, kwargs):
-        with pytest.raises(InvariantViolation):
+        with pytest.raises(ConfigError):
             CropParams(**kwargs)
 
 
@@ -354,7 +355,7 @@ def test_non_finite_params_rejected(kwargs):
     # with the defaults.
     boxes = rows([(0, 0, 10, 10), (5, 5, 20, 20)])
     assert len(label_one(boxes, (100, 100), CropParams(sigma=15.0))) == 1
-    with pytest.raises(InvariantViolation):
+    with pytest.raises(ConfigError):
         CropParams(**kwargs)
 
 
@@ -378,14 +379,15 @@ def ragged_stack(rng, images):
 def label_stack(images, params):
     """``label_density_crops`` over the stack of ``images``: one (K, 4)
     block per image."""
-    crops = label_density_crops(
+    crops, counts = label_density_crops(
         np.concatenate([b for b, _ in images] or [np.zeros((0, 4))]),
         [size for _, size in images],
         params,
         [len(b) for b, _ in images],
     )
-    assert len(crops) == len(images)
-    return crops
+    assert crops.dtype == np.float64 and counts.dtype == np.int64
+    assert len(counts) == len(images) and counts.sum() == len(crops)
+    return split_rows(counts, crops)
 
 
 class TestStackedLabeling:
@@ -458,12 +460,12 @@ class TestStackedLabeling:
         ]
 
     def test_empty_stacks(self):
-        params = CropParams()
-        assert label_density_crops(np.zeros((0, 4)), [], params, []) == []
-        crops = label_density_crops(np.zeros((0, 4)), [(10.0, 10.0)] * 3, params, [0, 0, 0])
-        assert [c.shape for c in crops] == [(0, 4)] * 3
-        crops = label_density_crops(rows([(0, 0, 5, 5)]), [(10.0, 10.0)] * 3, params, [0, 1, 0])
-        assert [c.shape for c in crops] == [(0, 4)] * 3
+        params, sizes = CropParams(), [(10.0, 10.0)] * 3
+        crops, counts = label_density_crops(np.zeros((0, 4)), [], params, [])
+        assert crops.shape == (0, 4) and counts.tolist() == []
+        for boxes, per_image in ((np.zeros((0, 4)), [0, 0, 0]), (rows([(0, 0, 5, 5)]), [0, 1, 0])):
+            crops, counts = label_density_crops(boxes, sizes, params, per_image)
+            assert crops.shape == (0, 4) and counts.tolist() == [0, 0, 0]
 
     def test_invalid_row_mid_stack_raises(self):
         good = rows([(0, 0, 10, 10), (5, 0, 15, 10)])

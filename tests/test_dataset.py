@@ -39,6 +39,7 @@ from reference_impls import (
     make_crop_children_per_child,
     scene_spec,
     stack_of,
+    stacked_rows,
     zoomed_samples,
 )
 
@@ -364,7 +365,7 @@ class TestAugmentWithCrops:
     def test_zero_crops_unchanged(self):
         policy = UpscalePolicy("factor", factor=2.0)
         for parents, crops in (([self.parent()], [np.zeros((0, 4))]), ([], [])):
-            out = make_crop_children(stack_of(parents), crops, policy)
+            out = make_crop_children(stack_of(parents), *stacked_rows(crops), policy)
             assert len(out) == 0 and out.object_boxes.shape == (0, 4)
             assert child_samples(parents, crops, policy) == []
 
@@ -653,7 +654,15 @@ class TestCropScene:
         sample = generate_synthetic_dataset(SyntheticConfig(num_images=1, seed=4))[0]
         crops = np.array([[10.0, 10.0, 50.0, 50.0], [60.0, 60.0, 60.0, 90.0]])
         with pytest.raises(InvariantViolation):
-            make_crop_children(stack_of([sample]), [crops], UpscalePolicy())
+            make_crop_children(stack_of([sample]), crops, [2], UpscalePolicy())
+
+    def test_counts_must_give_each_parent_its_rows(self):
+        samples = generate_synthetic_dataset(SyntheticConfig(num_images=2, seed=4))
+        crops = np.array([[10.0, 10.0, 50.0, 50.0], [60.0, 60.0, 90.0, 90.0]])
+        make_crop_children(stack_of(samples), crops, [1, 1], UpscalePolicy())
+        for counts in ([2], [1, 1, 0], [1, 0], [2, 1], [3, -1]):
+            with pytest.raises(InvariantViolation, match="do not split"):
+                make_crop_children(stack_of(samples), crops, counts, UpscalePolicy())
 
 
 class TestZoom:
@@ -696,7 +705,7 @@ class TestZoom:
                 if trial % 2 else UpscalePolicy("short_edge", target=float(rng.uniform(64, 512)))
             )
             stack = stack_of(parents)
-            got = make_crop_children(stack, crops, policy)
+            got = make_crop_children(stack, *stacked_rows(crops), policy)
             want = make_crop_children_per_child(parents, crops, policy)
             assert len(got) == len(want) == sum(len(c) for c in crops)
             assert got.image_ids == tuple(w.record.image_id for w in want)

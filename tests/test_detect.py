@@ -36,7 +36,7 @@ from densecrop.detect import (
     toy_forward,
     write_detections,
 )
-from densecrop.errors import DataError, InvariantViolation
+from densecrop.errors import ConfigError, DataError, InvariantViolation
 from densecrop.geometry import (
     Box,
     Detection,
@@ -55,13 +55,16 @@ from reference_impls import (
     decode_ref,
     extract_features_ref,
     label_one,
+    one_scene,
     proposals_ref,
     child_samples,
     record_stack,
     safe_box_ref,
     scene_spec,
     scene_stack,
+    split_detections,
     stack_of,
+    stacked_rows,
     zoomed_samples,
 )
 
@@ -75,18 +78,26 @@ def record_with(annotations, width=500.0, height=500.0, image_id=1):
     return ImageRecord(image_id, width, height, *annotation_rows(annotations))
 
 
+def no_rows(detections) -> bool:
+    """Whether a detection result over an empty stack is empty rows and
+    no counts, typed as every result is."""
+    return [(a.shape, a.dtype) for a in detections] == [
+        ((0, 4), np.float64), ((0,), np.int64), ((0,), np.float64), ((0,), np.int64)
+    ]
+
+
 class TestOracleNoiseModel:
     def test_miss_curve_must_start_at_zero(self):
-        with pytest.raises(InvariantViolation):
+        with pytest.raises(ConfigError):
             OracleNoiseModel(miss_curve=((10.0, 0.5),))
 
     def test_miss_curve_must_be_non_increasing(self):
-        with pytest.raises(InvariantViolation):
+        with pytest.raises(ConfigError):
             OracleNoiseModel(miss_curve=((0.0, 0.2), (100.0, 0.5)))
 
     @pytest.mark.parametrize("low, high", [(0.5, 1.5), (-0.1, 0.5), (0.6, 0.4)])
     def test_fp_score_range_must_lie_in_unit_interval(self, low, high):
-        with pytest.raises(InvariantViolation, match="fp_score_range"):
+        with pytest.raises(ConfigError, match="fp_score_range"):
             OracleNoiseModel(fp_rate=3, fp_score_range=(low, high))
 
     @pytest.mark.parametrize(
@@ -102,7 +113,7 @@ class TestOracleNoiseModel:
         ],
     )
     def test_noise_parameters_must_be_finite_and_non_negative(self, name, value):
-        with pytest.raises(InvariantViolation, match=name):
+        with pytest.raises(ConfigError, match=name):
             OracleNoiseModel(**{name: value})
 
     def test_step_evaluation(self):
@@ -122,7 +133,7 @@ class TestOracleDetect:
             ]
         )
         noise = OracleNoiseModel(score_mean=1.0, score_std=0.0)
-        boxes, classes, scores = oracle_detect(record_stack(record), noise, num_base_classes=3)[0]
+        boxes, classes, scores = one_scene(oracle_detect(record_stack(record), noise, 3))
         assert boxes.dtype == scores.dtype == np.float64 and classes.dtype == np.int64
         assert boxes.tolist() == [[10.0, 10.0, 50.0, 50.0], [100.0, 100.0, 140.0, 160.0]]
         assert classes.tolist() == [0, 2]
@@ -131,7 +142,7 @@ class TestOracleDetect:
     def test_forced_miss_below_threshold(self):
         record = record_with([Annotation(box=Box(0, 0, 8, 8), class_id=0)])
         noise = OracleNoiseModel(miss_curve=((0.0, 1.0), (1024.0, 0.0)))
-        boxes, classes, scores = oracle_detect(record_stack(record), noise, num_base_classes=3)[0]
+        boxes, classes, scores = one_scene(oracle_detect(record_stack(record), noise, 3))
         assert (boxes.shape, classes.shape, scores.shape) == ((0, 4), (0,), (0,))
 
     def test_deterministic_per_seed_and_image(self):
@@ -139,8 +150,8 @@ class TestOracleDetect:
         noise = OracleNoiseModel(
             miss_curve=((0.0, 0.4),), jitter_std=1.0, fp_rate=2.0, seed=5
         )
-        a = oracle_detect(stack_of([sample]), noise, num_base_classes=4)[0]
-        b = oracle_detect(stack_of([sample]), noise, num_base_classes=4)[0]
+        a = one_scene(oracle_detect(stack_of([sample]), noise, num_base_classes=4))
+        b = one_scene(oracle_detect(stack_of([sample]), noise, num_base_classes=4))
         assert len(a[0]) > 0
         assert [x.tobytes() for x in a] == [x.tobytes() for x in b]
 
@@ -153,8 +164,8 @@ class TestOracleDetect:
         )
         noise_on = OracleNoiseModel(score_mean=1.0, score_std=0.0)
         noise_off = OracleNoiseModel(score_mean=1.0, score_std=0.0, emit_crops=False)
-        _, with_crops, _ = oracle_detect(record_stack(record), noise_on, num_base_classes=3)[0]
-        _, without, _ = oracle_detect(record_stack(record), noise_off, num_base_classes=3)[0]
+        _, with_crops, _ = one_scene(oracle_detect(record_stack(record), noise_on, 3))
+        _, without, _ = one_scene(oracle_detect(record_stack(record), noise_off, 3))
         assert set(with_crops.tolist()) == {0, 3}
         assert set(without.tolist()) == {0}
 
@@ -653,7 +664,7 @@ class TestToyDetector:
 
         a, b = weak_decode(), weak_decode()
         assert [x.tobytes() for x in a] == [x.tobytes() for x in b]
-        a, b = (backend.detect_batch(weights, stack_of([sample]))[0] for _ in range(2))
+        a, b = (one_scene(backend.detect_batch(weights, stack_of([sample]))) for _ in range(2))
         assert len(a[0]) > 0
         assert [x.tobytes() for x in a] == [x.tobytes() for x in b]
 
@@ -673,7 +684,7 @@ class TestToyDetector:
         cls[backend.crop_class_id, 6] = 30.0  # center-count feature
         cls[backend.crop_class_id, backend.layout.feature_dim] = -10.0
         weights = weights_from(backend.layout, cls)
-        _, classes, _ = backend.detect_batch(weights, stack_of([sample]))[0]
+        _, classes, _ = one_scene(backend.detect_batch(weights, stack_of([sample])))
         assert backend.crop_class_id in classes.tolist()
 
     def test_strong_augmentation_changes_features(self):
@@ -1074,7 +1085,8 @@ class TestArrayKernelsMatchLoops:
             np.array([[0.0, 0.0, 200.0, 150.0]]),
             np.array([[100.0, 100.0, 300.0, 260.0]]),
         ]
-        zoomed = make_crop_children(parents, crops, UpscalePolicy("factor", factor=2.0))
+        policy = UpscalePolicy("factor", factor=2.0)
+        zoomed = make_crop_children(parents, *stacked_rows(crops), policy)
         children = zoomed_samples(parents, crops, zoomed)
         mixed = stack_of([dense, children[0], other, *children[1:]])
         assert mixed.crop.tolist() == [False, True, False] + [True] * (len(children) - 1)
@@ -1083,7 +1095,8 @@ class TestArrayKernelsMatchLoops:
         oracle = OracleBackend(4, OracleNoiseModel(jitter_std=1.0, fp_rate=2.0, seed=3))
         boxes, counts = backend.proposals(mixed)
         phi = backend.features(mixed, boxes, counts)
-        toy, noisy = backend.detect_batch(weights, mixed), oracle.detect_batch(None, mixed)
+        toy = split_detections(backend.detect_batch(weights, mixed))
+        noisy = split_detections(oracle.detect_batch(None, mixed))
         ends = np.cumsum(counts).tolist()
         # Mixed scene k is child child_at[k] of the zoom, or a parent.
         child_at = {1: 0, **{j + 2: j for j in range(1, len(children))}}
@@ -1098,8 +1111,8 @@ class TestArrayKernelsMatchLoops:
                 assert boxes[start:end].tobytes() == want_boxes.tobytes()
                 want_phi = backend.features(single, want_boxes, want_counts)
                 assert phi[start:end].tobytes() == want_phi.tobytes()
-                for got, want in ((toy[k], backend.detect_batch(weights, single)[0]),
-                                  (noisy[k], oracle.detect_batch(None, single)[0])):
+                for got, want in ((toy[k], one_scene(backend.detect_batch(weights, single))),
+                                  (noisy[k], one_scene(oracle.detect_batch(None, single)))):
                     assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
         assert sum(len(t[2]) for t in toy) > 0 and sum(len(t[2]) for t in noisy) > 0
 
@@ -1125,13 +1138,13 @@ class TestArrayKernelsMatchLoops:
         backend = self.backend()
         samples = self.mixed_batch()
         weights = random_weights(np.random.default_rng(33), 4)
-        batch = backend.detect_batch(weights, stack_of(samples))
+        batch = split_detections(backend.detect_batch(weights, stack_of(samples)))
         assert len(batch) == len(samples)
         for sample, got in zip(samples, batch):
-            want = backend.detect_batch(weights, stack_of([sample]))[0]
+            want = one_scene(backend.detect_batch(weights, stack_of([sample])))
             assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
         assert sum(len(classes) for _, classes, _ in batch) > 0
-        assert backend.detect_batch(weights, stack_of([])) == []
+        assert no_rows(backend.detect_batch(weights, stack_of([])))
 
     def test_targets_touching_boxes_stay_background(self):
         prop = [[0.0, 0.0, 10.0, 10.0]]
@@ -1168,8 +1181,8 @@ class TestArrayKernelsMatchLoops:
                     got = [(tuple(boxes[r].tolist()), c, decoded_probs[r, c]) for r, c in pairs]
                     assert got == want
                     if augmentation == "none":
-                        (got_boxes, got_classes, got_scores), = backend.detect_batch(
-                            w, stack_of([sample])
+                        got_boxes, got_classes, got_scores = one_scene(
+                            backend.detect_batch(w, stack_of([sample]))
                         )
                         assert list(zip(rows(got_boxes), got_classes, got_scores)) == want
                     assert np.array_equal(decoded_probs, probs)
@@ -1187,13 +1200,13 @@ class TestOracleBackend:
         sample = scene_sample(seed=11)
         noise = OracleNoiseModel(score_mean=1.0, score_std=0.0)
         backend = OracleBackend(num_base_classes=4, noise=noise)
-        (boxes, classes, scores), = backend.detect_batch(None, stack_of([sample]))
+        boxes, classes, scores = one_scene(backend.detect_batch(None, stack_of([sample])))
         assert boxes.shape == (len(sample.record.annotations), 4)
         assert boxes.dtype == scores.dtype == np.float64 and classes.dtype == np.int64
-        want = oracle_detect(stack_of([sample]), noise, num_base_classes=4)[0]
+        want = one_scene(oracle_detect(stack_of([sample]), noise, num_base_classes=4))
         assert [x.tobytes() for x in (boxes, classes, scores)] == [x.tobytes() for x in want]
         assert backend.crop_class_id == 4
-        assert backend.detect_batch(None, stack_of([])) == []
+        assert no_rows(backend.detect_batch(None, stack_of([])))
 
 
 class TestDetectionDump:

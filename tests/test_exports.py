@@ -8,10 +8,13 @@ import inspect
 import pkgutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import densecrop
-from densecrop import croplab, dataset, detect, teacher
+from densecrop import croplab, dataset, detect, infer, teacher
+
+from reference_impls import record_stack
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(densecrop.__path__))
 
@@ -62,6 +65,27 @@ def test_stack_kernels_require_counts(kernel):
     # a ragged-stack kernel has one form: a single image is a stack of one
     counts = inspect.signature(kernel).parameters["counts"]
     assert counts.default is inspect.Parameter.empty
+
+
+@pytest.mark.parametrize("mode", ["predicted", "relabeled"])
+def test_stack_results_are_rows_and_counts(mode):
+    # a multi-image result is rows plus per-image counts, never a list of
+    # per-image arrays: a stack of two images without rows counts both
+    stack = record_stack(dataset.ImageRecord(1, 100.0, 100.0), dataset.ImageRecord(2, 80.0, 60.0))
+    toy = detect.ToyDetector(detect.ToyDetectorConfig(num_base_classes=2))
+    values = np.zeros(toy.layout.total)
+    values[(toy.background_class + 1) * toy.layout.columns - 1] = 50.0  # background bias
+    oracle = detect.OracleBackend(2, detect.OracleNoiseModel())
+    no_rows, none = (np.zeros((0, 4)), np.zeros(0, np.int64), np.zeros(0)), [0, 0]
+    results = [
+        croplab.label_density_crops(no_rows[0], stack.sizes, croplab.CropParams(), none),
+        infer.select_crops(no_rows, none, infer.InferenceConfig(crop_mode=mode), stack.sizes, 2),
+        detect.oracle_detect(stack, oracle.noise, 2),
+        oracle.detect_batch(None, stack),
+        toy.detect_batch(detect.WeightVector(toy.layout, values), stack),
+    ]
+    for result in results:
+        assert isinstance(result, tuple) and result[-1].tolist() == none
 
 
 def test_package_star_import():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from densecrop.croplab import CropParams
-from densecrop.errors import InvariantViolation
+from densecrop.errors import ConfigError, InvariantViolation
 from densecrop.geometry import (
     Box,
     Detection,
@@ -151,7 +151,7 @@ class TestScaleBox:
             assert expanded(b, sigma, (500, 400)) == want
 
     def test_negative_sigma_rejected(self):
-        with pytest.raises(InvariantViolation):
+        with pytest.raises(ConfigError):
             CropParams(sigma=-1)
         # a box outside the image cannot be expanded into it
         with pytest.raises(InvariantViolation):

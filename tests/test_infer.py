@@ -31,7 +31,15 @@ from densecrop.geometry import Box, Detection, detections_from_arrays
 from densecrop.infer import InferenceConfig, run_inference, select_crops
 from densecrop.metrics import recall_by_size
 
-from reference_impls import annotation_rows, detection_arrays, label_one, scene_spec, stack_of
+from reference_impls import (
+    annotation_rows,
+    detection_arrays,
+    label_one,
+    one_scene,
+    scene_spec,
+    split_rows,
+    stack_of,
+)
 
 CROP_PARAMS = CropParams(merge_steps=1, sigma=5, theta=0.05, pi=0.5, min_cluster=2)
 
@@ -51,8 +59,16 @@ def config(**overrides):
 
 def select_one(first_pass, cfg, image_size, crop_class_id):
     """:func:`select_crops` over a stack of one image: its (K, 4) crops."""
-    (crops,) = select_crops(first_pass, [len(first_pass[2])], cfg, [image_size], crop_class_id)
+    crops, counts = select_crops(first_pass, [len(first_pass[2])], cfg, [image_size], crop_class_id)
+    assert counts.tolist() == [len(crops)]
     return crops
+
+
+def crops_alone(backend, weights, sample, cfg=None):
+    """The crops :func:`select_crops` picks from ``sample``'s stage one
+    run alone."""
+    first = one_scene(backend.detect_batch(weights, stack_of([sample])))
+    return select_one(first, cfg or config(), sample.record.size, backend.crop_class_id)
 
 
 class TestInferenceConfig:
@@ -161,7 +177,8 @@ class TestSelectCropsStack:
 
         monkeypatch.setattr(infer_module, "label_density_crops", counted)
         stack = tuple(np.concatenate(column) for column in zip(*images))
-        got = select_crops(stack, [len(first[2]) for first in images], cfg, self.SIZES, 3)
+        crops, counts = select_crops(stack, [len(first[2]) for first in images], cfg, self.SIZES, 3)
+        got = split_rows(counts, crops)
         # Relabeled mode labels every image's confident rows in one call.
         confident = np.count_nonzero((stack[1] != 3) & (stack[2] > 0.5))
         assert calls == ([confident] if mode == "relabeled" else [])
@@ -174,8 +191,10 @@ class TestSelectCropsStack:
         # Equal scores in two images: each image keeps its own first rows.
         boxes = np.array([[0.0, 0.0, 10.0 + k, 10.0] for k in range(6)])
         stack = (boxes, np.full(6, 3), np.full(6, 0.9))
-        got = select_crops(stack, [4, 2], config(max_crops_per_image=3), self.SIZES[:2], 3)
-        assert [rows.tolist() for rows in got] == [boxes[:3].tolist(), boxes[4:].tolist()]
+        cfg = config(max_crops_per_image=3)
+        crops, counts = select_crops(stack, [4, 2], cfg, self.SIZES[:2], 3)
+        assert counts.tolist() == [3, 2]
+        assert crops.tolist() == boxes[:3].tolist() + boxes[4:].tolist()
 
 
 def clustered_sample(seed=0):
@@ -369,20 +388,19 @@ class TestRunInference:
         # checks every row before NMS, as building each Box did.
         class BadStageTwo(OracleBackend):
             def detect_batch(self, weights, scenes):
-                out = super().detect_batch(weights, scenes)
-                for k in np.flatnonzero(scenes.crop):
-                    boxes, classes, scores = out[k]
-                    out[k] = (
-                        np.vstack([boxes, [row]]), np.append(classes, 0), np.append(scores, 0.01)
-                    )
-                return out
+                boxes, classes, scores, counts = super().detect_batch(weights, scenes)
+                # the bad row ends each child's rows
+                ends = np.cumsum(counts)[scenes.crop]
+                return (
+                    np.insert(boxes, ends, row, axis=0), np.insert(classes, ends, 0),
+                    np.insert(scores, ends, 0.01), counts + scenes.crop,
+                )
 
         sample = add_crop_annotations(clustered_sample(seed=7), crop_class=3)
         backend = BadStageTwo(
             num_base_classes=3, noise=OracleNoiseModel(score_mean=0.9, score_std=0.0)
         )
-        first = backend.detect_batch(None, stack_of([sample]))[0]
-        assert len(select_one(first, config(), sample.record.size, 3))
+        assert len(crops_alone(backend, None, sample))
         with pytest.raises(InvariantViolation, match=message):
             run_inference([sample], backend, None, config(), seed=0)
 
@@ -414,10 +432,7 @@ class TestArrayResults:
         samples = self.zooming_samples()
         noise = OracleNoiseModel(jitter_std=2.0, score_mean=0.8, score_std=0.1, fp_rate=1.0)
         backend = OracleBackend(num_base_classes=3, noise=noise)
-        crops = [
-            select_one(backend.detect_batch(None, stack_of([s]))[0], config(), s.record.size, 3)
-            for s in samples
-        ]
+        crops = [crops_alone(backend, None, s) for s in samples]
         assert all(len(rows) for rows in crops)
         built = []
 
@@ -468,16 +483,16 @@ class TestArrayResults:
 
         class BadStageTwo(OracleBackend):
             def detect_batch(self, weights, scenes):
-                out = super().detect_batch(weights, scenes)
-                for k in np.flatnonzero(scenes.crop):
-                    boxes, classes, scores = out[k]
-                    parent = scenes.image_ids[k].split(":")[0]
-                    out[k] = (
-                        np.vstack([boxes, [bad[parent]]]),
-                        np.append(classes, 0),
-                        np.append(scores, 0.01),
-                    )
-                return out
+                boxes, classes, scores, counts = super().detect_batch(weights, scenes)
+                # a bad row of its parent's kind ends each child's rows
+                ends = np.cumsum(counts)[scenes.crop]
+                rows = [bad[i.split(":")[0]] for i in scenes.image_ids if ":" in i]
+                return (
+                    np.insert(boxes, ends, np.reshape(rows, (-1, 4)), axis=0),
+                    np.insert(classes, ends, 0),
+                    np.insert(scores, ends, 0.01),
+                    counts + scenes.crop,
+                )
 
         backend = BadStageTwo(
             num_base_classes=3, noise=OracleNoiseModel(score_mean=0.9, score_std=0.0)
@@ -516,8 +531,7 @@ class TestChunkedInference:
 
     def check(self, monkeypatch, samples, backend, weights, failing):
         crops = [
-            len(select_one(backend.detect_batch(weights, stack_of([s]))[0], config(), s.record.size, 3))
-            for s in samples if s.record.image_id != failing
+            len(crops_alone(backend, weights, s)) for s in samples if s.record.image_id != failing
         ]
         assert min(crops) == 0 and max(crops) > 0
         assert len(self.chunks(monkeypatch, samples, self.BUDGET)) >= 2
@@ -654,9 +668,7 @@ class TestPinnedToyInference:
         zoomed = 0
         for mode in ("predicted", "relabeled"):
             cfg = config(crop_mode=mode, crop_score_threshold=0.25, crop_params=crop_params)
-            for s in test:
-                first = backend.detect_batch(weights, stack_of([s]))[0]
-                zoomed += len(select_one(first, cfg, s.record.size, backend.crop_class_id))
+            zoomed += sum(len(crops_alone(backend, weights, s, cfg)) for s in test)
             for result in run_inference(test, backend, weights, cfg, seed=5):
                 assert result.error is None
                 digest.update(f"{result.image_id}\n".encode())

@@ -769,7 +769,9 @@ class TestTrain:
                 crops = cache.crops[own - len(parents)]
                 newest[parent_id] = rows(cache.pool.take(own))
                 if len(crops):
-                    zoomed = make_crop_children(parents.take([p]), [crops], config.upscale)
+                    zoomed = make_crop_children(
+                        parents.take([p]), crops, [len(crops)], config.upscale
+                    )
                     assert newest[parent_id] == rows(backend.views(zoomed))
                 for child_id, crop in zip(newest[parent_id][0], crops.tolist()):
                     crops_by_child.setdefault(child_id, set()).add(tuple(crop))
