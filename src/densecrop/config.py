@@ -11,8 +11,8 @@ dataclass section's keys are declared once, as its class's fields: each
 field's parser follows from its type, and the ``seed`` field, the derived
 values and the fields that hold another section are not keys. The
 whole file is checked when it is loaded, whichever command reads it: an
-unknown section or key is a ConfigError. In a manifest an unknown key is
-a DataError.
+unknown section or key is a ConfigError. In a manifest an unknown key,
+or a value whose JSON type does not fit its field, is a DataError.
 """
 
 from __future__ import annotations
@@ -97,16 +97,34 @@ _NESTED = {"crop_params": "crops", "proposal_crop_params": "crops", "upscale": "
 # from the inputs, and the nested sections.
 _NOT_KEYS = {"seed", "num_base_classes", *_NESTED}
 
-# The parser of each field type that a config key may have.
-_TYPE_PARSERS = {
-    int: int,
-    float: float,
-    str: str,
-    bool: _parse_bool,
-    int | None: lambda t: int(t) if t.strip() else None,
-    tuple[int, int]: lambda t: _parse_pair(t, int),
-    tuple[float, float]: lambda t: _parse_pair(t, float),
-    tuple[tuple[float, float], ...]: _parse_curve,
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
+def _is_pair(check):
+    return lambda v: isinstance(v, list | tuple) and len(v) == 2 and all(map(check, v))
+
+
+# Each field type that a config key may have: the parser of its config
+# text, and the check of its manifest (JSON) value, where an int is a
+# float too but a bool is no number.
+_TYPES = {
+    int: (int, _is_int),
+    float: (float, _is_real),
+    str: (str, lambda v: isinstance(v, str)),
+    bool: (_parse_bool, lambda v: isinstance(v, bool)),
+    int | None: (lambda t: int(t) if t.strip() else None, lambda v: v is None or _is_int(v)),
+    tuple[int, int]: (lambda t: _parse_pair(t, int), _is_pair(_is_int)),
+    tuple[float, float]: (lambda t: _parse_pair(t, float), _is_pair(_is_real)),
+    tuple[tuple[float, float], ...]: (
+        _parse_curve,
+        lambda v: isinstance(v, list | tuple) and all(map(_is_pair(_is_real), v)),
+    ),
 }
 
 
@@ -115,10 +133,10 @@ def _field_parsers(cls) -> dict:
     field order; a field of a type without a parser fails at import."""
     hints = typing.get_type_hints(cls)
     keys = [f.name for f in dataclasses.fields(cls) if f.name not in _NOT_KEYS]
-    unparsed = [key for key in keys if hints[key] not in _TYPE_PARSERS]
+    unparsed = [key for key in keys if hints[key] not in _TYPES]
     if unparsed:
         raise TypeError(f"{cls.__name__} fields {unparsed} have no config parser")
-    return {key: _TYPE_PARSERS[hints[key]] for key in keys}
+    return {key: _TYPES[hints[key]][0] for key in keys}
 
 
 PARSERS = {
@@ -224,11 +242,21 @@ def _tupled(value):
     return value
 
 
+def _manifest_type_ok(hint, value) -> bool:
+    """Whether a manifest value fits a field of type ``hint``: a nested
+    section is a dict, or None where the field allows it."""
+    if hint in _TYPES:
+        return _TYPES[hint][1](value)
+    return isinstance(value, dict) or (value is None and type(None) in typing.get_args(hint))
+
+
 def from_dict(section: str, data: dict):
     """The section's dataclass rebuilt from its manifest dict. Unknown and
     missing keys are a DataError: a manifest records every field, so a
     missing one would otherwise be replaced by today's default without
-    notice."""
+    notice. So is a value of the wrong type for its field, such as a
+    string, or a bool where a number is declared; a JSON int passes where
+    a float is."""
     cls = SECTIONS[section]
     data = {k: v for k, v in data.items() if k not in _DROPPED.get(section, ())}
     fields = _fields(cls)
@@ -237,6 +265,14 @@ def from_dict(section: str, data: dict):
         raise DataError(f"manifest {cls.__name__} parameters have unknown keys {unknown}")
     if missing:
         raise DataError(f"manifest {cls.__name__} parameters are missing keys {missing}")
+    hints = typing.get_type_hints(cls)
+    for name, value in data.items():
+        hint = hints[name]
+        if not _manifest_type_ok(hint, value):
+            raise DataError(
+                f"manifest {cls.__name__} parameter {name} = {value!r} is not "
+                f"of type {hint if typing.get_origin(hint) else hint.__name__}"
+            )
     values = {k: _tupled(v) for k, v in data.items()}
     for name in fields.keys() & _NESTED.keys():
         if values[name] is not None:

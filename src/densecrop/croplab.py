@@ -11,12 +11,14 @@ Boxes and crops are (N, 4) float64 (x1, y1, x2, y2) rows throughout, and
 no :class:`~densecrop.geometry.Box` is built here. Every call labels a
 ragged stack of images: their rows concatenated in image order, each
 image's row count and each image's (width, height); a single image is a
-stack of one. Only same-image pairs of rows are ever formed, so a stack
-costs the sum of its images' squared row counts, never the square of its
-total: the graph is one flat array of same-image pairs, clusters come
-from label propagation over it, and each image's crops come out exactly
-as if it were labeled alone. Crop order is part of the output, since it
-names crop children and seeds their scenes.
+stack of one. A link needs an IoU above ``theta > 0``, so only pairs of
+rows of one image whose boxes meet are ever formed
+(:func:`~densecrop.geometry.meeting_pairs`): a stack costs about its
+rows and the pairs of them that meet in x, never the square of its total
+or of one image's rows. The graph is one flat array of those pairs,
+clusters come from label propagation over it, and each image's crops
+come out exactly as if it were labeled alone. Crop order is part of the
+output, since it names crop children and seeds their scenes.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InvariantViolation
-from .geometry import box_areas, check_boxes, group_pairs, pair_ious
+from .geometry import box_areas, check_boxes, meeting_pairs, overlap_ious
 
 __all__ = [
     "CropParams",
@@ -93,8 +95,11 @@ def merge_round(
     stack of images, given as in :func:`label_density_crops`; returns the
     new rows and each image's new row count.
 
-    Two rows of one image are connected when their IoU strictly exceeds
-    ``theta``, and each connected component with at least one connection
+    Two rows of one image are connected when their IoU, by the formula of
+    :func:`~densecrop.geometry.pair_ious`, strictly exceeds ``theta``; only
+    rows whose boxes meet can be, so the pairs come from
+    :func:`~densecrop.geometry.meeting_pairs` and the rows must be valid
+    boxes. Each connected component with at least one connection
     collapses into its enclosing box. Within an image, components come out
     in the order of a greedy discovery: the component holding the
     most-connected row first, ties to the lowest such row.
@@ -111,11 +116,14 @@ def merge_round(
     image = np.repeat(np.arange(len(n)), n)
     local = np.arange(total) - (np.cumsum(n) - n)[image]
     per_row = n[image]
-    # Every row pairs with each row of its own image, itself included, in
-    # row order.
-    pair_i, pair_j = group_pairs(n, image)
-    linked = (pair_ious(rows, rows, pair_i, pair_j) > params.theta) & (pair_i != pair_j)
-    link_i, link_j = pair_i[linked], pair_j[linked]
+    pair_i, pair_j, iw, ih = meeting_pairs(rows, image)
+    areas = box_areas(rows)
+    linked = overlap_ious(iw, ih, areas[pair_i], areas[pair_j]) > params.theta
+    # Each link both ways, by (i, j).
+    link_i = np.concatenate([pair_i[linked], pair_j[linked]])
+    link_j = np.concatenate([pair_j[linked], pair_i[linked]])
+    order = np.argsort(link_i * total + link_j)
+    link_i, link_j = link_i[order], link_j[order]
     degree = np.bincount(link_i, minlength=total)
     # Label propagation: every linked row ends with the lowest row of its
     # component. A row's links are one block of link_j, since link_i is sorted.

@@ -6,10 +6,14 @@ boxes are invalid and reprojection between coordinate frames is exact.
 The validated :class:`Box` and :class:`Detection` types serve the API and
 the files; every numeric kernel here (IoU, clipping, crop projection, NMS)
 works on (N, 4) float64 (x1, y1, x2, y2) rows, crops included. IoU comes
-as a matrix of all pairs (:func:`iou_matrix`) or for listed pairs of rows
-(:func:`pair_ious`), with the same float operations. NMS runs over a
-ragged stack of images, pairing rows only within an (image, class) group.
-All functions here are pure and safe to call concurrently.
+as a matrix of all pairs (:func:`iou_matrix`), for listed pairs of rows
+(:func:`pair_ious`) or from the overlaps of pairs (:func:`overlap_ious`),
+with the same float operations. :func:`meeting_pairs` finds the pairs of
+rows in a group whose boxes meet by one sweep over the rows sorted by x1,
+so its cost follows the pairs that meet in x, not the square of a group's
+rows. NMS runs over a ragged stack of images on those pairs within an
+(image, class) group. All functions here are pure and safe to call
+concurrently.
 """
 
 from __future__ import annotations
@@ -32,6 +36,8 @@ __all__ = [
     "box_areas",
     "intersection_matrix",
     "iou_matrix",
+    "meeting_pairs",
+    "overlap_ious",
     "pair_ious",
     "project_rows",
     "reproject_rows",
@@ -98,9 +104,9 @@ def box_array(boxes: list[Box] | tuple[Box, ...]) -> np.ndarray:
 def check_boxes(boxes: np.ndarray) -> None:
     """Raise :class:`InvariantViolation` unless every (x1, y1, x2, y2) row
     would make a valid :class:`Box`."""
-    valid = np.isfinite(boxes).all(axis=1)
-    valid &= (boxes[:, 0] < boxes[:, 2]) & (boxes[:, 1] < boxes[:, 3])
-    if not valid.all():
+    valid = (boxes[:, 0] < boxes[:, 2]) & (boxes[:, 1] < boxes[:, 3])
+    if not (valid.all() and np.isfinite(boxes).all()):
+        valid &= np.isfinite(boxes).all(axis=1)
         # Building the first invalid row raises Box's own error for it.
         Box(*boxes[np.argmin(valid)].tolist())
 
@@ -159,14 +165,74 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return inter / (box_areas(a)[:, None] + box_areas(b)[None, :] - inter)
 
 
+def overlap_ious(iw: np.ndarray, ih: np.ndarray, area_a: np.ndarray, area_b: np.ndarray) -> np.ndarray:
+    """IoU of pairs of boxes from their overlap widths ``iw`` and heights
+    ``ih`` and their areas, by the formula of :func:`iou_matrix`, so every
+    value keeps its bits. Symmetric in the two boxes, bit for bit."""
+    inter = np.where((iw > 0.0) & (ih > 0.0), iw * ih, 0.0)
+    return inter / (area_a + area_b - inter)
+
+
 def pair_ious(a: np.ndarray, b: np.ndarray, rows_a: np.ndarray, rows_b: np.ndarray) -> np.ndarray:
     """IoU of box row ``a[rows_a[i]]`` with ``b[rows_b[i]]`` for every i, by
     the formula of :func:`iou_matrix`, so every value keeps its bits. One
     coordinate is gathered at a time, which keeps the temporaries small."""
     iw = np.minimum(a[rows_a, 2], b[rows_b, 2]) - np.maximum(a[rows_a, 0], b[rows_b, 0])
     ih = np.minimum(a[rows_a, 3], b[rows_b, 3]) - np.maximum(a[rows_a, 1], b[rows_b, 1])
-    inter = np.where((iw > 0.0) & (ih > 0.0), iw * ih, 0.0)
-    return inter / (box_areas(a)[rows_a] + box_areas(b)[rows_b] - inter)
+    return overlap_ious(iw, ih, box_areas(a)[rows_a], box_areas(b)[rows_b])
+
+
+# Candidate pairs of meeting_pairs tested for overlap at a time; bounds
+# its temporaries at a few MB.
+_BLOCK_PAIRS = 1 << 15
+
+
+def meeting_pairs(boxes: np.ndarray, group: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Every unordered pair of rows ``(a, b)`` of the (N, 4) box rows whose
+    boxes meet and whose (N,) non-negative integer ``group`` ids are equal,
+    with the overlap width and height of each: both at least 0, by the
+    formula of :func:`intersection_matrix`. Returns the (P,) row indices
+    ``a`` and ``b`` and the (P,) widths and heights, in no set order.
+
+    The rows are sorted once by (group, x1), with the x1 values as integer
+    ranks, so the key is exact for any coordinates. A row's candidates are
+    the rows after it in its group whose x1 is at most its x2; one
+    ``searchsorted`` of the sorted keys finds where they end for every
+    row. They are enumerated about ``_BLOCK_PAIRS`` at a time and tested
+    exactly in x and y. Rows need x1 <= x2, as a valid box has, for every
+    pair that meets to be a candidate.
+    """
+    n = len(boxes)
+    x1, y1, x2, y2 = np.ascontiguousarray(boxes.T)
+    # x1[q] <= x2[p] iff rank[q] < reach[p]: ranks are the places of the
+    # x1 values in sorted order, reaches count the x1 values at most each x2.
+    by_x1, by_x2 = np.argsort(x1), np.argsort(x2)
+    rank, reach = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+    rank[by_x1] = np.arange(n)
+    reach[by_x2] = np.searchsorted(x1[by_x1], x2[by_x2], side="right")
+    base = np.asarray(group, dtype=np.int64) * (n + 1)
+    # The keys are unique, so any sort of them gives one order.
+    key = base + rank
+    order = np.argsort(key)
+    ends = np.searchsorted(key[order], (base + reach)[order], side="left")
+    counts = np.maximum(ends - np.arange(1, n + 1), 0)
+    # A block starts at the first row whose candidates start at or past
+    # each multiple of _BLOCK_PAIRS.
+    starts = np.cumsum(counts) - counts
+    cuts = np.searchsorted(starts, np.arange(_BLOCK_PAIRS, counts.sum(), _BLOCK_PAIRS)).tolist()
+    near = []
+    for start, stop in zip([0, *cuts], [*cuts, n]):
+        # Sorted position p pairs with positions p + 1 .. p + per[p].
+        per = counts[start:stop]
+        rows = np.arange(start, stop)
+        p = np.repeat(rows, per)
+        q = np.arange(len(p)) - np.repeat(np.cumsum(per) - per - rows - 1, per)
+        a, b = order[p], order[q]
+        iw = np.minimum(x2[a], x2[b]) - np.maximum(x1[a], x1[b])
+        ih = np.minimum(y2[a], y2[b]) - np.maximum(y1[a], y1[b])
+        keep = np.flatnonzero((iw >= 0.0) & (ih >= 0.0))
+        near.append((a[keep], b[keep], iw[keep], ih[keep]))
+    return near[0] if len(near) == 1 else tuple(np.concatenate(v) for v in zip(*near))
 
 
 def _crop_frame(crops: np.ndarray, sizes) -> tuple[np.ndarray, np.ndarray]:
@@ -213,43 +279,45 @@ def nms_keep(
     """Greedy per-class non-maximum suppression on a ragged stack of
     images: (N, 4) box rows with their (N,) classes and scores, image by
     image, ``counts[g]`` rows in image ``g``; returns the kept row indices.
+    Raises :class:`InvariantViolation` unless every row is a valid box.
 
     Each image is visited on its own by descending score, ties in row order
     (a stable sort of -score). A row is kept iff its IoU with every
     already-kept row of its image and class is at most ``iou_thresh``; a
-    pair suppresses when ``~(iou <= iou_thresh)``, with IoUs from
-    :func:`pair_ious`. Rows are paired only within an (image, class) group,
-    by :func:`group_pairs`, so no stack-wide N×N matrix is built, and the
-    greedy steps run once per rank within a group, for all groups at once.
-    Kept rows come out image by image, each image's in visiting order.
+    pair suppresses when ``~(iou <= iou_thresh)``, with IoUs by the formula
+    of :func:`pair_ious`. Since ``iou_thresh > 0``, only rows whose boxes
+    meet can suppress, so the pairs come from :func:`meeting_pairs` within
+    each (image, class) group, and the greedy steps run once per rank
+    within a group, for all groups at once. Kept rows come out image by
+    image, each image's in visiting order.
     """
     if not (0.0 < iou_thresh <= 1.0):
         raise InvariantViolation(f"iou_thresh outside (0, 1]: {iou_thresh}")
+    check_boxes(boxes)
     image = np.repeat(np.arange(len(counts)), counts)
     visit = np.lexsort((-scores, image))
-    # Rows by (image, class, visiting order): each group is one run, and a
+    # Rows by (class, image, visiting order): each group is one run, and a
     # row's rank is its place in its group's run.
-    grouped = np.lexsort((-scores, classes, image))
+    grouped = visit[np.argsort(classes[visit], kind="stable")]
     key_image, key_class = image[grouped], classes[grouped]
     new = np.ones(len(grouped), dtype=bool)
     new[1:] = (key_image[1:] != key_image[:-1]) | (key_class[1:] != key_class[:-1])
-    starts = np.flatnonzero(new)
-    sizes = np.diff(starts, append=len(grouped))
-    group = np.repeat(np.arange(len(starts)), sizes)
-    rank = np.arange(len(grouped)) - starts[group]
-    first, second = group_pairs(sizes, group)
-    later = second > first
-    first, second = first[later], second[later]
-    suppress = ~(pair_ious(boxes, boxes, grouped[first], grouped[second]) <= iou_thresh)
-    first, second = first[suppress], second[suppress]
+    group = np.cumsum(new) - 1
+    rank = np.arange(len(grouped)) - np.flatnonzero(new)[group]
+    a, b, iw, ih = meeting_pairs(boxes[grouped], group)
+    areas = box_areas(boxes)[grouped]
+    suppress = ~(overlap_ious(iw, ih, areas[a], areas[b]) <= iou_thresh)
+    # The earlier of a pair in visiting order suppresses the later one.
+    a, b = a[suppress], b[suppress]
+    first, second = np.minimum(a, b), np.maximum(a, b)
     by_rank = np.argsort(rank[first], kind="stable")
     first, second = first[by_rank], second[by_rank]
-    steps = np.flatnonzero(np.diff(rank[first])) + 1
+    steps = [0, *(np.flatnonzero(np.diff(rank[first])) + 1).tolist(), len(first)]
     alive = np.ones(len(grouped), dtype=bool)
     # Every row ranked below this step's rows is settled, so a live row
     # here is kept and drops the later rows of its group it suppresses.
-    for rows, suppressed in zip(np.split(first, steps), np.split(second, steps)):
-        alive[suppressed[alive[rows]]] = False
+    for lo, hi in zip(steps[:-1], steps[1:]):
+        alive[second[lo:hi][alive[first[lo:hi]]]] = False
     kept = np.empty(len(grouped), dtype=bool)
     kept[grouped] = alive
     return visit[kept[visit]]

@@ -16,9 +16,10 @@ one ragged stack of rows from stage one to the fused rows: a
 :class:`~densecrop.dataset.SceneStack` of the chunk's images, one backend
 ``detect_batch`` on it, crop selection over the stacked rows, one
 :func:`~densecrop.dataset.make_crop_children` zoom into the stack of the
-selected crops' children, one ``detect_batch`` on that, one reprojection,
-clipping and box-invariant check of the stage-two rows, and one NMS over
-the chunk, whose kept rows are split per image at the end. Results stay
+selected crops' children, one ``detect_batch`` on that, one reprojection
+and clipping of the stage-two rows, and one NMS over the chunk, which
+checks the box invariant of every fused row, and whose kept rows are split
+per image at the end. Results stay
 (N, 4), (N,) and (N,) arrays, and crop children stay rows of their stack:
 no :class:`Detection`, :class:`~densecrop.geometry.Box`, record, scene or
 provenance is built. An image's detections do not depend on the chunk it
@@ -38,7 +39,6 @@ from .detect import DetectorBackend, WeightVector, chunk_bounds, empty_detection
 from .errors import ConfigError, InvariantViolation
 from .geometry import (
     Detection,
-    check_boxes,
     clip,
     detections_from_arrays,
     nms_keep,
@@ -136,14 +136,14 @@ def _detect_chunk(
     to the fused rows: one stage-one ``detect_batch`` over the scenes,
     crop selection on the stacked rows, one zoom into every selected
     crop's child and one stage-two ``detect_batch`` over them, whose rows
-    are reprojected, clipped and checked at once, and one :func:`nms_keep`
-    over the chunk. Each scene's rows enter the fusion as its stage-one
-    base-class rows, then its stage-two rows in crop order."""
+    are reprojected and clipped at once, and one :func:`nms_keep` over the
+    chunk, which checks every fused row. Each scene's rows enter the
+    fusion as its stage-one base-class rows, then its stage-two rows in
+    crop order."""
     crop_class = backend.crop_class_id
     boxes, classes, scores, counts = backend.detect_batch(weights, scenes)
     image = np.repeat(np.arange(len(scenes)), counts)
     base = classes != crop_class
-    check_boxes(boxes[base])
     blocks = [(boxes[base], classes[base], scores[base], image[base])]
     if config.multistage and config.max_crops_per_image > 0:
         crops, per_image = select_crops(
@@ -162,7 +162,6 @@ def _detect_chunk(
             owner = owners[child]
             rows = reproject_rows(boxes[base], crops[child], children.sizes[child])
             rows = clip(rows, 0.0, np.tile(scenes.sizes, 2)[owner])
-            check_boxes(rows)
             blocks.append((rows, classes[base], scores[base], owner))
     boxes, classes, scores, image = (np.concatenate(column) for column in zip(*blocks))
     # A stable sort by image puts each image's stage-one rows first.

@@ -472,11 +472,12 @@ def train(
 
     n_unlabeled = round(config.data_ratio * config.labeled_batch) if config.lambda_unsup > 0.0 else 0
     iterations = range(state.iteration + 1, config.max_iters + 1)
-    for iteration, labeled_rng, unlabeled_rng in zip(
-        iterations,
-        _batch_rngs(config, "batch-labeled", iterations),
-        _batch_rngs(config, "batch-unlabeled", iterations),
-    ):
+    labeled_rngs = _batch_rngs(config, "batch-labeled", iterations)
+    # Burn-in samples no unlabeled batch, so only the later iterations
+    # derive a generator for one, each its own.
+    after_burn_in = range(max(state.iteration, config.burn_in_iters) + 1, config.max_iters + 1)
+    unlabeled_rngs = iter(_batch_rngs(config, "batch-unlabeled", after_burn_in))
+    for iteration, labeled_rng in zip(iterations, labeled_rngs):
         state.iteration = iteration
         burning_in = iteration <= config.burn_in_iters
         labeled_batch = _sample(len(labeled.image_ids), config.labeled_batch, labeled_rng)
@@ -484,17 +485,20 @@ def train(
         unsup_value = 0.0
         pseudo_total = 0
         # Sampled parent images bring their cached crop children along as
-        # extra views of the same content; burn-in samples none.
-        batch_parents = [] if burning_in else _sample(len(unlabeled), n_unlabeled, unlabeled_rng)
-        views = cache.pool.take(cache.positions(batch_parents))
+        # extra views of the same content.
+        batch_parents = (
+            [] if burning_in else _sample(len(unlabeled), n_unlabeled, next(unlabeled_rngs))
+        )
+        views = cache.pool.take(cache.positions(batch_parents)) if batch_parents else None
+        unlabeled_ids = views.image_ids if views is not None else []
         sup_rngs, weak_rngs, strong_rngs = _iteration_rngs(
-            config, iteration, [labeled.image_ids[i] for i in labeled_batch], views.image_ids
+            config, iteration, [labeled.image_ids[i] for i in labeled_batch], unlabeled_ids
         )
         sup = loss_sup(
             state.student, backend.supervised_batch(labeled.take(labeled_batch), "weak", sup_rngs)
         )
         gradient = sup.gradient
-        if views.image_ids:
+        if unlabeled_ids:
             batch, pseudo_total = _student_batch(
                 backend, state.teacher, views, config.tau, weak_rngs, strong_rngs
             )
@@ -527,7 +531,7 @@ def train(
                 loss_sup_reg=sup.reg_term,
                 loss_unsup=unsup_value,
                 pseudo_per_image=pseudo_total / len(batch_parents) if batch_parents else 0.0,
-                unlabeled_images=len(views.image_ids),
+                unlabeled_images=len(unlabeled_ids),
                 crops_cached=len(cache.crops),
             )
         )

@@ -1,8 +1,10 @@
 """Independent reference implementations used as test oracles.
 
-Everything here is deliberately naive and written without reusing the
+Most of them are deliberately naive and written without reusing the
 package's internals: plain loops, no vectorization, no shared helpers
 beyond raw tuples, so agreement between the two code paths is meaningful.
+The ``*_all_pairs`` oracles are instead earlier versions of package
+kernels, kept verbatim, that a faster kernel must match bit for bit.
 """
 
 from __future__ import annotations
@@ -62,6 +64,46 @@ def nms_ref(dets: list[tuple], thresh: float) -> list[int]:
             and not (dets[i][1] == class_id and iou_ref(dets[i][0], box) > thresh)
         ]
     return kept
+
+
+def nms_keep_all_pairs(
+    boxes: np.ndarray, classes: np.ndarray, scores: np.ndarray, iou_thresh: float, counts
+) -> np.ndarray:
+    """``geometry.nms_keep`` as it was when it scored every pair of rows of
+    an (image, class) group: the same arguments and kept row indices."""
+    from densecrop.errors import InvariantViolation
+    from densecrop.geometry import group_pairs, pair_ious
+
+    if not (0.0 < iou_thresh <= 1.0):
+        raise InvariantViolation(f"iou_thresh outside (0, 1]: {iou_thresh}")
+    image = np.repeat(np.arange(len(counts)), counts)
+    visit = np.lexsort((-scores, image))
+    # Rows by (image, class, visiting order): each group is one run, and a
+    # row's rank is its place in its group's run.
+    grouped = np.lexsort((-scores, classes, image))
+    key_image, key_class = image[grouped], classes[grouped]
+    new = np.ones(len(grouped), dtype=bool)
+    new[1:] = (key_image[1:] != key_image[:-1]) | (key_class[1:] != key_class[:-1])
+    starts = np.flatnonzero(new)
+    sizes = np.diff(starts, append=len(grouped))
+    group = np.repeat(np.arange(len(starts)), sizes)
+    rank = np.arange(len(grouped)) - starts[group]
+    first, second = group_pairs(sizes, group)
+    later = second > first
+    first, second = first[later], second[later]
+    suppress = ~(pair_ious(boxes, boxes, grouped[first], grouped[second]) <= iou_thresh)
+    first, second = first[suppress], second[suppress]
+    by_rank = np.argsort(rank[first], kind="stable")
+    first, second = first[by_rank], second[by_rank]
+    steps = np.flatnonzero(np.diff(rank[first])) + 1
+    alive = np.ones(len(grouped), dtype=bool)
+    # Every row ranked below this step's rows is settled, so a live row
+    # here is kept and drops the later rows of its group it suppresses.
+    for rows, suppressed in zip(np.split(first, steps), np.split(second, steps)):
+        alive[suppressed[alive[rows]]] = False
+    kept = np.empty(len(grouped), dtype=bool)
+    kept[grouped] = alive
+    return visit[kept[visit]]
 
 
 class UnionFind:
@@ -199,6 +241,77 @@ def label_one(boxes, image_size, params) -> np.ndarray:
 
     boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
     return label_density_crops(boxes, [image_size], params, [len(boxes)])[0]
+
+
+def merge_round_all_pairs(
+    rows: np.ndarray,
+    image_size,
+    params,
+    *,
+    carry_unmerged: bool,
+    counts,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``croplab.merge_round`` as it was when it scored every pair of rows
+    of an image: the same arguments, new rows and per-image row counts."""
+    from densecrop.errors import InvariantViolation
+    from densecrop.geometry import box_areas, group_pairs, pair_ious
+
+    def _stack(boxes, image_size, counts):
+        boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
+        sizes = np.asarray(image_size, dtype=np.float64).reshape(-1, 2)
+        counts = np.asarray(counts, dtype=np.int64).reshape(-1)
+        if len(sizes) != len(counts) or counts.sum() != len(boxes) or (counts < 0).any():
+            raise InvariantViolation(
+                f"{len(boxes)} rows do not split into counts {counts.tolist()} "
+                f"over {len(sizes)} image sizes"
+            )
+        return boxes, sizes, counts
+
+    rows, sizes, n = _stack(rows, image_size, counts)
+    total = len(rows)
+    image = np.repeat(np.arange(len(n)), n)
+    local = np.arange(total) - (np.cumsum(n) - n)[image]
+    per_row = n[image]
+    # Every row pairs with each row of its own image, itself included, in
+    # row order.
+    pair_i, pair_j = group_pairs(n, image)
+    linked = (pair_ious(rows, rows, pair_i, pair_j) > params.theta) & (pair_i != pair_j)
+    link_i, link_j = pair_i[linked], pair_j[linked]
+    degree = np.bincount(link_i, minlength=total)
+    # Label propagation: every linked row ends with the lowest row of its
+    # component. A row's links are one block of link_j, since link_i is sorted.
+    members = np.flatnonzero(degree)
+    labels = np.arange(total)
+    if len(members):
+        blocks = (np.cumsum(degree) - degree)[members]
+        while True:
+            lowest = np.minimum(labels[members], np.minimum.reduceat(labels[link_j], blocks))
+            if (lowest == labels[members]).all():
+                break
+            labels[members] = lowest
+    # Group each component's members, then reduce per component: its image,
+    # member count, enclosing box and rank. Within an image, components go
+    # by descending rank: the most-connected row first, ties to the lowest.
+    members = members[np.argsort(labels[members], kind="stable")]
+    group = np.flatnonzero(np.diff(labels[members], prepend=-1))
+    crop_image = image[members[group]]
+    size = np.diff(np.append(group, len(members)))
+    rank = np.maximum.reduceat((degree * per_row - local)[members], group)
+    lows = np.minimum.reduceat(rows[members, :2], group)
+    crops = np.concatenate([lows, np.maximum.reduceat(rows[members, 2:], group)], axis=1)
+    order = np.lexsort((-rank, crop_image))
+    crops, crop_image, size = crops[order], crop_image[order], size[order]
+    if carry_unmerged:
+        # Each image's merged crops, then its unmerged rows in input order.
+        alone = degree == 0
+        out_image = np.concatenate([crop_image, image[alone]])
+        order = np.argsort(out_image, kind="stable")
+        out, out_image = np.concatenate([crops, rows[alone]])[order], out_image[order]
+    else:
+        kept = size >= params.min_cluster
+        out, out_image = crops[kept], crop_image[kept]
+    small = box_areas(out) <= (params.pi * sizes[:, 0] * sizes[:, 1])[out_image]
+    return out[small], np.bincount(out_image[small], minlength=len(n))
 
 
 def central_difference_gradient(fn, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -1002,3 +1115,43 @@ def child_samples(parents: list, crops: list, policy) -> list:
 
     stack = stack_of(parents)
     return zoomed_samples(stack, crops, make_crop_children(stack, *stacked_rows(crops), policy))
+
+
+def meeting_case_stack(rng, images: int, crowded: int = 0) -> list:
+    """Random images for a ragged stack as (boxes, (width, height)) pairs,
+    with the cases a search for the boxes that meet can get wrong: boxes
+    that touch (overlap width or height exactly 0), nested, identical and
+    image-clipped boxes, images of no row and of one row, and images whose
+    coordinates lie near 1e6. With ``crowded`` set, one image holds that
+    many boxes. Coordinates are multiples of 0.25, so sums and touches are
+    exact."""
+    lengths = [int(rng.choice([0, 1, int(rng.integers(2, 60))])) for _ in range(images)]
+    if crowded:
+        lengths[int(rng.integers(0, images))] = crowded
+    out = []
+    for n in lengths:
+        side = 3000.0 if n > 200 else float(rng.integers(80, 400))
+        origin = 1e6 if rng.random() < 0.25 else 0.0
+        boxes = np.zeros((n, 4))
+        for i in range(n):
+            kind = int(rng.integers(0, 7)) if i else 0
+            other = boxes[int(rng.integers(0, i))] if i else None
+            if kind == 1:  # identical
+                box = other.copy()
+            elif kind == 2:  # nested
+                inset = np.minimum(other[2:] - other[:2], 4.0) / 4.0
+                box = np.concatenate([other[:2] + inset, other[2:] - inset])
+            elif kind in (3, 4):  # touching on the right or bottom
+                axis = kind - 3
+                box = other.copy()
+                extent = float(rng.integers(1, 30))
+                box[axis], box[axis + 2] = other[axis + 2], other[axis + 2] + extent
+            else:  # random; kind 5 runs past the image and is clipped
+                corner = rng.integers(-80 if kind == 5 else 0, 4 * int(side) - 40, 2) / 4.0
+                extent = rng.integers(4, 160, 2) / 4.0
+                box = np.concatenate([corner, corner + extent])
+            boxes[i] = np.clip(box, 0.0, side)
+        # a clipped box can have collapsed onto the image edge
+        boxes = boxes[(boxes[:, 0] < boxes[:, 2]) & (boxes[:, 1] < boxes[:, 3])]
+        out.append((boxes + origin, (origin + side, origin + side)))
+    return out

@@ -519,6 +519,36 @@ class TestReplay:
         assert run(["replay", "--manifest", str(edited), "--out", str(tmp_path / "r")]) == 3
         assert "missing keys ['fusion_iou']" in capsys.readouterr().err
 
+    def crops_label_manifest(self, workspace, out):
+        assert run(
+            ["crops", "label", "--annotations", str(workspace["annotations"]), "--out", str(out)]
+        ) == 0
+        return json.loads((out / "manifest.json").read_text())
+
+    @pytest.mark.parametrize(
+        "key, value", [("theta", "abc"), ("merge_steps", True), ("sigma", False), ("pi", None)]
+    )
+    def test_mistyped_manifest_value_is_data_error(self, workspace, tmp_path, capsys, key, value):
+        # a string, or a bool or null where a number is declared, is refused
+        # before any dataclass sees it
+        payload = self.crops_label_manifest(workspace, tmp_path / "crops")
+        payload["params"]["crops"][key] = value
+        edited = tmp_path / "mistyped.json"
+        edited.write_text(json.dumps(payload))
+        assert run(["replay", "--manifest", str(edited), "--out", str(tmp_path / "r")]) == 3
+        assert f"parameter {key} = {value!r} is not of type" in capsys.readouterr().err
+
+    def test_int_manifest_value_of_a_float_field_replays(self, workspace, tmp_path):
+        first = tmp_path / "crops"
+        payload = self.crops_label_manifest(workspace, first)
+        assert payload["params"]["crops"]["sigma"] == 15.0
+        payload["params"]["crops"]["sigma"] = 15
+        edited = tmp_path / "int_sigma.json"
+        edited.write_text(json.dumps(payload))
+        second = tmp_path / "replayed"
+        assert run(["replay", "--manifest", str(edited), "--out", str(second)]) == 0
+        assert (second / "annotations.json").read_bytes() == (first / "annotations.json").read_bytes()
+
     def test_old_manifest_with_workers_and_upscale_relief_replays(self, workspace, tmp_path):
         first = tmp_path / "infer"
         payload = self.oracle_infer_manifest(workspace, first)

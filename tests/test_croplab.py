@@ -8,6 +8,7 @@ import json
 import numpy as np
 import pytest
 
+from densecrop import croplab as croplab_module
 from densecrop.cli import main as cli_main
 from densecrop.croplab import CropParams, label_density_crops, merge_round
 from densecrop.errors import ConfigError, InvariantViolation
@@ -17,7 +18,9 @@ from reference_impls import (
     crop_components_ref,
     label_density_crops_ref,
     label_one,
+    meeting_case_stack,
     merge_once_ref,
+    merge_round_all_pairs,
     scaled_boxes_ref,
     split_rows,
 )
@@ -519,3 +522,91 @@ def test_stacked_labeling_pairs_only_within_images():
     finally:
         tracemalloc.stop()
     assert peak < STACK_PEAK_BOUND_BYTES
+
+
+def stack_arguments(images):
+    """The rows, sizes and counts of a stack of (boxes, size) images."""
+    boxes = np.concatenate([b for b, _ in images] or [np.zeros((0, 4))])
+    return boxes, [size for _, size in images], [len(b) for b, _ in images]
+
+
+class TestAgainstAllPairs:
+    """Pairing only the rows that meet gives the crops, crop order and
+    counts of scoring every pair of rows of an image, bit for bit."""
+
+    def assert_same(self, got, want):
+        assert got[0].tobytes() == want[0].tobytes() and got[0].shape == want[0].shape
+        assert got[1].tolist() == want[1].tolist()
+
+    @pytest.mark.parametrize("carry_unmerged", [False, True])
+    def test_merge_round(self, carry_unmerged):
+        rng = np.random.default_rng(31 + carry_unmerged)
+        for _ in range(60):
+            boxes, sizes, counts = stack_arguments(meeting_case_stack(rng, int(rng.integers(1, 9))))
+            params = one_round(
+                theta=float(rng.choice([0.02, 0.1, 0.5])),
+                pi=float(rng.choice([0.05, 0.3, 1.0])),
+                min_cluster=int(rng.integers(2, 4)),
+            )
+            self.assert_same(
+                merge_round(boxes, sizes, params, carry_unmerged=carry_unmerged, counts=counts),
+                merge_round_all_pairs(
+                    boxes, sizes, params, carry_unmerged=carry_unmerged, counts=counts
+                ),
+            )
+
+    def test_label_density_crops(self, monkeypatch):
+        rng = np.random.default_rng(33)
+        cases = [
+            (
+                meeting_case_stack(rng, int(rng.integers(1, 9))),
+                CropParams(sigma=float(rng.choice([0.0, 0.5, 15.0]))),
+            )
+            for _ in range(40)
+        ]
+
+        def label(images, params):
+            boxes, sizes, counts = stack_arguments(images)
+            return label_density_crops(boxes, sizes, params, counts)
+
+        got = [label(*case) for case in cases]
+        assert sum(len(crops) for crops, _ in got) > 40
+        monkeypatch.setattr(croplab_module, "merge_round", merge_round_all_pairs)
+        for case, crops in zip(cases, got):
+            self.assert_same(crops, label(*case))
+
+    def test_crowded_image(self, monkeypatch):
+        rng = np.random.default_rng(2100)
+        boxes, sizes, counts = stack_arguments(meeting_case_stack(rng, 4, crowded=2100))
+        assert max(counts) > 2000
+        params = CropParams(sigma=0.0, pi=0.05)
+        got = label_density_crops(boxes, sizes, params, counts)
+        assert len(got[0]) > 10
+        monkeypatch.setattr(croplab_module, "merge_round", merge_round_all_pairs)
+        self.assert_same(got, label_density_crops(boxes, sizes, params, counts))
+
+    def test_touching_boxes_do_not_link(self):
+        # overlap width exactly 0 is no overlap; a quarter pixel more is
+        touching = rows([(0, 0, 10, 10), (10, 0, 20, 10)])
+        assert len(label_one(touching, (100, 100), one_round(theta=0.001))) == 0
+        touching[1, 0] = 9.75
+        assert len(label_one(touching, (100, 100), one_round(theta=0.001))) == 1
+
+
+# Pairing every two of 4000 boxes of one 4000x4000 image peaked at
+# 855 MiB; the pairs that meet take a few MiB.
+DENSE_LABEL_PEAK_BOUND_BYTES = 32 << 20
+
+
+def test_dense_image_labeling_pairs_only_meeting_boxes():
+    rng = np.random.default_rng(4000)
+    corners = rng.uniform(0.0, 3950.0, (4000, 2))
+    boxes = np.concatenate([corners, corners + rng.uniform(8.0, 40.0, (4000, 2))], axis=1)
+    tracemalloc.start()
+    try:
+        crops, _ = label_density_crops(boxes, [(4000.0, 4000.0)], CropParams(), [4000])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(crops) > 100
+    assert peak < DENSE_LABEL_PEAK_BOUND_BYTES

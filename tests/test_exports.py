@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import densecrop
-from densecrop import croplab, dataset, detect, infer, teacher
+from densecrop import croplab, dataset, detect, geometry, infer, teacher
 
 from reference_impls import record_stack
 
@@ -58,6 +58,7 @@ def test_burn_in_is_the_first_iterations_of_train():
         detect.toy_forward,
         detect.ToyDetector.augment,
         detect.ToyDetector.features,
+        geometry.nms_keep,
     ],
     ids=lambda kernel: kernel.__qualname__,
 )
@@ -65,6 +66,11 @@ def test_stack_kernels_require_counts(kernel):
     # a ragged-stack kernel has one form: a single image is a stack of one
     counts = inspect.signature(kernel).parameters["counts"]
     assert counts.default is inspect.Parameter.empty
+
+
+def test_crop_labeling_pairs_only_boxes_that_meet():
+    # one pair search for crop labeling and NMS: no all-pairs path beside it
+    assert not hasattr(croplab, "group_pairs") and hasattr(croplab, "meeting_pairs")
 
 
 @pytest.mark.parametrize("mode", ["predicted", "relabeled"])

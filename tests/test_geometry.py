@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from densecrop.croplab import CropParams
+from densecrop import geometry as geometry_module
 from densecrop.errors import ConfigError, InvariantViolation
 from densecrop.geometry import (
     Box,
@@ -15,12 +16,21 @@ from densecrop.geometry import (
     clip,
     detections_from_arrays,
     iou_matrix,
+    meeting_pairs,
     nms_keep,
     project_rows,
     reproject_rows,
 )
 
-from reference_impls import detection_arrays, iou_ref, label_one, nms_ref, scaled_boxes_ref
+from reference_impls import (
+    detection_arrays,
+    iou_ref,
+    label_one,
+    meeting_case_stack,
+    nms_keep_all_pairs,
+    nms_ref,
+    scaled_boxes_ref,
+)
 
 
 def random_box(rng, width=500.0, height=500.0, min_side=1.0, max_side=120.0):
@@ -421,6 +431,108 @@ class TestNmsKernel:
             tracemalloc.stop()
         assert peak < rows * rows
         assert keep.tolist() == nms_ref_by_image(images, 0.5)
+
+
+def stacked_detections(rng, images):
+    """The (boxes, classes, scores) rows of a ``meeting_case_stack`` with
+    up to four classes and scores from a few tied levels, and its counts."""
+    boxes = np.concatenate([b for b, _ in images] or [np.zeros((0, 4))])
+    classes = rng.integers(0, 4, len(boxes))
+    scores = rng.choice([0.3, 0.5, 0.9, rng.uniform(0.05, 1.0)], len(boxes))
+    return (boxes, classes, scores), [len(b) for b, _ in images]
+
+
+class TestMeetingPairs:
+    def brute_force(self, boxes, group):
+        pairs = []
+        for i in range(len(boxes)):
+            for j in range(i + 1, len(boxes)):
+                w = min(boxes[i, 2], boxes[j, 2]) - max(boxes[i, 0], boxes[j, 0])
+                h = min(boxes[i, 3], boxes[j, 3]) - max(boxes[i, 1], boxes[j, 1])
+                if group[i] == group[j] and w >= 0.0 and h >= 0.0:
+                    pairs.append((i, j, w, h))
+        return pairs
+
+    @pytest.mark.parametrize("block_pairs", [1, 7, 1 << 15])
+    def test_every_meeting_pair_once(self, monkeypatch, block_pairs):
+        # Any block size gives the same pairs; groups need not be sorted.
+        monkeypatch.setattr(geometry_module, "_BLOCK_PAIRS", block_pairs)
+        rng = np.random.default_rng(block_pairs)
+        for _ in range(30):
+            images = meeting_case_stack(rng, int(rng.integers(1, 6)))
+            boxes = np.concatenate([b for b, _ in images])
+            group = np.repeat(np.arange(len(images)), [len(b) for b, _ in images])
+            if rng.random() < 0.5:
+                group = rng.permutation(group)
+            a, b, iw, ih = meeting_pairs(boxes, group)
+            got = sorted(
+                (min(i, j), max(i, j), w, h)
+                for i, j, w, h in zip(a.tolist(), b.tolist(), iw.tolist(), ih.tolist())
+            )
+            assert got == self.brute_force(boxes, group)
+
+    def test_touching_boxes_meet_with_zero_width(self):
+        boxes = np.array([[0.0, 0.0, 10.0, 10.0], [10.0, 0.0, 20.0, 10.0], [20.25, 0, 30, 10]])
+        a, b, iw, ih = meeting_pairs(boxes, np.zeros(3, dtype=np.int64))
+        assert (a.tolist(), b.tolist(), iw.tolist(), ih.tolist()) == ([0], [1], [0.0], [10.0])
+
+    def test_no_rows(self):
+        a, b, iw, ih = meeting_pairs(np.zeros((0, 4)), np.zeros(0, dtype=np.int64))
+        assert len(a) == len(b) == len(iw) == len(ih) == 0
+        assert a.dtype == np.int64 and iw.dtype == np.float64
+
+
+class TestNmsAgainstAllPairs:
+    """:func:`nms_keep` keeps the rows that scoring every pair of an
+    (image, class) group kept."""
+
+    @pytest.mark.parametrize("thresh", [0.1, 0.5, 1.0])
+    def test_random_stacks(self, thresh):
+        rng = np.random.default_rng(int(thresh * 100) + 7)
+        for _ in range(40):
+            images = meeting_case_stack(rng, int(rng.integers(1, 9)))
+            arrays, counts = stacked_detections(rng, images)
+            keep = nms_keep(*arrays, thresh, counts)
+            assert keep.dtype == np.int64
+            assert keep.tolist() == nms_keep_all_pairs(*arrays, thresh, counts).tolist()
+
+    def test_crowded_image(self):
+        rng = np.random.default_rng(2100)
+        images = meeting_case_stack(rng, 5, crowded=2100)
+        assert max(len(b) for b, _ in images) > 2000
+        arrays, counts = stacked_detections(rng, images)
+        for thresh in (0.3, 0.7):
+            want = nms_keep_all_pairs(*arrays, thresh, counts)
+            assert nms_keep(*arrays, thresh, counts).tolist() == want.tolist()
+
+    def test_zero_area_rows_raise(self):
+        # Two zero-area rows that do not meet gave IoU 0 / 0 = NaN, and a
+        # NaN suppressed; an invalid row is refused instead.
+        boxes = np.array([[0.0, 0.0, 0.0, 0.0], [5.0, 5.0, 5.0, 5.0]])
+        with pytest.raises(InvariantViolation, match="degenerate"):
+            nms_keep(boxes, np.zeros(2, dtype=np.int64), np.array([0.9, 0.8]), 0.5, [2])
+        boxes[1] = [5.0, 5.0, 6.0, float("inf")]
+        with pytest.raises(InvariantViolation, match="non-finite"):
+            nms_keep(boxes[1:], np.zeros(1, dtype=np.int64), np.array([0.9]), 0.5, [1])
+
+
+# Pairing every row of a class on one dense image peaked at 318 MiB for
+# 6000 rows of 4 classes; the pairs that meet take a few MiB.
+DENSE_NMS_PEAK_BOUND_BYTES = 32 << 20
+
+
+def test_dense_image_nms_pairs_only_meeting_rows():
+    rng = np.random.default_rng(6000)
+    corners = rng.uniform(0.0, 3950.0, (6000, 2))
+    boxes = np.concatenate([corners, corners + rng.uniform(8.0, 40.0, (6000, 2))], axis=1)
+    classes, scores = rng.integers(0, 4, 6000), rng.uniform(0.0, 1.0, 6000)
+    tracemalloc.start()
+    try:
+        nms_keep(boxes, classes, scores, 0.5, [6000])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < DENSE_NMS_PEAK_BOUND_BYTES
 
 
 class TestArrayHelpers:

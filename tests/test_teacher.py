@@ -639,6 +639,31 @@ class TestTrain:
         np.testing.assert_array_equal(state.teacher.values, state.student.values)
         assert [log.iteration for log in state.history] == list(range(1, 41))
 
+    def test_burn_in_takes_no_unlabeled_batch(self, monkeypatch):
+        # a run that is all burn-in never gathers an unlabeled batch and
+        # derives no generator for one
+        from densecrop import teacher as teacher_module
+
+        taken, derived = [], []
+        real_positions, real_batch_rngs = CropCache.positions, teacher_module._batch_rngs
+
+        def positions(self, parents):
+            taken.append(parents)
+            return real_positions(self, parents)
+
+        def batch_rngs(config, tag, iterations):
+            derived.append((tag, len(iterations)))
+            return real_batch_rngs(config, tag, iterations)
+
+        monkeypatch.setattr(CropCache, "positions", positions)
+        monkeypatch.setattr(teacher_module, "_batch_rngs", batch_rngs)
+        samples = tiny_dataset()
+        cfg = trainer_config(burn_in_iters=40, max_iters=40, crop_start_iter=50)
+        state = train(cfg, samples, quick_split(samples, 2), backend_for())
+        assert taken == []
+        assert derived == [("batch-labeled", 40), ("batch-unlabeled", 0)]
+        assert [log.unlabeled_images for log in state.history] == [0] * 40
+
     def test_degenerate_config_matches_supervised_bitwise(self):
         samples = tiny_dataset()
         split_labeled_only = DatasetSplit(
@@ -879,9 +904,10 @@ class TestTrain:
         backend = backend_for()
         cfg = trainer_config(crop_start_iter=10**9)
         state = train(cfg, samples, split, backend)
+        # burn-in samples no unlabeled batch and derives no generator for one
         assert [c for c in calls if c[0]] == [
             ((cfg.seed, "batch-labeled"), cfg.max_iters),
-            ((cfg.seed, "batch-unlabeled"), cfg.max_iters),
+            ((cfg.seed, "batch-unlabeled"), cfg.max_iters - cfg.burn_in_iters),
         ]
         assert [rows for prefix, rows in calls if not prefix] == [
             cfg.labeled_batch + 2 * log.unlabeled_images for log in state.history
