@@ -83,6 +83,29 @@ def _stack(boxes, image_size, counts) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return boxes, sizes, counts
 
 
+def _component_labels(degree: np.ndarray, link_j: np.ndarray) -> np.ndarray:
+    """The lowest row of each row's connected component, by label
+    propagation; a row without links is its own. Row ``i`` has
+    ``degree[i]`` links, to the rows of its block of ``link_j``, the blocks
+    in row order, and every link is given both ways.
+
+    A label is always a row of the component at or below its row. Each
+    pass takes a row's lowest label among itself and its neighbours, then
+    the label of that row (pointer jumping), so a chain of labels shortens
+    faster than by one link a pass.
+    """
+    members = np.flatnonzero(degree)
+    labels = np.arange(len(degree))
+    if len(members):
+        blocks = (np.cumsum(degree) - degree)[members]
+        while True:
+            lowest = labels[np.minimum(labels[members], np.minimum.reduceat(labels[link_j], blocks))]
+            if (lowest == labels[members]).all():
+                break
+            labels[members] = lowest
+    return labels
+
+
 def merge_round(
     rows: np.ndarray,
     image_size,
@@ -125,17 +148,9 @@ def merge_round(
     order = np.argsort(link_i * total + link_j)
     link_i, link_j = link_i[order], link_j[order]
     degree = np.bincount(link_i, minlength=total)
-    # Label propagation: every linked row ends with the lowest row of its
-    # component. A row's links are one block of link_j, since link_i is sorted.
+    # A row's links are one block of link_j, since link_i is sorted.
+    labels = _component_labels(degree, link_j)
     members = np.flatnonzero(degree)
-    labels = np.arange(total)
-    if len(members):
-        blocks = (np.cumsum(degree) - degree)[members]
-        while True:
-            lowest = np.minimum(labels[members], np.minimum.reduceat(labels[link_j], blocks))
-            if (lowest == labels[members]).all():
-                break
-            labels[members] = lowest
     # Group each component's members, then reduce per component: its image,
     # member count, enclosing box and rank. Within an image, components go
     # by descending rank: the most-connected row first, ties to the lowest.

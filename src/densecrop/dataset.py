@@ -66,7 +66,7 @@ __all__ = [
 MIN_CLIPPED_AREA_FRACTION = 0.5
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Annotation:
     """One labeled box: geometry and class id."""
 

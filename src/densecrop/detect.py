@@ -40,7 +40,7 @@ from .geometry import (
     box_areas,
     clip,
     group_pairs,
-    pair_ious,
+    overlap_ious,
 )
 from .seeding import normals_for, rng_for, rngs_for, stable_int
 
@@ -53,7 +53,7 @@ __all__ = [
     "feature_dim",
     "toy_forward",
     "ViewStack",
-    "CHUNK_PAIRS",
+    "CHUNK_OBJECTS",
     "chunk_bounds",
     "SupervisedBatch",
     "UnsupervisedBatch",
@@ -296,7 +296,7 @@ def oracle_detect(
 # to _PAIRWISE_BLOCK values through 8 accumulators, and longer runs as two
 # halves split near the middle.
 _PAIRWISE_BLOCK = 128
-# Own-scene (proposal, object) pairs tested for overlap at a time; bounds
+# Same-group pairs that _meeting_pairs tests for overlap at a time; bounds
 # the pair temporaries at about half a MB.
 _BLOCK_PAIRS = 1 << 13
 
@@ -334,25 +334,28 @@ def _run_means(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return means
 
 
-def _meeting_pairs(scenes: SceneStack, props, row_scene) -> tuple[np.ndarray, ...]:
-    """Row, object, overlap width and overlap height of every pair of a
-    proposal, given as (4, N) x1, y1, x2, y2 rows ``props``, with an object
-    of its own scene whose box meets it: width and height at least 0, by
-    :func:`~densecrop.geometry.intersection_matrix`'s formula. The pairs
-    come row by row, each row's in object order.
+def _meeting_pairs(boxes, row_group, others, other_counts) -> tuple[np.ndarray, ...]:
+    """Row, other row, overlap width and overlap height of every pair of a
+    row of the (N, 4) x1, y1, x2, y2 rows ``boxes`` with a row of its own
+    group of the ragged stack ``others``, whose boxes meet: width and
+    height at least 0, by :func:`~densecrop.geometry.intersection_matrix`'s
+    formula. Row ``i`` is in group ``row_group[i]``, and ``others`` holds
+    ``other_counts[g]`` rows of group ``g``, group after group. The pairs
+    come row by row, each row's in the order of ``others``.
 
-    Every pair that overlaps or holds its object's centre is among them,
+    Every pair that overlaps or holds the other box's centre is among them,
     since a box's centre lies between its corners. The pairs are tested a
     block of rows of about ``_BLOCK_PAIRS`` pairs at a time, in x first
-    and then in y on those that meet in x.
+    and then in y on those that meet in x, so memory follows the rows and
+    the pairs that meet, never all the pairs of a group.
     """
-    x1, y1, x2, y2 = props
-    ox1, oy1, ox2, oy2 = np.ascontiguousarray(scenes.object_boxes.T)
-    pairs = scenes.object_counts[row_scene]
+    x1, y1, x2, y2 = np.ascontiguousarray(boxes.T)
+    ox1, oy1, ox2, oy2 = np.ascontiguousarray(others.T)
+    pairs = other_counts[row_group]
     cuts = np.flatnonzero(np.diff((np.cumsum(pairs) - pairs) // _BLOCK_PAIRS)) + 1
     near = []
-    for start, stop in zip([0, *cuts.tolist()], [*cuts.tolist(), len(row_scene)]):
-        item, obj = group_pairs(scenes.object_counts, row_scene[start:stop])
+    for start, stop in zip([0, *cuts.tolist()], [*cuts.tolist(), len(row_group)]):
+        item, obj = group_pairs(other_counts, row_group[start:stop])
         iw = np.minimum(np.repeat(x2[start:stop], pairs[start:stop]), ox2[obj])
         iw -= np.maximum(np.repeat(x1[start:stop], pairs[start:stop]), ox1[obj])
         keep = np.flatnonzero(iw >= 0.0)
@@ -379,7 +382,7 @@ def _object_features(phi, scenes: SceneStack, props, area, row_scene, k: int) ->
     n = len(row_scene)
     x1, y1, x2, y2 = props
     ox1, oy1, ox2, oy2 = scenes.object_boxes.T
-    item, obj, iw, ih = _meeting_pairs(scenes, props, row_scene)
+    item, obj, iw, ih = _meeting_pairs(props.T, row_scene, scenes.object_boxes, scenes.object_counts)
     cx, cy = (ox1[obj] + ox2[obj]) / 2.0, (oy1[obj] + oy2[obj]) / 2.0
     inside = (x1[item] <= cx) & (cx < x2[item]) & (y1[item] <= cy) & (cy < y2[item])
     centers_inside = np.minimum(np.bincount(item[inside], minlength=n), _CENTER_COUNT_CAP)
@@ -616,28 +619,31 @@ def assign_targets(
     offsets (match minus proposal); the rest become background with zero
     offsets.
 
-    Only same-view (box, ground truth) pairs are formed, by
-    :func:`~densecrop.geometry.group_pairs`, and their IoUs come from
-    :func:`~densecrop.geometry.pair_ious`; each box's best IoU is a
-    ``maximum.reduceat`` over its pairs and the first ground-truth row
-    reaching it a ``minimum.reduceat`` over their indices.
+    A proposal is foreground only at an IoU above 0, so only the same-view
+    pairs whose boxes overlap count: :func:`_meeting_pairs` forms them, a
+    block at a time, and their IoUs follow by the formula of
+    :func:`~densecrop.geometry.pair_ious`. They come box by box, each box's
+    in ground-truth order, so each box's best IoU is a ``maximum.reduceat``
+    over its pairs and the first ground-truth row reaching it a
+    ``minimum.reduceat`` over their indices. Memory follows the rows and
+    the pairs that meet, never the pairs of a view.
     """
     classes = np.full(len(boxes), background_class, dtype=np.int64)
     offsets = np.zeros((len(boxes), 4))
     views = int(box_view[-1]) + 1 if len(boxes) else 0
     per_view = np.diff(np.searchsorted(gt_view, np.arange(views + 1)))
-    per_box = per_view[box_view]
-    rows = np.flatnonzero(per_box)
-    if len(rows) == 0:
+    item, gt, iw, ih = _meeting_pairs(boxes, box_view, gt_boxes, per_view)
+    ious = overlap_ious(iw, ih, box_areas(boxes)[item], box_areas(gt_boxes)[gt])
+    hit = np.flatnonzero(ious > 0.0)
+    if len(hit) == 0:
         return classes, offsets
-    counts = per_box[rows]
-    first_pair = np.cumsum(counts) - counts
-    pair_box, pair_gt = group_pairs(per_view, box_view)
-    ious = pair_ious(boxes, gt_boxes, pair_box, pair_gt)
+    item, gt, ious = item[hit], gt[hit], ious[hit]
+    first_pair = np.flatnonzero(np.diff(item, prepend=-1))
+    rows, counts = item[first_pair], np.diff(first_pair, append=len(item))
     best_iou = np.maximum.reduceat(ious, first_pair)
-    at_best = np.where(ious == np.repeat(best_iou, counts), pair_gt, len(gt_boxes))
+    at_best = np.where(ious == np.repeat(best_iou, counts), gt, len(gt_boxes))
     best = np.minimum.reduceat(at_best, first_pair)
-    fg = (best_iou > 0.0) & (best_iou >= fg_iou)
+    fg = best_iou >= fg_iou
     classes[rows[fg]] = gt_classes[best[fg]]
     offsets[rows[fg]] = gt_boxes[best[fg]] - boxes[rows[fg]]
     return classes, offsets
@@ -695,29 +701,26 @@ class OracleBackend(DetectorBackend):
         return oracle_detect(scenes, self.noise, self.num_base_classes)
 
 
-# (Proposal, object) pairs per views call, about (see chunk_bounds): a
-# call builds, featurizes and decodes its scenes' rows at once. Larger
-# chunks cut per-call overhead but hold more rows. 18k pairs is 50 to 70
-# desk-scale toy images of about 17 objects; past it inference throughput
-# flattens while peak memory keeps growing. A scene of 135 or more objects
-# runs alone.
-CHUNK_PAIRS = 18_000
+# Objects per views call, about (see chunk_bounds): a call builds,
+# featurizes and decodes its scenes' rows at once, and every kernel of it
+# (proposals, crop labeling, features, targets, NMS) holds memory in
+# proportion to its rows and the pairs of them that meet. Larger chunks cut
+# per-call overhead but hold more rows: on perfbench's infer_toy (400 toy
+# images of about 17 objects, two chunks at 4096), 2048 ran 7 % slower,
+# and 8192 ran 6 % faster for 3 MB (6 %) more peak resident memory.
+CHUNK_OBJECTS = 4096
 
 
 def chunk_bounds(objects: list[int]) -> list[tuple[int, int]]:
     """(start, stop) of each chunk of images with ``objects[i]`` objects in
-    image ``i``. An image with m objects costs about ``max(m, 1)**2`` pairs:
-    its proposals number about its objects and each meets every object. A
-    chunk closes after the image that takes its running cost past
-    :data:`CHUNK_PAIRS`, and an image over the budget by itself runs alone."""
+    image ``i``. An image with m objects costs ``max(m, 1)``: its
+    proposals, their pairs that meet and its crop and NMS rows all grow
+    about linearly with m. A chunk closes after the image that takes its
+    running cost past :data:`CHUNK_OBJECTS`."""
     edges, start, total = [], 0, 0
     for i, m in enumerate(objects):
-        cells = max(m, 1) ** 2
-        if cells > CHUNK_PAIRS and i > start:
-            edges.append((start, i))
-            start, total = i, 0
-        total += cells
-        if total > CHUNK_PAIRS:
+        total += max(m, 1)
+        if total > CHUNK_OBJECTS:
             edges.append((start, i + 1))
             start, total = i + 1, 0
     return edges + [(start, len(objects))] * (start < len(objects))

@@ -45,7 +45,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Box:
     """Rectangle with x1 < x2 and y1 < y2, finite coordinates."""
 
@@ -81,7 +81,7 @@ class Box:
         return (self.x1, self.y1, self.x2, self.y2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Detection:
     """A scored class prediction: box, class id, confidence in [0, 1]."""
 

@@ -9,9 +9,10 @@ detections are mapped back to image coordinates, concatenated with the
 stage-one base-class detections, and deduplicated with NMS.
 
 Both stages run a chunk of images at a time. A chunk is closed by a
-budget of (proposal, object) pairs, :data:`~densecrop.detect.CHUNK_PAIRS`,
-estimated from the images' object counts before any view is built, so
-many sparse images share a chunk and a dense one runs nearly alone. The chunk stays
+budget of objects, :data:`~densecrop.detect.CHUNK_OBJECTS`, counted before
+any view is built: every kernel of a chunk holds memory in proportion to
+its rows and the pairs of them that meet, so a dense image costs its
+objects, not their square, and shares its chunk. The chunk stays
 one ragged stack of rows from stage one to the fused rows: a
 :class:`~densecrop.dataset.SceneStack` of the chunk's images, one backend
 ``detect_batch`` on it, crop selection over the stacked rows, one

@@ -243,6 +243,23 @@ def label_one(boxes, image_size, params) -> np.ndarray:
     return label_density_crops(boxes, [image_size], params, [len(boxes)])[0]
 
 
+def component_labels_plain(degree: np.ndarray, link_j: np.ndarray) -> np.ndarray:
+    """``croplab._component_labels`` by plain label propagation, as
+    ``merge_round`` ran it before pointer jumping: each pass a linked row
+    takes the lowest label among itself and its neighbours, so a label
+    travels one link a pass."""
+    members = np.flatnonzero(degree)
+    labels = np.arange(len(degree))
+    if len(members):
+        blocks = (np.cumsum(degree) - degree)[members]
+        while True:
+            lowest = np.minimum(labels[members], np.minimum.reduceat(labels[link_j], blocks))
+            if (lowest == labels[members]).all():
+                break
+            labels[members] = lowest
+    return labels
+
+
 def merge_round_all_pairs(
     rows: np.ndarray,
     image_size,
@@ -278,17 +295,9 @@ def merge_round_all_pairs(
     linked = (pair_ious(rows, rows, pair_i, pair_j) > params.theta) & (pair_i != pair_j)
     link_i, link_j = pair_i[linked], pair_j[linked]
     degree = np.bincount(link_i, minlength=total)
-    # Label propagation: every linked row ends with the lowest row of its
-    # component. A row's links are one block of link_j, since link_i is sorted.
+    # A row's links are one block of link_j, since link_i is sorted.
+    labels = component_labels_plain(degree, link_j)
     members = np.flatnonzero(degree)
-    labels = np.arange(total)
-    if len(members):
-        blocks = (np.cumsum(degree) - degree)[members]
-        while True:
-            lowest = np.minimum(labels[members], np.minimum.reduceat(labels[link_j], blocks))
-            if (lowest == labels[members]).all():
-                break
-            labels[members] = lowest
     # Group each component's members, then reduce per component: its image,
     # member count, enclosing box and rank. Within an image, components go
     # by descending rank: the most-connected row first, ties to the lowest.

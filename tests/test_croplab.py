@@ -15,6 +15,7 @@ from densecrop.errors import ConfigError, InvariantViolation
 from densecrop.geometry import iou_matrix
 
 from reference_impls import (
+    component_labels_plain,
     crop_components_ref,
     label_density_crops_ref,
     label_one,
@@ -591,6 +592,45 @@ class TestAgainstAllPairs:
         assert len(label_one(touching, (100, 100), one_round(theta=0.001))) == 0
         touching[1, 0] = 9.75
         assert len(label_one(touching, (100, 100), one_round(theta=0.001))) == 1
+
+
+class TestComponentLabels:
+    """Label propagation with pointer jumping against plain propagation,
+    on random graphs with long chains through shuffled rows, where the
+    lowest label has the farthest to travel."""
+
+    def links(self, rng, n, chains):
+        """``degree`` and ``link_j`` of a random graph on ``n`` rows, every
+        link both ways, sorted by (row, neighbour)."""
+        edges = [rng.integers(0, n, (int(rng.integers(0, n // 4 + 1)), 2))]
+        edges += [np.column_stack([c[:-1], c[1:]]) for c in chains]
+        i, j = np.concatenate(edges).T
+        keep = i != j
+        pairs = np.unique(np.r_[i[keep] * n + j[keep], j[keep] * n + i[keep]])
+        return np.bincount(pairs // n, minlength=n), pairs % n
+
+    def test_random_graphs_match_plain_propagation(self):
+        rng = np.random.default_rng(55)
+        for _ in range(200):
+            n = int(rng.integers(1, 300))
+            lengths = rng.integers(1, n + 1, int(rng.integers(0, 4))).tolist()
+            chains = [rng.permutation(n)[:length] for length in lengths]
+            degree, link_j = self.links(rng, n, chains)
+            got = croplab_module._component_labels(degree, link_j)
+            assert np.array_equal(got, component_labels_plain(degree, link_j))
+
+    def test_long_chains_match_plain_propagation(self):
+        # one chain from the highest row down to the lowest, and one that
+        # zigzags between the two ends
+        n = 2000
+        rows_down = np.arange(n)[::-1]
+        zigzag = np.ravel(np.column_stack([np.arange(n // 2), np.arange(n - 1, n // 2 - 1, -1)]))
+        rng = np.random.default_rng(56)
+        for chain in (rows_down, zigzag, rng.permutation(n)):
+            degree, link_j = self.links(rng, n, [chain])
+            got = croplab_module._component_labels(degree, link_j)
+            assert np.array_equal(got, component_labels_plain(degree, link_j))
+            assert not got.any()  # one component, labelled by row 0
 
 
 # Pairing every two of 4000 boxes of one 4000x4000 image peaked at

@@ -394,14 +394,13 @@ class TestStreamedFeatures:
         assert views_peak <= 166 * 2**20 / 2
         assert features_peak <= 166 * 2**20 / 16
 
-    def test_toy_inference_chunk_memory_is_bounded(self):
-        # The stage-one features of the first chunk that the default pair
-        # budget closes on the first infer_toy benchmark split (57 images,
-        # 1531 proposals). The object-column kernel peaked at 1.22 MiB
-        # there, while drawing the payload noise.
+    def chunk_features_peak(self, chunk=None):
+        """Proposal count and traced peak of the stage-one features of a
+        chunk of the first infer_toy benchmark split, by default the first
+        chunk that the default object budget closes."""
         import benchmarks as pinned
         samples = generate_synthetic_dataset(pinned.scene_config(1000, 400))
-        start, stop = chunk_bounds([len(s.scene.object_boxes) for s in samples])[0]
+        start, stop = chunk or chunk_bounds([len(s.scene.object_boxes) for s in samples])[0]
         stack = stack_of(samples[start:stop])
         backend = pinned.make_backend(1)
         boxes, counts = backend.proposals(stack)
@@ -412,8 +411,22 @@ class TestStreamedFeatures:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert (stop - start, len(boxes)) == (57, 1531)
+        return len(boxes), peak
+
+    def test_toy_inference_chunk_memory_is_bounded(self):
+        # The first 57 images, the first chunk of the earlier squared pair
+        # budget (1531 proposals). The object-column kernel peaked at
+        # 1.22 MiB there, while drawing the payload noise.
+        proposals, peak = self.chunk_features_peak((0, 57))
+        assert proposals == 1531
         assert peak <= 1.22 * 2**20
+
+    def test_default_first_chunk_memory_is_bounded(self):
+        # 248 images of about 17 objects under the default object budget
+        # (6529 proposals); it measured 3.69 MiB.
+        proposals, peak = self.chunk_features_peak()
+        assert proposals == 6529
+        assert peak <= 4.0 * 2**20
 
 
 def weights_from(layout, cls, reg=None):
@@ -641,6 +654,86 @@ class TestAssignTargets:
         assert classes.tolist() == [2, 5]
         np.testing.assert_allclose(offsets[0], [-1, -1, -1, -1])
         np.testing.assert_array_equal(offsets[1], np.zeros(4))
+
+    @pytest.mark.parametrize("block_pairs", [None, 7])
+    def test_random_stacks_match_loop(self, block_pairs, monkeypatch):
+        # Ragged stacks against the per-proposal scan, view by view. Boxes
+        # lie on a 5-pixel grid, so many touch or repeat each other; a
+        # view's first ground truth copies one of its proposals and its
+        # second nests inside another; some views have no proposals or no
+        # ground truth. With 7 pairs a block, a view's pairs take many.
+        from densecrop import detect as detect_module
+
+        if block_pairs:
+            monkeypatch.setattr(detect_module, "_BLOCK_PAIRS", block_pairs)
+        rng = np.random.default_rng(58)
+        background = 9
+        seen = dict.fromkeys(["touching", "nested", "identical", "no boxes", "no ground truth"], 0)
+
+        def grid_boxes(n):
+            xy = rng.integers(0, 8, (n, 2)) * 5.0
+            return np.concatenate([xy, xy + rng.integers(1, 4, (n, 2)) * 5.0], axis=1)
+
+        for trial in range(300):
+            views = []
+            for _ in range(int(rng.integers(1, 6))):
+                boxes = grid_boxes(int(rng.integers(0, 8)) * (rng.random() > 0.15))
+                gt = grid_boxes(int(rng.integers(0, 5)) * (rng.random() > 0.2))
+                if len(boxes) and len(gt):
+                    picks = boxes[rng.integers(0, len(boxes), 2)]
+                    gt[0] = picks[0]
+                    if len(gt) > 1:
+                        gt[1] = picks[1] + [1.0, 1.0, -1.0, -1.0]
+                views.append((boxes, gt, rng.integers(0, 4, len(gt))))
+            fg_iou = (0.0, 0.3, 0.5)[trial % 3]
+            classes, offsets = assign_targets(
+                np.concatenate([b for b, _, _ in views]),
+                np.repeat(np.arange(len(views)), [len(b) for b, _, _ in views]),
+                np.concatenate([g for _, g, _ in views]),
+                np.repeat(np.arange(len(views)), [len(g) for _, g, _ in views]),
+                np.concatenate([c for _, _, c in views]),
+                fg_iou,
+                background,
+            )
+            ends = np.cumsum([len(b) for b, _, _ in views]).tolist()
+            for (boxes, gt, gt_classes), stop in zip(views, ends):
+                anns = [(tuple(g), int(c)) for g, c in zip(gt.tolist(), gt_classes.tolist())]
+                want, want_offsets = assign_targets_ref(rows(boxes), anns, fg_iou, background)
+                own = slice(stop - len(boxes), stop)
+                assert np.array_equal(classes[own], want) and np.array_equal(offsets[own], want_offsets)
+                seen["no boxes"] += not len(boxes)
+                seen["no ground truth"] += bool(len(boxes)) and not len(gt)
+                lo, hi = boxes[:, None, :2], boxes[:, None, 2:]
+                sides = np.minimum(hi, gt[:, 2:]) - np.maximum(lo, gt[:, :2])
+                seen["touching"] += int(((sides == 0.0).any(axis=2) & (sides >= 0.0).all(axis=2)).sum())
+                seen["nested"] += int(((lo < gt[:, :2]) & (gt[:, 2:] < hi)).all(axis=2).sum())
+                seen["identical"] += int((boxes[:, None] == gt).all(axis=2).sum())
+        assert min(seen.values()) > 0, seen
+
+    def test_dense_view_memory_is_bounded(self):
+        # One view of 2000 proposals and 2000 ground-truth boxes. Forming
+        # every same-view pair at once peaked at 275 MiB; the pairs come a
+        # block at a time, and only those that meet are kept.
+        rng = np.random.default_rng(59)
+
+        def random_boxes(n):
+            xy = rng.uniform(0.0, 1000.0, (n, 2))
+            return np.concatenate([xy, xy + rng.uniform(5.0, 40.0, (n, 2))], axis=1)
+
+        boxes, gt = random_boxes(2000), random_boxes(2000)
+        gt[:1000] = boxes[:1000] + 1.0  # half the proposals have a near copy
+        gt_classes = rng.integers(0, 4, 2000)
+        view = np.zeros(2000, dtype=np.int64)
+        tracemalloc.start()
+        try:
+            classes, offsets = assign_targets(boxes, view, gt, view, gt_classes, 0.5, 9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20, peak / 2**20
+        want, want_offsets = assign_targets_per_view(boxes, gt, gt_classes, 0.5, 9)
+        assert np.array_equal(classes, want) and np.array_equal(offsets, want_offsets)
+        assert np.count_nonzero(classes != 9) >= 1000
 
 
 class TestToyDetector:

@@ -73,6 +73,12 @@ def test_crop_labeling_pairs_only_boxes_that_meet():
     assert not hasattr(croplab, "group_pairs") and hasattr(croplab, "meeting_pairs")
 
 
+def test_chunks_close_by_an_object_budget():
+    # every chunk kernel is linear in its rows and meeting pairs, so no
+    # squared pair budget is kept beside the object budget
+    assert not hasattr(detect, "CHUNK_PAIRS") and hasattr(detect, "CHUNK_OBJECTS")
+
+
 @pytest.mark.parametrize("mode", ["predicted", "relabeled"])
 def test_stack_results_are_rows_and_counts(mode):
     # a multi-image result is rows plus per-image counts, never a list of

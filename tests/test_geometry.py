@@ -1,5 +1,6 @@
 """Geometry kernels: examples plus randomized oracle comparisons."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from densecrop.croplab import CropParams
 from densecrop import geometry as geometry_module
+from densecrop.dataset import Annotation
 from densecrop.errors import ConfigError, InvariantViolation
 from densecrop.geometry import (
     Box,
@@ -74,6 +76,37 @@ class TestDetectionInvariants:
     def test_negative_class_rejected(self):
         with pytest.raises(InvariantViolation):
             Detection(box=Box(0, 0, 1, 1), class_id=-1, score=0.5)
+
+
+class TestValueObjects:
+    """Box, Detection and Annotation are slotted: no per-instance
+    ``__dict__``, and still frozen values with field-wise equality and
+    hashing."""
+
+    def objects(self):
+        return [
+            lambda k: Box(1, 2, 3 + k, 4),
+            lambda k: Detection(Box(1, 2, 3, 4), class_id=k, score=0.5),
+            lambda k: Annotation(Box(1, 2, 3, 4 + k), class_id=2),
+        ]
+
+    def test_no_instance_dict(self):
+        for make in self.objects():
+            value = make(0)
+            assert not hasattr(value, "__dict__") and type(value).__slots__
+
+    def test_equality_hash_and_frozenness(self):
+        for make in self.objects():
+            a, same, other = make(0), make(0), make(1)
+            assert a == same and hash(a) == hash(same) and a is not same
+            assert a != other and len({a, same, other}) == 2
+            field = dataclasses.fields(a)[0].name
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(a, field, getattr(other, field))
+            with pytest.raises((AttributeError, TypeError)):
+                a.extra = 1
+        box = Box(1, 2, 3, 4)
+        assert hash(box) == hash((1.0, 2.0, 3.0, 4.0)) and box.as_tuple() == (1.0, 2.0, 3.0, 4.0)
 
 
 def iou(a: Box, b: Box) -> float:

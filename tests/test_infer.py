@@ -64,6 +64,17 @@ def select_one(first_pass, cfg, image_size, crop_class_id):
     return crops
 
 
+def crop_weights(backend):
+    """Toy weights that predict a crop where proposals hold many object
+    centres and class 0 on proposals that overlap an object well."""
+    layout = backend.layout
+    cls = np.zeros((layout.num_outputs, layout.columns))
+    cls[backend.crop_class_id, 6] = 30.0  # the center-count feature
+    cls[backend.crop_class_id, -1] = -10.0
+    cls[0, 4] = 12.0  # the best-IoU feature
+    return WeightVector(layout, np.concatenate([cls.ravel(), np.zeros(layout.reg_size)]))
+
+
 def crops_alone(backend, weights, sample, cfg=None):
     """The crops :func:`select_crops` picks from ``sample``'s stage one
     run alone."""
@@ -505,8 +516,8 @@ class TestChunkedInference:
     """``run_inference`` over chunks against the same images run one per
     chunk: the same ids, detections and errors, in the same order."""
 
-    # (Proposal, object) pairs per chunk: these samples fill three chunks.
-    BUDGET = 1500
+    # Objects per chunk: these samples fill three chunks.
+    BUDGET = 120
 
     def samples(self):
         cfg = SyntheticConfig(
@@ -521,11 +532,11 @@ class TestChunkedInference:
         return generated[:5] + [empty] + generated[5:]
 
     def chunks(self, monkeypatch, samples, budget):
-        monkeypatch.setattr(detect_module, "CHUNK_PAIRS", budget)
+        monkeypatch.setattr(detect_module, "CHUNK_OBJECTS", budget)
         return chunk_bounds([len(s.scene.object_boxes) for s in samples])
 
     def outcomes(self, monkeypatch, samples, backend, weights, budget):
-        monkeypatch.setattr(detect_module, "CHUNK_PAIRS", budget)
+        monkeypatch.setattr(detect_module, "CHUNK_OBJECTS", budget)
         results = run_inference(samples, backend, weights, config(), seed=3)
         return [(r.image_id, r.detections, r.error) for r in results]
 
@@ -534,7 +545,7 @@ class TestChunkedInference:
             len(crops_alone(backend, weights, s)) for s in samples if s.record.image_id != failing
         ]
         assert min(crops) == 0 and max(crops) > 0
-        assert len(self.chunks(monkeypatch, samples, self.BUDGET)) >= 2
+        assert len(self.chunks(monkeypatch, samples, self.BUDGET)) >= 3
         # a budget of 0 puts every image in a chunk of its own
         singles = [(i, i + 1) for i in range(len(samples))]
         assert self.chunks(monkeypatch, samples, 0) == singles
@@ -569,48 +580,48 @@ class TestChunkedInference:
                 num_base_classes=3, background_proposals=0, proposal_crop_params=CROP_PARAMS
             )
         )
-        layout = backend.layout
-        cls = np.zeros((layout.num_outputs, layout.columns))
-        cls[backend.crop_class_id, 6] = 30.0  # the center-count feature
-        cls[backend.crop_class_id, -1] = -10.0
-        cls[0, 4] = 12.0  # the best-IoU feature
-        weights = WeightVector(layout, np.concatenate([cls.ravel(), np.zeros(layout.reg_size)]))
-        chunked = self.check(monkeypatch, samples, backend, weights, failing)
+        chunked = self.check(monkeypatch, samples, backend, crop_weights(backend), failing)
         # the scene without objects has no proposals, hence no detections
         assert backend.views(stack_of([samples[5]])).proposals.shape == (0, 4)
         assert chunked[5] == ("empty", [], None)
 
 
 class TestChunkBudget:
-    """Chunks close by the pair budget: an image with m objects costs
-    ``max(m, 1)**2`` pairs."""
+    """Chunks close by the object budget: an image with m objects costs
+    ``max(m, 1)``, so a dense image shares its chunk."""
 
     def test_chunk_exceeds_budget_only_by_its_last_image(self, monkeypatch):
-        budget = 1000
-        monkeypatch.setattr(detect_module, "CHUNK_PAIRS", budget)
+        budget = 100
+        monkeypatch.setattr(detect_module, "CHUNK_OBJECTS", budget)
         rng = np.random.default_rng(15)
         objects = rng.integers(0, 30, 400).tolist()
-        # over the budget by itself, after a short and a closed chunk, and twice in a row
-        objects[50:50] = [40]
-        objects[120:120] = [1, 32, 33, 5]
-        objects += [0, 45]
-        cost = [max(m, 1) ** 2 for m in objects]
+        # images over the budget by themselves, after a short and a closed
+        # chunk and twice in a row, and empty images, which cost 1
+        objects[50:50] = [140]
+        objects[120:120] = [1, 132, 133, 5]
+        objects[200:200] = [0] * 8
+        objects += [0, 145]
+        cost = [max(m, 1) for m in objects]
         edges = chunk_bounds(objects)
         assert [a for a, _ in edges] == [0] + [b for _, b in edges[:-1]]
         assert edges[-1][1] == len(objects) and all(a < b for a, b in edges)
         for k, (a, b) in enumerate(edges):
             assert sum(cost[a : b - 1]) <= budget
             if k + 1 < len(edges):
-                # closed after passing the budget, or before an image over it
-                assert sum(cost[a:b]) > budget or cost[b] > budget
+                assert sum(cost[a:b]) > budget
+        # an image over the budget closes its chunk, and runs alone only
+        # when it opens one
         over = [i for i, c in enumerate(cost) if c > budget]
-        assert len(over) == 4 and all((i, i + 1) in edges for i in over)
+        assert len(over) == 4 and all(any(b == i + 1 for _, b in edges) for i in over)
+        assert sum((i, i + 1) not in edges for i in over) == 3
         assert max(b - a for a, b in edges) > 3
+        # the cost is linear: images of 25 objects close a chunk every fifth
+        assert chunk_bounds([25] * 12) == [(0, 5), (5, 10), (10, 12)]
         assert chunk_bounds([]) == []
 
     def test_run_inference_runs_those_chunks(self, monkeypatch):
         samples = TestChunkedInference().samples()
-        monkeypatch.setattr(detect_module, "CHUNK_PAIRS", 700)
+        monkeypatch.setattr(detect_module, "CHUNK_OBJECTS", 60)
         edges = chunk_bounds([len(s.scene.object_boxes) for s in samples])
         sizes = []
         attempt = infer_module._attempt
@@ -624,6 +635,50 @@ class TestChunkBudget:
         results = run_inference(samples, backend, None, config())
         assert sizes == [b - a for a, b in edges] and len(sizes) > 2
         assert [r.image_id for r in results] == [s.record.image_id for s in samples]
+
+
+class TestDenseChunks:
+    def test_dense_scenes_share_chunks(self, monkeypatch):
+        # 32 dense 1024x1024 scenes of 165..233 objects. Under the squared
+        # pair budget each ran in a chunk of its own; every kernel of a
+        # chunk is linear in its rows and meeting pairs, so they share two
+        # chunks and give the detections of one image per chunk.
+        import tracemalloc
+
+        cfg = SyntheticConfig(
+            num_images=32, width=1024.0, height=1024.0, clusters_per_image=(10, 12),
+            objects_per_cluster=(14, 18), scattered_per_image=(10, 20), seed=7,
+        )
+        samples = generate_synthetic_dataset(cfg)
+        assert min(len(s.scene.object_boxes) for s in samples) >= 150
+        backend = ToyDetector(ToyDetectorConfig(num_base_classes=4, proposal_crop_params=CROP_PARAMS))
+        weights = crop_weights(backend)
+        sizes = []
+        attempt = infer_module._attempt
+
+        def recording(scenes, *args):
+            sizes.append(len(scenes))
+            return attempt(scenes, *args)
+
+        monkeypatch.setattr(infer_module, "_attempt", recording)
+        tracemalloc.start()
+        try:
+            chunked = run_inference(samples, backend, weights, config())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sizes == [21, 11]
+        assert peak <= 16 * 2**20, peak / 2**20
+        monkeypatch.setattr(detect_module, "CHUNK_OBJECTS", 0)
+        singles = run_inference(samples, backend, weights, config())
+        assert len(sizes) == 2 + len(samples)
+        outcomes = [
+            [(r.image_id, r.boxes.tobytes(), r.classes.tolist(), r.scores.tobytes(), r.error) for r in run]
+            for run in (chunked, singles)
+        ]
+        assert outcomes[0] == outcomes[1]
+        assert all(r.error is None for r in chunked) and sum(len(r.classes) for r in chunked) > 0
+        assert len(crops_alone(backend, weights, samples[0])) > 0  # stage two runs
 
 
 class TestPinnedToyInference:

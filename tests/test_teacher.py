@@ -948,7 +948,8 @@ class TestPoolMemory:
         # A zero-iteration run on 32 dense 1024x1024 scenes of 165..233
         # objects, 4 labeled and 28 unlabeled. Building each pool in one
         # views call peaked at 59 MiB, nearly all of it crop labeling in
-        # the proposals; a scene this dense is a chunk of its own.
+        # the proposals; a pool is built a chunk of about CHUNK_OBJECTS
+        # objects at a time.
         import tracemalloc
 
         cfg = SyntheticConfig(
