@@ -118,9 +118,9 @@ def merge_round(
     stack of images, given as in :func:`label_density_crops`; returns the
     new rows and each image's new row count.
 
-    Two rows of one image are connected when their IoU, by the formula of
-    :func:`~densecrop.geometry.pair_ious`, strictly exceeds ``theta``; only
-    rows whose boxes meet can be, so the pairs come from
+    Two rows of one image are connected when their IoU, by
+    :func:`~densecrop.geometry.overlap_ious`, strictly exceeds ``theta``;
+    only rows whose boxes meet can be, so the pairs come from
     :func:`~densecrop.geometry.meeting_pairs` and the rows must be valid
     boxes. Each connected component with at least one connection
     collapses into its enclosing box. Within an image, components come out

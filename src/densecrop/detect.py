@@ -40,6 +40,7 @@ from .geometry import (
     box_areas,
     clip,
     group_pairs,
+    meeting_pairs_across,
     overlap_ious,
 )
 from .seeding import normals_for, rng_for, rngs_for, stable_int
@@ -53,8 +54,6 @@ __all__ = [
     "feature_dim",
     "toy_forward",
     "ViewStack",
-    "CHUNK_OBJECTS",
-    "chunk_bounds",
     "SupervisedBatch",
     "UnsupervisedBatch",
     "LossResult",
@@ -296,9 +295,6 @@ def oracle_detect(
 # to _PAIRWISE_BLOCK values through 8 accumulators, and longer runs as two
 # halves split near the middle.
 _PAIRWISE_BLOCK = 128
-# Same-group pairs that _meeting_pairs tests for overlap at a time; bounds
-# the pair temporaries at about half a MB.
-_BLOCK_PAIRS = 1 << 13
 
 
 def _pairwise_sum(values: np.ndarray) -> np.ndarray:
@@ -334,38 +330,6 @@ def _run_means(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return means
 
 
-def _meeting_pairs(boxes, row_group, others, other_counts) -> tuple[np.ndarray, ...]:
-    """Row, other row, overlap width and overlap height of every pair of a
-    row of the (N, 4) x1, y1, x2, y2 rows ``boxes`` with a row of its own
-    group of the ragged stack ``others``, whose boxes meet: width and
-    height at least 0, by :func:`~densecrop.geometry.intersection_matrix`'s
-    formula. Row ``i`` is in group ``row_group[i]``, and ``others`` holds
-    ``other_counts[g]`` rows of group ``g``, group after group. The pairs
-    come row by row, each row's in the order of ``others``.
-
-    Every pair that overlaps or holds the other box's centre is among them,
-    since a box's centre lies between its corners. The pairs are tested a
-    block of rows of about ``_BLOCK_PAIRS`` pairs at a time, in x first
-    and then in y on those that meet in x, so memory follows the rows and
-    the pairs that meet, never all the pairs of a group.
-    """
-    x1, y1, x2, y2 = np.ascontiguousarray(boxes.T)
-    ox1, oy1, ox2, oy2 = np.ascontiguousarray(others.T)
-    pairs = other_counts[row_group]
-    cuts = np.flatnonzero(np.diff((np.cumsum(pairs) - pairs) // _BLOCK_PAIRS)) + 1
-    near = []
-    for start, stop in zip([0, *cuts.tolist()], [*cuts.tolist(), len(row_group)]):
-        item, obj = group_pairs(other_counts, row_group[start:stop])
-        iw = np.minimum(np.repeat(x2[start:stop], pairs[start:stop]), ox2[obj])
-        iw -= np.maximum(np.repeat(x1[start:stop], pairs[start:stop]), ox1[obj])
-        keep = np.flatnonzero(iw >= 0.0)
-        item, obj, iw = item[keep] + start, obj[keep], iw[keep]
-        ih = np.minimum(y2[item], oy2[obj]) - np.maximum(y1[item], oy1[obj])
-        keep = np.flatnonzero(ih >= 0.0)
-        near.append((item[keep], obj[keep], iw[keep], ih[keep]))
-    return tuple(np.concatenate(v) for v in zip(*near))
-
-
 def _object_features(phi, scenes: SceneStack, props, area, row_scene, k: int) -> np.ndarray:
     """Fill columns 4 to 7 and the payload block of the feature rows
     ``phi`` from the own-scene objects of each proposal, given as (4, N)
@@ -373,16 +337,19 @@ def _object_features(phi, scenes: SceneStack, props, area, row_scene, k: int) ->
     row's payload-noise reference area: the mean area of the objects it
     covers, or its own area if it covers none.
 
-    Only the pairs whose boxes meet (:func:`_meeting_pairs`) get the
-    per-pair work. A pair that does not overlap would add only zeros
-    (+0.0, or -0.0 to a payload sum), which never change a sum that
-    starts at +0.0, so summing each row's covered pairs in object order
-    gives the bits of summing all its pairs.
+    Only the pairs whose boxes meet
+    (:func:`~densecrop.geometry.meeting_pairs_across`) get the per-pair
+    work. A pair that does not overlap would add only zeros (+0.0, or -0.0
+    to a payload sum), which never change a sum that starts at +0.0, so
+    summing each row's covered pairs in object order gives the bits of
+    summing all its pairs.
     """
     n = len(row_scene)
     x1, y1, x2, y2 = props
     ox1, oy1, ox2, oy2 = scenes.object_boxes.T
-    item, obj, iw, ih = _meeting_pairs(props.T, row_scene, scenes.object_boxes, scenes.object_counts)
+    item, obj, iw, ih = meeting_pairs_across(
+        props.T, row_scene, scenes.object_boxes, scenes.object_counts
+    )
     cx, cy = (ox1[obj] + ox2[obj]) / 2.0, (oy1[obj] + oy2[obj]) / 2.0
     inside = (x1[item] <= cx) & (cx < x2[item]) & (y1[item] <= cy) & (cy < y2[item])
     centers_inside = np.minimum(np.bincount(item[inside], minlength=n), _CENTER_COUNT_CAP)
@@ -620,19 +587,20 @@ def assign_targets(
     offsets.
 
     A proposal is foreground only at an IoU above 0, so only the same-view
-    pairs whose boxes overlap count: :func:`_meeting_pairs` forms them, a
-    block at a time, and their IoUs follow by the formula of
-    :func:`~densecrop.geometry.pair_ious`. They come box by box, each box's
-    in ground-truth order, so each box's best IoU is a ``maximum.reduceat``
-    over its pairs and the first ground-truth row reaching it a
-    ``minimum.reduceat`` over their indices. Memory follows the rows and
-    the pairs that meet, never the pairs of a view.
+    pairs whose boxes overlap count:
+    :func:`~densecrop.geometry.meeting_pairs_across` forms them, a block at
+    a time, and :func:`~densecrop.geometry.overlap_ious` gives their IoUs.
+    They come box by box, each box's in ground-truth order, so each box's
+    best IoU is a ``maximum.reduceat`` over its pairs and the first
+    ground-truth row reaching it a ``minimum.reduceat`` over their indices.
+    Memory follows the rows and the pairs that meet, never the pairs of a
+    view.
     """
     classes = np.full(len(boxes), background_class, dtype=np.int64)
     offsets = np.zeros((len(boxes), 4))
     views = int(box_view[-1]) + 1 if len(boxes) else 0
     per_view = np.diff(np.searchsorted(gt_view, np.arange(views + 1)))
-    item, gt, iw, ih = _meeting_pairs(boxes, box_view, gt_boxes, per_view)
+    item, gt, iw, ih = meeting_pairs_across(boxes, box_view, gt_boxes, per_view)
     ious = overlap_ious(iw, ih, box_areas(boxes)[item], box_areas(gt_boxes)[gt])
     hit = np.flatnonzero(ious > 0.0)
     if len(hit) == 0:
@@ -699,31 +667,6 @@ class OracleBackend(DetectorBackend):
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """:func:`oracle_detect` of the scenes; ``weights`` is ignored."""
         return oracle_detect(scenes, self.noise, self.num_base_classes)
-
-
-# Objects per views call, about (see chunk_bounds): a call builds,
-# featurizes and decodes its scenes' rows at once, and every kernel of it
-# (proposals, crop labeling, features, targets, NMS) holds memory in
-# proportion to its rows and the pairs of them that meet. Larger chunks cut
-# per-call overhead but hold more rows: on perfbench's infer_toy (400 toy
-# images of about 17 objects, two chunks at 4096), 2048 ran 7 % slower,
-# and 8192 ran 6 % faster for 3 MB (6 %) more peak resident memory.
-CHUNK_OBJECTS = 4096
-
-
-def chunk_bounds(objects: list[int]) -> list[tuple[int, int]]:
-    """(start, stop) of each chunk of images with ``objects[i]`` objects in
-    image ``i``. An image with m objects costs ``max(m, 1)``: its
-    proposals, their pairs that meet and its crop and NMS rows all grow
-    about linearly with m. A chunk closes after the image that takes its
-    running cost past :data:`CHUNK_OBJECTS`."""
-    edges, start, total = [], 0, 0
-    for i, m in enumerate(objects):
-        total += max(m, 1)
-        if total > CHUNK_OBJECTS:
-            edges.append((start, i + 1))
-            start, total = i + 1, 0
-    return edges + [(start, len(objects))] * (start < len(objects))
 
 
 @dataclass(frozen=True, eq=False)

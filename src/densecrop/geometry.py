@@ -6,14 +6,15 @@ boxes are invalid and reprojection between coordinate frames is exact.
 The validated :class:`Box` and :class:`Detection` types serve the API and
 the files; every numeric kernel here (IoU, clipping, crop projection, NMS)
 works on (N, 4) float64 (x1, y1, x2, y2) rows, crops included. IoU comes
-as a matrix of all pairs (:func:`iou_matrix`), for listed pairs of rows
-(:func:`pair_ious`) or from the overlaps of pairs (:func:`overlap_ious`),
-with the same float operations. :func:`meeting_pairs` finds the pairs of
-rows in a group whose boxes meet by one sweep over the rows sorted by x1,
-so its cost follows the pairs that meet in x, not the square of a group's
-rows. NMS runs over a ragged stack of images on those pairs within an
-(image, class) group. All functions here are pure and safe to call
-concurrently.
+as a matrix of all pairs (:func:`iou_matrix`) or from the overlaps of
+pairs (:func:`overlap_ious`), with the same float operations. Two
+searches find the pairs of boxes that meet, so no kernel holds the pairs
+that do not: :func:`meeting_pairs` within the groups of one stack, by one
+sweep over the rows sorted by x1 (crop labeling, NMS), and
+:func:`meeting_pairs_across` between each row and its group of a second
+stack, a block of rows at a time (features, targets, AP matching). So a
+chunk of images closes on a linear budget of objects, :func:`chunk_bounds`.
+All functions here are pure and safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -29,7 +30,9 @@ __all__ = [
     "Box",
     "Detection",
     "box_array",
+    "CHUNK_OBJECTS",
     "check_boxes",
+    "chunk_bounds",
     "clip",
     "detections_from_arrays",
     "group_pairs",
@@ -37,8 +40,8 @@ __all__ = [
     "intersection_matrix",
     "iou_matrix",
     "meeting_pairs",
+    "meeting_pairs_across",
     "overlap_ious",
-    "pair_ious",
     "project_rows",
     "reproject_rows",
     "nms_keep",
@@ -173,18 +176,12 @@ def overlap_ious(iw: np.ndarray, ih: np.ndarray, area_a: np.ndarray, area_b: np.
     return inter / (area_a + area_b - inter)
 
 
-def pair_ious(a: np.ndarray, b: np.ndarray, rows_a: np.ndarray, rows_b: np.ndarray) -> np.ndarray:
-    """IoU of box row ``a[rows_a[i]]`` with ``b[rows_b[i]]`` for every i, by
-    the formula of :func:`iou_matrix`, so every value keeps its bits. One
-    coordinate is gathered at a time, which keeps the temporaries small."""
-    iw = np.minimum(a[rows_a, 2], b[rows_b, 2]) - np.maximum(a[rows_a, 0], b[rows_b, 0])
-    ih = np.minimum(a[rows_a, 3], b[rows_b, 3]) - np.maximum(a[rows_a, 1], b[rows_b, 1])
-    return overlap_ious(iw, ih, box_areas(a)[rows_a], box_areas(b)[rows_b])
-
-
 # Candidate pairs of meeting_pairs tested for overlap at a time; bounds
 # its temporaries at a few MB.
-_BLOCK_PAIRS = 1 << 15
+_MEETING_BLOCK_PAIRS = 1 << 15
+# Same-group pairs that meeting_pairs_across tests for overlap at a time;
+# bounds its temporaries at about half a MB.
+_ACROSS_BLOCK_PAIRS = 1 << 13
 
 
 def meeting_pairs(boxes: np.ndarray, group: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -198,9 +195,9 @@ def meeting_pairs(boxes: np.ndarray, group: np.ndarray) -> tuple[np.ndarray, ...
     ranks, so the key is exact for any coordinates. A row's candidates are
     the rows after it in its group whose x1 is at most its x2; one
     ``searchsorted`` of the sorted keys finds where they end for every
-    row. They are enumerated about ``_BLOCK_PAIRS`` at a time and tested
-    exactly in x and y. Rows need x1 <= x2, as a valid box has, for every
-    pair that meets to be a candidate.
+    row. They are enumerated about ``_MEETING_BLOCK_PAIRS`` at a time and
+    tested exactly in x and y. Rows need x1 <= x2, as a valid box has, for
+    every pair that meets to be a candidate.
     """
     n = len(boxes)
     x1, y1, x2, y2 = np.ascontiguousarray(boxes.T)
@@ -217,9 +214,10 @@ def meeting_pairs(boxes: np.ndarray, group: np.ndarray) -> tuple[np.ndarray, ...
     ends = np.searchsorted(key[order], (base + reach)[order], side="left")
     counts = np.maximum(ends - np.arange(1, n + 1), 0)
     # A block starts at the first row whose candidates start at or past
-    # each multiple of _BLOCK_PAIRS.
+    # each multiple of _MEETING_BLOCK_PAIRS.
     starts = np.cumsum(counts) - counts
-    cuts = np.searchsorted(starts, np.arange(_BLOCK_PAIRS, counts.sum(), _BLOCK_PAIRS)).tolist()
+    block = _MEETING_BLOCK_PAIRS
+    cuts = np.searchsorted(starts, np.arange(block, counts.sum(), block)).tolist()
     near = []
     for start, stop in zip([0, *cuts], [*cuts, n]):
         # Sorted position p pairs with positions p + 1 .. p + per[p].
@@ -233,6 +231,63 @@ def meeting_pairs(boxes: np.ndarray, group: np.ndarray) -> tuple[np.ndarray, ...
         keep = np.flatnonzero((iw >= 0.0) & (ih >= 0.0))
         near.append((a[keep], b[keep], iw[keep], ih[keep]))
     return near[0] if len(near) == 1 else tuple(np.concatenate(v) for v in zip(*near))
+
+
+def meeting_pairs_across(rows, row_group, others, other_counts) -> tuple[np.ndarray, ...]:
+    """Row, other row, overlap width and overlap height of every pair of a
+    row of the (N, 4) x1, y1, x2, y2 ``rows`` with a row of its own group
+    of the ragged stack ``others``, whose boxes meet: width and height at
+    least 0, by :func:`intersection_matrix`'s formula. Row ``i`` is in
+    group ``row_group[i]``, and ``others`` holds ``other_counts[g]`` rows
+    of group ``g``, group after group. The pairs come row by row, each
+    row's in the order of ``others``.
+
+    Every pair that overlaps or holds the other box's centre is among them,
+    since a box's centre lies between its corners. The pairs are tested a
+    block of rows of about ``_ACROSS_BLOCK_PAIRS`` pairs at a time, in x
+    first and then in y on those that meet in x, so memory follows the rows
+    and the pairs that meet, never all the pairs of a group.
+    """
+    x1, y1, x2, y2 = np.ascontiguousarray(rows.T)
+    ox1, oy1, ox2, oy2 = np.ascontiguousarray(others.T)
+    pairs = other_counts[row_group]
+    cuts = np.flatnonzero(np.diff((np.cumsum(pairs) - pairs) // _ACROSS_BLOCK_PAIRS)) + 1
+    near = []
+    for start, stop in zip([0, *cuts.tolist()], [*cuts.tolist(), len(row_group)]):
+        item, obj = group_pairs(other_counts, row_group[start:stop])
+        iw = np.minimum(np.repeat(x2[start:stop], pairs[start:stop]), ox2[obj])
+        iw -= np.maximum(np.repeat(x1[start:stop], pairs[start:stop]), ox1[obj])
+        keep = np.flatnonzero(iw >= 0.0)
+        item, obj, iw = item[keep] + start, obj[keep], iw[keep]
+        ih = np.minimum(y2[item], oy2[obj]) - np.maximum(y1[item], oy1[obj])
+        keep = np.flatnonzero(ih >= 0.0)
+        near.append((item[keep], obj[keep], iw[keep], ih[keep]))
+    return tuple(np.concatenate(v) for v in zip(*near))
+
+
+# Objects per chunk of images, about (see chunk_bounds). Every chunked
+# pass (a detector views call, an inference chunk, an evaluation pass)
+# holds memory in proportion to its rows and the pairs of them that meet.
+# Larger chunks cut per-call overhead but hold more rows: on perfbench's
+# infer_toy (400 toy images of about 17 objects, two chunks at 4096), 2048
+# ran 7 % slower, and 8192 ran 6 % faster for 3 MB (6 %) more peak
+# resident memory.
+CHUNK_OBJECTS = 4096
+
+
+def chunk_bounds(objects: list[int]) -> list[tuple[int, int]]:
+    """(start, stop) of each chunk of images with ``objects[i]`` objects in
+    image ``i``. An image with m objects costs ``max(m, 1)``: its rows and
+    the pairs of them that meet grow about linearly with m. A chunk closes
+    after the image that takes its running cost past
+    :data:`CHUNK_OBJECTS`."""
+    edges, start, total = [], 0, 0
+    for i, m in enumerate(objects):
+        total += max(m, 1)
+        if total > CHUNK_OBJECTS:
+            edges.append((start, i + 1))
+            start, total = i + 1, 0
+    return edges + [(start, len(objects))] * (start < len(objects))
 
 
 def _crop_frame(crops: np.ndarray, sizes) -> tuple[np.ndarray, np.ndarray]:
@@ -285,7 +340,7 @@ def nms_keep(
     (a stable sort of -score). A row is kept iff its IoU with every
     already-kept row of its image and class is at most ``iou_thresh``; a
     pair suppresses when ``~(iou <= iou_thresh)``, with IoUs by the formula
-    of :func:`pair_ious`. Since ``iou_thresh > 0``, only rows whose boxes
+    of :func:`overlap_ious`. Since ``iou_thresh > 0``, only rows whose boxes
     meet can suppress, so the pairs come from :func:`meeting_pairs` within
     each (image, class) group, and the greedy steps run once per rank
     within a group, for all groups at once. Kept rows come out image by

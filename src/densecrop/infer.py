@@ -9,7 +9,7 @@ detections are mapped back to image coordinates, concatenated with the
 stage-one base-class detections, and deduplicated with NMS.
 
 Both stages run a chunk of images at a time. A chunk is closed by a
-budget of objects, :data:`~densecrop.detect.CHUNK_OBJECTS`, counted before
+budget of objects, :data:`~densecrop.geometry.CHUNK_OBJECTS`, counted before
 any view is built: every kernel of a chunk holds memory in proportion to
 its rows and the pairs of them that meet, so a dense image costs its
 objects, not their square, and shares its chunk. The chunk stays
@@ -36,10 +36,11 @@ import numpy as np
 
 from .croplab import CropParams, label_density_crops
 from .dataset import SceneSample, SceneStack, UpscalePolicy, make_crop_children
-from .detect import DetectorBackend, WeightVector, chunk_bounds, empty_detections
+from .detect import DetectorBackend, WeightVector, empty_detections
 from .errors import ConfigError, InvariantViolation
 from .geometry import (
     Detection,
+    chunk_bounds,
     clip,
     detections_from_arrays,
     nms_keep,
@@ -215,7 +216,7 @@ def run_inference(
     seed: int = 0,
 ) -> list[ImageInferenceResult]:
     """Per-image inference over a dataset, in input order, one chunk of
-    images at a time (:func:`~densecrop.detect.chunk_bounds`), each chunk's
+    images at a time (:func:`~densecrop.geometry.chunk_bounds`), each chunk's
     samples converted once to a :class:`~densecrop.dataset.SceneStack`;
     ``seed`` is accepted and unused.
 

@@ -11,11 +11,14 @@ detector. Error profiling assigns each false positive exactly one type
 
 Every pass flattens ground truth and detections into one table of arrays,
 image by image in sorted image-id order with detections in descending
-score order, and walks it in chunks of whole images of about
-``_CHUNK_PAIRS`` (detection, ground truth) pairs each. A chunk's pairs
-run detection-major, ground truth in annotation order, and their IoU is
-``geometry.pair_ious``, the formula of ``geometry.iou_matrix`` pair by
-pair, so each (image, class) block of pairs is the per-(image, category)
+score order, and walks it in chunks of whole images that
+``geometry.chunk_bounds`` closes on their detections plus ground truth.
+A chunk pairs each detection with the ground truth of its image whose
+box meets its own (``geometry.meeting_pairs_across``), detection-major
+with ground truth in annotation order, with IoUs by
+``geometry.overlap_ious``. A pair left out has IoU exactly 0, no box
+having zero area, and every threshold that decides a match is above 0,
+so each (image, class) block of pairs acts as the per-(image, category)
 matrix of pycocotools' COCOeval (whose design this follows, without
 depending on it). Matching splits a chunk's detections in two. A
 detection is contested when an earlier one of its image reaches (IoU at
@@ -45,7 +48,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .errors import DataError, InvariantViolation
-from .geometry import box_areas, group_pairs, pair_ious
+from .geometry import box_areas, chunk_bounds, meeting_pairs_across, overlap_ious
 from .manifest import write_json
 
 __all__ = [
@@ -72,9 +75,6 @@ _ALL = (0.0, float("inf"))
 # Where AP50 and AP75 sit in COCO_IOU_THRESHOLDS.
 _AP50, _AP75 = 0, 5
 _RECALL_POINTS = np.linspace(0.0, 1.0, 101)
-# (Detection, ground truth) pairs one chunk of whole images holds, about;
-# bounds each pass's temporary arrays at about a megabyte.
-_CHUNK_PAIRS = 1 << 13
 
 ERROR_TYPES = ("Cls", "Loc", "Both", "Dupe", "Bkg", "Miss")
 
@@ -172,10 +172,10 @@ def _table(gts: dict, dets: list[tuple]) -> _Table:
 
 class _Chunk(NamedTuple):
     """Whole images of a table: their detection rows ``dets`` and
-    ground-truth rows ``gts``, and (detection, ground truth) pairs between
-    them, detection-major with ground truth in annotation order, as rows
-    counted from the chunk's first; with each pair's IoU and whether its
-    classes agree."""
+    ground-truth rows ``gts``, and the (detection, ground truth) pairs of
+    one image whose boxes meet, detection-major with ground truth in
+    annotation order, as rows counted from the chunk's first; with each
+    pair's IoU and whether its classes agree."""
 
     dets: slice
     gts: slice
@@ -190,28 +190,23 @@ class _Chunk(NamedTuple):
 
 
 def _chunks(table: _Table, same_class_only: bool) -> Iterator[_Chunk]:
-    """The table in chunks of whole images. A chunk closes after the image
-    that takes the running pair count past a multiple of ``_CHUNK_PAIRS``,
-    so it holds less than that budget plus its last image. With
-    ``same_class_only`` the other-class pairs are left out."""
+    """The table in chunks of whole images, as ``chunk_bounds`` closes them
+    on each image's detections plus ground truth. With ``same_class_only``
+    the other-class pairs are left out."""
     det_counts, gt_counts = np.diff(table.det_start), np.diff(table.gt_start)
-    # A detection with no ground truth still costs one cell of the budget,
-    # which bounds the per-detection arrays of a chunk as well.
-    cells = det_counts * np.maximum(gt_counts, 1)
-    opens = np.flatnonzero(np.diff((np.cumsum(cells) - cells) // _CHUNK_PAIRS)) + 1
-    edges = [0, *opens.tolist(), len(cells)]
-    for lo, hi in zip(edges[:-1], edges[1:]):
+    for lo, hi in chunk_bounds((det_counts + gt_counts).tolist()):
         dets = slice(*table.det_start[[lo, hi]].tolist())
         gts = slice(*table.gt_start[[lo, hi]].tolist())
         if dets.start == dets.stop:
             continue
-        # Each detection pairs with every ground truth of its image.
+        det_boxes, gt_boxes = table.det_boxes[dets], table.gt_boxes[gts]
         image = np.repeat(np.arange(hi - lo), det_counts[lo:hi])
-        det, gt = group_pairs(gt_counts[lo:hi], image)
+        det, gt, iw, ih = meeting_pairs_across(det_boxes, image, gt_boxes, gt_counts[lo:hi])
         same_class = table.det_classes[dets][det] == table.gt_classes[gts][gt]
         if same_class_only:
-            det, gt, same_class = det[same_class], gt[same_class], same_class[same_class]
-        ious = pair_ious(table.det_boxes[dets], table.gt_boxes[gts], det, gt)
+            det, gt, iw, ih = det[same_class], gt[same_class], iw[same_class], ih[same_class]
+            same_class = same_class[same_class]
+        ious = overlap_ious(iw, ih, box_areas(det_boxes)[det], box_areas(gt_boxes)[gt])
         yield _Chunk(dets, gts, det, gt, ious, same_class)
 
 
@@ -391,7 +386,10 @@ def recall_by_size(gts: dict, dets: list[tuple], iou_thresh: float = 0.5) -> dic
 
     Matching is greedy by score within each image and class. Buckets with
     no ground truth report None; ``"all"`` is the overall fraction.
+    ``iou_thresh`` must lie in (0, 1]: only boxes that meet are paired.
     """
+    if not (0.0 < iou_thresh <= 1.0):
+        raise InvariantViolation(f"iou_thresh outside (0, 1]: {iou_thresh}")
     table = _table(gts, dets)
     gt_hit = np.zeros(len(table.gt_classes), dtype=bool)
     for chunk in _chunks(table, same_class_only=True):

@@ -31,12 +31,12 @@ from .detect import (
     ViewStack,
     WeightLayout,
     WeightVector,
-    chunk_bounds,
     feature_dim,
     loss_sup,
     loss_unsup,
 )
 from .errors import ConfigError, DataError, InvariantViolation
+from .geometry import chunk_bounds
 from .seeding import rngs_for, stable_int
 
 __all__ = [
@@ -273,7 +273,7 @@ def _sample(n: int, size: int, rng: np.random.Generator) -> list:
 
 def _views(backend: ToyDetector, scenes: SceneStack, targets: bool = False) -> ViewStack:
     """``backend.views`` of a scene stack, one chunk of scenes at a time as
-    :func:`~densecrop.detect.chunk_bounds` closes them, so a pool's peak
+    :func:`~densecrop.geometry.chunk_bounds` closes them, so a pool's peak
     memory is that of its largest chunk."""
     bounds = chunk_bounds(scenes.object_counts.tolist())
     if len(bounds) <= 1:

@@ -4,12 +4,25 @@ Most of them are deliberately naive and written without reusing the
 package's internals: plain loops, no vectorization, no shared helpers
 beyond raw tuples, so agreement between the two code paths is meaningful.
 The ``*_all_pairs`` oracles are instead earlier versions of package
-kernels, kept verbatim, that a faster kernel must match bit for bit.
+kernels that a faster kernel must match bit for bit, kept as they were
+but for the IoUs of their listed pairs, which come from
+``geometry.overlap_ious`` (:func:`listed_pair_ious`).
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+
+def listed_pair_ious(rows: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """IoU of box row ``rows[first[k]]`` with ``rows[second[k]]`` for every
+    k, by ``geometry.overlap_ious`` on their overlap widths and heights."""
+    from densecrop.geometry import box_areas, overlap_ious
+
+    a, b = rows[first], rows[second]
+    iw = np.minimum(a[:, 2], b[:, 2]) - np.maximum(a[:, 0], b[:, 0])
+    ih = np.minimum(a[:, 3], b[:, 3]) - np.maximum(a[:, 1], b[:, 1])
+    return overlap_ious(iw, ih, box_areas(a), box_areas(b))
 
 
 def iou_ref(a: tuple, b: tuple) -> float:
@@ -72,7 +85,7 @@ def nms_keep_all_pairs(
     """``geometry.nms_keep`` as it was when it scored every pair of rows of
     an (image, class) group: the same arguments and kept row indices."""
     from densecrop.errors import InvariantViolation
-    from densecrop.geometry import group_pairs, pair_ious
+    from densecrop.geometry import group_pairs
 
     if not (0.0 < iou_thresh <= 1.0):
         raise InvariantViolation(f"iou_thresh outside (0, 1]: {iou_thresh}")
@@ -91,7 +104,7 @@ def nms_keep_all_pairs(
     first, second = group_pairs(sizes, group)
     later = second > first
     first, second = first[later], second[later]
-    suppress = ~(pair_ious(boxes, boxes, grouped[first], grouped[second]) <= iou_thresh)
+    suppress = ~(listed_pair_ious(boxes, grouped[first], grouped[second]) <= iou_thresh)
     first, second = first[suppress], second[suppress]
     by_rank = np.argsort(rank[first], kind="stable")
     first, second = first[by_rank], second[by_rank]
@@ -271,7 +284,7 @@ def merge_round_all_pairs(
     """``croplab.merge_round`` as it was when it scored every pair of rows
     of an image: the same arguments, new rows and per-image row counts."""
     from densecrop.errors import InvariantViolation
-    from densecrop.geometry import box_areas, group_pairs, pair_ious
+    from densecrop.geometry import box_areas, group_pairs
 
     def _stack(boxes, image_size, counts):
         boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
@@ -292,7 +305,7 @@ def merge_round_all_pairs(
     # Every row pairs with each row of its own image, itself included, in
     # row order.
     pair_i, pair_j = group_pairs(n, image)
-    linked = (pair_ious(rows, rows, pair_i, pair_j) > params.theta) & (pair_i != pair_j)
+    linked = (listed_pair_ious(rows, pair_i, pair_j) > params.theta) & (pair_i != pair_j)
     link_i, link_j = pair_i[linked], pair_j[linked]
     degree = np.bincount(link_i, minlength=total)
     # A row's links are one block of link_j, since link_i is sorted.

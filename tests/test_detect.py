@@ -26,7 +26,6 @@ from densecrop.detect import (
     WeightLayout,
     WeightVector,
     assign_targets,
-    chunk_bounds,
     extract_features,
     feature_dim,
     loss_sup,
@@ -40,6 +39,7 @@ from densecrop.errors import ConfigError, DataError, InvariantViolation
 from densecrop.geometry import (
     Box,
     Detection,
+    chunk_bounds,
     detections_from_arrays,
     intersection_matrix,
     iou_matrix,
@@ -323,11 +323,11 @@ class TestStreamedFeatures:
     def test_random_stacks_match_loop(self, block_pairs, monkeypatch):
         # With 40 pairs a block, most blocks hold a row or two, and a row of
         # more objects than that is a block alone.
-        from densecrop import detect as detect_module
+        from densecrop import geometry as geometry_module
         from densecrop.dataset import UpscalePolicy
 
         if block_pairs:
-            monkeypatch.setattr(detect_module, "_BLOCK_PAIRS", block_pairs)
+            monkeypatch.setattr(geometry_module, "_ACROSS_BLOCK_PAIRS", block_pairs)
 
         rng = np.random.default_rng(46)
         most_covered = []
@@ -662,10 +662,10 @@ class TestAssignTargets:
         # view's first ground truth copies one of its proposals and its
         # second nests inside another; some views have no proposals or no
         # ground truth. With 7 pairs a block, a view's pairs take many.
-        from densecrop import detect as detect_module
+        from densecrop import geometry as geometry_module
 
         if block_pairs:
-            monkeypatch.setattr(detect_module, "_BLOCK_PAIRS", block_pairs)
+            monkeypatch.setattr(geometry_module, "_ACROSS_BLOCK_PAIRS", block_pairs)
         rng = np.random.default_rng(58)
         background = 9
         seen = dict.fromkeys(["touching", "nested", "identical", "no boxes", "no ground truth"], 0)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import densecrop
-from densecrop import croplab, dataset, detect, geometry, infer, teacher
+from densecrop import croplab, dataset, detect, geometry, infer, metrics, teacher
 
 from reference_impls import record_stack
 
@@ -74,9 +74,25 @@ def test_crop_labeling_pairs_only_boxes_that_meet():
 
 
 def test_chunks_close_by_an_object_budget():
-    # every chunk kernel is linear in its rows and meeting pairs, so no
-    # squared pair budget is kept beside the object budget
-    assert not hasattr(detect, "CHUNK_PAIRS") and hasattr(detect, "CHUNK_OBJECTS")
+    # every chunk kernel, AP matching included, is linear in its rows and
+    # meeting pairs, so one object budget in geometry serves them all and no
+    # squared pair budget is kept beside it
+    assert hasattr(geometry, "CHUNK_OBJECTS") and not hasattr(geometry, "CHUNK_PAIRS")
+    assert not hasattr(metrics, "_CHUNK_PAIRS") and metrics.chunk_bounds is geometry.chunk_bounds
+    for module in (detect, infer, teacher):
+        assert not hasattr(module, "CHUNK_OBJECTS") and not hasattr(module, "CHUNK_PAIRS")
+    assert not hasattr(detect, "chunk_bounds")
+
+
+def test_pairs_across_stacks_have_one_search():
+    # features, targets and AP matching pair rows with another stack's
+    # rows through geometry's one cross-stack search; no module keeps its
+    # own search, block budget or listed-pair IoU beside it
+    assert detect.meeting_pairs_across is geometry.meeting_pairs_across
+    assert metrics.meeting_pairs_across is geometry.meeting_pairs_across
+    assert not hasattr(metrics, "group_pairs") and not hasattr(geometry, "pair_ious")
+    assert not [name for name in vars(detect) if "meeting" in name and name != "meeting_pairs_across"]
+    assert not hasattr(detect, "_BLOCK_PAIRS") and not hasattr(geometry, "_BLOCK_PAIRS")
 
 
 @pytest.mark.parametrize("mode", ["predicted", "relabeled"])

@@ -489,7 +489,7 @@ class TestMeetingPairs:
     @pytest.mark.parametrize("block_pairs", [1, 7, 1 << 15])
     def test_every_meeting_pair_once(self, monkeypatch, block_pairs):
         # Any block size gives the same pairs; groups need not be sorted.
-        monkeypatch.setattr(geometry_module, "_BLOCK_PAIRS", block_pairs)
+        monkeypatch.setattr(geometry_module, "_MEETING_BLOCK_PAIRS", block_pairs)
         rng = np.random.default_rng(block_pairs)
         for _ in range(30):
             images = meeting_case_stack(rng, int(rng.integers(1, 6)))

@@ -16,7 +16,7 @@ from densecrop.dataset import (
     UpscalePolicy,
     generate_synthetic_dataset,
 )
-from densecrop import detect as detect_module
+from densecrop import geometry as geometry_module
 from densecrop import infer as infer_module
 from densecrop.detect import (
     OracleBackend,
@@ -24,10 +24,9 @@ from densecrop.detect import (
     ToyDetector,
     ToyDetectorConfig,
     WeightVector,
-    chunk_bounds,
 )
 from densecrop.errors import ConfigError, InvariantViolation
-from densecrop.geometry import Box, Detection, detections_from_arrays
+from densecrop.geometry import Box, Detection, chunk_bounds, detections_from_arrays
 from densecrop.infer import InferenceConfig, run_inference, select_crops
 from densecrop.metrics import recall_by_size
 
@@ -532,11 +531,11 @@ class TestChunkedInference:
         return generated[:5] + [empty] + generated[5:]
 
     def chunks(self, monkeypatch, samples, budget):
-        monkeypatch.setattr(detect_module, "CHUNK_OBJECTS", budget)
+        monkeypatch.setattr(geometry_module, "CHUNK_OBJECTS", budget)
         return chunk_bounds([len(s.scene.object_boxes) for s in samples])
 
     def outcomes(self, monkeypatch, samples, backend, weights, budget):
-        monkeypatch.setattr(detect_module, "CHUNK_OBJECTS", budget)
+        monkeypatch.setattr(geometry_module, "CHUNK_OBJECTS", budget)
         results = run_inference(samples, backend, weights, config(), seed=3)
         return [(r.image_id, r.detections, r.error) for r in results]
 
@@ -592,7 +591,7 @@ class TestChunkBudget:
 
     def test_chunk_exceeds_budget_only_by_its_last_image(self, monkeypatch):
         budget = 100
-        monkeypatch.setattr(detect_module, "CHUNK_OBJECTS", budget)
+        monkeypatch.setattr(geometry_module, "CHUNK_OBJECTS", budget)
         rng = np.random.default_rng(15)
         objects = rng.integers(0, 30, 400).tolist()
         # images over the budget by themselves, after a short and a closed
@@ -621,7 +620,7 @@ class TestChunkBudget:
 
     def test_run_inference_runs_those_chunks(self, monkeypatch):
         samples = TestChunkedInference().samples()
-        monkeypatch.setattr(detect_module, "CHUNK_OBJECTS", 60)
+        monkeypatch.setattr(geometry_module, "CHUNK_OBJECTS", 60)
         edges = chunk_bounds([len(s.scene.object_boxes) for s in samples])
         sizes = []
         attempt = infer_module._attempt
@@ -669,7 +668,7 @@ class TestDenseChunks:
             tracemalloc.stop()
         assert sizes == [21, 11]
         assert peak <= 16 * 2**20, peak / 2**20
-        monkeypatch.setattr(detect_module, "CHUNK_OBJECTS", 0)
+        monkeypatch.setattr(geometry_module, "CHUNK_OBJECTS", 0)
         singles = run_inference(samples, backend, weights, config())
         assert len(sizes) == 2 + len(samples)
         outcomes = [

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from densecrop import metrics
+from densecrop import geometry, metrics
 from densecrop.dataset import Annotation
 from densecrop.errors import DataError, InvariantViolation
 from densecrop.geometry import Box, Detection, box_areas, iou_matrix
@@ -248,6 +248,15 @@ class TestRecallBySize:
         assert recall["all"] == 0.5
         assert recall["medium"] is None
 
+    @pytest.mark.parametrize("iou_thresh", [0.0, -0.5, 1.5, float("nan")])
+    def test_threshold_outside_unit_interval_rejected(self, iou_thresh):
+        # only boxes that meet are paired, so a threshold of 0 cannot match
+        # same-class boxes that do not
+        gts = {1: [ann(0, 0, 10, 10, 0)]}
+        dets = [det(1, 50, 50, 60, 60, 0, 0.9)]
+        with pytest.raises(InvariantViolation):
+            recall_by_size(gts, dets, iou_thresh=iou_thresh)
+
 
 class TestProfileErrors:
     def test_perfect_detections_no_errors(self):
@@ -406,8 +415,9 @@ class TestPinnedValues:
         )
 
 
-# About 1.8 MB evaluates the memory test's dump in chunks; building all
-# of its 150k pairs at once peaks at about 9.5 MB.
+# About 3.2 MB evaluates the memory test's dump in chunks of about
+# CHUNK_OBJECTS boxes; building all of its 150k pairs at once peaks at
+# about 9.5 MB.
 PEAK_BOUND_BYTES = 4 << 20
 COCO_BOUNDS = np.array([(0.0, np.inf), (0.0, 32.0**2), (32.0**2, 96.0**2), (96.0**2, np.inf)])
 
@@ -473,9 +483,9 @@ class TestChunkedMatcher:
         assert all(empty_images.values()), empty_images
 
     def test_chunk_boundaries_anywhere(self, monkeypatch):
-        """A budget of a few pairs splits chunks between most images and
+        """A budget of a few objects splits chunks between most images and
         leaves images over the budget alone in theirs."""
-        monkeypatch.setattr(metrics, "_CHUNK_PAIRS", 3)
+        monkeypatch.setattr(geometry, "CHUNK_OBJECTS", 3)
         rng = np.random.default_rng(85)
         thresholds = list(COCO_IOU_THRESHOLDS)
         split, alone_over_budget = 0, 0
@@ -487,7 +497,8 @@ class TestChunkedMatcher:
             first, last = table.det_start[:-1], table.det_start[1:]
             for c in chunks:
                 images = (first >= c.dets.start) & (last <= c.dets.stop) & (last > first)
-                alone_over_budget += images.sum() == 1 and len(c.det) > 3
+                objects = c.num_dets + c.gts.stop - c.gts.start
+                alone_over_budget += images.sum() == 1 and objects > 3
             ref_gts, ref_dets = as_tuples(gts, dets)
             report = evaluate_ap(gts, dets)
             for value, area_range in (
@@ -506,9 +517,9 @@ class TestChunkedMatcher:
         assert split and alone_over_budget
 
     def test_peak_memory_is_bounded_by_the_chunk_budget(self):
-        """Evaluating about 10k detections in chunks of pairs keeps the
-        peak traced allocation far below what the dump's 150k pairs would
-        take at once."""
+        """Evaluating about 10k detections in chunks of whole images keeps
+        the peak traced allocation far below what the dump's 150k pairs
+        would take at once."""
         rng = np.random.default_rng(86)
         gts, dets = random_instance(
             rng, num_images=400, max_gt=30, max_det=50, num_classes=5, size=600.0
@@ -523,6 +534,70 @@ class TestChunkedMatcher:
         finally:
             tracemalloc.stop()
         assert peak < PEAK_BOUND_BYTES
+
+
+def dense_image(rng, n, size):
+    """One image of n ground truth and n detections in a size x size frame:
+    seven in ten detections a jittered ground truth, mostly of its class,
+    the rest free boxes of any class."""
+    xy = rng.uniform(0.0, size - 40.0, (2 * n, 2))
+    boxes = np.hstack([xy, xy + rng.uniform(4.0, 40.0, (2 * n, 2))])
+    classes = rng.integers(0, 3, 2 * n)
+    source = rng.integers(0, n, n)
+    copied = rng.random(n) < 0.7
+    jittered = boxes[source] + rng.normal(0.0, 6.0, (n, 4))
+    jittered[:, 2:] = np.maximum(jittered[:, 2:], jittered[:, :2] + 1.0)
+    boxes[n:][copied] = jittered[copied]
+    keep_class = copied & (rng.random(n) < 0.8)
+    classes[n:][keep_class] = classes[source[keep_class]]
+    scores = rng.uniform(0.05, 1.0, n)
+    gts = {1: [ann(*b, c) for b, c in zip(boxes[:n].tolist(), classes[:n].tolist())]}
+    dets = [
+        det(1, *b, c, s)
+        for b, c, s in zip(boxes[n:].tolist(), classes[n:].tolist(), scores.tolist())
+    ]
+    return gts, dets
+
+
+# One image of 2000 detections and 2000 ground truth: pairing only the
+# boxes that meet peaks at about 2 MB, every pair of the image at about
+# 280 MB.
+DENSE_PEAK_BOUND_BYTES = 8 << 20
+
+
+class TestDenseImage:
+    """An image's pairs are those that meet, so one dense image costs its
+    boxes, not their square, and evaluates as the reference does."""
+
+    def test_matches_reference(self):
+        gts, dets = dense_image(np.random.default_rng(87), 300, 400.0)
+        ref_gts, ref_dets = as_tuples(gts, dets)
+        thresholds = list(COCO_IOU_THRESHOLDS)
+        report = evaluate_ap(gts, dets)
+        for value, area_range in (
+            (report.ap, (0.0, float("inf"))),
+            (report.ap_small, (0.0, 1024.0)),
+            (report.ap_medium, (1024.0, 9216.0)),
+        ):
+            expected = ap_reference(ref_gts, ref_dets, thresholds, area_range=area_range)
+            assert_matches_reference(value, expected)
+        profile = profile_errors(gts, dets)
+        counts, tp, fp = profile_errors_ref(ref_gts, ref_dets)
+        assert profile.counts == counts
+        assert (profile.true_positives, profile.false_positives) == (tp, fp)
+        assert min(counts.values()) > 0 and tp > 0
+
+    def test_peak_memory_follows_the_boxes(self):
+        gts, dets = dense_image(np.random.default_rng(88), 2000, 1000.0)
+        evaluate_ap(gts, dets)  # first call: lazy imports and caches
+        tracemalloc.start()
+        try:
+            evaluate_ap(gts, dets)
+            profile_errors(gts, dets)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < DENSE_PEAK_BOUND_BYTES, peak / 2**20
 
 
 def make_report(ap=0.5, ap50=0.7, ap75=0.4, ap_s=0.2, ap_m=0.5, ap_l=None):
