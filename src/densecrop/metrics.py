@@ -22,11 +22,18 @@ so each (image, class) block of pairs acts as the per-(image, category)
 matrix of pycocotools' COCOeval (whose design this follows, without
 depending on it). Matching splits a chunk's detections in two. A
 detection is contested when an earlier one of its image reaches (IoU at
-or above some threshold) the same ground truth; the few contested ones
-are matched one at a time in score order. All others are matched
-together, for every (area range, IoU threshold) pair at once, by segment
-reductions over their pairs. One stable ranking per class serves all of
-them.
+or above some threshold) the same ground truth. Nothing an uncontested
+one reaches can be taken before its turn, so two maxima over its pairs
+decide it at every threshold of an area range: its best pair among the
+range's counted ground truth, and its best pair overall. Above the
+first it is a true positive; short of that, above the second it is
+matched to ignored ground truth and left out of the ranking; else it is
+unmatched. The few contested ones are matched one at a time in score
+order, around what the uncontested took. ``evaluate_ap`` writes its
+(range, threshold, detection) outcomes straight from these decisions;
+``profile_errors`` and ``recall_by_size`` take the same matcher at one
+threshold with nothing ignored. One stable ranking per class serves all
+of them.
 
 The tie rule: in score order, a detection takes the untaken counted
 (in-range) ground truth of highest IoU at or above the threshold, the
@@ -117,9 +124,6 @@ def _in_ranges(areas: np.ndarray, ranges: np.ndarray) -> np.ndarray:
     return (ranges[:, :1] <= areas) & (areas <= ranges[:, 1:])
 
 
-_CORNERS = attrgetter("box.x1", "box.y1", "box.x2", "box.y2")
-
-
 def _fields(items: list, name: str, dtype) -> np.ndarray:
     """The ``name`` attribute of every item, as an array."""
     return np.fromiter(map(attrgetter(name), items), dtype, len(items))
@@ -127,7 +131,7 @@ def _fields(items: list, name: str, dtype) -> np.ndarray:
 
 def _boxes(items: list) -> np.ndarray:
     """(N, 4) (x1, y1, x2, y2) rows of the ``box`` of every item."""
-    corners = chain.from_iterable(map(_CORNERS, items))
+    corners = chain.from_iterable(item.box.as_tuple() for item in items)
     return np.fromiter(corners, np.float64, 4 * len(items)).reshape(-1, 4)
 
 
@@ -221,6 +225,50 @@ def _pick(candidates: np.ndarray, ious: np.ndarray, counted: np.ndarray) -> tupl
     return np.where(candidates, ious, -1.0).argmax(axis=-1), candidates.any(axis=-1)
 
 
+def _takes(
+    counted_iou: np.ndarray,
+    counted_row: np.ndarray,
+    best_iou: np.ndarray,
+    best_row: np.ndarray,
+    thresholds: np.ndarray,
+) -> np.ndarray:
+    """(R, T, n) ground-truth row that each of n uncontested detections
+    takes, -1 for none, from its (R, n) best counted pairs and (n,) best
+    pairs."""
+    at = thresholds[:, None]
+    return np.where(
+        counted_iou[:, None] >= at, counted_row[:, None], np.where(best_iou >= at, best_row, -1)
+    )
+
+
+class _Matching(NamedTuple):
+    """A chunk's matching decisions at ``thresholds``, over its R ranges and
+    D detections.
+
+    An uncontested detection d takes, at range r and threshold t, the
+    counted ground-truth row ``counted_row[r, d]`` when ``counted_iou[r, d]
+    >= t``, else ``best_row[d]`` (ignored ground truth) when ``best_iou[d]
+    >= t``, else nothing. The IoUs read -1 where a detection has no such
+    pair and for the ``contested`` detections, which take
+    ``contested_rows[:, :, k]`` (R, T) for ``contested[k]``, -1 for none."""
+
+    thresholds: np.ndarray
+    counted_iou: np.ndarray
+    counted_row: np.ndarray
+    best_iou: np.ndarray
+    best_row: np.ndarray
+    contested: np.ndarray
+    contested_rows: np.ndarray
+
+    def rows(self) -> np.ndarray:
+        """(R, T, D) ground-truth row each detection takes, -1 for none."""
+        rows = _takes(
+            self.counted_iou, self.counted_row, self.best_iou, self.best_row, self.thresholds
+        )
+        rows[:, :, self.contested] = self.contested_rows
+        return rows
+
+
 def _match(
     det: np.ndarray,
     gt: np.ndarray,
@@ -228,61 +276,76 @@ def _match(
     num_dets: int,
     counted: np.ndarray,
     thresholds: np.ndarray,
-) -> np.ndarray:
+) -> _Matching:
     """Greedy matching of a chunk's detections for every (range, threshold).
 
     ``det``, ``gt`` and ``ious`` are the chunk's same-class pairs as in
     :class:`_Chunk`, ``counted`` is (R, G) over the chunk's ground truth
-    and ``thresholds`` is (T,). Returns the (R, T, D) matched ground-truth
-    row, -1 where the detection stays unmatched. The tie rule is the one
-    in the module docstring.
+    and ``thresholds`` is (T,). The tie rule is the one in the module
+    docstring.
 
     A detection can only take ground truth it reaches (IoU at or above some
     threshold). It is contested when an earlier detection of its image
     reaches some of that ground truth. An uncontested detection finds all
-    of it untaken at its turn, and nothing it takes is visible to an
-    earlier one, so the uncontested are matched together by segment
-    reductions over their pairs; only the contested go through ``_pick``,
-    in score order.
+    of it untaken at its turn, so two maxima over its pairs decide it at
+    every threshold of a range: the first pair of highest IoU among the
+    counted ground truth, and the first of highest IoU among all of it (an
+    ignored one whenever the first falls short). The contested go through
+    ``_pick`` in score order, after what the uncontested took.
     """
-    num_ranges, num_thr = len(counted), len(thresholds)
-    matched = np.full((num_ranges, num_thr, num_dets), -1, dtype=np.intp)
     reach = ious >= thresholds.min(initial=np.inf)
     det, gt, ious = det[reach], gt[reach], ious[reach]
     # A stable sort by ground truth orders the detection-major pairs by
     # (ground truth, detection); a pair after one of its ground truth is contested.
     by_gt = np.argsort(gt, kind="stable")
-    repeats = by_gt[1:][gt[by_gt[1:]] == gt[by_gt[:-1]]]
+    shared = gt[by_gt[1:]] == gt[by_gt[:-1]]
     contested = np.zeros(num_dets, dtype=bool)
-    contested[det[repeats]] = True
-    taken = np.zeros((num_ranges, num_thr, counted.shape[1]), dtype=bool)
+    contested[det[by_gt[1:][shared]]] = True
 
+    # Row r < R flags the pairs counted in range r; row R flags every pair.
     alone = ~contested[det]
-    if alone.any():
-        a_det, a_gt, a_ious = det[alone], gt[alone], ious[alone]
+    a_det, a_gt, a_ious = det[alone], gt[alone], ious[alone]
+    flags = np.vstack([counted[:, a_gt], np.ones((1, len(a_gt)), dtype=bool)])
+    best_iou = np.full((len(flags), num_dets), -1.0)
+    best_row = np.zeros((len(flags), num_dets), dtype=np.intp)
+    if len(a_det):
         opens = np.diff(a_det, prepend=-1) != 0
         starts, segment = np.flatnonzero(opens), np.cumsum(opens) - 1
-        above = a_ious >= thresholds[:, None]  # (T, Q)
-        preferred = above & counted[:, None, a_gt]  # (R, T, Q)
-        any_preferred = np.logical_or.reduceat(preferred, starts, axis=-1)[..., segment]
-        candidates = np.where(any_preferred, preferred, above)
-        best = np.maximum.reduceat(np.where(candidates, a_ious, -1.0), starts, axis=-1)
-        at_best = candidates & (a_ious == best[..., segment])
+        flagged = np.where(flags, a_ious, -1.0)
+        best = np.maximum.reduceat(flagged, starts, axis=-1)
         pair = np.arange(len(a_det))
-        first = np.minimum.reduceat(np.where(at_best, pair, len(pair)), starts, axis=-1)
-        r, t, s = np.nonzero(best >= 0.0)
-        cols = a_gt[first[r, t, s]]
-        matched[r, t, a_det[starts[s]]] = cols
-        taken[r, t, cols] = True
+        at_best = flags & (flagged == best[:, segment])
+        # A row without flagged pairs reads the last pair, and its best of -1 takes nothing.
+        first = np.minimum.reduceat(np.where(at_best, pair, len(pair) - 1), starts, axis=-1)
+        best_iou[:, a_det[starts]] = best
+        best_row[:, a_det[starts]] = a_gt[first]
 
-    rest = np.flatnonzero(~alone)
-    for pairs in np.split(rest, np.flatnonzero(np.diff(det[rest])) + 1) if len(rest) else ():
-        g, v = gt[pairs], ious[pairs]
-        cols, found = _pick((v >= thresholds[:, None]) & ~taken[:, :, g], v, counted[:, None, g])
-        r, t = np.nonzero(found)
-        matched[r, t, det[pairs[0]]] = g[cols[r, t]]
-        taken[r, t, g[cols[r, t]]] = True
-    return matched
+    in_order = np.flatnonzero(contested)
+    contested_rows = np.full((len(counted), len(thresholds), len(in_order)), -1, dtype=np.intp)
+    if len(in_order):
+        # Only the first detection to reach a ground truth can be
+        # uncontested, so only such leaders' picks stand in a contested one's way.
+        leaders = det[by_gt[:-1][shared]]
+        leaders = leaders[~contested[leaders]]
+        taken = np.zeros((len(counted), len(thresholds), counted.shape[1]), dtype=bool)
+        picks = _takes(
+            best_iou[:-1, leaders], best_row[:-1, leaders], best_iou[-1, leaders],
+            best_row[-1, leaders], thresholds,
+        )
+        r, t, k = np.nonzero(picks >= 0)
+        taken[r, t, picks[r, t, k]] = True
+        rest = np.flatnonzero(~alone)
+        for k, pairs in enumerate(np.split(rest, np.flatnonzero(np.diff(det[rest])) + 1)):
+            g, v = gt[pairs], ious[pairs]
+            candidates = (v >= thresholds[:, None]) & ~taken[:, :, g]
+            cols, found = _pick(candidates, v, counted[:, None, g])
+            r, t = np.nonzero(found)
+            contested_rows[r, t, k] = g[cols[r, t]]
+            taken[r, t, g[cols[r, t]]] = True
+    return _Matching(
+        thresholds, best_iou[:-1], best_row[:-1], best_iou[-1], best_row[-1],
+        in_order, contested_rows,
+    )
 
 
 def _match_once(chunk: _Chunk, iou_thresh: float) -> np.ndarray:
@@ -292,7 +355,7 @@ def _match_once(chunk: _Chunk, iou_thresh: float) -> np.ndarray:
     det, gt, ious = chunk.det[same], chunk.gt[same], chunk.ious[same]
     nothing_ignored = np.ones((1, chunk.gts.stop - chunk.gts.start), dtype=bool)
     thr = np.array([iou_thresh], dtype=np.float64)
-    return _match(det, gt, ious, chunk.num_dets, nothing_ignored, thr)[0, 0]
+    return _match(det, gt, ious, chunk.num_dets, nothing_ignored, thr).rows()[0, 0]
 
 
 def _interpolated_ap(tps: np.ndarray, npig: int) -> float:
@@ -326,10 +389,9 @@ def evaluate_ap(gts: dict, dets: list[tuple]) -> EvalReport:
     ranges: dict[str, tuple[float, float]] = {"all": _ALL, **COCO_SIZE_BUCKETS}
     bounds = np.array(list(ranges.values()), dtype=np.float64)
     thr = np.array(COCO_IOU_THRESHOLDS, dtype=np.float64)
-    range_rows = np.arange(len(ranges))[:, None, None]
-    unmatched_column = np.ones((len(ranges), 1), dtype=bool)
     counted = _in_ranges(box_areas(table.gt_boxes), bounds)
     out_of_range = ~_in_ranges(box_areas(table.det_boxes), bounds)[:, None, :]
+    at = thr[:, None]
     # Over every detection, in table order: the (R, T) outcome: 1 true
     # positive, 0 false positive, -1 left out of the ranking (matched to
     # ignored ground truth, or unmatched and outside the range).
@@ -337,13 +399,14 @@ def evaluate_ap(gts: dict, dets: list[tuple]) -> EvalReport:
     outcome = np.empty((len(ranges), len(thr), len(scores)), dtype=np.int8)
     for chunk in _chunks(table, same_class_only=True):
         chunk_counted = counted[:, chunk.gts]
-        matched = _match(chunk.det, chunk.gt, chunk.ious, chunk.num_dets, chunk_counted, thr)
-        # Column -1, the unmatched mark, reads the appended all-counted column.
-        on_ignored = ~np.hstack([chunk_counted, unmatched_column])[range_rows, matched]
-        hit = matched >= 0
-        outcome[:, :, chunk.dets] = np.where(
-            np.where(hit, on_ignored, out_of_range[:, :, chunk.dets]), -1, hit
-        )
+        m = _match(chunk.det, chunk.gt, chunk.ious, chunk.num_dets, chunk_counted, thr)
+        left_out = (m.best_iou >= at) | out_of_range[:, :, chunk.dets]
+        tp = m.counted_iou[:, None] >= at
+        outcome[:, :, chunk.dets] = np.where(tp, 1, -left_out.astype(np.int8))
+        # The contested read as unmatched above; their picks overwrite that.
+        r, t, k = np.nonzero(m.contested_rows >= 0)
+        on_counted = chunk_counted[r, m.contested_rows[r, t, k]]
+        outcome[r, t, chunk.dets.start + m.contested[k]] = np.where(on_counted, 1, -1)
 
     # ap_table[(class, range_name)] -> per-threshold AP, where the range
     # holds ground truth of the class
@@ -439,10 +502,11 @@ def profile_errors(
     another class (IoU >= fg), Dupe when it re-detects an already-matched
     same-class ground truth, Loc when its best same-class overlap falls
     between bg and fg, Both when only an other-class overlap does, and Bkg
-    otherwise. Unmatched ground truth counts as Miss.
+    otherwise. Unmatched ground truth counts as Miss. Since no IoU exceeds
+    1, ``fg_iou`` must lie in (``bg_iou``, 1], and ``bg_iou`` be at least 0.
     """
-    if not (fg_iou > bg_iou >= 0.0):
-        raise InvariantViolation(f"need fg_iou > bg_iou >= 0, got fg={fg_iou} bg={bg_iou}")
+    if not (1.0 >= fg_iou > bg_iou >= 0.0):
+        raise InvariantViolation(f"need 1 >= fg_iou > bg_iou >= 0, got fg={fg_iou} bg={bg_iou}")
     table = _table(gts, dets)
     kinds = np.zeros(5, dtype=np.int64)
     tp = 0
@@ -563,8 +627,10 @@ def write_eval_report(
 
 def read_eval_report(path: str | os.PathLike) -> EvalReport:
     """The report :func:`write_eval_report` wrote. Every metric and
-    per-class AP must be null or a fraction in [0, 1], and every class key
-    an integer; anything else is a :class:`DataError`."""
+    per-class AP must be null or a fraction in [0, 1], every class key an
+    integer, and ``error_counts`` null or an object that maps names from
+    :data:`ERROR_TYPES` to non-negative integers; anything else is a
+    :class:`DataError`."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -582,4 +648,13 @@ def read_eval_report(path: str | os.PathLike) -> EvalReport:
     for value in [*values, *per_class.values()]:
         if not (value is None or (type(value) in (int, float) and 0.0 <= value <= 1.0)):
             raise DataError(f"report {path} holds AP {value!r}, not null or a fraction in [0, 1]")
-    return EvalReport(*values, per_class=per_class, error_counts=payload.get("error_counts"))
+    error_counts = payload.get("error_counts")
+    if error_counts is not None and not (
+        isinstance(error_counts, dict)
+        and all(k in ERROR_TYPES and type(v) is int and v >= 0 for k, v in error_counts.items())
+    ):
+        raise DataError(
+            f"report {path} holds error counts {error_counts!r}, not null or an object "
+            f"of non-negative integers named from {ERROR_TYPES}"
+        )
+    return EvalReport(*values, per_class=per_class, error_counts=error_counts)

@@ -213,6 +213,20 @@ class TestTrainInferEvalErrors:
         tallies = json.loads((tmp_path / "errors" / "errors.json").read_text())
         assert (tallies["true_positives"], tallies["false_positives"]) == (3, 0)
 
+    def test_errors_rejects_fg_iou_above_one(self, workspace, tmp_path):
+        empty = tmp_path / "empty.tsv"
+        empty.write_text("# image_id\tclass_id\tscore\tx1\ty1\tx2\ty2\n")
+        out = tmp_path / "errors"
+        argv = [
+            "errors",
+            "--annotations", str(workspace["annotations"]),
+            "--detections", str(empty),
+            "--out", str(out),
+            "--fg-iou", "1.5",
+        ]
+        assert run(argv) != 0
+        assert not (out / "errors.json").exists()
+
     def test_oracle_backend_infer(self, workspace, tmp_path):
         out = tmp_path / "oracle_infer"
         assert run(
@@ -774,7 +788,7 @@ class TestExitCodes:
             "bbox nan", "bbox infinite width",
             "image width nan", "image width zero", "category id infinite",
             "category entry id infinite", "report per_class key", "report list",
-            "report AP string",
+            "report AP string", "report error_counts list",
         ],
     )
     def test_malformed_input_file_is_data_error(self, case, workspace, trained, tmp_path, capsys):
@@ -803,6 +817,7 @@ class TestExitCodes:
                 "report per_class key": {"metrics": {"AP": 0.5}, "per_class": {"x": 0.5}},
                 "report list": [],
                 "report AP string": {"metrics": {"AP": "high"}},
+                "report error_counts list": {"metrics": {"AP": 0.5}, "error_counts": ["x"]},
             }[case]
             bad.write_text(json.dumps(payload))
             argv = ["report", "--reports", str(bad), str(bad), "--out", out]

@@ -163,3 +163,17 @@ def test_no_sibling_imports_inside_functions():
                     f"{path.name}: {func.name}" for node in ast.walk(func) if imports_sibling(node)
                 ]
     assert offenders == []
+
+
+def test_one_matcher_serves_every_evaluator(monkeypatch):
+    # AP, the error profile and recall all match through metrics._match:
+    # no second matching path runs beside it
+    def refuse(*args, **kwargs):
+        raise RuntimeError("matcher called")
+
+    monkeypatch.setattr(metrics, "_match", refuse)
+    gts = {1: [dataset.Annotation(box=geometry.Box(0, 0, 10, 10), class_id=0)]}
+    dets = [(1, geometry.Detection(box=geometry.Box(0, 0, 10, 10), class_id=0, score=0.9))]
+    for evaluator in (metrics.evaluate_ap, metrics.profile_errors, metrics.recall_by_size):
+        with pytest.raises(RuntimeError, match="matcher called"):
+            evaluator(gts, dets)

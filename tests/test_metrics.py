@@ -1,5 +1,6 @@
 """AP evaluation, error profiling, and run comparison."""
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -128,6 +129,28 @@ def assert_matches_reference(value, expected):
         assert value is None
     else:
         assert value == pytest.approx(expected, abs=1e-9)
+
+
+def assert_report_matches_reference(gts, dets):
+    """``evaluate_ap`` equals ``ap_reference`` on every AP figure and every
+    class's AP."""
+    thresholds = list(COCO_IOU_THRESHOLDS)
+    report = evaluate_ap(gts, dets)
+    ref_gts, ref_dets = as_tuples(gts, dets)
+    for value, thr, area_range in (
+        (report.ap, thresholds, (0.0, float("inf"))),
+        (report.ap50, thresholds[:1], (0.0, float("inf"))),
+        (report.ap75, thresholds[5:6], (0.0, float("inf"))),
+        (report.ap_small, thresholds, (0.0, 1024.0)),
+        (report.ap_medium, thresholds, (1024.0, 9216.0)),
+        (report.ap_large, thresholds, (9216.0, float("inf"))),
+    ):
+        expected = ap_reference(ref_gts, ref_dets, thr, area_range=area_range)
+        assert_matches_reference(value, expected)
+    for class_id, value in report.per_class.items():
+        class_gts = {i: [r for r in rows if r[1] == class_id] for i, rows in ref_gts.items()}
+        class_dets = [r for r in ref_dets if r[2] == class_id]
+        assert_matches_reference(value, ap_reference(class_gts, class_dets, thresholds))
 
 
 class TestEvaluateAp:
@@ -317,6 +340,15 @@ class TestProfileErrors:
         with pytest.raises(InvariantViolation):
             profile_errors({}, [], fg_iou=0.1, bg_iou=0.5)
 
+    @pytest.mark.parametrize("fg_iou", [1.5, float("inf")])
+    def test_fg_iou_above_one_rejected(self, fg_iou):
+        # no IoU reaches it: an exact detection would count as Loc plus Miss
+        gts = {1: [ann(10, 10, 40, 40)]}
+        dets = [det(1, 10, 10, 40, 40)]
+        with pytest.raises(InvariantViolation, match="fg_iou"):
+            profile_errors(gts, dets, fg_iou=fg_iou)
+        assert profile_errors(gts, dets, fg_iou=1.0).true_positives == 1
+
 
 class TestTieHeavyOracle:
     def test_generator_makes_the_ties_it_promises(self):
@@ -330,25 +362,8 @@ class TestTieHeavyOracle:
 
     def test_ap_family_and_per_class_match_reference(self):
         rng = np.random.default_rng(81)
-        thresholds = list(COCO_IOU_THRESHOLDS)
         for _ in range(40):
-            gts, dets = tie_heavy_instance(rng)
-            report = evaluate_ap(gts, dets)
-            ref_gts, ref_dets = as_tuples(gts, dets)
-            for value, thr, area_range in (
-                (report.ap, thresholds, (0.0, float("inf"))),
-                (report.ap50, thresholds[:1], (0.0, float("inf"))),
-                (report.ap75, thresholds[5:6], (0.0, float("inf"))),
-                (report.ap_small, thresholds, (0.0, 1024.0)),
-                (report.ap_medium, thresholds, (1024.0, 9216.0)),
-                (report.ap_large, thresholds, (9216.0, float("inf"))),
-            ):
-                expected = ap_reference(ref_gts, ref_dets, thr, area_range=area_range)
-                assert_matches_reference(value, expected)
-            for class_id, value in report.per_class.items():
-                class_gts = {i: [r for r in rows if r[1] == class_id] for i, rows in ref_gts.items()}
-                class_dets = [r for r in ref_dets if r[2] == class_id]
-                assert_matches_reference(value, ap_reference(class_gts, class_dets, thresholds))
+            assert_report_matches_reference(*tie_heavy_instance(rng))
 
 
 def random_or_tie_heavy(rng, kind):
@@ -415,7 +430,7 @@ class TestPinnedValues:
         )
 
 
-# About 3.2 MB evaluates the memory test's dump in chunks of about
+# About 2.1 MB evaluates the memory test's dump in chunks of about
 # CHUNK_OBJECTS boxes; building all of its 150k pairs at once peaks at
 # about 9.5 MB.
 PEAK_BOUND_BYTES = 4 << 20
@@ -424,16 +439,27 @@ COCO_BOUNDS = np.array([(0.0, np.inf), (0.0, 32.0**2), (32.0**2, 96.0**2), (96.0
 
 def batched_matched(gts, dets, thresholds):
     """The chunked matcher's (R, T, D) matched ground-truth rows over the
-    whole dump, rows numbered across images in sorted image-id order."""
+    whole dump, rows numbered across images in sorted image-id order, and
+    how many detections each branch of its decision served: uncontested
+    ones taking counted ground truth, uncontested ones taking ignored
+    ground truth because no counted one qualifies, and contested ones (all
+    at some range and threshold)."""
     table = metrics._table(gts, dets)
     counted = metrics._in_ranges(box_areas(table.gt_boxes), COCO_BOUNDS)
     columns = [np.empty((len(COCO_BOUNDS), len(thresholds), 0), dtype=np.intp)]
+    branches = {"counted": 0, "ignored": 0, "contested": 0}
+    at = thresholds[:, None]
     for chunk in metrics._chunks(table, same_class_only=True):
-        matched = metrics._match(
+        m = metrics._match(
             chunk.det, chunk.gt, chunk.ious, chunk.num_dets, counted[:, chunk.gts], thresholds
         )
+        matched = m.rows()
         columns.append(np.where(matched >= 0, matched + chunk.gts.start, -1))
-    return np.concatenate(columns, axis=-1)
+        on_counted = m.counted_iou[:, None] >= at
+        branches["counted"] += int(on_counted.any(axis=(0, 1)).sum())
+        branches["ignored"] += int(((m.best_iou >= at) & ~on_counted).any(axis=(0, 1)).sum())
+        branches["contested"] += len(m.contested)
+    return np.concatenate(columns, axis=-1), branches
 
 
 def per_image_matched(gts, dets, thresholds):
@@ -469,17 +495,19 @@ class TestChunkedMatcher:
     def test_matched_columns_equal_per_image_reference(self, kind):
         rng = np.random.default_rng(84)
         thresholds = np.array(COCO_IOU_THRESHOLDS)
-        contested = 0
+        branches = dict.fromkeys(("counted", "ignored", "contested"), 0)
         empty_images = {"no detections": 0, "no ground truth": 0}
         for _ in range(30):
             gts, dets = random_or_tie_heavy(rng, kind)
-            want, n = per_image_matched(gts, dets, thresholds)
-            contested += n
-            np.testing.assert_array_equal(batched_matched(gts, dets, thresholds), want)
+            want, contested = per_image_matched(gts, dets, thresholds)
+            got, served = batched_matched(gts, dets, thresholds)
+            np.testing.assert_array_equal(got, want)
+            assert served["contested"] == contested
+            branches = {k: branches[k] + served[k] for k in branches}
             with_dets = {i for i, _ in dets}
             empty_images["no detections"] += sum(i not in with_dets for i in gts)
             empty_images["no ground truth"] += sum(not anns for anns in gts.values())
-        assert contested > 0
+        assert all(branches.values()), branches
         assert all(empty_images.values()), empty_images
 
     def test_chunk_boundaries_anywhere(self, monkeypatch):
@@ -534,6 +562,73 @@ class TestChunkedMatcher:
         finally:
             tracemalloc.stop()
         assert peak < PEAK_BOUND_BYTES
+
+
+ALL, SMALL, MEDIUM, LARGE = range(len(COCO_BOUNDS))
+
+
+def decided_rows(gts, dets):
+    """The matcher's (R, T, D) rows, once they equal the per-image
+    reference's and ``evaluate_ap`` equals ``ap_reference``."""
+    thresholds = np.array(COCO_IOU_THRESHOLDS)
+    got, _ = batched_matched(gts, dets, thresholds)
+    np.testing.assert_array_equal(got, per_image_matched(gts, dets, thresholds)[0])
+    assert_report_matches_reference(gts, dets)
+    return got
+
+
+class TestMatcherDecisions:
+    """Handcrafted cases of the matcher's decision, from the two best pairs
+    of an uncontested detection and the picks of a contested one. Rows
+    index ground truth in annotation order; threshold 5 is 0.75."""
+
+    def test_iou_exactly_at_a_threshold_matches(self):
+        gts = {1: [ann(0, 0, 100, 100)], 2: [ann(0, 0, 100, 100)]}
+        dets = [det(1, 0, 0, 100, 50), det(2, 0, 0, 100, 75)]  # IoU 0.5 and 0.75
+        rows = decided_rows(gts, dets)
+        np.testing.assert_array_equal(rows[ALL, :, 0], [0] + [-1] * 9)
+        np.testing.assert_array_equal(rows[ALL, :, 1], [1] * 6 + [-1] * 4)
+
+    def test_counted_wins_a_tie_with_ignored(self):
+        # IoU 0.75 with both: 1200 / 1600 and 900 / 1200
+        gts = {1: [ann(0, 0, 40, 40), ann(0, 0, 30, 30)]}  # medium, then small
+        rows = decided_rows(gts, [det(1, 0, 0, 30, 40)])
+        for r, row in ((ALL, 0), (SMALL, 1), (MEDIUM, 0), (LARGE, 0)):
+            np.testing.assert_array_equal(rows[r, :, 0], [row] * 6 + [-1] * 4)
+
+    def test_counted_above_threshold_beats_ignored_of_higher_iou(self):
+        # IoU 750 / 990 = 0.76 with the small one, 990 / 1080 = 0.92 with the medium one
+        gts = {1: [ann(0, 0, 30, 36), ann(0, 0, 30, 25)]}
+        rows = decided_rows(gts, [det(1, 0, 0, 30, 33)])
+        np.testing.assert_array_equal(rows[SMALL, :, 0], [1] * 6 + [0] * 3 + [-1])
+        np.testing.assert_array_equal(rows[MEDIUM, :, 0], [0] * 9 + [-1])
+
+    def test_counted_below_threshold_leaves_the_ignored_match(self):
+        # IoU 360 / 990 = 0.36 with the small one, 0.92 with the medium one;
+        # in the small range the detection is left out of the ranking, not
+        # a false positive, up to threshold 0.9
+        gts = {1: [ann(0, 0, 30, 36), ann(0, 0, 30, 12)]}
+        dets = [det(1, 0, 0, 30, 33, score=0.9), det(1, 200, 200, 220, 220, score=0.5)]
+        rows = decided_rows(gts, dets)
+        np.testing.assert_array_equal(rows[SMALL, :, 0], [0] * 9 + [-1])
+        # the small ground truth is never matched, so small AP is 0
+        assert evaluate_ap(gts, dets).ap_small == 0.0
+
+    def test_contested_after_uncontested_sees_its_pick_taken(self):
+        # the first detection is exact on ground truth 0 and reaches 1 (IoU
+        # 0.67); the second meets both at 0.82 and, 0 being taken, takes 1
+        gts = {1: [ann(0, 0, 40, 40), ann(8, 0, 48, 40), ann(100, 100, 130, 130)]}
+        dets = [
+            det(1, 0, 0, 40, 40, score=0.9),
+            det(1, 100, 100, 130, 130, score=0.85),
+            det(1, 4, 0, 44, 40, score=0.8),
+        ]
+        thresholds = np.array(COCO_IOU_THRESHOLDS)
+        rows = decided_rows(gts, dets)
+        np.testing.assert_array_equal(rows[ALL, :, 0], [0] * 10)
+        np.testing.assert_array_equal(rows[ALL, :, 1], [2] * 10)
+        np.testing.assert_array_equal(rows[ALL, :, 2], [1] * 7 + [-1] * 3)
+        assert batched_matched(gts, dets, thresholds)[1]["contested"] == 1
 
 
 def dense_image(rng, n, size):
@@ -650,3 +745,19 @@ class TestReportIO:
         loaded = read_eval_report(json_path)
         assert loaded == report
         assert "AP" in text_path.read_text()
+
+    @pytest.mark.parametrize(
+        "error_counts",
+        [["x"], "Cls", 3, {"Cls": -1}, {"Cls": 1.5}, {"Cls": True}, {"Cls": "1"}, {"Oops": 1}],
+        ids=repr,
+    )
+    def test_malformed_error_counts_rejected(self, tmp_path, error_counts):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps({"metrics": {"AP": 0.5}, "error_counts": error_counts}))
+        with pytest.raises(DataError, match="error counts"):
+            read_eval_report(path)
+
+    def test_partial_error_counts_round_trip(self, tmp_path):
+        report = EvalReport(None, None, None, None, None, None, error_counts={"Miss": 2})
+        write_eval_report(report, tmp_path / "report.json", tmp_path / "report.txt")
+        assert read_eval_report(tmp_path / "report.json") == report
