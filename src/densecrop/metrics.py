@@ -30,10 +30,12 @@ first it is a true positive; short of that, above the second it is
 matched to ignored ground truth and left out of the ranking; else it is
 unmatched. The few contested ones are matched one at a time in score
 order, around what the uncontested took. ``evaluate_ap`` writes its
-(range, threshold, detection) outcomes straight from these decisions;
-``profile_errors`` and ``recall_by_size`` take the same matcher at one
-threshold with nothing ignored. One stable ranking per class serves all
-of them.
+(range, threshold, detection) outcomes straight from these decisions, for
+the area ranges that hold ground truth; ``profile_errors`` and
+``recall_by_size`` take the same matcher at one threshold with nothing
+ignored. One ranking of the detections, by class and then descending
+score, serves every (range, threshold) of a class, and one pass
+integrates the AP of all of them from where their true positives rank.
 
 The tie rule: in score order, a detection takes the untaken counted
 (in-range) ground truth of highest IoU at or above the threshold, the
@@ -139,7 +141,8 @@ class _Table(NamedTuple):
     """Ground truth and detections as flat arrays, image by image in the
     sorted image-id order every pass uses. Ground truth keeps annotation
     order; detections run in descending score order within an image, ties
-    in input order. Image k owns rows ``start[k]:start[k + 1]``."""
+    in input order: one stable sort by score, then one stable radix sort
+    by image. Image k owns rows ``start[k]:start[k + 1]``."""
 
     gt_boxes: np.ndarray
     gt_classes: np.ndarray
@@ -158,11 +161,13 @@ def _table(gts: dict, dets: list[tuple]) -> _Table:
     det_objs = list(map(itemgetter(1), dets))
     try:
         images = map(index.__getitem__, map(itemgetter(0), dets))
-        det_image = np.fromiter(images, np.intp, len(dets))
+        # The narrowest unsigned type, which numpy's stable sort radix-sorts.
+        det_image = np.fromiter(images, np.min_scalar_type(len(image_ids)), len(dets))
     except KeyError as exc:
         raise DataError(f"detection references unknown image id {exc.args[0]!r}") from None
     scores = _fields(det_objs, "score", np.float64)
-    order = np.lexsort((-scores, det_image))
+    order = np.argsort(-scores, kind="stable")
+    order = order[np.argsort(det_image[order], kind="stable")]
     return _Table(
         gt_boxes=_boxes(anns),
         gt_classes=_fields(anns, "class_id", np.int64),
@@ -358,20 +363,105 @@ def _match_once(chunk: _Chunk, iou_thresh: float) -> np.ndarray:
     return _match(det, gt, ious, chunk.num_dets, nothing_ignored, thr).rows()[0, 0]
 
 
-def _interpolated_ap(tps: np.ndarray, npig: int) -> float:
-    """101-point interpolated AP of ranked true-positive flags (1 or 0)."""
-    if tps.size == 0:
-        return 0.0
-    tps = tps.astype(np.float64)
-    tp_cum = np.cumsum(tps)
-    fp_cum = np.cumsum(1.0 - tps)
-    recall = tp_cum / npig
-    precision = np.maximum.accumulate((tp_cum / (tp_cum + fp_cum))[::-1])[::-1]
-    indices = np.searchsorted(recall, _RECALL_POINTS, side="left")
-    q = np.zeros(len(_RECALL_POINTS))
-    valid = indices < len(precision)
-    q[valid] = precision[indices[valid]]
-    return float(np.mean(q))
+def _outcomes(
+    table: _Table, counted: np.ndarray, bounds: np.ndarray, thresholds: np.ndarray
+) -> np.ndarray:
+    """(R, T, D) outcome of every detection of the table, in table order, at
+    each area range (rows of ``bounds``, counting ``counted``'s (R, G) ground
+    truth) and threshold: 1 true positive, 0 false positive, -1 left out of
+    the ranking (matched to ignored ground truth, or unmatched and outside
+    the range). The last chunk's arrays go with the call, before AP is
+    integrated."""
+    out_of_range = ~_in_ranges(box_areas(table.det_boxes), bounds)[:, None, :]
+    at = thresholds[:, None]
+    outcome = np.empty((len(bounds), len(thresholds), len(table.det_scores)), dtype=np.int8)
+    for chunk in _chunks(table, same_class_only=True):
+        chunk_counted = counted[:, chunk.gts]
+        m = _match(chunk.det, chunk.gt, chunk.ious, chunk.num_dets, chunk_counted, thresholds)
+        left_out = (m.best_iou >= at) | out_of_range[:, :, chunk.dets]
+        tp = m.counted_iou[:, None] >= at
+        outcome[:, :, chunk.dets] = np.where(tp, 1, -left_out.astype(np.int8))
+        # The contested read as unmatched above; their picks overwrite that.
+        r, t, k = np.nonzero(m.contested_rows >= 0)
+        on_counted = chunk_counted[r, m.contested_rows[r, t, k]]
+        outcome[r, t, chunk.dets.start + m.contested[k]] = np.where(on_counted, 1, -1)
+    return outcome
+
+
+def _ranking(
+    classes: np.ndarray, scores: np.ndarray, present: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every detection ranked by class, then descending score, ties in
+    table order: one stable sort by score, then one stable radix sort by
+    class. Class ``present[c]`` ranks ``ranking[starts[c]:starts[c + 1]]``;
+    a class the ground truth lacks ranks after them all, unread."""
+    key = np.searchsorted(present, classes)
+    # A key past the last class reads the appended 0, and stays past it either way.
+    key[np.append(present, 0)[key] != classes] = len(present)
+    key = key.astype(np.min_scalar_type(len(present)))
+    ranking = np.argsort(-scores, kind="stable")
+    ranking = ranking[np.argsort(key[ranking], kind="stable")]
+    per_class = np.bincount(key, minlength=len(present) + 1)[:-1]
+    return ranking, np.concatenate([[0], np.cumsum(per_class)])
+
+
+def _interpolated_aps(
+    outcome: np.ndarray, ranking: np.ndarray, starts: np.ndarray, npig: np.ndarray
+) -> np.ndarray:
+    """(R, C, T) 101-point interpolated AP of every (range, class, threshold).
+
+    ``outcome`` is the (R, T, D) outcome of every detection (1 true
+    positive, 0 false positive, -1 left out of the ranking), class c ranks
+    detections ``ranking[starts[c]:starts[c + 1]]``, and range r counts
+    ``npig[r, c]`` of its ground truth; without any, its APs read 0.0.
+
+    The c-th true positive of a (range, class, threshold) segment, at kept
+    ordinal k, has precision c / k and recall c / npig, and the envelope
+    at a recall point is the highest precision from the first true
+    positive that reaches it on. So segments are integrated on their true
+    positives alone, in blocks of classes that ``chunk_bounds`` closes on
+    their (threshold, detection) cells, which bounds a block's temporaries.
+    """
+    num_thresholds, num_dets = outcome.shape[1:]
+    aps = np.zeros(npig.shape + (num_thresholds,))
+    for r, range_outcome in enumerate(outcome):
+        # need[c, p]: the fewest true positives whose recall c / npig reaches
+        # point p, the same float division as the recall itself; at least 1,
+        # since recall 0 reads the envelope of the whole segment. More than
+        # any segment holds where nothing is counted.
+        need = np.full((len(npig[r]), len(_RECALL_POINTS)), num_dets + 1)
+        for c in np.flatnonzero(npig[r]):
+            n = int(npig[r, c])
+            need[c] = np.searchsorted(np.arange(n + 1) / n, _RECALL_POINTS, side="left")
+        np.maximum(need, 1, out=need)
+        for lo, hi in chunk_bounds((num_thresholds * np.diff(starts)).tolist()):
+            cuts = starts[lo : hi + 1] - starts[lo]
+            block = range_outcome[:, ranking[starts[lo] : starts[hi]]].ravel()
+            # Segment (threshold, class) of the block, in flat row-major order.
+            seg = (np.arange(num_thresholds)[:, None] * cuts[-1] + cuts[:-1]).ravel()
+            kept = np.flatnonzero(block >= 0)
+            tp = np.flatnonzero(block[kept] == 1)  # kept ordinal of each true positive
+            seg_kept = np.searchsorted(kept, seg)
+            seg_tp = np.append(np.searchsorted(tp, seg_kept), len(tp))
+            counts = np.diff(seg_tp)
+            # Each true positive's ordinal among its segment's true positives
+            # and among its kept detections, both from 1.
+            ordinal = np.arange(1, len(tp) + 1) - np.repeat(seg_tp[:-1], counts)
+            kept_ordinal = tp - np.repeat(seg_kept - 1, counts)
+            # Point p of a segment takes the maximum precision over its true
+            # positives from need[p] to the next point's; a point past the
+            # segment's last true positive, and the segment's end, index its
+            # end. The 0.0 after the last segment keeps every index in bounds.
+            first = np.tile(need[lo:hi], (num_thresholds, 1))
+            valid = first <= counts[:, None]
+            at = np.where(valid, seg_tp[:-1, None] + first - 1, seg_tp[1:, None])
+            at = np.hstack([at, seg_tp[1:, None]]).ravel()
+            precision = np.append(ordinal / kept_ordinal, 0.0)
+            highest = np.maximum.reduceat(precision, at).reshape(len(seg), -1)
+            highest = np.where(valid, highest[:, :-1], 0.0)
+            envelope = np.maximum.accumulate(highest[:, ::-1], axis=1)[:, ::-1]
+            aps[r, lo:hi] = envelope.mean(axis=1).reshape(-1, hi - lo).T
+    return aps
 
 
 def evaluate_ap(gts: dict, dets: list[tuple]) -> EvalReport:
@@ -383,55 +473,35 @@ def evaluate_ap(gts: dict, dets: list[tuple]) -> EvalReport:
     :data:`COCO_SIZE_BUCKETS`, closed area ranges.
     """
     table = _table(gts, dets)
-    gt_classes = table.gt_classes
-    present = tuple(sorted(set(gt_classes.tolist())))
+    present = np.array(sorted(set(table.gt_classes.tolist())), dtype=np.int64)
 
     ranges: dict[str, tuple[float, float]] = {"all": _ALL, **COCO_SIZE_BUCKETS}
     bounds = np.array(list(ranges.values()), dtype=np.float64)
-    thr = np.array(COCO_IOU_THRESHOLDS, dtype=np.float64)
     counted = _in_ranges(box_areas(table.gt_boxes), bounds)
-    out_of_range = ~_in_ranges(box_areas(table.det_boxes), bounds)[:, None, :]
-    at = thr[:, None]
-    # Over every detection, in table order: the (R, T) outcome: 1 true
-    # positive, 0 false positive, -1 left out of the ranking (matched to
-    # ignored ground truth, or unmatched and outside the range).
-    det_classes, scores = table.det_classes, table.det_scores
-    outcome = np.empty((len(ranges), len(thr), len(scores)), dtype=np.int8)
-    for chunk in _chunks(table, same_class_only=True):
-        chunk_counted = counted[:, chunk.gts]
-        m = _match(chunk.det, chunk.gt, chunk.ious, chunk.num_dets, chunk_counted, thr)
-        left_out = (m.best_iou >= at) | out_of_range[:, :, chunk.dets]
-        tp = m.counted_iou[:, None] >= at
-        outcome[:, :, chunk.dets] = np.where(tp, 1, -left_out.astype(np.int8))
-        # The contested read as unmatched above; their picks overwrite that.
-        r, t, k = np.nonzero(m.contested_rows >= 0)
-        on_counted = chunk_counted[r, m.contested_rows[r, t, k]]
-        outcome[r, t, chunk.dets.start + m.contested[k]] = np.where(on_counted, 1, -1)
+    # A range without ground truth has no AP, so it is neither matched nor integrated.
+    held = counted.any(axis=1)
+    names = [name for name, h in zip(ranges, held) if h]
+    counted = counted[held]
+    outcome = _outcomes(table, counted, bounds[held], np.array(COCO_IOU_THRESHOLDS))
 
-    # ap_table[(class, range_name)] -> per-threshold AP, where the range
-    # holds ground truth of the class
-    ap_table: dict = {}
-    for class_id in present:
-        npig = counted[:, gt_classes == class_id].sum(axis=1)
-        # Image order then score order within an image; one stable ranking by score.
-        ranked = np.flatnonzero(det_classes == class_id)
-        ranked = ranked[np.argsort(-scores[ranked], kind="stable")]
-        class_outcome = outcome[:, :, ranked]
-        for r, range_name in enumerate(ranges):
-            if npig[r]:
-                ap_table[(class_id, range_name)] = [
-                    _interpolated_ap(o[o >= 0], int(npig[r])) for o in class_outcome[r]
-                ]
+    ranking, starts = _ranking(table.det_classes, table.det_scores, present)
+    gt_class = np.searchsorted(present, table.gt_classes)
+    npig = np.array([np.bincount(gt_class[row], minlength=len(present)) for row in counted])
+    npig = npig.reshape(len(names), len(present))  # (0, 0) without ground truth
+    aps = _interpolated_aps(outcome, ranking, starts, npig)
+
+    # ap_table[range_name]: per-threshold APs of each class the range holds ground truth of
+    ap_table = {
+        name: [aps[r, c].tolist() for c in np.flatnonzero(npig[r])] for r, name in enumerate(names)
+    }
 
     def mean_over_classes(range_name: str, thr_index: int | None) -> float | None:
-        per_thr = [ap_table[(c, range_name)] for c in present if (c, range_name) in ap_table]
+        per_thr = ap_table.get(range_name, [])
         values = [float(np.mean(p)) if thr_index is None else p[thr_index] for p in per_thr]
         return float(np.mean(values)) if values else None
 
-    per_class = {
-        c: float(np.mean(ap_table[(c, "all")])) if (c, "all") in ap_table else None
-        for c in present
-    }
+    # The "all" range counts every ground truth, so it holds every present class.
+    per_class = {c: float(np.mean(p)) for c, p in zip(present.tolist(), ap_table.get("all", []))}
     return EvalReport(
         ap=mean_over_classes("all", None),
         ap50=mean_over_classes("all", _AP50),

@@ -7,6 +7,8 @@ The ``*_all_pairs`` oracles are instead earlier versions of package
 kernels that a faster kernel must match bit for bit, kept as they were
 but for the IoUs of their listed pairs, which come from
 ``geometry.overlap_ious`` (:func:`listed_pair_ious`).
+:func:`interpolated_ap_per_row` is likewise the per-row AP integration
+that ``metrics._interpolated_aps`` replaced, kept as it was.
 """
 
 from __future__ import annotations
@@ -447,6 +449,22 @@ def ap_reference(
     if not per_class:
         return None
     return sum(per_class) / len(per_class)
+
+
+def interpolated_ap_per_row(tps: np.ndarray, npig: int) -> float:
+    """101-point interpolated AP of ranked true-positive flags (1 or 0)."""
+    if tps.size == 0:
+        return 0.0
+    tps = tps.astype(np.float64)
+    tp_cum = np.cumsum(tps)
+    fp_cum = np.cumsum(1.0 - tps)
+    recall = tp_cum / npig
+    precision = np.maximum.accumulate((tp_cum / (tp_cum + fp_cum))[::-1])[::-1]
+    indices = np.searchsorted(recall, np.linspace(0.0, 1.0, 101), side="left")
+    q = np.zeros(101)
+    valid = indices < len(precision)
+    q[valid] = precision[indices[valid]]
+    return float(np.mean(q))
 
 
 def _greedy_match_ref(anns: list[tuple], img_dets: list[tuple], thresh: float) -> tuple[list, list]:

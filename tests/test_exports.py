@@ -177,3 +177,29 @@ def test_one_matcher_serves_every_evaluator(monkeypatch):
     for evaluator in (metrics.evaluate_ap, metrics.profile_errors, metrics.recall_by_size):
         with pytest.raises(RuntimeError, match="matcher called"):
             evaluator(gts, dets)
+
+
+def test_ap_is_integrated_in_one_pass(monkeypatch):
+    # every (range, class, threshold) of an evaluation is integrated by one
+    # call: no per-row integration runs beside it or comes back in a loop
+    assert not hasattr(metrics, "_interpolated_ap")
+    calls = []
+    integrate = metrics._interpolated_aps
+
+    def counted(*args):
+        calls.append(args)
+        return integrate(*args)
+
+    monkeypatch.setattr(metrics, "_interpolated_aps", counted)
+    box, big = geometry.Box(0, 0, 10, 10), geometry.Box(0, 0, 50, 50)
+    gts = {
+        1: [dataset.Annotation(box=box, class_id=0), dataset.Annotation(box=big, class_id=1)],
+        2: [dataset.Annotation(box=big, class_id=0)],
+    }
+    dets = [
+        (1, geometry.Detection(box=box, class_id=0, score=0.9)),
+        (1, geometry.Detection(box=big, class_id=1, score=0.8)),
+        (2, geometry.Detection(box=box, class_id=0, score=0.7)),
+    ]
+    report = metrics.evaluate_ap(gts, dets)
+    assert len(calls) == 1 and report.ap_small is not None and report.ap_medium is not None

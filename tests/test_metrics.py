@@ -2,6 +2,7 @@
 
 import json
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from densecrop.metrics import (
 
 from reference_impls import (
     ap_reference,
+    interpolated_ap_per_row,
     match_per_image_ref,
     profile_errors_ref,
     recall_by_size_ref,
@@ -430,11 +432,95 @@ class TestPinnedValues:
         )
 
 
+SEGMENT_PATTERNS = ("left out throughout", "left out at the head", "left out at the tail",
+                    "all left out", "no true positive")
+
+
+def ranked_outcomes(rng, n, pattern):
+    """n ranked outcomes (1, 0, or -1 for left out) of one segment."""
+    outcomes = rng.choice(np.array([-1, 0, 1], dtype=np.int8), n, p=rng.dirichlet(np.ones(3)))
+    run = int(rng.integers(1, n + 1)) if n else 0
+    if pattern == "left out at the head":
+        outcomes[:run] = -1
+    elif pattern == "left out at the tail":
+        outcomes[n - run :] = -1
+    elif pattern == "all left out":
+        outcomes[:] = -1
+    elif pattern == "no true positive":
+        outcomes[outcomes == 1] = 0
+    return outcomes
+
+
+class TestOnePassIntegration:
+    """``_ranking`` and ``_interpolated_aps`` against a Python sort and the
+    per-row integration they replaced, on random ragged segments; the APs
+    are compared with ==."""
+
+    @pytest.mark.parametrize("blocks", ["several classes", "one class"])
+    def test_equals_per_row_integration(self, blocks, monkeypatch):
+        if blocks == "one class":
+            monkeypatch.setattr(geometry, "CHUNK_OBJECTS", 1)
+        rng = np.random.default_rng(31)
+        seen = Counter()
+        while seen["segments"] < 2000:
+            num_ranges, num_thresholds = int(rng.integers(1, 4)), int(rng.integers(1, 11))
+            present = np.sort(rng.choice(np.arange(-3, 20), rng.integers(1, 7), replace=False))
+            num_dets = int(rng.integers(0, 120))
+            # class 20 is not present: its detections rank last and are never read
+            classes = rng.choice(np.append(present, 20), num_dets)
+            scores = rng.integers(0, 6, num_dets) / 5.0  # six values: many ties
+            ranking, starts = metrics._ranking(classes, scores, present)
+            outcome = rng.integers(-1, 2, (num_ranges, num_thresholds, num_dets)).astype(np.int8)
+            npig = np.zeros((num_ranges, len(present)), dtype=np.intp)
+            expected = np.zeros((num_ranges, len(present), num_thresholds))
+            for c, class_id in enumerate(present):
+                ranked = sorted(np.flatnonzero(classes == class_id), key=lambda i: -scores[i])
+                assert ranking[starts[c] : starts[c + 1]].tolist() == ranked
+                n = len(ranked)
+                seen["ties"] += len(set(scores[ranked])) < n
+                for r in range(num_ranges):
+                    rows = [ranked_outcomes(rng, n, rng.choice(SEGMENT_PATTERNS))
+                            for _ in range(num_thresholds)]
+                    most = max(int((row == 1).sum()) for row in rows)
+                    npig[r, c] = rng.choice([0, 1, max(most, 1), most + rng.integers(1, 40)])
+                    for t, row in enumerate(rows):
+                        outcome[r, t, ranked] = row
+                        if npig[r, c]:
+                            expected[r, c, t] = interpolated_ap_per_row(row[row >= 0], npig[r, c])
+                            seen["segments"] += 1
+                            seen["npig 1"] += npig[r, c] == 1
+                            seen["npig above the true positives"] += npig[r, c] > (row == 1).sum()
+                            seen["class without detections"] += n == 0
+                            seen["all left out"] += n > 0 and (row < 0).all()
+                            seen["no true positive"] += (row >= 0).any() and not (row == 1).any()
+                            seen["left out at the head"] += n > 1 and row[0] < 0 <= row.max()
+                            seen["left out at the tail"] += n > 1 and row[-1] < 0 <= row.max()
+                            seen["left out between kept"] += (
+                                n > 2 and row[0] >= 0 and row[-1] >= 0 and (row < 0).any()
+                            )
+            got = metrics._interpolated_aps(outcome, ranking, starts, npig)
+            np.testing.assert_array_equal(got, expected)
+        assert all(seen.values()) and len(seen) == 10, seen
+
+
 # About 2.1 MB evaluates the memory test's dump in chunks of about
 # CHUNK_OBJECTS boxes; building all of its 150k pairs at once peaks at
 # about 9.5 MB.
 PEAK_BOUND_BYTES = 4 << 20
+# evaluate_ap's traced peak on that dump when it integrated AP row by row
+# (Python 3.11, numpy 2.4).
+ROW_BY_ROW_PEAK_BYTES = 2_282_000
 COCO_BOUNDS = np.array([(0.0, np.inf), (0.0, 32.0**2), (32.0**2, 96.0**2), (96.0**2, np.inf)])
+
+
+def memory_dump():
+    """About 10k detections over 400 images."""
+    rng = np.random.default_rng(86)
+    gts, dets = random_instance(
+        rng, num_images=400, max_gt=30, max_det=50, num_classes=5, size=600.0
+    )
+    assert 9000 < len(dets) < 11000
+    return gts, dets
 
 
 def batched_matched(gts, dets, thresholds):
@@ -548,11 +634,7 @@ class TestChunkedMatcher:
         """Evaluating about 10k detections in chunks of whole images keeps
         the peak traced allocation far below what the dump's 150k pairs
         would take at once."""
-        rng = np.random.default_rng(86)
-        gts, dets = random_instance(
-            rng, num_images=400, max_gt=30, max_det=50, num_classes=5, size=600.0
-        )
-        assert 9000 < len(dets) < 11000
+        gts, dets = memory_dump()
         evaluate_ap(gts, dets)  # first call: lazy imports and caches
         tracemalloc.start()
         try:
@@ -562,6 +644,20 @@ class TestChunkedMatcher:
         finally:
             tracemalloc.stop()
         assert peak < PEAK_BOUND_BYTES
+
+    def test_integration_keeps_the_row_by_row_peak(self):
+        """AP integrated in one pass over blocks of classes peaks no higher
+        than it did row by row; one (R, T, D) int64 index array over the
+        dump's three ranges with ground truth would take 2.5 MB alone."""
+        gts, dets = memory_dump()
+        evaluate_ap(gts, dets)
+        tracemalloc.start()
+        try:
+            evaluate_ap(gts, dets)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= ROW_BY_ROW_PEAK_BYTES
 
 
 ALL, SMALL, MEDIUM, LARGE = range(len(COCO_BOUNDS))
