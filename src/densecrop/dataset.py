@@ -36,7 +36,7 @@ from .geometry import (
     project_rows,
 )
 from .manifest import write_json
-from .seeding import rng_for, stable_int
+from .seeding import RAW_BLOCK, StreamDecoder, rng_for, stable_int
 
 __all__ = [
     "Annotation",
@@ -664,13 +664,19 @@ def make_crop_children(
 # ---------------------------------------------------------------------------
 
 
+# Counts, class ids and scene indices stay below this.
+_COUNT_LIMIT = 2**31
+
+
 @dataclass(frozen=True)
 class SyntheticConfig:
     """Distribution parameters for the synthetic aerial-like scenes.
 
     Each scene mixes a few clusters of small objects (the regions density
     crops should find) with scattered larger objects. Object payloads are
-    noisy one-hot class vectors; they stand in for pixel appearance.
+    noisy one-hot class vectors; they stand in for pixel appearance. No
+    object side may exceed the scene's shorter side, so every object fits,
+    and counts, class numbers and scene counts stay below 2**31.
     """
 
     num_images: int = 20
@@ -687,44 +693,77 @@ class SyntheticConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.num_images < 0:
-            raise ConfigError("num_images must be >= 0")
+        # Every count is one 32-bit Lemire draw, and every scene index one
+        # seed word, below 2**31.
+        if not 0 <= self.num_images < _COUNT_LIMIT:
+            raise ConfigError(f"num_images must be in [0, 2**31), got {self.num_images}")
         # A NaN or infinite size, spread or noise fails deep inside the
         # generator, or silently yields NaN payloads.
         if not (0 < self.width < math.inf and 0 < self.height < math.inf):
             raise ConfigError("scene size must be positive and finite")
-        if self.num_classes < 1:
-            raise ConfigError("num_classes must be >= 1")
+        if not 1 <= self.num_classes < _COUNT_LIMIT:
+            raise ConfigError(f"num_classes must be in [1, 2**31), got {self.num_classes}")
         for name in ("clusters_per_image", "objects_per_cluster", "scattered_per_image"):
             lo, hi = getattr(self, name)
-            if lo < 0 or hi < lo:
+            if not 0 <= lo <= hi < _COUNT_LIMIT:
                 raise ConfigError(f"{name} range {lo}..{hi} is invalid")
+        # An object longer than the scene's shorter side cannot fit in it.
         for name in ("small_size", "large_size"):
             lo, hi = getattr(self, name)
-            if not (0 < lo <= hi < math.inf):
-                raise ConfigError(f"{name} range {lo}..{hi} is invalid")
+            if not (0 < lo <= hi <= min(self.width, self.height)):
+                raise ConfigError(
+                    f"{name} range {lo}..{hi} is invalid for a {self.width}x{self.height} scene"
+                )
         for name in ("cluster_spread", "payload_noise"):
             if not (0 <= getattr(self, name) < math.inf):
                 raise ConfigError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
 
 
-def _place_object(
-    rng: np.random.Generator,
-    cx: float,
-    cy: float,
-    size_range: tuple[float, float],
-    class_id: int,
-    config: SyntheticConfig,
-) -> tuple[tuple[float, float, float, float], int, np.ndarray]:
-    w = float(rng.uniform(*size_range))
-    h = float(rng.uniform(*size_range))
-    # Shift the center so the box always fits inside the scene.
-    cx = min(max(cx, w / 2.0), config.width - w / 2.0)
-    cy = min(max(cy, h / 2.0), config.height - h / 2.0)
-    payload = np.zeros(config.num_classes)
-    payload[class_id] = 1.0
-    payload = payload + rng.normal(0.0, config.payload_noise, config.num_classes)
-    return (cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0), class_id, payload
+# Raw outputs that one StreamDecoder buffers for a block of scenes, about.
+_BLOCK_OUTPUTS = 1 << 15
+
+
+def _scene_draws(config: SyntheticConfig, first: int, count: int, outputs: int) -> list[np.ndarray]:
+    """The draws of scenes ``first .. first + count - 1``, each from
+    ``rng_for(seed, "scene", i)`` in the order of the loop that places its
+    objects one by one, made for all the scenes at once.
+
+    A scene draws its cluster count; per cluster a centre and an object
+    count, then per object two normal offsets from the centre, a class, a
+    width, a height and ``num_classes`` normals of payload noise; then its
+    scattered object count, and per scattered object a uniform centre and
+    the same class, size and noise draws. Returns the per-scene object
+    counts and the object rows in scene order: centre x and y, class,
+    width, height and (N, num_classes) payload noise.
+    """
+    k = config.num_classes
+    streams = StreamDecoder((config.seed, "scene"), np.arange(first, first + count)[:, None], outputs)
+    scenes = np.arange(count)
+    width, height, margin = config.width, config.height, 3.0 * config.cluster_spread
+    counts = [(lo, hi + 1) for lo, hi in (config.clusters_per_image, config.objects_per_cluster)]
+    offsets = [("normal", config.cluster_spread, None)] * 2
+    placing = [("integers", 0, k), *[("uniform", *config.small_size)] * 2, ("normal", config.payload_noise, k)]
+    (n_clusters,) = streams.draw(scenes, 1, [("integers", *counts[0])])
+    runs = []
+    for j in range(int(n_clusters.max())):
+        rows = scenes[n_clusters > j]
+        ccx, ccy, sizes = streams.draw(rows, 1, [
+            ("uniform", min(margin, width / 2), max(width - margin, width / 2)),
+            ("uniform", min(margin, height / 2), max(height - margin, height / 2)),
+            ("integers", *counts[1]),
+        ])
+        dx, dy, *placed = streams.draw(rows, sizes, offsets + placing)
+        runs.append((np.repeat(rows, sizes), np.repeat(ccx, sizes) + dx, np.repeat(ccy, sizes) + dy, *placed))
+    lo, hi = config.scattered_per_image
+    (n_scattered,) = streams.draw(scenes, 1, [("integers", lo, hi + 1)])
+    placing[1:3] = [("uniform", *config.large_size)] * 2
+    centres = [("uniform", 0.0, width), ("uniform", 0.0, height)]
+    runs.append((np.repeat(scenes, n_scattered), *streams.draw(scenes, n_scattered, centres + placing)))
+    # Each scene's clusters' objects and then its scattered ones, in
+    # scene order.
+    owner = np.concatenate([run[0] for run in runs])
+    order = np.argsort(owner, kind="stable")
+    return [np.bincount(owner, minlength=count), *(np.concatenate(c)[order] for c in list(zip(*runs))[1:])]
 
 
 def generate_synthetic_dataset(config: SyntheticConfig) -> list[SceneSample]:
@@ -732,36 +771,50 @@ def generate_synthetic_dataset(config: SyntheticConfig) -> list[SceneSample]:
 
     Ground truth is exact by construction and the whole dataset is a pure
     function of the config, so regeneration from the same seed is
-    bit-identical.
+    bit-identical. Scene ``i`` draws from ``rng_for(seed, "scene", i)``:
+    its cluster count; per cluster a centre (two uniforms) and an object
+    count, then per object two normal offsets from the centre, a class, a
+    width and a height, and ``num_classes`` normals of payload noise; then
+    its scattered objects, each with a uniform centre. A
+    :class:`~densecrop.seeding.StreamDecoder` reads those draws from the
+    generators' raw streams into arrays, a block of scenes at a time.
+    Each centre is then shifted so its box fits the scene, and each
+    payload is the class's one-hot vector plus its noise, over all objects
+    at once.
     """
+    if not config.num_images:
+        return []
+    # Outputs of the scene with the most objects if every draw took one.
+    k = config.num_classes
+    (_, c_hi), (_, o_hi), (_, s_hi) = (
+        config.clusters_per_image, config.objects_per_cluster, config.scattered_per_image
+    )
+    outputs = min(2 + c_hi * (3 + o_hi * (5 + k)) + s_hi * (5 + k), RAW_BLOCK)
+    per_block = max(1, _BLOCK_OUTPUTS // outputs)
+    blocks = [
+        _scene_draws(config, first, min(per_block, config.num_images - first), outputs)
+        for first in range(0, config.num_images, per_block)
+    ]
+    counts, ox, oy, classes, w, h, noise = (np.concatenate(column) for column in zip(*blocks))
+    del blocks
+    # Shift the centre so the box fits inside the scene; no side of a box
+    # is longer than the scene's shorter side.
+    cx = clip(ox, w / 2.0, config.width - w / 2.0)
+    cy = clip(oy, h / 2.0, config.height - h / 2.0)
+    boxes = np.stack([cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0], axis=1)
+    # The one-hot vector plus the noise: the noise, 0.0 + scale * z, is
+    # never -0.0, so adding 0.0 leaves it as it is.
+    payloads = noise
+    payloads[np.arange(len(classes)), classes] += 1.0
     samples: list[SceneSample] = []
-    for i in range(config.num_images):
-        rng = rng_for(config.seed, "scene", i)
-        objects: list[tuple[tuple, int, np.ndarray]] = []
-        n_clusters = int(rng.integers(config.clusters_per_image[0], config.clusters_per_image[1] + 1))
-        margin = 3.0 * config.cluster_spread
-        for _ in range(n_clusters):
-            ccx = float(rng.uniform(min(margin, config.width / 2), max(config.width - margin, config.width / 2)))
-            ccy = float(rng.uniform(min(margin, config.height / 2), max(config.height - margin, config.height / 2)))
-            count = int(rng.integers(config.objects_per_cluster[0], config.objects_per_cluster[1] + 1))
-            for _ in range(count):
-                ox = ccx + float(rng.normal(0.0, config.cluster_spread))
-                oy = ccy + float(rng.normal(0.0, config.cluster_spread))
-                class_id = int(rng.integers(0, config.num_classes))
-                objects.append(_place_object(rng, ox, oy, config.small_size, class_id, config))
-        n_scattered = int(rng.integers(config.scattered_per_image[0], config.scattered_per_image[1] + 1))
-        for _ in range(n_scattered):
-            ox = float(rng.uniform(0.0, config.width))
-            oy = float(rng.uniform(0.0, config.height))
-            class_id = int(rng.integers(0, config.num_classes))
-            objects.append(_place_object(rng, ox, oy, config.large_size, class_id, config))
-        boxes, classes, payloads = zip(*objects) if objects else ((), (), ())
+    ends = np.cumsum(counts).tolist()
+    for i, (start, end) in enumerate(zip([0, *ends[:-1]], ends)):
         scene = SceneSpec(
             width=config.width,
             height=config.height,
-            object_boxes=np.array(boxes, dtype=np.float64).reshape(-1, 4),
-            object_classes=np.array(classes, dtype=np.int64),
-            object_payloads=np.array(payloads).reshape(len(objects), config.num_classes),
+            object_boxes=boxes[start:end],
+            object_classes=classes[start:end],
+            object_payloads=payloads[start:end],
             seed=stable_int(config.seed) ^ stable_int(i * 2654435761),
         )
         # The ground truth is the objects themselves; record and scene share

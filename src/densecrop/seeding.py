@@ -31,9 +31,28 @@ uint64 word arrays over all rows and maps each output through the fast
 path of numpy's ziggurat, whose tables are committed here. A row with a
 draw off that path (about 1.5 % of draws: the tail and the wedges) is
 redrawn whole from its own generator, seeded from the words already
-derived for it. The bits rely on numpy's PCG64 and
-``random_standard_normal`` staying as they are; the table test in
-``tests/test_seeding.py`` and the pinned run digests guard that.
+derived for it.
+
+:class:`StreamDecoder` makes the ``uniform``, ``normal`` and ``integers``
+calls of many rows' generators at once, as the synthetic scenes need
+(rows ``(seed, "scene", scene index)``), by decoding each row's raw PCG64
+outputs (``random_raw``) the way numpy's ``Generator`` consumes them:
+- ``uniform(low, high)`` is ``low + (high - low) * random()``, and
+  ``random()`` is an output's top 53 bits times 2**-53;
+- ``normal(0.0, scale)`` is ``0.0 + scale * z``, with the standard normal
+  ``z`` from one output on the ziggurat's fast path;
+- ``integers(low, high)`` over fewer than 2**32 values takes one 32-bit
+  half through Lemire's method: the high half that PCG64 buffered from
+  the last output an ``integers`` call split, else the low half of a new
+  output, whose high half it buffers. A rejected half is followed by the
+  next, and a range of one value draws nothing.
+A normal off the fast path takes more outputs. numpy draws it: a PCG64
+seeded as the row's is ``advance``d to the draw and makes it, and its
+next output, found in the row's buffer, shows where the row resumes.
+
+The bits rely on numpy's PCG64, ``random_standard_normal`` and bounded
+``integers`` staying as they are; the table test and the decoder tests
+in ``tests/test_seeding.py`` and the pinned run digests guard that.
 """
 
 from __future__ import annotations
@@ -45,7 +64,7 @@ from numpy.random.bit_generator import ISeedSequence
 
 from .errors import InvariantViolation
 
-__all__ = ["stable_int", "rng_for", "rngs_for", "normals_for"]
+__all__ = ["stable_int", "rng_for", "rngs_for", "normals_for", "StreamDecoder", "RAW_BLOCK"]
 
 # numpy's SeedSequence constants (O'Neill's seed_seq design, NEP 19).
 _POOL = 4
@@ -218,6 +237,22 @@ def _pcg_step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.nda
     return new_hi, new_lo
 
 
+def _fast_normals(draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``random_standard_normal``'s fast path over uint64 outputs: the
+    normals, and where a draw leaves the path (the tail and the wedges).
+    The path takes 8 index bits, a sign bit and 52 bits of magnitude."""
+    idx = (draws & 0xFF).astype(np.intp)
+    rabs = (draws >> 9) & 0xFFFFFFFFFFFFF
+    z = rabs.astype(np.float64) * _ZIG_WI[idx]
+    np.negative(z, out=z, where=((draws >> 8) & 1).astype(bool))
+    return z, rabs >= _ZIG_KI[idx]
+
+
+def _off_path(draws: np.ndarray) -> np.ndarray:
+    """Where a standard normal drawn from each output leaves the fast path."""
+    return ((draws >> 9) & 0xFFFFFFFFFFFFF) >= _ZIG_KI[(draws & 0xFF).astype(np.intp)]
+
+
 def normals_for(prefix_parts, rows: np.ndarray, k: int) -> np.ndarray:
     """(R, k) float64 standard normals: row i equals
     ``rng_for(*prefix_parts, *rows[i]).standard_normal(k)`` bit for bit.
@@ -240,16 +275,325 @@ def normals_for(prefix_parts, rows: np.ndarray, k: int) -> np.ndarray:
         hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
         out, rot = hi ^ lo, hi >> 58
         draws[:, j] = (out >> rot) | (out << ((64 - rot) & 63))
-    # random_standard_normal's fast path: 8 index bits, a sign bit and 52
-    # bits of magnitude.
-    idx = (draws & 0xFF).astype(np.intp)
-    rabs = (draws >> 9) & 0xFFFFFFFFFFFFF
-    z = rabs.astype(np.float64) * _ZIG_WI[idx]
-    np.negative(z, out=z, where=((draws >> 8) & 1).astype(bool))
-    slow = (rabs >= _ZIG_KI[idx]).any(axis=1)
+    z, off_path = _fast_normals(draws)
+    slow = off_path.any(axis=1)
     if slow.any():
         z[slow] = [rng.standard_normal(k) for rng in _generators(words[slow])]
     return z
+
+
+# Outputs a StreamDecoder row buffers at a time, at most.
+RAW_BLOCK = 4096
+# Draws a StreamDecoder decodes at a time, about.
+_SEGMENT_SLOTS = 8192
+# Outputs searched at a time for where a slow normal left its stream.
+_SEARCH = 8
+_HALF = np.uint64(0xFFFFFFFF)
+_UNIFORM, _NORMAL, _INTEGERS = 0, 1, 2
+
+
+class _Slots:
+    """The draws of one pass over ``calls``, one slot per draw: a uniform
+    is one slot, a normal of ``size`` k is k slots, and an ``integers``
+    call is one slot unless its range holds one value, which draws
+    nothing.
+
+    A slot decodes to ``low + scale * x``: ``x`` is the uniform double of
+    a ``uniform`` (``low``, and ``high - low`` as ``scale``) or the
+    standard normal of a ``normal`` (``0.0`` and ``scale``). An integers
+    slot decodes to ``start`` plus Lemire's draw on ``span`` values.
+    """
+
+    def __init__(self, calls):
+        table = []
+        for c, (name, a, b) in enumerate(calls):
+            if name == "uniform":
+                table.append((_UNIFORM, float(a), float(b) - float(a), 0, 0, c, 0))
+            elif name == "normal":
+                table += [(_NORMAL, 0.0, float(a), 0, 0, c, j) for j in range(1 if b is None else b)]
+            elif name == "integers":
+                # Draws are decoded as float64, exact up to 2**53.
+                if not (0 < b - a < 2**32 and -(2**53) <= a and b <= 2**53):
+                    raise InvariantViolation(f"integers range {a}..{b} is not 1..2**32 - 1 values within 2**53")
+                table += [(_INTEGERS, 0.0, 0.0, a, b - a, c, 0)] if b - a > 1 else []
+            else:
+                raise InvariantViolation(f"unknown draw {name!r}")
+        kind, low, scale, start, span, call, col = zip(*table) if table else [()] * 7
+        self.kind = np.array(kind, dtype=np.int8)
+        self.low, self.scale = np.array(low, dtype=np.float64), np.array(scale, dtype=np.float64)
+        self.start, self.span = np.array(start, dtype=np.int64), np.array(span, dtype=np.uint64)
+        # buffered_bounded_lemire_uint32 rejects a half whose product's low
+        # word is below 2**32 mod span.
+        self.threshold = np.array([2**32 % v if v else 0 for v in span], dtype=np.uint64)
+        self.call, self.col = np.array(call, dtype=np.intp), np.array(col, dtype=np.intp)
+
+    def store(self, out: list, rep: np.ndarray, slot: np.ndarray, value: np.ndarray) -> None:
+        """Write draws into the call arrays ``out``: draw k is slot
+        ``slot[k]`` of pass ``rep[k]`` and worth ``value[k]``."""
+        for c, target in enumerate(out):
+            mine = self.call[slot] == c
+            index = (rep[mine],) if target.ndim == 1 else (rep[mine], self.col[slot[mine]])
+            target[index] = value[mine]
+
+    def store_passes(self, out: list, first: int, value: np.ndarray) -> None:
+        """Write the (P, slots) draws of passes ``first .. first + P - 1``."""
+        for c, target in enumerate(out):
+            mine = np.flatnonzero(self.call == c)
+            if len(mine):
+                target[first : first + len(value)] = value[:, mine] if target.ndim == 2 else value[:, mine[0]]
+
+
+class StreamDecoder:
+    """The draws of many rows' generators, decoded from their raw streams.
+
+    Row ``i`` is the PCG64 stream of ``rng_for(*prefix_parts, *rows[i])``.
+    :meth:`draw` returns what each row's generator returns when it makes a
+    sequence of ``uniform``, ``normal`` and ``integers`` calls, bit for
+    bit, so a caller makes the calls of many rows' generators at once.
+    Each row buffers ``outputs`` raw outputs at first, at most
+    :data:`RAW_BLOCK`, and extends its buffer from its own bit generator
+    when a draw runs past it. Beside each output it keeps whether a
+    standard normal that starts there leaves the ziggurat's fast path.
+    """
+
+    def __init__(self, prefix_parts, rows: np.ndarray, outputs: int):
+        self._words = _seed_words(prefix_parts, rows)
+        self._bits = [np.random.PCG64(_State(w)) for w in self._words]
+        self._block = max(1, min(int(outputs), RAW_BLOCK))
+        count = len(self._bits)
+        self._raw = np.empty((count, self._block), dtype=np.uint64)
+        for row, bits in enumerate(self._bits):
+            self._raw[row] = bits.random_raw(self._block)
+        self._slow = _off_path(self._raw)
+        # np.flatnonzero(self._slow), made when first needed after a change.
+        self._flagged: np.ndarray | None = None
+        self._filled = np.full(count, self._block, dtype=np.int64)
+        self._pos = np.zeros(count, dtype=np.int64)
+        # PCG64's buffered high half (has_uint32, uinteger), per row.
+        self._has_half = np.zeros(count, dtype=bool)
+        self._half = np.zeros(count, dtype=np.uint64)
+        # row -> (generator, index of its next output), for slow normals.
+        self._helpers: dict[int, tuple[np.random.Generator, int]] = {}
+
+    def _extend(self, rows: np.ndarray, ends: np.ndarray) -> None:
+        """Buffer each row's outputs up to (excluding) its end."""
+        short = ends > self._filled[rows]
+        if not short.any():
+            return
+        rows, filled = rows[short], self._filled[rows[short]]
+        ends = np.maximum(ends[short], filled + self._block)
+        width = self._raw.shape[1]
+        if ends.max() > width:
+            size = (len(self._raw), max(int(ends.max()), 2 * width))
+            raw, slow = np.empty(size, dtype=np.uint64), np.zeros(size, dtype=bool)
+            raw[:, :width], slow[:, :width] = self._raw, self._slow
+            self._raw, self._slow = raw, slow
+        for row, start, end in zip(rows.tolist(), filled.tolist(), ends.tolist()):
+            self._raw[row, start:end] = self._bits[row].random_raw(end - start)
+            self._slow[row, start:end] = _off_path(self._raw[row, start:end])
+        self._filled[rows] = ends
+        self._flagged = None
+
+    def draw(self, rows: np.ndarray, repeats, calls) -> list[np.ndarray]:
+        """Row ``rows[i]``'s generator making ``calls`` ``repeats[i]`` times
+        over, in order: one array per call, of ``sum(repeats)`` draws, row
+        after row. A call is ``("uniform", low, high)``, ``("normal",
+        scale, size)`` (``normal(0.0, scale, size)``, ``size`` None or an
+        int) or ``("integers", low, high)`` (int64, fewer than 2**32
+        values). ``rows`` holds distinct row indices.
+        """
+        slots = _Slots(calls)
+        repeats = np.broadcast_to(np.asarray(repeats, dtype=np.int64), len(rows))
+        firsts = np.cumsum(repeats) - repeats
+        n = int(repeats.sum())
+        out = []
+        for name, a, b in calls:
+            if name == "integers":
+                out.append(np.full(n, a, dtype=np.int64))
+            else:
+                out.append(np.empty(n if name == "uniform" or b is None else (n, b)))
+        ends = repeats * len(slots.kind)
+        starts = np.zeros(len(rows), dtype=np.int64)
+        todo = np.flatnonzero(ends)
+        while len(todo):
+            # Segments of about _SEGMENT_SLOTS slots bound the memory.
+            cuts = np.cumsum(ends[todo] - starts[todo]) // _SEGMENT_SLOTS
+            for part in np.split(todo, np.flatnonzero(np.diff(cuts)) + 1):
+                starts[part] = self._segment(rows[part], starts[part], ends[part], firsts[part], slots, out)
+            todo = todo[starts[todo] < ends[todo]]
+        return out
+
+    def _segment(self, rows, starts, ends, firsts, slots: _Slots, out: list) -> np.ndarray:
+        """Draw slots ``starts[i] .. ends[i] - 1`` of each row's passes into
+        ``out``, and return where each row stopped: at its end, or at an
+        ``integers`` slot whose half Lemire's method rejected, which then
+        draws again from the next half.
+
+        numpy draws ``uniform(low, high)`` as ``low + (high - low) *
+        random()``, with ``random()`` an output's top 53 bits times
+        2**-53, and ``normal(0.0, scale)`` as ``0.0 + scale * z``. The
+        standard normal ``z`` takes one output on the ziggurat's fast
+        path. ``integers`` takes PCG64's ``next_uint32``: the high half
+        the row has buffered, else the low half of a new output, whose
+        high half it buffers. So with every normal on the fast path, each
+        slot's output follows from the row's state and the slots before
+        it; a normal off the path takes more outputs and shifts the slots
+        after it (:meth:`_slow_events`).
+        """
+        width = len(slots.kind)
+        counts = ends - starts
+        first = np.cumsum(counts) - counts
+        owner = np.repeat(np.arange(len(rows)), counts)
+        t = np.arange(len(owner)) + (starts - first)[owner]
+        slot = t % width
+        kind = slots.kind[slot]
+        # The j-th integers slot of a row takes a buffered half when the row
+        # had one and j is even, or had none and j is odd; for j > 0 that
+        # half is the previous integers slot's.
+        ints = np.flatnonzero(kind == _INTEGERS)
+        first_int = np.searchsorted(ints, first)
+        j = np.arange(len(ints)) - first_int[owner[ints]]
+        buffered = (j + self._has_half[rows][owner[ints]]) % 2 == 1
+        takes = np.ones(len(owner), dtype=bool)
+        takes[ints[buffered]] = False
+        position = _within(np.cumsum(takes) - takes, first, owner)
+        regular = np.add.reduceat(takes, first)
+        pos = self._pos[rows]
+        events, extra, z = self._slow_events(rows, pos, regular, first, owner, position, takes, kind)
+
+        # Each slot's output, after the extra outputs of the slow normals
+        # before it in its row.
+        delta = np.zeros(len(owner) + 1, dtype=np.int64)
+        delta[events + 1] = extra
+        position += _within(np.cumsum(delta)[:-1], first, owner)
+        position += pos[owner]
+        u = self._raw[rows[owner], position]
+        value = (u >> 11) * 2.0**-53
+        normals = np.flatnonzero(kind == _NORMAL)
+        value[normals] = _fast_normals(u[normals])[0]
+        value[events] = z
+        value *= slots.scale[slot]
+        value += slots.low[slot]  # low + scale * x
+        u_int = u[ints]
+        half = np.where(j > 0, np.roll(u_int, 1) >> 32, self._half[rows][owner[ints]])
+        m = np.where(buffered, half, u_int & _HALF) * slots.span[slot[ints]]
+        value[ints] = slots.start[slot[ints]] + (m >> 32).astype(np.int64)
+
+        # A row stops at its first rejected half.
+        rejected = ints[(m & _HALF) < slots.threshold[slot[ints]]]
+        stop = first + counts
+        if len(rejected):
+            at = np.unique(owner[rejected], return_index=True)
+            stop[at[0]] = rejected[at[1]]
+            kept = np.flatnonzero(np.arange(len(owner)) < stop[owner])
+            slots.store(out, firsts[owner[kept]] + t[kept] // width, slot[kept], value[kept])
+        elif (starts == 0).all() and firsts[-1] - firsts[0] == first[-1] // width:
+            # Whole passes of rows whose passes follow one another.
+            slots.store_passes(out, int(firsts[0]), value.reshape(-1, width))
+        else:
+            slots.store(out, firsts[owner] + t // width, slot, value)
+
+        # The state of each row that drew all its slots, after its last.
+        whole = stop == first + counts
+        w = rows[whole]
+        self._pos[w] = (pos + regular + np.add.reduceat(delta[1:], first))[whole]
+        last_int = (np.searchsorted(ints, first + counts) - 1)[whole]
+        n_ints = last_int - first_int[whole] + 1
+        has_half = self._has_half[w] ^ (n_ints % 2 == 1)
+        # The last integers slot left a half only by taking a new output.
+        fresh = has_half & (n_ints > 0)
+        self._half[w[fresh]] = u_int[last_int[fresh]] >> 32
+        self._has_half[w] = has_half
+        # A row stopped at a rejected half consumes it.
+        r, row = stop[~whole], rows[~whole]
+        took = takes[r]
+        self._pos[row] = position[r] + took
+        self._half[row[took]] = u[r[took]] >> 32
+        self._has_half[row] = took
+        return np.where(whole, ends, starts - first + np.minimum(stop, len(owner) - 1))
+
+    def _slow_events(self, rows, pos, regular, first, owner, offset, takes, kind):
+        """The slots whose normal leaves the fast path: their indices among
+        the segment's slots, the outputs each takes beyond one, and the
+        normals numpy draws for them.
+
+        Without such normals, row ``i`` takes outputs ``pos[i]`` to
+        ``pos[i] + regular[i] - 1``, slot by slot at their ``offset``.
+        Only outputs flagged as off the path can start one, and they are
+        few, so each row's flagged outputs are walked in order: after the
+        extra outputs of the slow normals so far, a flagged output maps to
+        the slot that takes it, an event if that slot is a normal.
+        """
+        # consumer[out_first[i] + o]: the slot that takes row i's o-th
+        # output, without extra outputs.
+        out_first = np.cumsum(regular) - regular
+        consumer = np.empty(int(regular.sum()), dtype=np.int64)
+        taking = np.flatnonzero(takes)
+        consumer[out_first[owner[taking]] + offset[taking]] = taking
+        normal_at = kind[consumer] == _NORMAL
+        # Each row's flagged outputs, up to a few past its regular ones.
+        reach = pos + regular + _SEARCH
+        self._extend(rows, reach)
+        if self._flagged is None:
+            self._flagged = np.flatnonzero(self._slow)
+        flagged, line = self._flagged, rows * self._raw.shape[1]
+        lo, hi = np.searchsorted(flagged, np.stack([line + pos, line + reach])).tolist()
+        listed = [x.tolist() for x in (rows, pos, out_first, pos + regular, line)]
+        events, extra, z = [], [], []
+        for i in np.flatnonzero(np.subtract(hi, lo)).tolist():
+            row, start, base, end, row_line = (x[i] for x in listed)
+            outputs, k = (flagged[lo[i] : hi[i]] - row_line).tolist(), 0
+            at, shift, scanned = start, 0, end + _SEARCH
+            while True:
+                if k == len(outputs):
+                    if end + shift <= scanned:
+                        break
+                    # Extra outputs moved the row's last slots on: read on.
+                    self._extend(np.array([row]), np.array([end + shift + _SEARCH]))
+                    outputs += (np.flatnonzero(self._slow[row, scanned : end + shift + _SEARCH]) + scanned).tolist()
+                    scanned = end + shift + _SEARCH
+                    continue
+                p = outputs[k]
+                k += 1
+                if p >= end + shift:
+                    break
+                if p < at or not normal_at[base + p - start - shift]:
+                    continue
+                value, resume = self._slow_normal(row, p)
+                events.append(int(consumer[base + p - start - shift]))
+                extra.append(resume - p - 1)
+                z.append(value)
+                shift += resume - p - 1
+                at = resume
+        return np.array(events, dtype=np.int64), np.array(extra, dtype=np.int64), np.array(z)
+
+    def _slow_normal(self, row: int, pos: int) -> tuple[float, int]:
+        """numpy's own normal for the draw that starts at output ``pos``,
+        off the fast path, and the index of the output after the ones it
+        took: a generator seeded as the row's jumps to ``pos`` (back, for
+        a slow normal right after the last one) and draws it; its next
+        output, found in the buffer, tells where the row resumes."""
+        helper, at = self._helpers.get(row) or (np.random.Generator(np.random.PCG64(_State(self._words[row]))), 0)
+        helper.bit_generator.advance(pos - at)
+        z = helper.standard_normal()
+        following = helper.bit_generator.random_raw()
+        start = pos + 1
+        while True:
+            if start + _SEARCH > self._filled[row]:
+                self._extend(np.array([row]), np.array([start + _SEARCH]))
+            window = self._raw[row, start : start + _SEARCH].tolist()
+            if following in window:
+                break
+            start += _SEARCH
+        resume = start + window.index(following)
+        self._helpers[row] = (helper, resume + 1)
+        return z, resume
+
+
+def _within(values: np.ndarray, first: np.ndarray, owner: np.ndarray) -> np.ndarray:
+    """A running count over rows laid end to end, restarted at each row:
+    ``values`` minus its value at the row's first entry."""
+    return values - values[first][owner]
 
 
 # numpy's ziggurat tables for random_standard_normal (wi_double and

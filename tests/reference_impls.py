@@ -1195,3 +1195,55 @@ def meeting_case_stack(rng, images: int, crowded: int = 0) -> list:
         boxes = boxes[(boxes[:, 0] < boxes[:, 2]) & (boxes[:, 1] < boxes[:, 3])]
         out.append((boxes + origin, (origin + side, origin + side)))
     return out
+
+
+def _place_object_ref(rng, cx: float, cy: float, size_range: tuple, class_id: int, config) -> tuple:
+    w = float(rng.uniform(*size_range))
+    h = float(rng.uniform(*size_range))
+    # Shift the center so the box always fits inside the scene.
+    cx = min(max(cx, w / 2.0), config.width - w / 2.0)
+    cy = min(max(cy, h / 2.0), config.height - h / 2.0)
+    payload = np.zeros(config.num_classes)
+    payload[class_id] = 1.0
+    payload = payload + rng.normal(0.0, config.payload_noise, config.num_classes)
+    return (cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0), class_id, payload
+
+
+def synthetic_dataset_ref(config) -> list:
+    """``generate_synthetic_dataset`` as one generator's calls per scene
+    and several per object, which the stream decoder replaced; kept as it
+    was."""
+    from densecrop.dataset import ImageRecord, SceneSample
+    from densecrop.seeding import rng_for, stable_int
+
+    samples = []
+    for i in range(config.num_images):
+        rng = rng_for(config.seed, "scene", i)
+        objects = []
+        n_clusters = int(rng.integers(config.clusters_per_image[0], config.clusters_per_image[1] + 1))
+        margin = 3.0 * config.cluster_spread
+        for _ in range(n_clusters):
+            ccx = float(rng.uniform(min(margin, config.width / 2), max(config.width - margin, config.width / 2)))
+            ccy = float(rng.uniform(min(margin, config.height / 2), max(config.height - margin, config.height / 2)))
+            count = int(rng.integers(config.objects_per_cluster[0], config.objects_per_cluster[1] + 1))
+            for _ in range(count):
+                ox = ccx + float(rng.normal(0.0, config.cluster_spread))
+                oy = ccy + float(rng.normal(0.0, config.cluster_spread))
+                class_id = int(rng.integers(0, config.num_classes))
+                objects.append(_place_object_ref(rng, ox, oy, config.small_size, class_id, config))
+        n_scattered = int(rng.integers(config.scattered_per_image[0], config.scattered_per_image[1] + 1))
+        for _ in range(n_scattered):
+            ox = float(rng.uniform(0.0, config.width))
+            oy = float(rng.uniform(0.0, config.height))
+            class_id = int(rng.integers(0, config.num_classes))
+            objects.append(_place_object_ref(rng, ox, oy, config.large_size, class_id, config))
+        scene = scene_spec(
+            config.width,
+            config.height,
+            stable_int(config.seed) ^ stable_int(i * 2654435761),
+            objects,
+            config.num_classes,
+        )
+        record = ImageRecord(i + 1, config.width, config.height, scene.object_boxes, scene.object_classes)
+        samples.append(SceneSample(record=record, scene=scene))
+    return samples

@@ -991,6 +991,8 @@ class TestConfigFileChecks:
             ("synthetic", "width", "inf"),
             ("synthetic", "cluster_spread", "-1"),
             ("synthetic", "payload_noise", "nan"),
+            ("synthetic", "large_size", "40, 600"),
+            ("synthetic", "num_classes", "2147483648"),
             ("detector", "strong_noise_std", "-1"),
             ("detector", "init_scale", "-1"),
             ("detector", "proposal_jitter", "-1"),

@@ -29,8 +29,10 @@ from densecrop.cli import main as cli_main
 from densecrop.croplab import CropParams
 from densecrop.errors import ConfigError, DataError, InvariantViolation
 from densecrop.geometry import Box, intersection_matrix, reproject_rows
-from densecrop.seeding import stable_int
+from densecrop import seeding
+from densecrop.seeding import StreamDecoder, stable_int
 
+import benchmarks
 from reference_impls import (
     annotation_rows,
     child_samples,
@@ -40,6 +42,7 @@ from reference_impls import (
     scene_spec,
     stack_of,
     stacked_rows,
+    synthetic_dataset_ref,
     zoomed_samples,
 )
 
@@ -516,6 +519,43 @@ class TestSyntheticScenes:
             with pytest.raises(ConfigError):
                 SyntheticConfig(**bad)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"width": 60.0, "height": 60.0, "large_size": (40.0, 90.0), "seed": 3},
+            {"width": 512.0, "height": 100.0, "large_size": (40.0, 100.5)},
+            {"width": 10.0, "height": 80.0, "small_size": (6.0, 16.0), "large_size": (4.0, 9.0)},
+        ],
+    )
+    def test_object_larger_than_the_scene_rejected(self, bad):
+        # such an object cannot fit: 60x60 scenes with (40, 90) objects put
+        # a box at x1 = -29.7
+        with pytest.raises(ConfigError, match="invalid for a"):
+            SyntheticConfig(**bad)
+
+    def test_objects_as_long_as_the_shorter_side_fit(self):
+        cfg = SyntheticConfig(num_images=20, width=200.0, height=60.0, large_size=(50.0, 60.0), seed=3)
+        for sample in generate_synthetic_dataset(cfg):
+            boxes = sample.scene.object_boxes
+            assert (boxes[:, :2] >= 0).all()
+            assert (boxes[:, 2] <= cfg.width).all() and (boxes[:, 3] <= cfg.height).all()
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"num_images": 2**31},
+            {"num_classes": 2**31},
+            {"clusters_per_image": (0, 2**31)},
+            {"objects_per_cluster": (2**31, 2**31)},
+            {"scattered_per_image": (1, 2**40)},
+        ],
+    )
+    def test_counts_of_2_to_the_31_rejected(self, bad):
+        # each count is one 32-bit Lemire draw and each scene index one
+        # seed word
+        with pytest.raises(ConfigError):
+            SyntheticConfig(**bad)
+
     def test_scene_file_round_trip(self, tmp_path):
         cfg = SyntheticConfig(num_images=3, seed=5)
         samples = generate_synthetic_dataset(cfg)
@@ -758,6 +798,72 @@ class TestZoom:
         wide = replace(sample, record=replace(sample.record, width=600.0))
         with pytest.raises(InvariantViolation, match="scene is 512.0x512.0"):
             SceneStack.of([wide])
+
+
+def decoder_corpus() -> list:
+    """Scene configs whose generation the stream decoder must reproduce:
+    the pinned benchmark scenes, zero-width count ranges, one class, zero
+    spread and noise (whose normals are still drawn), dense clusters,
+    scenes that are not square and objects as long as a scene's side."""
+    base = SyntheticConfig(num_images=12)
+    configs = [benchmarks.scene_config(1000, 400), benchmarks.scene_config(1, 30)]
+    configs += [replace(base, seed=seed) for seed in (0, 1, 5, 2**32 + 7)]
+    configs += [
+        replace(base, num_classes=1, seed=2),
+        replace(base, num_classes=1, clusters_per_image=(3, 3), seed=3),
+        replace(base, clusters_per_image=(2, 2), objects_per_cluster=(5, 5), seed=4),
+        replace(base, scattered_per_image=(0, 0), seed=5),
+        replace(base, clusters_per_image=(0, 0), scattered_per_image=(4, 4), seed=6),
+        replace(base, clusters_per_image=(0, 0), scattered_per_image=(0, 0), seed=7),
+        replace(base, objects_per_cluster=(0, 0), seed=8),
+        replace(base, cluster_spread=0.0, seed=9),
+        replace(base, payload_noise=0.0, seed=10),
+        replace(base, cluster_spread=0.0, payload_noise=0.0, num_classes=1, seed=11),
+        replace(base, objects_per_cluster=(20, 60), seed=12),
+        replace(base, num_images=6, clusters_per_image=(4, 6), objects_per_cluster=(20, 60), seed=13),
+        replace(base, num_classes=2, seed=14),
+        replace(base, num_classes=37, seed=15),
+        replace(base, width=300.0, height=120.0, large_size=(20.0, 120.0), seed=16),
+        replace(base, width=64.0, height=64.0, small_size=(2.0, 8.0), large_size=(10.0, 64.0), seed=17),
+        replace(base, cluster_spread=200.0, seed=18),
+        replace(base, clusters_per_image=(0, 5), objects_per_cluster=(0, 3), scattered_per_image=(0, 2), seed=19),
+        replace(base, num_images=1, seed=20),
+        replace(base, num_images=0, seed=21),
+        replace(base, num_images=300, seed=22),
+        replace(base, small_size=(10, 10), large_size=(50, 50), seed=23),
+        replace(base, num_images=40, num_classes=3, payload_noise=1.5, seed=24),
+        replace(base, num_images=40, num_classes=9, objects_per_cluster=(10, 30), seed=25),
+    ]
+    return configs
+
+
+class TestSceneDecoder:
+    def test_equals_the_per_object_generator_bit_for_bit(self, monkeypatch):
+        # numpy draws the normals off the ziggurat's fast path, through a
+        # helper generator; record which kind each was (index 0 is the
+        # tail), and whether a row's buffer was extended
+        kinds, extended = [], []
+        slow_normal, extend = StreamDecoder._slow_normal, StreamDecoder._extend
+
+        def recording_slow(self, row, pos):
+            kinds.append(int(self._raw[row, pos]) & 0xFF == 0)
+            return slow_normal(self, row, pos)
+
+        def recording_extend(self, rows, ends):
+            extended.append(bool((ends > self._filled[rows]).any()))
+            return extend(self, rows, ends)
+
+        monkeypatch.setattr(StreamDecoder, "_slow_normal", recording_slow)
+        monkeypatch.setattr(StreamDecoder, "_extend", recording_extend)
+        configs = decoder_corpus()
+        assert len(configs) >= 30
+        for i, cfg in enumerate(configs):
+            # every third config reads its streams through small buffers,
+            # down to one output, which it must keep extending
+            monkeypatch.setattr(seeding, "RAW_BLOCK", [4096, 1, 16][i % 3])
+            assert_same_samples(generate_synthetic_dataset(cfg), synthetic_dataset_ref(cfg))
+        assert any(kinds) and not all(kinds), "no tail or no wedge normal"
+        assert any(extended)
 
 
 class TestPinnedFiles:

@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 import densecrop
-from densecrop import croplab, dataset, detect, geometry, infer, metrics, teacher
+from densecrop import croplab, dataset, detect, geometry, infer, metrics, seeding, teacher
 
-from reference_impls import record_stack
+import benchmarks
+from reference_impls import record_stack, synthetic_dataset_ref
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(densecrop.__path__))
 
@@ -203,3 +204,36 @@ def test_ap_is_integrated_in_one_pass(monkeypatch):
     ]
     report = metrics.evaluate_ap(gts, dets)
     assert len(calls) == 1 and report.ap_small is not None and report.ap_medium is not None
+
+
+def test_scenes_are_decoded_from_raw_streams(monkeypatch):
+    # scene generation reads each scene's raw PCG64 stream: no per-object
+    # placement, no generator per scene, and no numpy draw but the
+    # standard normals of a helper, for draws off the ziggurat's fast path
+    assert not hasattr(dataset, "_place_object")
+    helper_normals = []
+
+    class Refusing(np.random.Generator):
+        def normal(self, *args, **kwargs):
+            raise RuntimeError("Generator draw called")
+
+        uniform = integers = random = normal
+
+        def standard_normal(self, *args, **kwargs):
+            helper_normals.append(args)
+            return super().standard_normal(*args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("rng_for called")
+
+    config = benchmarks.scene_config(2, 30)
+    want = synthetic_dataset_ref(config)
+    monkeypatch.setattr(np.random, "Generator", Refusing)
+    monkeypatch.setattr(dataset, "rng_for", refuse)
+    monkeypatch.setattr(seeding, "rng_for", refuse)
+    monkeypatch.setattr(seeding, "rngs_for", refuse)
+    got = dataset.generate_synthetic_dataset(config)
+    assert helper_normals and all(args == () for args in helper_normals)
+    for a, b in zip(got, want, strict=True):
+        assert a.scene.object_payloads.tobytes() == b.scene.object_payloads.tobytes()
+        assert a.scene.object_boxes.tobytes() == b.scene.object_boxes.tobytes()

@@ -8,7 +8,7 @@ import pytest
 
 from densecrop import seeding
 from densecrop.errors import InvariantViolation
-from densecrop.seeding import normals_for, rng_for, rngs_for, stable_int
+from densecrop.seeding import StreamDecoder, normals_for, rng_for, rngs_for, stable_int
 
 WORD_MAX = 2**32 - 1
 
@@ -263,3 +263,97 @@ class TestZigguratTables:
             if ki > 0:
                 assert self.takes_one_output(idx, ki - 1)
             assert not self.takes_one_output(idx, ki)
+
+
+class TestStreamDecoder:
+    def test_calls_equal_each_rows_generator(self):
+        # random passes of random calls, repeated a random number of times
+        # on a random subset of rows, against one generator per row making
+        # the same calls; long normal runs leave the fast path
+        rng = np.random.default_rng(20261020)
+        for trial in range(60):
+            n = int(rng.integers(1, 25))
+            rows = random_words(rng, (n, int(rng.integers(1, 4))))
+            decoder = StreamDecoder(["decoder", trial], rows, int(rng.integers(1, 60)))
+            generators = [rng_for("decoder", trial, *row) for row in rows.tolist()]
+            for _ in range(6):
+                subset = np.flatnonzero(rng.random(n) < 0.7)
+                repeats = rng.integers(0, 4, len(subset))
+                calls = [random_call(rng) for _ in range(int(rng.integers(1, 5)))]
+                got = decoder.draw(subset, repeats, calls)
+                want = [[] for _ in calls]
+                for i, r in zip(subset.tolist(), repeats.tolist()):
+                    for _ in range(r):
+                        for c, (name, a, b) in enumerate(calls):
+                            call = getattr(generators[i], name)
+                            want[c].append(call(0.0, a, b) if name == "normal" else call(a, b))
+                for values, expected, (name, _, b) in zip(got, want, calls):
+                    shape = (int(repeats.sum()),) if name != "normal" or b is None else (int(repeats.sum()), b)
+                    expected = np.array(expected, dtype=values.dtype).reshape(shape)
+                    assert values.shape == shape and values.tobytes() == expected.tobytes(), (trial, calls)
+
+    @pytest.mark.parametrize(
+        "span, calls",
+        [
+            # 2**32 mod span is 2**26: one half in 64 is rejected, and the
+            # few rows that draw again from their first slot are not
+            # consecutive
+            (2**32 - 2**26, lambda span: [("integers", 7, 7 + span)]),
+            # a quarter of the halves are rejected, in either slot
+            (3 * 2**30, lambda span: [("integers", 7, 7 + span), ("uniform", -1.0, 2.0), ("integers", 0, span)]),
+        ],
+    )
+    @pytest.mark.parametrize("repeats", [1, 3])
+    def test_rejections_in_some_rows(self, span, calls, repeats):
+        calls = calls(span)
+        rows = random_words(np.random.default_rng(5), (256, 2))
+        got = StreamDecoder(["reject"], rows, 4).draw(np.arange(256), repeats, calls)
+        generators = [rng_for("reject", *row) for row in rows.tolist()]
+        want = [[] for _ in calls]
+        for g in generators:
+            for _ in range(repeats):
+                for values, (name, a, b) in zip(want, calls):
+                    values.append(getattr(g, name)(a, b))
+        for values, expected in zip(got, want):
+            assert values.tobytes() == np.array(expected, dtype=values.dtype).tobytes()
+
+    def test_lemire_rejection_takes_the_buffered_half(self):
+        # an output whose low half is 0 draws 0 * 3, whose low word 0 is
+        # below Lemire's threshold 2**32 % 3 = 1: numpy rejects it and
+        # takes the high half that PCG64 buffered
+        high = 0x9E3779B9
+        primed = TestZigguratTables().primed
+        generator, _ = primed(high << 32)
+        source, _ = primed(high << 32)
+        decoder = StreamDecoder([], np.zeros((1, 1), dtype=np.int64), 8)
+        decoder._raw[0] = source.bit_generator.random_raw(8)
+        row = np.array([0])
+        want = [int(generator.integers(0, 3)) for _ in range(3)]
+        (got,) = decoder.draw(row, 3, [("integers", 0, 3)])
+        assert got.tolist() == want and want[0] == high * 3 >> 32
+        # the third draw took the second output's buffered high half, so
+        # the next output is the third
+        (uniform,) = decoder.draw(row, 1, [("uniform", 0.0, 1.0)])
+        assert uniform[0] == generator.uniform()
+
+    @pytest.mark.parametrize("high", [2**32 + 1, 0])
+    def test_an_integers_range_of_no_values_or_past_one_half_raises(self, high):
+        decoder = StreamDecoder([1], np.zeros((2, 1), dtype=np.int64), 4)
+        with pytest.raises(InvariantViolation, match="2\\*\\*32"):
+            decoder.draw(np.arange(2), 1, [("integers", 0, high)])
+
+
+def random_call(rng) -> tuple:
+    """A ``uniform``, ``normal`` or ``integers`` call: any bounds, scales
+    with 0, normal runs up to 40 long, and integers ranges from one value
+    up to 2**32 - 1 values, Lemire's widest on one half."""
+    kind = int(rng.integers(0, 4))
+    if kind == 0:
+        return ("uniform", *sorted(rng.normal(0.0, 100.0, 2).tolist()))
+    if kind == 1:
+        return ("normal", float(rng.choice([0.0, 1.0, 3.7])), None)
+    if kind == 2:
+        return ("normal", 2.5, int(rng.integers(1, 40)))
+    span = [1, 2, 3, 7, 2**31, 2**32 - 1, int(rng.integers(1, 2**32))][int(rng.integers(0, 7))]
+    low = int(rng.integers(-1000, 1000))
+    return ("integers", low, low + span)
