@@ -15,7 +15,7 @@ from .dataset import (  # noqa: F401
     Annotation,
     DatasetSplit,
     ImageRecord,
-    SceneSample,
+    SceneStack,
     SyntheticConfig,
     UpscalePolicy,
     generate_synthetic_dataset,

@@ -36,6 +36,7 @@ from .manifest import (
     verify_outputs,
     write_json,
     write_manifest,
+    write_tsv,
 )
 
 CROP_CATEGORY_NAME = "density_crop"
@@ -51,18 +52,17 @@ def _base_categories(categories: dict[int, str]) -> dict[int, str]:
     return {cid: name for cid, name in categories.items() if name != CROP_CATEGORY_NAME}
 
 
-def _load_samples(params: dict):
+def _load_scenes(params: dict):
     loaded = dataset.load_annotations(params["annotations"])
-    samples = dataset.read_scenes(params["scenes"], list(loaded.records))
+    scenes = dataset.read_scenes(params["scenes"], list(loaded.records))
     # The toy detector reads num_base_classes payload values per object.
     classes = params.get("detector", {}).get("num_base_classes", 0)
-    for sample in samples:
-        if len(sample.scene.object_payloads) and sample.scene.object_payloads.shape[1] < classes:
-            raise DataError(
-                f"objects of image {sample.record.image_id!r} have fewer payload values "
-                f"than the detector's {classes} base classes"
-            )
-    return loaded, samples
+    if len(scenes.object_payloads) and scenes.object_payloads.shape[1] < classes:
+        raise DataError(
+            f"objects of scene file {params['scenes']} have fewer payload values "
+            f"than the detector's {classes} base classes"
+        )
+    return loaded, scenes
 
 
 def _finish(
@@ -94,12 +94,12 @@ def _finish(
 def cmd_dataset_gen(params: dict) -> RunManifest:
     ann_path, scene_path = _out_paths(params, "annotations.json", "scenes.json")
     synth = cfg.from_dict("synthetic", params["synthetic"])
-    samples = dataset.generate_synthetic_dataset(synth)
+    scenes = dataset.generate_synthetic_dataset(synth)
     categories = {i: f"class_{i}" for i in range(synth.num_classes)}
     start = time.perf_counter()
-    dataset.write_annotations([s.record for s in samples], categories, ann_path)
-    dataset.write_scenes(samples, scene_path)
-    print(f"wrote {len(samples)} synthetic images to {params['out']} (seed {synth.seed})")
+    dataset.write_annotations([s.record for s in scenes], categories, ann_path)
+    dataset.write_scenes(scenes, scene_path)
+    print(f"wrote {len(scenes)} synthetic images to {params['out']} (seed {synth.seed})")
     return _finish("dataset-gen", params, synth.seed, start, [ann_path, scene_path])
 
 
@@ -169,11 +169,11 @@ def cmd_crops_label(params: dict) -> RunManifest:
 
 def cmd_train(params: dict) -> RunManifest:
     ckpt_path, report_path = _out_paths(params, "checkpoint.txt", "run_report.tsv")
-    loaded, samples = _load_samples(params)
+    loaded, scenes = _load_scenes(params)
     trainer_config = cfg.from_dict("trainer", params["trainer"])
     backend = detect.ToyDetector(cfg.from_dict("detector", params["detector"]))
-    split = dataset.read_split(params["split"], [s.record.image_id for s in samples])
-    by_id = {s.record.image_id: s for s in samples}
+    split = dataset.read_split(params["split"], scenes.image_ids)
+    by_id = dict(zip(scenes.image_ids, scenes))
 
     start = time.perf_counter()
     state = teacher.train(
@@ -203,7 +203,7 @@ def cmd_train(params: dict) -> RunManifest:
 
 def cmd_infer(params: dict) -> RunManifest:
     det_path, timing_path = _out_paths(params, "detections.tsv", "timings.tsv")
-    loaded, samples = _load_samples(params)
+    loaded, scenes = _load_scenes(params)
     inference_config = cfg.from_dict("inference", params["inference"])
 
     if params["backend"] == "oracle":
@@ -219,13 +219,12 @@ def cmd_infer(params: dict) -> RunManifest:
         weights = student if params["use_student"] else teacher_weights
 
     start = time.perf_counter()
-    results = infer.run_inference(samples, backend, weights, inference_config)
+    results = infer.run_inference(scenes, backend, weights, inference_config)
     detect.write_detections([(r.image_id, r.boxes, r.classes, r.scores) for r in results], det_path)
     errors = [res for res in results if res.error]
-    with open(timing_path, "w", encoding="utf-8") as fh:
-        fh.write("image_id\tseconds\tdetections\terror\n")
-        for res in results:
-            fh.write(f"{res.image_id}\t{res.seconds:.6f}\t{len(res.scores)}\t{res.error or ''}\n")
+    write_tsv(timing_path, [("image_id", "seconds", "detections", "error"), *(
+        (res.image_id, f"{res.seconds:.6f}", len(res.scores), res.error or "") for res in results
+    )])
     total_seconds = sum(res.seconds for res in results)
     fps = len(results) / total_seconds if total_seconds > 0 else float("inf")
     print(
@@ -270,10 +269,10 @@ def cmd_eval(params: dict) -> RunManifest:
     start = time.perf_counter()
     report = metrics.evaluate_ap(gts, dets)
     metrics.write_eval_report(report, json_path, text_path)
-    with open(series_path, "w", encoding="utf-8") as fh:
-        fh.write("class_id\tap\n")
-        for class_id, value in sorted(report.per_class.items()):
-            fh.write(f"{class_id}\t{'' if value is None else repr(value)}\n")
+    write_tsv(series_path, [("class_id", "ap"), *(
+        (class_id, "" if value is None else repr(value))
+        for class_id, value in sorted(report.per_class.items())
+    )])
     shown = {k: (f"{100 * v:.2f}" if v is not None else "--") for k, v in report.metrics().items()}
     print("  ".join(f"{k}={v}" for k, v in shown.items()))
     return _finish("eval", params, 0, start, [json_path], [text_path, series_path])

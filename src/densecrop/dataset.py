@@ -1,19 +1,18 @@
 """Annotation ingestion, tiling, splitting, crop augmentation, and the
 synthetic scene generator used for desk-scale experiments.
 
-Images are represented by :class:`ImageRecord` (metadata + annotations +
-provenance), which holds its annotations as box and class arrays;
-synthetic scenes additionally carry a :class:`SceneSpec` holding its
-objects' boxes, classes and the abstract feature payloads that stand in
-for pixels, as arrays. :class:`Annotation` and :class:`Box` objects are
-built only where a caller reads ``record.annotations``. The detector and
-the zoom work on a :class:`SceneStack`, many scenes' rows concatenated
-with per-scene counts; a list of samples becomes one at the API boundary.
-Tiling clips a record's annotation rows once per tile, and
-:func:`make_crop_children` zooms a stack into the stack of its crop
-children in one pass. Records are immutable after construction, so every
-transform here returns new records and is safe to run in parallel across
-images.
+Every per-image scene is a row of a :class:`SceneStack`: many scenes'
+annotation rows and object rows (boxes, classes and the abstract feature
+payloads that stand in for pixels) concatenated with per-scene counts.
+:func:`generate_synthetic_dataset` and :func:`read_scenes` return one,
+:func:`write_scenes` writes one, and :func:`make_crop_children` zooms one
+into the stack of its crop children in one pass. Iterating a stack yields
+one-scene stacks, whose ``record`` is built on first read.
+:class:`ImageRecord` (metadata and annotation rows) is the annotation
+file's unit, for loading, writing and tiling; :class:`Annotation` and
+:class:`Box` objects are built only where a caller reads
+``record.annotations``. Records are immutable after construction, so
+every transform here returns new records.
 """
 
 from __future__ import annotations
@@ -21,7 +20,8 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -40,12 +40,9 @@ from .seeding import RAW_BLOCK, StreamDecoder, rng_for, stable_int
 
 __all__ = [
     "Annotation",
-    "Provenance",
     "ImageRecord",
     "DatasetSplit",
     "UpscalePolicy",
-    "SceneSpec",
-    "SceneSample",
     "SceneStack",
     "AnnotationFile",
     "load_annotations",
@@ -78,35 +75,9 @@ class Annotation:
             raise InvariantViolation(f"negative class id {self.class_id}")
 
 
-@dataclass(frozen=True)
-class Provenance:
-    """Where an image came from: original, sliding-window tile, or crop child.
-
-    Crop children store exactly the parameters needed to map boxes back to
-    the parent image (the crop box in parent pixels and the upscaled output
-    size).
-    """
-
-    kind: str = "original"
-    parent_id: int | str | None = None
-    offset: tuple[float, float] | None = None
-    crop_box: Box | None = None
-    upscale_size: tuple[float, float] | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("original", "tile", "crop"):
-            raise InvariantViolation(f"unknown provenance kind {self.kind!r}")
-        if self.kind == "tile" and (self.parent_id is None or self.offset is None):
-            raise InvariantViolation("tile provenance needs parent_id and offset")
-        if self.kind == "crop" and (
-            self.parent_id is None or self.crop_box is None or self.upscale_size is None
-        ):
-            raise InvariantViolation("crop provenance needs parent_id, crop_box, upscale_size")
-
-
 @dataclass(frozen=True, eq=False)
 class ImageRecord:
-    """An image's metadata, annotations, and provenance. No pixels.
+    """An image's metadata and annotations. No pixels.
 
     The annotations are read-only rows: (N, 4) float64 (x1, y1, x2, y2)
     ``boxes``, each a valid :class:`Box`, and (N,) int64 ``classes``, none
@@ -120,7 +91,6 @@ class ImageRecord:
     height: float
     boxes: np.ndarray = field(default_factory=lambda: np.zeros((0, 4)))
     classes: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-    provenance: Provenance = field(default_factory=Provenance)
 
     def __post_init__(self) -> None:
         if not (0 < self.width < math.inf and 0 < self.height < math.inf):
@@ -200,45 +170,9 @@ class UpscalePolicy:
         return extent * scale[:, None]
 
 
-@dataclass(frozen=True, eq=False)
-class SceneSpec:
-    """Full description of a synthetic scene; regenerable bit-for-bit.
-
-    Its objects are read-only arrays, one row per object: (N, 4) float64
-    (x1, y1, x2, y2) ``object_boxes``, (N,) int64 ``object_classes`` and
-    (N, K) float64 ``object_payloads``, the abstract features that stand in
-    for pixels. Arrays define no ``==``, so scenes compare by identity.
-    """
-
-    width: float
-    height: float
-    object_boxes: np.ndarray
-    object_classes: np.ndarray
-    object_payloads: np.ndarray
-    seed: int
-
-    def __post_init__(self) -> None:
-        for values in (self.object_boxes, self.object_classes, self.object_payloads):
-            values.flags.writeable = False
-
-
-@dataclass(frozen=True)
-class SceneSample:
-    """An image record paired with the scene it was generated from."""
-
-    record: ImageRecord
-    scene: SceneSpec
-
-
 def _rows(blocks: list, shape: tuple, dtype=np.float64) -> np.ndarray:
     """The blocks concatenated; an empty array of ``shape`` if none."""
     return np.concatenate(blocks) if blocks else np.zeros(shape, dtype=dtype)
-
-
-# The row arrays of a SceneStack that hold one row per annotation and per
-# object; every other array holds one row per scene.
-_ANNOTATION_ROWS = ("boxes", "classes")
-_OBJECT_ROWS = ("object_boxes", "object_classes", "object_payloads")
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,7 +184,8 @@ class SceneStack:
     annotation rows ``boxes`` and ``classes``, ``counts[s]`` of them in
     scene ``s``, and object rows ``object_boxes``, ``object_classes`` and
     (N, K) ``object_payloads``, ``object_counts[s]`` in scene ``s``.
-    Arrays define no ``==``: stacks compare by identity."""
+    Iterating yields one-scene stacks of slices of these rows. Arrays
+    define no ``==``: stacks compare by identity."""
 
     image_ids: tuple
     sizes: np.ndarray
@@ -268,45 +203,50 @@ class SceneStack:
     def __len__(self) -> int:
         return len(self.image_ids)
 
+    def __iter__(self):
+        ann, obj = np.cumsum(self.counts).tolist(), np.cumsum(self.object_counts).tolist()
+        for i, (a, b, c, d) in enumerate(zip([0, *ann], ann, [0, *obj], obj)):
+            yield self._gather(self.image_ids[i : i + 1], (slice(i, i + 1), slice(a, b), slice(c, d)))
+
+    @cached_property
+    def record(self) -> ImageRecord:
+        """A one-scene stack's :class:`ImageRecord`: its id, size and
+        annotation rows, built on first read."""
+        if len(self) != 1:
+            raise InvariantViolation(f"a stack of {len(self)} scenes has no one record")
+        ((width, height),) = self.sizes.tolist()
+        return ImageRecord(self.image_ids[0], width, height, self.boxes, self.classes)
+
     @classmethod
-    def of(cls, samples) -> "SceneStack":
-        """The stack of samples whose records and scenes agree on the image
-        size; payloads keep the columns every scene with objects has."""
-        samples = list(samples)
-        records, scenes = [s.record for s in samples], [s.scene for s in samples]
-        for r, s in zip(records, scenes):
-            if (s.width, s.height) != r.size:
-                raise InvariantViolation(
-                    f"image {r.image_id!r} is {r.width}x{r.height} "
-                    f"but its scene is {s.width}x{s.height}"
-                )
-        full = [s for s in scenes if len(s.object_boxes)]
-        k = min(s.object_payloads.shape[1] for s in full or scenes) if scenes else 0
+    def of(cls, stacks) -> "SceneStack":
+        """The scenes of ``stacks``, stack after stack."""
+        stacks = list(stacks) or [_NO_SCENES]
         return cls(
-            image_ids=tuple(r.image_id for r in records),
-            sizes=np.array([r.size for r in records], dtype=np.float64).reshape(-1, 2),
-            seeds=np.array([stable_int(s.seed) for s in scenes], dtype=np.int64),
-            id_words=np.array([stable_int(r.image_id) for r in records], dtype=np.int64),
-            crop=np.array([r.provenance.kind == "crop" for r in records], dtype=bool),
-            boxes=_rows([r.boxes for r in records], (0, 4)),
-            classes=_rows([r.classes for r in records], 0, np.int64),
-            counts=np.array([len(r.classes) for r in records], dtype=np.int64),
-            object_boxes=_rows([s.object_boxes for s in scenes], (0, 4)),
-            object_classes=_rows([s.object_classes for s in scenes], 0, np.int64),
-            object_payloads=_rows([s.object_payloads[:, :k] for s in full], (0, k)),
-            object_counts=np.array([len(s.object_boxes) for s in scenes], dtype=np.int64),
+            tuple(image_id for s in stacks for image_id in s.image_ids),
+            **{name: np.concatenate([getattr(s, name) for s in stacks]) for name in _ARRAYS},
         )
 
     def take(self, index) -> "SceneStack":
         """The stack of scenes ``index``, in that order; repeats allowed."""
         index = np.asarray(index, dtype=np.intp).reshape(-1)
-        ann = group_pairs(self.counts, index)[1]
-        obj = group_pairs(self.object_counts, index)[1]
-        rows = {name: getattr(self, name) for name in vars(self) if name != "image_ids"}
-        for name, values in rows.items():
-            at = ann if name in _ANNOTATION_ROWS else obj if name in _OBJECT_ROWS else index
-            rows[name] = values[at]
-        return SceneStack(tuple(self.image_ids[i] for i in index.tolist()), **rows)
+        rows = (index, group_pairs(self.counts, index)[1], group_pairs(self.object_counts, index)[1])
+        return self._gather(tuple(self.image_ids[i] for i in index.tolist()), rows)
+
+    def _gather(self, image_ids: tuple, rows: tuple) -> "SceneStack":
+        """The stack of ``image_ids`` and, of each array, its rows at the
+        scene, annotation or object slice or indices of ``rows``."""
+        return SceneStack(image_ids, *[getattr(self, name)[rows[kind]] for name, kind in _ROWS])
+
+
+_ARRAYS = tuple(f.name for f in fields(SceneStack))[1:]
+# Each array and what its rows are: 0 scenes, 1 annotations, 2 objects.
+_KINDS = {"boxes": 1, "classes": 1, "object_boxes": 2, "object_classes": 2, "object_payloads": 2}
+_ROWS = tuple((name, _KINDS.get(name, 0)) for name in _ARRAYS)
+_INTS = np.zeros(0, dtype=np.int64)
+_NO_SCENES = SceneStack(
+    (), np.zeros((0, 2)), _INTS, _INTS, np.zeros(0, dtype=bool), np.zeros((0, 4)), _INTS, _INTS,
+    np.zeros((0, 4)), _INTS, np.zeros((0, 0)), _INTS,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +451,6 @@ def tile_image_report(
                     height=th,
                     boxes=clipped[kept],
                     classes=record.classes[kept],
-                    provenance=Provenance("tile", record.image_id, offset=(ox, oy)),
                 )
             )
     return tiles, int(np.count_nonzero(~placed))
@@ -605,8 +544,8 @@ def make_crop_children(
     inside the crop, projected into upscaled-crop pixels and clipped, in
     parent order. Its objects are the parent's objects clipped to the crop
     and rescaled; objects left without area drop out. Every (crop, row)
-    pair of the stack is projected in one pass, and no record, scene,
-    :class:`Box` or :class:`Provenance` is built. A child's seed word is
+    pair of the stack is projected in one pass, and no record or
+    :class:`Box` is built. A child's seed word is
     ``stable_int(parent seed) ^ stable_int(repr(crop))`` and its id word
     ``stable_int(child id)``, with ``crop`` the row as a tuple of Python
     floats.
@@ -766,7 +705,7 @@ def _scene_draws(config: SyntheticConfig, first: int, count: int, outputs: int) 
     return [np.bincount(owner, minlength=count), *(np.concatenate(c)[order] for c in list(zip(*runs))[1:])]
 
 
-def generate_synthetic_dataset(config: SyntheticConfig) -> list[SceneSample]:
+def generate_synthetic_dataset(config: SyntheticConfig) -> SceneStack:
     """Generate scenes with clustered small objects and scattered large ones.
 
     Ground truth is exact by construction and the whole dataset is a pure
@@ -781,9 +720,14 @@ def generate_synthetic_dataset(config: SyntheticConfig) -> list[SceneSample]:
     Each centre is then shifted so its box fits the scene, and each
     payload is the class's one-hot vector plus its noise, over all objects
     at once.
+
+    Returns one stack: scene ``i`` is image id ``i + 1`` with seed word
+    ``stable_int(seed) ^ stable_int(i * 2654435761)``, and its ground
+    truth is its objects: annotation and object rows share arrays, all of
+    them read-only.
     """
     if not config.num_images:
-        return []
+        return SceneStack.of([])
     # Outputs of the scene with the most objects if every draw took one.
     k = config.num_classes
     (_, c_hi), (_, o_hi), (_, s_hi) = (
@@ -806,22 +750,25 @@ def generate_synthetic_dataset(config: SyntheticConfig) -> list[SceneSample]:
     # never -0.0, so adding 0.0 leaves it as it is.
     payloads = noise
     payloads[np.arange(len(classes)), classes] += 1.0
-    samples: list[SceneSample] = []
-    ends = np.cumsum(counts).tolist()
-    for i, (start, end) in enumerate(zip([0, *ends[:-1]], ends)):
-        scene = SceneSpec(
-            width=config.width,
-            height=config.height,
-            object_boxes=boxes[start:end],
-            object_classes=classes[start:end],
-            object_payloads=payloads[start:end],
-            seed=stable_int(config.seed) ^ stable_int(i * 2654435761),
-        )
-        # The ground truth is the objects themselves; record and scene share
-        # the read-only rows.
-        record = ImageRecord(i + 1, config.width, config.height, scene.object_boxes, scene.object_classes)
-        samples.append(SceneSample(record=record, scene=scene))
-    return samples
+    # Read-only, as annotation and object rows share arrays.
+    for rows in (boxes, classes, counts, payloads):
+        rows.flags.writeable = False
+    n = config.num_images
+    scenes = np.arange(n, dtype=np.int64)
+    return SceneStack(
+        image_ids=tuple(range(1, n + 1)),
+        sizes=np.tile([config.width, config.height], (n, 1)).astype(np.float64),
+        seeds=(scenes * 2654435761 & 0xFFFFFFFF) ^ stable_int(config.seed),
+        id_words=scenes + 1,
+        crop=np.zeros(n, dtype=bool),
+        boxes=boxes,
+        classes=classes,
+        counts=counts,
+        object_boxes=boxes,
+        object_classes=classes,
+        object_payloads=payloads,
+        object_counts=counts,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -829,24 +776,26 @@ def generate_synthetic_dataset(config: SyntheticConfig) -> list[SceneSample]:
 # ---------------------------------------------------------------------------
 
 
-def write_scenes(samples: list[SceneSample], path: str | os.PathLike) -> None:
-    """Persist the scene specs next to the COCO annotations."""
+def write_scenes(scenes: SceneStack, path: str | os.PathLike) -> None:
+    """Persist each scene's size, seed word and objects next to the COCO
+    annotations, keyed by its image id's text."""
+    objects = [
+        {"box": box, "class_id": class_id, "payload": payload}
+        for box, class_id, payload in zip(
+            scenes.object_boxes.tolist(),
+            scenes.object_classes.tolist(),
+            scenes.object_payloads.tolist(),
+        )
+    ]
+    ends = np.cumsum(scenes.object_counts).tolist()
     payload = {
         "scenes": {
-            str(s.record.image_id): {
-                "width": s.scene.width,
-                "height": s.scene.height,
-                "seed": s.scene.seed,
-                "objects": [
-                    {"box": box, "class_id": class_id, "payload": payload}
-                    for box, class_id, payload in zip(
-                        s.scene.object_boxes.tolist(),
-                        s.scene.object_classes.tolist(),
-                        s.scene.object_payloads.tolist(),
-                    )
-                ],
+            str(image_id): {
+                "width": width, "height": height, "seed": seed, "objects": objects[start:end]
             }
-            for s in samples
+            for image_id, (width, height), seed, start, end in zip(
+                scenes.image_ids, scenes.sizes.tolist(), scenes.seeds.tolist(), [0, *ends], ends
+            )
         }
     }
     write_json(path, payload)
@@ -858,14 +807,17 @@ def _number_rows(rows: list, width: int) -> np.ndarray:
     return np.array([[float(v) for v in row] for row in rows]).reshape(len(rows), width)
 
 
-def read_scenes(path: str | os.PathLike, records: list[ImageRecord]) -> list[SceneSample]:
-    """Join scene specs back onto annotation records by image id.
+def read_scenes(path: str | os.PathLike, records: list[ImageRecord]) -> SceneStack:
+    """The stack of ``records``, in their order, with the scenes of a scene
+    file joined on by image id: each record's id, size and annotation rows,
+    and its scene's objects and seed word ``stable_int(seed)``. Payloads
+    keep the columns that every scene with objects has.
 
     Keys other than the ones :func:`write_scenes` writes are ignored, such
     as the ``clusters`` of files from earlier versions. A scene whose boxes
-    are not valid 4-number boxes, whose size is not positive and finite or
-    differs from its record's, or whose objects' payloads differ in length,
-    is a :class:`DataError`.
+    are not valid 4-number boxes, whose size differs from its record's (as
+    one that is not positive and finite does), or whose objects' payloads
+    differ in length, is a :class:`DataError`.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -877,32 +829,42 @@ def read_scenes(path: str | os.PathLike, records: list[ImageRecord]) -> list[Sce
     scenes = payload.get("scenes")
     if not isinstance(scenes, dict):
         raise DataError(f"scene file {path} is missing the 'scenes' mapping")
-    samples: list[SceneSample] = []
+    seeds, boxes, classes, payloads = [], [], [], []
     for record in records:
         raw = scenes.get(str(record.image_id))
         if raw is None:
             raise DataError(f"scene file {path} has no scene for image {record.image_id!r}")
         try:
             objects = raw["objects"]
-            scene = SceneSpec(
-                width=float(raw["width"]),
-                height=float(raw["height"]),
-                object_boxes=_number_rows([o["box"] for o in objects], 4),
-                object_classes=np.array([int(o["class_id"]) for o in objects], dtype=np.int64),
-                object_payloads=_number_rows(
-                    [o["payload"] for o in objects], len(objects[0]["payload"]) if objects else 0
-                ),
-                seed=int(raw["seed"]),
-            )
-            check_boxes(scene.object_boxes)
+            width, height = float(raw["width"]), float(raw["height"])
+            seeds.append(stable_int(int(raw["seed"])))
+            boxes.append(_number_rows([o["box"] for o in objects], 4))
+            check_boxes(boxes[-1])
+            classes.append(np.array([int(o["class_id"]) for o in objects], dtype=np.int64))
+            payloads.append(_number_rows(
+                [o["payload"] for o in objects], len(objects[0]["payload"]) if objects else 0
+            ))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DataError(f"malformed scene entry for image {record.image_id!r}") from exc
-        if not (0 < scene.width < math.inf and 0 < scene.height < math.inf):
-            raise DataError(f"scene for image {record.image_id!r} is not positive and finite in size")
-        if (scene.width, scene.height) != record.size:
+        # The record's size is positive and finite, so a scene's that is not
+        # differs from it.
+        if (width, height) != record.size:
             raise DataError(
-                f"scene for image {record.image_id!r} is {scene.width}x{scene.height}, "
+                f"scene for image {record.image_id!r} is {width}x{height}, "
                 f"its record {record.width}x{record.height}"
             )
-        samples.append(SceneSample(record=record, scene=scene))
-    return samples
+    k = min((p.shape[1] for p in payloads if len(p)), default=0)
+    return SceneStack(
+        image_ids=tuple(r.image_id for r in records),
+        sizes=np.array([r.size for r in records], dtype=np.float64).reshape(-1, 2),
+        seeds=np.array(seeds, dtype=np.int64),
+        id_words=np.array([stable_int(r.image_id) for r in records], dtype=np.int64),
+        crop=np.zeros(len(records), dtype=bool),
+        boxes=_rows([r.boxes for r in records], (0, 4)),
+        classes=_rows([r.classes for r in records], 0, np.int64),
+        counts=np.array([len(r.classes) for r in records], dtype=np.int64),
+        object_boxes=_rows(boxes, (0, 4)),
+        object_classes=_rows(classes, 0, np.int64),
+        object_payloads=_rows([p[:, :k] for p in payloads if len(p)], (0, k)),
+        object_counts=np.array([len(b) for b in boxes], dtype=np.int64),
+    )

@@ -29,7 +29,6 @@ from .errors import InvariantViolation
 __all__ = [
     "Box",
     "Detection",
-    "box_array",
     "CHUNK_OBJECTS",
     "check_boxes",
     "chunk_bounds",
@@ -97,11 +96,6 @@ class Detection:
             raise InvariantViolation(f"negative class id: {self.class_id}")
         if not (0.0 <= self.score <= 1.0):
             raise InvariantViolation(f"score outside [0, 1]: {self.score}")
-
-
-def box_array(boxes: list[Box] | tuple[Box, ...]) -> np.ndarray:
-    """(N, 4) float64 array of (x1, y1, x2, y2) rows; (0, 4) when empty."""
-    return np.array([b.as_tuple() for b in boxes], dtype=np.float64).reshape(-1, 4)
 
 
 def check_boxes(boxes: np.ndarray) -> None:

@@ -13,18 +13,18 @@ budget of objects, :data:`~densecrop.geometry.CHUNK_OBJECTS`, counted before
 any view is built: every kernel of a chunk holds memory in proportion to
 its rows and the pairs of them that meet, so a dense image costs its
 objects, not their square, and shares its chunk. The chunk stays
-one ragged stack of rows from stage one to the fused rows: a
-:class:`~densecrop.dataset.SceneStack` of the chunk's images, one backend
-``detect_batch`` on it, crop selection over the stacked rows, one
-:func:`~densecrop.dataset.make_crop_children` zoom into the stack of the
-selected crops' children, one ``detect_batch`` on that, one reprojection
-and clipping of the stage-two rows, and one NMS over the chunk, which
-checks the box invariant of every fused row, and whose kept rows are split
-per image at the end. Results stay
-(N, 4), (N,) and (N,) arrays, and crop children stay rows of their stack:
-no :class:`Detection`, :class:`~densecrop.geometry.Box`, record, scene or
-provenance is built. An image's detections do not depend on the chunk it
-ran in, so one image's detections are those of a run over a list of one.
+one ragged stack of rows from stage one to the fused rows: a ``take`` of
+the chunk's images from the input :class:`~densecrop.dataset.SceneStack`,
+one backend ``detect_batch`` on it, crop selection over the stacked rows,
+one :func:`~densecrop.dataset.make_crop_children` zoom into the stack of
+the selected crops' children, one ``detect_batch`` on that, one
+reprojection and clipping of the stage-two rows, and one NMS over the
+chunk, which checks the box invariant of every fused row, and whose kept
+rows are split per image at the end. Results stay (N, 4), (N,) and (N,)
+arrays, and crop children stay rows of their stack: no
+:class:`Detection`, :class:`~densecrop.geometry.Box` or record is built.
+An image's detections do not depend on the chunk it ran in, so one
+image's detections are those of a run over a stack of one.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .croplab import CropParams, label_density_crops
-from .dataset import SceneSample, SceneStack, UpscalePolicy, make_crop_children
+from .dataset import SceneStack, UpscalePolicy, make_crop_children
 from .detect import DetectorBackend, WeightVector, empty_detections
 from .errors import ConfigError, InvariantViolation
 from .geometry import (
@@ -209,16 +209,15 @@ def _attempt(
 
 
 def run_inference(
-    samples: list[SceneSample],
+    scenes: SceneStack,
     backend: DetectorBackend,
     weights: WeightVector | None,
     config: InferenceConfig,
     seed: int = 0,
 ) -> list[ImageInferenceResult]:
-    """Per-image inference over a dataset, in input order, one chunk of
-    images at a time (:func:`~densecrop.geometry.chunk_bounds`), each chunk's
-    samples converted once to a :class:`~densecrop.dataset.SceneStack`;
-    ``seed`` is accepted and unused.
+    """Per-image inference over a stack of scenes, in stack order, one chunk
+    of images at a time (:func:`~densecrop.geometry.chunk_bounds`), each
+    chunk a ``take`` of the input stack; ``seed`` is accepted and unused.
 
     Each image's fused detections come in a deterministic order and do not
     depend on the images run beside it. Crop-class predictions never
@@ -229,24 +228,23 @@ def run_inference(
     else :class:`InvariantViolation` is raised.
 
     A backend failure becomes an error record rather than aborting the
-    run: a chunk that fails is run again image by image, on one-scene
-    takes of its stack, so only the failing images get one. An
+    run: a chunk that fails is run again image by image, on the one-scene
+    stacks that iterating it yields, so only the failing images get one. An
     :class:`InvariantViolation` is a programming error, not a failure of
     the image, and propagates. Each image's ``seconds`` is its share of its
-    chunk's wall time, the stack conversion and the retry included.
+    chunk's wall time, the take and the retry included.
     """
     results = []
-    for start, stop in chunk_bounds([len(s.scene.object_boxes) for s in samples]):
+    for start, stop in chunk_bounds(scenes.object_counts.tolist()):
         began = time.perf_counter()
-        chunk = SceneStack.of(samples[start:stop])
+        chunk = scenes.take(np.arange(start, stop))
         fused, error = _attempt(chunk, backend, weights, config)
         runs = [(chunk, fused, error)]
         if error and len(chunk) > 1:
-            singles = [chunk.take([k]) for k in range(len(chunk))]
-            runs = [(one, *_attempt(one, backend, weights, config)) for one in singles]
+            runs = [(one, *_attempt(one, backend, weights, config)) for one in chunk]
         share = (time.perf_counter() - began) / len(chunk)
-        for scenes, (*fused, counts), error in runs:
+        for run, (*fused, counts), error in runs:
             per_image = (np.split(column, np.cumsum(counts)[:-1]) for column in fused)
-            for image_id, *rows in zip(scenes.image_ids, *per_image):
+            for image_id, *rows in zip(run.image_ids, *per_image):
                 results.append(ImageInferenceResult(image_id, *rows, share, error))
     return results

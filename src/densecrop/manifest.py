@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .errors import DataError, InvariantViolation
 
-__all__ = ["RunManifest", "file_digest", "write_json", "write_manifest", "read_manifest"]
+__all__ = ["RunManifest", "file_digest", "write_json", "write_tsv", "write_manifest", "read_manifest"]
 
 TOOLKIT_VERSION = "0.1.0"
 
@@ -59,6 +59,13 @@ def write_json(path: str | os.PathLike, payload) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True, separators=(",", ": "), indent=1)
         fh.write("\n")
+
+
+def write_tsv(path: str | os.PathLike, rows) -> None:
+    """Rows of values as tab-separated lines, each value as ``str`` gives
+    it, header row first: the run report, timings and per-class tables."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines("\t".join(map(str, row)) + "\n" for row in rows)
 
 
 def write_manifest(manifest: RunManifest, path: str | os.PathLike) -> None:

@@ -37,6 +37,7 @@ from .detect import (
 )
 from .errors import ConfigError, DataError, InvariantViolation
 from .geometry import chunk_bounds
+from .manifest import write_tsv
 from .seeding import rngs_for, stable_int
 
 __all__ = [
@@ -392,7 +393,7 @@ def prepare_labeled_pool(
     ``{id}:crop{k}``, join the pool in the same id order. The crops of
     every labeled image come from one :func:`label_density_crops` call over
     the stack of their base-class annotation rows, and their children from
-    one :func:`make_crop_children` zoom; no sample is built for them."""
+    one :func:`make_crop_children` zoom; no record is built for them."""
     ids = sorted(labeled_ids, key=str)
     stack = SceneStack.of([samples[i] for i in ids])
     if not config.crops_on_labeled:
@@ -430,8 +431,9 @@ def train(
     the student. Each later iteration adds the unsupervised loss of the
     teacher's pseudo-labels on an unlabeled batch, moves the teacher by
     :func:`ema_update` and runs :func:`discover_unlabeled_crops`.
-    ``samples`` maps image id to :class:`SceneSample`, and ``split`` names
-    the labeled ids. ``state.history`` logs every iteration.
+    ``samples`` maps image id to a one-scene :class:`SceneStack`, as
+    iterating a stack yields them, and ``split`` names the labeled ids.
+    ``state.history`` logs every iteration.
 
     Each pool is one :class:`ViewStack`, built a chunk of scenes at a time
     (:func:`_views`): the labeled pool (:func:`prepare_labeled_pool`), and
@@ -561,11 +563,8 @@ _REPORT_COLUMNS = tuple(f.name for f in fields(IterationLog))
 
 def write_run_report(history: list[IterationLog], path: str | os.PathLike) -> None:
     """Tab-separated per-iteration log, one column per logged quantity."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\t".join(_REPORT_COLUMNS) + "\n")
-        for log in history:
-            row = [repr(getattr(log, c)) for c in _REPORT_COLUMNS]
-            fh.write("\t".join(row) + "\n")
+    rows = ([repr(getattr(log, c)) for c in _REPORT_COLUMNS] for log in history)
+    write_tsv(path, [_REPORT_COLUMNS, *rows])
 
 
 def write_checkpoint(

@@ -16,7 +16,7 @@ import numpy as np
 
 from densecrop.croplab import CropParams
 from densecrop.dataset import (
-    SceneSample,
+    SceneStack,
     SyntheticConfig,
     UpscalePolicy,
     generate_synthetic_dataset,
@@ -125,7 +125,7 @@ def train_variant(seed: int, mode: str):
     return backend, state
 
 
-def test_split_samples() -> list[SceneSample]:
+def test_split_samples() -> SceneStack:
     return generate_synthetic_dataset(scene_config(TEST_SEED, TEST_IMAGES))
 
 
@@ -160,20 +160,20 @@ ORACLE_NOISE = OracleNoiseModel(
 )
 
 
-def oracle_benchmark_samples(num_scenes: int = 100, seed: int = 2024):
-    """Scenes whose records also carry ground-truth density-crop boxes."""
-    samples = generate_synthetic_dataset(scene_config(seed, num_scenes))
-    out = []
-    for sample in samples:
-        boxes, classes = sample.record.boxes, sample.record.classes
-        crops, _ = label_density_crops(boxes, [sample.record.size], CROP_PARAMS, [len(boxes)])
-        record = replace(
-            sample.record,
-            boxes=np.concatenate([boxes, crops]),
-            classes=np.concatenate([classes, np.full(len(crops), NUM_CLASSES)]),
-        )
-        out.append(SceneSample(record=record, scene=sample.scene))
-    return out
+def oracle_benchmark_samples(num_scenes: int = 100, seed: int = 2024) -> SceneStack:
+    """Scenes whose annotation rows also hold ground-truth density-crop
+    boxes, each scene's after its own rows."""
+    scenes = generate_synthetic_dataset(scene_config(seed, num_scenes))
+    crops, added = label_density_crops(scenes.boxes, scenes.sizes, CROP_PARAMS, scenes.counts)
+    scene = np.arange(len(scenes))
+    owner = np.concatenate([np.repeat(scene, scenes.counts), np.repeat(scene, added)])
+    rows = np.argsort(owner, kind="stable")
+    return replace(
+        scenes,
+        boxes=np.concatenate([scenes.boxes, crops])[rows],
+        classes=np.concatenate([scenes.classes, np.full(len(crops), NUM_CLASSES)])[rows],
+        counts=scenes.counts + added,
+    )
 
 
 def oracle_inference_metrics(samples, multistage: bool):

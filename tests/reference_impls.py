@@ -623,21 +623,23 @@ def _area_ref(b: tuple) -> float:
 def extract_features_ref(
     scene, proposal: tuple, num_base_classes: int, payload_obs_scale: float = 4.0
 ) -> np.ndarray:
-    """Feature vector of one (x1, y1, x2, y2) proposal, one scene object at
-    a time. The payload noise generator is seeded through the package's
-    ``rng_for``, which is what ties a feature row to its proposal."""
+    """Feature vector of one (x1, y1, x2, y2) proposal in a one-scene stack,
+    one scene object at a time. The payload noise generator is seeded
+    through the package's ``rng_for``, which is what ties a feature row to
+    its proposal."""
     from densecrop.seeding import rng_for
 
     x1, y1, x2, y2 = proposal
     w, h = x2 - x1, y2 - y1
     area = w * h
-    scene_area = scene.width * scene.height
+    ((width, height),) = scene.sizes.tolist()
+    scene_area = width * height
     phi = np.zeros(8 + num_base_classes)
     phi[0] = np.log(max(area, _MIN_SIDE)) / np.log(scene_area)
     aspect = min(max(w / h, 1.0 / 8.0), 8.0)
     phi[1] = np.log(aspect) / np.log(8.0)
-    phi[2] = (x1 + x2) / 2.0 / scene.width
-    phi[3] = (y1 + y2) / 2.0 / scene.height
+    phi[2] = (x1 + x2) / 2.0 / width
+    phi[3] = (y1 + y2) / 2.0 / height
 
     best_iou = 0.0
     inter_total = 0.0
@@ -672,7 +674,7 @@ def extract_features_ref(
         ref_area = float(np.mean(covered_areas)) if covered_areas else area
         sigma = payload_obs_scale / np.sqrt(max(ref_area, 1.0))
         q = tuple(int(round(v * 16.0)) for v in proposal)
-        noise_rng = rng_for(scene.seed, "payload-obs", *q)
+        noise_rng = rng_for(int(scene.seeds[0]), "payload-obs", *q)
         payload = payload + noise_rng.normal(0.0, sigma, num_base_classes)
     phi[8:] = payload
     return phi
@@ -714,21 +716,21 @@ def safe_box_ref(x1: float, y1: float, x2: float, y2: float, width: float, heigh
 
 
 def proposals_ref(backend, sample) -> list[tuple]:
-    """One image's proposals as the detector built them before images were
-    batched, in Python floats: its own ``rng_for(seed, "proposals", image
-    id)`` jitters the object boxes and (except on crop children) the
-    density crops of ``label_density_crops_ref``, then draws the
-    background boxes' (w, h, x, y) uniforms row by row; every box is
-    clipped by ``safe_box_ref``."""
+    """The proposals of a one-scene stack ``sample`` as the detector built
+    them before images were batched, in Python floats: its own
+    ``rng_for(seed, "proposals", image id)`` jitters the object boxes and
+    (except on crop children) the density crops of
+    ``label_density_crops_ref``, then draws the background boxes' (w, h, x,
+    y) uniforms row by row; every box is clipped by ``safe_box_ref``."""
     from densecrop.seeding import rng_for
 
-    cfg, record, scene = backend.config, sample.record, sample.scene
+    cfg, record = backend.config, sample.record
     params = backend._proposal_crop_params
     rng = rng_for(cfg.seed, "proposals", record.image_id)
-    candidates = [tuple(row) for row in scene.object_boxes.tolist()]
-    if record.provenance.kind != "crop":
+    candidates = [tuple(row) for row in sample.object_boxes.tolist()]
+    if not sample.crop[0]:
         candidates += label_density_crops_ref(
-            candidates, (scene.width, scene.height), params.sigma, params.theta, params.pi,
+            candidates, record.size, params.sigma, params.theta, params.pi,
             params.merge_steps, params.min_cluster,
         )
     jitter = rng.normal(0.0, cfg.proposal_jitter, (len(candidates), 4)).tolist()
@@ -890,23 +892,59 @@ def student_batch_ref(backend, teacher, views, tau, weak_seeds, strong_seeds):
     return np.concatenate(features), np.concatenate(classes), total
 
 
-def scene_spec(width: float, height: float, seed: int, objects=(), payload_width: int = 0):
-    """A ``SceneSpec`` of (box tuple, class id, payload) objects; a scene
-    without objects has ``payload_width`` payload columns."""
-    from densecrop.dataset import SceneSpec
+def scene_of(record, seed: int = 0, objects=(), payload_width: int = 0, crop: bool = False):
+    """A one-scene ``SceneStack`` of a record's id, size and annotation
+    rows, the seed word ``stable_int(seed)`` and (box tuple, class id,
+    payload) objects; a scene without objects has ``payload_width``
+    payload columns."""
+    from densecrop.dataset import SceneStack
+    from densecrop.seeding import stable_int
 
-    boxes = [box for box, _, _ in objects]
     payloads = [payload for _, _, payload in objects]
-    return SceneSpec(
-        width=width,
-        height=height,
-        object_boxes=np.array(boxes, dtype=np.float64).reshape(-1, 4),
+    return SceneStack(
+        image_ids=(record.image_id,),
+        sizes=np.array([record.size], dtype=np.float64),
+        seeds=np.array([stable_int(seed)], dtype=np.int64),
+        id_words=np.array([stable_int(record.image_id)], dtype=np.int64),
+        crop=np.array([crop]),
+        boxes=record.boxes,
+        classes=record.classes,
+        counts=np.array([len(record.classes)], dtype=np.int64),
+        object_boxes=np.array([box for box, _, _ in objects], dtype=np.float64).reshape(-1, 4),
         object_classes=np.array([c for _, c, _ in objects], dtype=np.int64),
         object_payloads=np.array(payloads, dtype=np.float64).reshape(
             len(objects), len(payloads[0]) if objects else payload_width
         ),
-        seed=seed,
+        object_counts=np.array([len(objects)], dtype=np.int64),
     )
+
+
+def with_record(scene, **changes):
+    """A one-scene stack with fields of its record changed (its image id,
+    size or annotation rows), and its id word and count to match."""
+    from dataclasses import replace
+
+    from densecrop.seeding import stable_int
+
+    record = replace(scene.record, **changes)
+    return replace(
+        scene,
+        image_ids=(record.image_id,),
+        sizes=np.array([record.size], dtype=np.float64),
+        id_words=np.array([stable_int(record.image_id)], dtype=np.int64),
+        boxes=record.boxes,
+        classes=record.classes,
+        counts=np.array([len(record.classes)], dtype=np.int64),
+    )
+
+
+def scene_objects(scene) -> list[tuple]:
+    """A one-scene stack's objects as (box tuple, class id, payload) rows."""
+    return list(zip(
+        map(tuple, scene.object_boxes.tolist()),
+        scene.object_classes.tolist(),
+        scene.object_payloads.tolist(),
+    ))
 
 
 def crop_children_ref(parents: list, crops: list, policy) -> list:
@@ -919,14 +957,15 @@ def crop_children_ref(parents: list, crops: list, policy) -> list:
     and clipped as ``min(max(v, 0.0), side)``. An object is shifted,
     clipped to the crop the same way, kept while it has area, and
     multiplied by (output side / crop side). Every kept box is a ``Box``.
+    Parents and children are one-scene stacks.
     """
-    from densecrop.dataset import Annotation, ImageRecord, Provenance, SceneSample
+    from densecrop.dataset import Annotation, ImageRecord
     from densecrop.geometry import Box
     from densecrop.seeding import stable_int
 
     children = []
     for parent, rows in zip(parents, crops):
-        record, scene = parent.record, parent.scene
+        record = parent.record
         for k, row in enumerate(np.asarray(rows, dtype=np.float64).reshape(-1, 4).tolist()):
             crop = Box(*row)
             out_w, out_h = output_size_ref(policy, crop)
@@ -943,11 +982,7 @@ def crop_children_ref(parents: list, crops: list, policy) -> list:
                 if x1 < x2 and y1 < y2:
                     anns.append(Annotation(box=Box(x1, y1, x2, y2), class_id=ann.class_id))
             objects = []
-            for b, class_id, payload in zip(
-                scene.object_boxes.tolist(),
-                scene.object_classes.tolist(),
-                scene.object_payloads.tolist(),
-            ):
+            for b, class_id, payload in scene_objects(parent):
                 x1 = min(max(b[0] - crop.x1, 0.0), crop.width)
                 y1 = min(max(b[1] - crop.y1, 0.0), crop.height)
                 x2 = min(max(b[2] - crop.x1, 0.0), crop.width)
@@ -956,20 +991,10 @@ def crop_children_ref(parents: list, crops: list, policy) -> list:
                     sx, sy = out_w / crop.width, out_h / crop.height
                     box = Box(x1 * sx, y1 * sy, x2 * sx, y2 * sy)
                     objects.append((box.as_tuple(), class_id, payload))
-            child = ImageRecord(
-                f"{record.image_id}:crop{k}",
-                out_w,
-                out_h,
-                *annotation_rows(anns),
-                provenance=Provenance(
-                    "crop", record.image_id, crop_box=crop, upscale_size=(out_w, out_h)
-                ),
-            )
-            seed = stable_int(scene.seed) ^ stable_int(repr(crop.as_tuple()))
-            width = scene.object_payloads.shape[1]
-            children.append(
-                SceneSample(record=child, scene=scene_spec(out_w, out_h, seed, objects, width))
-            )
+            child = ImageRecord(f"{record.image_id}:crop{k}", out_w, out_h, *annotation_rows(anns))
+            seed = int(parent.seeds[0]) ^ stable_int(repr(crop.as_tuple()))
+            width = parent.object_payloads.shape[1]
+            children.append(scene_of(child, seed, objects, width, crop=True))
     return children
 
 
@@ -986,16 +1011,10 @@ def output_size_ref(policy, crop) -> tuple[float, float]:
 def make_crop_children_per_child(parents: list, crops: list, policy) -> list:
     """Crop children as the package built them before the zoom returned a
     stack: every (crop, row) pair projected in one pass, then one
-    ``ImageRecord``, ``Provenance``, ``SceneSpec`` and ``SceneSample`` per
-    child, each child's seed ``stable_int(parent seed) ^
-    stable_int(repr(crop))`` from its crop ``Box``."""
-    from densecrop.dataset import (
-        MIN_CLIPPED_AREA_FRACTION,
-        ImageRecord,
-        Provenance,
-        SceneSample,
-        SceneSpec,
-    )
+    ``ImageRecord`` and one scene, here a one-scene stack, per child, each
+    child's seed ``stable_int(parent seed) ^ stable_int(repr(crop))`` from
+    its crop ``Box``. Parents are one-scene stacks."""
+    from densecrop.dataset import MIN_CLIPPED_AREA_FRACTION, ImageRecord
     from densecrop.geometry import (
         Box, box_areas, clip, group_pairs, intersection_matrix, project_rows,
     )
@@ -1007,7 +1026,7 @@ def make_crop_children_per_child(parents: list, crops: list, policy) -> list:
     crop_boxes = [Box(*row) for row in rows.tolist()]
     out_sizes = [output_size_ref(policy, crop) for crop in crop_boxes]
     out = np.array(out_sizes, dtype=np.float64).reshape(-1, 2)
-    records, scenes = [p.record for p in parents], [p.scene for p in parents]
+    records = [p.record for p in parents]
 
     counts = np.array([len(record.classes) for record in records], dtype=np.int64)
     pair_crop, pair_ann = group_pairs(counts, owner)
@@ -1022,9 +1041,9 @@ def make_crop_children_per_child(parents: list, crops: list, policy) -> list:
     child_boxes, child_classes = mapped[kept], ann_classes[pair_ann[kept]]
     ann_at = [0, *np.cumsum(np.bincount(pair_crop[kept], minlength=len(rows))).tolist()]
 
-    counts = np.array([len(scene.object_boxes) for scene in scenes], dtype=np.int64)
+    counts = np.array([len(p.object_boxes) for p in parents], dtype=np.int64)
     pair_crop, pair_obj = group_pairs(counts, owner)
-    objects = np.concatenate([scene.object_boxes for scene in scenes] or [np.zeros((0, 4))])
+    objects = np.concatenate([p.object_boxes for p in parents] or [np.zeros((0, 4))])
     crop_rows = rows[pair_crop]
     extent = crop_rows[:, 2:] - crop_rows[:, :2]
     clipped = clip(objects[pair_obj] - np.tile(crop_rows[:, :2], 2), 0.0, np.tile(extent, 2))
@@ -1036,24 +1055,21 @@ def make_crop_children_per_child(parents: list, crops: list, policy) -> list:
     first = np.searchsorted(owner, owner).tolist()
     per_crop = zip(owner.tolist(), crop_boxes, out_sizes, np.split(scaled, obj_at))
     for k, ((i, crop, size, boxes), seen) in enumerate(zip(per_crop, np.split(visible, obj_at))):
-        record, scene = records[i], scenes[i]
+        record, parent = records[i], parents[i]
         child = ImageRecord(
             image_id=f"{record.image_id}:crop{k - first[k]}",
             width=size[0],
             height=size[1],
             boxes=child_boxes[ann_at[k] : ann_at[k + 1]],
             classes=child_classes[ann_at[k] : ann_at[k + 1]],
-            provenance=Provenance("crop", record.image_id, crop_box=crop, upscale_size=size),
         )
-        child_scene = SceneSpec(
-            width=size[0],
-            height=size[1],
-            object_boxes=boxes[seen],
-            object_classes=scene.object_classes[seen],
-            object_payloads=scene.object_payloads[seen],
-            seed=stable_int(scene.seed) ^ stable_int(repr(crop.as_tuple())),
+        objects = zip(
+            map(tuple, boxes[seen].tolist()),
+            parent.object_classes[seen].tolist(),
+            parent.object_payloads[seen].tolist(),
         )
-        children.append(SceneSample(record=child, scene=child_scene))
+        seed = int(parent.seeds[0]) ^ stable_int(repr(crop.as_tuple()))
+        children.append(scene_of(child, seed, list(objects), parent.object_payloads.shape[1], crop=True))
     return children
 
 
@@ -1093,7 +1109,7 @@ def one_scene(detections) -> tuple:
 
 
 def stack_of(samples):
-    """A ``SceneStack`` of a list of ``SceneSample`` objects."""
+    """A ``SceneStack`` of a list of stacks, such as one-scene stacks."""
     from densecrop.dataset import SceneStack
 
     return SceneStack.of(list(samples))
@@ -1101,56 +1117,32 @@ def stack_of(samples):
 
 def record_stack(*records):
     """A ``SceneStack`` of records, each with a scene without objects."""
-    from densecrop.dataset import SceneSample
-
-    return stack_of(SceneSample(r, scene_spec(r.width, r.height, 0)) for r in records)
-
-
-def scene_stack(*scenes):
-    """A ``SceneStack`` of scenes, each with a record without annotations."""
-    from densecrop.dataset import ImageRecord, SceneSample
-
-    return stack_of(
-        SceneSample(ImageRecord(k, s.width, s.height), s) for k, s in enumerate(scenes)
-    )
+    return stack_of(scene_of(r) for r in records)
 
 
 def zoomed_samples(parents, crops: list, children) -> list:
     """The children that ``make_crop_children`` zoomed from the stack
-    ``parents`` and ``crops`` as samples: each record carries the child's
-    annotation rows and its crop provenance (the crop ``Box`` and the
-    upscaled size), each scene its objects and its seed word."""
-    from densecrop.dataset import ImageRecord, Provenance, SceneSample, SceneSpec
-    from densecrop.geometry import Box
+    ``parents`` and ``crops`` as one-scene stacks, each checked against the
+    parent and crop row it came from: named ``{parent id}:crop{k}``, seeded
+    ``parent seed ^ stable_int(repr(crop))`` and flagged a crop child."""
+    from densecrop.seeding import stable_int
 
     groups = [np.asarray(r, dtype=np.float64).reshape(-1, 4) for r in crops]
-    owner = np.repeat(np.arange(len(groups)), [len(r) for r in groups]).tolist()
+    owner = np.repeat(np.arange(len(groups)), [len(r) for r in groups])
     rows = np.concatenate(groups or [np.zeros((0, 4))]).tolist()
-    ann_at = [0, *np.cumsum(children.counts).tolist()]
-    obj_at = [0, *np.cumsum(children.object_counts).tolist()]
-    samples = []
-    for k, (image_id, (width, height)) in enumerate(zip(children.image_ids, children.sizes.tolist())):
-        ann, obj = slice(ann_at[k], ann_at[k + 1]), slice(obj_at[k], obj_at[k + 1])
-        parent = parents.image_ids[owner[k]]
-        provenance = Provenance("crop", parent, crop_box=Box(*rows[k]), upscale_size=(width, height))
-        record = ImageRecord(
-            image_id, width, height, children.boxes[ann], children.classes[ann], provenance
-        )
-        scene = SceneSpec(
-            width,
-            height,
-            children.object_boxes[obj],
-            children.object_classes[obj],
-            children.object_payloads[obj],
-            int(children.seeds[k]),
-        )
-        samples.append(SceneSample(record=record, scene=scene))
+    first = np.searchsorted(owner, owner).tolist()
+    samples = list(children)
+    assert len(samples) == len(rows)
+    for k, (child, i) in enumerate(zip(samples, owner.tolist())):
+        assert child.image_ids == (f"{parents.image_ids[i]}:crop{k - first[k]}",)
+        assert child.seeds.tolist() == [int(parents.seeds[i]) ^ stable_int(repr(tuple(rows[k])))]
+        assert child.crop.tolist() == [True]
     return samples
 
 
 def child_samples(parents: list, crops: list, policy) -> list:
-    """The ``SceneSample`` children of ``make_crop_children`` on the stack
-    of ``parents``, built by ``zoomed_samples``."""
+    """The one-scene children of ``make_crop_children`` on the stack of
+    ``parents``, checked by ``zoomed_samples``."""
     from densecrop.dataset import make_crop_children
 
     stack = stack_of(parents)
@@ -1209,11 +1201,12 @@ def _place_object_ref(rng, cx: float, cy: float, size_range: tuple, class_id: in
     return (cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0), class_id, payload
 
 
-def synthetic_dataset_ref(config) -> list:
+def synthetic_dataset_ref(config):
     """``generate_synthetic_dataset`` as one generator's calls per scene
     and several per object, which the stream decoder replaced; kept as it
-    was."""
-    from densecrop.dataset import ImageRecord, SceneSample
+    was but for its return value: one ``SceneStack`` of one-scene stacks,
+    in place of a record and a scene per image."""
+    from densecrop.dataset import ImageRecord
     from densecrop.seeding import rng_for, stable_int
 
     samples = []
@@ -1237,13 +1230,9 @@ def synthetic_dataset_ref(config) -> list:
             oy = float(rng.uniform(0.0, config.height))
             class_id = int(rng.integers(0, config.num_classes))
             objects.append(_place_object_ref(rng, ox, oy, config.large_size, class_id, config))
-        scene = scene_spec(
-            config.width,
-            config.height,
-            stable_int(config.seed) ^ stable_int(i * 2654435761),
-            objects,
-            config.num_classes,
-        )
-        record = ImageRecord(i + 1, config.width, config.height, scene.object_boxes, scene.object_classes)
-        samples.append(SceneSample(record=record, scene=scene))
-    return samples
+        boxes = np.array([box for box, _, _ in objects], dtype=np.float64).reshape(-1, 4)
+        classes = np.array([c for _, c, _ in objects], dtype=np.int64)
+        record = ImageRecord(i + 1, config.width, config.height, boxes, classes)
+        seed = stable_int(config.seed) ^ stable_int(i * 2654435761)
+        samples.append(scene_of(record, seed, objects, config.num_classes))
+    return stack_of(samples)

@@ -245,9 +245,8 @@ class TestTrainInferEvalErrors:
     def test_infer_builds_no_detection(self, workspace, tmp_path, monkeypatch):
         # Inference keeps its results as arrays and the command writes them
         # as they are. Crop children stay rows of their stack, so a zooming
-        # pass builds no Box, Annotation or Detection, and no record, scene,
-        # sample or provenance for its children, and nothing is built after
-        # it.
+        # pass builds no Box, Annotation or Detection, and no record for its
+        # children, and nothing is built after it.
         crops = tmp_path / "crops"
         assert run(
             ["crops", "label", "--annotations", str(workspace["annotations"]), "--out", str(crops)]
@@ -256,7 +255,6 @@ class TestTrainInferEvalErrors:
         run_inference, make_crop_children = infer.run_inference, infer.make_crop_children
         classes = (
             geometry.Detection, geometry.Box, dataset.Annotation, dataset.ImageRecord,
-            dataset.SceneSpec, dataset.SceneSample, dataset.Provenance,
         )
 
         def counting(init):
@@ -360,6 +358,12 @@ def sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+def timings_sha256(path) -> str:
+    """The digest of a timings.tsv without its seconds column."""
+    rows = [line.split("\t") for line in Path(path).read_text().splitlines()]
+    return hashlib.sha256("\n".join("\t".join(r[:1] + r[2:]) for r in rows).encode()).hexdigest()
+
+
 class TestPinnedChain:
     """The primary outputs of a CLI chain over ``workspace``, pinned by
     digest. The toy run at the default crop threshold selects no crop;
@@ -398,6 +402,13 @@ class TestPinnedChain:
         assert sha256(relabeled / "detections.tsv") == (
             "a9113cf511b02928d085c29f86cf0c4f193e8d4fe145c78e40649305f20e2baa"
         )
+        # timings.tsv but for its seconds column, which is wall time
+        assert timings_sha256(predicted / "timings.tsv") == (
+            "5bdd2a11845ce2c9c5b065b5a68de512d57bcb351ab834a7608bc5bd3f1f3d46"
+        )
+        assert timings_sha256(relabeled / "timings.tsv") == (
+            "38b67cb1b20b8665d99efebd516c13486d376c2326d9198cb05da3317cd4125e"
+        )
         dets = str(predicted / "detections.tsv")
         assert run(["eval", "--annotations", ann, "--detections", dets,
                     "--out", str(tmp_path / "eval")]) == 0
@@ -405,6 +416,12 @@ class TestPinnedChain:
                     "--out", str(tmp_path / "errors")]) == 0
         assert sha256(tmp_path / "eval" / "report.json") == (
             "e4e85def86598445bb4d591fca1bcca94ce90c90a048644b5914726951eda33f"
+        )
+        assert sha256(tmp_path / "eval" / "report.txt") == (
+            "591b611a4a66724b5cfdc30f6344ea5cf116faed1915860d2c922902fb251fac"
+        )
+        assert sha256(tmp_path / "eval" / "per_class.tsv") == (
+            "077b62e788c591c95be2ab988880588856a341aa952344e1760356f46b7f449c"
         )
         assert sha256(tmp_path / "errors" / "errors.json") == (
             "0e9a3cf127ba7fd176275ed41049203ac74f5cc8e9628f95f8238e75d66937eb"

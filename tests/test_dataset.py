@@ -10,7 +10,6 @@ import pytest
 from densecrop.dataset import (
     Annotation,
     ImageRecord,
-    SceneSample,
     SceneStack,
     SyntheticConfig,
     UpscalePolicy,
@@ -39,10 +38,11 @@ from reference_impls import (
     crop_children_ref,
     label_one,
     make_crop_children_per_child,
-    scene_spec,
+    scene_of,
     stack_of,
     stacked_rows,
     synthetic_dataset_ref,
+    with_record,
     zoomed_samples,
 )
 
@@ -190,26 +190,26 @@ class TestTileImage:
         tiles, _ = tile_image_report(self.make_record(1000, 1000), tile=1500, stride=1000)
         assert len(tiles) == 1
         assert tiles[0].width == 1000 and tiles[0].height == 1000
-        assert tiles[0].provenance.offset == (0.0, 0.0)
+        assert tiles[0].image_id == "1:tile0_0"
 
     def test_sliding_window_offsets(self):
         tiles, _ = tile_image_report(self.make_record(2500, 2500), tile=1500, stride=1000)
-        offsets = {t.provenance.offset for t in tiles}
-        assert offsets == {(0.0, 0.0), (0.0, 1000.0), (1000.0, 0.0), (1000.0, 1000.0)}
+        names = [t.image_id for t in tiles]
+        assert names == ["1:tile0_0", "1:tile0_1", "1:tile1_0", "1:tile1_1"]
         assert all(t.width == 1500 and t.height == 1500 for t in tiles)
 
     def test_annotation_shifted_once(self):
         ann = Annotation(box=Box(1200, 200, 1300, 300), class_id=0)
         tiles, _ = tile_image_report(self.make_record(2500, 1000, (ann,)), tile=1500, stride=1000)
         hits = [
-            (t.provenance.offset, a.box)
+            (t.image_id, a.box)
             for t in tiles
             for a in t.annotations
         ]
-        # fully inside both x-tiles is impossible here: x range 1200..1300
-        # sits inside tile at 0 (0..1500) and tile at 1000 (1000..2500)
-        assert ((0.0, 0.0), Box(1200, 200, 1300, 300)) in hits
-        assert ((1000.0, 0.0), Box(200, 200, 300, 300)) in hits
+        # x range 1200..1300 sits inside both the tile at x 0 (0..1500)
+        # and the tile at x 1000 (1000..2500), shifted by its offset
+        assert ("1:tile0_0", Box(1200, 200, 1300, 300)) in hits
+        assert ("1:tile0_1", Box(200, 200, 300, 300)) in hits
 
     def test_half_area_rule(self):
         # 20px-wide box straddling the boundary at x=100 of a 2-tile split
@@ -318,44 +318,29 @@ class TestSplitDataset:
             read_split(path, [1, 2, 3])
 
 
-def with_scene(record):
-    """``record`` paired with an empty scene of its size."""
-    return SceneSample(record=record, scene=scene_spec(record.width, record.height, 0))
-
-
-def assert_same_scene(got, want):
-    """Equal scenes, bit for bit: size, seed, and each object array's
-    dtype, shape and bytes."""
-    assert (got.width, got.height, got.seed) == (want.width, want.height, want.seed)
-    for name in ("object_boxes", "object_classes", "object_payloads"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
-
-
-def assert_same_record(got, want):
-    """Equal records, bit for bit: metadata, provenance (``repr`` shows a
-    -0.0 that ``==`` would miss) and each annotation array's dtype, shape
-    and bytes."""
-    assert (got.image_id, got.width, got.height) == (want.image_id, want.width, want.height)
-    assert got.provenance == want.provenance and repr(got.provenance) == repr(want.provenance)
-    for name in ("boxes", "classes"):
+def assert_same_stack(got, want):
+    """Equal scene stacks, bit for bit: image ids, and each array's dtype,
+    shape and bytes (``repr`` of a -0.0 differs where ``==`` would not)."""
+    assert got.image_ids == want.image_ids
+    assert [type(i) for i in got.image_ids] == [type(i) for i in want.image_ids]
+    for name in ("sizes", "seeds", "id_words", "crop", "boxes", "classes", "counts",
+                 "object_boxes", "object_classes", "object_payloads", "object_counts"):
         a, b = getattr(got, name), getattr(want, name)
         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
 
 
 def assert_same_samples(got, want):
-    """Equal samples, bit for bit."""
+    """Equal lists of one-scene stacks, bit for bit."""
     assert len(got) == len(want)
     for a, b in zip(got, want):
-        assert_same_record(a.record, b.record)
-        assert_same_scene(a.scene, b.scene)
+        assert_same_stack(a, b)
 
 
 class TestAugmentWithCrops:
     """The child records ``make_crop_children`` adds to the training pools."""
 
     def parent(self):
-        return with_scene(
+        return scene_of(
             ImageRecord(
                 5,
                 500.0,
@@ -377,9 +362,9 @@ class TestAugmentWithCrops:
         policy = UpscalePolicy("factor", factor=2.0)
         out = child_samples([self.parent()], [np.array([crop.as_tuple()])], policy)
         assert len(out) == 1
+        assert out[0].crop.tolist() == [True]
         child = out[0].record
-        assert child.provenance.kind == "crop"
-        assert child.provenance.parent_id == 5
+        assert child.image_id == "5:crop0"
         assert child.width == 400.0 and child.height == 200.0
         assert child.annotations == (
             Annotation(box=Box(40, 20, 80, 60), class_id=0),
@@ -403,18 +388,16 @@ class TestAugmentWithCrops:
             crop = Box(x, y, x + w, y + h)
             policy = UpscalePolicy("short_edge", target=256.0)
             crops = np.array([crop.as_tuple()])
-            child = child_samples([with_scene(parent)], [crops], policy)[0].record
+            child = child_samples([scene_of(parent)], [crops], policy)[0].record
             assert len(child.annotations) == 1
-            back = reproject_rows(
-                np.array([child.annotations[0].box.as_tuple()]), crops, [child.provenance.upscale_size]
-            )
+            back = reproject_rows(np.array([child.annotations[0].box.as_tuple()]), crops, [child.size])
             for a, b in zip(back[0].tolist(), ann_box.as_tuple()):
                 assert abs(a - b) < 1e-6
 
     def test_half_area_rule_and_clip(self):
         # exactly half inside stays (clipped to the child), just under half
         # goes; a -0.0 corner stays -0.0, as min(max(v, 0), w) leaves it
-        parent = with_scene(
+        parent = scene_of(
             ImageRecord(
                 2,
                 400.0,
@@ -474,9 +457,9 @@ class TestSyntheticScenes:
                 cluster_spread=20.0,
                 seed=seed,
             )
-            sample = generate_synthetic_dataset(cfg)[0]
+            (sample,) = generate_synthetic_dataset(cfg)
             assert len(sample.record.annotations) == 20
-            boxes = sample.scene.object_boxes
+            boxes = sample.object_boxes
             centers = (boxes[:, :2] + boxes[:, 2:]) / 2.0
             dists = np.hypot(*(centers[:, None, :] - centers[None, :, :]).transpose(2, 0, 1))
             np.fill_diagonal(dists, np.inf)
@@ -490,7 +473,7 @@ class TestSyntheticScenes:
     def test_boxes_inside_scene(self):
         cfg = SyntheticConfig(num_images=5, seed=3)
         for sample in generate_synthetic_dataset(cfg):
-            for x1, y1, x2, y2 in sample.scene.object_boxes.tolist():
+            for x1, y1, x2, y2 in sample.object_boxes.tolist():
                 assert 0 <= x1 < x2 <= cfg.width
                 assert 0 <= y1 < y2 <= cfg.height
 
@@ -502,7 +485,7 @@ class TestSyntheticScenes:
         write_scenes(a, pa)
         write_scenes(b, pb)
         assert pa.read_bytes() == pb.read_bytes()
-        assert_same_samples(a, b)
+        assert_same_stack(a, b)
 
     def test_invalid_config(self):
         with pytest.raises(ConfigError):
@@ -536,7 +519,7 @@ class TestSyntheticScenes:
     def test_objects_as_long_as_the_shorter_side_fit(self):
         cfg = SyntheticConfig(num_images=20, width=200.0, height=60.0, large_size=(50.0, 60.0), seed=3)
         for sample in generate_synthetic_dataset(cfg):
-            boxes = sample.scene.object_boxes
+            boxes = sample.object_boxes
             assert (boxes[:, :2] >= 0).all()
             assert (boxes[:, 2] <= cfg.width).all() and (boxes[:, 3] <= cfg.height).all()
 
@@ -567,9 +550,49 @@ class TestSyntheticScenes:
         )
         loaded = load_annotations(ann_path)
         rejoined = read_scenes(scene_path, list(loaded.records))
-        for got, want in zip(rejoined, samples, strict=True):
-            assert_same_scene(got.scene, want.scene)
-        assert rejoined[0].scene.object_classes.dtype == np.int64
+        assert rejoined.image_ids == samples.image_ids
+        for name in ("sizes", "seeds", "object_boxes", "object_classes", "object_payloads", "object_counts"):
+            a, b = getattr(rejoined, name), getattr(samples, name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+
+    def test_written_stack_reads_back_bit_for_bit(self, tmp_path):
+        # every row of the stack, string ids and scenes without objects or
+        # annotations included, once the file names the records' scenes
+        samples = list(generate_synthetic_dataset(
+            SyntheticConfig(num_images=5, num_classes=3, seed=2**32 + 9)
+        ))
+        samples[1] = with_record(samples[1], image_id="007")
+        samples[2] = scene_of(samples[2].record, 77, payload_width=3)
+        samples[3] = with_record(samples[3], boxes=np.zeros((0, 4)), classes=np.zeros(0, np.int64))
+        stack = stack_of(samples)
+        path = tmp_path / "scenes.json"
+        write_scenes(stack, path)
+        assert_same_stack(read_scenes(path, [s.record for s in stack]), stack)
+
+    def test_file_seeds_and_payload_widths_read_as_the_stack_holds_them(self, tmp_path):
+        # a file seed becomes its stable_int word, so one past 2**32 keeps
+        # its low 32 bits; payloads keep the columns every scene with
+        # objects has; the stack read writes and reads back bit for bit
+        box = [1.0, 2.0, 5.0, 7.5]
+        scenes = {
+            "1": {"width": 50.0, "height": 40.0, "seed": 2**40 + 5,
+                  "objects": [{"box": box, "class_id": 1, "payload": [0.5, 1.0, 2.0, 3.0]}]},
+            "2": {"width": 50.0, "height": 40.0, "seed": 3,
+                  "objects": [{"box": box, "class_id": 0, "payload": [4.0, 5.0, 6.0]}] * 2},
+            "3": {"width": 50.0, "height": 40.0, "seed": 2**33, "objects": []},
+        }
+        path = tmp_path / "scenes.json"
+        path.write_text(json.dumps({"scenes": scenes}))
+        records = [ImageRecord(i, 50.0, 40.0) for i in (1, 2, 3)]
+        stack = read_scenes(path, records)
+        assert stack.seeds.tolist() == [stable_int(2**40 + 5), 3, 0] == [5, 3, 0]
+        assert stack.object_payloads.tolist() == [[0.5, 1.0, 2.0], [4.0, 5.0, 6.0], [4.0, 5.0, 6.0]]
+        assert stack.object_counts.tolist() == [1, 2, 0] and not stack.crop.any()
+        again = tmp_path / "again.json"
+        write_scenes(stack, again)
+        assert_same_stack(read_scenes(again, records), stack)
+        assert json.loads(again.read_text())["scenes"]["1"]["seed"] == 5
+        assert len(read_scenes(path, [])) == 0
 
     def test_scene_file_with_clusters_key_loads(self, tmp_path):
         # earlier versions also wrote each scene's cluster centres
@@ -582,7 +605,7 @@ class TestSyntheticScenes:
             scene["clusters"] = [{"center": [100.0, 120.0], "spread": 28.0, "count": 6}]
         path.write_text(json.dumps(payload))
         rejoined = read_scenes(path, [s.record for s in samples])
-        assert_same_samples(rejoined, samples)
+        assert_same_stack(rejoined, samples)
 
     @pytest.mark.parametrize("name", ["width", "height"])
     def test_scene_of_another_size_than_its_record_rejected(self, tmp_path, name):
@@ -601,55 +624,64 @@ class TestSyntheticScenes:
         cfg = SyntheticConfig(num_images=2, seed=5)
         samples = generate_synthetic_dataset(cfg)
         path = tmp_path / "scenes.json"
-        write_scenes(samples[:1], path)
+        write_scenes(samples.take([0]), path)
         with pytest.raises(DataError, match="no scene"):
             read_scenes(path, [s.record for s in samples])
 
 
 class TestCropScene:
     def test_scene_arrays_are_computed_once_and_read_only(self):
-        sample = generate_synthetic_dataset(SyntheticConfig(num_images=1, seed=3))[0]
+        # A one-scene stack slices the dataset's rows, and a generated
+        # scene's ground truth is its objects, so those rows are read-only;
+        # a record is built once, on first read, over read-only views.
+        dataset = generate_synthetic_dataset(SyntheticConfig(num_images=3, seed=3))
+        sample = list(dataset)[1]
         crop = np.array([[100.0, 100.0, 356.0, 356.0]])
-        child = child_samples([sample], [crop], UpscalePolicy("factor", factor=2.0))[0]
-        for scene in (sample.scene, child.scene):
-            assert scene.object_boxes is scene.object_boxes
+        (child,) = child_samples([sample], [crop], UpscalePolicy("factor", factor=2.0))
+        assert dataset.boxes is dataset.object_boxes and dataset.classes is dataset.object_classes
+        for name in ("boxes", "classes", "object_boxes", "object_classes", "object_payloads"):
+            assert np.shares_memory(getattr(sample, name), getattr(dataset, name)), name
+        for scene in (sample, child):
+            assert "record" not in vars(scene) and scene.record is scene.record
             n = len(scene.object_boxes)
             assert n and scene.object_boxes.shape == (n, 4)
             assert scene.object_classes.shape == (n,) and scene.object_payloads.shape == (n, 4)
-            for values in (scene.object_boxes, scene.object_classes, scene.object_payloads):
+            for values in (scene.record.boxes, scene.record.classes):
                 with pytest.raises(ValueError):
                     values[0] = 1.0
-        empty = scene_spec(10.0, 10.0, 0)
+        for values in (sample.object_boxes, sample.object_classes, sample.object_payloads):
+            with pytest.raises(ValueError):
+                values[0] = 1.0
+        empty = scene_of(ImageRecord(1, 10.0, 10.0))
         assert empty.object_boxes.shape == (0, 4) and len(empty.object_payloads) == 0
 
     def test_make_crop_children_pairs_record_and_scene(self):
         cfg = SyntheticConfig(num_images=1, seed=4)
-        sample = generate_synthetic_dataset(cfg)[0]
+        (sample,) = generate_synthetic_dataset(cfg)
         crop = Box(50, 50, 306, 306)
         children = child_samples(
             [sample], [np.array([crop.as_tuple()])], UpscalePolicy("factor", factor=2.0)
         )
         assert len(children) == 1
         child = children[0]
-        assert child.record.provenance.kind == "crop"
-        assert child.record.width == child.scene.width
+        assert child.crop.tolist() == [True]
+        assert child.record.size == (512.0, 512.0) == tuple(child.sizes[0])
         assert child.record.image_id == "1:crop0"
 
     def ragged_parents(self, rng):
         """Random parents and crop groups, with a parent without
         annotations, one without objects, one with zero crops, and one
         repeated in one-row groups as inference passes it."""
-        samples = generate_synthetic_dataset(
+        samples = list(generate_synthetic_dataset(
             SyntheticConfig(num_images=6, num_classes=3, seed=int(rng.integers(1 << 30)))
-        )
-        bare = replace(samples[1].record, boxes=np.zeros((0, 4)), classes=np.zeros(0, np.int64))
-        no_anns = replace(samples[1], record=bare)
-        no_objects = replace(samples[2], scene=scene_spec(512.0, 512.0, 9, payload_width=3))
+        ))
+        no_anns = with_record(samples[1], boxes=np.zeros((0, 4)), classes=np.zeros(0, np.int64))
+        no_objects = scene_of(samples[2].record, 9, payload_width=3)
         parents = [samples[0], no_anns, no_objects, samples[3]]
         crops = []
         for sample in parents:
             found = label_one(
-                sample.scene.object_boxes if len(sample.scene.object_boxes)
+                sample.object_boxes if len(sample.object_boxes)
                 else sample.record.boxes,
                 sample.record.size,
                 CropParams(merge_steps=2),
@@ -669,7 +701,7 @@ class TestCropScene:
 
     def test_ragged_stack_equals_per_box_reference(self):
         # One call over a ragged stack against the scalar reference: child
-        # records, annotation order, provenance, scene arrays and seeds.
+        # ids, sizes, annotation order, object arrays, seeds and crop flags.
         rng = np.random.default_rng(16)
         for trial in range(12):
             parents, crops = self.ragged_parents(rng)
@@ -681,28 +713,27 @@ class TestCropScene:
             assert_same_samples(got, crop_children_ref(parents, crops, policy))
             assert len(got) == sum(len(c) for c in crops)
             assert sum(len(c.record.annotations) for c in got) > 0
-            assert sum(len(c.scene.object_boxes) for c in got) > 0
+            assert sum(len(c.object_boxes) for c in got) > 0
             for child in got:
                 w, h = child.record.size
-                assert (child.scene.width, child.scene.height) == (w, h)
-                for x1, y1, x2, y2 in child.scene.object_boxes.tolist():
+                for x1, y1, x2, y2 in child.object_boxes.tolist():
                     assert 0 <= x1 < x2 <= w and 0 <= y1 < y2 <= h
-            repeated = [c.record.image_id for c in got if c.record.provenance.parent_id == 1]
+            repeated = [c.record.image_id for c in got if c.record.image_id.startswith("1:")]
             assert repeated.count("1:crop0") >= 3
 
     def test_degenerate_crop_row_rejected(self):
-        sample = generate_synthetic_dataset(SyntheticConfig(num_images=1, seed=4))[0]
+        sample = generate_synthetic_dataset(SyntheticConfig(num_images=1, seed=4))
         crops = np.array([[10.0, 10.0, 50.0, 50.0], [60.0, 60.0, 60.0, 90.0]])
         with pytest.raises(InvariantViolation):
-            make_crop_children(stack_of([sample]), crops, [2], UpscalePolicy())
+            make_crop_children(sample, crops, [2], UpscalePolicy())
 
     def test_counts_must_give_each_parent_its_rows(self):
         samples = generate_synthetic_dataset(SyntheticConfig(num_images=2, seed=4))
         crops = np.array([[10.0, 10.0, 50.0, 50.0], [60.0, 60.0, 90.0, 90.0]])
-        make_crop_children(stack_of(samples), crops, [1, 1], UpscalePolicy())
+        make_crop_children(samples, crops, [1, 1], UpscalePolicy())
         for counts in ([2], [1, 1, 0], [1, 0], [2, 1], [3, -1]):
             with pytest.raises(InvariantViolation, match="do not split"):
-                make_crop_children(stack_of(samples), crops, counts, UpscalePolicy())
+                make_crop_children(samples, crops, counts, UpscalePolicy())
 
 
 class TestZoom:
@@ -714,16 +745,13 @@ class TestZoom:
         """Ragged parents with int and string ids (``"007"`` among them), a
         parent without annotations, one without objects, an empty group,
         and one parent heading several multi-row groups."""
-        samples = generate_synthetic_dataset(
+        samples = list(generate_synthetic_dataset(
             SyntheticConfig(num_images=5, num_classes=3, seed=int(rng.integers(1 << 30)))
-        )
-        named = [
-            replace(s, record=replace(s.record, image_id=image_id))
-            for s, image_id in zip(samples[3:], ("007", "a:crop0"))
-        ]
-        bare = replace(samples[1].record, boxes=np.zeros((0, 4)), classes=np.zeros(0, np.int64))
-        no_objects = replace(samples[2], scene=scene_spec(512.0, 512.0, 9, payload_width=3))
-        parents = [samples[0], replace(samples[1], record=bare), no_objects, *named]
+        ))
+        named = [with_record(s, image_id=image_id) for s, image_id in zip(samples[3:], ("007", "a:crop0"))]
+        bare = with_record(samples[1], boxes=np.zeros((0, 4)), classes=np.zeros(0, np.int64))
+        no_objects = scene_of(samples[2].record, 9, payload_width=3)
+        parents = [samples[0], bare, no_objects, *named]
         crops = []
         for sample in parents:
             x1, y1 = rng.uniform(0.0, 400.0, (2, 3))
@@ -751,36 +779,36 @@ class TestZoom:
             assert got.image_ids == tuple(w.record.image_id for w in want)
             assert "007:crop0" in got.image_ids and "a:crop0:crop2" in got.image_ids
             assert got.sizes.tolist() == [list(w.record.size) for w in want]
-            assert got.seeds.tolist() == [w.scene.seed for w in want]
+            assert got.seeds.tolist() == [int(w.seeds[0]) for w in want]
             assert got.id_words.tolist() == [stable_int(w.record.image_id) for w in want]
             assert got.crop.all()
             columns = {
                 "boxes": [w.record.boxes for w in want],
                 "classes": [w.record.classes for w in want],
-                "object_boxes": [w.scene.object_boxes for w in want],
-                "object_classes": [w.scene.object_classes for w in want],
-                "object_payloads": [w.scene.object_payloads for w in want],
+                "object_boxes": [w.object_boxes for w in want],
+                "object_classes": [w.object_classes for w in want],
+                "object_payloads": [w.object_payloads for w in want],
             }
             for name, blocks in columns.items():
                 a, b = getattr(got, name), np.concatenate(blocks)
                 assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
             assert got.counts.tolist() == [len(w.record.classes) for w in want]
-            assert got.object_counts.tolist() == [len(w.scene.object_boxes) for w in want]
-            # Provenance (the crop Box and the upscaled size) and the
-            # records and scenes built where a caller returns them.
+            assert got.object_counts.tolist() == [len(w.object_boxes) for w in want]
+            # Each child's parent and crop row, and the one-scene stacks
+            # that iterating the children yields.
             assert_same_samples(zoomed_samples(stack, crops, got), want)
             for parent, rows in zip(parents, crops):
-                overlap = intersection_matrix(parent.scene.object_boxes, rows) if len(rows) else []
+                overlap = intersection_matrix(parent.object_boxes, rows) if len(rows) else []
                 outside += int(np.count_nonzero(np.asarray(overlap) == 0.0))
         assert outside > 0
 
     def test_stack_of_samples_and_takes(self):
-        samples = generate_synthetic_dataset(SyntheticConfig(num_images=4, num_classes=3, seed=8))
-        samples[1] = replace(samples[1], record=replace(samples[1].record, image_id="007"))
+        samples = list(generate_synthetic_dataset(SyntheticConfig(num_images=4, num_classes=3, seed=8)))
+        samples[1] = with_record(samples[1], image_id="007")
         stack = stack_of(samples)
         assert stack.image_ids == (1, "007", 3, 4)
         assert stack.id_words.tolist() == [stable_int(s.record.image_id) for s in samples]
-        assert stack.seeds.tolist() == [stable_int(s.scene.seed) for s in samples]
+        assert stack.seeds.tolist() == [int(s.seeds[0]) for s in samples]
         assert not stack.crop.any()
         taken = stack.take([2, 0, 2])
         assert taken.image_ids == (3, 1, 3)
@@ -793,11 +821,28 @@ class TestZoom:
                 assert rows.tobytes() == getattr(alone, name).tobytes(), name
         assert len(stack.take([])) == 0 and stack.take([]).object_payloads.shape == (0, 3)
 
-    def test_stack_rejects_a_scene_of_another_size(self):
-        sample = generate_synthetic_dataset(SyntheticConfig(num_images=1, seed=8))[0]
-        wide = replace(sample, record=replace(sample.record, width=600.0))
-        with pytest.raises(InvariantViolation, match="scene is 512.0x512.0"):
-            SceneStack.of([wide])
+    def test_iterating_slices_one_scene_stacks_that_of_joins_back(self):
+        # a one-scene stack is each array's rows of that scene, and of
+        # concatenates stacks; a crop child keeps its flag
+        stack = generate_synthetic_dataset(SyntheticConfig(num_images=5, num_classes=3, seed=8))
+        children = make_crop_children(stack, np.array([[10.0, 10.0, 90.0, 80.0]]), [0, 1, 0, 0, 0],
+                                      UpscalePolicy("factor", factor=2.0))
+        mixed = SceneStack.of([stack, children])
+        ones = list(mixed)
+        assert [len(one) for one in ones] == [1] * 6 and ones[5].crop.tolist() == [True]
+        for k, one in enumerate(ones):
+            assert_same_stack(one, mixed.take([k]))
+        assert_same_stack(SceneStack.of(ones), mixed)
+        assert_same_stack(SceneStack.of([mixed.take([]), stack]), stack)
+        assert len(SceneStack.of([])) == 0 and list(SceneStack.of([])) == []
+        with pytest.raises(InvariantViolation, match="stack of 5 scenes"):
+            stack.record
+        assert ones[5].record.image_id == "2:crop0" and ones[5].record.size == (160.0, 140.0)
+
+    def test_zero_images_is_an_empty_stack(self):
+        stack = generate_synthetic_dataset(SyntheticConfig(num_images=0))
+        assert isinstance(stack, SceneStack) and len(stack) == 0 and stack.image_ids == ()
+        assert stack.object_boxes.shape == (0, 4) and stack.counts.shape == (0,)
 
 
 def decoder_corpus() -> list:
@@ -861,7 +906,7 @@ class TestSceneDecoder:
             # every third config reads its streams through small buffers,
             # down to one output, which it must keep extending
             monkeypatch.setattr(seeding, "RAW_BLOCK", [4096, 1, 16][i % 3])
-            assert_same_samples(generate_synthetic_dataset(cfg), synthetic_dataset_ref(cfg))
+            assert_same_stack(generate_synthetic_dataset(cfg), synthetic_dataset_ref(cfg))
         assert any(kinds) and not all(kinds), "no tail or no wedge normal"
         assert any(extended)
 

@@ -10,7 +10,7 @@ from densecrop.croplab import CropParams
 from densecrop.dataset import (
     Annotation,
     ImageRecord,
-    SceneSample,
+    SceneStack,
     SyntheticConfig,
     generate_synthetic_dataset,
 )
@@ -60,18 +60,18 @@ from reference_impls import (
     child_samples,
     record_stack,
     safe_box_ref,
-    scene_spec,
-    scene_stack,
+    scene_of,
     split_detections,
     stack_of,
     stacked_rows,
+    with_record,
     zoomed_samples,
 )
 
 
-def scene_sample(seed=0, **overrides) -> SceneSample:
-    cfg = SyntheticConfig(num_images=1, seed=seed, **overrides)
-    return generate_synthetic_dataset(cfg)[0]
+def scene_sample(seed=0, **overrides) -> SceneStack:
+    """One generated scene, as a one-scene stack."""
+    return generate_synthetic_dataset(SyntheticConfig(num_images=1, seed=seed, **overrides))
 
 
 def record_with(annotations, width=500.0, height=500.0, image_id=1):
@@ -176,38 +176,35 @@ _TINY = 1e-170
 
 
 def features_of(scene, boxes, num_base_classes=4, payload_obs_scale=4.0):
-    """extract_features of one scene: a stack of one."""
-    return extract_features(
-        scene_stack(scene), boxes, num_base_classes, payload_obs_scale, [len(boxes)]
-    )
+    """extract_features of a one-scene stack."""
+    return extract_features(scene, boxes, num_base_classes, payload_obs_scale, [len(boxes)])
 
 
 class TestExtractFeatures:
     def test_deterministic(self):
         sample = scene_sample(seed=1)
         boxes = np.array([[50.0, 50.0, 150.0, 150.0]])
-        a = features_of(sample.scene, boxes)
-        b = features_of(sample.scene, boxes)
+        a = features_of(sample, boxes)
+        b = features_of(sample, boxes)
         np.testing.assert_array_equal(a, b)
 
     def test_payload_block_peaks_at_covered_class(self):
-        sample = scene_sample(seed=2)
-        scene = sample.scene
+        scene = scene_sample(seed=2)
         phi = features_of(scene, scene.object_boxes[:1], payload_obs_scale=0.0)
         payload = phi[0, 8:]
         assert int(np.argmax(payload)) == scene.object_classes[0]
 
     def test_thin_proposal_finite(self):
         sample = scene_sample(seed=3)
-        phi = features_of(sample.scene, np.array([[10.0, 10.0, 10.01, 400.0]]))
+        phi = features_of(sample, np.array([[10.0, 10.0, 10.01, 400.0]]))
         assert np.all(np.isfinite(phi))
 
     def test_feature_dim(self):
         assert feature_dim(4) == 12
         sample = scene_sample(seed=4)
         boxes = np.array([[0.0, 0.0, 50.0, 50.0], [10.0, 10.0, 20.0, 30.0]])
-        assert features_of(sample.scene, boxes).shape == (2, 12)
-        assert features_of(sample.scene, np.zeros((0, 4))).shape == (0, 12)
+        assert features_of(sample, boxes).shape == (2, 12)
+        assert features_of(sample, np.zeros((0, 4))).shape == (0, 12)
 
     @pytest.mark.parametrize(
         "counts", [[40, 38], [40, 40, 0], [80], [82, -2], [], [41, 40]], ids=str
@@ -279,8 +276,8 @@ class TestStreamedFeatures:
         if n >= 5:
             boxes += self.degenerate_objects(rng, width, height)
         objects = [(box, int(rng.integers(0, 4)), tuple(rng.normal(0.0, 0.6, 4).tolist())) for box in boxes]
-        scene = scene_spec(width, height, int(rng.integers(0, 2**31)), objects, payload_width=4)
-        return SceneSample(ImageRecord(image_id, width, height), scene)
+        seed = int(rng.integers(0, 2**31))
+        return scene_of(ImageRecord(image_id, width, height), seed, objects, payload_width=4)
 
     def degenerate_objects(self, rng, width, height):
         """Objects one ULP wide or high, whose centre rounds onto an edge,
@@ -306,7 +303,7 @@ class TestStreamedFeatures:
         x2, y2 = x1 + rng.uniform(0.5, w / 2.0, n), y1 + rng.uniform(0.5, h / 2.0, n)
         boxes = [np.column_stack([x1, y1, np.minimum(x2, w), np.minimum(y2, h)])]
         boxes.append(np.array([[0.0, 0.0, w, h]]))
-        objects = sample.scene.object_boxes
+        objects = sample.object_boxes
         boxes.append(objects[:5])
         boxes.append(np.column_stack([objects[:3, 2], objects[:3, 1], objects[:3, 2] + 5.0, objects[:3, 3]]))
         if len(objects):
@@ -347,13 +344,13 @@ class TestStreamedFeatures:
             for scale in (4.0, 0.0):
                 got = extract_features(stack_of(samples), boxes, 4, scale, counts)
                 want = [
-                    extract_features_ref(s.scene, r, 4, scale)
+                    extract_features_ref(s, r, 4, scale)
                     for s, b in zip(samples, per_scene)
                     for r in rows(b)
                 ]
                 assert got.tobytes() == np.stack(want).tobytes(), trial
             for s, b in zip(samples, per_scene):
-                objects = s.scene.object_boxes
+                objects = s.object_boxes
                 if len(objects):
                     covers = intersection_matrix(b, objects) > 0.0
                     most_covered.append(int(covers.sum(axis=1).max()))
@@ -378,9 +375,9 @@ class TestStreamedFeatures:
             objects_per_cluster=(14, 18), scattered_per_image=(10, 20), seed=7,
         )
         samples = generate_synthetic_dataset(cfg)
-        assert min(len(s.scene.object_boxes) for s in samples) >= 150
+        stack = generate_synthetic_dataset(cfg)
+        assert stack.object_counts.min() >= 150
         backend = ToyDetector(ToyDetectorConfig(num_base_classes=4))
-        stack = stack_of(samples)
         boxes, counts = backend.proposals(stack)
         peaks = []
         for run in (lambda: backend.views(stack), lambda: backend.features(stack, boxes, counts)):
@@ -400,8 +397,8 @@ class TestStreamedFeatures:
         chunk that the default object budget closes."""
         import benchmarks as pinned
         samples = generate_synthetic_dataset(pinned.scene_config(1000, 400))
-        start, stop = chunk or chunk_bounds([len(s.scene.object_boxes) for s in samples])[0]
-        stack = stack_of(samples[start:stop])
+        start, stop = chunk or chunk_bounds(samples.object_counts.tolist())[0]
+        stack = samples.take(np.arange(start, stop))
         backend = pinned.make_backend(1)
         boxes, counts = backend.proposals(stack)
         backend.features(stack, boxes, counts)
@@ -836,9 +833,9 @@ class TestToyDetector:
             [sample], [np.array([[50.0, 50.0, 306.0, 306.0]])], UpscalePolicy("factor", factor=2.0)
         )[0]
         n_parent_extra = (
-            len(backend.proposals(stack_of([sample]))[0]) - len(sample.scene.object_boxes)
+            len(backend.proposals(stack_of([sample]))[0]) - len(sample.object_boxes)
         )
-        n_child_extra = len(backend.proposals(stack_of([child]))[0]) - len(child.scene.object_boxes)
+        n_child_extra = len(backend.proposals(stack_of([child]))[0]) - len(child.object_boxes)
         # child gets only background proposals, no cluster candidates
         assert n_child_extra == backend.config.background_proposals
         assert n_parent_extra > backend.config.background_proposals
@@ -846,7 +843,7 @@ class TestToyDetector:
     def test_unsupervised_batch_excludes_unmatched(self):
         sample = scene_sample(seed=10)
         backend = self.backend()
-        pseudo_boxes = sample.scene.object_boxes[:1]
+        pseudo_boxes = sample.object_boxes[:1]
         batch = backend.unsupervised_batch(
             ViewStack.of([backend.views(stack_of([sample]))]),
             pseudo_boxes,
@@ -872,15 +869,15 @@ class TestArrayKernelsMatchLoops:
         from densecrop.dataset import UpscalePolicy
 
         dense = scene_sample(seed=21, clusters_per_image=(2, 3), objects_per_cluster=(10, 14))
-        crops = label_one(dense.scene.object_boxes, dense.record.size, CropParams(merge_steps=2))
+        crops = label_one(dense.object_boxes, dense.record.size, CropParams(merge_steps=2))
         child = child_samples([dense], [crops[:1]], UpscalePolicy("factor", factor=3.0))[0]
-        assert child.record.provenance.kind == "crop" and len(child.scene.object_boxes) >= 9
+        assert child.crop.tolist() == [True] and len(child.object_boxes) >= 9
         return [dense, scene_sample(seed=22), child]
 
     def extra_boxes(self, sample):
         """The whole image, an edge-touching box and a thin box."""
         w, h = sample.record.size
-        x1, y1, x2, y2 = sample.scene.object_boxes[0].tolist()
+        x1, y1, x2, y2 = sample.object_boxes[0].tolist()
         return np.array(
             [
                 [0.0, 0.0, w, h],
@@ -894,11 +891,11 @@ class TestArrayKernelsMatchLoops:
         for sample in self.samples():
             proposals = backend.proposals(stack_of([sample]))[0]
             boxes = np.concatenate([proposals, self.extra_boxes(sample)])
-            covers = (intersection_matrix(boxes, sample.scene.object_boxes) > 0.0).sum(axis=1)
+            covers = (intersection_matrix(boxes, sample.object_boxes) > 0.0).sum(axis=1)
             assert covers.max() >= 9
             for scale in (4.0, 0.0):
-                got = features_of(sample.scene, boxes, payload_obs_scale=scale)
-                want = [extract_features_ref(sample.scene, r, 4, scale) for r in rows(boxes)]
+                got = features_of(sample, boxes, payload_obs_scale=scale)
+                want = [extract_features_ref(sample, r, 4, scale) for r in rows(boxes)]
                 assert np.array_equal(got, np.stack(want))
 
     def test_features_of_touching_and_empty_scenes_match_loop(self):
@@ -915,7 +912,7 @@ class TestArrayKernelsMatchLoops:
             ]
         )
         for objs in (objects, ()):
-            scene = scene_spec(100.0, 80.0, 3, objs, payload_width=3)
+            scene = scene_of(ImageRecord(0, 100.0, 80.0), 3, objs, payload_width=3)
             want = np.stack([extract_features_ref(scene, r, 3) for r in rows(boxes)])
             got = features_of(scene, boxes, num_base_classes=3)
             assert np.array_equal(got, want)
@@ -1032,15 +1029,12 @@ class TestArrayKernelsMatchLoops:
         from densecrop.dataset import UpscalePolicy
 
         dense, other, child = self.samples()
-        crops = label_one(dense.scene.object_boxes, dense.record.size, CropParams(merge_steps=2))
+        crops = label_one(dense.object_boxes, dense.record.size, CropParams(merge_steps=2))
         children = child_samples([dense], [crops[1:3]], UpscalePolicy("factor", factor=2.0))
         small = scene_sample(seed=23, width=320.0, height=200.0, clusters_per_image=(0, 1))
-        empty = SceneSample(
-            record=record_with([], width=240.0, height=180.0, image_id="empty"),
-            scene=scene_spec(240.0, 180.0, 4),
-        )
+        empty = scene_of(record_with([], width=240.0, height=180.0, image_id="empty"), 4, payload_width=4)
         # another id, so the same image draws other proposals in the batch
-        renamed = replace(other, record=replace(other.record, image_id="other"))
+        renamed = with_record(other, image_id="other")
         return [dense, child, empty, small, *children, other, renamed]
 
     def test_views_of_a_mixed_batch_equal_views_of_one(self):
@@ -1087,7 +1081,7 @@ class TestArrayKernelsMatchLoops:
                     [s.record.height for s in samples], stack.counts
                 ).tolist()
             dense, empty = views[0], views[2]
-            covers = (intersection_matrix(dense.proposals, samples[0].scene.object_boxes) > 0.0)
+            covers = (intersection_matrix(dense.proposals, samples[0].object_boxes) > 0.0)
             assert covers.sum(axis=1).max() >= 8  # np.mean path of the covered means
             assert len(empty.proposals) == background
         assert backend.views(stack_of([])).image_ids == ()
@@ -1138,9 +1132,9 @@ class TestArrayKernelsMatchLoops:
         monkeypatch.setattr(detect_module, "label_density_crops", counted)
         samples = self.mixed_batch()
         self.backend().views(stack_of(samples))
-        parents = [s for s in samples if s.record.provenance.kind != "crop"]
+        parents = [s for s in samples if not s.crop[0]]
         assert len(parents) < len(samples)
-        assert calls == [[len(s.scene.object_boxes) for s in parents]]
+        assert calls == [[len(s.object_boxes) for s in parents]]
         self.backend().views(stack_of([]))
         assert calls[1:] == [[]]
 
@@ -1151,7 +1145,7 @@ class TestArrayKernelsMatchLoops:
         samples = self.mixed_batch()
         per_scene = [
             np.concatenate([backend.proposals(stack_of([s]))[0], self.extra_boxes(s)])
-            if len(s.scene.object_boxes) else np.array([[0.0, 0.0, *s.record.size]])
+            if len(s.object_boxes) else np.array([[0.0, 0.0, *s.record.size]])
             for s in samples
         ]
         for scale in (4.0, 0.0):
@@ -1160,7 +1154,7 @@ class TestArrayKernelsMatchLoops:
                 [len(b) for b in per_scene],
             )
             want = np.concatenate(
-                [features_of(s.scene, b, payload_obs_scale=scale) for s, b in zip(samples, per_scene)]
+                [features_of(s, b, payload_obs_scale=scale) for s, b in zip(samples, per_scene)]
             )
             assert got.tobytes() == want.tobytes()
 
@@ -1174,7 +1168,7 @@ class TestArrayKernelsMatchLoops:
         dense, other, _ = self.samples()
         parents = stack_of([dense, other, dense])
         crops = [
-            label_one(dense.scene.object_boxes, dense.record.size, CropParams(merge_steps=2))[:3],
+            label_one(dense.object_boxes, dense.record.size, CropParams(merge_steps=2))[:3],
             np.array([[0.0, 0.0, 200.0, 150.0]]),
             np.array([[100.0, 100.0, 300.0, 260.0]]),
         ]

@@ -234,6 +234,36 @@ def test_scenes_are_decoded_from_raw_streams(monkeypatch):
     monkeypatch.setattr(seeding, "rngs_for", refuse)
     got = dataset.generate_synthetic_dataset(config)
     assert helper_normals and all(args == () for args in helper_normals)
-    for a, b in zip(got, want, strict=True):
-        assert a.scene.object_payloads.tobytes() == b.scene.object_payloads.tobytes()
-        assert a.scene.object_boxes.tobytes() == b.scene.object_boxes.tobytes()
+    assert got.object_counts.tolist() == want.object_counts.tolist()
+    assert got.object_payloads.tobytes() == want.object_payloads.tobytes()
+    assert got.object_boxes.tobytes() == want.object_boxes.tobytes()
+
+
+def test_scenes_are_one_stack_from_generation_to_inference(monkeypatch):
+    # one per-image type: no scene spec, sample or provenance beside the
+    # stack, and a generate, train and infer chain joins stacks only
+    for name in ("SceneSpec", "SceneSample", "Provenance"):
+        assert not hasattr(dataset, name) and not hasattr(densecrop, name)
+    assert not hasattr(geometry, "box_array")
+    joined = []
+    of = dataset.SceneStack.of.__func__
+
+    def stacks_only(cls, stacks):
+        stacks = list(stacks)
+        joined.append([type(s) for s in stacks])
+        return of(cls, stacks)
+
+    monkeypatch.setattr(dataset.SceneStack, "of", classmethod(stacks_only))
+    scenes = dataset.generate_synthetic_dataset(benchmarks.scene_config(3, 8))
+    by_id = dict(zip(scenes.image_ids, scenes))
+    split = dataset.split_dataset(list(by_id), 0.25, 3)
+    config = teacher.TrainerConfig(
+        burn_in_iters=4, max_iters=8, crop_start_iter=6, learning_rate=0.05, crops_on_labeled=True,
+        crop_params=benchmarks.CROP_PARAMS, upscale=benchmarks.UPSCALE,
+    )
+    backend = benchmarks.make_backend(3)
+    state = teacher.train(config, by_id, split, backend)
+    test = dataset.generate_synthetic_dataset(benchmarks.scene_config(4, 6))
+    results = infer.run_inference(test, backend, state.teacher, infer.InferenceConfig())
+    assert [r.image_id for r in results] == list(test.image_ids)
+    assert joined and all(kinds == [dataset.SceneStack] * len(kinds) for kinds in joined)

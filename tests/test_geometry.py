@@ -13,7 +13,6 @@ from densecrop.errors import ConfigError, InvariantViolation
 from densecrop.geometry import (
     Box,
     Detection,
-    box_array,
     check_boxes,
     clip,
     detections_from_arrays,
@@ -33,6 +32,11 @@ from reference_impls import (
     nms_ref,
     scaled_boxes_ref,
 )
+
+
+def box_array(boxes) -> np.ndarray:
+    """(N, 4) float64 rows of ``Box`` objects; (0, 4) when empty."""
+    return np.array([b.as_tuple() for b in boxes], dtype=np.float64).reshape(-1, 4)
 
 
 def random_box(rng, width=500.0, height=500.0, min_side=1.0, max_side=120.0):

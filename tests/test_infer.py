@@ -1,7 +1,5 @@
 """Multi-stage inference: crop selection, zoom-in re-detection, fusion."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -9,9 +7,6 @@ from densecrop.croplab import CropParams
 from densecrop.dataset import (
     Annotation,
     ImageRecord,
-    Provenance,
-    SceneSample,
-    SceneSpec,
     SyntheticConfig,
     UpscalePolicy,
     generate_synthetic_dataset,
@@ -35,9 +30,10 @@ from reference_impls import (
     detection_arrays,
     label_one,
     one_scene,
-    scene_spec,
+    scene_of,
     split_rows,
     stack_of,
+    with_record,
 )
 
 CROP_PARAMS = CropParams(merge_steps=1, sigma=5, theta=0.05, pi=0.5, min_cluster=2)
@@ -77,7 +73,7 @@ def crop_weights(backend):
 def crops_alone(backend, weights, sample, cfg=None):
     """The crops :func:`select_crops` picks from ``sample``'s stage one
     run alone."""
-    first = one_scene(backend.detect_batch(weights, stack_of([sample])))
+    first = one_scene(backend.detect_batch(weights, sample))
     return select_one(first, cfg or config(), sample.record.size, backend.crop_class_id)
 
 
@@ -220,20 +216,19 @@ def clustered_sample(seed=0):
         large_size=(48.0, 90.0),
         seed=seed,
     )
-    return generate_synthetic_dataset(cfg)[0]
+    return generate_synthetic_dataset(cfg)
 
 
 def add_crop_annotations(sample, crop_class, crop_params=None):
+    """A one-scene stack with its density crops' rows after its annotation
+    rows, of class ``crop_class``."""
     params = crop_params or CropParams(merge_steps=2, sigma=14, theta=0.05, pi=0.4, min_cluster=3)
-    crops = label_one(
-        sample.record.boxes, sample.record.size, params
+    crops = label_one(sample.boxes, sample.record.size, params)
+    return with_record(
+        sample,
+        boxes=np.concatenate([sample.boxes, crops]),
+        classes=np.concatenate([sample.classes, np.full(len(crops), crop_class)]),
     )
-    record = replace(
-        sample.record,
-        boxes=np.concatenate([sample.record.boxes, crops]),
-        classes=np.concatenate([sample.record.classes, np.full(len(crops), crop_class)]),
-    )
-    return SceneSample(record=record, scene=sample.scene)
 
 
 MISS_SMALL = OracleNoiseModel(
@@ -242,8 +237,8 @@ MISS_SMALL = OracleNoiseModel(
 
 
 def detect_one(sample, backend, inference):
-    """The fused detections of one image: ``run_inference`` over a list of one."""
-    (result,) = run_inference([sample], backend, None, inference)
+    """The fused detections of one image: ``run_inference`` over a stack of one."""
+    (result,) = run_inference(sample, backend, None, inference)
     assert result.error is None
     return result.detections
 
@@ -269,9 +264,7 @@ class TestDetectMultistage:
         annotations = tuple(Annotation(box=b, class_id=0) for b in smalls) + tuple(
             Annotation(box=c, class_id=3) for c in crops
         )
-        record = ImageRecord(1, 512.0, 512.0, *annotation_rows(annotations))
-        scene = scene_spec(512.0, 512.0, 0)
-        sample = SceneSample(record=record, scene=scene)
+        sample = scene_of(ImageRecord(1, 512.0, 512.0, *annotation_rows(annotations)))
         for s in smalls:
             assert any(
                 c.x1 <= s.x1 and c.y1 <= s.y1 and c.x2 >= s.x2 and c.y2 >= s.y2 for c in crops
@@ -412,7 +405,7 @@ class TestRunInference:
         )
         assert len(crops_alone(backend, None, sample))
         with pytest.raises(InvariantViolation, match=message):
-            run_inference([sample], backend, None, config(), seed=0)
+            run_inference(sample, backend, None, config(), seed=0)
 
     def test_timings_recorded(self):
         samples = self.samples(3)
@@ -431,15 +424,13 @@ class TestArrayResults:
         samples = []
         for k, seed in enumerate((3, 5, 6)):
             sample = add_crop_annotations(clustered_sample(seed=seed), crop_class=3)
-            record = replace(sample.record, image_id=f"img{k}")
-            samples.append(replace(sample, record=record))
+            samples.append(with_record(sample, image_id=f"img{k}"))
         return samples
 
     def test_zooming_inference_builds_no_detection(self, monkeypatch):
         # Crop children stay rows of their stack: a zooming pass builds no
-        # Box, Annotation or Detection, and no record, scene, sample or
-        # provenance for its children.
-        samples = self.zooming_samples()
+        # Box, Annotation or Detection, and no record for its children.
+        samples = stack_of(self.zooming_samples())
         noise = OracleNoiseModel(jitter_std=2.0, score_mean=0.8, score_std=0.1, fp_rate=1.0)
         backend = OracleBackend(num_base_classes=3, noise=noise)
         crops = [crops_alone(backend, None, s) for s in samples]
@@ -453,7 +444,7 @@ class TestArrayResults:
 
             return count
 
-        classes = (Box, Detection, Annotation, ImageRecord, SceneSpec, SceneSample, Provenance)
+        classes = (Box, Detection, Annotation, ImageRecord)
         with monkeypatch.context() as patched:
             for cls in classes:
                 patched.setattr(cls, "__init__", counting(cls.__init__))
@@ -508,7 +499,7 @@ class TestArrayResults:
             num_base_classes=3, noise=OracleNoiseModel(score_mean=0.9, score_std=0.0)
         )
         with pytest.raises(InvariantViolation, match=message):
-            run_inference([samples[k] for k in order], backend, None, config())
+            run_inference(stack_of([samples[k] for k in order]), backend, None, config())
 
 
 class TestChunkedInference:
@@ -523,16 +514,13 @@ class TestChunkedInference:
             num_images=40, num_classes=3, clusters_per_image=(0, 2),
             objects_per_cluster=(6, 8), scattered_per_image=(1, 3), seed=14,
         )
-        generated = generate_synthetic_dataset(cfg)
-        empty = SceneSample(
-            record=ImageRecord("empty", 300.0, 300.0),
-            scene=scene_spec(300.0, 300.0, 1, payload_width=3),
-        )
-        return generated[:5] + [empty] + generated[5:]
+        generated = list(generate_synthetic_dataset(cfg))
+        empty = scene_of(ImageRecord("empty", 300.0, 300.0), 1, payload_width=3)
+        return stack_of(generated[:5] + [empty] + generated[5:])
 
     def chunks(self, monkeypatch, samples, budget):
         monkeypatch.setattr(geometry_module, "CHUNK_OBJECTS", budget)
-        return chunk_bounds([len(s.scene.object_boxes) for s in samples])
+        return chunk_bounds(samples.object_counts.tolist())
 
     def outcomes(self, monkeypatch, samples, backend, weights, budget):
         monkeypatch.setattr(geometry_module, "CHUNK_OBJECTS", budget)
@@ -556,7 +544,7 @@ class TestChunkedInference:
         return chunked
 
     def test_oracle_chunks_equal_one_image_per_chunk(self, monkeypatch):
-        samples = [add_crop_annotations(s, crop_class=3) for s in self.samples()]
+        samples = stack_of(add_crop_annotations(s, crop_class=3) for s in self.samples())
         backend = FailingBackend(
             num_base_classes=3, noise=OracleNoiseModel(score_mean=0.9, score_std=0.0)
         )
@@ -566,7 +554,7 @@ class TestChunkedInference:
         samples = self.samples()
         start, stop = self.chunks(monkeypatch, samples, self.BUDGET)[1]
         assert stop - start >= 3
-        failing = samples[(start + stop) // 2].record.image_id  # mid second chunk
+        failing = samples.image_ids[(start + stop) // 2]  # mid second chunk
 
         class FailingToy(ToyDetector):
             def views(self, scenes, targets=False):
@@ -581,7 +569,7 @@ class TestChunkedInference:
         )
         chunked = self.check(monkeypatch, samples, backend, crop_weights(backend), failing)
         # the scene without objects has no proposals, hence no detections
-        assert backend.views(stack_of([samples[5]])).proposals.shape == (0, 4)
+        assert backend.views(samples.take([5])).proposals.shape == (0, 4)
         assert chunked[5] == ("empty", [], None)
 
 
@@ -621,7 +609,7 @@ class TestChunkBudget:
     def test_run_inference_runs_those_chunks(self, monkeypatch):
         samples = TestChunkedInference().samples()
         monkeypatch.setattr(geometry_module, "CHUNK_OBJECTS", 60)
-        edges = chunk_bounds([len(s.scene.object_boxes) for s in samples])
+        edges = chunk_bounds(samples.object_counts.tolist())
         sizes = []
         attempt = infer_module._attempt
 
@@ -649,7 +637,7 @@ class TestDenseChunks:
             objects_per_cluster=(14, 18), scattered_per_image=(10, 20), seed=7,
         )
         samples = generate_synthetic_dataset(cfg)
-        assert min(len(s.scene.object_boxes) for s in samples) >= 150
+        assert samples.object_counts.min() >= 150
         backend = ToyDetector(ToyDetectorConfig(num_base_classes=4, proposal_crop_params=CROP_PARAMS))
         weights = crop_weights(backend)
         sizes = []
@@ -677,7 +665,7 @@ class TestDenseChunks:
         ]
         assert outcomes[0] == outcomes[1]
         assert all(r.error is None for r in chunked) and sum(len(r.classes) for r in chunked) > 0
-        assert len(crops_alone(backend, weights, samples[0])) > 0  # stage two runs
+        assert len(crops_alone(backend, weights, samples.take([0]))) > 0  # stage two runs
 
 
 class TestPinnedToyInference:

@@ -9,7 +9,6 @@ from densecrop.croplab import CropParams
 from densecrop.dataset import (
     Annotation,
     DatasetSplit,
-    SceneSample,
     SyntheticConfig,
     UpscalePolicy,
     generate_synthetic_dataset,
@@ -55,6 +54,7 @@ from reference_impls import (
     stack_of,
     student_batch_ref,
     supervised_batch_ref,
+    with_record,
 )
 
 CROP_PARAMS = CropParams(merge_steps=2, sigma=14, theta=0.05, pi=0.4, min_cluster=3)
@@ -335,9 +335,8 @@ class TestSupervisedBatch:
             anns = sample.record.annotations
             twins = tuple(Annotation(a.box, (a.class_id + 1) % 3) for a in anns[::2])
             boxes, classes = annotation_rows(twins + anns if k % 2 else anns + twins)
-            tied.append(SceneSample(replace(sample.record, boxes=boxes, classes=classes), sample.scene))
-        bare_record = replace(samples[3].record, boxes=np.zeros((0, 4)), classes=np.zeros(0, np.int64))
-        bare = SceneSample(bare_record, samples[3].scene)
+            tied.append(with_record(sample, boxes=boxes, classes=classes))
+        bare = with_record(samples[3], boxes=np.zeros((0, 4)), classes=np.zeros(0, np.int64))
         pool = samples + children + tied + [bare]
         return backend, [(s, backend.views(stack_of([s]), targets=True)) for s in pool]
 
@@ -1098,7 +1097,7 @@ class TestUnlabeledGroundTruthGuard:
         split = split_dataset(list(by_id), pinned.LABELED_FRACTION, 1)
         empty = dict(boxes=np.zeros((0, 4)), classes=np.zeros(0, dtype=np.int64))
         stripped = {
-            i: s if i in split.labeled_ids else replace(s, record=replace(s.record, **empty))
+            i: s if i in split.labeled_ids else with_record(s, **empty)
             for i, s in by_id.items()
         }
         assert all(len(by_id[i].record.classes) for i in split.unlabeled_ids)
